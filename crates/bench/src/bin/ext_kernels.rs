@@ -23,6 +23,14 @@
 //! tolerance — the exact bound is enforced by the property suites). The
 //! bench asserts both before timing.
 //!
+//! A second table times the tier-A SQ8 scoring kernel the IVF scan runs
+//! (`QueryScorer::score_block` / `score_tile`, d=64): per-code scalar
+//! scoring, 64-code blocks at the scalar and dispatched levels, the
+//! same codes cut into ragged 19-code lists (the mean inverted-list
+//! length of a 6 000-vector shard), and a 4-query tile sharing each
+//! dequantized value. Every variant is asserted bit-identical to
+//! per-code `score` before it is timed.
+//!
 //! Set `HERMES_SMOKE=1` to run a seconds-scale correctness pass (used by
 //! `scripts/verify.sh`), and `HERMES_SIMD=scalar` to pin the dispatch
 //! level and measure the tiling-only baseline.
@@ -31,8 +39,9 @@ use hermes_bench::{emit, time_it, BENCH_SEED};
 use hermes_math::block::BLOCK;
 use hermes_math::rng::seeded_rng;
 use hermes_math::simd::SimdLevel;
-use hermes_math::{simd_level, Metric, Neighbor, TopK};
+use hermes_math::{simd_level, Mat, Metric, Neighbor, TopK};
 use hermes_metrics::{Row, Table};
+use hermes_quant::{Codec, CodecSpec, QueryScorer};
 
 const K: usize = 10;
 
@@ -134,6 +143,125 @@ fn best_time(reps: usize, mut sweep: impl FnMut()) -> f64 {
     best
 }
 
+/// Mean inverted-list length of a 6 000-vector shard (`nlist = 4·√n`).
+const RAGGED_LIST: usize = 19;
+
+/// The SQ8 tier-A kernel table: million (query, code) scores per second
+/// over an L2-resident code block, each variant first asserted
+/// bit-identical to per-code `score`.
+fn sq8_table(level: SimdLevel, reps: usize) -> Table {
+    use hermes_math::block::QTILE;
+    const DIM: usize = 64;
+    let n = if smoke() { 1024 } else { 4096 };
+    let data = Mat::from_flat(n, DIM, random_vecs(n, DIM, BENCH_SEED + 7));
+    let codec = Codec::train(CodecSpec::Sq8, &data, BENCH_SEED);
+    let mut codes = Vec::with_capacity(n * DIM);
+    for row in data.iter_rows() {
+        codec.encode_into(row, &mut codes);
+    }
+    let queries = random_vecs(QTILE, DIM, BENCH_SEED + 8);
+    let scorers: Vec<QueryScorer<'_>> = queries
+        .chunks_exact(DIM)
+        .map(|q| codec.query_scorer(q, Metric::InnerProduct))
+        .collect();
+    let tile: Vec<&QueryScorer<'_>> = scorers.iter().collect();
+    let want: Vec<Vec<f32>> = scorers
+        .iter()
+        .map(|s| codes.chunks_exact(DIM).map(|c| s.score(c)).collect())
+        .collect();
+    let same = |what: &str, got: &[f32], want: &[f32]| {
+        assert!(
+            got.iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()),
+            "{what} is not bit-identical to per-code scoring"
+        );
+    };
+
+    let mut out = vec![0.0f32; QTILE * n];
+    // (variant, queries per pass, one full pass over the codes)
+    type Pass<'a> = Box<dyn FnMut(&mut [f32]) + 'a>;
+    let blocks = |level: SimdLevel, chunk: usize| -> Pass<'_> {
+        let (scorer, codes) = (&scorers[0], &codes);
+        Box::new(move |out: &mut [f32]| {
+            for (c, o) in codes.chunks(chunk * DIM).zip(out[..n].chunks_mut(chunk)) {
+                scorer.score_block_at(level, c, o);
+            }
+        })
+    };
+    let variants: Vec<(String, usize, Pass<'_>)> = vec![
+        (
+            "per-code score".into(),
+            1,
+            Box::new(|out: &mut [f32]| {
+                for (c, o) in codes.chunks_exact(DIM).zip(out.iter_mut()) {
+                    *o = scorers[0].score(c);
+                }
+            }),
+        ),
+        (
+            format!("{BLOCK}-code blocks @scalar"),
+            1,
+            blocks(SimdLevel::Scalar, BLOCK),
+        ),
+        (
+            format!("{BLOCK}-code blocks @{level}"),
+            1,
+            blocks(level, BLOCK),
+        ),
+        (
+            format!("ragged {RAGGED_LIST}-code lists @{level}"),
+            1,
+            blocks(level, RAGGED_LIST),
+        ),
+        (
+            format!("{QTILE}-query tile, {BLOCK}-code blocks @{level}"),
+            QTILE,
+            Box::new(|out: &mut [f32]| {
+                // Block-major output; compared per block below.
+                for (c, o) in codes.chunks(BLOCK * DIM).zip(out.chunks_mut(QTILE * BLOCK)) {
+                    QueryScorer::score_tile_at(level, &tile, c, o);
+                }
+            }),
+        ),
+    ];
+
+    let mut table = Table::new(
+        format!(
+            "Extension — SQ8 tier-A scoring kernel ({level}), d={DIM}, {n} codes \
+             (best of {reps}; every variant bit-identical to per-code score)"
+        ),
+        &["variant", "M (query, code)/s", "vs per-code"],
+    );
+    let mut baseline = 0.0;
+    for (name, width, mut pass) in variants {
+        pass(&mut out);
+        if width == 1 {
+            same(&name, &out[..n], &want[0]);
+        } else {
+            for (b, block) in out.chunks(width * BLOCK).enumerate() {
+                let bn = block.len() / width;
+                for (q, row) in block.chunks(bn).enumerate() {
+                    same(&name, row, &want[q][b * BLOCK..b * BLOCK + bn]);
+                }
+            }
+        }
+        let secs = best_time(reps, || {
+            pass(&mut out);
+            std::hint::black_box(&out);
+        });
+        let rate = (width * n) as f64 / 1e6 / secs;
+        if baseline == 0.0 {
+            baseline = rate;
+        }
+        table.push(Row::new(
+            name,
+            vec![format!("{rate:.1}"), format!("{:.2}x", rate / baseline)],
+        ));
+    }
+    table
+}
+
 fn main() {
     let metric = Metric::InnerProduct;
     let level = simd_level();
@@ -217,13 +345,16 @@ fn main() {
             ],
         ));
     }
+    let sq8 = sq8_table(level, reps * 4);
     if smoke() {
         // Smoke mode ran tiny shapes whose timings mean nothing; print
         // them but keep bench_results/ holding the full-run record.
         println!("{}", table.render());
-        println!("(smoke mode: bench_results/ext_kernels.md left untouched)\n");
+        println!("{}", sq8.render());
+        println!("(smoke mode: bench_results/ext_kernels*.md left untouched)\n");
     } else {
         emit("ext_kernels", &table);
+        emit("ext_kernels_sq8", &sq8);
     }
 
     println!(

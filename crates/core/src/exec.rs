@@ -10,24 +10,36 @@
 //!
 //! ```text
 //!            ┌─────────────────────────────────────────────────┐
-//!   query ──▶│ ROUTE    sample every shard (or score its       │
-//!            │          centroid), rank best-first             │
+//!   query ──▶│ ROUTE    every shard samples the query group in │
+//!   group    │          one group scan (or its centroid is     │
+//!            │          scored); each query ranks best-first   │
 //!            ├─────────────────────────────────────────────────┤
-//!            │ SCATTER  deep-search the top-m shards; the m    │
-//!            │          tasks fan out on hermes_pool::Pool     │
-//!            │          (intra-query parallelism)              │
+//!            │ SCATTER  deep-search the top-m shards: one      │
+//!            │          group scan per shard serves every      │
+//!            │          query routed to it; shards fan out on  │
+//!            │          hermes_pool::Pool                      │
 //!            ├─────────────────────────────────────────────────┤
-//!            │ GATHER   merge_topk over per-shard hits in      │
-//!            │          deterministic input order; fold the    │
-//!            │          per-stage ScanStats into SearchStats   │
+//!            │ GATHER   merge_topk over per-shard hits in the  │
+//!            │          query's rank order; fold the per-stage │
+//!            │          ScanStats into SearchStats             │
 //!            └─────────────────────────────────────────────────┘
 //! ```
 //!
+//! The engine reaches a shard through one call,
+//! [`VectorIndex::search_group`]: a group of queries, each at its own
+//! `nprobe`, answered exactly as if each were searched alone, with
+//! inverted lists that several of them probe streamed once. A single
+//! query is a group of one — [`Engine::route`] and the per-query scatter
+//! are the one-query cases of [`Engine::route_batch`] and the coalesced
+//! scatter.
+//!
 //! Two levels of parallelism compose:
 //!
-//! * **Inter-query** — batch entry points steal whole queries from the
-//!   shared pool cursor (`threads` caps the width; `0` = full pool,
-//!   `1` = inline sequential).
+//! * **Inter-query** — [`Engine::execute_batch`] steals whole queries
+//!   from the shared pool cursor; [`Engine::route_batch`] and the
+//!   coalesced scatter spread shards, each serving its whole query
+//!   group (`threads` caps the width; `0` = full pool, `1` = inline
+//!   sequential).
 //! * **Intra-query** — within one query, the route stage's per-shard
 //!   samples and the scatter stage's m deep searches fan out on the same
 //!   pool ([`QueryPlan::scatter_threads`]). Inside a batch the pool's
@@ -42,19 +54,20 @@
 //! and the first error in input order is the one reported
 //! (`tests/engine_equivalence.rs` pins all of this property-style).
 //!
-//! Work accounting is recorded *as the stages run*: shard searches
-//! return [`hermes_index::ScanStats`] from the scan itself, so nothing
-//! re-walks a coarse quantizer after the fact (the old `probe_cost`
-//! double scan).
+//! Work accounting is recorded *as the stages run*: shard scans return
+//! [`hermes_index::ScanStats`] from the scan itself, so nothing re-walks
+//! a coarse quantizer after the fact (the old `probe_cost` double scan).
 //!
 //! When runtime telemetry is on (`hermes_trace::enable`), each stage
 //! additionally records a span — `engine.execute` ▸ `engine.route` /
 //! `engine.scatter` / `engine.gather`, plus per-shard `shard.sample` and
 //! `shard.deep` spans on whichever pool worker stole the shard — whose
-//! args carry the same scanned-code counts as [`SearchStats`]. Disabled,
-//! every site is a single relaxed atomic load.
+//! args carry the same scanned-code counts as [`SearchStats`]; the
+//! `shard.*` spans also say how many queries the group scan served and
+//! how many codes it physically streamed. Disabled, every site is a
+//! single relaxed atomic load.
 
-use hermes_index::{ScanStats, SearchParams, VectorIndex};
+use hermes_index::{GroupScan, ScanResult, ScanStats, VectorIndex};
 use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
 
@@ -205,13 +218,11 @@ pub fn rank_by_score(scored: Vec<(usize, f32)>) -> Vec<usize> {
     rank_with_scores(scored).0
 }
 
-/// [`rank_by_score`], also returning the scores in rank order.
+/// [`rank_by_score`], also returning the scores in rank order. NaN
+/// scores rank last (the [`Neighbor`] order), so the comparison is a
+/// total order whatever a hostile query made the sample scores.
 pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>) {
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
+    scored.sort_by(|a, b| Neighbor::new(a.0 as u64, a.1).cmp(&Neighbor::new(b.0 as u64, b.1)));
     scored.into_iter().unzip()
 }
 
@@ -264,73 +275,141 @@ impl<'s> Engine<'s> {
     }
 
     /// **Stage 1+2 (route):** ranks every cluster for `query` without
-    /// deep-searching any. Records an `engine.route` span (args:
-    /// `scanned_codes`, `clusters`) when telemetry is enabled.
+    /// deep-searching any — the one-query case of the group route behind
+    /// [`Engine::route_batch`]. Records an `engine.route` span (args:
+    /// `queries`, `scanned_codes`, `clusters`) when telemetry is enabled.
     ///
     /// # Errors
     ///
     /// Propagates the first shard error in cluster order.
     pub fn route(&self, query: &[f32]) -> Result<RouteOutcome, HermesError> {
-        let mut sp = hermes_trace::span(names::ENGINE_ROUTE);
-        let out = self.route_stage(query)?;
-        sp.arg("scanned_codes", out.cost.scanned_codes as u64);
-        sp.arg("clusters", out.cost.clusters_touched as u64);
-        Ok(out)
+        self.route_group(&[query], width_cap(self.plan.scatter_threads))
+            .pop()
+            .expect("one route per query")
     }
 
-    fn route_stage(&self, query: &[f32]) -> Result<RouteOutcome, HermesError> {
+    /// Routes a group of queries **shard-major**: under document-sampling
+    /// routing each shard samples the whole group in one
+    /// [`VectorIndex::search_group`] (shards fan out on the pool, at most
+    /// `cap` at once), then every query ranks its own per-shard scores.
+    /// Each entry is exactly what routing that query alone returns; a
+    /// query's error is its first failing shard in cluster order.
+    fn route_group(
+        &self,
+        queries: &[&[f32]],
+        cap: usize,
+    ) -> Vec<Result<RouteOutcome, HermesError>> {
+        if queries.is_empty() {
+            return Vec::new();
+        }
         let store = self.store;
         let n = store.num_clusters();
-        match self.plan.routing {
+        let mut sp =
+            hermes_trace::span_with(names::ENGINE_ROUTE, &[("queries", queries.len() as u64)]);
+        let routes: Vec<Result<RouteOutcome, HermesError>> = match self.plan.routing {
             Routing::DocumentSampling => {
-                let params = SearchParams::new().with_nprobe(self.plan.sample_nprobe);
-                // One cheap k=1 sample per shard, fanned out like the
-                // scatter stage (samples dominate single-query latency
-                // when m is small).
+                // One cheap k=1 sample per (shard, query); samples
+                // dominate single-query latency when m is small.
                 let clusters: Vec<usize> = (0..n).collect();
-                let samples = self.fan_out(&clusters, |c| {
-                    let mut sp = hermes_trace::span_with(names::SHARD_SAMPLE, &[("cluster", c as u64)]);
-                    let (hits, stats) = store.shard(c).search_with_stats(query, 1, &params)?;
-                    sp.arg("scanned_codes", stats.scanned_codes as u64);
-                    Ok((hits.first().map_or(f32::NEG_INFINITY, |h| h.score), stats))
-                })?;
-                let scanned = samples.iter().map(|(_, s)| s.scanned_codes).sum();
-                let scored = clusters
-                    .iter()
-                    .map(|&c| (c, samples[c].0))
-                    .collect::<Vec<_>>();
-                let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
-                Ok(RouteOutcome {
-                    ranked_clusters,
-                    ranked_scores,
-                    cost: SearchPhaseCost {
-                        scanned_codes: scanned,
-                        clusters_touched: n,
-                    },
-                })
+                let nprobes = vec![self.plan.sample_nprobe; queries.len()];
+                let samples = fan_out(&clusters, cap, |&c| {
+                    self.shard_scan(names::SHARD_SAMPLE, c, queries, 1, &nprobes)
+                });
+                (0..queries.len())
+                    .map(|qi| {
+                        let mut scored = Vec::with_capacity(n);
+                        let mut scanned = 0;
+                        for (c, shard) in samples.iter().enumerate() {
+                            let (hits, stats) =
+                                shard.results[qi].as_ref().map_err(|e| e.clone())?;
+                            scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
+                            scanned += stats.scanned_codes;
+                        }
+                        let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
+                        Ok(RouteOutcome {
+                            ranked_clusters,
+                            ranked_scores,
+                            cost: SearchPhaseCost {
+                                scanned_codes: scanned,
+                                clusters_touched: n,
+                            },
+                        })
+                    })
+                    .collect()
             }
             Routing::CentroidOnly => {
                 let metric = store.config().metric;
-                let scored: Vec<(usize, f32)> = (0..n)
-                    .map(|c| (c, metric.similarity(query, store.split_centroid(c))))
-                    .collect();
-                let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
-                Ok(RouteOutcome {
-                    ranked_clusters,
-                    ranked_scores,
-                    cost: SearchPhaseCost {
-                        // Centroid ranking scans one vector per cluster.
-                        scanned_codes: n,
-                        clusters_touched: n,
-                    },
-                })
+                queries
+                    .iter()
+                    .map(|query| {
+                        let scored: Vec<(usize, f32)> = (0..n)
+                            .map(|c| (c, metric.similarity(query, store.split_centroid(c))))
+                            .collect();
+                        let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
+                        Ok(RouteOutcome {
+                            ranked_clusters,
+                            ranked_scores,
+                            cost: SearchPhaseCost {
+                                // Centroid ranking scans one vector per cluster.
+                                scanned_codes: n,
+                                clusters_touched: n,
+                            },
+                        })
+                    })
+                    .collect()
             }
-            Routing::Unranked => Ok(RouteOutcome {
-                ranked_clusters: (0..n).collect(),
-                ranked_scores: Vec::new(),
-                cost: SearchPhaseCost::default(),
-            }),
+            Routing::Unranked => queries
+                .iter()
+                .map(|_| {
+                    Ok(RouteOutcome {
+                        ranked_clusters: (0..n).collect(),
+                        ranked_scores: Vec::new(),
+                        cost: SearchPhaseCost::default(),
+                    })
+                })
+                .collect(),
+        };
+        if sp.is_active() {
+            let routed = routes.iter().flatten();
+            sp.arg(
+                "scanned_codes",
+                routed.clone().map(|r| r.cost.scanned_codes as u64).sum(),
+            );
+            sp.arg(
+                "clusters",
+                routed.map(|r| r.cost.clusters_touched as u64).sum(),
+            );
         }
+        routes
+    }
+
+    /// One group scan of shard `c` under a `shard.sample` / `shard.deep`
+    /// span whose args carry the group's size, its logical scanned codes
+    /// (the per-query [`ScanStats`] sum) and the codes physically
+    /// streamed — equal unless queries shared a list.
+    fn shard_scan(
+        &self,
+        span: &'static str,
+        c: usize,
+        queries: &[&[f32]],
+        k: usize,
+        nprobes: &[usize],
+    ) -> GroupScan {
+        let mut sp = hermes_trace::span_with(span, &[("cluster", c as u64)]);
+        let scan = self.store.shard(c).search_group(queries, k, nprobes);
+        if sp.is_active() {
+            sp.arg("queries", queries.len() as u64);
+            sp.arg(
+                "scanned_codes",
+                scan.results
+                    .iter()
+                    .flatten()
+                    .map(|(_, s)| s.scanned_codes as u64)
+                    .sum(),
+            );
+            sp.arg("streamed_codes", scan.streamed_codes as u64);
+        }
+        scan
     }
 
     /// **Stage 3 (scatter):** deep-searches `shards` concurrently on the
@@ -345,38 +424,20 @@ impl<'s> Engine<'s> {
         shards: &[usize],
         deep_nprobe: usize,
     ) -> Result<Vec<(Vec<Neighbor>, ScanStats)>, HermesError> {
-        let params = SearchParams::new().with_nprobe(deep_nprobe);
-        let k = self.plan.k;
         let mut sp = hermes_trace::span_with(names::ENGINE_SCATTER, &[("shards", shards.len() as u64)]);
-        let per_shard = self.fan_out(shards, |c| {
-            let mut sp = hermes_trace::span_with(names::SHARD_DEEP, &[("cluster", c as u64)]);
-            let (hits, stats) = self.store.shard(c).search_with_stats(query, k, &params)?;
-            sp.arg("scanned_codes", stats.scanned_codes as u64);
-            Ok((hits, stats))
-        })?;
+        let per_shard = fan_out(shards, width_cap(self.plan.scatter_threads), |&c| {
+            self.shard_scan(names::SHARD_DEEP, c, &[query], self.plan.k, &[deep_nprobe])
+                .results
+                .pop()
+                .expect("one result per query")
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         sp.arg(
             "scanned_codes",
             per_shard.iter().map(|(_, s)| s.scanned_codes as u64).sum(),
         );
         Ok(per_shard)
-    }
-
-    /// Runs `f` over shard ids with the plan's intra-query fan-out cap.
-    /// Inside a pool worker (i.e. within a batch) this runs inline, so
-    /// nested scatter never re-enters the pool.
-    fn fan_out<U, F>(&self, shards: &[usize], f: F) -> Result<Vec<U>, HermesError>
-    where
-        U: Send,
-        F: Fn(usize) -> Result<U, HermesError> + Sync,
-    {
-        if self.plan.scatter_threads == 1 || shards.len() <= 1 {
-            return shards.iter().map(|&c| f(c)).collect();
-        }
-        let cap = match self.plan.scatter_threads {
-            0 => usize::MAX,
-            t => t,
-        };
-        hermes_pool::Pool::global().try_parallel_map_capped(shards, cap, |&c| f(c))
     }
 
     /// Executes the full pipeline for one query.
@@ -472,15 +533,18 @@ impl<'s> Engine<'s> {
         if threads == 1 || queries.len() <= 1 {
             return queries.iter().map(|q| self.execute(q)).collect();
         }
-        let cap = if threads == 0 { usize::MAX } else { threads };
-        hermes_pool::Pool::global().try_parallel_map_capped(queries, cap, |q| self.execute(q))
+        hermes_pool::Pool::global()
+            .try_parallel_map_capped(queries, width_cap(threads), |q| self.execute(q))
     }
 
-    /// **Stage 1+2 for a whole batch:** routes every query, stealing
-    /// queries from the shared pool cursor like [`Engine::execute_batch`].
-    /// `threads` caps the inter-query fan-out (`0` = full pool, `1` =
-    /// inline sequential). The serving layer's batch former uses this to
-    /// discover cluster overlap before committing to a scatter.
+    /// **Stage 1+2 for a whole batch:** routes every query, shard-major —
+    /// under document-sampling routing each shard samples the whole batch
+    /// in one group scan, so queries probing the same inverted list of a
+    /// shard share its codes. `threads` caps the fan-out across shards
+    /// (`0` = full pool, `1` = inline sequential). The serving layer's
+    /// batch former uses this to discover cluster overlap before
+    /// committing to a scatter. Every route is bit-identical to
+    /// [`Engine::route`] on that query alone.
     ///
     /// # Errors
     ///
@@ -490,27 +554,27 @@ impl<'s> Engine<'s> {
         queries: &[Vec<f32>],
         threads: usize,
     ) -> Result<Vec<RouteOutcome>, HermesError> {
-        if threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(|q| self.route(q)).collect();
-        }
-        let cap = if threads == 0 { usize::MAX } else { threads };
-        hermes_pool::Pool::global().try_parallel_map_capped(queries, cap, |q| self.route(q))
+        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        self.route_group(&queries, width_cap(threads))
+            .into_iter()
+            .collect()
     }
 
     /// Executes the pipeline for a whole batch with the scatter stage
     /// **coalesced by cluster**: after routing every query, the deep
     /// searches are grouped so each distinct cluster is one pool task
-    /// that serves all the queries whose top-m routing selected it —
-    /// instead of `queries × m` independent tasks, at most
-    /// `distinct clusters` tasks touch each shard exactly once. This is
-    /// the serving layer's dynamic-batch execution: queries with
-    /// overlapping routing share a shard visit (locality), disjoint
+    /// that serves all the queries whose top-m routing selected it in
+    /// one [`VectorIndex::search_group`] — instead of `queries × m`
+    /// independent searches, at most `distinct clusters` group scans
+    /// stream each shared inverted list once for all the queries that
+    /// probe it. This is the serving layer's dynamic-batch execution:
+    /// queries with overlapping routing share shard work, disjoint
     /// queries still fan out across shards.
     ///
     /// Results are bit-identical to [`Engine::execute_batch`]: each
-    /// `(query, cluster)` deep search runs the same deterministic scan,
-    /// per-query gather merges per-shard hits in the query's own rank
-    /// order, and stats fold the same integers. Only the task grouping —
+    /// `(query, cluster)` result of a group scan is the single-query
+    /// scan's, per-query gather merges per-shard hits in the query's own
+    /// rank order, and stats fold the same integers. Only the grouping —
     /// invisible to results — differs.
     ///
     /// # Errors
@@ -524,19 +588,12 @@ impl<'s> Engine<'s> {
         queries: &[Vec<f32>],
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, HermesError> {
-        let cap = if threads == 0 { usize::MAX } else { threads };
-
-        // Route every query; keep per-query errors for input-order
-        // propagation after the scatter phase resolves.
-        let route_one = |q: &Vec<f32>| -> Result<Result<RouteOutcome, HermesError>, HermesError> {
-            Ok(self.route(q))
-        };
-        let routes: Vec<Result<RouteOutcome, HermesError>> = if cap == 1 || queries.len() <= 1 {
-            queries.iter().map(route_one).collect::<Result<_, _>>()?
-        } else {
-            hermes_pool::Pool::global().try_parallel_map_capped(queries, cap, route_one)?
-        };
-        self.coalesced_from_routes(queries, routes, cap)
+        let cap = width_cap(threads);
+        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        // Keep per-query route errors for input-order propagation after
+        // the scatter phase resolves.
+        let routes = self.route_group(&queries, cap);
+        self.coalesced_from_routes(&queries, routes, cap)
     }
 
     /// [`Engine::execute_coalesced`] for queries that were already routed
@@ -562,14 +619,18 @@ impl<'s> Engine<'s> {
             routes.len(),
             "one route per query, positionally aligned"
         );
-        let cap = if threads == 0 { usize::MAX } else { threads };
-        self.coalesced_from_routes(queries, routes.into_iter().map(Ok).collect(), cap)
+        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        self.coalesced_from_routes(
+            &queries,
+            routes.into_iter().map(Ok).collect(),
+            width_cap(threads),
+        )
     }
 
     /// Shared scatter/gather tail of the two coalesced entry points.
     fn coalesced_from_routes(
         &self,
-        queries: &[Vec<f32>],
+        queries: &[&[f32]],
         routes: Vec<Result<RouteOutcome, HermesError>>,
         cap: usize,
     ) -> Result<Vec<SearchOutcome>, HermesError> {
@@ -577,77 +638,60 @@ impl<'s> Engine<'s> {
             hermes_trace::span_with(names::ENGINE_COALESCED, &[("queries", queries.len() as u64)]);
         // Per-query depth (m, deep nProbe): fixed knobs or the adaptive
         // policy's per-route choice — resolved once, then honored by both
-        // the group scatter and the per-query gather below.
+        // the group scatter and the per-query gather below. Query `qi`
+        // deep-searches `searched(qi)`, the first m of its ranking.
         let depths: Vec<(usize, usize)> = routes
             .iter()
             .map(|r| match r {
-                Ok(route) => self.depth_for(route),
+                Ok(route) => {
+                    let (m_limit, deep_nprobe) = self.depth_for(route);
+                    (m_limit.min(route.ranked_clusters.len()), deep_nprobe)
+                }
                 Err(_) => (0, 0),
             })
             .collect();
-        let searched: Vec<Vec<usize>> = routes
-            .iter()
-            .zip(&depths)
-            .map(|(r, &(m_limit, _))| match r {
-                Ok(route) => {
-                    let m = m_limit.min(route.ranked_clusters.len());
-                    route.ranked_clusters[..m].to_vec()
-                }
-                Err(_) => Vec::new(),
-            })
-            .collect();
+        let searched = |qi: usize| -> &[usize] {
+            match &routes[qi] {
+                Ok(route) => &route.ranked_clusters[..depths[qi].0],
+                Err(_) => &[],
+            }
+        };
 
         // Invert query → clusters into cluster → queries (ascending
         // cluster id, queries in input order within a cluster).
-        let mut cluster_queries: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (qi, clusters) in searched.iter().enumerate() {
-            for &c in clusters {
-                cluster_queries.entry(c).or_default().push(qi);
+        let mut cluster_queries = vec![Vec::new(); self.store.num_clusters()];
+        for qi in 0..queries.len() {
+            for &c in searched(qi) {
+                cluster_queries[c].push(qi);
             }
         }
-        let groups: Vec<(usize, Vec<usize>)> = cluster_queries.into_iter().collect();
+        let groups: Vec<(usize, Vec<usize>)> = cluster_queries
+            .into_iter()
+            .enumerate()
+            .filter(|(_, qis)| !qis.is_empty())
+            .collect();
         batch_span.arg("distinct_clusters", groups.len() as u64);
 
-        // One task per distinct cluster: deep-search it for every query
-        // that routed to it. Tasks never abort the fan-out — per-search
+        // One task per distinct cluster: one group scan serves every
+        // query that routed to it, each at its own deep nProbe. Per-search
         // errors are carried to the assembly step so the *query* input
         // order, not the cluster order, decides which error wins.
-        type DeepResult = Result<(Vec<Neighbor>, ScanStats), HermesError>;
-        let k = self.plan.k;
-        let run_group = |&(c, ref qis): &(usize, Vec<usize>)| -> Result<Vec<DeepResult>, HermesError> {
-            let mut sp = hermes_trace::span_with(names::SHARD_DEEP, &[("cluster", c as u64)]);
-            let mut scanned = 0u64;
-            let results = qis
-                .iter()
-                .map(|&qi| {
-                    let params = SearchParams::new().with_nprobe(depths[qi].1);
-                    let r = self.store.shard(c).search_with_stats(&queries[qi], k, &params);
-                    if let Ok((_, stats)) = &r {
-                        scanned += stats.scanned_codes as u64;
-                    }
-                    r.map_err(HermesError::from)
-                })
-                .collect();
-            sp.arg("queries", qis.len() as u64);
-            sp.arg("scanned_codes", scanned);
-            Ok(results)
-        };
-        let per_group: Vec<Vec<DeepResult>> = if cap == 1 || groups.len() <= 1 {
-            groups.iter().map(run_group).collect::<Result<_, _>>()?
-        } else {
-            hermes_pool::Pool::global().try_parallel_map_capped(&groups, cap, run_group)?
-        };
+        let per_group = fan_out(&groups, cap, |(c, qis)| {
+            let members: Vec<&[f32]> = qis.iter().map(|&qi| queries[qi]).collect();
+            let nprobes: Vec<usize> = qis.iter().map(|&qi| depths[qi].1).collect();
+            self.shard_scan(names::SHARD_DEEP, *c, &members, self.plan.k, &nprobes)
+                .results
+        });
 
         // Re-slot each deep result into its query's rank-order position,
         // so gather sees exactly the per-shard sequence `execute` builds.
-        let mut slots: Vec<Vec<Option<DeepResult>>> = searched
+        let mut slots: Vec<Vec<Option<ScanResult>>> = depths
             .iter()
-            .map(|clusters| clusters.iter().map(|_| None).collect())
+            .map(|&(m, _)| (0..m).map(|_| None).collect())
             .collect();
         for ((c, qis), results) in groups.iter().zip(per_group) {
             for (&qi, result) in qis.iter().zip(results) {
-                let pos = searched[qi]
+                let pos = searched(qi)
                     .iter()
                     .position(|cluster| cluster == c)
                     .expect("cluster group built from this query's searched list");
@@ -659,14 +703,13 @@ impl<'s> Engine<'s> {
         // and within a query route errors precede rank-order scatter
         // errors — matching execute_batch exactly.
         let mut outcomes = Vec::with_capacity(queries.len());
-        for (((route, query_searched), query_slots), (_, deep_nprobe)) in
-            routes.into_iter().zip(searched).zip(slots).zip(depths)
-        {
+        for ((route, query_slots), (m, deep_nprobe)) in routes.into_iter().zip(slots).zip(depths) {
             let route = route?;
-            let mut per_shard = Vec::with_capacity(query_slots.len());
+            let mut per_shard = Vec::with_capacity(m);
             for slot in query_slots {
                 per_shard.push(slot.expect("every searched cluster was scattered")?);
             }
+            let query_searched = route.ranked_clusters[..m].to_vec();
             outcomes.push(self.gather(route, query_searched, per_shard, deep_nprobe));
         }
         batch_span.arg(
@@ -738,6 +781,30 @@ impl<'s> Engine<'s> {
         }
         Ok(counts)
     }
+}
+
+/// A `threads` knob as a pool width: `0` means the full pool.
+fn width_cap(threads: usize) -> usize {
+    if threads == 0 {
+        usize::MAX
+    } else {
+        threads
+    }
+}
+
+/// Runs `f` over `items` on the shared pool, at most `cap` at once,
+/// results in input order. Inside a pool worker (i.e. within a batch)
+/// this runs inline, so a nested fan-out never re-enters the pool.
+fn fan_out<T, U, F>(items: &[T], cap: usize, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    if cap == 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
+    hermes_pool::Pool::global().parallel_map_capped(items, cap, f)
 }
 
 #[cfg(test)]

@@ -16,9 +16,12 @@
 //! `trace` and `stats` run a synthetic hierarchical-search workload
 //! twice — telemetry off, then on — assert the results are
 //! bit-identical, and emit the captured events as Chrome trace-event
-//! JSON (Perfetto-loadable) or an ASCII span/counter summary. The
-//! `trace` path re-parses its own output before writing it, so it
-//! doubles as the `verify.sh` telemetry smoke test.
+//! JSON (Perfetto-loadable) or an ASCII span/counter summary. `stats`
+//! runs the queries as cluster-coalesced batches of 8 and also prints,
+//! per engine stage, the logical codes its shard scans covered beside
+//! the codes physically streamed — the share cross-query list sharing
+//! saved. The `trace` path re-parses its own output before writing it,
+//! so it doubles as the `verify.sh` telemetry smoke test.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -327,8 +330,14 @@ fn cmd_eval(opts: &Flags) -> Result<(), String> {
 
 /// Runs the `eval`-shaped synthetic workload twice — telemetry off,
 /// then on — asserts bit-identical outcomes, and returns the drained
-/// trace snapshot. Shared by `trace` and `stats`.
-fn run_traced_workload(opts: &Flags) -> Result<hermes::trace::TraceSnapshot, String> {
+/// trace snapshot. Shared by `trace` and `stats`: `trace` executes the
+/// queries one by one, `stats` (`coalesced`) as the serving layer
+/// dispatches them — cluster-coalesced batches of [`STATS_BATCH`] — so
+/// its scan-work table shows what the batch's queries shared.
+fn run_traced_workload(
+    opts: &Flags,
+    coalesced: bool,
+) -> Result<hermes::trace::TraceSnapshot, String> {
     let (spec, cfg) = build_config(opts)?;
     let num_queries = get_usize(opts, "queries", 40)?;
     let threads = get_usize(opts, "threads", 0)?;
@@ -352,7 +361,15 @@ fn run_traced_workload(opts: &Flags) -> Result<hermes::trace::TraceSnapshot, Str
         .batch_hierarchical_search(&qs, threads)
         .map_err(|e| e.to_string())?;
     hermes::trace::enable();
-    let traced = store.batch_hierarchical_search(&qs, threads);
+    let traced = if coalesced {
+        let engine = Engine::for_store(&store);
+        qs.chunks(STATS_BATCH)
+            .map(|batch| engine.execute_coalesced(batch, threads))
+            .collect::<Result<Vec<_>, _>>()
+            .map(|batches| batches.concat())
+    } else {
+        store.batch_hierarchical_search(&qs, threads)
+    };
     hermes::trace::disable();
     let snap = hermes::trace::snapshot();
     if traced.map_err(|e| e.to_string())? != baseline {
@@ -361,9 +378,13 @@ fn run_traced_workload(opts: &Flags) -> Result<hermes::trace::TraceSnapshot, Str
     Ok(snap)
 }
 
+/// Queries per coalesced batch of the `stats` workload — the serving
+/// layer's default `--max-batch`.
+const STATS_BATCH: usize = 8;
+
 fn cmd_trace(opts: &Flags) -> Result<(), String> {
     let out_path = require(opts, "out")?;
-    let snap = run_traced_workload(opts)?;
+    let snap = run_traced_workload(opts, false)?;
     let spans = snap
         .spans()
         .map_err(|e| format!("unbalanced trace: {e}"))?;
@@ -396,7 +417,7 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
     if get_bool(opts, "slo") {
         return cmd_stats_slo(opts);
     }
-    let snap = run_traced_workload(opts)?;
+    let snap = run_traced_workload(opts, true)?;
     let summary = hermes::metrics::trace_report::render_summary(&snap)
         .map_err(|e| format!("unbalanced trace: {e}"))?;
     print!("{summary}");

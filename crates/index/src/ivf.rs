@@ -6,11 +6,12 @@
 //! scanned, trading accuracy for latency. Vectors inside lists are stored
 //! through a [`Codec`] (the paper uses SQ8).
 
-use hermes_kmeans::{KMeans, KMeansConfig};
-use hermes_math::{Mat, Metric, Neighbor, TopK};
-use hermes_quant::{Codec, CodecSpec};
+use hermes_kmeans::{probe_key_centroid, select_nearest, KMeans, KMeansConfig};
+use hermes_math::block::{BLOCK, QTILE};
+use hermes_math::{Mat, Metric, TopK};
+use hermes_quant::{Codec, CodecSpec, QueryScorer};
 
-use crate::{IndexError, ScanStats, SearchParams, VectorIndex};
+use crate::{GroupScan, IndexError, ScanResult, ScanStats, SearchParams, VectorIndex};
 
 #[derive(Debug, Clone, Default)]
 struct InvertedList {
@@ -477,11 +478,18 @@ impl IvfIndex {
     /// planning; a search that actually ran reports its exact work via
     /// [`VectorIndex::search_with_stats`] for free.
     pub fn probe_stats(&self, query: &[f32], nprobe: usize) -> ScanStats {
-        let probe = self
-            .coarse
-            .nearest_centroids(query, nprobe.clamp(1, self.lists.len()));
+        let mut keys = Vec::new();
+        self.coarse.probe_keys(&[query], &mut keys);
+        self.probe_cost(select_nearest(&mut keys, nprobe.clamp(1, self.lists.len())))
+    }
+
+    /// The logical work of scanning the lists behind `probe` keys.
+    fn probe_cost(&self, probe: &[u64]) -> ScanStats {
         ScanStats {
-            scanned_codes: probe.iter().map(|&l| self.lists[l].ids.len()).sum(),
+            scanned_codes: probe
+                .iter()
+                .map(|&key| self.lists[probe_key_centroid(key)].ids.len())
+                .sum(),
             probed_partitions: probe.len(),
         }
     }
@@ -557,12 +565,79 @@ impl VectorIndex for IvfIndex {
         }
     }
 
-    fn search_with_stats(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-    ) -> Result<(Vec<Neighbor>, ScanStats), IndexError> {
+    fn search_with_stats(&self, query: &[f32], k: usize, params: &SearchParams) -> ScanResult {
+        self.search_group(&[query], k, &[params.nprobe])
+            .results
+            .pop()
+            .expect("one result per query")
+    }
+
+    /// One scan for the whole group: a single pass over the centroid
+    /// table ranks every query's lists, each query *selects* its probe
+    /// set (unsorted — [`TopK`] is a total order on `(score, id)` and
+    /// [`ScanStats`] are sums, so the visiting order never shows), and
+    /// for plain (non-residual) storage the `(list, query)` probes are
+    /// inverted so each probed list is streamed **once**, its code blocks
+    /// scored against up to [`QTILE`] queries
+    /// per pass. Residual lists score a per-(query, list) shifted query,
+    /// so there is nothing to share and they are scanned query by query.
+    fn search_group(&self, queries: &[&[f32]], k: usize, nprobes: &[usize]) -> GroupScan {
+        assert_eq!(queries.len(), nprobes.len(), "one nprobe per query");
+        let mut results: Vec<ScanResult> = queries
+            .iter()
+            .map(|q| {
+                self.check_query(q)
+                    .map(|()| (Vec::new(), ScanStats::default()))
+            })
+            .collect();
+        // Slot `s` of the scan serves input query `active[s]`.
+        let active: Vec<usize> = (0..queries.len()).filter(|&i| results[i].is_ok()).collect();
+        if active.is_empty() {
+            return GroupScan {
+                results,
+                streamed_codes: 0,
+            };
+        }
+        let live: Vec<&[f32]> = active.iter().map(|&i| queries[i]).collect();
+
+        let nlist = self.lists.len();
+        let mut keys = Vec::new();
+        self.coarse.probe_keys(&live, &mut keys);
+        // `(list, slot)` probes, slot-major.
+        let mut probes: Vec<(u32, u32)> = Vec::new();
+        for (slot, (&qi, keys)) in active.iter().zip(keys.chunks_exact_mut(nlist)).enumerate() {
+            let chosen = select_nearest(keys, nprobes[qi].clamp(1, nlist));
+            results[qi] = Ok((Vec::new(), self.probe_cost(chosen)));
+            probes.extend(chosen.iter().map(|&key| (key as u32, slot as u32)));
+        }
+
+        let mut tops: Vec<TopK> = active.iter().map(|_| TopK::new(k.max(1))).collect();
+        let streamed_codes = if self.residual {
+            self.scan_residual(&live, &probes, &mut tops)
+        } else {
+            self.scan_shared(&live, probes, &mut tops)
+        };
+        for (&qi, top) in active.iter().zip(tops) {
+            if let Ok((hits, _)) = &mut results[qi] {
+                *hits = top.into_sorted_vec();
+                hits.truncate(k);
+            }
+        }
+        if hermes_trace::is_enabled() {
+            hermes_trace::counter(
+                hermes_trace::names::INDEX_CODES_STREAMED,
+                streamed_codes as u64,
+            );
+        }
+        GroupScan {
+            results,
+            streamed_codes,
+        }
+    }
+}
+
+impl IvfIndex {
+    fn check_query(&self, query: &[f32]) -> Result<(), IndexError> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch {
                 expected: self.dim,
@@ -572,132 +647,204 @@ impl VectorIndex for IvfIndex {
         if self.len == 0 {
             return Err(IndexError::Empty);
         }
-        let nprobe = params.nprobe.clamp(1, self.lists.len());
-        let probe = self.coarse.nearest_centroids(query, nprobe);
-        let stats = ScanStats {
-            scanned_codes: probe.iter().map(|&l| self.lists[l].ids.len()).sum(),
-            probed_partitions: probe.len(),
-        };
-        let mut top = TopK::new(k.max(1));
+        Ok(())
+    }
 
-        if !self.residual {
-            // One scorer serves every probed list.
-            let scorer = self.codec.query_scorer(query, self.metric);
-            for list in probe {
-                scan_list(&mut top, &self.lists[list], &scorer, None);
-            }
-        } else {
-            // Residual storage: scores decompose per list. Cosine reduces
-            // to inner product on a pre-normalized query (documents are
-            // stored unnormalized-residual but decode to the original,
-            // normalized vectors).
-            let normalized_query;
+    /// Plain storage: one scorer per query serves every list, so each
+    /// probed list is streamed once for all the queries that probe it.
+    /// Returns the codes physically scored.
+    fn scan_shared(
+        &self,
+        queries: &[&[f32]],
+        mut probes: Vec<(u32, u32)>,
+        tops: &mut [TopK],
+    ) -> usize {
+        let scorers: Vec<QueryScorer<'_>> = queries
+            .iter()
+            .map(|q| self.codec.query_scorer(q, self.metric))
+            .collect();
+        // One query's probes are already one run per list.
+        if queries.len() > 1 {
+            group_by_list(&mut probes, self.lists.len());
+        }
+        let mut scratch = ScanScratch::new();
+        probes
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|visit| {
+                let list = &self.lists[visit[0].0 as usize];
+                scan_list(list, visit, &scorers, tops, None, &mut scratch)
+            })
+            .sum()
+    }
+
+    /// Residual storage: scores decompose per list, so every
+    /// `(query, list)` pair is its own scan. Cosine reduces to inner
+    /// product on a pre-normalized query (documents are stored
+    /// unnormalized-residual but decode to the original, normalized
+    /// vectors). Returns the codes scored.
+    fn scan_residual(&self, queries: &[&[f32]], probes: &[(u32, u32)], tops: &mut [TopK]) -> usize {
+        let mut streamed = 0;
+        let mut scratch = ScanScratch::new();
+        let mut shifted = Vec::with_capacity(self.dim);
+        // Slot-major probes: each query's lists are one contiguous run.
+        for visit in probes.chunk_by(|a, b| a.1 == b.1) {
+            let slot = visit[0].1 as usize;
+            let top = std::slice::from_mut(&mut tops[slot]);
+            let normalized;
             let (q, metric) = match self.metric {
                 Metric::Cosine => {
-                    let mut nq = query.to_vec();
+                    let mut nq = queries[slot].to_vec();
                     hermes_math::distance::normalize(&mut nq);
-                    normalized_query = nq;
-                    (normalized_query.as_slice(), Metric::InnerProduct)
+                    normalized = nq;
+                    (normalized.as_slice(), Metric::InnerProduct)
                 }
-                m => (query, m),
+                m => (queries[slot], m),
             };
-            for list in probe {
-                let centroid = self.coarse.centroids().row(list);
-                let l = &self.lists[list];
-                match metric {
-                    Metric::InnerProduct => {
-                        // ip(q, c + r) = ip(q, c) + ip(q, r).
+            let mut scan = |l: u32, scorer: &QueryScorer<'_>, offset: Option<f32>| {
+                let (list, visit) = (&self.lists[l as usize], [(l, 0)]);
+                streamed += scan_list(
+                    list,
+                    &visit,
+                    std::slice::from_ref(scorer),
+                    top,
+                    offset,
+                    &mut scratch,
+                );
+            };
+            match metric {
+                Metric::InnerProduct => {
+                    // ip(q, c + r) = ip(q, c) + ip(q, r): the scorer is
+                    // list-invariant, only the offset moves.
+                    let scorer = self.codec.query_scorer(q, Metric::InnerProduct);
+                    for &(l, _) in visit {
+                        let centroid = self.coarse.centroids().row(l as usize);
                         let offset = hermes_math::distance::inner_product(q, centroid);
-                        let scorer = self.codec.query_scorer(q, Metric::InnerProduct);
-                        scan_list(&mut top, l, &scorer, Some(offset));
+                        scan(l, &scorer, Some(offset));
                     }
-                    Metric::L2 | Metric::Cosine => {
+                }
+                Metric::L2 | Metric::Cosine => {
+                    for &(l, _) in visit {
                         // -|q - (c + r)|^2 = -|(q - c) - r|^2.
-                        let shifted = hermes_math::distance::sub(q, centroid);
-                        let scorer = self.codec.query_scorer(&shifted, Metric::L2);
-                        scan_list(&mut top, l, &scorer, None);
+                        let centroid = self.coarse.centroids().row(l as usize);
+                        shifted.clear();
+                        shifted.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
+                        scan(l, &self.codec.query_scorer(&shifted, Metric::L2), None);
                     }
                 }
             }
         }
-        let mut out = top.into_sorted_vec();
-        out.truncate(k);
-        Ok((out, stats))
+        streamed
     }
 }
 
-/// Scores one inverted list in `BLOCK`-sized code chunks and feeds the
-/// fused compare-and-compact pruning in [`TopK::push_block`]. `offset`
-/// (the residual inner-product decomposition term) is added to every
-/// score; it is applied unconditionally — even an `offset` of `0.0`
-/// changes `-0.0` scores to `+0.0` — so the f32 op sequence matches the
-/// per-code `offset + scorer.score(code)` form bit for bit.
+/// Stack buffers of one list scan, created once per group scan (a
+/// deep search visits ~100 short lists; re-zeroing 2 KB per list showed
+/// in the profile).
+struct ScanScratch {
+    scores: [f32; QTILE * BLOCK],
+    live_ids: [u64; BLOCK],
+    live_at: [u8; BLOCK],
+    live_scores: [f32; BLOCK],
+}
+
+impl ScanScratch {
+    fn new() -> Self {
+        ScanScratch {
+            scores: [0.0; QTILE * BLOCK],
+            live_ids: [0; BLOCK],
+            live_at: [0; BLOCK],
+            live_scores: [0.0; BLOCK],
+        }
+    }
+}
+
+/// Stable counting sort of `(list, slot)` probes by list, so the probes
+/// of one list become one contiguous run (slots ascending within it).
+fn group_by_list(probes: &mut Vec<(u32, u32)>, nlist: usize) {
+    let mut next = vec![0u32; nlist + 1];
+    for &(l, _) in probes.iter() {
+        next[l as usize + 1] += 1;
+    }
+    for l in 0..nlist {
+        next[l + 1] += next[l];
+    }
+    let mut grouped = vec![(0u32, 0u32); probes.len()];
+    for &probe in probes.iter() {
+        let at = &mut next[probe.0 as usize];
+        grouped[*at as usize] = probe;
+        *at += 1;
+    }
+    *probes = grouped;
+}
+
+/// Streams one inverted list **once** for every query slot in `visit`
+/// (`(list, slot)` probes of this list): each `BLOCK`-sized code chunk is
+/// scored against up to `QTILE` slots' scorers per pass and every slot's
+/// row feeds the fused compare-and-compact pruning of its own
+/// [`TopK::push_block`]. The tombstone mask is computed once per chunk:
+/// the full chunk is scored with the unchanged kernel, then dead
+/// `(id, score)` pairs are compacted out before admission, so live rows
+/// keep their exact bits and admission order. `offset` (the residual
+/// inner-product decomposition term) is added to every score; it is
+/// applied unconditionally — even an `offset` of `0.0` changes `-0.0`
+/// scores to `+0.0` — so the f32 op sequence matches the per-code
+/// `offset + scorer.score(code)` form bit for bit. Returns the codes
+/// physically scored.
 fn scan_list(
-    top: &mut TopK,
     list: &InvertedList,
-    scorer: &hermes_quant::QueryScorer<'_>,
+    visit: &[(u32, u32)],
+    scorers: &[QueryScorer<'_>],
+    tops: &mut [TopK],
     offset: Option<f32>,
-) {
-    use hermes_math::block::BLOCK;
-    let cs = scorer.code_size();
-    if cs == 0 {
-        // Degenerate zero-dim codec: one empty code per id.
-        let mut scores = vec![0.0f32; list.ids.len()];
-        scorer.score_block(&list.codes, &mut scores);
-        if let Some(o) = offset {
-            for s in scores.iter_mut() {
-                *s = o + *s;
-            }
-        }
-        if list.dead_count == 0 {
-            top.push_block(&list.ids, &scores);
-        } else {
-            let mut ids = Vec::with_capacity(list.live());
-            let mut live = Vec::with_capacity(list.live());
-            for (pos, (&id, &s)) in list.ids.iter().zip(&scores).enumerate() {
-                if !list.dead[pos] {
-                    ids.push(id);
-                    live.push(s);
+    scratch: &mut ScanScratch,
+) -> usize {
+    let cs = scorers[0].code_size();
+    let ScanScratch {
+        scores,
+        live_ids,
+        live_at,
+        live_scores,
+    } = scratch;
+    let mut streamed = 0;
+    for (b, ids) in list.ids.chunks(BLOCK).enumerate() {
+        let (start, bn) = (b * BLOCK, ids.len());
+        let codes = &list.codes[start * cs..(start + bn) * cs];
+        let mut live = 0;
+        if list.dead_count > 0 {
+            for (j, (&id, &dead)) in ids.iter().zip(&list.dead[start..]).enumerate() {
+                if !dead {
+                    live_ids[live] = id;
+                    live_at[live] = j as u8;
+                    live += 1;
                 }
             }
-            top.push_block(&ids, &live);
         }
-        return;
-    }
-    let mut scores = [0.0f32; BLOCK];
-    let mut live_ids = [0u64; BLOCK];
-    let mut live_scores = [0.0f32; BLOCK];
-    for ((codes, ids), dead) in list
-        .codes
-        .chunks(cs * BLOCK)
-        .zip(list.ids.chunks(BLOCK))
-        .zip(list.dead.chunks(BLOCK))
-    {
-        let out = &mut scores[..ids.len()];
-        scorer.score_block(codes, out);
-        if let Some(o) = offset {
-            for s in out.iter_mut() {
-                *s = o + *s;
+        for tile in visit.chunks(QTILE) {
+            let mut refs = [&scorers[0]; QTILE];
+            for (r, &(_, slot)) in refs.iter_mut().zip(tile) {
+                *r = &scorers[slot as usize];
             }
-        }
-        if list.dead_count == 0 {
-            top.push_block(ids, out);
-        } else {
-            // Lazy tombstone skip: score the full block with the
-            // unchanged kernel, then compact dead (id, score) pairs out
-            // before admission — live rows keep their exact bits and
-            // admission order.
-            let mut n = 0usize;
-            for (j, (&id, &s)) in ids.iter().zip(out.iter()).enumerate() {
-                if !dead[j] {
-                    live_ids[n] = id;
-                    live_scores[n] = s;
-                    n += 1;
+            let out = &mut scores[..tile.len() * bn];
+            streamed += QueryScorer::score_tile(&refs[..tile.len()], codes, out);
+            if let Some(o) = offset {
+                for s in out.iter_mut() {
+                    *s = o + *s;
                 }
             }
-            top.push_block(&live_ids[..n], &live_scores[..n]);
+            for (&(_, slot), row) in tile.iter().zip(out.chunks_exact(bn)) {
+                let top = &mut tops[slot as usize];
+                if list.dead_count == 0 {
+                    top.push_block(ids, row);
+                } else {
+                    for (s, &j) in live_scores.iter_mut().zip(&live_at[..live]) {
+                        *s = row[j as usize];
+                    }
+                    top.push_block(&live_ids[..live], &live_scores[..live]);
+                }
+            }
         }
     }
+    streamed
 }
 
 #[cfg(test)]
@@ -705,6 +852,7 @@ mod tests {
     use super::*;
     use crate::FlatIndex;
     use hermes_math::rng::seeded_rng;
+    use hermes_math::Neighbor;
 
     fn clustered_data(n: usize, dim: usize, centers: usize, seed: u64) -> Mat {
         let mut rng = seeded_rng(seed);
@@ -1188,6 +1336,167 @@ mod tests {
         let ids: std::collections::BTreeSet<u64> = exported.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids.len(), 118);
         assert!(!ids.contains(&5) && !ids.contains(&80));
+    }
+
+    /// The tier-A oracle: the sequential scalar walk the blocked,
+    /// query-tiled, list-shared scan must reproduce bit for bit — lists
+    /// in ranked probe order, one `score` per live code, one `push` per
+    /// score.
+    fn walk_search(
+        index: &IvfIndex,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> (Vec<Neighbor>, ScanStats) {
+        let probe = index
+            .coarse
+            .nearest_centroids(query, nprobe.clamp(1, index.lists.len()));
+        let cs = index.codec.code_size();
+        let mut top = TopK::new(k.max(1));
+        let mut unit = query.to_vec();
+        hermes_math::distance::normalize(&mut unit);
+        for &l in &probe {
+            let list = &index.lists[l];
+            let centroid = index.coarse.centroids().row(l);
+            let (shifted, metric, offset) = match (index.residual, index.metric) {
+                (false, m) => (query.to_vec(), m, None),
+                (true, Metric::L2) => (
+                    hermes_math::distance::sub(query, centroid),
+                    Metric::L2,
+                    None,
+                ),
+                (true, Metric::InnerProduct) => {
+                    let o = hermes_math::distance::inner_product(query, centroid);
+                    (query.to_vec(), Metric::InnerProduct, Some(o))
+                }
+                (true, Metric::Cosine) => {
+                    let o = hermes_math::distance::inner_product(&unit, centroid);
+                    (unit.clone(), Metric::InnerProduct, Some(o))
+                }
+            };
+            let scorer = index.codec.query_scorer(&shifted, metric);
+            for (pos, &id) in list.ids.iter().enumerate() {
+                if !list.dead[pos] {
+                    let s = scorer.score(&list.codes[pos * cs..(pos + 1) * cs]);
+                    top.push(id, offset.map_or(s, |o| o + s));
+                }
+            }
+        }
+        let mut hits = top.into_sorted_vec();
+        hits.truncate(k);
+        let stats = ScanStats {
+            scanned_codes: probe.iter().map(|&l| index.lists[l].ids.len()).sum(),
+            probed_partitions: probe.len(),
+        };
+        (hits, stats)
+    }
+
+    fn assert_same_scan(got: &ScanResult, want: &(Vec<Neighbor>, ScanStats), ctx: &str) {
+        let (hits, stats) = got.as_ref().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(stats, &want.1, "{ctx}: stats");
+        assert_eq!(hits.len(), want.0.len(), "{ctx}: hit count");
+        for (g, w) in hits.iter().zip(&want.0) {
+            assert_eq!(g.id, w.id, "{ctx}: ids");
+            assert_eq!(
+                g.score.to_bits(),
+                w.score.to_bits(),
+                "{ctx}: score bits of {}",
+                g.id
+            );
+        }
+    }
+
+    #[test]
+    fn group_scan_is_bit_identical_to_the_scalar_walk() {
+        // 600 rows over 40 lists: ragged 1..~40-code lists like a real
+        // shard; tombstones in most of them.
+        let data = clustered_data(600, 12, 9, 51);
+        let codecs = [
+            CodecSpec::Flat,
+            CodecSpec::Sq8,
+            CodecSpec::Sq4,
+            CodecSpec::Pq { m: 4 },
+        ];
+        for codec in codecs {
+            for residual in [false, true] {
+                for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
+                    let mut index = IvfIndex::builder()
+                        .nlist(40)
+                        .codec(codec)
+                        .metric(metric)
+                        .residual(residual)
+                        .seed(5)
+                        .build(&data)
+                        .unwrap();
+                    for id in (0..600u64).step_by(7) {
+                        assert!(index.remove(id));
+                    }
+                    // Six queries — more than one query tile — with a
+                    // duplicate, mixed nprobe (1 .. beyond nlist) and a
+                    // wrong-dimension query in the middle.
+                    let bad = [1.0f32; 5];
+                    let queries: Vec<&[f32]> = vec![
+                        data.row(3),
+                        data.row(200),
+                        data.row(3),
+                        &bad,
+                        data.row(411),
+                        data.row(77),
+                        data.row(598),
+                    ];
+                    let nprobes = [8usize, 40, 3, 8, 1, 64, 17];
+                    let ctx = format!("{codec} residual={residual} {metric}");
+                    let group = index.search_group(&queries, 10, &nprobes);
+                    assert_eq!(group.results.len(), queries.len());
+                    let mut logical = 0;
+                    for (qi, (q, &nprobe)) in queries.iter().zip(&nprobes).enumerate() {
+                        let alone = index.search_with_stats(
+                            q,
+                            10,
+                            &SearchParams::new().with_nprobe(nprobe),
+                        );
+                        if q.len() != 12 {
+                            let err = IndexError::DimensionMismatch {
+                                expected: 12,
+                                got: 5,
+                            };
+                            assert_eq!(group.results[qi], Err(err.clone()), "{ctx}");
+                            assert_eq!(alone, Err(err), "{ctx}");
+                            continue;
+                        }
+                        let want = walk_search(&index, q, 10, nprobe);
+                        logical += want.1.scanned_codes;
+                        assert_same_scan(&alone, &want, &format!("{ctx} alone q{qi}"));
+                        assert_same_scan(&group.results[qi], &want, &format!("{ctx} group q{qi}"));
+                    }
+                    // Only plain SQ8 lists share a pass; everything else
+                    // streams exactly its logical work.
+                    if codec == CodecSpec::Sq8 && !residual {
+                        assert!(group.streamed_codes < logical, "{ctx}: nothing shared");
+                    } else {
+                        assert_eq!(group.streamed_codes, logical, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn group_scan_of_an_empty_index_or_group() {
+        let data = clustered_data(20, 4, 2, 52);
+        let mut index = IvfIndex::builder().nlist(2).build(&data).unwrap();
+        let none = index.search_group(&[], 3, &[]);
+        assert!(none.results.is_empty());
+        assert_eq!(none.streamed_codes, 0);
+        for id in 0..20 {
+            assert!(index.remove(id));
+        }
+        let scan = index.search_group(&[data.row(0), data.row(1)], 3, &[2, 2]);
+        assert_eq!(
+            scan.results,
+            vec![Err(IndexError::Empty), Err(IndexError::Empty)]
+        );
+        assert_eq!(scan.streamed_codes, 0);
     }
 
     #[test]

@@ -98,6 +98,26 @@ pub struct ScanStats {
     pub probed_partitions: usize,
 }
 
+/// One query's answer inside a [`GroupScan`]: what
+/// [`VectorIndex::search_with_stats`] returns for it.
+pub type ScanResult = Result<(Vec<Neighbor>, ScanStats), IndexError>;
+
+/// Outcome of [`VectorIndex::search_group`]: one independent answer per
+/// query plus the physical work the whole group cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GroupScan {
+    /// Per-query results, positionally aligned with the input queries —
+    /// each exactly what [`VectorIndex::search_with_stats`] returns for
+    /// that query alone. One query failing never fails its neighbours.
+    pub results: Vec<ScanResult>,
+    /// Codes physically scored for the whole group. Each query's
+    /// [`ScanStats::scanned_codes`] is *logical* work (what it would cost
+    /// alone); a code block scored once for several queries that probe
+    /// the same list counts here once, so `streamed_codes` is at most the
+    /// sum of the logical counts and equal to it when nothing is shared.
+    pub streamed_codes: usize,
+}
+
 /// Errors returned by index construction and search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexError {
@@ -195,6 +215,37 @@ pub trait VectorIndex: Send + Sync {
         k: usize,
         params: &SearchParams,
     ) -> Result<(Vec<Neighbor>, ScanStats), IndexError>;
+
+    /// Searches a group of queries, each with its own `nprobe`
+    /// (`nprobes[i]` for `queries[i]`; ignored by index families without
+    /// that knob), in one call. Every per-query result — hit ids, score
+    /// bits, [`ScanStats`], errors — is identical to
+    /// [`Self::search_with_stats`] on that query alone; what a group buys
+    /// is shared work, reported as [`GroupScan::streamed_codes`]. The
+    /// default loops the single-query search and shares nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queries.len() != nprobes.len()`.
+    fn search_group(&self, queries: &[&[f32]], k: usize, nprobes: &[usize]) -> GroupScan {
+        assert_eq!(queries.len(), nprobes.len(), "one nprobe per query");
+        let results: Vec<ScanResult> = queries
+            .iter()
+            .zip(nprobes)
+            .map(|(q, &nprobe)| {
+                self.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe))
+            })
+            .collect();
+        let streamed_codes = results
+            .iter()
+            .flatten()
+            .map(|(_, stats)| stats.scanned_codes)
+            .sum();
+        GroupScan {
+            results,
+            streamed_codes,
+        }
+    }
 
     /// Returns up to `k` nearest neighbors of `query`, best first.
     ///

@@ -289,3 +289,82 @@ fn hnsw_results_are_unique_and_sorted() {
         },
     );
 }
+
+/// A group scan answers every query exactly as a scan of that query
+/// alone — hit ids, score bits, `ScanStats`, errors — for every codec,
+/// residual and plain lists, tombstoned lists, mixed `nprobe`, duplicate
+/// queries and a query that errors in the middle of the group; and it
+/// never streams more codes than the queries' logical work.
+#[test]
+fn search_group_equals_per_query_search() {
+    let strat = tuple3(data_strategy(120, 6), u64_any(), usize_in(1..10));
+    check_with(
+        "search_group_equals_per_query_search",
+        &Config::from_env().with_cases(12),
+        &strat,
+        |(rows, pick, group)| {
+            let data = Mat::from_rows(rows);
+            let n = data.rows();
+            let codecs = [
+                CodecSpec::Flat,
+                CodecSpec::Sq8,
+                CodecSpec::Sq4,
+                CodecSpec::Pq { m: 2 },
+            ];
+            let bad = [0.5f32; 3];
+            for codec in codecs {
+                for residual in [false, true] {
+                    let mut index = IvfIndex::builder()
+                        .nlist(7)
+                        .codec(codec)
+                        .metric(Metric::InnerProduct)
+                        .residual(residual)
+                        .seed(*pick)
+                        .build(&data)
+                        .unwrap();
+                    for id in (0..n as u64).step_by(3) {
+                        index.remove(id);
+                    }
+                    // `group` queries drawn (with repeats) from the rows,
+                    // one of them replaced by a wrong-dimension query.
+                    let mut queries: Vec<&[f32]> = (0..*group)
+                        .map(|i| data.row((*pick as usize).wrapping_add(i * 5) % n.min(4 + i)))
+                        .collect();
+                    let broken = *pick as usize % queries.len();
+                    if *group > 2 {
+                        queries[broken] = &bad;
+                    }
+                    let nprobes: Vec<usize> = (0..*group).map(|i| 1 + (i * 3) % 9).collect();
+                    let scan = index.search_group(&queries, 4, &nprobes);
+                    prop_assert_eq!(scan.results.len(), queries.len());
+                    let mut logical = 0;
+                    for ((q, &nprobe), got) in queries.iter().zip(&nprobes).zip(&scan.results) {
+                        let want =
+                            index.search_with_stats(q, 4, &SearchParams::new().with_nprobe(nprobe));
+                        match (got, &want) {
+                            (Ok((hits, stats)), Ok((want_hits, want_stats))) => {
+                                prop_assert_eq!(stats, want_stats);
+                                prop_assert_eq!(hits.len(), want_hits.len());
+                                for (g, w) in hits.iter().zip(want_hits) {
+                                    prop_assert_eq!(g.id, w.id);
+                                    prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
+                                }
+                                logical += stats.scanned_codes;
+                            }
+                            (got, want) => prop_assert_eq!(got, want),
+                        }
+                    }
+                    prop_assert!(
+                        scan.streamed_codes <= logical,
+                        "{} residual={}: streamed {} > logical {}",
+                        codec,
+                        residual,
+                        scan.streamed_codes,
+                        logical
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}

@@ -237,15 +237,62 @@ impl KMeans {
     }
 
     /// Returns the indices of the `n` centroids closest to `v`, best first —
-    /// the primitive behind IVF's `nProbe` list selection.
+    /// the primitive behind IVF's `nProbe` list selection. Ties rank by
+    /// centroid index; distances compare by [`f32::total_cmp`], so a NaN
+    /// or infinite `v` still yields a deterministic answer.
     pub fn nearest_centroids(&self, v: &[f32], n: usize) -> Vec<usize> {
+        let mut keys = Vec::new();
+        self.probe_keys(&[v], &mut keys);
+        let nearest = select_nearest(&mut keys, n);
+        nearest.sort_unstable();
+        nearest.iter().map(|&key| probe_key_centroid(key)).collect()
+    }
+
+    /// Fills `keys` with one coarse-probe key per centroid per query —
+    /// query `q`'s keys are `keys[q * k..(q + 1) * k]` for `k =
+    /// self.num_clusters()` — in **one pass over the centroid table** for
+    /// the whole group: each centroid block is scored against every query
+    /// while it is cache-hot. A key packs the squared distance and the
+    /// centroid index so that plain `u64` order is the probe ranking:
+    /// ascending distance under [`f32::total_cmp`], ties by ascending
+    /// centroid index — a total order, and on finite distances exactly
+    /// the order of a stable sort by distance (`l2_sq` never yields
+    /// `-0.0`). Distances are bit-identical to scoring each query alone.
+    /// Feed a query's slice to [`select_nearest`] to pick its probe set
+    /// and read the centroids back with [`probe_key_centroid`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's length differs from the training
+    /// dimensionality.
+    pub fn probe_keys(&self, queries: &[&[f32]], keys: &mut Vec<u64>) {
+        use hermes_math::block::{l2_sq_block, BLOCK};
         let k = self.centroids.rows();
-        let mut dists = vec![0.0f32; k];
-        hermes_math::block::l2_sq_block(v, self.centroids.as_slice(), self.centroids.cols(), &mut dists);
-        let mut scored: Vec<(usize, f32)> = dists.into_iter().enumerate().collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(n.max(1));
-        scored.into_iter().map(|(c, _)| c).collect()
+        let dim = self.centroids.cols();
+        let table = self.centroids.as_slice();
+        keys.clear();
+        keys.resize(queries.len() * k, 0);
+        let mut dists = [0.0f32; BLOCK];
+        for base in (0..k).step_by(BLOCK) {
+            let bn = BLOCK.min(k - base);
+            let rows = &table[base * dim..(base + bn) * dim];
+            for (q, query) in queries.iter().enumerate() {
+                l2_sq_block(query, rows, dim, &mut dists[..bn]);
+                let slots = &mut keys[q * k + base..q * k + base + bn];
+                for (j, (slot, &d)) in slots.iter_mut().zip(&dists).enumerate() {
+                    // Sign-magnitude float bits to an unsigned key in
+                    // `total_cmp` order: negatives flip entirely,
+                    // positives flip the sign bit.
+                    let bits = d.to_bits();
+                    let ordered = if bits >> 31 == 1 {
+                        !bits
+                    } else {
+                        bits | 1 << 31
+                    };
+                    *slot = u64::from(ordered) << 32 | (base + j) as u64;
+                }
+            }
+        }
     }
 
     /// Max/min cluster-size ratio — the paper's imbalance proxy.
@@ -293,6 +340,23 @@ impl hermes_math::wire::WireDecode for KMeans {
         }
         Ok(KMeans::from_centroids(centroids, sizes))
     }
+}
+
+/// The centroid index packed into a [`KMeans::probe_keys`] key.
+pub fn probe_key_centroid(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// Moves the `n` nearest of one query's [`KMeans::probe_keys`] to the
+/// front of `keys` and returns them, **unsorted** — selection instead of
+/// a full sort. `n` is raised to 1 and capped at `keys.len()`; the chosen
+/// *set* is exactly the first `n` of the full ranking, ties included.
+pub fn select_nearest(keys: &mut [u64], n: usize) -> &mut [u64] {
+    let n = n.max(1).min(keys.len());
+    if n < keys.len() {
+        keys.select_nth_unstable(n - 1);
+    }
+    &mut keys[..n]
 }
 
 fn init_random(data: &Mat, k: usize, rng: &mut SeededRng) -> Mat {
@@ -655,6 +719,75 @@ mod tests {
         assert_eq!(order.len(), 3);
         // First listed centroid must be the assigned one.
         assert_eq!(order[0], model.assign(&[0.0, 0.0]).0);
+    }
+
+    #[test]
+    fn selection_picks_exactly_the_stable_sort_prefix() {
+        // Duplicate centroids force distance ties: the probe set and the
+        // public ranking must be the stable sort's, ties by index.
+        let mut rows: Vec<Vec<f32>> = (0..90).map(|i| vec![(i % 30) as f32 * 0.5, 1.0]).collect();
+        rows.push(vec![3.0, 1.0]);
+        let model = KMeans::from_centroids(Mat::from_rows(&rows), vec![1; 91]);
+        for query in [[2.9f32, 0.0], [0.0, 0.0], [50.0, -3.0]] {
+            let mut stable: Vec<(usize, f32)> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (i, l2_sq(&query, r)))
+                .collect();
+            stable.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+            let mut keys = Vec::new();
+            for n in [1usize, 2, 8, 31, 90, 91, 500] {
+                let want: Vec<usize> = stable.iter().take(n).map(|&(i, _)| i).collect();
+                assert_eq!(model.nearest_centroids(&query, n), want, "n={n}");
+                model.probe_keys(&[&query], &mut keys);
+                let mut set: Vec<usize> = select_nearest(&mut keys, n)
+                    .iter()
+                    .map(|&key| probe_key_centroid(key))
+                    .collect();
+                set.sort_unstable();
+                let mut want_set = want;
+                want_set.sort_unstable();
+                assert_eq!(set, want_set, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn probe_keys_of_a_group_match_each_query_alone() {
+        let data = blobs(40, &[[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]], 4);
+        // 70 centroids: more than one BLOCK of the blocked pass.
+        let model = KMeans::train(&data, &KMeansConfig::new(70).with_seed(3));
+        let queries = [[1.0f32, 2.0], [9.0, -1.0], [1.0, 2.0]];
+        let group: Vec<&[f32]> = queries.iter().map(|q| &q[..]).collect();
+        let (mut all, mut one) = (Vec::new(), Vec::new());
+        model.probe_keys(&group, &mut all);
+        for (q, keys) in group.iter().zip(all.chunks_exact(70)) {
+            model.probe_keys(&[q], &mut one);
+            assert_eq!(keys, &one[..]);
+        }
+    }
+
+    #[test]
+    fn non_finite_queries_rank_deterministically() {
+        // NaN, infinite and finite distances mixed (`inf - inf` is NaN
+        // for centroid 4 only): `total_cmp` keeps the order total where
+        // `partial_cmp(..).unwrap_or(Equal)` was not. Where a NaN ranks
+        // depends on its sign, which is the platform's.
+        let rows: Vec<Vec<f32>> = (0..12).map(|i| vec![i as f32, 0.0]).collect();
+        let mut centroids = Mat::from_rows(&rows);
+        centroids.row_mut(4)[1] = f32::INFINITY;
+        let model = KMeans::from_centroids(centroids, vec![1; 12]);
+        for query in [
+            [f32::NAN, 0.0],
+            [0.0, f32::INFINITY],
+            [f32::NEG_INFINITY, 1.0],
+        ] {
+            let order = model.nearest_centroids(&query, 12);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..12).collect::<Vec<_>>());
+            assert_eq!(order, model.nearest_centroids(&query, 12));
+        }
     }
 
     #[test]

@@ -18,13 +18,16 @@
 //!
 //! # Determinism contract (two tiers)
 //!
-//! * **Tier A — bit-identical at every level.** The SQ8
-//!   ([`sq8_ip_block_at`], [`sq8_l2_block_at`]) and PQ/ADC
+//! * **Tier A — bit-identical at every level and tile width.** The SQ8
+//!   ([`sq8_ip_qtile_at`], [`sq8_l2_qtile_at`]) and PQ/ADC
 //!   ([`adc_block_at`]) kernels vectorize *across codes* — one SIMD
-//!   lane per code, each code's accumulator folded sequentially over
-//!   dimensions with mul and add kept separate — so every level
-//!   performs, per code, the exact scalar operation sequence and
-//!   returns the exact scalar bits.
+//!   lane per code, each (query, code) accumulator folded sequentially
+//!   over dimensions with mul and add kept separate — so every level
+//!   performs, per (query, code), the exact scalar operation sequence
+//!   and returns the exact scalar bits. The SQ8 kernels score up to
+//!   [`QTILE`] queries per pass over a code block, sharing each
+//!   dequantized value; how many queries share a pass never changes a
+//!   score.
 //! * **Tier B — pinned reduction order per level.** The f32 kernels
 //!   vectorize *within a row*, so each level reassociates the
 //!   reduction differently. Per row, each level is bit-identical to
@@ -53,8 +56,8 @@ use crate::simd::{simd_level, SimdLevel};
 
 /// Rows per scan chunk: scan loops score `BLOCK` rows into a stack
 /// buffer, then offer the whole buffer to the top-k selector at once.
-/// 64 rows amortize the per-block dispatch and length checks and give
-/// the 8-wide AVX2 code-gather tiles long full-speed runs; admission
+/// 64 rows amortize the per-block dispatch and length checks over eight
+/// 8-code AVX2 tiles; admission
 /// into the top-k heap stays per-element and in row order, so the
 /// block size never changes results.
 pub const BLOCK: usize = 64;
@@ -432,6 +435,11 @@ pub fn nearest_row_l2(query: &[f32], rows: &Mat) -> (usize, f32) {
 // Blocked code-scoring kernels (tier A — bit-identical at every level).
 // ---------------------------------------------------------------------------
 
+/// Most queries one SQ8 query-tile call scores ([`sq8_ip_qtile_at`],
+/// [`sq8_l2_qtile_at`]): the AVX2 kernel keeps `QTILE x 2` accumulator
+/// tiles plus the shared dequantized values in its 16 registers.
+pub const QTILE: usize = 4;
+
 #[track_caller]
 fn validate_codes(dim: usize, codes: &[u8], n: usize, what: &str) {
     assert_eq!(
@@ -442,12 +450,107 @@ fn validate_codes(dim: usize, codes: &[u8], n: usize, what: &str) {
     );
 }
 
-/// SQ8 asymmetric inner product of `query` against a contiguous block
-/// of one-byte-per-dimension codes: `out[i] = Σ_d q[d] * (mins[d] +
-/// code_i[d] as f32 * scales[d])`, accumulated sequentially over `d`
-/// per code. **Bit-identical at every dispatch level** (tier A): the
-/// SIMD forms vectorize across codes, one lane per code, mul and add
-/// kept separate.
+/// Shape checks of an SQ8 query tile; returns the codes per query.
+#[track_caller]
+fn validate_qtile(
+    queries: &[&[f32]],
+    mins: &[f32],
+    scales: &[f32],
+    codes: &[u8],
+    out: &[f32],
+) -> usize {
+    assert!(
+        (1..=QTILE).contains(&queries.len()),
+        "SQ8 query tile holds 1..={QTILE} queries, got {}",
+        queries.len()
+    );
+    let dim = queries[0].len();
+    assert!(
+        queries.iter().all(|q| q.len() == dim),
+        "SQ8 query tile mixes dimensions"
+    );
+    assert_eq!(mins.len(), dim, "SQ8 mins length mismatch");
+    assert_eq!(scales.len(), dim, "SQ8 scales length mismatch");
+    assert_eq!(
+        out.len() % queries.len(),
+        0,
+        "SQ8 score buffer is not one row per query"
+    );
+    let n = out.len() / queries.len();
+    validate_codes(dim, codes, n, "SQ8 code");
+    n
+}
+
+/// The shared body of the two SQ8 query-tile entry points.
+fn sq8_qtile_at<const L2: bool>(
+    level: SimdLevel,
+    queries: &[&[f32]],
+    mins: &[f32],
+    scales: &[f32],
+    codes: &[u8],
+    out: &mut [f32],
+) {
+    let n = validate_qtile(queries, mins, scales, codes, out);
+    if n == 0 {
+        return;
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if level.is_supported() && !mins.is_empty() => unsafe {
+            crate::simd::avx2::sq8_qtile::<L2>(queries, mins, scales, codes, out)
+        },
+        // Scalar reference and NEON: the single-query kernel per query.
+        _ => {
+            for (query, out) in queries.iter().zip(out.chunks_exact_mut(n)) {
+                #[allow(unused_mut)]
+                let mut r = 0;
+                #[cfg(target_arch = "aarch64")]
+                if level == SimdLevel::Neon {
+                    r = unsafe {
+                        if L2 {
+                            crate::simd::neon::sq8_l2_tiles(query, mins, scales, codes, out)
+                        } else {
+                            crate::simd::neon::sq8_ip_tiles(query, mins, scales, codes, out)
+                        }
+                    };
+                }
+                if L2 {
+                    sq8_l2_scalar(query, mins, scales, codes, out, r);
+                } else {
+                    sq8_ip_scalar(query, mins, scales, codes, out, r);
+                }
+            }
+        }
+    }
+}
+
+/// SQ8 asymmetric inner product of a **tile of queries** against one
+/// contiguous block of one-byte-per-dimension codes: with
+/// `n = out.len() / queries.len()`, `out[q * n + i] = Σ_d queries[q][d] *
+/// (mins[d] + code_i[d] as f32 * scales[d])`, accumulated sequentially
+/// over `d` per (query, code). **Bit-identical at every dispatch level
+/// and every tile width** (tier A): the SIMD form puts one code per lane,
+/// computes the dequantized value once per (code, dim) and folds it into
+/// one accumulator per query in the scalar operation order, mul and add
+/// kept separate. One query is the single-query kernel.
+///
+/// # Panics
+///
+/// Panics unless `1 <= queries.len() <= QTILE`, every query and
+/// `mins`/`scales` share one length `dim`, `out.len()` is a multiple of
+/// `queries.len()` and `codes.len() == n * dim`.
+pub fn sq8_ip_qtile_at(
+    level: SimdLevel,
+    queries: &[&[f32]],
+    mins: &[f32],
+    scales: &[f32],
+    codes: &[u8],
+    out: &mut [f32],
+) {
+    sq8_qtile_at::<false>(level, queries, mins, scales, codes, out);
+}
+
+/// [`sq8_ip_qtile_at`] for one query.
 ///
 /// # Panics
 ///
@@ -461,23 +564,7 @@ pub fn sq8_ip_block_at(
     codes: &[u8],
     out: &mut [f32],
 ) {
-    let dim = query.len();
-    assert_eq!(mins.len(), dim, "SQ8 mins length mismatch");
-    assert_eq!(scales.len(), dim, "SQ8 scales length mismatch");
-    validate_codes(dim, codes, out.len(), "SQ8 code");
-    let mut r = 0;
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if level.is_supported() => {
-            r = unsafe { crate::simd::avx2::sq8_ip_tiles(query, mins, scales, codes, out) };
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            r = unsafe { crate::simd::neon::sq8_ip_tiles(query, mins, scales, codes, out) };
-        }
-        _ => {}
-    }
-    sq8_ip_scalar(query, mins, scales, codes, out, r);
+    sq8_ip_qtile_at(level, &[query], mins, scales, codes, out);
 }
 
 /// Scalar tier-A SQ8 inner product from code `start` on: 4-code
@@ -525,9 +612,27 @@ fn sq8_ip_scalar(
 }
 
 /// SQ8 asymmetric **negated** squared L2 distance (similarity
-/// orientation): `out[i] = -Σ_d (q[d] - dequant_i[d])²`. Bit-identical
-/// at every dispatch level (tier A); the sign flip matches scalar
-/// unary negation bit-for-bit, `-0.0` included.
+/// orientation) of a tile of queries: `out[q * n + i] = -Σ_d
+/// (queries[q][d] - dequant_i[d])²`, laid out and tiled like
+/// [`sq8_ip_qtile_at`]. Bit-identical at every dispatch level and tile
+/// width (tier A); the sign flip matches scalar unary negation
+/// bit-for-bit, `-0.0` included.
+///
+/// # Panics
+///
+/// Same shape panics as [`sq8_ip_qtile_at`].
+pub fn sq8_l2_qtile_at(
+    level: SimdLevel,
+    queries: &[&[f32]],
+    mins: &[f32],
+    scales: &[f32],
+    codes: &[u8],
+    out: &mut [f32],
+) {
+    sq8_qtile_at::<true>(level, queries, mins, scales, codes, out);
+}
+
+/// [`sq8_l2_qtile_at`] for one query.
 ///
 /// # Panics
 ///
@@ -540,23 +645,7 @@ pub fn sq8_l2_block_at(
     codes: &[u8],
     out: &mut [f32],
 ) {
-    let dim = query.len();
-    assert_eq!(mins.len(), dim, "SQ8 mins length mismatch");
-    assert_eq!(scales.len(), dim, "SQ8 scales length mismatch");
-    validate_codes(dim, codes, out.len(), "SQ8 code");
-    let mut r = 0;
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if level.is_supported() => {
-            r = unsafe { crate::simd::avx2::sq8_l2_tiles(query, mins, scales, codes, out) };
-        }
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
-            r = unsafe { crate::simd::neon::sq8_l2_tiles(query, mins, scales, codes, out) };
-        }
-        _ => {}
-    }
-    sq8_l2_scalar(query, mins, scales, codes, out, r);
+    sq8_l2_qtile_at(level, &[query], mins, scales, codes, out);
 }
 
 /// Scalar tier-A SQ8 negated-L2 from code `start` on; see
@@ -620,11 +709,12 @@ fn sq8_l2_scalar(
 pub fn adc_block_at(level: SimdLevel, tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) {
     assert_eq!(tables.len(), m * 256, "ADC table size mismatch");
     validate_codes(m, codes, out.len(), "ADC code");
+    #[allow(unused_mut)]
     let mut r = 0;
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if level.is_supported() => {
-            r = unsafe { crate::simd::avx2::adc_tiles(tables, m, codes, out) };
+        SimdLevel::Avx2 if level.is_supported() && m > 0 && !out.is_empty() => {
+            return unsafe { crate::simd::avx2::adc_tiles(tables, m, codes, out) };
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => {
@@ -837,35 +927,70 @@ mod tests {
         assert_eq!(nearest_row_l2(&[0.0; 4], &m), (0, f32::INFINITY));
     }
 
+    /// The tier-A reference: the plain per-code walk, no tiling at all.
+    fn sq8_reference(l2: bool, q: &[f32], mins: &[f32], scales: &[f32], code: &[u8]) -> f32 {
+        let mut acc = 0.0f32;
+        for d in 0..q.len() {
+            let val = mins[d] + code[d] as f32 * scales[d];
+            if l2 {
+                let diff = q[d] - val;
+                acc += diff * diff;
+            } else {
+                acc += q[d] * val;
+            }
+        }
+        if l2 {
+            -acc
+        } else {
+            acc
+        }
+    }
+
     #[test]
-    fn sq8_and_adc_blocks_are_bit_identical_across_levels() {
+    fn sq8_query_tiles_and_adc_are_bit_identical_to_the_scalar_walk() {
         let mut rng = seeded_rng(0xADC);
-        // Dims crossing the 8-wide gather width and its remainders; code
-        // counts crossing the 8-tile, its slack guard and the 4-tile.
-        for dim in [1usize, 3, 8, 11, 16, 29] {
-            for n in [1usize, 4, 7, 8, 9, 16, 17, 31] {
-                let query: Vec<f32> = (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+        // Dims crossing the 8-byte transpose chunk and its remainders;
+        // code counts crossing one tile, two tiles and the ragged tails
+        // of both, including the 19-code mean inverted-list length.
+        for dim in [1usize, 3, 8, 11, 16, 29, 64] {
+            for n in [0usize, 1, 4, 7, 8, 9, 15, 16, 17, 19, 31, 33] {
+                let queries: Vec<Vec<f32>> = (0..QTILE)
+                    .map(|_| (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+                    .collect();
                 let mins: Vec<f32> = (0..dim).map(|_| rng.next_f32() - 1.0).collect();
                 let scales: Vec<f32> = (0..dim).map(|_| rng.next_f32() / 127.0).collect();
-                let codes: Vec<u8> = (0..n * dim).map(|_| (rng.next_u64() & 0xFF) as u8).collect();
-                let mut want = vec![0.0f32; n];
-                sq8_ip_block_at(SimdLevel::Scalar, &query, &mins, &scales, &codes, &mut want);
-                let mut want_l2 = vec![0.0f32; n];
-                sq8_l2_block_at(SimdLevel::Scalar, &query, &mins, &scales, &codes, &mut want_l2);
+                let codes: Vec<u8> = (0..n * dim)
+                    .map(|_| (rng.next_u64() & 0xFF) as u8)
+                    .collect();
                 let m = dim;
                 let tables: Vec<f32> = (0..m * 256).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
                 let mut want_adc = vec![0.0f32; n];
                 adc_block_at(SimdLevel::Scalar, &tables, m, &codes, &mut want_adc);
                 for level in SimdLevel::available() {
+                    for width in 1..=QTILE {
+                        let tile: Vec<&[f32]> =
+                            queries[..width].iter().map(Vec::as_slice).collect();
+                        let mut got = vec![0.0f32; width * n];
+                        for l2 in [false, true] {
+                            if l2 {
+                                sq8_l2_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                            } else {
+                                sq8_ip_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                            }
+                            for (qi, q) in tile.iter().enumerate() {
+                                for i in 0..n {
+                                    let code = &codes[i * dim..(i + 1) * dim];
+                                    let want = sq8_reference(l2, q, &mins, &scales, code);
+                                    assert_eq!(
+                                        got[qi * n + i].to_bits(),
+                                        want.to_bits(),
+                                        "{level} sq8 l2={l2} d{dim} n{n} Q{width} q{qi} #{i}"
+                                    );
+                                }
+                            }
+                        }
+                    }
                     let mut got = vec![0.0f32; n];
-                    sq8_ip_block_at(level, &query, &mins, &scales, &codes, &mut got);
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{level} sq8-ip d{dim} n{n} #{i}");
-                    }
-                    sq8_l2_block_at(level, &query, &mins, &scales, &codes, &mut got);
-                    for (i, (g, w)) in got.iter().zip(&want_l2).enumerate() {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{level} sq8-l2 d{dim} n{n} #{i}");
-                    }
                     adc_block_at(level, &tables, m, &codes, &mut got);
                     for (i, (g, w)) in got.iter().zip(&want_adc).enumerate() {
                         assert_eq!(g.to_bits(), w.to_bits(), "{level} adc d{dim} n{n} #{i}");
@@ -873,6 +998,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SQ8 query tile holds")]
+    fn sq8_query_tile_rejects_too_many_queries() {
+        let q = [1.0f32];
+        let mut out = [0.0f32; 5];
+        sq8_ip_qtile_at(
+            SimdLevel::Scalar,
+            &[&q[..]; QTILE + 1],
+            &[0.0],
+            &[1.0],
+            &[0u8; 1],
+            &mut out,
+        );
     }
 
     #[test]

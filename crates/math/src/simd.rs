@@ -23,12 +23,14 @@
 //! results, at two strictnesses (see DESIGN.md "Scoring kernels"):
 //!
 //! * **Tier A — bit-identical.** The SQ8 dequantize-and-score and PQ/ADC
-//!   table walks perform, per code, the *exact same sequence of f32
-//!   operations* at every level: the SIMD forms vectorize **across
-//!   codes** (one lane per code) so each code keeps one accumulator
-//!   folded sequentially over dimensions, with no FMA contraction.
-//!   `QueryScorer::score_block` is bit-identical to `score` regardless
-//!   of level.
+//!   table walks perform, per (query, code), the *exact same sequence of
+//!   f32 operations* at every level: the SIMD forms vectorize **across
+//!   codes** (one lane per code) so each (query, code) pair keeps one
+//!   accumulator folded sequentially over dimensions, with no FMA
+//!   contraction. The SQ8 kernel scores a *tile* of up to four queries
+//!   per pass, sharing each dequantized value; the tile width never
+//!   changes a score. `QueryScorer::score_block` and `score_tile` are
+//!   bit-identical to `score` regardless of level.
 //! * **Tier B — pinned reduction order per level, ULP-bounded across
 //!   levels.** The f32 reductions vectorize **within a row**, so each
 //!   level reassociates differently. Every level is bit-identical to
@@ -372,122 +374,318 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Byte offsets `{0, stride, …, 7·stride}` for gathering one byte
-    /// from each of 8 consecutive codes.
+    /// Codes per tile: one AVX2 lane per code.
+    const LANES: usize = 8;
+
+    /// Row pointers of `T` consecutive 8-code tiles starting at code
+    /// `r0`. Rows past the last code are **clamped to the last code**, so
+    /// a ragged tail still runs full-width tiles; the caller discards the
+    /// extra lanes.
+    ///
+    /// # Safety
+    ///
+    /// `codes` must hold `n >= 1` rows of `stride` bytes and `r0 < n`.
     #[inline]
-    unsafe fn code_offsets(stride: usize) -> __m256i {
-        _mm256_mullo_epi32(
-            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            _mm256_set1_epi32(stride as i32),
-        )
-    }
-
-    /// Tier-A SQ8 kernels: vectorized **across codes** (one lane per
-    /// code), each lane folding dimensions sequentially with the exact
-    /// scalar operation order — `mul`/`add` kept separate, no FMA — so
-    /// results are bit-identical to the scalar walk. Returns how many
-    /// leading codes were scored; the caller finishes the rest with the
-    /// scalar kernel. Tiles stop one short of the buffer end because
-    /// each byte gather reads 4 bytes per lane.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq8_ip_tiles(
-        q: &[f32],
-        mins: &[f32],
-        scales: &[f32],
+    unsafe fn tile_rows<const T: usize>(
         codes: &[u8],
-        out: &mut [f32],
-    ) -> usize {
-        let dim = q.len();
-        if dim == 0 || dim > (i32::MAX as usize) / 8 {
-            return 0;
-        }
-        let offs = code_offsets(dim);
-        let mask = _mm256_set1_epi32(0xFF);
-        let mut r = 0;
-        // Last byte gathered for tile r is at (r+7)*dim + (dim-1) and the
-        // gather reads 4 bytes, hence the +3 slack requirement.
-        while r + 8 <= out.len() && (r + 8) * dim + 3 <= codes.len() {
-            let base = codes.as_ptr().add(r * dim);
-            let mut acc = _mm256_setzero_ps();
-            for d in 0..dim {
-                let raw = _mm256_i32gather_epi32::<1>(base.add(d) as *const i32, offs);
-                let lv = _mm256_cvtepi32_ps(_mm256_and_si256(raw, mask));
-                let val = _mm256_add_ps(
-                    _mm256_set1_ps(mins[d]),
-                    _mm256_mul_ps(lv, _mm256_set1_ps(scales[d])),
-                );
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(q[d]), val));
+        stride: usize,
+        n: usize,
+        r0: usize,
+    ) -> [[*const u8; LANES]; T] {
+        let base = codes.as_ptr();
+        let mut rows = [[base; LANES]; T];
+        for (t, tile) in rows.iter_mut().enumerate() {
+            for (i, row) in tile.iter_mut().enumerate() {
+                *row = base.add((r0 + t * LANES + i).min(n - 1) * stride);
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(r), acc);
-            r += 8;
         }
-        r
+        rows
     }
 
-    /// See [`sq8_ip_tiles`]; writes the **negated** accumulated squared
-    /// distance (sign flipped by XOR, matching scalar unary negation
-    /// bit-for-bit, `-0.0` included).
+    /// Loads bytes `[d, d + nd)` (`nd <= 8`) of each of a tile's 8 rows
+    /// and transposes them in registers, rows 0..4 in the low 128-bit
+    /// lane and rows 4..8 in the high one: the result's `x[j / 4]` holds,
+    /// in each lane, byte `d + j` of that lane's four rows at bytes
+    /// `4 * (j % 4)..4 * (j % 4) + 4` — four unpacks, no gathers;
+    /// [`widen_lane`] turns one of them into one `i32` lane per code.
+    ///
+    /// # Safety
+    ///
+    /// Every row pointer must be readable for `d + nd` bytes.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq8_l2_tiles(
-        q: &[f32],
+    unsafe fn transpose_bytes(rows: &[*const u8; LANES], d: usize, nd: usize) -> [__m256i; 2] {
+        let mut r = [_mm_setzero_si128(); LANES];
+        for (reg, row) in r.iter_mut().zip(rows) {
+            *reg = if nd == 8 {
+                _mm_loadl_epi64(row.add(d) as *const __m128i)
+            } else {
+                // Dimension tail: an 8-byte load would run past the row
+                // (and, on the last row, past the buffer).
+                let mut b = [0u8; 8];
+                core::ptr::copy_nonoverlapping(row.add(d), b.as_mut_ptr(), nd);
+                _mm_loadl_epi64(b.as_ptr() as *const __m128i)
+            };
+        }
+        // Rows i and i + 4 share a register; bytes -> (row pair) words ->
+        // (row quad) dwords, per lane.
+        let y0 = _mm256_set_m128i(r[4], r[0]);
+        let y1 = _mm256_set_m128i(r[5], r[1]);
+        let y2 = _mm256_set_m128i(r[6], r[2]);
+        let y3 = _mm256_set_m128i(r[7], r[3]);
+        let a0 = _mm256_unpacklo_epi8(y0, y1);
+        let a1 = _mm256_unpacklo_epi8(y2, y3);
+        [_mm256_unpacklo_epi16(a0, a1), _mm256_unpackhi_epi16(a0, a1)]
+    }
+
+    /// `vpshufb` controls of [`widen_lane`]: in each 128-bit lane, dword
+    /// `t` takes byte `4 * k + t` and zeroes (`0x80`) above it.
+    static WIDEN_PICK: [[u8; 32]; 4] = {
+        let mut picks = [[0x80u8; 32]; 4];
+        let mut k = 0;
+        while k < 4 {
+            let mut t = 0;
+            while t < 4 {
+                picks[k][4 * t] = (4 * k + t) as u8;
+                picks[k][16 + 4 * t] = (4 * k + t) as u8;
+                t += 1;
+            }
+            k += 1;
+        }
+        picks
+    };
+
+    /// Byte `j` of a [`transpose_bytes`] result, zero-extended to one
+    /// `i32` lane per code (codes 0..4 from the low lane, 4..8 from the
+    /// high one — lane order is code order).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn widen_lane(x: &[__m256i; 2], j: usize) -> __m256i {
+        let pick = _mm256_loadu_si256(WIDEN_PICK[j % 4].as_ptr() as *const __m256i);
+        _mm256_shuffle_epi8(x[j / 4], pick)
+    }
+
+    /// Stores the first `n - start` (at most 8) lanes of `v` to
+    /// `out[start..]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_lanes(out: &mut [f32], start: usize, v: __m256) {
+        if start + LANES <= out.len() {
+            _mm256_storeu_ps(out.as_mut_ptr().add(start), v);
+        } else {
+            let mut lanes = [0.0f32; LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), v);
+            let keep = out.len() - start;
+            out[start..].copy_from_slice(&lanes[..keep]);
+        }
+    }
+
+    /// Folds dimensions `[d, d + nd)` (`nd <= 8`) of `T` tiles into the
+    /// `Q x T` accumulators: transpose once, then per dimension one
+    /// dequantized `val = min + code * scale` per tile, shared by all `Q`
+    /// queries, each folding it in the scalar order (`mul`/`add` kept
+    /// separate, no FMA). Called with the literal `8` on the hot path so
+    /// the dimension loop unrolls.
+    ///
+    /// # Safety
+    ///
+    /// Rows readable for `d + nd` bytes; `d + nd` within `mins`,
+    /// `scales` and every query.
+    #[inline(always)]
+    unsafe fn sq8_fold_dims<const Q: usize, const T: usize, const L2: bool>(
+        queries: &[&[f32]; Q],
+        mins: &[f32],
+        scales: &[f32],
+        rows: &[[*const u8; LANES]; T],
+        d: usize,
+        nd: usize,
+        acc: &mut [[__m256; T]; Q],
+    ) {
+        let mut bytes = [[_mm256_setzero_si256(); 2]; T];
+        for (b, tile) in bytes.iter_mut().zip(rows) {
+            *b = transpose_bytes(tile, d, nd);
+        }
+        for j in 0..nd {
+            let min = _mm256_set1_ps(*mins.get_unchecked(d + j));
+            let scale = _mm256_set1_ps(*scales.get_unchecked(d + j));
+            let mut val = [min; T];
+            for (v, b) in val.iter_mut().zip(&bytes) {
+                let level = _mm256_cvtepi32_ps(widen_lane(b, j));
+                *v = _mm256_add_ps(min, _mm256_mul_ps(level, scale));
+            }
+            for (qa, query) in acc.iter_mut().zip(queries) {
+                let q = _mm256_set1_ps(*query.get_unchecked(d + j));
+                for (a, &v) in qa.iter_mut().zip(&val) {
+                    *a = if L2 {
+                        let diff = _mm256_sub_ps(q, v);
+                        _mm256_add_ps(*a, _mm256_mul_ps(diff, diff))
+                    } else {
+                        _mm256_add_ps(*a, _mm256_mul_ps(q, v))
+                    };
+                }
+            }
+        }
+    }
+
+    /// `T` tiles x `Q` queries of the tier-A SQ8 kernel: each
+    /// `(query, code)` lane folds dimensions sequentially in the exact
+    /// scalar operation order, so every score is bit-identical to the
+    /// scalar walk; the `Q * T` accumulator chains are independent.
+    ///
+    /// # Safety
+    ///
+    /// As [`sq8_qtile`], plus `r0 < n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sq8_macro_tile<const Q: usize, const T: usize, const L2: bool>(
+        queries: &[&[f32]; Q],
         mins: &[f32],
         scales: &[f32],
         codes: &[u8],
+        r0: usize,
         out: &mut [f32],
-    ) -> usize {
-        let dim = q.len();
-        if dim == 0 || dim > (i32::MAX as usize) / 8 {
-            return 0;
+    ) {
+        let dim = mins.len();
+        let n = out.len() / Q;
+        let rows = tile_rows::<T>(codes, dim, n, r0);
+        let mut acc = [[_mm256_setzero_ps(); T]; Q];
+        let mut d = 0;
+        while d + 8 <= dim {
+            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, &rows, d, 8, &mut acc);
+            d += 8;
         }
-        let offs = code_offsets(dim);
-        let mask = _mm256_set1_epi32(0xFF);
+        if d < dim {
+            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, &rows, d, dim - d, &mut acc);
+        }
         let sign = _mm256_set1_ps(-0.0);
-        let mut r = 0;
-        while r + 8 <= out.len() && (r + 8) * dim + 3 <= codes.len() {
-            let base = codes.as_ptr().add(r * dim);
-            let mut acc = _mm256_setzero_ps();
-            for d in 0..dim {
-                let raw = _mm256_i32gather_epi32::<1>(base.add(d) as *const i32, offs);
-                let lv = _mm256_cvtepi32_ps(_mm256_and_si256(raw, mask));
-                let val = _mm256_add_ps(
-                    _mm256_set1_ps(mins[d]),
-                    _mm256_mul_ps(lv, _mm256_set1_ps(scales[d])),
-                );
-                let diff = _mm256_sub_ps(_mm256_set1_ps(q[d]), val);
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+        for (qa, out) in acc.iter().zip(out.chunks_exact_mut(n)) {
+            for (t, &a) in qa.iter().enumerate() {
+                let start = r0 + t * LANES;
+                if start < n {
+                    // L2 is the negated distance: XOR flips the sign
+                    // exactly like scalar unary negation, `-0.0` included.
+                    store_lanes(out, start, if L2 { _mm256_xor_ps(a, sign) } else { a });
+                }
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(r), _mm256_xor_ps(acc, sign));
-            r += 8;
         }
-        r
     }
 
-    /// Tier-A PQ/ADC table walk: 8 codes per tile, one lane per code,
-    /// pure float gathers + in-order adds — bit-identical to the scalar
-    /// walk. Same return/slack convention as [`sq8_ip_tiles`].
     #[target_feature(enable = "avx2")]
-    pub unsafe fn adc_tiles(tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) -> usize {
-        if m == 0 || m > (i32::MAX as usize) / 8 {
-            return 0;
-        }
-        let offs = code_offsets(m);
-        let mask = _mm256_set1_epi32(0xFF);
+    unsafe fn sq8_tiles<const Q: usize, const L2: bool>(
+        queries: &[&[f32]],
+        mins: &[f32],
+        scales: &[f32],
+        codes: &[u8],
+        out: &mut [f32],
+    ) {
+        let queries: &[&[f32]; Q] = queries.try_into().expect("query tile width");
+        let n = out.len() / Q;
         let mut r = 0;
-        while r + 8 <= out.len() && (r + 8) * m + 3 <= codes.len() {
-            let base = codes.as_ptr().add(r * m);
-            let mut acc = _mm256_setzero_ps();
-            for sub in 0..m {
-                let raw = _mm256_i32gather_epi32::<1>(base.add(sub) as *const i32, offs);
-                let idx = _mm256_and_si256(raw, mask);
+        while r < n {
+            // Two tiles in flight while more than one tile of codes is
+            // left; the last one may be partly clamped.
+            if n - r > LANES {
+                sq8_macro_tile::<Q, 2, L2>(queries, mins, scales, codes, r, out);
+                r += 2 * LANES;
+            } else {
+                sq8_macro_tile::<Q, 1, L2>(queries, mins, scales, codes, r, out);
+                r += LANES;
+            }
+        }
+    }
+
+    /// Tier-A SQ8 query-tile kernel: scores every code of `codes` against
+    /// each of `queries.len() <= 4` queries, `out[q * n + i]` being code
+    /// `i` under query `q` (`n = out.len() / queries.len()`), inner
+    /// product or (`L2`) negated squared distance. Gather-free: row
+    /// loads, an in-register byte transpose and a widen feed one lane
+    /// per code. One query is the single-query kernel.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `1 <= queries.len() <= 4`, every query and
+    /// `mins`/`scales` of one length `dim >= 1`, `out.len()` a non-zero
+    /// multiple of `queries.len()` and `codes.len() == n * dim`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq8_qtile<const L2: bool>(
+        queries: &[&[f32]],
+        mins: &[f32],
+        scales: &[f32],
+        codes: &[u8],
+        out: &mut [f32],
+    ) {
+        match queries.len() {
+            1 => sq8_tiles::<1, L2>(queries, mins, scales, codes, out),
+            2 => sq8_tiles::<2, L2>(queries, mins, scales, codes, out),
+            3 => sq8_tiles::<3, L2>(queries, mins, scales, codes, out),
+            4 => sq8_tiles::<4, L2>(queries, mins, scales, codes, out),
+            q => unreachable!("SQ8 query tile of {q} queries"),
+        }
+    }
+
+    /// `T` tiles of the tier-A PQ/ADC table walk: code bytes reach their
+    /// lanes through the same transpose as SQ8, then one float gather per
+    /// subspace and in-order adds — bit-identical to the scalar walk.
+    ///
+    /// # Safety
+    ///
+    /// As [`adc_tiles`], plus `r0 < out.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn adc_macro_tile<const T: usize>(
+        tables: &[f32],
+        m: usize,
+        codes: &[u8],
+        r0: usize,
+        out: &mut [f32],
+    ) {
+        let rows = tile_rows::<T>(codes, m, out.len(), r0);
+        let mut acc = [_mm256_setzero_ps(); T];
+        let mut sub = 0;
+        while sub < m {
+            let ns = (m - sub).min(8);
+            let mut bytes = [[_mm256_setzero_si256(); 2]; T];
+            for (b, tile) in bytes.iter_mut().zip(&rows) {
+                *b = transpose_bytes(tile, sub, ns);
+            }
+            for j in 0..ns {
                 // idx < 256 and tables holds m*256 floats, so the float
                 // gather is always in bounds.
-                let vals = _mm256_i32gather_ps::<4>(tables.as_ptr().add(sub * 256), idx);
-                acc = _mm256_add_ps(acc, vals);
+                let table = tables.as_ptr().add((sub + j) * 256);
+                for (a, b) in acc.iter_mut().zip(&bytes) {
+                    *a = _mm256_add_ps(*a, _mm256_i32gather_ps::<4>(table, widen_lane(b, j)));
+                }
             }
-            _mm256_storeu_ps(out.as_mut_ptr().add(r), acc);
-            r += 8;
+            sub += ns;
         }
-        r
+        for (t, &a) in acc.iter().enumerate() {
+            let start = r0 + t * LANES;
+            if start < out.len() {
+                store_lanes(out, start, a);
+            }
+        }
+    }
+
+    /// Tier-A PQ/ADC table walk over every code of `codes`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `m >= 1`, `tables.len() == m * 256`, a non-empty
+    /// `out` and `codes.len() == out.len() * m`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn adc_tiles(tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) {
+        let n = out.len();
+        let mut r = 0;
+        while r < n {
+            if n - r > LANES {
+                adc_macro_tile::<2>(tables, m, codes, r, out);
+                r += 2 * LANES;
+            } else {
+                adc_macro_tile::<1>(tables, m, codes, r, out);
+                r += LANES;
+            }
+        }
     }
 }
 

@@ -175,3 +175,94 @@ fn linear_fit_is_exact_on_lines() {
         Ok(())
     });
 }
+
+/// Tier A for the SQ8 query-tile kernels: for every tile width
+/// `1..=QTILE`, code count `0..=70` (empty, sub-tile, every ragged tail
+/// of one and two tiles, past a 64-code block), dimension `1..=80`
+/// (non-multiples of the 8-byte transpose chunk included), both metrics
+/// and every runnable dispatch level, each (query, code) score is
+/// bit-identical to the plain scalar walk — `acc + q[d] * (min[d] +
+/// code[d] * scale[d])` folded over `d`, no tiling, no FMA.
+#[test]
+fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
+    use hermes_math::block::{sq8_ip_qtile_at, sq8_l2_qtile_at, QTILE};
+    use hermes_math::rng::seeded_rng;
+    use hermes_math::simd::SimdLevel;
+
+    let strat = tuple3(usize_in(1..81), usize_in(0..71), u64_any());
+    let cfg = Config::from_env().with_cases(256);
+    check_with(
+        "sq8_query_tiles_are_bit_identical_to_the_scalar_walk",
+        &cfg,
+        &strat,
+        |&(dim, n, seed)| {
+            let mut rng = seeded_rng(seed);
+            let queries: Vec<Vec<f32>> = (0..QTILE)
+                .map(|_| (0..dim).map(|_| rng.next_f32() * 4.0 - 2.0).collect())
+                .collect();
+            let mins: Vec<f32> = (0..dim).map(|_| rng.next_f32() - 1.0).collect();
+            // A zero scale is what a constant training dimension yields.
+            let scales: Vec<f32> = (0..dim)
+                .map(|d| {
+                    if d % 7 == 3 {
+                        0.0
+                    } else {
+                        rng.next_f32() / 64.0
+                    }
+                })
+                .collect();
+            let codes: Vec<u8> = (0..n * dim)
+                .map(|_| (rng.next_u64() & 0xFF) as u8)
+                .collect();
+            let walk = |l2: bool, q: &[f32], code: &[u8]| -> f32 {
+                let mut acc = 0.0f32;
+                for d in 0..dim {
+                    let val = mins[d] + code[d] as f32 * scales[d];
+                    if l2 {
+                        let diff = q[d] - val;
+                        acc += diff * diff;
+                    } else {
+                        acc += q[d] * val;
+                    }
+                }
+                if l2 {
+                    -acc
+                } else {
+                    acc
+                }
+            };
+            for level in SimdLevel::available() {
+                for width in 1..=QTILE {
+                    let tile: Vec<&[f32]> = queries[..width].iter().map(Vec::as_slice).collect();
+                    let mut got = vec![f32::NAN; width * n];
+                    for l2 in [false, true] {
+                        if l2 {
+                            sq8_l2_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                        } else {
+                            sq8_ip_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                        }
+                        for (qi, q) in tile.iter().enumerate() {
+                            for i in 0..n {
+                                let want = walk(l2, q, &codes[i * dim..(i + 1) * dim]);
+                                prop_assert!(
+                                    got[qi * n + i].to_bits() == want.to_bits(),
+                                    "{} l2={} dim {} n {} Q{} query {} code {}: {:e} vs {:e}",
+                                    level,
+                                    l2,
+                                    dim,
+                                    n,
+                                    width,
+                                    qi,
+                                    i,
+                                    got[qi * n + i],
+                                    want
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}

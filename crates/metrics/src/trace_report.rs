@@ -7,7 +7,7 @@
 //! prints, which is what the `hermes stats` subcommand shows.
 
 use crate::report::{fmt, Row, Table};
-use hermes_trace::TraceSnapshot;
+use hermes_trace::{names, TraceSnapshot};
 
 /// Span-latency summary: one row per span name with sample count,
 /// p50/p95/p99 duration and total time. Durations are reported in
@@ -52,14 +52,72 @@ pub fn counter_table(snapshot: &TraceSnapshot) -> Table {
     table
 }
 
-/// Renders both tables plus the drop line — the full `hermes stats`
-/// report.
+/// Shard-scan work per engine stage, folded from the `shard.sample` and
+/// `shard.deep` span args: group scans run, queries they served, the
+/// *logical* codes those queries scanned (what each would cost alone),
+/// the codes *physically streamed*, and streamed ÷ logical — 1.000 when
+/// no two queries of a group probed the same inverted list, lower by
+/// exactly what cross-query sharing saved.
+///
+/// # Errors
+///
+/// Propagates [`TraceSnapshot::spans`] matching failures.
+pub fn scan_table(snapshot: &TraceSnapshot) -> Result<Table, String> {
+    let mut table = Table::new(
+        "Shard scan work (codes)",
+        &[
+            "stage",
+            "group scans",
+            "queries",
+            "logical",
+            "streamed",
+            "streamed/logical",
+        ],
+    );
+    let spans = snapshot.spans()?;
+    for (stage, name) in [("sample", names::SHARD_SAMPLE), ("deep", names::SHARD_DEEP)] {
+        let (mut scans, mut queries, mut logical, mut streamed) = (0u64, 0u64, 0u64, 0u64);
+        for span in spans.iter().filter(|s| s.name == name) {
+            let arg = |key: &str| {
+                span.args
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .map_or(0, |&(_, v)| v)
+            };
+            scans += 1;
+            queries += arg("queries");
+            logical += arg("scanned_codes");
+            streamed += arg("streamed_codes");
+        }
+        if scans > 0 {
+            table.push(Row::new(
+                stage,
+                vec![
+                    scans.to_string(),
+                    queries.to_string(),
+                    logical.to_string(),
+                    streamed.to_string(),
+                    fmt(streamed as f64 / logical.max(1) as f64, 3),
+                ],
+            ));
+        }
+    }
+    Ok(table)
+}
+
+/// Renders the span, scan-work and counter tables plus the drop line —
+/// the full `hermes stats` report.
 ///
 /// # Errors
 ///
 /// Propagates [`TraceSnapshot::spans`] matching failures.
 pub fn render_summary(snapshot: &TraceSnapshot) -> Result<String, String> {
     let mut out = span_table(snapshot)?.render();
+    let scans = scan_table(snapshot)?;
+    if !scans.rows().is_empty() {
+        out.push('\n');
+        out.push_str(&scans.render());
+    }
     out.push('\n');
     out.push_str(&counter_table(snapshot).render());
     out.push_str(&format!(
@@ -118,6 +176,56 @@ mod tests {
         let row = &t.rows()[0];
         assert_eq!(row.label, "codes");
         assert_eq!(row.cells, vec!["2", "100", "60"]);
+    }
+
+    #[test]
+    fn scan_table_folds_logical_and_streamed_codes_per_stage() {
+        let span = |name, ts, args: &[(&'static str, u64)]| {
+            let mut end = ev(EventKind::End, name, ts + 10, 0);
+            end.args = ArgSet::from_slice(args);
+            [ev(EventKind::Begin, name, ts, 0), end]
+        };
+        let events = [
+            span(
+                "shard.deep",
+                0,
+                &[
+                    ("queries", 3),
+                    ("scanned_codes", 300),
+                    ("streamed_codes", 150),
+                ],
+            ),
+            span(
+                "shard.deep",
+                20,
+                &[
+                    ("queries", 1),
+                    ("scanned_codes", 100),
+                    ("streamed_codes", 100),
+                ],
+            ),
+            span(
+                "shard.sample",
+                40,
+                &[
+                    ("queries", 8),
+                    ("scanned_codes", 80),
+                    ("streamed_codes", 80),
+                ],
+            ),
+        ];
+        let snap = TraceSnapshot::from_events(events.into_iter().flatten().collect());
+        let t = scan_table(&snap).unwrap();
+        assert_eq!(t.rows()[0].label, "sample");
+        assert_eq!(t.rows()[0].cells, vec!["1", "8", "80", "80", "1.000"]);
+        assert_eq!(t.rows()[1].label, "deep");
+        assert_eq!(t.rows()[1].cells, vec!["2", "4", "400", "250", "0.625"]);
+        assert!(render_summary(&snap).unwrap().contains("Shard scan work"));
+        // No shard spans, no table.
+        assert!(scan_table(&fixture()).unwrap().rows().is_empty());
+        assert!(!render_summary(&fixture())
+            .unwrap()
+            .contains("Shard scan work"));
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! assert!((approx[0] - 3.0).abs() < 0.5);
 //! ```
 
+use std::borrow::Cow;
+
 use hermes_kmeans::{KMeans, KMeansConfig};
+use hermes_math::block::QTILE;
 use hermes_math::distance::{inner_product, l2_sq};
 use hermes_math::rng::{derive_seed, seeded_rng};
 use hermes_math::simd::{simd_level, SimdLevel};
@@ -189,13 +192,14 @@ impl Codec {
     /// Prepares an asymmetric scorer for `query` under `metric`.
     ///
     /// The scorer's `score(code)` returns a similarity (greater = closer)
-    /// comparable with [`Metric::similarity`] on decoded vectors. For PQ
-    /// this builds the ADC lookup tables once per query.
+    /// comparable with [`Metric::similarity`] on decoded vectors. It
+    /// borrows `query` (only a cosine query is copied, to normalize it);
+    /// for PQ this builds the ADC lookup tables once per query.
     ///
     /// # Panics
     ///
     /// Panics if `query.len() != self.dim()`.
-    pub fn query_scorer<'a>(&'a self, query: &[f32], metric: Metric) -> QueryScorer<'a> {
+    pub fn query_scorer<'a>(&'a self, query: &'a [f32], metric: Metric) -> QueryScorer<'a> {
         assert_eq!(query.len(), self.dim, "dimension mismatch");
         // Cosine reduces to inner product on a normalized query; database
         // vectors are assumed normalized upstream (the encoder stand-in
@@ -204,9 +208,9 @@ impl Codec {
             Metric::Cosine => {
                 let mut q = query.to_vec();
                 hermes_math::distance::normalize(&mut q);
-                (q, Metric::InnerProduct)
+                (Cow::Owned(q), Metric::InnerProduct)
             }
-            _ => (query.to_vec(), metric),
+            _ => (Cow::Borrowed(query), metric),
         };
         match &self.kind {
             CodecKind::Flat => QueryScorer::Flat { query, metric },
@@ -228,8 +232,8 @@ impl Codec {
 pub enum QueryScorer<'a> {
     /// Raw f32 comparison.
     Flat {
-        /// Query vector (normalized if the metric was cosine).
-        query: Vec<f32>,
+        /// Query vector (a normalized copy if the metric was cosine).
+        query: Cow<'a, [f32]>,
         /// Effective metric.
         metric: Metric,
     },
@@ -237,8 +241,8 @@ pub enum QueryScorer<'a> {
     Sq {
         /// The trained scalar quantizer.
         sq: &'a ScalarQuantizer,
-        /// Query vector.
-        query: Vec<f32>,
+        /// Query vector (a normalized copy if the metric was cosine).
+        query: Cow<'a, [f32]>,
         /// Effective metric.
         metric: Metric,
     },
@@ -318,6 +322,59 @@ impl QueryScorer<'_> {
         self.score_block_at(simd_level(), codes, out);
     }
 
+    /// Scores one contiguous code block for a **tile of scorers** over
+    /// the same codec in one pass: with `n = out.len() / scorers.len()`,
+    /// `out[q * n + i]` is bit-identical to `scorers[q].score(code_i)` at
+    /// every dispatch level and tile width. SQ8 scorers of one metric,
+    /// at most [`QTILE`] at a time, share each
+    /// dequantized code value in the query-tile kernel; any other tile
+    /// scores scorer by scorer. Returns how many codes were physically
+    /// scored: `n` per shared pass, `n` per scorer otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scorers` is empty, `out.len()` is not a multiple of
+    /// `scorers.len()`, or `codes.len() != n * code_size` for any scorer.
+    pub fn score_tile(scorers: &[&QueryScorer<'_>], codes: &[u8], out: &mut [f32]) -> usize {
+        Self::score_tile_at(simd_level(), scorers, codes, out)
+    }
+
+    /// [`QueryScorer::score_tile`] at an explicit dispatch level.
+    ///
+    /// # Panics
+    ///
+    /// As [`QueryScorer::score_tile`].
+    pub fn score_tile_at(
+        level: SimdLevel,
+        scorers: &[&QueryScorer<'_>],
+        codes: &[u8],
+        out: &mut [f32],
+    ) -> usize {
+        assert!(!scorers.is_empty(), "score_tile needs at least one scorer");
+        assert_eq!(
+            out.len() % scorers.len(),
+            0,
+            "score buffer is not one row per scorer"
+        );
+        let n = out.len() / scorers.len();
+        if n == 0 {
+            return 0;
+        }
+        if let Some((sq, metric, queries)) = sq8_tile(scorers) {
+            use hermes_math::block::{sq8_ip_qtile_at, sq8_l2_qtile_at};
+            let queries = &queries[..scorers.len()];
+            match metric {
+                Metric::L2 => sq8_l2_qtile_at(level, queries, &sq.mins, &sq.scales, codes, out),
+                _ => sq8_ip_qtile_at(level, queries, &sq.mins, &sq.scales, codes, out),
+            }
+            return n;
+        }
+        for (scorer, out) in scorers.iter().zip(out.chunks_exact_mut(n)) {
+            scorer.score_block_at(level, codes, out);
+        }
+        n * scorers.len()
+    }
+
     /// [`QueryScorer::score_block`] at an explicit dispatch level — the
     /// seam the equivalence suites use to pin tier-A bit-identity for
     /// every runnable kernel in one process.
@@ -356,6 +413,36 @@ impl QueryScorer<'_> {
             }
         }
     }
+}
+
+/// The shared quantizer, metric and query slices of `scorers` when they
+/// form one SQ8 query tile: all 8-bit SQ over the same quantizer and
+/// metric, non-degenerate, no more than `QTILE` of them.
+fn sq8_tile<'s>(
+    scorers: &[&'s QueryScorer<'_>],
+) -> Option<(
+    &'s ScalarQuantizer,
+    Metric,
+    [&'s [f32]; hermes_math::block::QTILE],
+)> {
+    let QueryScorer::Sq { sq, metric, query } = scorers[0] else {
+        return None;
+    };
+    if sq.bits != SqBits::B8 || sq.dim() == 0 || scorers.len() > QTILE {
+        return None;
+    }
+    let mut queries = [&query[..]; QTILE];
+    for (slot, scorer) in queries.iter_mut().zip(scorers) {
+        match scorer {
+            QueryScorer::Sq {
+                sq: other,
+                metric: m,
+                query,
+            } if std::ptr::eq(*other, *sq) && m == metric => *slot = &query[..],
+            _ => return None,
+        }
+    }
+    Some((sq, *metric, queries))
 }
 
 /// Scalar quantizer bit width.
@@ -905,47 +992,100 @@ mod tests {
 
     #[test]
     fn score_block_is_bit_identical_to_score_for_every_codec() {
-        let data = gaussian_data(16, 12, 21);
         let specs = [
             CodecSpec::Flat,
             CodecSpec::Sq8,
             CodecSpec::Sq4,
             CodecSpec::Pq { m: 4 },
         ];
-        for spec in specs {
-            let codec = Codec::train(spec, &data, 5);
-            let mut codes = Vec::new();
-            for row in data.iter_rows() {
-                codec.encode_into(row, &mut codes);
-            }
-            let query: Vec<f32> = data.row(3).to_vec();
-            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
-                let scorer = codec.query_scorer(&query, metric);
-                let cs = scorer.code_size();
-                let mut out = vec![0.0f32; data.rows()];
-                scorer.score_block(&codes, &mut out);
-                for (i, got) in out.iter().enumerate() {
-                    let want = scorer.score(&codes[i * cs..(i + 1) * cs]);
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{spec} {metric} code {i}"
-                    );
+        // Dimensions on both sides of the 8-byte transpose chunk; every
+        // code count 0..=70 (each ragged tail of one and two 8-code
+        // tiles, past a 64-code block); every query-tile width.
+        for dim in [1usize, 7, 8, 12, 17, 33, 64, 80] {
+            let data = gaussian_data(70, dim, 21 + dim as u64);
+            let queries = gaussian_data(QTILE, dim, 99 + dim as u64);
+            for spec in specs {
+                if matches!(spec, CodecSpec::Pq { m } if dim % m != 0) {
+                    continue;
                 }
-                // Tier A: the same bit-identity must hold at every
-                // runnable dispatch level, not just the selected one.
-                for level in SimdLevel::available() {
-                    scorer.score_block_at(level, &codes, &mut out);
-                    for (i, got) in out.iter().enumerate() {
-                        let want = scorer.score(&codes[i * cs..(i + 1) * cs]);
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "{spec} {metric} {level} code {i}"
-                        );
+                let codec = Codec::train(spec, &data, 5);
+                let mut codes = Vec::new();
+                for row in data.iter_rows() {
+                    codec.encode_into(row, &mut codes);
+                }
+                let cs = codec.code_size();
+                for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                    let scorers: Vec<QueryScorer<'_>> = queries
+                        .iter_rows()
+                        .map(|q| codec.query_scorer(q, metric))
+                        .collect();
+                    // The reference: one plain `score` per (query, code).
+                    let want: Vec<Vec<f32>> = scorers
+                        .iter()
+                        .map(|s| codes.chunks_exact(cs).map(|c| s.score(c)).collect())
+                        .collect();
+                    // Non-SQ8 codecs score scorer by scorer whatever the
+                    // code count; a few counts cover them.
+                    let counts: Vec<usize> = if spec == CodecSpec::Sq8 {
+                        (0..=70).collect()
+                    } else {
+                        vec![0, 1, 19, 70]
+                    };
+                    for &n in &counts {
+                        let block = &codes[..n * cs];
+                        let mut out = vec![0.0f32; n];
+                        scorers[0].score_block(block, &mut out);
+                        for (i, got) in out.iter().enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want[0][i].to_bits(),
+                                "{spec} {metric} d{dim} n{n} code {i}"
+                            );
+                        }
+                        // Tier A: the same bit-identity at every runnable
+                        // dispatch level and every tile width.
+                        for level in SimdLevel::available() {
+                            for width in 1..=QTILE {
+                                let tile: Vec<&QueryScorer<'_>> = scorers[..width].iter().collect();
+                                let mut out = vec![0.0f32; width * n];
+                                let scored =
+                                    QueryScorer::score_tile_at(level, &tile, block, &mut out);
+                                let shared = spec == CodecSpec::Sq8;
+                                assert_eq!(scored, if shared { n } else { n * width });
+                                for (qi, row) in want[..width].iter().enumerate() {
+                                    for i in 0..n {
+                                        assert_eq!(
+                                            out[qi * n + i].to_bits(),
+                                            row[i].to_bits(),
+                                            "{spec} {metric} {level} d{dim} n{n} Q{width} q{qi} code {i}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn score_tile_of_mixed_scorers_scores_each_alone() {
+        // Scorers over different metrics (or codecs) cannot share a
+        // dequantized value; the tile degrades to one pass per scorer.
+        let data = gaussian_data(20, 8, 31);
+        let codec = Codec::train(CodecSpec::Sq8, &data, 0);
+        let mut codes = Vec::new();
+        for row in data.iter_rows() {
+            codec.encode_into(row, &mut codes);
+        }
+        let ip = codec.query_scorer(data.row(0), Metric::InnerProduct);
+        let l2 = codec.query_scorer(data.row(1), Metric::L2);
+        let mut out = vec![0.0f32; 40];
+        assert_eq!(QueryScorer::score_tile(&[&ip, &l2], &codes, &mut out), 40);
+        for (i, code) in codes.chunks_exact(8).enumerate() {
+            assert_eq!(out[i].to_bits(), ip.score(code).to_bits());
+            assert_eq!(out[20 + i].to_bits(), l2.score(code).to_bits());
         }
     }
 

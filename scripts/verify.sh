@@ -11,25 +11,43 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
-# Re-run the suite at both extremes of the hermes-pool width: fully
+# Re-run, at both extremes of the hermes-pool width — fully
 # inline/sequential and heavily oversubscribed (the CI box has few
-# cores). Pooled batch paths must be bit-identical to sequential at any
-# width, so both sweeps must pass with no goldens re-tuned.
+# cores) — the suites whose behaviour depends on the width: the pool
+# itself, the engine and serving crates that fan out on it, and the
+# root suites that pin pooled paths bit-identical to sequential ones.
+# Both sweeps must pass with no goldens re-tuned.
 for threads in 1 16; do
-    echo "== re-running tests with HERMES_THREADS=${threads} =="
-    HERMES_THREADS="${threads}" cargo test -q --offline
+    echo "== re-running width-dependent suites with HERMES_THREADS=${threads} =="
+    HERMES_THREADS="${threads}" cargo test -q --offline \
+        -p hermes-pool -p hermes-core -p hermes-serve
+    HERMES_THREADS="${threads}" cargo test -q --offline -p hermes \
+        --test engine_equivalence --test serving_equivalence \
+        --test adaptive_cache_equivalence --test mutation_equivalence \
+        --test determinism --test trace_validation
 done
 
-# Re-run the suite at both ends of the SIMD dispatch ladder: whatever
-# the host CPU supports (auto) and the portable scalar reference. The
-# two-tier equivalence contract (DESIGN.md) pins quantized scoring to
-# identical bits at every level and f32 scoring to a 256-ULP envelope,
-# so the whole suite — including recall/threshold goldens — must pass
-# at both levels with no re-tuning.
+# Re-run, at both ends of the SIMD dispatch ladder — whatever the host
+# CPU supports (auto) and the portable scalar reference — the suites
+# that depend on the dispatch level: the kernels, the codecs and indices
+# built on them, and the root suites that pin the two-tier equivalence
+# contract (DESIGN.md): quantized scoring to identical bits at every
+# level and query-tile width, f32 scoring to a 256-ULP envelope, engine
+# paths to each other. No re-tuning at either level.
 for simd in auto scalar; do
-    echo "== re-running tests with HERMES_SIMD=${simd} =="
-    HERMES_SIMD="${simd}" cargo test -q --offline
+    echo "== re-running dispatch-dependent suites with HERMES_SIMD=${simd} =="
+    HERMES_SIMD="${simd}" cargo test -q --offline \
+        -p hermes-math -p hermes-quant -p hermes-index
+    HERMES_SIMD="${simd}" cargo test -q --offline -p hermes \
+        --test simd_differential --test properties --test engine_equivalence
 done
+
+# The repo benchmark compiles against the public API from outside the
+# workspace; its own contract check (unit tests, then all four
+# workloads in --smoke, plain and traced) makes API drift fail here
+# rather than in the benchmark pipeline.
+echo "== benchmark/check.sh =="
+benchmark/check.sh
 
 # Release-mode smoke run of the blocked-kernel microbench: asserts the
 # scalar and blocked@scalar scan variants return bit-identical top-k

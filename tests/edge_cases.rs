@@ -181,3 +181,119 @@ fn inserting_into_every_cluster_keeps_sizes_consistent() {
     }
     assert_eq!(store.len(), before + store.num_clusters());
 }
+
+/// Queries a real front end can hand over by accident: NaN and ±Inf
+/// components, alone and mixed with finite ones. Mixed is the dangerous
+/// shape — some coarse distances and sample scores come out NaN, others
+/// finite, and a comparator that maps incomparable pairs to `Equal` is
+/// then not a total order (undefined `sort_by` behaviour; recent
+/// toolchains panic on it).
+fn hostile_queries(dim: usize) -> Vec<Vec<f32>> {
+    let mut out = vec![
+        vec![f32::NAN; dim],
+        vec![f32::INFINITY; dim],
+        vec![f32::NEG_INFINITY; dim],
+    ];
+    for (at, bad) in [
+        (0, f32::NAN),
+        (dim - 1, f32::NAN),
+        (1, f32::INFINITY),
+        (2, f32::NEG_INFINITY),
+    ] {
+        let mut q: Vec<f32> = (0..dim).map(|d| (d as f32 * 0.37).sin()).collect();
+        q[at] = bad;
+        out.push(q);
+    }
+    // inf - inf and inf * 0: NaN for some codes and centroids only.
+    let mut q: Vec<f32> = (0..dim)
+        .map(|d| if d % 2 == 0 { 0.0 } else { 1.0 })
+        .collect();
+    q[0] = f32::INFINITY;
+    q[1] = f32::NEG_INFINITY;
+    out.push(q);
+    out
+}
+
+#[test]
+fn non_finite_queries_never_panic_an_ivf_scan() {
+    let corpus = Corpus::generate(CorpusSpec::new(600, 8, 4).with_seed(21));
+    let data = corpus.embeddings();
+    let hostile = hostile_queries(8);
+    for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
+        for codec in [CodecSpec::Sq8, CodecSpec::Flat, CodecSpec::Pq { m: 4 }] {
+            for residual in [false, true] {
+                let index = IvfIndex::builder()
+                    .nlist(24)
+                    .codec(codec)
+                    .metric(metric)
+                    .residual(residual)
+                    .seed(3)
+                    .build(data)
+                    .unwrap();
+                for nprobe in [1usize, 8, 24] {
+                    let params = SearchParams::new().with_nprobe(nprobe);
+                    for q in &hostile {
+                        let (hits, stats) = index.search_with_stats(q, 5, &params).unwrap();
+                        assert_eq!(hits.len(), 5);
+                        assert_eq!(stats.probed_partitions, nprobe);
+                    }
+                    // The whole hostile set as one group, a sane query
+                    // in the middle: it must be answered as if alone.
+                    let sane = data.row(17);
+                    let mut group: Vec<&[f32]> = hostile.iter().map(Vec::as_slice).collect();
+                    group.insert(3, sane);
+                    let scan = index.search_group(&group, 5, &vec![nprobe; group.len()]);
+                    assert!(scan.results.iter().all(Result::is_ok));
+                    assert_eq!(
+                        scan.results[3],
+                        index.search_with_stats(sane, 5, &params),
+                        "{metric} {codec} residual={residual} nprobe={nprobe}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn non_finite_queries_never_panic_the_engine() {
+    let corpus = Corpus::generate(CorpusSpec::new(1_200, 8, 6).with_seed(22));
+    let hostile = hostile_queries(8);
+    for routing in [
+        Routing::DocumentSampling,
+        Routing::CentroidOnly,
+        Routing::Unranked,
+    ] {
+        for adaptive in [None, Some(AdaptiveConfig::new(1, 4, 4, 32))] {
+            let mut cfg = HermesConfig::new(6)
+                .with_clusters_to_search(3)
+                .with_routing(routing)
+                .with_seed(23);
+            cfg.adaptive = adaptive;
+            let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+            let engine = Engine::for_store(&store);
+            for q in &hostile {
+                let out = engine.execute(q).unwrap();
+                assert_eq!(out.hits.len(), cfg.k);
+                assert_eq!(out.ranked_clusters.len(), 6);
+            }
+            // Batched and coalesced, hostile and sane queries side by
+            // side: same answers as one at a time.
+            let mut batch = hostile.clone();
+            batch.insert(2, corpus.embeddings().row(5).to_vec());
+            let alone: Vec<_> = batch.iter().map(|q| engine.execute(q).unwrap()).collect();
+            let coalesced = engine.execute_coalesced(&batch, 1).unwrap();
+            assert_eq!(coalesced.len(), alone.len());
+            // NaN scores are not `==` themselves; compare ids and bits.
+            for (a, b) in alone.iter().zip(&coalesced) {
+                assert_eq!(a.ranked_clusters, b.ranked_clusters);
+                assert_eq!(a.searched_clusters, b.searched_clusters);
+                assert_eq!(a.stats, b.stats);
+                let bits = |o: &hermes::core::SearchOutcome| -> Vec<(u64, u32)> {
+                    o.hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                };
+                assert_eq!(bits(a), bits(b));
+            }
+        }
+    }
+}

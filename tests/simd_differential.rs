@@ -17,7 +17,8 @@
 //!    scores sit within the cross-level tolerance of the k-th score).
 //!
 //! Plus tier A: an SQ8 codec *trained on the adversarial data itself*
-//! must block-score bit-identically at every level.
+//! must score bit-identically at every level, every query-tile width
+//! and every code count.
 
 use hermes::math::rng::SeededRng;
 use hermes::math::TopK;
@@ -61,7 +62,8 @@ fn adversarial_value(rng: &mut SeededRng) -> f32 {
 }
 
 /// Strategy for [`Case`]: dims 1..=128 (crossing every lane, tile and
-/// block remainder), 1..=24 rows. Shrinks by dropping row halves, single
+/// block remainder), 1..=70 rows (every ragged tail of one and two
+/// 8-code tiles, past a 64-row block). Shrinks by dropping row halves, single
 /// rows, halving the dimension, and zeroing individual elements — each
 /// candidate is still a well-formed case, so the runner's greedy shrink
 /// converges on a minimal adversarial example.
@@ -75,7 +77,7 @@ impl Strategy for AdversarialCase {
 
     fn generate(&self, rng: &mut SeededRng) -> Case {
         let dim = rng.gen_range(1usize..129);
-        let n = rng.gen_range(1usize..25);
+        let n = rng.gen_range(1usize..71);
         let query = (0..dim).map(|_| adversarial_value(rng)).collect();
         let rows = (0..n)
             .map(|_| (0..dim).map(|_| adversarial_value(rng)).collect())
@@ -265,11 +267,15 @@ fn adversarial_top_k_sets_agree_across_levels() {
 }
 
 /// Tier A on hostile data: an SQ8 codec trained on the adversarial rows
-/// themselves must block-score bit-identically to per-code scoring at
-/// every dispatch level — dequantization does no reassociation, so not
-/// even subnormal mins or astronomical scales may move a bit.
+/// themselves must score bit-identically to per-code scoring at every
+/// dispatch level, for every query-tile width (the case's query plus
+/// its first rows as further adversarial queries) and every prefix
+/// length of the code block — dequantization does no reassociation, so
+/// not even subnormal mins or astronomical scales may move a bit, and
+/// how many queries share a dequantized value never shows.
 #[test]
 fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
+    use hermes::math::block::QTILE;
     check_with(
         "sq8_trained_on_adversarial_data_is_bit_identical_across_levels",
         &cfg(16),
@@ -281,28 +287,51 @@ fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
             for row in &case.rows {
                 codec.encode_into(row, &mut codes);
             }
+            let queries: Vec<&[f32]> = std::iter::once(case.query.as_slice())
+                .chain(case.rows.iter().map(Vec::as_slice))
+                .take(QTILE)
+                .collect();
             for metric in METRICS {
-                let scorer = codec.query_scorer(&case.query, metric);
-                let cs = scorer.code_size();
-                let mut want = vec![0.0f32; case.rows.len()];
-                for (i, w) in want.iter_mut().enumerate() {
-                    *w = scorer.score(&codes[i * cs..(i + 1) * cs]);
-                }
+                let scorers: Vec<_> = queries
+                    .iter()
+                    .map(|q| codec.query_scorer(q, metric))
+                    .collect();
+                let cs = scorers[0].code_size();
+                let want: Vec<Vec<f32>> = scorers
+                    .iter()
+                    .map(|s| codes.chunks_exact(cs).map(|c| s.score(c)).collect())
+                    .collect();
                 for level in SimdLevel::available() {
-                    let mut got = vec![0.0f32; case.rows.len()];
-                    scorer.score_block_at(level, &codes, &mut got);
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        prop_assert!(
-                            g.to_bits() == w.to_bits(),
-                            "{} {} code {}: {:e} ({:#010x}) vs {:e} ({:#010x})",
-                            level,
-                            metric,
-                            i,
-                            g,
-                            g.to_bits(),
-                            w,
-                            w.to_bits()
-                        );
+                    for width in 1..=scorers.len() {
+                        let tile: Vec<_> = scorers[..width].iter().collect();
+                        for n in 0..=case.rows.len() {
+                            let mut got = vec![0.0f32; width * n];
+                            hermes::quant::QueryScorer::score_tile_at(
+                                level,
+                                &tile,
+                                &codes[..n * cs],
+                                &mut got,
+                            );
+                            for (qi, row) in want[..width].iter().enumerate() {
+                                for i in 0..n {
+                                    let (g, w) = (got[qi * n + i], row[i]);
+                                    prop_assert!(
+                                        g.to_bits() == w.to_bits(),
+                                        "{} {} Q{} n{} query {} code {}: {:e} ({:#010x}) vs {:e} ({:#010x})",
+                                        level,
+                                        metric,
+                                        width,
+                                        n,
+                                        qi,
+                                        i,
+                                        g,
+                                        g.to_bits(),
+                                        w,
+                                        w.to_bits()
+                                    );
+                                }
+                            }
+                        }
                     }
                 }
             }

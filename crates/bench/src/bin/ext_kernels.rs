@@ -27,8 +27,9 @@
 //! (`QueryScorer::score_block` / `score_tile`, d=64): per-code scalar
 //! scoring, 64-code blocks at the scalar and dispatched levels, the
 //! same codes cut into ragged 19-code lists (the mean inverted-list
-//! length of a 6 000-vector shard), and a 4-query tile sharing each
-//! dequantized value. Every variant is asserted bit-identical to
+//! length of a 6 000-vector shard) scored one list per call and as the
+//! segments of 64-row cross-list chunks the way the IVF row plan scores
+//! them, and a 4-query tile sharing each dequantized value. Every variant is asserted bit-identical to
 //! per-code `score` before it is timed.
 //!
 //! Set `HERMES_SMOKE=1` to run a seconds-scale correctness pass (used by
@@ -215,12 +216,35 @@ fn sq8_table(level: SimdLevel, reps: usize) -> Table {
             blocks(level, RAGGED_LIST),
         ),
         (
+            format!("ragged {RAGGED_LIST}-code lists as {BLOCK}-row cross-list chunks @{level}"),
+            1,
+            Box::new(|out: &mut [f32]| {
+                // What the IVF row plan does: the lists of a chunk are
+                // segments of one kernel call, so tiles span them.
+                for (c, o) in codes.chunks(BLOCK * DIM).zip(out[..n].chunks_mut(BLOCK)) {
+                    let mut segments = [&c[..0]; BLOCK.div_ceil(RAGGED_LIST)];
+                    let lists = c.chunks(RAGGED_LIST * DIM);
+                    let used = lists.len();
+                    for (s, list) in segments.iter_mut().zip(lists) {
+                        *s = list;
+                    }
+                    QueryScorer::score_tile_at(
+                        level,
+                        &tile[..1],
+                        &segments[..used],
+                        o,
+                        &mut |_| {},
+                    );
+                }
+            }),
+        ),
+        (
             format!("{QTILE}-query tile, {BLOCK}-code blocks @{level}"),
             QTILE,
             Box::new(|out: &mut [f32]| {
                 // Block-major output; compared per block below.
                 for (c, o) in codes.chunks(BLOCK * DIM).zip(out.chunks_mut(QTILE * BLOCK)) {
-                    QueryScorer::score_tile_at(level, &tile, c, o);
+                    QueryScorer::score_tile_at(level, &tile, &[c], o, &mut |_| {});
                 }
             }),
         ),

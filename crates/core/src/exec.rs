@@ -310,10 +310,12 @@ impl<'s> Engine<'s> {
             Routing::DocumentSampling => {
                 // One cheap k=1 sample per (shard, query); samples
                 // dominate single-query latency when m is small.
-                let clusters: Vec<usize> = (0..n).collect();
-                let nprobes = vec![self.plan.sample_nprobe; queries.len()];
-                let samples = fan_out(&clusters, cap, |&c| {
-                    self.shard_scan(names::SHARD_SAMPLE, c, queries, 1, &nprobes)
+                let group: Vec<(&[f32], usize)> = queries
+                    .iter()
+                    .map(|&q| (q, self.plan.sample_nprobe))
+                    .collect();
+                let samples = fan_out(n, cap, |c| {
+                    self.shard_scan(names::SHARD_SAMPLE, c, &group, 1)
                 });
                 (0..queries.len())
                     .map(|qi| {
@@ -391,12 +393,11 @@ impl<'s> Engine<'s> {
         &self,
         span: &'static str,
         c: usize,
-        queries: &[&[f32]],
+        queries: &[(&[f32], usize)],
         k: usize,
-        nprobes: &[usize],
     ) -> GroupScan {
         let mut sp = hermes_trace::span_with(span, &[("cluster", c as u64)]);
-        let scan = self.store.shard(c).search_group(queries, k, nprobes);
+        let scan = self.store.shard(c).search_group(queries, k);
         if sp.is_active() {
             sp.arg("queries", queries.len() as u64);
             sp.arg(
@@ -425,11 +426,17 @@ impl<'s> Engine<'s> {
         deep_nprobe: usize,
     ) -> Result<Vec<(Vec<Neighbor>, ScanStats)>, HermesError> {
         let mut sp = hermes_trace::span_with(names::ENGINE_SCATTER, &[("shards", shards.len() as u64)]);
-        let per_shard = fan_out(shards, width_cap(self.plan.scatter_threads), |&c| {
-            self.shard_scan(names::SHARD_DEEP, c, &[query], self.plan.k, &[deep_nprobe])
-                .results
-                .pop()
-                .expect("one result per query")
+        let cap = width_cap(self.plan.scatter_threads);
+        let per_shard = fan_out(shards.len(), cap, |i| {
+            self.shard_scan(
+                names::SHARD_DEEP,
+                shards[i],
+                &[(query, deep_nprobe)],
+                self.plan.k,
+            )
+            .results
+            .pop()
+            .expect("one result per query")
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
@@ -497,9 +504,8 @@ impl<'s> Engine<'s> {
     ) -> Result<SearchOutcome, HermesError> {
         let (m_limit, deep_nprobe) = self.depth_for(&route);
         let m = m_limit.min(route.ranked_clusters.len());
-        let searched: Vec<usize> = route.ranked_clusters[..m].to_vec();
-        let per_shard = self.scatter(query, &searched, deep_nprobe)?;
-        Ok(self.gather(route, searched, per_shard, deep_nprobe))
+        let per_shard = self.scatter(query, &route.ranked_clusters[..m], deep_nprobe)?;
+        Ok(self.gather(route, per_shard, deep_nprobe))
     }
 
     /// Resolves the per-query depth: the [`DifficultyEstimator`]'s choice
@@ -676,10 +682,11 @@ impl<'s> Engine<'s> {
         // query that routed to it, each at its own deep nProbe. Per-search
         // errors are carried to the assembly step so the *query* input
         // order, not the cluster order, decides which error wins.
-        let per_group = fan_out(&groups, cap, |(c, qis)| {
-            let members: Vec<&[f32]> = qis.iter().map(|&qi| queries[qi]).collect();
-            let nprobes: Vec<usize> = qis.iter().map(|&qi| depths[qi].1).collect();
-            self.shard_scan(names::SHARD_DEEP, *c, &members, self.plan.k, &nprobes)
+        let per_group = fan_out(groups.len(), cap, |g| {
+            let (c, qis) = &groups[g];
+            let members: Vec<(&[f32], usize)> =
+                qis.iter().map(|&qi| (queries[qi], depths[qi].1)).collect();
+            self.shard_scan(names::SHARD_DEEP, *c, &members, self.plan.k)
                 .results
         });
 
@@ -709,8 +716,7 @@ impl<'s> Engine<'s> {
             for slot in query_slots {
                 per_shard.push(slot.expect("every searched cluster was scattered")?);
             }
-            let query_searched = route.ranked_clusters[..m].to_vec();
-            outcomes.push(self.gather(route, query_searched, per_shard, deep_nprobe));
+            outcomes.push(self.gather(route, per_shard, deep_nprobe));
         }
         batch_span.arg(
             "deep_searches",
@@ -723,29 +729,27 @@ impl<'s> Engine<'s> {
     }
 
     /// **Stage 4 (gather):** merges per-shard hits (already in the
-    /// query's rank order) into the final top-k and folds the stats —
-    /// shared by [`Engine::execute`] and [`Engine::execute_coalesced`] so
-    /// the two paths cannot drift.
+    /// query's rank order: shard `i` is `route.ranked_clusters[i]`) into
+    /// the final top-k and folds the stats — shared by
+    /// [`Engine::execute`] and [`Engine::execute_coalesced`] so the two
+    /// paths cannot drift.
     fn gather(
         &self,
         route: RouteOutcome,
-        searched: Vec<usize>,
         per_shard: Vec<(Vec<Neighbor>, ScanStats)>,
         deep_nprobe: usize,
     ) -> SearchOutcome {
         let mut gather_span = hermes_trace::span(names::ENGINE_GATHER);
-        let per_cluster_hits: Vec<Vec<Neighbor>> =
-            per_shard.iter().map(|(hits, _)| hits.clone()).collect();
-        let hits = merge_topk(&per_cluster_hits, self.plan.k);
+        let hits = merge_topk(per_shard.iter().map(|(hits, _)| hits), self.plan.k);
         let per_shard_scanned: Vec<usize> =
             per_shard.iter().map(|(_, s)| s.scanned_codes).collect();
         let stats = SearchStats {
             route: route.cost,
             deep: SearchPhaseCost {
                 scanned_codes: per_shard_scanned.iter().sum(),
-                clusters_touched: searched.len(),
+                clusters_touched: per_shard.len(),
             },
-            gather_candidates: per_cluster_hits.iter().map(Vec::len).sum(),
+            gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
             per_shard_scanned,
             deep_nprobe,
         };
@@ -753,8 +757,8 @@ impl<'s> Engine<'s> {
         drop(gather_span);
         SearchOutcome {
             hits,
+            searched_clusters: route.ranked_clusters[..per_shard.len()].to_vec(),
             ranked_clusters: route.ranked_clusters,
-            searched_clusters: searched,
             stats,
         }
     }
@@ -792,19 +796,19 @@ fn width_cap(threads: usize) -> usize {
     }
 }
 
-/// Runs `f` over `items` on the shared pool, at most `cap` at once,
-/// results in input order. Inside a pool worker (i.e. within a batch)
+/// Runs `f` over `0..n` on the shared pool, at most `cap` at once,
+/// results in index order. Inside a pool worker (i.e. within a batch)
 /// this runs inline, so a nested fan-out never re-enters the pool.
-fn fan_out<T, U, F>(items: &[T], cap: usize, f: F) -> Vec<U>
+fn fan_out<U, F>(n: usize, cap: usize, f: F) -> Vec<U>
 where
-    T: Sync,
     U: Send,
-    F: Fn(&T) -> U + Sync,
+    F: Fn(usize) -> U + Sync,
 {
-    if cap == 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
+    if cap == 1 || n <= 1 {
+        return (0..n).map(f).collect();
     }
-    hermes_pool::Pool::global().parallel_map_capped(items, cap, f)
+    let indices: Vec<usize> = (0..n).collect();
+    hermes_pool::Pool::global().parallel_map_capped(&indices, cap, |&i| f(i))
 }
 
 #[cfg(test)]

@@ -6,8 +6,12 @@
 //! scanned, trading accuracy for latency. Vectors inside lists are stored
 //! through a [`Codec`] (the paper uses SQ8).
 
+use std::borrow::Cow;
+use std::cell::Cell;
+
 use hermes_kmeans::{probe_key_centroid, select_nearest, KMeans, KMeansConfig};
-use hermes_math::block::{BLOCK, QTILE};
+use hermes_math::block::QTILE;
+use hermes_math::simd::prefetch_read;
 use hermes_math::{Mat, Metric, TopK};
 use hermes_quant::{Codec, CodecSpec, QueryScorer};
 
@@ -182,9 +186,9 @@ impl IvfBuilder {
             // will actually encode.
             let residuals: Vec<Vec<f32>> = train_data
                 .iter_rows()
-                .map(|row| {
-                    let (list, _) = coarse.assign(row);
-                    hermes_math::distance::sub(row, coarse.centroids().row(list))
+                .zip(coarse.assignments())
+                .map(|(row, &list)| {
+                    hermes_math::distance::sub(row, coarse.centroids().row(list as usize))
                 })
                 .collect();
             Codec::train(self.codec, &Mat::from_rows(&residuals), self.seed)
@@ -194,8 +198,16 @@ impl IvfBuilder {
 
         let mut lists = vec![InvertedList::default(); coarse.num_clusters()];
         let mut buf = Vec::new();
-        for (row, &id) in data.iter_rows().zip(&ids) {
-            let (list, _) = coarse.assign(row);
+        // K-means ends with exactly this sweep — every training row
+        // assigned against the final centroids — so when it trained on
+        // `data` itself the lists are already known.
+        let trained_on_data = std::ptr::eq(train_data, data);
+        for (i, (row, &id)) in data.iter_rows().zip(&ids).enumerate() {
+            let list = if trained_on_data {
+                coarse.assignments()[i] as usize
+            } else {
+                coarse.assign(row).0
+            };
             buf.clear();
             if self.residual {
                 let res = hermes_math::distance::sub(row, coarse.centroids().row(list));
@@ -479,7 +491,7 @@ impl IvfIndex {
     /// [`VectorIndex::search_with_stats`] for free.
     pub fn probe_stats(&self, query: &[f32], nprobe: usize) -> ScanStats {
         let mut keys = Vec::new();
-        self.coarse.probe_keys(&[query], &mut keys);
+        self.coarse.probe_keys([query].into_iter(), &mut keys);
         self.probe_cost(select_nearest(&mut keys, nprobe.clamp(1, self.lists.len())))
     }
 
@@ -566,7 +578,7 @@ impl VectorIndex for IvfIndex {
     }
 
     fn search_with_stats(&self, query: &[f32], k: usize, params: &SearchParams) -> ScanResult {
-        self.search_group(&[query], k, &[params.nprobe])
+        self.search_group(&[(query, params.nprobe)], k)
             .results
             .pop()
             .expect("one result per query")
@@ -576,59 +588,30 @@ impl VectorIndex for IvfIndex {
     /// table ranks every query's lists, each query *selects* its probe
     /// set (unsorted — [`TopK`] is a total order on `(score, id)` and
     /// [`ScanStats`] are sums, so the visiting order never shows), and
-    /// for plain (non-residual) storage the `(list, query)` probes are
-    /// inverted so each probed list is streamed **once**, its code blocks
-    /// scored against up to [`QTILE`] queries
-    /// per pass. Residual lists score a per-(query, list) shifted query,
-    /// so there is nothing to share and they are scanned query by query.
-    fn search_group(&self, queries: &[&[f32]], k: usize, nprobes: &[usize]) -> GroupScan {
-        assert_eq!(queries.len(), nprobes.len(), "one nprobe per query");
+    /// the probes are compiled into a flat row [`Plan`] that the scoring
+    /// kernels consume in full tiles across list boundaries. For plain
+    /// (non-residual) storage the `(list, query)` probes are inverted
+    /// first, so each probed list is streamed **once**, its codes scored
+    /// against up to [`QTILE`] queries per pass. Residual lists score a
+    /// per-(query, list) shifted query, so there is nothing to share and
+    /// every probe is its own run of the same plan.
+    ///
+    /// Everything between the input and the hit lists lives in a
+    /// per-thread [`ScanScratch`]: in steady state a plain group scan
+    /// allocates only what it returns.
+    fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
         let mut results: Vec<ScanResult> = queries
             .iter()
-            .map(|q| {
+            .map(|(q, _)| {
                 self.check_query(q)
                     .map(|()| (Vec::new(), ScanStats::default()))
             })
             .collect();
-        // Slot `s` of the scan serves input query `active[s]`.
-        let active: Vec<usize> = (0..queries.len()).filter(|&i| results[i].is_ok()).collect();
-        if active.is_empty() {
-            return GroupScan {
-                results,
-                streamed_codes: 0,
-            };
-        }
-        let live: Vec<&[f32]> = active.iter().map(|&i| queries[i]).collect();
-
-        let nlist = self.lists.len();
-        let mut keys = Vec::new();
-        self.coarse.probe_keys(&live, &mut keys);
-        // `(list, slot)` probes, slot-major.
-        let mut probes: Vec<(u32, u32)> = Vec::new();
-        for (slot, (&qi, keys)) in active.iter().zip(keys.chunks_exact_mut(nlist)).enumerate() {
-            let chosen = select_nearest(keys, nprobes[qi].clamp(1, nlist));
-            results[qi] = Ok((Vec::new(), self.probe_cost(chosen)));
-            probes.extend(chosen.iter().map(|&key| (key as u32, slot as u32)));
-        }
-
-        let mut tops: Vec<TopK> = active.iter().map(|_| TopK::new(k.max(1))).collect();
-        let streamed_codes = if self.residual {
-            self.scan_residual(&live, &probes, &mut tops)
-        } else {
-            self.scan_shared(&live, probes, &mut tops)
-        };
-        for (&qi, top) in active.iter().zip(tops) {
-            if let Ok((hits, _)) = &mut results[qi] {
-                *hits = top.into_sorted_vec();
-                hits.truncate(k);
-            }
-        }
-        if hermes_trace::is_enabled() {
-            hermes_trace::counter(
-                hermes_trace::names::INDEX_CODES_STREAMED,
-                streamed_codes as u64,
-            );
-        }
+        // Taken and put back rather than borrowed, so a scan re-entered
+        // on this thread would find the slot empty and merely allocate.
+        let mut scratch = SCRATCH.take().unwrap_or_default();
+        let streamed_codes = self.scan_group(queries, k, &mut results, &mut scratch);
+        SCRATCH.set(Some(scratch));
         GroupScan {
             results,
             streamed_codes,
@@ -650,85 +633,232 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// Plain storage: one scorer per query serves every list, so each
-    /// probed list is streamed once for all the queries that probe it.
-    /// Returns the codes physically scored.
-    fn scan_shared(
+    /// The body of [`VectorIndex::search_group`] over a scratch it owns
+    /// for the call: fills the `Ok` entries of `results` and returns the
+    /// codes physically scored.
+    fn scan_group(
         &self,
-        queries: &[&[f32]],
-        mut probes: Vec<(u32, u32)>,
-        tops: &mut [TopK],
+        queries: &[(&[f32], usize)],
+        k: usize,
+        results: &mut [ScanResult],
+        scratch: &mut ScanScratch,
     ) -> usize {
-        let scorers: Vec<QueryScorer<'_>> = queries
-            .iter()
-            .map(|q| self.codec.query_scorer(q, self.metric))
-            .collect();
-        // One query's probes are already one run per list.
-        if queries.len() > 1 {
-            group_by_list(&mut probes, self.lists.len());
+        let ScanScratch {
+            active,
+            keys,
+            probes,
+            by_list,
+            plan,
+            tops,
+            scorers,
+            chunk,
+        } = scratch;
+        // Slot `s` of the scan serves input query `active[s]`.
+        active.clear();
+        active.extend((0..queries.len()).filter(|&i| results[i].is_ok()));
+        if active.is_empty() {
+            return 0;
         }
-        let mut scratch = ScanScratch::new();
-        probes
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|visit| {
-                let list = &self.lists[visit[0].0 as usize];
-                scan_list(list, visit, &scorers, tops, None, &mut scratch)
-            })
-            .sum()
+        let live = active.iter().map(|&i| queries[i].0);
+
+        let nlist = self.lists.len();
+        self.coarse.probe_keys(live.clone(), keys);
+        // `(list, slot)` probes, slot-major.
+        probes.clear();
+        for (slot, (&qi, keys)) in active.iter().zip(keys.chunks_exact_mut(nlist)).enumerate() {
+            let chosen = select_nearest(keys, queries[qi].1.clamp(1, nlist));
+            results[qi] = Ok((Vec::new(), self.probe_cost(chosen)));
+            probes.extend(chosen.iter().map(|&key| (key as u32, slot as u32)));
+        }
+        // Plain lists are shared by list; one query's probes already are
+        // one visit per list.
+        if !self.residual && active.len() > 1 {
+            by_list.sort(probes, nlist);
+        }
+        plan.compile(probes, !self.residual, |l| {
+            self.lists[l as usize].ids.is_empty()
+        });
+        let mut ahead = ReadAhead::default();
+        ahead.advance(self, &plan.lists, PREFETCH_ROWS);
+
+        tops.clear();
+        tops.extend(active.iter().map(|_| TopK::new(k.max(1))));
+        // What a slot's residual runs decompose against: its query, or
+        // for cosine a pre-normalized copy (cosine reduces to inner
+        // product; documents are stored unnormalized-residual but decode
+        // to the original, normalized vectors). `None` for plain lists.
+        let shifts: Option<Vec<Cow<'_, [f32]>>> = self.residual.then(|| {
+            live.clone()
+                .map(|q| match self.metric {
+                    Metric::Cosine => {
+                        let mut unit = q.to_vec();
+                        hermes_math::distance::normalize(&mut unit);
+                        Cow::Owned(unit)
+                    }
+                    _ => Cow::Borrowed(q),
+                })
+                .collect()
+        });
+        let mut slot_scorers = recycle(std::mem::take(scorers));
+        match &shifts {
+            // One scorer per query serves every list.
+            None => slot_scorers.extend(live.map(|q| self.codec.query_scorer(q, self.metric))),
+            // ip(q, c + r) = ip(q, c) + ip(q, r): the scorer is
+            // list-invariant, only an offset moves with the list.
+            Some(qs) if self.metric != Metric::L2 => slot_scorers.extend(
+                qs.iter()
+                    .map(|q| self.codec.query_scorer(q, Metric::InnerProduct)),
+            ),
+            // L2 shifts the query by the list centroid: a scorer per run.
+            Some(_) => {}
+        }
+        let streamed = self.scan(
+            plan,
+            &slot_scorers,
+            shifts.as_deref(),
+            tops,
+            chunk,
+            &mut ahead,
+        );
+        *scorers = recycle(slot_scorers);
+
+        for (&qi, top) in active.iter().zip(tops.drain(..)) {
+            if let Ok((hits, _)) = &mut results[qi] {
+                *hits = top.into_sorted_vec();
+                hits.truncate(k);
+            }
+        }
+        streamed
     }
 
-    /// Residual storage: scores decompose per list, so every
-    /// `(query, list)` pair is its own scan. Cosine reduces to inner
-    /// product on a pre-normalized query (documents are stored
-    /// unnormalized-residual but decode to the original, normalized
-    /// vectors). Returns the codes scored.
-    fn scan_residual(&self, queries: &[&[f32]], probes: &[(u32, u32)], tops: &mut [TopK]) -> usize {
+    /// Runs a compiled [`Plan`]: each run's lists are cut into chunks of
+    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, a chunk is
+    /// scored for every [`QTILE`]-wide tile of the run's slots in one
+    /// kernel call over its code segments, and each slot's score row
+    /// feeds its own [`TopK::push_block`], list by list. Tier-A scores do
+    /// not depend on a code's position, so which lists share a chunk
+    /// never shows in a result. The kernel keeps the read-ahead cursor
+    /// [`PREFETCH_ROWS`] rows in front of the rows it is scoring.
+    ///
+    /// `shifts` marks residual storage — every run one `(list, slot)`
+    /// pair — and holds each slot's query. `offset` (the residual
+    /// inner-product decomposition term) is applied unconditionally —
+    /// even an offset of `0.0` changes `-0.0` scores to `+0.0` — so the
+    /// f32 op sequence matches the per-code `offset + scorer.score(code)`
+    /// form bit for bit. Returns the codes physically scored.
+    fn scan(
+        &self,
+        plan: &Plan,
+        scorers: &[QueryScorer<'_>],
+        shifts: Option<&[Cow<'_, [f32]>]>,
+        tops: &mut [TopK],
+        chunk: &mut Chunk,
+        ahead: &mut ReadAhead,
+    ) -> usize {
+        let cs = self.codec.code_size();
+        let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
+        let mut shifted = Vec::new();
         let mut streamed = 0;
-        let mut scratch = ScanScratch::new();
-        let mut shifted = Vec::with_capacity(self.dim);
-        // Slot-major probes: each query's lists are one contiguous run.
-        for visit in probes.chunk_by(|a, b| a.1 == b.1) {
-            let slot = visit[0].1 as usize;
-            let top = std::slice::from_mut(&mut tops[slot]);
-            let normalized;
-            let (q, metric) = match self.metric {
-                Metric::Cosine => {
-                    let mut nq = queries[slot].to_vec();
-                    hermes_math::distance::normalize(&mut nq);
-                    normalized = nq;
-                    (normalized.as_slice(), Metric::InnerProduct)
+        let mut first = 0;
+        for run in &plan.runs {
+            let lists = &plan.lists[first..run.lists_end];
+            first = run.lists_end;
+            let slots = &plan.slots[run.slots.clone()];
+            let (mut run_scorer, mut offset) = (None, None);
+            if let Some(queries) = shifts {
+                let centroid = self.coarse.centroids().row(lists[0] as usize);
+                let q = &queries[slots[0] as usize];
+                if self.metric == Metric::L2 {
+                    // -|q - (c + r)|^2 = -|(q - c) - r|^2.
+                    shifted.clear();
+                    shifted.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
+                    run_scorer = Some(self.codec.query_scorer(&shifted, Metric::L2));
+                } else {
+                    offset = Some(hermes_math::distance::inner_product(q, centroid));
                 }
-                m => (queries[slot], m),
+            }
+            let scorer_of = |slot: u32| {
+                run_scorer
+                    .as_ref()
+                    .unwrap_or_else(|| &scorers[slot as usize])
             };
-            let mut scan = |l: u32, scorer: &QueryScorer<'_>, offset: Option<f32>| {
-                let (list, visit) = (&self.lists[l as usize], [(l, 0)]);
-                streamed += scan_list(
-                    list,
-                    &visit,
-                    std::slice::from_ref(scorer),
-                    top,
-                    offset,
-                    &mut scratch,
-                );
-            };
-            match metric {
-                Metric::InnerProduct => {
-                    // ip(q, c + r) = ip(q, c) + ip(q, r): the scorer is
-                    // list-invariant, only the offset moves.
-                    let scorer = self.codec.query_scorer(q, Metric::InnerProduct);
-                    for &(l, _) in visit {
-                        let centroid = self.coarse.centroids().row(l as usize);
-                        let offset = hermes_math::distance::inner_product(q, centroid);
-                        scan(l, &scorer, Some(offset));
+
+            let (mut at_list, mut at_row) = (0, 0);
+            while at_list < lists.len() {
+                // The next chunk: up to CHUNK_ROWS rows of consecutive
+                // lists. A list with tombstones also gets its mask here,
+                // once for every slot: its rows are scored by the
+                // unchanged kernel like any other, then its dead
+                // `(id, score)` pairs are compacted out before admission,
+                // so live rows keep their exact bits and admission order.
+                let (mut parts, mut rows, mut live) = (0, 0, 0);
+                while rows < CHUNK_ROWS && at_list < lists.len() {
+                    let list = &self.lists[lists[at_list] as usize];
+                    let take = (list.ids.len() - at_row).min(CHUNK_ROWS - rows);
+                    let piece = at_row..at_row + take;
+                    segments[parts] = &list.codes[piece.start * cs..piece.end * cs];
+                    let live_from = live;
+                    if list.dead_count > 0 {
+                        let flagged = list.ids[piece.clone()].iter().zip(&list.dead[piece]);
+                        for (j, (&id, &dead)) in flagged.enumerate() {
+                            if !dead {
+                                chunk.live_ids[live] = id;
+                                chunk.live_at[live] = (rows + j) as u8;
+                                live += 1;
+                            }
+                        }
+                    }
+                    chunk.parts[parts] = Part {
+                        list: lists[at_list],
+                        start: at_row as u32,
+                        len: take as u32,
+                        live: live_from as u32..live as u32,
+                    };
+                    parts += 1;
+                    rows += take;
+                    at_row += take;
+                    if at_row == list.ids.len() {
+                        (at_list, at_row) = (at_list + 1, 0);
                     }
                 }
-                Metric::L2 | Metric::Cosine => {
-                    for &(l, _) in visit {
-                        // -|q - (c + r)|^2 = -|(q - c) - r|^2.
-                        let centroid = self.coarse.centroids().row(l as usize);
-                        shifted.clear();
-                        shifted.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
-                        scan(l, &self.codec.query_scorer(&shifted, Metric::L2), None);
+                let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
+
+                for (t, tile) in slots.chunks(QTILE).enumerate() {
+                    let mut refs = [scorer_of(tile[0]); QTILE];
+                    for (r, &slot) in refs.iter_mut().zip(tile) {
+                        *r = scorer_of(slot);
+                    }
+                    let out = &mut chunk.scores[..tile.len() * rows];
+                    // The chunk is cold for the first tile of slots only:
+                    // that pass keeps the read-ahead moving, a few rows
+                    // between the kernel's tiles.
+                    let mut keep_ahead = |rows| ahead.advance(self, &plan.lists, rows);
+                    let pace: &mut dyn FnMut(usize) =
+                        if t == 0 { &mut keep_ahead } else { &mut |_| {} };
+                    streamed += QueryScorer::score_tile(&refs[..tile.len()], segments, out, pace);
+                    if let Some(o) = offset {
+                        for s in out.iter_mut() {
+                            *s = o + *s;
+                        }
+                    }
+                    for (&slot, row) in tile.iter().zip(out.chunks_exact(rows)) {
+                        let top = &mut tops[slot as usize];
+                        let mut at = 0;
+                        for p in parts {
+                            let list = &self.lists[p.list as usize];
+                            let (start, len) = (p.start as usize, p.len as usize);
+                            if list.dead_count == 0 {
+                                top.push_block(&list.ids[start..start + len], &row[at..at + len]);
+                            } else {
+                                let live = p.live.start as usize..p.live.end as usize;
+                                let scores = &mut chunk.live_scores[live.clone()];
+                                for (s, &j) in scores.iter_mut().zip(&chunk.live_at[live.clone()]) {
+                                    *s = row[j as usize];
+                                }
+                                top.push_block(&chunk.live_ids[live], scores);
+                            }
+                            at += len;
+                        }
                     }
                 }
             }
@@ -737,114 +867,213 @@ impl IvfIndex {
     }
 }
 
-/// Stack buffers of one list scan, created once per group scan (a
-/// deep search visits ~100 short lists; re-zeroing 2 KB per list showed
-/// in the profile).
-struct ScanScratch {
-    scores: [f32; QTILE * BLOCK],
-    live_ids: [u64; BLOCK],
-    live_at: [u8; BLOCK],
-    live_scores: [f32; BLOCK],
+/// Rows scored per kernel call. A chunk's codes (16 KB at 64 bytes a
+/// code) stay in L1 for every query tile of its run, its per-call costs
+/// are spread over four times the rows of a [`BLOCK`](hermes_math::block::BLOCK),
+/// and its row positions still fit the `u8` of [`Chunk::live_at`].
+const CHUNK_ROWS: usize = 256;
+const _: () = assert!(CHUNK_ROWS - 1 <= u8::MAX as usize);
+
+/// How many rows ahead of the rows being scored the scan prefetches:
+/// far enough for an L3 miss to resolve under the arithmetic of the two
+/// 16-row kernel steps in between, near enough that what is fetched is
+/// still in L1 when its turn comes (measured: 16 and 48 are both slower).
+const PREFETCH_ROWS: usize = 32;
+
+thread_local! {
+    /// This thread's scan scratch between scans.
+    static SCRATCH: Cell<Option<Box<ScanScratch>>> = const { Cell::new(None) };
 }
 
-impl ScanScratch {
-    fn new() -> Self {
-        ScanScratch {
-            scores: [0.0; QTILE * BLOCK],
-            live_ids: [0; BLOCK],
-            live_at: [0; BLOCK],
-            live_scores: [0.0; BLOCK],
+/// Every buffer a group scan needs between its input and its output,
+/// kept per thread and reused from scan to scan: all of them are cleared
+/// or overwritten before they are read, so only their capacity carries
+/// over.
+#[derive(Default)]
+struct ScanScratch {
+    /// Input index of each scan slot (the queries that passed checks).
+    active: Vec<usize>,
+    /// Coarse-probe keys, one row of `nlist` per slot.
+    keys: Vec<u64>,
+    /// The selected `(list, slot)` probes.
+    probes: Vec<(u32, u32)>,
+    by_list: ByList,
+    plan: Plan,
+    /// One selector per slot.
+    tops: Vec<TopK>,
+    /// The slots' scorers; held empty between scans (see [`recycle`]).
+    scorers: Vec<QueryScorer<'static>>,
+    chunk: Chunk,
+}
+
+/// An emptied `Vec` of scorers re-typed to another borrow lifetime, so
+/// one allocation serves scan after scan although each scan's scorers
+/// borrow that scan's queries. Mapping an empty `vec::IntoIter` collects
+/// in place — the buffer is handed over, not reallocated; were that ever
+/// to stop holding, the only loss would be one allocation per scan.
+fn recycle<'a, 'b>(mut scorers: Vec<QueryScorer<'a>>) -> Vec<QueryScorer<'b>> {
+    scorers.clear();
+    scorers.into_iter().map(|_| unreachable!()).collect()
+}
+
+/// The per-chunk buffers of [`IvfIndex::scan`].
+struct Chunk {
+    /// The lists (or pieces of lists) the chunk's rows come from.
+    parts: [Part; CHUNK_ROWS],
+    /// One score row per slot of the tile being scored.
+    scores: [f32; QTILE * CHUNK_ROWS],
+    /// Ids, chunk positions and (per slot) scores of the live rows of
+    /// the chunk's tombstoned lists.
+    live_ids: [u64; CHUNK_ROWS],
+    live_at: [u8; CHUNK_ROWS],
+    live_scores: [f32; CHUNK_ROWS],
+}
+
+impl Default for Chunk {
+    fn default() -> Self {
+        Chunk {
+            parts: std::array::from_fn(|_| Part::default()),
+            scores: [0.0; QTILE * CHUNK_ROWS],
+            live_ids: [0; CHUNK_ROWS],
+            live_at: [0; CHUNK_ROWS],
+            live_scores: [0.0; CHUNK_ROWS],
+        }
+    }
+}
+
+/// Rows `start..start + len` of inverted list `list`; if the list has
+/// tombstones, `live` are its live rows' entries in the chunk's `live_*`
+/// buffers.
+#[derive(Clone, Default)]
+struct Part {
+    list: u32,
+    start: u32,
+    len: u32,
+    live: std::ops::Range<u32>,
+}
+
+/// The probed lists of a group scan in the order their rows are scored,
+/// cut into runs: consecutive lists probed by the same set of slots,
+/// which the kernel scores as one row sequence for that slot set.
+#[derive(Default)]
+struct Plan {
+    /// Non-empty probed lists, run after run.
+    lists: Vec<u32>,
+    /// The runs' slot sets, one after another.
+    slots: Vec<u32>,
+    runs: Vec<Run>,
+}
+
+struct Run {
+    /// One past this run's last entry in [`Plan::lists`]; it starts where
+    /// the previous run ends.
+    lists_end: usize,
+    /// This run's entries in [`Plan::slots`].
+    slots: std::ops::Range<usize>,
+}
+
+impl Plan {
+    /// Compiles `(list, slot)` probes. With `shared` (plain storage) the
+    /// probes must be grouped by list: every list becomes one visit for
+    /// all its slots, and consecutive visits with equal slot sets — all
+    /// of them, for a group of one — merge into one run. Without it every
+    /// probe is a run of its own. Lists that `is_empty` are dropped.
+    fn compile(&mut self, probes: &[(u32, u32)], shared: bool, is_empty: impl Fn(u32) -> bool) {
+        self.lists.clear();
+        self.slots.clear();
+        self.runs.clear();
+        for visit in probes.chunk_by(|a, b| shared && a.0 == b.0) {
+            if is_empty(visit[0].0) {
+                continue;
+            }
+            self.lists.push(visit[0].0);
+            let slots = visit.iter().map(|probe| probe.1);
+            match self.runs.last_mut() {
+                Some(run)
+                    if shared
+                        && self.slots[run.slots.clone()]
+                            .iter()
+                            .copied()
+                            .eq(slots.clone()) =>
+                {
+                    run.lists_end = self.lists.len();
+                }
+                _ => {
+                    let start = self.slots.len();
+                    self.slots.extend(slots);
+                    self.runs.push(Run {
+                        lists_end: self.lists.len(),
+                        slots: start..self.slots.len(),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The prefetch position in a plan's list sequence (see
+/// [`PREFETCH_ROWS`]).
+#[derive(Default)]
+struct ReadAhead {
+    list: usize,
+    row: usize,
+}
+
+impl ReadAhead {
+    /// Prefetches what the scan is certain to read of the next `rows`
+    /// rows of `lists`, and moves past them: every cache line of their
+    /// codes, and for a list with tombstones — whose live mask reads
+    /// every id and flag — those too. A clean list's ids are read for the
+    /// few rows that survive the top-k bound; fetching them all cost more
+    /// than the misses it saved.
+    fn advance(&mut self, index: &IvfIndex, lists: &[u32], mut rows: usize) {
+        let cs = index.codec.code_size();
+        while rows > 0 && self.list < lists.len() {
+            let list = &index.lists[lists[self.list] as usize];
+            let (from, to) = (self.row, list.ids.len().min(self.row + rows));
+            prefetch_read(&list.codes[from * cs..to * cs]);
+            if list.dead_count > 0 {
+                prefetch_read(&list.ids[from..to]);
+                prefetch_read(&list.dead[from..to]);
+            }
+            rows -= to - from;
+            (self.list, self.row) = if to == list.ids.len() {
+                (self.list + 1, 0)
+            } else {
+                (self.list, to)
+            };
         }
     }
 }
 
 /// Stable counting sort of `(list, slot)` probes by list, so the probes
-/// of one list become one contiguous run (slots ascending within it).
-fn group_by_list(probes: &mut Vec<(u32, u32)>, nlist: usize) {
-    let mut next = vec![0u32; nlist + 1];
-    for &(l, _) in probes.iter() {
-        next[l as usize + 1] += 1;
-    }
-    for l in 0..nlist {
-        next[l + 1] += next[l];
-    }
-    let mut grouped = vec![(0u32, 0u32); probes.len()];
-    for &probe in probes.iter() {
-        let at = &mut next[probe.0 as usize];
-        grouped[*at as usize] = probe;
-        *at += 1;
-    }
-    *probes = grouped;
+/// of one list become one contiguous visit (slots ascending within it).
+#[derive(Default)]
+struct ByList {
+    next: Vec<u32>,
+    grouped: Vec<(u32, u32)>,
 }
 
-/// Streams one inverted list **once** for every query slot in `visit`
-/// (`(list, slot)` probes of this list): each `BLOCK`-sized code chunk is
-/// scored against up to `QTILE` slots' scorers per pass and every slot's
-/// row feeds the fused compare-and-compact pruning of its own
-/// [`TopK::push_block`]. The tombstone mask is computed once per chunk:
-/// the full chunk is scored with the unchanged kernel, then dead
-/// `(id, score)` pairs are compacted out before admission, so live rows
-/// keep their exact bits and admission order. `offset` (the residual
-/// inner-product decomposition term) is added to every score; it is
-/// applied unconditionally — even an `offset` of `0.0` changes `-0.0`
-/// scores to `+0.0` — so the f32 op sequence matches the per-code
-/// `offset + scorer.score(code)` form bit for bit. Returns the codes
-/// physically scored.
-fn scan_list(
-    list: &InvertedList,
-    visit: &[(u32, u32)],
-    scorers: &[QueryScorer<'_>],
-    tops: &mut [TopK],
-    offset: Option<f32>,
-    scratch: &mut ScanScratch,
-) -> usize {
-    let cs = scorers[0].code_size();
-    let ScanScratch {
-        scores,
-        live_ids,
-        live_at,
-        live_scores,
-    } = scratch;
-    let mut streamed = 0;
-    for (b, ids) in list.ids.chunks(BLOCK).enumerate() {
-        let (start, bn) = (b * BLOCK, ids.len());
-        let codes = &list.codes[start * cs..(start + bn) * cs];
-        let mut live = 0;
-        if list.dead_count > 0 {
-            for (j, (&id, &dead)) in ids.iter().zip(&list.dead[start..]).enumerate() {
-                if !dead {
-                    live_ids[live] = id;
-                    live_at[live] = j as u8;
-                    live += 1;
-                }
-            }
+impl ByList {
+    fn sort(&mut self, probes: &mut Vec<(u32, u32)>, nlist: usize) {
+        let ByList { next, grouped } = self;
+        next.clear();
+        next.resize(nlist + 1, 0);
+        for &(l, _) in probes.iter() {
+            next[l as usize + 1] += 1;
         }
-        for tile in visit.chunks(QTILE) {
-            let mut refs = [&scorers[0]; QTILE];
-            for (r, &(_, slot)) in refs.iter_mut().zip(tile) {
-                *r = &scorers[slot as usize];
-            }
-            let out = &mut scores[..tile.len() * bn];
-            streamed += QueryScorer::score_tile(&refs[..tile.len()], codes, out);
-            if let Some(o) = offset {
-                for s in out.iter_mut() {
-                    *s = o + *s;
-                }
-            }
-            for (&(_, slot), row) in tile.iter().zip(out.chunks_exact(bn)) {
-                let top = &mut tops[slot as usize];
-                if list.dead_count == 0 {
-                    top.push_block(ids, row);
-                } else {
-                    for (s, &j) in live_scores.iter_mut().zip(&live_at[..live]) {
-                        *s = row[j as usize];
-                    }
-                    top.push_block(&live_ids[..live], &live_scores[..live]);
-                }
-            }
+        for l in 0..nlist {
+            next[l + 1] += next[l];
         }
+        grouped.clear();
+        grouped.resize(probes.len(), (0, 0));
+        for &probe in probes.iter() {
+            let at = &mut next[probe.0 as usize];
+            grouped[*at as usize] = probe;
+            *at += 1;
+        }
+        std::mem::swap(probes, grouped);
     }
-    streamed
 }
 
 #[cfg(test)]
@@ -924,6 +1153,39 @@ mod tests {
         let r20 = recall_at(20);
         assert!(r20 >= r1, "recall must not drop with nprobe ({r1} vs {r20})");
         assert!(r20 > 0.9, "full probe recall too low: {r20}");
+    }
+
+    #[test]
+    fn build_reuses_the_training_assignment_byte_for_byte() {
+        // The reference is the two-sweep build: train, then assign every
+        // row again by streaming it in. The serialized shard — the blob an
+        // `HPGS` store image holds per cluster — must not differ by a
+        // byte, whether the quantizer trained on all rows or a subsample.
+        let data = clustered_data(700, 8, 6, 61);
+        for residual in [false, true] {
+            for fraction in [1.0, 0.4] {
+                let builder = IvfIndex::builder()
+                    .nlist(24)
+                    .codec(CodecSpec::Sq8)
+                    .residual(residual)
+                    .train_fraction(fraction)
+                    .seed(8);
+                let built = builder.build(&data).unwrap();
+                let mut streamed = IvfIndex {
+                    lists: vec![InvertedList::default(); built.lists.len()],
+                    len: 0,
+                    ..built.clone()
+                };
+                for (id, row) in data.iter_rows().enumerate() {
+                    streamed.add(id as u64, row).unwrap();
+                }
+                assert_eq!(
+                    built.to_bytes(),
+                    streamed.to_bytes(),
+                    "residual={residual} train_fraction={fraction}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1406,18 +1668,78 @@ mod tests {
         }
     }
 
+    /// A shard-like index over `lens.len()` lists whose list `l` holds
+    /// exactly `lens[l]` rows: k-means over well-separated blobs at
+    /// `(10 l, 0, ..)` recovers the blobs, so list lengths — empty,
+    /// 1-code, sub-tile, past a 64-row chunk — are chosen, not hoped for.
+    fn index_with_list_lengths(
+        lens: &[usize],
+        dim: usize,
+        codec: CodecSpec,
+        metric: Metric,
+        residual: bool,
+    ) -> (IvfIndex, Mat) {
+        let mut rng = seeded_rng(0x11575);
+        let rows: Vec<Vec<f32>> = lens
+            .iter()
+            .enumerate()
+            .flat_map(|(l, &len)| std::iter::repeat_n(l, len))
+            .map(|l| {
+                let mut row: Vec<f32> = (0..dim).map(|_| rng.next_f32() - 0.5).collect();
+                row[0] += 10.0 * l as f32;
+                row
+            })
+            .collect();
+        let data = Mat::from_rows(&rows);
+        let centers: Vec<Vec<f32>> = (0..lens.len())
+            .map(|l| {
+                let mut c = vec![0.0; dim];
+                c[0] = 10.0 * l as f32;
+                c
+            })
+            .collect();
+        let coarse = KMeans::from_centroids(Mat::from_rows(&centers), lens.to_vec());
+        let train = if residual {
+            let residuals: Vec<Vec<f32>> = data
+                .iter_rows()
+                .map(|row| {
+                    hermes_math::distance::sub(row, coarse.centroids().row(coarse.assign(row).0))
+                })
+                .collect();
+            Mat::from_rows(&residuals)
+        } else {
+            data.clone()
+        };
+        let mut index = IvfIndex {
+            codec: Codec::train(codec, &train, 5),
+            lists: vec![InvertedList::default(); lens.len()],
+            coarse,
+            metric,
+            dim,
+            len: 0,
+            residual,
+        };
+        for (id, row) in data.iter_rows().enumerate() {
+            index.add(id as u64, row).unwrap();
+        }
+        let got: Vec<usize> = index.lists.iter().map(|l| l.ids.len()).collect();
+        assert_eq!(got, lens, "blobs must land in their own lists");
+        (index, data)
+    }
+
+    const CODECS: [CodecSpec; 4] = [
+        CodecSpec::Flat,
+        CodecSpec::Sq8,
+        CodecSpec::Sq4,
+        CodecSpec::Pq { m: 4 },
+    ];
+
     #[test]
     fn group_scan_is_bit_identical_to_the_scalar_walk() {
         // 600 rows over 40 lists: ragged 1..~40-code lists like a real
         // shard; tombstones in most of them.
         let data = clustered_data(600, 12, 9, 51);
-        let codecs = [
-            CodecSpec::Flat,
-            CodecSpec::Sq8,
-            CodecSpec::Sq4,
-            CodecSpec::Pq { m: 4 },
-        ];
-        for codec in codecs {
+        for codec in CODECS {
             for residual in [false, true] {
                 for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
                     let mut index = IvfIndex::builder()
@@ -1431,50 +1753,112 @@ mod tests {
                     for id in (0..600u64).step_by(7) {
                         assert!(index.remove(id));
                     }
-                    // Six queries — more than one query tile — with a
+                    // Seven queries — more than one query tile — with a
                     // duplicate, mixed nprobe (1 .. beyond nlist) and a
                     // wrong-dimension query in the middle.
                     let bad = [1.0f32; 5];
-                    let queries: Vec<&[f32]> = vec![
-                        data.row(3),
-                        data.row(200),
-                        data.row(3),
-                        &bad,
-                        data.row(411),
-                        data.row(77),
-                        data.row(598),
+                    let queries: Vec<(&[f32], usize)> = vec![
+                        (data.row(3), 8),
+                        (data.row(200), 40),
+                        (data.row(3), 3),
+                        (&bad, 8),
+                        (data.row(411), 1),
+                        (data.row(77), 64),
+                        (data.row(598), 17),
                     ];
-                    let nprobes = [8usize, 40, 3, 8, 1, 64, 17];
                     let ctx = format!("{codec} residual={residual} {metric}");
-                    let group = index.search_group(&queries, 10, &nprobes);
-                    assert_eq!(group.results.len(), queries.len());
-                    let mut logical = 0;
-                    for (qi, (q, &nprobe)) in queries.iter().zip(&nprobes).enumerate() {
-                        let alone = index.search_with_stats(
-                            q,
-                            10,
-                            &SearchParams::new().with_nprobe(nprobe),
-                        );
-                        if q.len() != 12 {
-                            let err = IndexError::DimensionMismatch {
-                                expected: 12,
-                                got: 5,
-                            };
-                            assert_eq!(group.results[qi], Err(err.clone()), "{ctx}");
-                            assert_eq!(alone, Err(err), "{ctx}");
-                            continue;
-                        }
-                        let want = walk_search(&index, q, 10, nprobe);
-                        logical += want.1.scanned_codes;
-                        assert_same_scan(&alone, &want, &format!("{ctx} alone q{qi}"));
-                        assert_same_scan(&group.results[qi], &want, &format!("{ctx} group q{qi}"));
-                    }
+                    let streamed = assert_group_matches_walk(&index, &queries, 10, &ctx);
                     // Only plain SQ8 lists share a pass; everything else
                     // streams exactly its logical work.
+                    let logical: usize = queries
+                        .iter()
+                        .filter(|(q, _)| q.len() == 12)
+                        .map(|&(q, nprobe)| walk_search(&index, q, 10, nprobe).1.scanned_codes)
+                        .sum();
                     if codec == CodecSpec::Sq8 && !residual {
-                        assert!(group.streamed_codes < logical, "{ctx}: nothing shared");
+                        assert!(streamed < logical, "{ctx}: nothing shared");
                     } else {
-                        assert_eq!(group.streamed_codes, logical, "{ctx}");
+                        assert_eq!(streamed, logical, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts that `queries` as one group, and each alone, answer
+    /// exactly like the scalar walk (a wrong-dimension query with the
+    /// dimension error, without disturbing its neighbours). Returns the
+    /// group's streamed codes.
+    fn assert_group_matches_walk(
+        index: &IvfIndex,
+        queries: &[(&[f32], usize)],
+        k: usize,
+        ctx: &str,
+    ) -> usize {
+        let group = index.search_group(queries, k);
+        assert_eq!(group.results.len(), queries.len());
+        for (qi, &(q, nprobe)) in queries.iter().enumerate() {
+            let alone = index.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe));
+            if q.len() != index.dim {
+                let err = IndexError::DimensionMismatch {
+                    expected: index.dim,
+                    got: q.len(),
+                };
+                assert_eq!(group.results[qi], Err(err.clone()), "{ctx}");
+                assert_eq!(alone, Err(err), "{ctx}");
+                continue;
+            }
+            let want = walk_search(index, q, k, nprobe);
+            assert_same_scan(&alone, &want, &format!("{ctx} alone q{qi}"));
+            assert_same_scan(&group.results[qi], &want, &format!("{ctx} group q{qi}"));
+        }
+        group.streamed_codes
+    }
+
+    #[test]
+    fn plans_that_cross_list_boundaries_match_the_scalar_walk() {
+        // List lengths 0..=70 in one shard: empty lists, 1-code lists,
+        // runs of short lists that fill a tile or a 64-row chunk
+        // together, and lists longer than a chunk.
+        let lens = [
+            5usize, 0, 1, 1, 7, 8, 9, 0, 0, 19, 3, 64, 1, 70, 2, 65, 0, 13, 1, 33, 6, 63, 4, 1,
+        ];
+        let total: usize = lens.iter().sum();
+        for codec in CODECS {
+            for residual in [false, true] {
+                for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
+                    let (mut index, data) =
+                        index_with_list_lengths(&lens, 12, codec, metric, residual);
+                    // Tombstones straddling tile and list boundaries:
+                    // the last row of one list and the first rows of the
+                    // next, a whole 1-code list, every 5th row.
+                    let dead: Vec<u64> = [4u64, 5, 6, 12, 13, 20]
+                        .into_iter()
+                        .chain((30..total as u64).step_by(5))
+                        .collect();
+                    for &id in &dead {
+                        assert!(index.remove(id));
+                    }
+                    let bad = [0.5f32; 3];
+                    let row = |i: usize| data.row(i % total);
+                    for group_size in 1..=9usize {
+                        let mut queries: Vec<(&[f32], usize)> = (0..group_size)
+                            .map(|g| {
+                                (
+                                    row(g * 37 + group_size),
+                                    [24, 3, 1, 9, 100, 5, 24, 2, 13][g],
+                                )
+                            })
+                            .collect();
+                        if group_size % 4 == 0 {
+                            queries[group_size / 2] = (&bad, 8);
+                        }
+                        for k in [1usize, 10, 20] {
+                            let ctx = format!(
+                                "{codec} residual={residual} {metric} group of {group_size} k={k}"
+                            );
+                            assert_group_matches_walk(&index, &queries, k, &ctx);
+                        }
                     }
                 }
             }
@@ -1482,16 +1866,91 @@ mod tests {
     }
 
     #[test]
+    fn a_scan_without_the_thread_scratch_returns_the_same_bits() {
+        // What a scan re-entered on a thread that is already scanning
+        // would see: the scratch slot empty. It must allocate, not fail,
+        // and answer identically; so must the next scan, whichever
+        // scratch was put back last.
+        let data = clustered_data(500, 8, 6, 53);
+        let index = IvfIndex::builder().nlist(30).seed(2).build(&data).unwrap();
+        let queries: Vec<(&[f32], usize)> = (0..5).map(|i| (data.row(i * 90), 4 + i)).collect();
+        let warm = index.search_group(&queries, 10);
+        let held = SCRATCH.take();
+        assert!(held.is_some(), "a finished scan parks its scratch");
+        let reentered = index.search_group(&queries, 10);
+        SCRATCH.set(held);
+        assert_eq!(reentered, warm);
+        assert_eq!(index.search_group(&queries, 10), warm);
+        // A smaller, different scan over the dirty scratch.
+        let one = index.search_group(&queries[3..4], 3);
+        assert_eq!(
+            one.results[0].as_ref().unwrap().0,
+            warm.results[3].as_ref().unwrap().0[..3]
+        );
+    }
+
+    #[test]
+    fn recycled_scorer_buffers_keep_their_allocation() {
+        let data = clustered_data(20, 4, 2, 54);
+        let codec = Codec::train(CodecSpec::Sq8, &data, 0);
+        let mut scorers: Vec<QueryScorer<'_>> = Vec::with_capacity(8);
+        scorers.push(codec.query_scorer(data.row(0), Metric::L2));
+        let (ptr, cap) = (scorers.as_ptr() as usize, scorers.capacity());
+        let recycled: Vec<QueryScorer<'static>> = recycle(scorers);
+        assert!(recycled.is_empty());
+        assert_eq!(
+            (recycled.as_ptr() as usize, recycled.capacity()),
+            (ptr, cap)
+        );
+    }
+
+    #[test]
+    fn plan_merges_equal_slot_sets_and_drops_empty_lists() {
+        let mut plan = Plan::default();
+        // Grouped by list: lists 0, 1 probed by slots {0, 1}; list 2 is
+        // empty; list 3 by {0, 1} again; list 4 by {1}; list 5 by {0, 1}.
+        let probes = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (2, 0),
+            (3, 0),
+            (3, 1),
+            (4, 1),
+            (5, 0),
+            (5, 1),
+        ];
+        plan.compile(&probes, true, |l| l == 2);
+        assert_eq!(plan.lists, [0, 1, 3, 4, 5]);
+        let runs: Vec<(usize, &[u32])> = plan
+            .runs
+            .iter()
+            .map(|r| (r.lists_end, &plan.slots[r.slots.clone()]))
+            .collect();
+        assert_eq!(runs, [(3, &[0, 1][..]), (4, &[1][..]), (5, &[0, 1][..])]);
+        // A group of one is a single run over every non-empty list.
+        let solo = [(7, 0), (2, 0), (9, 0)];
+        plan.compile(&solo, true, |l| l == 2);
+        assert_eq!(plan.lists, [7, 9]);
+        assert_eq!(plan.runs.len(), 1);
+        // Unshared (residual) probes never merge, even on one list.
+        plan.compile(&[(1, 0), (1, 1), (4, 1)], false, |_| false);
+        assert_eq!(plan.lists, [1, 1, 4]);
+        assert_eq!(plan.runs.len(), 3);
+    }
+
+    #[test]
     fn group_scan_of_an_empty_index_or_group() {
         let data = clustered_data(20, 4, 2, 52);
         let mut index = IvfIndex::builder().nlist(2).build(&data).unwrap();
-        let none = index.search_group(&[], 3, &[]);
+        let none = index.search_group(&[], 3);
         assert!(none.results.is_empty());
         assert_eq!(none.streamed_codes, 0);
         for id in 0..20 {
             assert!(index.remove(id));
         }
-        let scan = index.search_group(&[data.row(0), data.row(1)], 3, &[2, 2]);
+        let scan = index.search_group(&[(data.row(0), 2), (data.row(1), 2)], 3);
         assert_eq!(
             scan.results,
             vec![Err(IndexError::Empty), Err(IndexError::Empty)]

@@ -216,23 +216,16 @@ pub trait VectorIndex: Send + Sync {
         params: &SearchParams,
     ) -> Result<(Vec<Neighbor>, ScanStats), IndexError>;
 
-    /// Searches a group of queries, each with its own `nprobe`
-    /// (`nprobes[i]` for `queries[i]`; ignored by index families without
-    /// that knob), in one call. Every per-query result — hit ids, score
-    /// bits, [`ScanStats`], errors — is identical to
-    /// [`Self::search_with_stats`] on that query alone; what a group buys
-    /// is shared work, reported as [`GroupScan::streamed_codes`]. The
-    /// default loops the single-query search and shares nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries.len() != nprobes.len()`.
-    fn search_group(&self, queries: &[&[f32]], k: usize, nprobes: &[usize]) -> GroupScan {
-        assert_eq!(queries.len(), nprobes.len(), "one nprobe per query");
+    /// Searches a group of `(query, nprobe)` pairs (`nprobe` is ignored
+    /// by index families without that knob) in one call. Every per-query
+    /// result — hit ids, score bits, [`ScanStats`], errors — is identical
+    /// to [`Self::search_with_stats`] on that query alone; what a group
+    /// buys is shared work, reported as [`GroupScan::streamed_codes`].
+    /// The default loops the single-query search and shares nothing.
+    fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
         let results: Vec<ScanResult> = queries
             .iter()
-            .zip(nprobes)
-            .map(|(q, &nprobe)| {
+            .map(|&(q, nprobe)| {
                 self.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe))
             })
             .collect();

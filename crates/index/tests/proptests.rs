@@ -291,10 +291,13 @@ fn hnsw_results_are_unique_and_sorted() {
 }
 
 /// A group scan answers every query exactly as a scan of that query
-/// alone — hit ids, score bits, `ScanStats`, errors — for every codec,
-/// residual and plain lists, tombstoned lists, mixed `nprobe`, duplicate
-/// queries and a query that errors in the middle of the group; and it
-/// never streams more codes than the queries' logical work.
+/// alone — hit ids, score bits, `ScanStats`, errors — for groups of
+/// 1..=9, every codec and metric, residual and plain lists, between 2
+/// and 40 lists over at most 120 rows (so row plans cross many short —
+/// 1-code, sub-tile — lists, or few long ones), tombstoned lists, mixed
+/// `nprobe`, duplicate queries and a query that errors in the middle of
+/// the group; and it never streams more codes than the queries' logical
+/// work.
 #[test]
 fn search_group_equals_per_query_search() {
     let strat = tuple3(data_strategy(120, 6), u64_any(), usize_in(1..10));
@@ -312,12 +315,15 @@ fn search_group_equals_per_query_search() {
                 CodecSpec::Pq { m: 2 },
             ];
             let bad = [0.5f32; 3];
+            let nlist = 2 + (*pick % 39) as usize;
+            let metric =
+                [Metric::InnerProduct, Metric::L2, Metric::Cosine][(*pick / 64 % 3) as usize];
             for codec in codecs {
                 for residual in [false, true] {
                     let mut index = IvfIndex::builder()
-                        .nlist(7)
+                        .nlist(nlist)
                         .codec(codec)
-                        .metric(Metric::InnerProduct)
+                        .metric(metric)
                         .residual(residual)
                         .seed(*pick)
                         .build(&data)
@@ -334,11 +340,15 @@ fn search_group_equals_per_query_search() {
                     if *group > 2 {
                         queries[broken] = &bad;
                     }
-                    let nprobes: Vec<usize> = (0..*group).map(|i| 1 + (i * 3) % 9).collect();
-                    let scan = index.search_group(&queries, 4, &nprobes);
+                    let queries: Vec<(&[f32], usize)> = queries
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, q)| (q, 1 + (i * 7) % 41))
+                        .collect();
+                    let scan = index.search_group(&queries, 4);
                     prop_assert_eq!(scan.results.len(), queries.len());
                     let mut logical = 0;
-                    for ((q, &nprobe), got) in queries.iter().zip(&nprobes).zip(&scan.results) {
+                    for (&(q, nprobe), got) in queries.iter().zip(&scan.results) {
                         let want =
                             index.search_with_stats(q, 4, &SearchParams::new().with_nprobe(nprobe));
                         match (got, &want) {
@@ -356,8 +366,10 @@ fn search_group_equals_per_query_search() {
                     }
                     prop_assert!(
                         scan.streamed_codes <= logical,
-                        "{} residual={}: streamed {} > logical {}",
+                        "{} {} nlist {} residual={}: streamed {} > logical {}",
                         codec,
+                        metric,
+                        nlist,
                         residual,
                         scan.streamed_codes,
                         logical

@@ -242,7 +242,7 @@ impl KMeans {
     /// or infinite `v` still yields a deterministic answer.
     pub fn nearest_centroids(&self, v: &[f32], n: usize) -> Vec<usize> {
         let mut keys = Vec::new();
-        self.probe_keys(&[v], &mut keys);
+        self.probe_keys([v].into_iter(), &mut keys);
         let nearest = select_nearest(&mut keys, n);
         nearest.sort_unstable();
         nearest.iter().map(|&key| probe_key_centroid(key)).collect()
@@ -261,22 +261,29 @@ impl KMeans {
     /// Feed a query's slice to [`select_nearest`] to pick its probe set
     /// and read the centroids back with [`probe_key_centroid`].
     ///
+    /// `keys` is resized, not cleared: every slot is overwritten, so a
+    /// buffer reused from scan to scan is neither reallocated nor
+    /// zero-filled.
+    ///
     /// # Panics
     ///
     /// Panics if a query's length differs from the training
     /// dimensionality.
-    pub fn probe_keys(&self, queries: &[&[f32]], keys: &mut Vec<u64>) {
+    pub fn probe_keys<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q [f32]> + Clone,
+        keys: &mut Vec<u64>,
+    ) {
         use hermes_math::block::{l2_sq_block, BLOCK};
         let k = self.centroids.rows();
         let dim = self.centroids.cols();
         let table = self.centroids.as_slice();
-        keys.clear();
-        keys.resize(queries.len() * k, 0);
+        keys.resize(queries.clone().count() * k, 0);
         let mut dists = [0.0f32; BLOCK];
         for base in (0..k).step_by(BLOCK) {
             let bn = BLOCK.min(k - base);
             let rows = &table[base * dim..(base + bn) * dim];
-            for (q, query) in queries.iter().enumerate() {
+            for (q, query) in queries.clone().enumerate() {
                 l2_sq_block(query, rows, dim, &mut dists[..bn]);
                 let slots = &mut keys[q * k + base..q * k + base + bn];
                 for (j, (slot, &d)) in slots.iter_mut().zip(&dists).enumerate() {
@@ -739,7 +746,7 @@ mod tests {
             for n in [1usize, 2, 8, 31, 90, 91, 500] {
                 let want: Vec<usize> = stable.iter().take(n).map(|&(i, _)| i).collect();
                 assert_eq!(model.nearest_centroids(&query, n), want, "n={n}");
-                model.probe_keys(&[&query], &mut keys);
+                model.probe_keys([&query[..]].into_iter(), &mut keys);
                 let mut set: Vec<usize> = select_nearest(&mut keys, n)
                     .iter()
                     .map(|&key| probe_key_centroid(key))
@@ -759,10 +766,12 @@ mod tests {
         let model = KMeans::train(&data, &KMeansConfig::new(70).with_seed(3));
         let queries = [[1.0f32, 2.0], [9.0, -1.0], [1.0, 2.0]];
         let group: Vec<&[f32]> = queries.iter().map(|q| &q[..]).collect();
-        let (mut all, mut one) = (Vec::new(), Vec::new());
-        model.probe_keys(&group, &mut all);
+        // `one` is reused dirty and too long: every slot is overwritten
+        // and the length fixed, without a clear.
+        let (mut all, mut one) = (Vec::new(), vec![u64::MAX; 200]);
+        model.probe_keys(group.iter().copied(), &mut all);
         for (q, keys) in group.iter().zip(all.chunks_exact(70)) {
-            model.probe_keys(&[q], &mut one);
+            model.probe_keys([*q].into_iter(), &mut one);
             assert_eq!(keys, &one[..]);
         }
     }

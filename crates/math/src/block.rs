@@ -18,16 +18,18 @@
 //!
 //! # Determinism contract (two tiers)
 //!
-//! * **Tier A — bit-identical at every level and tile width.** The SQ8
-//!   ([`sq8_ip_qtile_at`], [`sq8_l2_qtile_at`]) and PQ/ADC
-//!   ([`adc_block_at`]) kernels vectorize *across codes* — one SIMD
-//!   lane per code, each (query, code) accumulator folded sequentially
-//!   over dimensions with mul and add kept separate — so every level
-//!   performs, per (query, code), the exact scalar operation sequence
-//!   and returns the exact scalar bits. The SQ8 kernels score up to
-//!   [`QTILE`] queries per pass over a code block, sharing each
-//!   dequantized value; how many queries share a pass never changes a
-//!   score.
+//! * **Tier A — bit-identical at every level, tile width and
+//!   segmentation.** The SQ8 ([`sq8_ip_qtile_at`], [`sq8_l2_qtile_at`])
+//!   and PQ/ADC ([`adc_block_at`]) kernels vectorize *across codes* —
+//!   one SIMD lane per code, each (query, code) accumulator folded
+//!   sequentially over dimensions with mul and add kept separate — so
+//!   every level performs, per (query, code), the exact scalar
+//!   operation sequence and returns the exact scalar bits. The SQ8
+//!   kernels score up to [`QTILE`] queries per pass, sharing each
+//!   dequantized value, and all three take their codes as a list of
+//!   *segments* (short inverted lists, typically) that the AVX2 tiles
+//!   run across: neither how many queries share a pass nor which codes
+//!   share a tile ever changes a score.
 //! * **Tier B — pinned reduction order per level.** The f32 kernels
 //!   vectorize *within a row*, so each level reassociates the
 //!   reduction differently. Per row, each level is bit-identical to
@@ -440,13 +442,15 @@ pub fn nearest_row_l2(query: &[f32], rows: &Mat) -> (usize, f32) {
 /// tiles plus the shared dequantized values in its 16 registers.
 pub const QTILE: usize = 4;
 
+/// Checks that `segments` are whole `stride`-byte codes, `n` of them in
+/// all.
 #[track_caller]
-fn validate_codes(dim: usize, codes: &[u8], n: usize, what: &str) {
-    assert_eq!(
-        codes.len(),
-        n * dim,
-        "{what} block size mismatch: {} bytes is not {n} codes x {dim} bytes",
-        codes.len()
+fn validate_segments(stride: usize, segments: &[&[u8]], n: usize, what: &str) {
+    let bytes: usize = segments.iter().map(|s| s.len()).sum();
+    assert!(
+        bytes == n * stride && segments.iter().all(|s| stride == 0 || s.len() % stride == 0),
+        "{what} block size mismatch: {bytes} bytes in {} segments is not {n} codes x {stride} bytes",
+        segments.len()
     );
 }
 
@@ -456,7 +460,7 @@ fn validate_qtile(
     queries: &[&[f32]],
     mins: &[f32],
     scales: &[f32],
-    codes: &[u8],
+    segments: &[&[u8]],
     out: &[f32],
 ) -> usize {
     assert!(
@@ -477,7 +481,7 @@ fn validate_qtile(
         "SQ8 score buffer is not one row per query"
     );
     let n = out.len() / queries.len();
-    validate_codes(dim, codes, n, "SQ8 code");
+    validate_segments(dim, segments, n, "SQ8 code");
     n
 }
 
@@ -487,70 +491,100 @@ fn sq8_qtile_at<const L2: bool>(
     queries: &[&[f32]],
     mins: &[f32],
     scales: &[f32],
-    codes: &[u8],
+    segments: &[&[u8]],
     out: &mut [f32],
+    pace: &mut dyn FnMut(usize),
 ) {
-    let n = validate_qtile(queries, mins, scales, codes, out);
+    let n = validate_qtile(queries, mins, scales, segments, out);
     if n == 0 {
+        return;
+    }
+    if mins.is_empty() {
+        // Zero-dimensional codes: the empty sum, negated for L2.
+        out.fill(if L2 { -0.0 } else { 0.0 });
         return;
     }
     match level {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if level.is_supported() && !mins.is_empty() => unsafe {
-            crate::simd::avx2::sq8_qtile::<L2>(queries, mins, scales, codes, out)
+        SimdLevel::Avx2 if level.is_supported() => unsafe {
+            crate::simd::avx2::sq8_qtile::<L2>(queries, mins, scales, segments, out, pace)
         },
-        // Scalar reference and NEON: the single-query kernel per query.
+        // Scalar reference and NEON: segment by segment, the
+        // single-query kernel per query.
         _ => {
-            for (query, out) in queries.iter().zip(out.chunks_exact_mut(n)) {
-                #[allow(unused_mut)]
-                let mut r = 0;
-                #[cfg(target_arch = "aarch64")]
-                if level == SimdLevel::Neon {
-                    r = unsafe {
-                        if L2 {
-                            crate::simd::neon::sq8_l2_tiles(query, mins, scales, codes, out)
-                        } else {
-                            crate::simd::neon::sq8_ip_tiles(query, mins, scales, codes, out)
-                        }
-                    };
+            let mut at = 0;
+            for codes in segments {
+                let rows = codes.len() / mins.len();
+                pace(rows);
+                for (q, query) in queries.iter().enumerate() {
+                    let out = &mut out[q * n + at..q * n + at + rows];
+                    #[allow(unused_mut)]
+                    let mut r = 0;
+                    #[cfg(target_arch = "aarch64")]
+                    if level == SimdLevel::Neon {
+                        r = unsafe {
+                            if L2 {
+                                crate::simd::neon::sq8_l2_tiles(query, mins, scales, codes, out)
+                            } else {
+                                crate::simd::neon::sq8_ip_tiles(query, mins, scales, codes, out)
+                            }
+                        };
+                    }
+                    if L2 {
+                        sq8_l2_scalar(query, mins, scales, codes, out, r);
+                    } else {
+                        sq8_ip_scalar(query, mins, scales, codes, out, r);
+                    }
                 }
-                if L2 {
-                    sq8_l2_scalar(query, mins, scales, codes, out, r);
-                } else {
-                    sq8_ip_scalar(query, mins, scales, codes, out, r);
-                }
+                at += rows;
             }
         }
     }
 }
 
-/// SQ8 asymmetric inner product of a **tile of queries** against one
-/// contiguous block of one-byte-per-dimension codes: with
-/// `n = out.len() / queries.len()`, `out[q * n + i] = Σ_d queries[q][d] *
-/// (mins[d] + code_i[d] as f32 * scales[d])`, accumulated sequentially
-/// over `d` per (query, code). **Bit-identical at every dispatch level
-/// and every tile width** (tier A): the SIMD form puts one code per lane,
-/// computes the dequantized value once per (code, dim) and folds it into
-/// one accumulator per query in the scalar operation order, mul and add
-/// kept separate. One query is the single-query kernel.
+/// SQ8 asymmetric inner product of a **tile of queries** against the
+/// one-byte-per-dimension codes of `segments`, scored in order as if the
+/// segments were one contiguous block: with `n = out.len() /
+/// queries.len()`, `out[q * n + i] = Σ_d queries[q][d] * (mins[d] +
+/// code_i[d] as f32 * scales[d])`, accumulated sequentially over `d` per
+/// (query, code). **Bit-identical at every dispatch level, every tile
+/// width and every segmentation** (tier A): the SIMD form puts one code
+/// per lane, computes the dequantized value once per (code, dim) and
+/// folds it into one accumulator per query in the scalar operation
+/// order, mul and add kept separate — a score never depends on which
+/// codes share its tile, so the AVX2 tiles run across segment boundaries
+/// (several short inverted lists fill one tile) while the scalar and
+/// NEON forms walk segment by segment. One query is the single-query
+/// kernel.
+///
+/// `pace` is called just before each group of codes is scored, with the
+/// group's size — at most 16 codes on AVX2, a segment elsewhere; the
+/// sizes sum to `n`. It is how a caller streaming cold lists keeps a
+/// prefetch cursor ([`prefetch_read`](crate::simd::prefetch_read)) a
+/// fixed number of rows ahead of the kernel, a few lines at a time
+/// between tiles instead of a burst between calls that the line-fill
+/// buffers cannot absorb. Pass `&mut |_| {}` when there is nothing to
+/// pace.
 ///
 /// # Panics
 ///
 /// Panics unless `1 <= queries.len() <= QTILE`, every query and
 /// `mins`/`scales` share one length `dim`, `out.len()` is a multiple of
-/// `queries.len()` and `codes.len() == n * dim`.
+/// `queries.len()`, every segment is a whole number of `dim`-byte codes
+/// and the segments hold `n` codes between them.
 pub fn sq8_ip_qtile_at(
     level: SimdLevel,
     queries: &[&[f32]],
     mins: &[f32],
     scales: &[f32],
-    codes: &[u8],
+    segments: &[&[u8]],
     out: &mut [f32],
+    pace: &mut dyn FnMut(usize),
 ) {
-    sq8_qtile_at::<false>(level, queries, mins, scales, codes, out);
+    sq8_qtile_at::<false>(level, queries, mins, scales, segments, out, pace);
 }
 
-/// [`sq8_ip_qtile_at`] for one query.
+/// [`sq8_ip_qtile_at`] for one query and one contiguous code block.
 ///
 /// # Panics
 ///
@@ -564,7 +598,7 @@ pub fn sq8_ip_block_at(
     codes: &[u8],
     out: &mut [f32],
 ) {
-    sq8_ip_qtile_at(level, &[query], mins, scales, codes, out);
+    sq8_ip_qtile_at(level, &[query], mins, scales, &[codes], out, &mut |_| {});
 }
 
 /// Scalar tier-A SQ8 inner product from code `start` on: 4-code
@@ -626,13 +660,14 @@ pub fn sq8_l2_qtile_at(
     queries: &[&[f32]],
     mins: &[f32],
     scales: &[f32],
-    codes: &[u8],
+    segments: &[&[u8]],
     out: &mut [f32],
+    pace: &mut dyn FnMut(usize),
 ) {
-    sq8_qtile_at::<true>(level, queries, mins, scales, codes, out);
+    sq8_qtile_at::<true>(level, queries, mins, scales, segments, out, pace);
 }
 
-/// [`sq8_l2_qtile_at`] for one query.
+/// [`sq8_l2_qtile_at`] for one query and one contiguous code block.
 ///
 /// # Panics
 ///
@@ -645,7 +680,7 @@ pub fn sq8_l2_block_at(
     codes: &[u8],
     out: &mut [f32],
 ) {
-    sq8_l2_qtile_at(level, &[query], mins, scales, codes, out);
+    sq8_l2_qtile_at(level, &[query], mins, scales, &[codes], out, &mut |_| {});
 }
 
 /// Scalar tier-A SQ8 negated-L2 from code `start` on; see
@@ -697,32 +732,48 @@ fn sq8_l2_scalar(
     }
 }
 
-/// PQ/ADC table walk over a contiguous block of `m`-byte codes:
+/// PQ/ADC table walk over the `m`-byte codes of `segments`, in order:
 /// `out[i] = Σ_sub tables[sub * 256 + code_i[sub]]`, added in subspace
-/// order per code. **Bit-identical at every dispatch level** (tier A):
-/// pure table loads and in-order adds at any width.
+/// order per code. **Bit-identical at every dispatch level and
+/// segmentation** (tier A): pure table loads and in-order adds at any
+/// width; the AVX2 tiles span segment boundaries and `pace` is called
+/// like [`sq8_ip_qtile_at`]'s.
 ///
 /// # Panics
 ///
-/// Panics if `tables.len() != m * 256` or
-/// `codes.len() != out.len() * m`.
-pub fn adc_block_at(level: SimdLevel, tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) {
+/// Panics if `tables.len() != m * 256`, a segment is not a whole number
+/// of `m`-byte codes or the segments do not hold `out.len()` codes.
+pub fn adc_block_at(
+    level: SimdLevel,
+    tables: &[f32],
+    m: usize,
+    segments: &[&[u8]],
+    out: &mut [f32],
+    pace: &mut dyn FnMut(usize),
+) {
     assert_eq!(tables.len(), m * 256, "ADC table size mismatch");
-    validate_codes(m, codes, out.len(), "ADC code");
-    #[allow(unused_mut)]
-    let mut r = 0;
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if level.is_supported() && m > 0 && !out.is_empty() => {
-            return unsafe { crate::simd::avx2::adc_tiles(tables, m, codes, out) };
-        }
+    validate_segments(m, segments, out.len(), "ADC code");
+    if m == 0 {
+        out.fill(0.0);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 && level.is_supported() && !out.is_empty() {
+        return unsafe { crate::simd::avx2::adc_tiles(tables, m, segments, out, pace) };
+    }
+    let mut at = 0;
+    for codes in segments {
+        let out = &mut out[at..at + codes.len() / m];
+        at += out.len();
+        pace(out.len());
+        #[allow(unused_mut)]
+        let mut r = 0;
         #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => {
+        if level == SimdLevel::Neon {
             r = unsafe { crate::simd::neon::adc_tiles(tables, m, codes, out) };
         }
-        _ => {}
+        adc_scalar(tables, m, codes, out, r);
     }
-    adc_scalar(tables, m, codes, out, r);
 }
 
 /// Scalar tier-A ADC walk from code `start` on: four walks share each
@@ -946,12 +997,30 @@ mod tests {
         }
     }
 
+    /// Cuts `codes` (`n` codes of `stride` bytes) into segments at the
+    /// given code positions, dropping nothing: cuts may repeat (an empty
+    /// segment) or exceed `n` (clamped).
+    fn cut<'a>(codes: &'a [u8], stride: usize, n: usize, cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut segments = Vec::new();
+        let mut at = 0;
+        for &c in cuts {
+            let c = c.clamp(at, n);
+            segments.push(&codes[at * stride..c * stride]);
+            at = c;
+        }
+        segments.push(&codes[at * stride..n * stride]);
+        segments
+    }
+
     #[test]
     fn sq8_query_tiles_and_adc_are_bit_identical_to_the_scalar_walk() {
         let mut rng = seeded_rng(0xADC);
         // Dims crossing the 8-byte transpose chunk and its remainders;
         // code counts crossing one tile, two tiles and the ragged tails
-        // of both, including the 19-code mean inverted-list length.
+        // of both, including the 19-code mean inverted-list length; each
+        // block whole and cut into segments that split tiles (1-code and
+        // empty segments included).
+        let segmentations: [&[usize]; 4] = [&[], &[1], &[3, 3, 4, 12], &[7, 9, 17, 18, 30]];
         for dim in [1usize, 3, 8, 11, 16, 29, 64] {
             for n in [0usize, 1, 4, 7, 8, 9, 15, 16, 17, 19, 31, 33] {
                 let queries: Vec<Vec<f32>> = (0..QTILE)
@@ -965,18 +1034,38 @@ mod tests {
                 let m = dim;
                 let tables: Vec<f32> = (0..m * 256).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
                 let mut want_adc = vec![0.0f32; n];
-                adc_block_at(SimdLevel::Scalar, &tables, m, &codes, &mut want_adc);
-                for level in SimdLevel::available() {
+                adc_block_at(
+                    SimdLevel::Scalar,
+                    &tables,
+                    m,
+                    &[&codes],
+                    &mut want_adc,
+                    &mut |_| {},
+                );
+                for (level, cuts) in SimdLevel::available()
+                    .into_iter()
+                    .flat_map(|l| segmentations.map(|c| (l, c)))
+                {
+                    let segments = cut(&codes, dim, n, cuts);
                     for width in 1..=QTILE {
                         let tile: Vec<&[f32]> =
                             queries[..width].iter().map(Vec::as_slice).collect();
                         let mut got = vec![0.0f32; width * n];
                         for l2 in [false, true] {
+                            // The pacing hook hears of every code once,
+                            // however many queries share the pass.
+                            let mut paced = 0;
+                            let pace = &mut |rows| paced += rows;
                             if l2 {
-                                sq8_l2_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                                sq8_l2_qtile_at(
+                                    level, &tile, &mins, &scales, &segments, &mut got, pace,
+                                );
                             } else {
-                                sq8_ip_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                                sq8_ip_qtile_at(
+                                    level, &tile, &mins, &scales, &segments, &mut got, pace,
+                                );
                             }
+                            assert_eq!(paced, n, "{level} d{dim} n{n} {cuts:?} Q{width}");
                             for (qi, q) in tile.iter().enumerate() {
                                 for i in 0..n {
                                     let code = &codes[i * dim..(i + 1) * dim];
@@ -984,20 +1073,44 @@ mod tests {
                                     assert_eq!(
                                         got[qi * n + i].to_bits(),
                                         want.to_bits(),
-                                        "{level} sq8 l2={l2} d{dim} n{n} Q{width} q{qi} #{i}"
+                                        "{level} sq8 l2={l2} d{dim} n{n} {cuts:?} Q{width} q{qi} #{i}"
                                     );
                                 }
                             }
                         }
                     }
                     let mut got = vec![0.0f32; n];
-                    adc_block_at(level, &tables, m, &codes, &mut got);
+                    let mut paced = 0;
+                    adc_block_at(level, &tables, m, &segments, &mut got, &mut |rows| {
+                        paced += rows
+                    });
+                    assert_eq!(paced, n, "{level} adc d{dim} n{n} {cuts:?}");
                     for (i, (g, w)) in got.iter().zip(&want_adc).enumerate() {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{level} adc d{dim} n{n} #{i}");
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "{level} adc d{dim} n{n} {cuts:?} #{i}"
+                        );
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "code block size mismatch")]
+    fn segments_must_be_whole_codes() {
+        // Six bytes are three 2-byte codes, but not as 3 + 3.
+        let mut out = [0.0f32; 3];
+        sq8_ip_qtile_at(
+            SimdLevel::Scalar,
+            &[&[1.0, 2.0]],
+            &[0.0, 0.0],
+            &[1.0, 1.0],
+            &[&[0u8; 3], &[0u8; 3]],
+            &mut out,
+            &mut |_| {},
+        );
     }
 
     #[test]
@@ -1010,8 +1123,9 @@ mod tests {
             &[&q[..]; QTILE + 1],
             &[0.0],
             &[1.0],
-            &[0u8; 1],
+            &[&[0u8; 1]],
             &mut out,
+            &mut |_| {},
         );
     }
 
@@ -1047,6 +1161,13 @@ mod tests {
     #[should_panic(expected = "ADC table size mismatch")]
     fn adc_block_rejects_short_tables() {
         let mut out = [0.0f32; 1];
-        adc_block_at(SimdLevel::Scalar, &[0.0f32; 16], 2, &[0u8; 2], &mut out);
+        adc_block_at(
+            SimdLevel::Scalar,
+            &[0.0f32; 16],
+            2,
+            &[&[0u8; 2]],
+            &mut out,
+            &mut |_| {},
+        );
     }
 }

@@ -28,8 +28,10 @@
 //!   codes** (one lane per code) so each (query, code) pair keeps one
 //!   accumulator folded sequentially over dimensions, with no FMA
 //!   contraction. The SQ8 kernel scores a *tile* of up to four queries
-//!   per pass, sharing each dequantized value; the tile width never
-//!   changes a score. `QueryScorer::score_block` and `score_tile` are
+//!   per pass, sharing each dequantized value, and fills its 8-code
+//!   tiles across the boundaries of the code segments it is given;
+//!   neither the tile width nor a code's tile-mates ever change a
+//!   score. `QueryScorer::score_block` and `score_tile` are
 //!   bit-identical to `score` regardless of level.
 //! * **Tier B — pinned reduction order per level, ULP-bounded across
 //!   levels.** The f32 reductions vectorize **within a row**, so each
@@ -223,6 +225,40 @@ pub fn simd_decision_count() -> u64 {
     DECISIONS.load(Ordering::Relaxed)
 }
 
+/// Hints the CPU to start pulling every cache line of `data` toward L1,
+/// for a read that a streaming scan will make a fixed distance from now.
+/// Purely a hint: nothing is read architecturally, no result can change,
+/// an empty slice costs nothing, and on targets other than x86_64 and
+/// aarch64 the whole function compiles to nothing.
+#[inline]
+pub fn prefetch_read<T>(data: &[T]) {
+    const LINE: usize = 64;
+    let start = data.as_ptr().cast::<u8>();
+    let end = start.wrapping_add(std::mem::size_of_val(data));
+    // From the line `data` starts in, one hint per line up to its end.
+    let mut line = start.wrapping_sub(start as usize % LINE);
+    while line < end {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `prefetcht0` never faults and never dereferences its
+        // operand architecturally, and SSE is part of the x86_64
+        // baseline.
+        unsafe {
+            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(line.cast());
+        }
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: `prfm` is a hint that never faults; the block touches
+        // no memory, stack or flags the compiler can observe.
+        unsafe {
+            core::arch::asm!(
+                "prfm pldl1keep, [{line}]",
+                line = in(reg) line,
+                options(nostack, readonly, preserves_flags)
+            );
+        }
+        line = line.wrapping_add(LINE);
+    }
+}
+
 /// AVX2+FMA kernels. Callers must hold a [`SimdLevel::Avx2`]
 /// `is_supported()` proof before calling anything here — the
 /// `#[target_feature]` functions are UB on CPUs without the features.
@@ -241,6 +277,39 @@ pub(crate) mod avx2 {
             sum += l;
         }
         sum
+    }
+
+    /// [`hsum_in_order`] of four accumulators at once: the 4 x 8 lanes
+    /// are transposed so that one 128-bit add advances all four rows'
+    /// sums by one lane — per row the same seven adds in the same
+    /// left-to-right order, in 7 vector adds instead of 28 scalar ones.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum4_in_order(acc: &[__m256; 4]) -> [f32; 4] {
+        // `lane[j]` holds lane `j` of each of the four accumulators.
+        let mut lane = [_mm_setzero_ps(); 8];
+        for half in 0..2 {
+            let r: [__m128; 4] = core::array::from_fn(|t| {
+                if half == 0 {
+                    _mm256_castps256_ps128(acc[t])
+                } else {
+                    _mm256_extractf128_ps::<1>(acc[t])
+                }
+            });
+            let (a, b) = (_mm_unpacklo_ps(r[0], r[1]), _mm_unpacklo_ps(r[2], r[3]));
+            let (c, d) = (_mm_unpackhi_ps(r[0], r[1]), _mm_unpackhi_ps(r[2], r[3]));
+            lane[4 * half] = _mm_movelh_ps(a, b);
+            lane[4 * half + 1] = _mm_movehl_ps(b, a);
+            lane[4 * half + 2] = _mm_movelh_ps(c, d);
+            lane[4 * half + 3] = _mm_movehl_ps(d, c);
+        }
+        let mut sum = lane[0];
+        for &l in &lane[1..] {
+            sum = _mm_add_ps(sum, l);
+        }
+        let mut sums = [0.0f32; 4];
+        _mm_storeu_ps(sums.as_mut_ptr(), sum);
+        sums
     }
 
     /// `q · x` with 8 fused lanes; bit-identical to
@@ -317,8 +386,9 @@ pub(crate) mod avx2 {
                 acc[t] = _mm256_fmadd_ps(xa, qa, acc[t]);
             }
         }
+        let sums = hsum4_in_order(&acc);
         for (t, row) in rows.iter().enumerate() {
-            let mut sum = hsum_in_order(acc[t]);
+            let mut sum = sums[t];
             for i in chunks * 8..n {
                 sum = row[i].mul_add(q[i], sum);
             }
@@ -342,8 +412,9 @@ pub(crate) mod avx2 {
                 acc[t] = _mm256_fmadd_ps(d, d, acc[t]);
             }
         }
+        let sums = hsum4_in_order(&acc);
         for (t, row) in rows.iter().enumerate() {
-            let mut sum = hsum_in_order(acc[t]);
+            let mut sum = sums[t];
             for i in chunks * 8..n {
                 let d = q[i] - row[i];
                 sum = d.mul_add(d, sum);
@@ -365,8 +436,9 @@ pub(crate) mod avx2 {
                 acc[t] = _mm256_fmadd_ps(xa, xa, acc[t]);
             }
         }
+        let sums = hsum4_in_order(&acc);
         for (t, row) in rows.iter().enumerate() {
-            let mut sum = hsum_in_order(acc[t]);
+            let mut sum = sums[t];
             for i in chunks * 8..n {
                 sum = row[i].mul_add(row[i], sum);
             }
@@ -377,30 +449,63 @@ pub(crate) mod avx2 {
     /// Codes per tile: one AVX2 lane per code.
     const LANES: usize = 8;
 
-    /// Row pointers of `T` consecutive 8-code tiles starting at code
-    /// `r0`. Rows past the last code are **clamped to the last code**, so
-    /// a ragged tail still runs full-width tiles; the caller discards the
-    /// extra lanes.
-    ///
-    /// # Safety
-    ///
-    /// `codes` must hold `n >= 1` rows of `stride` bytes and `r0 < n`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tile_rows<const T: usize>(
-        codes: &[u8],
+    /// Walks the rows of a list of code segments in order, as if the
+    /// segments were one contiguous block — what lets a tile span the
+    /// boundary between two short inverted lists. Rows past the last one
+    /// are **clamped to the last row**, so a ragged tail still runs
+    /// full-width tiles; the caller discards the extra lanes.
+    struct RowCursor<'a> {
+        rest: core::slice::Iter<'a, &'a [u8]>,
+        /// Next row of the current segment and that segment's end.
+        next: *const u8,
+        end: *const u8,
+        /// The row handed out last.
+        last: *const u8,
         stride: usize,
-        n: usize,
-        r0: usize,
-    ) -> [[*const u8; LANES]; T] {
-        let base = codes.as_ptr();
-        let mut rows = [[base; LANES]; T];
-        for (t, tile) in rows.iter_mut().enumerate() {
-            for (i, row) in tile.iter_mut().enumerate() {
-                *row = base.add((r0 + t * LANES + i).min(n - 1) * stride);
+    }
+
+    impl<'a> RowCursor<'a> {
+        /// # Safety
+        ///
+        /// Every segment's length must be a multiple of `stride >= 1` and
+        /// the segments must hold at least one row between them.
+        #[inline]
+        unsafe fn new(segments: &'a [&'a [u8]], stride: usize) -> Self {
+            let none = core::ptr::null();
+            RowCursor {
+                rest: segments.iter(),
+                next: none,
+                end: none,
+                last: none,
+                stride,
             }
         }
-        rows
+
+        #[inline(always)]
+        unsafe fn row(&mut self) -> *const u8 {
+            while self.next == self.end {
+                match self.rest.next() {
+                    Some(segment) => {
+                        self.next = segment.as_ptr();
+                        self.end = self.next.add(segment.len());
+                    }
+                    None => return self.last,
+                }
+            }
+            self.last = self.next;
+            self.next = self.next.add(self.stride);
+            self.last
+        }
+
+        /// Row pointers of the next `T` 8-code tiles.
+        #[inline(always)]
+        unsafe fn tiles<const T: usize>(&mut self) -> [[*const u8; LANES]; T] {
+            let mut rows = [[self.last; LANES]; T];
+            for row in rows.iter_mut().flatten() {
+                *row = self.row();
+            }
+            rows
+        }
     }
 
     /// Loads bytes `[d, d + nd)` (`nd <= 8`) of each of a tile's 8 rows
@@ -532,31 +637,32 @@ pub(crate) mod avx2 {
     /// `(query, code)` lane folds dimensions sequentially in the exact
     /// scalar operation order, so every score is bit-identical to the
     /// scalar walk; the `Q * T` accumulator chains are independent.
+    /// `rows` are the tiles' row pointers, the first being code `r0`.
     ///
     /// # Safety
     ///
-    /// As [`sq8_qtile`], plus `r0 < n`.
+    /// As [`sq8_qtile`], plus `r0 < n` and every row pointer readable
+    /// for `mins.len()` bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn sq8_macro_tile<const Q: usize, const T: usize, const L2: bool>(
         queries: &[&[f32]; Q],
         mins: &[f32],
         scales: &[f32],
-        codes: &[u8],
+        rows: &[[*const u8; LANES]; T],
         r0: usize,
         out: &mut [f32],
     ) {
         let dim = mins.len();
         let n = out.len() / Q;
-        let rows = tile_rows::<T>(codes, dim, n, r0);
         let mut acc = [[_mm256_setzero_ps(); T]; Q];
         let mut d = 0;
         while d + 8 <= dim {
-            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, &rows, d, 8, &mut acc);
+            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, rows, d, 8, &mut acc);
             d += 8;
         }
         if d < dim {
-            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, &rows, d, dim - d, &mut acc);
+            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, rows, d, dim - d, &mut acc);
         }
         let sign = _mm256_set1_ps(-0.0);
         for (qa, out) in acc.iter().zip(out.chunks_exact_mut(n)) {
@@ -576,50 +682,61 @@ pub(crate) mod avx2 {
         queries: &[&[f32]],
         mins: &[f32],
         scales: &[f32],
-        codes: &[u8],
+        segments: &[&[u8]],
         out: &mut [f32],
+        pace: &mut dyn FnMut(usize),
     ) {
         let queries: &[&[f32]; Q] = queries.try_into().expect("query tile width");
         let n = out.len() / Q;
+        let mut cursor = RowCursor::new(segments, mins.len());
         let mut r = 0;
         while r < n {
+            pace((n - r).min(2 * LANES));
             // Two tiles in flight while more than one tile of codes is
             // left; the last one may be partly clamped.
             if n - r > LANES {
-                sq8_macro_tile::<Q, 2, L2>(queries, mins, scales, codes, r, out);
+                let rows = cursor.tiles::<2>();
+                sq8_macro_tile::<Q, 2, L2>(queries, mins, scales, &rows, r, out);
                 r += 2 * LANES;
             } else {
-                sq8_macro_tile::<Q, 1, L2>(queries, mins, scales, codes, r, out);
+                let rows = cursor.tiles::<1>();
+                sq8_macro_tile::<Q, 1, L2>(queries, mins, scales, &rows, r, out);
                 r += LANES;
             }
         }
     }
 
-    /// Tier-A SQ8 query-tile kernel: scores every code of `codes` against
-    /// each of `queries.len() <= 4` queries, `out[q * n + i]` being code
-    /// `i` under query `q` (`n = out.len() / queries.len()`), inner
-    /// product or (`L2`) negated squared distance. Gather-free: row
-    /// loads, an in-register byte transpose and a widen feed one lane
-    /// per code. One query is the single-query kernel.
+    /// Tier-A SQ8 query-tile kernel: scores every code of `segments`, in
+    /// order, against each of `queries.len() <= 4` queries, `out[q * n +
+    /// i]` being code `i` under query `q` (`n = out.len() /
+    /// queries.len()`), inner product or (`L2`) negated squared distance.
+    /// Gather-free: row loads, an in-register byte transpose and a widen
+    /// feed one lane per code, and because a tile is eight *row
+    /// pointers* it spans segment boundaries — short inverted lists fill
+    /// tiles together. One query is the single-query kernel. `pace` is
+    /// told the size of each group of at most 16 codes just before it is
+    /// scored (see [`crate::block::sq8_ip_qtile_at`]).
     ///
     /// # Safety
     ///
     /// Requires AVX2, `1 <= queries.len() <= 4`, every query and
     /// `mins`/`scales` of one length `dim >= 1`, `out.len()` a non-zero
-    /// multiple of `queries.len()` and `codes.len() == n * dim`.
+    /// multiple of `queries.len()`, every segment a whole number of
+    /// `dim`-byte codes and `n` codes between them.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq8_qtile<const L2: bool>(
         queries: &[&[f32]],
         mins: &[f32],
         scales: &[f32],
-        codes: &[u8],
+        segments: &[&[u8]],
         out: &mut [f32],
+        pace: &mut dyn FnMut(usize),
     ) {
         match queries.len() {
-            1 => sq8_tiles::<1, L2>(queries, mins, scales, codes, out),
-            2 => sq8_tiles::<2, L2>(queries, mins, scales, codes, out),
-            3 => sq8_tiles::<3, L2>(queries, mins, scales, codes, out),
-            4 => sq8_tiles::<4, L2>(queries, mins, scales, codes, out),
+            1 => sq8_tiles::<1, L2>(queries, mins, scales, segments, out, pace),
+            2 => sq8_tiles::<2, L2>(queries, mins, scales, segments, out, pace),
+            3 => sq8_tiles::<3, L2>(queries, mins, scales, segments, out, pace),
+            4 => sq8_tiles::<4, L2>(queries, mins, scales, segments, out, pace),
             q => unreachable!("SQ8 query tile of {q} queries"),
         }
     }
@@ -630,23 +747,23 @@ pub(crate) mod avx2 {
     ///
     /// # Safety
     ///
-    /// As [`adc_tiles`], plus `r0 < out.len()`.
+    /// As [`adc_tiles`], plus `r0 < out.len()` and every row pointer
+    /// readable for `m` bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn adc_macro_tile<const T: usize>(
         tables: &[f32],
         m: usize,
-        codes: &[u8],
+        rows: &[[*const u8; LANES]; T],
         r0: usize,
         out: &mut [f32],
     ) {
-        let rows = tile_rows::<T>(codes, m, out.len(), r0);
         let mut acc = [_mm256_setzero_ps(); T];
         let mut sub = 0;
         while sub < m {
             let ns = (m - sub).min(8);
             let mut bytes = [[_mm256_setzero_si256(); 2]; T];
-            for (b, tile) in bytes.iter_mut().zip(&rows) {
+            for (b, tile) in bytes.iter_mut().zip(rows) {
                 *b = transpose_bytes(tile, sub, ns);
             }
             for j in 0..ns {
@@ -667,22 +784,35 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Tier-A PQ/ADC table walk over every code of `codes`.
+    /// Tier-A PQ/ADC table walk over every code of `segments`, in order;
+    /// tiles span segment boundaries, and `pace` hears of each group of
+    /// at most 16 codes, like [`sq8_qtile`]'s.
     ///
     /// # Safety
     ///
     /// Requires AVX2, `m >= 1`, `tables.len() == m * 256`, a non-empty
-    /// `out` and `codes.len() == out.len() * m`.
+    /// `out`, every segment a whole number of `m`-byte codes and
+    /// `out.len()` codes between them.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn adc_tiles(tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) {
+    pub unsafe fn adc_tiles(
+        tables: &[f32],
+        m: usize,
+        segments: &[&[u8]],
+        out: &mut [f32],
+        pace: &mut dyn FnMut(usize),
+    ) {
         let n = out.len();
+        let mut cursor = RowCursor::new(segments, m);
         let mut r = 0;
         while r < n {
+            pace((n - r).min(2 * LANES));
             if n - r > LANES {
-                adc_macro_tile::<2>(tables, m, codes, r, out);
+                let rows = cursor.tiles::<2>();
+                adc_macro_tile::<2>(tables, m, &rows, r, out);
                 r += 2 * LANES;
             } else {
-                adc_macro_tile::<1>(tables, m, codes, r, out);
+                let rows = cursor.tiles::<1>();
+                adc_macro_tile::<1>(tables, m, &rows, r, out);
                 r += LANES;
             }
         }
@@ -936,6 +1066,22 @@ pub(crate) mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prefetching_any_slice_is_harmless() {
+        // Empty, unaligned, one-byte and multi-line slices of several
+        // element sizes: a hint never faults and never writes.
+        let bytes: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        let before = bytes.clone();
+        for (from, to) in [(0, 0), (1, 2), (3, 67), (63, 65), (0, 1000), (999, 1000)] {
+            prefetch_read(&bytes[from..to]);
+        }
+        prefetch_read::<u64>(&[]);
+        prefetch_read(&[1u64, 2, 3]);
+        prefetch_read(&[(); 9]);
+        prefetch_read(&vec![0.5f32; 4096]);
+        assert_eq!(bytes, before);
+    }
 
     #[test]
     fn parse_accepts_every_level_name_case_insensitively() {

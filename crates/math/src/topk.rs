@@ -2,13 +2,11 @@
 //!
 //! Every search path in the workspace — flat scan, IVF inverted-list probe,
 //! HNSW beam, Hermes cluster ranking — funnels candidates through
-//! [`TopK`], a fixed-capacity min-heap keeping the `k` items with the
+//! [`TopK`], a fixed-capacity selector keeping the `k` items with the
 //! highest similarity.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-use crate::block::BLOCK;
 
 /// A scored search hit: a document id plus its similarity to the query
 /// (greater = closer; see [`crate::Metric`]).
@@ -51,9 +49,16 @@ impl PartialOrd for Neighbor {
     }
 }
 
+/// Largest `k` whose candidates live in [`TopK`]'s inline sorted array;
+/// beyond it a binary heap takes over.
+const INLINE_K: usize = 16;
+
 /// Fixed-capacity selector retaining the `k` highest-scoring items.
 ///
-/// Push is `O(log k)`; pushes that cannot beat the current worst are `O(1)`.
+/// Push is `O(k)` shifts in a sorted inline array for `k <= 16` — no
+/// allocation, and faster than a heap at the result sizes search paths
+/// ask for — and `O(log k)` in a binary heap beyond; pushes that cannot
+/// beat the current worst are `O(1)` either way.
 ///
 /// # Examples
 ///
@@ -69,9 +74,26 @@ impl PartialOrd for Neighbor {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    // Max-heap under the best-first `Neighbor` ordering, so `peek()` is the
-    // *worst* retained hit — the eviction candidate.
-    heap: BinaryHeap<Neighbor>,
+    kept: Kept,
+}
+
+/// The retained candidates. Both forms answer "what is the worst kept
+/// hit" in `O(1)` and keep exactly the same set: [`TopK::push`] decides
+/// admission by [`Neighbor`]'s total order alone.
+// The inline array is the point: boxing it would put the common case
+// behind the allocation it exists to avoid.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Kept {
+    /// `items[..len]` sorted best-first, so `items[len - 1]` is the
+    /// eviction candidate.
+    Sorted {
+        items: [Neighbor; INLINE_K],
+        len: usize,
+    },
+    /// Max-heap under the best-first ordering, so `peek()` is the worst
+    /// retained hit.
+    Heap(BinaryHeap<Neighbor>),
 }
 
 impl TopK {
@@ -83,12 +105,17 @@ impl TopK {
     /// search path and indicates a configuration bug.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "TopK capacity must be positive");
-        TopK {
-            k,
+        let kept = if k <= INLINE_K {
+            Kept::Sorted {
+                items: [Neighbor::new(0, 0.0); INLINE_K],
+                len: 0,
+            }
+        } else {
             // Pre-sized to its maximum occupancy (`k`, plus one slot of
             // slack) so no push ever reallocates mid-scan.
-            heap: BinaryHeap::with_capacity(k + 1),
-        }
+            Kept::Heap(BinaryHeap::with_capacity(k + 1))
+        };
+        TopK { k, kept }
     }
 
     /// The capacity `k` this selector was created with.
@@ -98,12 +125,25 @@ impl TopK {
 
     /// Number of items currently held (`<= k`).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        match &self.kept {
+            Kept::Sorted { len, .. } => *len,
+            Kept::Heap(heap) => heap.len(),
+        }
     }
 
     /// Whether no item has been pushed yet.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// The worst retained hit once `k` items are held.
+    #[inline]
+    fn worst(&self) -> Option<&Neighbor> {
+        match &self.kept {
+            Kept::Sorted { items, len } if *len == self.k => Some(&items[len - 1]),
+            Kept::Heap(heap) if heap.len() == self.k => heap.peek(),
+            _ => None,
+        }
     }
 
     /// Current lowest retained score, or `None` while under capacity.
@@ -111,18 +151,14 @@ impl TopK {
     /// Search loops use this as an early-termination bound: a candidate
     /// whose upper-bound similarity is below `worst_score` cannot enter.
     pub fn worst_score(&self) -> Option<f32> {
-        if self.heap.len() < self.k {
-            None
-        } else {
-            self.heap.peek().map(|n| n.score)
-        }
+        self.worst().map(|n| n.score)
     }
 
     /// The pruning bound for fused block scans, as a plain `f32`:
     /// the current worst retained score once `k` items are held,
     /// `f32::NEG_INFINITY` while still filling (everything is admitted),
-    /// and NaN if the heap is full of NaN scores (in which case pruning
-    /// must be disabled — any real score displaces a NaN).
+    /// and NaN if the selector is full of NaN scores (in which case
+    /// pruning must be disabled — any real score displaces a NaN).
     ///
     /// Callers prune with `!(score < threshold)` rather than
     /// `score >= threshold`: the negated form admits NaN candidates and
@@ -130,39 +166,44 @@ impl TopK {
     /// arbiter of ties, NaN ordering and id-based eviction.
     #[inline]
     pub fn threshold(&self) -> f32 {
-        if self.heap.len() < self.k {
-            f32::NEG_INFINITY
-        } else {
-            self.heap.peek().map_or(f32::NEG_INFINITY, |n| n.score)
-        }
+        self.worst().map_or(f32::NEG_INFINITY, |n| n.score)
     }
 
-    /// Offers a block of scored candidates, skipping heap traffic for
-    /// candidates that cannot beat [`TopK::threshold`].
+    /// Offers a block of scored candidates, touching the selector only
+    /// for candidates that may beat [`TopK::threshold`].
     ///
-    /// Survivors of each [`BLOCK`]-sized chunk are selected with a
-    /// branchless compare-and-compact pass, then pushed in input order —
-    /// the result is bit-identical to calling [`TopK::push`] on every
-    /// `(id, score)` pair, but the common full-heap case touches the
-    /// heap 0–1 times per chunk instead of [`BLOCK`] times.
+    /// Scores are tested eight at a time into a compare mask (a vector
+    /// compare and a move-mask once optimized); a group whose mask is
+    /// empty — the common case once the selector is full — costs nothing
+    /// more, and an id is read only for a score that survives. The bound
+    /// is re-read after every accepted push, so a survivor of the mask
+    /// that a later-rising bound has overtaken is dropped before it
+    /// reaches [`TopK::push`]. Survivors are pushed in input order and
+    /// `push` alone decides ties and NaN, so the result is bit-identical
+    /// to calling it on every `(id, score)` pair.
     ///
     /// # Panics
     ///
     /// Panics if `ids.len() != scores.len()`.
+    // `!(s < t)` is not `s >= t`: it also holds for NaN on either side.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn push_block(&mut self, ids: &[u64], scores: &[f32]) {
         assert_eq!(ids.len(), scores.len(), "one id per score required");
-        for (idc, sc) in ids.chunks(BLOCK).zip(scores.chunks(BLOCK)) {
-            // The threshold only rises as pushes land, so a bound taken
-            // at the top of the chunk never over-prunes.
-            let t = self.threshold();
-            let mut keep = [0u8; BLOCK];
-            let mut n = 0usize;
-            for (j, &s) in sc.iter().enumerate() {
-                keep[n] = j as u8;
-                n += usize::from(!(s < t));
+        // The bound only rises as pushes land, so testing against an
+        // older one never over-prunes.
+        let mut t = self.threshold();
+        for (g, group) in scores.chunks(8).enumerate() {
+            let mut mask = 0u32;
+            for (j, &s) in group.iter().enumerate() {
+                mask |= u32::from(!(s < t)) << j;
             }
-            for &j in &keep[..n] {
-                self.push(idc[j as usize], sc[j as usize]);
+            while mask != 0 {
+                let j = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let s = group[j];
+                if !(s < t) && self.push(ids[g * 8 + j], s) {
+                    t = self.threshold();
+                }
             }
         }
     }
@@ -170,26 +211,46 @@ impl TopK {
     /// Offers `(id, score)`; returns `true` if it was retained.
     pub fn push(&mut self, id: u64, score: f32) -> bool {
         let cand = Neighbor::new(id, score);
-        if self.heap.len() < self.k {
-            self.heap.push(cand);
-            return true;
+        // `cand < worst` under the best-first ordering means cand is
+        // better; at capacity anything else is turned away.
+        if self
+            .worst()
+            .is_some_and(|worst| cand.cmp(worst) != Ordering::Less)
+        {
+            return false;
         }
-        let worst = *self.heap.peek().expect("non-empty at capacity");
-        // `cand < worst` under the best-first ordering means cand is better.
-        if cand.cmp(&worst) == Ordering::Less {
-            self.heap.pop();
-            self.heap.push(cand);
-            true
-        } else {
-            false
+        match &mut self.kept {
+            Kept::Sorted { items, len } => {
+                // Under capacity the slot past the end is free; at
+                // capacity the worst hit falls off it.
+                let mut at = if *len < self.k { *len } else { *len - 1 };
+                *len = at + 1;
+                while at > 0 && cand.cmp(&items[at - 1]) == Ordering::Less {
+                    items[at] = items[at - 1];
+                    at -= 1;
+                }
+                items[at] = cand;
+            }
+            Kept::Heap(heap) => {
+                if heap.len() == self.k {
+                    heap.pop();
+                }
+                heap.push(cand);
+            }
         }
+        true
     }
 
     /// Consumes the selector, returning hits sorted best-first.
     pub fn into_sorted_vec(self) -> Vec<Neighbor> {
-        let mut v = self.heap.into_vec();
-        v.sort();
-        v
+        match self.kept {
+            Kept::Sorted { items, len } => items[..len].to_vec(),
+            Kept::Heap(heap) => {
+                let mut v = heap.into_vec();
+                v.sort();
+                v
+            }
+        }
     }
 }
 
@@ -201,14 +262,15 @@ impl Extend<Neighbor> for TopK {
     }
 }
 
-/// Merges several already-sorted result lists into a single best-first
-/// top-`k` list. Used to aggregate per-cluster deep-search results.
-pub fn merge_topk(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
+/// Merges several result lists into a single best-first top-`k` list.
+/// Used to aggregate per-cluster deep-search results.
+pub fn merge_topk<L: AsRef<[Neighbor]>>(
+    lists: impl IntoIterator<Item = L>,
+    k: usize,
+) -> Vec<Neighbor> {
     let mut sel = TopK::new(k.max(1));
     for list in lists {
-        for n in list {
-            sel.push(n.id, n.score);
-        }
+        sel.extend(list.as_ref().iter().copied());
     }
     let mut out = sel.into_sorted_vec();
     out.truncate(k);
@@ -305,33 +367,90 @@ mod tests {
 
     #[test]
     fn push_block_is_bit_identical_to_sequential_push() {
-        // Ties, NaNs, multi-chunk blocks: the fused path must retain the
-        // exact same set as pushing one by one.
-        let scores: Vec<f32> = (0..40)
-            .map(|i| {
-                if i % 7 == 3 {
-                    f32::NAN
-                } else {
-                    ((i * 13) % 9) as f32 / 3.0
+        // Ties, NaNs, ±Inf, ±0.0, rising / falling / constant runs, block
+        // lengths off the 8-score mask width, and duplicate ids: the
+        // masked path must retain the exact same hits as pushing one by
+        // one, on both sides of the inline-array / heap switch at k = 16.
+        let palette = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            1.0,
+            -1.0,
+            0.5,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+        ];
+        let mut rng = crate::rng::seeded_rng(0x70B);
+        let mut streams: Vec<Vec<f32>> = vec![
+            (0..40)
+                .map(|i| {
+                    if i % 7 == 3 {
+                        f32::NAN
+                    } else {
+                        ((i * 13) % 9) as f32 / 3.0
+                    }
+                })
+                .collect(),
+            (0..203).map(|i| i as f32).collect(),
+            (0..203).map(|i| -(i as f32)).collect(),
+            vec![2.5; 77],
+            vec![f32::NAN; 33],
+        ];
+        for len in [0usize, 1, 7, 8, 9, 64, 150] {
+            streams.push(
+                (0..len)
+                    .map(|_| palette[(rng.next_u64() % palette.len() as u64) as usize])
+                    .collect(),
+            );
+            streams.push((0..len).map(|_| rng.next_f32() * 2.0 - 1.0).collect());
+        }
+        for (si, scores) in streams.iter().enumerate() {
+            // Ids repeat, so equal (id, score) pairs occur too.
+            let ids: Vec<u64> = (0..scores.len() as u64).map(|i| i % 61).collect();
+            for k in [1usize, 3, 10, 16, 17, 100] {
+                let mut seq = TopK::new(k);
+                for (&id, &s) in ids.iter().zip(scores) {
+                    seq.push(id, s);
                 }
-            })
-            .collect();
-        let ids: Vec<u64> = (0..40).collect();
-        for k in [1usize, 3, 8, 40] {
-            let mut seq = TopK::new(k);
-            for (&id, &s) in ids.iter().zip(&scores) {
-                seq.push(id, s);
-            }
-            let mut blk = TopK::new(k);
-            blk.push_block(&ids, &scores);
-            let a = seq.into_sorted_vec();
-            let b = blk.into_sorted_vec();
-            assert_eq!(a.len(), b.len(), "k={k}");
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.id, y.id, "k={k}");
-                assert_eq!(x.score.to_bits(), y.score.to_bits(), "k={k}");
+                let mut blk = TopK::new(k);
+                // Two blocks, so the second starts against a full selector.
+                let half = scores.len() / 2;
+                blk.push_block(&ids[..half], &scores[..half]);
+                blk.push_block(&ids[half..], &scores[half..]);
+                assert_eq!(seq.threshold().to_bits(), blk.threshold().to_bits());
+                let a = seq.into_sorted_vec();
+                let b = blk.into_sorted_vec();
+                assert_eq!(a.len(), b.len(), "stream {si} k={k}");
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.id, y.id, "stream {si} k={k}");
+                    assert_eq!(x.score.to_bits(), y.score.to_bits(), "stream {si} k={k}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn inline_array_and_heap_keep_the_same_hits() {
+        // The same stream through k = 16 (sorted inline array) and a
+        // k = 17 heap truncated to 16 must agree: the storage never
+        // shows in the result.
+        let mut rng = crate::rng::seeded_rng(0x1617);
+        let scores: Vec<f32> = (0..500).map(|_| (rng.next_u64() % 40) as f32).collect();
+        let (mut small, mut large) = (TopK::new(16), TopK::new(17));
+        for (id, &s) in scores.iter().enumerate() {
+            small.push(id as u64, s);
+            large.push(id as u64, s);
+        }
+        let small = small.into_sorted_vec();
+        assert!(
+            small.windows(2).all(|w| w[0] < w[1]),
+            "best-first, strictly"
+        );
+        assert_eq!(small, large.into_sorted_vec()[..16]);
     }
 
     #[test]

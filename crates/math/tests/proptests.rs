@@ -176,16 +176,18 @@ fn linear_fit_is_exact_on_lines() {
     });
 }
 
-/// Tier A for the SQ8 query-tile kernels: for every tile width
-/// `1..=QTILE`, code count `0..=70` (empty, sub-tile, every ragged tail
-/// of one and two tiles, past a 64-code block), dimension `1..=80`
-/// (non-multiples of the 8-byte transpose chunk included), both metrics
-/// and every runnable dispatch level, each (query, code) score is
-/// bit-identical to the plain scalar walk — `acc + q[d] * (min[d] +
-/// code[d] * scale[d])` folded over `d`, no tiling, no FMA.
+/// Tier A for the segment kernels: for every tile width `1..=QTILE`, code
+/// count `0..=70` (empty, sub-tile, every ragged tail of one and two
+/// tiles, past a 64-code block) cut at random into `1..=6` segments
+/// (empty and 1-code segments included, so tiles straddle boundaries),
+/// dimension `1..=80` (non-multiples of the 8-byte transpose chunk
+/// included), both metrics and every runnable dispatch level, each
+/// (query, code) SQ8 score is bit-identical to the plain scalar walk —
+/// `acc + q[d] * (min[d] + code[d] * scale[d])` folded over `d`, no
+/// tiling, no FMA — and each ADC score to the in-order table walk.
 #[test]
 fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
-    use hermes_math::block::{sq8_ip_qtile_at, sq8_l2_qtile_at, QTILE};
+    use hermes_math::block::{adc_block_at, sq8_ip_qtile_at, sq8_l2_qtile_at, QTILE};
     use hermes_math::rng::seeded_rng;
     use hermes_math::simd::SimdLevel;
 
@@ -214,6 +216,17 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
             let codes: Vec<u8> = (0..n * dim)
                 .map(|_| (rng.next_u64() & 0xFF) as u8)
                 .collect();
+            // `dim` doubles as the ADC subspace count.
+            let tables: Vec<f32> = (0..dim * 256).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            let mut cuts: Vec<usize> = (0..rng.next_u64() % 6)
+                .map(|_| (rng.next_u64() % (n as u64 + 1)) as usize)
+                .collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let segments: Vec<&[u8]> = cuts
+                .windows(2)
+                .map(|w| &codes[w[0] * dim..w[1] * dim])
+                .collect();
             let walk = |l2: bool, q: &[f32], code: &[u8]| -> f32 {
                 let mut acc = 0.0f32;
                 for d in 0..dim {
@@ -237,20 +250,37 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
                     let mut got = vec![f32::NAN; width * n];
                     for l2 in [false, true] {
                         if l2 {
-                            sq8_l2_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                            sq8_l2_qtile_at(
+                                level,
+                                &tile,
+                                &mins,
+                                &scales,
+                                &segments,
+                                &mut got,
+                                &mut |_| {},
+                            );
                         } else {
-                            sq8_ip_qtile_at(level, &tile, &mins, &scales, &codes, &mut got);
+                            sq8_ip_qtile_at(
+                                level,
+                                &tile,
+                                &mins,
+                                &scales,
+                                &segments,
+                                &mut got,
+                                &mut |_| {},
+                            );
                         }
                         for (qi, q) in tile.iter().enumerate() {
                             for i in 0..n {
                                 let want = walk(l2, q, &codes[i * dim..(i + 1) * dim]);
                                 prop_assert!(
                                     got[qi * n + i].to_bits() == want.to_bits(),
-                                    "{} l2={} dim {} n {} Q{} query {} code {}: {:e} vs {:e}",
+                                    "{} l2={} dim {} n {} cuts {:?} Q{} query {} code {}: {:e} vs {:e}",
                                     level,
                                     l2,
                                     dim,
                                     n,
+                                    cuts,
                                     width,
                                     qi,
                                     i,
@@ -260,6 +290,25 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
                             }
                         }
                     }
+                }
+                let mut got = vec![f32::NAN; n];
+                adc_block_at(level, &tables, dim, &segments, &mut got, &mut |_| {});
+                for (i, g) in got.iter().enumerate() {
+                    let mut want = 0.0f32;
+                    for (sub, &c) in codes[i * dim..(i + 1) * dim].iter().enumerate() {
+                        want += tables[sub * 256 + c as usize];
+                    }
+                    prop_assert!(
+                        g.to_bits() == want.to_bits(),
+                        "{} adc m {} n {} cuts {:?} code {}: {:e} vs {:e}",
+                        level,
+                        dim,
+                        n,
+                        cuts,
+                        i,
+                        g,
+                        want
+                    );
                 }
             }
             Ok(())

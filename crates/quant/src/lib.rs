@@ -322,21 +322,37 @@ impl QueryScorer<'_> {
         self.score_block_at(simd_level(), codes, out);
     }
 
-    /// Scores one contiguous code block for a **tile of scorers** over
-    /// the same codec in one pass: with `n = out.len() / scorers.len()`,
-    /// `out[q * n + i]` is bit-identical to `scorers[q].score(code_i)` at
-    /// every dispatch level and tile width. SQ8 scorers of one metric,
-    /// at most [`QTILE`] at a time, share each
-    /// dequantized code value in the query-tile kernel; any other tile
-    /// scores scorer by scorer. Returns how many codes were physically
-    /// scored: `n` per shared pass, `n` per scorer otherwise.
+    /// Scores the codes of `segments`, in order, for a **tile of
+    /// scorers** over the same codec in one pass: with `n = out.len() /
+    /// scorers.len()` codes between the segments, `out[q * n + i]` is
+    /// bit-identical to `scorers[q].score(code_i)` at every dispatch
+    /// level, tile width and segmentation. The segments are typically
+    /// several short inverted lists: the SQ8 and PQ/ADC kernels fill
+    /// their SIMD tiles across the boundaries, so a 19-code list does not
+    /// waste the lanes of its ragged tail. SQ8 scorers of one metric, at
+    /// most [`QTILE`] at a time, also share each dequantized code value
+    /// in the query-tile kernel; any other tile scores scorer by scorer.
+    /// Returns how many codes were physically scored: `n` per shared
+    /// pass, `n` per scorer otherwise.
+    ///
+    /// `pace` hears of every code once, group by group, just before the
+    /// group is first scored — the hook for keeping a prefetch cursor a
+    /// fixed distance ahead of the kernel (see
+    /// [`hermes_math::block::sq8_ip_qtile_at`]); `&mut |_| {}` if there
+    /// is nothing to pace.
     ///
     /// # Panics
     ///
     /// Panics if `scorers` is empty, `out.len()` is not a multiple of
-    /// `scorers.len()`, or `codes.len() != n * code_size` for any scorer.
-    pub fn score_tile(scorers: &[&QueryScorer<'_>], codes: &[u8], out: &mut [f32]) -> usize {
-        Self::score_tile_at(simd_level(), scorers, codes, out)
+    /// `scorers.len()`, or the segments are not whole codes, `n` in all,
+    /// for any scorer.
+    pub fn score_tile(
+        scorers: &[&QueryScorer<'_>],
+        segments: &[&[u8]],
+        out: &mut [f32],
+        pace: &mut dyn FnMut(usize),
+    ) -> usize {
+        Self::score_tile_at(simd_level(), scorers, segments, out, pace)
     }
 
     /// [`QueryScorer::score_tile`] at an explicit dispatch level.
@@ -347,8 +363,9 @@ impl QueryScorer<'_> {
     pub fn score_tile_at(
         level: SimdLevel,
         scorers: &[&QueryScorer<'_>],
-        codes: &[u8],
+        segments: &[&[u8]],
         out: &mut [f32],
+        pace: &mut dyn FnMut(usize),
     ) -> usize {
         assert!(!scorers.is_empty(), "score_tile needs at least one scorer");
         assert_eq!(
@@ -364,15 +381,56 @@ impl QueryScorer<'_> {
             use hermes_math::block::{sq8_ip_qtile_at, sq8_l2_qtile_at};
             let queries = &queries[..scorers.len()];
             match metric {
-                Metric::L2 => sq8_l2_qtile_at(level, queries, &sq.mins, &sq.scales, codes, out),
-                _ => sq8_ip_qtile_at(level, queries, &sq.mins, &sq.scales, codes, out),
+                Metric::L2 => {
+                    sq8_l2_qtile_at(level, queries, &sq.mins, &sq.scales, segments, out, pace)
+                }
+                _ => sq8_ip_qtile_at(level, queries, &sq.mins, &sq.scales, segments, out, pace),
             }
             return n;
         }
-        for (scorer, out) in scorers.iter().zip(out.chunks_exact_mut(n)) {
-            scorer.score_block_at(level, codes, out);
+        let mut idle = |_| {};
+        for (q, (scorer, out)) in scorers.iter().zip(out.chunks_exact_mut(n)).enumerate() {
+            // The codes are cold for the first scorer only.
+            let pace: &mut dyn FnMut(usize) = if q == 0 { &mut *pace } else { &mut idle };
+            scorer.score_segments_at(level, segments, out, pace);
         }
         n * scorers.len()
+    }
+
+    /// One scorer over the codes of `segments`, in order: PQ walks its
+    /// tables across the boundaries, the scalar codecs go segment by
+    /// segment.
+    fn score_segments_at(
+        &self,
+        level: SimdLevel,
+        segments: &[&[u8]],
+        out: &mut [f32],
+        pace: &mut dyn FnMut(usize),
+    ) {
+        let cs = self.code_size();
+        let bytes: usize = segments.iter().map(|s| s.len()).sum();
+        assert_eq!(
+            bytes,
+            out.len() * cs,
+            "code block size mismatch: {bytes} bytes is not {} codes x {cs} bytes",
+            out.len()
+        );
+        match self {
+            // Degenerate zero-dim codec: every code is empty.
+            _ if cs == 0 => out.fill(self.score(&[])),
+            QueryScorer::Pq { tables, m } => {
+                hermes_math::block::adc_block_at(level, tables, *m, segments, out, pace)
+            }
+            _ => {
+                let mut at = 0;
+                for codes in segments {
+                    let rows = codes.len() / cs;
+                    pace(rows);
+                    self.score_block_at(level, codes, &mut out[at..at + rows]);
+                    at += rows;
+                }
+            }
+        }
     }
 
     /// [`QueryScorer::score_block`] at an explicit dispatch level — the
@@ -401,7 +459,7 @@ impl QueryScorer<'_> {
                 sq.score_block_at(level, codes, query, *metric, out)
             }
             QueryScorer::Pq { tables, m } => {
-                hermes_math::block::adc_block_at(level, tables, *m, codes, out)
+                hermes_math::block::adc_block_at(level, tables, *m, &[codes], out, &mut |_| {})
             }
             // Flat decodes four little-endian bytes per dim with a single
             // sequential accumulator; it stays scalar at every level (the
@@ -1043,22 +1101,41 @@ mod tests {
                             );
                         }
                         // Tier A: the same bit-identity at every runnable
-                        // dispatch level and every tile width.
+                        // dispatch level, every tile width, and with the
+                        // block cut into list-like segments (an empty and
+                        // a 1-code one included) that split the tiles.
+                        let mut cuts = [0, n.min(1), n.min(1), n / 3, n * 5 / 6, n];
+                        cuts.sort_unstable();
+                        let cut: Vec<&[u8]> = cuts
+                            .windows(2)
+                            .map(|w| &block[w[0] * cs..w[1] * cs])
+                            .collect();
                         for level in SimdLevel::available() {
                             for width in 1..=QTILE {
-                                let tile: Vec<&QueryScorer<'_>> = scorers[..width].iter().collect();
-                                let mut out = vec![0.0f32; width * n];
-                                let scored =
-                                    QueryScorer::score_tile_at(level, &tile, block, &mut out);
-                                let shared = spec == CodecSpec::Sq8;
-                                assert_eq!(scored, if shared { n } else { n * width });
-                                for (qi, row) in want[..width].iter().enumerate() {
-                                    for i in 0..n {
-                                        assert_eq!(
-                                            out[qi * n + i].to_bits(),
-                                            row[i].to_bits(),
-                                            "{spec} {metric} {level} d{dim} n{n} Q{width} q{qi} code {i}"
-                                        );
+                                for segments in [&[block][..], &cut] {
+                                    let tile: Vec<&QueryScorer<'_>> =
+                                        scorers[..width].iter().collect();
+                                    let mut out = vec![0.0f32; width * n];
+                                    let mut paced = 0;
+                                    let scored = QueryScorer::score_tile_at(
+                                        level,
+                                        &tile,
+                                        segments,
+                                        &mut out,
+                                        &mut |rows| paced += rows,
+                                    );
+                                    assert_eq!(paced, n, "every code is paced once");
+                                    let shared = spec == CodecSpec::Sq8;
+                                    assert_eq!(scored, if shared { n } else { n * width });
+                                    for (qi, row) in want[..width].iter().enumerate() {
+                                        for i in 0..n {
+                                            assert_eq!(
+                                                out[qi * n + i].to_bits(),
+                                                row[i].to_bits(),
+                                                "{spec} {metric} {level} d{dim} n{n} Q{width} x{} q{qi} code {i}",
+                                                segments.len()
+                                            );
+                                        }
                                     }
                                 }
                             }
@@ -1082,7 +1159,9 @@ mod tests {
         let ip = codec.query_scorer(data.row(0), Metric::InnerProduct);
         let l2 = codec.query_scorer(data.row(1), Metric::L2);
         let mut out = vec![0.0f32; 40];
-        assert_eq!(QueryScorer::score_tile(&[&ip, &l2], &codes, &mut out), 40);
+        let segments = [&codes[..24], &codes[24..]];
+        let scored = QueryScorer::score_tile(&[&ip, &l2], &segments, &mut out, &mut |_| {});
+        assert_eq!(scored, 40);
         for (i, code) in codes.chunks_exact(8).enumerate() {
             assert_eq!(out[i].to_bits(), ip.score(code).to_bits());
             assert_eq!(out[20 + i].to_bits(), l2.score(code).to_bits());

@@ -34,10 +34,6 @@ pub const POOL_STEAL: &str = "pool.steal";
 pub const POOL_QUEUE_DEPTH: &str = "pool.queue_depth";
 /// Codes scanned by one index probe.
 pub const INDEX_SCANNED_CODES: &str = "index.scanned_codes";
-/// Codes physically scored by one IVF group scan: a code block scored
-/// once for several queries counts once, so against the logical
-/// scanned-code counts this is what cross-query sharing saved.
-pub const INDEX_CODES_STREAMED: &str = "index.codes_streamed";
 
 /// Every counter stream in the workspace: `(name, help)`. The single
 /// source the text exposition renders from, so a counter recorded under
@@ -53,10 +49,6 @@ pub const COUNTERS: &[(&str, &str)] = &[
     (POOL_STEAL, "Pool tasks stolen"),
     (POOL_QUEUE_DEPTH, "Pool shared-cursor depth at steal time"),
     (INDEX_SCANNED_CODES, "Codes scanned per index probe"),
-    (
-        INDEX_CODES_STREAMED,
-        "Codes physically scored per IVF group scan",
-    ),
 ];
 
 // --- Span streams (Begin/End and Complete) --------------------------------
@@ -112,7 +104,6 @@ mod tests {
         assert!(seen.contains(SERVE_QUEUE_DEPTH));
         assert!(seen.contains(POOL_STEAL));
         assert!(seen.contains(INDEX_SCANNED_CODES));
-        assert!(seen.contains(INDEX_CODES_STREAMED));
     }
 
     #[test]

@@ -15,12 +15,14 @@ cargo test -q --offline
 # inline/sequential and heavily oversubscribed (the CI box has few
 # cores) — the suites whose behaviour depends on the width: the pool
 # itself, the engine and serving crates that fan out on it, and the
-# root suites that pin pooled paths bit-identical to sequential ones.
-# Both sweeps must pass with no goldens re-tuned.
+# root suites that pin pooled paths bit-identical to sequential ones;
+# and the index crate, whose group scan keeps its scratch per thread
+# (the row-plan suites: plans across list boundaries, a scan without
+# the thread's scratch). Both sweeps must pass with no goldens re-tuned.
 for threads in 1 16; do
     echo "== re-running width-dependent suites with HERMES_THREADS=${threads} =="
     HERMES_THREADS="${threads}" cargo test -q --offline \
-        -p hermes-pool -p hermes-core -p hermes-serve
+        -p hermes-pool -p hermes-index -p hermes-core -p hermes-serve
     HERMES_THREADS="${threads}" cargo test -q --offline -p hermes \
         --test engine_equivalence --test serving_equivalence \
         --test adaptive_cache_equivalence --test mutation_equivalence \
@@ -32,7 +34,9 @@ done
 # that depend on the dispatch level: the kernels, the codecs and indices
 # built on them, and the root suites that pin the two-tier equivalence
 # contract (DESIGN.md): quantized scoring to identical bits at every
-# level and query-tile width, f32 scoring to a 256-ULP envelope, engine
+# level, query-tile width and segmentation (the segment-kernel grids in
+# hermes-math / hermes-quant / simd_differential and the row-plan
+# oracles in hermes-index), f32 scoring to a 256-ULP envelope, engine
 # paths to each other. No re-tuning at either level.
 for simd in auto scalar; do
     echo "== re-running dispatch-dependent suites with HERMES_SIMD=${simd} =="

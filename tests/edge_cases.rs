@@ -240,9 +240,10 @@ fn non_finite_queries_never_panic_an_ivf_scan() {
                     // The whole hostile set as one group, a sane query
                     // in the middle: it must be answered as if alone.
                     let sane = data.row(17);
-                    let mut group: Vec<&[f32]> = hostile.iter().map(Vec::as_slice).collect();
-                    group.insert(3, sane);
-                    let scan = index.search_group(&group, 5, &vec![nprobe; group.len()]);
+                    let mut group: Vec<(&[f32], usize)> =
+                        hostile.iter().map(|q| (q.as_slice(), nprobe)).collect();
+                    group.insert(3, (sane, nprobe));
+                    let scan = index.search_group(&group, 5);
                     assert!(scan.results.iter().all(Result::is_ok));
                     assert_eq!(
                         scan.results[3],

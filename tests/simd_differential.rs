@@ -270,9 +270,12 @@ fn adversarial_top_k_sets_agree_across_levels() {
 /// themselves must score bit-identically to per-code scoring at every
 /// dispatch level, for every query-tile width (the case's query plus
 /// its first rows as further adversarial queries) and every prefix
-/// length of the code block — dequantization does no reassociation, so
-/// not even subnormal mins or astronomical scales may move a bit, and
-/// how many queries share a dequantized value never shows.
+/// length of the code block, cut into 1..=6 segments the way a row plan
+/// cuts it into inverted lists (empty segments included, tiles
+/// straddling the cuts) — dequantization does no reassociation, so not
+/// even subnormal mins or astronomical scales may move a bit, and
+/// neither how many queries share a dequantized value nor which codes
+/// share a tile ever shows.
 #[test]
 fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
     use hermes::math::block::QTILE;
@@ -306,11 +309,16 @@ fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
                         let tile: Vec<_> = scorers[..width].iter().collect();
                         for n in 0..=case.rows.len() {
                             let mut got = vec![0.0f32; width * n];
+                            let cuts = 1 + (n + width) % 6;
+                            let segments: Vec<&[u8]> = (0..cuts)
+                                .map(|j| &codes[n * j / cuts * cs..n * (j + 1) / cuts * cs])
+                                .collect();
                             hermes::quant::QueryScorer::score_tile_at(
                                 level,
                                 &tile,
-                                &codes[..n * cs],
+                                &segments,
                                 &mut got,
+                                &mut |_| {},
                             );
                             for (qi, row) in want[..width].iter().enumerate() {
                                 for i in 0..n {

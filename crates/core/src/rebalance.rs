@@ -283,35 +283,39 @@ fn step_seed(store: &ClusteredStore, cluster: usize) -> u64 {
 
 fn split_cluster(store: &ClusteredStore, cluster: usize) -> Result<ClusteredStore, HermesError> {
     let (mut shards, mut centroids, mut anchors, mut sizes) = working_state(store);
-    let rows = store.shard(cluster).export_live();
     let seed = step_seed(store, cluster);
 
-    let data = Mat::from_rows(&rows.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>());
+    // The shard's live rows, flattened once; the halves are gathered
+    // from it by row index.
+    let exported = store.shard(cluster).export_live();
+    let dim = store.split_centroid(cluster).len();
+    let mut ids = Vec::with_capacity(exported.len());
+    let mut flat = Vec::with_capacity(exported.len() * dim);
+    for (id, v) in exported {
+        ids.push(id);
+        flat.extend_from_slice(&v);
+    }
+    let data = Mat::from_flat(ids.len(), dim, flat);
     let model = KMeans::train(&data, &KMeansConfig::new(2).with_seed(seed));
-    let mut halves: [Vec<(u64, Vec<f32>)>; 2] = [Vec::new(), Vec::new()];
-    for (i, (id, v)) in rows.into_iter().enumerate() {
-        halves[model.assignments()[i] as usize].push((id, v));
+    let mut halves: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+    for (i, &half) in model.assignments().iter().enumerate() {
+        halves[half as usize].push(i);
     }
     // K-means can collapse to one side on degenerate data; fall back to
     // a deterministic even/odd interleave so the split still halves.
     if halves[0].is_empty() || halves[1].is_empty() {
-        let [mut a, mut b] = halves;
-        let all: Vec<(u64, Vec<f32>)> = a.drain(..).chain(b.drain(..)).collect();
-        halves = [a, b];
-        for (i, row) in all.into_iter().enumerate() {
-            halves[i % 2].push(row);
-        }
+        halves = [0, 1].map(|h| (h..data.rows()).step_by(2).collect());
     }
 
     let mut built = halves.into_iter().enumerate().map(|(h, half)| {
-        let ids: Vec<u64> = half.iter().map(|(id, _)| *id).collect();
-        let vecs: Vec<Vec<f32>> = half.into_iter().map(|(_, v)| v).collect();
-        let centroid = mean_of(&vecs);
+        let half_ids: Vec<u64> = half.iter().map(|&i| ids[i]).collect();
+        let half_data = data.gather_rows(half);
+        let centroid = mean_of(&half_data);
         let index = IvfIndex::builder()
             .codec(store.config().codec)
             .metric(store.config().metric)
             .seed(derive_seed(seed, h as u64))
-            .build_with_ids(&Mat::from_rows(&vecs), ids)
+            .build_with_ids(&half_data, half_ids)
             .map_err(HermesError::Index)?;
         Ok::<_, HermesError>((index, centroid))
     });
@@ -356,9 +360,9 @@ fn merge_clusters(
 }
 
 /// Column-wise mean of non-empty `rows`.
-fn mean_of(rows: &[Vec<f32>]) -> Vec<f32> {
-    let mut mean = vec![0.0f32; rows[0].len()];
-    for (i, row) in rows.iter().enumerate() {
+fn mean_of(rows: &Mat) -> Vec<f32> {
+    let mut mean = vec![0.0f32; rows.cols()];
+    for (i, row) in rows.iter_rows().enumerate() {
         hermes_kmeans::running_update(&mut mean, row, i + 1);
     }
     mean

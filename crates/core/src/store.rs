@@ -126,26 +126,25 @@ impl ClusteredStore {
         };
 
         // --- Step 2: one IVF index per shard over global ids. ---
-        let mut shard_rows: Vec<Vec<Vec<f32>>> = vec![Vec::new(); c];
         let mut shard_ids: Vec<Vec<u64>> = vec![Vec::new(); c];
-        for (i, row) in data.iter_rows().enumerate() {
-            let s = assignments[i] as usize;
-            shard_rows[s].push(row.to_vec());
-            shard_ids[s].push(i as u64);
+        for (i, &s) in assignments.iter().enumerate() {
+            shard_ids[s as usize].push(i as u64);
         }
 
         let mut shards = Vec::with_capacity(c);
         let mut sizes = Vec::with_capacity(c);
-        for (s, (rows, ids)) in shard_rows.into_iter().zip(shard_ids).enumerate() {
-            // K-means can leave a shard empty on degenerate data; keep a
-            // sentinel one-vector shard so cluster indices stay aligned.
-            let (rows, ids) = if rows.is_empty() {
-                (vec![split_centroids.row(s).to_vec()], vec![u64::MAX])
+        for (s, ids) in shard_ids.into_iter().enumerate() {
+            // One shard's rows at a time, gathered straight into one flat
+            // matrix that is dropped before the next shard's. K-means can
+            // leave a shard empty on degenerate data; keep a sentinel
+            // one-vector shard so cluster indices stay aligned.
+            let (shard_data, ids) = if ids.is_empty() {
+                let sentinel = split_centroids.row(s).to_vec();
+                (Mat::from_flat(1, data.cols(), sentinel), vec![u64::MAX])
             } else {
-                (rows, ids)
+                (data.gather_rows(ids.iter().map(|&i| i as usize)), ids)
             };
             sizes.push(ids.len());
-            let shard_data = Mat::from_rows(&rows);
             let index = IvfIndex::builder()
                 .codec(config.codec)
                 .metric(config.metric)

@@ -202,6 +202,16 @@ impl IvfBuilder {
         // assigned against the final centroids — so when it trained on
         // `data` itself the lists are already known.
         let trained_on_data = std::ptr::eq(train_data, data);
+        if trained_on_data {
+            // ... and so are their exact final lengths: no growth slack
+            // stays resident behind a served index.
+            let code_size = codec.code_size();
+            for (list, &rows) in lists.iter_mut().zip(coarse.cluster_sizes()) {
+                list.ids.reserve_exact(rows);
+                list.codes.reserve_exact(rows * code_size);
+                list.dead.reserve_exact(rows);
+            }
+        }
         for (i, (row, &id)) in data.iter_rows().zip(&ids).enumerate() {
             let list = if trained_on_data {
                 coarse.assignments()[i] as usize

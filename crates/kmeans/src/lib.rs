@@ -33,6 +33,7 @@ use hermes_math::distance::l2_sq;
 use hermes_math::rng::{derive_seed, seeded_rng, SeededRng};
 use hermes_math::stats::imbalance_ratio;
 use hermes_math::Mat;
+use std::sync::Mutex;
 
 /// Centroid initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,68 +133,7 @@ impl KMeans {
     /// Panics if `data` is empty, `init` has no rows, or the
     /// dimensionalities differ.
     pub fn train_from_centroids(data: &Mat, init: Mat, cfg: &KMeansConfig) -> Self {
-        assert!(data.rows() > 0, "cannot cluster an empty dataset");
-        assert!(init.rows() > 0, "need at least one initial centroid");
-        assert_eq!(init.cols(), data.cols(), "centroid dimension mismatch");
-        let k = init.rows();
-        let dim = data.cols();
-        let mut centroids = init;
-
-        let mut assignments = vec![0u32; data.rows()];
-        let mut inertia = f64::INFINITY;
-        let mut iterations = 0;
-        for iter in 0..cfg.max_iters.max(1) {
-            iterations = iter + 1;
-            // Assignment step (pooled sweep; inertia accumulates in row
-            // order, so the sum is bit-identical to a sequential loop).
-            let mut new_inertia = 0.0f64;
-            for (i, (c, d)) in assign_sweep(data, &centroids).into_iter().enumerate() {
-                assignments[i] = c as u32;
-                new_inertia += d as f64;
-            }
-            // Update step.
-            let mut sums = Mat::zeros(k, dim);
-            let mut counts = vec![0usize; k];
-            for (i, row) in data.iter_rows().enumerate() {
-                let c = assignments[i] as usize;
-                hermes_math::distance::add_assign(sums.row_mut(c), row);
-                counts[c] += 1;
-            }
-            for (c, count) in counts.iter_mut().enumerate() {
-                if *count == 0 {
-                    // Empty-cluster repair: reseed from the point farthest
-                    // from its centroid, FAISS-style.
-                    let far = farthest_point(data, &centroids, &assignments);
-                    sums.row_mut(c).copy_from_slice(data.row(far));
-                    *count = 1;
-                }
-                hermes_math::distance::scale(sums.row_mut(c), 1.0 / *count as f32);
-            }
-            centroids = sums;
-
-            let improved = (inertia - new_inertia) / new_inertia.max(f64::MIN_POSITIVE);
-            inertia = new_inertia;
-            if improved.abs() < cfg.tolerance && iter > 0 {
-                break;
-            }
-        }
-
-        // Final assignment against the last centroid update.
-        let mut cluster_sizes = vec![0usize; k];
-        let mut final_inertia = 0.0f64;
-        for (i, (c, d)) in assign_sweep(data, &centroids).into_iter().enumerate() {
-            assignments[i] = c as u32;
-            cluster_sizes[c] += 1;
-            final_inertia += d as f64;
-        }
-
-        KMeans {
-            centroids,
-            assignments,
-            cluster_sizes,
-            inertia: final_inertia,
-            iterations,
-        }
+        lloyd(data, init, cfg).0
     }
 
     /// The centroid table (`k x dim`).
@@ -233,7 +173,7 @@ impl KMeans {
     /// Panics if `v.len()` differs from the training dimensionality.
     pub fn assign(&self, v: &[f32]) -> (usize, f32) {
         assert_eq!(v.len(), self.centroids.cols(), "dimension mismatch");
-        nearest_centroid(&self.centroids, v)
+        hermes_math::block::nearest_row_l2(v, &self.centroids)
     }
 
     /// Returns the indices of the `n` centroids closest to `v`, best first —
@@ -369,8 +309,7 @@ pub fn select_nearest(keys: &mut [u64], n: usize) -> &mut [u64] {
 fn init_random(data: &Mat, k: usize, rng: &mut SeededRng) -> Mat {
     let mut idx: Vec<usize> = (0..data.rows()).collect();
     rng.shuffle(&mut idx);
-    let rows: Vec<Vec<f32>> = idx[..k].iter().map(|&i| data.row(i).to_vec()).collect();
-    Mat::from_rows(&rows)
+    data.gather_rows(idx[..k].iter().copied())
 }
 
 fn init_plus_plus(data: &Mat, k: usize, rng: &mut SeededRng) -> Mat {
@@ -406,35 +345,197 @@ fn init_plus_plus(data: &Mat, k: usize, rng: &mut SeededRng) -> Mat {
             }
         }
     }
-    let rows: Vec<Vec<f32>> = chosen.iter().map(|&i| data.row(i).to_vec()).collect();
-    Mat::from_rows(&rows)
+    data.gather_rows(chosen)
 }
 
-/// Rows below this count run the assignment sweep inline — the pool's
-/// dispatch overhead only pays for itself on real datastores, not the
-/// toy matrices unit tests and doctest blobs feed in.
-const PARALLEL_SWEEP_MIN_ROWS: usize = 256;
+/// Lloyd's algorithm from `init`, with incremental reassignment: every
+/// sweep leaves, per row, exactly the `(assignment, distance)` a full
+/// nearest-centroid sweep against the current table would — see
+/// [`reassign`] — so the model is the full-sweep loop's to the last bit.
+/// Also returns the (row, centroid) pairs the sweeps scored, which the
+/// tests hold against `sweeps x rows x k`.
+fn lloyd(data: &Mat, init: Mat, cfg: &KMeansConfig) -> (KMeans, u64) {
+    assert!(data.rows() > 0, "cannot cluster an empty dataset");
+    assert!(init.rows() > 0, "need at least one initial centroid");
+    assert_eq!(init.cols(), data.cols(), "centroid dimension mismatch");
+    let k = init.rows();
+    let mut centroids = init;
 
-/// Nearest-centroid assignment for every row, in row order — the inner
-/// loop of Lloyd's algorithm, fanned out on the shared work-stealing
-/// pool. Each row's result is exact and schedule-independent, so the
-/// sweep is deterministic for any `HERMES_THREADS`.
-fn assign_sweep(data: &Mat, centroids: &Mat) -> Vec<(usize, f32)> {
-    if data.rows() < PARALLEL_SWEEP_MIN_ROWS {
-        return data
-            .iter_rows()
-            .map(|row| nearest_centroid(centroids, row))
+    // Row `i`'s nearest centroid and squared distance as of the last
+    // sweep, and the centroids that changed since: at first nothing is
+    // cached and every centroid is new.
+    let mut assignments = vec![0u32; data.rows()];
+    let mut best = vec![f32::INFINITY; data.rows()];
+    let mut moved: Vec<u32> = (0..k as u32).collect();
+    let mut pairs = 0u64;
+    let mut inertia = f64::INFINITY;
+    let mut iterations = 0;
+    for iter in 0..cfg.max_iters.max(1) {
+        iterations = iter + 1;
+        pairs += reassign(data, &centroids, &moved, &mut assignments, &mut best);
+        let new_inertia = sum_in_row_order(&best);
+        let updated = update_centroids(data, &centroids, &assignments);
+        // Bitwise, so that a NaN centroid or a repaired empty cluster
+        // needs no case of its own: equal bits score equal bits.
+        moved = (0..k as u32)
+            .filter(|&c| {
+                let (old, new) = (centroids.row(c as usize), updated.row(c as usize));
+                old.iter().zip(new).any(|(a, b)| a.to_bits() != b.to_bits())
+            })
             .collect();
+        centroids = updated;
+
+        let improved = (inertia - new_inertia) / new_inertia.max(f64::MIN_POSITIVE);
+        inertia = new_inertia;
+        if improved.abs() < cfg.tolerance && iter > 0 {
+            break;
+        }
     }
-    hermes_pool::Pool::global()
-        .parallel_map_index(data.rows(), |i| nearest_centroid(centroids, data.row(i)))
+
+    // Final assignment against the last centroid update.
+    pairs += reassign(data, &centroids, &moved, &mut assignments, &mut best);
+    let mut cluster_sizes = vec![0usize; k];
+    for &c in &assignments {
+        cluster_sizes[c as usize] += 1;
+    }
+    let model = KMeans {
+        centroids,
+        assignments,
+        cluster_sizes,
+        inertia: sum_in_row_order(&best),
+        iterations,
+    };
+    (model, pairs)
 }
 
-// Blocked argmin over the centroid table; `|row - v|^2` and `|v - row|^2`
-// are the same f32 bit pattern, so swapping the argument order relative to
-// the old per-row loop changes nothing downstream.
-fn nearest_centroid(centroids: &Mat, v: &[f32]) -> (usize, f32) {
-    hermes_math::block::nearest_row_l2(v, centroids)
+/// Inertia from the cached distances, accumulated in row order whatever
+/// the sweep's schedule was.
+fn sum_in_row_order(best: &[f32]) -> f64 {
+    best.iter().fold(0.0, |sum, &d| sum + d as f64)
+}
+
+/// Lloyd's update step: each centroid becomes the mean of its rows; an
+/// empty cluster is reseeded from the point farthest from its centroid,
+/// FAISS-style.
+fn update_centroids(data: &Mat, centroids: &Mat, assignments: &[u32]) -> Mat {
+    let k = centroids.rows();
+    let mut sums = Mat::zeros(k, data.cols());
+    let mut counts = vec![0usize; k];
+    for (row, &c) in data.iter_rows().zip(assignments) {
+        hermes_math::distance::add_assign(sums.row_mut(c as usize), row);
+        counts[c as usize] += 1;
+    }
+    for (c, count) in counts.iter_mut().enumerate() {
+        if *count == 0 {
+            let far = farthest_point(data, centroids, assignments);
+            sums.row_mut(c).copy_from_slice(data.row(far));
+            *count = 1;
+        }
+        hermes_math::distance::scale(sums.row_mut(c), 1.0 / *count as f32);
+    }
+    sums
+}
+
+/// Rows per pool task of a sweep: a few cache blocks of the argmin
+/// kernel, small enough that a shard's sweep still splits across the
+/// pool.
+const SWEEP_ROWS: usize = 256;
+
+/// One assignment sweep, incremental: brings every row's cached
+/// `(assignment, best distance)` from the previous centroid table to
+/// `centroids`, given `moved`, the ascending indices of the centroids
+/// whose bits differ between the two. Returns the (row, centroid) pairs
+/// it scored.
+///
+/// The cache is a full sweep's result — the first index reaching the
+/// minimum over the distances below `+inf`, `(0, +inf)` if there is none
+/// — so every centroid `c` other than the row's own `a` compares
+/// `(d_c, c) > (best, a)`, distance first, index second (or `d_c` is
+/// NaN). Unmoved centroids still score the same bits, hence:
+///
+/// * **own centroid unmoved** — only a moved centroid can take the row:
+///   the winner `(d, c)` among the moved ones does iff `d < best ||
+///   (d == best && c < a)`. `moved` ascends, so a tie inside it already
+///   went to the lowest index.
+/// * **own centroid moved, not away** (`new <= best`) — `(new, a)` still
+///   beats every unmoved centroid, so the cache becomes `(a, new)` and
+///   the same rule applies.
+/// * **own centroid moved away, or its distance is now NaN** — an
+///   unmoved centroid may be the nearest: the row is scored against the
+///   whole table.
+///
+/// No case depends on which rows share a block, and the pool tasks
+/// write disjoint blocks of `assignments` / `best`: the result is the
+/// full sweep's at any `HERMES_THREADS`.
+fn reassign(
+    data: &Mat,
+    centroids: &Mat,
+    moved: &[u32],
+    assignments: &mut [u32],
+    best: &mut [f32],
+) -> u64 {
+    use hermes_math::block::{l2_sq_block, nearest_rows_l2};
+    if moved.is_empty() {
+        return 0;
+    }
+    let packed = centroids.gather_rows(moved.iter().map(|&c| c as usize));
+    // With every centroid moved no cached distance decides anything: the
+    // first sweep, and any later one like it, is the full one.
+    let any_unmoved = moved.len() < centroids.rows();
+    let mut is_moved = vec![false; centroids.rows()];
+    for &c in moved {
+        is_moved[c as usize] = true;
+    }
+    let blocks: Vec<_> = assignments
+        .chunks_mut(SWEEP_ROWS)
+        .zip(best.chunks_mut(SWEEP_ROWS))
+        .enumerate()
+        .map(|(b, cache)| (b * SWEEP_ROWS, Mutex::new(cache)))
+        .collect();
+    let pairs = hermes_pool::Pool::global().parallel_map(&blocks, |(first, cache)| {
+        let mut cache = cache.lock().expect("a sweep block has one task");
+        let (assignments, best) = &mut *cache;
+        // Rows to score against the moved centroids, and against all.
+        let (mut some, mut all) = ([0u32; SWEEP_ROWS], [0u32; SWEEP_ROWS]);
+        let (mut n_some, mut n_all) = (0, 0);
+        let mut rescored = 0;
+        for (j, (&own, best)) in assignments.iter().zip(best.iter_mut()).enumerate() {
+            let row = first + j;
+            if is_moved[own as usize] {
+                let mut new = [0.0f32];
+                if any_unmoved {
+                    let own = centroids.row(own as usize);
+                    l2_sq_block(data.row(row), own, data.cols(), &mut new);
+                    rescored += 1;
+                }
+                if any_unmoved && new[0] <= *best {
+                    *best = new[0];
+                } else {
+                    all[n_all] = row as u32;
+                    n_all += 1;
+                    continue;
+                }
+            }
+            some[n_some] = row as u32;
+            n_some += 1;
+        }
+        let (some, all) = (&some[..n_some], &all[..n_all]);
+        let mut nearest = [(0u32, 0.0f32); SWEEP_ROWS];
+        nearest_rows_l2(data.as_slice(), some, &packed, &mut nearest[..n_some]);
+        for (&row, &(m, d)) in some.iter().zip(&nearest) {
+            let (j, c) = (row as usize - first, moved[m as usize]);
+            if d < best[j] || (d == best[j] && c < assignments[j]) {
+                (assignments[j], best[j]) = (c, d);
+            }
+        }
+        nearest_rows_l2(data.as_slice(), all, centroids, &mut nearest[..n_all]);
+        for (&row, &nearest) in all.iter().zip(&nearest) {
+            let j = row as usize - first;
+            (assignments[j], best[j]) = nearest;
+        }
+        (rescored + n_some * moved.len() + n_all * centroids.rows()) as u64
+    });
+    pairs.iter().sum()
 }
 
 fn farthest_point(data: &Mat, centroids: &Mat, assignments: &[u32]) -> usize {
@@ -450,9 +551,6 @@ fn farthest_point(data: &Mat, centroids: &Mat, assignments: &[u32]) -> usize {
     far
 }
 
-/// Draws a uniformly random row subsample of `fraction` (clamped to at
-/// least one row) — the 1–2% subsampling the paper uses to make multi-seed
-/// K-means sweeps affordable on 100M+ document datastores.
 /// Folds one vector into a running mean: `c ← c + (v − c)/n` where `n`
 /// is the member count *including* `v`. This is the numerically stable
 /// Welford-style form the clustered store uses to keep split centroids
@@ -489,13 +587,15 @@ pub fn running_downdate(centroid: &mut [f32], v: &[f32], count_after: usize) {
     }
 }
 
+/// Draws a uniformly random row subsample of `fraction` (clamped to at
+/// least one row) — the 1–2% subsampling the paper uses to make multi-seed
+/// K-means sweeps affordable on 100M+ document datastores.
 pub fn subsample(data: &Mat, fraction: f64, seed: u64) -> Mat {
     let n = data.rows();
     let take = ((n as f64 * fraction.clamp(0.0, 1.0)).round() as usize).clamp(1, n);
     let mut idx: Vec<usize> = (0..n).collect();
     seeded_rng(seed).shuffle(&mut idx);
-    let rows: Vec<Vec<f32>> = idx[..take].iter().map(|&i| data.row(i).to_vec()).collect();
-    Mat::from_rows(&rows)
+    data.gather_rows(idx[..take].iter().copied())
 }
 
 /// Per-seed outcome of an imbalance sweep.
@@ -923,5 +1023,200 @@ mod tests {
         let mut lone = [2.0f32, 2.0];
         running_downdate(&mut lone, &[2.0, 2.0], 0);
         assert_eq!(lone, [2.0, 2.0]);
+    }
+
+    /// The oracle: Lloyd's algorithm with a plain full sweep — every row
+    /// against every centroid, one row at a time — per iteration and
+    /// once more at the end. [`lloyd`] must match it to the last bit.
+    fn full_sweep_lloyd(data: &Mat, init: Mat, cfg: &KMeansConfig) -> KMeans {
+        use hermes_math::block::nearest_row_l2;
+        let mut centroids = init;
+        let mut assignments = vec![0u32; data.rows()];
+        let mut inertia = f64::INFINITY;
+        let mut iterations = 0;
+        for iter in 0..cfg.max_iters.max(1) {
+            iterations = iter + 1;
+            let mut new_inertia = 0.0f64;
+            for (i, row) in data.iter_rows().enumerate() {
+                let (c, d) = nearest_row_l2(row, &centroids);
+                assignments[i] = c as u32;
+                new_inertia += d as f64;
+            }
+            centroids = update_centroids(data, &centroids, &assignments);
+            let improved = (inertia - new_inertia) / new_inertia.max(f64::MIN_POSITIVE);
+            inertia = new_inertia;
+            if improved.abs() < cfg.tolerance && iter > 0 {
+                break;
+            }
+        }
+        let mut cluster_sizes = vec![0usize; centroids.rows()];
+        let mut final_inertia = 0.0f64;
+        for (i, row) in data.iter_rows().enumerate() {
+            let (c, d) = nearest_row_l2(row, &centroids);
+            assignments[i] = c as u32;
+            cluster_sizes[c] += 1;
+            final_inertia += d as f64;
+        }
+        KMeans {
+            centroids,
+            assignments,
+            cluster_sizes,
+            inertia: final_inertia,
+            iterations,
+        }
+    }
+
+    /// Trains from `init` both ways and holds every output of the
+    /// incremental trainer to the oracle's bits. Returns the model and
+    /// the (row, centroid) pairs its sweeps scored.
+    fn assert_matches_oracle(
+        what: &str,
+        data: &Mat,
+        init: Mat,
+        cfg: &KMeansConfig,
+    ) -> (KMeans, u64) {
+        let want = full_sweep_lloyd(data, init.clone(), cfg);
+        let (got, pairs) = lloyd(data, init, cfg);
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.assignments(), want.assignments(), "{what}: assignments");
+        assert_eq!(got.cluster_sizes(), want.cluster_sizes(), "{what}: sizes");
+        assert_eq!(
+            bits(got.centroids()),
+            bits(want.centroids()),
+            "{what}: centroids"
+        );
+        assert_eq!(
+            got.inertia().to_bits(),
+            want.inertia().to_bits(),
+            "{what}: inertia"
+        );
+        assert_eq!(got.iterations(), want.iterations(), "{what}: iterations");
+        (got, pairs)
+    }
+
+    /// `n` rows around `topics` random centres: enough rows for several
+    /// sweep blocks with a ragged last one, `dim` free to leave a SIMD
+    /// tail.
+    fn topical(n: usize, dim: usize, topics: usize, seed: u64) -> Mat {
+        let mut rng = seeded_rng(seed);
+        let centres: Vec<f32> = (0..topics * dim).map(|_| rng.next_f32() * 8.0).collect();
+        let mut flat = Vec::with_capacity(n * dim);
+        for i in 0..n {
+            let centre = &centres[i % topics * dim..][..dim];
+            flat.extend(centre.iter().map(|c| c + rng.next_f32() - 0.5));
+        }
+        Mat::from_flat(n, dim, flat)
+    }
+
+    #[test]
+    fn incremental_lloyd_is_the_full_sweep_lloyd_to_the_bit() {
+        // k = 70 crosses a centroid cache block; 1 and 25 iterations: a
+        // run cut off while everything still moves, and a converged one.
+        for (n, dim, k) in [(900, 19, 70), (700, 64, 12), (300, 3, 2)] {
+            let data = topical(n, dim, 9, n as u64);
+            for max_iters in [1, 25] {
+                for init in [Init::Random, Init::KMeansPlusPlus] {
+                    let cfg = KMeansConfig::new(k)
+                        .with_seed(5)
+                        .with_init(init)
+                        .with_max_iters(max_iters);
+                    let mut rng = seeded_rng(cfg.seed);
+                    let start = match init {
+                        Init::Random => init_random(&data, k, &mut rng),
+                        Init::KMeansPlusPlus => init_plus_plus(&data, k, &mut rng),
+                    };
+                    let what = format!("{n}x{dim} k{k} {init:?} {max_iters} iters");
+                    let (model, _) = assert_matches_oracle(&what, &data, start, &cfg);
+                    // `train` is the same trainer behind the same init.
+                    let trained = KMeans::train(&data, &cfg);
+                    assert_eq!(trained.assignments(), model.assignments(), "{what}");
+                    assert_eq!(
+                        trained.inertia().to_bits(),
+                        model.inertia().to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_lloyd_matches_the_oracle_on_degenerate_inputs() {
+        let cfg = KMeansConfig::new(4);
+        let data = topical(600, 5, 3, 77);
+
+        // A centroid nobody is near: its cluster is empty after the
+        // first sweep and is repaired from the farthest point.
+        let mut init = init_random(&data, 4, &mut seeded_rng(1));
+        init.row_mut(2).fill(1.0e6);
+        let (model, _) = assert_matches_oracle("empty-cluster repair", &data, init, &cfg);
+        assert!(model.cluster_sizes().iter().all(|&s| s > 0));
+
+        // All rows equal: every distance ties, the lowest index wins and
+        // every other cluster is repaired onto the same point.
+        let same = Mat::from_flat(300, 5, [1.0, 2.0, 3.0, 4.0, 5.0].repeat(300));
+        let init = init_random(&same, 4, &mut seeded_rng(2));
+        let (model, _) = assert_matches_oracle("all-duplicate data", &same, init, &cfg);
+        assert_eq!(model.cluster_sizes()[0], 300);
+
+        // k >= rows: every row is a centroid.
+        let few = topical(7, 5, 2, 78);
+        let init = init_random(&few, 7, &mut seeded_rng(3));
+        assert_matches_oracle("k = rows", &few, init, &KMeansConfig::new(7));
+
+        // A NaN row scores NaN against everything: it stays on centroid
+        // 0 at distance +inf, and poisons that centroid and the inertia
+        // exactly as it does in the oracle.
+        let mut dirty = topical(600, 5, 3, 79);
+        dirty.row_mut(300)[2] = f32::NAN;
+        let init = init_random(&data, 4, &mut seeded_rng(4));
+        let (model, _) = assert_matches_oracle("NaN row", &dirty, init, &cfg);
+        assert_eq!(model.assignments()[300], 0);
+        assert_eq!(model.inertia(), f64::INFINITY);
+    }
+
+    #[test]
+    fn a_tie_with_a_moved_centroid_goes_to_the_lower_index() {
+        // Exact ties between a moved centroid and a row's unmoved own
+        // one do not survive a real update step, so the sweep is driven
+        // by hand: two rows at 1.0 between centroids 1.0 away on either
+        // side.
+        let data = Mat::from_flat(2, 1, vec![1.0, 1.0]);
+        let mut assignments = vec![0u32; 2];
+        let mut best = vec![f32::INFINITY; 2];
+        let mut sweep = |table: [f32; 2], moved: &[u32], want: (u32, f32)| {
+            let table = Mat::from_flat(2, 1, table.to_vec());
+            reassign(&data, &table, moved, &mut assignments, &mut best);
+            for (i, row) in data.iter_rows().enumerate() {
+                let (c, d) = hermes_math::block::nearest_row_l2(row, &table);
+                assert_eq!((assignments[i], best[i]), (c as u32, d), "{table:?}");
+                assert_eq!((assignments[i], best[i]), want, "{table:?}");
+            }
+        };
+        sweep([5.0, 0.0], &[0, 1], (1, 1.0));
+        // Centroid 0 moves into a tie with the rows' own centroid 1 and
+        // takes them: a full sweep meets it first.
+        sweep([2.0, 0.0], &[0], (0, 1.0));
+        // Centroid 1 moves to the same tie and does not take them back.
+        sweep([2.0, 2.0], &[1], (0, 1.0));
+        // Their own centroid moves away: full scan, centroid 1 wins.
+        sweep([3.0, 2.0], &[0], (1, 1.0));
+    }
+
+    #[test]
+    fn a_converged_run_scores_well_under_the_full_sweeps_pairs() {
+        // The shape of a shard's coarse quantizer: many lists, few rows
+        // per list, run to convergence.
+        let (n, k) = (3000, 110);
+        let data = topical(n, 16, 10, 80);
+        let cfg = KMeansConfig::new(k).with_seed(6);
+        let init = init_random(&data, k, &mut seeded_rng(cfg.seed));
+        let (model, pairs) = assert_matches_oracle("pair count", &data, init, &cfg);
+        assert!(model.iterations() < cfg.max_iters, "did not converge");
+        let full = ((model.iterations() + 1) * n * k) as u64;
+        assert!(
+            (pairs as f64) < 0.6 * full as f64,
+            "scored {pairs} of the full sweeps' {full} pairs"
+        );
     }
 }

@@ -391,41 +391,100 @@ pub fn cosine_block(query: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
     cosine_block_at(simd_level(), query, rows, dim, out);
 }
 
+/// Rows per cache block of [`nearest_rows_l2_at`]: at 64 dims a block
+/// of rows is 8 KB and a [`BLOCK`] of centroids 16 KB, so both operands
+/// of the tile loop stay L1-resident and the centroid table streams from
+/// L2 once per `ARGMIN_ROWS` rows instead of once per row.
+const ARGMIN_ROWS: usize = 32;
+
+/// L2 argmin of many rows against one centroid table at an explicit
+/// dispatch level — the one argmin behind K-means assignment, IVF coarse
+/// assignment and PQ subspace encoding. `data` is a flat row-major
+/// buffer `table.cols()` wide; for each `rows[i]` (any subset, any
+/// order, repeats allowed) `out[i]` becomes the index of the nearest row
+/// of `table` and its squared distance, `(0, +inf)` when nothing scores
+/// below `+inf` (an empty table, a NaN row).
+///
+/// Walks row blocks x centroid blocks; AVX2 scores them with a 2 x 4
+/// register tile, the other levels with [`l2_sq_block_at`] row by row.
+/// Every distance is bit-identical to that level's single-row kernel
+/// (tier B: tiling only interleaves independent per-pair chains), and
+/// every row meets the centroids in ascending index under a strict `<`,
+/// so the first index wins ties and NaN never wins: the result does not
+/// depend on which rows share a call.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != out.len()` or a row index is past the end of
+/// `data`.
+pub fn nearest_rows_l2_at(
+    level: SimdLevel,
+    data: &[f32],
+    rows: &[u32],
+    table: &Mat,
+    out: &mut [(u32, f32)],
+) {
+    let dim = table.cols();
+    let k = table.rows();
+    assert_eq!(rows.len(), out.len(), "one result slot per row");
+    assert!(
+        rows.iter().all(|&r| (r as usize + 1) * dim <= data.len()),
+        "row index past the end of a {}-float buffer of {dim}-dim rows",
+        data.len()
+    );
+    for (rows, out) in rows.chunks(ARGMIN_ROWS).zip(out.chunks_mut(ARGMIN_ROWS)) {
+        out.fill((0, f32::INFINITY));
+        for base in (0..k).step_by(BLOCK) {
+            let bn = BLOCK.min(k - base);
+            let block = &table.as_slice()[base * dim..(base + bn) * dim];
+            match level {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the guard proves AVX2 and FMA; the kernel
+                // slices every operand, so shapes are checked there.
+                SimdLevel::Avx2 if level.is_supported() => unsafe {
+                    crate::simd::avx2::l2_argmin_block(data, dim, rows, block, bn, base as u32, out)
+                },
+                _ => {
+                    let mut buf = [0.0f32; BLOCK];
+                    for (&r, best) in rows.iter().zip(out.iter_mut()) {
+                        let row = &data[r as usize * dim..(r as usize + 1) * dim];
+                        l2_sq_block_at(level, row, block, dim, &mut buf[..bn]);
+                        for (j, &d) in buf[..bn].iter().enumerate() {
+                            if d < best.1 {
+                                *best = ((base + j) as u32, d);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`nearest_rows_l2_at`] at the process-wide dispatch level.
+pub fn nearest_rows_l2(data: &[f32], rows: &[u32], table: &Mat, out: &mut [(u32, f32)]) {
+    nearest_rows_l2_at(simd_level(), data, rows, table, out);
+}
+
 /// Index and squared distance of the row of `rows` nearest to `query`
-/// under L2 at an explicit dispatch level — the blocked argmin behind
-/// K-means assignment, IVF coarse probing and PQ subspace encoding.
-/// First index wins ties, matching the scalar `d < best` loop it
-/// replaces. Returns `(0, +inf)` for an empty matrix.
+/// under L2 at an explicit dispatch level: the one-row call of
+/// [`nearest_rows_l2_at`]. First index wins ties; `(0, +inf)` for an
+/// empty matrix.
 ///
 /// # Panics
 ///
 /// Panics if `query.len() != rows.cols()`.
 pub fn nearest_row_l2_at(level: SimdLevel, query: &[f32], rows: &Mat) -> (usize, f32) {
-    let dim = rows.cols();
-    let data = rows.as_slice();
-    let n = rows.rows();
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    let mut buf = [0.0f32; BLOCK];
-    let mut base = 0;
-    while base < n {
-        let bn = BLOCK.min(n - base);
-        l2_sq_block_at(
-            level,
-            query,
-            &data[base * dim..(base + bn) * dim],
-            dim,
-            &mut buf[..bn],
-        );
-        for (j, &d) in buf[..bn].iter().enumerate() {
-            if d < best_d {
-                best_d = d;
-                best = base + j;
-            }
-        }
-        base += bn;
-    }
-    (best, best_d)
+    assert_eq!(
+        query.len(),
+        rows.cols(),
+        "query dimension mismatch: query has {} dims, rows have {}",
+        query.len(),
+        rows.cols()
+    );
+    let mut out = [(0, f32::INFINITY)];
+    nearest_rows_l2_at(level, query, &[0], rows, &mut out);
+    (out[0].0 as usize, out[0].1)
 }
 
 /// [`nearest_row_l2_at`] at the process-wide dispatch level.
@@ -970,6 +1029,100 @@ mod tests {
         for level in SimdLevel::available() {
             assert_eq!(nearest_row_l2_at(level, &query, &mat).0, want, "{level}");
         }
+    }
+
+    /// The argmin oracle: the level's blocked single-query kernel against
+    /// the whole table, then the plain strict-`<` scan.
+    fn argmin_oracle(level: SimdLevel, row: &[f32], table: &Mat) -> (u32, f32) {
+        let mut dists = vec![0.0f32; table.rows()];
+        l2_sq_block_at(level, row, table.as_slice(), table.cols(), &mut dists);
+        let mut best = (0, f32::INFINITY);
+        for (c, &d) in dists.iter().enumerate() {
+            if d < best.1 {
+                best = (c as u32, d);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn multi_row_argmin_is_the_per_row_argmin_to_the_bit() {
+        use hermes_testkit::prelude::*;
+        // Rows and centroids past one and two cache blocks with every
+        // ragged row pair and centroid tile; dims with every SIMD tail.
+        let shape = tuple3(usize_in(0..71), usize_in(1..71), usize_in(1..81));
+        check(
+            "multi_row_argmin_is_the_per_row_argmin_to_the_bit",
+            &tuple2(shape, u64_any()),
+            |&((n, k, dim), seed)| {
+                let mut rng = seeded_rng(seed);
+                // A coarse grid makes exact distance ties common; one
+                // value in 40 is NaN or an infinity.
+                let grid = rng.gen_range(0..2usize) == 0;
+                let value = |rng: &mut crate::rng::SeededRng| match rng.gen_range(0..40usize) {
+                    0 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)],
+                    _ if grid => rng.gen_range(0..3usize) as f32 - 1.0,
+                    _ => rng.next_f32() * 2.0 - 1.0,
+                };
+                // A third of the centroids repeat an earlier one (ties go
+                // to the lowest index); a third of the rows sit on a
+                // centroid.
+                let mut table: Vec<f32> = Vec::with_capacity(k * dim);
+                for c in 0..k {
+                    if c > 0 && rng.gen_range(0..3usize) == 0 {
+                        let from = rng.gen_range(0..c) * dim;
+                        table.extend_from_within(from..from + dim);
+                    } else {
+                        table.extend((0..dim).map(|_| value(&mut rng)));
+                    }
+                }
+                let mut data: Vec<f32> = Vec::with_capacity(n * dim);
+                for _ in 0..n {
+                    if rng.gen_range(0..3usize) == 0 {
+                        let from = rng.gen_range(0..k) * dim;
+                        data.extend_from_slice(&table[from..from + dim]);
+                    } else {
+                        data.extend((0..dim).map(|_| value(&mut rng)));
+                    }
+                }
+                let table = Mat::from_flat(k, dim, table);
+                // Any subset: out of order, with repeats, possibly empty.
+                let picks = if n == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..2 * n + 1)
+                };
+                let rows: Vec<u32> = (0..picks).map(|_| rng.gen_range(0..n) as u32).collect();
+                for level in SimdLevel::available() {
+                    let mut got = vec![(9u32, 9.0f32); rows.len()];
+                    nearest_rows_l2_at(level, &data, &rows, &table, &mut got);
+                    for (&r, &(c, d)) in rows.iter().zip(&got) {
+                        let row = &data[r as usize * dim..(r as usize + 1) * dim];
+                        let want = argmin_oracle(level, row, &table);
+                        prop_assert!(
+                            (c, d.to_bits()) == (want.0, want.1.to_bits()),
+                            "{level} n{n} k{k} dim{dim} row {r}: ({c}, {d:e}) vs ({}, {:e})",
+                            want.0,
+                            want.1
+                        );
+                        let one = nearest_row_l2_at(level, row, &table);
+                        prop_assert!(
+                            (one.0 as u32, one.1.to_bits()) == (c, d.to_bits()),
+                            "{level} n{n} k{k} dim{dim} row {r}: the one-row call differs"
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row index past the end")]
+    fn multi_row_argmin_rejects_a_row_past_the_buffer() {
+        let table = Mat::zeros(3, 2);
+        let mut out = [(0, 0.0)];
+        nearest_rows_l2_at(SimdLevel::Scalar, &[0.0; 4], &[2], &table, &mut out);
     }
 
     #[test]

@@ -72,6 +72,27 @@ impl Mat {
         Mat { rows, cols, data }
     }
 
+    /// Copies the given rows, in the order given, into a new matrix —
+    /// one flat allocation, no per-row `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is `>= rows`.
+    pub fn gather_rows(&self, rows: impl IntoIterator<Item = usize>) -> Self {
+        let rows = rows.into_iter();
+        let mut data = Vec::with_capacity(rows.size_hint().0 * self.cols);
+        let mut n = 0;
+        for i in rows {
+            data.extend_from_slice(self.row(i));
+            n += 1;
+        }
+        Mat {
+            rows: n,
+            cols: self.cols,
+            data,
+        }
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -214,6 +235,14 @@ mod tests {
         assert_eq!(m.row(1), &[3.0, 4.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
+    }
+
+    #[test]
+    fn gather_rows_copies_in_the_order_given() {
+        let m = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let g = m.gather_rows([2, 0, 2]);
+        assert_eq!(g, Mat::from_flat(3, 2, vec![5.0, 6.0, 1.0, 2.0, 5.0, 6.0]));
+        assert_eq!(m.gather_rows([]), Mat::zeros(0, 2));
     }
 
     #[test]

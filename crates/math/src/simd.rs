@@ -446,6 +446,111 @@ pub(crate) mod avx2 {
         }
     }
 
+    /// Squared distances of two rows to four centroids: the eight
+    /// accumulators share six loads per chunk, where eight [`l2_row`]s
+    /// make sixteen. Every (row, centroid) accumulator runs
+    /// [`l2_row`]'s own chain — `fmadd(d, d, acc)` over `d = x - c`
+    /// chunk by chunk, the in-order lane sum, the scalar `mul_add` tail
+    /// — so each distance is bit-identical to it.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn l2_tile2x4(x: [&[f32]; 2], c: [&[f32]; 4]) -> [[f32; 4]; 2] {
+        let n = x[0].len();
+        let chunks = n / 8;
+        let mut acc = [[_mm256_setzero_ps(); 4]; 2];
+        for ch in 0..chunks {
+            let b = ch * 8;
+            let xa = [
+                _mm256_loadu_ps(x[0].as_ptr().add(b)),
+                _mm256_loadu_ps(x[1].as_ptr().add(b)),
+            ];
+            for (t, cen) in c.iter().enumerate() {
+                let ca = _mm256_loadu_ps(cen.as_ptr().add(b));
+                for r in 0..2 {
+                    let d = _mm256_sub_ps(xa[r], ca);
+                    acc[r][t] = _mm256_fmadd_ps(d, d, acc[r][t]);
+                }
+            }
+        }
+        let mut out = [hsum4_in_order(&acc[0]), hsum4_in_order(&acc[1])];
+        for (row, sums) in x.iter().zip(&mut out) {
+            for (cen, sum) in c.iter().zip(sums) {
+                for i in chunks * 8..n {
+                    let d = row[i] - cen[i];
+                    *sum = d.mul_add(d, *sum);
+                }
+            }
+        }
+        out
+    }
+
+    /// One cache block of the multi-row L2 argmin
+    /// (`block::nearest_rows_l2_at`): scores rows `rows` of `data` (flat,
+    /// `dim` wide) against the `n` centroids of `block`, the first of
+    /// which is centroid `base` of its table, and folds each distance
+    /// into that row's running `(index, distance)` in `best` — centroids
+    /// in ascending order under a strict `<`, so the first index wins
+    /// ties and NaN never wins. Rows go two at a time through
+    /// [`l2_tile2x4`]; an odd last row (the one-row call) goes through
+    /// [`l2_tile4`] and [`l2_row`], as a single query always has.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. Shapes are checked: every
+    /// operand is sliced, so a bad row index or a short block panics.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn l2_argmin_block(
+        data: &[f32],
+        dim: usize,
+        rows: &[u32],
+        block: &[f32],
+        n: usize,
+        base: u32,
+        best: &mut [(u32, f32)],
+    ) {
+        let row = |r: u32| &data[r as usize * dim..(r as usize + 1) * dim];
+        let cen = |c: usize| &block[c * dim..(c + 1) * dim];
+        // Selects, not branches: where the minimum falls is data.
+        let fold = |best: &mut (u32, f32), c: usize, d: f32| {
+            let nearer = d < best.1;
+            best.0 = if nearer { base + c as u32 } else { best.0 };
+            best.1 = if nearer { d } else { best.1 };
+        };
+        let mut r = 0;
+        while r + 2 <= rows.len() {
+            let x = [row(rows[r]), row(rows[r + 1])];
+            let (mut b0, mut b1) = (best[r], best[r + 1]);
+            for c in (0..n).step_by(4) {
+                // A ragged last tile repeats the last centroid; a repeat
+                // scores that centroid's distance again, which a strict
+                // `<` never takes.
+                let at = |j: usize| cen((c + j).min(n - 1));
+                let d = l2_tile2x4(x, [at(0), at(1), at(2), at(3)]);
+                for (j, (&d0, &d1)) in d[0].iter().zip(&d[1]).enumerate() {
+                    fold(&mut b0, c + j, d0);
+                    fold(&mut b1, c + j, d1);
+                }
+            }
+            (best[r], best[r + 1]) = (b0, b1);
+            r += 2;
+        }
+        if r < rows.len() {
+            let x = row(rows[r]);
+            let (mut b, mut d) = (best[r], [0.0f32; 4]);
+            let quads = n / 4 * 4;
+            for c in (0..quads).step_by(4) {
+                l2_tile4(x, [cen(c), cen(c + 1), cen(c + 2), cen(c + 3)], &mut d);
+                for (j, &d) in d.iter().enumerate() {
+                    fold(&mut b, c + j, d);
+                }
+            }
+            for c in quads..n {
+                fold(&mut b, c, l2_row(x, cen(c)));
+            }
+            best[r] = b;
+        }
+    }
+
     /// Codes per tile: one AVX2 lane per code.
     const LANES: usize = 8;
 

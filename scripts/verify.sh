@@ -16,13 +16,16 @@ cargo test -q --offline
 # cores) — the suites whose behaviour depends on the width: the pool
 # itself, the engine and serving crates that fan out on it, and the
 # root suites that pin pooled paths bit-identical to sequential ones;
-# and the index crate, whose group scan keeps its scratch per thread
+# the index crate, whose group scan keeps its scratch per thread
 # (the row-plan suites: plans across list boundaries, a scan without
-# the thread's scratch). Both sweeps must pass with no goldens re-tuned.
+# the thread's scratch); and k-means, whose sweep fans out over row
+# blocks (the full-sweep oracle suites, and the published store image
+# pinned in `determinism`). Both sweeps must pass with no goldens
+# re-tuned.
 for threads in 1 16; do
     echo "== re-running width-dependent suites with HERMES_THREADS=${threads} =="
     HERMES_THREADS="${threads}" cargo test -q --offline \
-        -p hermes-pool -p hermes-index -p hermes-core -p hermes-serve
+        -p hermes-pool -p hermes-kmeans -p hermes-index -p hermes-core -p hermes-serve
     HERMES_THREADS="${threads}" cargo test -q --offline -p hermes \
         --test engine_equivalence --test serving_equivalence \
         --test adaptive_cache_equivalence --test mutation_equivalence \
@@ -37,11 +40,13 @@ done
 # level, query-tile width and segmentation (the segment-kernel grids in
 # hermes-math / hermes-quant / simd_differential and the row-plan
 # oracles in hermes-index), f32 scoring to a 256-ULP envelope, engine
-# paths to each other. No re-tuning at either level.
+# paths to each other; and k-means, whose sweep kernel dispatches on
+# the level (incremental trainer vs full-sweep oracle, bit for bit).
+# No re-tuning at either level.
 for simd in auto scalar; do
     echo "== re-running dispatch-dependent suites with HERMES_SIMD=${simd} =="
     HERMES_SIMD="${simd}" cargo test -q --offline \
-        -p hermes-math -p hermes-quant -p hermes-index
+        -p hermes-math -p hermes-kmeans -p hermes-quant -p hermes-index
     HERMES_SIMD="${simd}" cargo test -q --offline -p hermes \
         --test simd_differential --test properties --test engine_equivalence
 done

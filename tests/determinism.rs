@@ -90,3 +90,54 @@ fn different_seeds_produce_different_stores() {
         "different seeds should perturb the split"
     );
 }
+
+/// Build-speed work (incremental Lloyd sweeps, the tiled multi-row
+/// argmin, flat shard gathers, exact list reservations) must not move a
+/// byte of what a build publishes. These are FNV `checksum64`s of the
+/// paged `HPGS` image of a benchmark-shaped store — 10 topics, the
+/// benchmark's `HermesConfig`, 64 dims, and a 20-dim twin whose rows
+/// leave a ragged SIMD tail — and of the same store after one live
+/// `Split` of its largest cluster, captured on the commit before that
+/// work (`ba41bdb`) at `HERMES_THREADS` 1 and 16. AVX2 and the scalar
+/// reference published the same bytes there (they agree on every
+/// assignment, and centroids and codes are computed from assignments by
+/// scalar code); no NEON box has captured its image, so NEON is not
+/// held to it. `scripts/verify.sh` runs this at both pool widths.
+#[test]
+fn published_store_image_is_pinned_to_the_byte() {
+    use hermes::math::wire::checksum64;
+    if simd_level() == SimdLevel::Neon {
+        return;
+    }
+    // (docs, dim, [built, after the split]).
+    let goldens = [
+        (4000, 64, [0xb71d_5719_c21e_e221u64, 0xaa1e_5053_4176_ebfc]),
+        (1500, 20, [0x22b5_5017_7abc_97a9, 0x433e_00fe_d8ff_7f99]),
+    ];
+    for (docs, dim, want) in goldens {
+        let corpus = Corpus::generate(CorpusSpec::new(docs, dim, 10).with_seed(0x4E52_4D45));
+        let cfg = HermesConfig::new(10)
+            .with_clusters_to_search(3)
+            .with_sample_nprobe(8)
+            .with_deep_nprobe(128)
+            .with_k(10)
+            .with_seed(0x4E52_4D46);
+        let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+        let sizes = store.cluster_sizes();
+        let cluster = (0..sizes.len())
+            .max_by_key(|&c| (sizes[c], std::cmp::Reverse(c)))
+            .unwrap();
+        let split = Rebalancer::default()
+            .apply(&store, RebalanceAction::Split { cluster })
+            .unwrap();
+        let got = [&store, &split].map(|s| checksum64(&s.to_paged_bytes()));
+        assert_eq!(
+            got,
+            want,
+            "{docs} x {dim} at {}: got [{:#018x}, {:#018x}]",
+            simd_level(),
+            got[0],
+            got[1]
+        );
+    }
+}

@@ -347,3 +347,77 @@ fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
         },
     );
 }
+
+/// The multi-row L2 argmin (the K-means sweep kernel) on hostile data:
+/// the case's rows, a repeat of the first and a NaN and an infinite row
+/// as the centroid table; the query, every centroid itself (distance 0,
+/// duplicate included, so ties must go to the lowest index) and rows
+/// poisoned with NaN / ±Inf as the data, taken as a subset in reverse
+/// with a repeat. At every runnable level each result equals the
+/// level's single-query block kernel followed by a plain strict-`<`
+/// scan — index and distance bits — and the one-row `nearest_row_l2_at`.
+#[test]
+fn adversarial_multi_row_argmin_matches_the_per_row_scan() {
+    use hermes::math::block::{l2_sq_block_at, nearest_row_l2_at, nearest_rows_l2_at};
+    check_with(
+        "adversarial_multi_row_argmin_matches_the_per_row_scan",
+        &cfg(32),
+        &AdversarialCase,
+        |case| {
+            let dim = case.dim;
+            let poisoned = |at: usize, v: f32| {
+                let mut row = case.query.clone();
+                row[at % dim] = v;
+                row
+            };
+            let mut table = case.rows.clone();
+            table.push(case.rows[0].clone());
+            table.push(poisoned(1, f32::NAN));
+            table.push(poisoned(2, f32::INFINITY));
+            let table = Mat::from_rows(&table);
+            let mut data = vec![case.query.clone()];
+            data.extend(table.iter_rows().map(<[f32]>::to_vec));
+            data.push(poisoned(0, f32::NAN));
+            data.push(poisoned(3, f32::NEG_INFINITY));
+            let data = Mat::from_rows(&data);
+            let mut rows: Vec<u32> = (0..data.rows() as u32).rev().collect();
+            rows.push(1);
+            for level in SimdLevel::available() {
+                let mut got = vec![(0u32, 0.0f32); rows.len()];
+                nearest_rows_l2_at(level, data.as_slice(), &rows, &table, &mut got);
+                let mut dists = vec![0.0f32; table.rows()];
+                for (&r, &(c, d)) in rows.iter().zip(&got) {
+                    let row = data.row(r as usize);
+                    l2_sq_block_at(level, row, table.as_slice(), dim, &mut dists);
+                    let mut want = (0u32, f32::INFINITY);
+                    for (i, &x) in dists.iter().enumerate() {
+                        if x < want.1 {
+                            want = (i as u32, x);
+                        }
+                    }
+                    prop_assert!(
+                        (c, d.to_bits()) == (want.0, want.1.to_bits()),
+                        "{} dim {} k {} row {}: ({}, {:e}) vs the scan's ({}, {:e})",
+                        level,
+                        dim,
+                        table.rows(),
+                        r,
+                        c,
+                        d,
+                        want.0,
+                        want.1
+                    );
+                    let one = nearest_row_l2_at(level, row, &table);
+                    prop_assert!(
+                        (one.0 as u32, one.1.to_bits()) == (c, d.to_bits()),
+                        "{} dim {} row {}: the one-row call differs",
+                        level,
+                        dim,
+                        r
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}

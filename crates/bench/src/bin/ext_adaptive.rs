@@ -25,7 +25,10 @@
 //!   (repeated / bursty / drifting, `hermes_datagen::workload`) run
 //!   through the serving layer with and without a [`CachedBackend`];
 //!   the repeated-Zipf stream must clear **≥30% hit rate** with a
-//!   measured p50/p99 win.
+//!   measured p50/p99 win. A fourth row puts the pool at four times the
+//!   cache, so the replacement policy runs; there the exact hit rate
+//!   must be **no lower than an exact-match LRU model's** on the same
+//!   stream.
 //!
 //! Contracts re-checked on every run (smoke included):
 //! * a degenerate adaptive config (floor = ceiling = the paper knobs) is
@@ -41,7 +44,9 @@ use hermes_bench::{out_dir, BENCH_SEED};
 use hermes_cache::CacheConfig;
 use hermes_core::exec::{Engine, QueryPlan};
 use hermes_core::{AdaptiveConfig, ClusteredStore, HermesConfig};
-use hermes_datagen::{query_stream, Corpus, CorpusSpec, QuerySet, QuerySpec, StreamSpec};
+use hermes_datagen::{
+    query_stream, Corpus, CorpusSpec, LruModel, QuerySet, QuerySpec, StreamSpec,
+};
 use hermes_index::FlatIndex;
 use hermes_math::Metric;
 use hermes_metrics::{ground_truth, ranking, recall_at_k, DepthHistogram, Row, Table};
@@ -225,6 +230,19 @@ fn main() {
     let pool = QuerySet::generate(&corpus, QuerySpec::new(nq).with_seed(BENCH_SEED + 3));
     let pool_vecs = pool.to_vecs();
     let stream_len = if smoke() { 60 } else { 600 };
+    // The three temporal workloads fit their whole pool in the default
+    // cache, so replacement never runs on them. The fourth row is sized
+    // the other way round (the shape of the repo benchmark's
+    // `zipf_cached_open`): a pool four times the cache, and a stream
+    // long enough past the cold start for the policy to matter. Same
+    // size in smoke mode, so the floor below is checked on what the
+    // table reports.
+    let small_cache = CacheConfig::default().with_capacity(64);
+    let big_pool = QuerySet::generate(
+        &corpus,
+        QuerySpec::new(4 * small_cache.capacity).with_seed(BENCH_SEED + 4),
+    );
+    let long_stream = 4000;
     let server_cfg = ServerConfig {
         queue_capacity: 64,
         max_batch: 8,
@@ -244,11 +262,16 @@ fn main() {
         format!(
             "Extension — semantic cache: hit rate and latency by workload \
              ({stream_len} requests/stream over a {}-query pool, offered load 0.6, \
-             cache capacity 1024, threshold 0.985)",
-            pool_vecs.len()
+             cache capacity {}, threshold 0.985; over-capacity row: {long_stream} requests \
+             over a {}-query pool, cache capacity {}; LRU model: exact-match LRU of the \
+             same capacity on the same stream)",
+            pool_vecs.len(),
+            CacheConfig::default().capacity,
+            big_pool.len(),
+            small_cache.capacity
         ),
         &[
-            "workload", "hit rate", "exact", "semantic", "miss", "stale",
+            "workload", "hit rate", "LRU model", "exact", "semantic", "miss", "stale", "evicted",
             "p50 off (us)", "p50 on (us)", "p99 off (us)", "p99 on (us)",
         ],
     );
@@ -262,12 +285,14 @@ fn main() {
 
     let mut repeated_hit_rate = None;
     let mut repeated_p99 = None;
-    for (name, spec) in [
-        ("repeated (Zipf 1.0)", StreamSpec::repeated(stream_len)),
-        ("bursty (8-runs)", StreamSpec::bursty(stream_len)),
-        ("drifting", StreamSpec::drifting(stream_len)),
+    let fits = CacheConfig::default();
+    for (name, pool, spec, cache_cfg) in [
+        ("repeated (Zipf 1.0)", &pool, StreamSpec::repeated(stream_len), fits),
+        ("bursty (8-runs)", &pool, StreamSpec::bursty(stream_len), fits),
+        ("drifting", &pool, StreamSpec::drifting(stream_len), fits),
+        ("repeated, pool 4x cache", &big_pool, StreamSpec::repeated(long_stream), small_cache),
     ] {
-        let stream = query_stream(&pool, spec.with_seed(BENCH_SEED + 80));
+        let stream = query_stream(pool, spec.with_seed(BENCH_SEED + 80));
 
         let uncached = GenerationBackend::new(cell.clone(), 1);
         let off = run(&uncached, &stream, BENCH_SEED + 81);
@@ -277,7 +302,7 @@ fn main() {
         // recomputation at the current generation.
         let store = cell.current();
         let engine = Engine::for_store(&store);
-        let exact = CachedBackend::new(cell.clone(), 1, CacheConfig::default().exact_only());
+        let exact = CachedBackend::new(cell.clone(), 1, cache_cfg.exact_only());
         let strict = run(&exact, &stream, BENCH_SEED + 81);
         assert_eq!(strict.completions.len(), stream.len(), "{name}: lost requests");
         for c in &strict.completions {
@@ -289,7 +314,7 @@ fn main() {
             );
         }
 
-        let cached = CachedBackend::new(cell.clone(), 1, CacheConfig::default());
+        let cached = CachedBackend::new(cell.clone(), 1, cache_cfg);
         let on = run(&cached, &stream, BENCH_SEED + 81);
 
         // With the semantic layer on, only near-duplicate hits may serve
@@ -309,18 +334,38 @@ fn main() {
 
         let stats = cached.cache_stats();
         let rate = stats.hit_rate();
-        if name.starts_with("repeated") {
+        // What an exact-match LRU of the same capacity hits on the same
+        // stream, request by request in arrival order.
+        let mut lru = LruModel::new(cache_cfg.capacity);
+        let lru_hits = stream
+            .iter()
+            .filter(|q| lru.request(q.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()))
+            .count();
+        let lru_rate = lru_hits as f64 / stream.len() as f64;
+        if name == "repeated (Zipf 1.0)" {
             repeated_hit_rate = Some(rate);
             repeated_p99 = Some((off.serve.sojourn.p99(), on.serve.sojourn.p99()));
+        }
+        if cache_cfg.capacity < pool.len() {
+            // Replacement floor: exact hits alone (no help from the
+            // semantic layer) must match or beat LRU.
+            assert!(stats.evictions > 0, "{name}: the cache never evicted");
+            let exact_rate = stats.exact_hits as f64 / stats.lookups() as f64;
+            assert!(
+                exact_rate >= lru_rate,
+                "{name}: exact hit rate {exact_rate:.4} below the LRU model's {lru_rate:.4}"
+            );
         }
         cache_table.push(Row::new(
             name,
             vec![
-                format!("{:.0}%", rate * 100.0),
+                format!("{:.1}%", rate * 100.0),
+                format!("{:.1}%", lru_rate * 100.0),
                 format!("{}", stats.exact_hits),
                 format!("{}", stats.semantic_hits),
                 format!("{}", stats.misses),
                 format!("{}", stats.stale),
+                format!("{}", stats.evictions),
                 us(off.serve.sojourn.p50()),
                 us(on.serve.sojourn.p50()),
                 us(off.serve.sojourn.p99()),

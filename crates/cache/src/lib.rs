@@ -7,8 +7,8 @@
 //! retrievals) behind two lookup layers:
 //!
 //! 1. **Exact layer** — keyed on the query vector's raw bit pattern
-//!    (FNV-1a over the f32 bytes, collision-checked against the stored
-//!    vector). A repeat of a previously-answered query is a hit with no
+//!    (a four-lane word-wise multiply-mix over the f32 words with fixed
+//!    constants, collision-checked against the stored vector). A repeat of a previously-answered query is a hit with no
 //!    float comparison at all, and the returned payload is byte-for-byte
 //!    the one computed before — bit-identical to recomputation at the
 //!    same store version by construction.
@@ -28,11 +28,23 @@
 //!   counter). A lookup that lands on an entry from another version
 //!   evicts it and reports a *stale* miss instead of serving it; churn
 //!   can therefore never silently serve pre-swap results.
-//! * **Seeded-deterministic eviction** — at capacity, the victim slot is
-//!   drawn from an in-repo ChaCha8 [`hermes_math::SeededRng`]; the same
-//!   operation sequence on the same seed always evicts the same entries,
-//!   keeping cached workloads replayable end to end (randomized ≈ LRU in
-//!   hit rate on Zipf traffic, with none of the clock bookkeeping).
+//! * **Frequency-aware replacement, deterministic by construction** —
+//!   capacity eviction is S3-FIFO: a new entry waits in a small
+//!   probationary FIFO (a tenth of capacity); asked again before it
+//!   reaches the tail it moves to the main FIFO, otherwise it is evicted
+//!   and only its key hash is remembered in a ghost FIFO (bounded by
+//!   capacity), which sends the query straight to the main FIFO should
+//!   it return. Main-queue entries carry a saturating two-bit use
+//!   counter (exact hits, semantic hits and in-place refreshes count)
+//!   and are reinserted at the tail, one use paid, instead of evicted
+//!   while it is non-zero. What the traffic re-asks stays; one-hit
+//!   wonders pass through a tenth of the cache. The victim is a function
+//!   of the operation sequence alone — no random draw, no clock, no
+//!   `HashMap` iteration order — so the same operations always leave the
+//!   same survivors and cached workloads replay end to end. Every
+//!   operation is `O(1)` amortised: queues and posting lists are
+//!   intrusive lists through the entry slab, so any entry unlinks
+//!   without a scan.
 //!
 //! All hit/miss/stale/bypass traffic is mirrored to `hermes-trace`
 //! counters (`cache.hit_exact`, `cache.hit_semantic`, `cache.miss`,
@@ -58,22 +70,25 @@
 //! assert_eq!(cache.stats().stale, 1);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::{HashMap, VecDeque};
 
-use hermes_math::{distance::cosine, rng::SeededRng};
+use hermes_math::distance::cosine;
 
 /// Knobs of a [`SemanticCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
-    /// Maximum resident entries; inserting at capacity evicts a
-    /// seeded-random victim. Must be positive.
+    /// Maximum resident entries; inserting at capacity evicts the
+    /// replacement policy's victim first. Must be positive.
     pub capacity: usize,
     /// Cosine similarity at or above which a stored query counts as a
     /// near-duplicate of the probe. Anything above `1.0` disables the
     /// semantic layer (cosine never exceeds 1), leaving exact-only
     /// caching.
     pub semantic_threshold: f32,
-    /// Seed of the eviction RNG.
+    /// Accepted and ignored: replacement draws no random numbers. The
+    /// field outlives the seeded-random policy it configured only because
+    /// the repo benchmark still sets it (ROADMAP deletion ledger).
     pub seed: u64,
 }
 
@@ -106,7 +121,8 @@ impl CacheConfig {
         self
     }
 
-    /// Sets the eviction RNG seed.
+    /// Accepted and ignored (see [`CacheConfig::seed`]): two caches that
+    /// differ only in seed behave identically.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -128,7 +144,7 @@ pub struct CacheStats {
     /// Requests that skipped the cache entirely (caller-declared, e.g. a
     /// disabled cache path or an uncacheable request).
     pub bypass: u64,
-    /// Successful inserts.
+    /// Successful inserts (in-place refreshes included).
     pub insertions: u64,
     /// Capacity evictions (stale evictions are counted separately).
     pub evictions: u64,
@@ -169,6 +185,48 @@ pub struct SemanticHit<T> {
     pub similarity: f32,
 }
 
+/// "No slot": the end of an intrusive list.
+const NIL: usize = usize::MAX;
+
+/// The probationary queue's share of capacity is one part in this many
+/// (at least one entry): the S3-FIFO paper's 10 %, small enough that
+/// one-hit wonders cost a tenth of the cache, large enough that a repeat
+/// usually arrives before its entry reaches the tail.
+const SMALL_SHARE: usize = 10;
+
+/// Use-counter ceiling (two bits): however hot an entry was, once the
+/// traffic stops asking for it, it outlives at most this many passes of
+/// the main queue's head.
+const MAX_USES: u8 = 3;
+
+/// The two intrusive lists every resident entry is on, as indices into
+/// [`Entry::links`].
+const QUEUE: usize = 0;
+const BUCKET: usize = 1;
+
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: usize,
+    next: usize,
+}
+
+/// Ends and length of a doubly linked list threaded through the slab,
+/// oldest entry at the head.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: usize,
+    tail: usize,
+    len: usize,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
 #[derive(Debug, Clone)]
 struct Entry<T> {
     query: Vec<f32>,
@@ -176,6 +234,57 @@ struct Entry<T> {
     bucket: Option<usize>,
     version: u64,
     payload: T,
+    /// Hits and refreshes not yet spent: zero on entering a queue, one
+    /// spent per reinsertion at the main queue's tail, saturating at
+    /// [`MAX_USES`].
+    uses: u8,
+    /// Which replacement queue holds the entry: main or probationary.
+    in_main: bool,
+    /// `[QUEUE]`: neighbours in the replacement queue; `[BUCKET]`:
+    /// neighbours in the semantic posting list.
+    links: [Link; 2],
+    /// Next resident entry whose query hashes to the same `key`.
+    chain: usize,
+}
+
+impl<T> Entry<T> {
+    fn used(&mut self) {
+        self.uses = (self.uses + 1).min(MAX_USES);
+    }
+}
+
+/// Key hashes of entries recently evicted from the probationary queue,
+/// in eviction order. No query and no payload: eight bytes of history
+/// per evicted entry, enough to tell a returning query from a new one.
+#[derive(Debug, Default)]
+struct Ghost {
+    fifo: VecDeque<u64>,
+    /// Key → how many pushes preceded its latest one. A `fifo` slot whose
+    /// count no longer matches (the key came back, or was pushed again)
+    /// is dead and ages out without touching the map.
+    stamp: HashMap<u64, u64>,
+    pushed: u64,
+}
+
+impl Ghost {
+    fn push(&mut self, key: u64, capacity: usize) {
+        if self.fifo.len() == capacity {
+            let oldest_stamp = self.pushed - capacity as u64;
+            if let Some(oldest) = self.fifo.pop_front() {
+                if self.stamp.get(&oldest) == Some(&oldest_stamp) {
+                    self.stamp.remove(&oldest);
+                }
+            }
+        }
+        self.stamp.insert(key, self.pushed);
+        self.fifo.push_back(key);
+        self.pushed += 1;
+    }
+
+    /// Forgets `key`, reporting whether it was remembered.
+    fn take(&mut self, key: u64) -> bool {
+        self.stamp.remove(&key).is_some()
+    }
 }
 
 /// The two-layer query/result cache. See the crate docs for the design;
@@ -187,17 +296,22 @@ pub struct SemanticCache<T> {
     /// Entry slab; `None` slots are free. Bounded by `cfg.capacity`.
     slots: Vec<Option<Entry<T>>>,
     free: Vec<usize>,
-    /// Exact layer: query-bits hash → slot indices (collision chains).
-    exact: HashMap<u64, Vec<usize>>,
-    /// Semantic layer: routing top-cluster → slot indices, insertion
-    /// order.
-    buckets: HashMap<Option<usize>, Vec<usize>>,
-    rng: SeededRng,
+    /// Exact layer: query-bits hash → first slot of its collision chain.
+    exact: HashMap<u64, usize>,
+    /// ANDed onto every key. All ones, except in the unit test that
+    /// narrows it to grow the collision chains 64-bit keys never do.
+    key_mask: u64,
+    /// Semantic layer: routing top-cluster → posting list, in the order
+    /// entries joined the bucket.
+    buckets: HashMap<Option<usize>, List>,
+    /// Replacement: new entries wait in `small`, proven ones live in
+    /// `main`, `ghost` remembers who left `small` unproven.
+    small: List,
+    main: List,
+    ghost: Ghost,
     stats: CacheStats,
 }
 
-/// FNV-1a over the query's f32 bit patterns: deterministic across runs
-/// and platforms (no `DefaultHasher` seed), collision-checked at lookup.
 /// Bit-pattern equality: the exact layer's notion of "same query".
 /// Stricter than `==` for zeros (`0.0` ≠ `-0.0`) and — unlike `==` —
 /// reflexive for NaNs, so a byte-identical replay always hits.
@@ -205,15 +319,76 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Hash of the query's f32 bit patterns and length: deterministic across
+/// runs and platforms (fixed constants, no `DefaultHasher` seed),
+/// collision-checked at lookup with [`same_bits`]. Four multiply chains
+/// take every fourth word each, so the multiplier's latency overlaps
+/// across lanes instead of serialising per byte — the key is hashed on
+/// every lookup and insert and was the hit path's largest cost. Every
+/// step is a bijection of its lane for a fixed input word and of the
+/// word for a fixed lane, and so is the fold, so two queries that differ
+/// in one word (`0.0` vs `-0.0`, any single bit) never share a key.
 fn query_key(query: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in query {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    const ODD: [u64; 4] = [
+        0x9E37_79B9_7F4A_7C15,
+        0xC2B2_AE3D_27D4_EB4F,
+        0x1656_67B1_9E37_79F9,
+        0xD6E8_FEB8_6659_FD93,
+    ];
+    // The rotate brings the multiply's well-mixed high bits under the
+    // next word.
+    let step = |h: u64, word: u64, odd: u64| (h ^ word).wrapping_mul(odd).rotate_left(29);
+    let mut lanes = ODD;
+    let mut quads = query.chunks_exact(4);
+    for quad in &mut quads {
+        for ((lane, v), odd) in lanes.iter_mut().zip(quad).zip(ODD) {
+            *lane = step(*lane, u64::from(v.to_bits()), odd);
         }
     }
-    h
+    for ((lane, v), odd) in lanes.iter_mut().zip(quads.remainder()).zip(ODD) {
+        *lane = step(*lane, u64::from(v.to_bits()), odd);
+    }
+    let mut h = query.len() as u64;
+    for (lane, odd) in lanes.into_iter().zip(ODD) {
+        h = step(h, lane, odd);
+    }
+    h ^ (h >> 32)
+}
+
+fn entry<T>(slots: &[Option<Entry<T>>], i: usize) -> &Entry<T> {
+    slots[i].as_ref().expect("linked slot is occupied")
+}
+
+fn entry_mut<T>(slots: &mut [Option<Entry<T>>], i: usize) -> &mut Entry<T> {
+    slots[i].as_mut().expect("linked slot is occupied")
+}
+
+/// Appends slot `i` at the tail (newest end) of `list`.
+fn push_back<T>(slots: &mut [Option<Entry<T>>], list: &mut List, which: usize, i: usize) {
+    entry_mut(slots, i).links[which] = Link {
+        prev: list.tail,
+        next: NIL,
+    };
+    match list.tail {
+        NIL => list.head = i,
+        tail => entry_mut(slots, tail).links[which].next = i,
+    }
+    list.tail = i;
+    list.len += 1;
+}
+
+/// Unlinks slot `i` from anywhere in `list`.
+fn unlink<T>(slots: &mut [Option<Entry<T>>], list: &mut List, which: usize, i: usize) {
+    let Link { prev, next } = entry(slots, i).links[which];
+    match prev {
+        NIL => list.head = next,
+        prev => entry_mut(slots, prev).links[which].next = next,
+    }
+    match next {
+        NIL => list.tail = prev,
+        next => entry_mut(slots, next).links[which].prev = prev,
+    }
+    list.len -= 1;
 }
 
 impl<T: Clone> SemanticCache<T> {
@@ -228,8 +403,11 @@ impl<T: Clone> SemanticCache<T> {
             slots: Vec::new(),
             free: Vec::new(),
             exact: HashMap::new(),
+            key_mask: u64::MAX,
             buckets: HashMap::new(),
-            rng: SeededRng::new(cfg.seed),
+            small: List::EMPTY,
+            main: List::EMPTY,
+            ghost: Ghost::default(),
             stats: CacheStats::default(),
             cfg,
         }
@@ -267,31 +445,23 @@ impl<T: Clone> SemanticCache<T> {
     /// reports the final miss via [`SemanticCache::note_miss`] (or by
     /// calling [`SemanticCache::lookup_semantic`], which counts it).
     pub fn lookup_exact(&mut self, query: &[f32], version: u64) -> Option<&T> {
-        let key = query_key(query);
-        let slot = self.exact.get(&key).and_then(|chain| {
-            chain
-                .iter()
-                .copied()
-                .find(|&i| match &self.slots[i] {
-                    Some(e) => same_bits(&e.query, query),
-                    None => false,
-                })
-        });
-        let i = slot?;
-        if self.slots[i].as_ref().map(|e| e.version) != Some(version) {
+        let i = self.find(self.key_of(query), query)?;
+        if entry(&self.slots, i).version != version {
             self.evict_slot(i, true);
             return None;
         }
         self.stats.exact_hits += 1;
         hermes_trace::counter(hermes_trace::names::CACHE_HIT_EXACT, 1);
-        self.slots[i].as_ref().map(|e| &e.payload)
+        let hit = entry_mut(&mut self.slots, i);
+        hit.used();
+        Some(&hit.payload)
     }
 
     /// **Layer 2:** scans the `bucket` posting list for the stored query
     /// most cosine-similar to the probe; a hit needs similarity ≥ the
     /// configured threshold **and** a matching `version`. Stale entries
-    /// touched by the scan are evicted; ties prefer the earliest insert.
-    /// Counts a semantic hit or a miss — call it after
+    /// touched by the scan are evicted; ties prefer the entry that joined
+    /// the bucket first. Counts a semantic hit or a miss — call it after
     /// [`SemanticCache::lookup_exact`] returned `None`.
     pub fn lookup_semantic(
         &mut self,
@@ -303,41 +473,34 @@ impl<T: Clone> SemanticCache<T> {
             self.note_miss();
             return None;
         }
-        let candidates: Vec<usize> = self.buckets.get(&bucket).cloned().unwrap_or_default();
         let mut best: Option<(usize, f32)> = None;
-        let mut stale: Vec<usize> = Vec::new();
-        for i in candidates {
-            let entry = match &self.slots[i] {
-                Some(e) => e,
-                None => continue,
-            };
-            if entry.query.len() != query.len() {
-                continue;
+        let mut i = self.buckets.get(&bucket).map_or(NIL, |list| list.head);
+        while i != NIL {
+            let candidate = entry(&self.slots, i);
+            let next = candidate.links[BUCKET].next;
+            if candidate.query.len() == query.len() {
+                let sim = cosine(query, &candidate.query);
+                if sim >= self.cfg.semantic_threshold {
+                    if candidate.version != version {
+                        self.evict_slot(i, true);
+                    } else if best.is_none_or(|(_, s)| sim > s) {
+                        // Strictly-greater keeps the earliest joiner on
+                        // ties: the list is walked oldest first.
+                        best = Some((i, sim));
+                    }
+                }
             }
-            let sim = cosine(query, &entry.query);
-            if !(sim >= self.cfg.semantic_threshold) {
-                continue;
-            }
-            if entry.version != version {
-                stale.push(i);
-                continue;
-            }
-            // Strictly-greater keeps the earliest insert on ties.
-            if best.map_or(true, |(_, s)| sim > s) {
-                best = Some((i, sim));
-            }
-        }
-        for i in stale {
-            self.evict_slot(i, true);
+            i = next;
         }
         match best {
             Some((i, similarity)) => {
                 self.stats.semantic_hits += 1;
                 hermes_trace::counter(hermes_trace::names::CACHE_HIT_SEMANTIC, 1);
-                let entry = self.slots[i].as_ref().expect("hit slot is occupied");
+                let hit = entry_mut(&mut self.slots, i);
+                hit.used();
                 Some(SemanticHit {
-                    payload: entry.payload.clone(),
-                    stored_query: entry.query.clone(),
+                    payload: hit.payload.clone(),
+                    stored_query: hit.query.clone(),
                     similarity,
                 })
             }
@@ -364,88 +527,236 @@ impl<T: Clone> SemanticCache<T> {
     /// Inserts (or refreshes) the result for `query`, computed at store
     /// `version` and routed to `bucket`. An existing entry for the same
     /// bits is replaced in place (whatever its version — the new result
-    /// supersedes it); otherwise, at capacity, a seeded-random victim is
-    /// evicted first.
+    /// supersedes it) and counts as a use of it; otherwise, at capacity,
+    /// the replacement policy's victim is evicted first, and the new
+    /// entry starts in the main queue if its key is remembered from a
+    /// recent probationary eviction, in the probationary queue if not.
     pub fn insert(&mut self, query: Vec<f32>, bucket: Option<usize>, version: u64, payload: T) {
-        let key = query_key(&query);
-        if let Some(chain) = self.exact.get(&key) {
-            if let Some(&i) = chain.iter().find(|&&i| {
-                self.slots[i]
-                    .as_ref()
-                    .map_or(false, |e| same_bits(&e.query, &query))
-            }) {
-                // Same query bits: refresh payload/version/bucket in place.
-                let old_bucket = self.slots[i].as_ref().map(|e| e.bucket).unwrap();
-                if old_bucket != bucket {
-                    self.unlink_bucket(old_bucket, i);
-                    self.buckets.entry(bucket).or_default().push(i);
-                }
-                let entry = self.slots[i].as_mut().unwrap();
-                entry.bucket = bucket;
-                entry.version = version;
-                entry.payload = payload;
-                self.stats.insertions += 1;
-                return;
+        let key = self.key_of(&query);
+        self.stats.insertions += 1;
+        if let Some(i) = self.find(key, &query) {
+            if entry(&self.slots, i).bucket != bucket {
+                self.unlink_bucket(i);
+                entry_mut(&mut self.slots, i).bucket = bucket;
+                self.link_bucket(i);
             }
+            let e = entry_mut(&mut self.slots, i);
+            e.version = version;
+            e.payload = payload;
+            e.used();
+            return;
         }
         if self.len() == self.cfg.capacity {
-            self.evict_random();
+            self.evict_one();
         }
-        let entry = Entry {
+        let in_main = self.ghost.take(key);
+        let unlinked = Link {
+            prev: NIL,
+            next: NIL,
+        };
+        let e = Entry {
             query,
             key,
             bucket,
             version,
             payload,
+            uses: 0,
+            in_main,
+            links: [unlinked; 2],
+            chain: NIL,
         };
         let i = match self.free.pop() {
             Some(i) => {
-                self.slots[i] = Some(entry);
+                self.slots[i] = Some(e);
                 i
             }
             None => {
-                self.slots.push(Some(entry));
+                self.slots.push(Some(e));
                 self.slots.len() - 1
             }
         };
-        self.exact.entry(key).or_default().push(i);
-        self.buckets.entry(bucket).or_default().push(i);
-        self.stats.insertions += 1;
+        if let Some(head) = self.exact.insert(key, i) {
+            entry_mut(&mut self.slots, i).chain = head;
+        }
+        self.link_bucket(i);
+        let queue = if in_main {
+            &mut self.main
+        } else {
+            &mut self.small
+        };
+        push_back(&mut self.slots, queue, QUEUE, i);
     }
 
-    /// Drops every resident entry (accounting is preserved).
+    /// Drops every resident entry and the replacement history
+    /// (accounting is preserved).
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
         self.exact.clear();
         self.buckets.clear();
+        self.small = List::EMPTY;
+        self.main = List::EMPTY;
+        self.ghost = Ghost::default();
     }
 
-    /// Evicts one seeded-random occupied slot — deterministic for a given
-    /// seed and operation history.
-    fn evict_random(&mut self) {
-        debug_assert!(self.len() > 0);
-        loop {
-            let i = self.rng.gen_range(0..self.slots.len());
-            if self.slots[i].is_some() {
-                self.evict_slot(i, false);
-                return;
-            }
+    /// Checks every internal structure against every other — slab, free
+    /// list, both replacement queues, posting lists, collision chains,
+    /// ghost — and describes the first inconsistency. For tests and
+    /// debugging; `O(len)`.
+    pub fn validate(&self) -> Result<(), String> {
+        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
+        if occupied != self.len() || self.free.iter().any(|&i| self.slots[i].is_some()) {
+            return Err(format!("{occupied} occupied slots, len {}", self.len()));
         }
-    }
-
-    fn evict_slot(&mut self, i: usize, stale: bool) {
-        let entry = match self.slots[i].take() {
-            Some(e) => e,
-            None => return,
+        if self.len() > self.cfg.capacity {
+            return Err(format!("len {} over capacity", self.len()));
+        }
+        let occupied = |i: usize| {
+            self.slots
+                .get(i)
+                .and_then(Option::as_ref)
+                .ok_or("dangling link")
         };
-        if let Some(chain) = self.exact.get_mut(&entry.key) {
-            chain.retain(|&j| j != i);
-            if chain.is_empty() {
-                self.exact.remove(&entry.key);
+        // Every list must visit `len` distinct occupied slots in total,
+        // each with the right membership, through consistent links.
+        let walk = |list: &List, which: usize, owns: &dyn Fn(&Entry<T>) -> bool| {
+            let (mut i, mut prev, mut n) = (list.head, NIL, 0usize);
+            while i != NIL {
+                let e = occupied(i)?;
+                if e.links[which].prev != prev || !owns(e) || e.uses > MAX_USES {
+                    return Err("entry on the wrong list or back link broken");
+                }
+                n += 1;
+                if n > self.len() {
+                    return Err("list cycles");
+                }
+                (prev, i) = (i, e.links[which].next);
+            }
+            if prev != list.tail || n != list.len {
+                return Err("list tail or length wrong");
+            }
+            Ok(n)
+        };
+        let queued =
+            walk(&self.small, QUEUE, &|e| !e.in_main)? + walk(&self.main, QUEUE, &|e| e.in_main)?;
+        let mut bucketed = 0;
+        for (bucket, list) in &self.buckets {
+            let n = walk(list, BUCKET, &|e| e.bucket == *bucket)?;
+            if n == 0 {
+                return Err("empty posting list kept".into());
+            }
+            bucketed += n;
+        }
+        let mut chained = 0;
+        for (&key, &head) in &self.exact {
+            let mut i = head;
+            while i != NIL {
+                let e = occupied(i)?;
+                if e.key != key || chained >= self.len() {
+                    return Err("collision chain holds a foreign key or cycles".into());
+                }
+                chained += 1;
+                i = e.chain;
             }
         }
-        self.unlink_bucket(entry.bucket, i);
+        if [queued, bucketed, chained] != [self.len(); 3] {
+            return Err(format!(
+                "len {} but {queued} queued, {bucketed} bucketed, {chained} chained",
+                self.len()
+            ));
+        }
+        if self.ghost.fifo.len() > self.cfg.capacity
+            || self.ghost.stamp.len() > self.ghost.fifo.len()
+        {
+            return Err("ghost outgrew its bound".into());
+        }
+        Ok(())
+    }
+
+    fn key_of(&self, query: &[f32]) -> u64 {
+        query_key(query) & self.key_mask
+    }
+
+    /// The resident slot holding exactly `query`'s bits, if any.
+    fn find(&self, key: u64, query: &[f32]) -> Option<usize> {
+        let mut i = *self.exact.get(&key)?;
+        while i != NIL {
+            let e = entry(&self.slots, i);
+            if same_bits(&e.query, query) {
+                return Some(i);
+            }
+            i = e.chain;
+        }
+        None
+    }
+
+    /// Makes room for one entry — S3-FIFO. While the probationary queue
+    /// is at its share it gives up its oldest entry: re-asked since it
+    /// arrived (the request that admitted it being the first), the entry
+    /// moves to the main queue and the search goes on; otherwise it is
+    /// the victim and the ghost remembers its key. Else the main queue's
+    /// oldest entry is the victim unless it has uses to spend, in which
+    /// case it pays one and goes round again. No randomness, no clock:
+    /// the victim is a function of the operation history alone. Each
+    /// step either evicts, shortens the probationary queue or spends a
+    /// use some earlier hit paid for, so the loop is `O(1)` amortised.
+    fn evict_one(&mut self) {
+        let small_share = (self.cfg.capacity / SMALL_SHARE).max(1);
+        loop {
+            let probation = self.small.len >= small_share || self.main.len == 0;
+            let i = if probation {
+                self.small.head
+            } else {
+                self.main.head
+            };
+            let e = entry_mut(&mut self.slots, i);
+            if e.uses == 0 {
+                if probation {
+                    self.ghost.push(e.key, self.cfg.capacity);
+                }
+                return self.evict_slot(i, false);
+            }
+            // Survives: promoted with a clean slate, or once more round
+            // the main queue for one use.
+            e.uses = if probation { 0 } else { e.uses - 1 };
+            self.unqueue(i);
+            entry_mut(&mut self.slots, i).in_main = true;
+            push_back(&mut self.slots, &mut self.main, QUEUE, i);
+        }
+    }
+
+    /// Unlinks slot `i` from the replacement queue it is on.
+    fn unqueue(&mut self, i: usize) {
+        let queue = if entry(&self.slots, i).in_main {
+            &mut self.main
+        } else {
+            &mut self.small
+        };
+        unlink(&mut self.slots, queue, QUEUE, i);
+    }
+
+    /// Removes slot `i` from every structure, as a stale (version)
+    /// eviction or a capacity one.
+    fn evict_slot(&mut self, i: usize, stale: bool) {
+        self.unlink_bucket(i);
+        self.unqueue(i);
+        let gone = self.slots[i].take().expect("evicted slot is occupied");
+        // Collision chains are one entry long unless two resident queries
+        // share a 64-bit key, so this walk is O(1).
+        match self.exact.entry(gone.key) {
+            MapEntry::Occupied(head) if *head.get() == i && gone.chain == NIL => {
+                head.remove();
+            }
+            MapEntry::Occupied(mut head) if *head.get() == i => *head.get_mut() = gone.chain,
+            MapEntry::Occupied(head) => {
+                let mut j = *head.get();
+                while entry(&self.slots, j).chain != i {
+                    j = entry(&self.slots, j).chain;
+                }
+                entry_mut(&mut self.slots, j).chain = gone.chain;
+            }
+            MapEntry::Vacant(_) => unreachable!("resident key is indexed"),
+        }
         self.free.push(i);
         if stale {
             self.stats.stale += 1;
@@ -456,12 +767,21 @@ impl<T: Clone> SemanticCache<T> {
         }
     }
 
-    fn unlink_bucket(&mut self, bucket: Option<usize>, i: usize) {
-        if let Some(list) = self.buckets.get_mut(&bucket) {
-            list.retain(|&j| j != i);
-            if list.is_empty() {
-                self.buckets.remove(&bucket);
-            }
+    fn link_bucket(&mut self, i: usize) {
+        let bucket = entry(&self.slots, i).bucket;
+        let list = self.buckets.entry(bucket).or_insert(List::EMPTY);
+        push_back(&mut self.slots, list, BUCKET, i);
+    }
+
+    fn unlink_bucket(&mut self, i: usize) {
+        let bucket = entry(&self.slots, i).bucket;
+        let list = self
+            .buckets
+            .get_mut(&bucket)
+            .expect("resident bucket is indexed");
+        unlink(&mut self.slots, list, BUCKET, i);
+        if list.len == 0 {
+            self.buckets.remove(&bucket);
         }
     }
 }
@@ -557,19 +877,116 @@ mod tests {
             let mut c: SemanticCache<u32> = SemanticCache::new(cfg);
             for i in 0..50u32 {
                 c.insert(vec![i as f32, 1.0], Some(i as usize % 3), 0, i);
+                // Every fifth query is re-asked: its entry earns a use.
+                let _ = c.lookup_exact(&[(i / 5 * 5) as f32, 1.0], 0);
                 assert!(c.len() <= 8);
+                c.validate().unwrap();
             }
             (0..50u32)
                 .map(|i| c.lookup_exact(&[i as f32, 1.0], 0).copied())
                 .collect()
         };
-        assert_eq!(c_total(&run(7)), 8);
-        assert_eq!(run(7), run(7), "same seed, same survivors");
-        assert_ne!(run(7), run(8), "different seed, different survivors");
+        let survivors = run(7);
+        assert_eq!(survivors.iter().flatten().count(), 8);
+        assert_eq!(survivors, run(7), "same history, same survivors");
+        assert_eq!(survivors, run(8), "the seed is ignored: no randomness left");
+        // Replacement is not plain FIFO: a re-asked query outlives
+        // never-repeated ones inserted after it.
+        let oldest = survivors.iter().position(Option::is_some).unwrap();
+        assert_eq!(oldest % 5, 0, "oldest survivor {oldest} was re-asked");
+        assert!(oldest < 42, "FIFO would keep only 42..50");
     }
 
-    fn c_total(v: &[Option<u32>]) -> usize {
-        v.iter().filter(|x| x.is_some()).count()
+    /// Lookup-then-insert-on-miss, the serving layer's use of the cache;
+    /// reports whether `key` hit.
+    fn request(c: &mut SemanticCache<u64>, key: u64) -> bool {
+        let q = [key as f32, 1.0];
+        let hit = c.lookup_exact(&q, 0).is_some();
+        if !hit {
+            c.note_miss();
+            c.insert(q.to_vec(), Some(key as usize % 7), 0, key);
+        }
+        hit
+    }
+
+    #[test]
+    fn zipf_stream_hit_ratio_clears_the_floor_and_lru() {
+        // The shape of the benchmark's `zipf_cached_open`, from cold.
+        let (pool, capacity, draws) = (4096, 1024, 12_000);
+        let zipf = hermes_datagen::ZipfSampler::new(pool, 1.0);
+        let mut rng = hermes_math::rng::seeded_rng(0x5A49_5046);
+        let mut cache = SemanticCache::new(CacheConfig::default().with_capacity(capacity));
+        let mut lru = hermes_datagen::LruModel::new(capacity);
+        let (mut hits, mut lru_hits) = (0, 0);
+        for _ in 0..draws {
+            let key = zipf.sample(&mut rng) as u64;
+            hits += usize::from(request(&mut cache, key));
+            lru_hits += usize::from(lru.request(key));
+        }
+        cache.validate().unwrap();
+        assert_eq!(cache.stats().exact_hits, hits as u64);
+        let (ratio, lru_ratio) = (hits as f64 / draws as f64, lru_hits as f64 / draws as f64);
+        assert!(ratio >= 0.755, "hit ratio {ratio:.4} below the 0.755 floor");
+        assert!(
+            ratio >= lru_ratio,
+            "hit ratio {ratio:.4} below LRU's {lru_ratio:.4}"
+        );
+    }
+
+    #[test]
+    fn a_scan_of_one_hit_wonders_does_not_flush_the_hot_set() {
+        // Every third request is a key never asked again; the rest are
+        // Zipf over a pool the cache could almost hold.
+        let (pool, capacity, draws) = (512, 256, 9_000);
+        let zipf = hermes_datagen::ZipfSampler::new(pool, 1.0);
+        let mut rng = hermes_math::rng::seeded_rng(0x5343_414E);
+        let mut cache = SemanticCache::new(CacheConfig::default().with_capacity(capacity));
+        let mut lru = hermes_datagen::LruModel::new(capacity);
+        let (mut hot, mut hits, mut lru_hits) = (0, 0, 0);
+        for t in 0..draws {
+            if t % 3 == 2 {
+                assert!(!request(&mut cache, (pool + t) as u64));
+                assert!(!lru.request((pool + t) as u64));
+                continue;
+            }
+            let key = zipf.sample(&mut rng) as u64;
+            hot += 1;
+            hits += usize::from(request(&mut cache, key));
+            lru_hits += usize::from(lru.request(key));
+        }
+        cache.validate().unwrap();
+        let (ratio, lru_ratio) = (hits as f64 / hot as f64, lru_hits as f64 / hot as f64);
+        assert!(
+            ratio > lru_ratio,
+            "hot-set hit ratio {ratio:.4} not above LRU's {lru_ratio:.4}"
+        );
+    }
+
+    #[test]
+    fn colliding_keys_chain_and_unchain_without_mixing_queries_up() {
+        let mut c: SemanticCache<u32> = SemanticCache::new(CacheConfig::default().with_capacity(8));
+        c.key_mask = 1; // two chains for everything
+        let mut rng = hermes_math::rng::seeded_rng(0x4348_4149);
+        let mut latest: HashMap<u32, (u64, u32)> = HashMap::new();
+        for step in 0..2000u32 {
+            let k = rng.gen_range(0..24u32);
+            let version = u64::from(step / 500);
+            match c.lookup_exact(&[k as f32, 1.0], version).copied() {
+                Some(payload) => assert_eq!(latest[&k], (version, payload)),
+                None => {
+                    c.insert(vec![k as f32, 1.0], Some(k as usize % 3), version, step);
+                    latest.insert(k, (version, step));
+                }
+            }
+            c.validate().unwrap();
+        }
+        assert_eq!(c.len(), 8);
+        let s = c.stats();
+        assert!(s.exact_hits > 0 && s.evictions > 0 && s.stale > 0);
+        let resident = (0..24u32)
+            .filter(|&k| c.lookup_exact(&[k as f32, 1.0], latest[&k].0).is_some())
+            .count();
+        assert_eq!(resident, 8);
     }
 
     #[test]
@@ -636,5 +1053,33 @@ mod tests {
         assert_ne!(a, query_key(&[2.0, 1.0]));
         assert_ne!(query_key(&[0.0]), query_key(&[-0.0]));
         assert_ne!(query_key(&[]), query_key(&[0.0]));
+        // Length is part of the key even when the extra words are zero bits.
+        assert_ne!(query_key(&[1.0; 4]), query_key(&[1.0, 1.0, 1.0, 1.0, 0.0]));
+        assert_eq!(query_key(&[f32::NAN, 1.0]), query_key(&[f32::NAN, 1.0]));
+        // Pinned: the key must not drift across runs, platforms or PRs.
+        assert_eq!(query_key(&[1.0, 2.0, 3.0, 4.0, 5.0]), 0x017A_7B95_FEB6_2455);
+    }
+
+    #[test]
+    fn query_key_has_no_collisions_over_a_pool_or_single_bit_flips() {
+        let mut rng = hermes_math::rng::seeded_rng(0x4B45_5953);
+        let pool: Vec<Vec<f32>> = (0..4096)
+            .map(|_| (0..64).map(|_| rng.next_f32() - 0.5).collect())
+            .collect();
+        let mut keys: Vec<u64> = pool.iter().map(|q| query_key(q)).collect();
+        // Every single-bit flip of one query, at a length with a ragged tail.
+        let base = &pool[0][..63];
+        keys.push(query_key(base));
+        for word in 0..base.len() {
+            for bit in 0..32 {
+                let mut q = base.to_vec();
+                q[word] = f32::from_bits(q[word].to_bits() ^ (1 << bit));
+                keys.push(query_key(&q));
+            }
+        }
+        let total = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), total, "query_key collided");
     }
 }

@@ -37,5 +37,5 @@ pub use chunks::ChunkStore;
 pub use corpus::{Corpus, CorpusSpec};
 pub use query::{QuerySet, QuerySpec};
 pub use scale::DatastoreScale;
-pub use workload::{query_stream, StreamKind, StreamSpec};
+pub use workload::{query_stream, LruModel, StreamKind, StreamSpec};
 pub use zipf::ZipfSampler;

@@ -20,6 +20,9 @@
 //! replays the same byte-identical trace, so cache hit rates measured
 //! by the bench are reproducible.
 
+use std::collections::HashMap;
+use std::hash::Hash;
+
 use hermes_math::rng::{derive_seed, seeded_rng, SeededRng};
 
 use crate::corpus::gaussian;
@@ -112,6 +115,62 @@ impl StreamSpec {
     pub fn with_kind(mut self, kind: StreamKind) -> Self {
         self.kind = kind;
         self
+    }
+}
+
+/// A textbook LRU cache over stream keys (anything hashable — a pool
+/// index, a query's bit pattern): the hit ratio a replacement
+/// policy has to beat on a stream to earn its bookkeeping. Reference
+/// speed (an eviction scans every resident key), exact recency.
+///
+/// # Examples
+///
+/// ```
+/// use hermes_datagen::LruModel;
+///
+/// let mut lru = LruModel::new(2);
+/// let hits: Vec<bool> = [1, 2, 1, 3, 2].into_iter().map(|k| lru.request(k)).collect();
+/// assert_eq!(hits, [false, false, true, false, false]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct LruModel<K> {
+    capacity: usize,
+    clock: u64,
+    last_use: HashMap<K, u64>,
+}
+
+impl<K: Hash + Eq + Clone> LruModel<K> {
+    /// An empty cache of `capacity` keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "lru capacity must be positive");
+        LruModel {
+            capacity,
+            clock: 0,
+            last_use: HashMap::new(),
+        }
+    }
+
+    /// Requests `key` (admitting it on a miss, evicting the least
+    /// recently requested key if over capacity); reports whether it hit.
+    pub fn request(&mut self, key: K) -> bool {
+        self.clock += 1;
+        let hit = self.last_use.insert(key, self.clock).is_some();
+        if self.last_use.len() > self.capacity {
+            // Stamps are unique, so the minimum does not depend on the
+            // map's iteration order.
+            let (lru, _) = self
+                .last_use
+                .iter()
+                .min_by_key(|(_, &t)| t)
+                .expect("an over-full cache is not empty");
+            let lru = lru.clone();
+            self.last_use.remove(&lru);
+        }
+        hit
     }
 }
 

@@ -29,7 +29,7 @@
 //! cosine is the layer's explicit approximation, disabled entirely by
 //! [`CacheConfig::exact_only`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
 use hermes_core::exec::Engine;
@@ -70,7 +70,21 @@ impl CachedBackend {
 
     /// Cache accounting so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().expect("cache poisoned").stats()
+        self.lock_cache().stats()
+    }
+
+    /// The cache, whatever happened to an earlier holder of its lock. A
+    /// panic under the lock may have stopped an update half-way, but the
+    /// contents are only ever a shortcut to what the engine recomputes:
+    /// empty them (accounting kept) and serve on, instead of failing
+    /// every later request on the poison flag.
+    fn lock_cache(&self) -> MutexGuard<'_, SemanticCache<SearchOutcome>> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            self.cache.clear_poison();
+            cache
+        })
     }
 }
 
@@ -86,7 +100,7 @@ impl Backend for CachedBackend {
         let t0 = hermes_trace::now_ns();
 
         let mut slots: Vec<Option<SearchOutcome>> = vec![None; queries.len()];
-        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut cache = self.lock_cache();
 
         // Phase 1: exact bit-pattern hits.
         for (slot, q) in slots.iter_mut().zip(&queries) {
@@ -213,6 +227,35 @@ mod tests {
         assert_eq!(warm.outcomes, reference, "warm pass is bit-identical");
         assert_eq!(backend.cache_stats().exact_hits, queries.len() as u64);
         assert_eq!(warm.distinct_clusters, 0, "no shard was touched");
+    }
+
+    #[test]
+    fn a_poisoned_cache_is_emptied_and_serving_goes_on() {
+        let (queries, cell) = setup();
+        let backend = CachedBackend::new(cell.clone(), 1, CacheConfig::default());
+        let reqs = requests(&queries);
+        backend.run(&reqs).unwrap();
+        let before = backend.cache_stats();
+
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = backend.cache.lock().unwrap();
+                panic!("poisoning the cache lock on purpose");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && backend.cache.is_poisoned());
+
+        let store = cell.current();
+        let reference = Engine::for_store(&store).execute_batch(&queries, 1).unwrap();
+        let out = backend.run(&reqs).unwrap();
+        assert_eq!(out.outcomes, reference, "served as misses, bit-identical");
+        assert!(!backend.cache.is_poisoned(), "recovered on first use");
+        let after = backend.cache_stats();
+        assert_eq!(after.exact_hits, before.exact_hits, "the cache was emptied");
+        assert_eq!(after.misses, before.misses + queries.len() as u64);
+        assert_eq!(backend.run(&reqs).unwrap().outcomes, reference);
+        assert_eq!(backend.cache_stats().exact_hits, queries.len() as u64);
     }
 
     #[test]

@@ -136,8 +136,10 @@ HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_p
 # adaptive policy is bit-identical to the fixed-knob engine per query,
 # (b) an exact-only cached run serves every completion bit-identical to
 # recomputation, (c) semantic-run divergence is bounded by the
-# semantic-hit counter, and (d) the repeated-query workload clears a 30%
-# hit rate. Smoke mode leaves bench_results/ untouched.
+# semantic-hit counter, (d) the repeated-query workload clears a 30%
+# hit rate, and (e) on the over-capacity row (pool 4x the cache) the
+# cache evicts and its exact hit rate is no lower than an LRU model's on
+# the same stream. Smoke mode leaves bench_results/ untouched.
 echo "== ext_adaptive smoke (release) =="
 HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_adaptive
 

@@ -72,6 +72,7 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard};
 
 use hermes_math::distance::cosine;
 
@@ -784,6 +785,22 @@ impl<T: Clone> SemanticCache<T> {
             self.buckets.remove(&bucket);
         }
     }
+}
+
+/// Locks a shared cache whatever happened to an earlier holder of the
+/// lock. A panic under it may have stopped an update half-way, but the
+/// contents are only ever a shortcut to what the caller recomputes: a
+/// poisoned cache is emptied (accounting kept), the poison flag cleared,
+/// and serving goes on as misses instead of failing every later request.
+pub fn lock_recovering<T: Clone>(
+    cache: &Mutex<SemanticCache<T>>,
+) -> MutexGuard<'_, SemanticCache<T>> {
+    cache.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        guard.clear();
+        cache.clear_poison();
+        guard
+    })
 }
 
 #[cfg(test)]

@@ -1,71 +1,55 @@
-//! The staged scatter–gather query-execution engine.
+//! The query-execution engine: two stages over a borrowed batch.
 //!
-//! Every search path in the workspace — [`ClusteredStore::route`],
-//! [`ClusteredStore::hierarchical_search`] and its batch variant,
-//! [`ClusteredStore::search_all_clusters`],
-//! [`ClusteredStore::access_histogram`], and the `hermes-rag` baseline
-//! retrievers — is a thin wrapper over one [`Engine`] executing one
-//! [`QueryPlan`]. The engine runs the paper's sample → rank → deep →
-//! rerank pipeline (Section 4.2) as three explicit stages:
+//! Every search in the workspace — the [`ClusteredStore`] convenience
+//! methods, the `hermes-rag` retrievers, the serving backends — is one
+//! [`Engine`] executing one [`QueryPlan`]. The paper's sample → rank →
+//! deep → rerank pipeline (Section 4.2) runs as two stage functions, both
+//! generic over `Q: AsRef<[f32]>` so owned (`&[Vec<f32>]`) and borrowed
+//! (`&[&[f32]]`) batches call them without a conversion:
 //!
 //! ```text
-//!            ┌─────────────────────────────────────────────────┐
-//!   query ──▶│ ROUTE    every shard samples the query group in │
-//!   group    │          one group scan (or its centroid is     │
-//!            │          scored); each query ranks best-first   │
-//!            ├─────────────────────────────────────────────────┤
-//!            │ SCATTER  deep-search the top-m shards: one      │
-//!            │          group scan per shard serves every      │
-//!            │          query routed to it; shards fan out on  │
-//!            │          hermes_pool::Pool                      │
-//!            ├─────────────────────────────────────────────────┤
-//!            │ GATHER   merge_topk over per-shard hits in the  │
-//!            │          query's rank order; fold the per-stage │
-//!            │          ScanStats into SearchStats             │
-//!            └─────────────────────────────────────────────────┘
+//!   batch ──▶ ROUTE   Engine::route_batch: every shard samples the
+//!                     whole batch in one group scan (or its centroid is
+//!                     scored); each query ranks the shards best-first
+//!         ──▶ DEEP    Engine::deep_batch: per-query depth, then one
+//!                     group scan per distinct top-m shard serving every
+//!                     query routed to it (scatter), then a per-query
+//!                     merge_topk in the query's rank order (gather)
 //! ```
 //!
-//! The engine reaches a shard through one call,
+//! A single query is a batch of one: [`Engine::route`],
+//! [`Engine::execute`] and [`Engine::execute_coalesced`] are compositions
+//! of the two stages, and the line between the two calls is where a
+//! caller inspects or edits the routed batch (the serving layer probes
+//! its cache there). The engine reaches a shard through one call,
 //! [`VectorIndex::search_group`]: a group of queries, each at its own
 //! `nprobe`, answered exactly as if each were searched alone, with
-//! inverted lists that several of them probe streamed once. A single
-//! query is a group of one — [`Engine::route`] and the per-query scatter
-//! are the one-query cases of [`Engine::route_batch`] and the coalesced
-//! scatter.
+//! inverted lists that several of them probe streamed once.
 //!
-//! Two levels of parallelism compose:
+//! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
+//! each shard serving its whole query group (`threads` caps the width:
+//! `0` = full pool, `1` = inline sequential; a lone [`Engine::execute`]
+//! uses [`QueryPlan::scatter_threads`]). [`Engine::execute_batch`] is the
+//! other axis — whole queries stolen from the pool cursor, the paper's
+//! query-major batch mode; the pool's nested-submission rule runs each
+//! stolen query's shard fan-out inline, so there is never more than one
+//! level of stealing.
 //!
-//! * **Inter-query** — [`Engine::execute_batch`] steals whole queries
-//!   from the shared pool cursor; [`Engine::route_batch`] and the
-//!   coalesced scatter spread shards, each serving its whole query
-//!   group (`threads` caps the width; `0` = full pool, `1` = inline
-//!   sequential).
-//! * **Intra-query** — within one query, the route stage's per-shard
-//!   samples and the scatter stage's m deep searches fan out on the same
-//!   pool ([`QueryPlan::scatter_threads`]). Inside a batch the pool's
-//!   nested-submission rule makes these inner fan-outs run inline on the
-//!   worker, so batches keep exactly one level of stealing; a single
-//!   interactive query gets the full pool to itself — the single-request
-//!   latency the paper's serving story needs.
+//! **Determinism.** Results are bit-identical for every routing mode,
+//! codec, batch composition and thread count: tasks write into their
+//! input-order slot, costs are integer sums over the same scans, and the
+//! first error in input order is the one reported
+//! (`tests/engine_equivalence.rs` compares every path with an independent
+//! sequential oracle). Work accounting is recorded as the stages run:
+//! shard scans return [`hermes_index::ScanStats`] themselves.
 //!
-//! Results are **bit-identical** to the sequential pre-engine loops for
-//! every routing mode, codec and thread count: tasks write results into
-//! their input-order slot, costs are integer sums over the same scans,
-//! and the first error in input order is the one reported
-//! (`tests/engine_equivalence.rs` pins all of this property-style).
-//!
-//! Work accounting is recorded *as the stages run*: shard scans return
-//! [`hermes_index::ScanStats`] from the scan itself, so nothing re-walks
-//! a coarse quantizer after the fact (the old `probe_cost` double scan).
-//!
-//! When runtime telemetry is on (`hermes_trace::enable`), each stage
-//! additionally records a span — `engine.execute` ▸ `engine.route` /
-//! `engine.scatter` / `engine.gather`, plus per-shard `shard.sample` and
-//! `shard.deep` spans on whichever pool worker stole the shard — whose
-//! args carry the same scanned-code counts as [`SearchStats`]; the
-//! `shard.*` spans also say how many queries the group scan served and
-//! how many codes it physically streamed. Disabled, every site is a
-//! single relaxed atomic load.
+//! **Telemetry.** With `hermes_trace::enable`, spans nest as
+//! `engine.execute` ▸ `engine.route` ▸ `engine.scatter` ▸ one
+//! `engine.gather` per query, plus a `shard.sample` / `shard.deep` span
+//! per group scan on whichever worker ran it (args: group size, logical
+//! scanned codes, codes physically streamed). Callers that run the two
+//! stages themselves get the same spans without the `engine.execute`
+//! envelope. Disabled, every site is one relaxed atomic load.
 
 use hermes_index::{GroupScan, ScanResult, ScanStats, VectorIndex};
 use hermes_trace::names;
@@ -274,47 +258,138 @@ impl<'s> Engine<'s> {
         &self.plan
     }
 
-    /// **Stage 1+2 (route):** ranks every cluster for `query` without
-    /// deep-searching any — the one-query case of the group route behind
-    /// [`Engine::route_batch`]. Records an `engine.route` span (args:
-    /// `queries`, `scanned_codes`, `clusters`) when telemetry is enabled.
+    /// Ranks every cluster for `query` without deep-searching any:
+    /// [`Engine::route_batch`] on a batch of one.
     ///
     /// # Errors
     ///
     /// Propagates the first shard error in cluster order.
     pub fn route(&self, query: &[f32]) -> Result<RouteOutcome, HermesError> {
-        self.route_group(&[query], width_cap(self.plan.scatter_threads))
-            .pop()
-            .expect("one route per query")
+        self.route_batch(&[query], self.plan.scatter_threads)
+            .map(only)
     }
 
-    /// Routes a group of queries **shard-major**: under document-sampling
-    /// routing each shard samples the whole group in one
-    /// [`VectorIndex::search_group`] (shards fan out on the pool, at most
-    /// `cap` at once), then every query ranks its own per-shard scores.
-    /// Each entry is exactly what routing that query alone returns; a
-    /// query's error is its first failing shard in cluster order.
-    fn route_group(
+    /// Executes the full pipeline for one query:
+    /// [`Engine::execute_coalesced`] on a batch of one, fanning its
+    /// shards out at [`QueryPlan::scatter_threads`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first shard error in stage order (route before
+    /// deep) and cluster order within a stage.
+    pub fn execute(&self, query: &[f32]) -> Result<SearchOutcome, HermesError> {
+        self.execute_coalesced(&[query], self.plan.scatter_threads)
+            .map(only)
+    }
+
+    /// Executes the pipeline **query-major**: whole queries are stolen
+    /// from the shared pool cursor, each running [`Engine::execute`]
+    /// inline on its worker. `threads` caps the fan-out (`0` = full pool,
+    /// `1` = inline sequential).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first per-query error in input order.
+    pub fn execute_batch(
         &self,
-        queries: &[&[f32]],
-        cap: usize,
-    ) -> Vec<Result<RouteOutcome, HermesError>> {
+        queries: &[Vec<f32>],
+        threads: usize,
+    ) -> Result<Vec<SearchOutcome>, HermesError> {
+        if threads == 1 || queries.len() <= 1 {
+            return queries.iter().map(|q| self.execute(q)).collect();
+        }
+        hermes_pool::Pool::global()
+            .try_parallel_map_capped(queries, width_cap(threads), |q| self.execute(q))
+    }
+
+    /// Executes the pipeline **shard-major** — [`Engine::route_batch`]
+    /// then [`Engine::deep_batch`] — so queries with overlapping routing
+    /// share shard work and disjoint ones still fan out across shards.
+    /// Bit-identical to [`Engine::execute_batch`]; only the grouping,
+    /// invisible to results, differs. Under telemetry the two stages
+    /// nest in one `engine.execute` span carrying the plan's request id
+    /// and the batch's `route_scanned` / `deep_scanned` totals.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first per-query error in input order, route before
+    /// deep. (A query that samples every shard cleanly cannot fail a deep
+    /// search of some of them, and the other routing modes never fail, so
+    /// stage order never reorders two queries' errors.)
+    pub fn execute_coalesced<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        threads: usize,
+    ) -> Result<Vec<SearchOutcome>, HermesError> {
+        let mut sp = hermes_trace::span(names::ENGINE_EXECUTE);
+        if let Some(rid) = self.plan.request_id {
+            sp.arg(names::ARG_REQUEST_ID, rid);
+        }
+        let routes = self.route_batch(queries, threads)?;
+        let outcomes = self.deep_batch(queries, routes, threads)?;
+        if sp.is_active() {
+            let stats = outcomes.iter().map(|o| &o.stats);
+            sp.arg(
+                "route_scanned",
+                stats.clone().map(|s| s.route.scanned_codes as u64).sum(),
+            );
+            sp.arg(
+                "deep_scanned",
+                stats.clone().map(|s| s.deep.scanned_codes as u64).sum(),
+            );
+            sp.arg(
+                "deep_nprobe",
+                stats.map(|s| s.deep_nprobe as u64).max().unwrap_or(0),
+            );
+        }
+        Ok(outcomes)
+    }
+
+    /// **Route stage:** ranks every cluster for every query,
+    /// shard-major — under document-sampling routing each shard samples
+    /// the whole batch in one [`VectorIndex::search_group`] (shards fan
+    /// out on the pool, at most `threads` at once), so queries probing
+    /// the same inverted list share its codes; then each query ranks its
+    /// own per-shard scores. Every route is exactly what routing that
+    /// query alone returns. Records an `engine.route` span (args:
+    /// `queries`, `scanned_codes`, `clusters`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failing query in input order; a query's
+    /// error is its first failing shard in cluster order.
+    pub fn route_batch<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        threads: usize,
+    ) -> Result<Vec<RouteOutcome>, HermesError> {
         if queries.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let store = self.store;
         let n = store.num_clusters();
         let mut sp =
             hermes_trace::span_with(names::ENGINE_ROUTE, &[("queries", queries.len() as u64)]);
-        let routes: Vec<Result<RouteOutcome, HermesError>> = match self.plan.routing {
+        let ranked = |scored: Vec<(usize, f32)>, scanned_codes: usize| {
+            let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
+            RouteOutcome {
+                ranked_clusters,
+                ranked_scores,
+                cost: SearchPhaseCost {
+                    scanned_codes,
+                    clusters_touched: n,
+                },
+            }
+        };
+        let routes: Vec<RouteOutcome> = match self.plan.routing {
             Routing::DocumentSampling => {
                 // One cheap k=1 sample per (shard, query); samples
                 // dominate single-query latency when m is small.
                 let group: Vec<(&[f32], usize)> = queries
                     .iter()
-                    .map(|&q| (q, self.plan.sample_nprobe))
+                    .map(|q| (q.as_ref(), self.plan.sample_nprobe))
                     .collect();
-                let samples = fan_out(n, cap, |c| {
+                let samples = fan_out(n, width_cap(threads), |c| {
                     self.shard_scan(names::SHARD_SAMPLE, c, &group, 1)
                 });
                 (0..queries.len())
@@ -327,62 +402,148 @@ impl<'s> Engine<'s> {
                             scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
                             scanned += stats.scanned_codes;
                         }
-                        let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
-                        Ok(RouteOutcome {
-                            ranked_clusters,
-                            ranked_scores,
-                            cost: SearchPhaseCost {
-                                scanned_codes: scanned,
-                                clusters_touched: n,
-                            },
-                        })
+                        Ok(ranked(scored, scanned))
                     })
-                    .collect()
+                    .collect::<Result<_, HermesError>>()?
             }
             Routing::CentroidOnly => {
                 let metric = store.config().metric;
                 queries
                     .iter()
-                    .map(|query| {
-                        let scored: Vec<(usize, f32)> = (0..n)
-                            .map(|c| (c, metric.similarity(query, store.split_centroid(c))))
+                    .map(|q| {
+                        let scored = (0..n)
+                            .map(|c| (c, metric.similarity(q.as_ref(), store.split_centroid(c))))
                             .collect();
-                        let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
-                        Ok(RouteOutcome {
-                            ranked_clusters,
-                            ranked_scores,
-                            cost: SearchPhaseCost {
-                                // Centroid ranking scans one vector per cluster.
-                                scanned_codes: n,
-                                clusters_touched: n,
-                            },
-                        })
+                        // Centroid ranking scans one vector per cluster.
+                        ranked(scored, n)
                     })
                     .collect()
             }
             Routing::Unranked => queries
                 .iter()
-                .map(|_| {
-                    Ok(RouteOutcome {
-                        ranked_clusters: (0..n).collect(),
-                        ranked_scores: Vec::new(),
-                        cost: SearchPhaseCost::default(),
-                    })
+                .map(|_| RouteOutcome {
+                    ranked_clusters: (0..n).collect(),
+                    ranked_scores: Vec::new(),
+                    cost: SearchPhaseCost::default(),
                 })
                 .collect(),
         };
         if sp.is_active() {
-            let routed = routes.iter().flatten();
+            let costs = routes.iter().map(|r| r.cost);
             sp.arg(
                 "scanned_codes",
-                routed.clone().map(|r| r.cost.scanned_codes as u64).sum(),
+                costs.clone().map(|c| c.scanned_codes as u64).sum(),
             );
-            sp.arg(
-                "clusters",
-                routed.map(|r| r.cost.clusters_touched as u64).sum(),
-            );
+            sp.arg("clusters", costs.map(|c| c.clusters_touched as u64).sum());
         }
+        Ok(routes)
+    }
+
+    /// **Deep stage** over queries that were already routed (`routes[i]`
+    /// is `queries[i]`'s): resolves each query's depth, deep-searches
+    /// every distinct top-m cluster **once** — one pool task and one
+    /// [`VectorIndex::search_group`] per cluster, serving all the queries
+    /// routed to it, each at its own deep `nProbe` — and merges each
+    /// query's per-shard hits in its own rank order.
+    /// `execute_coalesced(qs, t)` ≡ `deep_batch(qs, route_batch(qs, t)?,
+    /// t)` bit for bit; callers that route first (to bucket a cache
+    /// lookup, say) pass only the queries they still need. Records an
+    /// `engine.scatter` span (args: `queries`, `distinct_clusters`,
+    /// `deep_searches`) around the group scans and one `engine.gather`
+    /// span (arg: `candidates`) per query.
+    ///
+    /// # Errors
+    ///
+    /// [`HermesError::InvalidConfig`] when `routes` does not pair up with
+    /// `queries` or names a cluster the store does not have; otherwise
+    /// the first failing query in input order, its error the first
+    /// failing shard in its rank order.
+    pub fn deep_batch<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        routes: Vec<RouteOutcome>,
+        threads: usize,
+    ) -> Result<Vec<SearchOutcome>, HermesError> {
+        if queries.len() != routes.len() {
+            return Err(HermesError::InvalidConfig(format!(
+                "deep stage got {} queries but {} routes",
+                queries.len(),
+                routes.len()
+            )));
+        }
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut sp =
+            hermes_trace::span_with(names::ENGINE_SCATTER, &[("queries", queries.len() as u64)]);
+        // Query `qi` deep-searches the first `m` clusters of its ranking
+        // at `deep_nprobe`: the fixed knobs, or the adaptive policy's
+        // choice for its route.
+        let depths: Vec<(usize, usize)> = routes
+            .iter()
+            .map(|route| {
+                let (m, deep_nprobe) = self.depth_for(route);
+                (m.min(route.ranked_clusters.len()), deep_nprobe)
+            })
+            .collect();
+
+        // Invert query → clusters into cluster → `(query, rank position)`
+        // members: ascending cluster id, input order within a cluster.
+        let mut members = vec![Vec::new(); self.store.num_clusters()];
+        for (qi, (route, &(m, _))) in routes.iter().zip(&depths).enumerate() {
+            for (pos, &c) in route.ranked_clusters[..m].iter().enumerate() {
+                members
+                    .get_mut(c)
+                    .ok_or_else(|| {
+                        HermesError::InvalidConfig(format!("route names unknown cluster {c}"))
+                    })?
+                    .push((qi, pos));
+            }
+        }
+        let groups: Vec<(usize, Vec<(usize, usize)>)> = members
+            .into_iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .collect();
+        sp.arg("distinct_clusters", groups.len() as u64);
+        sp.arg("deep_searches", depths.iter().map(|&(m, _)| m as u64).sum());
+
+        let scans = fan_out(groups.len(), width_cap(threads), |g| {
+            let (c, members) = &groups[g];
+            let group: Vec<(&[f32], usize)> = members
+                .iter()
+                .map(|&(qi, _)| (queries[qi].as_ref(), depths[qi].1))
+                .collect();
+            self.shard_scan(names::SHARD_DEEP, *c, &group, self.plan.k)
+                .results
+        });
+        drop(sp);
+
+        // Re-slot every result at its query's rank position, so gather
+        // sees the per-shard sequence a lone query would build. Each
+        // `(query, position)` sits in exactly one group, so every
+        // placeholder is overwritten.
+        let mut per_query: Vec<Vec<ScanResult>> = depths
+            .iter()
+            .map(|&(m, _)| (0..m).map(|_| Ok(Default::default())).collect())
+            .collect();
+        for ((_, members), results) in groups.iter().zip(scans) {
+            for (&(qi, pos), result) in members.iter().zip(results) {
+                per_query[qi][pos] = result;
+            }
+        }
+
+        // Per-search errors were carried this far so that query input
+        // order, not cluster order, decides which one is reported.
         routes
+            .into_iter()
+            .zip(per_query)
+            .zip(depths)
+            .map(|((route, results), (_, deep_nprobe))| {
+                let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+                Ok(self.gather(route, per_shard, deep_nprobe))
+            })
+            .collect()
     }
 
     /// One group scan of shard `c` under a `shard.sample` / `shard.deep`
@@ -413,101 +574,6 @@ impl<'s> Engine<'s> {
         scan
     }
 
-    /// **Stage 3 (scatter):** deep-searches `shards` concurrently on the
-    /// shared pool, returning per-shard hits + scan stats in input order.
-    /// Records an `engine.scatter` span (args: `shards`, `scanned_codes`)
-    /// plus one `shard.deep` span per deep search — the latter land on the
-    /// worker thread that stole the shard, so a Perfetto view shows the
-    /// scatter fan-out shape directly.
-    fn scatter(
-        &self,
-        query: &[f32],
-        shards: &[usize],
-        deep_nprobe: usize,
-    ) -> Result<Vec<(Vec<Neighbor>, ScanStats)>, HermesError> {
-        let mut sp = hermes_trace::span_with(names::ENGINE_SCATTER, &[("shards", shards.len() as u64)]);
-        let cap = width_cap(self.plan.scatter_threads);
-        let per_shard = fan_out(shards.len(), cap, |i| {
-            self.shard_scan(
-                names::SHARD_DEEP,
-                shards[i],
-                &[(query, deep_nprobe)],
-                self.plan.k,
-            )
-            .results
-            .pop()
-            .expect("one result per query")
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        sp.arg(
-            "scanned_codes",
-            per_shard.iter().map(|(_, s)| s.scanned_codes as u64).sum(),
-        );
-        Ok(per_shard)
-    }
-
-    /// Executes the full pipeline for one query.
-    ///
-    /// When telemetry is enabled, the call nests `engine.execute` ▸
-    /// `engine.route` / `engine.scatter` / `engine.gather` spans, with
-    /// the outer span's end event carrying the `route_scanned` /
-    /// `deep_scanned` work totals from [`SearchStats`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard error in stage order (route before
-    /// scatter) and cluster order within a stage.
-    pub fn execute(&self, query: &[f32]) -> Result<SearchOutcome, HermesError> {
-        let mut query_span = hermes_trace::span(names::ENGINE_EXECUTE);
-        if let Some(rid) = self.plan.request_id {
-            query_span.arg(names::ARG_REQUEST_ID, rid);
-        }
-        let route = self.route(query)?;
-        let outcome = self.scatter_gather(query, route)?;
-        query_span.arg("route_scanned", outcome.stats.route.scanned_codes as u64);
-        query_span.arg("deep_scanned", outcome.stats.deep.scanned_codes as u64);
-        query_span.arg("deep_nprobe", outcome.stats.deep_nprobe as u64);
-        Ok(outcome)
-    }
-
-    /// Executes the scatter + gather stages for a query that was already
-    /// routed — the cache layer's entry point, which routes misses once
-    /// (to bucket the semantic lookup) and must not pay the route stage
-    /// twice. `execute(q)` ≡ `execute_routed(q, route(q)?)` bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard error in the query's rank order.
-    pub fn execute_routed(
-        &self,
-        query: &[f32],
-        route: RouteOutcome,
-    ) -> Result<SearchOutcome, HermesError> {
-        let mut query_span = hermes_trace::span(names::ENGINE_EXECUTE);
-        if let Some(rid) = self.plan.request_id {
-            query_span.arg(names::ARG_REQUEST_ID, rid);
-        }
-        let outcome = self.scatter_gather(query, route)?;
-        query_span.arg("route_scanned", outcome.stats.route.scanned_codes as u64);
-        query_span.arg("deep_scanned", outcome.stats.deep.scanned_codes as u64);
-        query_span.arg("deep_nprobe", outcome.stats.deep_nprobe as u64);
-        Ok(outcome)
-    }
-
-    /// The scatter + gather tail shared by [`Engine::execute`] and
-    /// [`Engine::execute_routed`], resolving the per-query depth first.
-    fn scatter_gather(
-        &self,
-        query: &[f32],
-        route: RouteOutcome,
-    ) -> Result<SearchOutcome, HermesError> {
-        let (m_limit, deep_nprobe) = self.depth_for(&route);
-        let m = m_limit.min(route.ranked_clusters.len());
-        let per_shard = self.scatter(query, &route.ranked_clusters[..m], deep_nprobe)?;
-        Ok(self.gather(route, per_shard, deep_nprobe))
-    }
-
     /// Resolves the per-query depth: the [`DifficultyEstimator`]'s choice
     /// when the plan is adaptive and the route produced scores, the
     /// plan's fixed knobs otherwise. Returns `(clusters_to_search,
@@ -522,217 +588,9 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// Executes the pipeline for a whole batch, stealing queries from the
-    /// shared pool cursor. `threads` caps the inter-query fan-out (`0` =
-    /// full pool, `1` = inline sequential). Each stolen query's own
-    /// scatter runs inline on its worker, so the two parallelism levels
-    /// compose without oversubscription.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in input order.
-    pub fn execute_batch(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        if threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(|q| self.execute(q)).collect();
-        }
-        hermes_pool::Pool::global()
-            .try_parallel_map_capped(queries, width_cap(threads), |q| self.execute(q))
-    }
-
-    /// **Stage 1+2 for a whole batch:** routes every query, shard-major —
-    /// under document-sampling routing each shard samples the whole batch
-    /// in one group scan, so queries probing the same inverted list of a
-    /// shard share its codes. `threads` caps the fan-out across shards
-    /// (`0` = full pool, `1` = inline sequential). The serving layer's
-    /// batch former uses this to discover cluster overlap before
-    /// committing to a scatter. Every route is bit-identical to
-    /// [`Engine::route`] on that query alone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query route error in input order.
-    pub fn route_batch(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<RouteOutcome>, HermesError> {
-        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        self.route_group(&queries, width_cap(threads))
-            .into_iter()
-            .collect()
-    }
-
-    /// Executes the pipeline for a whole batch with the scatter stage
-    /// **coalesced by cluster**: after routing every query, the deep
-    /// searches are grouped so each distinct cluster is one pool task
-    /// that serves all the queries whose top-m routing selected it in
-    /// one [`VectorIndex::search_group`] — instead of `queries × m`
-    /// independent searches, at most `distinct clusters` group scans
-    /// stream each shared inverted list once for all the queries that
-    /// probe it. This is the serving layer's dynamic-batch execution:
-    /// queries with overlapping routing share shard work, disjoint
-    /// queries still fan out across shards.
-    ///
-    /// Results are bit-identical to [`Engine::execute_batch`]: each
-    /// `(query, cluster)` result of a group scan is the single-query
-    /// scan's, per-query gather merges per-shard hits in the query's own
-    /// rank order, and stats fold the same integers. Only the grouping —
-    /// invisible to results — differs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in input order; within one
-    /// query, route errors precede scatter errors and scatter errors
-    /// surface in the query's rank order — the same rule as
-    /// [`Engine::execute_batch`].
-    pub fn execute_coalesced(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        let cap = width_cap(threads);
-        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        // Keep per-query route errors for input-order propagation after
-        // the scatter phase resolves.
-        let routes = self.route_group(&queries, cap);
-        self.coalesced_from_routes(&queries, routes, cap)
-    }
-
-    /// [`Engine::execute_coalesced`] for queries that were already routed
-    /// — the cache layer's batch entry point (it routes misses once to
-    /// bucket semantic lookups, then scatters only the true misses).
-    /// Routes must be positionally aligned with `queries`;
-    /// `execute_coalesced(qs, t)` ≡
-    /// `execute_coalesced_routed(qs, route_batch(qs, t)?, t)` bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query scatter error in input order
-    /// (rank order within a query), exactly like
-    /// [`Engine::execute_coalesced`].
-    pub fn execute_coalesced_routed(
-        &self,
-        queries: &[Vec<f32>],
-        routes: Vec<RouteOutcome>,
-        threads: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        assert_eq!(
-            queries.len(),
-            routes.len(),
-            "one route per query, positionally aligned"
-        );
-        let queries: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        self.coalesced_from_routes(
-            &queries,
-            routes.into_iter().map(Ok).collect(),
-            width_cap(threads),
-        )
-    }
-
-    /// Shared scatter/gather tail of the two coalesced entry points.
-    fn coalesced_from_routes(
-        &self,
-        queries: &[&[f32]],
-        routes: Vec<Result<RouteOutcome, HermesError>>,
-        cap: usize,
-    ) -> Result<Vec<SearchOutcome>, HermesError> {
-        let mut batch_span =
-            hermes_trace::span_with(names::ENGINE_COALESCED, &[("queries", queries.len() as u64)]);
-        // Per-query depth (m, deep nProbe): fixed knobs or the adaptive
-        // policy's per-route choice — resolved once, then honored by both
-        // the group scatter and the per-query gather below. Query `qi`
-        // deep-searches `searched(qi)`, the first m of its ranking.
-        let depths: Vec<(usize, usize)> = routes
-            .iter()
-            .map(|r| match r {
-                Ok(route) => {
-                    let (m_limit, deep_nprobe) = self.depth_for(route);
-                    (m_limit.min(route.ranked_clusters.len()), deep_nprobe)
-                }
-                Err(_) => (0, 0),
-            })
-            .collect();
-        let searched = |qi: usize| -> &[usize] {
-            match &routes[qi] {
-                Ok(route) => &route.ranked_clusters[..depths[qi].0],
-                Err(_) => &[],
-            }
-        };
-
-        // Invert query → clusters into cluster → queries (ascending
-        // cluster id, queries in input order within a cluster).
-        let mut cluster_queries = vec![Vec::new(); self.store.num_clusters()];
-        for qi in 0..queries.len() {
-            for &c in searched(qi) {
-                cluster_queries[c].push(qi);
-            }
-        }
-        let groups: Vec<(usize, Vec<usize>)> = cluster_queries
-            .into_iter()
-            .enumerate()
-            .filter(|(_, qis)| !qis.is_empty())
-            .collect();
-        batch_span.arg("distinct_clusters", groups.len() as u64);
-
-        // One task per distinct cluster: one group scan serves every
-        // query that routed to it, each at its own deep nProbe. Per-search
-        // errors are carried to the assembly step so the *query* input
-        // order, not the cluster order, decides which error wins.
-        let per_group = fan_out(groups.len(), cap, |g| {
-            let (c, qis) = &groups[g];
-            let members: Vec<(&[f32], usize)> =
-                qis.iter().map(|&qi| (queries[qi], depths[qi].1)).collect();
-            self.shard_scan(names::SHARD_DEEP, *c, &members, self.plan.k)
-                .results
-        });
-
-        // Re-slot each deep result into its query's rank-order position,
-        // so gather sees exactly the per-shard sequence `execute` builds.
-        let mut slots: Vec<Vec<Option<ScanResult>>> = depths
-            .iter()
-            .map(|&(m, _)| (0..m).map(|_| None).collect())
-            .collect();
-        for ((c, qis), results) in groups.iter().zip(per_group) {
-            for (&qi, result) in qis.iter().zip(results) {
-                let pos = searched(qi)
-                    .iter()
-                    .position(|cluster| cluster == c)
-                    .expect("cluster group built from this query's searched list");
-                slots[qi][pos] = Some(result);
-            }
-        }
-
-        // Assemble outcomes in input order; the first failing query wins,
-        // and within a query route errors precede rank-order scatter
-        // errors — matching execute_batch exactly.
-        let mut outcomes = Vec::with_capacity(queries.len());
-        for ((route, query_slots), (m, deep_nprobe)) in routes.into_iter().zip(slots).zip(depths) {
-            let route = route?;
-            let mut per_shard = Vec::with_capacity(m);
-            for slot in query_slots {
-                per_shard.push(slot.expect("every searched cluster was scattered")?);
-            }
-            outcomes.push(self.gather(route, per_shard, deep_nprobe));
-        }
-        batch_span.arg(
-            "deep_searches",
-            outcomes
-                .iter()
-                .map(|o| o.searched_clusters.len() as u64)
-                .sum(),
-        );
-        Ok(outcomes)
-    }
-
-    /// **Stage 4 (gather):** merges per-shard hits (already in the
-    /// query's rank order: shard `i` is `route.ranked_clusters[i]`) into
-    /// the final top-k and folds the stats — shared by
-    /// [`Engine::execute`] and [`Engine::execute_coalesced`] so the two
-    /// paths cannot drift.
+    /// Merges one query's per-shard hits (shard `i` is
+    /// `route.ranked_clusters[i]`) into the final top-k and folds the
+    /// stats.
     fn gather(
         &self,
         route: RouteOutcome,
@@ -762,29 +620,14 @@ impl<'s> Engine<'s> {
             stats,
         }
     }
+}
 
-    /// Executes the batch and folds each query's deep-searched clusters
-    /// into a per-cluster access count — the trace of Figures 13/18 and
-    /// the DVFS study's input. Accumulation is sequential in input order,
-    /// so counts are deterministic for any `threads`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-query error in input order.
-    pub fn access_histogram(
-        &self,
-        queries: &[Vec<f32>],
-        threads: usize,
-    ) -> Result<Vec<usize>, HermesError> {
-        let outcomes = self.execute_batch(queries, threads)?;
-        let mut counts = vec![0usize; self.store.num_clusters()];
-        for out in outcomes {
-            for c in out.searched_clusters {
-                counts[c] += 1;
-            }
-        }
-        Ok(counts)
-    }
+/// The single entry of a stage's answer to a batch of one.
+fn only<T>(entries: Vec<T>) -> T {
+    entries
+        .into_iter()
+        .next()
+        .expect("a stage returns one entry per query")
 }
 
 /// A `threads` knob as a pool width: `0` means the full pool.
@@ -926,7 +769,8 @@ mod tests {
             engine.execute_coalesced(&one, 0).unwrap(),
             engine.execute_batch(&one, 1).unwrap()
         );
-        assert!(engine.execute_coalesced(&[], 0).unwrap().is_empty());
+        let none: [Vec<f32>; 0] = [];
+        assert!(engine.execute_coalesced(&none, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -966,25 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn execute_routed_matches_execute() {
-        let (corpus, queries) = setup();
-        for adaptive in [None, Some(AdaptiveConfig::new(1, 4, 16, 128))] {
-            let mut cfg = HermesConfig::new(6).with_seed(1).with_clusters_to_search(3);
-            cfg.adaptive = adaptive;
-            let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-            let engine = Engine::for_store(&store);
-            for q in queries.embeddings().iter_rows() {
-                let route = engine.route(q).unwrap();
-                assert_eq!(
-                    engine.execute_routed(q, route).unwrap(),
-                    engine.execute(q).unwrap(),
-                    "adaptive={adaptive:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn coalesced_routed_matches_coalesced() {
         let (corpus, queries) = setup();
         for adaptive in [None, Some(AdaptiveConfig::new(1, 4, 16, 128))] {
@@ -996,14 +821,34 @@ mod tests {
             for threads in [0usize, 1, 4] {
                 let routes = engine.route_batch(&batch, threads).unwrap();
                 assert_eq!(
-                    engine
-                        .execute_coalesced_routed(&batch, routes, threads)
-                        .unwrap(),
+                    engine.deep_batch(&batch, routes, threads).unwrap(),
                     engine.execute_coalesced(&batch, threads).unwrap(),
                     "adaptive={adaptive:?} threads={threads}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn deep_stage_rejects_routes_that_do_not_pair_with_queries() {
+        let (corpus, queries) = setup();
+        let cfg = HermesConfig::new(6).with_seed(1).with_clusters_to_search(3);
+        let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+        let engine = Engine::for_store(&store);
+        let batch = queries.to_vecs();
+        let mut routes = engine.route_batch(&batch, 1).unwrap();
+        let mut foreign = routes.pop().unwrap();
+        let short = engine.deep_batch(&batch, routes, 1).unwrap_err();
+        assert!(matches!(short, HermesError::InvalidConfig(_)), "{short:?}");
+        // A route from a store with more clusters than this one.
+        foreign.ranked_clusters[0] = store.num_clusters();
+        let unknown = engine
+            .deep_batch(&batch[..1], vec![foreign], 1)
+            .unwrap_err();
+        assert!(
+            matches!(unknown, HermesError::InvalidConfig(_)),
+            "{unknown:?}"
+        );
     }
 
     #[test]

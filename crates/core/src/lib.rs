@@ -15,17 +15,20 @@
 //!    (high `nProbe`).
 //! 4. **Rerank** — per-cluster results merge into the global top-k.
 //!
-//! All four steps run inside one staged query-execution engine
-//! ([`exec::Engine`]): **route** ranks the clusters, **scatter** fans the
-//! top-`m` deep searches out on the shared work-stealing pool so even a
-//! single query uses every core, and **gather** merges per-shard hits in
-//! deterministic input order while folding per-stage work into
+//! All four steps run inside one query-execution engine
+//! ([`exec::Engine`]) as two stages over a borrowed batch of queries:
+//! **route** ([`exec::Engine::route_batch`], steps 1–2) ranks the clusters
+//! for every query, and **deep** ([`exec::Engine::deep_batch`], steps 3–4)
+//! searches each distinct top-`m` cluster once for all the queries routed
+//! to it — fanned out on the shared work-stealing pool, so even a single
+//! query (a batch of one) uses every core — then merges per-shard hits in
+//! each query's rank order while folding per-stage work into
 //! [`exec::SearchStats`]. The [`ClusteredStore`] methods (and the
 //! `hermes-rag` baselines built on them) are thin wrappers that execute a
 //! [`exec::QueryPlan`] derived from the store's [`HermesConfig`].
 //!
 //! The module split mirrors the design: [`config`] (Table 2 knobs),
-//! [`store`] (splitting + per-cluster indices), [`exec`] (the staged
+//! [`store`] (splitting + per-cluster indices), [`exec`] (the
 //! engine and its work accounting), [`search`] (the store-level entry
 //! points).
 

@@ -1,12 +1,9 @@
-//! The hierarchical sample → rank → deep-search → rerank entry points
-//! (paper Section 4.2).
+//! Search outcome types and the [`ClusteredStore`] convenience entry
+//! points of the hierarchical search (paper Section 4.2).
 //!
-//! Every method here is a thin wrapper over the staged scatter–gather
-//! engine in [`crate::exec`]: it builds the matching [`QueryPlan`] and
-//! lets one [`Engine`] run the stages. The wrappers exist so callers can
-//! keep saying `store.hierarchical_search(q)`; callers that need custom
-//! plans (different fan-out caps, exhaustive routing) construct an
-//! [`Engine`] directly.
+//! Each method builds the matching [`QueryPlan`] and lets one [`Engine`]
+//! run it; callers that need a custom plan (fan-out caps, exhaustive
+//! routing) or the two stages apart construct an [`Engine`] directly.
 
 use hermes_math::Neighbor;
 
@@ -56,20 +53,6 @@ impl SearchOutcome {
 }
 
 impl ClusteredStore {
-    /// Ranks every cluster for `query` without deep-searching any —
-    /// the engine's route stage, also used standalone for
-    /// access-frequency analyses (Figure 13).
-    ///
-    /// Returns `(ranked_clusters, routing_cost)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates index errors (dimension mismatch).
-    pub fn route(&self, query: &[f32]) -> Result<(Vec<usize>, SearchPhaseCost), HermesError> {
-        let out = Engine::for_store(self).route(query)?;
-        Ok((out.ranked_clusters, out.cost))
-    }
-
     /// Runs the full hierarchical search for `query` using the store's
     /// configuration (sample `nProbe`, deep `nProbe`, `clusters_to_search`,
     /// `k`). The query's per-shard samples and deep searches fan out on
@@ -112,8 +95,7 @@ impl ClusteredStore {
     /// of Figures 13/18 and the input to the DVFS study.
     ///
     /// `threads` caps the per-query fan-out as in
-    /// [`Self::batch_hierarchical_search`] (`0` = full pool, `1` =
-    /// inline sequential); the histogram accumulation itself is always
+    /// [`Self::batch_hierarchical_search`]; the accumulation itself is
     /// sequential in input order, so counts are deterministic for any
     /// setting.
     ///
@@ -125,7 +107,13 @@ impl ClusteredStore {
         queries: &[Vec<f32>],
         threads: usize,
     ) -> Result<Vec<usize>, HermesError> {
-        Engine::for_store(self).access_histogram(queries, threads)
+        let mut counts = vec![0usize; self.num_clusters()];
+        for out in self.batch_hierarchical_search(queries, threads)? {
+            for c in out.searched_clusters {
+                counts[c] += 1;
+            }
+        }
+        Ok(counts)
     }
 
     /// Exhaustively deep-searches *all* clusters and merges — the naive
@@ -303,9 +291,9 @@ mod tests {
         let cfg = HermesConfig::new(8).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let q = queries.embeddings().row(5);
-        let (ranked, _) = store.route(q).unwrap();
+        let route = Engine::for_store(&store).route(q).unwrap();
         let out = store.hierarchical_search(q).unwrap();
-        assert_eq!(ranked, out.ranked_clusters);
+        assert_eq!(route.ranked_clusters, out.ranked_clusters);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Mutex;
 
-use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
+use hermes_cache::{lock_recovering, CacheConfig, CacheStats, SemanticCache};
 use hermes_core::exec::Engine;
 use hermes_core::search::SearchOutcome;
 use hermes_core::{ClusteredStore, HermesConfig, HermesError, Routing, SplitStrategy};
@@ -151,9 +151,7 @@ impl Retriever {
 
     /// Cache accounting, when a cache is attached.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache
-            .as_ref()
-            .map(|c| c.lock().expect("cache poisoned").stats())
+        self.cache.as_ref().map(|c| lock_recovering(c).stats())
     }
 
     /// The strategy this retriever runs.
@@ -214,45 +212,44 @@ impl Retriever {
 
     /// The cache-fronted path: exact lookup, then (for clustered
     /// backends) one route that both buckets the semantic lookup and —
-    /// on a miss — feeds [`Engine::execute_routed`], so the route stage
-    /// is never paid twice. Cached hits return the stored `Retrieval`
-    /// verbatim, work accounting included: `scanned_codes` reports what
-    /// computing the answer cost, not the (zero) cost of serving it —
-    /// the avoided work is visible in [`Retriever::cache_stats`].
+    /// on a miss — feeds [`Engine::deep_batch`] as a batch of one, so the
+    /// route stage is never paid twice. Cached hits return the stored
+    /// `Retrieval` verbatim, work accounting included: `scanned_codes`
+    /// reports what computing the answer cost, not the (zero) cost of
+    /// serving it — the avoided work is visible in
+    /// [`Retriever::cache_stats`]. A cache poisoned by a panicking holder
+    /// is emptied and retrieval goes on ([`lock_recovering`]).
     fn retrieve_cached(
         &self,
         cache: &Mutex<SemanticCache<Retrieval>>,
         query: &[f32],
     ) -> Result<Retrieval, HermesError> {
-        let version = match &self.backend {
-            Backend::Monolithic(_) => 0,
-            Backend::Clustered(store) => store.generation(),
+        let (version, engine) = match &self.backend {
+            Backend::Monolithic(_) => (0, None),
+            Backend::Clustered(store) => (store.generation(), Some(Engine::for_store(store))),
         };
-        let mut cache = cache.lock().expect("cache poisoned");
+        let mut cache = lock_recovering(cache);
         if let Some(hit) = cache.lookup_exact(query, version) {
             return Ok(hit.clone());
         }
-        match &self.backend {
-            Backend::Monolithic(_) => {
-                if let Some(hit) = cache.lookup_semantic(query, None, version) {
-                    return Ok(hit.payload);
-                }
-                let out = self.retrieve_inner(query)?;
-                cache.insert(query.to_vec(), None, version, out.clone());
-                Ok(out)
-            }
-            Backend::Clustered(store) => {
-                let engine = Engine::for_store(store);
-                let route = engine.route(query)?;
-                let bucket = route.top_cluster();
-                if let Some(hit) = cache.lookup_semantic(query, bucket, version) {
-                    return Ok(hit.payload);
-                }
-                let out = clustered_retrieval(engine.execute_routed(query, route)?);
-                cache.insert(query.to_vec(), bucket, version, out.clone());
-                Ok(out)
-            }
+        let route = engine.map(|e| e.route(query)).transpose()?;
+        let bucket = route.as_ref().and_then(|r| r.top_cluster());
+        if let Some(hit) = cache.lookup_semantic(query, bucket, version) {
+            return Ok(hit.payload);
         }
+        let routed = match (engine, route) {
+            (Some(engine), Some(route)) => engine
+                .deep_batch(&[query], vec![route], engine.plan().scatter_threads)?
+                .pop()
+                .map(clustered_retrieval),
+            _ => None,
+        };
+        let out = match routed {
+            Some(out) => out,
+            None => self.retrieve_inner(query)?,
+        };
+        cache.insert(query.to_vec(), bucket, version, out.clone());
+        Ok(out)
     }
 
     fn retrieve_inner(&self, query: &[f32]) -> Result<Retrieval, HermesError> {
@@ -425,6 +422,37 @@ mod tests {
             assert_eq!(stats.exact_hits, queries.len() as u64, "{kind}");
             assert!(plain.cache_stats().is_none());
         }
+    }
+
+    #[test]
+    fn a_poisoned_cache_is_emptied_and_retrieval_goes_on() {
+        let (corpus, queries, cfg) = setup();
+        let plain = Retriever::build(RetrieverKind::Hermes, corpus.embeddings(), &cfg).unwrap();
+        let cached = Retriever::build(RetrieverKind::Hermes, corpus.embeddings(), &cfg)
+            .unwrap()
+            .with_cache(CacheConfig::default().exact_only());
+        for q in queries.embeddings().iter_rows() {
+            cached.retrieve(q).unwrap();
+        }
+        let before = cached.cache_stats().unwrap();
+
+        let lock = cached.cache.as_ref().unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = lock.lock().unwrap();
+                panic!("poisoning the cache lock on purpose");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && lock.is_poisoned());
+
+        for q in queries.embeddings().iter_rows() {
+            assert_eq!(cached.retrieve(q).unwrap(), plain.retrieve(q).unwrap());
+        }
+        assert!(!lock.is_poisoned(), "recovered on first use");
+        let after = cached.cache_stats().unwrap();
+        assert_eq!(after.exact_hits, before.exact_hits, "the cache was emptied");
+        assert_eq!(after.misses, before.misses + queries.len() as u64);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cluster-overlap analysis of a formed batch.
 //!
-//! The engine's coalesced scatter ([`hermes_core::exec::Engine::execute_coalesced`])
+//! The engine's deep stage ([`hermes_core::exec::Engine::deep_batch`])
 //! turns `requests × m` deep searches into one task per *distinct*
 //! cluster. This module computes the shape of that sharing for a batch:
 //! which requests ride the same shard visits (connected components over
@@ -20,11 +20,11 @@ pub struct BatchPlan {
     /// touch disjoint clusters.
     pub groups: Vec<Vec<usize>>,
     /// Distinct clusters across the batch — the number of scatter tasks
-    /// a coalesced dispatch runs.
+    /// a dispatch runs.
     pub distinct_clusters: usize,
     /// Total deep searches the batch performs (`Σ` per-request cluster
-    /// counts) — the number of scatter tasks an uncoalesced dispatch
-    /// would run.
+    /// counts) — the number of scatter tasks the same requests would
+    /// run one at a time.
     pub total_deep_searches: usize,
 }
 

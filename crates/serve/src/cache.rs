@@ -1,20 +1,18 @@
 //! Cache-fronted serving backend: the [`SemanticCache`] wired between
 //! the dispatch loop and the engine.
 //!
-//! [`CachedBackend`] wraps a [`GenerationCell`] the way
-//! [`GenerationBackend`](crate::GenerationBackend) does, but consults a
-//! [`SemanticCache`] of [`SearchOutcome`]s before touching any shard.
-//! One dispatched batch flows through three phases:
+//! [`CachedBackend`] resolves a [`GenerationCell`] the way
+//! [`GenerationBackend`](crate::GenerationBackend) does and hands the
+//! shared serving pipeline (`server::dispatch`) a [`SemanticCache`] of
+//! [`SearchOutcome`]s to consult before it touches any shard:
 //!
-//! 1. **Exact phase** — every query is probed by bit pattern. Hits are
+//! 1. **Exact probe** — every query is probed by bit pattern. Hits are
 //!    answered immediately: zero routing, zero scatter.
-//! 2. **Semantic phase** — the remaining queries are routed once
-//!    ([`Engine::route_batch`]); each route's top cluster buckets a
-//!    near-duplicate lookup. Hits return the stored query's outcome.
-//! 3. **Compute phase** — true misses reuse their phase-2 routes via
-//!    [`Engine::execute_coalesced_routed`] (the route stage is never
-//!    paid twice), and every fresh outcome is inserted for the next
-//!    batch.
+//! 2. **Semantic probe** — the remaining queries are routed once; each
+//!    route's top cluster buckets a near-duplicate lookup. Hits return
+//!    the stored query's outcome.
+//! 3. **Compute** — true misses are deep-searched on the routes already
+//!    paid for, and every fresh outcome is inserted for the next batch.
 //!
 //! **Invalidation:** entries are stamped with
 //! [`GenerationCell::version`], which counts *every* publish — swaps
@@ -28,20 +26,23 @@
 //! the stored query*; serving it for a probe within `1 − threshold`
 //! cosine is the layer's explicit approximation, disabled entirely by
 //! [`CacheConfig::exact_only`].
+//!
+//! **Poisoning:** the cache is locked through
+//! [`hermes_cache::lock_recovering`], so a panic under the lock costs the
+//! cached entries, never a later request.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
+use hermes_cache::{lock_recovering, CacheConfig, CacheStats, SemanticCache};
 use hermes_core::exec::Engine;
 use hermes_core::search::SearchOutcome;
 use hermes_core::HermesError;
-use hermes_obs::{CachePath, Phase, PhaseNs};
+use hermes_obs::CachePath;
 use hermes_trace::names;
 
-use crate::batch::coalesce_groups;
 use crate::generation::GenerationCell;
 use crate::request::Request;
-use crate::server::{Backend, BatchOutcome};
+use crate::server::{dispatch, Backend, BatchOutcome};
 
 /// A [`Backend`] that serves repeated and near-duplicate queries from a
 /// [`SemanticCache`] and computes only the true misses.
@@ -70,21 +71,7 @@ impl CachedBackend {
 
     /// Cache accounting so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.lock_cache().stats()
-    }
-
-    /// The cache, whatever happened to an earlier holder of its lock. A
-    /// panic under the lock may have stopped an update half-way, but the
-    /// contents are only ever a shortcut to what the engine recomputes:
-    /// empty them (accounting kept) and serve on, instead of failing
-    /// every later request on the poison flag.
-    fn lock_cache(&self) -> MutexGuard<'_, SemanticCache<SearchOutcome>> {
-        self.cache.lock().unwrap_or_else(|poisoned| {
-            let mut cache = poisoned.into_inner();
-            cache.clear();
-            self.cache.clear_poison();
-            cache
-        })
+        lock_recovering(&self.cache).stats()
     }
 }
 
@@ -93,94 +80,19 @@ impl Backend for CachedBackend {
         let mut sp = hermes_trace::span_with(names::CACHE_BATCH, &[("queries", batch.len() as u64)]);
         let store = self.cell.current();
         let version = self.cell.version();
-        let engine = Engine::for_store(&store);
-        let queries: Vec<Vec<f32>> = batch.iter().map(|r| r.query.clone()).collect();
-        let mut phases = PhaseNs::new();
-        let mut cache_paths = vec![CachePath::Computed; queries.len()];
-        let t0 = hermes_trace::now_ns();
-
-        let mut slots: Vec<Option<SearchOutcome>> = vec![None; queries.len()];
-        let mut cache = self.lock_cache();
-
-        // Phase 1: exact bit-pattern hits.
-        for (slot, q) in slots.iter_mut().zip(&queries) {
-            *slot = cache.lookup_exact(q, version).cloned();
+        let mut cache = lock_recovering(&self.cache);
+        let out = dispatch(
+            &Engine::for_store(&store),
+            self.threads,
+            Some((&mut cache, version)),
+            batch,
+        )?;
+        if sp.is_active() {
+            let computed = out.cache_paths.iter().filter(|&&p| p == CachePath::Computed);
+            sp.arg("hits", cache.stats().hits());
+            sp.arg("computed", computed.count() as u64);
         }
-        for (path, slot) in cache_paths.iter_mut().zip(&slots) {
-            if slot.is_some() {
-                *path = CachePath::ExactHit;
-            }
-        }
-        let t_exact = hermes_trace::now_ns();
-        phases.add(Phase::CacheProbe, t_exact.saturating_sub(t0));
-        let missed: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-
-        // Phase 2+3: route the misses once; the route both buckets the
-        // semantic lookup and feeds the coalesced scatter of what's left.
-        let mut executed_searched: Vec<Vec<usize>> = Vec::new();
-        if !missed.is_empty() {
-            let miss_queries: Vec<Vec<f32>> = missed.iter().map(|&i| queries[i].clone()).collect();
-            let routes = engine.route_batch(&miss_queries, self.threads)?;
-            let t_route = hermes_trace::now_ns();
-            phases.add(Phase::Route, t_route.saturating_sub(t_exact));
-            let mut compute: Vec<(usize, Vec<f32>)> = Vec::new();
-            let mut compute_routes = Vec::new();
-            for ((&i, q), route) in missed.iter().zip(miss_queries).zip(routes) {
-                match cache.lookup_semantic(&q, route.top_cluster(), version) {
-                    Some(hit) => {
-                        slots[i] = Some(hit.payload);
-                        cache_paths[i] = CachePath::SemanticHit;
-                    }
-                    None => {
-                        compute.push((i, q));
-                        compute_routes.push(route);
-                    }
-                }
-            }
-            let t_semantic = hermes_trace::now_ns();
-            phases.add(Phase::CacheProbe, t_semantic.saturating_sub(t_route));
-            if !compute.is_empty() {
-                let compute_queries: Vec<Vec<f32>> =
-                    compute.iter().map(|(_, q)| q.clone()).collect();
-                let outcomes = engine.execute_coalesced_routed(
-                    &compute_queries,
-                    compute_routes,
-                    self.threads,
-                )?;
-                for ((i, q), outcome) in compute.into_iter().zip(outcomes) {
-                    let bucket = outcome.ranked_clusters.first().copied();
-                    cache.insert(q, bucket, version, outcome.clone());
-                    executed_searched.push(outcome.searched_clusters.clone());
-                    slots[i] = Some(outcome);
-                }
-                phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t_semantic));
-            }
-        }
-        let stats = cache.stats();
-        drop(cache);
-        let service_ns = hermes_trace::now_ns().saturating_sub(t0);
-
-        let outcomes: Vec<SearchOutcome> = slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled by a hit or a computation"))
-            .collect();
-        // Coalescing accounting covers only the work actually executed —
-        // cache hits touched no shard.
-        let plan = coalesce_groups(&executed_searched);
-        sp.arg("hits", stats.hits());
-        sp.arg("computed", executed_searched.len() as u64);
-        Ok(BatchOutcome {
-            outcomes,
-            service_ns,
-            distinct_clusters: plan.distinct_clusters,
-            shared_visits: plan.shared_visits(),
-            phases,
-            cache_paths,
-        })
+        Ok(out)
     }
 }
 

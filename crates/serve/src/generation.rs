@@ -18,19 +18,18 @@
 //!   (`tests/serving_equivalence.rs`).
 //!
 //! [`GenerationBackend`] is the [`Backend`] that reads the cell at each
-//! dispatch, so a [`Server`](crate::Server) keeps its backend for the
-//! whole run while the store underneath it evolves.
+//! dispatch and forwards to the shared serving pipeline
+//! (`server::dispatch`), so a [`Server`](crate::Server) keeps its backend
+//! for the whole run while the store underneath it evolves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use hermes_core::exec::Engine;
 use hermes_core::{ClusteredStore, HermesError};
-use hermes_obs::{Phase, PhaseNs};
 
-use crate::batch::coalesce_groups;
 use crate::request::Request;
-use crate::server::{Backend, BatchOutcome};
+use crate::server::{dispatch, Backend, BatchOutcome};
 
 /// An atomically swappable, epoch-counted store handle.
 #[derive(Debug)]
@@ -107,25 +106,14 @@ impl GenerationCell {
 pub struct GenerationBackend {
     cell: Arc<GenerationCell>,
     threads: usize,
-    coalesce: bool,
 }
 
 impl GenerationBackend {
     /// A backend dispatching against whatever generation `cell` publishes
-    /// at dispatch time, with inter-query fan-out `threads` (`0` = full
-    /// pool, `1` = inline), scatter coalesced by cluster.
+    /// at dispatch time, with shard fan-out `threads` (`0` = full pool,
+    /// `1` = inline).
     pub fn new(cell: Arc<GenerationCell>, threads: usize) -> Self {
-        GenerationBackend {
-            cell,
-            threads,
-            coalesce: true,
-        }
-    }
-
-    /// Disables cluster coalescing (results are identical either way).
-    pub fn with_coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
-        self
+        GenerationBackend { cell, threads }
     }
 
     /// The shared cell.
@@ -137,39 +125,7 @@ impl GenerationBackend {
 impl Backend for GenerationBackend {
     fn run(&self, batch: &[Request]) -> Result<BatchOutcome, HermesError> {
         let store = self.cell.current();
-        let engine = Engine::for_store(&store);
-        let queries: Vec<Vec<f32>> = batch.iter().map(|r| r.query.clone()).collect();
-        let mut phases = PhaseNs::new();
-        let t0 = hermes_trace::now_ns();
-        let outcomes = if self.coalesce {
-            // Same route/scatter split as `EngineBackend`: bit-identical
-            // to `execute_coalesced`, but the seam lets the clock reads
-            // attribute Route vs Deep.
-            let routes = engine.route_batch(&queries, self.threads)?;
-            let t_routed = hermes_trace::now_ns();
-            phases.add(Phase::Route, t_routed.saturating_sub(t0));
-            let outcomes = engine.execute_coalesced_routed(&queries, routes, self.threads)?;
-            phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t_routed));
-            outcomes
-        } else {
-            let outcomes = engine.execute_batch(&queries, self.threads)?;
-            phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t0));
-            outcomes
-        };
-        let service_ns = phases.total();
-        let searched: Vec<Vec<usize>> = outcomes
-            .iter()
-            .map(|o| o.searched_clusters.clone())
-            .collect();
-        let plan = coalesce_groups(&searched);
-        Ok(BatchOutcome {
-            outcomes,
-            service_ns,
-            distinct_clusters: plan.distinct_clusters,
-            shared_visits: plan.shared_visits(),
-            phases,
-            cache_paths: Vec::new(),
-        })
+        dispatch(&Engine::for_store(&store), self.threads, None, batch)
     }
 }
 

@@ -9,13 +9,14 @@
 //!   load shedding: overload rejects at the door instead of growing an
 //!   unbounded backlog that would stall the pool.
 //! * [`batch`] — cluster-overlap analysis of a formed batch: which
-//!   requests share shard visits when the scatter is coalesced.
+//!   requests share shard visits in the engine's group scatter.
 //! * [`server`] — the discrete-event [`Server`]: virtual-time dispatch
 //!   loop, deadline expiry, per-class latency histograms
-//!   ([`hermes_trace::hist::LogHistogram`]), pluggable [`Backend`]
-//!   ([`EngineBackend`] for real execution via
-//!   [`hermes_core::exec::Engine::execute_coalesced`],
-//!   [`FixedServiceBackend`] as the queue model in backend form).
+//!   ([`hermes_trace::hist::LogHistogram`]), pluggable [`Backend`] —
+//!   and the one `dispatch` function (probe → route → probe → deep →
+//!   insert over the engine's two batch stages) that [`EngineBackend`],
+//!   [`GenerationBackend`] and [`CachedBackend`] all forward to;
+//!   [`FixedServiceBackend`] is the queue model in backend form.
 //! * [`loadgen`] — open-loop (seeded Poisson, shared with
 //!   `hermes_sim::queueing` through [`hermes_datagen::arrivals`]) and
 //!   closed-loop (users + think time) drivers.

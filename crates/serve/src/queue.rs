@@ -8,7 +8,7 @@
 //! 1. **Conservation** — every admitted request leaves exactly once, via
 //!    dispatch or expiry; every rejected request is returned exactly once.
 //! 2. **Priority FIFO** — dispatch order is priority class first
-//!    ([`Priority::ALL`] order), arrival order within a class.
+//!    ([`Priority::ALL`](crate::Priority::ALL) order), arrival order within a class.
 //! 3. **Bounded** — `len() <= capacity()` always.
 
 use std::collections::VecDeque;

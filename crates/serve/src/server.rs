@@ -1,4 +1,5 @@
-//! The discrete-event serving loop: admission → dynamic batch → dispatch.
+//! The discrete-event serving loop — admission → dynamic batch →
+//! dispatch — and the one function every real backend dispatches through.
 //!
 //! The server is a *virtual-time machine*: it never reads a wall clock.
 //! Drivers (the load generators, the CLI, the oracle tests) own time —
@@ -10,18 +11,23 @@
 //! `hermes_sim::queueing` M/D/1 recurrence, which is what
 //! `tests/serving_oracle.rs` exploits.
 //!
-//! Only the [`Backend`] touches clocks: [`EngineBackend`] brackets each
-//! dispatch with two [`hermes_trace::now_ns`] reads to measure real
-//! service time (under an installed
-//! [`hermes_trace::clock::TestClock`] those reads are deterministic
-//! too).
+//! Only a [`Backend`] touches clocks, and the real ones
+//! ([`EngineBackend`], [`GenerationBackend`](crate::GenerationBackend),
+//! [`CachedBackend`](crate::CachedBackend)) all do it in `dispatch`:
+//! exact probe → [`Engine::route_batch`] → semantic probe →
+//! [`Engine::deep_batch`] → insert, the probes and the insert only with a
+//! cache, one [`hermes_trace::now_ns`] read per phase boundary (three
+//! without a cache; deterministic under an installed
+//! [`hermes_trace::clock::TestClock`]). Each backend's `run` only
+//! resolves what to dispatch against — a borrowed store, the published
+//! generation, the cache guard — and forwards.
 //!
 //! Results are never affected by scheduling: every completed request
-//! carries the exact [`SearchOutcome`] the standalone engine returns for
-//! its query, because both engine paths
-//! ([`Engine::execute_batch`] / [`Engine::execute_coalesced`]) are
-//! bit-identical to [`Engine::execute`] per query.
+//! carries the exact [`SearchOutcome`] [`Engine::execute`] returns for
+//! its query, because the engine's batch stages answer each query as if
+//! it were alone.
 
+use hermes_cache::SemanticCache;
 use hermes_core::exec::Engine;
 use hermes_core::search::SearchOutcome;
 use hermes_core::HermesError;
@@ -69,31 +75,121 @@ pub struct BatchOutcome {
     pub cache_paths: Vec<CachePath>,
 }
 
-/// Real execution over [`Engine`], coalesced by default.
-pub struct EngineBackend<'s> {
-    engine: Engine<'s>,
+/// Runs one batch through the serving pipeline — the only place the
+/// serving layer probes a cache, calls the engine's two stages, reads the
+/// clock or accounts sharing. With `cache = Some((cache, version))` the
+/// batch flows exact probe → route the misses → semantic probe (bucketed
+/// by each route's top cluster) → deep-search the true misses on the
+/// routes already paid for → insert; with `None` it is route → deep.
+/// Queries are borrowed from the requests; the one copy made is the
+/// vector the cache owns after an insert.
+///
+/// Every clock read closes a phase, so `service_ns` is exactly
+/// `phases.total()`; sharing is accounted over the searches actually
+/// executed (cache hits touch no shard). `cache_paths` stays empty
+/// without a cache.
+///
+/// # Errors
+///
+/// Propagates the engine's first error in batch order.
+pub(crate) fn dispatch(
+    engine: &Engine<'_>,
     threads: usize,
-    coalesce: bool,
-}
+    mut cache: Option<(&mut SemanticCache<SearchOutcome>, u64)>,
+    batch: &[Request],
+) -> Result<BatchOutcome, HermesError> {
+    let mut phases = PhaseNs::new();
+    let mut mark = hermes_trace::now_ns();
+    let mut lap = |phase: Phase| {
+        let now = hermes_trace::now_ns();
+        phases.add(phase, now.saturating_sub(mark));
+        mark = now;
+    };
+    let mut slots: Vec<Option<SearchOutcome>> = vec![None; batch.len()];
+    let mut cache_paths = Vec::new();
 
-impl<'s> EngineBackend<'s> {
-    /// A backend dispatching batches to `engine` with inter-query
-    /// fan-out `threads` (`0` = full pool, `1` = inline), scatter
-    /// coalesced by cluster.
-    pub fn new(engine: Engine<'s>, threads: usize) -> Self {
-        EngineBackend {
-            engine,
-            threads,
-            coalesce: true,
+    if let Some((cache, version)) = cache.as_mut() {
+        cache_paths = vec![CachePath::Computed; batch.len()];
+        for ((slot, path), req) in slots.iter_mut().zip(&mut cache_paths).zip(batch) {
+            if let Some(hit) = cache.lookup_exact(&req.query, *version) {
+                *slot = Some(hit.clone());
+                *path = CachePath::ExactHit;
+            }
+        }
+        lap(Phase::CacheProbe);
+    }
+
+    // `missed[j]` is the batch position of `queries[j]` / `routes[j]`.
+    let mut missed: Vec<usize> = (0..batch.len()).filter(|&i| slots[i].is_none()).collect();
+    let mut searched: Vec<Vec<usize>> = Vec::with_capacity(missed.len());
+    if !missed.is_empty() {
+        let mut queries: Vec<&[f32]> = missed.iter().map(|&i| &batch[i].query[..]).collect();
+        let mut routes = engine.route_batch(&queries, threads)?;
+        lap(Phase::Route);
+
+        // The seam: the batch is routed and nothing is scanned yet.
+        if let Some((cache, version)) = cache.as_mut() {
+            // Serve near-duplicates; compact what is left, order kept.
+            let mut kept = 0;
+            for j in 0..missed.len() {
+                match cache.lookup_semantic(queries[j], routes[j].top_cluster(), *version) {
+                    Some(hit) => {
+                        slots[missed[j]] = Some(hit.payload);
+                        cache_paths[missed[j]] = CachePath::SemanticHit;
+                    }
+                    None => {
+                        missed.swap(kept, j);
+                        queries.swap(kept, j);
+                        routes.swap(kept, j);
+                        kept += 1;
+                    }
+                }
+            }
+            missed.truncate(kept);
+            queries.truncate(kept);
+            routes.truncate(kept);
+            lap(Phase::CacheProbe);
+        }
+
+        if !missed.is_empty() {
+            let outcomes = engine.deep_batch(&queries, routes, threads)?;
+            for ((&i, query), outcome) in missed.iter().zip(&queries).zip(outcomes) {
+                if let Some((cache, version)) = cache.as_mut() {
+                    let bucket = outcome.ranked_clusters.first().copied();
+                    cache.insert(query.to_vec(), bucket, *version, outcome.clone());
+                }
+                searched.push(outcome.searched_clusters.clone());
+                slots[i] = Some(outcome);
+            }
+            lap(Phase::Deep);
         }
     }
 
-    /// Disables cluster coalescing (each request scatters independently
-    /// via [`Engine::execute_batch`]) — the A/B lever for the
-    /// `ext_serving` bench. Results are identical either way.
-    pub fn with_coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
-        self
+    let plan = coalesce_groups(&searched);
+    Ok(BatchOutcome {
+        outcomes: slots
+            .into_iter()
+            .map(|s| s.expect("every request was answered by a hit or a computation"))
+            .collect(),
+        service_ns: phases.total(),
+        distinct_clusters: plan.distinct_clusters,
+        shared_visits: plan.shared_visits(),
+        phases,
+        cache_paths,
+    })
+}
+
+/// Real execution over a borrowed [`Engine`].
+pub struct EngineBackend<'s> {
+    engine: Engine<'s>,
+    threads: usize,
+}
+
+impl<'s> EngineBackend<'s> {
+    /// A backend dispatching batches to `engine` with shard fan-out
+    /// `threads` (`0` = full pool, `1` = inline).
+    pub fn new(engine: Engine<'s>, threads: usize) -> Self {
+        EngineBackend { engine, threads }
     }
 
     /// The wrapped engine.
@@ -104,41 +200,7 @@ impl<'s> EngineBackend<'s> {
 
 impl Backend for EngineBackend<'_> {
     fn run(&self, batch: &[Request]) -> Result<BatchOutcome, HermesError> {
-        let queries: Vec<Vec<f32>> = batch.iter().map(|r| r.query.clone()).collect();
-        let mut phases = PhaseNs::new();
-        let t0 = hermes_trace::now_ns();
-        let outcomes = if self.coalesce {
-            // The coalesced path split at its route/scatter seam — the
-            // exact decomposition `Engine::execute_coalesced` performs
-            // internally, pinned bit-identical by the core equivalence
-            // tests — so the clock reads bracket Route vs Deep.
-            let routes = self.engine.route_batch(&queries, self.threads)?;
-            let t_routed = hermes_trace::now_ns();
-            phases.add(Phase::Route, t_routed.saturating_sub(t0));
-            let outcomes =
-                self.engine
-                    .execute_coalesced_routed(&queries, routes, self.threads)?;
-            phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t_routed));
-            outcomes
-        } else {
-            let outcomes = self.engine.execute_batch(&queries, self.threads)?;
-            phases.add(Phase::Deep, hermes_trace::now_ns().saturating_sub(t0));
-            outcomes
-        };
-        let service_ns = phases.total();
-        let searched: Vec<Vec<usize>> = outcomes
-            .iter()
-            .map(|o| o.searched_clusters.clone())
-            .collect();
-        let plan = coalesce_groups(&searched);
-        Ok(BatchOutcome {
-            outcomes,
-            service_ns,
-            distinct_clusters: plan.distinct_clusters,
-            shared_visits: plan.shared_visits(),
-            phases,
-            cache_paths: Vec::new(),
-        })
+        dispatch(&self.engine, self.threads, None, batch)
     }
 }
 
@@ -217,7 +279,8 @@ pub struct ServeReport {
     pub sojourn: LogHistogram,
     /// Queueing delay (arrival → dispatch) histogram, nanoseconds.
     pub wait: LogHistogram,
-    /// Per-priority-class sojourn histograms, [`Priority::ALL`] order.
+    /// Per-priority-class sojourn histograms,
+    /// [`Priority::ALL`](crate::Priority::ALL) order.
     pub sojourn_by_class: [LogHistogram; PRIORITY_CLASSES],
     /// Total backend service time, nanoseconds.
     pub busy_ns: u64,
@@ -437,6 +500,8 @@ impl<B: Backend> Server<B> {
             &[(names::ARG_BATCH_SIZE, batch.len() as u64)],
         );
         let batch_size = batch.len();
+        // Empty for backends that execute nothing: `next()` is then `None`.
+        let mut outcomes = out.outcomes.into_iter();
         for (i, req) in batch.into_iter().enumerate() {
             let sojourn = finish - req.arrival_ns;
             self.sojourn.record(sojourn);
@@ -469,7 +534,7 @@ impl<B: Backend> Server<B> {
                 obs.on_completion(&tl);
             }
             self.completions.push(Completion {
-                outcome: out.outcomes.get(i).cloned(),
+                outcome: outcomes.next(),
                 request: req,
                 start_ns: start,
                 finish_ns: finish,
@@ -541,6 +606,55 @@ mod tests {
             let _ = server.submit(r);
         }
         server.run_until(u64::MAX).unwrap();
+    }
+
+    #[test]
+    fn the_three_real_backends_dispatch_identically() {
+        use crate::{CachedBackend, GenerationBackend, GenerationCell};
+        use hermes_core::{ClusteredStore, HermesConfig};
+        use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
+        use std::sync::Arc;
+
+        let corpus = Corpus::generate(CorpusSpec::new(600, 12, 5).with_seed(91));
+        let cfg = HermesConfig::new(5)
+            .with_clusters_to_search(2)
+            .with_seed(93);
+        let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+        let mut queries = QuerySet::generate(&corpus, QuerySpec::new(6).with_seed(92)).to_vecs();
+        queries.push(queries[0].clone());
+        let batch: Vec<Request> = queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| Request::new(i as u64, q.clone(), Priority::Standard, 0))
+            .collect();
+
+        let cell = Arc::new(GenerationCell::new(store.clone()));
+        let engine = EngineBackend::new(Engine::for_store(&store), 1)
+            .run(&batch)
+            .unwrap();
+        let generation = GenerationBackend::new(cell.clone(), 1).run(&batch).unwrap();
+        let cached = CachedBackend::new(cell, 1, hermes_cache::CacheConfig::default())
+            .run(&batch)
+            .unwrap();
+
+        let standalone = Engine::for_store(&store)
+            .execute_batch(&queries, 1)
+            .unwrap();
+        assert_eq!(engine.outcomes, standalone);
+        assert!(
+            engine.shared_visits > 0,
+            "the repeated query shares its visits"
+        );
+        for (name, other) in [("generation", &generation), ("cold cache", &cached)] {
+            assert_eq!(other.outcomes, engine.outcomes, "{name}");
+            assert_eq!(other.distinct_clusters, engine.distinct_clusters, "{name}");
+            assert_eq!(other.shared_visits, engine.shared_visits, "{name}");
+        }
+        for out in [&engine, &generation, &cached] {
+            assert!(out.phases.total() <= out.service_ns);
+        }
+        assert!(engine.cache_paths.is_empty() && generation.cache_paths.is_empty());
+        assert_eq!(cached.cache_paths, vec![CachePath::Computed; batch.len()]);
     }
 
     #[test]

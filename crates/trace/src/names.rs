@@ -53,19 +53,19 @@ pub const COUNTERS: &[(&str, &str)] = &[
 
 // --- Span streams (Begin/End and Complete) --------------------------------
 
-/// One full engine pipeline execution (route ▸ scatter ▸ gather).
+/// One full engine pipeline execution (route ▸ scatter ▸ gather) of a
+/// batch; a lone query is a batch of one.
 pub const ENGINE_EXECUTE: &str = "engine.execute";
-/// Route stage of one query.
+/// Route stage of one batch.
 pub const ENGINE_ROUTE: &str = "engine.route";
-/// Scatter stage of one query.
+/// Scatter half of one batch's deep stage: one group scan per distinct
+/// cluster.
 pub const ENGINE_SCATTER: &str = "engine.scatter";
-/// Gather stage of one query.
+/// Gather half of the deep stage, one per query.
 pub const ENGINE_GATHER: &str = "engine.gather";
-/// One cluster-coalesced batch execution.
-pub const ENGINE_COALESCED: &str = "engine.coalesced";
 /// One route-stage sampling probe of a shard.
 pub const SHARD_SAMPLE: &str = "shard.sample";
-/// One deep search of a shard (per query, or per coalesced group).
+/// One deep search of a shard, serving every query of the batch routed to it.
 pub const SHARD_DEEP: &str = "shard.deep";
 /// One dispatched serving batch (pre-timed, virtual time).
 pub const SERVE_BATCH: &str = "serve.batch";

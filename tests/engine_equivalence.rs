@@ -10,6 +10,8 @@
 //! If the engine ever drifts (a reordered merge, a changed clamp, a racy
 //! accumulation), these properties fail.
 
+use hermes::core::exec::Engine;
+use hermes::core::search::SearchOutcome;
 use hermes::math::topk::merge_topk;
 use hermes::prelude::*;
 use hermes_testkit::prelude::*;
@@ -108,9 +110,42 @@ fn codecs() -> [CodecSpec; 2] {
     [CodecSpec::Flat, CodecSpec::Sq8]
 }
 
-/// Engine output (single query and every batch schedule) is bit-identical
-/// to the legacy sequential implementation for all routing × codec
-/// combinations.
+/// Hits (score bits included), rankings, searched sets and both stages'
+/// cost totals of `out` are exactly the legacy implementation's.
+fn same_as_legacy(want: &LegacyOutcome, out: &SearchOutcome, ctx: &str) -> Result<(), String> {
+    prop_assert!(want.hits == out.hits, "hits diverge at {ctx}");
+    prop_assert!(
+        want.ranked_clusters == out.ranked_clusters,
+        "ranking diverges at {ctx}"
+    );
+    prop_assert!(
+        want.searched_clusters == out.searched_clusters,
+        "searched set diverges at {ctx}"
+    );
+    prop_assert!(
+        want.sample_codes == out.sample_cost().scanned_codes
+            && want.sample_clusters == out.sample_cost().clusters_touched,
+        "route cost diverges at {ctx}: legacy {}/{} vs {:?}",
+        want.sample_codes,
+        want.sample_clusters,
+        out.sample_cost()
+    );
+    prop_assert!(
+        want.deep_codes == out.deep_cost().scanned_codes
+            && want.deep_clusters == out.deep_cost().clusters_touched,
+        "deep cost diverges at {ctx}: legacy {}/{} vs {:?}",
+        want.deep_codes,
+        want.deep_clusters,
+        out.deep_cost()
+    );
+    Ok(())
+}
+
+/// Engine output — the query-major batch at every schedule, and the
+/// shard-major group scatter (`execute_coalesced`) on the whole batch, a
+/// batch of one and a batch holding the same query twice — is
+/// bit-identical to the legacy sequential implementation for all routing
+/// × codec combinations.
 #[test]
 fn engine_matches_legacy_for_all_modes_codecs_and_threads() {
     let strat = tuple3(u64_in(0..40), usize_in(1..5), usize_in(1..7));
@@ -137,36 +172,29 @@ fn engine_matches_legacy_for_all_modes_codecs_and_threads() {
                     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
                     let legacy: Vec<LegacyOutcome> =
                         qs.iter().map(|q| legacy_search(&store, q)).collect();
+                    let engine = Engine::for_store(&store);
+                    let all: Vec<usize> = (0..qs.len()).collect();
+                    let twice = [0usize, 1, 0];
+                    let twice_qs = twice.map(|i| qs[i].as_slice());
                     for &threads in THREADS {
-                        let got = store.batch_hierarchical_search(&qs, threads).unwrap();
-                        for (want, out) in legacy.iter().zip(&got) {
-                            let ctx = format!("{routing:?}/{codec:?}/threads={threads}");
-                            // Hits must match bit for bit, scores included.
-                            prop_assert!(want.hits == out.hits, "hits diverge at {ctx}");
-                            prop_assert!(
-                                want.ranked_clusters == out.ranked_clusters,
-                                "ranking diverges at {ctx}"
-                            );
-                            prop_assert!(
-                                want.searched_clusters == out.searched_clusters,
-                                "searched set diverges at {ctx}"
-                            );
-                            prop_assert!(
-                                want.sample_codes == out.sample_cost().scanned_codes
-                                    && want.sample_clusters == out.sample_cost().clusters_touched,
-                                "route cost diverges at {ctx}: legacy {}/{} vs {:?}",
-                                want.sample_codes,
-                                want.sample_clusters,
-                                out.sample_cost()
-                            );
-                            prop_assert!(
-                                want.deep_codes == out.deep_cost().scanned_codes
-                                    && want.deep_clusters == out.deep_cost().clusters_touched,
-                                "deep cost diverges at {ctx}: legacy {}/{} vs {:?}",
-                                want.deep_codes,
-                                want.deep_clusters,
-                                out.deep_cost()
-                            );
+                        // (path, which legacy outcome each result answers, results)
+                        let batch = store.batch_hierarchical_search(&qs, threads);
+                        let group = engine.execute_coalesced(&qs, threads);
+                        let one = engine.execute_coalesced(&qs[..1], threads);
+                        let dup = engine.execute_coalesced(&twice_qs, threads);
+                        let paths = [
+                            ("batch", &all[..], batch),
+                            ("group", &all[..], group),
+                            ("group of one", &all[..1], one),
+                            ("group with a repeat", &twice[..], dup),
+                        ];
+                        for (path, picks, got) in paths {
+                            let got = got.unwrap();
+                            prop_assert!(got.len() == picks.len(), "{path}: one outcome per query");
+                            for (&i, out) in picks.iter().zip(&got) {
+                                let ctx = format!("{routing:?}/{codec:?}/threads={threads}/{path}");
+                                same_as_legacy(&legacy[i], out, &ctx)?;
+                            }
                         }
                     }
                 }

@@ -6,7 +6,7 @@
 //! query.
 //!
 //! The matrix: {open loop, closed loop} × backend threads {1, 4, 16} ×
-//! max_batch {1, 4, 8} × priority mixes × {coalesced, uncoalesced}.
+//! max_batch {1, 4, 8} × priority mixes.
 //! (`scripts/verify.sh` additionally re-runs this whole file under
 //! `HERMES_THREADS=1` and `16`, covering the pool-width axis.)
 
@@ -132,38 +132,6 @@ fn closed_loop_serving_is_bit_identical_across_threads() {
         assert_eq!(report.completions.len(), 48, "{ctx}: lost requests");
         assert_bit_identical(&report.completions, &reference, &ctx);
     }
-}
-
-#[test]
-fn coalesced_and_uncoalesced_backends_serve_identical_results() {
-    let f = fixture();
-    let spec = OpenLoopSpec::new(40, 150_000.0)
-        .with_seed(23)
-        .with_priority_cycle(vec![Priority::Interactive, Priority::Standard]);
-    let cfg = ServerConfig {
-        queue_capacity: 64,
-        max_batch: 6,
-    };
-    let run = |coalesce: bool| {
-        let backend =
-            EngineBackend::new(Engine::for_store(&f.store), 4).with_coalesce(coalesce);
-        let mut server = Server::new(backend, cfg);
-        run_open_loop(&mut server, &f.queries, &spec).unwrap()
-    };
-    let coalesced = run(true);
-    let uncoalesced = run(false);
-    assert_eq!(coalesced.completions.len(), uncoalesced.completions.len());
-    for (a, b) in coalesced.completions.iter().zip(&uncoalesced.completions) {
-        assert_eq!(a.request.id, b.request.id);
-        assert_eq!(
-            a.outcome, b.outcome,
-            "request {}: coalescing changed the result",
-            a.request.id
-        );
-    }
-    let engine = Engine::for_store(&f.store);
-    let reference = reference_outcomes(&engine, &f.queries);
-    assert_bit_identical(&coalesced.completions, &reference, "coalesced");
 }
 
 #[test]

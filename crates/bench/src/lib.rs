@@ -14,7 +14,7 @@
 
 use std::path::PathBuf;
 
-use hermes_core::HermesConfig;
+use hermes_core::{HermesConfig, ProbeAllocation};
 use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
 use hermes_index::FlatIndex;
 use hermes_math::Metric;
@@ -68,10 +68,15 @@ impl EvalSetup {
     }
 }
 
-/// Standard Hermes configuration for the accuracy benches: 10 clusters,
-/// defaults elsewhere.
+/// Standard Hermes configuration for the paper-figure benches: 10
+/// clusters, the paper's knobs elsewhere — its deep stage included, every
+/// routed shard probed at the full `deep_nprobe`
+/// ([`ProbeAllocation::PerShard`]), so the reproduced figures measure the
+/// paper's design and not this repo's default.
 pub fn standard_config() -> HermesConfig {
-    HermesConfig::new(10).with_seed(BENCH_SEED + 2)
+    HermesConfig::new(10)
+        .with_seed(BENCH_SEED + 2)
+        .with_probe_allocation(ProbeAllocation::PerShard)
 }
 
 /// Directory all reports are written to (`bench_results/` under the

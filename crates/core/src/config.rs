@@ -1,4 +1,11 @@
-//! Hermes configuration — the tunable parameters of the paper's Table 2.
+//! Hermes configuration — the tunable parameters of the paper's Table 2,
+//! plus the two query-time policies this repo adds on top of them: the
+//! per-query depth choice ([`AdaptiveConfig`]) and how the deep stage's
+//! probes are spread over a query's routed shards ([`ProbeAllocation`]:
+//! the paper's `deep_nprobe` in every shard, or — the default — one
+//! budget of `(m + 1) / 2` shares of `deep_nprobe` per query, spent on
+//! the nearest `(shard, list)` pairs wherever they are). Neither changes
+//! what a built store contains, so neither is persisted with it.
 
 use hermes_math::Metric;
 use hermes_quant::CodecSpec;
@@ -49,6 +56,34 @@ pub enum Routing {
     Unranked,
 }
 
+/// How the deep stage spends inverted-list probes over the `m` shards a
+/// query is routed to.
+///
+/// Every shard's coarse centroids live in the one embedding space, so the
+/// `(shard, list)` pairs of a query's routed shards have one distance
+/// order. Measured on the benchmark's store the true top-10 sits
+/// 68 / 18 / 7 % in the rank-1 / 2 / 3 shard and a shard at `nProbe` 128
+/// still finds only 0.95 of what it holds: recall is bounded by depth
+/// *in the leader*, and a fixed depth in every follower mostly streams
+/// rows that cannot place (EXPERIMENTS.md, "One probe budget per query").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ProbeAllocation {
+    /// Each routed shard probes its own `deep_nprobe` nearest lists — the
+    /// paper's deep stage (Section 4.2, Figures 11–12).
+    PerShard,
+    /// One budget per query, spent on the nearest `(shard, list)` pairs
+    /// of its routed shards whichever shard they are in. The budget is
+    /// `deep_nprobe` for the leader plus **half** of it (rounded up) for
+    /// each further routed shard — `(m + 1) / 2` shares instead of `m`,
+    /// each share capped at its shard's list count — so no number is
+    /// added to tune, `m = 1` is [`ProbeAllocation::PerShard`] exactly,
+    /// and a follower whose lists all lie beyond the cut is not scanned
+    /// at all. Queries routed without a ranking ([`Routing::Unranked`],
+    /// the exhaustive plan) have no leader and run per shard.
+    #[default]
+    Pooled,
+}
+
 /// Full Hermes configuration (Table 2: latency/accuracy, node scaling and
 /// memory-efficiency knobs).
 ///
@@ -68,7 +103,10 @@ pub struct HermesConfig {
     pub num_clusters: usize,
     /// `nProbe` of the coarse sampling search (paper DSE optimum: 8).
     pub sample_nprobe: usize,
-    /// `nProbe` of the in-depth search (paper DSE optimum: 128).
+    /// `nProbe` of the in-depth search (paper DSE optimum: 128): the
+    /// depth of every routed shard under [`ProbeAllocation::PerShard`],
+    /// the share the query's budget is computed from under
+    /// [`ProbeAllocation::Pooled`].
     pub deep_nprobe: usize,
     /// How many top-ranked clusters receive a deep search (paper: 3).
     pub clusters_to_search: usize,
@@ -90,11 +128,16 @@ pub struct HermesConfig {
     /// deliberately does not serialize it — stores loaded from disk come
     /// back with `None` and callers opt in per deployment.
     pub adaptive: Option<AdaptiveConfig>,
+    /// How deep-stage probes are spread over the routed shards. A
+    /// query-time knob like `adaptive`, and like it not persisted: a
+    /// loaded store comes back with the default.
+    pub probe_allocation: ProbeAllocation,
 }
 
 impl HermesConfig {
     /// Paper defaults for a datastore split `num_clusters` ways: sample
-    /// `nProbe` 8, deep `nProbe` 128, 3 deep clusters, k = 5, SQ8.
+    /// `nProbe` 8, deep `nProbe` 128, 3 deep clusters, k = 5, SQ8 — with
+    /// the deep probes pooled per query ([`ProbeAllocation::Pooled`]).
     pub fn new(num_clusters: usize) -> Self {
         HermesConfig {
             num_clusters,
@@ -108,6 +151,7 @@ impl HermesConfig {
             routing: Routing::default(),
             seed: 0,
             adaptive: None,
+            probe_allocation: ProbeAllocation::default(),
         }
     }
 
@@ -171,6 +215,12 @@ impl HermesConfig {
         self
     }
 
+    /// Sets how deep-stage probes are spread over the routed shards.
+    pub fn with_probe_allocation(mut self, allocation: ProbeAllocation) -> Self {
+        self.probe_allocation = allocation;
+        self
+    }
+
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -228,6 +278,7 @@ mod tests {
         assert_eq!(cfg.clusters_to_search, 3);
         assert_eq!(cfg.k, 5);
         assert_eq!(cfg.codec, CodecSpec::Sq8);
+        assert_eq!(cfg.probe_allocation, ProbeAllocation::Pooled);
         cfg.validate().unwrap();
     }
 

@@ -11,20 +11,42 @@
 //!   batch ──▶ ROUTE   Engine::route_batch: every shard samples the
 //!                     whole batch in one group scan (or its centroid is
 //!                     scored); each query ranks the shards best-first
-//!         ──▶ DEEP    Engine::deep_batch: per-query depth, then one
-//!                     group scan per distinct top-m shard serving every
-//!                     query routed to it (scatter), then a per-query
-//!                     merge_topk in the query's rank order (gather)
+//!         ──▶ DEEP    Engine::deep_batch: per-query depth, the coarse
+//!                     keys of every distinct top-m shard for the queries
+//!                     routed to it, each query's probe counts cut from
+//!                     its keys, one group scan per shard (scatter), then
+//!                     a per-query merge_topk in rank order (gather)
 //! ```
+//!
+//! **The probe budget.** Under [`ProbeAllocation::Pooled`] (the default)
+//! a query does not probe `deep_nprobe` lists in each of its `m` shards.
+//! All shards' coarse centroids live in one embedding space, so the
+//! `(shard, list)` pairs of the query's routed shards are ranked together
+//! by the coarse L2 distance the scan computes anyway, and the nearest
+//! `B` are probed, where `B = share₀ + Σ_{r≥1} ⌈share_r / 2⌉` and
+//! `share_r = min(deep_nprobe, nlist_r)`: the leader brings a full share
+//! to the pool, every further routed shard half a share — `(m + 1) / 2`
+//! shares where the paper spends `m`. Halves, because that is the
+//! smallest budget that never starves the leader (it can always take its
+//! own full share) and measured recall still rises (the leader holds ⅔
+//! of the answer and is depth-bound; see [`ProbeAllocation`]). Within a
+//! shard the pooled choice is a prefix of that shard's own distance
+//! order, so it reaches the scan as a plain per-query probe count, zero
+//! included: a shard none of whose lists make the cut stays in
+//! `searched_clusters` and is not scanned. Ties at the cut break by
+//! (distance bits, rank position, list index), so the probe set is a
+//! function of the query and the store alone.
 //!
 //! A single query is a batch of one: [`Engine::route`],
 //! [`Engine::execute`] and [`Engine::execute_coalesced`] are compositions
 //! of the two stages, and the line between the two calls is where a
 //! caller inspects or edits the routed batch (the serving layer probes
-//! its cache there). The engine reaches a shard through one call,
-//! [`VectorIndex::search_group`]: a group of queries, each at its own
-//! `nprobe`, answered exactly as if each were searched alone, with
-//! inverted lists that several of them probe streamed once.
+//! its cache there). The engine reaches a shard through one scan,
+//! [`VectorIndex::search_group`] — for the deep stage its two halves,
+//! [`IvfIndex::coarse_keys`] and [`IvfIndex::search_keyed`]: a group of
+//! queries, each at its own probe count, answered exactly as if each
+//! were searched alone, with inverted lists that several of them probe
+//! streamed once.
 //!
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
 //! each shard serving its whole query group (`threads` caps the width:
@@ -51,12 +73,13 @@
 //! stages themselves get the same spans without the `engine.execute`
 //! envelope. Disabled, every site is one relaxed atomic load.
 
-use hermes_index::{GroupScan, ScanResult, ScanStats, VectorIndex};
+use hermes_index::{CoarseKeys, GroupScan, IvfIndex, ScanResult, ScanStats, VectorIndex};
+use hermes_kmeans::{probe_key_centroid, probe_key_distance};
 use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
 
 use crate::adaptive::{AdaptiveConfig, DifficultyEstimator};
-use crate::config::{HermesConfig, Routing};
+use crate::config::{HermesConfig, ProbeAllocation, Routing};
 use crate::search::{SearchOutcome, SearchPhaseCost};
 use crate::store::ClusteredStore;
 use crate::HermesError;
@@ -68,18 +91,28 @@ pub struct SearchStats {
     /// Route-stage work: sampling probes (document-sampling routing) or
     /// one code per cluster (centroid routing); zero when unranked.
     pub route: SearchPhaseCost,
-    /// Scatter-stage work, summed over the deep-searched shards.
+    /// Scatter-stage work, summed over the deep-searched shards;
+    /// `clusters_touched` counts the shards actually scanned (a routed
+    /// shard with no share of a pooled budget is not).
     pub deep: SearchPhaseCost,
-    /// Codes scanned by each deep-searched shard, aligned with
-    /// `SearchOutcome::searched_clusters` — the input for per-shard
-    /// deadline and straggler analyses.
-    pub per_shard_scanned: Vec<usize>,
+    /// What each deep-searched shard did, aligned with
+    /// `SearchOutcome::searched_clusters`: codes scanned — the input for
+    /// per-shard deadline and straggler analyses — and inverted lists
+    /// probed: `deep_nprobe` (capped at the shard's list count) everywhere
+    /// under [`ProbeAllocation::PerShard`], the shard's cut of the
+    /// query's budget under [`ProbeAllocation::Pooled`]; both `0` for a
+    /// shard left unscanned. Read through [`Self::per_shard_scanned`] and
+    /// [`Self::per_shard_probed`]. One vector, not one per quantity: a
+    /// cached outcome is cloned on every exact hit, and that path is one
+    /// allocation from being measurably slower.
+    pub per_shard: Vec<ScanStats>,
     /// Candidate hits the gather stage merged into the final top-k.
     pub gather_candidates: usize,
-    /// Deep-search `nProbe` this query actually ran with — the plan's
-    /// fixed knob, or the [`DifficultyEstimator`]'s per-query choice when
-    /// the plan carries an [`AdaptiveConfig`]. Together with
-    /// `deep.clusters_touched` this records the chosen adaptive depth.
+    /// Deep-search `nProbe` this query ran with — the plan's fixed knob,
+    /// or the [`DifficultyEstimator`]'s per-query choice when the plan
+    /// carries an [`AdaptiveConfig`]: the depth of each shard per shard,
+    /// the share the budget was computed from when pooled. Together with
+    /// `searched_clusters` this records the chosen adaptive depth.
     pub deep_nprobe: usize,
 }
 
@@ -88,6 +121,16 @@ impl SearchStats {
     /// latency/energy models consume.
     pub fn total_scanned_codes(&self) -> usize {
         self.route.scanned_codes + self.deep.scanned_codes
+    }
+
+    /// Codes scanned by each deep-searched shard, in rank order.
+    pub fn per_shard_scanned(&self) -> impl Iterator<Item = usize> + '_ {
+        self.per_shard.iter().map(|shard| shard.scanned_codes)
+    }
+
+    /// Inverted lists probed in each deep-searched shard, in rank order.
+    pub fn per_shard_probed(&self) -> impl Iterator<Item = usize> + '_ {
+        self.per_shard.iter().map(|shard| shard.probed_partitions)
     }
 }
 
@@ -100,8 +143,11 @@ pub struct QueryPlan {
     pub routing: Routing,
     /// `nProbe` of the route stage's sampling searches.
     pub sample_nprobe: usize,
-    /// `nProbe` of the scatter stage's deep searches.
+    /// `nProbe` of the scatter stage's deep searches (see
+    /// [`HermesConfig::deep_nprobe`]).
     pub deep_nprobe: usize,
+    /// How the deep probes are spread over a query's routed shards.
+    pub probe_allocation: ProbeAllocation,
     /// How many top-ranked clusters the scatter stage deep-searches
     /// (clamped to the store's cluster count at execution time).
     pub clusters_to_search: usize,
@@ -133,6 +179,7 @@ impl QueryPlan {
             routing: cfg.routing,
             sample_nprobe: cfg.sample_nprobe,
             deep_nprobe: cfg.deep_nprobe,
+            probe_allocation: cfg.probe_allocation,
             clusters_to_search: cfg.clusters_to_search,
             k: cfg.k,
             scatter_threads: 0,
@@ -142,11 +189,12 @@ impl QueryPlan {
     }
 
     /// The plan [`ClusteredStore::search_all_clusters`] executes: no
-    /// routing, every cluster deep-searched in index order — the naive
-    /// distributed baseline (Figure 18).
+    /// routing, every cluster deep-searched in index order at the full
+    /// `deep_nprobe` — the naive distributed baseline (Figure 18).
     pub fn exhaustive(cfg: &HermesConfig) -> Self {
         QueryPlan {
             routing: Routing::Unranked,
+            probe_allocation: ProbeAllocation::PerShard,
             clusters_to_search: usize::MAX,
             adaptive: None,
             ..QueryPlan::from_config(cfg)
@@ -232,7 +280,7 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
 /// let out = engine.execute(&[10.0, 0.5])?;
 /// assert_eq!(out.hits.len(), cfg.k);
 /// assert_eq!(out.searched_clusters.len(), 2);
-/// assert_eq!(out.stats.per_shard_scanned.len(), 2);
+/// assert_eq!(out.stats.per_shard.len(), 2);
 /// # Ok::<(), hermes_core::HermesError>(())
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -390,7 +438,8 @@ impl<'s> Engine<'s> {
                     .map(|q| (q.as_ref(), self.plan.sample_nprobe))
                     .collect();
                 let samples = fan_out(n, width_cap(threads), |c| {
-                    self.shard_scan(names::SHARD_SAMPLE, c, &group, 1)
+                    let scan = |shard: &IvfIndex| shard.search_group(&group, 1);
+                    self.shard_scan(names::SHARD_SAMPLE, c, group.len(), scan)
                 });
                 (0..queries.len())
                     .map(|qi| {
@@ -440,17 +489,20 @@ impl<'s> Engine<'s> {
     }
 
     /// **Deep stage** over queries that were already routed (`routes[i]`
-    /// is `queries[i]`'s): resolves each query's depth, deep-searches
-    /// every distinct top-m cluster **once** — one pool task and one
-    /// [`VectorIndex::search_group`] per cluster, serving all the queries
-    /// routed to it, each at its own deep `nProbe` — and merges each
-    /// query's per-shard hits in its own rank order.
+    /// is `queries[i]`'s): resolves each query's depth, takes the coarse
+    /// keys of every distinct top-m cluster **once** for all the queries
+    /// routed to it, cuts each query's probe counts from its keys (see
+    /// the module docs: its full `deep_nprobe` in every shard, or its
+    /// share of the query's pooled budget), deep-searches every cluster
+    /// once — one pool task and one [`IvfIndex::search_keyed`] per
+    /// cluster, each query at its own count — and merges each query's
+    /// per-shard hits in its own rank order.
     /// `execute_coalesced(qs, t)` ≡ `deep_batch(qs, route_batch(qs, t)?,
     /// t)` bit for bit; callers that route first (to bucket a cache
     /// lookup, say) pass only the queries they still need. Records an
     /// `engine.scatter` span (args: `queries`, `distinct_clusters`,
-    /// `deep_searches`) around the group scans and one `engine.gather`
-    /// span (arg: `candidates`) per query.
+    /// `deep_searches`, `probed_lists`) around the group scans and one
+    /// `engine.gather` span (arg: `candidates`) per query.
     ///
     /// # Errors
     ///
@@ -508,21 +560,67 @@ impl<'s> Engine<'s> {
         sp.arg("distinct_clusters", groups.len() as u64);
         sp.arg("deep_searches", depths.iter().map(|&(m, _)| m as u64).sum());
 
-        let scans = fan_out(groups.len(), width_cap(threads), |g| {
+        // Each routed shard's centroid table is streamed once, here, for
+        // its whole group; the scans below get the keys back.
+        let cap = width_cap(threads);
+        let keys: Vec<CoarseKeys> = fan_out(groups.len(), cap, |g| {
+            let (c, members) = &groups[g];
+            let queries = members.iter().map(|&(qi, _)| queries[qi].as_ref());
+            self.store.shard(*c).coarse_keys(queries)
+        });
+        // `at[qi][pos]` is where query `qi` sits in its rank-`pos` shard:
+        // `(group, member)`. Each `(query, position)` is in exactly one
+        // group, so every placeholder is overwritten.
+        let mut at: Vec<Vec<(usize, usize)>> =
+            depths.iter().map(|&(m, _)| vec![(0, 0); m]).collect();
+        for (g, (_, members)) in groups.iter().enumerate() {
+            for (j, &(qi, pos)) in members.iter().enumerate() {
+                at[qi][pos] = (g, j);
+            }
+        }
+        // `probes[qi][pos]`: how many lists query `qi` probes there.
+        let mut pool = Vec::new();
+        let probes: Vec<Vec<usize>> = (routes.iter().zip(&depths).zip(&at))
+            .map(|((route, &(_, deep_nprobe)), at)| {
+                let ranked: Result<Vec<&[u64]>, _> =
+                    at.iter().map(|&(g, j)| keys[g].query(j)).collect();
+                // A query whose keys failed somewhere fails its scan
+                // there the same way; its counts are never looked at.
+                let Ok(ranked) = ranked else {
+                    return vec![0; at.len()];
+                };
+                // A route without scores ranked nothing: no leader.
+                if self.plan.probe_allocation == ProbeAllocation::Pooled
+                    && !route.ranked_scores.is_empty()
+                {
+                    pooled_probes(&ranked, deep_nprobe, &mut pool)
+                } else {
+                    ranked.iter().map(|keys| full_share(deep_nprobe, keys)).collect()
+                }
+            })
+            .collect();
+
+        let scans = fan_out(groups.len(), cap, |g| {
             let (c, members) = &groups[g];
             let group: Vec<(&[f32], usize)> = members
                 .iter()
-                .map(|&(qi, _)| (queries[qi].as_ref(), depths[qi].1))
+                .map(|&(qi, pos)| (queries[qi].as_ref(), probes[qi][pos]))
                 .collect();
-            self.shard_scan(names::SHARD_DEEP, *c, &group, self.plan.k)
+            let scan = |shard: &IvfIndex| shard.search_keyed(&group, &keys[g], self.plan.k);
+            self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
                 .results
         });
+        if sp.is_active() {
+            let probed = scans.iter().flatten().flatten();
+            sp.arg(
+                "probed_lists",
+                probed.map(|(_, s)| s.probed_partitions as u64).sum(),
+            );
+        }
         drop(sp);
 
         // Re-slot every result at its query's rank position, so gather
-        // sees the per-shard sequence a lone query would build. Each
-        // `(query, position)` sits in exactly one group, so every
-        // placeholder is overwritten.
+        // sees the per-shard sequence a lone query would build.
         let mut per_query: Vec<Vec<ScanResult>> = depths
             .iter()
             .map(|&(m, _)| (0..m).map(|_| Ok(Default::default())).collect())
@@ -554,13 +652,13 @@ impl<'s> Engine<'s> {
         &self,
         span: &'static str,
         c: usize,
-        queries: &[(&[f32], usize)],
-        k: usize,
+        queries: usize,
+        scan: impl FnOnce(&IvfIndex) -> GroupScan,
     ) -> GroupScan {
         let mut sp = hermes_trace::span_with(span, &[("cluster", c as u64)]);
-        let scan = self.store.shard(c).search_group(queries, k);
+        let scan = scan(self.store.shard(c));
         if sp.is_active() {
-            sp.arg("queries", queries.len() as u64);
+            sp.arg("queries", queries as u64);
             sp.arg(
                 "scanned_codes",
                 scan.results
@@ -599,16 +697,17 @@ impl<'s> Engine<'s> {
     ) -> SearchOutcome {
         let mut gather_span = hermes_trace::span(names::ENGINE_GATHER);
         let hits = merge_topk(per_shard.iter().map(|(hits, _)| hits), self.plan.k);
-        let per_shard_scanned: Vec<usize> =
-            per_shard.iter().map(|(_, s)| s.scanned_codes).collect();
         let stats = SearchStats {
             route: route.cost,
             deep: SearchPhaseCost {
-                scanned_codes: per_shard_scanned.iter().sum(),
-                clusters_touched: per_shard.len(),
+                scanned_codes: per_shard.iter().map(|(_, s)| s.scanned_codes).sum(),
+                clusters_touched: per_shard
+                    .iter()
+                    .filter(|(_, s)| s.probed_partitions > 0)
+                    .count(),
             },
             gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
-            per_shard_scanned,
+            per_shard: per_shard.iter().map(|&(_, stats)| stats).collect(),
             deep_nprobe,
         };
         gather_span.arg("candidates", stats.gather_candidates as u64);
@@ -620,6 +719,45 @@ impl<'s> Engine<'s> {
             stats,
         }
     }
+}
+
+/// The lists a shard with these coarse `keys` probes at `deep_nprobe` on
+/// its own: at least 1, at most all it has.
+fn full_share(deep_nprobe: usize, keys: &[u64]) -> usize {
+    deep_nprobe.clamp(1, keys.len())
+}
+
+/// One query's probe counts under [`ProbeAllocation::Pooled`]:
+/// `ranked[r]` are its coarse keys in its rank-`r` routed shard. The
+/// budget is a [`full_share`] for the leader plus half a share, rounded
+/// up, for every further shard; it goes to the nearest
+/// `(shard, list)` pairs in (distance bits, rank position, list index)
+/// order — a total order, so the counts depend on nothing but the keys.
+/// `pool` is scratch.
+fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) -> Vec<usize> {
+    let shares = ranked.iter().map(|keys| full_share(deep_nprobe, keys));
+    let budget: usize = shares
+        .enumerate()
+        .map(|(r, share)| if r == 0 { share } else { share.div_ceil(2) })
+        .sum();
+    pool.clear();
+    for (r, keys) in ranked.iter().enumerate() {
+        pool.extend(keys.iter().map(|&key| {
+            u128::from(probe_key_distance(key)) << 64
+                | (r as u128) << 32
+                | probe_key_centroid(key) as u128
+        }));
+    }
+    // `budget >= 1`: the leader's share is.
+    if budget < pool.len() {
+        pool.select_nth_unstable(budget - 1);
+        pool.truncate(budget);
+    }
+    let mut probes = vec![0; ranked.len()];
+    for &pair in pool.iter() {
+        probes[(pair >> 32) as u32 as usize] += 1;
+    }
+    probes
 }
 
 /// The single entry of a stage's answer to a batch of one.
@@ -678,6 +816,35 @@ mod tests {
     }
 
     #[test]
+    fn pooled_probes_spend_one_budget_on_the_nearest_pairs() {
+        // Keys as `KMeans::probe_keys` packs them, for positive distances.
+        let keys = |distances: &[f32]| -> Vec<u64> {
+            let key = |(list, d): (usize, &f32)| u64::from(d.to_bits() | 1 << 31) << 32 | list as u64;
+            distances.iter().enumerate().map(key).collect()
+        };
+        let near = keys(&[1.0, 2.0, 3.0, 4.0]);
+        let mixed = keys(&[9.0, 2.5, 1.5, 9.0]);
+        let far = keys(&[9.0, 9.0, 9.0, 9.0]);
+        let mut pool = Vec::new();
+        let mut probes = |ranked: &[&[u64]], nprobe| pooled_probes(ranked, nprobe, &mut pool);
+        // One shard: its own share, capped at its lists, never below 1.
+        assert_eq!(probes(&[&near], 3), [3]);
+        assert_eq!(probes(&[&near], 100), [4]);
+        assert_eq!(probes(&[&near], 0), [1]);
+        // 4 + 2 of 8, wherever they are.
+        assert_eq!(probes(&[&near, &mixed], 4), [4, 2]);
+        assert_eq!(probes(&[&mixed, &near], 4), [2, 4]);
+        // 2 + 1 = 3, all nearer in the leader: the follower has no share.
+        assert_eq!(probes(&[&near, &far], 2), [3, 0]);
+        // 2 + 1 + 1 = 4; the rank-2 shard holds the 2nd and 3rd nearest.
+        assert_eq!(probes(&[&near, &far, &mixed], 2), [2, 0, 2]);
+        // Equal distances at the cut go to the better-ranked shard, then
+        // the lower list: 3 + 2 = 5 of (1 1 2 2 3 | 3 4 4).
+        assert_eq!(probes(&[&near, &near], 3), [3, 2]);
+        assert_eq!(probes(&[&near, &near], 2), [2, 1]);
+    }
+
+    #[test]
     fn plan_from_config_copies_knobs() {
         let cfg = HermesConfig::new(7)
             .with_clusters_to_search(2)
@@ -690,6 +857,9 @@ mod tests {
         assert_eq!(plan.deep_nprobe, 32);
         assert_eq!(plan.k, 9);
         assert_eq!(plan.scatter_threads, 0);
+        assert_eq!(plan.probe_allocation, ProbeAllocation::Pooled);
+        let exhaustive = QueryPlan::exhaustive(&cfg);
+        assert_eq!(exhaustive.probe_allocation, ProbeAllocation::PerShard);
     }
 
     #[test]
@@ -933,12 +1103,15 @@ mod tests {
         let out = Engine::for_store(&store)
             .execute(queries.embeddings().row(2))
             .unwrap();
-        assert_eq!(out.stats.per_shard_scanned.len(), 3);
+        assert_eq!(out.stats.per_shard.len(), 3);
         assert_eq!(
             out.stats.deep.scanned_codes,
-            out.stats.per_shard_scanned.iter().sum::<usize>()
+            out.stats.per_shard_scanned().sum::<usize>()
         );
-        assert_eq!(out.stats.deep.clusters_touched, 3);
+        assert_eq!(
+            out.stats.deep.clusters_touched,
+            out.stats.per_shard_probed().filter(|&lists| lists > 0).count()
+        );
         assert!(out.stats.gather_candidates >= out.hits.len());
         assert_eq!(
             out.stats.total_scanned_codes(),

@@ -41,7 +41,7 @@ pub mod search;
 pub mod store;
 
 pub use adaptive::{AdaptiveConfig, DepthChoice, Difficulty, DifficultyEstimator};
-pub use config::{HermesConfig, Routing, SplitStrategy};
+pub use config::{HermesConfig, ProbeAllocation, Routing, SplitStrategy};
 pub use exec::{Engine, QueryPlan, RouteOutcome, SearchStats};
 pub use persist::{PagedStoreReader, PersistError, PAGE_SIZE};
 pub use rebalance::{RebalanceAction, RebalanceConfig, Rebalancer};

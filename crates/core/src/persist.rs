@@ -34,7 +34,7 @@ use hermes_quant::CodecSpec;
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
-use crate::config::{HermesConfig, Routing, SplitStrategy};
+use crate::config::{HermesConfig, ProbeAllocation, Routing, SplitStrategy};
 use crate::store::ClusteredStore;
 
 const MAGIC: &str = "HCLS";
@@ -217,10 +217,12 @@ fn decode_config(r: &mut Reader<'_>) -> Result<HermesConfig, WireError> {
         split,
         routing,
         seed,
-        // Query-time knob, deliberately not part of the wire format:
-        // loaded stores always come back non-adaptive and callers opt in
-        // per deployment (see `HermesConfig::adaptive`).
+        // Query-time knobs, deliberately not part of the wire format:
+        // loaded stores always come back non-adaptive, with the default
+        // probe allocation, and callers opt in per deployment (see
+        // `HermesConfig::adaptive`).
         adaptive: None,
+        probe_allocation: ProbeAllocation::default(),
     })
 }
 

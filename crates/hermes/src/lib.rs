@@ -62,8 +62,8 @@ pub mod prelude {
     pub use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
     pub use hermes_core::{
         AdaptiveConfig, ClusteredStore, DepthChoice, DifficultyEstimator, Engine, HermesConfig,
-        PagedStoreReader, PersistError, QueryPlan, RebalanceAction, RebalanceConfig, Rebalancer,
-        Routing, SearchStats, SplitStrategy,
+        PagedStoreReader, PersistError, ProbeAllocation, QueryPlan, RebalanceAction,
+        RebalanceConfig, Rebalancer, Routing, SearchStats, SplitStrategy,
     };
     pub use hermes_datagen::{
         query_stream, ChunkStore, Corpus, CorpusSpec, DatastoreScale, QuerySet, QuerySpec,

@@ -51,6 +51,39 @@ pub struct IvfStats {
     pub code_size: usize,
 }
 
+/// The coarse-quantizer keys of a query group: what
+/// [`IvfIndex::coarse_keys`] hands out and [`IvfIndex::search_keyed`]
+/// accepts back, so a caller can decide each query's probe depth from
+/// the list distances — across several indices over one embedding space,
+/// say — without the centroid table being streamed a second time.
+#[derive(Debug, Clone, Default)]
+pub struct CoarseKeys {
+    /// `nlist` keys per query that passed the index's checks, row after
+    /// row in input order.
+    keys: Vec<u64>,
+    /// Per input query: the row holding its keys, or why it has none.
+    rows: Vec<Result<usize, IndexError>>,
+    nlist: usize,
+}
+
+impl CoarseKeys {
+    /// Query `i`'s keys, one per inverted list in list order — or the
+    /// error a search of that query returns. Keys are
+    /// [`KMeans::probe_keys`] keys: plain `u64` order is the index's
+    /// probe ranking (ascending centroid distance, ties by list), a
+    /// search at `nprobe` scans the lists of the `nprobe` smallest, and
+    /// [`probe_key_distance`](hermes_kmeans::probe_key_distance) /
+    /// [`probe_key_centroid`] unpack one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has no query `i`.
+    pub fn query(&self, i: usize) -> Result<&[u64], IndexError> {
+        let row = self.rows[i].clone()?;
+        Ok(&self.keys[row * self.nlist..(row + 1) * self.nlist])
+    }
+}
+
 /// Builder for [`IvfIndex`] (paper defaults: `nlist = 4·√n`, SQ8 codec).
 ///
 /// # Examples
@@ -594,42 +627,80 @@ impl VectorIndex for IvfIndex {
             .expect("one result per query")
     }
 
-    /// One scan for the whole group: a single pass over the centroid
-    /// table ranks every query's lists, each query *selects* its probe
-    /// set (unsorted — [`TopK`] is a total order on `(score, id)` and
-    /// [`ScanStats`] are sums, so the visiting order never shows), and
-    /// the probes are compiled into a flat row [`Plan`] that the scoring
-    /// kernels consume in full tiles across list boundaries. For plain
-    /// (non-residual) storage the `(list, query)` probes are inverted
-    /// first, so each probed list is streamed **once**, its codes scored
-    /// against up to [`QTILE`] queries per pass. Residual lists score a
-    /// per-(query, list) shifted query, so there is nothing to share and
-    /// every probe is its own run of the same plan.
-    ///
-    /// Everything between the input and the hit lists lives in a
-    /// per-thread [`ScanScratch`]: in steady state a plain group scan
-    /// allocates only what it returns.
+    /// [`IvfIndex::coarse_keys`] then the scan of
+    /// [`IvfIndex::search_keyed`], with the keys kept in the thread's
+    /// scratch and every `nprobe` raised to at least 1.
     fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
-        let mut results: Vec<ScanResult> = queries
-            .iter()
-            .map(|(q, _)| {
-                self.check_query(q)
-                    .map(|()| (Vec::new(), ScanStats::default()))
-            })
-            .collect();
-        // Taken and put back rather than borrowed, so a scan re-entered
-        // on this thread would find the slot empty and merely allocate.
-        let mut scratch = SCRATCH.take().unwrap_or_default();
-        let streamed_codes = self.scan_group(queries, k, &mut results, &mut scratch);
-        SCRATCH.set(Some(scratch));
-        GroupScan {
-            results,
-            streamed_codes,
-        }
+        with_scratch(|scratch| {
+            self.fill_keys(queries.iter().map(|q| q.0), &mut scratch.coarse);
+            self.scan_group(queries, k, 1, scratch)
+        })
     }
 }
 
 impl IvfIndex {
+    /// The first half of a group search: one pass over the centroid
+    /// table scores every list against every query of the group and
+    /// checks each query as a search would. Hand the keys back to
+    /// [`Self::search_keyed`] with the probe depths chosen from them.
+    pub fn coarse_keys<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q [f32]> + Clone,
+    ) -> CoarseKeys {
+        let mut keys = CoarseKeys::default();
+        self.fill_keys(queries, &mut keys);
+        keys
+    }
+
+    /// The second half of a group search: scans for `queries` — the
+    /// queries `keys` were computed for, each now paired with the number
+    /// of lists to probe — exactly as [`VectorIndex::search_group`]
+    /// does, except that a count is taken as given: `0` probes nothing
+    /// and answers no hits with zero [`ScanStats`]. For counts of at
+    /// least 1, `search_keyed(qs, &coarse_keys(qs), k)` **is**
+    /// `search_group(qs, k)`: both run the one scan body, on the same
+    /// keys.
+    ///
+    /// Keys of another group or index are answered per query with
+    /// [`IndexError::InvalidParam`] where their shape shows it; keys of
+    /// the right shape for the wrong queries give those queries' scan of
+    /// the lists the keys rank first — wrong, never out of bounds.
+    pub fn search_keyed(
+        &self,
+        queries: &[(&[f32], usize)],
+        keys: &CoarseKeys,
+        k: usize,
+    ) -> GroupScan {
+        if keys.rows.len() != queries.len() || keys.nlist != self.lists.len() {
+            let foreign = IndexError::InvalidParam(format!(
+                "coarse keys of {} queries over {} lists do not fit {} queries over {}",
+                keys.rows.len(),
+                keys.nlist,
+                queries.len(),
+                self.lists.len()
+            ));
+            return GroupScan {
+                results: queries.iter().map(|_| Err(foreign.clone())).collect(),
+                streamed_codes: 0,
+            };
+        }
+        with_scratch(|scratch| {
+            // Selection reorders keys in place: work on the scratch's copy.
+            let coarse = &mut scratch.coarse;
+            coarse.nlist = keys.nlist;
+            coarse.keys.clear();
+            coarse.keys.extend_from_slice(&keys.keys);
+            coarse.rows.clear();
+            coarse.rows.extend(
+                queries
+                    .iter()
+                    .zip(&keys.rows)
+                    .map(|((q, _), row)| self.check_query(q).and(row.clone())),
+            );
+            self.scan_group(queries, k, 0, scratch)
+        })
+    }
+
     fn check_query(&self, query: &[f32]) -> Result<(), IndexError> {
         if query.len() != self.dim {
             return Err(IndexError::DimensionMismatch {
@@ -643,19 +714,56 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// The body of [`VectorIndex::search_group`] over a scratch it owns
-    /// for the call: fills the `Ok` entries of `results` and returns the
-    /// codes physically scored.
+    /// Checks every query and writes the keys of those that pass.
+    fn fill_keys<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q [f32]> + Clone,
+        out: &mut CoarseKeys,
+    ) {
+        let CoarseKeys { keys, rows, nlist } = out;
+        *nlist = self.lists.len();
+        let mut next_row = 0;
+        rows.clear();
+        rows.extend(queries.clone().map(|q| {
+            self.check_query(q).map(|()| {
+                next_row += 1;
+                next_row - 1
+            })
+        }));
+        let live = queries
+            .zip(rows.iter())
+            .filter(|(_, row)| row.is_ok())
+            .map(|(q, _)| q);
+        self.coarse.probe_keys(live, keys);
+    }
+
+    /// The one scan body, over the keys in `scratch.coarse`: query `i`
+    /// probes its `max(nprobe, floor)` nearest lists (at most all).
+    ///
+    /// Each query *selects* its probe set (unsorted — [`TopK`] is a
+    /// total order on `(score, id)` and [`ScanStats`] are sums, so the
+    /// visiting order never shows), and the probes are compiled into a
+    /// flat row [`Plan`] that the scoring kernels consume in full tiles
+    /// across list boundaries. For plain (non-residual) storage the
+    /// `(list, query)` probes are inverted first, so each probed list is
+    /// streamed **once**, its codes scored against up to [`QTILE`]
+    /// queries per pass. Residual lists score a per-(query, list) shifted
+    /// query, so there is nothing to share and every probe is its own
+    /// run of the same plan.
+    ///
+    /// Everything between the input and the hit lists lives in the
+    /// per-thread [`ScanScratch`]: in steady state a plain group scan
+    /// allocates only what it returns.
     fn scan_group(
         &self,
         queries: &[(&[f32], usize)],
         k: usize,
-        results: &mut [ScanResult],
+        floor: usize,
         scratch: &mut ScanScratch,
-    ) -> usize {
+    ) -> GroupScan {
         let ScanScratch {
+            coarse,
             active,
-            keys,
             probes,
             by_list,
             plan,
@@ -663,23 +771,35 @@ impl IvfIndex {
             scorers,
             chunk,
         } = scratch;
-        // Slot `s` of the scan serves input query `active[s]`.
-        active.clear();
-        active.extend((0..queries.len()).filter(|&i| results[i].is_ok()));
-        if active.is_empty() {
-            return 0;
-        }
-        let live = active.iter().map(|&i| queries[i].0);
-
         let nlist = self.lists.len();
-        self.coarse.probe_keys(live.clone(), keys);
+        // Slot `s` of the scan serves input query `active[s]`; a query
+        // that failed its check or probes nothing gets no slot.
+        active.clear();
         // `(list, slot)` probes, slot-major.
         probes.clear();
-        for (slot, (&qi, keys)) in active.iter().zip(keys.chunks_exact_mut(nlist)).enumerate() {
-            let chosen = select_nearest(keys, queries[qi].1.clamp(1, nlist));
-            results[qi] = Ok((Vec::new(), self.probe_cost(chosen)));
-            probes.extend(chosen.iter().map(|&key| (key as u32, slot as u32)));
+        let mut results: Vec<ScanResult> = Vec::with_capacity(queries.len());
+        for (qi, (&(_, nprobe), row)) in queries.iter().zip(&coarse.rows).enumerate() {
+            results.push(row.clone().map(|row| {
+                let keys = &mut coarse.keys[row * nlist..(row + 1) * nlist];
+                let chosen: &[u64] = match nprobe.max(floor) {
+                    0 => &[],
+                    n => select_nearest(keys, n),
+                };
+                if !chosen.is_empty() {
+                    let slot = active.len() as u32;
+                    probes.extend(chosen.iter().map(|&key| (key as u32, slot)));
+                    active.push(qi);
+                }
+                (Vec::new(), self.probe_cost(chosen))
+            }));
         }
+        if active.is_empty() {
+            return GroupScan {
+                results,
+                streamed_codes: 0,
+            };
+        }
+        let live = active.iter().map(|&i| queries[i].0);
         // Plain lists are shared by list; one query's probes already are
         // one visit per list.
         if !self.residual && active.len() > 1 {
@@ -722,7 +842,7 @@ impl IvfIndex {
             // L2 shifts the query by the list centroid: a scorer per run.
             Some(_) => {}
         }
-        let streamed = self.scan(
+        let streamed_codes = self.scan(
             plan,
             &slot_scorers,
             shifts.as_deref(),
@@ -738,7 +858,10 @@ impl IvfIndex {
                 hits.truncate(k);
             }
         }
-        streamed
+        GroupScan {
+            results,
+            streamed_codes,
+        }
     }
 
     /// Runs a compiled [`Plan`]: each run's lists are cut into chunks of
@@ -895,16 +1018,26 @@ thread_local! {
     static SCRATCH: Cell<Option<Box<ScanScratch>>> = const { Cell::new(None) };
 }
 
+/// Runs `scan` over this thread's [`ScanScratch`], taken and put back
+/// rather than borrowed, so a scan re-entered on this thread would find
+/// the slot empty and merely allocate.
+fn with_scratch<T>(scan: impl FnOnce(&mut ScanScratch) -> T) -> T {
+    let mut scratch = SCRATCH.take().unwrap_or_default();
+    let out = scan(&mut scratch);
+    SCRATCH.set(Some(scratch));
+    out
+}
+
 /// Every buffer a group scan needs between its input and its output,
 /// kept per thread and reused from scan to scan: all of them are cleared
 /// or overwritten before they are read, so only their capacity carries
 /// over.
 #[derive(Default)]
 struct ScanScratch {
-    /// Input index of each scan slot (the queries that passed checks).
+    /// The group's coarse keys; selection reorders them in place.
+    coarse: CoarseKeys,
+    /// Input index of each scan slot.
     active: Vec<usize>,
-    /// Coarse-probe keys, one row of `nlist` per slot.
-    keys: Vec<u64>,
     /// The selected `(list, slot)` probes.
     probes: Vec<(u32, u32)>,
     by_list: ByList,
@@ -1797,7 +1930,8 @@ mod tests {
 
     /// Asserts that `queries` as one group, and each alone, answer
     /// exactly like the scalar walk (a wrong-dimension query with the
-    /// dimension error, without disturbing its neighbours). Returns the
+    /// dimension error, without disturbing its neighbours), and that the
+    /// group's keys handed out and back give the same scan. Returns the
     /// group's streamed codes.
     fn assert_group_matches_walk(
         index: &IvfIndex,
@@ -1807,6 +1941,10 @@ mod tests {
     ) -> usize {
         let group = index.search_group(queries, k);
         assert_eq!(group.results.len(), queries.len());
+        let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+        let at_least_one: Vec<(&[f32], usize)> =
+            queries.iter().map(|&(q, nprobe)| (q, nprobe.max(1))).collect();
+        assert_eq!(index.search_keyed(&at_least_one, &keys, k), group, "{ctx}: keyed");
         for (qi, &(q, nprobe)) in queries.iter().enumerate() {
             let alone = index.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe));
             if q.len() != index.dim {
@@ -1948,6 +2086,72 @@ mod tests {
         plan.compile(&[(1, 0), (1, 1), (4, 1)], false, |_| false);
         assert_eq!(plan.lists, [1, 1, 4]);
         assert_eq!(plan.runs.len(), 3);
+    }
+
+    #[test]
+    fn keyed_scan_takes_probe_counts_as_given() {
+        let data = clustered_data(600, 12, 9, 55);
+        for residual in [false, true] {
+            let mut index = IvfIndex::builder()
+                .nlist(40)
+                .residual(residual)
+                .seed(6)
+                .build(&data)
+                .unwrap();
+            for id in (0..600u64).step_by(9) {
+                assert!(index.remove(id));
+            }
+            let bad = [1.0f32; 5];
+            let queries: Vec<(&[f32], usize)> = vec![
+                (data.row(3), 8),
+                (data.row(200), 0),
+                (&bad, 0),
+                (data.row(3), 0),
+                (data.row(411), 1000),
+            ];
+            let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+            // A query's keys are the index's probe ranking of it.
+            let mut ranked = keys.query(0).unwrap().to_vec();
+            assert_eq!(ranked.len(), 40);
+            ranked.sort_unstable();
+            let nearest: Vec<usize> = ranked.iter().map(|&key| probe_key_centroid(key)).collect();
+            assert_eq!(nearest[..8], index.coarse.nearest_centroids(data.row(3), 8));
+            assert!(matches!(
+                keys.query(2),
+                Err(IndexError::DimensionMismatch { .. })
+            ));
+
+            let scan = index.search_keyed(&queries, &keys, 10);
+            let nothing = Ok((Vec::new(), ScanStats::default()));
+            assert_eq!(scan.results[1], nothing, "zero probes nothing");
+            assert_eq!(scan.results[3], nothing);
+            assert!(matches!(
+                scan.results[2],
+                Err(IndexError::DimensionMismatch { .. })
+            ));
+            for qi in [0, 4] {
+                let want = walk_search(&index, queries[qi].0, 10, queries[qi].1);
+                assert_same_scan(&scan.results[qi], &want, &format!("residual={residual} q{qi}"));
+            }
+            // All zero: nothing is streamed at all.
+            let idle: Vec<(&[f32], usize)> = queries.iter().map(|&(q, _)| (q, 0)).collect();
+            assert_eq!(index.search_keyed(&idle, &keys, 10).streamed_codes, 0);
+
+            // Keys that cannot be these queries' keys are refused, query
+            // by query, not searched with.
+            let other = IvfIndex::builder().nlist(7).seed(6).build(&data).unwrap();
+            for foreign in [
+                other.coarse_keys(queries.iter().map(|q| q.0)),
+                index.coarse_keys(queries[..2].iter().map(|q| q.0)),
+            ] {
+                let refused = index.search_keyed(&queries, &foreign, 10);
+                assert_eq!(refused.streamed_codes, 0);
+                assert!(refused
+                    .results
+                    .iter()
+                    .all(|r| matches!(r, Err(IndexError::InvalidParam(_)))));
+            }
+        }
     }
 
     #[test]

@@ -294,6 +294,13 @@ pub fn probe_key_centroid(key: u64) -> usize {
     key as u32 as usize
 }
 
+/// The distance half of a [`KMeans::probe_keys`] key: `u32` order is the
+/// [`f32::total_cmp`] order of the squared distances, so keys of
+/// *different* models over one embedding space compare by it.
+pub fn probe_key_distance(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
 /// Moves the `n` nearest of one query's [`KMeans::probe_keys`] to the
 /// front of `keys` and returns them, **unsorted** — selection instead of
 /// a full sort. `n` is raised to 1 and capped at `keys.len()`; the chosen

@@ -23,7 +23,7 @@
 //! for the whole run while the store underneath it evolves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 use hermes_core::exec::Engine;
 use hermes_core::{ClusteredStore, HermesError};
@@ -32,6 +32,14 @@ use crate::request::Request;
 use crate::server::{dispatch, Backend, BatchOutcome};
 
 /// An atomically swappable, epoch-counted store handle.
+///
+/// A thread that panics while holding the lock — inside a
+/// [`Self::mutate`] closure, in practice — does not take the cell down
+/// with it. The slot only ever holds a whole `Arc<ClusteredStore>`
+/// ([`Self::swap`] is one assignment; `mutate` hands the closure the
+/// store itself, whose own mutators each apply fully or fail first), so
+/// the poison flag says nothing the next holder could act on: it is
+/// cleared and serving goes on from what the slot holds.
 #[derive(Debug)]
 pub struct GenerationCell {
     store: RwLock<Arc<ClusteredStore>>,
@@ -53,7 +61,18 @@ impl GenerationCell {
     /// that generation alive for as long as the caller holds it, even
     /// across later swaps.
     pub fn current(&self) -> Arc<ClusteredStore> {
-        self.store.read().expect("generation cell poisoned").clone()
+        let slot = self.store.read().unwrap_or_else(|poisoned| {
+            self.store.clear_poison();
+            poisoned.into_inner()
+        });
+        slot.clone()
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Arc<ClusteredStore>> {
+        self.store.write().unwrap_or_else(|poisoned| {
+            self.store.clear_poison();
+            poisoned.into_inner()
+        })
     }
 
     /// Number of swaps published so far.
@@ -81,7 +100,7 @@ impl GenerationCell {
     /// readers holding the old `Arc` finish on the old generation;
     /// every subsequent [`Self::current`] sees `next`.
     pub fn swap(&self, next: ClusteredStore) -> Arc<ClusteredStore> {
-        let mut slot = self.store.write().expect("generation cell poisoned");
+        let mut slot = self.write();
         let old = std::mem::replace(&mut *slot, Arc::new(next));
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.version.fetch_add(1, Ordering::AcqRel);
@@ -93,7 +112,7 @@ impl GenerationCell {
     /// closure runs on a clone only if other snapshots are live, so
     /// uncontended mutation is allocation-free.
     pub fn mutate<T>(&self, f: impl FnOnce(&mut ClusteredStore) -> T) -> T {
-        let mut slot = self.store.write().expect("generation cell poisoned");
+        let mut slot = self.write();
         let store = Arc::make_mut(&mut *slot);
         let out = f(store);
         self.version.fetch_add(1, Ordering::AcqRel);
@@ -198,6 +217,47 @@ mod tests {
             .hits
             .iter()
             .any(|n| n.id == 42_424));
+    }
+
+    #[test]
+    fn a_panic_inside_mutate_leaves_the_cell_serving() {
+        let (corpus, s) = store();
+        let q = corpus.embeddings().row(0).to_vec();
+        let baseline = s.hierarchical_search(&q).unwrap();
+        let cell = Arc::new(GenerationCell::new(s));
+        let version = cell.version();
+
+        let writer = cell.clone();
+        let panicked = std::thread::spawn(move || writer.mutate(|_| panic!("writer died")));
+        assert!(panicked.join().is_err());
+        assert!(cell.store.is_poisoned());
+
+        // The old generation is still there, still served, and the flag
+        // is gone after the first access.
+        assert_eq!(cell.version(), version, "the failed write published nothing");
+        let mut server = Server::new(GenerationBackend::new(cell.clone(), 1), ServerConfig::default());
+        server.run_until(0).unwrap();
+        server
+            .submit(Request::new(0, q, Priority::Standard, 0))
+            .unwrap();
+        server.run_until(u64::MAX).unwrap();
+        let served = server.take_completions().pop().unwrap();
+        assert_eq!(served.outcome.as_ref(), Some(&baseline));
+        assert!(!cell.store.is_poisoned());
+
+        // So is a writer that finds the flag first.
+        let v = cell.current().split_centroid(1).to_vec();
+        let writer = cell.clone();
+        assert!(std::thread::spawn(move || writer.mutate(|_| panic!("again")))
+            .join()
+            .is_err());
+        assert!(cell.store.is_poisoned());
+        cell.mutate(|st| st.insert(31_313, &v).unwrap());
+        assert!(!cell.store.is_poisoned());
+        let next = (*cell.current()).clone();
+        cell.swap(next);
+        assert_eq!(cell.epoch(), 1);
+        assert!(!cell.store.is_poisoned());
     }
 
     #[test]

@@ -58,8 +58,9 @@ pub const COUNTERS: &[(&str, &str)] = &[
 pub const ENGINE_EXECUTE: &str = "engine.execute";
 /// Route stage of one batch.
 pub const ENGINE_ROUTE: &str = "engine.route";
-/// Scatter half of one batch's deep stage: one group scan per distinct
-/// cluster.
+/// Scatter half of one batch's deep stage: the coarse keys of each
+/// distinct cluster, every query's probe counts, one group scan per
+/// distinct cluster.
 pub const ENGINE_SCATTER: &str = "engine.scatter";
 /// Gather half of the deep stage, one per query.
 pub const ENGINE_GATHER: &str = "engine.gather";

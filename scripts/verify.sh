@@ -13,9 +13,9 @@ cargo test -q --offline
 
 # Doc comments link to the names they describe; a refactor that deletes
 # or renames one must not leave the link dangling.
-echo "== rustdoc intra-doc links (core, serve, rag, cache) =="
+echo "== rustdoc intra-doc links (index, core, serve, rag, cache) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q \
-    -p hermes-core -p hermes-serve -p hermes-rag -p hermes-cache
+    -p hermes-index -p hermes-core -p hermes-serve -p hermes-rag -p hermes-cache
 
 # Re-run, at both extremes of the hermes-pool width — fully
 # inline/sequential and heavily oversubscribed (the CI box has few

@@ -9,9 +9,18 @@
 //! (the engine gets the same numbers inline from `search_with_stats`).
 //! If the engine ever drifts (a reordered merge, a changed clamp, a racy
 //! accumulation), these properties fail.
+//!
+//! That loop probes `deep_nprobe` lists in every routed shard, so it is
+//! the oracle of [`ProbeAllocation::PerShard`]. The default,
+//! [`ProbeAllocation::Pooled`], has an oracle of its own
+//! ([`pooled_search`]): the budget rule written out over one query at a
+//! time — keys per shard, a full sort, the first `B` — with one ordinary
+//! `search_with_stats` per shard that got a share.
 
 use hermes::core::exec::Engine;
-use hermes::core::search::SearchOutcome;
+use hermes::core::search::{SearchOutcome, SearchPhaseCost};
+use hermes::index::ScanStats;
+use hermes::kmeans::{probe_key_centroid, probe_key_distance};
 use hermes::math::topk::merge_topk;
 use hermes::prelude::*;
 use hermes_testkit::prelude::*;
@@ -37,6 +46,16 @@ struct LegacyOutcome {
 /// separate `probe_stats` costing pass, or centroid scoring, then the
 /// shared score-desc / id-asc sort.
 fn legacy_route(store: &ClusteredStore, query: &[f32]) -> (Vec<usize>, usize, usize) {
+    let (ranked, _, scanned, touched) = legacy_route_scored(store, query);
+    (ranked, scanned, touched)
+}
+
+/// [`legacy_route`], also returning the scores in rank order (none when
+/// unranked).
+fn legacy_route_scored(
+    store: &ClusteredStore,
+    query: &[f32],
+) -> (Vec<usize>, Vec<f32>, usize, usize) {
     let cfg = store.config();
     let n = store.num_clusters();
     let (mut scored, scanned, touched) = match cfg.routing {
@@ -58,18 +77,15 @@ fn legacy_route(store: &ClusteredStore, query: &[f32]) -> (Vec<usize>, usize, us
                 .collect();
             (scored, n, n)
         }
-        Routing::Unranked => return ((0..n).collect(), 0, 0),
+        Routing::Unranked => return ((0..n).collect(), Vec::new(), 0, 0),
     };
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.0.cmp(&b.0))
     });
-    (
-        scored.into_iter().map(|(c, _)| c).collect(),
-        scanned,
-        touched,
-    )
+    let (ranked, scores) = scored.into_iter().unzip();
+    (ranked, scores, scanned, touched)
 }
 
 /// The original hierarchical search: route, then a sequential deep-search
@@ -168,7 +184,8 @@ fn engine_matches_legacy_for_all_modes_codecs_and_threads() {
                         .with_k(k)
                         .with_seed(seed)
                         .with_routing(routing)
-                        .with_codec(codec);
+                        .with_codec(codec)
+                        .with_probe_allocation(ProbeAllocation::PerShard);
                     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
                     let legacy: Vec<LegacyOutcome> =
                         qs.iter().map(|q| legacy_search(&store, q)).collect();
@@ -248,9 +265,9 @@ fn per_shard_stats_sum_to_stage_totals() {
             let cfg = HermesConfig::new(4).with_clusters_to_search(m).with_seed(seed);
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
             let out = store.hierarchical_search(corpus.embeddings().row(2)).unwrap();
-            prop_assert_eq!(out.stats.per_shard_scanned.len(), out.searched_clusters.len());
+            prop_assert_eq!(out.stats.per_shard.len(), out.searched_clusters.len());
             prop_assert_eq!(
-                out.stats.per_shard_scanned.iter().sum::<usize>(),
+                out.stats.per_shard_scanned().sum::<usize>(),
                 out.deep_cost().scanned_codes
             );
             prop_assert!(out.stats.gather_candidates >= out.hits.len());
@@ -288,4 +305,299 @@ fn first_error_in_input_order_is_preserved() {
             assert_eq!(got, sequential_err, "{routing:?}/threads={threads}");
         }
     }
+}
+
+/// The pooled budget rule, one query at a time from public calls only:
+/// route as the legacy loop does, take the coarse keys of each routed
+/// shard, sort every `(distance bits, rank position, list)` of them
+/// together, keep the first `B` — a full share of `deep_nprobe` for the
+/// leader, half a share rounded up for each further shard, a share never
+/// more than the shard's lists — and search each shard alone at the
+/// number of lists it kept, or not at all if it kept none.
+fn pooled_search(store: &ClusteredStore, query: &[f32]) -> SearchOutcome {
+    let cfg = *store.config();
+    let (ranked, scores, sample_codes, sample_clusters) = legacy_route_scored(store, query);
+    let (m, deep_nprobe) = match cfg.adaptive {
+        Some(adaptive) => {
+            let choice = DifficultyEstimator::new(adaptive).depth(&scores);
+            (choice.clusters, choice.deep_nprobe)
+        }
+        None => (cfg.clusters_to_search, cfg.deep_nprobe),
+    };
+    let searched = ranked[..m.min(ranked.len())].to_vec();
+    let mut pool = Vec::new();
+    let mut budget = 0;
+    for (pos, &c) in searched.iter().enumerate() {
+        let shard = store.shard(c);
+        let keys = shard.coarse_keys([query].into_iter());
+        let keys = keys.query(0).unwrap();
+        assert_eq!(keys.len(), shard.nlist());
+        let pair = |&key| (probe_key_distance(key), pos, probe_key_centroid(key));
+        pool.extend(keys.iter().map(pair));
+        let share = deep_nprobe.min(shard.nlist());
+        budget += if pos == 0 { share } else { share.div_ceil(2) };
+    }
+    pool.sort();
+    pool.truncate(budget);
+    let per_shard: Vec<(Vec<Neighbor>, ScanStats)> = searched
+        .iter()
+        .enumerate()
+        .map(|(pos, &c)| match pool.iter().filter(|pair| pair.1 == pos).count() {
+            0 => (Vec::new(), ScanStats::default()),
+            lists => {
+                let params = SearchParams::new().with_nprobe(lists);
+                store.shard(c).search_with_stats(query, cfg.k, &params).unwrap()
+            }
+        })
+        .collect();
+    SearchOutcome {
+        hits: merge_topk(per_shard.iter().map(|(hits, _)| hits), cfg.k),
+        ranked_clusters: ranked,
+        searched_clusters: searched,
+        stats: SearchStats {
+            route: SearchPhaseCost {
+                scanned_codes: sample_codes,
+                clusters_touched: sample_clusters,
+            },
+            deep: SearchPhaseCost {
+                scanned_codes: per_shard.iter().map(|(_, s)| s.scanned_codes).sum(),
+                clusters_touched: per_shard.iter().filter(|(_, s)| s.probed_partitions > 0).count(),
+            },
+            gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
+            per_shard: per_shard.iter().map(|&(_, stats)| stats).collect(),
+            deep_nprobe,
+        },
+    }
+}
+
+/// Every engine path over `qs` — query-major batch, shard-major group,
+/// a group of one, a group holding a query twice — at every width
+/// equals `want`, whole outcomes, stats included.
+fn every_path_equals(
+    store: &ClusteredStore,
+    qs: &[Vec<f32>],
+    want: &[SearchOutcome],
+    ctx: &str,
+) -> Result<(), String> {
+    let engine = Engine::for_store(store);
+    let all: Vec<usize> = (0..qs.len()).collect();
+    let twice = [0usize, 1, 0];
+    let twice_qs = twice.map(|i| qs[i].as_slice());
+    for &threads in THREADS {
+        let paths = [
+            ("batch", &all[..], store.batch_hierarchical_search(qs, threads)),
+            ("group", &all[..], engine.execute_coalesced(qs, threads)),
+            ("group of one", &all[..1], engine.execute_coalesced(&qs[..1], threads)),
+            ("group with a repeat", &twice[..], engine.execute_coalesced(&twice_qs, threads)),
+        ];
+        for (path, picks, got) in paths {
+            let got = got.unwrap();
+            prop_assert!(got.len() == picks.len(), "{path}: one outcome per query");
+            for (&i, out) in picks.iter().zip(&got) {
+                prop_assert!(
+                    &want[i] == out,
+                    "{ctx}/threads={threads}/{path}: query {i}\n want {:?}\n  got {:?}",
+                    want[i],
+                    out
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A store, the same store after removes and inserts (tombstones in its
+/// lists), and that one after its largest cluster was split.
+fn store_variants(store: ClusteredStore, corpus: &Corpus) -> Vec<(&'static str, ClusteredStore)> {
+    let mut churned = store.clone();
+    for id in (0..corpus.embeddings().rows() as u64).step_by(5) {
+        assert!(churned.remove(id).is_some());
+    }
+    for (i, row) in corpus.embeddings().iter_rows().enumerate().take(40) {
+        let fresh: Vec<f32> = row.iter().map(|x| x * 0.9).collect();
+        churned.insert(50_000 + i as u64, &fresh).unwrap();
+    }
+    assert!(churned.tombstones() > 0);
+    let sizes = churned.cluster_sizes();
+    let largest = (0..sizes.len()).max_by_key(|&c| sizes[c]).unwrap();
+    let split = Rebalancer::default()
+        .apply(&churned, RebalanceAction::Split { cluster: largest })
+        .unwrap();
+    vec![("built", store), ("churned", churned), ("split", split)]
+}
+
+/// `ProbeAllocation::Pooled` — whole batch, batch of one, duplicated
+/// query, every width, both codecs, both scoring routing modes, adaptive
+/// depth on and off, on a fresh store, one with tombstones and one after
+/// a split — is its sequential oracle bit for bit, stats included. Every
+/// shard here has fewer lists than `deep_nprobe` (and than the adaptive
+/// ceiling), so shares are list counts throughout.
+#[test]
+fn pooled_engine_matches_its_sequential_oracle() {
+    let strat = tuple3(u64_in(0..40), usize_in(1..5), usize_in(1..7));
+    check_with(
+        "pooled_engine_matches_its_sequential_oracle",
+        &tk_cfg(),
+        &strat,
+        |&(seed, m, k)| {
+            let corpus = Corpus::generate(CorpusSpec::new(350, 8, 4).with_seed(seed));
+            let qs: Vec<Vec<f32>> = corpus
+                .embeddings()
+                .iter_rows()
+                .take(4)
+                .map(<[f32]>::to_vec)
+                .collect();
+            for routing in [Routing::DocumentSampling, Routing::CentroidOnly] {
+                for codec in codecs() {
+                    for adaptive in [None, Some(AdaptiveConfig::new(1, 4, 4, 200))] {
+                        let mut cfg = HermesConfig::new(4)
+                            .with_clusters_to_search(m)
+                            .with_k(k)
+                            .with_seed(seed)
+                            .with_routing(routing)
+                            .with_codec(codec);
+                        cfg.adaptive = adaptive;
+                        prop_assert!(cfg.probe_allocation == ProbeAllocation::Pooled);
+                        let built = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+                        for (variant, store) in store_variants(built, &corpus) {
+                            let want: Vec<SearchOutcome> =
+                                qs.iter().map(|q| pooled_search(&store, q)).collect();
+                            let ctx = format!("{routing:?}/{codec:?}/{adaptive:?}/{variant}");
+                            every_path_equals(&store, &qs, &want, &ctx)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// With one routed shard the pool is that shard: `Pooled` at `m = 1` is
+/// `PerShard` — hence the parent engine — outcome for outcome. And a
+/// ranking without scores has no leader: `Unranked` runs per shard
+/// whatever the allocation says.
+#[test]
+fn pooled_is_per_shard_at_one_cluster_and_when_unranked() {
+    check_with(
+        "pooled_is_per_shard_at_one_cluster_and_when_unranked",
+        &tk_cfg(),
+        &tuple2(u64_in(0..40), usize_in(1..200)),
+        |&(seed, deep_nprobe)| {
+            let corpus = Corpus::generate(CorpusSpec::new(350, 8, 4).with_seed(seed));
+            let qs: Vec<Vec<f32>> = corpus.embeddings().iter_rows().take(6).map(<[f32]>::to_vec).collect();
+            for (routing, m) in [
+                (Routing::DocumentSampling, 1),
+                (Routing::CentroidOnly, 1),
+                (Routing::Unranked, 3),
+            ] {
+                let pooled = HermesConfig::new(4)
+                    .with_clusters_to_search(m)
+                    .with_deep_nprobe(deep_nprobe)
+                    .with_seed(seed)
+                    .with_routing(routing);
+                let store = ClusteredStore::build(corpus.embeddings(), &pooled).unwrap();
+                let per_shard = pooled.with_probe_allocation(ProbeAllocation::PerShard);
+                let want = Engine::new(&store, QueryPlan::from_config(&per_shard))
+                    .execute_batch(&qs, 1)
+                    .unwrap();
+                every_path_equals(&store, &qs, &want, &format!("{routing:?}/m={m}"))?;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A distance tie exactly at the cut. Two shards hold the same six
+/// points (round-robin split of a corpus with every row twice) and one
+/// list per point, so every list of the follower ties, to the bit, with
+/// a list of the leader; the budget is 6 + 3 = 9 of 12, which cuts the
+/// fifth-nearest pair in two. The tie goes to the better-ranked shard —
+/// 5 lists and 4, whatever else is in the batch and at every width.
+#[test]
+fn a_distance_tie_at_the_cut_goes_to_the_better_ranked_shard() {
+    let points: Vec<Vec<f32>> = (0..6).map(|i| vec![1.0 + i as f32, 0.5 * i as f32]).collect();
+    let rows: Vec<Vec<f32>> = points.iter().flat_map(|p| [p.clone(), p.clone()]).collect();
+    let cfg = HermesConfig::new(2)
+        .with_clusters_to_search(2)
+        .with_k(3)
+        .with_codec(CodecSpec::Flat)
+        .with_split(SplitStrategy::RoundRobin);
+    let store = ClusteredStore::build(&Mat::from_rows(&rows), &cfg).unwrap();
+    let query = vec![0.9f32, 0.1];
+    let distances = |c: usize| {
+        let keys = store.shard(c).coarse_keys([&query[..]].into_iter());
+        let mut d: Vec<u32> = keys.query(0).unwrap().iter().map(|&k| probe_key_distance(k)).collect();
+        d.sort_unstable();
+        d
+    };
+    assert_eq!(store.shard(0).nlist(), 6);
+    assert_eq!(distances(0), distances(1), "the shards' lists tie pairwise");
+    assert!(distances(0).windows(2).all(|w| w[0] < w[1]), "six distinct distances");
+
+    let want = pooled_search(&store, &query);
+    assert_eq!(want.searched_clusters, vec![0, 1], "equal samples rank by cluster id");
+    assert_eq!(want.stats.per_shard_probed().collect::<Vec<_>>(), [5, 4]);
+    let others: Vec<Vec<f32>> = points.iter().map(|p| vec![p[1], p[0]]).collect();
+    let engine = Engine::for_store(&store);
+    for &threads in THREADS {
+        assert_eq!(engine.execute_coalesced(&[&query[..]], threads).unwrap()[0], want);
+        let mut batch = others.clone();
+        batch.insert(3, query.clone());
+        assert_eq!(engine.execute_coalesced(&batch, threads).unwrap()[3], want);
+        assert_eq!(engine.execute_batch(&batch, threads).unwrap()[3], want);
+    }
+}
+
+/// The benchmark's `--smoke` shape: 3 000 x 24 in ten shards of about
+/// 69 lists each under `deep_nprobe` 128, so every share is a list count
+/// (69 + 35 + 35, not 128 + 64 + 64) and a third of the routed lists
+/// stay unprobed.
+#[test]
+fn shares_are_capped_at_list_counts_on_the_smoke_shape() {
+    let corpus = Corpus::generate(CorpusSpec::new(3_000, 24, 10).with_seed(7));
+    let cfg = HermesConfig::new(10).with_k(10).with_seed(8);
+    let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+    let nlists: Vec<usize> = (0..10).map(|c| store.shard(c).nlist()).collect();
+    assert!(nlists.iter().all(|&n| n < cfg.deep_nprobe), "{nlists:?}");
+    let queries = QuerySet::generate(&corpus, QuerySpec::new(12).with_seed(9)).to_vecs();
+    let want: Vec<SearchOutcome> = queries.iter().map(|q| pooled_search(&store, q)).collect();
+    for out in &want {
+        let share = |c: &usize| nlists[*c];
+        let budget = share(&out.searched_clusters[0])
+            + out.searched_clusters[1..].iter().map(|c| share(c).div_ceil(2)).sum::<usize>();
+        assert_eq!(out.stats.per_shard_probed().sum::<usize>(), budget);
+    }
+    every_path_equals(&store, &queries, &want, "smoke shape").unwrap();
+}
+
+/// What the budget rule is for: at `m = 3` pooling streams at most 0.8
+/// of the deep codes of the per-shard engine and finds no less of the
+/// exact top-10.
+#[test]
+fn pooled_recall_is_no_lower_on_fewer_codes() {
+    let corpus = Corpus::generate(CorpusSpec::new(8_000, 16, 8).with_seed(21));
+    let queries = QuerySet::generate(&corpus, QuerySpec::new(64).with_seed(22)).to_vecs();
+    let oracle = FlatIndex::new(corpus.embeddings().clone(), Metric::InnerProduct);
+    let truth = hermes::metrics::ground_truth(&oracle, &queries, 10).unwrap();
+    let pooled = HermesConfig::new(8).with_deep_nprobe(32).with_k(10).with_seed(23);
+    let store = ClusteredStore::build(corpus.embeddings(), &pooled).unwrap();
+    assert!((0..8).all(|c| store.shard(c).nlist() > 2 * pooled.deep_nprobe));
+    let measure = |cfg: &HermesConfig| {
+        let outs = Engine::new(&store, QueryPlan::from_config(cfg))
+            .execute_batch(&queries, 1)
+            .unwrap();
+        let recall: f64 = (outs.iter().zip(&truth))
+            .map(|(out, t)| recall_at_k(t, &hermes::metrics::ranking::ids(&out.hits), 10))
+            .sum();
+        let codes: usize = outs.iter().map(|out| out.deep_cost().scanned_codes).sum();
+        (recall / outs.len() as f64, codes)
+    };
+    let (pooled_recall, pooled_codes) = measure(&pooled);
+    let (recall, codes) = measure(&pooled.with_probe_allocation(ProbeAllocation::PerShard));
+    assert!(pooled_recall >= recall, "recall {pooled_recall:.4} pooled vs {recall:.4} per shard");
+    assert!(
+        pooled_codes * 10 <= codes * 8,
+        "deep codes {pooled_codes} pooled vs {codes} per shard"
+    );
 }

@@ -330,14 +330,24 @@ fn store_churn_keeps_sizes_shards_and_results_consistent() {
                 prop_assert_eq!(info.tombstones, store.shard(c).tombstones());
             }
 
+            // Under both probe allocations: tombstones sit inside lists,
+            // never move a centroid, so the pooled cut is the same too.
             let q = churn.vector();
-            let before = store.hierarchical_search(&q).unwrap();
+            let search = |store: &ClusteredStore, allocation| {
+                let plan = QueryPlan::from_config(&cfg.with_probe_allocation(allocation));
+                Engine::new(store, plan).execute(&q).unwrap()
+            };
+            let allocations = [ProbeAllocation::Pooled, ProbeAllocation::PerShard];
+            let before = allocations.map(|a| search(&store, a));
             let bytes_before = store.memory_bytes();
             store.compact();
             prop_assert_eq!(store.tombstones(), 0);
             prop_assert!(store.memory_bytes() <= bytes_before);
-            let after = store.hierarchical_search(&q).unwrap();
-            prop_assert_eq!(&before.hits, &after.hits);
+            for (before, allocation) in before.iter().zip(allocations) {
+                let after = search(&store, allocation);
+                prop_assert_eq!(&before.hits, &after.hits);
+                prop_assert!(before.stats.per_shard_probed().eq(after.stats.per_shard_probed()));
+            }
             Ok(())
         },
     );

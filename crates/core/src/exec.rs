@@ -646,8 +646,9 @@ impl<'s> Engine<'s> {
 
     /// One group scan of shard `c` under a `shard.sample` / `shard.deep`
     /// span whose args carry the group's size, its logical scanned codes
-    /// (the per-query [`ScanStats`] sum) and the codes physically
-    /// streamed — equal unless queries shared a list.
+    /// (the per-query [`ScanStats`] sum), the codes physically streamed —
+    /// equal unless queries shared a list — and how many of those the
+    /// exact kernel rescored after the scan's bound filter.
     fn shard_scan(
         &self,
         span: &'static str,
@@ -668,6 +669,7 @@ impl<'s> Engine<'s> {
                     .sum(),
             );
             sp.arg("streamed_codes", scan.streamed_codes as u64);
+            sp.arg("rescored_codes", scan.rescored_codes as u64);
         }
         scan
     }

@@ -624,7 +624,11 @@ impl VectorIndex for IvfIndex {
         self.search_group(&[(query, params.nprobe)], k)
             .results
             .pop()
-            .expect("one result per query")
+            .unwrap_or_else(|| {
+                Err(IndexError::InvalidParam(
+                    "the group scan of one query returned no result".into(),
+                ))
+            })
     }
 
     /// [`IvfIndex::coarse_keys`] then the scan of
@@ -682,6 +686,7 @@ impl IvfIndex {
             return GroupScan {
                 results: queries.iter().map(|_| Err(foreign.clone())).collect(),
                 streamed_codes: 0,
+                rescored_codes: 0,
             };
         }
         with_scratch(|scratch| {
@@ -797,6 +802,7 @@ impl IvfIndex {
             return GroupScan {
                 results,
                 streamed_codes: 0,
+                rescored_codes: 0,
             };
         }
         let live = active.iter().map(|&i| queries[i].0);
@@ -842,7 +848,7 @@ impl IvfIndex {
             // L2 shifts the query by the list centroid: a scorer per run.
             Some(_) => {}
         }
-        let streamed_codes = self.scan(
+        let (streamed_codes, rescored_codes) = self.scan(
             plan,
             &slot_scorers,
             shifts.as_deref(),
@@ -861,24 +867,45 @@ impl IvfIndex {
         GroupScan {
             results,
             streamed_codes,
+            rescored_codes,
         }
     }
 
     /// Runs a compiled [`Plan`]: each run's lists are cut into chunks of
-    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, a chunk is
-    /// scored for every [`QTILE`]-wide tile of the run's slots in one
-    /// kernel call over its code segments, and each slot's score row
-    /// feeds its own [`TopK::push_block`], list by list. Tier-A scores do
-    /// not depend on a code's position, so which lists share a chunk
-    /// never shows in a result. The kernel keeps the read-ahead cursor
-    /// [`PREFETCH_ROWS`] rows in front of the rows it is scoring.
+    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and every
+    /// [`QTILE`]-wide tile of the run's slots takes its pass over a
+    /// chunk's code segments. A slot of the tile goes one of two ways,
+    /// decided from its scorer and its selector alone:
+    ///
+    /// * **filter → compact → rescore**, if the scorer has a
+    ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the selector is full:
+    ///   the bound's integer sums are computed for every row, the rows
+    ///   whose sum reaches the [`floor`](hermes_quant::Sq8Bound::floor)
+    ///   of the selector's threshold — all that could still be admitted,
+    ///   a few in a hundred — are compacted (tombstoned rows dropped on
+    ///   the way) into one-row segments, and the exact kernel scores just
+    ///   those, in row order, for one [`TopK::push_block`];
+    /// * **exact** otherwise: the tile kernel scores every row for all
+    ///   such slots of the tile at once, and each slot's score row feeds
+    ///   its `push_block`, list by list.
+    ///
+    /// A row the filter drops scores strictly below a threshold that only
+    /// rises, so `push_block` would have dropped it too; a row it keeps
+    /// gets the bits the exact way gives it, because tier-A scores do not
+    /// depend on a code's position or on which codes share a chunk or a
+    /// kernel call. Only exact scores ever reach a selector: results
+    /// cannot tell the two ways apart. While a selector that will filter
+    /// is still filling, chunks are cut at [`WARMUP_ROWS`] so that it
+    /// fills, exactly, on few rows. The kernels keep the read-ahead
+    /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read.
     ///
     /// `shifts` marks residual storage — every run one `(list, slot)`
     /// pair — and holds each slot's query. `offset` (the residual
     /// inner-product decomposition term) is applied unconditionally —
     /// even an offset of `0.0` changes `-0.0` scores to `+0.0` — so the
     /// f32 op sequence matches the per-code `offset + scorer.score(code)`
-    /// form bit for bit. Returns the codes physically scored.
+    /// form bit for bit. Returns [`GroupScan::streamed_codes`] and
+    /// [`GroupScan::rescored_codes`].
     fn scan(
         &self,
         plan: &Plan,
@@ -887,11 +914,12 @@ impl IvfIndex {
         tops: &mut [TopK],
         chunk: &mut Chunk,
         ahead: &mut ReadAhead,
-    ) -> usize {
+    ) -> (usize, usize) {
         let cs = self.codec.code_size();
         let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
+        let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut shifted = Vec::new();
-        let mut streamed = 0;
+        let (mut streamed, mut rescored) = (0, 0);
         let mut first = 0;
         for run in &plan.runs {
             let lists = &plan.lists[first..run.lists_end];
@@ -915,19 +943,32 @@ impl IvfIndex {
                     .as_ref()
                     .unwrap_or_else(|| &scorers[slot as usize])
             };
+            let shift = |scores: &mut [f32]| {
+                if let Some(o) = offset {
+                    for s in scores {
+                        *s = o + *s;
+                    }
+                }
+            };
 
             let (mut at_list, mut at_row) = (0, 0);
             while at_list < lists.len() {
-                // The next chunk: up to CHUNK_ROWS rows of consecutive
+                let warming = slots.iter().any(|&slot| {
+                    let top = &tops[slot as usize];
+                    top.len() < top.k() && scorer_of(slot).bound().is_some()
+                });
+                let limit = if warming { WARMUP_ROWS } else { CHUNK_ROWS };
+                // The next chunk: up to `limit` rows of consecutive
                 // lists. A list with tombstones also gets its mask here,
-                // once for every slot: its rows are scored by the
-                // unchanged kernel like any other, then its dead
-                // `(id, score)` pairs are compacted out before admission,
-                // so live rows keep their exact bits and admission order.
+                // once for every slot: in the exact form its rows are
+                // scored by the unchanged kernel like any other, then its
+                // dead `(id, score)` pairs are compacted out before
+                // admission, so live rows keep their exact bits and
+                // admission order.
                 let (mut parts, mut rows, mut live) = (0, 0, 0);
-                while rows < CHUNK_ROWS && at_list < lists.len() {
+                while rows < limit && at_list < lists.len() {
                     let list = &self.lists[lists[at_list] as usize];
-                    let take = (list.ids.len() - at_row).min(CHUNK_ROWS - rows);
+                    let take = (list.ids.len() - at_row).min(limit - rows);
                     let piece = at_row..at_row + take;
                     segments[parts] = &list.codes[piece.start * cs..piece.end * cs];
                     let live_from = live;
@@ -957,23 +998,75 @@ impl IvfIndex {
                 let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
 
                 for (t, tile) in slots.chunks(QTILE).enumerate() {
+                    // The chunk is cold for the first pass of the first
+                    // tile of slots only: that pass keeps the read-ahead
+                    // moving, a few rows between the kernel's tiles.
+                    let mut keep_ahead = |rows| ahead.advance(self, &plan.lists, rows);
+                    let mut idle = |_| {};
+                    let mut pace: &mut dyn FnMut(usize) =
+                        if t == 0 { &mut keep_ahead } else { &mut idle };
+
+                    // A slot whose scorer has a bound and whose selector
+                    // has a threshold filters; the others are left for
+                    // the exact pass below.
+                    let mut exact = [tile[0]; QTILE];
+                    let mut exact_len = 0;
+                    for &slot in tile {
+                        let scorer = scorer_of(slot);
+                        let gate = scorer.bound().and_then(|bound| {
+                            let threshold = tops[slot as usize].threshold();
+                            Some((bound, bound.floor(threshold, offset.unwrap_or(0.0))?))
+                        });
+                        let Some((bound, floor)) = gate else {
+                            exact[exact_len] = slot;
+                            exact_len += 1;
+                            continue;
+                        };
+                        bound.sums(segments, &mut chunk.sums[..rows], pace);
+                        pace = &mut idle;
+                        // Survivors in row order, eight sums to a compare
+                        // mask; `part` follows them.
+                        let (mut n, mut part, mut part_from) = (0, 0, 0);
+                        for (g, sums) in chunk.sums[..rows].chunks(8).enumerate() {
+                            let mut mask = 0u32;
+                            for (j, &sum) in sums.iter().enumerate() {
+                                mask |= u32::from(sum >= floor) << j;
+                            }
+                            while mask != 0 {
+                                let row = g * 8 + mask.trailing_zeros() as usize;
+                                mask &= mask - 1;
+                                while row >= part_from + parts[part].len as usize {
+                                    part_from += parts[part].len as usize;
+                                    part += 1;
+                                }
+                                let list = &self.lists[parts[part].list as usize];
+                                let at = parts[part].start as usize + row - part_from;
+                                if list.dead_count == 0 || !list.dead[at] {
+                                    kept[n] = &list.codes[at * cs..(at + 1) * cs];
+                                    chunk.kept_ids[n] = list.ids[at];
+                                    n += 1;
+                                }
+                            }
+                        }
+                        let out = &mut chunk.scores[..n];
+                        QueryScorer::score_tile(&[scorer], &kept[..n], out, &mut |_| {});
+                        shift(out);
+                        tops[slot as usize].push_block(&chunk.kept_ids[..n], out);
+                        rescored += n;
+                    }
+                    let tile = &exact[..exact_len];
+                    if tile.is_empty() {
+                        streamed += rows;
+                        continue;
+                    }
+
                     let mut refs = [scorer_of(tile[0]); QTILE];
                     for (r, &slot) in refs.iter_mut().zip(tile) {
                         *r = scorer_of(slot);
                     }
                     let out = &mut chunk.scores[..tile.len() * rows];
-                    // The chunk is cold for the first tile of slots only:
-                    // that pass keeps the read-ahead moving, a few rows
-                    // between the kernel's tiles.
-                    let mut keep_ahead = |rows| ahead.advance(self, &plan.lists, rows);
-                    let pace: &mut dyn FnMut(usize) =
-                        if t == 0 { &mut keep_ahead } else { &mut |_| {} };
                     streamed += QueryScorer::score_tile(&refs[..tile.len()], segments, out, pace);
-                    if let Some(o) = offset {
-                        for s in out.iter_mut() {
-                            *s = o + *s;
-                        }
-                    }
+                    shift(out);
                     for (&slot, row) in tile.iter().zip(out.chunks_exact(rows)) {
                         let top = &mut tops[slot as usize];
                         let mut at = 0;
@@ -996,7 +1089,7 @@ impl IvfIndex {
                 }
             }
         }
-        streamed
+        (streamed, rescored)
     }
 }
 
@@ -1006,6 +1099,17 @@ impl IvfIndex {
 /// and its row positions still fit the `u8` of [`Chunk::live_at`].
 const CHUNK_ROWS: usize = 256;
 const _: () = assert!(CHUNK_ROWS - 1 <= u8::MAX as usize);
+
+/// Rows per chunk while a selector that will filter is still filling.
+/// The filter reads a selector's threshold once per chunk, so a first
+/// chunk of [`CHUNK_ROWS`] would score 256 rows exactly before the bound
+/// could rule out one — all of a sample search, which streams ~165 rows.
+/// Too short a warm-up, on the other hand, leaves a threshold so low that
+/// much of the next chunk survives it. Measured on the benchmark's store
+/// (EXPERIMENTS.md, "Exact answers at integer speed"): 16 and 32 rows
+/// read the same, 8 and 64 cost the route stage 2–4 µs a query, 128 and
+/// more give its whole gain back.
+const WARMUP_ROWS: usize = 32;
 
 /// How many rows ahead of the rows being scored the scan prefetches:
 /// far enough for an L3 miss to resolve under the arithmetic of the two
@@ -1070,6 +1174,10 @@ struct Chunk {
     live_ids: [u64; CHUNK_ROWS],
     live_at: [u8; CHUNK_ROWS],
     live_scores: [f32; CHUNK_ROWS],
+    /// One slot's bound sums over the chunk, and the ids of the rows
+    /// that survive them.
+    sums: [i32; CHUNK_ROWS],
+    kept_ids: [u64; CHUNK_ROWS],
 }
 
 impl Default for Chunk {
@@ -1080,6 +1188,8 @@ impl Default for Chunk {
             live_ids: [0; CHUNK_ROWS],
             live_at: [0; CHUNK_ROWS],
             live_scores: [0.0; CHUNK_ROWS],
+            sums: [0; CHUNK_ROWS],
+            kept_ids: [0; CHUNK_ROWS],
         }
     }
 }
@@ -2008,6 +2118,72 @@ mod tests {
                             assert_group_matches_walk(&index, &queries, k, &ctx);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filtered_scans_match_the_scalar_walk() {
+        // SQ8 under inner product and cosine, where tiles filter: lists
+        // that outlast the warm-up and fill whole chunks, 40-byte codes
+        // (one 32-byte step and an overlapping tail in the AVX2 integer
+        // kernel; the other suites' 8- and 12-byte codes take the scalar
+        // one).
+        let lens = [300usize, 5, 40, 0, 70, 1, 33, 260];
+        let (dim, total) = (40, lens.iter().sum::<usize>());
+        // List `l` sits at `10 l` on the first axis, so along it every
+        // list outscores the one before: visited in list order, every
+        // row of every list reaches the threshold (`up`), or after the
+        // first list none does (`down`).
+        let axis = |x: f32| {
+            let mut q = vec![0.0f32; dim];
+            q[0] = x;
+            q
+        };
+        let (up, down) = (axis(2.0), axis(-1.0));
+        for metric in [Metric::InnerProduct, Metric::Cosine] {
+            for residual in [false, true] {
+                let (mut index, data) =
+                    index_with_list_lengths(&lens, dim, CodecSpec::Sq8, metric, residual);
+                // Dead rows where `up`'s survivors are: a third of the
+                // best lists, and the 1-row list whole.
+                let dead = (total - 290..total).step_by(3).chain([415, 416, 420]);
+                for id in dead {
+                    assert!(index.remove(id as u64));
+                }
+                for group_size in [1usize, 3, 4, 5] {
+                    let queries: Vec<(&[f32], usize)> = (0..group_size)
+                        .map(|g| match g {
+                            0 => (&up[..], 8),
+                            1 => (data.row(7), 3),
+                            2 => (&down[..], 8),
+                            _ => (data.row(g * 211 % total), [8, 5][g % 2]),
+                        })
+                        .collect();
+                    for k in [1usize, 10] {
+                        let ctx = format!(
+                            "{metric} residual={residual} group of {group_size} k={k}"
+                        );
+                        assert_group_matches_walk(&index, &queries, k, &ctx);
+                    }
+                }
+                if residual {
+                    continue;
+                }
+                // What the filter kept, on plain lists in list order (a
+                // group of two equal queries): everything but the first
+                // list going up, nothing but it going down.
+                let live = index.len;
+                let first = index.lists[0].live();
+                for (q, kept) in [(&up, live - first..=2 * live), (&down, 0..=2 * first)] {
+                    let scan = index.search_group(&[(q, 8), (q, 8)], 1);
+                    assert_eq!(scan.streamed_codes, total, "{metric}");
+                    assert!(
+                        kept.contains(&scan.rescored_codes),
+                        "{metric}: rescored {} of {live} live rows, {first} in the first list",
+                        scan.rescored_codes
+                    );
                 }
             }
         }

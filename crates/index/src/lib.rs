@@ -110,12 +110,22 @@ pub struct GroupScan {
     /// each exactly what [`VectorIndex::search_with_stats`] returns for
     /// that query alone. One query failing never fails its neighbours.
     pub results: Vec<ScanResult>,
-    /// Codes physically scored for the whole group. Each query's
-    /// [`ScanStats::scanned_codes`] is *logical* work (what it would cost
-    /// alone); a code block scored once for several queries that probe
-    /// the same list counts here once, so `streamed_codes` is at most the
-    /// sum of the logical counts and equal to it when nothing is shared.
+    /// Rows streamed through the bound or the kernel for the whole
+    /// group. Each query's [`ScanStats::scanned_codes`] is *logical* work
+    /// (what it would cost alone); a code block streamed once for several
+    /// queries that probe the same list counts here once, so
+    /// `streamed_codes` is at most the sum of the logical counts and equal
+    /// to it when nothing is shared.
     pub streamed_codes: usize,
+    /// Of the streamed rows, those an integer upper bound was evaluated
+    /// on first and could not rule out, so that the exact kernel scored
+    /// them after all (per query: a row two queries both keep counts
+    /// twice). Rows streamed straight through the exact kernel — every
+    /// row of a codec or metric without a bound, and the first rows of
+    /// any scan, until its selectors are full — are not counted. Like
+    /// `streamed_codes` it depends on the batch and on nothing a caller
+    /// can see in the results.
+    pub rescored_codes: usize,
 }
 
 /// Errors returned by index construction and search.
@@ -237,6 +247,7 @@ pub trait VectorIndex: Send + Sync {
         GroupScan {
             results,
             streamed_codes,
+            rescored_codes: 0,
         }
     }
 

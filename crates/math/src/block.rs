@@ -791,6 +791,68 @@ fn sq8_l2_scalar(
     }
 }
 
+/// Largest magnitude of an [`sq8_dot_i8_at`] weight. Seven bits are what
+/// the AVX2 form's `vpmaddubsw` leaves room for: it adds two adjacent
+/// `u8 x i8` products into a saturating `i16`, and `2 * 255 * 63 =
+/// 32 130` stays below `i16::MAX` where eight-bit weights would not.
+pub const SQ8_WEIGHT_MAX: i8 = 63;
+
+/// Integer dot products of one-byte codes with small signed weights:
+/// `out[i] = Σ_d weights[d] * code_i[d]` over the `weights.len()`-byte
+/// codes of `segments`, in order. The arithmetic is exact `i32`, so every
+/// dispatch level returns the same numbers by construction; what a level
+/// changes is the cost (AVX2: about a sixth of the µops of the f32 SQ8
+/// kernel per code, for codes of 32 bytes and more). This is not a score:
+/// it is the integer part of an *upper bound* on one (`hermes_quant`'s
+/// `Sq8Bound`), computed for every streamed code so that the exact kernel
+/// need only see the few codes the bound cannot rule out. `pace` is
+/// called like [`sq8_ip_qtile_at`]'s.
+///
+/// # Panics
+///
+/// Panics if a weight exceeds [`SQ8_WEIGHT_MAX`] in magnitude, the codes
+/// are longer than `i32::MAX / (255 * 63)` bytes (a sum could overflow),
+/// a segment is not a whole number of codes or the segments do not hold
+/// `out.len()` codes.
+pub fn sq8_dot_i8_at(
+    level: SimdLevel,
+    weights: &[i8],
+    segments: &[&[u8]],
+    out: &mut [i32],
+    pace: &mut dyn FnMut(usize),
+) {
+    let dim = weights.len();
+    assert!(
+        weights.iter().all(|w| w.unsigned_abs() <= SQ8_WEIGHT_MAX as u8),
+        "SQ8 bound weight beyond +-{SQ8_WEIGHT_MAX}"
+    );
+    assert!(
+        dim <= i32::MAX as usize / (255 * SQ8_WEIGHT_MAX as usize),
+        "SQ8 bound sums of {dim}-byte codes could overflow"
+    );
+    validate_segments(dim, segments, out.len(), "SQ8 code");
+    if dim == 0 {
+        out.fill(0);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 && level.is_supported() && dim >= 32 && !out.is_empty() {
+        // SAFETY: AVX2 was just detected, `dim >= 32`, `out` is not
+        // empty, and the asserts above checked the weights' range and
+        // that the segments are `out.len()` whole codes.
+        return unsafe { crate::simd::avx2::sq8_dot_i8(weights, segments, out, pace) };
+    }
+    // Integer arithmetic: every other level runs the portable form.
+    let _ = level;
+    let mut sums = out.iter_mut();
+    for codes in segments {
+        pace(codes.len() / dim);
+        for (code, sum) in codes.chunks_exact(dim).zip(&mut sums) {
+            *sum = code.iter().zip(weights).map(|(&c, &w)| i32::from(c) * i32::from(w)).sum();
+        }
+    }
+}
+
 /// PQ/ADC table walk over the `m`-byte codes of `segments`, in order:
 /// `out[i] = Σ_sub tables[sub * 256 + code_i[sub]]`, added in subspace
 /// order per code. **Bit-identical at every dispatch level and
@@ -1248,6 +1310,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn integer_code_sums_are_exact_at_every_level() {
+        let mut rng = seeded_rng(0x1D07);
+        let segmentations: [&[usize]; 4] = [&[], &[1], &[3, 3, 4, 12], &[7, 9, 17, 18, 30]];
+        // Every dimension around the 32-byte step and its overlapping
+        // tail load; code counts around the 8-row reduction.
+        for dim in (0usize..=100).chain([128, 131]) {
+            for n in [0usize, 1, 7, 8, 9, 19, 33] {
+                // Random weights, then the two that reach the largest sums.
+                for extreme in [None, Some(SQ8_WEIGHT_MAX), Some(-SQ8_WEIGHT_MAX)] {
+                    let weights: Vec<i8> = (0..dim)
+                        .map(|_| extreme.unwrap_or((rng.next_u64() % 127) as i8 - 63))
+                        .collect();
+                    let mut codes: Vec<u8> = (0..n * dim)
+                        .map(|_| (rng.next_u64() & 0xFF) as u8)
+                        .collect();
+                    // An all-0 and an all-255 code among them.
+                    codes[..n.min(1) * dim].fill(0);
+                    codes[n.min(1) * dim..n.min(2) * dim].fill(255);
+                    let want: Vec<i32> = (0..n)
+                        .map(|i| {
+                            let code = &codes[i * dim..(i + 1) * dim];
+                            let sum: i64 = code
+                                .iter()
+                                .zip(&weights)
+                                .map(|(&c, &w)| i64::from(c) * i64::from(w))
+                                .sum();
+                            i32::try_from(sum).unwrap()
+                        })
+                        .collect();
+                    for (level, cuts) in SimdLevel::available()
+                        .into_iter()
+                        .flat_map(|l| segmentations.map(|c| (l, c)))
+                    {
+                        let mut got = vec![i32::MIN; n];
+                        let mut paced = 0;
+                        let segments = cut(&codes, dim, n, cuts);
+                        let pace = &mut |rows| paced += rows;
+                        sq8_dot_i8_at(level, &weights, &segments, &mut got, pace);
+                        assert_eq!(got, want, "{level} d{dim} n{n} {cuts:?} {extreme:?}");
+                        assert_eq!(paced, if dim == 0 { 0 } else { n }, "{level} d{dim} n{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "SQ8 bound weight beyond")]
+    fn integer_code_sums_reject_weights_that_could_saturate() {
+        sq8_dot_i8_at(SimdLevel::Scalar, &[64], &[&[1u8]], &mut [0], &mut |_| {});
     }
 
     #[test]

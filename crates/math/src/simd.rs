@@ -602,6 +602,18 @@ pub(crate) mod avx2 {
             self.last
         }
 
+        /// The first of the next [`LANES`] rows, taken, if the current
+        /// segment holds that many: they are `stride` apart.
+        #[inline(always)]
+        unsafe fn run(&mut self) -> Option<*const u8> {
+            let first = self.next;
+            (self.end as usize - first as usize >= LANES * self.stride).then(|| {
+                self.last = first.add((LANES - 1) * self.stride);
+                self.next = first.add(LANES * self.stride);
+                first
+            })
+        }
+
         /// Row pointers of the next `T` 8-code tiles.
         #[inline(always)]
         unsafe fn tiles<const T: usize>(&mut self) -> [[*const u8; LANES]; T] {
@@ -844,6 +856,94 @@ pub(crate) mod avx2 {
             4 => sq8_tiles::<4, L2>(queries, mins, scales, segments, out, pace),
             q => unreachable!("SQ8 query tile of {q} queries"),
         }
+    }
+
+    /// `out[i] = Σ_d weights[d] * code_i[d]` over every code of `segments`,
+    /// in order, in exact `i32` arithmetic (see
+    /// [`crate::block::sq8_dot_i8_at`]). A row is read 32 bytes at a
+    /// time — a dimension tail by one load that overlaps the bytes before
+    /// it, against weights zeroed there — multiplied pairwise into `i16`
+    /// (`vpmaddubsw`) and widened to eight `i32` partial sums (`vpmaddwd`
+    /// by ones); the partial sums of eight consecutive rows, whichever
+    /// segments they come from, are then reduced together by one
+    /// `vphaddd` tree: about 10 µops a 64-byte row where eight rows share
+    /// a segment. `pace` hears of each two such groups, at most 16 codes,
+    /// just before their first row is read.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `weights.len() >= 32`, every weight within
+    /// `±SQ8_WEIGHT_MAX` (so no pair sum saturates an `i16`), every
+    /// segment a whole number of `weights.len()`-byte codes and
+    /// `out.len()` codes between them.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq8_dot_i8(
+        weights: &[i8],
+        segments: &[&[u8]],
+        out: &mut [i32],
+        pace: &mut dyn FnMut(usize),
+    ) {
+        const STEP: usize = 32;
+        let dim = weights.len();
+        let (full, rest) = (dim / STEP, dim % STEP);
+        let mut tail = [0i8; STEP];
+        tail[STEP - rest..].copy_from_slice(&weights[dim - rest..]);
+        let tail = _mm256_loadu_si256(tail.as_ptr() as *const __m256i);
+        let ones = _mm256_set1_epi16(1);
+        let n = out.len();
+        let mut cursor = RowCursor::new(segments, dim);
+        let mut r = 0;
+        while r < n {
+            if r % (2 * LANES) == 0 {
+                pace((n - r).min(2 * LANES));
+            }
+            let rows = match cursor.run() {
+                Some(first) => core::array::from_fn(|i| first.add(i * dim)),
+                None => cursor.tiles::<1>()[0],
+            };
+            // Block by block, so a block's weights stay in a register
+            // for all eight rows and the eight chains are independent.
+            let mut acc = [_mm256_setzero_si256(); LANES];
+            let fold = |acc: &mut [__m256i; LANES], at: usize, w: __m256i| {
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    let code = _mm256_loadu_si256(row.add(at) as *const __m256i);
+                    let pairs = _mm256_maddubs_epi16(code, w);
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(pairs, ones));
+                }
+            };
+            for b in 0..full {
+                let w = _mm256_loadu_si256(weights.as_ptr().add(b * STEP) as *const __m256i);
+                fold(&mut acc, b * STEP, w);
+            }
+            if rest > 0 {
+                fold(&mut acc, dim - STEP, tail);
+            }
+            let sums = hsum8_epi32(&acc);
+            if r + LANES <= n {
+                _mm256_storeu_si256(out[r..].as_mut_ptr() as *mut __m256i, sums);
+            } else {
+                // The cursor clamped the rows past the last one to it.
+                let mut lanes = [0i32; LANES];
+                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sums);
+                out[r..].copy_from_slice(&lanes[..n - r]);
+            }
+            r += LANES;
+        }
+    }
+
+    /// Lane `i` of the result is the sum of the eight lanes of `rows[i]`:
+    /// two rounds of pairwise adds leave each row's low and high halves
+    /// in the two 128-bit lanes, which the last add joins.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum8_epi32(rows: &[__m256i; LANES]) -> __m256i {
+        let q: [__m256i; 4] =
+            core::array::from_fn(|i| _mm256_hadd_epi32(rows[2 * i], rows[2 * i + 1]));
+        let (h0, h1) = (_mm256_hadd_epi32(q[0], q[1]), _mm256_hadd_epi32(q[2], q[3]));
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(h0, h1),
+            _mm256_permute2x128_si256::<0x31>(h0, h1),
+        )
     }
 
     /// `T` tiles of the tier-A PQ/ADC table walk: code bytes reach their

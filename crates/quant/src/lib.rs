@@ -215,6 +215,7 @@ impl Codec {
         match &self.kind {
             CodecKind::Flat => QueryScorer::Flat { query, metric },
             CodecKind::Sq(sq) => QueryScorer::Sq {
+                bound: Sq8Bound::new(sq, &query, metric),
                 sq,
                 query,
                 metric,
@@ -245,6 +246,9 @@ pub enum QueryScorer<'a> {
         query: Cow<'a, [f32]>,
         /// Effective metric.
         metric: Metric,
+        /// The integer upper bound on this scorer's scores, where one
+        /// exists (8-bit codes, inner product, finite inputs).
+        bound: Option<Sq8Bound>,
     },
     /// Product-quantized comparison via ADC lookup tables.
     Pq {
@@ -283,7 +287,9 @@ impl QueryScorer<'_> {
                     }
                 }
             }
-            QueryScorer::Sq { sq, query, metric } => sq.score(code, query, *metric),
+            QueryScorer::Sq {
+                sq, query, metric, ..
+            } => sq.score(code, query, *metric),
             QueryScorer::Pq { tables, m } => {
                 debug_assert_eq!(code.len(), *m);
                 let mut acc = 0.0f32;
@@ -302,6 +308,19 @@ impl QueryScorer<'_> {
             QueryScorer::Flat { query, .. } => query.len() * 4,
             QueryScorer::Sq { sq, .. } => sq.code_size(),
             QueryScorer::Pq { m, .. } => *m,
+        }
+    }
+
+    /// The integer upper bound on this scorer's scores, if it has one: a
+    /// scan evaluates it on every code and hands [`Self::score_tile`]
+    /// only the codes it cannot rule out. SQ8 under inner product or
+    /// cosine has one unless an input is non-finite, the query is zero or
+    /// a score could overflow; L2 and every other codec have none.
+    #[inline]
+    pub fn bound(&self) -> Option<&Sq8Bound> {
+        match self {
+            QueryScorer::Sq { bound, .. } => bound.as_ref(),
+            _ => None,
         }
     }
 
@@ -455,9 +474,9 @@ impl QueryScorer<'_> {
             return;
         }
         match self {
-            QueryScorer::Sq { sq, query, metric } => {
-                sq.score_block_at(level, codes, query, *metric, out)
-            }
+            QueryScorer::Sq {
+                sq, query, metric, ..
+            } => sq.score_block_at(level, codes, query, *metric, out),
             QueryScorer::Pq { tables, m } => {
                 hermes_math::block::adc_block_at(level, tables, *m, &[codes], out, &mut |_| {})
             }
@@ -483,7 +502,10 @@ fn sq8_tile<'s>(
     Metric,
     [&'s [f32]; hermes_math::block::QTILE],
 )> {
-    let QueryScorer::Sq { sq, metric, query } = scorers[0] else {
+    let QueryScorer::Sq {
+        sq, metric, query, ..
+    } = scorers[0]
+    else {
         return None;
     };
     if sq.bits != SqBits::B8 || sq.dim() == 0 || scorers.len() > QTILE {
@@ -496,11 +518,208 @@ fn sq8_tile<'s>(
                 sq: other,
                 metric: m,
                 query,
+                ..
             } if std::ptr::eq(*other, *sq) && m == metric => *slot = &query[..],
             _ => return None,
         }
     }
     Some((sq, *metric, queries))
+}
+
+/// A rigorous upper bound on the scores of an SQ8 inner-product scorer,
+/// cheap enough to evaluate on every streamed code: one integer dot
+/// product ([`hermes_math::block::sq8_dot_i8_at`]) and one integer
+/// compare per code. **A bound is not a score**: it only ever decides
+/// that a code *cannot* reach a selector's threshold, the codes it
+/// cannot rule out are scored by the exact tier-A kernel, and nothing
+/// derived from it leaves the scan.
+///
+/// # The inequality
+///
+/// With `q`, `min`, `scale` the scorer's f32 inputs and `c` a code
+/// (`c_d ∈ 0..=255`), the real-number score is `E(c) = Σ_d q_d (min_d +
+/// c_d scale_d) = b + Σ_d w_d c_d`, where `w_d = q_d scale_d` and `b =
+/// Σ_d q_d min_d`; the reference [`QueryScorer::score`] is `s(c)`, the
+/// same sum folded left to right in f32. For the `step` `Δ > 0` and the
+/// integer `weights` `ŵ_d` chosen here (`Δ = max|w_d| / 63`, `ŵ_d =
+/// round(w_d / Δ)`; any choice would do) and the integer `I(c) = Σ_d ŵ_d
+/// c_d` the kernel computes,
+///
+/// ```text
+/// s(c) ≤ base + Δ · I(c)        for every code c,
+/// base = b + 255 Σ_d max(w_d − Δ ŵ_d, 0) + 2 γ S + 2 η (dim + Σ_d |q_d|)
+/// ```
+///
+/// term by term:
+///
+/// * **Rounding the weights.** `Σ w_d c_d = Δ I(c) + Σ (w_d − Δ ŵ_d)
+///   c_d`, and since `0 ≤ c_d ≤ 255` the last sum is at most `255 Σ
+///   max(w_d − Δ ŵ_d, 0)`.
+/// * **The f32 roundings of the reference.** Each `q_d min_d` and `q_d
+///   c_d scale_d` passes through at most `dim + 3` roundings on its way
+///   into `s(c)` (two in `min + c · scale`, one in the product with `q`,
+///   at most `dim` in the fold), so `|s(c) − E(c)| ≤ γ S` with `u =
+///   2^-24`, `γ = (dim + 3) u / (1 − (dim + 3) u)` and `S = Σ_d |q_d|
+///   (|min_d| + 255 |scale_d|)` — provided nothing overflows or
+///   underflows.
+/// * **Underflow.** A product that underflows is off by at most `η =
+///   f32::MIN_POSITIVE` instead (a sum that underflows is exact); there
+///   are two products per dimension, one of them multiplied by `q_d`
+///   afterwards, and the roundings after them grow the error by less
+///   than the factor 2 charged.
+/// * **The bound's own arithmetic** is f64: `w_d` is exact (24 x 24
+///   bits), everything else is `O(dim)` roundings of relative size
+///   `2^-53` on quantities no larger than `S` — `2^-29` of `γ S`, which
+///   `base` therefore charges twice.
+/// * **Overflow.** There is no bound unless `S` and every `|min_d| + 255
+///   |scale_d|` are at most `f32::MAX / 2`: then no intermediate of the
+///   reference exceeds `S (1 + γ)`, nothing overflows, every score is
+///   finite and the analysis above holds. NaN and ±Inf inputs fail that
+///   test; a zero query (no `Δ`) and codes too long for `γ` or an `i32`
+///   sum are refused by name.
+///
+/// [`Self::floor`] turns a selector's threshold into the least `I(c)`
+/// that does not rule a code out, so the scan compares integers only.
+#[derive(Debug, Clone)]
+pub struct Sq8Bound {
+    weights: Vec<i8>,
+    step: f64,
+    base: f64,
+}
+
+impl Sq8Bound {
+    fn new(sq: &ScalarQuantizer, query: &[f32], metric: Metric) -> Option<Self> {
+        // Longest code with (dim + 3) u <= 2^-8 and sums far inside i32.
+        const MAX_DIM: usize = 1 << 16;
+        const HALF_MAX: f64 = f32::MAX as f64 / 2.0;
+        const W: f64 = hermes_math::block::SQ8_WEIGHT_MAX as f64;
+        let dim = query.len();
+        if sq.bits != SqBits::B8 || metric == Metric::L2 || dim == 0 || dim > MAX_DIM {
+            return None;
+        }
+        // Every sum and maximum below runs in `LANES` independent lanes
+        // (dimension `d` in lane `d % LANES`, the last block padded with
+        // zeros, which change neither a sum nor a maximum of magnitudes),
+        // on fixed-size arrays the compiler keeps in vector registers;
+        // `>`-and-select is the maximum that skips a NaN in one
+        // instruction.
+        const LANES: usize = 4;
+        let max = |a: f64, b: f64| if b > a { b } else { a };
+        let sum = |x: [f64; LANES]| x.iter().sum::<f64>();
+        fn lanes(x: &[f32]) -> impl Iterator<Item = [f64; LANES]> + '_ {
+            let (whole, rest) = x.as_chunks::<LANES>();
+            let mut last = [0.0f32; LANES];
+            last[..rest.len()].copy_from_slice(rest);
+            let last = (!rest.is_empty()).then_some(last);
+            whole.iter().copied().chain(last).map(|x| x.map(f64::from))
+        }
+        let (mut b, mut reach, mut q_abs) = ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
+        let (mut w_max, mut span_max) = ([0.0f64; LANES], [0.0f64; LANES]);
+        for ((q, min), scale) in lanes(query).zip(lanes(&sq.mins)).zip(lanes(&sq.scales)) {
+            for l in 0..LANES {
+                let span = min[l].abs() + 255.0 * scale[l].abs();
+                b[l] += q[l] * min[l];
+                reach[l] += q[l].abs() * span;
+                q_abs[l] += q[l].abs();
+                w_max[l] = max(w_max[l], (q[l] * scale[l]).abs());
+                span_max[l] = max(span_max[l], span);
+            }
+        }
+        let (b, reach, q_abs) = (sum(b), sum(reach), sum(q_abs));
+        let w_max = w_max.into_iter().fold(0.0, max);
+        let span_max = span_max.into_iter().fold(0.0, max);
+        // A NaN or infinite input makes `reach` NaN or infinite, and NaN
+        // fails every comparison.
+        if !(reach <= HALF_MAX && span_max <= HALF_MAX && w_max > 0.0) {
+            return None;
+        }
+        // Adding 1.5 * 2^52 rounds a small f64 to the nearest integer,
+        // which then sits in the sum's low mantissa bits.
+        const ROUND: f64 = 6_755_399_441_055_744.0;
+        let (step, per_step) = (w_max / W, W / w_max);
+        let mut over = [0.0f64; LANES];
+        let mut weights = vec![0i8; dim.next_multiple_of(LANES)];
+        let blocks = lanes(query).zip(lanes(&sq.scales));
+        for ((q, scale), weights) in blocks.zip(weights.chunks_exact_mut(LANES)) {
+            for l in 0..LANES {
+                let w = q[l] * scale[l];
+                let rounded = w * per_step + ROUND;
+                over[l] += max(0.0, w - step * (rounded - ROUND));
+                weights[l] = (rounded.to_bits() as i32).clamp(-(W as i32), W as i32) as i8;
+            }
+        }
+        weights.truncate(dim);
+        let over = sum(over);
+        let u = f64::from(f32::EPSILON) / 2.0;
+        let gamma = (dim + 3) as f64 * u / (1.0 - (dim + 3) as f64 * u);
+        let base = b
+            + 255.0 * over
+            + 2.0 * gamma * reach
+            + 2.0 * f64::from(f32::MIN_POSITIVE) * (dim as f64 + q_abs);
+        Some(Sq8Bound {
+            weights,
+            step,
+            base,
+        })
+    }
+
+    /// The integer part of the bound for every code of `segments`, in
+    /// order: `out[i] = I(code_i)`, at the process-wide [`simd_level`]
+    /// (the sums are integers — every level returns the same ones).
+    /// `pace` as in [`QueryScorer::score_tile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segments are not whole codes, `out.len()` in all.
+    pub fn sums(&self, segments: &[&[u8]], out: &mut [i32], pace: &mut dyn FnMut(usize)) {
+        self.sums_at(simd_level(), segments, out, pace);
+    }
+
+    /// [`Self::sums`] at an explicit dispatch level.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::sums`].
+    pub fn sums_at(
+        &self,
+        level: SimdLevel,
+        segments: &[&[u8]],
+        out: &mut [i32],
+        pace: &mut dyn FnMut(usize),
+    ) {
+        hermes_math::block::sq8_dot_i8_at(level, &self.weights, segments, out, pace);
+    }
+
+    /// The bound itself for a code whose [`Self::sums`] entry is `sum`:
+    /// no smaller than the code's [`QueryScorer::score`].
+    pub fn upper(&self, sum: i32) -> f64 {
+        self.base + self.step * f64::from(sum)
+    }
+
+    /// The least [`Self::sums`] entry with which a code can still reach
+    /// `threshold`: a code with a smaller sum has `offset + score` —
+    /// added in f32, as a scan adds a residual list's offset; `0.0` for
+    /// none — **strictly below** `threshold`, so a selector at that
+    /// threshold (which only rises) never admits it. `None` when the
+    /// threshold rules nothing out: `-inf` while the selector is still
+    /// filling, NaN when it holds only NaNs.
+    ///
+    /// Why: with `x = (pred(threshold) − offset − base) / Δ` (`pred` the
+    /// next f32 down), a sum `I < x` has `offset + s(c) ≤ offset + base +
+    /// Δ I < pred(threshold)`, and f32 addition is monotone, so its
+    /// rounded result is at most `pred(threshold)`. The f64 quotient is
+    /// off from `x` by less than `2^-51 (|limit| + |base|) / Δ`; the
+    /// floor of the quotient lowered by twice that keeps `I < floor ⟹ I <
+    /// x` whatever the magnitudes.
+    pub fn floor(&self, threshold: f32, offset: f32) -> Option<i32> {
+        if threshold.is_nan() || threshold == f32::NEG_INFINITY {
+            return None;
+        }
+        let limit = f64::from(threshold.next_down()) - f64::from(offset);
+        let x = (limit - self.base) / self.step;
+        let x = x - (limit.abs() + self.base.abs()) / self.step * (f64::EPSILON * 4.0);
+        (!x.is_nan()).then(|| x.floor().clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32)
+    }
 }
 
 /// Scalar quantizer bit width.

@@ -13,9 +13,10 @@ cargo test -q --offline
 
 # Doc comments link to the names they describe; a refactor that deletes
 # or renames one must not leave the link dangling.
-echo "== rustdoc intra-doc links (index, core, serve, rag, cache) =="
+echo "== rustdoc intra-doc links (math, quant, index, core, serve, rag, cache) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q \
-    -p hermes-index -p hermes-core -p hermes-serve -p hermes-rag -p hermes-cache
+    -p hermes-math -p hermes-quant -p hermes-index -p hermes-core -p hermes-serve \
+    -p hermes-rag -p hermes-cache
 
 # Re-run, at both extremes of the hermes-pool width — fully
 # inline/sequential and heavily oversubscribed (the CI box has few
@@ -46,15 +47,19 @@ done
 # level, query-tile width and segmentation (the segment-kernel grids in
 # hermes-math / hermes-quant / simd_differential and the row-plan
 # oracles in hermes-index), f32 scoring to a 256-ULP envelope, engine
-# paths to each other; and k-means, whose sweep kernel dispatches on
-# the level (incremental trainer vs full-sweep oracle, bit for bit).
-# No re-tuning at either level.
+# paths to each other; the SQ8 scan filter, whose integer sums come from
+# a per-level kernel (the bound proptests in hermes-quant, the filtered
+# row plans in hermes-index, `properties` and the no-bound row of
+# `edge_cases`); and k-means, whose sweep kernel dispatches on the level
+# (incremental trainer vs full-sweep oracle, bit for bit). No re-tuning
+# at either level.
 for simd in auto scalar; do
     echo "== re-running dispatch-dependent suites with HERMES_SIMD=${simd} =="
     HERMES_SIMD="${simd}" cargo test -q --offline \
         -p hermes-math -p hermes-kmeans -p hermes-quant -p hermes-index
     HERMES_SIMD="${simd}" cargo test -q --offline -p hermes \
-        --test simd_differential --test properties --test engine_equivalence
+        --test simd_differential --test properties --test engine_equivalence \
+        --test edge_cases
 done
 
 # The repo benchmark compiles against the public API from outside the

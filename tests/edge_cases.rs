@@ -256,6 +256,42 @@ fn non_finite_queries_never_panic_an_ivf_scan() {
     }
 }
 
+/// The SQ8 scan filter needs a finite bound: NaN, ±Inf, zero and
+/// overflow-prone queries get none, and their scans — every row through
+/// the exact kernel, as before there was a filter — rescore nothing.
+#[test]
+fn hostile_queries_get_no_bound_and_scan_exactly() {
+    let corpus = Corpus::generate(CorpusSpec::new(2_000, 8, 4).with_seed(24));
+    let data = corpus.embeddings();
+    let mut hostile = hostile_queries(8);
+    hostile.push(vec![0.0; 8]);
+    hostile.push(vec![f32::MAX; 8]);
+    let codec = Codec::train(CodecSpec::Sq8, data, 3);
+    for metric in [Metric::InnerProduct, Metric::Cosine] {
+        for q in &hostile {
+            assert!(codec.query_scorer(q, metric).bound().is_none(), "{metric} {q:?}");
+        }
+        assert!(codec.query_scorer(data.row(17), metric).bound().is_some());
+        let index = IvfIndex::builder()
+            .nlist(8)
+            .metric(metric)
+            .seed(3)
+            .build(data)
+            .unwrap();
+        let group: Vec<(&[f32], usize)> = hostile.iter().map(|q| (q.as_slice(), 8)).collect();
+        let scan = index.search_group(&group, 5);
+        assert!(scan.results.iter().all(Result::is_ok));
+        assert_eq!(scan.rescored_codes, 0, "{metric}");
+        assert!(scan.streamed_codes >= 2_000);
+        // A sane query beside them filters, and answers as if alone.
+        let sane = (data.row(17), 8);
+        let mixed = index.search_group(&[group[0], sane, group[3]], 5);
+        assert!(mixed.rescored_codes > 0, "{metric}");
+        let params = SearchParams::new().with_nprobe(8);
+        assert_eq!(mixed.results[1], index.search_with_stats(sane.0, 5, &params));
+    }
+}
+
 #[test]
 fn non_finite_queries_never_panic_the_engine() {
     let corpus = Corpus::generate(CorpusSpec::new(1_200, 8, 6).with_seed(22));

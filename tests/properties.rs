@@ -345,6 +345,82 @@ fn scorer_block_matches_per_code_scoring() {
     );
 }
 
+/// The SQ8 scan filter on trained codecs and encoded corpus rows (the
+/// `hermes-quant` proptests draw synthetic quantizers and codes): the
+/// integer sums are the same numbers at every dispatch level, the bound
+/// built from them is never below the exact score, and a top-k fed only
+/// the rows the bound cannot rule out — an exact warm-up, then block by
+/// block against the selector's threshold — is the top-k of all rows,
+/// ids and score bits. Dimensions: the benchmark's `--smoke` and full
+/// shapes and one with a 32-byte step plus tail; queries at the corpus's
+/// scale and far off it.
+#[test]
+fn sq8_bound_filter_keeps_the_exact_top_k() {
+    use hermes::math::TopK;
+    let strat = tuple2(u64_in(0..40), usize_in(0..3));
+    check_with("sq8_bound_filter_keeps_the_exact_top_k", &cfg(), &strat, |&(seed, shape)| {
+        let dim = [24, 40, 64][shape];
+        let corpus = Corpus::generate(CorpusSpec::new(400, dim, 4).with_seed(seed));
+        let data = corpus.embeddings();
+        let codec = Codec::train(CodecSpec::Sq8, data, seed);
+        let mut codes = Vec::new();
+        for row in data.iter_rows() {
+            codec.encode_into(row, &mut codes);
+        }
+        let ids: Vec<u64> = (0..data.rows() as u64).collect();
+        for (metric, scale) in [
+            (Metric::InnerProduct, 1.0f32),
+            (Metric::Cosine, 1.0),
+            (Metric::InnerProduct, 1e-12),
+            (Metric::InnerProduct, 3e7),
+        ] {
+            let query: Vec<f32> = data.row(seed as usize % 400).iter().map(|x| x * scale).collect();
+            let scorer = codec.query_scorer(&query, metric);
+            let Some(bound) = scorer.bound() else {
+                return Err(format!("no bound for a finite query, d{dim} {metric} x{scale}"));
+            };
+            let mut scores = vec![0.0f32; ids.len()];
+            scorer.score_block(&codes, &mut scores);
+            let mut sums = vec![0i32; ids.len()];
+            bound.sums(&[&codes], &mut sums, &mut |_| {});
+            for level in SimdLevel::available() {
+                let mut at = vec![0i32; ids.len()];
+                bound.sums_at(level, &[&codes], &mut at, &mut |_| {});
+                prop_assert!(at == sums, "d{dim} {metric} sums at {level}");
+            }
+            for (i, (&sum, &score)) in sums.iter().zip(&scores).enumerate() {
+                prop_assert!(
+                    bound.upper(sum) >= f64::from(score),
+                    "d{dim} {metric} x{scale} row {i}: bound {} below score {score}",
+                    bound.upper(sum)
+                );
+            }
+            for k in [1usize, 10] {
+                let mut all = TopK::new(k);
+                all.push_block(&ids, &scores);
+                let mut filtered = TopK::new(k);
+                filtered.push_block(&ids[..32], &scores[..32]);
+                let mut kept = 0;
+                for block in (32..ids.len()).step_by(64).map(|at| at..(at + 64).min(ids.len())) {
+                    let floor = bound.floor(filtered.threshold(), 0.0).unwrap_or(i32::MIN);
+                    for i in block.filter(|&i| sums[i] >= floor) {
+                        filtered.push(ids[i], scores[i]);
+                        kept += 1;
+                    }
+                }
+                let bits = |top: TopK| -> Vec<(u64, u32)> {
+                    let hits = top.into_sorted_vec();
+                    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                };
+                prop_assert!(bits(filtered) == bits(all), "d{dim} {metric} x{scale} k{k}");
+                // The filter is worth having: most rows never reach f32.
+                prop_assert!(kept * 2 < ids.len(), "d{dim} {metric} x{scale} k{k}: kept {kept}");
+            }
+        }
+        Ok(())
+    });
+}
+
 /// Codec round-trips preserve dimensionality and stay finite.
 #[test]
 fn codec_round_trip_shape() {

@@ -24,13 +24,13 @@
 //! bench asserts both before timing.
 //!
 //! A second table times the tier-A SQ8 scoring kernel the IVF scan runs
-//! (`QueryScorer::score_block` / `score_tile`, d=64): per-code scalar
-//! scoring, 64-code blocks at the scalar and dispatched levels, the
-//! same codes cut into ragged 19-code lists (the mean inverted-list
+//! (`QueryScorer::score_block` / `score_segments`, d=64): per-code
+//! scalar scoring, 64-code blocks at the scalar and dispatched levels,
+//! the same codes cut into ragged 19-code lists (the mean inverted-list
 //! length of a 6 000-vector shard) scored one list per call and as the
 //! segments of 64-row cross-list chunks the way the IVF row plan scores
-//! them, and a 4-query tile sharing each dequantized value. Every variant is asserted bit-identical to
-//! per-code `score` before it is timed.
+//! them. Every variant is asserted bit-identical to per-code `score`
+//! before it is timed.
 //!
 //! Set `HERMES_SMOKE=1` to run a seconds-scale correctness pass (used by
 //! `scripts/verify.sh`), and `HERMES_SIMD=scalar` to pin the dispatch
@@ -151,7 +151,6 @@ const RAGGED_LIST: usize = 19;
 /// over an L2-resident code block, each variant first asserted
 /// bit-identical to per-code `score`.
 fn sq8_table(level: SimdLevel, reps: usize) -> Table {
-    use hermes_math::block::QTILE;
     const DIM: usize = 64;
     let n = if smoke() { 1024 } else { 4096 };
     let data = Mat::from_flat(n, DIM, random_vecs(n, DIM, BENCH_SEED + 7));
@@ -160,91 +159,55 @@ fn sq8_table(level: SimdLevel, reps: usize) -> Table {
     for row in data.iter_rows() {
         codec.encode_into(row, &mut codes);
     }
-    let queries = random_vecs(QTILE, DIM, BENCH_SEED + 8);
-    let scorers: Vec<QueryScorer<'_>> = queries
-        .chunks_exact(DIM)
-        .map(|q| codec.query_scorer(q, Metric::InnerProduct))
-        .collect();
-    let tile: Vec<&QueryScorer<'_>> = scorers.iter().collect();
-    let want: Vec<Vec<f32>> = scorers
-        .iter()
-        .map(|s| codes.chunks_exact(DIM).map(|c| s.score(c)).collect())
-        .collect();
-    let same = |what: &str, got: &[f32], want: &[f32]| {
-        assert!(
-            got.iter()
-                .zip(want)
-                .all(|(g, w)| g.to_bits() == w.to_bits()),
-            "{what} is not bit-identical to per-code scoring"
-        );
-    };
+    let query = random_vecs(1, DIM, BENCH_SEED + 8);
+    let scorer: QueryScorer<'_> = codec.query_scorer(&query, Metric::InnerProduct);
+    let want: Vec<f32> = codes.chunks_exact(DIM).map(|c| scorer.score(c)).collect();
 
-    let mut out = vec![0.0f32; QTILE * n];
-    // (variant, queries per pass, one full pass over the codes)
+    let mut out = vec![0.0f32; n];
+    // (variant, one full pass over the codes)
     type Pass<'a> = Box<dyn FnMut(&mut [f32]) + 'a>;
     let blocks = |level: SimdLevel, chunk: usize| -> Pass<'_> {
-        let (scorer, codes) = (&scorers[0], &codes);
+        let (scorer, codes) = (&scorer, &codes);
         Box::new(move |out: &mut [f32]| {
-            for (c, o) in codes.chunks(chunk * DIM).zip(out[..n].chunks_mut(chunk)) {
+            for (c, o) in codes.chunks(chunk * DIM).zip(out.chunks_mut(chunk)) {
                 scorer.score_block_at(level, c, o);
             }
         })
     };
-    let variants: Vec<(String, usize, Pass<'_>)> = vec![
+    let variants: Vec<(String, Pass<'_>)> = vec![
         (
             "per-code score".into(),
-            1,
             Box::new(|out: &mut [f32]| {
                 for (c, o) in codes.chunks_exact(DIM).zip(out.iter_mut()) {
-                    *o = scorers[0].score(c);
+                    *o = scorer.score(c);
                 }
             }),
         ),
         (
             format!("{BLOCK}-code blocks @scalar"),
-            1,
             blocks(SimdLevel::Scalar, BLOCK),
         ),
         (
             format!("{BLOCK}-code blocks @{level}"),
-            1,
             blocks(level, BLOCK),
         ),
         (
             format!("ragged {RAGGED_LIST}-code lists @{level}"),
-            1,
             blocks(level, RAGGED_LIST),
         ),
         (
             format!("ragged {RAGGED_LIST}-code lists as {BLOCK}-row cross-list chunks @{level}"),
-            1,
             Box::new(|out: &mut [f32]| {
                 // What the IVF row plan does: the lists of a chunk are
                 // segments of one kernel call, so tiles span them.
-                for (c, o) in codes.chunks(BLOCK * DIM).zip(out[..n].chunks_mut(BLOCK)) {
+                for (c, o) in codes.chunks(BLOCK * DIM).zip(out.chunks_mut(BLOCK)) {
                     let mut segments = [&c[..0]; BLOCK.div_ceil(RAGGED_LIST)];
                     let lists = c.chunks(RAGGED_LIST * DIM);
                     let used = lists.len();
                     for (s, list) in segments.iter_mut().zip(lists) {
                         *s = list;
                     }
-                    QueryScorer::score_tile_at(
-                        level,
-                        &tile[..1],
-                        &segments[..used],
-                        o,
-                        &mut |_| {},
-                    );
-                }
-            }),
-        ),
-        (
-            format!("{QTILE}-query tile, {BLOCK}-code blocks @{level}"),
-            QTILE,
-            Box::new(|out: &mut [f32]| {
-                // Block-major output; compared per block below.
-                for (c, o) in codes.chunks(BLOCK * DIM).zip(out.chunks_mut(QTILE * BLOCK)) {
-                    QueryScorer::score_tile_at(level, &tile, &[c], o, &mut |_| {});
+                    scorer.score_segments_at(level, &segments[..used], o, &mut |_| {});
                 }
             }),
         ),
@@ -258,23 +221,19 @@ fn sq8_table(level: SimdLevel, reps: usize) -> Table {
         &["variant", "M (query, code)/s", "vs per-code"],
     );
     let mut baseline = 0.0;
-    for (name, width, mut pass) in variants {
+    for (name, mut pass) in variants {
         pass(&mut out);
-        if width == 1 {
-            same(&name, &out[..n], &want[0]);
-        } else {
-            for (b, block) in out.chunks(width * BLOCK).enumerate() {
-                let bn = block.len() / width;
-                for (q, row) in block.chunks(bn).enumerate() {
-                    same(&name, row, &want[q][b * BLOCK..b * BLOCK + bn]);
-                }
-            }
-        }
+        assert!(
+            out.iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits()),
+            "{name} is not bit-identical to per-code scoring"
+        );
         let secs = best_time(reps, || {
             pass(&mut out);
             std::hint::black_box(&out);
         });
-        let rate = (width * n) as f64 / 1e6 / secs;
+        let rate = n as f64 / 1e6 / secs;
         if baseline == 0.0 {
             baseline = rate;
         }

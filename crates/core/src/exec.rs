@@ -45,8 +45,9 @@
 //! [`VectorIndex::search_group`] — for the deep stage its two halves,
 //! [`IvfIndex::coarse_keys`] and [`IvfIndex::search_keyed`]: a group of
 //! queries, each at its own probe count, answered exactly as if each
-//! were searched alone, with inverted lists that several of them probe
-//! streamed once.
+//! were searched alone. What a batch shares is the pass over each
+//! shard's centroid table, the per-shard fan-out and the scan scratch;
+//! each query then streams its own lists.
 //!
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
 //! each shard serving its whole query group (`threads` caps the width:
@@ -68,8 +69,8 @@
 //! **Telemetry.** With `hermes_trace::enable`, spans nest as
 //! `engine.execute` ▸ `engine.route` ▸ `engine.scatter` ▸ one
 //! `engine.gather` per query, plus a `shard.sample` / `shard.deep` span
-//! per group scan on whichever worker ran it (args: group size, logical
-//! scanned codes, codes physically streamed). Callers that run the two
+//! per group scan on whichever worker ran it (args: group size, scanned
+//! codes, rescored codes). Callers that run the two
 //! stages themselves get the same spans without the `engine.execute`
 //! envelope. Disabled, every site is one relaxed atomic load.
 
@@ -645,10 +646,9 @@ impl<'s> Engine<'s> {
     }
 
     /// One group scan of shard `c` under a `shard.sample` / `shard.deep`
-    /// span whose args carry the group's size, its logical scanned codes
-    /// (the per-query [`ScanStats`] sum), the codes physically streamed —
-    /// equal unless queries shared a list — and how many of those the
-    /// exact kernel rescored after the scan's bound filter.
+    /// span whose args carry the group's size, its scanned codes (the
+    /// per-query [`ScanStats`] sum) and how many of those the exact
+    /// kernel rescored after the scan's bound filter.
     fn shard_scan(
         &self,
         span: &'static str,
@@ -668,7 +668,6 @@ impl<'s> Engine<'s> {
                     .map(|(_, s)| s.scanned_codes as u64)
                     .sum(),
             );
-            sp.arg("streamed_codes", scan.streamed_codes as u64);
             sp.arg("rescored_codes", scan.rescored_codes as u64);
         }
         scan

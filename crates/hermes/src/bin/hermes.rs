@@ -18,10 +18,10 @@
 //! bit-identical, and emit the captured events as Chrome trace-event
 //! JSON (Perfetto-loadable) or an ASCII span/counter summary. `stats`
 //! runs the queries as cluster-coalesced batches of 8 and also prints,
-//! per engine stage, the logical codes its shard scans covered beside
-//! the codes physically streamed — the share cross-query list sharing
-//! saved. The `trace` path re-parses its own output before writing it,
-//! so it doubles as the `verify.sh` telemetry smoke test.
+//! per engine stage, the codes its shard scans covered beside the codes
+//! the exact kernel rescored after the bound filter. The `trace` path
+//! re-parses its own output before writing it, so it doubles as the
+//! `verify.sh` telemetry smoke test.
 
 use std::collections::HashMap;
 use std::process::ExitCode;

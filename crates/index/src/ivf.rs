@@ -10,7 +10,6 @@ use std::borrow::Cow;
 use std::cell::Cell;
 
 use hermes_kmeans::{probe_key_centroid, select_nearest, KMeans, KMeansConfig};
-use hermes_math::block::QTILE;
 use hermes_math::simd::prefetch_read;
 use hermes_math::{Mat, Metric, TopK};
 use hermes_quant::{Codec, CodecSpec, QueryScorer};
@@ -685,7 +684,6 @@ impl IvfIndex {
             ));
             return GroupScan {
                 results: queries.iter().map(|_| Err(foreign.clone())).collect(),
-                streamed_codes: 0,
                 rescored_codes: 0,
             };
         }
@@ -748,13 +746,12 @@ impl IvfIndex {
     /// Each query *selects* its probe set (unsorted — [`TopK`] is a
     /// total order on `(score, id)` and [`ScanStats`] are sums, so the
     /// visiting order never shows), and the probes are compiled into a
-    /// flat row [`Plan`] that the scoring kernels consume in full tiles
-    /// across list boundaries. For plain (non-residual) storage the
-    /// `(list, query)` probes are inverted first, so each probed list is
-    /// streamed **once**, its codes scored against up to [`QTILE`]
-    /// queries per pass. Residual lists score a per-(query, list) shifted
-    /// query, so there is nothing to share and every probe is its own
-    /// run of the same plan.
+    /// flat row [`Plan`] of one run per query, in input order, that the
+    /// scoring kernels consume in full tiles across list boundaries.
+    /// Residual lists score a per-(query, list) shifted query, so there
+    /// every probe is a run of its own. A group shares the coarse pass,
+    /// the scratch and one read-ahead over the whole plan, not the rows:
+    /// each query's scan is exactly the scan it would get alone.
     ///
     /// Everything between the input and the hit lists lives in the
     /// per-thread [`ScanScratch`]: in steady state a plain group scan
@@ -769,8 +766,6 @@ impl IvfIndex {
         let ScanScratch {
             coarse,
             active,
-            probes,
-            by_list,
             plan,
             tops,
             scorers,
@@ -780,8 +775,7 @@ impl IvfIndex {
         // Slot `s` of the scan serves input query `active[s]`; a query
         // that failed its check or probes nothing gets no slot.
         active.clear();
-        // `(list, slot)` probes, slot-major.
-        probes.clear();
+        plan.clear();
         let mut results: Vec<ScanResult> = Vec::with_capacity(queries.len());
         for (qi, (&(_, nprobe), row)) in queries.iter().zip(&coarse.rows).enumerate() {
             results.push(row.clone().map(|row| {
@@ -791,8 +785,10 @@ impl IvfIndex {
                     n => select_nearest(keys, n),
                 };
                 if !chosen.is_empty() {
-                    let slot = active.len() as u32;
-                    probes.extend(chosen.iter().map(|&key| (key as u32, slot)));
+                    let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
+                    plan.push(active.len() as u32, lists, self.residual, |l| {
+                        self.lists[l as usize].ids.is_empty()
+                    });
                     active.push(qi);
                 }
                 (Vec::new(), self.probe_cost(chosen))
@@ -801,19 +797,10 @@ impl IvfIndex {
         if active.is_empty() {
             return GroupScan {
                 results,
-                streamed_codes: 0,
                 rescored_codes: 0,
             };
         }
         let live = active.iter().map(|&i| queries[i].0);
-        // Plain lists are shared by list; one query's probes already are
-        // one visit per list.
-        if !self.residual && active.len() > 1 {
-            by_list.sort(probes, nlist);
-        }
-        plan.compile(probes, !self.residual, |l| {
-            self.lists[l as usize].ids.is_empty()
-        });
         let mut ahead = ReadAhead::default();
         ahead.advance(self, &plan.lists, PREFETCH_ROWS);
 
@@ -848,7 +835,7 @@ impl IvfIndex {
             // L2 shifts the query by the list centroid: a scorer per run.
             Some(_) => {}
         }
-        let (streamed_codes, rescored_codes) = self.scan(
+        let rescored_codes = self.scan(
             plan,
             &slot_scorers,
             shifts.as_deref(),
@@ -866,16 +853,14 @@ impl IvfIndex {
         }
         GroupScan {
             results,
-            streamed_codes,
             rescored_codes,
         }
     }
 
     /// Runs a compiled [`Plan`]: each run's lists are cut into chunks of
-    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and every
-    /// [`QTILE`]-wide tile of the run's slots takes its pass over a
-    /// chunk's code segments. A slot of the tile goes one of two ways,
-    /// decided from its scorer and its selector alone:
+    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and the
+    /// run's slot takes its pass over a chunk's code segments one of two
+    /// ways, decided from its scorer and its selector alone:
     ///
     /// * **filter → compact → rescore**, if the scorer has a
     ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the selector is full:
@@ -885,9 +870,8 @@ impl IvfIndex {
     ///   a few in a hundred — are compacted (tombstoned rows dropped on
     ///   the way) into one-row segments, and the exact kernel scores just
     ///   those, in row order, for one [`TopK::push_block`];
-    /// * **exact** otherwise: the tile kernel scores every row for all
-    ///   such slots of the tile at once, and each slot's score row feeds
-    ///   its `push_block`, list by list.
+    /// * **exact** otherwise: the kernel scores every row, and the score
+    ///   row feeds the selector's `push_block`, list by list.
     ///
     /// A row the filter drops scores strictly below a threshold that only
     /// rises, so `push_block` would have dropped it too; a row it keeps
@@ -897,15 +881,15 @@ impl IvfIndex {
     /// cannot tell the two ways apart. While a selector that will filter
     /// is still filling, chunks are cut at [`WARMUP_ROWS`] so that it
     /// fills, exactly, on few rows. The kernels keep the read-ahead
-    /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read.
+    /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read,
+    /// across run boundaries.
     ///
     /// `shifts` marks residual storage — every run one `(list, slot)`
     /// pair — and holds each slot's query. `offset` (the residual
     /// inner-product decomposition term) is applied unconditionally —
     /// even an offset of `0.0` changes `-0.0` scores to `+0.0` — so the
     /// f32 op sequence matches the per-code `offset + scorer.score(code)`
-    /// form bit for bit. Returns [`GroupScan::streamed_codes`] and
-    /// [`GroupScan::rescored_codes`].
+    /// form bit for bit. Returns [`GroupScan::rescored_codes`].
     fn scan(
         &self,
         plan: &Plan,
@@ -914,21 +898,21 @@ impl IvfIndex {
         tops: &mut [TopK],
         chunk: &mut Chunk,
         ahead: &mut ReadAhead,
-    ) -> (usize, usize) {
+    ) -> usize {
         let cs = self.codec.code_size();
         let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut shifted = Vec::new();
-        let (mut streamed, mut rescored) = (0, 0);
+        let mut rescored = 0;
         let mut first = 0;
         for run in &plan.runs {
             let lists = &plan.lists[first..run.lists_end];
             first = run.lists_end;
-            let slots = &plan.slots[run.slots.clone()];
+            let top = &mut tops[run.slot as usize];
             let (mut run_scorer, mut offset) = (None, None);
             if let Some(queries) = shifts {
                 let centroid = self.coarse.centroids().row(lists[0] as usize);
-                let q = &queries[slots[0] as usize];
+                let q = &queries[run.slot as usize];
                 if self.metric == Metric::L2 {
                     // -|q - (c + r)|^2 = -|(q - c) - r|^2.
                     shifted.clear();
@@ -938,11 +922,9 @@ impl IvfIndex {
                     offset = Some(hermes_math::distance::inner_product(q, centroid));
                 }
             }
-            let scorer_of = |slot: u32| {
-                run_scorer
-                    .as_ref()
-                    .unwrap_or_else(|| &scorers[slot as usize])
-            };
+            let scorer = run_scorer
+                .as_ref()
+                .unwrap_or_else(|| &scorers[run.slot as usize]);
             let shift = |scores: &mut [f32]| {
                 if let Some(o) = offset {
                     for s in scores {
@@ -953,18 +935,14 @@ impl IvfIndex {
 
             let (mut at_list, mut at_row) = (0, 0);
             while at_list < lists.len() {
-                let warming = slots.iter().any(|&slot| {
-                    let top = &tops[slot as usize];
-                    top.len() < top.k() && scorer_of(slot).bound().is_some()
-                });
+                let warming = top.len() < top.k() && scorer.bound().is_some();
                 let limit = if warming { WARMUP_ROWS } else { CHUNK_ROWS };
                 // The next chunk: up to `limit` rows of consecutive
-                // lists. A list with tombstones also gets its mask here,
-                // once for every slot: in the exact form its rows are
-                // scored by the unchanged kernel like any other, then its
-                // dead `(id, score)` pairs are compacted out before
-                // admission, so live rows keep their exact bits and
-                // admission order.
+                // lists. A list with tombstones also gets its mask here:
+                // in the exact form its rows are scored by the unchanged
+                // kernel like any other, then its dead `(id, score)`
+                // pairs are compacted out before admission, so live rows
+                // keep their exact bits and admission order.
                 let (mut parts, mut rows, mut live) = (0, 0, 0);
                 while rows < limit && at_list < lists.len() {
                     let list = &self.lists[lists[at_list] as usize];
@@ -996,107 +974,76 @@ impl IvfIndex {
                     }
                 }
                 let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
+                // The chunk's one pass over its cold rows keeps the
+                // read-ahead moving, a few rows between the kernel's tiles.
+                let mut pace = |rows| ahead.advance(self, &plan.lists, rows);
 
-                for (t, tile) in slots.chunks(QTILE).enumerate() {
-                    // The chunk is cold for the first pass of the first
-                    // tile of slots only: that pass keeps the read-ahead
-                    // moving, a few rows between the kernel's tiles.
-                    let mut keep_ahead = |rows| ahead.advance(self, &plan.lists, rows);
-                    let mut idle = |_| {};
-                    let mut pace: &mut dyn FnMut(usize) =
-                        if t == 0 { &mut keep_ahead } else { &mut idle };
-
-                    // A slot whose scorer has a bound and whose selector
-                    // has a threshold filters; the others are left for
-                    // the exact pass below.
-                    let mut exact = [tile[0]; QTILE];
-                    let mut exact_len = 0;
-                    for &slot in tile {
-                        let scorer = scorer_of(slot);
-                        let gate = scorer.bound().and_then(|bound| {
-                            let threshold = tops[slot as usize].threshold();
-                            Some((bound, bound.floor(threshold, offset.unwrap_or(0.0))?))
-                        });
-                        let Some((bound, floor)) = gate else {
-                            exact[exact_len] = slot;
-                            exact_len += 1;
-                            continue;
-                        };
-                        bound.sums(segments, &mut chunk.sums[..rows], pace);
-                        pace = &mut idle;
-                        // Survivors in row order, eight sums to a compare
-                        // mask; `part` follows them.
-                        let (mut n, mut part, mut part_from) = (0, 0, 0);
-                        for (g, sums) in chunk.sums[..rows].chunks(8).enumerate() {
-                            let mut mask = 0u32;
-                            for (j, &sum) in sums.iter().enumerate() {
-                                mask |= u32::from(sum >= floor) << j;
+                let gate = scorer.bound().and_then(|bound| {
+                    Some((bound, bound.floor(top.threshold(), offset.unwrap_or(0.0))?))
+                });
+                if let Some((bound, floor)) = gate {
+                    bound.sums(segments, &mut chunk.sums[..rows], &mut pace);
+                    // Survivors in row order, eight sums to a compare
+                    // mask; `part` follows them.
+                    let (mut n, mut part, mut part_from) = (0, 0, 0);
+                    for (g, sums) in chunk.sums[..rows].chunks(8).enumerate() {
+                        let mut mask = 0u32;
+                        for (j, &sum) in sums.iter().enumerate() {
+                            mask |= u32::from(sum >= floor) << j;
+                        }
+                        while mask != 0 {
+                            let row = g * 8 + mask.trailing_zeros() as usize;
+                            mask &= mask - 1;
+                            while row >= part_from + parts[part].len as usize {
+                                part_from += parts[part].len as usize;
+                                part += 1;
                             }
-                            while mask != 0 {
-                                let row = g * 8 + mask.trailing_zeros() as usize;
-                                mask &= mask - 1;
-                                while row >= part_from + parts[part].len as usize {
-                                    part_from += parts[part].len as usize;
-                                    part += 1;
-                                }
-                                let list = &self.lists[parts[part].list as usize];
-                                let at = parts[part].start as usize + row - part_from;
-                                if list.dead_count == 0 || !list.dead[at] {
-                                    kept[n] = &list.codes[at * cs..(at + 1) * cs];
-                                    chunk.kept_ids[n] = list.ids[at];
-                                    n += 1;
-                                }
+                            let list = &self.lists[parts[part].list as usize];
+                            let at = parts[part].start as usize + row - part_from;
+                            if list.dead_count == 0 || !list.dead[at] {
+                                kept[n] = &list.codes[at * cs..(at + 1) * cs];
+                                chunk.kept_ids[n] = list.ids[at];
+                                n += 1;
                             }
                         }
-                        let out = &mut chunk.scores[..n];
-                        QueryScorer::score_tile(&[scorer], &kept[..n], out, &mut |_| {});
-                        shift(out);
-                        tops[slot as usize].push_block(&chunk.kept_ids[..n], out);
-                        rescored += n;
                     }
-                    let tile = &exact[..exact_len];
-                    if tile.is_empty() {
-                        streamed += rows;
-                        continue;
-                    }
-
-                    let mut refs = [scorer_of(tile[0]); QTILE];
-                    for (r, &slot) in refs.iter_mut().zip(tile) {
-                        *r = scorer_of(slot);
-                    }
-                    let out = &mut chunk.scores[..tile.len() * rows];
-                    streamed += QueryScorer::score_tile(&refs[..tile.len()], segments, out, pace);
+                    let out = &mut chunk.scores[..n];
+                    scorer.score_segments(&kept[..n], out, &mut |_| {});
                     shift(out);
-                    for (&slot, row) in tile.iter().zip(out.chunks_exact(rows)) {
-                        let top = &mut tops[slot as usize];
-                        let mut at = 0;
-                        for p in parts {
-                            let list = &self.lists[p.list as usize];
-                            let (start, len) = (p.start as usize, p.len as usize);
-                            if list.dead_count == 0 {
-                                top.push_block(&list.ids[start..start + len], &row[at..at + len]);
-                            } else {
-                                let live = p.live.start as usize..p.live.end as usize;
-                                let scores = &mut chunk.live_scores[live.clone()];
-                                for (s, &j) in scores.iter_mut().zip(&chunk.live_at[live.clone()]) {
-                                    *s = row[j as usize];
-                                }
-                                top.push_block(&chunk.live_ids[live], scores);
-                            }
-                            at += len;
+                    top.push_block(&chunk.kept_ids[..n], out);
+                    rescored += n;
+                    continue;
+                }
+
+                let out = &mut chunk.scores[..rows];
+                scorer.score_segments(segments, out, &mut pace);
+                shift(out);
+                let mut at = 0;
+                for p in parts {
+                    let list = &self.lists[p.list as usize];
+                    let (start, len) = (p.start as usize, p.len as usize);
+                    if list.dead_count == 0 {
+                        top.push_block(&list.ids[start..start + len], &out[at..at + len]);
+                    } else {
+                        let live = p.live.start as usize..p.live.end as usize;
+                        let scores = &mut chunk.live_scores[live.clone()];
+                        for (s, &j) in scores.iter_mut().zip(&chunk.live_at[live.clone()]) {
+                            *s = out[j as usize];
                         }
+                        top.push_block(&chunk.live_ids[live], scores);
                     }
+                    at += len;
                 }
             }
         }
-        (streamed, rescored)
+        rescored
     }
 }
 
 /// Rows scored per kernel call. A chunk's codes (16 KB at 64 bytes a
-/// code) stay in L1 for every query tile of its run, its per-call costs
-/// are spread over four times the rows of a [`BLOCK`](hermes_math::block::BLOCK),
-/// and its row positions still fit the `u8` of [`Chunk::live_at`].
+/// code) fit in L1, its per-call costs are spread over four times the
+/// rows of a [`BLOCK`](hermes_math::block::BLOCK), and its row positions
+/// still fit the `u8` of [`Chunk::live_at`].
 const CHUNK_ROWS: usize = 256;
 const _: () = assert!(CHUNK_ROWS - 1 <= u8::MAX as usize);
 
@@ -1142,9 +1089,6 @@ struct ScanScratch {
     coarse: CoarseKeys,
     /// Input index of each scan slot.
     active: Vec<usize>,
-    /// The selected `(list, slot)` probes.
-    probes: Vec<(u32, u32)>,
-    by_list: ByList,
     plan: Plan,
     /// One selector per slot.
     tops: Vec<TopK>,
@@ -1167,15 +1111,15 @@ fn recycle<'a, 'b>(mut scorers: Vec<QueryScorer<'a>>) -> Vec<QueryScorer<'b>> {
 struct Chunk {
     /// The lists (or pieces of lists) the chunk's rows come from.
     parts: [Part; CHUNK_ROWS],
-    /// One score row per slot of the tile being scored.
-    scores: [f32; QTILE * CHUNK_ROWS],
-    /// Ids, chunk positions and (per slot) scores of the live rows of
-    /// the chunk's tombstoned lists.
+    /// The kernel's scores of the chunk's rows, or of its survivors.
+    scores: [f32; CHUNK_ROWS],
+    /// Ids, chunk positions and scores of the live rows of the chunk's
+    /// tombstoned lists.
     live_ids: [u64; CHUNK_ROWS],
     live_at: [u8; CHUNK_ROWS],
     live_scores: [f32; CHUNK_ROWS],
-    /// One slot's bound sums over the chunk, and the ids of the rows
-    /// that survive them.
+    /// The bound sums over the chunk, and the ids of the rows that
+    /// survive them.
     sums: [i32; CHUNK_ROWS],
     kept_ids: [u64; CHUNK_ROWS],
 }
@@ -1184,7 +1128,7 @@ impl Default for Chunk {
     fn default() -> Self {
         Chunk {
             parts: std::array::from_fn(|_| Part::default()),
-            scores: [0.0; QTILE * CHUNK_ROWS],
+            scores: [0.0; CHUNK_ROWS],
             live_ids: [0; CHUNK_ROWS],
             live_at: [0; CHUNK_ROWS],
             live_scores: [0.0; CHUNK_ROWS],
@@ -1206,59 +1150,48 @@ struct Part {
 }
 
 /// The probed lists of a group scan in the order their rows are scored,
-/// cut into runs: consecutive lists probed by the same set of slots,
-/// which the kernel scores as one row sequence for that slot set.
+/// cut into runs: one slot's lists, which the kernel scores as one row
+/// sequence for that slot.
 #[derive(Default)]
 struct Plan {
     /// Non-empty probed lists, run after run.
     lists: Vec<u32>,
-    /// The runs' slot sets, one after another.
-    slots: Vec<u32>,
     runs: Vec<Run>,
 }
 
 struct Run {
+    /// The slot this run's rows are scored for.
+    slot: u32,
     /// One past this run's last entry in [`Plan::lists`]; it starts where
     /// the previous run ends.
     lists_end: usize,
-    /// This run's entries in [`Plan::slots`].
-    slots: std::ops::Range<usize>,
 }
 
 impl Plan {
-    /// Compiles `(list, slot)` probes. With `shared` (plain storage) the
-    /// probes must be grouped by list: every list becomes one visit for
-    /// all its slots, and consecutive visits with equal slot sets — all
-    /// of them, for a group of one — merge into one run. Without it every
-    /// probe is a run of its own. Lists that `is_empty` are dropped.
-    fn compile(&mut self, probes: &[(u32, u32)], shared: bool, is_empty: impl Fn(u32) -> bool) {
+    fn clear(&mut self) {
         self.lists.clear();
-        self.slots.clear();
         self.runs.clear();
-        for visit in probes.chunk_by(|a, b| shared && a.0 == b.0) {
-            if is_empty(visit[0].0) {
-                continue;
-            }
-            self.lists.push(visit[0].0);
-            let slots = visit.iter().map(|probe| probe.1);
+    }
+
+    /// Appends slot `slot`'s probed `lists`, in the order given and
+    /// without the ones that `is_empty`: one run, or with `split`
+    /// (residual storage, whose scorer moves with the list) one run per
+    /// list. A slot's lists must be pushed in one call.
+    fn push(
+        &mut self,
+        slot: u32,
+        lists: impl Iterator<Item = u32>,
+        split: bool,
+        is_empty: impl Fn(u32) -> bool,
+    ) {
+        for list in lists.filter(|&l| !is_empty(l)) {
+            self.lists.push(list);
             match self.runs.last_mut() {
-                Some(run)
-                    if shared
-                        && self.slots[run.slots.clone()]
-                            .iter()
-                            .copied()
-                            .eq(slots.clone()) =>
-                {
-                    run.lists_end = self.lists.len();
-                }
-                _ => {
-                    let start = self.slots.len();
-                    self.slots.extend(slots);
-                    self.runs.push(Run {
-                        lists_end: self.lists.len(),
-                        slots: start..self.slots.len(),
-                    });
-                }
+                Some(run) if !split && run.slot == slot => run.lists_end = self.lists.len(),
+                _ => self.runs.push(Run {
+                    slot,
+                    lists_end: self.lists.len(),
+                }),
             }
         }
     }
@@ -1296,36 +1229,6 @@ impl ReadAhead {
                 (self.list, to)
             };
         }
-    }
-}
-
-/// Stable counting sort of `(list, slot)` probes by list, so the probes
-/// of one list become one contiguous visit (slots ascending within it).
-#[derive(Default)]
-struct ByList {
-    next: Vec<u32>,
-    grouped: Vec<(u32, u32)>,
-}
-
-impl ByList {
-    fn sort(&mut self, probes: &mut Vec<(u32, u32)>, nlist: usize) {
-        let ByList { next, grouped } = self;
-        next.clear();
-        next.resize(nlist + 1, 0);
-        for &(l, _) in probes.iter() {
-            next[l as usize + 1] += 1;
-        }
-        for l in 0..nlist {
-            next[l + 1] += next[l];
-        }
-        grouped.clear();
-        grouped.resize(probes.len(), (0, 0));
-        for &probe in probes.iter() {
-            let at = &mut next[probe.0 as usize];
-            grouped[*at as usize] = probe;
-            *at += 1;
-        }
-        std::mem::swap(probes, grouped);
     }
 }
 
@@ -1854,9 +1757,8 @@ mod tests {
     }
 
     /// The tier-A oracle: the sequential scalar walk the blocked,
-    /// query-tiled, list-shared scan must reproduce bit for bit — lists
-    /// in ranked probe order, one `score` per live code, one `push` per
-    /// score.
+    /// filtered scan must reproduce bit for bit — lists in ranked probe
+    /// order, one `score` per live code, one `push` per score.
     fn walk_search(
         index: &IvfIndex,
         query: &[f32],
@@ -2006,9 +1908,9 @@ mod tests {
                     for id in (0..600u64).step_by(7) {
                         assert!(index.remove(id));
                     }
-                    // Seven queries — more than one query tile — with a
-                    // duplicate, mixed nprobe (1 .. beyond nlist) and a
-                    // wrong-dimension query in the middle.
+                    // Seven queries with a duplicate, mixed nprobe (1 ..
+                    // beyond nlist) and a wrong-dimension query in the
+                    // middle.
                     let bad = [1.0f32; 5];
                     let queries: Vec<(&[f32], usize)> = vec![
                         (data.row(3), 8),
@@ -2020,19 +1922,7 @@ mod tests {
                         (data.row(598), 17),
                     ];
                     let ctx = format!("{codec} residual={residual} {metric}");
-                    let streamed = assert_group_matches_walk(&index, &queries, 10, &ctx);
-                    // Only plain SQ8 lists share a pass; everything else
-                    // streams exactly its logical work.
-                    let logical: usize = queries
-                        .iter()
-                        .filter(|(q, _)| q.len() == 12)
-                        .map(|&(q, nprobe)| walk_search(&index, q, 10, nprobe).1.scanned_codes)
-                        .sum();
-                    if codec == CodecSpec::Sq8 && !residual {
-                        assert!(streamed < logical, "{ctx}: nothing shared");
-                    } else {
-                        assert_eq!(streamed, logical, "{ctx}");
-                    }
+                    assert_group_matches_walk(&index, &queries, 10, &ctx);
                 }
             }
         }
@@ -2041,14 +1931,13 @@ mod tests {
     /// Asserts that `queries` as one group, and each alone, answer
     /// exactly like the scalar walk (a wrong-dimension query with the
     /// dimension error, without disturbing its neighbours), and that the
-    /// group's keys handed out and back give the same scan. Returns the
-    /// group's streamed codes.
+    /// group's keys handed out and back give the same scan.
     fn assert_group_matches_walk(
         index: &IvfIndex,
         queries: &[(&[f32], usize)],
         k: usize,
         ctx: &str,
-    ) -> usize {
+    ) {
         let group = index.search_group(queries, k);
         assert_eq!(group.results.len(), queries.len());
         let keys = index.coarse_keys(queries.iter().map(|q| q.0));
@@ -2070,7 +1959,6 @@ mod tests {
             assert_same_scan(&alone, &want, &format!("{ctx} alone q{qi}"));
             assert_same_scan(&group.results[qi], &want, &format!("{ctx} group q{qi}"));
         }
-        group.streamed_codes
     }
 
     #[test]
@@ -2178,7 +2066,6 @@ mod tests {
                 let first = index.lists[0].live();
                 for (q, kept) in [(&up, live - first..=2 * live), (&down, 0..=2 * first)] {
                     let scan = index.search_group(&[(q, 8), (q, 8)], 1);
-                    assert_eq!(scan.streamed_codes, total, "{metric}");
                     assert!(
                         kept.contains(&scan.rescored_codes),
                         "{metric}: rescored {} of {live} live rows, {first} in the first list",
@@ -2229,39 +2116,29 @@ mod tests {
     }
 
     #[test]
-    fn plan_merges_equal_slot_sets_and_drops_empty_lists() {
+    fn a_group_plan_is_one_run_per_query() {
+        let runs = |plan: &Plan| -> Vec<(u32, usize)> {
+            plan.runs.iter().map(|r| (r.slot, r.lists_end)).collect()
+        };
+        let empty = |l: u32| l == 2;
         let mut plan = Plan::default();
-        // Grouped by list: lists 0, 1 probed by slots {0, 1}; list 2 is
-        // empty; list 3 by {0, 1} again; list 4 by {1}; list 5 by {0, 1}.
-        let probes = [
-            (0, 0),
-            (0, 1),
-            (1, 0),
-            (1, 1),
-            (2, 0),
-            (3, 0),
-            (3, 1),
-            (4, 1),
-            (5, 0),
-            (5, 1),
-        ];
-        plan.compile(&probes, true, |l| l == 2);
-        assert_eq!(plan.lists, [0, 1, 3, 4, 5]);
-        let runs: Vec<(usize, &[u32])> = plan
-            .runs
-            .iter()
-            .map(|r| (r.lists_end, &plan.slots[r.slots.clone()]))
-            .collect();
-        assert_eq!(runs, [(3, &[0, 1][..]), (4, &[1][..]), (5, &[0, 1][..])]);
-        // A group of one is a single run over every non-empty list.
-        let solo = [(7, 0), (2, 0), (9, 0)];
-        plan.compile(&solo, true, |l| l == 2);
-        assert_eq!(plan.lists, [7, 9]);
-        assert_eq!(plan.runs.len(), 1);
-        // Unshared (residual) probes never merge, even on one list.
-        plan.compile(&[(1, 0), (1, 1), (4, 1)], false, |_| false);
-        assert_eq!(plan.lists, [1, 1, 4]);
-        assert_eq!(plan.runs.len(), 3);
+        // Slot 0 selects lists 5, 2, 1, 3 (list 2 is empty); slot 1 the
+        // same lists in another order; slot 2 only the empty one; slot 3
+        // a list of its own.
+        plan.push(0, [5, 2, 1, 3].into_iter(), false, empty);
+        plan.push(1, [3, 1, 2, 5].into_iter(), false, empty);
+        plan.push(2, [2].into_iter(), false, empty);
+        plan.push(3, [7].into_iter(), false, empty);
+        // Runs in input order, lists in selection order, empty lists
+        // dropped, and two queries probing the same lists kept apart.
+        assert_eq!(plan.lists, [5, 1, 3, 3, 1, 5, 7]);
+        assert_eq!(runs(&plan), [(0, 3), (1, 6), (3, 7)]);
+        // Residual probes are a run each, even within one slot.
+        plan.clear();
+        plan.push(0, [1, 4].into_iter(), true, empty);
+        plan.push(1, [2, 1].into_iter(), true, empty);
+        assert_eq!(plan.lists, [1, 4, 1]);
+        assert_eq!(runs(&plan), [(0, 1), (0, 2), (1, 3)]);
     }
 
     #[test]
@@ -2309,9 +2186,11 @@ mod tests {
                 let want = walk_search(&index, queries[qi].0, 10, queries[qi].1);
                 assert_same_scan(&scan.results[qi], &want, &format!("residual={residual} q{qi}"));
             }
-            // All zero: nothing is streamed at all.
+            // All zero: nothing is scanned at all.
             let idle: Vec<(&[f32], usize)> = queries.iter().map(|&(q, _)| (q, 0)).collect();
-            assert_eq!(index.search_keyed(&idle, &keys, 10).streamed_codes, 0);
+            let idle = index.search_keyed(&idle, &keys, 10);
+            assert_eq!(idle.rescored_codes, 0);
+            assert!(idle.results.iter().all(|r| r.is_err() || *r == nothing));
 
             // Keys that cannot be these queries' keys are refused, query
             // by query, not searched with.
@@ -2321,7 +2200,6 @@ mod tests {
                 index.coarse_keys(queries[..2].iter().map(|q| q.0)),
             ] {
                 let refused = index.search_keyed(&queries, &foreign, 10);
-                assert_eq!(refused.streamed_codes, 0);
                 assert!(refused
                     .results
                     .iter()
@@ -2336,7 +2214,7 @@ mod tests {
         let mut index = IvfIndex::builder().nlist(2).build(&data).unwrap();
         let none = index.search_group(&[], 3);
         assert!(none.results.is_empty());
-        assert_eq!(none.streamed_codes, 0);
+        assert_eq!(none.rescored_codes, 0);
         for id in 0..20 {
             assert!(index.remove(id));
         }
@@ -2345,7 +2223,7 @@ mod tests {
             scan.results,
             vec![Err(IndexError::Empty), Err(IndexError::Empty)]
         );
-        assert_eq!(scan.streamed_codes, 0);
+        assert_eq!(scan.rescored_codes, 0);
     }
 
     #[test]

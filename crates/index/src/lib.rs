@@ -103,28 +103,21 @@ pub struct ScanStats {
 pub type ScanResult = Result<(Vec<Neighbor>, ScanStats), IndexError>;
 
 /// Outcome of [`VectorIndex::search_group`]: one independent answer per
-/// query plus the physical work the whole group cost.
+/// query plus what the scan's bound filter left to the exact kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupScan {
     /// Per-query results, positionally aligned with the input queries —
     /// each exactly what [`VectorIndex::search_with_stats`] returns for
     /// that query alone. One query failing never fails its neighbours.
     pub results: Vec<ScanResult>,
-    /// Rows streamed through the bound or the kernel for the whole
-    /// group. Each query's [`ScanStats::scanned_codes`] is *logical* work
-    /// (what it would cost alone); a code block streamed once for several
-    /// queries that probe the same list counts here once, so
-    /// `streamed_codes` is at most the sum of the logical counts and equal
-    /// to it when nothing is shared.
-    pub streamed_codes: usize,
-    /// Of the streamed rows, those an integer upper bound was evaluated
-    /// on first and could not rule out, so that the exact kernel scored
-    /// them after all (per query: a row two queries both keep counts
-    /// twice). Rows streamed straight through the exact kernel — every
-    /// row of a codec or metric without a bound, and the first rows of
-    /// any scan, until its selectors are full — are not counted. Like
-    /// `streamed_codes` it depends on the batch and on nothing a caller
-    /// can see in the results.
+    /// Of the scanned rows (the results' [`ScanStats::scanned_codes`]),
+    /// those an integer upper bound was evaluated on first and could not
+    /// rule out, so that the exact kernel scored them after all, summed
+    /// over the group's queries. Rows scanned straight through the exact
+    /// kernel — every row of a codec or metric without a bound, and the
+    /// first rows of any scan, until its selector is full — are not
+    /// counted. A query's share is what its scan alone rescores, and
+    /// nothing a caller can see in the results.
     pub rescored_codes: usize,
 }
 
@@ -230,23 +223,16 @@ pub trait VectorIndex: Send + Sync {
     /// by index families without that knob) in one call. Every per-query
     /// result — hit ids, score bits, [`ScanStats`], errors — is identical
     /// to [`Self::search_with_stats`] on that query alone; what a group
-    /// buys is shared work, reported as [`GroupScan::streamed_codes`].
-    /// The default loops the single-query search and shares nothing.
+    /// buys is the per-call work an implementation can share (the IVF
+    /// coarse pass, say). The default loops the single-query search.
     fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
-        let results: Vec<ScanResult> = queries
-            .iter()
-            .map(|&(q, nprobe)| {
-                self.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe))
-            })
-            .collect();
-        let streamed_codes = results
-            .iter()
-            .flatten()
-            .map(|(_, stats)| stats.scanned_codes)
-            .sum();
         GroupScan {
-            results,
-            streamed_codes,
+            results: queries
+                .iter()
+                .map(|&(q, nprobe)| {
+                    self.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe))
+                })
+                .collect(),
             rescored_codes: 0,
         }
     }

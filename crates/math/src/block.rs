@@ -18,18 +18,15 @@
 //!
 //! # Determinism contract (two tiers)
 //!
-//! * **Tier A — bit-identical at every level, tile width and
-//!   segmentation.** The SQ8 ([`sq8_ip_qtile_at`], [`sq8_l2_qtile_at`])
-//!   and PQ/ADC ([`adc_block_at`]) kernels vectorize *across codes* —
-//!   one SIMD lane per code, each (query, code) accumulator folded
-//!   sequentially over dimensions with mul and add kept separate — so
-//!   every level performs, per (query, code), the exact scalar
-//!   operation sequence and returns the exact scalar bits. The SQ8
-//!   kernels score up to [`QTILE`] queries per pass, sharing each
-//!   dequantized value, and all three take their codes as a list of
+//! * **Tier A — bit-identical at every level and segmentation.** The
+//!   SQ8 ([`sq8_ip_segments_at`], [`sq8_l2_segments_at`]) and PQ/ADC
+//!   ([`adc_block_at`]) kernels vectorize *across codes* — one SIMD lane
+//!   per code, each code's accumulator folded sequentially over
+//!   dimensions with mul and add kept separate — so every level
+//!   performs, per code, the exact scalar operation sequence and returns
+//!   the exact scalar bits. All three take their codes as a list of
 //!   *segments* (short inverted lists, typically) that the AVX2 tiles
-//!   run across: neither how many queries share a pass nor which codes
-//!   share a tile ever changes a score.
+//!   run across: which codes share a tile never changes a score.
 //! * **Tier B — pinned reduction order per level.** The f32 kernels
 //!   vectorize *within a row*, so each level reassociates the
 //!   reduction differently. Per row, each level is bit-identical to
@@ -496,11 +493,6 @@ pub fn nearest_row_l2(query: &[f32], rows: &Mat) -> (usize, f32) {
 // Blocked code-scoring kernels (tier A — bit-identical at every level).
 // ---------------------------------------------------------------------------
 
-/// Most queries one SQ8 query-tile call scores ([`sq8_ip_qtile_at`],
-/// [`sq8_l2_qtile_at`]): the AVX2 kernel keeps `QTILE x 2` accumulator
-/// tiles plus the shared dequantized values in its 16 registers.
-pub const QTILE: usize = 4;
-
 /// Checks that `segments` are whole `stride`-byte codes, `n` of them in
 /// all.
 #[track_caller]
@@ -513,52 +505,24 @@ fn validate_segments(stride: usize, segments: &[&[u8]], n: usize, what: &str) {
     );
 }
 
-/// Shape checks of an SQ8 query tile; returns the codes per query.
-#[track_caller]
-fn validate_qtile(
-    queries: &[&[f32]],
-    mins: &[f32],
-    scales: &[f32],
-    segments: &[&[u8]],
-    out: &[f32],
-) -> usize {
-    assert!(
-        (1..=QTILE).contains(&queries.len()),
-        "SQ8 query tile holds 1..={QTILE} queries, got {}",
-        queries.len()
-    );
-    let dim = queries[0].len();
-    assert!(
-        queries.iter().all(|q| q.len() == dim),
-        "SQ8 query tile mixes dimensions"
-    );
-    assert_eq!(mins.len(), dim, "SQ8 mins length mismatch");
-    assert_eq!(scales.len(), dim, "SQ8 scales length mismatch");
-    assert_eq!(
-        out.len() % queries.len(),
-        0,
-        "SQ8 score buffer is not one row per query"
-    );
-    let n = out.len() / queries.len();
-    validate_segments(dim, segments, n, "SQ8 code");
-    n
-}
-
-/// The shared body of the two SQ8 query-tile entry points.
-fn sq8_qtile_at<const L2: bool>(
+/// The shared body of the two SQ8 segment kernels.
+fn sq8_segments_at<const L2: bool>(
     level: SimdLevel,
-    queries: &[&[f32]],
+    query: &[f32],
     mins: &[f32],
     scales: &[f32],
     segments: &[&[u8]],
     out: &mut [f32],
     pace: &mut dyn FnMut(usize),
 ) {
-    let n = validate_qtile(queries, mins, scales, segments, out);
-    if n == 0 {
+    let dim = query.len();
+    assert_eq!(mins.len(), dim, "SQ8 mins length mismatch");
+    assert_eq!(scales.len(), dim, "SQ8 scales length mismatch");
+    validate_segments(dim, segments, out.len(), "SQ8 code");
+    if out.is_empty() {
         return;
     }
-    if mins.is_empty() {
+    if dim == 0 {
         // Zero-dimensional codes: the empty sum, negated for L2.
         out.fill(if L2 { -0.0 } else { 0.0 });
         return;
@@ -566,34 +530,31 @@ fn sq8_qtile_at<const L2: bool>(
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if level.is_supported() => unsafe {
-            crate::simd::avx2::sq8_qtile::<L2>(queries, mins, scales, segments, out, pace)
+            crate::simd::avx2::sq8_segments::<L2>(query, mins, scales, segments, out, pace)
         },
-        // Scalar reference and NEON: segment by segment, the
-        // single-query kernel per query.
+        // Scalar reference and NEON: segment by segment.
         _ => {
             let mut at = 0;
             for codes in segments {
-                let rows = codes.len() / mins.len();
+                let rows = codes.len() / dim;
                 pace(rows);
-                for (q, query) in queries.iter().enumerate() {
-                    let out = &mut out[q * n + at..q * n + at + rows];
-                    #[allow(unused_mut)]
-                    let mut r = 0;
-                    #[cfg(target_arch = "aarch64")]
-                    if level == SimdLevel::Neon {
-                        r = unsafe {
-                            if L2 {
-                                crate::simd::neon::sq8_l2_tiles(query, mins, scales, codes, out)
-                            } else {
-                                crate::simd::neon::sq8_ip_tiles(query, mins, scales, codes, out)
-                            }
-                        };
-                    }
-                    if L2 {
-                        sq8_l2_scalar(query, mins, scales, codes, out, r);
-                    } else {
-                        sq8_ip_scalar(query, mins, scales, codes, out, r);
-                    }
+                let out = &mut out[at..at + rows];
+                #[allow(unused_mut)]
+                let mut r = 0;
+                #[cfg(target_arch = "aarch64")]
+                if level == SimdLevel::Neon {
+                    r = unsafe {
+                        if L2 {
+                            crate::simd::neon::sq8_l2_tiles(query, mins, scales, codes, out)
+                        } else {
+                            crate::simd::neon::sq8_ip_tiles(query, mins, scales, codes, out)
+                        }
+                    };
+                }
+                if L2 {
+                    sq8_l2_scalar(query, mins, scales, codes, out, r);
+                } else {
+                    sq8_ip_scalar(query, mins, scales, codes, out, r);
                 }
                 at += rows;
             }
@@ -601,63 +562,43 @@ fn sq8_qtile_at<const L2: bool>(
     }
 }
 
-/// SQ8 asymmetric inner product of a **tile of queries** against the
+/// SQ8 asymmetric inner product of `query` against the
 /// one-byte-per-dimension codes of `segments`, scored in order as if the
-/// segments were one contiguous block: with `n = out.len() /
-/// queries.len()`, `out[q * n + i] = Σ_d queries[q][d] * (mins[d] +
-/// code_i[d] as f32 * scales[d])`, accumulated sequentially over `d` per
-/// (query, code). **Bit-identical at every dispatch level, every tile
-/// width and every segmentation** (tier A): the SIMD form puts one code
-/// per lane, computes the dequantized value once per (code, dim) and
-/// folds it into one accumulator per query in the scalar operation
-/// order, mul and add kept separate — a score never depends on which
-/// codes share its tile, so the AVX2 tiles run across segment boundaries
-/// (several short inverted lists fill one tile) while the scalar and
-/// NEON forms walk segment by segment. One query is the single-query
-/// kernel.
+/// segments were one contiguous block:
+/// `out[i] = Σ_d query[d] * (mins[d] + code_i[d] as f32 * scales[d])`,
+/// accumulated sequentially over `d` per code. **Bit-identical at every
+/// dispatch level and every segmentation** (tier A): the SIMD form puts
+/// one code per lane and folds each dequantized value into its
+/// accumulator in the scalar operation order, mul and add kept separate —
+/// a score never depends on which codes share its tile, so the AVX2
+/// tiles run across segment boundaries (several short inverted lists
+/// fill one tile) while the scalar and NEON forms walk segment by
+/// segment.
 ///
 /// `pace` is called just before each group of codes is scored, with the
 /// group's size — at most 16 codes on AVX2, a segment elsewhere; the
-/// sizes sum to `n`. It is how a caller streaming cold lists keeps a
-/// prefetch cursor ([`prefetch_read`](crate::simd::prefetch_read)) a
-/// fixed number of rows ahead of the kernel, a few lines at a time
+/// sizes sum to `out.len()`. It is how a caller streaming cold lists
+/// keeps a prefetch cursor ([`prefetch_read`](crate::simd::prefetch_read))
+/// a fixed number of rows ahead of the kernel, a few lines at a time
 /// between tiles instead of a burst between calls that the line-fill
 /// buffers cannot absorb. Pass `&mut |_| {}` when there is nothing to
 /// pace.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= queries.len() <= QTILE`, every query and
-/// `mins`/`scales` share one length `dim`, `out.len()` is a multiple of
-/// `queries.len()`, every segment is a whole number of `dim`-byte codes
-/// and the segments hold `n` codes between them.
-pub fn sq8_ip_qtile_at(
+/// Panics unless `query` and `mins`/`scales` share one length `dim`,
+/// every segment is a whole number of `dim`-byte codes and the segments
+/// hold `out.len()` codes between them.
+pub fn sq8_ip_segments_at(
     level: SimdLevel,
-    queries: &[&[f32]],
+    query: &[f32],
     mins: &[f32],
     scales: &[f32],
     segments: &[&[u8]],
     out: &mut [f32],
     pace: &mut dyn FnMut(usize),
 ) {
-    sq8_qtile_at::<false>(level, queries, mins, scales, segments, out, pace);
-}
-
-/// [`sq8_ip_qtile_at`] for one query and one contiguous code block.
-///
-/// # Panics
-///
-/// Panics if `mins`/`scales` don't match `query.len()` or
-/// `codes.len() != out.len() * query.len()`.
-pub fn sq8_ip_block_at(
-    level: SimdLevel,
-    query: &[f32],
-    mins: &[f32],
-    scales: &[f32],
-    codes: &[u8],
-    out: &mut [f32],
-) {
-    sq8_ip_qtile_at(level, &[query], mins, scales, &[codes], out, &mut |_| {});
+    sq8_segments_at::<false>(level, query, mins, scales, segments, out, pace);
 }
 
 /// Scalar tier-A SQ8 inner product from code `start` on: 4-code
@@ -705,41 +646,24 @@ fn sq8_ip_scalar(
 }
 
 /// SQ8 asymmetric **negated** squared L2 distance (similarity
-/// orientation) of a tile of queries: `out[q * n + i] = -Σ_d
-/// (queries[q][d] - dequant_i[d])²`, laid out and tiled like
-/// [`sq8_ip_qtile_at`]. Bit-identical at every dispatch level and tile
-/// width (tier A); the sign flip matches scalar unary negation
+/// orientation): `out[i] = -Σ_d (query[d] - dequant_i[d])²`, tiled like
+/// [`sq8_ip_segments_at`]. Bit-identical at every dispatch level and
+/// segmentation (tier A); the sign flip matches scalar unary negation
 /// bit-for-bit, `-0.0` included.
 ///
 /// # Panics
 ///
-/// Same shape panics as [`sq8_ip_qtile_at`].
-pub fn sq8_l2_qtile_at(
+/// Same shape panics as [`sq8_ip_segments_at`].
+pub fn sq8_l2_segments_at(
     level: SimdLevel,
-    queries: &[&[f32]],
+    query: &[f32],
     mins: &[f32],
     scales: &[f32],
     segments: &[&[u8]],
     out: &mut [f32],
     pace: &mut dyn FnMut(usize),
 ) {
-    sq8_qtile_at::<true>(level, queries, mins, scales, segments, out, pace);
-}
-
-/// [`sq8_l2_qtile_at`] for one query and one contiguous code block.
-///
-/// # Panics
-///
-/// Same shape panics as [`sq8_ip_block_at`].
-pub fn sq8_l2_block_at(
-    level: SimdLevel,
-    query: &[f32],
-    mins: &[f32],
-    scales: &[f32],
-    codes: &[u8],
-    out: &mut [f32],
-) {
-    sq8_l2_qtile_at(level, &[query], mins, scales, &[codes], out, &mut |_| {});
+    sq8_segments_at::<true>(level, query, mins, scales, segments, out, pace);
 }
 
 /// Scalar tier-A SQ8 negated-L2 from code `start` on; see
@@ -806,7 +730,7 @@ pub const SQ8_WEIGHT_MAX: i8 = 63;
 /// it is the integer part of an *upper bound* on one (`hermes_quant`'s
 /// `Sq8Bound`), computed for every streamed code so that the exact kernel
 /// need only see the few codes the bound cannot rule out. `pace` is
-/// called like [`sq8_ip_qtile_at`]'s.
+/// called like [`sq8_ip_segments_at`]'s.
 ///
 /// # Panics
 ///
@@ -858,7 +782,7 @@ pub fn sq8_dot_i8_at(
 /// order per code. **Bit-identical at every dispatch level and
 /// segmentation** (tier A): pure table loads and in-order adds at any
 /// width; the AVX2 tiles span segment boundaries and `pace` is called
-/// like [`sq8_ip_qtile_at`]'s.
+/// like [`sq8_ip_segments_at`]'s.
 ///
 /// # Panics
 ///
@@ -1238,9 +1162,7 @@ mod tests {
         let segmentations: [&[usize]; 4] = [&[], &[1], &[3, 3, 4, 12], &[7, 9, 17, 18, 30]];
         for dim in [1usize, 3, 8, 11, 16, 29, 64] {
             for n in [0usize, 1, 4, 7, 8, 9, 15, 16, 17, 19, 31, 33] {
-                let queries: Vec<Vec<f32>> = (0..QTILE)
-                    .map(|_| (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
-                    .collect();
+                let query: Vec<f32> = (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
                 let mins: Vec<f32> = (0..dim).map(|_| rng.next_f32() - 1.0).collect();
                 let scales: Vec<f32> = (0..dim).map(|_| rng.next_f32() / 127.0).collect();
                 let codes: Vec<u8> = (0..n * dim)
@@ -1262,36 +1184,29 @@ mod tests {
                     .flat_map(|l| segmentations.map(|c| (l, c)))
                 {
                     let segments = cut(&codes, dim, n, cuts);
-                    for width in 1..=QTILE {
-                        let tile: Vec<&[f32]> =
-                            queries[..width].iter().map(Vec::as_slice).collect();
-                        let mut got = vec![0.0f32; width * n];
-                        for l2 in [false, true] {
-                            // The pacing hook hears of every code once,
-                            // however many queries share the pass.
-                            let mut paced = 0;
-                            let pace = &mut |rows| paced += rows;
-                            if l2 {
-                                sq8_l2_qtile_at(
-                                    level, &tile, &mins, &scales, &segments, &mut got, pace,
-                                );
-                            } else {
-                                sq8_ip_qtile_at(
-                                    level, &tile, &mins, &scales, &segments, &mut got, pace,
-                                );
-                            }
-                            assert_eq!(paced, n, "{level} d{dim} n{n} {cuts:?} Q{width}");
-                            for (qi, q) in tile.iter().enumerate() {
-                                for i in 0..n {
-                                    let code = &codes[i * dim..(i + 1) * dim];
-                                    let want = sq8_reference(l2, q, &mins, &scales, code);
-                                    assert_eq!(
-                                        got[qi * n + i].to_bits(),
-                                        want.to_bits(),
-                                        "{level} sq8 l2={l2} d{dim} n{n} {cuts:?} Q{width} q{qi} #{i}"
-                                    );
-                                }
-                            }
+                    let mut got = vec![0.0f32; n];
+                    for l2 in [false, true] {
+                        // The pacing hook hears of every code once.
+                        let mut paced = 0;
+                        let pace = &mut |rows| paced += rows;
+                        if l2 {
+                            sq8_l2_segments_at(
+                                level, &query, &mins, &scales, &segments, &mut got, pace,
+                            );
+                        } else {
+                            sq8_ip_segments_at(
+                                level, &query, &mins, &scales, &segments, &mut got, pace,
+                            );
+                        }
+                        assert_eq!(paced, n, "{level} d{dim} n{n} {cuts:?}");
+                        for i in 0..n {
+                            let code = &codes[i * dim..(i + 1) * dim];
+                            let want = sq8_reference(l2, &query, &mins, &scales, code);
+                            assert_eq!(
+                                got[i].to_bits(),
+                                want.to_bits(),
+                                "{level} sq8 l2={l2} d{dim} n{n} {cuts:?} #{i}"
+                            );
                         }
                     }
                     let mut got = vec![0.0f32; n];
@@ -1370,28 +1285,12 @@ mod tests {
     fn segments_must_be_whole_codes() {
         // Six bytes are three 2-byte codes, but not as 3 + 3.
         let mut out = [0.0f32; 3];
-        sq8_ip_qtile_at(
+        sq8_ip_segments_at(
             SimdLevel::Scalar,
-            &[&[1.0, 2.0]],
+            &[1.0, 2.0],
             &[0.0, 0.0],
             &[1.0, 1.0],
             &[&[0u8; 3], &[0u8; 3]],
-            &mut out,
-            &mut |_| {},
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "SQ8 query tile holds")]
-    fn sq8_query_tile_rejects_too_many_queries() {
-        let q = [1.0f32];
-        let mut out = [0.0f32; 5];
-        sq8_ip_qtile_at(
-            SimdLevel::Scalar,
-            &[&q[..]; QTILE + 1],
-            &[0.0],
-            &[1.0],
-            &[&[0u8; 1]],
             &mut out,
             &mut |_| {},
         );
@@ -1415,13 +1314,14 @@ mod tests {
     #[should_panic(expected = "code block size mismatch")]
     fn sq8_block_rejects_ragged_code_block() {
         let mut out = [0.0f32; 2];
-        sq8_ip_block_at(
+        sq8_ip_segments_at(
             SimdLevel::Scalar,
             &[1.0, 2.0],
             &[0.0, 0.0],
             &[1.0, 1.0],
-            &[0u8; 3],
+            &[&[0u8; 3]],
             &mut out,
+            &mut |_| {},
         );
     }
 

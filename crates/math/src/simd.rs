@@ -27,12 +27,10 @@
 //!   f32 operations* at every level: the SIMD forms vectorize **across
 //!   codes** (one lane per code) so each (query, code) pair keeps one
 //!   accumulator folded sequentially over dimensions, with no FMA
-//!   contraction. The SQ8 kernel scores a *tile* of up to four queries
-//!   per pass, sharing each dequantized value, and fills its 8-code
-//!   tiles across the boundaries of the code segments it is given;
-//!   neither the tile width nor a code's tile-mates ever change a
-//!   score. `QueryScorer::score_block` and `score_tile` are
-//!   bit-identical to `score` regardless of level.
+//!   contraction. The SQ8 kernel fills its 8-code tiles across the
+//!   boundaries of the code segments it is given; a code's tile-mates
+//!   never change its score. `QueryScorer::score_block` and
+//!   `score_segments` are bit-identical to `score` regardless of level.
 //! * **Tier B — pinned reduction order per level, ULP-bounded across
 //!   levels.** The f32 reductions vectorize **within a row**, so each
 //!   level reassociates differently. Every level is bit-identical to
@@ -704,25 +702,24 @@ pub(crate) mod avx2 {
     }
 
     /// Folds dimensions `[d, d + nd)` (`nd <= 8`) of `T` tiles into the
-    /// `Q x T` accumulators: transpose once, then per dimension one
-    /// dequantized `val = min + code * scale` per tile, shared by all `Q`
-    /// queries, each folding it in the scalar order (`mul`/`add` kept
-    /// separate, no FMA). Called with the literal `8` on the hot path so
-    /// the dimension loop unrolls.
+    /// `T` accumulators: transpose once, then per dimension one
+    /// dequantized `val = min + code * scale` per tile, folded in the
+    /// scalar order (`mul`/`add` kept separate, no FMA). Called with the
+    /// literal `8` on the hot path so the dimension loop unrolls.
     ///
     /// # Safety
     ///
     /// Rows readable for `d + nd` bytes; `d + nd` within `mins`,
-    /// `scales` and every query.
+    /// `scales` and `query`.
     #[inline(always)]
-    unsafe fn sq8_fold_dims<const Q: usize, const T: usize, const L2: bool>(
-        queries: &[&[f32]; Q],
+    unsafe fn sq8_fold_dims<const T: usize, const L2: bool>(
+        query: &[f32],
         mins: &[f32],
         scales: &[f32],
         rows: &[[*const u8; LANES]; T],
         d: usize,
         nd: usize,
-        acc: &mut [[__m256; T]; Q],
+        acc: &mut [__m256; T],
     ) {
         let mut bytes = [[_mm256_setzero_si256(); 2]; T];
         for (b, tile) in bytes.iter_mut().zip(rows) {
@@ -731,39 +728,34 @@ pub(crate) mod avx2 {
         for j in 0..nd {
             let min = _mm256_set1_ps(*mins.get_unchecked(d + j));
             let scale = _mm256_set1_ps(*scales.get_unchecked(d + j));
-            let mut val = [min; T];
-            for (v, b) in val.iter_mut().zip(&bytes) {
+            let q = _mm256_set1_ps(*query.get_unchecked(d + j));
+            for (a, b) in acc.iter_mut().zip(&bytes) {
                 let level = _mm256_cvtepi32_ps(widen_lane(b, j));
-                *v = _mm256_add_ps(min, _mm256_mul_ps(level, scale));
-            }
-            for (qa, query) in acc.iter_mut().zip(queries) {
-                let q = _mm256_set1_ps(*query.get_unchecked(d + j));
-                for (a, &v) in qa.iter_mut().zip(&val) {
-                    *a = if L2 {
-                        let diff = _mm256_sub_ps(q, v);
-                        _mm256_add_ps(*a, _mm256_mul_ps(diff, diff))
-                    } else {
-                        _mm256_add_ps(*a, _mm256_mul_ps(q, v))
-                    };
-                }
+                let v = _mm256_add_ps(min, _mm256_mul_ps(level, scale));
+                *a = if L2 {
+                    let diff = _mm256_sub_ps(q, v);
+                    _mm256_add_ps(*a, _mm256_mul_ps(diff, diff))
+                } else {
+                    _mm256_add_ps(*a, _mm256_mul_ps(q, v))
+                };
             }
         }
     }
 
-    /// `T` tiles x `Q` queries of the tier-A SQ8 kernel: each
-    /// `(query, code)` lane folds dimensions sequentially in the exact
-    /// scalar operation order, so every score is bit-identical to the
-    /// scalar walk; the `Q * T` accumulator chains are independent.
-    /// `rows` are the tiles' row pointers, the first being code `r0`.
+    /// `T` tiles of the tier-A SQ8 kernel: each code's lane folds
+    /// dimensions sequentially in the exact scalar operation order, so
+    /// every score is bit-identical to the scalar walk; the `T`
+    /// accumulator chains are independent. `rows` are the tiles' row
+    /// pointers, the first being code `r0`.
     ///
     /// # Safety
     ///
-    /// As [`sq8_qtile`], plus `r0 < n` and every row pointer readable
-    /// for `mins.len()` bytes.
+    /// As [`sq8_segments`], plus `r0 < out.len()` and every row pointer
+    /// readable for `mins.len()` bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn sq8_macro_tile<const Q: usize, const T: usize, const L2: bool>(
-        queries: &[&[f32]; Q],
+    unsafe fn sq8_macro_tile<const T: usize, const L2: bool>(
+        query: &[f32],
         mins: &[f32],
         scales: &[f32],
         rows: &[[*const u8; LANES]; T],
@@ -771,40 +763,50 @@ pub(crate) mod avx2 {
         out: &mut [f32],
     ) {
         let dim = mins.len();
-        let n = out.len() / Q;
-        let mut acc = [[_mm256_setzero_ps(); T]; Q];
+        let mut acc = [_mm256_setzero_ps(); T];
         let mut d = 0;
         while d + 8 <= dim {
-            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, rows, d, 8, &mut acc);
+            sq8_fold_dims::<T, L2>(query, mins, scales, rows, d, 8, &mut acc);
             d += 8;
         }
         if d < dim {
-            sq8_fold_dims::<Q, T, L2>(queries, mins, scales, rows, d, dim - d, &mut acc);
+            sq8_fold_dims::<T, L2>(query, mins, scales, rows, d, dim - d, &mut acc);
         }
         let sign = _mm256_set1_ps(-0.0);
-        for (qa, out) in acc.iter().zip(out.chunks_exact_mut(n)) {
-            for (t, &a) in qa.iter().enumerate() {
-                let start = r0 + t * LANES;
-                if start < n {
-                    // L2 is the negated distance: XOR flips the sign
-                    // exactly like scalar unary negation, `-0.0` included.
-                    store_lanes(out, start, if L2 { _mm256_xor_ps(a, sign) } else { a });
-                }
+        for (t, &a) in acc.iter().enumerate() {
+            let start = r0 + t * LANES;
+            if start < out.len() {
+                // L2 is the negated distance: XOR flips the sign exactly
+                // like scalar unary negation, `-0.0` included.
+                store_lanes(out, start, if L2 { _mm256_xor_ps(a, sign) } else { a });
             }
         }
     }
 
+    /// Tier-A SQ8 kernel: scores every code of `segments`, in order,
+    /// against `query` into `out`, inner product or (`L2`) negated squared
+    /// distance. Gather-free: row loads, an in-register byte transpose and
+    /// a widen feed one lane per code, and because a tile is eight *row
+    /// pointers* it spans segment boundaries — short inverted lists fill
+    /// tiles together. `pace` is told the size of each group of at most
+    /// 16 codes just before it is scored (see
+    /// [`crate::block::sq8_ip_segments_at`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `query` and `mins`/`scales` of one length
+    /// `dim >= 1`, a non-empty `out`, every segment a whole number of
+    /// `dim`-byte codes and `out.len()` codes between them.
     #[target_feature(enable = "avx2")]
-    unsafe fn sq8_tiles<const Q: usize, const L2: bool>(
-        queries: &[&[f32]],
+    pub unsafe fn sq8_segments<const L2: bool>(
+        query: &[f32],
         mins: &[f32],
         scales: &[f32],
         segments: &[&[u8]],
         out: &mut [f32],
         pace: &mut dyn FnMut(usize),
     ) {
-        let queries: &[&[f32]; Q] = queries.try_into().expect("query tile width");
-        let n = out.len() / Q;
+        let n = out.len();
         let mut cursor = RowCursor::new(segments, mins.len());
         let mut r = 0;
         while r < n {
@@ -813,48 +815,13 @@ pub(crate) mod avx2 {
             // left; the last one may be partly clamped.
             if n - r > LANES {
                 let rows = cursor.tiles::<2>();
-                sq8_macro_tile::<Q, 2, L2>(queries, mins, scales, &rows, r, out);
+                sq8_macro_tile::<2, L2>(query, mins, scales, &rows, r, out);
                 r += 2 * LANES;
             } else {
                 let rows = cursor.tiles::<1>();
-                sq8_macro_tile::<Q, 1, L2>(queries, mins, scales, &rows, r, out);
+                sq8_macro_tile::<1, L2>(query, mins, scales, &rows, r, out);
                 r += LANES;
             }
-        }
-    }
-
-    /// Tier-A SQ8 query-tile kernel: scores every code of `segments`, in
-    /// order, against each of `queries.len() <= 4` queries, `out[q * n +
-    /// i]` being code `i` under query `q` (`n = out.len() /
-    /// queries.len()`), inner product or (`L2`) negated squared distance.
-    /// Gather-free: row loads, an in-register byte transpose and a widen
-    /// feed one lane per code, and because a tile is eight *row
-    /// pointers* it spans segment boundaries — short inverted lists fill
-    /// tiles together. One query is the single-query kernel. `pace` is
-    /// told the size of each group of at most 16 codes just before it is
-    /// scored (see [`crate::block::sq8_ip_qtile_at`]).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2, `1 <= queries.len() <= 4`, every query and
-    /// `mins`/`scales` of one length `dim >= 1`, `out.len()` a non-zero
-    /// multiple of `queries.len()`, every segment a whole number of
-    /// `dim`-byte codes and `n` codes between them.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sq8_qtile<const L2: bool>(
-        queries: &[&[f32]],
-        mins: &[f32],
-        scales: &[f32],
-        segments: &[&[u8]],
-        out: &mut [f32],
-        pace: &mut dyn FnMut(usize),
-    ) {
-        match queries.len() {
-            1 => sq8_tiles::<1, L2>(queries, mins, scales, segments, out, pace),
-            2 => sq8_tiles::<2, L2>(queries, mins, scales, segments, out, pace),
-            3 => sq8_tiles::<3, L2>(queries, mins, scales, segments, out, pace),
-            4 => sq8_tiles::<4, L2>(queries, mins, scales, segments, out, pace),
-            q => unreachable!("SQ8 query tile of {q} queries"),
         }
     }
 
@@ -991,7 +958,7 @@ pub(crate) mod avx2 {
 
     /// Tier-A PQ/ADC table walk over every code of `segments`, in order;
     /// tiles span segment boundaries, and `pace` hears of each group of
-    /// at most 16 codes, like [`sq8_qtile`]'s.
+    /// at most 16 codes, like [`sq8_segments`]'s.
     ///
     /// # Safety
     ///

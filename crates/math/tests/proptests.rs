@@ -176,18 +176,18 @@ fn linear_fit_is_exact_on_lines() {
     });
 }
 
-/// Tier A for the segment kernels: for every tile width `1..=QTILE`, code
-/// count `0..=70` (empty, sub-tile, every ragged tail of one and two
-/// tiles, past a 64-code block) cut at random into `1..=6` segments
-/// (empty and 1-code segments included, so tiles straddle boundaries),
-/// dimension `1..=80` (non-multiples of the 8-byte transpose chunk
-/// included), both metrics and every runnable dispatch level, each
-/// (query, code) SQ8 score is bit-identical to the plain scalar walk —
-/// `acc + q[d] * (min[d] + code[d] * scale[d])` folded over `d`, no
-/// tiling, no FMA — and each ADC score to the in-order table walk.
+/// Tier A for the segment kernels: for every code count `0..=70` (empty,
+/// sub-tile, every ragged tail of one and two tiles, past a 64-code
+/// block) cut at random into `1..=6` segments (empty and 1-code segments
+/// included, so tiles straddle boundaries), dimension `1..=80`
+/// (non-multiples of the 8-byte transpose chunk included), both metrics
+/// and every runnable dispatch level, each SQ8 score is bit-identical to
+/// the plain scalar walk — `acc + q[d] * (min[d] + code[d] * scale[d])`
+/// folded over `d`, no tiling, no FMA — and each ADC score to the
+/// in-order table walk.
 #[test]
 fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
-    use hermes_math::block::{adc_block_at, sq8_ip_qtile_at, sq8_l2_qtile_at, QTILE};
+    use hermes_math::block::{adc_block_at, sq8_ip_segments_at, sq8_l2_segments_at};
     use hermes_math::rng::seeded_rng;
     use hermes_math::simd::SimdLevel;
 
@@ -199,9 +199,7 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
         &strat,
         |&(dim, n, seed)| {
             let mut rng = seeded_rng(seed);
-            let queries: Vec<Vec<f32>> = (0..QTILE)
-                .map(|_| (0..dim).map(|_| rng.next_f32() * 4.0 - 2.0).collect())
-                .collect();
+            let query: Vec<f32> = (0..dim).map(|_| rng.next_f32() * 4.0 - 2.0).collect();
             let mins: Vec<f32> = (0..dim).map(|_| rng.next_f32() - 1.0).collect();
             // A zero scale is what a constant training dimension yields.
             let scales: Vec<f32> = (0..dim)
@@ -245,50 +243,43 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
                 }
             };
             for level in SimdLevel::available() {
-                for width in 1..=QTILE {
-                    let tile: Vec<&[f32]> = queries[..width].iter().map(Vec::as_slice).collect();
-                    let mut got = vec![f32::NAN; width * n];
-                    for l2 in [false, true] {
-                        if l2 {
-                            sq8_l2_qtile_at(
-                                level,
-                                &tile,
-                                &mins,
-                                &scales,
-                                &segments,
-                                &mut got,
-                                &mut |_| {},
-                            );
-                        } else {
-                            sq8_ip_qtile_at(
-                                level,
-                                &tile,
-                                &mins,
-                                &scales,
-                                &segments,
-                                &mut got,
-                                &mut |_| {},
-                            );
-                        }
-                        for (qi, q) in tile.iter().enumerate() {
-                            for i in 0..n {
-                                let want = walk(l2, q, &codes[i * dim..(i + 1) * dim]);
-                                prop_assert!(
-                                    got[qi * n + i].to_bits() == want.to_bits(),
-                                    "{} l2={} dim {} n {} cuts {:?} Q{} query {} code {}: {:e} vs {:e}",
-                                    level,
-                                    l2,
-                                    dim,
-                                    n,
-                                    cuts,
-                                    width,
-                                    qi,
-                                    i,
-                                    got[qi * n + i],
-                                    want
-                                );
-                            }
-                        }
+                let mut got = vec![f32::NAN; n];
+                for l2 in [false, true] {
+                    if l2 {
+                        sq8_l2_segments_at(
+                            level,
+                            &query,
+                            &mins,
+                            &scales,
+                            &segments,
+                            &mut got,
+                            &mut |_| {},
+                        );
+                    } else {
+                        sq8_ip_segments_at(
+                            level,
+                            &query,
+                            &mins,
+                            &scales,
+                            &segments,
+                            &mut got,
+                            &mut |_| {},
+                        );
+                    }
+                    for i in 0..n {
+                        let want = walk(l2, &query, &codes[i * dim..(i + 1) * dim]);
+                        prop_assert!(
+                            got[i].to_bits() == want.to_bits(),
+                            "{} l2={} dim {} n {} cuts {:?} code {}: {:e} vs {:e}",
+                            level,
+                            l2,
+                            dim,
+                            n,
+                            cuts,
+                            i,
+                            got[i],
+                            want
+                        );
                     }
                 }
                 let mut got = vec![f32::NAN; n];

@@ -54,10 +54,9 @@ pub fn counter_table(snapshot: &TraceSnapshot) -> Table {
 
 /// Shard-scan work per engine stage, folded from the `shard.sample` and
 /// `shard.deep` span args: group scans run, queries they served, the
-/// *logical* codes those queries scanned (what each would cost alone),
-/// the codes *physically streamed*, and streamed ÷ logical — 1.000 when
-/// no two queries of a group probed the same inverted list, lower by
-/// exactly what cross-query sharing saved.
+/// codes those queries scanned, the codes the exact kernel rescored
+/// after the bound filter, and rescored ÷ scanned — the share of rows
+/// that still paid for f32 arithmetic.
 ///
 /// # Errors
 ///
@@ -69,14 +68,14 @@ pub fn scan_table(snapshot: &TraceSnapshot) -> Result<Table, String> {
             "stage",
             "group scans",
             "queries",
-            "logical",
-            "streamed",
-            "streamed/logical",
+            "scanned",
+            "rescored",
+            "rescored/scanned",
         ],
     );
     let spans = snapshot.spans()?;
     for (stage, name) in [("sample", names::SHARD_SAMPLE), ("deep", names::SHARD_DEEP)] {
-        let (mut scans, mut queries, mut logical, mut streamed) = (0u64, 0u64, 0u64, 0u64);
+        let (mut scans, mut queries, mut scanned, mut rescored) = (0u64, 0u64, 0u64, 0u64);
         for span in spans.iter().filter(|s| s.name == name) {
             let arg = |key: &str| {
                 span.args
@@ -86,8 +85,8 @@ pub fn scan_table(snapshot: &TraceSnapshot) -> Result<Table, String> {
             };
             scans += 1;
             queries += arg("queries");
-            logical += arg("scanned_codes");
-            streamed += arg("streamed_codes");
+            scanned += arg("scanned_codes");
+            rescored += arg("rescored_codes");
         }
         if scans > 0 {
             table.push(Row::new(
@@ -95,9 +94,9 @@ pub fn scan_table(snapshot: &TraceSnapshot) -> Result<Table, String> {
                 vec![
                     scans.to_string(),
                     queries.to_string(),
-                    logical.to_string(),
-                    streamed.to_string(),
-                    fmt(streamed as f64 / logical.max(1) as f64, 3),
+                    scanned.to_string(),
+                    rescored.to_string(),
+                    fmt(rescored as f64 / scanned.max(1) as f64, 3),
                 ],
             ));
         }
@@ -179,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_table_folds_logical_and_streamed_codes_per_stage() {
+    fn scan_table_folds_scanned_and_rescored_codes_per_stage() {
         let span = |name, ts, args: &[(&'static str, u64)]| {
             let mut end = ev(EventKind::End, name, ts + 10, 0);
             end.args = ArgSet::from_slice(args);
@@ -192,7 +191,7 @@ mod tests {
                 &[
                     ("queries", 3),
                     ("scanned_codes", 300),
-                    ("streamed_codes", 150),
+                    ("rescored_codes", 12),
                 ],
             ),
             span(
@@ -201,25 +200,21 @@ mod tests {
                 &[
                     ("queries", 1),
                     ("scanned_codes", 100),
-                    ("streamed_codes", 100),
+                    ("rescored_codes", 8),
                 ],
             ),
             span(
                 "shard.sample",
                 40,
-                &[
-                    ("queries", 8),
-                    ("scanned_codes", 80),
-                    ("streamed_codes", 80),
-                ],
+                &[("queries", 8), ("scanned_codes", 80), ("rescored_codes", 0)],
             ),
         ];
         let snap = TraceSnapshot::from_events(events.into_iter().flatten().collect());
         let t = scan_table(&snap).unwrap();
         assert_eq!(t.rows()[0].label, "sample");
-        assert_eq!(t.rows()[0].cells, vec!["1", "8", "80", "80", "1.000"]);
+        assert_eq!(t.rows()[0].cells, vec!["1", "8", "80", "0", "0.000"]);
         assert_eq!(t.rows()[1].label, "deep");
-        assert_eq!(t.rows()[1].cells, vec!["2", "4", "400", "250", "0.625"]);
+        assert_eq!(t.rows()[1].cells, vec!["2", "4", "400", "20", "0.050"]);
         assert!(render_summary(&snap).unwrap().contains("Shard scan work"));
         // No shard spans, no table.
         assert!(scan_table(&fixture()).unwrap().rows().is_empty());

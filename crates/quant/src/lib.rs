@@ -33,7 +33,6 @@
 use std::borrow::Cow;
 
 use hermes_kmeans::{KMeans, KMeansConfig};
-use hermes_math::block::QTILE;
 use hermes_math::distance::{inner_product, l2_sq};
 use hermes_math::rng::{derive_seed, seeded_rng};
 use hermes_math::simd::{simd_level, SimdLevel};
@@ -312,7 +311,7 @@ impl QueryScorer<'_> {
     }
 
     /// The integer upper bound on this scorer's scores, if it has one: a
-    /// scan evaluates it on every code and hands [`Self::score_tile`]
+    /// scan evaluates it on every code and hands [`Self::score_segments`]
     /// only the codes it cannot rule out. SQ8 under inner product or
     /// cosine has one unless an input is non-finite, the query is zero or
     /// a score could overflow; L2 and every other codec have none.
@@ -341,112 +340,80 @@ impl QueryScorer<'_> {
         self.score_block_at(simd_level(), codes, out);
     }
 
-    /// Scores the codes of `segments`, in order, for a **tile of
-    /// scorers** over the same codec in one pass: with `n = out.len() /
-    /// scorers.len()` codes between the segments, `out[q * n + i]` is
-    /// bit-identical to `scorers[q].score(code_i)` at every dispatch
-    /// level, tile width and segmentation. The segments are typically
-    /// several short inverted lists: the SQ8 and PQ/ADC kernels fill
-    /// their SIMD tiles across the boundaries, so a 19-code list does not
-    /// waste the lanes of its ragged tail. SQ8 scorers of one metric, at
-    /// most [`QTILE`] at a time, also share each dequantized code value
-    /// in the query-tile kernel; any other tile scores scorer by scorer.
-    /// Returns how many codes were physically scored: `n` per shared
-    /// pass, `n` per scorer otherwise.
+    /// Scores the codes of `segments`, in order, as if they were one
+    /// contiguous block: `out[i]` is bit-identical to `self.score(code_i)`
+    /// at every dispatch level and segmentation. The segments are
+    /// typically several short inverted lists: the SQ8 and PQ/ADC kernels
+    /// fill their SIMD tiles across the boundaries, so a 19-code list does
+    /// not waste the lanes of its ragged tail; the other codecs go code by
+    /// code.
     ///
     /// `pace` hears of every code once, group by group, just before the
     /// group is first scored — the hook for keeping a prefetch cursor a
     /// fixed distance ahead of the kernel (see
-    /// [`hermes_math::block::sq8_ip_qtile_at`]); `&mut |_| {}` if there
+    /// [`hermes_math::block::sq8_ip_segments_at`]); `&mut |_| {}` if there
     /// is nothing to pace.
     ///
     /// # Panics
     ///
-    /// Panics if `scorers` is empty, `out.len()` is not a multiple of
-    /// `scorers.len()`, or the segments are not whole codes, `n` in all,
-    /// for any scorer.
-    pub fn score_tile(
-        scorers: &[&QueryScorer<'_>],
-        segments: &[&[u8]],
-        out: &mut [f32],
-        pace: &mut dyn FnMut(usize),
-    ) -> usize {
-        Self::score_tile_at(simd_level(), scorers, segments, out, pace)
+    /// Panics if a segment is not a whole number of codes or the segments
+    /// do not hold `out.len()` codes between them.
+    pub fn score_segments(&self, segments: &[&[u8]], out: &mut [f32], pace: &mut dyn FnMut(usize)) {
+        self.score_segments_at(simd_level(), segments, out, pace);
     }
 
-    /// [`QueryScorer::score_tile`] at an explicit dispatch level.
+    /// [`QueryScorer::score_segments`] at an explicit dispatch level.
     ///
     /// # Panics
     ///
-    /// As [`QueryScorer::score_tile`].
-    pub fn score_tile_at(
-        level: SimdLevel,
-        scorers: &[&QueryScorer<'_>],
-        segments: &[&[u8]],
-        out: &mut [f32],
-        pace: &mut dyn FnMut(usize),
-    ) -> usize {
-        assert!(!scorers.is_empty(), "score_tile needs at least one scorer");
-        assert_eq!(
-            out.len() % scorers.len(),
-            0,
-            "score buffer is not one row per scorer"
-        );
-        let n = out.len() / scorers.len();
-        if n == 0 {
-            return 0;
-        }
-        if let Some((sq, metric, queries)) = sq8_tile(scorers) {
-            use hermes_math::block::{sq8_ip_qtile_at, sq8_l2_qtile_at};
-            let queries = &queries[..scorers.len()];
-            match metric {
-                Metric::L2 => {
-                    sq8_l2_qtile_at(level, queries, &sq.mins, &sq.scales, segments, out, pace)
-                }
-                _ => sq8_ip_qtile_at(level, queries, &sq.mins, &sq.scales, segments, out, pace),
-            }
-            return n;
-        }
-        let mut idle = |_| {};
-        for (q, (scorer, out)) in scorers.iter().zip(out.chunks_exact_mut(n)).enumerate() {
-            // The codes are cold for the first scorer only.
-            let pace: &mut dyn FnMut(usize) = if q == 0 { &mut *pace } else { &mut idle };
-            scorer.score_segments_at(level, segments, out, pace);
-        }
-        n * scorers.len()
-    }
-
-    /// One scorer over the codes of `segments`, in order: PQ walks its
-    /// tables across the boundaries, the scalar codecs go segment by
-    /// segment.
-    fn score_segments_at(
+    /// As [`QueryScorer::score_segments`].
+    pub fn score_segments_at(
         &self,
         level: SimdLevel,
         segments: &[&[u8]],
         out: &mut [f32],
         pace: &mut dyn FnMut(usize),
     ) {
-        let cs = self.code_size();
-        let bytes: usize = segments.iter().map(|s| s.len()).sum();
-        assert_eq!(
-            bytes,
-            out.len() * cs,
-            "code block size mismatch: {bytes} bytes is not {} codes x {cs} bytes",
-            out.len()
-        );
         match self {
-            // Degenerate zero-dim codec: every code is empty.
-            _ if cs == 0 => out.fill(self.score(&[])),
+            // The block kernels check the segments' shape themselves.
+            QueryScorer::Sq {
+                sq, query, metric, ..
+            } if sq.bits == SqBits::B8 => {
+                use hermes_math::block::{sq8_ip_segments_at, sq8_l2_segments_at};
+                let kernel = match metric {
+                    Metric::L2 => sq8_l2_segments_at,
+                    Metric::InnerProduct | Metric::Cosine => sq8_ip_segments_at,
+                };
+                kernel(level, query, &sq.mins, &sq.scales, segments, out, pace);
+            }
             QueryScorer::Pq { tables, m } => {
                 hermes_math::block::adc_block_at(level, tables, *m, segments, out, pace)
             }
+            // Flat decodes four little-endian bytes per dim with a single
+            // sequential accumulator and SQ4 codes are packed nibbles:
+            // both stay scalar at every level (the deployment codecs are
+            // SQ8 and PQ — see DESIGN.md).
             _ => {
-                let mut at = 0;
+                let cs = self.code_size();
+                let bytes: usize = segments.iter().map(|s| s.len()).sum();
+                assert!(
+                    bytes == out.len() * cs
+                        && segments.iter().all(|s| cs == 0 || s.len() % cs == 0),
+                    "code block size mismatch: {bytes} bytes in {} segments is not {} codes x {cs} bytes",
+                    segments.len(),
+                    out.len()
+                );
+                if cs == 0 {
+                    // Degenerate zero-dim codec: every code is empty.
+                    out.fill(self.score(&[]));
+                    return;
+                }
+                let mut scores = out.iter_mut();
                 for codes in segments {
-                    let rows = codes.len() / cs;
-                    pace(rows);
-                    self.score_block_at(level, codes, &mut out[at..at + rows]);
-                    at += rows;
+                    pace(codes.len() / cs);
+                    for (code, o) in codes.chunks_exact(cs).zip(&mut scores) {
+                        *o = self.score(code);
+                    }
                 }
             }
         }
@@ -460,70 +427,8 @@ impl QueryScorer<'_> {
     ///
     /// Panics if `codes.len() != out.len() * self.code_size()`.
     pub fn score_block_at(&self, level: SimdLevel, codes: &[u8], out: &mut [f32]) {
-        let cs = self.code_size();
-        assert_eq!(
-            codes.len(),
-            out.len() * cs,
-            "code block size mismatch: {} bytes is not {} codes x {cs} bytes",
-            codes.len(),
-            out.len()
-        );
-        if cs == 0 {
-            // Degenerate zero-dim codec: every code is empty.
-            out.fill(self.score(&[]));
-            return;
-        }
-        match self {
-            QueryScorer::Sq {
-                sq, query, metric, ..
-            } => sq.score_block_at(level, codes, query, *metric, out),
-            QueryScorer::Pq { tables, m } => {
-                hermes_math::block::adc_block_at(level, tables, *m, &[codes], out, &mut |_| {})
-            }
-            // Flat decodes four little-endian bytes per dim with a single
-            // sequential accumulator; it stays scalar at every level (the
-            // deployment codecs are SQ8 and PQ — see DESIGN.md).
-            QueryScorer::Flat { .. } => {
-                for (o, code) in out.iter_mut().zip(codes.chunks_exact(cs)) {
-                    *o = self.score(code);
-                }
-            }
-        }
+        self.score_segments_at(level, &[codes], out, &mut |_| {});
     }
-}
-
-/// The shared quantizer, metric and query slices of `scorers` when they
-/// form one SQ8 query tile: all 8-bit SQ over the same quantizer and
-/// metric, non-degenerate, no more than `QTILE` of them.
-fn sq8_tile<'s>(
-    scorers: &[&'s QueryScorer<'_>],
-) -> Option<(
-    &'s ScalarQuantizer,
-    Metric,
-    [&'s [f32]; hermes_math::block::QTILE],
-)> {
-    let QueryScorer::Sq {
-        sq, metric, query, ..
-    } = scorers[0]
-    else {
-        return None;
-    };
-    if sq.bits != SqBits::B8 || sq.dim() == 0 || scorers.len() > QTILE {
-        return None;
-    }
-    let mut queries = [&query[..]; QTILE];
-    for (slot, scorer) in queries.iter_mut().zip(scorers) {
-        match scorer {
-            QueryScorer::Sq {
-                sq: other,
-                metric: m,
-                query,
-                ..
-            } if std::ptr::eq(*other, *sq) && m == metric => *slot = &query[..],
-            _ => return None,
-        }
-    }
-    Some((sq, *metric, queries))
 }
 
 /// A rigorous upper bound on the scores of an SQ8 inner-product scorer,
@@ -666,7 +571,7 @@ impl Sq8Bound {
     /// The integer part of the bound for every code of `segments`, in
     /// order: `out[i] = I(code_i)`, at the process-wide [`simd_level`]
     /// (the sums are integers — every level returns the same ones).
-    /// `pace` as in [`QueryScorer::score_tile`].
+    /// `pace` as in [`QueryScorer::score_segments`].
     ///
     /// # Panics
     ///
@@ -842,48 +747,6 @@ impl ScalarQuantizer {
             }
         }
         out
-    }
-
-    /// Blocked form of [`ScalarQuantizer::score`]: per code the same
-    /// dequantize-and-accumulate operation order at every dispatch
-    /// level (tier A — bit-identical). SQ8 routes through the
-    /// level-dispatched `hermes_math::block` kernels, which vectorize
-    /// across codes and share the per-dimension `(q, min, scale)`
-    /// constants across a tile of codes; B4 codes (packed nibbles) take
-    /// the scalar path at every level.
-    fn score_block_at(
-        &self,
-        level: SimdLevel,
-        codes: &[u8],
-        query: &[f32],
-        metric: Metric,
-        out: &mut [f32],
-    ) {
-        let cs = self.code_size();
-        if self.bits == SqBits::B8 {
-            match metric {
-                Metric::InnerProduct | Metric::Cosine => hermes_math::block::sq8_ip_block_at(
-                    level,
-                    query,
-                    &self.mins,
-                    &self.scales,
-                    codes,
-                    out,
-                ),
-                Metric::L2 => hermes_math::block::sq8_l2_block_at(
-                    level,
-                    query,
-                    &self.mins,
-                    &self.scales,
-                    codes,
-                    out,
-                ),
-            }
-            return;
-        }
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = self.score(&codes[r * cs..(r + 1) * cs], query, metric);
-        }
     }
 
     fn score(&self, code: &[u8], query: &[f32], metric: Metric) -> f32 {
@@ -1277,10 +1140,10 @@ mod tests {
         ];
         // Dimensions on both sides of the 8-byte transpose chunk; every
         // code count 0..=70 (each ragged tail of one and two 8-code
-        // tiles, past a 64-code block); every query-tile width.
+        // tiles, past a 64-code block).
         for dim in [1usize, 7, 8, 12, 17, 33, 64, 80] {
             let data = gaussian_data(70, dim, 21 + dim as u64);
-            let queries = gaussian_data(QTILE, dim, 99 + dim as u64);
+            let query = gaussian_data(1, dim, 99 + dim as u64);
             for spec in specs {
                 if matches!(spec, CodecSpec::Pq { m } if dim % m != 0) {
                     continue;
@@ -1292,16 +1155,10 @@ mod tests {
                 }
                 let cs = codec.code_size();
                 for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
-                    let scorers: Vec<QueryScorer<'_>> = queries
-                        .iter_rows()
-                        .map(|q| codec.query_scorer(q, metric))
-                        .collect();
-                    // The reference: one plain `score` per (query, code).
-                    let want: Vec<Vec<f32>> = scorers
-                        .iter()
-                        .map(|s| codes.chunks_exact(cs).map(|c| s.score(c)).collect())
-                        .collect();
-                    // Non-SQ8 codecs score scorer by scorer whatever the
+                    let scorer = codec.query_scorer(query.row(0), metric);
+                    // The reference: one plain `score` per code.
+                    let want: Vec<f32> = codes.chunks_exact(cs).map(|c| scorer.score(c)).collect();
+                    // Non-SQ8 codecs score code by code whatever the
                     // code count; a few counts cover them.
                     let counts: Vec<usize> = if spec == CodecSpec::Sq8 {
                         (0..=70).collect()
@@ -1311,18 +1168,18 @@ mod tests {
                     for &n in &counts {
                         let block = &codes[..n * cs];
                         let mut out = vec![0.0f32; n];
-                        scorers[0].score_block(block, &mut out);
+                        scorer.score_block(block, &mut out);
                         for (i, got) in out.iter().enumerate() {
                             assert_eq!(
                                 got.to_bits(),
-                                want[0][i].to_bits(),
+                                want[i].to_bits(),
                                 "{spec} {metric} d{dim} n{n} code {i}"
                             );
                         }
                         // Tier A: the same bit-identity at every runnable
-                        // dispatch level, every tile width, and with the
-                        // block cut into list-like segments (an empty and
-                        // a 1-code one included) that split the tiles.
+                        // dispatch level, and with the block cut into
+                        // list-like segments (an empty and a 1-code one
+                        // included) that split the tiles.
                         let mut cuts = [0, n.min(1), n.min(1), n / 3, n * 5 / 6, n];
                         cuts.sort_unstable();
                         let cut: Vec<&[u8]> = cuts
@@ -1330,60 +1187,26 @@ mod tests {
                             .map(|w| &block[w[0] * cs..w[1] * cs])
                             .collect();
                         for level in SimdLevel::available() {
-                            for width in 1..=QTILE {
-                                for segments in [&[block][..], &cut] {
-                                    let tile: Vec<&QueryScorer<'_>> =
-                                        scorers[..width].iter().collect();
-                                    let mut out = vec![0.0f32; width * n];
-                                    let mut paced = 0;
-                                    let scored = QueryScorer::score_tile_at(
-                                        level,
-                                        &tile,
-                                        segments,
-                                        &mut out,
-                                        &mut |rows| paced += rows,
+                            for segments in [&[block][..], &cut] {
+                                let mut out = vec![0.0f32; n];
+                                let mut paced = 0;
+                                scorer.score_segments_at(level, segments, &mut out, &mut |rows| {
+                                    paced += rows
+                                });
+                                assert_eq!(paced, n, "every code is paced once");
+                                for i in 0..n {
+                                    assert_eq!(
+                                        out[i].to_bits(),
+                                        want[i].to_bits(),
+                                        "{spec} {metric} {level} d{dim} n{n} x{} code {i}",
+                                        segments.len()
                                     );
-                                    assert_eq!(paced, n, "every code is paced once");
-                                    let shared = spec == CodecSpec::Sq8;
-                                    assert_eq!(scored, if shared { n } else { n * width });
-                                    for (qi, row) in want[..width].iter().enumerate() {
-                                        for i in 0..n {
-                                            assert_eq!(
-                                                out[qi * n + i].to_bits(),
-                                                row[i].to_bits(),
-                                                "{spec} {metric} {level} d{dim} n{n} Q{width} x{} q{qi} code {i}",
-                                                segments.len()
-                                            );
-                                        }
-                                    }
                                 }
                             }
                         }
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn score_tile_of_mixed_scorers_scores_each_alone() {
-        // Scorers over different metrics (or codecs) cannot share a
-        // dequantized value; the tile degrades to one pass per scorer.
-        let data = gaussian_data(20, 8, 31);
-        let codec = Codec::train(CodecSpec::Sq8, &data, 0);
-        let mut codes = Vec::new();
-        for row in data.iter_rows() {
-            codec.encode_into(row, &mut codes);
-        }
-        let ip = codec.query_scorer(data.row(0), Metric::InnerProduct);
-        let l2 = codec.query_scorer(data.row(1), Metric::L2);
-        let mut out = vec![0.0f32; 40];
-        let segments = [&codes[..24], &codes[24..]];
-        let scored = QueryScorer::score_tile(&[&ip, &l2], &segments, &mut out, &mut |_| {});
-        assert_eq!(scored, 40);
-        for (i, code) in codes.chunks_exact(8).enumerate() {
-            assert_eq!(out[i].to_bits(), ip.score(code).to_bits());
-            assert_eq!(out[20 + i].to_bits(), l2.score(code).to_bits());
         }
     }
 

@@ -268,17 +268,13 @@ fn adversarial_top_k_sets_agree_across_levels() {
 
 /// Tier A on hostile data: an SQ8 codec trained on the adversarial rows
 /// themselves must score bit-identically to per-code scoring at every
-/// dispatch level, for every query-tile width (the case's query plus
-/// its first rows as further adversarial queries) and every prefix
-/// length of the code block, cut into 1..=6 segments the way a row plan
-/// cuts it into inverted lists (empty segments included, tiles
-/// straddling the cuts) — dequantization does no reassociation, so not
-/// even subnormal mins or astronomical scales may move a bit, and
-/// neither how many queries share a dequantized value nor which codes
-/// share a tile ever shows.
+/// dispatch level, for every prefix length of the code block, cut into
+/// 1..=6 segments the way a row plan cuts it into inverted lists (empty
+/// segments included, tiles straddling the cuts) — dequantization does
+/// no reassociation, so not even subnormal mins or astronomical scales
+/// may move a bit, and which codes share a tile never shows.
 #[test]
 fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
-    use hermes::math::block::QTILE;
     check_with(
         "sq8_trained_on_adversarial_data_is_bit_identical_across_levels",
         &cfg(16),
@@ -290,55 +286,32 @@ fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
             for row in &case.rows {
                 codec.encode_into(row, &mut codes);
             }
-            let queries: Vec<&[f32]> = std::iter::once(case.query.as_slice())
-                .chain(case.rows.iter().map(Vec::as_slice))
-                .take(QTILE)
-                .collect();
             for metric in METRICS {
-                let scorers: Vec<_> = queries
-                    .iter()
-                    .map(|q| codec.query_scorer(q, metric))
-                    .collect();
-                let cs = scorers[0].code_size();
-                let want: Vec<Vec<f32>> = scorers
-                    .iter()
-                    .map(|s| codes.chunks_exact(cs).map(|c| s.score(c)).collect())
-                    .collect();
+                let scorer = codec.query_scorer(&case.query, metric);
+                let cs = scorer.code_size();
+                let want: Vec<f32> = codes.chunks_exact(cs).map(|c| scorer.score(c)).collect();
                 for level in SimdLevel::available() {
-                    for width in 1..=scorers.len() {
-                        let tile: Vec<_> = scorers[..width].iter().collect();
-                        for n in 0..=case.rows.len() {
-                            let mut got = vec![0.0f32; width * n];
-                            let cuts = 1 + (n + width) % 6;
-                            let segments: Vec<&[u8]> = (0..cuts)
-                                .map(|j| &codes[n * j / cuts * cs..n * (j + 1) / cuts * cs])
-                                .collect();
-                            hermes::quant::QueryScorer::score_tile_at(
+                    for n in 0..=case.rows.len() {
+                        let mut got = vec![0.0f32; n];
+                        let cuts = 1 + (n + 1) % 6;
+                        let segments: Vec<&[u8]> = (0..cuts)
+                            .map(|j| &codes[n * j / cuts * cs..n * (j + 1) / cuts * cs])
+                            .collect();
+                        scorer.score_segments_at(level, &segments, &mut got, &mut |_| {});
+                        for i in 0..n {
+                            let (g, w) = (got[i], want[i]);
+                            prop_assert!(
+                                g.to_bits() == w.to_bits(),
+                                "{} {} n{} code {}: {:e} ({:#010x}) vs {:e} ({:#010x})",
                                 level,
-                                &tile,
-                                &segments,
-                                &mut got,
-                                &mut |_| {},
+                                metric,
+                                n,
+                                i,
+                                g,
+                                g.to_bits(),
+                                w,
+                                w.to_bits()
                             );
-                            for (qi, row) in want[..width].iter().enumerate() {
-                                for i in 0..n {
-                                    let (g, w) = (got[qi * n + i], row[i]);
-                                    prop_assert!(
-                                        g.to_bits() == w.to_bits(),
-                                        "{} {} Q{} n{} query {} code {}: {:e} ({:#010x}) vs {:e} ({:#010x})",
-                                        level,
-                                        metric,
-                                        width,
-                                        n,
-                                        qi,
-                                        i,
-                                        g,
-                                        g.to_bits(),
-                                        w,
-                                        w.to_bits()
-                                    );
-                                }
-                            }
                         }
                     }
                 }

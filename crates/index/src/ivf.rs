@@ -864,11 +864,13 @@ impl IvfIndex {
     ///
     /// * **filter → compact → rescore**, if the scorer has a
     ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the selector is full:
-    ///   the bound's integer sums are computed for every row, the rows
-    ///   whose sum reaches the [`floor`](hermes_quant::Sq8Bound::floor)
-    ///   of the selector's threshold — all that could still be admitted,
-    ///   a few in a hundred — are compacted (tombstoned rows dropped on
-    ///   the way) into one-row segments, and the exact kernel scores just
+    ///   the bound's kernel compares every row's integer sum with the
+    ///   [`floor`](hermes_quant::Sq8Bound::floor) of the selector's
+    ///   threshold and writes a survivor bit a row
+    ///   ([`survivors`](hermes_quant::Sq8Bound::survivors)); the rows it
+    ///   keeps — all that could still be admitted, a few in a hundred —
+    ///   are compacted off the mask bits (tombstoned rows dropped on the
+    ///   way) into one-row segments, and the exact kernel scores just
     ///   those, in row order, for one [`TopK::push_block`];
     /// * **exact** otherwise: the kernel scores every row, and the score
     ///   row feeds the selector's `push_block`, list by list.
@@ -982,17 +984,18 @@ impl IvfIndex {
                     Some((bound, bound.floor(top.threshold(), offset.unwrap_or(0.0))?))
                 });
                 if let Some((bound, floor)) = gate {
-                    bound.sums(segments, &mut chunk.sums[..rows], &mut pace);
-                    // Survivors in row order, eight sums to a compare
-                    // mask; `part` follows them.
+                    let used = rows.div_ceil(8);
+                    bound.survivors(segments, rows, floor, &mut chunk.masks[..used], &mut pace);
+                    // Survivors in row order, straight off the kernel's
+                    // mask bits, 64 rows a word (the word's bytes past the
+                    // chunk cleared); `part` follows them.
+                    let words = used.div_ceil(8);
+                    chunk.masks[used..words * 8].fill(0);
                     let (mut n, mut part, mut part_from) = (0, 0, 0);
-                    for (g, sums) in chunk.sums[..rows].chunks(8).enumerate() {
-                        let mut mask = 0u32;
-                        for (j, &sum) in sums.iter().enumerate() {
-                            mask |= u32::from(sum >= floor) << j;
-                        }
+                    for (w, word) in chunk.masks[..words * 8].chunks_exact(8).enumerate() {
+                        let mut mask = u64::from_le_bytes(word.try_into().expect("8 bytes"));
                         while mask != 0 {
-                            let row = g * 8 + mask.trailing_zeros() as usize;
+                            let row = w * 64 + mask.trailing_zeros() as usize;
                             mask &= mask - 1;
                             while row >= part_from + parts[part].len as usize {
                                 part_from += parts[part].len as usize;
@@ -1118,9 +1121,9 @@ struct Chunk {
     live_ids: [u64; CHUNK_ROWS],
     live_at: [u8; CHUNK_ROWS],
     live_scores: [f32; CHUNK_ROWS],
-    /// The bound sums over the chunk, and the ids of the rows that
-    /// survive them.
-    sums: [i32; CHUNK_ROWS],
+    /// The bound's survivor mask over the chunk, a bit a row, and the ids
+    /// of the rows it keeps.
+    masks: [u8; CHUNK_ROWS / 8],
     kept_ids: [u64; CHUNK_ROWS],
 }
 
@@ -1132,7 +1135,7 @@ impl Default for Chunk {
             live_ids: [0; CHUNK_ROWS],
             live_at: [0; CHUNK_ROWS],
             live_scores: [0.0; CHUNK_ROWS],
-            sums: [0; CHUNK_ROWS],
+            masks: [0; CHUNK_ROWS / 8],
             kept_ids: [0; CHUNK_ROWS],
         }
     }

@@ -29,6 +29,10 @@
 //! assert_ne!(a, b);
 //! ```
 
+use hermes_math::block::l2_sq_keys_block;
+/// The two halves of a [`KMeans::probe_keys`] key, unpacked where the
+/// key layout is defined ([`hermes_math::block::probe_key`]).
+pub use hermes_math::block::{probe_key_centroid, probe_key_distance};
 use hermes_math::distance::l2_sq;
 use hermes_math::rng::{derive_seed, seeded_rng, SeededRng};
 use hermes_math::stats::imbalance_ratio;
@@ -192,14 +196,14 @@ impl KMeans {
     /// query `q`'s keys are `keys[q * k..(q + 1) * k]` for `k =
     /// self.num_clusters()` — in **one pass over the centroid table** for
     /// the whole group: each centroid block is scored against every query
-    /// while it is cache-hot. A key packs the squared distance and the
-    /// centroid index so that plain `u64` order is the probe ranking:
-    /// ascending distance under [`f32::total_cmp`], ties by ascending
-    /// centroid index — a total order, and on finite distances exactly
-    /// the order of a stable sort by distance (`l2_sq` never yields
-    /// `-0.0`). Distances are bit-identical to scoring each query alone.
-    /// Feed a query's slice to [`select_nearest`] to pick its probe set
-    /// and read the centroids back with [`probe_key_centroid`].
+    /// while it is cache-hot. A key
+    /// ([`probe_key`](hermes_math::block::probe_key)) packs the squared
+    /// distance and the centroid index so that plain `u64` order is the
+    /// probe ranking: ascending distance under [`f32::total_cmp`], ties by
+    /// ascending centroid index. The kernel writes the keys itself
+    /// ([`l2_sq_keys_block`]); distances are bit-identical to scoring each
+    /// query alone. Feed a query's slice to [`select_nearest`] to pick its
+    /// probe set and read the centroids back with [`probe_key_centroid`].
     ///
     /// `keys` is resized, not cleared: every slot is overwritten, so a
     /// buffer reused from scan to scan is neither reallocated nor
@@ -214,30 +218,17 @@ impl KMeans {
         queries: impl Iterator<Item = &'q [f32]> + Clone,
         keys: &mut Vec<u64>,
     ) {
-        use hermes_math::block::{l2_sq_block, BLOCK};
+        use hermes_math::block::BLOCK;
         let k = self.centroids.rows();
         let dim = self.centroids.cols();
         let table = self.centroids.as_slice();
         keys.resize(queries.clone().count() * k, 0);
-        let mut dists = [0.0f32; BLOCK];
         for base in (0..k).step_by(BLOCK) {
             let bn = BLOCK.min(k - base);
             let rows = &table[base * dim..(base + bn) * dim];
             for (q, query) in queries.clone().enumerate() {
-                l2_sq_block(query, rows, dim, &mut dists[..bn]);
                 let slots = &mut keys[q * k + base..q * k + base + bn];
-                for (j, (slot, &d)) in slots.iter_mut().zip(&dists).enumerate() {
-                    // Sign-magnitude float bits to an unsigned key in
-                    // `total_cmp` order: negatives flip entirely,
-                    // positives flip the sign bit.
-                    let bits = d.to_bits();
-                    let ordered = if bits >> 31 == 1 {
-                        !bits
-                    } else {
-                        bits | 1 << 31
-                    };
-                    *slot = u64::from(ordered) << 32 | (base + j) as u64;
-                }
+                l2_sq_keys_block(query, rows, dim, base as u32, slots);
             }
         }
     }
@@ -287,18 +278,6 @@ impl hermes_math::wire::WireDecode for KMeans {
         }
         Ok(KMeans::from_centroids(centroids, sizes))
     }
-}
-
-/// The centroid index packed into a [`KMeans::probe_keys`] key.
-pub fn probe_key_centroid(key: u64) -> usize {
-    key as u32 as usize
-}
-
-/// The distance half of a [`KMeans::probe_keys`] key: `u32` order is the
-/// [`f32::total_cmp`] order of the squared distances, so keys of
-/// *different* models over one embedding space compare by it.
-pub fn probe_key_distance(key: u64) -> u32 {
-    (key >> 32) as u32
 }
 
 /// Moves the `n` nearest of one query's [`KMeans::probe_keys`] to the
@@ -880,6 +859,52 @@ mod tests {
         for (q, keys) in group.iter().zip(all.chunks_exact(70)) {
             model.probe_keys([*q].into_iter(), &mut one);
             assert_eq!(keys, &one[..]);
+        }
+    }
+
+    #[test]
+    fn probe_keys_are_the_packed_block_distances() {
+        use hermes_math::block::l2_sq_block;
+        // Table sizes below, at and around one 8-row tile and one block,
+        // and the benchmark's 313; dims with and without a tail. One
+        // entry in 64 is NaN, an infinity, a signed zero or a subnormal,
+        // so NaN distances (sign bit set on x86) take the negative branch
+        // of the key map.
+        let mut rng = seeded_rng(0x9E7);
+        let value = |rng: &mut SeededRng| match rng.gen_range(0..64usize) {
+            0 => {
+                [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1e-40][rng.gen_range(0..5usize)]
+            }
+            _ => rng.next_f32() * 2.0 - 1.0,
+        };
+        for dim in [3usize, 16, 64] {
+            for nlist in [1usize, 7, 8, 9, 64, 313] {
+                let table: Vec<f32> = (0..nlist * dim).map(|_| value(&mut rng)).collect();
+                let model =
+                    KMeans::from_centroids(Mat::from_flat(nlist, dim, table), vec![1; nlist]);
+                let queries: Vec<Vec<f32>> = (0..8)
+                    .map(|_| (0..dim).map(|_| value(&mut rng)).collect())
+                    .collect();
+                let group: Vec<&[f32]> = queries.iter().map(|q| &q[..]).collect();
+                let mut all = Vec::new();
+                model.probe_keys(group.iter().copied(), &mut all);
+                let (mut one, mut dists) = (Vec::new(), vec![0.0f32; nlist]);
+                for (q, keys) in group.iter().zip(all.chunks_exact(nlist)) {
+                    model.probe_keys([*q].into_iter(), &mut one);
+                    assert_eq!(keys, &one[..], "d{dim} nlist {nlist}: group vs alone");
+                    l2_sq_block(q, model.centroids().as_slice(), dim, &mut dists);
+                    for (c, (&key, &d)) in keys.iter().zip(&dists).enumerate() {
+                        let bits = d.to_bits();
+                        let ordered = if bits >> 31 == 1 {
+                            !bits
+                        } else {
+                            bits | 1 << 31
+                        };
+                        let want = u64::from(ordered) << 32 | c as u64;
+                        assert_eq!(key, want, "d{dim} nlist {nlist} centroid {c}: {d}");
+                    }
+                }
+            }
         }
     }
 

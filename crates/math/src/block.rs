@@ -63,7 +63,9 @@ pub const BLOCK: usize = 64;
 
 /// Rows per register tile inside a kernel: `TILE` independent
 /// accumulator sets stay live so one loaded query chunk is reused
-/// `TILE` times.
+/// `TILE` times. The AVX2 L2 block ([`l2_sq_block_at`],
+/// [`l2_sq_keys_block_at`]) tiles eight rows and leaves the last
+/// `n % 8` to this tile and the single-row kernel.
 pub const TILE: usize = 4;
 
 #[inline(always)]
@@ -321,6 +323,12 @@ pub fn inner_product_block(query: &[f32], rows: &[f32], dim: usize, out: &mut [f
 /// Panics if `query.len() != dim` or `rows.len() != out.len() * dim`.
 pub fn l2_sq_block_at(level: SimdLevel, query: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
     validate_block(query, rows, dim, out.len());
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 && level.is_supported() {
+        // SAFETY: AVX2 and FMA were just detected; the kernel slices
+        // every operand, so shapes are checked there.
+        return unsafe { crate::simd::avx2::l2_block(query, rows, out) };
+    }
     let n = out.len();
     let mut t4 = [0.0f32; TILE];
     let mut r = 0;
@@ -338,6 +346,81 @@ pub fn l2_sq_block_at(level: SimdLevel, query: &[f32], rows: &[f32], dim: usize,
 /// [`l2_sq_block_at`] at the process-wide dispatch level.
 pub fn l2_sq_block(query: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
     l2_sq_block_at(simd_level(), query, rows, dim, out);
+}
+
+/// A coarse-probe key: a squared distance and the index of the row it
+/// was measured to, packed so that plain `u64` order is ascending
+/// distance under [`f32::total_cmp`], ties by ascending index — a total
+/// order, and on finite distances exactly the order of a stable sort by
+/// distance (`l2_sq` never yields `-0.0`). The high half is the
+/// distance's bits mapped to `total_cmp` order (a negative flips every
+/// bit, anything else its sign bit), the low half the index.
+/// [`probe_key_distance`] and [`probe_key_centroid`] unpack one.
+#[inline]
+pub fn probe_key(distance: f32, index: u32) -> u64 {
+    let bits = distance.to_bits();
+    let ordered = bits ^ ((bits as i32 >> 31) as u32 | 1 << 31);
+    u64::from(ordered) << 32 | u64::from(index)
+}
+
+/// The row index packed into a [`probe_key`] — the centroid, where the
+/// rows are a coarse quantizer's table.
+#[inline]
+pub fn probe_key_centroid(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// The distance half of a [`probe_key`]: `u32` order is the
+/// [`f32::total_cmp`] order of the squared distances, so keys measured
+/// against *different* tables of one embedding space compare by it.
+#[inline]
+pub fn probe_key_distance(key: u64) -> u32 {
+    (key >> 32) as u32
+}
+
+/// [`l2_sq_block_at`] written as [`probe_key`]s: `keys[i]` packs the
+/// squared distance of `query` to row `i` of the block — bit-identical
+/// to `l2_sq_block_at`'s — with the index `first + i`. The AVX2 form
+/// packs eight keys in registers straight from its 8-row tile; the
+/// others pack the distances of `l2_sq_block_at`.
+///
+/// # Panics
+///
+/// Panics if `query.len() != dim`, `rows.len() != keys.len() * dim` or
+/// `first + keys.len()` exceeds `2^32`.
+pub fn l2_sq_keys_block_at(
+    level: SimdLevel,
+    query: &[f32],
+    rows: &[f32],
+    dim: usize,
+    first: u32,
+    keys: &mut [u64],
+) {
+    validate_block(query, rows, dim, keys.len());
+    assert!(
+        u64::from(first) + keys.len() as u64 <= 1 << 32,
+        "probe-key indices past u32::MAX"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if level == SimdLevel::Avx2 && level.is_supported() {
+        // SAFETY: AVX2 and FMA were just detected and the indices fit a
+        // `u32` (asserted above); the kernel checks shapes.
+        return unsafe { crate::simd::avx2::l2_keys_block(query, rows, first, keys) };
+    }
+    let mut dists = [0.0f32; BLOCK];
+    for (c, keys) in keys.chunks_mut(BLOCK).enumerate() {
+        let from = c * BLOCK;
+        let block = &rows[from * dim..(from + keys.len()) * dim];
+        l2_sq_block_at(level, query, block, dim, &mut dists[..keys.len()]);
+        for (j, (key, &d)) in keys.iter_mut().zip(&dists).enumerate() {
+            *key = probe_key(d, first + (from + j) as u32);
+        }
+    }
+}
+
+/// [`l2_sq_keys_block_at`] at the process-wide dispatch level.
+pub fn l2_sq_keys_block(query: &[f32], rows: &[f32], dim: usize, first: u32, keys: &mut [u64]) {
+    l2_sq_keys_block_at(simd_level(), query, rows, dim, first, keys);
 }
 
 /// Cosine similarity of `query` to each row of a contiguous block at an
@@ -728,8 +811,8 @@ pub const SQ8_WEIGHT_MAX: i8 = 63;
 /// changes is the cost (AVX2: about a sixth of the µops of the f32 SQ8
 /// kernel per code, for codes of 32 bytes and more). This is not a score:
 /// it is the integer part of an *upper bound* on one (`hermes_quant`'s
-/// `Sq8Bound`), computed for every streamed code so that the exact kernel
-/// need only see the few codes the bound cannot rule out. `pace` is
+/// `Sq8Bound`). A scan wants only its comparison with a floor, which
+/// [`sq8_dot_i8_mask_at`] returns from the same kernel body. `pace` is
 /// called like [`sq8_ip_segments_at`]'s.
 ///
 /// # Panics
@@ -745,6 +828,69 @@ pub fn sq8_dot_i8_at(
     out: &mut [i32],
     pace: &mut dyn FnMut(usize),
 ) {
+    validate_dot_i8(weights, segments, out.len());
+    if weights.is_empty() {
+        out.fill(0);
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if dot_i8_runs_avx2(level, weights, out.len()) {
+        // SAFETY: AVX2 was just detected, the codes are at least 32
+        // bytes, `out` is not empty, and `validate_dot_i8` checked the
+        // weights' range and that the segments are `out.len()` whole
+        // codes.
+        return unsafe { crate::simd::avx2::sq8_dot_i8(weights, segments, out, pace) };
+    }
+    let _ = level;
+    sq8_dot_i8_scalar(weights, segments, pace, |i, sum| out[i] = sum);
+}
+
+/// The survivors of a floor among [`sq8_dot_i8_at`]'s sums, eight codes a
+/// byte: bit `j` of `masks[g]` is set iff code `8 g + j` of the `n` codes
+/// of `segments` has `Σ_d weights[d] * code[d] >= floor` — for every
+/// `i32` floor, `i32::MIN` (everything survives) included. Bits past the
+/// last code are clear. The AVX2 form compares the eight sums of a tile
+/// in the register that holds them and writes only the byte; the other
+/// levels compare their exact sums, so every level writes the same bytes.
+/// `pace` as in [`sq8_dot_i8_at`].
+///
+/// # Panics
+///
+/// As [`sq8_dot_i8_at`] with `n` codes, and if `masks.len() !=
+/// n.div_ceil(8)`.
+pub fn sq8_dot_i8_mask_at(
+    level: SimdLevel,
+    weights: &[i8],
+    segments: &[&[u8]],
+    n: usize,
+    floor: i32,
+    masks: &mut [u8],
+    pace: &mut dyn FnMut(usize),
+) {
+    validate_dot_i8(weights, segments, n);
+    assert_eq!(masks.len(), n.div_ceil(8), "one mask byte per eight codes");
+    #[cfg(target_arch = "x86_64")]
+    if dot_i8_runs_avx2(level, weights, n) {
+        // SAFETY: as in `sq8_dot_i8_at`, and `masks` was sized above.
+        return unsafe {
+            crate::simd::avx2::sq8_dot_i8_mask(weights, segments, n, floor, masks, pace)
+        };
+    }
+    let _ = level;
+    masks.fill(0);
+    let mut mark = |i: usize, sum: i32| masks[i / 8] |= u8::from(sum >= floor) << (i % 8);
+    if weights.is_empty() {
+        // Zero-byte codes: every sum is the empty one.
+        (0..n).for_each(|i| mark(i, 0));
+    } else {
+        sq8_dot_i8_scalar(weights, segments, pace, mark);
+    }
+}
+
+/// The shape checks shared by [`sq8_dot_i8_at`] and
+/// [`sq8_dot_i8_mask_at`].
+#[track_caller]
+fn validate_dot_i8(weights: &[i8], segments: &[&[u8]], n: usize) {
     let dim = weights.len();
     assert!(
         weights.iter().all(|w| w.unsigned_abs() <= SQ8_WEIGHT_MAX as u8),
@@ -754,25 +900,38 @@ pub fn sq8_dot_i8_at(
         dim <= i32::MAX as usize / (255 * SQ8_WEIGHT_MAX as usize),
         "SQ8 bound sums of {dim}-byte codes could overflow"
     );
-    validate_segments(dim, segments, out.len(), "SQ8 code");
-    if dim == 0 {
-        out.fill(0);
-        return;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2 && level.is_supported() && dim >= 32 && !out.is_empty() {
-        // SAFETY: AVX2 was just detected, `dim >= 32`, `out` is not
-        // empty, and the asserts above checked the weights' range and
-        // that the segments are `out.len()` whole codes.
-        return unsafe { crate::simd::avx2::sq8_dot_i8(weights, segments, out, pace) };
-    }
-    // Integer arithmetic: every other level runs the portable form.
-    let _ = level;
-    let mut sums = out.iter_mut();
+    validate_segments(dim, segments, n, "SQ8 code");
+}
+
+/// Whether the integer kernels run their AVX2 form: codes of at least
+/// one 32-byte step, at least one code.
+#[cfg(target_arch = "x86_64")]
+fn dot_i8_runs_avx2(level: SimdLevel, weights: &[i8], n: usize) -> bool {
+    level == SimdLevel::Avx2 && level.is_supported() && weights.len() >= 32 && n > 0
+}
+
+/// The portable integer kernel: `each(i, sum)` for every code `i` of
+/// `segments`, in order, `pace` before each segment. Integer arithmetic,
+/// so it is every level's answer.
+fn sq8_dot_i8_scalar(
+    weights: &[i8],
+    segments: &[&[u8]],
+    pace: &mut dyn FnMut(usize),
+    mut each: impl FnMut(usize, i32),
+) {
+    let dim = weights.len();
+    let mut i = 0;
     for codes in segments {
         pace(codes.len() / dim);
-        for (code, sum) in codes.chunks_exact(dim).zip(&mut sums) {
-            *sum = code.iter().zip(weights).map(|(&c, &w)| i32::from(c) * i32::from(w)).sum();
+        for code in codes.chunks_exact(dim) {
+            each(
+                i,
+                code.iter()
+                    .zip(weights)
+                    .map(|(&c, &w)| i32::from(c) * i32::from(w))
+                    .sum(),
+            );
+            i += 1;
         }
     }
 }
@@ -1221,6 +1380,131 @@ mod tests {
                             w.to_bits(),
                             "{level} adc d{dim} n{n} {cuts:?} #{i}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Mostly uniform in `[-1, 1)`; one draw in `rare` is NaN, an
+    /// infinity, a signed zero or a subnormal.
+    fn adversarial(rng: &mut crate::rng::SeededRng, rare: usize) -> f32 {
+        const SPECIAL: [f32; 7] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1e-40,
+            -3e-39,
+        ];
+        if rng.gen_range(0..rare) == 0 {
+            SPECIAL[rng.gen_range(0..SPECIAL.len())]
+        } else {
+            rng.next_f32() * 2.0 - 1.0
+        }
+    }
+
+    /// The probe-key layout spelled out independently of [`probe_key`]:
+    /// `total_cmp`-ordered distance bits high, the index low.
+    fn reference_key(d: f32, index: u32) -> u64 {
+        let bits = d.to_bits();
+        let ordered = if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | 1 << 31
+        };
+        u64::from(ordered) << 32 | u64::from(index)
+    }
+
+    #[test]
+    fn l2_blocks_and_their_keys_are_the_levels_row_kernel_to_the_bit() {
+        // Every block length through five 8-row tiles and every 4-row /
+        // single-row remainder, every dimension tail; about one row in
+        // four carries a special value.
+        let mut rng = seeded_rng(0x8_7113);
+        for dim in 1..=80usize {
+            for n in 1..=40usize {
+                let rare = 4 * dim;
+                let query: Vec<f32> = (0..dim).map(|_| adversarial(&mut rng, rare)).collect();
+                let rows: Vec<f32> = (0..n * dim).map(|_| adversarial(&mut rng, rare)).collect();
+                // Index halves up to the last representable one.
+                let first = if n % 2 == 0 {
+                    u32::MAX - (n as u32 - 1)
+                } else {
+                    rng.gen_range(0..1 << 20)
+                };
+                for level in SimdLevel::available() {
+                    let mut out = vec![f32::NAN; n];
+                    l2_sq_block_at(level, &query, &rows, dim, &mut out);
+                    let mut keys = vec![0u64; n];
+                    l2_sq_keys_block_at(level, &query, &rows, dim, first, &mut keys);
+                    for (i, row) in rows.chunks_exact(dim).enumerate() {
+                        let want = l2_row_at(level, &query, row);
+                        assert_eq!(
+                            out[i].to_bits(),
+                            want.to_bits(),
+                            "{level} d{dim} n{n} row {i}: {} vs {want}",
+                            out[i]
+                        );
+                        let key = reference_key(want, first + i as u32);
+                        assert_eq!(keys[i], key, "{level} d{dim} n{n} key {i}");
+                        assert_eq!(probe_key(want, first + i as u32), key);
+                        assert_eq!(probe_key_centroid(key), (first + i as u32) as usize);
+                        assert_eq!(probe_key_distance(key), (key >> 32) as u32);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn survivor_masks_are_the_sums_against_the_floor_at_every_level() {
+        let mut rng = seeded_rng(0x5A7E);
+        // Dims on both sides of the AVX2 kernel's 32-byte minimum (and the
+        // zero-byte code); row counts around the 8-row group, ragged ones
+        // included; whole blocks, split tiles and one-row segments.
+        for dim in [0usize, 1, 17, 31, 32, 33, 64, 65, 96] {
+            for n in [1usize, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70] {
+                let weights: Vec<i8> = (0..dim)
+                    .map(|_| (rng.next_u64() % 127) as i8 - SQ8_WEIGHT_MAX)
+                    .collect();
+                let codes: Vec<u8> = (0..n * dim).map(|_| rng.next_u64() as u8).collect();
+                let sums: Vec<i32> = (0..n)
+                    .map(|i| {
+                        let code = &codes[i * dim..(i + 1) * dim];
+                        code.iter()
+                            .zip(&weights)
+                            .map(|(&c, &w)| i32::from(c) * i32::from(w))
+                            .sum()
+                    })
+                    .collect();
+                let mut floors = vec![i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX];
+                for row in [0, n / 2, n - 1, rng.gen_range(0..n)] {
+                    floors.extend([sums[row] - 1, sums[row], sums[row] + 1]);
+                }
+                let one_row: Vec<usize> = (1..n).collect();
+                for cuts in [&[][..], &[3, 3, 4, 12], &one_row] {
+                    let segments = cut(&codes, dim, n, cuts);
+                    for level in SimdLevel::available() {
+                        for &floor in &floors {
+                            let want: Vec<u8> = sums
+                                .chunks(8)
+                                .map(|g| {
+                                    g.iter()
+                                        .enumerate()
+                                        .fold(0u8, |m, (j, &s)| m | u8::from(s >= floor) << j)
+                                })
+                                .collect();
+                            let mut got = vec![0xA5u8; n.div_ceil(8)];
+                            let mut paced = 0;
+                            let pace = &mut |rows| paced += rows;
+                            sq8_dot_i8_mask_at(
+                                level, &weights, &segments, n, floor, &mut got, pace,
+                            );
+                            assert_eq!(got, want, "{level} d{dim} n{n} {cuts:?} floor {floor}");
+                            assert_eq!(paced, if dim == 0 { 0 } else { n }, "{level} d{dim} n{n}");
+                        }
                     }
                 }
             }

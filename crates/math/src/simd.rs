@@ -310,6 +310,47 @@ pub(crate) mod avx2 {
         sums
     }
 
+    /// [`hsum_in_order`] of eight accumulators at once, as one vector:
+    /// an 8 x 8 transpose leaves lane `j` of every accumulator in
+    /// `lane[j]`, so seven vector adds advance all eight rows' sums —
+    /// per row the same seven adds in the same left-to-right order.
+    #[inline]
+    #[target_feature(enable = "avx")]
+    unsafe fn hsum8_in_order(acc: &[__m256; 8]) -> __m256 {
+        // Row pairs, then row quads, per 128-bit half: `quad[i][j]`
+        // holds lanes `j` (low half) and `j + 4` (high half) of rows
+        // `4i..4i + 4`.
+        let quad: [[__m256; 4]; 2] = core::array::from_fn(|i| {
+            let a = &acc[4 * i..4 * i + 4];
+            let (p0, p1) = (
+                _mm256_unpacklo_ps(a[0], a[1]),
+                _mm256_unpackhi_ps(a[0], a[1]),
+            );
+            let (p2, p3) = (
+                _mm256_unpacklo_ps(a[2], a[3]),
+                _mm256_unpackhi_ps(a[2], a[3]),
+            );
+            [
+                _mm256_shuffle_ps::<0x44>(p0, p2),
+                _mm256_shuffle_ps::<0xEE>(p0, p2),
+                _mm256_shuffle_ps::<0x44>(p1, p3),
+                _mm256_shuffle_ps::<0xEE>(p1, p3),
+            ]
+        });
+        let lane = |j: usize| {
+            if j < 4 {
+                _mm256_permute2f128_ps::<0x20>(quad[0][j], quad[1][j])
+            } else {
+                _mm256_permute2f128_ps::<0x31>(quad[0][j - 4], quad[1][j - 4])
+            }
+        };
+        let mut sum = lane(0);
+        for j in 1..8 {
+            sum = _mm256_add_ps(sum, lane(j));
+        }
+        sum
+    }
+
     /// `q · x` with 8 fused lanes; bit-identical to
     /// `lane_ordered_fold(n, 8, |acc, i| q[i].mul_add(x[i], acc))`
     /// (`vfmadd` and `f32::mul_add` are both correctly-rounded fma).
@@ -419,6 +460,135 @@ pub(crate) mod avx2 {
             }
             out[t] = sum;
         }
+    }
+
+    /// Squared distances of `q` to the eight consecutive `q.len()`-float
+    /// rows of `rows`, lane `t` row `t`: eight independent `fmadd` chains
+    /// over the 8-float chunks, [`hsum8_in_order`], then each row's
+    /// scalar `mul_add` tail — per row exactly [`l2_row`]'s operations.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. Shapes are checked.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn l2_tile8(q: &[f32], rows: &[f32]) -> __m256 {
+        let n = q.len();
+        assert_eq!(rows.len(), 8 * n, "eight rows of the query's length");
+        let chunks = n / 8;
+        let mut acc = [_mm256_setzero_ps(); 8];
+        for c in 0..chunks {
+            let b = c * 8;
+            let qa = _mm256_loadu_ps(q.as_ptr().add(b));
+            for (t, acc) in acc.iter_mut().enumerate() {
+                let xa = _mm256_loadu_ps(rows.as_ptr().add(t * n + b));
+                let d = _mm256_sub_ps(qa, xa);
+                *acc = _mm256_fmadd_ps(d, d, *acc);
+            }
+        }
+        let sums = hsum8_in_order(&acc);
+        if chunks * 8 == n {
+            return sums;
+        }
+        let mut lanes = [0.0f32; 8];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), sums);
+        for (sum, row) in lanes.iter_mut().zip(rows.chunks_exact(n)) {
+            for i in chunks * 8..n {
+                let d = q[i] - row[i];
+                *sum = d.mul_add(d, *sum);
+            }
+        }
+        _mm256_loadu_ps(lanes.as_ptr())
+    }
+
+    /// Squared distances of `q` to the `n` consecutive `q.len()`-float
+    /// rows of `rows`, in row order, handed to `tile(r, len, v)` as lanes
+    /// `0..len` of `v` for rows `r..r + len`: eight at a time through
+    /// [`l2_tile8`], the last `n % 8` through [`l2_tile4`] and [`l2_row`]
+    /// — every distance bit-identical to [`l2_row`]. The one tile body
+    /// behind the distance block and the probe-key block.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. Shapes are checked.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn l2_rows(
+        q: &[f32],
+        rows: &[f32],
+        n: usize,
+        mut tile: impl FnMut(usize, usize, __m256),
+    ) {
+        let dim = q.len();
+        let at = |r: usize, len: usize| &rows[r * dim..(r + len) * dim];
+        let mut r = 0;
+        while r + 8 <= n {
+            tile(r, 8, l2_tile8(q, at(r, 8)));
+            r += 8;
+        }
+        if r < n {
+            let mut lanes = [0.0f32; 8];
+            let (rest, mut done) = (n - r, 0);
+            if rest >= 4 {
+                let x = at(r, 4);
+                let four = core::array::from_fn(|t| &x[t * dim..(t + 1) * dim]);
+                l2_tile4(q, four, (&mut lanes[..4]).try_into().expect("4 lanes"));
+                done = 4;
+            }
+            for (t, lane) in lanes[..rest].iter_mut().enumerate().skip(done) {
+                *lane = l2_row(q, at(r + t, 1));
+            }
+            tile(r, rest, _mm256_loadu_ps(lanes.as_ptr()));
+        }
+    }
+
+    /// `out[i] = ||q - row_i||²` over the `out.len()` rows of `rows`; per
+    /// row identical to [`l2_row`] (see [`l2_rows`]).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA. Shapes are checked.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn l2_block(q: &[f32], rows: &[f32], out: &mut [f32]) {
+        l2_rows(q, rows, out.len(), |r, _, v| store_lanes(out, r, v));
+    }
+
+    /// [`l2_block`] packed into probe keys (`crate::block::probe_key`)
+    /// of rows `first, first + 1, ...`, in registers eight at a time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `first + keys.len()` must
+    /// not exceed `2^32`. Shapes are checked.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn l2_keys_block(q: &[f32], rows: &[f32], first: u32, keys: &mut [u64]) {
+        let step = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        l2_rows(q, rows, keys.len(), |r, len, v| {
+            let bits = _mm256_castps_si256(v);
+            // `probe_key`'s map to `total_cmp` order: a negative flips
+            // every bit, anything else its sign bit.
+            let flip = _mm256_or_si256(_mm256_srai_epi32::<31>(bits), _mm256_set1_epi32(i32::MIN));
+            let high = _mm256_xor_si256(bits, flip);
+            let low = _mm256_add_epi32(_mm256_set1_epi32((first + r as u32) as i32), step);
+            // Keys 0, 1 | 4, 5 and 2, 3 | 6, 7, the row index low.
+            let (a, b) = (
+                _mm256_unpacklo_epi32(low, high),
+                _mm256_unpackhi_epi32(low, high),
+            );
+            let packed = [
+                _mm256_permute2x128_si256::<0x20>(a, b),
+                _mm256_permute2x128_si256::<0x31>(a, b),
+            ];
+            if len == 8 {
+                _mm256_storeu_si256(keys[r..r + 8].as_mut_ptr() as *mut __m256i, packed[0]);
+                _mm256_storeu_si256(keys[r + 4..r + 8].as_mut_ptr() as *mut __m256i, packed[1]);
+            } else {
+                let mut lanes = [0u64; 8];
+                _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, packed[0]);
+                _mm256_storeu_si256(lanes[4..].as_mut_ptr() as *mut __m256i, packed[1]);
+                keys[r..r + len].copy_from_slice(&lanes[..len]);
+            }
+        });
     }
 
     /// Four squared norms; per row identical to [`sq_norm_row`].
@@ -825,30 +995,35 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// `out[i] = Σ_d weights[d] * code_i[d]` over every code of `segments`,
+    /// `Σ_d weights[d] * code_i[d]` for every code `i < n` of `segments`,
     /// in order, in exact `i32` arithmetic (see
-    /// [`crate::block::sq8_dot_i8_at`]). A row is read 32 bytes at a
-    /// time — a dimension tail by one load that overlaps the bytes before
-    /// it, against weights zeroed there — multiplied pairwise into `i16`
+    /// [`crate::block::sq8_dot_i8_at`]), handed to `group(r, sums)` eight
+    /// rows at a time: lane `j` of `sums` is row `r + j`, lanes past the
+    /// last row repeat it. A row is read 32 bytes at a time — a dimension
+    /// tail by one load that overlaps the bytes before it, against
+    /// weights zeroed there — multiplied pairwise into `i16`
     /// (`vpmaddubsw`) and widened to eight `i32` partial sums (`vpmaddwd`
     /// by ones); the partial sums of eight consecutive rows, whichever
     /// segments they come from, are then reduced together by one
     /// `vphaddd` tree: about 10 µops a 64-byte row where eight rows share
     /// a segment. `pace` hears of each two such groups, at most 16 codes,
-    /// just before their first row is read.
+    /// just before their first row is read. The one body behind
+    /// [`sq8_dot_i8`] and [`sq8_dot_i8_mask`].
     ///
     /// # Safety
     ///
     /// Requires AVX2, `weights.len() >= 32`, every weight within
-    /// `±SQ8_WEIGHT_MAX` (so no pair sum saturates an `i16`), every
-    /// segment a whole number of `weights.len()`-byte codes and
-    /// `out.len()` codes between them.
+    /// `±SQ8_WEIGHT_MAX` (so no pair sum saturates an `i16`), `n >= 1`,
+    /// and every segment a whole number of `weights.len()`-byte codes,
+    /// `n` codes between them.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq8_dot_i8(
+    unsafe fn sq8_dot_i8_groups(
         weights: &[i8],
         segments: &[&[u8]],
-        out: &mut [i32],
+        n: usize,
         pace: &mut dyn FnMut(usize),
+        mut group: impl FnMut(usize, __m256i),
     ) {
         const STEP: usize = 32;
         let dim = weights.len();
@@ -857,7 +1032,6 @@ pub(crate) mod avx2 {
         tail[STEP - rest..].copy_from_slice(&weights[dim - rest..]);
         let tail = _mm256_loadu_si256(tail.as_ptr() as *const __m256i);
         let ones = _mm256_set1_epi16(1);
-        let n = out.len();
         let mut cursor = RowCursor::new(segments, dim);
         let mut r = 0;
         while r < n {
@@ -885,17 +1059,64 @@ pub(crate) mod avx2 {
             if rest > 0 {
                 fold(&mut acc, dim - STEP, tail);
             }
-            let sums = hsum8_epi32(&acc);
+            group(r, hsum8_epi32(&acc));
+            r += LANES;
+        }
+    }
+
+    /// `out[i] = Σ_d weights[d] * code_i[d]` over every code of
+    /// `segments` (see [`sq8_dot_i8_groups`]).
+    ///
+    /// # Safety
+    ///
+    /// As [`sq8_dot_i8_groups`], with `n = out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq8_dot_i8(
+        weights: &[i8],
+        segments: &[&[u8]],
+        out: &mut [i32],
+        pace: &mut dyn FnMut(usize),
+    ) {
+        let n = out.len();
+        sq8_dot_i8_groups(weights, segments, n, pace, |r, sums| {
             if r + LANES <= n {
-                _mm256_storeu_si256(out[r..].as_mut_ptr() as *mut __m256i, sums);
+                _mm256_storeu_si256(out[r..r + LANES].as_mut_ptr() as *mut __m256i, sums);
             } else {
                 // The cursor clamped the rows past the last one to it.
                 let mut lanes = [0i32; LANES];
                 _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, sums);
                 out[r..].copy_from_slice(&lanes[..n - r]);
             }
-            r += LANES;
-        }
+        });
+    }
+
+    /// The sums of [`sq8_dot_i8`] compared against `floor` where they
+    /// are made: bit `j` of `masks[g]` is `sum(code 8g + j) >= floor`
+    /// over the `n` codes of `segments` — one `vpcmpgtd` and one
+    /// `vmovmskps` per eight rows, no sum ever stored. Bits past the last
+    /// code are clear.
+    ///
+    /// # Safety
+    ///
+    /// As [`sq8_dot_i8_groups`], and `masks.len() == n.div_ceil(8)`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sq8_dot_i8_mask(
+        weights: &[i8],
+        segments: &[&[u8]],
+        n: usize,
+        floor: i32,
+        masks: &mut [u8],
+        pace: &mut dyn FnMut(usize),
+    ) {
+        let floor = _mm256_set1_epi32(floor);
+        sq8_dot_i8_groups(weights, segments, n, pace, |r, sums| {
+            // `sum >= floor` is `!(floor > sum)`: exact for every `i32`
+            // floor, `i32::MIN` included, where `sum > floor - 1` is not.
+            let below = _mm256_cmpgt_epi32(floor, sums);
+            let below = _mm256_movemask_ps(_mm256_castsi256_ps(below)) as u32;
+            let rows = (n - r).min(LANES);
+            masks[r / LANES] = (!below & ((1 << rows) - 1)) as u8;
+        });
     }
 
     /// Lane `i` of the result is the sum of the eight lanes of `rows[i]`:

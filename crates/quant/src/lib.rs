@@ -433,8 +433,8 @@ impl QueryScorer<'_> {
 
 /// A rigorous upper bound on the scores of an SQ8 inner-product scorer,
 /// cheap enough to evaluate on every streamed code: one integer dot
-/// product ([`hermes_math::block::sq8_dot_i8_at`]) and one integer
-/// compare per code. **A bound is not a score**: it only ever decides
+/// product and one integer compare per code, both in one kernel
+/// ([`Self::survivors`]; [`Self::sums`] returns the products themselves). **A bound is not a score**: it only ever decides
 /// that a code *cannot* reach a selector's threshold, the codes it
 /// cannot rule out are scored by the exact tier-A kernel, and nothing
 /// derived from it leaves the scan.
@@ -593,6 +593,36 @@ impl Sq8Bound {
         pace: &mut dyn FnMut(usize),
     ) {
         hermes_math::block::sq8_dot_i8_at(level, &self.weights, segments, out, pace);
+    }
+
+    /// Which of the `n` codes of `segments` the bound leaves in against
+    /// `floor` (a [`Self::floor`]): bit `j` of `masks[g]` is set iff code
+    /// `8 g + j` has a [`Self::sums`] entry of at least `floor`; bits past
+    /// the last code are clear. The comparison is made in the kernel that
+    /// makes the sum ([`hermes_math::block::sq8_dot_i8_mask_at`], the
+    /// same body as [`Self::sums`]), at the process-wide [`simd_level`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segments are not `n` whole codes or `masks.len() !=
+    /// n.div_ceil(8)`.
+    pub fn survivors(
+        &self,
+        segments: &[&[u8]],
+        n: usize,
+        floor: i32,
+        masks: &mut [u8],
+        pace: &mut dyn FnMut(usize),
+    ) {
+        hermes_math::block::sq8_dot_i8_mask_at(
+            simd_level(),
+            &self.weights,
+            segments,
+            n,
+            floor,
+            masks,
+            pace,
+        );
     }
 
     /// The bound itself for a code whose [`Self::sums`] entry is `sum`:

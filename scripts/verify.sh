@@ -48,18 +48,22 @@ done
 # hermes-quant / simd_differential and the row-plan oracles in
 # hermes-index), f32 scoring to a 256-ULP envelope, engine and serving
 # paths to each other (batched group scans included); the SQ8 scan
-# filter, whose integer sums come from a per-level kernel (the bound
-# proptests in hermes-quant, the filtered row plans in hermes-index,
-# `properties` and the no-bound row of `edge_cases`); and k-means, whose
-# sweep kernel dispatches on the level (incremental trainer vs
-# full-sweep oracle, bit for bit). No re-tuning at either level.
+# filter, whose survivor masks come from a per-level kernel that
+# compares each row's integer sum with the floor where it makes it (the
+# bound proptests in hermes-quant, the filtered row plans in
+# hermes-index, `properties`, the no-bound row of `edge_cases`, and
+# `mutation_equivalence`, whose tombstoned lists take the mask walk);
+# the coarse pass, whose kernel writes the probe keys itself; and
+# k-means, whose sweep kernel dispatches on the level (incremental
+# trainer vs full-sweep oracle, bit for bit). No re-tuning at either
+# level.
 for simd in auto scalar; do
     echo "== re-running dispatch-dependent suites with HERMES_SIMD=${simd} =="
     HERMES_SIMD="${simd}" cargo test -q --offline \
         -p hermes-math -p hermes-kmeans -p hermes-quant -p hermes-index
     HERMES_SIMD="${simd}" cargo test -q --offline -p hermes \
         --test simd_differential --test properties --test engine_equivalence \
-        --test serving_equivalence --test edge_cases
+        --test serving_equivalence --test edge_cases --test mutation_equivalence
 done
 
 # The repo benchmark compiles against the public API from outside the

@@ -3,16 +3,18 @@
 //! by default; the paper's Table 1 recalls are for raw encodings, so this
 //! bench quantifies what the choice is worth on clustered data.
 
-use hermes_bench::{emit, EvalSetup, BENCH_SEED};
-use hermes_index::{IvfIndex, SearchParams, VectorIndex};
-use hermes_math::Metric;
-use hermes_metrics::{recall_at_k, Row, Table};
-use hermes_quant::CodecSpec;
+use hermes::datagen::{CorpusSpec, QuerySpec};
+use hermes::index::{IvfIndex, SearchParams, VectorIndex};
+use hermes::math::Metric;
+use hermes::metrics::{recall_at_k, Row, Table};
+use hermes::quant::CodecSpec;
+use hermes::scenario::Scenario;
+use hermes_bench::{emit, BENCH_SEED};
 
-fn mean_recall(setup: &EvalSetup, index: &IvfIndex, nprobe: usize) -> f64 {
+fn mean_recall(queries: &[Vec<f32>], truth: &[Vec<u64>], index: &IvfIndex, nprobe: usize) -> f64 {
     let params = SearchParams::new().with_nprobe(nprobe);
     let mut sum = 0.0;
-    for (q, truth) in setup.queries.embeddings().iter_rows().zip(&setup.truth) {
+    for (q, truth) in queries.iter().zip(truth) {
         let ids: Vec<u64> = index
             .search(q, 10, &params)
             .expect("search")
@@ -21,13 +23,15 @@ fn mean_recall(setup: &EvalSetup, index: &IvfIndex, nprobe: usize) -> f64 {
             .collect();
         sum += recall_at_k(truth, &ids, 10);
     }
-    sum / setup.queries.len() as f64
+    sum / queries.len() as f64
 }
 
 fn main() {
     const DIM: usize = 48;
-    let setup = EvalSetup::new(20_000, DIM, 10, 50, 10);
-    let data = setup.corpus.embeddings();
+    let scenario = Scenario::new(CorpusSpec::new(20_000, DIM, 10).with_seed(BENCH_SEED))
+        .with_queries(QuerySpec::new(50));
+    let (queries, truth) = (&scenario.queries, scenario.truth(Metric::InnerProduct, 10));
+    let data = scenario.corpus.embeddings();
 
     let mut table = Table::new(
         "Ablation — residual vs raw encoding (IVF, nProbe 32, recall@10)",
@@ -49,8 +53,8 @@ fn main() {
                 .build(data)
                 .expect("build")
         };
-        let raw = mean_recall(&setup, &build(false), 32);
-        let res = mean_recall(&setup, &build(true), 32);
+        let raw = mean_recall(queries, &truth, &build(false), 32);
+        let res = mean_recall(queries, &truth, &build(true), 32);
         table.push(Row::new(
             spec.label(),
             vec![
@@ -60,7 +64,7 @@ fn main() {
             ],
         ));
     }
-    emit("ablation_residual", &table);
+    emit("ablation_residual", &[&table]);
 
     println!(
         "shape check: residual encoding helps most where the codec is\n\

@@ -7,10 +7,11 @@
 //!
 //! * **Adaptive depth** — the route stage's score distribution already
 //!   says how hard a query is (clear top-1 margin = easy, flat spread =
-//!   hard). The [`DifficultyEstimator`] turns that into per-query
-//!   `clusters_to_search` and deep `nProbe` between calibrated floors
-//!   and ceilings. The workload is **mixed-difficulty** on the standard
-//!   corpus — half navigational-style queries (tight spread around a
+//!   hard). The [`DifficultyEstimator`](hermes::core::DifficultyEstimator)
+//!   turns that into per-query `clusters_to_search` and deep `nProbe`
+//!   between calibrated floors and ceilings. The workload is
+//!   **mixed-difficulty** on the standard corpus — half
+//!   navigational-style queries (tight spread around a
 //!   topic) and half exploratory (wide spread straddling clusters) —
 //!   the heterogeneity fixed knobs cannot exploit: real NQ streams mix
 //!   both, yet Table 2 prices every query at the worst case. The bench
@@ -27,7 +28,7 @@
 //!   less than the per-shard one on fewer codes.
 //! * **Semantic caching** — repeated and near-duplicate queries skip the
 //!   engine entirely. Streams with controlled temporal locality
-//!   (repeated / bursty / drifting, `hermes_datagen::workload`) run
+//!   (repeated / bursty / drifting, `hermes::datagen::workload`) run
 //!   through the serving layer with and without a [`CachedBackend`];
 //!   the repeated-Zipf stream must clear **≥30% hit rate** with a
 //!   measured p50/p99 win. A fourth row puts the pool at four times the
@@ -35,41 +36,33 @@
 //!   must be **no lower than an exact-match LRU model's** on the same
 //!   stream.
 //!
-//! Contracts re-checked on every run (smoke included):
+//! Contracts re-checked on every run:
 //! * a degenerate adaptive config (floor = ceiling = the paper knobs) is
 //!   bit-identical to the fixed-knob engine, under either allocation;
 //! * every cache-on completion is bit-identical to a standalone
 //!   recomputation at the same generation.
-//!
-//! Set `HERMES_SMOKE=1` for a seconds-scale pass (no report rewrite).
 
 use std::sync::Arc;
 
-use hermes_bench::{out_dir, BENCH_SEED};
-use hermes_cache::CacheConfig;
-use hermes_core::exec::{Engine, QueryPlan};
-use hermes_core::{AdaptiveConfig, ClusteredStore, HermesConfig, ProbeAllocation};
-use hermes_datagen::{
-    query_stream, Corpus, CorpusSpec, LruModel, QuerySet, QuerySpec, StreamSpec,
-};
-use hermes_index::FlatIndex;
-use hermes_math::Metric;
-use hermes_metrics::{ground_truth, ranking, recall_at_k, DepthHistogram, Row, Table};
-use hermes_serve::{
+use hermes::cache::CacheConfig;
+use hermes::core::exec::{Engine, QueryPlan};
+use hermes::core::{AdaptiveConfig, ClusteredStore, HermesConfig, ProbeAllocation};
+use hermes::datagen::{query_stream, CorpusSpec, LruModel, QuerySpec, StreamSpec};
+use hermes::math::Metric;
+use hermes::metrics::{ranking, recall_at_k, DepthHistogram, Row, Table};
+use hermes::scenario::Scenario;
+use hermes::serve::{
     run_open_loop, Backend, BatchOutcome, CachedBackend, GenerationBackend, GenerationCell,
     LoadReport, OpenLoopSpec, Server, ServerConfig,
 };
-
-fn smoke() -> bool {
-    std::env::var("HERMES_SMOKE").map(|v| v != "0").unwrap_or(false)
-}
+use hermes_bench::{emit, BENCH_SEED};
 
 /// Borrowing adapter so the bench keeps the [`CachedBackend`] (and its
 /// counters) after the server that drove it is dropped.
 struct SharedBackend<'a>(&'a dyn Backend);
 
 impl Backend for SharedBackend<'_> {
-    fn run(&self, batch: &[hermes_serve::Request]) -> Result<BatchOutcome, hermes_core::HermesError> {
+    fn run(&self, batch: &[hermes::serve::Request]) -> Result<BatchOutcome, hermes::core::HermesError> {
         self.0.run(batch)
     }
 }
@@ -102,35 +95,23 @@ fn us(ns: u64) -> String {
 
 fn main() {
     let k = 10;
-    let (docs, dim, topics, clusters, nq) = if smoke() {
-        (3_000, 24, 6, 6, 24)
-    } else {
-        (30_000, 48, 10, 10, 60)
-    };
+    let (docs, dim, topics, clusters, nq) = (30_000, 48, 10, 10, 60);
 
     // ---- Part A: recall-vs-scanned-codes frontier -------------------
     // Mixed-difficulty workload on the standard corpus: half the queries
     // sit tight on a topic (navigational), half straddle clusters
-    // (exploratory). Ground truth comes from the same brute-force oracle
-    // EvalSetup uses.
-    let corpus = Corpus::generate(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED));
-    let easy_set = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(nq / 2).with_seed(BENCH_SEED + 1).with_spread(0.15),
-    );
-    let hard_set = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(nq / 2).with_seed(BENCH_SEED + 2).with_spread(0.5),
-    );
-    let mut queries = easy_set.to_vecs();
-    queries.extend(hard_set.to_vecs());
-    let oracle = FlatIndex::new(corpus.embeddings().clone(), Metric::InnerProduct);
-    let truth = ground_truth(&oracle, &queries, k).expect("oracle search");
+    // (exploratory).
+    let mut scenario = Scenario::new(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED))
+        .with_queries(QuerySpec::new(nq / 2).with_spread(0.15));
+    let hard_set =
+        scenario.query_set(QuerySpec::new(nq / 2).with_seed(BENCH_SEED + 2).with_spread(0.5));
+    scenario.queries.extend(hard_set.to_vecs());
+    let (queries, truth) = (&scenario.queries, scenario.truth(Metric::InnerProduct, k));
 
     let cfg = HermesConfig::new(clusters)
         .with_k(k)
         .with_seed(BENCH_SEED + 2);
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+    let store = scenario.store(&cfg).unwrap();
 
     let paper = QueryPlan::from_config(&cfg); // m=3, deep nProbe=128
     // Calibrated on this workload: margin-dominated blend (entropy 100‰),
@@ -180,7 +161,7 @@ fn main() {
         );
         let fixed_engine = Engine::new(&store, fixed);
         let pinned_engine = Engine::new(&store, fixed.with_adaptive(Some(pinned)));
-        for q in &queries {
+        for q in queries {
             assert_eq!(
                 fixed_engine.execute(q).unwrap(),
                 pinned_engine.execute(q).unwrap(),
@@ -192,7 +173,7 @@ fn main() {
         for m in 1..=fixed.clusters_to_search {
             let mut plan = fixed;
             plan.clusters_to_search = m;
-            let (recall, codes, _) = frontier_point(&store, plan, &queries, &truth, k);
+            let (recall, codes, _) = frontier_point(&store, plan, queries, &truth, k);
             let at_m = m == fixed.clusters_to_search;
             if at_m {
                 fixed_at_paper = (recall, codes);
@@ -211,7 +192,7 @@ fn main() {
         let (a_recall, a_codes, depths) = frontier_point(
             &store,
             fixed.with_adaptive(Some(adaptive_cfg)),
-            &queries,
+            queries,
             &truth,
             k,
         );
@@ -231,50 +212,40 @@ fn main() {
                 format!("{:.2}", depths.mean()),
             ],
         ));
-        if !smoke() {
-            assert!(
-                a_recall >= fixed_at_paper.0 - 0.01,
-                "{label}: adaptive recall {a_recall:.3} fell below fixed {:.3}",
-                fixed_at_paper.0
-            );
-            assert!(
-                saving >= 0.25,
-                "{label}: adaptive saved only {:.0}% of the paper point's scanned codes",
-                saving * 100.0
-            );
-        }
-    }
-    if !smoke() {
-        let (per_shard, pooled) = (at_paper[0], at_paper[1]);
         assert!(
-            pooled.0 >= per_shard.0 && pooled.1 < per_shard.1,
-            "pooled m=3 ({:.3} at {:.0} codes) did not beat per shard ({:.3} at {:.0})",
-            pooled.0,
-            pooled.1,
-            per_shard.0,
-            per_shard.1
+            a_recall >= fixed_at_paper.0 - 0.01,
+            "{label}: adaptive recall {a_recall:.3} fell below fixed {:.3}",
+            fixed_at_paper.0
+        );
+        assert!(
+            saving >= 0.25,
+            "{label}: adaptive saved only {:.0}% of the paper point's scanned codes",
+            saving * 100.0
         );
     }
+    let (per_shard, pooled) = (at_paper[0], at_paper[1]);
+    assert!(
+        pooled.0 >= per_shard.0 && pooled.1 < per_shard.1,
+        "pooled m=3 ({:.3} at {:.0} codes) did not beat per shard ({:.3} at {:.0})",
+        pooled.0,
+        pooled.1,
+        per_shard.0,
+        per_shard.1
+    );
 
     // ---- Part B: semantic cache on temporal workloads ---------------
-    let cell = Arc::new(GenerationCell::new(
-        ClusteredStore::build(corpus.embeddings(), &cfg).unwrap(),
-    ));
-    let pool = QuerySet::generate(&corpus, QuerySpec::new(nq).with_seed(BENCH_SEED + 3));
+    let cell = Arc::new(GenerationCell::new(scenario.store(&cfg).unwrap()));
+    let pool = scenario.query_set(QuerySpec::new(nq).with_seed(BENCH_SEED + 3));
     let pool_vecs = pool.to_vecs();
-    let stream_len = if smoke() { 60 } else { 600 };
+    let stream_len = 600;
     // The three temporal workloads fit their whole pool in the default
     // cache, so replacement never runs on them. The fourth row is sized
     // the other way round (the shape of the repo benchmark's
     // `zipf_cached_open`): a pool four times the cache, and a stream
-    // long enough past the cold start for the policy to matter. Same
-    // size in smoke mode, so the floor below is checked on what the
-    // table reports.
+    // long enough past the cold start for the policy to matter.
     let small_cache = CacheConfig::default().with_capacity(64);
-    let big_pool = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(4 * small_cache.capacity).with_seed(BENCH_SEED + 4),
-    );
+    let big_pool =
+        scenario.query_set(QuerySpec::new(4 * small_cache.capacity).with_seed(BENCH_SEED + 4));
     let long_stream = 4000;
     let server_cfg = ServerConfig {
         queue_capacity: 64,
@@ -412,28 +383,13 @@ fn main() {
         "repeated-Zipf hit rate {:.0}% below the 30% bar",
         repeated_hit_rate * 100.0
     );
-    if !smoke() {
-        let (p99_off, p99_on) = repeated_p99.unwrap();
-        assert!(
-            p99_on < p99_off,
-            "cache did not improve p99 on the repeated workload ({p99_on} vs {p99_off})"
-        );
-    }
+    let (p99_off, p99_on) = repeated_p99.unwrap();
+    assert!(
+        p99_on < p99_off,
+        "cache did not improve p99 on the repeated workload ({p99_on} vs {p99_off})"
+    );
 
-    println!("{}", frontier.render());
-    println!("{}", cache_table.render());
-    if smoke() {
-        println!("(smoke mode: bench_results/ext_adaptive.md left untouched)\n");
-    } else {
-        let path = out_dir().join("ext_adaptive.md");
-        let report = format!(
-            "{}\n{}",
-            frontier.render_markdown(),
-            cache_table.render_markdown()
-        );
-        std::fs::write(&path, report).expect("write report");
-        println!("(written to {})\n", path.display());
-    }
+    emit("ext_adaptive", &[&frontier, &cache_table]);
     println!(
         "contracts held: pinned adaptive knobs were bit-identical to the\n\
          fixed engine under both probe allocations, and every cache-on completion matched a standalone\n\

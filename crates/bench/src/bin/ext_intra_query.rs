@@ -6,10 +6,11 @@
 //! the single-query latency both ways at m ∈ {3, 8} and checks the
 //! scattered results stay bit-identical.
 
+use hermes::core::{Engine, QueryPlan};
+use hermes::datagen::{CorpusSpec, QuerySpec};
+use hermes::metrics::{Row, Table};
+use hermes::scenario::Scenario;
 use hermes_bench::{emit, standard_config, time_it, BENCH_SEED};
-use hermes_core::{ClusteredStore, Engine, QueryPlan};
-use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-use hermes_metrics::{Row, Table};
 
 const DOCS: usize = 60_000;
 const DIM: usize = 32;
@@ -36,24 +37,17 @@ fn mean_latency_s(engine: &Engine, queries: &[Vec<f32>]) -> f64 {
 }
 
 fn main() {
-    let corpus = Corpus::generate(CorpusSpec::new(DOCS, DIM, CLUSTERS).with_seed(BENCH_SEED));
-    let queries = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(QUERIES).with_seed(BENCH_SEED + 1),
-    );
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
+    let scenario = Scenario::new(CorpusSpec::new(DOCS, DIM, CLUSTERS).with_seed(BENCH_SEED))
+        .with_queries(QuerySpec::new(QUERIES));
+    let qs = &scenario.queries;
     let cfg = standard_config();
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).expect("store");
+    let store = scenario.store(&cfg).expect("store");
 
     let mut table = Table::new(
         format!(
             "Extension — single-query latency: sequential shards vs scattered \
              ({DOCS} docs, {CLUSTERS} clusters, pool width {})",
-            hermes_pool::Pool::global().threads()
+            hermes::pool::Pool::global().threads()
         ),
         &["clusters searched (m)", "sequential (ms)", "scattered (ms)", "speedup"],
     );
@@ -69,8 +63,8 @@ fn main() {
                 "scatter changed results at m={m}"
             );
         }
-        let seq_s = mean_latency_s(&sequential, &qs);
-        let sc_s = mean_latency_s(&scattered, &qs);
+        let seq_s = mean_latency_s(&sequential, qs);
+        let sc_s = mean_latency_s(&scattered, qs);
         let speedup = seq_s / sc_s;
         speedups.push((m, speedup));
         table.push(Row::new(
@@ -82,7 +76,7 @@ fn main() {
             ],
         ));
     }
-    emit("ext_intra_query", &table);
+    emit("ext_intra_query", &[&table]);
 
     println!(
         "shape check: scattering one query's m deep searches across the\n\

@@ -16,20 +16,15 @@
 //!   so its pause grows with the *cluster* size while a stop-the-world
 //!   `rebuild` grows with the *store* size. The table reports both so
 //!   the gap is visible across the sweep.
-//!
-//! Set `HERMES_SMOKE=1` for a seconds-scale pass.
 
-use hermes_bench::{emit, ratio, time_it, BENCH_SEED};
-use hermes_core::{
+use hermes::core::{
     ClusteredStore, HermesConfig, PagedStoreReader, RebalanceConfig, Rebalancer,
 };
-use hermes_datagen::{Corpus, CorpusSpec};
-use hermes_math::rng::seeded_rng;
-use hermes_metrics::{Row, Table};
-
-fn smoke() -> bool {
-    std::env::var("HERMES_SMOKE").map(|v| v != "0").unwrap_or(false)
-}
+use hermes::datagen::CorpusSpec;
+use hermes::math::rng::seeded_rng;
+use hermes::metrics::{Row, Table};
+use hermes::scenario::Scenario;
+use hermes_bench::{emit, ratio, time_it, BENCH_SEED};
 
 fn ms(s: f64) -> String {
     format!("{:.3}", s * 1e3)
@@ -47,11 +42,7 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 fn main() {
-    let (sizes, dim, topics, clusters, reps): (&[usize], usize, usize, usize, usize) = if smoke() {
-        (&[1_500, 4_000], 24, 6, 6, 3)
-    } else {
-        (&[5_000, 20_000, 60_000], 48, 10, 10, 7)
-    };
+    let (sizes, dim, topics, clusters, reps) = ([5_000, 20_000, 60_000], 48, 10, 10, 7);
 
     let mut table = Table::new(
         format!(
@@ -77,12 +68,12 @@ fn main() {
 
     let mut final_speedup = 0.0f64;
     for (i, &docs) in sizes.iter().enumerate() {
-        let corpus =
-            Corpus::generate(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED + 80 + i as u64));
+        let scenario =
+            Scenario::new(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED + 80 + i as u64));
         let config = HermesConfig::new(clusters)
             .with_clusters_to_search(3)
             .with_seed(BENCH_SEED + 81);
-        let mut store = ClusteredStore::build(corpus.embeddings(), &config).unwrap();
+        let mut store = scenario.store(&config).unwrap();
 
         // Skew the store (a burst of near-duplicate inserts piling onto
         // cluster 0's running centroid) so the rebalancer has real work.
@@ -152,12 +143,7 @@ fn main() {
          at the largest store (got {final_speedup:.1}x)"
     );
 
-    if smoke() {
-        println!("{}", table.render());
-        println!("(smoke mode: bench_results/ext_persist.md left untouched)\n");
-    } else {
-        emit("ext_persist", &table);
-    }
+    emit("ext_persist", &[&table]);
     println!(
         "paged open touched only header + checksum table + meta pages \
          ({final_speedup:.0}x faster than full from_bytes at the largest store);\n\

@@ -8,7 +8,12 @@
 //!
 //! * **open loop** — seeded Poisson arrivals at a swept offered load
 //!   ρ ∈ {0.3, 0.6, 0.9, 1.2}×capacity: tail latency inflates as ρ→1
-//!   and the bounded queue starts shedding past saturation;
+//!   and the bounded queue starts shedding past saturation. A
+//!   `hermes-obs` observer rides along, so the same runs also decompose
+//!   every priority class's p99 sojourn into queue wait / cache probe /
+//!   route / deep / residual: the table says *which phase* owns the tail
+//!   as ρ approaches saturation (queue wait takes over from deep search
+//!   — the attribution the paper's co-design argument rests on);
 //! * **closed loop** — {1, 2, 4, 8} users in submit→wait→think cycles:
 //!   throughput self-limits, batches form as concurrency grows.
 //!
@@ -18,23 +23,21 @@
 //! service time and the reported latencies come from the server's
 //! `hermes-trace` log-histograms. Every run also re-checks the serving
 //! bar: completions + sheds account for every offered request, and
-//! served results are bit-identical to standalone `Engine::execute`.
-//!
-//! Set `HERMES_SMOKE=1` for a seconds-scale pass.
+//! served results are bit-identical to standalone `Engine::execute`;
+//! under observation, every completed request's timeline is balanced
+//! (phases sum to sojourn).
 
-use hermes_bench::BENCH_SEED;
-use hermes_core::exec::Engine;
-use hermes_core::{ClusteredStore, HermesConfig};
-use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-use hermes_metrics::{Row, Table};
-use hermes_serve::{
-    run_closed_loop, run_open_loop, ClosedLoopSpec, EngineBackend, LoadReport, OpenLoopSpec,
-    Priority, Server, ServerConfig,
+use hermes::core::exec::Engine;
+use hermes::core::HermesConfig;
+use hermes::datagen::{CorpusSpec, QuerySpec};
+use hermes::metrics::{Row, Table};
+use hermes::obs::{Observer, Phase, SloPolicy};
+use hermes::scenario::Scenario;
+use hermes::serve::{
+    obs_config, run_closed_loop, run_open_loop, ClosedLoopSpec, EngineBackend, LoadReport,
+    OpenLoopSpec, Priority, Server, ServerConfig,
 };
-
-fn smoke() -> bool {
-    std::env::var("HERMES_SMOKE").map(|v| v != "0").unwrap_or(false)
-}
+use hermes_bench::{emit, BENCH_SEED};
 
 fn mix() -> Vec<Priority> {
     vec![
@@ -45,7 +48,7 @@ fn mix() -> Vec<Priority> {
     ]
 }
 
-/// Accounting + bit-identity checks every run must pass, smoke or not.
+/// Accounting + bit-identity checks every run must pass.
 fn check_run(report: &LoadReport, offered: usize, engine: &Engine, what: &str) {
     assert_eq!(
         report.completions.len() + report.shed.len(),
@@ -67,23 +70,20 @@ fn us(ns: u64) -> String {
 }
 
 fn main() {
-    let (docs, dim, topics, clusters, nq, requests) = if smoke() {
-        (3_000, 24, 6, 6, 24, 60)
-    } else {
-        (20_000, 64, 10, 10, 64, 600)
-    };
-    let corpus = Corpus::generate(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED + 70));
+    let (docs, dim, topics, clusters, nq, requests) = (20_000, 64, 10, 10, 64, 600);
+    let scenario = Scenario::new(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED + 70))
+        .with_queries(QuerySpec::new(nq));
     let config = HermesConfig::new(clusters)
         .with_clusters_to_search(3)
         .with_seed(BENCH_SEED + 71);
-    let store = ClusteredStore::build(corpus.embeddings(), &config).unwrap();
-    let queries = QuerySet::generate(&corpus, QuerySpec::new(nq).with_seed(BENCH_SEED + 72)).to_vecs();
+    let store = scenario.store(&config).unwrap();
+    let queries = &scenario.queries;
     let engine = Engine::for_store(&store);
 
     // Calibrate the unloaded mean service time so the open-loop sweep is
     // in units of capacity (ρ = rate × mean service).
     let calib_t0 = std::time::Instant::now();
-    for q in &queries {
+    for q in queries {
         std::hint::black_box(engine.execute(q).unwrap());
     }
     let svc_ns = (calib_t0.elapsed().as_nanos() as u64 / queries.len() as u64).max(1_000);
@@ -106,15 +106,63 @@ fn main() {
             "expired", "mean batch", "shared visits", "busy",
         ],
     );
+    let mut phase_table = Table::new(
+        format!(
+            "Extension — phase-attributed p99 under open-loop load \
+             ({docs} docs x {dim} dims, {clusters} clusters, {requests} requests/rho, \
+             mean unloaded service {} us; mean ns per phase in the p99 sojourn bucket)",
+            us(svc_ns)
+        ),
+        &[
+            "rho",
+            "class",
+            "p99>=ns",
+            "n",
+            "queue_wait",
+            "cache_probe",
+            "route",
+            "deep",
+            "residual",
+            "dominant",
+        ],
+    );
+    let slo_ns = (50.0 * svc_ns as f64) as u64;
     for (i, rho) in [0.3f64, 0.6, 0.9, 1.2].into_iter().enumerate() {
         let rate = rho / svc_s;
-        let mut server = Server::new(EngineBackend::new(Engine::for_store(&store), 0), cfg);
+        let mut server = Server::new(EngineBackend::new(Engine::for_store(&store), 0), cfg)
+            .with_observer(Observer::new(
+                obs_config(BENCH_SEED + 80 + i as u64)
+                    .with_slo(SloPolicy::new(vec![Some(slo_ns), None, None]))
+                    .with_recorder(16, 32),
+            ));
         let spec = OpenLoopSpec::new(requests, rate)
             .with_seed(BENCH_SEED + 73 + i as u64)
             .with_priority_cycle(mix())
-            .with_slo_ns((50.0 * svc_ns as f64) as u64);
-        let report = run_open_loop(&mut server, &queries, &spec).unwrap();
+            .with_slo_ns(slo_ns);
+        let report = run_open_loop(&mut server, queries, &spec).unwrap();
         check_run(&report, requests, &engine, "open loop");
+        let obs = server.take_observer().unwrap();
+        assert_eq!(obs.unbalanced(), 0, "rho {rho}: unbalanced timelines");
+        for class in obs.attribution().classes() {
+            if class.count() == 0 {
+                continue;
+            }
+            let Some(b) = class.breakdown_at(0.99) else {
+                continue;
+            };
+            let mut cells = vec![
+                class.label().to_string(),
+                b.sojourn_floor_ns.to_string(),
+                b.count.to_string(),
+            ];
+            cells.extend(
+                Phase::ALL
+                    .iter()
+                    .map(|p| format!("{:.0}", b.mean_phase_ns[p.index()])),
+            );
+            cells.push(b.dominant_phase().label().to_string());
+            phase_table.push(Row::new(format!("{rho:.1}"), cells));
+        }
         let s = &report.serve;
         open_table.push(Row::new(
             format!("{rho:.1}"),
@@ -145,7 +193,7 @@ fn main() {
     for users in [1usize, 2, 4, 8] {
         let mut server = Server::new(EngineBackend::new(Engine::for_store(&store), 0), cfg);
         let spec = ClosedLoopSpec::new(requests, users).with_priority_cycle(mix());
-        let report = run_closed_loop(&mut server, &queries, &spec).unwrap();
+        let report = run_closed_loop(&mut server, queries, &spec).unwrap();
         check_run(&report, requests, &engine, "closed loop");
         let s = &report.serve;
         let qps = s.completed as f64 / (s.makespan_ns.max(1) as f64 * 1e-9);
@@ -162,30 +210,13 @@ fn main() {
         ));
     }
 
-    println!("{}", open_table.render());
-    println!("{}", closed_table.render());
-    if smoke() {
-        println!("(smoke mode: bench_results/ext_serving.md left untouched)\n");
-    } else {
-        // Like `emit`, but the report holds both loops' tables.
-        let dir = std::env::var("HERMES_BENCH_OUT")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|_| {
-                std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
-            });
-        std::fs::create_dir_all(&dir).expect("create bench_results dir");
-        let path = dir.join("ext_serving.md");
-        let report = format!(
-            "{}\n{}",
-            open_table.render_markdown(),
-            closed_table.render_markdown()
-        );
-        std::fs::write(&path, report).expect("write report");
-        println!("(written to {})\n", path.display());
-    }
+    emit("ext_serving", &[&open_table, &phase_table, &closed_table]);
     println!(
         "all runs accounted for every offered request and served results\n\
-         bit-identical to standalone engine execution; latencies are the\n\
-         server's hermes-trace log2 histograms (bucket floors, within 2x)."
+         bit-identical to standalone engine execution, the open loops with\n\
+         the observer attached and every timeline balanced; latencies are the\n\
+         server's hermes-trace log2 histograms (bucket floors, within 2x).\n\
+         As rho approaches 1, queue_wait displaces deep search as the\n\
+         dominant phase of the p99 sojourn bucket."
     );
 }

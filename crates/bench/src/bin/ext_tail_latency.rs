@@ -1,41 +1,19 @@
 //! Extension experiment (beyond the paper's figures): TTFT *tail* latency
-//! under open-loop load. The paper's Takeaway 2 argues TTFT variance
-//! hurts production QoS; this bench quantifies it two ways:
+//! under load. The paper's Takeaway 2 argues TTFT variance hurts
+//! production QoS; this bench models it by queueing batches against each
+//! retrieval scheme's service time (M/D/1, seeded): how the schemes'
+//! capacity gap turns into a p99 gap at equal relative load.
 //!
-//! 1. **Model** — queueing batches against each retrieval scheme's
-//!    service time (M/D/1, seeded): how the schemes' capacity gap turns
-//!    into a p99 gap at equal relative load.
-//! 2. **Measured** — the `ext_serving` open-loop sweep re-run with a
-//!    `hermes-obs` observer attached: the p99 sojourn of every priority
-//!    class decomposed into queue wait / cache probe / route / deep /
-//!    residual, so the table says *which phase* owns the tail as offered
-//!    load ρ approaches saturation (queue wait takes over from deep
-//!    search — the attribution the paper's co-design argument rests on).
-//!
-//! The measured sweep holds the serving bars: results bit-identical to
-//! standalone `Engine::execute` with the observer attached, and every
-//! completed request's timeline balanced (phases sum to sojourn).
-//!
-//! Set `HERMES_SMOKE=1` for a seconds-scale pass.
+//! The measured side — which phase owns the p99 sojourn as offered load
+//! approaches saturation — is `ext_serving`'s observed open-loop sweep.
 
-use hermes_bench::{emit, out_dir, BENCH_SEED};
-use hermes_core::exec::Engine;
-use hermes_core::{ClusteredStore, HermesConfig};
-use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-use hermes_metrics::{Row, Table};
-use hermes_obs::{Observer, Phase, SloPolicy};
-use hermes_serve::{
-    obs_config, run_open_loop, EngineBackend, OpenLoopSpec, Priority, Server, ServerConfig,
-};
-use hermes_sim::{
+use hermes::metrics::{Row, Table};
+use hermes::sim::{
     queueing::simulate_md1, Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig,
 };
+use hermes_bench::{emit, BENCH_SEED};
 
 const TOKENS: u64 = 100_000_000_000;
-
-fn smoke() -> bool {
-    std::env::var("HERMES_SMOKE").map(|v| v != "0").unwrap_or(false)
-}
 
 fn model_table() -> (Table, f64, f64) {
     let sim = MultiNodeSim::new(Deployment::uniform(TOKENS, 10));
@@ -92,144 +70,15 @@ fn model_table() -> (Table, f64, f64) {
     (table, hermes_cap, mono_cap)
 }
 
-/// The `ext_serving` open-loop sweep with an observer attached: one row
-/// per offered load × priority class, the class's p99 sojourn bucket
-/// decomposed into mean ns per phase.
-fn measured_table() -> Table {
-    let (docs, dim, topics, clusters, nq, requests) = if smoke() {
-        (3_000, 24, 6, 6, 24, 60)
-    } else {
-        (20_000, 64, 10, 10, 64, 600)
-    };
-    let corpus = Corpus::generate(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED + 70));
-    let config = HermesConfig::new(clusters)
-        .with_clusters_to_search(3)
-        .with_seed(BENCH_SEED + 71);
-    let store = ClusteredStore::build(corpus.embeddings(), &config).unwrap();
-    let queries =
-        QuerySet::generate(&corpus, QuerySpec::new(nq).with_seed(BENCH_SEED + 72)).to_vecs();
-    let engine = Engine::for_store(&store);
-
-    // Same calibration as ext_serving: the sweep is in units of capacity.
-    let calib_t0 = std::time::Instant::now();
-    for q in &queries {
-        std::hint::black_box(engine.execute(q).unwrap());
-    }
-    let svc_ns = (calib_t0.elapsed().as_nanos() as u64 / queries.len() as u64).max(1_000);
-    let svc_s = svc_ns as f64 * 1e-9;
-
-    let cfg = ServerConfig {
-        queue_capacity: 64,
-        max_batch: 8,
-    };
-    let mut table = Table::new(
-        format!(
-            "Extension — phase-attributed p99 under open-loop load \
-             ({docs} docs x {dim} dims, {clusters} clusters, {requests} requests/rho, \
-             mean unloaded service {:.0} us; mean ns per phase in the p99 sojourn bucket)",
-            svc_ns as f64 / 1e3
-        ),
-        &[
-            "rho",
-            "class",
-            "p99>=ns",
-            "n",
-            "queue_wait",
-            "cache_probe",
-            "route",
-            "deep",
-            "residual",
-            "dominant",
-        ],
-    );
-    for (i, rho) in [0.3f64, 0.6, 0.9, 1.2].into_iter().enumerate() {
-        let rate = rho / svc_s;
-        let mut server = Server::new(EngineBackend::new(Engine::for_store(&store), 0), cfg)
-            .with_observer(Observer::new(
-                obs_config(BENCH_SEED + 80 + i as u64)
-                    .with_slo(SloPolicy::new(vec![
-                        Some((50.0 * svc_ns as f64) as u64),
-                        None,
-                        None,
-                    ]))
-                    .with_recorder(16, 32),
-            ));
-        let spec = OpenLoopSpec::new(requests, rate)
-            .with_seed(BENCH_SEED + 73 + i as u64)
-            .with_priority_cycle(vec![
-                Priority::Interactive,
-                Priority::Standard,
-                Priority::Standard,
-                Priority::Batch,
-            ])
-            .with_slo_ns((50.0 * svc_ns as f64) as u64);
-        let report = run_open_loop(&mut server, &queries, &spec).unwrap();
-        let obs = server.take_observer().unwrap();
-
-        // Serving bars: nothing lost, results bit-identical under
-        // observation, every timeline balanced.
-        assert_eq!(
-            report.completions.len() + report.shed.len(),
-            requests,
-            "rho {rho}: lost requests"
-        );
-        for c in report.completions.iter().take(16) {
-            let want = engine.execute(&c.request.query).unwrap();
-            assert_eq!(
-                c.outcome.as_ref(),
-                Some(&want),
-                "rho {rho}: served result diverged under observation"
-            );
-        }
-        assert_eq!(obs.unbalanced(), 0, "rho {rho}: unbalanced timelines");
-
-        for class in obs.attribution().classes() {
-            if class.count() == 0 {
-                continue;
-            }
-            let Some(b) = class.breakdown_at(0.99) else {
-                continue;
-            };
-            let mut cells = vec![
-                class.label().to_string(),
-                b.sojourn_floor_ns.to_string(),
-                b.count.to_string(),
-            ];
-            cells.extend(
-                Phase::ALL
-                    .iter()
-                    .map(|p| format!("{:.0}", b.mean_phase_ns[p.index()])),
-            );
-            cells.push(b.dominant_phase().label().to_string());
-            table.push(Row::new(format!("{rho:.1}"), cells));
-        }
-    }
-    table
-}
-
 fn main() {
     let (model, hermes_cap, mono_cap) = model_table();
-    let measured = measured_table();
-
-    // Both tables share one report file; print them the same way emit()
-    // would, then write the concatenated markdown by hand.
-    println!("{}", model.render());
-    emit("ext_tail_latency", &measured);
-    let path = out_dir().join("ext_tail_latency.md");
-    std::fs::write(
-        &path,
-        format!("{}\n{}", model.render_markdown(), measured.render_markdown()),
-    )
-    .expect("write report");
+    emit("ext_tail_latency", &[&model]);
 
     println!(
         "shape check: Hermes sustains {:.1}x the monolithic batch arrival\n\
          rate before saturating; at equal (70%) relative load its absolute\n\
          p99 sojourn is an order of magnitude lower, which is what keeps\n\
-         production TTFT tails bounded (Takeaway 2). The measured sweep\n\
-         shows the same mechanism from the inside: as rho approaches 1,\n\
-         queue_wait displaces deep search as the dominant phase of the\n\
-         p99 sojourn bucket.",
+         production TTFT tails bounded (Takeaway 2).",
         hermes_cap / mono_cap
     );
 }

@@ -5,22 +5,24 @@
 //! Measured on real in-process indices over the synthetic corpus, plus
 //! the memory model's projection to the paper's 10B-token scale.
 
-use hermes_bench::{emit, time_it, EvalSetup, BENCH_SEED};
-use hermes_datagen::DatastoreScale;
-use hermes_index::{HnswIndex, IvfIndex, SearchParams, VectorIndex, VectorStorage};
-use hermes_math::Metric;
-use hermes_metrics::{recall_at_k, Row, Table};
-use hermes_quant::CodecSpec;
+use hermes::datagen::{CorpusSpec, DatastoreScale, QuerySpec};
+use hermes::index::{HnswIndex, IvfIndex, SearchParams, VectorIndex, VectorStorage};
+use hermes::math::Metric;
+use hermes::metrics::{recall_at_k, Row, Table};
+use hermes::quant::CodecSpec;
+use hermes::scenario::Scenario;
+use hermes_bench::{emit, time_it, BENCH_SEED};
 
 const RECALL_TARGET: f64 = 0.94; // the paper's IVF-SQ8 operating point
 
 fn mean_recall(
-    setup: &EvalSetup,
+    queries: &[Vec<f32>],
+    truth: &[Vec<u64>],
     index: &dyn VectorIndex,
     params: &SearchParams,
 ) -> f64 {
     let mut sum = 0.0;
-    for (q, truth) in setup.queries.embeddings().iter_rows().zip(&setup.truth) {
+    for (q, truth) in queries.iter().zip(truth) {
         let ids: Vec<u64> = index
             .search(q, 10, params)
             .expect("search")
@@ -29,12 +31,14 @@ fn mean_recall(
             .collect();
         sum += recall_at_k(truth, &ids, 10);
     }
-    sum / setup.queries.len() as f64
+    sum / queries.len() as f64
 }
 
 fn main() {
-    let setup = EvalSetup::new(80_000, 48, 10, 128, 10);
-    let data = setup.corpus.embeddings();
+    let scenario = Scenario::new(CorpusSpec::new(80_000, 48, 10).with_seed(BENCH_SEED))
+        .with_queries(QuerySpec::new(128));
+    let (queries, truth) = (&scenario.queries, scenario.truth(Metric::InnerProduct, 10));
+    let data = scenario.corpus.embeddings();
 
     let ivf = IvfIndex::builder()
         .codec(CodecSpec::Sq8)
@@ -56,17 +60,16 @@ fn main() {
     let ivf_params = [4usize, 8, 16, 32, 64, 128, 256]
         .iter()
         .map(|&np| SearchParams::new().with_nprobe(np))
-        .find(|p| mean_recall(&setup, &ivf, p) >= RECALL_TARGET)
+        .find(|p| mean_recall(queries, &truth, &ivf, p) >= RECALL_TARGET)
         .unwrap_or_else(|| SearchParams::new().with_nprobe(256));
     let hnsw_params = [16usize, 24, 32, 48, 64, 128]
         .iter()
         .map(|&ef| SearchParams::new().with_ef_search(ef))
-        .find(|p| mean_recall(&setup, &hnsw, p) >= RECALL_TARGET)
+        .find(|p| mean_recall(queries, &truth, &hnsw, p) >= RECALL_TARGET)
         .unwrap_or_else(|| SearchParams::new().with_ef_search(128));
-    let ivf_recall = mean_recall(&setup, &ivf, &ivf_params);
-    let hnsw_recall = mean_recall(&setup, &hnsw, &hnsw_params);
+    let ivf_recall = mean_recall(queries, &truth, &ivf, &ivf_params);
+    let hnsw_recall = mean_recall(queries, &truth, &hnsw, &hnsw_params);
 
-    let queries = setup.queries.to_vecs();
     let mut table = Table::new(
         format!(
             "Figure 4 — HNSW vs IVF at matched recall >= {RECALL_TARGET} \
@@ -109,7 +112,7 @@ fn main() {
             ));
         }
     }
-    emit("fig04_measured", &table);
+    emit("fig04_measured", &[&table]);
 
     // At-scale projection (paper's 10B-token index).
     let ds = DatastoreScale::paper(10_000_000_000);
@@ -125,7 +128,7 @@ fn main() {
         "HNSW-fp16",
         vec!["166".into(), format!("{:.0}", ds.index_bytes_hnsw() as f64 / 1e9)],
     ));
-    emit("fig04_memory", &proj);
+    emit("fig04_memory", &[&proj]);
 
     let speedup = lat[&("ivf", 128)] / lat[&("hnsw", 128)];
     let mem_ratio = hnsw.memory_bytes() as f64 / ivf.memory_bytes() as f64;

@@ -2,10 +2,10 @@
 //! retrieval latency cost of striding at 10B / 100B tokens.
 
 use hermes_bench::emit;
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::RetrievalModel;
-use hermes_rag::quality::{retrievals_for, PerplexityModel};
-use hermes_rag::PerplexityModel as _Alias;
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::RetrievalModel;
+use hermes::rag::quality::{retrievals_for, PerplexityModel};
+use hermes::rag::PerplexityModel as _Alias;
 
 fn main() {
     let _ = std::marker::PhantomData::<_Alias>;
@@ -31,7 +31,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig05_quality", &quality);
+    emit("fig05_quality", &[&quality]);
 
     let mut latency = Table::new(
         "Figure 5 (right) — total retrieval seconds for 256 output tokens (batch 32)",
@@ -51,7 +51,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig05_latency", &latency);
+    emit("fig05_latency", &[&latency]);
 
     let r4 = retrievals_for(256, 4) as f64 * retrieval.batch_latency(100_000_000_000, 32, 128);
     let r64 = retrievals_for(256, 64) as f64 * retrieval.batch_latency(100_000_000_000, 32, 128);

@@ -2,9 +2,9 @@
 //! datastore size (batch 32, stride 16, 512 in / 256 out, Gemma2-9B).
 
 use hermes_bench::emit;
-use hermes_datagen::scale::format_tokens;
-use hermes_metrics::{Row, Table};
-use hermes_sim::{Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig};
+use hermes::datagen::scale::format_tokens;
+use hermes::metrics::{Row, Table};
+use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig};
 
 fn main() {
     let serving = ServingConfig::paper_default().with_batch(32);
@@ -39,7 +39,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig06_ttft", &ttft);
+    emit("fig06_ttft", &[&ttft]);
 
     let paper_e2e = [
         (100_000_000u64, 12.0),
@@ -71,7 +71,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig06_e2e", &e2e);
+    emit("fig06_e2e", &[&e2e]);
 
     println!(
         "shape check: retrieval dominates TTFT at >=10B tokens and E2E grows\n\

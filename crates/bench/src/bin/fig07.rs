@@ -2,10 +2,10 @@
 //! the datastore scales 100M → 1T tokens (IVF-SQ8, single CPU node).
 
 use hermes_bench::emit;
-use hermes_datagen::scale::format_tokens;
-use hermes_datagen::DatastoreScale;
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::RetrievalModel;
+use hermes::datagen::scale::format_tokens;
+use hermes::datagen::DatastoreScale;
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::RetrievalModel;
 
 fn main() {
     let model = RetrievalModel::default();
@@ -46,7 +46,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig07", &table);
+    emit("fig07", &[&table]);
 
     println!(
         "shape check: 10x more tokens => ~10x less throughput, ~10x more\n\

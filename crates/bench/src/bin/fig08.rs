@@ -3,9 +3,9 @@
 //! speedup-vs-size panel.
 
 use hermes_bench::emit;
-use hermes_datagen::scale::format_tokens;
-use hermes_metrics::{Row, Table};
-use hermes_sim::{
+use hermes::datagen::scale::format_tokens;
+use hermes::metrics::{Row, Table};
+use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
 
@@ -36,9 +36,9 @@ fn main() {
                 ));
             }
             println!("-- {name} ({label}) --");
-            println!("{}", hermes_sim::report::render_timeline(&r.timeline, 64));
+            println!("{}", hermes::sim::report::render_timeline(&r.timeline, 64));
         }
-        emit(&format!("fig08_timeline_{label}"), &table);
+        emit(&format!("fig08_timeline_{label}"), &[&table]);
     }
 
     // Right panel: speedup over the unoptimized baseline vs datastore size.
@@ -76,7 +76,7 @@ fn main() {
             vec![format!("{pipe:.2}x"), format!("{cache:.2}x")],
         ));
     }
-    emit("fig08_speedup", &speedups);
+    emit("fig08_speedup", &[&speedups]);
 
     println!(
         "shape check: both optimizations help at 100M (pipelining {first_pipe:.2}x,\n\

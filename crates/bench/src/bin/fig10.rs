@@ -2,21 +2,22 @@
 //! corpus (left) and search latency vs cluster size against the Gemma2-9B
 //! inference latency line (right, the "pipeline gap").
 
+use hermes::datagen::scale::format_tokens;
+use hermes::datagen::CorpusSpec;
+use hermes::kmeans::{KMeansConfig, SeedSweep};
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::{InferenceModel, RetrievalModel};
+use hermes::scenario::Scenario;
 use hermes_bench::{emit, BENCH_SEED};
-use hermes_datagen::scale::format_tokens;
-use hermes_datagen::{Corpus, CorpusSpec};
-use hermes_kmeans::{KMeansConfig, SeedSweep};
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::{InferenceModel, RetrievalModel};
 
 fn main() {
     // Left: disaggregation quality — sweep seeds on a subsample and show
     // the imbalance the winner achieves (the paper reports a best gap of
     // ~2x between largest and smallest cluster).
-    let corpus = Corpus::generate(CorpusSpec::new(30_000, 32, 10).with_seed(BENCH_SEED));
+    let scenario = Scenario::new(CorpusSpec::new(30_000, 32, 10).with_seed(BENCH_SEED));
     let sweep = SeedSweep::new(KMeansConfig::new(10).with_seed(BENCH_SEED), 8)
         .with_subsample(0.02, BENCH_SEED);
-    let result = sweep.run(corpus.embeddings());
+    let result = sweep.run(scenario.corpus.embeddings());
 
     let mut sweep_table = Table::new(
         "Figure 10 (left) — K-means seed sweep on a 2% subsample",
@@ -29,7 +30,7 @@ fn main() {
             vec![format!("{:.2}", o.imbalance), format!("{:.1}", o.inertia)],
         ));
     }
-    emit("fig10_sweep", &sweep_table);
+    emit("fig10_sweep", &[&sweep_table]);
 
     // Right: pipeline gap per cluster size.
     let retrieval = RetrievalModel::default();
@@ -56,7 +57,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig10_gap", &gap);
+    emit("fig10_gap", &[&gap]);
 
     println!(
         "shape check: a 10B-token cluster is the largest that hides under\n\

@@ -2,32 +2,22 @@
 //! running an NQ-like skewed query workload through a real Hermes store.
 //! Includes the seed-sweep ablation DESIGN.md calls out.
 
+use hermes::core::SplitStrategy;
+use hermes::datagen::{CorpusSpec, QuerySpec};
+use hermes::metrics::{Row, Table};
+use hermes::scenario::Scenario;
 use hermes_bench::{emit, standard_config, BENCH_SEED};
-use hermes_core::{ClusteredStore, SplitStrategy};
-use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-use hermes_metrics::{Row, Table};
 
 fn main() {
-    let corpus = Corpus::generate(
+    let scenario = Scenario::new(
         CorpusSpec::new(30_000, 32, 10)
             .with_seed(BENCH_SEED)
             .with_size_skew(0.5),
-    );
-    let queries = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(500)
-            .with_seed(BENCH_SEED + 1)
-            .with_interest_skew(1.0),
-    );
+    )
+    .with_queries(QuerySpec::new(500).with_interest_skew(1.0));
     let cfg = standard_config();
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).expect("build store");
-
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
-    let accesses = store.access_histogram(&qs, 0).expect("trace");
+    let store = scenario.store(&cfg).expect("build store");
+    let accesses = store.access_histogram(&scenario.queries, 0).expect("trace");
 
     let mut table = Table::new(
         "Figure 13 — cluster size (docs) and deep-search access frequency",
@@ -39,7 +29,7 @@ fn main() {
             vec![store.cluster_sizes()[c].to_string(), hits.to_string()],
         ));
     }
-    emit("fig13", &table);
+    emit("fig13", &[&table]);
 
     let size_imb = store.imbalance();
     let max_a = *accesses.iter().max().unwrap() as f64;
@@ -57,18 +47,16 @@ fn main() {
     let mut sweep_wins = 0usize;
     const TRIALS: u64 = 5;
     for trial in 0..TRIALS {
-        let c = Corpus::generate(
+        let trial_scenario = Scenario::new(
             CorpusSpec::new(12_000, 32, 10)
                 .with_seed(BENCH_SEED + 100 + trial)
                 .with_size_skew(0.5),
         );
         let trial_cfg = cfg.with_seed(BENCH_SEED + 200 + trial);
-        let single = ClusteredStore::build(
-            c.embeddings(),
-            &trial_cfg.with_split(SplitStrategy::KMeansSingle),
-        )
-        .expect("single-seed store");
-        let swept = ClusteredStore::build(c.embeddings(), &trial_cfg).expect("swept store");
+        let single = trial_scenario
+            .store(&trial_cfg.with_split(SplitStrategy::KMeansSingle))
+            .expect("single-seed store");
+        let swept = trial_scenario.store(&trial_cfg).expect("swept store");
         single_sum += single.imbalance();
         sweep_sum += swept.imbalance();
         if swept.imbalance() <= single.imbalance() {
@@ -90,14 +78,12 @@ fn main() {
             format!("{sweep_wins}/{TRIALS}"),
         ],
     ));
-    let rr = ClusteredStore::build(
-        corpus.embeddings(),
-        &cfg.with_split(SplitStrategy::RoundRobin),
-    )
-    .expect("round-robin store");
+    let rr = scenario
+        .store(&cfg.with_split(SplitStrategy::RoundRobin))
+        .expect("round-robin store");
     ablation.push(Row::new(
         "Round-robin (no topical coherence)",
         vec![format!("{:.2}", rr.imbalance()), "-".into()],
     ));
-    emit("fig13_ablation", &ablation);
+    emit("fig13_ablation", &[&ablation]);
 }

@@ -3,9 +3,9 @@
 //! datastore size and stride length (multi-node analysis tool).
 
 use hermes_bench::emit;
-use hermes_datagen::scale::format_tokens;
-use hermes_metrics::{report::normalize_to_max, Row, Table};
-use hermes_sim::{
+use hermes::datagen::scale::format_tokens;
+use hermes::metrics::{report::normalize_to_max, Row, Table};
+use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
 
@@ -68,8 +68,8 @@ fn main() {
             &results.iter().map(|r| r.1).collect::<Vec<_>>(),
         );
     }
-    emit("fig14_batch_latency", &lat);
-    emit("fig14_batch_energy", &energy);
+    emit("fig14_batch_latency", &[&lat]);
+    emit("fig14_batch_energy", &[&energy]);
 
     // --- Sweep 2: datastore size (batch 128, stride 16). ---
     let mut lat = Table::new(
@@ -102,8 +102,8 @@ fn main() {
             &results.iter().map(|r| r.1).collect::<Vec<_>>(),
         );
     }
-    emit("fig14_size_latency", &lat);
-    emit("fig14_size_energy", &energy);
+    emit("fig14_size_latency", &[&lat]);
+    emit("fig14_size_energy", &[&energy]);
 
     // --- Sweep 3: stride length (10B tokens, batch 128). ---
     let sim = MultiNodeSim::new(Deployment::uniform(tokens_default, 10));
@@ -129,8 +129,8 @@ fn main() {
             &results.iter().map(|r| r.1).collect::<Vec<_>>(),
         );
     }
-    emit("fig14_stride_latency", &lat);
-    emit("fig14_stride_energy", &energy);
+    emit("fig14_stride_latency", &[&lat]);
+    emit("fig14_stride_energy", &[&energy]);
 
     println!(
         "shape check: Hermes+PipeRAG+RAGCache wins everywhere; at 1T tokens\n\

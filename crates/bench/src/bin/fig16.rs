@@ -2,9 +2,9 @@
 //! 9.1x TTFT improvement at the trillion-token scale.
 
 use hermes_bench::emit;
-use hermes_datagen::scale::format_tokens;
-use hermes_metrics::{Row, Table};
-use hermes_sim::{
+use hermes::datagen::scale::format_tokens;
+use hermes::metrics::{Row, Table};
+use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
 
@@ -44,7 +44,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig16", &table);
+    emit("fig16", &[&table]);
 
     println!(
         "shape check: TTFT speedup grows with datastore size, reaching\n\

@@ -2,9 +2,9 @@
 //! (Phi-1.5, Gemma2-9B, OPT-30B) and hardware platforms (A6000 Ada, L4).
 
 use hermes_bench::emit;
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::{GpuPlatform, InferenceModel, LlmModel};
-use hermes_sim::{
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::{GpuPlatform, InferenceModel, LlmModel};
+use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
 
@@ -61,7 +61,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig17_models", &models);
+    emit("fig17_models", &[&models]);
 
     // Hardware platform sweep with Gemma2-9B.
     let mut hw = Table::new(
@@ -80,7 +80,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig17_hardware", &hw);
+    emit("fig17_hardware", &[&hw]);
 
     println!(
         "shape check: gains shrink as the model grows ({first:.2}x for Phi-1.5\n\

@@ -2,27 +2,17 @@
 //! clusters deep-searched — Hermes vs the naive all-cluster fan-out.
 //! Access frequencies come from a *measured* trace on a real store.
 
+use hermes::datagen::{CorpusSpec, QuerySpec};
+use hermes::metrics::{Row, Table};
+use hermes::scenario::Scenario;
+use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
 use hermes_bench::{emit, standard_config, BENCH_SEED};
-use hermes_core::ClusteredStore;
-use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-use hermes_metrics::{Row, Table};
-use hermes_sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
 
 fn measured_trace() -> Vec<usize> {
-    let corpus = Corpus::generate(CorpusSpec::new(20_000, 32, 10).with_seed(BENCH_SEED));
-    let queries = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(300)
-            .with_seed(BENCH_SEED + 1)
-            .with_interest_skew(1.0),
-    );
-    let store = ClusteredStore::build(corpus.embeddings(), &standard_config()).expect("store");
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
-    store.access_histogram(&qs, 0).expect("trace")
+    let scenario = Scenario::new(CorpusSpec::new(20_000, 32, 10).with_seed(BENCH_SEED))
+        .with_queries(QuerySpec::new(300).with_interest_skew(1.0));
+    let store = scenario.store(&standard_config()).expect("store");
+    store.access_histogram(&scenario.queries, 0).expect("trace")
 }
 
 fn main() {
@@ -72,7 +62,7 @@ fn main() {
             "1.00x".to_string(),
         ],
     ));
-    emit("fig18", &table);
+    emit("fig18", &[&table]);
 
     println!(
         "shape check: at 3 clusters Hermes delivers {:.2}x the naive throughput\n\

@@ -3,9 +3,9 @@
 //! hides under inference.
 
 use hermes_bench::emit;
-use hermes_datagen::scale::format_tokens;
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::{ClusterPlanner, InferenceModel};
+use hermes::datagen::scale::format_tokens;
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::{ClusterPlanner, InferenceModel};
 
 fn main() {
     let planner = ClusterPlanner::default();
@@ -24,7 +24,7 @@ fn main() {
                 vec![format_tokens(planner.max_cluster_tokens(batch, 128, input, stride))],
             ));
         }
-        emit(&format!("fig19_{label}"), &table);
+        emit(&format!("fig19_{label}"), &[&table]);
     }
 
     // Right panel analogue: input-length sweep at fixed output.
@@ -48,7 +48,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig19_input_sweep", &table);
+    emit("fig19_input_sweep", &[&table]);
 
     println!(
         "shape check: longer inputs leave more inference time to hide\n\

@@ -4,9 +4,9 @@
 //! Gemma2-9B inference latency line.
 
 use hermes_bench::emit;
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::{CpuPlatform, InferenceModel};
-use hermes_sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::{CpuPlatform, InferenceModel};
+use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
 
 const TOKENS: u64 = 100_000_000_000; // 10 nodes x 10B tokens (the paper's split)
 
@@ -60,8 +60,8 @@ fn main() {
         "Gemma2-9B inference (stride)",
         vec![format!("{decode_128:.3}"); 5],
     ));
-    emit("fig20_latency", &latency);
-    emit("fig20_qps", &qps);
+    emit("fig20_latency", &[&latency]);
+    emit("fig20_qps", &[&qps]);
 
     let (plat_l, plat_q) = cost_for(CpuPlatform::xeon_platinum_8380(), 128, 3);
     let (arm32, _) = cost_for(CpuPlatform::neoverse_n1(), 32, 3);

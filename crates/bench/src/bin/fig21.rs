@@ -3,9 +3,9 @@
 //! the number of deep-searched clusters varies.
 
 use hermes_bench::emit;
-use hermes_metrics::{Row, Table};
-use hermes_perfmodel::InferenceModel;
-use hermes_sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
+use hermes::metrics::{Row, Table};
+use hermes::perfmodel::InferenceModel;
+use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
 
 fn main() {
     // Skewed sizes and access frequencies create the idle windows DVFS
@@ -52,7 +52,7 @@ fn main() {
             ],
         ));
     }
-    emit("fig21", &table);
+    emit("fig21", &[&table]);
 
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64 * 100.0;
     println!(

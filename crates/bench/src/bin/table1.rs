@@ -7,16 +7,20 @@
 //! divides) and report bytes/vector at both the bench dimension and the
 //! paper's 768.
 
-use hermes_bench::{emit, EvalSetup, BENCH_SEED};
-use hermes_index::{IvfIndex, SearchParams, VectorIndex};
-use hermes_math::Metric;
-use hermes_metrics::{recall_at_k, Row, Table};
-use hermes_quant::CodecSpec;
+use hermes::datagen::{CorpusSpec, QuerySpec};
+use hermes::index::{IvfIndex, SearchParams, VectorIndex};
+use hermes::math::Metric;
+use hermes::metrics::{recall_at_k, Row, Table};
+use hermes::quant::CodecSpec;
+use hermes::scenario::Scenario;
+use hermes_bench::{emit, BENCH_SEED};
 
 fn main() {
     const DIM: usize = 48;
-    let setup = EvalSetup::new(20_000, DIM, 10, 50, 10);
-    let data = setup.corpus.embeddings();
+    let scenario = Scenario::new(CorpusSpec::new(20_000, DIM, 10).with_seed(BENCH_SEED))
+        .with_queries(QuerySpec::new(50));
+    let truth = scenario.truth(Metric::InnerProduct, 10);
+    let data = scenario.corpus.embeddings();
 
     // The paper's schemes, translated to the bench dimension: PQ256/OPQ256
     // quarter the SQ8 footprint (m = dim/3 ≈ 256/768 of a byte per dim is
@@ -54,12 +58,12 @@ fn main() {
             .build(data)
             .expect("build IVF");
         let mut recall_sum = 0.0;
-        for (q, truth) in setup.queries.embeddings().iter_rows().zip(&setup.truth) {
+        for (q, truth) in scenario.queries.iter().zip(&truth) {
             let hits = index.search(q, 10, &params).expect("search");
             let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
             recall_sum += recall_at_k(truth, &ids, 10);
         }
-        let measured = recall_sum / setup.queries.len() as f64;
+        let measured = recall_sum / scenario.queries.len() as f64;
         table.push(Row::new(
             spec.label(),
             vec![
@@ -70,7 +74,7 @@ fn main() {
             ],
         ));
     }
-    emit("table1", &table);
+    emit("table1", &[&table]);
 
     println!(
         "shape check: Flat ≥ SQ8 > SQ4 ≥ PQ variants in recall; SQ8 is the\n\

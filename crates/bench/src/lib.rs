@@ -2,71 +2,25 @@
 //!
 //! Every binary follows the same contract:
 //!
-//! 1. Build its workload (real indices at laptop scale, device models for
-//!    at-scale projections).
+//! 1. Build its workload: synthetic data through
+//!    [`Scenario`](hermes::scenario::Scenario), real indices at laptop
+//!    scale, device models for at-scale projections.
 //! 2. Print an ASCII table whose rows carry both the **paper** value and
 //!    the **measured** value, so EXPERIMENTS.md can be regenerated
 //!    mechanically.
-//! 3. Write the same table (markdown) into `bench_results/`.
+//! 3. Write the same tables (markdown) into `bench_results/` ([`emit`]).
 //!
 //! Run everything with `cargo run -p hermes-bench --release --bin
 //! all_figures`.
 
 use std::path::PathBuf;
 
-use hermes_core::{HermesConfig, ProbeAllocation};
-use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-use hermes_index::FlatIndex;
-use hermes_math::Metric;
-use hermes_metrics::Table;
+use hermes::core::{HermesConfig, ProbeAllocation};
+use hermes::metrics::Table;
 
 /// The base RNG seed every binary derives its streams from; printed with
 /// each report for replayability.
 pub const BENCH_SEED: u64 = 0x4E52_4D45; // "HERM"
-
-/// An evaluation workload: corpus, queries, and per-query brute-force
-/// ground truth (the paper's NDCG oracle).
-#[derive(Debug)]
-pub struct EvalSetup {
-    /// The synthetic corpus.
-    pub corpus: Corpus,
-    /// The query workload.
-    pub queries: QuerySet,
-    /// Brute-force top-k ids per query.
-    pub truth: Vec<Vec<u64>>,
-}
-
-impl EvalSetup {
-    /// Builds a workload and computes the exact ground truth for `k`.
-    pub fn new(docs: usize, dim: usize, topics: usize, num_queries: usize, k: usize) -> Self {
-        let corpus = Corpus::generate(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED));
-        let queries = QuerySet::generate(
-            &corpus,
-            QuerySpec::new(num_queries).with_seed(BENCH_SEED + 1),
-        );
-        let oracle = FlatIndex::new(corpus.embeddings().clone(), Metric::InnerProduct);
-        // The exhaustive oracle scan is the slowest part of every
-        // accuracy bench; it fans out per query on the shared pool.
-        let truth = hermes_metrics::ground_truth(&oracle, &queries.to_vecs(), k)
-            .expect("oracle search");
-        EvalSetup {
-            corpus,
-            queries,
-            truth,
-        }
-    }
-
-    /// The standard evaluation corpus for accuracy figures (Fig 11/12):
-    /// 30k docs, 48 dims, 10 topics, 60 queries, k = 5.
-    pub fn standard() -> Self {
-        EvalSetup::new(30_000, 48, 10, 60, 5)
-    }
-
-    /// A smaller workload for sweeps that rebuild stores repeatedly.
-    pub fn small() -> Self {
-        EvalSetup::new(8_000, 32, 10, 40, 5)
-    }
-}
 
 /// Standard Hermes configuration for the paper-figure benches: 10
 /// clusters, the paper's knobs elsewhere — its deep stage included, every
@@ -91,12 +45,15 @@ pub fn out_dir() -> PathBuf {
     dir
 }
 
-/// Prints a report table and writes its markdown twin to
-/// `bench_results/<name>.md`.
-pub fn emit(name: &str, table: &Table) {
-    println!("{}", table.render());
+/// Prints a report's tables and writes their markdown twins, in order,
+/// to `bench_results/<name>.md`.
+pub fn emit(name: &str, tables: &[&Table]) {
+    for table in tables {
+        println!("{}", table.render());
+    }
+    let markdown: Vec<String> = tables.iter().map(|t| t.render_markdown()).collect();
     let path = out_dir().join(format!("{name}.md"));
-    std::fs::write(&path, table.render_markdown()).expect("write report");
+    std::fs::write(&path, markdown.join("\n")).expect("write report");
     println!("(written to {})\n", path.display());
 }
 
@@ -115,13 +72,6 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eval_setup_has_truth_per_query() {
-        let s = EvalSetup::new(500, 8, 4, 7, 3);
-        assert_eq!(s.truth.len(), 7);
-        assert!(s.truth.iter().all(|t| t.len() == 3));
-    }
 
     #[test]
     fn time_it_returns_result_and_duration() {

@@ -199,9 +199,9 @@ fn cmd_build(opts: &Flags) -> Result<(), String> {
         "generating corpus: {} docs, {} dims, {} topics (seed {})",
         spec.num_docs, spec.dim, spec.num_topics, spec.seed
     );
-    let corpus = Corpus::generate(spec);
+    let scenario = Scenario::new(spec);
     println!("building clustered store ({} clusters)...", cfg.num_clusters);
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).map_err(|e| e.to_string())?;
+    let store = scenario.store(&cfg).map_err(|e| e.to_string())?;
     store.save(out).map_err(|e| e.to_string())?;
     println!(
         "saved {} ({} docs, {} clusters, imbalance {:.2}x, {:.1} MB resident)",
@@ -284,12 +284,8 @@ fn cmd_search(opts: &Flags) -> Result<(), String> {
 fn cmd_eval(opts: &Flags) -> Result<(), String> {
     let (spec, cfg) = build_config(opts)?;
     let num_queries = get_usize(opts, "queries", 40)?;
-    let corpus = Corpus::generate(spec);
-    let queries = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(num_queries).with_seed(spec.seed.wrapping_add(7)),
-    );
-    let oracle = FlatIndex::new(corpus.embeddings().clone(), cfg.metric);
+    let scenario = Scenario::new(spec).with_queries(QuerySpec::new(num_queries));
+    let truth = scenario.truth(cfg.metric, cfg.k);
 
     println!(
         "strategy        mean NDCG@{}   codes/query   route share",
@@ -301,20 +297,14 @@ fn cmd_eval(opts: &Flags) -> Result<(), String> {
         RetrieverKind::CentroidRouted,
         RetrieverKind::Hermes,
     ] {
-        let retriever =
-            Retriever::build(kind, corpus.embeddings(), &cfg).map_err(|e| e.to_string())?;
+        let retriever = Retriever::build(kind, scenario.corpus.embeddings(), &cfg)
+            .map_err(|e| e.to_string())?;
         let mut ndcg_sum = 0.0;
         let mut cost = CostBreakdown::new();
-        for q in queries.embeddings().iter_rows() {
-            let truth: Vec<u64> = oracle
-                .search(q, cfg.k, &SearchParams::new())
-                .map_err(|e| e.to_string())?
-                .iter()
-                .map(|n| n.id)
-                .collect();
+        for (q, truth) in scenario.queries.iter().zip(&truth) {
             let r = retriever.retrieve(q).map_err(|e| e.to_string())?;
             let ids: Vec<u64> = r.hits.iter().map(|n| n.id).collect();
-            ndcg_sum += ndcg_at_k(&truth, &ids, cfg.k);
+            ndcg_sum += ndcg_at_k(truth, &ids, cfg.k);
             cost.record(r.route_codes, r.scanned_codes - r.route_codes);
         }
         println!(
@@ -345,20 +335,12 @@ fn run_traced_workload(
         "tracing hierarchical search: {} docs, {} clusters, {} queries",
         spec.num_docs, cfg.num_clusters, num_queries
     );
-    let corpus = Corpus::generate(spec);
-    let queries = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(num_queries).with_seed(spec.seed.wrapping_add(7)),
-    );
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).map_err(|e| e.to_string())?;
-    let qs: Vec<Vec<f32>> = queries
-        .embeddings()
-        .iter_rows()
-        .map(<[f32]>::to_vec)
-        .collect();
+    let scenario = Scenario::new(spec).with_queries(QuerySpec::new(num_queries));
+    let store = scenario.store(&cfg).map_err(|e| e.to_string())?;
+    let qs = &scenario.queries;
     hermes::trace::clear();
     let baseline = store
-        .batch_hierarchical_search(&qs, threads)
+        .batch_hierarchical_search(qs, threads)
         .map_err(|e| e.to_string())?;
     hermes::trace::enable();
     let traced = if coalesced {
@@ -368,7 +350,7 @@ fn run_traced_workload(
             .collect::<Result<Vec<_>, _>>()
             .map(|batches| batches.concat())
     } else {
-        store.batch_hierarchical_search(&qs, threads)
+        store.batch_hierarchical_search(qs, threads)
     };
     hermes::trace::disable();
     let snap = hermes::trace::snapshot();
@@ -455,12 +437,9 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
         if use_cache { "on" } else { "off" },
         if use_adaptive { "on" } else { "off" },
     );
-    let corpus = Corpus::generate(spec);
-    let pool = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(pool_size).with_seed(spec.seed.wrapping_add(7)),
-    );
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).map_err(|e| e.to_string())?;
+    let scenario = Scenario::new(spec);
+    let pool = scenario.query_set(QuerySpec::new(pool_size).with_seed(spec.seed.wrapping_add(7)));
+    let store = scenario.store(&cfg).map_err(|e| e.to_string())?;
     let stream = query_stream(
         &pool,
         StreamSpec::repeated(requests).with_seed(spec.seed.wrapping_add(13)),
@@ -541,9 +520,8 @@ fn get_bool(opts: &Flags, key: &str) -> bool {
     opts.get(key).is_some_and(|v| v != "false")
 }
 
-/// The serving workload every serving subcommand shares: a synthetic
-/// corpus + store from the common flags, the query set, and the server
-/// knobs.
+/// The serving workload every serving subcommand shares: the common
+/// flags' scenario — its store and queries — and the server knobs.
 struct ServeSetup {
     store: ClusteredStore,
     queries: Vec<Vec<f32>>,
@@ -557,16 +535,12 @@ struct ServeSetup {
 fn build_serve_setup(opts: &Flags) -> Result<ServeSetup, String> {
     let (spec, cfg) = build_config(opts)?;
     let num_queries = get_usize(opts, "queries", 40)?;
-    let corpus = Corpus::generate(spec);
-    let queries = QuerySet::generate(
-        &corpus,
-        QuerySpec::new(num_queries).with_seed(spec.seed.wrapping_add(7)),
-    );
-    let store = ClusteredStore::build(corpus.embeddings(), &cfg).map_err(|e| e.to_string())?;
+    let scenario = Scenario::new(spec).with_queries(QuerySpec::new(num_queries));
+    let store = scenario.store(&cfg).map_err(|e| e.to_string())?;
     let slo_us = get_u64(opts, "slo-us", 0)?;
     Ok(ServeSetup {
         store,
-        queries: queries.to_vecs(),
+        queries: scenario.queries,
         threads: get_usize(opts, "threads", 0)?,
         requests: get_usize(opts, "requests", 200)?,
         server_cfg: hermes::serve::ServerConfig {

@@ -21,6 +21,9 @@
 //! | [`trace`] | `hermes-trace` | runtime telemetry: spans, counters, Chrome trace export |
 //! | [`math`] | `hermes-math` | distances, top-k, matrices, stats, RNG |
 //!
+//! [`scenario`] builds the synthetic workloads — corpus, queries, store,
+//! ground truth — that the CLI and the paper-figure binaries measure.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -56,6 +59,8 @@ pub use hermes_rag as rag;
 pub use hermes_serve as serve;
 pub use hermes_sim as sim;
 pub use hermes_trace as trace;
+
+pub mod scenario;
 
 /// The most commonly used types, importable in one line.
 pub mod prelude {
@@ -93,6 +98,8 @@ pub mod prelude {
     pub use hermes_sim::{
         Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
     };
+
+    pub use crate::scenario::Scenario;
 }
 
 #[cfg(test)]

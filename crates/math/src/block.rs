@@ -19,14 +19,16 @@
 //! # Determinism contract (two tiers)
 //!
 //! * **Tier A — bit-identical at every level and segmentation.** The
-//!   SQ8 ([`sq8_ip_segments_at`], [`sq8_l2_segments_at`]) and PQ/ADC
-//!   ([`adc_block_at`]) kernels vectorize *across codes* — one SIMD lane
-//!   per code, each code's accumulator folded sequentially over
-//!   dimensions with mul and add kept separate — so every level
-//!   performs, per code, the exact scalar operation sequence and returns
-//!   the exact scalar bits. All three take their codes as a list of
-//!   *segments* (short inverted lists, typically) that the AVX2 tiles
-//!   run across: which codes share a tile never changes a score.
+//!   SQ8 kernels ([`sq8_ip_segments_at`], [`sq8_l2_segments_at`])
+//!   vectorize *across codes* — one SIMD lane per code, each code's
+//!   accumulator folded sequentially over dimensions with mul and add
+//!   kept separate — so every level performs, per code, the exact scalar
+//!   operation sequence and returns the exact scalar bits. Both take
+//!   their codes as a list of *segments* (short inverted lists,
+//!   typically) that the AVX2 tiles run across: which codes share a tile
+//!   never changes a score. The PQ/ADC table walk ([`adc_block_at`])
+//!   takes segments too; no workload runs PQ, so it is the scalar walk
+//!   at every level.
 //! * **Tier B — pinned reduction order per level.** The f32 kernels
 //!   vectorize *within a row*, so each level reassociates the
 //!   reduction differently. Per row, each level is bit-identical to
@@ -938,17 +940,16 @@ fn sq8_dot_i8_scalar(
 
 /// PQ/ADC table walk over the `m`-byte codes of `segments`, in order:
 /// `out[i] = Σ_sub tables[sub * 256 + code_i[sub]]`, added in subspace
-/// order per code. **Bit-identical at every dispatch level and
-/// segmentation** (tier A): pure table loads and in-order adds at any
-/// width; the AVX2 tiles span segment boundaries and `pace` is called
-/// like [`sq8_ip_segments_at`]'s.
+/// order per code, `pace` called before each segment with its code
+/// count. The scalar walk at every dispatch `level`, so bit-identical
+/// at every level and segmentation (tier A).
 ///
 /// # Panics
 ///
 /// Panics if `tables.len() != m * 256`, a segment is not a whole number
 /// of `m`-byte codes or the segments do not hold `out.len()` codes.
 pub fn adc_block_at(
-    level: SimdLevel,
+    _level: SimdLevel,
     tables: &[f32],
     m: usize,
     segments: &[&[u8]],
@@ -961,30 +962,20 @@ pub fn adc_block_at(
         out.fill(0.0);
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if level == SimdLevel::Avx2 && level.is_supported() && !out.is_empty() {
-        return unsafe { crate::simd::avx2::adc_tiles(tables, m, segments, out, pace) };
-    }
     let mut at = 0;
     for codes in segments {
         let out = &mut out[at..at + codes.len() / m];
         at += out.len();
         pace(out.len());
-        #[allow(unused_mut)]
-        let mut r = 0;
-        #[cfg(target_arch = "aarch64")]
-        if level == SimdLevel::Neon {
-            r = unsafe { crate::simd::neon::adc_tiles(tables, m, codes, out) };
-        }
-        adc_scalar(tables, m, codes, out, r);
+        adc_scalar(tables, m, codes, out);
     }
 }
 
-/// Scalar tier-A ADC walk from code `start` on: four walks share each
-/// hot `tables` row, then single codes.
-fn adc_scalar(tables: &[f32], m: usize, codes: &[u8], out: &mut [f32], start: usize) {
+/// Scalar tier-A ADC walk: four walks share each hot `tables` row, then
+/// single codes.
+fn adc_scalar(tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) {
     let n = out.len();
-    let mut r = start;
+    let mut r = 0;
     while r + 4 <= n {
         let c0 = &codes[r * m..(r + 1) * m];
         let c1 = &codes[(r + 1) * m..(r + 2) * m];

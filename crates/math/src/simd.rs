@@ -22,15 +22,16 @@
 //! Dispatch is only sound because every level is pinned to the same
 //! results, at two strictnesses (see DESIGN.md "Scoring kernels"):
 //!
-//! * **Tier A — bit-identical.** The SQ8 dequantize-and-score and PQ/ADC
-//!   table walks perform, per (query, code), the *exact same sequence of
-//!   f32 operations* at every level: the SIMD forms vectorize **across
+//! * **Tier A — bit-identical.** The SQ8 dequantize-and-score kernels
+//!   perform, per (query, code), the *exact same sequence of f32
+//!   operations* at every level: the SIMD forms vectorize **across
 //!   codes** (one lane per code) so each (query, code) pair keeps one
 //!   accumulator folded sequentially over dimensions, with no FMA
 //!   contraction. The SQ8 kernel fills its 8-code tiles across the
 //!   boundaries of the code segments it is given; a code's tile-mates
 //!   never change its score. `QueryScorer::score_block` and
 //!   `score_segments` are bit-identical to `score` regardless of level.
+//!   The PQ/ADC table walk has only its scalar form.
 //! * **Tier B — pinned reduction order per level, ULP-bounded across
 //!   levels.** The f32 reductions vectorize **within a row**, so each
 //!   level reassociates differently. Every level is bit-identical to
@@ -1133,83 +1134,6 @@ pub(crate) mod avx2 {
             _mm256_permute2x128_si256::<0x31>(h0, h1),
         )
     }
-
-    /// `T` tiles of the tier-A PQ/ADC table walk: code bytes reach their
-    /// lanes through the same transpose as SQ8, then one float gather per
-    /// subspace and in-order adds — bit-identical to the scalar walk.
-    ///
-    /// # Safety
-    ///
-    /// As [`adc_tiles`], plus `r0 < out.len()` and every row pointer
-    /// readable for `m` bytes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn adc_macro_tile<const T: usize>(
-        tables: &[f32],
-        m: usize,
-        rows: &[[*const u8; LANES]; T],
-        r0: usize,
-        out: &mut [f32],
-    ) {
-        let mut acc = [_mm256_setzero_ps(); T];
-        let mut sub = 0;
-        while sub < m {
-            let ns = (m - sub).min(8);
-            let mut bytes = [[_mm256_setzero_si256(); 2]; T];
-            for (b, tile) in bytes.iter_mut().zip(rows) {
-                *b = transpose_bytes(tile, sub, ns);
-            }
-            for j in 0..ns {
-                // idx < 256 and tables holds m*256 floats, so the float
-                // gather is always in bounds.
-                let table = tables.as_ptr().add((sub + j) * 256);
-                for (a, b) in acc.iter_mut().zip(&bytes) {
-                    *a = _mm256_add_ps(*a, _mm256_i32gather_ps::<4>(table, widen_lane(b, j)));
-                }
-            }
-            sub += ns;
-        }
-        for (t, &a) in acc.iter().enumerate() {
-            let start = r0 + t * LANES;
-            if start < out.len() {
-                store_lanes(out, start, a);
-            }
-        }
-    }
-
-    /// Tier-A PQ/ADC table walk over every code of `segments`, in order;
-    /// tiles span segment boundaries, and `pace` hears of each group of
-    /// at most 16 codes, like [`sq8_segments`]'s.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2, `m >= 1`, `tables.len() == m * 256`, a non-empty
-    /// `out`, every segment a whole number of `m`-byte codes and
-    /// `out.len()` codes between them.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn adc_tiles(
-        tables: &[f32],
-        m: usize,
-        segments: &[&[u8]],
-        out: &mut [f32],
-        pace: &mut dyn FnMut(usize),
-    ) {
-        let n = out.len();
-        let mut cursor = RowCursor::new(segments, m);
-        let mut r = 0;
-        while r < n {
-            pace((n - r).min(2 * LANES));
-            if n - r > LANES {
-                let rows = cursor.tiles::<2>();
-                adc_macro_tile::<2>(tables, m, &rows, r, out);
-                r += 2 * LANES;
-            } else {
-                let rows = cursor.tiles::<1>();
-                adc_macro_tile::<1>(tables, m, &rows, r, out);
-                r += LANES;
-            }
-        }
-    }
 }
 
 /// NEON kernels: 4 fused lanes (`vfmaq_f32` is correctly-rounded fma,
@@ -1423,33 +1347,6 @@ pub(crate) mod neon {
                 acc = vaddq_f32(acc, vmulq_f32(diff, diff));
             }
             vst1q_f32(out.as_mut_ptr().add(r), vnegq_f32(acc));
-            r += 4;
-        }
-        r
-    }
-
-    /// Tier-A PQ/ADC walk: 4 codes per tile, table rows loaded lane by
-    /// lane, in-order vector adds — bit-identical to the scalar walk.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn adc_tiles(tables: &[f32], m: usize, codes: &[u8], out: &mut [f32]) -> usize {
-        if m == 0 {
-            return 0;
-        }
-        let mut r = 0;
-        while r + 4 <= out.len() {
-            let base = r * m;
-            let mut acc = vdupq_n_f32(0.0);
-            for sub in 0..m {
-                let t = sub * 256;
-                let vals = [
-                    tables[t + codes[base + sub] as usize],
-                    tables[t + codes[base + m + sub] as usize],
-                    tables[t + codes[base + 2 * m + sub] as usize],
-                    tables[t + codes[base + 3 * m + sub] as usize],
-                ];
-                acc = vaddq_f32(acc, vld1q_f32(vals.as_ptr()));
-            }
-            vst1q_f32(out.as_mut_ptr().add(r), acc);
             r += 4;
         }
         r

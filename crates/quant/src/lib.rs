@@ -326,9 +326,10 @@ impl QueryScorer<'_> {
     /// Scores a contiguous block of `out.len()` codes at once — the form
     /// the IVF inverted-list probe consumes — at the process-wide
     /// [`simd_level`]. `out[i]` is **bit-identical to `self.score(code_i)`
-    /// at every dispatch level** (the tier-A contract): the SQ8 and
-    /// PQ/ADC kernels in `hermes_math::block` vectorize across codes, so
-    /// each code keeps the exact scalar operation sequence. SQ decode
+    /// at every dispatch level** (the tier-A contract): the SQ8 kernels
+    /// in `hermes_math::block` vectorize across codes, so each code keeps
+    /// the exact scalar operation sequence, and the PQ/ADC walk is the
+    /// scalar one at every level. SQ decode
     /// constants and ADC table rows are reused across a tile of codes
     /// instead of being reloaded per code, and the code-size check runs
     /// once per block instead of once per code.
@@ -343,10 +344,10 @@ impl QueryScorer<'_> {
     /// Scores the codes of `segments`, in order, as if they were one
     /// contiguous block: `out[i]` is bit-identical to `self.score(code_i)`
     /// at every dispatch level and segmentation. The segments are
-    /// typically several short inverted lists: the SQ8 and PQ/ADC kernels
-    /// fill their SIMD tiles across the boundaries, so a 19-code list does
-    /// not waste the lanes of its ragged tail; the other codecs go code by
-    /// code.
+    /// typically several short inverted lists: the SQ8 kernels fill their
+    /// SIMD tiles across the boundaries, so a 19-code list does not waste
+    /// the lanes of its ragged tail; PQ/ADC walks list by list and the
+    /// other codecs go code by code.
     ///
     /// `pace` hears of every code once, group by group, just before the
     /// group is first scored — the hook for keeping a prefetch cursor a

@@ -1,7 +1,7 @@
-//! First-party property-testing and benchmarking substrate.
+//! First-party property-testing substrate.
 //!
 //! The workspace builds with **zero external dependencies** (see
-//! DESIGN.md), so `proptest` and `criterion` are replaced by this crate:
+//! DESIGN.md), so `proptest` is replaced by this crate:
 //!
 //! * [`check`] / [`check_with`] — seeded property-test runners. Cases are
 //!   generated deterministically from [`hermes_math::rng::derive_seed`],
@@ -9,8 +9,6 @@
 //!   greedily shrunk before the panic message is printed.
 //! * [`strategy`] — composable input generators ([`Strategy`]) for
 //!   scalars, vectors and tuples, each with a `shrink` rule.
-//! * [`bench`] — a small wall-clock benchmark runner for
-//!   `harness = false` bench targets.
 //!
 //! # Writing a property test
 //!
@@ -29,7 +27,6 @@
 //! [`prop_assert_eq!`] macros produce the `Err` side. Known-bad inputs
 //! from past failures are pinned with [`check_with_regressions`].
 
-pub mod bench;
 pub mod runner;
 pub mod simd_ref;
 pub mod strategy;

@@ -14,8 +14,8 @@
 //! 1. **Disabled cost ≈ one branch.** Every public recording entry point
 //!    starts with a single `Relaxed` atomic load ([`is_enabled`]); when
 //!    telemetry is off (the default) nothing else runs — no clock read,
-//!    no buffer touch, no allocation. The `ext_trace_overhead` bench
-//!    records the residual cost on the flat-scan path.
+//!    no buffer touch, no allocation. The repo benchmark's `trace.*`
+//!    probes record the residual cost.
 //! 2. **No locks on the hot path.** Each thread owns a single-producer
 //!    ring; the producer publishes with a release store on the head
 //!    index, the (registry-serialized) drainer acknowledges with a

@@ -13,10 +13,10 @@ cargo test -q --offline
 
 # Doc comments link to the names they describe; a refactor that deletes
 # or renames one must not leave the link dangling.
-echo "== rustdoc intra-doc links (math, quant, index, core, serve, rag, cache) =="
+echo "== rustdoc intra-doc links (math, quant, index, core, serve, rag, cache, hermes, bench, testkit) =="
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q \
     -p hermes-math -p hermes-quant -p hermes-index -p hermes-core -p hermes-serve \
-    -p hermes-rag -p hermes-cache
+    -p hermes-rag -p hermes-cache -p hermes -p hermes-bench -p hermes-testkit
 
 # Re-run, at both extremes of the hermes-pool width — fully
 # inline/sequential and heavily oversubscribed (the CI box has few
@@ -73,23 +73,17 @@ done
 echo "== benchmark/check.sh =="
 benchmark/check.sh
 
-# Release-mode smoke run of the blocked-kernel microbench: asserts the
-# scalar and blocked@scalar scan variants return bit-identical top-k
-# lists and the SIMD variants the same ranking under the real optimizer
-# flags (the suites above run the same checks, but only at test opt
-# levels). Runs once at the host dispatch level (printed by the bench)
-# and once pinned to scalar to cover both sides of the dispatch.
-echo "== ext_kernels smoke (release) =="
-HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_kernels
-echo "== ext_kernels smoke (release, HERMES_SIMD=scalar) =="
-HERMES_SMOKE=1 HERMES_SIMD=scalar \
-    cargo run -p hermes-bench --release --offline --quiet --bin ext_kernels
-
-# Release-mode smoke of the telemetry layer: asserts the disabled and
-# enabled instrumented search paths return bit-identical hits and that
-# the enabled path records counter samples.
-echo "== ext_trace_overhead smoke (release) =="
-HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_trace_overhead
+# The kernel suites again under the real optimizer flags: the two-tier
+# contract (blocked vs scalar kernels, per-code vs segment scoring, the
+# cross-level ULP bound) must hold in release builds too, where the
+# suites above only run at test opt levels. Once at the host dispatch
+# level and once pinned to scalar, to cover both sides of the dispatch.
+for simd in auto scalar; do
+    echo "== kernel suites (release, HERMES_SIMD=${simd}) =="
+    HERMES_SIMD="${simd}" cargo test --release -q --offline -p hermes-math -p hermes-quant
+    HERMES_SIMD="${simd}" cargo test --release -q --offline -p hermes \
+        --test simd_differential --test properties
+done
 
 # Traced-workload smoke: `hermes trace` runs a batch hierarchical search
 # with telemetry off then on, errors out unless the results are
@@ -109,13 +103,10 @@ test -s "${trace_out}/trace_w1.json"
 # a closed-loop then an open-loop workload and errors out unless every
 # batched/coalesced completion is bit-identical to a standalone
 # `Engine::execute` of the same query. A second pass at width 1 pins the
-# inline path; the ext_serving smoke re-checks the same bar from the
-# bench harness.
+# inline path.
 echo "== hermes loadgen smoke (release) =="
 cargo run -p hermes --release --offline --quiet --bin hermes -- loadgen --smoke
 HERMES_THREADS=1 cargo run -p hermes --release --offline --quiet --bin hermes -- loadgen --smoke
-echo "== ext_serving smoke (release) =="
-HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_serving
 
 # Churn smoke: `hermes loadgen --smoke --churn` drives a live store
 # through inserts/removes/queries while the incremental rebalancer swaps
@@ -141,24 +132,8 @@ cargo run -p hermes --release --offline --quiet --bin hermes -- \
     search --store "${store_out}/store.hpgs" --query "paged store smoke" --k 3
 rm -rf "${store_out}"
 
-# Persistence smoke from the bench harness: asserts the paged cold open
-# is at least 5x faster than full monolithic materialization and that an
-# opened reader agrees with the live store on metadata.
-echo "== ext_persist smoke (release) =="
-HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_persist
-
-# Adaptive-depth + semantic-cache smoke: the bench asserts (a) a pinned
-# adaptive policy is bit-identical to the fixed-knob engine per query,
-# (b) an exact-only cached run serves every completion bit-identical to
-# recomputation, (c) semantic-run divergence is bounded by the
-# semantic-hit counter, (d) the repeated-query workload clears a 30%
-# hit rate, and (e) on the over-capacity row (pool 4x the cache) the
-# cache evicts and its exact hit rate is no lower than an LRU model's on
-# the same stream. Smoke mode leaves bench_results/ untouched.
-echo "== ext_adaptive smoke (release) =="
-HERMES_SMOKE=1 cargo run -p hermes-bench --release --offline --quiet --bin ext_adaptive
-
-# The same contracts through the CLI, cache/adaptive on and off: `stats
+# The adaptive-depth and semantic-cache contracts through the CLI,
+# cache/adaptive on and off: `stats
 # --cache/--adaptive` replays a Zipf-repeated stream and errors out
 # unless completions match standalone execution (up to accounted
 # semantic hits). Width 1 pins the inline dispatch path.
@@ -177,9 +152,7 @@ HERMES_THREADS=1 cargo run -p hermes --release --offline --quiet --bin hermes --
 # and (c) the flight-recorder dump and the Prometheus-style text
 # exposition both re-parse cleanly before being written. The file checks
 # below re-assert the artifacts landed; `stats --slo` re-runs the same
-# bars through the SLO accounting path at pool width 1. The
-# ext_trace_overhead smoke above already re-checks the <= 2% disabled
-# overhead budget that gates the obs layer.
+# bars through the SLO accounting path at pool width 1.
 echo "== hermes report / stats --slo obs smoke (release) =="
 obs_out="$(mktemp -d)"
 cargo run -p hermes --release --offline --quiet --bin hermes -- \

@@ -45,49 +45,52 @@ fn requests(queries: &[Vec<f32>]) -> Vec<Request> {
 }
 
 /// Contract 1: `adaptive: None` and a pinned adaptive policy both
-/// reproduce the fixed-knob engine bit for bit on every execution path.
+/// reproduce the fixed-knob engine bit for bit on every execution path,
+/// under either probe allocation.
 #[test]
 fn adaptive_off_and_pinned_adaptive_match_fixed_knob_search() {
     let (store, queries, cfg) = setup(401);
-    let fixed = QueryPlan::from_config(&cfg);
-    let pinned = AdaptiveConfig::new(
-        cfg.clusters_to_search,
-        cfg.clusters_to_search,
-        cfg.deep_nprobe,
-        cfg.deep_nprobe,
-    );
-    let plans = [
-        fixed.clone().with_adaptive(None),
-        fixed.clone().with_adaptive(Some(pinned)),
-        // The difficulty band rescales *where* in [floor, ceiling] a
-        // query lands; with floor == ceiling knobs it must be inert.
-        fixed
-            .clone()
-            .with_adaptive(Some(pinned.with_difficulty_band_permille(300, 700))),
-    ];
+    for allocation in [ProbeAllocation::Pooled, ProbeAllocation::PerShard] {
+        let fixed = QueryPlan::from_config(&cfg.with_probe_allocation(allocation));
+        let pinned = AdaptiveConfig::new(
+            cfg.clusters_to_search,
+            cfg.clusters_to_search,
+            cfg.deep_nprobe,
+            cfg.deep_nprobe,
+        );
+        let plans = [
+            fixed.clone().with_adaptive(None),
+            fixed.clone().with_adaptive(Some(pinned)),
+            // The difficulty band rescales *where* in [floor, ceiling] a
+            // query lands; with floor == ceiling knobs it must be inert.
+            fixed
+                .clone()
+                .with_adaptive(Some(pinned.with_difficulty_band_permille(300, 700))),
+        ];
 
-    let baseline = Engine::new(&store, fixed.clone());
-    let reference: Vec<_> = queries
-        .iter()
-        .map(|q| baseline.execute(q).unwrap())
-        .collect();
+        let baseline = Engine::new(&store, fixed.clone());
+        let reference: Vec<_> = queries
+            .iter()
+            .map(|q| baseline.execute(q).unwrap())
+            .collect();
 
-    for plan in &plans {
-        let engine = Engine::new(&store, plan.clone());
-        for (q, want) in queries.iter().zip(&reference) {
-            assert_eq!(engine.execute(q).unwrap(), *want, "execute diverged");
-        }
-        for threads in [1, 2, 4] {
-            assert_eq!(
-                engine.execute_batch(&queries, threads).unwrap(),
-                reference,
-                "execute_batch diverged at {threads} threads"
-            );
-            assert_eq!(
-                engine.execute_coalesced(&queries, threads).unwrap(),
-                reference,
-                "execute_coalesced diverged at {threads} threads"
-            );
+        for plan in &plans {
+            let engine = Engine::new(&store, plan.clone());
+            for (q, want) in queries.iter().zip(&reference) {
+                assert_eq!(engine.execute(q).unwrap(), *want, "{allocation:?}: execute diverged");
+            }
+            for threads in [1, 2, 4] {
+                assert_eq!(
+                    engine.execute_batch(&queries, threads).unwrap(),
+                    reference,
+                    "{allocation:?}: execute_batch diverged at {threads} threads"
+                );
+                assert_eq!(
+                    engine.execute_coalesced(&queries, threads).unwrap(),
+                    reference,
+                    "{allocation:?}: execute_coalesced diverged at {threads} threads"
+                );
+            }
         }
     }
 }
@@ -173,6 +176,49 @@ fn semantic_hits_serve_the_stored_outcome_and_are_bounded() {
         }
     }
     assert!(divergent <= stats.semantic_hits, "unexplained divergence");
+}
+
+/// Contract 2c: replayed repeated-Zipf streams (`StreamSpec::repeated`)
+/// hit. With the whole pool fitting in the cache, at least 30 % of the
+/// requests are served from it; with the pool at four times the cache,
+/// the cache evicts and its exact hits alone match or beat an
+/// exact-match LRU of the same capacity on the same stream.
+#[test]
+fn repeated_streams_clear_the_hit_floor_and_lru_over_capacity() {
+    let corpus = Corpus::generate(CorpusSpec::new(1_200, 16, 6).with_seed(437));
+    let cfg = HermesConfig::new(6)
+        .with_clusters_to_search(2)
+        .with_k(8)
+        .with_seed(438);
+    let cell = Arc::new(GenerationCell::new(
+        ClusteredStore::build(corpus.embeddings(), &cfg).unwrap(),
+    ));
+    let small = CacheConfig::default().with_capacity(16);
+    for (pool_size, length, cache_cfg) in [(60, 600, CacheConfig::default()), (64, 1_000, small)] {
+        let pool = QuerySet::generate(&corpus, QuerySpec::new(pool_size).with_seed(439));
+        let stream = query_stream(&pool, StreamSpec::repeated(length).with_seed(440));
+        let backend = CachedBackend::new(cell.clone(), 1, cache_cfg);
+        for request in requests(&stream) {
+            backend.run(std::slice::from_ref(&request)).unwrap();
+        }
+        let stats = backend.cache_stats();
+        if cache_cfg.capacity >= pool_size {
+            assert!(stats.hit_rate() >= 0.30, "hit rate {:.3}", stats.hit_rate());
+            continue;
+        }
+        let mut lru = hermes::datagen::LruModel::new(cache_cfg.capacity);
+        let lru_hits = stream
+            .iter()
+            .filter(|q| lru.request(q.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()))
+            .count();
+        assert!(stats.evictions > 0, "the cache never evicted");
+        let exact_rate = stats.exact_hits as f64 / stats.lookups() as f64;
+        let lru_rate = lru_hits as f64 / length as f64;
+        assert!(
+            exact_rate >= lru_rate,
+            "exact hit rate {exact_rate:.4} below the LRU model's {lru_rate:.4}"
+        );
+    }
 }
 
 /// Contract 3: a generation swap invalidates everything — post-swap

@@ -269,6 +269,32 @@ fn deterministic_histograms_under_test_clock() {
     trace::clear();
 }
 
+/// `VectorIndex::search` is the bare `search_with_stats` scan with
+/// telemetry off and on; on, each call records one
+/// `index.scanned_codes` sample.
+#[test]
+fn index_search_counts_scanned_codes_without_changing_hits() {
+    let _g = guard();
+    let corpus = Corpus::generate(CorpusSpec::new(500, 16, 4).with_seed(14));
+    let index = FlatIndex::new(corpus.embeddings().clone(), Metric::InnerProduct);
+    let params = SearchParams::new();
+    let queries: Vec<&[f32]> = corpus.embeddings().iter_rows().take(8).collect();
+    trace::clear();
+    for q in &queries {
+        let bare = index.search_with_stats(q, 10, &params).unwrap().0;
+        assert_eq!(index.search(q, 10, &params).unwrap(), bare, "disabled");
+        trace::enable();
+        let enabled = index.search(q, 10, &params);
+        trace::disable();
+        assert_eq!(enabled.unwrap(), bare, "enabled");
+    }
+    let counters = trace::snapshot().counters();
+    let scanned = &counters[trace::names::INDEX_SCANNED_CODES];
+    assert_eq!(scanned.samples, queries.len() as u64);
+    assert_eq!(scanned.sum, (queries.len() * corpus.len()) as u64);
+    trace::clear();
+}
+
 #[test]
 fn disabled_workload_records_nothing() {
     let _g = guard();

@@ -7,10 +7,10 @@
 //!   the per-page checksum table, and the meta section — never the
 //!   shard payloads — so an opened reader can answer `num_clusters` /
 //!   `cluster_sizes` / `generation` immediately and materialize shards
-//!   lazily. The bench compares that against fully materializing the
-//!   legacy monolithic (`HCLS`) image via `from_bytes`, and asserts the
-//!   paged open is **at least 5x faster at the largest store** (in
-//!   practice it is orders of magnitude).
+//!   lazily. The bench compares that against a full load of the same
+//!   image ([`ClusteredStore::load`], every shard materialized), and
+//!   asserts the paged open is **at least 5x faster at the largest
+//!   store** (in practice it is orders of magnitude).
 //! * **Rebalance pause is a per-cluster cost, not a per-store cost.**
 //!   One incremental [`Rebalancer`] step re-clusters a single shard,
 //!   so its pause grows with the *cluster* size while a stop-the-world
@@ -64,7 +64,6 @@ fn main() {
 
     let dir = std::env::temp_dir();
     let paged_path = dir.join(format!("hermes_ext_persist_{}.hpgs", std::process::id()));
-    let legacy_path = dir.join(format!("hermes_ext_persist_{}.hcls", std::process::id()));
 
     let mut final_speedup = 0.0f64;
     for (i, &docs) in sizes.iter().enumerate() {
@@ -87,16 +86,12 @@ fn main() {
             store.insert(1_000_000 + j as u64, &v).unwrap();
         }
 
-        // -- Cold start: paged open vs full monolithic materialization.
+        // -- Cold start: paged open vs a full load of every shard.
         store.save(&paged_path).unwrap();
-        std::fs::write(&legacy_path, store.to_bytes()).unwrap();
         let image_mb = std::fs::metadata(&paged_path).unwrap().len() as f64 / (1024.0 * 1024.0);
 
         let open_s = best_of(reps, || PagedStoreReader::open(&paged_path).unwrap());
-        let full_s = best_of(reps, || {
-            let bytes = std::fs::read(&legacy_path).unwrap();
-            ClusteredStore::from_bytes(&bytes).unwrap()
-        });
+        let full_s = best_of(reps, || ClusteredStore::load(&paged_path).unwrap());
         let shard_s = best_of(reps, || {
             let mut reader = PagedStoreReader::open(&paged_path).unwrap();
             reader.load_shard(0).unwrap()
@@ -135,18 +130,17 @@ fn main() {
         ));
     }
     std::fs::remove_file(&paged_path).ok();
-    std::fs::remove_file(&legacy_path).ok();
 
     assert!(
         final_speedup >= 5.0,
-        "cold start must be at least 5x faster than full materialization \
+        "cold start must be at least 5x faster than a full load \
          at the largest store (got {final_speedup:.1}x)"
     );
 
     emit("ext_persist", &[&table]);
     println!(
         "paged open touched only header + checksum table + meta pages \
-         ({final_speedup:.0}x faster than full from_bytes at the largest store);\n\
+         ({final_speedup:.0}x faster than a full load at the largest store);\n\
          one rebalance step re-clusters a single shard while rebuild walks \
          the whole store."
     );

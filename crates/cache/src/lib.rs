@@ -46,9 +46,9 @@
 //!   intrusive lists through the entry slab, so any entry unlinks
 //!   without a scan.
 //!
-//! All hit/miss/stale/bypass traffic is mirrored to `hermes-trace`
-//! counters (`cache.hit_exact`, `cache.hit_semantic`, `cache.miss`,
-//! `cache.stale`, `cache.bypass`, `cache.evict`) so `hermes stats` and
+//! All hit/miss/stale traffic is mirrored to `hermes-trace` counters
+//! (`cache.hit_exact`, `cache.hit_semantic`, `cache.miss`,
+//! `cache.stale`, `cache.evict`) so `hermes stats` and
 //! the serving benches see cache behavior next to the engine spans.
 //!
 //! # Examples
@@ -142,9 +142,6 @@ pub struct CacheStats {
     /// Entries evicted because a lookup touched them at the wrong store
     /// version (each also counts toward the miss that triggered it).
     pub stale: u64,
-    /// Requests that skipped the cache entirely (caller-declared, e.g. a
-    /// disabled cache path or an uncacheable request).
-    pub bypass: u64,
     /// Successful inserts (in-place refreshes included).
     pub insertions: u64,
     /// Capacity evictions (stale evictions are counted separately).
@@ -517,12 +514,6 @@ impl<T: Clone> SemanticCache<T> {
     pub fn note_miss(&mut self) {
         self.stats.misses += 1;
         hermes_trace::counter(hermes_trace::names::CACHE_MISS, 1);
-    }
-
-    /// Records a request that never consulted the cache.
-    pub fn note_bypass(&mut self) {
-        self.stats.bypass += 1;
-        hermes_trace::counter(hermes_trace::names::CACHE_BYPASS, 1);
     }
 
     /// Inserts (or refreshes) the result for `query`, computed at store
@@ -1043,11 +1034,9 @@ mod tests {
         c.insert(q.clone(), Some(0), 0, 1);
         let _ = c.lookup_exact(&q, 0); // exact hit
         let _ = c.lookup_semantic(&unit(1.5), Some(0), 0); // miss
-        c.note_bypass();
         let s = c.stats();
         assert_eq!(s.hits(), 1);
         assert_eq!(s.lookups(), 2);
-        assert_eq!(s.bypass, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }

@@ -1,31 +1,25 @@
-//! Persistence of the clustered store: a paged, checksummed on-disk
-//! format plus the legacy monolithic byte blob.
+//! Persistence of the clustered store: one paged, checksummed on-disk
+//! format (`HPGS`).
 //!
 //! The paper's deployment builds indices offline (Appendix A.5 step 7)
 //! and serves them online (steps 8+); this module provides the handoff.
-//! Two formats coexist:
-//!
-//! * **Paged (`HPGS`, the default for [`ClusteredStore::save`])** — the
-//!   file is a sequence of fixed 4 KiB pages: a header page, a checksum
-//!   table (one FNV-1a 64 checksum per content page), then the content
-//!   region holding a metadata section (config, running + anchor
-//!   centroids, sizes, seed, rebalance generation, shard directory)
-//!   followed by one page-aligned section per shard. A
-//!   [`PagedStoreReader`] opens a store by reading *only* the header,
-//!   table and metadata pages — cold-start cost is independent of store
-//!   size — and materializes shard sections individually on demand.
-//!   [`ClusteredStore::save`] writes the image to a temporary sibling
-//!   file and atomically renames it over the target, so a crash
-//!   mid-snapshot always leaves the previous generation loadable.
-//! * **Legacy monolithic (`HCLS`)** — [`ClusteredStore::to_bytes`] /
-//!   [`ClusteredStore::from_bytes`], one undivided wire blob with a
-//!   single header. Kept as the migration shim ([`ClusteredStore::load`]
-//!   sniffs the magic) and as the baseline the `ext_persist` bench
-//!   compares cold-start against. It predates mutable-store metadata, so
-//!   loading it resets drift anchors and the generation counter.
+//! The file is a sequence of fixed 4 KiB pages: a header page, a checksum
+//! table (one FNV-1a 64 checksum per content page), then the content
+//! region holding a metadata section (config, running + anchor
+//! centroids, sizes, seed, rebalance generation, shard directory)
+//! followed by one page-aligned section per shard, each an
+//! [`IvfIndex::to_bytes`] blob. A [`PagedStoreReader`] opens a store by
+//! reading *only* the header, table and metadata pages — cold-start cost
+//! is independent of store size — and materializes shard sections
+//! individually on demand; [`ClusteredStore::load`] materializes all of
+//! them. [`ClusteredStore::save`] writes the image to a temporary sibling
+//! file and atomically renames it over the target, so a crash
+//! mid-snapshot always leaves the previous generation loadable.
 //!
 //! Every failure mode surfaces as a typed [`PersistError`] — truncation,
-//! bad magic, version skew, per-page checksum mismatch — never a panic.
+//! bad magic (any file of 8 bytes or more that does not start with the
+//! `HPGS` magic), version skew, per-page checksum mismatch — never a
+//! panic.
 
 use hermes_math::wire::{checksum64, Reader, WireError, Writer};
 use hermes_math::{Mat, Metric};
@@ -36,9 +30,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 
 use crate::config::{HermesConfig, ProbeAllocation, Routing, SplitStrategy};
 use crate::store::ClusteredStore;
-
-const MAGIC: &str = "HCLS";
-const VERSION: u8 = 1;
 
 /// Fixed page size of the `HPGS` format.
 pub const PAGE_SIZE: usize = 4096;
@@ -227,62 +218,9 @@ fn decode_config(r: &mut Reader<'_>) -> Result<HermesConfig, WireError> {
 }
 
 impl ClusteredStore {
-    /// Serializes the full store: configuration, split centroids and every
-    /// shard index.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.header(MAGIC, VERSION);
-        encode_config(&mut w, self.config());
-        w.mat(self.split_centroids_mat());
-        w.u64s(
-            &self
-                .cluster_sizes()
-                .iter()
-                .map(|&s| s as u64)
-                .collect::<Vec<_>>(),
-        );
-        w.u64(self.chosen_seed());
-        w.u64(self.num_clusters() as u64);
-        for c in 0..self.num_clusters() {
-            w.bytes(&self.shard(c).to_bytes());
-        }
-        w.finish()
-    }
-
-    /// Reconstructs a store serialized with [`Self::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] for truncated or corrupt payloads.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        r.header(MAGIC, VERSION)?;
-        let config = decode_config(&mut r)?;
-        let split_centroids = r.mat()?;
-        let sizes: Vec<usize> = r.u64s()?.into_iter().map(|s| s as usize).collect();
-        let chosen_seed = r.u64()?;
-        let n = r.u64()? as usize;
-        if n != split_centroids.rows() || n != sizes.len() {
-            return Err(WireError::Corrupt("shard count mismatch".into()));
-        }
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            let blob = r.bytes()?;
-            shards.push(IvfIndex::from_bytes(&blob)?);
-        }
-        Ok(ClusteredStore::from_parts(
-            config,
-            shards,
-            split_centroids,
-            sizes,
-            chosen_seed,
-        ))
-    }
-
     /// Serializes the store into the paged `HPGS` image (see the module
     /// docs for the layout). The image carries full mutable-store
-    /// metadata — drift anchors and the rebalance generation — unlike
-    /// the legacy blob.
+    /// metadata — drift anchors and the rebalance generation.
     pub fn to_paged_bytes(&self) -> Vec<u8> {
         let shard_blobs: Vec<Vec<u8>> = (0..self.num_clusters())
             .map(|c| self.shard(c).to_bytes())
@@ -380,30 +318,15 @@ impl ClusteredStore {
         Ok(())
     }
 
-    /// Loads a store saved with [`Self::save`], accepting both the paged
-    /// `HPGS` format and the legacy monolithic `HCLS` blob (migration
-    /// shim — legacy images reset drift anchors and the generation).
+    /// Loads a store saved with [`Self::save`], every shard section
+    /// materialized.
     ///
     /// # Errors
     ///
-    /// Returns a typed [`PersistError`] for any corrupt, truncated or
-    /// unreadable image.
+    /// Returns a typed [`PersistError`] for any corrupt, truncated,
+    /// foreign or unreadable image.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, PersistError> {
-        let path = path.as_ref();
-        let mut magic = [0u8; 8];
-        {
-            let mut f = std::fs::File::open(path)?;
-            let n = f.read(&mut magic)?;
-            if n < 8 {
-                return Err(PersistError::Truncated);
-            }
-        }
-        if magic == PAGED_MAGIC {
-            PagedStoreReader::open(path)?.into_store()
-        } else {
-            let buf = std::fs::read(path)?;
-            Ok(ClusteredStore::from_bytes(&buf)?)
-        }
+        PagedStoreReader::open(path)?.into_store()
     }
 }
 
@@ -455,7 +378,7 @@ fn decode_meta(buf: &[u8]) -> Result<PagedMeta, PersistError> {
 /// [`PagedStoreReader::open`] reads and verifies only the header, the
 /// checksum table and the metadata section — a few pages regardless of
 /// store size — which is what makes paged cold-start fast (`ext_persist`
-/// measures the gap against full legacy materialization). Shard payloads
+/// measures the gap against a full load). Shard payloads
 /// are then read page-for-page on demand with [`Self::load_shard`], each
 /// page verified against the table, or all at once with
 /// [`Self::into_store`].
@@ -477,14 +400,19 @@ impl PagedStoreReader {
     /// # Errors
     ///
     /// Returns a typed [`PersistError`] for any corrupt, truncated or
-    /// unreadable image.
+    /// unreadable image; a file of any length ≥ 8 bytes that does not
+    /// start with the `HPGS` magic is [`PersistError::BadMagic`].
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, PersistError> {
         let mut file = std::fs::File::open(path)?;
 
-        let mut header = [0u8; PAGE_SIZE];
-        read_exact_or_truncated(&mut file, &mut header)?;
-        if header[0..8] != PAGED_MAGIC {
-            return Err(PersistError::BadMagic);
+        let mut header = Vec::with_capacity(PAGE_SIZE);
+        (&mut file).take(PAGE_SIZE as u64).read_to_end(&mut header)?;
+        if !header.starts_with(&PAGED_MAGIC) {
+            let short = header.len() < PAGED_MAGIC.len();
+            return Err(if short { PersistError::Truncated } else { PersistError::BadMagic });
+        }
+        if header.len() < PAGE_SIZE {
+            return Err(PersistError::Truncated);
         }
         if header[8] != PAGED_VERSION {
             return Err(PersistError::Version {
@@ -666,25 +594,9 @@ mod tests {
     }
 
     #[test]
-    fn store_round_trips_through_bytes() {
-        let (corpus, store) = store();
-        let loaded = ClusteredStore::from_bytes(&store.to_bytes()).unwrap();
-        assert_eq!(loaded.num_clusters(), store.num_clusters());
-        assert_eq!(loaded.cluster_sizes(), store.cluster_sizes());
-        assert_eq!(loaded.chosen_seed(), store.chosen_seed());
-        assert_eq!(loaded.config(), store.config());
-        for q in corpus.embeddings().iter_rows().take(10) {
-            assert_eq!(
-                loaded.hierarchical_search(q).unwrap(),
-                store.hierarchical_search(q).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn store_round_trips_through_filesystem() {
         let (corpus, store) = store();
-        let path = std::env::temp_dir().join("hermes_store_roundtrip.hcls");
+        let path = std::env::temp_dir().join("hermes_store_roundtrip.hpgs");
         store.save(&path).unwrap();
         let loaded = ClusteredStore::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
@@ -698,9 +610,13 @@ mod tests {
     #[test]
     fn corrupt_store_is_rejected() {
         let (_, store) = store();
-        let buf = store.to_bytes();
-        assert!(ClusteredStore::from_bytes(&buf[..buf.len() - 9]).is_err());
-        assert!(ClusteredStore::from_bytes(b"junk").is_err());
+        let buf = store.to_paged_bytes();
+        let path = std::env::temp_dir().join("hermes_store_corrupt.hpgs");
+        std::fs::write(&path, &buf[..buf.len() - 9]).unwrap();
+        assert!(ClusteredStore::load(&path).is_err());
+        std::fs::write(&path, b"junk").unwrap();
+        assert!(ClusteredStore::load(&path).is_err());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -742,6 +658,7 @@ mod tests {
         store.save(&path).unwrap();
         let loaded = ClusteredStore::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.to_paged_bytes(), store.to_paged_bytes());
         assert_eq!(loaded.cluster_sizes(), store.cluster_sizes());
         assert_eq!(loaded.config(), store.config());
         assert_eq!(loaded.generation(), store.generation());
@@ -781,22 +698,6 @@ mod tests {
             format!("{:?}", r.next_action(&loaded)),
             format!("{:?}", r.next_action(&next))
         );
-    }
-
-    #[test]
-    fn load_sniffs_legacy_monolithic_images() {
-        let (corpus, store) = store();
-        let path = std::env::temp_dir().join("hermes_legacy_shim.hcls");
-        std::fs::write(&path, store.to_bytes()).unwrap();
-        let loaded = ClusteredStore::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let q = corpus.embeddings().row(0);
-        assert_eq!(
-            loaded.hierarchical_search(q).unwrap().hits,
-            store.hierarchical_search(q).unwrap().hits
-        );
-        // Legacy images predate mutable-store metadata.
-        assert_eq!(loaded.generation(), 0);
     }
 
     #[test]
@@ -849,7 +750,10 @@ mod tests {
         hermes_math::distance::normalize(&mut v);
         hermes_math::distance::scale(&mut v, 2.0);
         store.insert(77_777, &v).unwrap();
-        let loaded = ClusteredStore::from_bytes(&store.to_bytes()).unwrap();
+        let path = std::env::temp_dir().join("hermes_store_inserts.hpgs");
+        store.save(&path).unwrap();
+        let loaded = ClusteredStore::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         let out = loaded.hierarchical_search(&v).unwrap();
         assert!(out.hits.iter().any(|n| n.id == 77_777));
     }

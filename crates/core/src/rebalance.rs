@@ -502,7 +502,7 @@ mod tests {
         let a = r.apply(&s, action).unwrap();
         let b = r.apply(&s, action).unwrap();
         // Same action on the same input → bit-identical stores.
-        assert_eq!(a.to_bytes(), b.to_bytes());
+        assert_eq!(a.to_paged_bytes(), b.to_paged_bytes());
         // And the input store is untouched.
         assert_eq!(s.generation(), 0);
     }

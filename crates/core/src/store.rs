@@ -208,27 +208,6 @@ impl ClusteredStore {
         &self.split_centroids
     }
 
-    /// Reassembles a store from legacy persisted parts (see `persist`):
-    /// drift anchors reset to the current centroids and the generation
-    /// to 0, since the monolithic v1 format does not carry them.
-    pub(crate) fn from_parts(
-        config: HermesConfig,
-        shards: Vec<IvfIndex>,
-        split_centroids: Mat,
-        sizes: Vec<usize>,
-        chosen_seed: u64,
-    ) -> Self {
-        ClusteredStore {
-            config,
-            shards,
-            anchor_centroids: split_centroids.clone(),
-            split_centroids,
-            sizes,
-            chosen_seed,
-            generation: 0,
-        }
-    }
-
     /// Reassembles a store with full mutable-state metadata (paged
     /// persistence, rebalancer).
     pub(crate) fn from_parts_full(

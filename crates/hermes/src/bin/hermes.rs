@@ -4,9 +4,9 @@
 //! construction, accuracy evaluation and online serving, as subcommands:
 //!
 //! ```text
-//! hermes build  --docs 20000 --dim 64 --topics 10 --clusters 10 --out store.hcls
-//! hermes info   --store store.hcls
-//! hermes search --store store.hcls --query "what is in the datastore" --k 5
+//! hermes build  --docs 20000 --dim 64 --topics 10 --clusters 10 --out store.hpgs
+//! hermes info   --store store.hpgs
+//! hermes search --store store.hpgs --query "what is in the datastore" --k 5
 //! hermes eval   --docs 10000 --dim 48 --topics 10 --clusters 10 --queries 40
 //! hermes plan   --tokens 100000000000 --batch 128 --stride 16
 //! hermes trace  --queries 40 --out trace.json
@@ -487,16 +487,7 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
     }
 
     if let Some(backend) = &cached {
-        let s = backend.cache_stats();
-        let effect = CacheEffect {
-            exact_hits: s.exact_hits,
-            semantic_hits: s.semantic_hits,
-            misses: s.misses,
-            stale: s.stale,
-            bypass: s.bypass,
-            evictions: s.evictions,
-        };
-        print!("{}", effect.table("semantic cache").render());
+        print!("{}", cache_table(&backend.cache_stats()).render());
     }
     if use_adaptive {
         print!("{}", histogram.table("adaptive retrieval depth").render());
@@ -507,6 +498,29 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
         outcomes.len()
     );
     Ok(())
+}
+
+/// The semantic cache's counters and rates as a two-column table.
+fn cache_table(s: &CacheStats) -> hermes::metrics::Table {
+    use hermes::metrics::{report::fmt, Row, Table};
+    let semantic_share = if s.hits() == 0 {
+        0.0
+    } else {
+        s.semantic_hits as f64 / s.hits() as f64
+    };
+    let mut t = Table::new("semantic cache", &["counter", "value"]);
+    for (label, v) in [
+        ("exact hits", s.exact_hits.to_string()),
+        ("semantic hits", s.semantic_hits.to_string()),
+        ("misses", s.misses.to_string()),
+        ("stale evictions", s.stale.to_string()),
+        ("capacity evictions", s.evictions.to_string()),
+        ("hit rate", fmt(s.hit_rate(), 3)),
+        ("semantic share", fmt(semantic_share, 3)),
+    ] {
+        t.push(Row::new(label, vec![v]));
+    }
+    t
 }
 
 fn get_f64(opts: &Flags, key: &str, default: f64) -> Result<f64, String> {

@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use hermes_math::{simd_level, Mat, Metric, Neighbor, SimdLevel};
     pub use hermes_metrics::{
-        ndcg_at_k, recall_at_k, CacheEffect, CostBreakdown, DepthHistogram, EnergyMeter,
+        ndcg_at_k, recall_at_k, CostBreakdown, DepthHistogram, EnergyMeter,
     };
     pub use hermes_perfmodel::{
         ClusterPlanner, CpuPlatform, EncoderModel, GpuPlatform, InferenceModel, LlmModel,

@@ -394,8 +394,9 @@ impl IvfIndex {
     }
 
     /// Serializes the index (coarse centroids, codec, inverted lists) to
-    /// the workspace wire format — the offline-build → online-serving
-    /// handoff of the paper's Appendix A.5.
+    /// the workspace wire format: one shard section of the clustered
+    /// store's paged image, the offline-build → online-serving handoff of
+    /// the paper's Appendix A.5.
     ///
     /// Tombstoned codes are dropped at serialization time (the on-disk
     /// image is the compacted view). Compaction is search-equivalent bit
@@ -503,27 +504,6 @@ impl IvfIndex {
             len,
             residual,
         })
-    }
-
-    /// Writes the serialized index to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Loads an index saved with [`Self::save`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; decode failures surface as
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let buf = std::fs::read(path)?;
-        IvfIndex::from_bytes(&buf)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
     /// Estimates the work a search with `nprobe` *would* perform without
@@ -1618,21 +1598,6 @@ mod tests {
                 ivf.search(q, 5, &params).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn save_and_load_round_trip_via_filesystem() {
-        let data = clustered_data(100, 4, 2, 22);
-        let ivf = IvfIndex::builder().nlist(4).seed(3).build(&data).unwrap();
-        let path = std::env::temp_dir().join("hermes_ivf_roundtrip.hivf");
-        ivf.save(&path).unwrap();
-        let loaded = IvfIndex::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded.len(), 100);
-        assert_eq!(
-            loaded.search(data.row(0), 3, &SearchParams::new()).unwrap(),
-            ivf.search(data.row(0), 3, &SearchParams::new()).unwrap()
-        );
     }
 
     #[test]

@@ -1,96 +1,10 @@
-//! Cache-effectiveness and adaptive-depth accounting for reports.
-//!
-//! `hermes-cache` counts its own hits and misses; this module folds
-//! those plain numbers — metrics sits below the cache crate in the
-//! dependency graph, so callers pass integers, never cache types — into
-//! the derived rates and tables that `hermes stats` and the
-//! `ext_adaptive` bench print:
-//!
-//! * [`CacheEffect`] — hit/miss/stale/bypass counters with served-share
-//!   and hit-rate derivations.
-//! * [`DepthHistogram`] — how often the adaptive estimator chose each
-//!   retrieval depth (clusters searched), the visible footprint of the
-//!   difficulty signal.
+//! Adaptive-depth accounting for reports: [`DepthHistogram`] counts how
+//! often the adaptive estimator chose each retrieval depth (clusters
+//! searched), the visible footprint of the difficulty signal that
+//! `hermes stats` and the `ext_adaptive` bench print. Cache counters and
+//! their rates live on `hermes_cache::CacheStats` itself.
 
 use crate::report::{fmt, Row, Table};
-
-/// Folded cache counters plus derived rates.
-///
-/// # Examples
-///
-/// ```
-/// use hermes_metrics::CacheEffect;
-/// let eff = CacheEffect {
-///     exact_hits: 60,
-///     semantic_hits: 15,
-///     misses: 25,
-///     stale: 5,
-///     bypass: 0,
-///     evictions: 2,
-/// };
-/// assert_eq!(eff.lookups(), 100);
-/// assert_eq!(eff.hit_rate(), 0.75);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheEffect {
-    /// Bit-identical query matches served from the cache.
-    pub exact_hits: u64,
-    /// Near-duplicate matches served by the semantic layer.
-    pub semantic_hits: u64,
-    /// Lookups that fell through to computation.
-    pub misses: u64,
-    /// Entries dropped because their version stamp no longer matched.
-    pub stale: u64,
-    /// Queries that skipped the cache entirely.
-    pub bypass: u64,
-    /// Capacity evictions.
-    pub evictions: u64,
-}
-
-impl CacheEffect {
-    /// Hits of either kind.
-    pub fn hits(&self) -> u64 {
-        self.exact_hits + self.semantic_hits
-    }
-
-    /// Lookups that consulted the cache (bypasses excluded).
-    pub fn lookups(&self) -> u64 {
-        self.hits() + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (`0.0` when none).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / self.lookups() as f64
-        }
-    }
-
-    /// Fraction of hits that were semantic rather than exact.
-    pub fn semantic_share(&self) -> f64 {
-        if self.hits() == 0 {
-            0.0
-        } else {
-            self.semantic_hits as f64 / self.hits() as f64
-        }
-    }
-
-    /// Renders the counters as a two-column table.
-    pub fn table(&self, title: &str) -> Table {
-        let mut t = Table::new(title, &["counter", "value"]);
-        let mut push = |label: &str, v: String| t.push(Row::new(label, vec![v]));
-        push("exact hits", self.exact_hits.to_string());
-        push("semantic hits", self.semantic_hits.to_string());
-        push("misses", self.misses.to_string());
-        push("stale evictions", self.stale.to_string());
-        push("bypasses", self.bypass.to_string());
-        push("capacity evictions", self.evictions.to_string());
-        push("hit rate", fmt(self.hit_rate(), 3));
-        push("semantic share", fmt(self.semantic_share(), 3));
-        t
-    }
-}
 
 /// Histogram of adaptive depth choices (clusters searched per query).
 ///
@@ -181,31 +95,6 @@ impl DepthHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rates_derive_from_counters() {
-        let eff = CacheEffect {
-            exact_hits: 30,
-            semantic_hits: 10,
-            misses: 60,
-            stale: 3,
-            bypass: 7,
-            evictions: 1,
-        };
-        assert_eq!(eff.hits(), 40);
-        assert_eq!(eff.lookups(), 100);
-        assert_eq!(eff.hit_rate(), 0.4);
-        assert_eq!(eff.semantic_share(), 0.25);
-    }
-
-    #[test]
-    fn empty_effect_has_zero_rates() {
-        let eff = CacheEffect::default();
-        assert_eq!(eff.hit_rate(), 0.0);
-        assert_eq!(eff.semantic_share(), 0.0);
-        let rendered = eff.table("cache").render();
-        assert!(rendered.contains("hit rate"));
-    }
 
     #[test]
     fn histogram_counts_and_buckets() {

@@ -9,8 +9,8 @@
 //!   measurements, plus throughput helpers.
 //! * [`cost`] — scanned-code accounting split by execution-engine stage
 //!   (route vs deep), folded over a query stream.
-//! * [`cache_report`] — cache hit/miss/stale/bypass roll-ups and the
-//!   adaptive-depth histogram printed by `hermes stats`.
+//! * [`cache_report`] — the adaptive-depth histogram printed by
+//!   `hermes stats`.
 //! * [`obs_report`] — tail-latency attribution and SLO burn tables over
 //!   `hermes-obs` state: the renderer behind `hermes report`.
 //! * [`report`] — ASCII tables and series used by every bench binary to
@@ -28,7 +28,7 @@ pub mod report;
 pub mod trace_report;
 pub mod truth;
 
-pub use cache_report::{CacheEffect, DepthHistogram};
+pub use cache_report::DepthHistogram;
 pub use obs_report::{phase_breakdown_table, slo_table};
 pub use cost::CostBreakdown;
 pub use energy::{EnergyMeter, StageEnergy};

@@ -1,10 +1,5 @@
 //! Unified front over the retrieval strategies the paper compares.
 
-use std::sync::Mutex;
-
-use hermes_cache::{lock_recovering, CacheConfig, CacheStats, SemanticCache};
-use hermes_core::exec::Engine;
-use hermes_core::search::SearchOutcome;
 use hermes_core::{ClusteredStore, HermesConfig, HermesError, Routing, SplitStrategy};
 use hermes_index::{IvfIndex, SearchParams, VectorIndex};
 use hermes_math::{Mat, Metric, Neighbor};
@@ -87,11 +82,6 @@ pub struct Retriever {
     kind: RetrieverKind,
     config: HermesConfig,
     backend: Backend,
-    /// Optional semantic result cache in front of the backend. The
-    /// backend is immutable after build, so entries are stamped with the
-    /// store's build generation and never go stale here (the serving
-    /// layer's `CachedBackend` handles the mutable-store case).
-    cache: Option<Mutex<SemanticCache<Retrieval>>>,
 }
 
 impl Retriever {
@@ -136,22 +126,7 @@ impl Retriever {
             kind,
             config: *config,
             backend,
-            cache: None,
         })
-    }
-
-    /// Puts a [`SemanticCache`] in front of retrieval: exact repeats and
-    /// near-duplicate queries (cosine ≥ the config's threshold, bucketed
-    /// by routing top-cluster) return the cached [`Retrieval`] without
-    /// touching the index.
-    pub fn with_cache(mut self, cache_cfg: CacheConfig) -> Self {
-        self.cache = Some(Mutex::new(SemanticCache::new(cache_cfg)));
-        self
-    }
-
-    /// Cache accounting, when a cache is attached.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| lock_recovering(c).stats())
     }
 
     /// The strategy this retriever runs.
@@ -201,54 +176,9 @@ impl Retriever {
     /// Propagates index errors (dimension mismatch, empty index).
     pub fn retrieve(&self, query: &[f32]) -> Result<Retrieval, HermesError> {
         let mut sp = hermes_trace::span(hermes_trace::names::RAG_RETRIEVE);
-        let out = match &self.cache {
-            Some(cache) => self.retrieve_cached(cache, query)?,
-            None => self.retrieve_inner(query)?,
-        };
+        let out = self.retrieve_inner(query)?;
         sp.arg("route_codes", out.route_codes as u64);
         sp.arg("scanned_codes", out.scanned_codes as u64);
-        Ok(out)
-    }
-
-    /// The cache-fronted path: exact lookup, then (for clustered
-    /// backends) one route that both buckets the semantic lookup and —
-    /// on a miss — feeds [`Engine::deep_batch`] as a batch of one, so the
-    /// route stage is never paid twice. Cached hits return the stored
-    /// `Retrieval` verbatim, work accounting included: `scanned_codes`
-    /// reports what computing the answer cost, not the (zero) cost of
-    /// serving it — the avoided work is visible in
-    /// [`Retriever::cache_stats`]. A cache poisoned by a panicking holder
-    /// is emptied and retrieval goes on ([`lock_recovering`]).
-    fn retrieve_cached(
-        &self,
-        cache: &Mutex<SemanticCache<Retrieval>>,
-        query: &[f32],
-    ) -> Result<Retrieval, HermesError> {
-        let (version, engine) = match &self.backend {
-            Backend::Monolithic(_) => (0, None),
-            Backend::Clustered(store) => (store.generation(), Some(Engine::for_store(store))),
-        };
-        let mut cache = lock_recovering(cache);
-        if let Some(hit) = cache.lookup_exact(query, version) {
-            return Ok(hit.clone());
-        }
-        let route = engine.map(|e| e.route(query)).transpose()?;
-        let bucket = route.as_ref().and_then(|r| r.top_cluster());
-        if let Some(hit) = cache.lookup_semantic(query, bucket, version) {
-            return Ok(hit.payload);
-        }
-        let routed = match (engine, route) {
-            (Some(engine), Some(route)) => engine
-                .deep_batch(&[query], vec![route], engine.plan().scatter_threads)?
-                .pop()
-                .map(clustered_retrieval),
-            _ => None,
-        };
-        let out = match routed {
-            Some(out) => out,
-            None => self.retrieve_inner(query)?,
-        };
-        cache.insert(query.to_vec(), bucket, version, out.clone());
         Ok(out)
     }
 
@@ -267,7 +197,13 @@ impl Retriever {
                 })
             }
             Backend::Clustered(store) => {
-                Ok(clustered_retrieval(store.hierarchical_search(query)?))
+                let out = store.hierarchical_search(query)?;
+                Ok(Retrieval {
+                    scanned_codes: out.total_scanned_codes(),
+                    route_codes: out.sample_cost().scanned_codes,
+                    clusters_searched: out.deep_cost().clusters_touched,
+                    hits: out.hits,
+                })
             }
         }
     }
@@ -285,18 +221,6 @@ impl Retriever {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .map(|n| n.id)
-    }
-}
-
-/// Folds a clustered-store [`SearchOutcome`] into the [`Retrieval`]
-/// work-accounting shape — shared by the cached and uncached paths so
-/// they cannot drift.
-fn clustered_retrieval(out: SearchOutcome) -> Retrieval {
-    Retrieval {
-        scanned_codes: out.total_scanned_codes(),
-        route_codes: out.sample_cost().scanned_codes,
-        clusters_searched: out.deep_cost().clusters_touched,
-        hits: out.hits,
     }
 }
 
@@ -398,85 +322,6 @@ mod tests {
         let m = ndcg["Monolithic"];
         assert!(h > s, "hermes {h} vs split {s}");
         assert!(h > m - 0.1, "hermes {h} should be near monolithic {m}");
-    }
-
-    #[test]
-    fn cached_retriever_is_bit_identical_to_uncached() {
-        let (corpus, queries, cfg) = setup();
-        for kind in [RetrieverKind::Monolithic, RetrieverKind::Hermes] {
-            let plain = Retriever::build(kind, corpus.embeddings(), &cfg).unwrap();
-            let cached = Retriever::build(kind, corpus.embeddings(), &cfg)
-                .unwrap()
-                .with_cache(CacheConfig::default().exact_only());
-            for pass in 0..2 {
-                for q in queries.embeddings().iter_rows() {
-                    assert_eq!(
-                        cached.retrieve(q).unwrap(),
-                        plain.retrieve(q).unwrap(),
-                        "{kind} pass={pass}"
-                    );
-                }
-            }
-            let stats = cached.cache_stats().unwrap();
-            assert_eq!(stats.misses, queries.len() as u64, "{kind}");
-            assert_eq!(stats.exact_hits, queries.len() as u64, "{kind}");
-            assert!(plain.cache_stats().is_none());
-        }
-    }
-
-    #[test]
-    fn a_poisoned_cache_is_emptied_and_retrieval_goes_on() {
-        let (corpus, queries, cfg) = setup();
-        let plain = Retriever::build(RetrieverKind::Hermes, corpus.embeddings(), &cfg).unwrap();
-        let cached = Retriever::build(RetrieverKind::Hermes, corpus.embeddings(), &cfg)
-            .unwrap()
-            .with_cache(CacheConfig::default().exact_only());
-        for q in queries.embeddings().iter_rows() {
-            cached.retrieve(q).unwrap();
-        }
-        let before = cached.cache_stats().unwrap();
-
-        let lock = cached.cache.as_ref().unwrap();
-        let panicked = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _held = lock.lock().unwrap();
-                panic!("poisoning the cache lock on purpose");
-            })
-            .join()
-        });
-        assert!(panicked.is_err() && lock.is_poisoned());
-
-        for q in queries.embeddings().iter_rows() {
-            assert_eq!(cached.retrieve(q).unwrap(), plain.retrieve(q).unwrap());
-        }
-        assert!(!lock.is_poisoned(), "recovered on first use");
-        let after = cached.cache_stats().unwrap();
-        assert_eq!(after.exact_hits, before.exact_hits, "the cache was emptied");
-        assert_eq!(after.misses, before.misses + queries.len() as u64);
-    }
-
-    #[test]
-    fn near_duplicate_queries_hit_the_semantic_layer() {
-        let (corpus, queries, cfg) = setup();
-        let cached = Retriever::build(RetrieverKind::Hermes, corpus.embeddings(), &cfg)
-            .unwrap()
-            .with_cache(CacheConfig::default().with_semantic_threshold(0.995));
-        let mut originals = Vec::new();
-        for q in queries.embeddings().iter_rows() {
-            originals.push(cached.retrieve(q).unwrap());
-        }
-        let mut semantic_serves = 0usize;
-        for (q, original) in queries.embeddings().iter_rows().zip(&originals) {
-            let mut near = q.to_vec();
-            near[0] += 1e-4;
-            let got = cached.retrieve(&near).unwrap();
-            if got == *original {
-                semantic_serves += 1;
-            }
-        }
-        let stats = cached.cache_stats().unwrap();
-        assert!(stats.semantic_hits > 0, "stats={stats:?}");
-        assert!(semantic_serves >= stats.semantic_hits as usize);
     }
 
     #[test]

@@ -111,12 +111,11 @@ pub fn export_serve_report(reg: &mut MetricsRegistry, report: &ServeReport) {
 /// scrape and a trace snapshot can never disagree on what a hit is
 /// called.
 pub fn export_cache_stats(reg: &mut MetricsRegistry, stats: &CacheStats) {
-    let pairs: [(&str, u64); 6] = [
+    let pairs: [(&str, u64); 5] = [
         (names::CACHE_HIT_EXACT, stats.exact_hits),
         (names::CACHE_HIT_SEMANTIC, stats.semantic_hits),
         (names::CACHE_MISS, stats.misses),
         (names::CACHE_STALE, stats.stale),
-        (names::CACHE_BYPASS, stats.bypass),
         (names::CACHE_EVICT, stats.evictions),
     ];
     for (name, value) in pairs {
@@ -174,7 +173,6 @@ mod tests {
             semantic_hits: 1,
             misses: 3,
             stale: 0,
-            bypass: 0,
             insertions: 3,
             evictions: 0,
         };

@@ -20,8 +20,6 @@ pub const CACHE_HIT_EXACT: &str = "cache.hit_exact";
 pub const CACHE_HIT_SEMANTIC: &str = "cache.hit_semantic";
 /// Cache lookup that found nothing servable.
 pub const CACHE_MISS: &str = "cache.miss";
-/// Lookup against a disabled/bypassed cache layer.
-pub const CACHE_BYPASS: &str = "cache.bypass";
 /// Entry evicted because its generation version was stale.
 pub const CACHE_STALE: &str = "cache.stale";
 /// Entry evicted by capacity pressure.
@@ -42,7 +40,6 @@ pub const COUNTERS: &[(&str, &str)] = &[
     (CACHE_HIT_EXACT, "Exact bit-pattern cache hits"),
     (CACHE_HIT_SEMANTIC, "Near-duplicate semantic cache hits"),
     (CACHE_MISS, "Cache lookups that found nothing servable"),
-    (CACHE_BYPASS, "Lookups against a bypassed cache layer"),
     (CACHE_STALE, "Entries evicted as generation-stale"),
     (CACHE_EVICT, "Entries evicted by capacity pressure"),
     (SERVE_QUEUE_DEPTH, "Admission-queue depth samples"),

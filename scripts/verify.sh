@@ -13,10 +13,8 @@ cargo test -q --offline
 
 # Doc comments link to the names they describe; a refactor that deletes
 # or renames one must not leave the link dangling.
-echo "== rustdoc intra-doc links (math, quant, index, core, serve, rag, cache, hermes, bench, testkit) =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q \
-    -p hermes-math -p hermes-quant -p hermes-index -p hermes-core -p hermes-serve \
-    -p hermes-rag -p hermes-cache -p hermes -p hermes-bench -p hermes-testkit
+echo "== rustdoc intra-doc links (every workspace crate) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q --workspace
 
 # Re-run, at both extremes of the hermes-pool width — fully
 # inline/sequential and heavily oversubscribed (the CI box has few

@@ -205,28 +205,27 @@ fn interrupted_snapshot_never_clobbers_the_previous_generation() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Legacy (`HCLS`) images keep loading through the sniffing shim, and
-/// legacy corruption also surfaces typed (mapped from the wire layer).
+/// Nothing but an `HPGS` image loads: a file that starts with the
+/// retired monolithic store header, or any other foreign file, is
+/// `BadMagic`; a file too short to hold a magic is `Truncated`.
 #[test]
-fn legacy_images_load_and_fail_typed_through_the_shim() {
-    let (corpus, store) = build_store(16);
-    let path = std::env::temp_dir().join(format!(
-        "hermes_crash_legacy_{}.hcls",
-        std::process::id()
-    ));
-    let legacy = store.to_bytes();
-    std::fs::write(&path, &legacy).unwrap();
-    let loaded = ClusteredStore::load(&path).unwrap();
-    let q = corpus.embeddings().row(0);
-    assert_eq!(
-        loaded.hierarchical_search(q).unwrap().hits,
-        store.hierarchical_search(q).unwrap().hits
-    );
-
-    std::fs::write(&path, &legacy[..legacy.len() / 2]).unwrap();
+fn legacy_and_foreign_files_fail_typed() {
+    let path = tmp_path("foreign");
+    // The retired monolithic image began with its wire header: a
+    // zero-padded 8-byte magic spelling H-C-L-S, then version 1.
+    let mut legacy = vec![b'H', b'C', b'L', b'S', 0, 0, 0, 0, 1];
+    legacy.resize(3 * PAGE_SIZE, 0);
+    for (bytes, what) in [(legacy, "legacy"), (vec![0x5au8; 100], "foreign")] {
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            matches!(ClusteredStore::load(&path), Err(PersistError::BadMagic)),
+            "{what}"
+        );
+    }
+    std::fs::write(&path, b"HPGS").unwrap();
     assert!(matches!(
         ClusteredStore::load(&path),
-        Err(PersistError::Truncated | PersistError::Corrupt(_))
+        Err(PersistError::Truncated)
     ));
     std::fs::remove_file(&path).ok();
 }

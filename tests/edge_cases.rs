@@ -155,15 +155,16 @@ fn corrupted_store_files_are_rejected_not_crashed() {
         .with_clusters_to_search(1)
         .with_seed(12);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-    let mut bytes = store.to_bytes().to_vec();
+    // A shard blob is what each shard section of the paged image holds.
+    let mut bytes = store.shard(0).to_bytes();
     // Flip bytes through the payload; decoding must error, never panic.
     for pos in [9usize, 64, bytes.len() / 2, bytes.len() - 4] {
         let mut corrupted = bytes.clone();
         corrupted[pos] ^= 0xFF;
-        let _ = ClusteredStore::from_bytes(&corrupted); // Err or (rarely) Ok, never panic
+        let _ = IvfIndex::from_bytes(&corrupted); // Err or (rarely) Ok, never panic
     }
     bytes.truncate(bytes.len() / 3);
-    assert!(ClusteredStore::from_bytes(&bytes).is_err());
+    assert!(IvfIndex::from_bytes(&bytes).is_err());
 }
 
 #[test]

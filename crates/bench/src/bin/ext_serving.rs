@@ -30,8 +30,8 @@
 use hermes::core::exec::Engine;
 use hermes::core::HermesConfig;
 use hermes::datagen::{CorpusSpec, QuerySpec};
-use hermes::metrics::{Row, Table};
-use hermes::obs::{Observer, Phase, SloPolicy};
+use hermes::metrics::{phase_breakdown_table, Row, Table};
+use hermes::obs::{Observer, SloPolicy};
 use hermes::scenario::Scenario;
 use hermes::serve::{
     obs_config, run_closed_loop, run_open_loop, ClosedLoopSpec, EngineBackend, LoadReport,
@@ -143,24 +143,10 @@ fn main() {
         check_run(&report, requests, &engine, "open loop");
         let obs = server.take_observer().unwrap();
         assert_eq!(obs.unbalanced(), 0, "rho {rho}: unbalanced timelines");
-        for class in obs.attribution().classes() {
-            if class.count() == 0 {
-                continue;
-            }
-            let Some(b) = class.breakdown_at(0.99) else {
-                continue;
-            };
-            let mut cells = vec![
-                class.label().to_string(),
-                b.sojourn_floor_ns.to_string(),
-                b.count.to_string(),
-            ];
-            cells.extend(
-                Phase::ALL
-                    .iter()
-                    .map(|p| format!("{:.0}", b.mean_phase_ns[p.index()])),
-            );
-            cells.push(b.dominant_phase().label().to_string());
+        // The attribution table's p99 rows, keyed by rho instead of quantile.
+        let attribution = phase_breakdown_table(obs.attribution());
+        for row in attribution.rows().iter().filter(|r| r.cells[0] == "p99") {
+            let cells = [&[row.label.clone()], &row.cells[1..]].concat();
             phase_table.push(Row::new(format!("{rho:.1}"), cells));
         }
         let s = &report.serve;

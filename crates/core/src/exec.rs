@@ -656,7 +656,7 @@ impl<'s> Engine<'s> {
         queries: usize,
         scan: impl FnOnce(&IvfIndex) -> GroupScan,
     ) -> GroupScan {
-        let mut sp = hermes_trace::span_with(span, &[("cluster", c as u64)]);
+        let mut sp = hermes_trace::span_with(span, &[(names::ARG_CLUSTER, c as u64)]);
         let scan = scan(self.store.shard(c));
         if sp.is_active() {
             sp.arg("queries", queries as u64);

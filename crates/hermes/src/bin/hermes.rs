@@ -16,12 +16,14 @@
 //! `trace` and `stats` run a synthetic hierarchical-search workload
 //! twice — telemetry off, then on — assert the results are
 //! bit-identical, and emit the captured events as Chrome trace-event
-//! JSON (Perfetto-loadable) or an ASCII span/counter summary. `stats`
-//! runs the queries as cluster-coalesced batches of 8 and also prints,
-//! per engine stage, the codes its shard scans covered beside the codes
-//! the exact kernel rescored after the bound filter. The `trace` path
-//! re-parses its own output before writing it, so it doubles as the
-//! `verify.sh` telemetry smoke test.
+//! JSON (Perfetto-loadable) or as ASCII tables. `stats` runs the queries
+//! as cluster-coalesced batches of 8; its span durations, counter
+//! streams and per-stage scan sums (`span.shard.deep.scanned_codes`,
+//! `…rescored_codes`) are the snapshot folded into a `MetricsRegistry`.
+//! Every table of counters, gauges and distributions a subcommand
+//! prints is `hermes_metrics::registry_tables` over such a registry.
+//! The `trace` path re-parses its own output before writing it, so it
+//! doubles as the `verify.sh` telemetry smoke test.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -100,22 +102,23 @@ USAGE:
                 [--churn]
 
 `stats --cache` replays a Zipf-repeated query stream through the
-semantic cache and prints its hit/miss/stale counters; `--adaptive`
+semantic cache and prints its hit/miss/stale/eviction counters; `--adaptive`
 runs per-query adaptive retrieval depth and prints the chosen-depth
 histogram (the flags compose). Both verify served results against
 standalone engine execution before reporting.
 
-`stats --slo` attaches a per-request observer to an open-loop serving
-session and prints deadline hit/miss, shed/expired counts and the SLO
-burn rate per class. `report` is the full observability roll-up: the
-same observed session rendered as a tail-latency phase-attribution
-table, the SLO table, the flight-recorder dump of the slowest
-requests, and a Prometheus-style text exposition (re-parsed before it
-is written, so it doubles as the verify.sh obs smoke test). On both,
-`--metrics-path`/`--recorder-path` write the artifacts to files.
+`serve`, `loadgen`, `report` and `stats --slo` attach a per-request
+observer and print the session's metrics: serving totals, per-class
+sojourn and phase distributions, deadline hit/miss, shed/expired
+counts and the SLO burn rate per class. `report` adds a tail-latency
+phase-attribution table, the flight-recorder dump of the slowest
+requests, and a Prometheus-style text exposition of the same metrics
+(re-parsed before it is written, so it doubles as the verify.sh obs
+smoke test); `--metrics-path`/`--recorder-path` write the artifacts
+to files.
 
-`serve` runs one open-loop serving session and reports per-class
-latency (`--metrics-path` also writes the exposition); `loadgen`
+`serve` runs one open-loop serving session (`--metrics-path` also
+writes the exposition); `loadgen`
 drives closed and open loops and asserts every
 served result bit-identical to standalone engine execution (--smoke
 shrinks the workload for CI). `loadgen --churn` instead mutates the
@@ -400,16 +403,18 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
         return cmd_stats_slo(opts);
     }
     let snap = run_traced_workload(opts, true)?;
-    let summary = hermes::metrics::trace_report::render_summary(&snap)
+    let mut reg = MetricsRegistry::new();
+    hermes::obs::fold_trace_counters(&mut reg, &snap);
+    hermes::obs::fold_trace_spans(&mut reg, &snap)
         .map_err(|e| format!("unbalanced trace: {e}"))?;
-    print!("{summary}");
+    print_tables("trace", &reg);
     Ok(())
 }
 
 /// `stats --cache` / `--adaptive`: replay a Zipf-repeated query stream
 /// through the serving backend — cache-fronted and/or depth-adaptive —
 /// verify every completion against standalone engine execution, and
-/// print the cache counters and chosen-depth histogram.
+/// print the exported cache counters and the chosen-depth histogram.
 fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result<(), String> {
     use hermes::serve::{Backend, Request};
     use std::sync::Arc;
@@ -487,7 +492,9 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
     }
 
     if let Some(backend) = &cached {
-        print!("{}", cache_table(&backend.cache_stats()).render());
+        let mut reg = MetricsRegistry::new();
+        hermes::serve::export_cache_stats(&mut reg, &backend.cache_stats());
+        print_tables("semantic cache", &reg);
     }
     if use_adaptive {
         print!("{}", histogram.table("adaptive retrieval depth").render());
@@ -498,29 +505,6 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
         outcomes.len()
     );
     Ok(())
-}
-
-/// The semantic cache's counters and rates as a two-column table.
-fn cache_table(s: &CacheStats) -> hermes::metrics::Table {
-    use hermes::metrics::{report::fmt, Row, Table};
-    let semantic_share = if s.hits() == 0 {
-        0.0
-    } else {
-        s.semantic_hits as f64 / s.hits() as f64
-    };
-    let mut t = Table::new("semantic cache", &["counter", "value"]);
-    for (label, v) in [
-        ("exact hits", s.exact_hits.to_string()),
-        ("semantic hits", s.semantic_hits.to_string()),
-        ("misses", s.misses.to_string()),
-        ("stale evictions", s.stale.to_string()),
-        ("capacity evictions", s.evictions.to_string()),
-        ("hit rate", fmt(s.hit_rate(), 3)),
-        ("semantic share", fmt(semantic_share, 3)),
-    ] {
-        t.push(Row::new(label, vec![v]));
-    }
-    t
 }
 
 fn get_f64(opts: &Flags, key: &str, default: f64) -> Result<f64, String> {
@@ -578,35 +562,28 @@ fn priority_mix() -> Vec<hermes::serve::Priority> {
     ]
 }
 
-fn print_serve_report(label: &str, report: &hermes::serve::ServeReport) {
-    println!(
-        "{label}: {} completed, {} shed (queue full), {} expired, {} batches (mean size {:.2}, {} shard visits shared), busy {:.1}%",
-        report.completed,
-        report.shed_full,
-        report.expired,
-        report.batches,
-        report.mean_batch_size(),
-        report.shared_visits,
-        report.busy_fraction() * 100.0
-    );
-    println!(
-        "  latency p50 {:>8}  p95 {:>8}  p99 {:>8}  (ns bucket floors; wait p99 {})",
-        report.sojourn.p50(),
-        report.sojourn.p95(),
-        report.sojourn.p99(),
-        report.wait.p99()
-    );
-    for (p, hist) in hermes::serve::Priority::ALL.iter().zip(&report.sojourn_by_class) {
-        if hist.count() > 0 {
-            println!(
-                "  {:<12} {:>6} reqs  p50 {:>8}  p99 {:>8}",
-                p.label(),
-                hist.count(),
-                hist.p50(),
-                hist.p99()
-            );
-        }
+/// One observed serving session's registry: the observer's export and
+/// the serve report's — the metrics the serving subcommands print and
+/// `--metrics-path` writes.
+fn serve_registry(obs: &Observer, report: &hermes::serve::ServeReport) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    obs.export(&mut reg);
+    hermes::serve::export_serve_report(&mut reg, report);
+    reg
+}
+
+fn print_tables(title: &str, reg: &MetricsRegistry) {
+    for table in hermes::metrics::registry_tables(reg, title) {
+        print!("{}", table.render());
     }
+}
+
+/// The observer's per-class SLO targets, `-` for best effort.
+fn slo_targets(obs: &Observer) -> String {
+    let target = |c: &hermes::obs::ClassSlo| c.target_ns().map_or("-".into(), |t| t.to_string());
+    let targets: Vec<String> =
+        obs.slo().classes().iter().map(|c| format!("{} {}", c.label(), target(c))).collect();
+    format!("slo targets (ns): {}", targets.join(", "))
 }
 
 fn cmd_serve(opts: &Flags) -> Result<(), String> {
@@ -619,33 +596,23 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         "serving open-loop: {} requests at {} qps (queue {}, max batch {})",
         setup.requests, qps, setup.server_cfg.queue_capacity, setup.server_cfg.max_batch
     );
-    let metrics_path = opts.get("metrics-path");
-    let engine = Engine::for_store(&setup.store);
-    let mut server = hermes::serve::Server::new(
-        hermes::serve::EngineBackend::new(engine, setup.threads),
-        setup.server_cfg,
-    );
-    if metrics_path.is_some() {
-        server = server.with_observer(Observer::new(
-            hermes::serve::obs_config(setup.seed).with_slo(slo_policy(setup.slo_ns)),
-        ));
-    }
-    let mut spec = hermes::serve::OpenLoopSpec::new(setup.requests, qps)
-        .with_seed(setup.seed.wrapping_add(11))
-        .with_priority_cycle(priority_mix());
-    if let Some(slo) = setup.slo_ns {
-        spec = spec.with_slo_ns(slo);
-    }
-    let load = hermes::serve::run_open_loop(&mut server, &setup.queries, &spec)
-        .map_err(|e| e.to_string())?;
-    print_serve_report("open loop", &load.serve);
-    if let Some(path) = metrics_path {
-        let obs = server
-            .take_observer()
-            .ok_or("observer vanished during the run")?;
-        write_exposition(path, &obs, &load.serve)?;
+    let run = run_observed_open_loop(opts, &setup)?;
+    let reg = serve_registry(&run.obs, &run.load.serve);
+    print_tables("open loop", &reg);
+    if let Some(path) = opts.get("metrics-path") {
+        write_exposition(path, &reg)?;
     }
     Ok(())
+}
+
+/// The observer the serving subcommands attach: the serving classes, the
+/// session's SLO targets, a 64 + 64 flight recorder.
+fn serve_observer(setup: &ServeSetup) -> Observer {
+    Observer::new(
+        hermes::serve::obs_config(setup.seed)
+            .with_slo(slo_policy(setup.slo_ns))
+            .with_recorder(64, 64),
+    )
 }
 
 /// Deadline targets the observed subcommands fall back to when
@@ -660,16 +627,9 @@ fn slo_policy(slo_ns: Option<u64>) -> SloPolicy {
     }
 }
 
-/// Folds observer + serve-report state into one registry, re-parses the
-/// rendered exposition (shape, histogram monotonicity), and writes it.
-fn write_exposition(
-    path: &str,
-    obs: &Observer,
-    report: &hermes::serve::ServeReport,
-) -> Result<(), String> {
-    let mut reg = MetricsRegistry::new();
-    obs.export(&mut reg);
-    hermes::serve::export_serve_report(&mut reg, report);
+/// Renders `reg`'s text exposition, re-parses it (shape, histogram
+/// monotonicity), and writes it.
+fn write_exposition(path: &str, reg: &MetricsRegistry) -> Result<(), String> {
     let text = reg.render_text();
     let parsed = hermes::obs::parse_text(&text)
         .map_err(|e| format!("exposition failed to re-parse: {e}"))?;
@@ -699,11 +659,7 @@ fn run_observed_open_loop(opts: &Flags, setup: &ServeSetup) -> Result<ObservedRu
         hermes::serve::EngineBackend::new(engine, setup.threads),
         setup.server_cfg,
     )
-    .with_observer(Observer::new(
-        hermes::serve::obs_config(setup.seed)
-            .with_slo(slo_policy(setup.slo_ns))
-            .with_recorder(64, 64),
-    ));
+    .with_observer(serve_observer(setup));
     let mut spec = hermes::serve::OpenLoopSpec::new(setup.requests, qps)
         .with_seed(setup.seed.wrapping_add(11))
         .with_priority_cycle(priority_mix());
@@ -712,9 +668,7 @@ fn run_observed_open_loop(opts: &Flags, setup: &ServeSetup) -> Result<ObservedRu
     }
     let load = hermes::serve::run_open_loop(&mut server, &setup.queries, &spec)
         .map_err(|e| e.to_string())?;
-    let obs = server
-        .take_observer()
-        .ok_or("observer vanished during the run")?;
+    let obs = server.take_observer().expect("the observer is attached above");
     for c in &load.completions {
         let standalone = engine.execute(&c.request.query).map_err(|e| e.to_string())?;
         if c.outcome.as_ref() != Some(&standalone) {
@@ -742,8 +696,8 @@ fn cmd_stats_slo(opts: &Flags) -> Result<(), String> {
         setup.requests, setup.server_cfg.queue_capacity, setup.server_cfg.max_batch
     );
     let run = run_observed_open_loop(opts, &setup)?;
-    print_serve_report("open loop", &run.load.serve);
-    print!("{}", hermes::metrics::slo_table(run.obs.slo()).render());
+    println!("{}", slo_targets(&run.obs));
+    print_tables("open loop", &serve_registry(&run.obs, &run.load.serve));
     println!(
         "verified {} served results against standalone execution; all timelines balanced",
         run.load.completions.len()
@@ -765,12 +719,13 @@ fn cmd_report(opts: &Flags) -> Result<(), String> {
         setup.server_cfg.max_batch
     );
     let run = run_observed_open_loop(opts, &setup)?;
-    print_serve_report("open loop", &run.load.serve);
+    let reg = serve_registry(&run.obs, &run.load.serve);
+    println!("{}", slo_targets(&run.obs));
+    print_tables("open loop", &reg);
     print!(
         "{}",
         hermes::metrics::phase_breakdown_table(run.obs.attribution()).render()
     );
-    print!("{}", hermes::metrics::slo_table(run.obs.slo()).render());
 
     // Flight dump: the parser re-checks every record's balance invariant.
     let dump = run.obs.recorder().render_dump();
@@ -794,11 +749,8 @@ fn cmd_report(opts: &Flags) -> Result<(), String> {
     }
 
     match opts.get("metrics-path") {
-        Some(path) => write_exposition(path, &run.obs, &run.load.serve)?,
+        Some(path) => write_exposition(path, &reg)?,
         None => {
-            let mut reg = MetricsRegistry::new();
-            run.obs.export(&mut reg);
-            hermes::serve::export_serve_report(&mut reg, &run.load.serve);
             let parsed = hermes::obs::parse_text(&reg.render_text())
                 .map_err(|e| format!("exposition failed to re-parse: {e}"))?;
             println!(
@@ -856,17 +808,18 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         open_spec = open_spec.with_slo_ns(slo);
     }
 
-    let mut server = hermes::serve::Server::new(
-        hermes::serve::EngineBackend::new(engine, setup.threads),
-        setup.server_cfg,
-    );
-    let closed = hermes::serve::run_closed_loop(&mut server, &setup.queries, &closed_spec)
+    let server = || {
+        hermes::serve::Server::new(
+            hermes::serve::EngineBackend::new(engine, setup.threads),
+            setup.server_cfg,
+        )
+        .with_observer(serve_observer(&setup))
+    };
+    let mut closed_server = server();
+    let closed = hermes::serve::run_closed_loop(&mut closed_server, &setup.queries, &closed_spec)
         .map_err(|e| e.to_string())?;
-    let mut server = hermes::serve::Server::new(
-        hermes::serve::EngineBackend::new(engine, setup.threads),
-        setup.server_cfg,
-    );
-    let open = hermes::serve::run_open_loop(&mut server, &setup.queries, &open_spec)
+    let mut open_server = server();
+    let open = hermes::serve::run_open_loop(&mut open_server, &setup.queries, &open_spec)
         .map_err(|e| e.to_string())?;
 
     // The bar that makes this a verification step, not just a driver:
@@ -883,8 +836,13 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         }
         checked += 1;
     }
-    print_serve_report("closed loop", &closed.serve);
-    print_serve_report("open loop", &open.serve);
+    for (title, mut server, report) in [
+        ("closed loop", closed_server, &closed.serve),
+        ("open loop", open_server, &open.serve),
+    ] {
+        let obs = server.take_observer().expect("the observer is attached above");
+        print_tables(title, &serve_registry(&obs, report));
+    }
     println!("served results bit-identical to standalone execution ({checked} requests checked)");
     Ok(())
 }

@@ -10,14 +10,13 @@
 //! * [`cost`] — scanned-code accounting split by execution-engine stage
 //!   (route vs deep), folded over a query stream.
 //! * [`cache_report`] — the adaptive-depth histogram printed by
-//!   `hermes stats`.
-//! * [`obs_report`] — tail-latency attribution and SLO burn tables over
-//!   `hermes-obs` state: the renderer behind `hermes report`.
+//!   `hermes stats --adaptive`.
+//! * [`obs_report`] — the tail-latency phase-attribution matrix `hermes
+//!   report` prints (per class × quantile, not a flat metric).
 //! * [`report`] — ASCII tables and series used by every bench binary to
-//!   print paper-vs-measured rows.
-//! * [`trace_report`] — folds a `hermes-trace` snapshot into those same
-//!   tables (span latency percentiles, counter roll-ups): the renderer
-//!   behind `hermes stats`.
+//!   print paper-vs-measured rows, and [`registry_tables`], the one view
+//!   of runtime telemetry: every counter, gauge and distribution the CLI
+//!   prints is read from a `hermes_obs::MetricsRegistry`.
 
 pub mod cache_report;
 pub mod cost;
@@ -25,13 +24,12 @@ pub mod energy;
 pub mod obs_report;
 pub mod ranking;
 pub mod report;
-pub mod trace_report;
 pub mod truth;
 
 pub use cache_report::DepthHistogram;
-pub use obs_report::{phase_breakdown_table, slo_table};
+pub use obs_report::phase_breakdown_table;
 pub use cost::CostBreakdown;
 pub use energy::{EnergyMeter, StageEnergy};
 pub use ranking::{ndcg_at_k, overlap_at_k, recall_at_k};
-pub use report::{normalize_to_max, Row, Table};
+pub use report::{normalize_to_max, registry_tables, Row, Table};
 pub use truth::{batch_ndcg_at_k, ground_truth};

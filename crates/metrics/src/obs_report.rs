@@ -1,12 +1,12 @@
-//! Renders `hermes-obs` state — tail-latency attribution and SLO burn
-//! accounting — as the ASCII tables `hermes report` and `hermes stats
-//! --slo` print.
+//! Renders `hermes-obs` tail-latency attribution as the table `hermes
+//! report` prints: a per-quantile conditional matrix, which is not a
+//! flat metric, so it is the one observer view that does not go through
+//! the `MetricsRegistry` (see [`crate::registry_tables`]).
 //!
-//! The numbers come straight from [`Attribution`] / [`SloTracker`]
-//! accessors; this module only formats. Both tables are deterministic
-//! for a seeded run because everything upstream is.
+//! The numbers come straight from [`Attribution`] accessors; this module
+//! only formats, deterministically for a seeded run.
 
-use hermes_obs::{Attribution, Phase, SloTracker};
+use hermes_obs::{Attribution, Phase};
 
 use crate::report::{fmt, Row, Table};
 
@@ -57,68 +57,23 @@ pub fn phase_breakdown_table(attr: &Attribution) -> Table {
     t
 }
 
-/// One row per class: lifetime SLO counters, lifetime bad fraction, and
-/// the burn rate over the tracker's sliding window.
-pub fn slo_table(slo: &SloTracker) -> Table {
-    let mut t = Table::new(
-        "slo accounting",
-        &[
-            "class", "target_ns", "served", "hit", "miss", "shed", "expired", "stale",
-            "bad_frac", "burn",
-        ],
-    );
-    for (i, class) in slo.classes().iter().enumerate() {
-        let c = class.counters();
-        t.push(Row::new(
-            class.label(),
-            vec![
-                class
-                    .target_ns()
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                c.served.to_string(),
-                c.deadline_hit.to_string(),
-                c.deadline_miss.to_string(),
-                c.shed_queue_full.to_string(),
-                c.expired.to_string(),
-                c.served_stale.to_string(),
-                fmt(c.bad_fraction(), 4),
-                fmt(slo.burn_rate(i), 2),
-            ],
-        ));
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_obs::{CachePath, PhaseNs, RequestId, RequestTimeline, ShedCause, SloPolicy};
-
-    fn timeline(class: usize, arrival: u64, start: u64, finish: u64) -> RequestTimeline {
-        let mut svc = PhaseNs::new();
-        svc.add(Phase::Deep, finish.saturating_sub(start));
-        RequestTimeline::from_dispatch(
-            RequestId(1),
-            1,
-            class,
-            ["interactive", "standard", "batch"][class],
-            arrival,
-            start,
-            finish,
-            1,
-            &svc,
-            CachePath::Computed,
-            None,
-        )
-    }
+    use hermes_obs::{CachePath, PhaseNs, RequestId, RequestTimeline};
 
     #[test]
     fn attribution_table_renders_per_class_quantiles() {
         let mut attr = Attribution::new(&["interactive", "standard", "batch"]);
         for i in 0..50u64 {
-            let slow = if i % 10 == 0 { 4_000 } else { 100 };
-            attr.record(&timeline(0, i * 7, i * 7 + 10, i * 7 + 10 + slow));
+            let (arrival, slow) = (i * 7, if i % 10 == 0 { 4_000 } else { 100 });
+            let mut svc = PhaseNs::new();
+            svc.add(Phase::Deep, slow);
+            let finish = arrival + 10 + slow;
+            attr.record(&RequestTimeline::from_dispatch(
+                RequestId(1), 1, 0, "interactive", arrival, arrival + 10, finish, 1, &svc,
+                CachePath::Computed, None,
+            ));
         }
         let rendered = phase_breakdown_table(&attr).render();
         assert!(rendered.contains("interactive"));
@@ -126,20 +81,5 @@ mod tests {
         assert!(rendered.contains("p99"));
         assert!(rendered.contains("deep"));
         assert!(!rendered.contains("standard"), "idle classes are skipped");
-    }
-
-    #[test]
-    fn slo_table_renders_counters_and_burn() {
-        let mut slo = SloTracker::new(
-            &["interactive", "standard", "batch"],
-            SloPolicy::new(vec![Some(500), Some(5_000), None]).with_budget(0.1),
-        );
-        slo.on_completion(&timeline(0, 0, 10, 100));
-        slo.on_completion(&timeline(0, 0, 10, 2_000));
-        slo.on_shed(1, 50, ShedCause::QueueFull);
-        let rendered = slo_table(&slo).render();
-        assert!(rendered.contains("interactive"));
-        assert!(rendered.contains("batch"));
-        assert!(rendered.contains('-'), "no-target classes show a dash");
     }
 }

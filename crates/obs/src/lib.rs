@@ -10,7 +10,16 @@
 //! | [`attribution`] | [`Attribution`] | which phase dominates the p99, per class? |
 //! | [`recorder`] | [`FlightRecorder`] | show me the actual slowest requests |
 //! | [`slo`] | [`SloTracker`] | are we burning the error budget? |
-//! | [`registry`] | [`MetricsRegistry`] | one scrapeable text page of all of it |
+//! | [`registry`] | [`MetricsRegistry`] | one store every aggregate exports into |
+//!
+//! The registry is the one path from an aggregate to any output: the
+//! observer ([`Observer::export`]), the serving layer
+//! (`serve::export_serve_report`, `serve::export_cache_stats`) and a
+//! trace snapshot ([`fold_trace_counters`] + [`fold_trace_spans`]) each
+//! export into it once, under names and help lines declared once in
+//! [`hermes_trace::names`]; its text exposition
+//! ([`MetricsRegistry::render_text`]) and the CLI's ASCII tables
+//! (`hermes_metrics::registry_tables`) are both views of it.
 //!
 //! [`Observer`] bundles them behind the two entry points the serving
 //! loop calls — [`Observer::on_completion`] and [`Observer::on_shed`] —
@@ -32,11 +41,13 @@ pub mod registry;
 pub mod slo;
 pub mod timeline;
 
+use hermes_trace::names;
+
 pub use attribution::{Attribution, Breakdown, ClassAttribution};
 pub use recorder::{parse_dump, DumpSummary, FlightRecorder};
 pub use registry::{
     fold_trace_counters, fold_trace_spans, metric_name, parse_text, MetricsRegistry,
-    ParsedExposition,
+    ParsedExposition, Sample, Series,
 };
 pub use slo::{ClassSlo, SloCounters, SloPolicy, SloTracker};
 pub use timeline::{CachePath, Phase, PhaseNs, RequestId, RequestTimeline, ShedCause, PHASES};
@@ -165,33 +176,17 @@ impl Observer {
     /// per-phase histograms, SLO counters and burn gauges, and the
     /// balance-violation counter.
     pub fn export(&self, reg: &mut MetricsRegistry) {
-        reg.set_counter(
-            "obs.requests_completed",
-            "Requests folded into the observer",
-            &[],
-            self.completed,
-        );
-        reg.set_counter(
-            "obs.timelines_unbalanced",
-            "Timelines violating the balance invariant (0 = healthy)",
-            &[],
-            self.unbalanced,
-        );
+        reg.set_counter(names::OBS_REQUESTS_COMPLETED, &[], self.completed);
+        reg.set_counter(names::OBS_TIMELINES_UNBALANCED, &[], self.unbalanced);
         for class in self.attribution.classes() {
-            let labels = [("class", class.label())];
             if class.count() == 0 {
                 continue;
             }
-            reg.set_histogram(
-                "serve.sojourn_ns",
-                "Request sojourn (arrival to finish), ns",
-                &labels,
-                class.sojourn(),
-            );
+            let labels = [("class", class.label())];
+            reg.set_histogram(names::SERVE_SOJOURN_NS, &labels, class.sojourn());
             for phase in Phase::ALL {
                 reg.set_histogram(
-                    "serve.phase_ns",
-                    "Per-phase sojourn attribution, ns",
+                    names::SERVE_PHASE_NS,
                     &[("class", class.label()), ("phase", phase.label())],
                     class.phase_histogram(phase),
                 );
@@ -200,43 +195,17 @@ impl Observer {
         for (i, class) in self.slo.classes().iter().enumerate() {
             let labels = [("class", class.label())];
             let c = class.counters();
-            reg.set_counter("slo.served", "Requests completed", &labels, c.served);
-            reg.set_counter(
-                "slo.deadline_hit",
-                "Completions within the class target",
-                &labels,
-                c.deadline_hit,
-            );
-            reg.set_counter(
-                "slo.deadline_miss",
-                "Completions over the class target",
-                &labels,
-                c.deadline_miss,
-            );
-            reg.set_counter(
-                "slo.shed_queue_full",
-                "Requests shed at admission (queue full)",
-                &labels,
-                c.shed_queue_full,
-            );
-            reg.set_counter(
-                "slo.expired",
-                "Requests expired before dispatch",
-                &labels,
-                c.expired,
-            );
-            reg.set_counter(
-                "slo.served_stale",
-                "Completions answered from the semantic cache",
-                &labels,
-                c.served_stale,
-            );
-            reg.set_gauge(
-                "slo.burn_rate",
-                "Error-budget burn over the sliding window",
-                &labels,
-                self.slo.burn_rate(i),
-            );
+            for (name, value) in [
+                (names::SLO_SERVED, c.served),
+                (names::SLO_DEADLINE_HIT, c.deadline_hit),
+                (names::SLO_DEADLINE_MISS, c.deadline_miss),
+                (names::SLO_SHED_QUEUE_FULL, c.shed_queue_full),
+                (names::SLO_EXPIRED, c.expired),
+                (names::SLO_SERVED_STALE, c.served_stale),
+            ] {
+                reg.set_counter(name, &labels, value);
+            }
+            reg.set_gauge(names::SLO_BURN_RATE, &labels, self.slo.burn_rate(i));
         }
     }
 }

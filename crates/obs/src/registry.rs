@@ -3,7 +3,10 @@
 //!
 //! Producers *set* current values (counters, gauges, histograms) under
 //! dotted names from [`hermes_trace::names`]; [`render_text`] emits the
-//! classic `# HELP` / `# TYPE` / sample-line format. Everything is
+//! classic `# HELP` / `# TYPE` / sample-line format, with the help line
+//! looked up in `names` (a producer never writes help text), and
+//! [`MetricsRegistry::series`] hands the same values — histograms whole —
+//! to `hermes_metrics::registry_tables`, the ASCII view. Everything is
 //! stored in `BTreeMap`s and rendered in sorted order with exact
 //! integer bucket bounds, so the same state always renders the same
 //! bytes — the exposition is diffable and snapshot-testable, which is
@@ -21,39 +24,43 @@ use hermes_trace::hist::LogHistogram;
 use hermes_trace::names;
 use hermes_trace::TraceSnapshot;
 
-/// What a metric is, for the `# TYPE` line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetricKind {
-    Counter,
-    Gauge,
-    Histogram,
+/// One series' current value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Sample {
+    /// A monotonically-accumulated value.
+    Counter(u64),
+    /// An instantaneous value.
+    Gauge(f64),
+    /// A distribution, kept whole.
+    Histogram(Box<LogHistogram>),
 }
 
-impl MetricKind {
-    fn label(self) -> &'static str {
+impl Sample {
+    /// The `# TYPE` keyword.
+    fn kind(&self) -> &'static str {
         match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
+            Sample::Counter(_) => "counter",
+            Sample::Gauge(_) => "gauge",
+            Sample::Histogram(_) => "histogram",
         }
     }
 }
 
-/// One sample value.
-#[derive(Debug, Clone)]
-enum Sample {
-    Int(u64),
-    Float(f64),
-    /// `(bucket counts, count, sum)` copied out of a [`LogHistogram`].
-    Hist(Box<([u64; hermes_trace::hist::BUCKETS], u64, u64)>),
+/// One series: its labels (sorted by key) and value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    /// `(key, value)` label pairs, sorted by key.
+    pub labels: Vec<(String, String)>,
+    /// The current value.
+    pub sample: Sample,
 }
 
 #[derive(Debug, Clone)]
 struct Metric {
-    help: String,
-    kind: MetricKind,
-    /// Rendered label block (`""` or `{k="v",…}`) → sample.
-    samples: BTreeMap<String, Sample>,
+    /// The dotted name it was set under (`serve.wait_ns`).
+    dotted: String,
+    /// Rendered label block (`""` or `{k="v",…}`) → series.
+    series: BTreeMap<String, Series>,
 }
 
 /// Converts a dotted telemetry name (`cache.hit_exact`) to the exported
@@ -64,12 +71,10 @@ pub fn metric_name(dotted: &str) -> String {
 
 /// Renders a label set as a deterministic `{k="v",…}` block (keys
 /// sorted; empty slice renders as the empty string).
-fn label_block(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
+fn label_block(sorted: &[(String, String)]) -> String {
+    if sorted.is_empty() {
         return String::new();
     }
-    let mut sorted: Vec<_> = labels.to_vec();
-    sorted.sort_unstable();
     let body: Vec<String> = sorted
         .iter()
         .map(|(k, v)| format!("{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\"")))
@@ -100,50 +105,44 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn entry(&mut self, dotted: &str, help: &str, kind: MetricKind) -> &mut Metric {
-        let name = metric_name(dotted);
-        let metric = self.metrics.entry(name).or_insert_with(|| Metric {
-            help: help.to_string(),
-            kind,
-            samples: BTreeMap::new(),
+    fn set(&mut self, dotted: &str, labels: &[(&str, &str)], sample: Sample) {
+        let mut labels: Vec<(String, String)> =
+            labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+        labels.sort_unstable();
+        let metric = self.metrics.entry(metric_name(dotted)).or_insert_with(|| Metric {
+            dotted: dotted.to_string(),
+            series: BTreeMap::new(),
         });
-        debug_assert_eq!(metric.kind, kind, "metric {dotted} re-registered as another kind");
-        metric
+        debug_assert!(
+            metric.series.values().all(|s| s.sample.kind() == sample.kind()),
+            "metric {dotted} re-registered as another kind"
+        );
+        metric.series.insert(label_block(&labels), Series { labels, sample });
     }
 
     /// Sets a monotonically-accumulated value (`_total` is appended to
     /// the exported name per Prometheus convention).
-    pub fn set_counter(&mut self, dotted: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        let block = label_block(labels);
-        self.entry(dotted, help, MetricKind::Counter)
-            .samples
-            .insert(block, Sample::Int(value));
+    pub fn set_counter(&mut self, dotted: &str, labels: &[(&str, &str)], value: u64) {
+        self.set(dotted, labels, Sample::Counter(value));
     }
 
     /// Sets an instantaneous value.
-    pub fn set_gauge(&mut self, dotted: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        let block = label_block(labels);
-        self.entry(dotted, help, MetricKind::Gauge)
-            .samples
-            .insert(block, Sample::Float(value));
+    pub fn set_gauge(&mut self, dotted: &str, labels: &[(&str, &str)], value: f64) {
+        self.set(dotted, labels, Sample::Gauge(value));
     }
 
-    /// Sets a distribution from a [`LogHistogram`] (cumulative buckets
-    /// with exact integer `le` bounds, plus `_sum` and `_count`).
-    pub fn set_histogram(
-        &mut self,
-        dotted: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        hist: &LogHistogram,
-    ) {
-        let block = label_block(labels);
-        self.entry(dotted, help, MetricKind::Histogram)
-            .samples
-            .insert(
-                block,
-                Sample::Hist(Box::new((*hist.counts(), hist.count(), hist.sum()))),
-            );
+    /// Sets a distribution from a [`LogHistogram`] (rendered as
+    /// cumulative buckets with exact integer `le` bounds, plus `_sum`
+    /// and `_count`).
+    pub fn set_histogram(&mut self, dotted: &str, labels: &[(&str, &str)], hist: &LogHistogram) {
+        self.set(dotted, labels, Sample::Histogram(Box::new(hist.clone())));
+    }
+
+    /// Every series in exposition order, under its dotted name.
+    pub fn series(&self) -> impl Iterator<Item = (&str, &Series)> {
+        self.metrics
+            .values()
+            .flat_map(|m| m.series.values().map(move |s| (m.dotted.as_str(), s)))
     }
 
     /// Number of registered metrics.
@@ -156,26 +155,23 @@ impl MetricsRegistry {
         self.metrics.is_empty()
     }
 
-    /// Renders the deterministic text exposition.
+    /// Renders the deterministic text exposition. The `# HELP` line is
+    /// [`names::help`]'s; a metric with no declared help has none.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for (name, metric) in &self.metrics {
-            out.push_str(&format!("# HELP {name} {}\n", metric.help));
-            out.push_str(&format!("# TYPE {name} {}\n", metric.kind.label()));
-            for (block, sample) in &metric.samples {
-                match sample {
-                    Sample::Int(v) => {
-                        let suffix = match metric.kind {
-                            MetricKind::Counter => "_total",
-                            _ => "",
-                        };
-                        out.push_str(&format!("{name}{suffix}{block} {v}\n"));
-                    }
-                    Sample::Float(v) => out.push_str(&format!("{name}{block} {v}\n")),
-                    Sample::Hist(h) => {
-                        let (counts, count, sum) = &**h;
+            if let Some(help) = names::help(&metric.dotted) {
+                out.push_str(&format!("# HELP {name} {help}\n"));
+            }
+            let kind = metric.series.values().next().map_or("untyped", |s| s.sample.kind());
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
+            for (block, series) in &metric.series {
+                match &series.sample {
+                    Sample::Counter(v) => out.push_str(&format!("{name}_total{block} {v}\n")),
+                    Sample::Gauge(v) => out.push_str(&format!("{name}{block} {v}\n")),
+                    Sample::Histogram(h) => {
                         let mut cumulative = 0u64;
-                        for (i, &c) in counts.iter().enumerate() {
+                        for (i, &c) in h.counts().iter().enumerate() {
                             if c == 0 {
                                 continue;
                             }
@@ -185,11 +181,12 @@ impl MetricsRegistry {
                                 merge_le(block, bucket_le(i)),
                             ));
                         }
+                        let count = h.count();
                         out.push_str(&format!(
                             "{name}_bucket{} {count}\n",
                             merge_le_inf(block)
                         ));
-                        out.push_str(&format!("{name}_sum{block} {sum}\n"));
+                        out.push_str(&format!("{name}_sum{block} {}\n", h.sum()));
                         out.push_str(&format!("{name}_count{block} {count}\n"));
                     }
                 }
@@ -216,47 +213,47 @@ fn merge_label(block: &str, label: &str) -> String {
     }
 }
 
-/// Folds a [`TraceSnapshot`]'s counter streams in, with help text
-/// resolved from [`names::COUNTERS`] — the single place recording sites
-/// and the exposition agree on what each stream means. Each stream
-/// `x.y` exports `x.y` (sample count), `x.y_sum`, and `x.y_max`.
+/// Folds a [`TraceSnapshot`]'s counter streams in: each stream `x.y`
+/// exports `counter.x.y` (sample count), `counter.x.y_sum` and
+/// `counter.x.y_max` — prefixed, so a stream never shares a name with
+/// the aggregate a serving exporter writes (`cache.hit_exact`) — plus
+/// the snapshot's own size: [`names::TRACE_EVENTS`],
+/// [`names::TRACE_DROPPED`] and [`names::TRACE_THREADS`].
 pub fn fold_trace_counters(reg: &mut MetricsRegistry, snapshot: &TraceSnapshot) {
     for (name, summary) in snapshot.counters() {
-        let help = names::COUNTERS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, h)| *h)
-            .unwrap_or("Trace counter stream");
-        reg.set_counter(name, help, &[], summary.samples);
-        reg.set_counter(
-            &format!("{name}_sum"),
-            &format!("{help} (sum of samples)"),
-            &[],
-            summary.sum,
-        );
-        reg.set_gauge(
-            &format!("{name}_max"),
-            &format!("{help} (max sample)"),
-            &[],
-            summary.max as f64,
-        );
+        reg.set_counter(&format!("counter.{name}"), &[], summary.samples);
+        reg.set_counter(&format!("counter.{name}_sum"), &[], summary.sum);
+        reg.set_gauge(&format!("counter.{name}_max"), &[], summary.max as f64);
     }
+    reg.set_counter(names::TRACE_EVENTS, &[], snapshot.events.len() as u64);
+    reg.set_counter(names::TRACE_DROPPED, &[], snapshot.dropped);
+    reg.set_gauge(names::TRACE_THREADS, &[], snapshot.threads.len() as f64);
 }
 
-/// Folds a [`TraceSnapshot`]'s span-duration histograms in as
-/// `hermes_span_<name>_ns` distributions.
+/// Folds a [`TraceSnapshot`]'s spans in: each span name `x.y` exports
+/// its duration distribution as `span.x.y_ns`, and the sum of every
+/// quantity arg `a` (any arg not in [`names::IDENTIFIER_ARGS`]) as the
+/// counter `span.x.y.a` — e.g. `span.shard.deep.scanned_codes`.
 ///
 /// # Errors
 ///
-/// Propagates span-matching failures from [`TraceSnapshot::histograms`].
+/// Propagates span-matching failures from [`TraceSnapshot::spans`].
 pub fn fold_trace_spans(reg: &mut MetricsRegistry, snapshot: &TraceSnapshot) -> Result<(), String> {
-    for (name, hist) in snapshot.histograms()? {
-        reg.set_histogram(
-            &format!("span.{name}_ns"),
-            "Span duration distribution (ns)",
-            &[],
-            &hist,
-        );
+    let mut durations: BTreeMap<&str, LogHistogram> = BTreeMap::new();
+    let mut sums: BTreeMap<(&str, &str), u64> = BTreeMap::new();
+    for span in snapshot.spans()? {
+        durations.entry(span.name).or_default().record(span.dur_ns);
+        for &(arg, v) in &span.args {
+            if !names::IDENTIFIER_ARGS.contains(&arg) {
+                *sums.entry((span.name, arg)).or_default() += v;
+            }
+        }
+    }
+    for (name, hist) in durations {
+        reg.set_histogram(&format!("span.{name}_ns"), &[], &hist);
+    }
+    for ((name, arg), sum) in sums {
+        reg.set_counter(&format!("span.{name}.{arg}"), &[], sum);
     }
     Ok(())
 }
@@ -375,19 +372,21 @@ mod tests {
     fn render_is_deterministic_and_sorted() {
         let build = || {
             let mut reg = MetricsRegistry::new();
-            reg.set_gauge("serve.burn_rate", "Burn", &[("class", "interactive")], 1.5);
-            reg.set_counter("cache.hit_exact", "Hits", &[], 42);
-            reg.set_counter("cache.miss", "Misses", &[], 7);
+            reg.set_gauge(names::SLO_BURN_RATE, &[("class", "interactive")], 1.5);
+            reg.set_counter(names::CACHE_HIT_EXACT, &[], 42);
+            reg.set_counter(names::CACHE_MISS, &[], 7);
             reg.render_text()
         };
         let text = build();
         assert_eq!(text, build());
         let hits = text.find("hermes_cache_hit_exact").unwrap();
         let miss = text.find("hermes_cache_miss").unwrap();
-        let burn = text.find("hermes_serve_burn_rate").unwrap();
+        let burn = text.find("hermes_slo_burn_rate").unwrap();
         assert!(hits < miss && miss < burn, "metrics must render sorted");
         assert!(text.contains("hermes_cache_hit_exact_total 42"));
-        assert!(text.contains("hermes_serve_burn_rate{class=\"interactive\"} 1.5"));
+        assert!(text.contains("hermes_slo_burn_rate{class=\"interactive\"} 1.5"));
+        let help = "# HELP hermes_cache_miss Cache lookups that found nothing servable";
+        assert!(text.contains(help));
     }
 
     #[test]
@@ -397,7 +396,7 @@ mod tests {
             h.record(v);
         }
         let mut reg = MetricsRegistry::new();
-        reg.set_histogram("serve.sojourn_ns", "Sojourn", &[], &h);
+        reg.set_histogram(names::SERVE_SOJOURN_NS, &[], &h);
         let text = reg.render_text();
         // Buckets [2,4) → le=3 cum 2; [8,16) → le=15 cum 3; [1024,2048) → le=2047 cum 4.
         assert!(text.contains("hermes_serve_sojourn_ns_bucket{le=\"3\"} 2"));
@@ -408,6 +407,10 @@ mod tests {
         assert!(text.contains("hermes_serve_sojourn_ns_count 4"));
         let parsed = parse_text(&text).unwrap();
         assert_eq!(parsed.metrics, 1);
+        // The view gets the histogram itself back.
+        let (name, series) = reg.series().next().unwrap();
+        assert_eq!(name, names::SERVE_SOJOURN_NS);
+        assert_eq!(series.sample, Sample::Histogram(Box::new(h)));
     }
 
     #[test]
@@ -415,10 +418,12 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         let mut h = LogHistogram::new();
         h.record(5);
-        reg.set_histogram("a.hist", "H", &[("k", "v")], &h);
-        reg.set_counter("a.count", "C", &[], 1);
-        reg.set_gauge("a.gauge", "G", &[], 0.25);
-        let parsed = parse_text(&reg.render_text()).unwrap();
+        reg.set_histogram("a.hist", &[("k", "v")], &h);
+        reg.set_counter("a.count", &[], 1);
+        reg.set_gauge("a.gauge", &[], 0.25);
+        let text = reg.render_text();
+        assert!(!text.contains("# HELP"), "undeclared names carry no help line");
+        let parsed = parse_text(&text).unwrap();
         assert_eq!(parsed.metrics, 3);
 
         assert!(parse_text("").is_err());
@@ -431,39 +436,29 @@ mod tests {
 
     #[test]
     fn trace_counters_fold_with_registry_help() {
-        let events = vec![
-            Event {
-                kind: EventKind::Counter,
-                name: names::CACHE_HIT_EXACT,
-                ts_ns: 1,
-                value: 1,
-                tid: 0,
-                args: Default::default(),
-            },
-            Event {
-                kind: EventKind::Counter,
-                name: names::CACHE_HIT_EXACT,
-                ts_ns: 2,
-                value: 1,
-                tid: 0,
-                args: Default::default(),
-            },
-            Event {
-                kind: EventKind::Counter,
-                name: names::SERVE_QUEUE_DEPTH,
-                ts_ns: 3,
-                value: 9,
-                tid: 0,
-                args: Default::default(),
-            },
-        ];
-        let snap = TraceSnapshot::from_events(events);
+        let counter = |name, ts_ns, value| Event {
+            kind: EventKind::Counter,
+            name,
+            ts_ns,
+            value,
+            tid: 0,
+            args: Default::default(),
+        };
+        let snap = TraceSnapshot::from_events(vec![
+            counter(names::CACHE_HIT_EXACT, 1, 1),
+            counter(names::CACHE_HIT_EXACT, 2, 1),
+            counter(names::SERVE_QUEUE_DEPTH, 3, 9),
+        ]);
         let mut reg = MetricsRegistry::new();
         fold_trace_counters(&mut reg, &snap);
         let text = reg.render_text();
-        assert!(text.contains("hermes_cache_hit_exact_total 2"));
-        assert!(text.contains("# HELP hermes_cache_hit_exact Exact bit-pattern cache hits"));
-        assert!(text.contains("hermes_serve_queue_depth_max 9"));
+        assert!(text.contains("hermes_counter_cache_hit_exact_total 2"));
+        assert!(text.contains(
+            "# HELP hermes_counter_cache_hit_exact Exact bit-pattern cache hits (samples)"
+        ));
+        assert!(text.contains("hermes_counter_serve_queue_depth_max 9"));
+        assert!(text.contains("hermes_trace_events_total 3"));
+        assert!(text.contains("hermes_trace_dropped_total 0"));
         parse_text(&text).unwrap();
     }
 }

@@ -328,8 +328,11 @@ impl Pool {
                     hermes_trace::counter(hermes_trace::names::POOL_STEAL, 1);
                     hermes_trace::counter(hermes_trace::names::POOL_QUEUE_DEPTH, (n - end) as u64);
                     hermes_trace::span_with(
-                        "pool.task",
-                        &[("start", start as u64), ("len", (end - start) as u64)],
+                        hermes_trace::names::POOL_TASK,
+                        &[
+                            (hermes_trace::names::ARG_START, start as u64),
+                            ("len", (end - start) as u64),
+                        ],
                     )
                 });
                 for i in start..end {

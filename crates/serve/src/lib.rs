@@ -11,8 +11,9 @@
 //! * [`batch`] — cluster-overlap analysis of a formed batch: which
 //!   requests share shard visits in the engine's group scatter.
 //! * [`server`] — the discrete-event [`Server`]: virtual-time dispatch
-//!   loop, deadline expiry, per-class latency histograms
-//!   ([`hermes_trace::hist::LogHistogram`]), pluggable [`Backend`] —
+//!   loop, deadline expiry, sojourn and wait histograms
+//!   ([`hermes_trace::hist::LogHistogram`]; per-class sojourns are the
+//!   attached observer's), pluggable [`Backend`] —
 //!   and the one `dispatch` function (probe → route → probe → deep →
 //!   insert over the engine's two batch stages) that [`EngineBackend`],
 //!   [`GenerationBackend`] and [`CachedBackend`] all forward to;

@@ -37,7 +37,7 @@ use hermes_trace::names;
 
 use crate::batch::coalesce_groups;
 use crate::queue::AdmissionQueue;
-use crate::request::{Completion, Request, ShedReason, ShedRecord, PRIORITY_CLASSES};
+use crate::request::{Completion, Request, ShedReason, ShedRecord};
 
 /// Executes one dispatched batch and reports how long it took.
 pub trait Backend {
@@ -279,9 +279,6 @@ pub struct ServeReport {
     pub sojourn: LogHistogram,
     /// Queueing delay (arrival → dispatch) histogram, nanoseconds.
     pub wait: LogHistogram,
-    /// Per-priority-class sojourn histograms,
-    /// [`Priority::ALL`](crate::Priority::ALL) order.
-    pub sojourn_by_class: [LogHistogram; PRIORITY_CLASSES],
     /// Total backend service time, nanoseconds.
     pub busy_ns: u64,
     /// Departure time of the last completed batch, nanoseconds.
@@ -326,7 +323,6 @@ pub struct Server<B: Backend> {
     shared_visits: usize,
     sojourn: LogHistogram,
     wait: LogHistogram,
-    sojourn_by_class: [LogHistogram; PRIORITY_CLASSES],
     completions: Vec<Completion>,
     shed: Vec<ShedRecord>,
     completed: usize,
@@ -351,7 +347,6 @@ impl<B: Backend> Server<B> {
             shared_visits: 0,
             sojourn: LogHistogram::new(),
             wait: LogHistogram::new(),
-            sojourn_by_class: Default::default(),
             completions: Vec::new(),
             shed: Vec::new(),
             completed: 0,
@@ -373,11 +368,6 @@ impl<B: Backend> Server<B> {
     /// The attached observer, if any.
     pub fn observer(&self) -> Option<&Observer> {
         self.observer.as_ref()
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> Option<&mut Observer> {
-        self.observer.as_mut()
     }
 
     /// Detaches and returns the observer (for reporting after a run).
@@ -506,7 +496,6 @@ impl<B: Backend> Server<B> {
             let sojourn = finish - req.arrival_ns;
             self.sojourn.record(sojourn);
             self.wait.record(start - req.arrival_ns);
-            self.sojourn_by_class[req.priority.index()].record(sojourn);
             hermes_trace::complete_with(
                 names::SERVE_REQUEST,
                 req.arrival_ns,
@@ -584,7 +573,6 @@ impl<B: Backend> Server<B> {
             shared_visits: self.shared_visits,
             sojourn: self.sojourn.clone(),
             wait: self.wait.clone(),
-            sojourn_by_class: self.sojourn_by_class.clone(),
             busy_ns: self.busy_ns,
             makespan_ns: self.free_at_ns,
         }

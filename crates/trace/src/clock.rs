@@ -73,46 +73,6 @@ impl Clock for TestClock {
     }
 }
 
-/// Deterministic clock driven explicitly by the test: reads return the
-/// last value given to [`ManualClock::set`] / [`ManualClock::advance`]
-/// without advancing it, so any number of telemetry reads between two
-/// driver steps observe the same instant. This is the clock for
-/// discrete-event harnesses (the serving layer's load generator) where
-/// *the driver* owns time and instrumentation must not perturb it —
-/// complementing [`TestClock`], whose auto-advancing reads give every
-/// span a nonzero duration.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    /// A clock stopped at `start`.
-    pub fn new(start: u64) -> Self {
-        ManualClock {
-            now: AtomicU64::new(start),
-        }
-    }
-
-    /// Moves the clock to `t`. Clamped monotonic: a `t` earlier than the
-    /// current reading is ignored, so interleaved drivers can never make
-    /// time run backwards.
-    pub fn set(&self, t: u64) {
-        self.now.fetch_max(t, Ordering::Relaxed);
-    }
-
-    /// Moves the clock forward by `delta`.
-    pub fn advance(&self, delta: u64) {
-        self.now.fetch_add(delta, Ordering::Relaxed);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
-
 /// The installed override, if any; `None` means the lazily created
 /// monotonic default.
 fn override_slot() -> &'static RwLock<Option<Arc<dyn Clock>>> {
@@ -137,8 +97,12 @@ pub fn reset_clock() {
     *override_slot().write().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
-/// Reads the global clock. Only called on enabled-telemetry paths, so
-/// the read lock is never taken on a disabled hot path.
+/// Reads the global clock, taking the override slot's read lock (an
+/// uncontended atomic in production). Recording sites call it only with
+/// telemetry enabled, but `hermes_trace::now_ns` exposes it to callers
+/// that time work unconditionally — the serving dispatch reads it at
+/// every phase boundary of every batch — so it is on the request path
+/// whether or not tracing is on.
 pub(crate) fn now_ns() -> u64 {
     let guard = override_slot()
         .read()
@@ -167,23 +131,5 @@ mod tests {
         assert_eq!(c.now_ns(), 100);
         assert_eq!(c.now_ns(), 107);
         assert_eq!(c.now_ns(), 114);
-    }
-
-    #[test]
-    fn manual_clock_holds_between_driver_steps() {
-        let c = ManualClock::new(5);
-        assert_eq!(c.now_ns(), 5);
-        assert_eq!(c.now_ns(), 5);
-        c.set(42);
-        assert_eq!(c.now_ns(), 42);
-        c.advance(8);
-        assert_eq!(c.now_ns(), 50);
-    }
-
-    #[test]
-    fn manual_clock_never_runs_backwards() {
-        let c = ManualClock::new(100);
-        c.set(30);
-        assert_eq!(c.now_ns(), 100);
     }
 }

@@ -97,6 +97,23 @@ HERMES_THREADS=1 cargo run -p hermes --release --offline --quiet --bin hermes --
     trace --docs 4000 --dim 32 --queries 16 --out "${trace_out}/trace_w1.json"
 test -s "${trace_out}/trace_w1.json"
 
+# Registry smoke: plain `hermes stats` runs the same workload as
+# coalesced batches, folds its trace snapshot into the metrics registry
+# and prints the registry's tables; the greps pin the span-duration fold
+# (an `engine.execute` distribution row) and the shard-scan arg sums (the
+# deep stage's scanned codes). A second pass at width 1 pins the inline
+# path.
+echo "== hermes stats smoke (release) =="
+stats_smoke() {
+    local out
+    out="$(env "$@" cargo run -p hermes --release --offline --quiet --bin hermes -- \
+        stats --docs 4000 --dim 32 --queries 16)"
+    grep -q '^span\.engine\.execute_ns ' <<<"${out}"
+    grep -q '^span\.shard\.deep\.scanned_codes ' <<<"${out}"
+}
+stats_smoke
+stats_smoke HERMES_THREADS=1
+
 # Serving smoke: `hermes loadgen --smoke` drives the serving layer with
 # a closed-loop then an open-loop workload and errors out unless every
 # batched/coalesced completion is bit-identical to a standalone

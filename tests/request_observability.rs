@@ -8,19 +8,27 @@
 //!   observer attached or absent, and identical to standalone
 //!   [`Engine::execute`] per query.
 //! * **Determinism** — a seeded run renders byte-identical attribution
-//!   tables, SLO tables, flight dumps and text expositions.
+//!   tables, registry tables, flight dumps and text expositions, and the
+//!   fixed-service exposition equals a checked-in golden byte for byte.
+//! * **One exporter per name** — every aggregate exports into the
+//!   registry once, under names and help lines declared in
+//!   [`hermes::trace::names`].
 //! * **Causality** — the request id minted at admission reaches the
 //!   engine's spans via [`QueryPlan::with_request_id`].
 
 use hermes::core::exec::{Engine, QueryPlan};
-use hermes::metrics::{phase_breakdown_table, slo_table};
-use hermes::obs::{parse_dump, parse_text};
+use hermes::metrics::{phase_breakdown_table, registry_tables, Table};
+use hermes::obs::{fold_trace_counters, fold_trace_spans, parse_dump, parse_text};
 use hermes::prelude::*;
 use hermes::serve::{
     export_cache_stats, export_serve_report, obs_config, run_open_loop, FixedServiceBackend,
     Request, ShedReason,
 };
 use hermes::trace::names;
+
+/// Serializes the tests that turn the process-global trace rings on and
+/// drain them.
+static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 struct Fixture {
     store: ClusteredStore,
@@ -209,7 +217,7 @@ fn cached_backend_run_exports_a_parseable_unified_exposition() {
         let tables = format!(
             "{}\n{}",
             phase_breakdown_table(obs.attribution()).render(),
-            slo_table(obs.slo()).render(),
+            rendered(&reg),
         );
         (text, tables)
     };
@@ -217,8 +225,8 @@ fn cached_backend_run_exports_a_parseable_unified_exposition() {
     assert!(text.contains("hermes_slo_burn_rate{class=\"interactive\"}"));
     assert!(text.contains("hermes_obs_requests_completed_total"));
     assert!(text.contains("hermes_serve_sojourn_ns_bucket"));
-    assert!(tables.contains("slo accounting"));
-    assert!(tables.contains("interactive"));
+    assert!(tables.contains("slo.burn_rate"));
+    assert!(tables.contains("class=interactive"));
 }
 
 #[test]
@@ -251,15 +259,96 @@ fn fixed_service_exposition_is_fully_byte_identical() {
         export_cache_stats(&mut reg, &CacheStats::default());
         let text = reg.render_text();
         parse_text(&text).expect("exposition must parse");
+        assert_eq!(
+            text,
+            include_str!("golden/fixed_service_exposition.prom"),
+            "the exposition drifted from its golden"
+        );
         format!(
             "{}\n{}\n{}\n{}",
             text,
             phase_breakdown_table(obs.attribution()).render(),
-            slo_table(obs.slo()).render(),
+            rendered(&reg),
             obs.recorder().render_dump(),
         )
     };
     assert_eq!(run(), run(), "seeded virtual-time run must be byte-identical");
+}
+
+fn rendered(reg: &MetricsRegistry) -> String {
+    registry_tables(reg, "run").iter().map(Table::render).collect()
+}
+
+#[test]
+fn every_exporter_writes_declared_names_no_other_exporter_writes() {
+    let mut s = Server::new(
+        FixedServiceBackend::new(500),
+        ServerConfig {
+            queue_capacity: 2,
+            max_batch: 2,
+        },
+    )
+    .with_observer(Observer::new(obs_config(5)));
+    for i in 0..12u64 {
+        s.run_until(i * 100).unwrap();
+        let _ = s.submit(Request::new(i, vec![0.0], Priority::ALL[(i % 3) as usize], i * 100));
+    }
+    s.run_until(u64::MAX).unwrap();
+    let report = s.report();
+    assert!(report.shed_full > 0, "the fixture sheds, so every serve counter is live");
+    let obs = s.take_observer().unwrap();
+
+    let f = fixture();
+    let snap = {
+        let _tracing = TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        hermes::trace::clear();
+        hermes::trace::enable();
+        let _ = Engine::for_store(&f.store).execute_coalesced(&f.queries[..4], 1).unwrap();
+        hermes::trace::disable();
+        hermes::trace::snapshot()
+    };
+
+    let stats = CacheStats {
+        exact_hits: 3,
+        misses: 2,
+        insertions: 2,
+        ..CacheStats::default()
+    };
+    type Export<'a> = Box<dyn Fn(&mut MetricsRegistry) + 'a>;
+    let exporters: [(&str, Export); 4] = [
+        ("serve report", Box::new(|r| export_serve_report(r, &report))),
+        ("cache stats", Box::new(|r| export_cache_stats(r, &stats))),
+        ("observer", Box::new(|r| obs.export(r))),
+        (
+            "trace folds",
+            Box::new(|r| {
+                fold_trace_counters(r, &snap);
+                fold_trace_spans(r, &snap).unwrap();
+            }),
+        ),
+    ];
+    let mut owner: std::collections::BTreeMap<String, &str> = Default::default();
+    let mut all = MetricsRegistry::new();
+    for (exporter, export) in &exporters {
+        let mut own = MetricsRegistry::new();
+        export(&mut own);
+        export(&mut all);
+        assert!(!own.is_empty(), "{exporter} exported nothing");
+        for (name, _) in own.series() {
+            let first = owner.entry(name.to_string()).or_insert(exporter);
+            assert_eq!(first, exporter, "{name} is set by both {first} and {exporter}");
+            assert!(
+                names::help(name).is_some(),
+                "{exporter} exports {name}, which trace::names does not declare"
+            );
+        }
+    }
+    assert!(owner.contains_key("span.shard.deep.scanned_codes"));
+    let text = all.render_text();
+    let parsed = parse_text(&text).expect("the full page must re-parse");
+    assert_eq!(parsed.metrics, all.len());
+    assert_eq!(text.matches("# HELP ").count(), all.len(), "every metric has a help line");
+    assert!(rendered(&all).contains("span.engine.execute_ns"));
 }
 
 #[test]
@@ -267,6 +356,7 @@ fn engine_spans_carry_the_request_id() {
     let f = fixture();
     let plan = QueryPlan::from_config(f.store.config()).with_request_id(7_777);
     let engine = Engine::new(&f.store, plan);
+    let _tracing = TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     hermes::trace::enable();
     let _ = engine.execute(&f.queries[0]).unwrap();
     hermes::trace::disable();

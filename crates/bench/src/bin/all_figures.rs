@@ -10,8 +10,8 @@ use std::process::Command;
 const BINS: &[&str] = &[
     "table1", "fig04", "fig05", "fig06", "fig07", "fig08", "fig10", "fig11",
     "fig12", "fig13", "fig14", "fig16", "fig17", "fig18", "fig19", "fig20",
-    "fig21", "ablation_residual", "ext_tail_latency", "ext_intra_query",
-    "ext_serving", "ext_persist", "ext_adaptive",
+    "fig21", "ext_tail_latency", "ext_intra_query", "ext_serving",
+    "ext_persist", "ext_adaptive",
 ];
 
 fn main() {

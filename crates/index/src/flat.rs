@@ -49,8 +49,8 @@ impl FlatIndex {
         }
     }
 
-    /// Wraps a vector set with caller-provided ids (used by the Hermes
-    /// clustered store, where each cluster holds a slice of global ids).
+    /// Wraps a vector set with caller-provided ids, one per row — say, a
+    /// slice of a larger id space, as an exact oracle for a shard.
     ///
     /// # Panics
     ///

@@ -6,7 +6,6 @@
 //! scanned, trading accuracy for latency. Vectors inside lists are stored
 //! through a [`Codec`] (the paper uses SQ8).
 
-use std::borrow::Cow;
 use std::cell::Cell;
 
 use hermes_kmeans::{probe_key_centroid, select_nearest, KMeans, KMeansConfig};
@@ -103,10 +102,10 @@ pub struct IvfBuilder {
     codec: CodecSpec,
     metric: Metric,
     seed: u64,
-    train_fraction: f64,
-    kmeans_iters: usize,
-    residual: bool,
 }
+
+/// Lloyd iteration cap for the coarse quantizer.
+const KMEANS_ITERS: usize = 15;
 
 impl IvfBuilder {
     fn new() -> Self {
@@ -115,21 +114,7 @@ impl IvfBuilder {
             codec: CodecSpec::Sq8,
             metric: Metric::InnerProduct,
             seed: 0,
-            train_fraction: 1.0,
-            kmeans_iters: 15,
-            residual: false,
         }
-    }
-
-    /// Encodes each vector's *residual* from its list centroid instead of
-    /// the raw vector (FAISS's default for IVF+quantizer). Residuals have
-    /// a tighter dynamic range, so scalar/product quantizers spend their
-    /// levels where the data actually lives, improving recall at the same
-    /// code size. Costs one extra centroid add per scored candidate at
-    /// query time.
-    pub fn residual(mut self, residual: bool) -> Self {
-        self.residual = residual;
-        self
     }
 
     /// Fixes the number of inverted lists (default `4·√n`).
@@ -153,19 +138,6 @@ impl IvfBuilder {
     /// RNG seed for the coarse quantizer and codec training.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Trains the coarse quantizer and codec on a row subsample, the
-    /// standard trick for large ingests.
-    pub fn train_fraction(mut self, fraction: f64) -> Self {
-        self.train_fraction = fraction;
-        self
-    }
-
-    /// Lloyd iteration cap for the coarse quantizer.
-    pub fn kmeans_iters(mut self, iters: usize) -> Self {
-        self.kmeans_iters = iters;
         self
     }
 
@@ -201,65 +173,28 @@ impl IvfBuilder {
             .unwrap_or_else(|| ((4.0 * (data.rows() as f64).sqrt()).round() as usize).max(1))
             .clamp(1, data.rows());
 
-        let training;
-        let train_data = if self.train_fraction < 1.0 {
-            training = hermes_kmeans::subsample(data, self.train_fraction, self.seed);
-            &training
-        } else {
-            data
-        };
-
         let cfg = KMeansConfig::new(nlist)
             .with_seed(self.seed)
-            .with_max_iters(self.kmeans_iters);
-        let coarse = KMeans::train(train_data, &cfg);
-        let codec = if self.residual {
-            // Train the codec on residuals so its range matches what it
-            // will actually encode.
-            let residuals: Vec<Vec<f32>> = train_data
-                .iter_rows()
-                .zip(coarse.assignments())
-                .map(|(row, &list)| {
-                    hermes_math::distance::sub(row, coarse.centroids().row(list as usize))
-                })
-                .collect();
-            Codec::train(self.codec, &Mat::from_rows(&residuals), self.seed)
-        } else {
-            Codec::train(self.codec, train_data, self.seed)
-        };
+            .with_max_iters(KMEANS_ITERS);
+        let coarse = KMeans::train(data, &cfg);
+        let codec = Codec::train(self.codec, data, self.seed);
 
+        // K-means ends with exactly this sweep — every row assigned
+        // against the final centroids — so the lists, and their exact
+        // final lengths, are already known: no growth slack stays
+        // resident behind a served index.
+        let code_size = codec.code_size();
         let mut lists = vec![InvertedList::default(); coarse.num_clusters()];
-        let mut buf = Vec::new();
-        // K-means ends with exactly this sweep — every training row
-        // assigned against the final centroids — so when it trained on
-        // `data` itself the lists are already known.
-        let trained_on_data = std::ptr::eq(train_data, data);
-        if trained_on_data {
-            // ... and so are their exact final lengths: no growth slack
-            // stays resident behind a served index.
-            let code_size = codec.code_size();
-            for (list, &rows) in lists.iter_mut().zip(coarse.cluster_sizes()) {
-                list.ids.reserve_exact(rows);
-                list.codes.reserve_exact(rows * code_size);
-                list.dead.reserve_exact(rows);
-            }
+        for (list, &rows) in lists.iter_mut().zip(coarse.cluster_sizes()) {
+            list.ids.reserve_exact(rows);
+            list.codes.reserve_exact(rows * code_size);
+            list.dead.reserve_exact(rows);
         }
-        for (i, (row, &id)) in data.iter_rows().zip(&ids).enumerate() {
-            let list = if trained_on_data {
-                coarse.assignments()[i] as usize
-            } else {
-                coarse.assign(row).0
-            };
-            buf.clear();
-            if self.residual {
-                let res = hermes_math::distance::sub(row, coarse.centroids().row(list));
-                codec.encode_into(&res, &mut buf);
-            } else {
-                codec.encode_into(row, &mut buf);
-            }
-            lists[list].ids.push(id);
-            lists[list].codes.extend_from_slice(&buf);
-            lists[list].dead.push(false);
+        for ((row, &id), &list) in data.iter_rows().zip(&ids).zip(coarse.assignments()) {
+            let list = &mut lists[list as usize];
+            list.ids.push(id);
+            codec.encode_into(row, &mut list.codes);
+            list.dead.push(false);
         }
 
         Ok(IvfIndex {
@@ -269,7 +204,6 @@ impl IvfBuilder {
             metric: self.metric,
             dim: data.cols(),
             len: data.rows(),
-            residual: self.residual,
         })
     }
 }
@@ -283,7 +217,6 @@ pub struct IvfIndex {
     metric: Metric,
     dim: usize,
     len: usize,
-    residual: bool,
 }
 
 impl IvfIndex {
@@ -326,39 +259,24 @@ impl IvfIndex {
                 got: v.len(),
             });
         }
-        let (list, _) = self.coarse.assign(v);
-        let mut buf = Vec::with_capacity(self.codec.code_size());
-        if self.residual {
-            let res = hermes_math::distance::sub(v, self.coarse.centroids().row(list));
-            self.codec.encode_into(&res, &mut buf);
-        } else {
-            self.codec.encode_into(v, &mut buf);
-        }
-        self.lists[list].ids.push(id);
-        self.lists[list].codes.extend_from_slice(&buf);
-        self.lists[list].dead.push(false);
+        let list = &mut self.lists[self.coarse.assign(v).0];
+        list.ids.push(id);
+        self.codec.encode_into(v, &mut list.codes);
+        list.dead.push(false);
         self.len += 1;
         Ok(())
     }
 
-    /// Decodes the stored vector for `id` (first live occurrence), adding
-    /// back the list centroid for residual storage. Lossy codecs return
-    /// the quantized reconstruction — deterministic, and exactly what a
-    /// migration re-encodes, so decode → re-add round-trips stably.
+    /// Decodes the stored vector for `id` (first live occurrence). Lossy
+    /// codecs return the quantized reconstruction — deterministic, and
+    /// exactly what a migration re-encodes, so decode → re-add
+    /// round-trips stably.
     pub fn reconstruct(&self, id: u64) -> Option<Vec<f32>> {
         let cs = self.codec.code_size();
-        for (li, list) in self.lists.iter().enumerate() {
+        for list in &self.lists {
             for (pos, &stored) in list.ids.iter().enumerate() {
                 if stored == id && !list.dead[pos] {
-                    let code = &list.codes[pos * cs..(pos + 1) * cs];
-                    let mut v = self.codec.decode(code);
-                    if self.residual {
-                        hermes_math::distance::add_assign(
-                            &mut v,
-                            self.coarse.centroids().row(li),
-                        );
-                    }
-                    return Some(v);
+                    return Some(self.codec.decode(&list.codes[pos * cs..(pos + 1) * cs]));
                 }
             }
         }
@@ -371,26 +289,14 @@ impl IvfIndex {
     pub fn export_live(&self) -> Vec<(u64, Vec<f32>)> {
         let cs = self.codec.code_size();
         let mut out = Vec::with_capacity(self.len);
-        for (li, list) in self.lists.iter().enumerate() {
-            let centroid = self.coarse.centroids().row(li);
+        for list in &self.lists {
             for (pos, &id) in list.ids.iter().enumerate() {
-                if list.dead[pos] {
-                    continue;
+                if !list.dead[pos] {
+                    out.push((id, self.codec.decode(&list.codes[pos * cs..(pos + 1) * cs])));
                 }
-                let code = &list.codes[pos * cs..(pos + 1) * cs];
-                let mut v = self.codec.decode(code);
-                if self.residual {
-                    hermes_math::distance::add_assign(&mut v, centroid);
-                }
-                out.push((id, v));
             }
         }
         out
-    }
-
-    /// Whether vectors are stored as residuals from their list centroid.
-    pub fn is_residual(&self) -> bool {
-        self.residual
     }
 
     /// Serializes the index (coarse centroids, codec, inverted lists) to
@@ -412,7 +318,9 @@ impl IvfIndex {
             Metric::InnerProduct => 1,
             Metric::Cosine => 2,
         });
-        w.u8(u8::from(self.residual));
+        // The residual-storage tag, always 0 (raw codes): kept so that the
+        // format, and so every image's bytes, stay as they were.
+        w.u8(0);
         w.u64(self.dim as u64);
         w.u64(self.len as u64);
         self.coarse.encode_wire(&mut w);
@@ -456,17 +364,20 @@ impl IvfIndex {
             2 => Metric::Cosine,
             t => return Err(WireError::Corrupt(format!("bad metric tag {t}"))),
         };
-        let residual = match r.u8()? {
-            0 => false,
-            1 => true,
+        match r.u8()? {
+            0 => {}
+            1 => return Err(WireError::Corrupt("residual list storage is not supported".into())),
             t => return Err(WireError::Corrupt(format!("bad residual tag {t}"))),
-        };
+        }
         let dim = r.u64()? as usize;
         let len = r.u64()? as usize;
         let coarse = KMeans::decode_wire(&mut r)?;
         let codec = Codec::decode_wire(&mut r)?;
         if codec.dim() != dim {
             return Err(WireError::Corrupt("codec dimension mismatch".into()));
+        }
+        if coarse.centroids().cols() != dim {
+            return Err(WireError::Corrupt("centroid dimension mismatch".into()));
         }
         let nlists = r.u64()? as usize;
         if nlists != coarse.num_clusters() {
@@ -502,7 +413,6 @@ impl IvfIndex {
             metric,
             dim,
             len,
-            residual,
         })
     }
 
@@ -727,11 +637,10 @@ impl IvfIndex {
     /// total order on `(score, id)` and [`ScanStats`] are sums, so the
     /// visiting order never shows), and the probes are compiled into a
     /// flat row [`Plan`] of one run per query, in input order, that the
-    /// scoring kernels consume in full tiles across list boundaries.
-    /// Residual lists score a per-(query, list) shifted query, so there
-    /// every probe is a run of its own. A group shares the coarse pass,
-    /// the scratch and one read-ahead over the whole plan, not the rows:
-    /// each query's scan is exactly the scan it would get alone.
+    /// scoring kernels consume in full tiles across list boundaries with
+    /// that query's one scorer. A group shares the coarse pass, the
+    /// scratch and one read-ahead over the whole plan, not the rows: each
+    /// query's scan is exactly the scan it would get alone.
     ///
     /// Everything between the input and the hit lists lives in the
     /// per-thread [`ScanScratch`]: in steady state a plain group scan
@@ -766,9 +675,7 @@ impl IvfIndex {
                 };
                 if !chosen.is_empty() {
                     let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
-                    plan.push(active.len() as u32, lists, self.residual, |l| {
-                        self.lists[l as usize].ids.is_empty()
-                    });
+                    plan.push(lists, |l| self.lists[l as usize].ids.is_empty());
                     active.push(qi);
                 }
                 (Vec::new(), self.probe_cost(chosen))
@@ -780,49 +687,18 @@ impl IvfIndex {
                 rescored_codes: 0,
             };
         }
-        let live = active.iter().map(|&i| queries[i].0);
         let mut ahead = ReadAhead::default();
         ahead.advance(self, &plan.lists, PREFETCH_ROWS);
 
         tops.clear();
         tops.extend(active.iter().map(|_| TopK::new(k.max(1))));
-        // What a slot's residual runs decompose against: its query, or
-        // for cosine a pre-normalized copy (cosine reduces to inner
-        // product; documents are stored unnormalized-residual but decode
-        // to the original, normalized vectors). `None` for plain lists.
-        let shifts: Option<Vec<Cow<'_, [f32]>>> = self.residual.then(|| {
-            live.clone()
-                .map(|q| match self.metric {
-                    Metric::Cosine => {
-                        let mut unit = q.to_vec();
-                        hermes_math::distance::normalize(&mut unit);
-                        Cow::Owned(unit)
-                    }
-                    _ => Cow::Borrowed(q),
-                })
-                .collect()
-        });
         let mut slot_scorers = recycle(std::mem::take(scorers));
-        match &shifts {
-            // One scorer per query serves every list.
-            None => slot_scorers.extend(live.map(|q| self.codec.query_scorer(q, self.metric))),
-            // ip(q, c + r) = ip(q, c) + ip(q, r): the scorer is
-            // list-invariant, only an offset moves with the list.
-            Some(qs) if self.metric != Metric::L2 => slot_scorers.extend(
-                qs.iter()
-                    .map(|q| self.codec.query_scorer(q, Metric::InnerProduct)),
-            ),
-            // L2 shifts the query by the list centroid: a scorer per run.
-            Some(_) => {}
-        }
-        let rescored_codes = self.scan(
-            plan,
-            &slot_scorers,
-            shifts.as_deref(),
-            tops,
-            chunk,
-            &mut ahead,
+        slot_scorers.extend(
+            active
+                .iter()
+                .map(|&i| self.codec.query_scorer(queries[i].0, self.metric)),
         );
+        let rescored_codes = self.scan(plan, &slot_scorers, tops, chunk, &mut ahead);
         *scorers = recycle(slot_scorers);
 
         for (&qi, top) in active.iter().zip(tops.drain(..)) {
@@ -837,10 +713,10 @@ impl IvfIndex {
         }
     }
 
-    /// Runs a compiled [`Plan`]: each run's lists are cut into chunks of
-    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and the
-    /// run's slot takes its pass over a chunk's code segments one of two
-    /// ways, decided from its scorer and its selector alone:
+    /// Runs a compiled [`Plan`]: each slot's lists are cut into chunks of
+    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and the slot
+    /// takes its pass over a chunk's code segments one of two ways,
+    /// decided from its scorer and its selector alone:
     ///
     /// * **filter → compact → rescore**, if the scorer has a
     ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the selector is full:
@@ -864,19 +740,11 @@ impl IvfIndex {
     /// is still filling, chunks are cut at [`WARMUP_ROWS`] so that it
     /// fills, exactly, on few rows. The kernels keep the read-ahead
     /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read,
-    /// across run boundaries.
-    ///
-    /// `shifts` marks residual storage — every run one `(list, slot)`
-    /// pair — and holds each slot's query. `offset` (the residual
-    /// inner-product decomposition term) is applied unconditionally —
-    /// even an offset of `0.0` changes `-0.0` scores to `+0.0` — so the
-    /// f32 op sequence matches the per-code `offset + scorer.score(code)`
-    /// form bit for bit. Returns [`GroupScan::rescored_codes`].
+    /// across slot boundaries. Returns [`GroupScan::rescored_codes`].
     fn scan(
         &self,
         plan: &Plan,
         scorers: &[QueryScorer<'_>],
-        shifts: Option<&[Cow<'_, [f32]>]>,
         tops: &mut [TopK],
         chunk: &mut Chunk,
         ahead: &mut ReadAhead,
@@ -884,37 +752,11 @@ impl IvfIndex {
         let cs = self.codec.code_size();
         let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
-        let mut shifted = Vec::new();
         let mut rescored = 0;
         let mut first = 0;
-        for run in &plan.runs {
-            let lists = &plan.lists[first..run.lists_end];
-            first = run.lists_end;
-            let top = &mut tops[run.slot as usize];
-            let (mut run_scorer, mut offset) = (None, None);
-            if let Some(queries) = shifts {
-                let centroid = self.coarse.centroids().row(lists[0] as usize);
-                let q = &queries[run.slot as usize];
-                if self.metric == Metric::L2 {
-                    // -|q - (c + r)|^2 = -|(q - c) - r|^2.
-                    shifted.clear();
-                    shifted.extend(q.iter().zip(centroid).map(|(x, y)| x - y));
-                    run_scorer = Some(self.codec.query_scorer(&shifted, Metric::L2));
-                } else {
-                    offset = Some(hermes_math::distance::inner_product(q, centroid));
-                }
-            }
-            let scorer = run_scorer
-                .as_ref()
-                .unwrap_or_else(|| &scorers[run.slot as usize]);
-            let shift = |scores: &mut [f32]| {
-                if let Some(o) = offset {
-                    for s in scores {
-                        *s = o + *s;
-                    }
-                }
-            };
-
+        for ((&end, scorer), top) in plan.ends.iter().zip(scorers).zip(tops) {
+            let lists = &plan.lists[first..end];
+            first = end;
             let (mut at_list, mut at_row) = (0, 0);
             while at_list < lists.len() {
                 let warming = top.len() < top.k() && scorer.bound().is_some();
@@ -960,9 +802,9 @@ impl IvfIndex {
                 // read-ahead moving, a few rows between the kernel's tiles.
                 let mut pace = |rows| ahead.advance(self, &plan.lists, rows);
 
-                let gate = scorer.bound().and_then(|bound| {
-                    Some((bound, bound.floor(top.threshold(), offset.unwrap_or(0.0))?))
-                });
+                let gate = scorer
+                    .bound()
+                    .and_then(|bound| Some((bound, bound.floor(top.threshold())?)));
                 if let Some((bound, floor)) = gate {
                     let used = rows.div_ceil(8);
                     bound.survivors(segments, rows, floor, &mut chunk.masks[..used], &mut pace);
@@ -992,7 +834,6 @@ impl IvfIndex {
                     }
                     let out = &mut chunk.scores[..n];
                     scorer.score_segments(&kept[..n], out, &mut |_| {});
-                    shift(out);
                     top.push_block(&chunk.kept_ids[..n], out);
                     rescored += n;
                     continue;
@@ -1000,7 +841,6 @@ impl IvfIndex {
 
                 let out = &mut chunk.scores[..rows];
                 scorer.score_segments(segments, out, &mut pace);
-                shift(out);
                 let mut at = 0;
                 for p in parts {
                     let list = &self.lists[p.list as usize];
@@ -1133,50 +973,29 @@ struct Part {
 }
 
 /// The probed lists of a group scan in the order their rows are scored,
-/// cut into runs: one slot's lists, which the kernel scores as one row
-/// sequence for that slot.
+/// cut into runs: slot `s`'s lists, which the kernel scores as one row
+/// sequence for that slot, are `lists[ends[s - 1]..ends[s]]` (from 0 for
+/// the first slot).
 #[derive(Default)]
 struct Plan {
-    /// Non-empty probed lists, run after run.
+    /// Non-empty probed lists, slot after slot.
     lists: Vec<u32>,
-    runs: Vec<Run>,
-}
-
-struct Run {
-    /// The slot this run's rows are scored for.
-    slot: u32,
-    /// One past this run's last entry in [`Plan::lists`]; it starts where
-    /// the previous run ends.
-    lists_end: usize,
+    /// One past each slot's last entry in `lists`.
+    ends: Vec<usize>,
 }
 
 impl Plan {
     fn clear(&mut self) {
         self.lists.clear();
-        self.runs.clear();
+        self.ends.clear();
     }
 
-    /// Appends slot `slot`'s probed `lists`, in the order given and
-    /// without the ones that `is_empty`: one run, or with `split`
-    /// (residual storage, whose scorer moves with the list) one run per
-    /// list. A slot's lists must be pushed in one call.
-    fn push(
-        &mut self,
-        slot: u32,
-        lists: impl Iterator<Item = u32>,
-        split: bool,
-        is_empty: impl Fn(u32) -> bool,
-    ) {
-        for list in lists.filter(|&l| !is_empty(l)) {
-            self.lists.push(list);
-            match self.runs.last_mut() {
-                Some(run) if !split && run.slot == slot => run.lists_end = self.lists.len(),
-                _ => self.runs.push(Run {
-                    slot,
-                    lists_end: self.lists.len(),
-                }),
-            }
-        }
+    /// Appends the next slot's probed `lists`, in the order given and
+    /// without the ones that `is_empty`, as one run — empty if every
+    /// list is.
+    fn push(&mut self, lists: impl Iterator<Item = u32>, is_empty: impl Fn(u32) -> bool) {
+        self.lists.extend(lists.filter(|&l| !is_empty(l)));
+        self.ends.push(self.lists.len());
     }
 }
 
@@ -1299,32 +1118,23 @@ mod tests {
         // The reference is the two-sweep build: train, then assign every
         // row again by streaming it in. The serialized shard — the blob an
         // `HPGS` store image holds per cluster — must not differ by a
-        // byte, whether the quantizer trained on all rows or a subsample.
+        // byte.
         let data = clustered_data(700, 8, 6, 61);
-        for residual in [false, true] {
-            for fraction in [1.0, 0.4] {
-                let builder = IvfIndex::builder()
-                    .nlist(24)
-                    .codec(CodecSpec::Sq8)
-                    .residual(residual)
-                    .train_fraction(fraction)
-                    .seed(8);
-                let built = builder.build(&data).unwrap();
-                let mut streamed = IvfIndex {
-                    lists: vec![InvertedList::default(); built.lists.len()],
-                    len: 0,
-                    ..built.clone()
-                };
-                for (id, row) in data.iter_rows().enumerate() {
-                    streamed.add(id as u64, row).unwrap();
-                }
-                assert_eq!(
-                    built.to_bytes(),
-                    streamed.to_bytes(),
-                    "residual={residual} train_fraction={fraction}"
-                );
-            }
+        let built = IvfIndex::builder()
+            .nlist(24)
+            .codec(CodecSpec::Sq8)
+            .seed(8)
+            .build(&data)
+            .unwrap();
+        let mut streamed = IvfIndex {
+            lists: vec![InvertedList::default(); built.lists.len()],
+            len: 0,
+            ..built.clone()
+        };
+        for (id, row) in data.iter_rows().enumerate() {
+            streamed.add(id as u64, row).unwrap();
         }
+        assert_eq!(built.to_bytes(), streamed.to_bytes());
     }
 
     #[test]
@@ -1436,148 +1246,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_flat_matches_plain_flat_exactly() {
-        // With a lossless codec, residual storage must not change results.
-        let data = clustered_data(300, 8, 5, 31);
-        let plain = IvfIndex::builder()
-            .nlist(5)
-            .codec(CodecSpec::Flat)
-            .metric(Metric::L2)
-            .seed(1)
-            .build(&data)
-            .unwrap();
-        let res = IvfIndex::builder()
-            .nlist(5)
-            .codec(CodecSpec::Flat)
-            .metric(Metric::L2)
-            .seed(1)
-            .residual(true)
-            .build(&data)
-            .unwrap();
-        let params = SearchParams::new().with_nprobe(5);
-        for qi in (0..300).step_by(41) {
-            let q = data.row(qi);
-            let a: Vec<u64> = plain.search(q, 5, &params).unwrap().iter().map(|n| n.id).collect();
-            let b: Vec<u64> = res.search(q, 5, &params).unwrap().iter().map(|n| n.id).collect();
-            assert_eq!(a, b, "query {qi}");
-        }
-    }
-
-    #[test]
-    fn residual_encoding_improves_quantized_recall() {
-        // Clustered data with large centroid offsets: raw SQ4 wastes its
-        // 16 levels spanning the whole space, residual SQ4 spends them on
-        // the within-cluster spread.
-        let data = clustered_data(800, 16, 8, 32);
-        let flat = crate::FlatIndex::new(data.clone(), Metric::L2);
-        let recall_of = |index: &IvfIndex| -> f64 {
-            let params = SearchParams::new().with_nprobe(8);
-            let mut hit = 0usize;
-            let mut total = 0usize;
-            for qi in (0..800).step_by(67) {
-                let q = data.row(qi);
-                let truth: Vec<u64> = flat
-                    .search(q, 10, &SearchParams::new())
-                    .unwrap()
-                    .iter()
-                    .map(|n| n.id)
-                    .collect();
-                let got = index.search(q, 10, &params).unwrap();
-                hit += got.iter().filter(|n| truth.contains(&n.id)).count();
-                total += truth.len();
-            }
-            hit as f64 / total as f64
-        };
-        let plain = IvfIndex::builder()
-            .nlist(8)
-            .codec(CodecSpec::Sq4)
-            .metric(Metric::L2)
-            .seed(2)
-            .build(&data)
-            .unwrap();
-        let residual = IvfIndex::builder()
-            .nlist(8)
-            .codec(CodecSpec::Sq4)
-            .metric(Metric::L2)
-            .seed(2)
-            .residual(true)
-            .build(&data)
-            .unwrap();
-        let (rp, rr) = (recall_of(&plain), recall_of(&residual));
-        assert!(rr >= rp, "residual {rr} should not lose to plain {rp}");
-    }
-
-    #[test]
-    fn residual_inner_product_decomposition_is_consistent() {
-        let data = clustered_data(200, 8, 4, 33);
-        let plain = IvfIndex::builder()
-            .nlist(4)
-            .codec(CodecSpec::Flat)
-            .metric(Metric::InnerProduct)
-            .seed(3)
-            .build(&data)
-            .unwrap();
-        let res = IvfIndex::builder()
-            .nlist(4)
-            .codec(CodecSpec::Flat)
-            .metric(Metric::InnerProduct)
-            .seed(3)
-            .residual(true)
-            .build(&data)
-            .unwrap();
-        let params = SearchParams::new().with_nprobe(4);
-        for qi in (0..200).step_by(29) {
-            let q = data.row(qi);
-            let a = plain.search(q, 3, &params).unwrap();
-            let b = res.search(q, 3, &params).unwrap();
-            assert_eq!(
-                a.iter().map(|n| n.id).collect::<Vec<_>>(),
-                b.iter().map(|n| n.id).collect::<Vec<_>>()
-            );
-            for (x, y) in a.iter().zip(&b) {
-                assert!((x.score - y.score).abs() < 1e-3, "{} vs {}", x.score, y.score);
-            }
-        }
-    }
-
-    #[test]
-    fn residual_index_round_trips_through_persistence() {
-        let data = clustered_data(150, 8, 3, 34);
-        let index = IvfIndex::builder()
-            .nlist(3)
-            .codec(CodecSpec::Sq8)
-            .residual(true)
-            .seed(4)
-            .build(&data)
-            .unwrap();
-        let loaded = IvfIndex::from_bytes(&index.to_bytes()).unwrap();
-        assert!(loaded.is_residual());
-        let params = SearchParams::new().with_nprobe(3);
-        assert_eq!(
-            loaded.search(data.row(7), 5, &params).unwrap(),
-            index.search(data.row(7), 5, &params).unwrap()
-        );
-    }
-
-    #[test]
-    fn residual_add_streams_consistently() {
-        let data = clustered_data(100, 4, 2, 35);
-        let mut index = IvfIndex::builder()
-            .nlist(2)
-            .codec(CodecSpec::Sq8)
-            .metric(Metric::L2)
-            .residual(true)
-            .build(&data)
-            .unwrap();
-        let novel = [7.5f32, 7.5, 7.5, 7.5];
-        index.add(4242, &novel).unwrap();
-        let hits = index
-            .search(&novel, 1, &SearchParams::new().with_nprobe(2))
-            .unwrap();
-        assert_eq!(hits[0].id, 4242);
-    }
-
-    #[test]
     fn persisted_index_searches_identically() {
         let data = clustered_data(400, 8, 5, 21);
         let ivf = IvfIndex::builder()
@@ -1611,6 +1279,37 @@ mod tests {
     #[test]
     fn foreign_payload_is_rejected() {
         assert!(IvfIndex::from_bytes(b"definitely not an index").is_err());
+    }
+
+    #[test]
+    fn residual_storage_tag_is_refused_by_name() {
+        let data = clustered_data(50, 4, 2, 25);
+        let mut buf = IvfIndex::builder().nlist(2).build(&data).unwrap().to_bytes();
+        // After the 9-byte header and the metric tag.
+        assert_eq!(buf[10], 0);
+        buf[10] = 1;
+        match IvfIndex::from_bytes(&buf) {
+            Err(hermes_math::wire::WireError::Corrupt(why)) => {
+                assert!(why.contains("residual"), "{why}");
+            }
+            other => panic!("a residual image must be refused, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn centroids_of_another_width_are_refused() {
+        // A checksum-valid shard whose centroid table is wider than its
+        // codec: loading it must fail, not the first search.
+        let data = clustered_data(50, 4, 2, 26);
+        let index = IvfIndex::builder().nlist(2).build(&data).unwrap();
+        let wide = IvfIndex {
+            coarse: KMeans::from_centroids(Mat::zeros(2, 8), index.coarse.cluster_sizes().to_vec()),
+            ..index
+        };
+        assert!(matches!(
+            IvfIndex::from_bytes(&wide.to_bytes()),
+            Err(hermes_math::wire::WireError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -1695,7 +1394,6 @@ mod tests {
             .nlist(2)
             .codec(CodecSpec::Flat)
             .metric(Metric::L2)
-            .residual(true)
             .build(&data)
             .unwrap();
         let got = ivf.reconstruct(17).unwrap();
@@ -1738,32 +1436,12 @@ mod tests {
             .nearest_centroids(query, nprobe.clamp(1, index.lists.len()));
         let cs = index.codec.code_size();
         let mut top = TopK::new(k.max(1));
-        let mut unit = query.to_vec();
-        hermes_math::distance::normalize(&mut unit);
+        let scorer = index.codec.query_scorer(query, index.metric);
         for &l in &probe {
             let list = &index.lists[l];
-            let centroid = index.coarse.centroids().row(l);
-            let (shifted, metric, offset) = match (index.residual, index.metric) {
-                (false, m) => (query.to_vec(), m, None),
-                (true, Metric::L2) => (
-                    hermes_math::distance::sub(query, centroid),
-                    Metric::L2,
-                    None,
-                ),
-                (true, Metric::InnerProduct) => {
-                    let o = hermes_math::distance::inner_product(query, centroid);
-                    (query.to_vec(), Metric::InnerProduct, Some(o))
-                }
-                (true, Metric::Cosine) => {
-                    let o = hermes_math::distance::inner_product(&unit, centroid);
-                    (unit.clone(), Metric::InnerProduct, Some(o))
-                }
-            };
-            let scorer = index.codec.query_scorer(&shifted, metric);
             for (pos, &id) in list.ids.iter().enumerate() {
                 if !list.dead[pos] {
-                    let s = scorer.score(&list.codes[pos * cs..(pos + 1) * cs]);
-                    top.push(id, offset.map_or(s, |o| o + s));
+                    top.push(id, scorer.score(&list.codes[pos * cs..(pos + 1) * cs]));
                 }
             }
         }
@@ -1800,7 +1478,6 @@ mod tests {
         dim: usize,
         codec: CodecSpec,
         metric: Metric,
-        residual: bool,
     ) -> (IvfIndex, Mat) {
         let mut rng = seeded_rng(0x11575);
         let rows: Vec<Vec<f32>> = lens
@@ -1821,26 +1498,13 @@ mod tests {
                 c
             })
             .collect();
-        let coarse = KMeans::from_centroids(Mat::from_rows(&centers), lens.to_vec());
-        let train = if residual {
-            let residuals: Vec<Vec<f32>> = data
-                .iter_rows()
-                .map(|row| {
-                    hermes_math::distance::sub(row, coarse.centroids().row(coarse.assign(row).0))
-                })
-                .collect();
-            Mat::from_rows(&residuals)
-        } else {
-            data.clone()
-        };
         let mut index = IvfIndex {
-            codec: Codec::train(codec, &train, 5),
+            codec: Codec::train(codec, &data, 5),
             lists: vec![InvertedList::default(); lens.len()],
-            coarse,
+            coarse: KMeans::from_centroids(Mat::from_rows(&centers), lens.to_vec()),
             metric,
             dim,
             len: 0,
-            residual,
         };
         for (id, row) in data.iter_rows().enumerate() {
             index.add(id as u64, row).unwrap();
@@ -1863,35 +1527,30 @@ mod tests {
         // shard; tombstones in most of them.
         let data = clustered_data(600, 12, 9, 51);
         for codec in CODECS {
-            for residual in [false, true] {
-                for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
-                    let mut index = IvfIndex::builder()
-                        .nlist(40)
-                        .codec(codec)
-                        .metric(metric)
-                        .residual(residual)
-                        .seed(5)
-                        .build(&data)
-                        .unwrap();
-                    for id in (0..600u64).step_by(7) {
-                        assert!(index.remove(id));
-                    }
-                    // Seven queries with a duplicate, mixed nprobe (1 ..
-                    // beyond nlist) and a wrong-dimension query in the
-                    // middle.
-                    let bad = [1.0f32; 5];
-                    let queries: Vec<(&[f32], usize)> = vec![
-                        (data.row(3), 8),
-                        (data.row(200), 40),
-                        (data.row(3), 3),
-                        (&bad, 8),
-                        (data.row(411), 1),
-                        (data.row(77), 64),
-                        (data.row(598), 17),
-                    ];
-                    let ctx = format!("{codec} residual={residual} {metric}");
-                    assert_group_matches_walk(&index, &queries, 10, &ctx);
+            for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
+                let mut index = IvfIndex::builder()
+                    .nlist(40)
+                    .codec(codec)
+                    .metric(metric)
+                    .seed(5)
+                    .build(&data)
+                    .unwrap();
+                for id in (0..600u64).step_by(7) {
+                    assert!(index.remove(id));
                 }
+                // Seven queries with a duplicate, mixed nprobe (1 ..
+                // beyond nlist) and a wrong-dimension query in the middle.
+                let bad = [1.0f32; 5];
+                let queries: Vec<(&[f32], usize)> = vec![
+                    (data.row(3), 8),
+                    (data.row(200), 40),
+                    (data.row(3), 3),
+                    (&bad, 8),
+                    (data.row(411), 1),
+                    (data.row(77), 64),
+                    (data.row(598), 17),
+                ];
+                assert_group_matches_walk(&index, &queries, 10, &format!("{codec} {metric}"));
             }
         }
     }
@@ -1939,40 +1598,35 @@ mod tests {
         ];
         let total: usize = lens.iter().sum();
         for codec in CODECS {
-            for residual in [false, true] {
-                for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
-                    let (mut index, data) =
-                        index_with_list_lengths(&lens, 12, codec, metric, residual);
-                    // Tombstones straddling tile and list boundaries:
-                    // the last row of one list and the first rows of the
-                    // next, a whole 1-code list, every 5th row.
-                    let dead: Vec<u64> = [4u64, 5, 6, 12, 13, 20]
-                        .into_iter()
-                        .chain((30..total as u64).step_by(5))
+            for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
+                let (mut index, data) = index_with_list_lengths(&lens, 12, codec, metric);
+                // Tombstones straddling tile and list boundaries: the
+                // last row of one list and the first rows of the next, a
+                // whole 1-code list, every 5th row.
+                let dead: Vec<u64> = [4u64, 5, 6, 12, 13, 20]
+                    .into_iter()
+                    .chain((30..total as u64).step_by(5))
+                    .collect();
+                for &id in &dead {
+                    assert!(index.remove(id));
+                }
+                let bad = [0.5f32; 3];
+                let row = |i: usize| data.row(i % total);
+                for group_size in 1..=9usize {
+                    let mut queries: Vec<(&[f32], usize)> = (0..group_size)
+                        .map(|g| {
+                            (
+                                row(g * 37 + group_size),
+                                [24, 3, 1, 9, 100, 5, 24, 2, 13][g],
+                            )
+                        })
                         .collect();
-                    for &id in &dead {
-                        assert!(index.remove(id));
+                    if group_size % 4 == 0 {
+                        queries[group_size / 2] = (&bad, 8);
                     }
-                    let bad = [0.5f32; 3];
-                    let row = |i: usize| data.row(i % total);
-                    for group_size in 1..=9usize {
-                        let mut queries: Vec<(&[f32], usize)> = (0..group_size)
-                            .map(|g| {
-                                (
-                                    row(g * 37 + group_size),
-                                    [24, 3, 1, 9, 100, 5, 24, 2, 13][g],
-                                )
-                            })
-                            .collect();
-                        if group_size % 4 == 0 {
-                            queries[group_size / 2] = (&bad, 8);
-                        }
-                        for k in [1usize, 10, 20] {
-                            let ctx = format!(
-                                "{codec} residual={residual} {metric} group of {group_size} k={k}"
-                            );
-                            assert_group_matches_walk(&index, &queries, k, &ctx);
-                        }
+                    for k in [1usize, 10, 20] {
+                        let ctx = format!("{codec} {metric} group of {group_size} k={k}");
+                        assert_group_matches_walk(&index, &queries, k, &ctx);
                     }
                 }
             }
@@ -1999,47 +1653,39 @@ mod tests {
         };
         let (up, down) = (axis(2.0), axis(-1.0));
         for metric in [Metric::InnerProduct, Metric::Cosine] {
-            for residual in [false, true] {
-                let (mut index, data) =
-                    index_with_list_lengths(&lens, dim, CodecSpec::Sq8, metric, residual);
-                // Dead rows where `up`'s survivors are: a third of the
-                // best lists, and the 1-row list whole.
-                let dead = (total - 290..total).step_by(3).chain([415, 416, 420]);
-                for id in dead {
-                    assert!(index.remove(id as u64));
+            let (mut index, data) = index_with_list_lengths(&lens, dim, CodecSpec::Sq8, metric);
+            // Dead rows where `up`'s survivors are: a third of the best
+            // lists, and the 1-row list whole.
+            let dead = (total - 290..total).step_by(3).chain([415, 416, 420]);
+            for id in dead {
+                assert!(index.remove(id as u64));
+            }
+            for group_size in [1usize, 3, 4, 5] {
+                let queries: Vec<(&[f32], usize)> = (0..group_size)
+                    .map(|g| match g {
+                        0 => (&up[..], 8),
+                        1 => (data.row(7), 3),
+                        2 => (&down[..], 8),
+                        _ => (data.row(g * 211 % total), [8, 5][g % 2]),
+                    })
+                    .collect();
+                for k in [1usize, 10] {
+                    let ctx = format!("{metric} group of {group_size} k={k}");
+                    assert_group_matches_walk(&index, &queries, k, &ctx);
                 }
-                for group_size in [1usize, 3, 4, 5] {
-                    let queries: Vec<(&[f32], usize)> = (0..group_size)
-                        .map(|g| match g {
-                            0 => (&up[..], 8),
-                            1 => (data.row(7), 3),
-                            2 => (&down[..], 8),
-                            _ => (data.row(g * 211 % total), [8, 5][g % 2]),
-                        })
-                        .collect();
-                    for k in [1usize, 10] {
-                        let ctx = format!(
-                            "{metric} residual={residual} group of {group_size} k={k}"
-                        );
-                        assert_group_matches_walk(&index, &queries, k, &ctx);
-                    }
-                }
-                if residual {
-                    continue;
-                }
-                // What the filter kept, on plain lists in list order (a
-                // group of two equal queries): everything but the first
-                // list going up, nothing but it going down.
-                let live = index.len;
-                let first = index.lists[0].live();
-                for (q, kept) in [(&up, live - first..=2 * live), (&down, 0..=2 * first)] {
-                    let scan = index.search_group(&[(q, 8), (q, 8)], 1);
-                    assert!(
-                        kept.contains(&scan.rescored_codes),
-                        "{metric}: rescored {} of {live} live rows, {first} in the first list",
-                        scan.rescored_codes
-                    );
-                }
+            }
+            // What the filter kept, lists in list order (a group of two
+            // equal queries): everything but the first list going up,
+            // nothing but it going down.
+            let live = index.len;
+            let first = index.lists[0].live();
+            for (q, kept) in [(&up, live - first..=2 * live), (&down, 0..=2 * first)] {
+                let scan = index.search_group(&[(q, 8), (q, 8)], 1);
+                assert!(
+                    kept.contains(&scan.rescored_codes),
+                    "{metric}: rescored {} of {live} live rows, {first} in the first list",
+                    scan.rescored_codes
+                );
             }
         }
     }
@@ -2085,94 +1731,82 @@ mod tests {
 
     #[test]
     fn a_group_plan_is_one_run_per_query() {
-        let runs = |plan: &Plan| -> Vec<(u32, usize)> {
-            plan.runs.iter().map(|r| (r.slot, r.lists_end)).collect()
-        };
         let empty = |l: u32| l == 2;
         let mut plan = Plan::default();
         // Slot 0 selects lists 5, 2, 1, 3 (list 2 is empty); slot 1 the
         // same lists in another order; slot 2 only the empty one; slot 3
         // a list of its own.
-        plan.push(0, [5, 2, 1, 3].into_iter(), false, empty);
-        plan.push(1, [3, 1, 2, 5].into_iter(), false, empty);
-        plan.push(2, [2].into_iter(), false, empty);
-        plan.push(3, [7].into_iter(), false, empty);
+        plan.push([5, 2, 1, 3].into_iter(), empty);
+        plan.push([3, 1, 2, 5].into_iter(), empty);
+        plan.push([2].into_iter(), empty);
+        plan.push([7].into_iter(), empty);
         // Runs in input order, lists in selection order, empty lists
-        // dropped, and two queries probing the same lists kept apart.
+        // dropped (slot 2's run is empty), and two queries probing the
+        // same lists kept apart.
         assert_eq!(plan.lists, [5, 1, 3, 3, 1, 5, 7]);
-        assert_eq!(runs(&plan), [(0, 3), (1, 6), (3, 7)]);
-        // Residual probes are a run each, even within one slot.
+        assert_eq!(plan.ends, [3, 6, 6, 7]);
         plan.clear();
-        plan.push(0, [1, 4].into_iter(), true, empty);
-        plan.push(1, [2, 1].into_iter(), true, empty);
-        assert_eq!(plan.lists, [1, 4, 1]);
-        assert_eq!(runs(&plan), [(0, 1), (0, 2), (1, 3)]);
+        plan.push([1, 4].into_iter(), empty);
+        assert_eq!((&plan.lists[..], &plan.ends[..]), (&[1, 4][..], &[2][..]));
     }
 
     #[test]
     fn keyed_scan_takes_probe_counts_as_given() {
         let data = clustered_data(600, 12, 9, 55);
-        for residual in [false, true] {
-            let mut index = IvfIndex::builder()
-                .nlist(40)
-                .residual(residual)
-                .seed(6)
-                .build(&data)
-                .unwrap();
-            for id in (0..600u64).step_by(9) {
-                assert!(index.remove(id));
-            }
-            let bad = [1.0f32; 5];
-            let queries: Vec<(&[f32], usize)> = vec![
-                (data.row(3), 8),
-                (data.row(200), 0),
-                (&bad, 0),
-                (data.row(3), 0),
-                (data.row(411), 1000),
-            ];
-            let keys = index.coarse_keys(queries.iter().map(|q| q.0));
-            // A query's keys are the index's probe ranking of it.
-            let mut ranked = keys.query(0).unwrap().to_vec();
-            assert_eq!(ranked.len(), 40);
-            ranked.sort_unstable();
-            let nearest: Vec<usize> = ranked.iter().map(|&key| probe_key_centroid(key)).collect();
-            assert_eq!(nearest[..8], index.coarse.nearest_centroids(data.row(3), 8));
-            assert!(matches!(
-                keys.query(2),
-                Err(IndexError::DimensionMismatch { .. })
-            ));
+        let mut index = IvfIndex::builder().nlist(40).seed(6).build(&data).unwrap();
+        for id in (0..600u64).step_by(9) {
+            assert!(index.remove(id));
+        }
+        let bad = [1.0f32; 5];
+        let queries: Vec<(&[f32], usize)> = vec![
+            (data.row(3), 8),
+            (data.row(200), 0),
+            (&bad, 0),
+            (data.row(3), 0),
+            (data.row(411), 1000),
+        ];
+        let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+        // A query's keys are the index's probe ranking of it.
+        let mut ranked = keys.query(0).unwrap().to_vec();
+        assert_eq!(ranked.len(), 40);
+        ranked.sort_unstable();
+        let nearest: Vec<usize> = ranked.iter().map(|&key| probe_key_centroid(key)).collect();
+        assert_eq!(nearest[..8], index.coarse.nearest_centroids(data.row(3), 8));
+        assert!(matches!(
+            keys.query(2),
+            Err(IndexError::DimensionMismatch { .. })
+        ));
 
-            let scan = index.search_keyed(&queries, &keys, 10);
-            let nothing = Ok((Vec::new(), ScanStats::default()));
-            assert_eq!(scan.results[1], nothing, "zero probes nothing");
-            assert_eq!(scan.results[3], nothing);
-            assert!(matches!(
-                scan.results[2],
-                Err(IndexError::DimensionMismatch { .. })
-            ));
-            for qi in [0, 4] {
-                let want = walk_search(&index, queries[qi].0, 10, queries[qi].1);
-                assert_same_scan(&scan.results[qi], &want, &format!("residual={residual} q{qi}"));
-            }
-            // All zero: nothing is scanned at all.
-            let idle: Vec<(&[f32], usize)> = queries.iter().map(|&(q, _)| (q, 0)).collect();
-            let idle = index.search_keyed(&idle, &keys, 10);
-            assert_eq!(idle.rescored_codes, 0);
-            assert!(idle.results.iter().all(|r| r.is_err() || *r == nothing));
+        let scan = index.search_keyed(&queries, &keys, 10);
+        let nothing = Ok((Vec::new(), ScanStats::default()));
+        assert_eq!(scan.results[1], nothing, "zero probes nothing");
+        assert_eq!(scan.results[3], nothing);
+        assert!(matches!(
+            scan.results[2],
+            Err(IndexError::DimensionMismatch { .. })
+        ));
+        for qi in [0, 4] {
+            let want = walk_search(&index, queries[qi].0, 10, queries[qi].1);
+            assert_same_scan(&scan.results[qi], &want, &format!("q{qi}"));
+        }
+        // All zero: nothing is scanned at all.
+        let idle: Vec<(&[f32], usize)> = queries.iter().map(|&(q, _)| (q, 0)).collect();
+        let idle = index.search_keyed(&idle, &keys, 10);
+        assert_eq!(idle.rescored_codes, 0);
+        assert!(idle.results.iter().all(|r| r.is_err() || *r == nothing));
 
-            // Keys that cannot be these queries' keys are refused, query
-            // by query, not searched with.
-            let other = IvfIndex::builder().nlist(7).seed(6).build(&data).unwrap();
-            for foreign in [
-                other.coarse_keys(queries.iter().map(|q| q.0)),
-                index.coarse_keys(queries[..2].iter().map(|q| q.0)),
-            ] {
-                let refused = index.search_keyed(&queries, &foreign, 10);
-                assert!(refused
-                    .results
-                    .iter()
-                    .all(|r| matches!(r, Err(IndexError::InvalidParam(_)))));
-            }
+        // Keys that cannot be these queries' keys are refused, query
+        // by query, not searched with.
+        let other = IvfIndex::builder().nlist(7).seed(6).build(&data).unwrap();
+        for foreign in [
+            other.coarse_keys(queries.iter().map(|q| q.0)),
+            index.coarse_keys(queries[..2].iter().map(|q| q.0)),
+        ] {
+            let refused = index.search_keyed(&queries, &foreign, 10);
+            assert!(refused
+                .results
+                .iter()
+                .all(|r| matches!(r, Err(IndexError::InvalidParam(_)))));
         }
     }
 

@@ -42,46 +42,6 @@ fn full_probe_flat_ivf_is_exact() {
     });
 }
 
-/// Residual and raw storage agree exactly under a lossless codec.
-#[test]
-fn residual_flat_equals_plain_flat() {
-    check_with(
-        "residual_flat_equals_plain_flat",
-        &cfg(),
-        &data_strategy(50, 3),
-        |rows| {
-            let data = Mat::from_rows(rows);
-            let build = |residual: bool| {
-                IvfIndex::builder()
-                    .nlist(3)
-                    .codec(CodecSpec::Flat)
-                    .metric(Metric::L2)
-                    .residual(residual)
-                    .build(&data)
-                    .unwrap()
-            };
-            let plain = build(false);
-            let res = build(true);
-            let params = SearchParams::new().with_nprobe(3);
-            let q = data.row(0);
-            prop_assert_eq!(
-                plain
-                    .search(q, 2, &params)
-                    .unwrap()
-                    .iter()
-                    .map(|n| n.id)
-                    .collect::<Vec<_>>(),
-                res.search(q, 2, &params)
-                    .unwrap()
-                    .iter()
-                    .map(|n| n.id)
-                    .collect::<Vec<_>>()
-            );
-            Ok(())
-        },
-    );
-}
-
 /// The searching-one's-own-vector property: a stored vector's top-1
 /// under L2 with full probe is itself (or an exact duplicate).
 #[test]
@@ -292,11 +252,10 @@ fn hnsw_results_are_unique_and_sorted() {
 
 /// A group scan answers every query exactly as a scan of that query
 /// alone — hit ids, score bits, `ScanStats`, errors — for groups of
-/// 1..=9, every codec and metric, residual and plain lists, between 2
-/// and 40 lists over at most 120 rows (so row plans cross many short —
-/// 1-code, sub-tile — lists, or few long ones), tombstoned lists, mixed
-/// `nprobe`, duplicate queries and a query that errors in the middle of
-/// the group.
+/// 1..=9, every codec and metric, between 2 and 40 lists over at most
+/// 120 rows (so row plans cross many short — 1-code, sub-tile — lists,
+/// or few long ones), tombstoned lists, mixed `nprobe`, duplicate
+/// queries and a query that errors in the middle of the group.
 #[test]
 fn search_group_equals_per_query_search() {
     let strat = tuple3(data_strategy(120, 6), u64_any(), usize_in(1..10));
@@ -318,48 +277,45 @@ fn search_group_equals_per_query_search() {
             let metric =
                 [Metric::InnerProduct, Metric::L2, Metric::Cosine][(*pick / 64 % 3) as usize];
             for codec in codecs {
-                for residual in [false, true] {
-                    let mut index = IvfIndex::builder()
-                        .nlist(nlist)
-                        .codec(codec)
-                        .metric(metric)
-                        .residual(residual)
-                        .seed(*pick)
-                        .build(&data)
-                        .unwrap();
-                    for id in (0..n as u64).step_by(3) {
-                        index.remove(id);
-                    }
-                    // `group` queries drawn (with repeats) from the rows,
-                    // one of them replaced by a wrong-dimension query.
-                    let mut queries: Vec<&[f32]> = (0..*group)
-                        .map(|i| data.row((*pick as usize).wrapping_add(i * 5) % n.min(4 + i)))
-                        .collect();
-                    let broken = *pick as usize % queries.len();
-                    if *group > 2 {
-                        queries[broken] = &bad;
-                    }
-                    let queries: Vec<(&[f32], usize)> = queries
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, q)| (q, 1 + (i * 7) % 41))
-                        .collect();
-                    let scan = index.search_group(&queries, 4);
-                    prop_assert_eq!(scan.results.len(), queries.len());
-                    for (&(q, nprobe), got) in queries.iter().zip(&scan.results) {
-                        let want =
-                            index.search_with_stats(q, 4, &SearchParams::new().with_nprobe(nprobe));
-                        match (got, &want) {
-                            (Ok((hits, stats)), Ok((want_hits, want_stats))) => {
-                                prop_assert_eq!(stats, want_stats);
-                                prop_assert_eq!(hits.len(), want_hits.len());
-                                for (g, w) in hits.iter().zip(want_hits) {
-                                    prop_assert_eq!(g.id, w.id);
-                                    prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
-                                }
+                let mut index = IvfIndex::builder()
+                    .nlist(nlist)
+                    .codec(codec)
+                    .metric(metric)
+                    .seed(*pick)
+                    .build(&data)
+                    .unwrap();
+                for id in (0..n as u64).step_by(3) {
+                    index.remove(id);
+                }
+                // `group` queries drawn (with repeats) from the rows,
+                // one of them replaced by a wrong-dimension query.
+                let mut queries: Vec<&[f32]> = (0..*group)
+                    .map(|i| data.row((*pick as usize).wrapping_add(i * 5) % n.min(4 + i)))
+                    .collect();
+                let broken = *pick as usize % queries.len();
+                if *group > 2 {
+                    queries[broken] = &bad;
+                }
+                let queries: Vec<(&[f32], usize)> = queries
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, q)| (q, 1 + (i * 7) % 41))
+                    .collect();
+                let scan = index.search_group(&queries, 4);
+                prop_assert_eq!(scan.results.len(), queries.len());
+                for (&(q, nprobe), got) in queries.iter().zip(&scan.results) {
+                    let want =
+                        index.search_with_stats(q, 4, &SearchParams::new().with_nprobe(nprobe));
+                    match (got, &want) {
+                        (Ok((hits, stats)), Ok((want_hits, want_stats))) => {
+                            prop_assert_eq!(stats, want_stats);
+                            prop_assert_eq!(hits.len(), want_hits.len());
+                            for (g, w) in hits.iter().zip(want_hits) {
+                                prop_assert_eq!(g.id, w.id);
+                                prop_assert_eq!(g.score.to_bits(), w.score.to_bits());
                             }
-                            (got, want) => prop_assert_eq!(got, want),
                         }
+                        (got, want) => prop_assert_eq!(got, want),
                     }
                 }
             }

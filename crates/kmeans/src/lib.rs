@@ -240,8 +240,9 @@ impl KMeans {
 
     /// Reconstructs a serving-only model from a centroid table (no
     /// training diagnostics; `assignments` is empty). Used when loading a
-    /// persisted index: the online path only ever calls [`Self::assign`]
-    /// and [`Self::nearest_centroids`].
+    /// persisted index: the online path reads only the centroid table,
+    /// through [`Self::probe_keys`], [`Self::assign`] and
+    /// [`Self::nearest_centroids`].
     ///
     /// # Panics
     ///

@@ -202,13 +202,6 @@ pub fn scale(out: &mut [f32], s: f32) {
     }
 }
 
-/// `a[i] - b[i]` into a freshly allocated vector.
-#[inline]
-pub fn sub(a: &[f32], b: &[f32]) -> Vec<f32> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,11 +276,6 @@ mod tests {
         add_assign(&mut acc, &[3.0, 2.0, 1.0]);
         scale(&mut acc, 0.5);
         assert_eq!(acc, vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn sub_subtracts_elementwise() {
-        assert_eq!(sub(&[3.0, 5.0], &[1.0, 2.0]), vec![2.0, 3.0]);
     }
 
     #[test]

@@ -633,25 +633,23 @@ impl Sq8Bound {
     }
 
     /// The least [`Self::sums`] entry with which a code can still reach
-    /// `threshold`: a code with a smaller sum has `offset + score` —
-    /// added in f32, as a scan adds a residual list's offset; `0.0` for
-    /// none — **strictly below** `threshold`, so a selector at that
-    /// threshold (which only rises) never admits it. `None` when the
-    /// threshold rules nothing out: `-inf` while the selector is still
-    /// filling, NaN when it holds only NaNs.
+    /// `threshold`: a code with a smaller sum scores **strictly below**
+    /// `threshold`, so a selector at that threshold (which only rises)
+    /// never admits it. `None` when the threshold rules nothing out:
+    /// `-inf` while the selector is still filling, NaN when it holds only
+    /// NaNs.
     ///
-    /// Why: with `x = (pred(threshold) − offset − base) / Δ` (`pred` the
-    /// next f32 down), a sum `I < x` has `offset + s(c) ≤ offset + base +
-    /// Δ I < pred(threshold)`, and f32 addition is monotone, so its
-    /// rounded result is at most `pred(threshold)`. The f64 quotient is
+    /// Why: with `x = (pred(threshold) − base) / Δ` (`pred` the next f32
+    /// down), a sum `I < x` has `s(c) ≤ base + Δ I < pred(threshold)`, so
+    /// the f32 score is at most `pred(threshold)`. The f64 quotient is
     /// off from `x` by less than `2^-51 (|limit| + |base|) / Δ`; the
     /// floor of the quotient lowered by twice that keeps `I < floor ⟹ I <
     /// x` whatever the magnitudes.
-    pub fn floor(&self, threshold: f32, offset: f32) -> Option<i32> {
+    pub fn floor(&self, threshold: f32) -> Option<i32> {
         if threshold.is_nan() || threshold == f32::NEG_INFINITY {
             return None;
         }
-        let limit = f64::from(threshold.next_down()) - f64::from(offset);
+        let limit = f64::from(threshold.next_down());
         let x = (limit - self.base) / self.step;
         let x = x - (limit.abs() + self.base.abs()) / self.step * (f64::EPSILON * 4.0);
         (!x.is_nan()).then(|| x.floor().clamp(f64::from(i32::MIN), f64::from(i32::MAX)) as i32)

@@ -146,30 +146,26 @@ fn a_floor_rules_out_only_codes_strictly_below_the_threshold() {
             .chunks_exact(case.dim)
             .map(|code| scorer.score(code))
             .collect();
-        let spread = scores.iter().fold(0.0f32, |m, s| m.max(s.abs()));
-        for offset in [0.0, spread, -spread * 3.0, f32::MIN_POSITIVE] {
-            // Every score is a threshold (a tie), and its neighbours.
-            let thresholds = scores
-                .iter()
-                .flat_map(|&s| [s, (offset + s).next_up(), (offset + s).next_down()])
-                .chain([f32::INFINITY, f32::MAX, f32::MIN]);
-            for threshold in thresholds {
-                let Some(floor) = bound.floor(threshold, offset) else {
-                    return Err(format!("no floor at threshold {threshold:e}"));
-                };
-                for (i, &score) in scores.iter().enumerate() {
-                    prop_assert!(
-                        sums[i] >= floor || offset + score < threshold,
-                        "d{} code {i}: ruled out at {offset:e} + {score:e} vs {threshold:e}",
-                        case.dim
-                    );
-                }
+        // Every score is a threshold (a tie), and its neighbours.
+        let thresholds = scores
+            .iter()
+            .flat_map(|&s| [s, s.next_up(), s.next_down()])
+            .chain([f32::INFINITY, f32::MAX, f32::MIN]);
+        for threshold in thresholds {
+            let Some(floor) = bound.floor(threshold) else {
+                return Err(format!("no floor at threshold {threshold:e}"));
+            };
+            for (i, &score) in scores.iter().enumerate() {
+                prop_assert!(
+                    sums[i] >= floor || score < threshold,
+                    "d{} code {i}: ruled out at {score:e} vs {threshold:e}",
+                    case.dim
+                );
             }
         }
         // Thresholds that rule nothing out.
-        prop_assert_eq!(bound.floor(f32::NEG_INFINITY, 0.0), None);
-        prop_assert_eq!(bound.floor(f32::NAN, 0.0), None);
-        prop_assert_eq!(bound.floor(0.0, f32::NAN), None);
+        prop_assert_eq!(bound.floor(f32::NEG_INFINITY), None);
+        prop_assert_eq!(bound.floor(f32::NAN), None);
         Ok(())
     });
 }
@@ -189,7 +185,7 @@ fn a_filtered_block_admits_exactly_what_the_full_block_admits() {
             let (mut full, mut filtered) = (TopK::new(k), TopK::new(k));
             for block in (0..CODES).step_by(8).map(|at| at..at + 8) {
                 full.push_block(&ids[block.clone()], &scores[block.clone()]);
-                match bound.floor(filtered.threshold(), 0.0) {
+                match bound.floor(filtered.threshold()) {
                     None => filtered.push_block(&ids[block.clone()], &scores[block]),
                     Some(floor) => {
                         let kept = block.filter(|&i| sums[i] >= floor);

@@ -222,36 +222,33 @@ fn non_finite_queries_never_panic_an_ivf_scan() {
     let hostile = hostile_queries(8);
     for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
         for codec in [CodecSpec::Sq8, CodecSpec::Flat, CodecSpec::Pq { m: 4 }] {
-            for residual in [false, true] {
-                let index = IvfIndex::builder()
-                    .nlist(24)
-                    .codec(codec)
-                    .metric(metric)
-                    .residual(residual)
-                    .seed(3)
-                    .build(data)
-                    .unwrap();
-                for nprobe in [1usize, 8, 24] {
-                    let params = SearchParams::new().with_nprobe(nprobe);
-                    for q in &hostile {
-                        let (hits, stats) = index.search_with_stats(q, 5, &params).unwrap();
-                        assert_eq!(hits.len(), 5);
-                        assert_eq!(stats.probed_partitions, nprobe);
-                    }
-                    // The whole hostile set as one group, a sane query
-                    // in the middle: it must be answered as if alone.
-                    let sane = data.row(17);
-                    let mut group: Vec<(&[f32], usize)> =
-                        hostile.iter().map(|q| (q.as_slice(), nprobe)).collect();
-                    group.insert(3, (sane, nprobe));
-                    let scan = index.search_group(&group, 5);
-                    assert!(scan.results.iter().all(Result::is_ok));
-                    assert_eq!(
-                        scan.results[3],
-                        index.search_with_stats(sane, 5, &params),
-                        "{metric} {codec} residual={residual} nprobe={nprobe}"
-                    );
+            let index = IvfIndex::builder()
+                .nlist(24)
+                .codec(codec)
+                .metric(metric)
+                .seed(3)
+                .build(data)
+                .unwrap();
+            for nprobe in [1usize, 8, 24] {
+                let params = SearchParams::new().with_nprobe(nprobe);
+                for q in &hostile {
+                    let (hits, stats) = index.search_with_stats(q, 5, &params).unwrap();
+                    assert_eq!(hits.len(), 5);
+                    assert_eq!(stats.probed_partitions, nprobe);
                 }
+                // The whole hostile set as one group, a sane query
+                // in the middle: it must be answered as if alone.
+                let sane = data.row(17);
+                let mut group: Vec<(&[f32], usize)> =
+                    hostile.iter().map(|q| (q.as_slice(), nprobe)).collect();
+                group.insert(3, (sane, nprobe));
+                let scan = index.search_group(&group, 5);
+                assert!(scan.results.iter().all(Result::is_ok));
+                assert_eq!(
+                    scan.results[3],
+                    index.search_with_stats(sane, 5, &params),
+                    "{metric} {codec} nprobe={nprobe}"
+                );
             }
         }
     }

@@ -402,7 +402,7 @@ fn sq8_bound_filter_keeps_the_exact_top_k() {
                 filtered.push_block(&ids[..32], &scores[..32]);
                 let mut kept = 0;
                 for block in (32..ids.len()).step_by(64).map(|at| at..(at + 64).min(ids.len())) {
-                    let floor = bound.floor(filtered.threshold(), 0.0).unwrap_or(i32::MIN);
+                    let floor = bound.floor(filtered.threshold()).unwrap_or(i32::MIN);
                     for i in block.filter(|&i| sums[i] >= floor) {
                         filtered.push(ids[i], scores[i]);
                         kept += 1;

@@ -45,7 +45,7 @@
 use std::sync::Arc;
 
 use hermes::cache::CacheConfig;
-use hermes::core::exec::{Engine, QueryPlan};
+use hermes::core::exec::Engine;
 use hermes::core::{AdaptiveConfig, ClusteredStore, HermesConfig, ProbeAllocation};
 use hermes::datagen::{query_stream, CorpusSpec, LruModel, QuerySpec, StreamSpec};
 use hermes::math::Metric;
@@ -67,15 +67,16 @@ impl Backend for SharedBackend<'_> {
     }
 }
 
-/// Mean recall@10 and mean scanned codes of `plan` over the workload.
+/// Mean recall@10 and mean scanned codes of `cfg`'s knobs over the
+/// workload.
 fn frontier_point(
     store: &ClusteredStore,
-    plan: QueryPlan,
+    cfg: &HermesConfig,
     queries: &[Vec<f32>],
     truth: &[Vec<u64>],
     k: usize,
 ) -> (f64, f64, DepthHistogram) {
-    let engine = Engine::new(store, plan);
+    let engine = Engine::new(store, cfg);
     let mut recall = 0.0;
     let mut codes = 0usize;
     let mut depths = DepthHistogram::new();
@@ -108,16 +109,16 @@ fn main() {
     scenario.queries.extend(hard_set.to_vecs());
     let (queries, truth) = (&scenario.queries, scenario.truth(Metric::InnerProduct, k));
 
+    // The paper knobs: m=3, deep nProbe=128.
     let cfg = HermesConfig::new(clusters)
         .with_k(k)
         .with_seed(BENCH_SEED + 2);
     let store = scenario.store(&cfg).unwrap();
 
-    let paper = QueryPlan::from_config(&cfg); // m=3, deep nProbe=128
     // Calibrated on this workload: margin-dominated blend (entropy 100‰),
     // observed difficulty band re-normalized from 0.6..1.0, hard ceiling
     // one cluster above the paper knob.
-    let adaptive_cfg = AdaptiveConfig::new(1, paper.clusters_to_search + 1, 96, paper.deep_nprobe)
+    let adaptive_cfg = AdaptiveConfig::new(1, cfg.clusters_to_search + 1, 96, cfg.deep_nprobe)
         .with_entropy_weight_permille(100)
         .with_difficulty_band_permille(600, 1000);
 
@@ -128,7 +129,7 @@ fn main() {
              queries (half spread 0.15, half 0.5), fixed deep nProbe {} vs \
              adaptive m {}..{} / nProbe {}..{}; per shard: every routed shard at \
              nProbe, pooled: one budget of (m+1)/2 shares per query)",
-            paper.deep_nprobe,
+            cfg.deep_nprobe,
             adaptive_cfg.min_clusters,
             adaptive_cfg.max_clusters,
             adaptive_cfg.min_deep_nprobe,
@@ -146,9 +147,9 @@ fn main() {
         ("per shard", ProbeAllocation::PerShard),
         ("pooled", ProbeAllocation::Pooled),
     ] {
-        let fixed = QueryPlan {
+        let fixed = HermesConfig {
             probe_allocation: allocation,
-            ..paper
+            ..cfg
         };
         // Contract: a pinned adaptive config (floor = ceiling = paper
         // knobs) must be bit-identical to the fixed-knob engine, query by
@@ -159,8 +160,9 @@ fn main() {
             fixed.deep_nprobe,
             fixed.deep_nprobe,
         );
-        let fixed_engine = Engine::new(&store, fixed);
-        let pinned_engine = Engine::new(&store, fixed.with_adaptive(Some(pinned)));
+        let pinned_cfg = fixed.with_adaptive(pinned);
+        let fixed_engine = Engine::new(&store, &fixed);
+        let pinned_engine = Engine::new(&store, &pinned_cfg);
         for q in queries {
             assert_eq!(
                 fixed_engine.execute(q).unwrap(),
@@ -171,9 +173,8 @@ fn main() {
 
         let mut fixed_at_paper = (0.0, 0.0);
         for m in 1..=fixed.clusters_to_search {
-            let mut plan = fixed;
-            plan.clusters_to_search = m;
-            let (recall, codes, _) = frontier_point(&store, plan, queries, &truth, k);
+            let at = fixed.with_clusters_to_search(m);
+            let (recall, codes, _) = frontier_point(&store, &at, queries, &truth, k);
             let at_m = m == fixed.clusters_to_search;
             if at_m {
                 fixed_at_paper = (recall, codes);
@@ -191,7 +192,7 @@ fn main() {
         at_paper.push(fixed_at_paper);
         let (a_recall, a_codes, depths) = frontier_point(
             &store,
-            fixed.with_adaptive(Some(adaptive_cfg)),
+            &fixed.with_adaptive(adaptive_cfg),
             queries,
             &truth,
             k,

@@ -1,12 +1,12 @@
 //! Extension experiment (beyond the paper's figures): intra-query shard
 //! parallelism. A single interactive query deep-searches m clusters; the
-//! execution engine can run those m shard searches sequentially
-//! (`scatter_threads = 1`, the pre-engine behaviour) or scatter them
-//! across the shared pool (`scatter_threads = 0`). This bench measures
-//! the single-query latency both ways at m ∈ {3, 8} and checks the
-//! scattered results stay bit-identical.
+//! execution engine can run those m shard searches sequentially (a batch
+//! of one at width 1, `execute_coalesced(&[q], 1)`, the pre-engine
+//! behaviour) or scatter them across the shared pool (width 0, what
+//! `execute` runs). This bench measures the single-query latency both ways at
+//! m ∈ {3, 8} and checks the scattered results stay bit-identical.
 
-use hermes::core::{Engine, QueryPlan};
+use hermes::core::Engine;
 use hermes::datagen::{CorpusSpec, QuerySpec};
 use hermes::metrics::{Row, Table};
 use hermes::scenario::Scenario;
@@ -18,17 +18,19 @@ const CLUSTERS: usize = 10;
 const QUERIES: usize = 40;
 const REPS: usize = 3;
 
-fn mean_latency_s(engine: &Engine, queries: &[Vec<f32>]) -> f64 {
+/// Mean latency of one query at shard fan-out width `threads` (`1` =
+/// sequential, `0` = full pool).
+fn mean_latency_s(engine: &Engine, queries: &[Vec<f32>], threads: usize) -> f64 {
     // Warm the pool and caches once, then keep the fastest of REPS
     // passes (least scheduler noise).
     for q in queries.iter().take(4) {
-        engine.execute(q).expect("warmup");
+        engine.execute_coalesced(&[q], threads).expect("warmup");
     }
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let (_, secs) = time_it(|| {
             for q in queries {
-                engine.execute(q).expect("search");
+                engine.execute_coalesced(&[q], threads).expect("search");
             }
         });
         best = best.min(secs);
@@ -53,18 +55,17 @@ fn main() {
     );
     let mut speedups = Vec::new();
     for m in [3usize, 8] {
-        let plan = QueryPlan::from_config(&cfg.with_clusters_to_search(m));
-        let sequential = Engine::new(&store, plan.with_scatter_threads(1));
-        let scattered = Engine::new(&store, plan.with_scatter_threads(0));
+        let cfg_m = cfg.with_clusters_to_search(m);
+        let engine = Engine::new(&store, &cfg_m);
         for q in qs.iter().take(8) {
             assert_eq!(
-                sequential.execute(q).expect("sequential"),
-                scattered.execute(q).expect("scattered"),
+                engine.execute_coalesced(&[q], 1).expect("sequential"),
+                engine.execute_coalesced(&[q], 0).expect("scattered"),
                 "scatter changed results at m={m}"
             );
         }
-        let seq_s = mean_latency_s(&sequential, qs);
-        let sc_s = mean_latency_s(&scattered, qs);
+        let seq_s = mean_latency_s(&engine, qs, 1);
+        let sc_s = mean_latency_s(&engine, qs, 0);
         let speedup = seq_s / sc_s;
         speedups.push((m, speedup));
         table.push(Row::new(

@@ -25,7 +25,7 @@
 //! the same depth, so adaptive runs stay bit-reproducible and the
 //! equivalence suite can pin them.
 //!
-//! With `AdaptiveConfig` absent (`QueryPlan::adaptive == None`) the
+//! With `AdaptiveConfig` absent (`HermesConfig::adaptive == None`) the
 //! engine is bit-identical to the fixed-knob pipeline; with it present,
 //! routing modes that produce no scores (`Routing::Unranked`) fall back
 //! to the fixed knobs per query.
@@ -34,9 +34,9 @@ use crate::HermesError;
 
 /// Floor/ceiling knobs of the adaptive-depth policy.
 ///
-/// All fields are integers (the weight is in permille) so the config —
-/// and [`crate::QueryPlan`] embedding it — stays `Copy + Eq + Hash`-able
-/// and trivially bit-stable across platforms.
+/// All fields are integers (the weight is in permille) so the config
+/// stays `Copy + Eq + Hash`-able and trivially bit-stable across
+/// platforms.
 ///
 /// # Examples
 ///

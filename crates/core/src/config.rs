@@ -79,7 +79,7 @@ pub enum ProbeAllocation {
     /// added to tune, `m = 1` is [`ProbeAllocation::PerShard`] exactly,
     /// and a follower whose lists all lie beyond the cut is not scanned
     /// at all. Queries routed without a ranking ([`Routing::Unranked`],
-    /// the exhaustive plan) have no leader and run per shard.
+    /// `search_all_clusters`) have no leader and run per shard.
     #[default]
     Pooled,
 }

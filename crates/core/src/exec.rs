@@ -2,10 +2,12 @@
 //!
 //! Every search in the workspace — the [`ClusteredStore`] convenience
 //! methods, the `hermes-rag` retrievers, the serving backends — is one
-//! [`Engine`] executing one [`QueryPlan`]. The paper's sample → rank →
-//! deep → rerank pipeline (Section 4.2) runs as two stage functions, both
-//! generic over `Q: AsRef<[f32]>` so owned (`&[Vec<f32>]`) and borrowed
-//! (`&[&[f32]]`) batches call them without a conversion:
+//! [`Engine`] running one [`HermesConfig`]'s query-time knobs (Table 2's
+//! sample `nProbe`, deep `nProbe`, `m` and `k`) over a store. The paper's
+//! sample → rank → deep → rerank pipeline (Section 4.2) runs as two stage
+//! functions, both generic over `Q: AsRef<[f32]>` so owned
+//! (`&[Vec<f32>]`) and borrowed (`&[&[f32]]`) batches call them without a
+//! conversion:
 //!
 //! ```text
 //!   batch ──▶ ROUTE   Engine::route_batch: every shard samples the
@@ -52,8 +54,8 @@
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
 //! each shard serving its whole query group (`threads` caps the width:
 //! `0` = full pool, `1` = inline sequential; a lone [`Engine::execute`]
-//! uses [`QueryPlan::scatter_threads`]). [`Engine::execute_batch`] is the
-//! other axis — whole queries stolen from the pool cursor, the paper's
+//! or [`Engine::route`] uses the full pool). [`Engine::execute_batch`] is
+//! the other axis — whole queries stolen from the pool cursor, the paper's
 //! query-major batch mode; the pool's nested-submission rule runs each
 //! stolen query's shard fan-out inline, so there is never more than one
 //! level of stealing.
@@ -79,7 +81,7 @@ use hermes_kmeans::{probe_key_centroid, probe_key_distance};
 use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
 
-use crate::adaptive::{AdaptiveConfig, DifficultyEstimator};
+use crate::adaptive::DifficultyEstimator;
 use crate::config::{HermesConfig, ProbeAllocation, Routing};
 use crate::search::{SearchOutcome, SearchPhaseCost};
 use crate::store::ClusteredStore;
@@ -109,11 +111,12 @@ pub struct SearchStats {
     pub per_shard: Vec<ScanStats>,
     /// Candidate hits the gather stage merged into the final top-k.
     pub gather_candidates: usize,
-    /// Deep-search `nProbe` this query ran with — the plan's fixed knob,
-    /// or the [`DifficultyEstimator`]'s per-query choice when the plan
-    /// carries an [`AdaptiveConfig`]: the depth of each shard per shard,
-    /// the share the budget was computed from when pooled. Together with
-    /// `searched_clusters` this records the chosen adaptive depth.
+    /// Deep-search `nProbe` this query ran with — the config's fixed
+    /// knob, or the [`DifficultyEstimator`]'s per-query choice when the
+    /// config carries an [`AdaptiveConfig`](crate::AdaptiveConfig): the
+    /// depth of each shard per shard, the share the budget was computed
+    /// from when pooled. Together with `searched_clusters` this records
+    /// the chosen adaptive depth.
     pub deep_nprobe: usize,
 }
 
@@ -132,93 +135,6 @@ impl SearchStats {
     /// Inverted lists probed in each deep-searched shard, in rank order.
     pub fn per_shard_probed(&self) -> impl Iterator<Item = usize> + '_ {
         self.per_shard.iter().map(|shard| shard.probed_partitions)
-    }
-}
-
-/// An executable description of one search: which stages run, with which
-/// knobs — built from [`HermesConfig`] + the caller's intent, consumed by
-/// [`Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryPlan {
-    /// How the route stage ranks clusters.
-    pub routing: Routing,
-    /// `nProbe` of the route stage's sampling searches.
-    pub sample_nprobe: usize,
-    /// `nProbe` of the scatter stage's deep searches (see
-    /// [`HermesConfig::deep_nprobe`]).
-    pub deep_nprobe: usize,
-    /// How the deep probes are spread over a query's routed shards.
-    pub probe_allocation: ProbeAllocation,
-    /// How many top-ranked clusters the scatter stage deep-searches
-    /// (clamped to the store's cluster count at execution time).
-    pub clusters_to_search: usize,
-    /// Hits returned per query.
-    pub k: usize,
-    /// Intra-query fan-out cap for the route and scatter stages: `0` uses
-    /// the full shared pool, `1` runs the shards inline and sequentially,
-    /// `t > 1` uses at most `t` threads.
-    pub scatter_threads: usize,
-    /// Per-query adaptive-depth policy. `None` (the default) runs the
-    /// fixed `clusters_to_search`/`deep_nprobe` knobs bit-identically to
-    /// the pre-adaptive engine; `Some` lets the [`DifficultyEstimator`]
-    /// pick both per query from the routing scores (queries routed
-    /// without scores — [`Routing::Unranked`] — still use the fixed
-    /// knobs).
-    pub adaptive: Option<AdaptiveConfig>,
-    /// Serving-layer request id this plan executes on behalf of, if any.
-    /// Purely observational: when set, the engine's `engine.execute`
-    /// spans carry it as a `request_id` arg so trace events fold into
-    /// per-request timelines — execution is bit-identical either way.
-    pub request_id: Option<u64>,
-}
-
-impl QueryPlan {
-    /// The plan [`ClusteredStore::hierarchical_search`] executes: the
-    /// config's routing and knobs, full-pool intra-query scatter.
-    pub fn from_config(cfg: &HermesConfig) -> Self {
-        QueryPlan {
-            routing: cfg.routing,
-            sample_nprobe: cfg.sample_nprobe,
-            deep_nprobe: cfg.deep_nprobe,
-            probe_allocation: cfg.probe_allocation,
-            clusters_to_search: cfg.clusters_to_search,
-            k: cfg.k,
-            scatter_threads: 0,
-            adaptive: cfg.adaptive,
-            request_id: None,
-        }
-    }
-
-    /// The plan [`ClusteredStore::search_all_clusters`] executes: no
-    /// routing, every cluster deep-searched in index order at the full
-    /// `deep_nprobe` — the naive distributed baseline (Figure 18).
-    pub fn exhaustive(cfg: &HermesConfig) -> Self {
-        QueryPlan {
-            routing: Routing::Unranked,
-            probe_allocation: ProbeAllocation::PerShard,
-            clusters_to_search: usize::MAX,
-            adaptive: None,
-            ..QueryPlan::from_config(cfg)
-        }
-    }
-
-    /// Caps the intra-query fan-out (see [`QueryPlan::scatter_threads`]).
-    pub fn with_scatter_threads(mut self, threads: usize) -> Self {
-        self.scatter_threads = threads;
-        self
-    }
-
-    /// Sets (or clears) the per-query adaptive-depth policy.
-    pub fn with_adaptive(mut self, adaptive: Option<AdaptiveConfig>) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Tags the plan with the serving-layer request id its spans should
-    /// carry (see [`QueryPlan::request_id`]).
-    pub fn with_request_id(mut self, id: u64) -> Self {
-        self.request_id = Some(id);
-        self
     }
 }
 
@@ -259,15 +175,15 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
     scored.into_iter().unzip()
 }
 
-/// The query-execution engine: a [`QueryPlan`] bound to a
-/// [`ClusteredStore`]. Cheap to construct (two references' worth of
-/// data); build one per call or hold one across a batch.
+/// The query-execution engine: a [`HermesConfig`]'s query-time knobs
+/// bound to a [`ClusteredStore`]. Cheap to construct (two references'
+/// worth of data); build one per call or hold one across a batch.
 ///
 /// # Examples
 ///
 /// ```
 /// use hermes_core::{ClusteredStore, HermesConfig};
-/// use hermes_core::exec::{Engine, QueryPlan};
+/// use hermes_core::exec::Engine;
 /// use hermes_math::Mat;
 ///
 /// let rows: Vec<Vec<f32>> = (0..300)
@@ -277,7 +193,7 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
 /// let cfg = HermesConfig::new(3).with_clusters_to_search(2);
 /// let store = ClusteredStore::build(&data, &cfg)?;
 ///
-/// let engine = Engine::new(&store, QueryPlan::from_config(&cfg));
+/// let engine = Engine::new(&store, &cfg);
 /// let out = engine.execute(&[10.0, 0.5])?;
 /// assert_eq!(out.hits.len(), cfg.k);
 /// assert_eq!(out.searched_clusters.len(), 2);
@@ -287,24 +203,22 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'s> {
     store: &'s ClusteredStore,
-    plan: QueryPlan,
+    config: &'s HermesConfig,
 }
 
 impl<'s> Engine<'s> {
-    /// Binds `plan` to `store`.
-    pub fn new(store: &'s ClusteredStore, plan: QueryPlan) -> Self {
-        Engine { store, plan }
+    /// Binds `config`'s query-time knobs — routing, sample and deep
+    /// `nProbe`, probe allocation, `clusters_to_search`, `k`, adaptive
+    /// depth — to `store`. The build-time fields (cluster count, split,
+    /// codec, metric) are the store's own and are not read from `config`.
+    pub fn new(store: &'s ClusteredStore, config: &'s HermesConfig) -> Self {
+        Engine { store, config }
     }
 
-    /// The engine running the store's configured plan — what every
+    /// The engine running the store's own configuration — what every
     /// `ClusteredStore` convenience method constructs.
     pub fn for_store(store: &'s ClusteredStore) -> Self {
-        Engine::new(store, QueryPlan::from_config(store.config()))
-    }
-
-    /// The plan this engine executes.
-    pub fn plan(&self) -> &QueryPlan {
-        &self.plan
+        Engine::new(store, store.config())
     }
 
     /// Ranks every cluster for `query` without deep-searching any:
@@ -314,21 +228,19 @@ impl<'s> Engine<'s> {
     ///
     /// Propagates the first shard error in cluster order.
     pub fn route(&self, query: &[f32]) -> Result<RouteOutcome, HermesError> {
-        self.route_batch(&[query], self.plan.scatter_threads)
-            .map(only)
+        self.route_batch(&[query], 0).map(only)
     }
 
     /// Executes the full pipeline for one query:
     /// [`Engine::execute_coalesced`] on a batch of one, fanning its
-    /// shards out at [`QueryPlan::scatter_threads`].
+    /// shards out over the full pool.
     ///
     /// # Errors
     ///
     /// Propagates the first shard error in stage order (route before
     /// deep) and cluster order within a stage.
     pub fn execute(&self, query: &[f32]) -> Result<SearchOutcome, HermesError> {
-        self.execute_coalesced(&[query], self.plan.scatter_threads)
-            .map(only)
+        self.execute_coalesced(&[query], 0).map(only)
     }
 
     /// Executes the pipeline **query-major**: whole queries are stolen
@@ -356,8 +268,8 @@ impl<'s> Engine<'s> {
     /// share shard work and disjoint ones still fan out across shards.
     /// Bit-identical to [`Engine::execute_batch`]; only the grouping,
     /// invisible to results, differs. Under telemetry the two stages
-    /// nest in one `engine.execute` span carrying the plan's request id
-    /// and the batch's `route_scanned` / `deep_scanned` totals.
+    /// nest in one `engine.execute` span carrying the batch's
+    /// `route_scanned` / `deep_scanned` totals.
     ///
     /// # Errors
     ///
@@ -371,9 +283,6 @@ impl<'s> Engine<'s> {
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, HermesError> {
         let mut sp = hermes_trace::span(names::ENGINE_EXECUTE);
-        if let Some(rid) = self.plan.request_id {
-            sp.arg(names::ARG_REQUEST_ID, rid);
-        }
         let routes = self.route_batch(queries, threads)?;
         let outcomes = self.deep_batch(queries, routes, threads)?;
         if sp.is_active() {
@@ -430,13 +339,13 @@ impl<'s> Engine<'s> {
                 },
             }
         };
-        let routes: Vec<RouteOutcome> = match self.plan.routing {
+        let routes: Vec<RouteOutcome> = match self.config.routing {
             Routing::DocumentSampling => {
                 // One cheap k=1 sample per (shard, query); samples
                 // dominate single-query latency when m is small.
                 let group: Vec<(&[f32], usize)> = queries
                     .iter()
-                    .map(|q| (q.as_ref(), self.plan.sample_nprobe))
+                    .map(|q| (q.as_ref(), self.config.sample_nprobe))
                     .collect();
                 let samples = fan_out(n, width_cap(threads), |c| {
                     let scan = |shard: &IvfIndex| shard.search_group(&group, 1);
@@ -591,7 +500,7 @@ impl<'s> Engine<'s> {
                     return vec![0; at.len()];
                 };
                 // A route without scores ranked nothing: no leader.
-                if self.plan.probe_allocation == ProbeAllocation::Pooled
+                if self.config.probe_allocation == ProbeAllocation::Pooled
                     && !route.ranked_scores.is_empty()
                 {
                     pooled_probes(&ranked, deep_nprobe, &mut pool)
@@ -607,7 +516,7 @@ impl<'s> Engine<'s> {
                 .iter()
                 .map(|&(qi, pos)| (queries[qi].as_ref(), probes[qi][pos]))
                 .collect();
-            let scan = |shard: &IvfIndex| shard.search_keyed(&group, &keys[g], self.plan.k);
+            let scan = |shard: &IvfIndex| shard.search_keyed(&group, &keys[g], self.config.k);
             self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
                 .results
         });
@@ -674,16 +583,16 @@ impl<'s> Engine<'s> {
     }
 
     /// Resolves the per-query depth: the [`DifficultyEstimator`]'s choice
-    /// when the plan is adaptive and the route produced scores, the
-    /// plan's fixed knobs otherwise. Returns `(clusters_to_search,
+    /// when the config is adaptive and the route produced scores, its
+    /// fixed knobs otherwise. Returns `(clusters_to_search,
     /// deep_nprobe)`.
     fn depth_for(&self, route: &RouteOutcome) -> (usize, usize) {
-        match self.plan.adaptive {
+        match self.config.adaptive {
             Some(cfg) if !route.ranked_scores.is_empty() => {
                 let choice = DifficultyEstimator::new(cfg).depth(&route.ranked_scores);
                 (choice.clusters, choice.deep_nprobe)
             }
-            _ => (self.plan.clusters_to_search, self.plan.deep_nprobe),
+            _ => (self.config.clusters_to_search, self.config.deep_nprobe),
         }
     }
 
@@ -697,7 +606,7 @@ impl<'s> Engine<'s> {
         deep_nprobe: usize,
     ) -> SearchOutcome {
         let mut gather_span = hermes_trace::span(names::ENGINE_GATHER);
-        let hits = merge_topk(per_shard.iter().map(|(hits, _)| hits), self.plan.k);
+        let hits = merge_topk(per_shard.iter().map(|(hits, _)| hits), self.config.k);
         let stats = SearchStats {
             route: route.cost,
             deep: SearchPhaseCost {
@@ -796,6 +705,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::AdaptiveConfig;
     use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
 
     fn setup() -> (Corpus, QuerySet) {
@@ -846,30 +756,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_from_config_copies_knobs() {
-        let cfg = HermesConfig::new(7)
-            .with_clusters_to_search(2)
-            .with_sample_nprobe(4)
-            .with_deep_nprobe(32)
-            .with_k(9);
-        let plan = QueryPlan::from_config(&cfg);
-        assert_eq!(plan.clusters_to_search, 2);
-        assert_eq!(plan.sample_nprobe, 4);
-        assert_eq!(plan.deep_nprobe, 32);
-        assert_eq!(plan.k, 9);
-        assert_eq!(plan.scatter_threads, 0);
-        assert_eq!(plan.probe_allocation, ProbeAllocation::Pooled);
-        let exhaustive = QueryPlan::exhaustive(&cfg);
-        assert_eq!(exhaustive.probe_allocation, ProbeAllocation::PerShard);
-    }
-
-    #[test]
     fn exhaustive_plan_covers_every_cluster_unranked() {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(6).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        let engine = Engine::new(&store, QueryPlan::exhaustive(&cfg));
-        let out = engine.execute(queries.embeddings().row(0)).unwrap();
+        let out = store.search_all_clusters(queries.embeddings().row(0)).unwrap();
         assert_eq!(out.ranked_clusters, (0..6).collect::<Vec<_>>());
         assert_eq!(out.searched_clusters, (0..6).collect::<Vec<_>>());
         assert_eq!(out.stats.route, SearchPhaseCost::default());
@@ -880,16 +771,12 @@ mod tests {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(6).with_seed(1).with_clusters_to_search(3);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        let plan = QueryPlan::from_config(&cfg);
+        let engine = Engine::for_store(&store);
         for q in queries.embeddings().iter_rows() {
-            let inline = Engine::new(&store, plan.with_scatter_threads(1))
-                .execute(q)
-                .unwrap();
+            let inline = engine.execute_coalesced(&[q], 1).unwrap();
             for threads in [0usize, 2, 64] {
-                let scattered = Engine::new(&store, plan.with_scatter_threads(threads))
-                    .execute(q)
-                    .unwrap();
-                assert_eq!(inline, scattered, "scatter_threads={threads}");
+                let scattered = engine.execute_coalesced(&[q], threads).unwrap();
+                assert_eq!(inline, scattered, "threads={threads}");
             }
         }
     }
@@ -1075,10 +962,10 @@ mod tests {
             .with_clusters_to_search(3);
         let adaptive = fixed.with_adaptive(AdaptiveConfig::new(1, 5, 8, 64));
         let store = ClusteredStore::build(corpus.embeddings(), &fixed).unwrap();
-        let out_fixed = Engine::new(&store, QueryPlan::from_config(&fixed))
+        let out_fixed = Engine::new(&store, &fixed)
             .execute(queries.embeddings().row(0))
             .unwrap();
-        let out_adaptive = Engine::new(&store, QueryPlan::from_config(&adaptive))
+        let out_adaptive = Engine::new(&store, &adaptive)
             .execute(queries.embeddings().row(0))
             .unwrap();
         assert_eq!(out_fixed, out_adaptive);

@@ -23,9 +23,10 @@
 //! to it — fanned out on the shared work-stealing pool, so even a single
 //! query (a batch of one) uses every core — then merges per-shard hits in
 //! each query's rank order while folding per-stage work into
-//! [`exec::SearchStats`]. The [`ClusteredStore`] methods (and the
-//! `hermes-rag` baselines built on them) are thin wrappers that execute a
-//! [`exec::QueryPlan`] derived from the store's [`HermesConfig`].
+//! [`exec::SearchStats`]. The engine reads its knobs from a
+//! [`HermesConfig`] — the store's own, or a caller's variant of it — and
+//! the [`ClusteredStore`] methods (and the `hermes-rag` baselines built on
+//! them) are thin wrappers that run the store's.
 //!
 //! The module split mirrors the design: [`config`] (Table 2 knobs),
 //! [`store`] (splitting + per-cluster indices), [`exec`] (the
@@ -42,7 +43,7 @@ pub mod store;
 
 pub use adaptive::{AdaptiveConfig, DepthChoice, Difficulty, DifficultyEstimator};
 pub use config::{HermesConfig, ProbeAllocation, Routing, SplitStrategy};
-pub use exec::{Engine, QueryPlan, RouteOutcome, SearchStats};
+pub use exec::{Engine, RouteOutcome, SearchStats};
 pub use persist::{PagedStoreReader, PersistError, PAGE_SIZE};
 pub use rebalance::{RebalanceAction, RebalanceConfig, Rebalancer};
 pub use search::{SearchOutcome, SearchPhaseCost};

@@ -1,13 +1,15 @@
 //! Search outcome types and the [`ClusteredStore`] convenience entry
 //! points of the hierarchical search (paper Section 4.2).
 //!
-//! Each method builds the matching [`QueryPlan`] and lets one [`Engine`]
-//! run it; callers that need a custom plan (fan-out caps, exhaustive
-//! routing) or the two stages apart construct an [`Engine`] directly.
+//! Each method lets one [`Engine`] run the store's [`HermesConfig`] (or,
+//! for the exhaustive baseline, a variant of it); callers that need other
+//! knobs, a fan-out cap or the two stages apart construct an [`Engine`]
+//! directly.
 
 use hermes_math::Neighbor;
 
-use crate::exec::{Engine, QueryPlan, SearchStats};
+use crate::config::{HermesConfig, ProbeAllocation, Routing};
+use crate::exec::{Engine, SearchStats};
 use crate::store::ClusteredStore;
 use crate::HermesError;
 
@@ -117,21 +119,29 @@ impl ClusteredStore {
     }
 
     /// Exhaustively deep-searches *all* clusters and merges — the naive
-    /// distributed baseline Hermes is compared against (Figure 18).
-    /// Equivalent to executing [`QueryPlan::exhaustive`].
+    /// distributed baseline Hermes is compared against (Figure 18): no
+    /// routing, every cluster in index order at the full `deep_nprobe`,
+    /// no adaptive depth.
     ///
     /// # Errors
     ///
     /// Propagates index errors.
     pub fn search_all_clusters(&self, query: &[f32]) -> Result<SearchOutcome, HermesError> {
-        Engine::new(self, QueryPlan::exhaustive(self.config())).execute(query)
+        let exhaustive = HermesConfig {
+            routing: Routing::Unranked,
+            probe_allocation: ProbeAllocation::PerShard,
+            clusters_to_search: self.num_clusters(),
+            adaptive: None,
+            ..*self.config()
+        };
+        Engine::new(self, &exhaustive).execute(query)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{HermesConfig, Routing, SplitStrategy};
+    use crate::config::SplitStrategy;
     use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
     use hermes_index::{FlatIndex, SearchParams, VectorIndex};
     use hermes_metrics::{ndcg_at_k, ranking::ids};

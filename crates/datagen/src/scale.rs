@@ -70,11 +70,6 @@ impl DatastoreScale {
         self.num_chunks() * per_vec
     }
 
-    /// Index bytes with flat f32 storage.
-    pub fn index_bytes_flat(&self) -> u64 {
-        self.num_chunks() * (4 * self.dim as u64 + 8)
-    }
-
     /// Splits the datastore into `n` equal shards (token counts; the last
     /// shard absorbs the remainder).
     pub fn split(&self, n: usize) -> Vec<DatastoreScale> {

@@ -110,12 +110,6 @@ impl StreamSpec {
         self.seed = seed;
         self
     }
-
-    /// Sets the repetition structure.
-    pub fn with_kind(mut self, kind: StreamKind) -> Self {
-        self.kind = kind;
-        self
-    }
 }
 
 /// A textbook LRU cache over stream keys (anything hashable — a pool

@@ -52,7 +52,6 @@ fn main() -> ExitCode {
         "plan" => cmd_plan(&opts),
         "trace" => cmd_trace(&opts),
         "stats" => cmd_stats(&opts),
-        "serve" => cmd_serve(&opts),
         "loadgen" => cmd_loadgen(&opts),
         "report" => cmd_report(&opts),
         "help" | "--help" | "-h" => {
@@ -85,11 +84,7 @@ USAGE:
                 [--threads T]
   hermes stats  [--docs N] [--dim D] [--topics T] [--clusters C]
                 [--deep M] [--queries Q] [--seed S] [--threads T]
-                [--cache] [--adaptive] [--slo] [--requests R]
-  hermes serve  [--docs N] [--dim D] [--topics T] [--clusters C]
-                [--deep M] [--queries Q] [--seed S] [--threads T]
-                [--requests R] [--qps RATE] [--capacity C]
-                [--max-batch B] [--slo-us US] [--metrics-path FILE]
+                [--cache] [--adaptive] [--requests R]
   hermes report [--docs N] [--dim D] [--topics T] [--clusters C]
                 [--deep M] [--queries Q] [--seed S] [--threads T]
                 [--requests R] [--qps RATE] [--capacity C]
@@ -107,21 +102,19 @@ runs per-query adaptive retrieval depth and prints the chosen-depth
 histogram (the flags compose). Both verify served results against
 standalone engine execution before reporting.
 
-`serve`, `loadgen`, `report` and `stats --slo` attach a per-request
-observer and print the session's metrics: serving totals, per-class
-sojourn and phase distributions, deadline hit/miss, shed/expired
-counts and the SLO burn rate per class. `report` adds a tail-latency
-phase-attribution table, the flight-recorder dump of the slowest
-requests, and a Prometheus-style text exposition of the same metrics
-(re-parsed before it is written, so it doubles as the verify.sh obs
-smoke test); `--metrics-path`/`--recorder-path` write the artifacts
-to files.
+`loadgen` and `report` attach a per-request observer and print the
+session's metrics: serving totals, per-class sojourn and phase
+distributions, deadline hit/miss, shed/expired counts and the SLO burn
+rate per class. `report` runs one observed open-loop session and adds
+its SLO targets, a tail-latency phase-attribution table, the
+flight-recorder dump of the slowest requests, and a Prometheus-style
+text exposition of the same metrics (re-parsed before it is written,
+so it doubles as the verify.sh obs smoke test);
+`--metrics-path`/`--recorder-path` write the artifacts to files.
 
-`serve` runs one open-loop serving session (`--metrics-path` also
-writes the exposition); `loadgen`
-drives closed and open loops and asserts every
-served result bit-identical to standalone engine execution (--smoke
-shrinks the workload for CI). `loadgen --churn` instead mutates the
+`loadgen` drives closed and open loops and asserts every served result
+bit-identical to standalone engine execution (--smoke shrinks the
+workload for CI). `loadgen --churn` instead mutates the
 store (inserts/removes) while serving and rebalances it live through
 a generation-swapped cell, asserting the incremental store is
 bit-identical to a stop-the-world rebalance at every generation
@@ -130,12 +123,14 @@ boundary.
 Defaults: docs 20000, dim 64, topics 10, clusters 10, deep 3, k 5,
 queries 40, seed 42, batch 128, stride 16, nprobe 128, threads 0
 (full pool width); serving: requests 200, qps 500, users 8, think-us 0,
-capacity 64, max-batch 8, no SLO.";
+capacity 64, max-batch 8, no SLO. Every count (docs, dim, topics,
+clusters, deep, k, queries, requests, capacity, max-batch, users, batch,
+nprobe) must be at least 1, and --qps a finite rate above 0.";
 
 type Flags = HashMap<String, String>;
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["smoke", "churn", "cache", "adaptive", "slo"];
+const BOOL_FLAGS: &[&str] = &["smoke", "churn", "cache", "adaptive"];
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut out = Flags::new();
@@ -165,6 +160,27 @@ fn get_usize(opts: &Flags, key: &str, default: usize) -> Result<usize, String> {
     }
 }
 
+/// A count flag: an integer of at least 1.
+fn get_count(opts: &Flags, key: &str, default: usize) -> Result<usize, String> {
+    match get_usize(opts, key, default)? {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// A rate flag: a finite number above 0.
+fn get_rate(opts: &Flags, key: &str, default: f64) -> Result<f64, String> {
+    let rate = match opts.get(key) {
+        Some(v) => v.parse().map_err(|_| format!("--{key} wants a number, got `{v}`"))?,
+        None => default,
+    };
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(format!("--{key} must be a finite number above 0, got `{rate}`"))
+    }
+}
+
 fn get_u64(opts: &Flags, key: &str, default: u64) -> Result<u64, String> {
     match opts.get(key) {
         Some(v) => v.parse().map_err(|_| format!("--{key} wants an integer, got `{v}`")),
@@ -179,12 +195,12 @@ fn require<'a>(opts: &'a Flags, key: &str) -> Result<&'a str, String> {
 }
 
 fn build_config(opts: &Flags) -> Result<(CorpusSpec, HermesConfig), String> {
-    let docs = get_usize(opts, "docs", 20_000)?;
-    let dim = get_usize(opts, "dim", 64)?;
-    let topics = get_usize(opts, "topics", 10)?;
-    let clusters = get_usize(opts, "clusters", 10)?;
-    let deep = get_usize(opts, "deep", 3)?;
-    let k = get_usize(opts, "k", 5)?;
+    let docs = get_count(opts, "docs", 20_000)?;
+    let dim = get_count(opts, "dim", 64)?;
+    let topics = get_count(opts, "topics", 10)?;
+    let clusters = get_count(opts, "clusters", 10)?;
+    let deep = get_count(opts, "deep", 3)?;
+    let k = get_count(opts, "k", 5)?;
     let seed = get_u64(opts, "seed", 42)?;
     let spec = CorpusSpec::new(docs, dim, topics).with_seed(seed);
     let cfg = HermesConfig::new(clusters)
@@ -265,7 +281,7 @@ fn cmd_info(opts: &Flags) -> Result<(), String> {
 fn cmd_search(opts: &Flags) -> Result<(), String> {
     let store = load_store(opts)?;
     let query_text = require(opts, "query")?;
-    let k = get_usize(opts, "k", store.config().k)?;
+    let k = get_count(opts, "k", store.config().k)?;
     let dim = store.split_centroids_mat().cols();
     let query = HashEncoder::new(dim).encode(query_text);
     let out = store.hierarchical_search(&query).map_err(|e| e.to_string())?;
@@ -286,7 +302,7 @@ fn cmd_search(opts: &Flags) -> Result<(), String> {
 
 fn cmd_eval(opts: &Flags) -> Result<(), String> {
     let (spec, cfg) = build_config(opts)?;
-    let num_queries = get_usize(opts, "queries", 40)?;
+    let num_queries = get_count(opts, "queries", 40)?;
     let scenario = Scenario::new(spec).with_queries(QuerySpec::new(num_queries));
     let truth = scenario.truth(cfg.metric, cfg.k);
 
@@ -332,7 +348,7 @@ fn run_traced_workload(
     coalesced: bool,
 ) -> Result<hermes::trace::TraceSnapshot, String> {
     let (spec, cfg) = build_config(opts)?;
-    let num_queries = get_usize(opts, "queries", 40)?;
+    let num_queries = get_count(opts, "queries", 40)?;
     let threads = get_usize(opts, "threads", 0)?;
     println!(
         "tracing hierarchical search: {} docs, {} clusters, {} queries",
@@ -399,9 +415,6 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
     if use_cache || use_adaptive {
         return cmd_stats_cached(opts, use_cache, use_adaptive);
     }
-    if get_bool(opts, "slo") {
-        return cmd_stats_slo(opts);
-    }
     let snap = run_traced_workload(opts, true)?;
     let mut reg = MetricsRegistry::new();
     hermes::obs::fold_trace_counters(&mut reg, &snap);
@@ -420,8 +433,8 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
     use std::sync::Arc;
 
     let (spec, mut cfg) = build_config(opts)?;
-    let pool_size = get_usize(opts, "queries", 40)?;
-    let requests = get_usize(opts, "requests", 200)?;
+    let pool_size = get_count(opts, "queries", 40)?;
+    let requests = get_count(opts, "requests", 200)?;
     let threads = get_usize(opts, "threads", 0)?;
     if use_adaptive {
         // Fixed knobs become the ceiling; easy queries may pay as little
@@ -507,13 +520,6 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
     Ok(())
 }
 
-fn get_f64(opts: &Flags, key: &str, default: f64) -> Result<f64, String> {
-    match opts.get(key) {
-        Some(v) => v.parse().map_err(|_| format!("--{key} wants a number, got `{v}`")),
-        None => Ok(default),
-    }
-}
-
 fn get_bool(opts: &Flags, key: &str) -> bool {
     opts.get(key).is_some_and(|v| v != "false")
 }
@@ -525,6 +531,7 @@ struct ServeSetup {
     queries: Vec<Vec<f32>>,
     threads: usize,
     requests: usize,
+    qps: f64,
     server_cfg: hermes::serve::ServerConfig,
     slo_ns: Option<u64>,
     seed: u64,
@@ -532,19 +539,24 @@ struct ServeSetup {
 
 fn build_serve_setup(opts: &Flags) -> Result<ServeSetup, String> {
     let (spec, cfg) = build_config(opts)?;
-    let num_queries = get_usize(opts, "queries", 40)?;
+    let num_queries = get_count(opts, "queries", 40)?;
+    let threads = get_usize(opts, "threads", 0)?;
+    let requests = get_count(opts, "requests", 200)?;
+    let qps = get_rate(opts, "qps", 500.0)?;
+    let server_cfg = hermes::serve::ServerConfig {
+        queue_capacity: get_count(opts, "capacity", 64)?,
+        max_batch: get_count(opts, "max-batch", 8)?,
+    };
+    let slo_us = get_u64(opts, "slo-us", 0)?;
     let scenario = Scenario::new(spec).with_queries(QuerySpec::new(num_queries));
     let store = scenario.store(&cfg).map_err(|e| e.to_string())?;
-    let slo_us = get_u64(opts, "slo-us", 0)?;
     Ok(ServeSetup {
         store,
         queries: scenario.queries,
-        threads: get_usize(opts, "threads", 0)?,
-        requests: get_usize(opts, "requests", 200)?,
-        server_cfg: hermes::serve::ServerConfig {
-            queue_capacity: get_usize(opts, "capacity", 64)?,
-            max_batch: get_usize(opts, "max-batch", 8)?,
-        },
+        threads,
+        requests,
+        qps,
+        server_cfg,
         slo_ns: (slo_us > 0).then_some(slo_us * 1_000),
         seed: spec.seed,
     })
@@ -584,25 +596,6 @@ fn slo_targets(obs: &Observer) -> String {
     let targets: Vec<String> =
         obs.slo().classes().iter().map(|c| format!("{} {}", c.label(), target(c))).collect();
     format!("slo targets (ns): {}", targets.join(", "))
-}
-
-fn cmd_serve(opts: &Flags) -> Result<(), String> {
-    let setup = build_serve_setup(opts)?;
-    let qps = get_f64(opts, "qps", 500.0)?;
-    if qps <= 0.0 {
-        return Err("--qps must be positive".into());
-    }
-    println!(
-        "serving open-loop: {} requests at {} qps (queue {}, max batch {})",
-        setup.requests, qps, setup.server_cfg.queue_capacity, setup.server_cfg.max_batch
-    );
-    let run = run_observed_open_loop(opts, &setup)?;
-    let reg = serve_registry(&run.obs, &run.load.serve);
-    print_tables("open loop", &reg);
-    if let Some(path) = opts.get("metrics-path") {
-        write_exposition(path, &reg)?;
-    }
-    Ok(())
 }
 
 /// The observer the serving subcommands attach: the serving classes, the
@@ -649,18 +642,14 @@ struct ObservedRun {
     obs: Observer,
 }
 
-fn run_observed_open_loop(opts: &Flags, setup: &ServeSetup) -> Result<ObservedRun, String> {
-    let qps = get_f64(opts, "qps", 500.0)?;
-    if qps <= 0.0 {
-        return Err("--qps must be positive".into());
-    }
+fn run_observed_open_loop(setup: &ServeSetup) -> Result<ObservedRun, String> {
     let engine = Engine::for_store(&setup.store);
     let mut server = hermes::serve::Server::new(
         hermes::serve::EngineBackend::new(engine, setup.threads),
         setup.server_cfg,
     )
     .with_observer(serve_observer(setup));
-    let mut spec = hermes::serve::OpenLoopSpec::new(setup.requests, qps)
+    let mut spec = hermes::serve::OpenLoopSpec::new(setup.requests, setup.qps)
         .with_seed(setup.seed.wrapping_add(11))
         .with_priority_cycle(priority_mix());
     if let Some(slo) = setup.slo_ns {
@@ -687,24 +676,6 @@ fn run_observed_open_loop(opts: &Flags, setup: &ServeSetup) -> Result<ObservedRu
     Ok(ObservedRun { load, obs })
 }
 
-/// `stats --slo`: one observed open-loop session reported as per-class
-/// SLO accounting — deadline hit/miss, shed/expired and burn rate.
-fn cmd_stats_slo(opts: &Flags) -> Result<(), String> {
-    let setup = build_serve_setup(opts)?;
-    println!(
-        "slo accounting over an observed open loop: {} requests (queue {}, max batch {})",
-        setup.requests, setup.server_cfg.queue_capacity, setup.server_cfg.max_batch
-    );
-    let run = run_observed_open_loop(opts, &setup)?;
-    println!("{}", slo_targets(&run.obs));
-    print_tables("open loop", &serve_registry(&run.obs, &run.load.serve));
-    println!(
-        "verified {} served results against standalone execution; all timelines balanced",
-        run.load.completions.len()
-    );
-    Ok(())
-}
-
 /// `report`: the end-to-end observability roll-up for one observed
 /// open-loop session — tail-latency phase attribution, SLO accounting,
 /// the flight recorder's slowest requests, and the text exposition —
@@ -718,7 +689,7 @@ fn cmd_report(opts: &Flags) -> Result<(), String> {
         setup.server_cfg.queue_capacity,
         setup.server_cfg.max_batch
     );
-    let run = run_observed_open_loop(opts, &setup)?;
+    let run = run_observed_open_loop(&setup)?;
     let reg = serve_registry(&run.obs, &run.load.serve);
     println!("{}", slo_targets(&run.obs));
     print_tables("open loop", &reg);
@@ -768,6 +739,8 @@ fn cmd_report(opts: &Flags) -> Result<(), String> {
 
 fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
     let smoke = get_bool(opts, "smoke");
+    let users = get_count(opts, "users", 8)?;
+    let think_us = get_u64(opts, "think-us", 0)?;
     let mut setup = build_serve_setup(opts)?;
     if smoke && !opts.contains_key("requests") {
         setup.requests = 60;
@@ -786,21 +759,12 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         let churn_setup = build_serve_setup(&churn_opts)?;
         return cmd_loadgen_churn(&churn_setup, smoke);
     }
-    let qps = get_f64(opts, "qps", 500.0)?;
-    let users = get_usize(opts, "users", 8)?;
-    let think_us = get_u64(opts, "think-us", 0)?;
-    if qps <= 0.0 {
-        return Err("--qps must be positive".into());
-    }
-    if users == 0 {
-        return Err("--users must be positive".into());
-    }
     let engine = Engine::for_store(&setup.store);
 
     let mut closed_spec = hermes::serve::ClosedLoopSpec::new(setup.requests, users)
         .with_think_ns(think_us * 1_000)
         .with_priority_cycle(priority_mix());
-    let mut open_spec = hermes::serve::OpenLoopSpec::new(setup.requests, qps)
+    let mut open_spec = hermes::serve::OpenLoopSpec::new(setup.requests, setup.qps)
         .with_seed(setup.seed.wrapping_add(11))
         .with_priority_cycle(priority_mix());
     if let Some(slo) = setup.slo_ns {
@@ -995,9 +959,9 @@ fn cmd_plan(opts: &Flags) -> Result<(), String> {
     if tokens == 0 {
         return Err("--tokens is required (e.g. --tokens 100000000000)".into());
     }
-    let batch = get_usize(opts, "batch", 128)?;
+    let batch = get_count(opts, "batch", 128)?;
     let stride = get_usize(opts, "stride", 16)? as u32;
-    let nprobe = get_usize(opts, "nprobe", 128)?;
+    let nprobe = get_count(opts, "nprobe", 128)?;
     let planner = ClusterPlanner::default();
     let per = planner.max_cluster_tokens(batch, nprobe, 512, stride);
     let nodes = planner.nodes_required(tokens, batch, nprobe, 512, stride);

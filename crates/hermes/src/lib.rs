@@ -67,7 +67,7 @@ pub mod prelude {
     pub use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
     pub use hermes_core::{
         AdaptiveConfig, ClusteredStore, DepthChoice, DifficultyEstimator, Engine, HermesConfig,
-        PagedStoreReader, PersistError, ProbeAllocation, QueryPlan, RebalanceAction,
+        PagedStoreReader, PersistError, ProbeAllocation, RebalanceAction,
         RebalanceConfig, Rebalancer, Routing, SearchStats, SplitStrategy,
     };
     pub use hermes_datagen::{

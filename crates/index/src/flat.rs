@@ -76,11 +76,6 @@ impl FlatIndex {
     pub fn ids(&self) -> &[u64] {
         &self.ids
     }
-
-    /// Whether stored row `row` is tombstoned.
-    pub fn is_dead(&self, row: usize) -> bool {
-        self.dead[row]
-    }
 }
 
 impl VectorIndex for FlatIndex {

@@ -531,17 +531,6 @@ impl HnswIndex {
         scored.truncate(max_links);
         self.links[node as usize][level] = scored.iter().map(|n| n.id as u32).collect();
     }
-
-    /// Graph statistics: `(max_level, total_links)`.
-    pub fn graph_stats(&self) -> (usize, usize) {
-        let max_level = self.levels.iter().map(|&l| l as usize).max().unwrap_or(0);
-        let total_links = self
-            .links
-            .iter()
-            .flat_map(|per_node| per_node.iter().map(Vec::len))
-            .sum();
-        (max_level, total_links)
-    }
 }
 
 impl VectorIndex for HnswIndex {

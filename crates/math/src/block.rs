@@ -468,11 +468,6 @@ pub fn cosine_block_at(level: SimdLevel, query: &[f32], rows: &[f32], dim: usize
     }
 }
 
-/// [`cosine_block_at`] at the process-wide dispatch level.
-pub fn cosine_block(query: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
-    cosine_block_at(simd_level(), query, rows, dim, out);
-}
-
 /// Rows per cache block of [`nearest_rows_l2_at`]: at 64 dims a block
 /// of rows is 8 KB and a [`BLOCK`] of centroids 16 KB, so both operands
 /// of the tile loop stay L1-resident and the centroid table streams from

@@ -93,14 +93,6 @@ impl Metric {
             Metric::Cosine => crate::block::cosine_block_at(level, query, rows, dim, out),
         }
     }
-
-    /// Whether this metric's similarity is translation-invariant. K-means
-    /// (which minimizes L2) is still a usable coarse quantizer for IP and
-    /// cosine data in practice; this flag lets callers warn on mismatch.
-    #[inline]
-    pub fn is_euclidean(self) -> bool {
-        matches!(self, Metric::L2)
-    }
 }
 
 impl std::fmt::Display for Metric {

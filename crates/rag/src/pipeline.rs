@@ -138,12 +138,6 @@ impl RagPipeline {
         self
     }
 
-    /// Sets the stride-to-stride query drift magnitude.
-    pub fn with_drift(mut self, drift: f32) -> Self {
-        self.drift = drift;
-        self
-    }
-
     /// The retriever in use.
     pub fn retriever(&self) -> &Retriever {
         &self.retriever

@@ -2,8 +2,7 @@
 
 use hermes_core::{ClusteredStore, HermesConfig, HermesError, Routing, SplitStrategy};
 use hermes_index::{IvfIndex, SearchParams, VectorIndex};
-use hermes_math::{Mat, Metric, Neighbor};
-use hermes_quant::CodecSpec;
+use hermes_math::{Mat, Neighbor};
 
 /// Which search strategy a [`Retriever`] runs (the four curves of
 /// Figure 11).
@@ -222,16 +221,6 @@ impl Retriever {
             })
             .map(|n| n.id)
     }
-}
-
-/// Convenience: default metric/codec used across the evaluation.
-pub fn default_metric() -> Metric {
-    Metric::InnerProduct
-}
-
-/// Convenience: the paper's deployment codec.
-pub fn default_codec() -> CodecSpec {
-    CodecSpec::Sq8
 }
 
 #[cfg(test)]

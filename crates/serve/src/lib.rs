@@ -3,7 +3,7 @@
 //!
 //! The paper's at-scale argument (Section 6, "millions of users")
 //! assumes a continuous request stream, while [`hermes_core`] executes
-//! one plan at a time. This crate closes that gap with four pieces:
+//! one call at a time. This crate closes that gap with four pieces:
 //!
 //! * [`queue`] — a bounded [`AdmissionQueue`] with priority classes and
 //!   load shedding: overload rejects at the door instead of growing an

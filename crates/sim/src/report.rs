@@ -125,41 +125,9 @@ pub fn render_timeline(spans: &[StageSpan], width: usize) -> String {
     out
 }
 
-/// Exports a simulated timeline as Chrome trace-event JSON, one
-/// Perfetto lane per stage (stages are assigned tids in order of first
-/// appearance). Simulated seconds become trace nanoseconds; each
-/// [`StageSpan`] becomes one complete (`ph: "X"`) event, so the same
-/// viewer that opens a real `hermes trace` capture can open a simulated
-/// Figure 8 timeline.
-pub fn timeline_to_chrome_json(spans: &[StageSpan]) -> String {
-    let mut stages: Vec<&str> = Vec::new();
-    for s in spans {
-        if !stages.contains(&s.stage.as_str()) {
-            stages.push(&s.stage);
-        }
-    }
-    let tid_of = |stage: &str| stages.iter().position(|s| *s == stage).unwrap() as u32 + 1;
-    let ns = |seconds: f64| (seconds.max(0.0) * 1e9).round() as u64;
-    let mut b = hermes_trace::export::ChromeTraceBuilder::new();
-    for stage in &stages {
-        b.thread_name(tid_of(stage), stage);
-    }
-    for span in spans {
-        let start = ns(span.start_s);
-        b.complete(
-            &span.stage,
-            tid_of(&span.stage),
-            start,
-            ns(span.end_s).saturating_sub(start),
-        );
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_trace::json::{self, Json};
 
     #[test]
     fn span_duration() {
@@ -199,44 +167,5 @@ mod tests {
     #[test]
     fn empty_timeline_is_empty_string() {
         assert_eq!(render_timeline(&[], 40), "");
-    }
-
-    #[test]
-    fn chrome_export_parses_and_maps_stages_to_lanes() {
-        let spans = vec![
-            StageSpan::new("encode", 0.0, 1.0),
-            StageSpan::new("retrieval", 1.0, 5.0),
-            StageSpan::new("encode", 6.0, 7.0),
-        ];
-        let doc = json::parse(&timeline_to_chrome_json(&spans)).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-        // 2 thread_name metadata records + 3 complete events.
-        assert_eq!(events.len(), 5);
-        let metas: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("M"))
-            .collect();
-        assert_eq!(metas.len(), 2);
-        let xs: Vec<&Json> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .collect();
-        assert_eq!(xs.len(), 3);
-        // Both encode spans share a lane; retrieval gets its own.
-        let tid = |e: &Json| e.get("tid").and_then(Json::as_f64).unwrap();
-        assert_eq!(tid(xs[0]), tid(xs[2]));
-        assert_ne!(tid(xs[0]), tid(xs[1]));
-        // 1 simulated second = 1e9 ns = 1e6 trace µs.
-        assert_eq!(xs[1].get("ts").and_then(Json::as_f64), Some(1e6));
-        assert_eq!(xs[1].get("dur").and_then(Json::as_f64), Some(4e6));
-    }
-
-    #[test]
-    fn chrome_export_of_empty_timeline_is_valid_json() {
-        let doc = json::parse(&timeline_to_chrome_json(&[])).unwrap();
-        assert_eq!(
-            doc.get("traceEvents").and_then(Json::as_array).map(<[Json]>::len),
-            Some(0)
-        );
     }
 }

@@ -39,8 +39,7 @@ fn us(ts_ns: u64) -> String {
 
 /// Incremental builder for a Chrome trace-event JSON document. Used by
 /// [`to_chrome_json`] for runtime snapshots and directly by callers with
-/// externally produced spans (e.g. the multi-node simulator's stage
-/// timelines).
+/// externally produced spans.
 #[derive(Debug, Default)]
 pub struct ChromeTraceBuilder {
     events: Vec<String>,

@@ -181,9 +181,9 @@ HERMES_THREADS=1 cargo run -p hermes --release --offline --quiet --bin hermes --
 # observer on, (b) every timeline is balanced (phases sum to sojourn),
 # and (c) the flight-recorder dump and the Prometheus-style text
 # exposition both re-parse cleanly before being written. The file checks
-# below re-assert the artifacts landed; `stats --slo` re-runs the same
-# bars through the SLO accounting path at pool width 1.
-echo "== hermes report / stats --slo obs smoke (release) =="
+# below re-assert the artifacts landed; the second `report` re-runs the
+# same bars with an explicit SLO target at pool width 1.
+echo "== hermes report obs smoke (release) =="
 obs_out="$(mktemp -d)"
 cargo run -p hermes --release --offline --quiet --bin hermes -- \
     report --docs 4000 --dim 32 --clusters 6 --requests 120 --qps 4000 \
@@ -195,5 +195,5 @@ grep -q '^hermes_slo_burn_rate' "${obs_out}/metrics.txt"
 grep -q '^# hermes flight recorder' "${obs_out}/flight.txt"
 grep -q 'phases queue_wait=' "${obs_out}/flight.txt"
 HERMES_THREADS=1 cargo run -p hermes --release --offline --quiet --bin hermes -- \
-    stats --slo --docs 4000 --dim 32 --clusters 6 --requests 60 --qps 4000 --slo-us 500
+    report --docs 4000 --dim 32 --clusters 6 --requests 60 --qps 4000 --slo-us 500
 rm -rf "${obs_out}"

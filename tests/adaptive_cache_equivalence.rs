@@ -1,7 +1,7 @@
 //! Pins the three acceptance contracts of the adaptive-depth +
 //! semantic-cache layer:
 //!
-//! 1. **Adaptive off ≡ fixed knobs.** A [`QueryPlan`] with `adaptive:
+//! 1. **Adaptive off ≡ fixed knobs.** A [`HermesConfig`] with `adaptive:
 //!    None` is bit-identical to the pre-adaptive engine, and a *pinned*
 //!    adaptive policy (floor == ceiling == the fixed knobs) is
 //!    bit-identical too — across `execute`, `execute_batch`, and
@@ -51,31 +51,29 @@ fn requests(queries: &[Vec<f32>]) -> Vec<Request> {
 fn adaptive_off_and_pinned_adaptive_match_fixed_knob_search() {
     let (store, queries, cfg) = setup(401);
     for allocation in [ProbeAllocation::Pooled, ProbeAllocation::PerShard] {
-        let fixed = QueryPlan::from_config(&cfg.with_probe_allocation(allocation));
+        let fixed = cfg.with_probe_allocation(allocation);
         let pinned = AdaptiveConfig::new(
             cfg.clusters_to_search,
             cfg.clusters_to_search,
             cfg.deep_nprobe,
             cfg.deep_nprobe,
         );
-        let plans = [
-            fixed.clone().with_adaptive(None),
-            fixed.clone().with_adaptive(Some(pinned)),
+        let configs = [
+            HermesConfig { adaptive: None, ..fixed },
+            fixed.with_adaptive(pinned),
             // The difficulty band rescales *where* in [floor, ceiling] a
             // query lands; with floor == ceiling knobs it must be inert.
-            fixed
-                .clone()
-                .with_adaptive(Some(pinned.with_difficulty_band_permille(300, 700))),
+            fixed.with_adaptive(pinned.with_difficulty_band_permille(300, 700)),
         ];
 
-        let baseline = Engine::new(&store, fixed.clone());
+        let baseline = Engine::new(&store, &fixed);
         let reference: Vec<_> = queries
             .iter()
             .map(|q| baseline.execute(q).unwrap())
             .collect();
 
-        for plan in &plans {
-            let engine = Engine::new(&store, plan.clone());
+        for config in &configs {
+            let engine = Engine::new(&store, config);
             for (q, want) in queries.iter().zip(&reference) {
                 assert_eq!(engine.execute(q).unwrap(), *want, "{allocation:?}: execute diverged");
             }
@@ -103,8 +101,8 @@ fn adaptive_depth_equals_the_estimator_choice() {
     let (store, queries, cfg) = setup(407);
     let adaptive = AdaptiveConfig::new(1, 4, 16, cfg.deep_nprobe)
         .with_difficulty_band_permille(200, 900);
-    let plan = QueryPlan::from_config(&cfg).with_adaptive(Some(adaptive));
-    let engine = Engine::new(&store, plan);
+    let adaptive_cfg = cfg.with_adaptive(adaptive);
+    let engine = Engine::new(&store, &adaptive_cfg);
     let estimator = DifficultyEstimator::new(adaptive);
     for q in &queries {
         let outcome = engine.execute(q).unwrap();

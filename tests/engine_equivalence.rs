@@ -498,7 +498,7 @@ fn pooled_is_per_shard_at_one_cluster_and_when_unranked() {
                     .with_routing(routing);
                 let store = ClusteredStore::build(corpus.embeddings(), &pooled).unwrap();
                 let per_shard = pooled.with_probe_allocation(ProbeAllocation::PerShard);
-                let want = Engine::new(&store, QueryPlan::from_config(&per_shard))
+                let want = Engine::new(&store, &per_shard)
                     .execute_batch(&qs, 1)
                     .unwrap();
                 every_path_equals(&store, &qs, &want, &format!("{routing:?}/m={m}"))?;
@@ -584,7 +584,7 @@ fn pooled_recall_is_no_lower_on_fewer_codes() {
     let store = ClusteredStore::build(corpus.embeddings(), &pooled).unwrap();
     assert!((0..8).all(|c| store.shard(c).nlist() > 2 * pooled.deep_nprobe));
     let measure = |cfg: &HermesConfig| {
-        let outs = Engine::new(&store, QueryPlan::from_config(cfg))
+        let outs = Engine::new(&store, cfg)
             .execute_batch(&queries, 1)
             .unwrap();
         let recall: f64 = (outs.iter().zip(&truth))

@@ -334,8 +334,8 @@ fn store_churn_keeps_sizes_shards_and_results_consistent() {
             // never move a centroid, so the pooled cut is the same too.
             let q = churn.vector();
             let search = |store: &ClusteredStore, allocation| {
-                let plan = QueryPlan::from_config(&cfg.with_probe_allocation(allocation));
-                Engine::new(store, plan).execute(&q).unwrap()
+                let cfg = cfg.with_probe_allocation(allocation);
+                Engine::new(store, &cfg).execute(&q).unwrap()
             };
             let allocations = [ProbeAllocation::Pooled, ProbeAllocation::PerShard];
             let before = allocations.map(|a| search(&store, a));

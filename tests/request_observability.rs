@@ -13,10 +13,8 @@
 //! * **One exporter per name** — every aggregate exports into the
 //!   registry once, under names and help lines declared in
 //!   [`hermes::trace::names`].
-//! * **Causality** — the request id minted at admission reaches the
-//!   engine's spans via [`QueryPlan::with_request_id`].
 
-use hermes::core::exec::{Engine, QueryPlan};
+use hermes::core::exec::Engine;
 use hermes::metrics::{phase_breakdown_table, registry_tables, Table};
 use hermes::obs::{fold_trace_counters, fold_trace_spans, parse_dump, parse_text};
 use hermes::prelude::*;
@@ -349,28 +347,4 @@ fn every_exporter_writes_declared_names_no_other_exporter_writes() {
     assert_eq!(parsed.metrics, all.len());
     assert_eq!(text.matches("# HELP ").count(), all.len(), "every metric has a help line");
     assert!(rendered(&all).contains("span.engine.execute_ns"));
-}
-
-#[test]
-fn engine_spans_carry_the_request_id() {
-    let f = fixture();
-    let plan = QueryPlan::from_config(f.store.config()).with_request_id(7_777);
-    let engine = Engine::new(&f.store, plan);
-    let _tracing = TRACING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    hermes::trace::enable();
-    let _ = engine.execute(&f.queries[0]).unwrap();
-    hermes::trace::disable();
-    let snap = hermes::trace::snapshot();
-    let tagged = snap
-        .events
-        .iter()
-        .filter(|e| {
-            e.name == names::ENGINE_EXECUTE && e.args.get(names::ARG_REQUEST_ID) == Some(7_777)
-        })
-        .count();
-    assert!(tagged > 0, "engine.execute span must carry request_id");
-
-    // The id is observational only: the plan executes bit-identically.
-    let bare = Engine::for_store(&f.store).execute(&f.queries[0]).unwrap();
-    assert_eq!(engine.execute(&f.queries[0]).unwrap(), bare);
 }

@@ -15,7 +15,7 @@
 
 use std::path::PathBuf;
 
-use hermes::core::{HermesConfig, ProbeAllocation};
+use hermes::core::{HermesConfig, ProbeAllocation, Routing};
 use hermes::metrics::Table;
 
 /// The base RNG seed every binary derives its streams from; printed with
@@ -23,13 +23,15 @@ use hermes::metrics::Table;
 pub const BENCH_SEED: u64 = 0x4E52_4D45; // "HERM"
 
 /// Standard Hermes configuration for the paper-figure benches: 10
-/// clusters, the paper's knobs elsewhere — its deep stage included, every
+/// clusters, the paper's knobs elsewhere — its routing (document
+/// sampling, [`Routing::DocumentSampling`]) and its deep stage, every
 /// routed shard probed at the full `deep_nprobe`
-/// ([`ProbeAllocation::PerShard`]), so the reproduced figures measure the
-/// paper's design and not this repo's default.
+/// ([`ProbeAllocation::PerShard`]) — so the reproduced figures measure the
+/// paper's design and not this repo's defaults.
 pub fn standard_config() -> HermesConfig {
     HermesConfig::new(10)
         .with_seed(BENCH_SEED + 2)
+        .with_routing(Routing::DocumentSampling)
         .with_probe_allocation(ProbeAllocation::PerShard)
 }
 

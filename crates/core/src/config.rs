@@ -5,7 +5,10 @@
 //! the paper's `deep_nprobe` in every shard, or — the default — one
 //! budget of `(m + 1) / 2` shares of `deep_nprobe` per query, spent on
 //! the nearest `(shard, list)` pairs wherever they are). Neither changes
-//! what a built store contains, so neither is persisted with it.
+//! what a built store contains, so neither is persisted with it. The
+//! routing ([`Routing`]) is persisted; its default is this repo's
+//! nearest-lists routing, and the paper-figure binaries pin the paper's
+//! document sampling.
 
 use hermes_math::Metric;
 use hermes_quant::CodecSpec;
@@ -41,12 +44,15 @@ impl Default for SplitStrategy {
     }
 }
 
-/// How clusters are ranked for deep search.
+/// How clusters are ranked, and how the deep stage's lists are chosen.
+///
+/// The serving default is [`Routing::NearestLists`]; the paper-figure
+/// binaries pin [`Routing::DocumentSampling`], the paper's design
+/// (`hermes_bench::standard_config`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
     /// Document sampling: probe each cluster's index cheaply and rank by
     /// the best retrieved document — the Hermes routing (Section 4.2).
-    #[default]
     DocumentSampling,
     /// Rank clusters by the similarity of their split centroid — the
     /// "Centroid-Based" ablation of Figure 11.
@@ -54,6 +60,26 @@ pub enum Routing {
     /// No ranking: clusters searched in index order (the naive-split
     /// baseline's behavior when combined with `SplitStrategy::RoundRobin`).
     Unranked,
+    /// Rank clusters by their nearest inverted list, and choose the deep
+    /// stage's lists in the same pass. One pass over every shard's list
+    /// centroids scores each `(shard, list)` pair by coarse L2 distance
+    /// (all shards' centroids live in one embedding space); a shard ranks
+    /// by its nearest pair, ties by cluster id, and scores the negated
+    /// squared distance of it. The query's budget is
+    /// [`ProbeAllocation`]'s, counted over the `clusters_to_search`
+    /// first-ranked shards; under [`ProbeAllocation::Pooled`] it goes to
+    /// the nearest pairs over **all** shards (ties by cluster id, then
+    /// list), so `clusters_to_search` sizes the budget but does not cap
+    /// how many shards the deep stage touches; under
+    /// [`ProbeAllocation::PerShard`] each of those shards takes its own
+    /// full share. The shards holding a chosen list are a prefix of the
+    /// ranking, and the chosen lists travel to the deep stage in the
+    /// route, which scans exactly them. No sample scan runs: measured on
+    /// the benchmark's store this finds more of the true top-10 than
+    /// sampling on as many rows (EXPERIMENTS.md, "Route from the coarse
+    /// keys").
+    #[default]
+    NearestLists,
 }
 
 /// How the deep stage spends inverted-list probes over the `m` shards a
@@ -78,8 +104,11 @@ pub enum ProbeAllocation {
     /// each share capped at its shard's list count — so no number is
     /// added to tune, `m = 1` is [`ProbeAllocation::PerShard`] exactly,
     /// and a follower whose lists all lie beyond the cut is not scanned
-    /// at all. Queries routed without a ranking ([`Routing::Unranked`],
-    /// `search_all_clusters`) have no leader and run per shard.
+    /// at all. Under [`Routing::NearestLists`] the same budget goes to the
+    /// nearest pairs over *every* shard, so `m` sizes it without capping
+    /// the shards searched. Queries routed without a ranking
+    /// ([`Routing::Unranked`], `search_all_clusters`) have no leader and
+    /// run per shard.
     #[default]
     Pooled,
 }
@@ -101,7 +130,8 @@ pub struct HermesConfig {
     /// Number of search indices the datastore is split into (one per
     /// node).
     pub num_clusters: usize,
-    /// `nProbe` of the coarse sampling search (paper DSE optimum: 8).
+    /// `nProbe` of the coarse sampling search (paper DSE optimum: 8);
+    /// read only under [`Routing::DocumentSampling`].
     pub sample_nprobe: usize,
     /// `nProbe` of the in-depth search (paper DSE optimum: 128): the
     /// depth of every routed shard under [`ProbeAllocation::PerShard`],
@@ -137,7 +167,10 @@ pub struct HermesConfig {
 impl HermesConfig {
     /// Paper defaults for a datastore split `num_clusters` ways: sample
     /// `nProbe` 8, deep `nProbe` 128, 3 deep clusters, k = 5, SQ8 — with
-    /// the deep probes pooled per query ([`ProbeAllocation::Pooled`]).
+    /// the deep probes pooled per query ([`ProbeAllocation::Pooled`]) and
+    /// the clusters ranked by their nearest lists
+    /// ([`Routing::NearestLists`]) rather than by the paper's document
+    /// sampling, which the paper-figure binaries pin.
     pub fn new(num_clusters: usize) -> Self {
         HermesConfig {
             num_clusters,
@@ -279,6 +312,7 @@ mod tests {
         assert_eq!(cfg.k, 5);
         assert_eq!(cfg.codec, CodecSpec::Sq8);
         assert_eq!(cfg.probe_allocation, ProbeAllocation::Pooled);
+        assert_eq!(cfg.routing, Routing::NearestLists);
         cfg.validate().unwrap();
     }
 

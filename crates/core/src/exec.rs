@@ -10,46 +10,61 @@
 //! conversion:
 //!
 //! ```text
-//!   batch ──▶ ROUTE   Engine::route_batch: every shard samples the
-//!                     whole batch in one group scan (or its centroid is
-//!                     scored); each query ranks the shards best-first
-//!         ──▶ DEEP    Engine::deep_batch: per-query depth, the coarse
-//!                     keys of every distinct top-m shard for the queries
-//!                     routed to it, each query's probe counts cut from
-//!                     its keys, one group scan per shard (scatter), then
-//!                     a per-query merge_topk in rank order (gather)
+//!   batch ──▶ ROUTE   Engine::route_batch: one coarse pass per shard for
+//!                     the whole batch, then per query: shards ranked by
+//!                     their nearest list and the query's lists chosen
+//!                     (NearestLists, the default) — or every shard
+//!                     samples the whole batch in one group scan
+//!                     (DocumentSampling), or its centroid is scored
+//!                     (CentroidOnly), and the shards are ranked best-first
+//!         ──▶ DEEP    Engine::deep_batch: routes that carry no lists get
+//!                     them cut here (per-query depth, the coarse keys of
+//!                     every distinct top-m shard for the queries routed to
+//!                     it, each query's probe counts cut from its keys);
+//!                     then one list scan per shard over exactly the chosen
+//!                     lists (scatter) and a per-query merge_topk in rank
+//!                     order (gather)
 //! ```
 //!
 //! **The probe budget.** Under [`ProbeAllocation::Pooled`] (the default)
 //! a query does not probe `deep_nprobe` lists in each of its `m` shards.
-//! All shards' coarse centroids live in one embedding space, so the
-//! `(shard, list)` pairs of the query's routed shards are ranked together
-//! by the coarse L2 distance the scan computes anyway, and the nearest
-//! `B` are probed, where `B = share₀ + Σ_{r≥1} ⌈share_r / 2⌉` and
+//! All shards' coarse centroids live in one embedding space, so
+//! `(shard, list)` pairs are ranked together by the coarse L2 distance the
+//! scan computes anyway, and the nearest `B` are probed, where `B = share₀
+//! + Σ_{r=1}^{m−1} ⌈share_r / 2⌉` over the `m` first-ranked shards and
 //! `share_r = min(deep_nprobe, nlist_r)`: the leader brings a full share
-//! to the pool, every further routed shard half a share — `(m + 1) / 2`
-//! shares where the paper spends `m`. Halves, because that is the
-//! smallest budget that never starves the leader (it can always take its
-//! own full share) and measured recall still rises (the leader holds ⅔
-//! of the answer and is depth-bound; see [`ProbeAllocation`]). Within a
-//! shard the pooled choice is a prefix of that shard's own distance
-//! order, so it reaches the scan as a plain per-query probe count, zero
-//! included: a shard none of whose lists make the cut stays in
-//! `searched_clusters` and is not scanned. Ties at the cut break by
-//! (distance bits, rank position, list index), so the probe set is a
-//! function of the query and the store alone.
+//! to the pool, every further shard half a share — `(m + 1) / 2` shares
+//! where the paper spends `m`. Halves, because that is the smallest
+//! budget that never starves the leader (it can always take its own full
+//! share) and measured recall still rises (the leader holds ⅔ of the
+//! answer and is depth-bound; see [`ProbeAllocation`]).
+//!
+//! Under [`Routing::NearestLists`] the route stage spends `B` itself, on
+//! the nearest pairs over **all** shards — ties by (distance bits, cluster
+//! id, list index) — so `m` sizes the budget without capping how many
+//! shards are searched; a shard ranks by its nearest pair, so the shards
+//! holding a chosen list are a prefix of the ranking, and the route hands
+//! the lists to the deep stage ([`RouteOutcome::deep_lists`]): no sample
+//! scan, no second coarse pass. Under the other routings the deep stage
+//! pools the pairs of the query's `m` routed shards only, ties by
+//! (distance bits, rank position, list index); within a shard the pooled
+//! choice is a prefix of that shard's own distance order, so it is cut as
+//! a plain per-shard count, zero included — a routed shard none of whose
+//! lists make the cut is searched with no lists and not scanned.
+//! Either way the probe set is a function of the query and the store.
 //!
 //! A single query is a batch of one: [`Engine::route`],
 //! [`Engine::execute`] and [`Engine::execute_coalesced`] are compositions
 //! of the two stages, and the line between the two calls is where a
 //! caller inspects or edits the routed batch (the serving layer probes
-//! its cache there). The engine reaches a shard through one scan,
-//! [`VectorIndex::search_group`] — for the deep stage its two halves,
-//! [`IvfIndex::coarse_keys`] and [`IvfIndex::search_keyed`]: a group of
-//! queries, each at its own probe count, answered exactly as if each
-//! were searched alone. What a batch shares is the pass over each
-//! shard's centroid table, the per-shard fan-out and the scan scratch;
-//! each query then streams its own lists.
+//! its cache there). The engine reaches a shard through
+//! [`IvfIndex::coarse_keys`], [`IvfIndex::search_lists`] and, for
+//! sampling, [`VectorIndex::search_group`]: a group of queries, each
+//! with its own lists, answered exactly as if each were searched alone.
+//! What a batch shares is the pass over each shard's centroid table, the
+//! per-shard fan-out and the scan scratch; each query then streams its
+//! own lists. A shard with no live rows answers every query with no hits
+//! and zero work: it samples −∞, holds no pair, and is not scanned.
 //!
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
 //! each shard serving its whole query group (`threads` caps the width:
@@ -76,8 +91,10 @@
 //! stages themselves get the same spans without the `engine.execute`
 //! envelope. Disabled, every site is one relaxed atomic load.
 
-use hermes_index::{CoarseKeys, GroupScan, IvfIndex, ScanResult, ScanStats, VectorIndex};
-use hermes_kmeans::{probe_key_centroid, probe_key_distance};
+use hermes_index::{CoarseKeys, GroupScan, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex};
+use hermes_kmeans::{
+    probe_key_centroid, probe_key_distance, probe_key_squared_distance, select_nearest,
+};
 use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
 
@@ -91,16 +108,17 @@ use crate::HermesError;
 /// while the stages run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SearchStats {
-    /// Route-stage work: sampling probes (document-sampling routing) or
-    /// one code per cluster (centroid routing); zero when unranked.
+    /// Route-stage work: sampling probes (document-sampling routing), one
+    /// code per scored list centroid (nearest-lists routing) or per
+    /// cluster (centroid routing); zero when unranked.
     pub route: SearchPhaseCost,
     /// Scatter-stage work, summed over the deep-searched shards;
     /// `clusters_touched` counts the shards actually scanned (a routed
     /// shard with no share of a pooled budget is not).
     pub deep: SearchPhaseCost,
     /// What each deep-searched shard did, aligned with
-    /// `SearchOutcome::searched_clusters`: codes scanned — the input for
-    /// per-shard deadline and straggler analyses — and inverted lists
+    /// [`SearchOutcome::searched_clusters`]: codes scanned — the input
+    /// for per-shard deadline and straggler analyses — and inverted lists
     /// probed: `deep_nprobe` (capped at the shard's list count) everywhere
     /// under [`ProbeAllocation::PerShard`], the shard's cut of the
     /// query's budget under [`ProbeAllocation::Pooled`]; both `0` for a
@@ -115,8 +133,7 @@ pub struct SearchStats {
     /// knob, or the [`DifficultyEstimator`]'s per-query choice when the
     /// config carries an [`AdaptiveConfig`](crate::AdaptiveConfig): the
     /// depth of each shard per shard, the share the budget was computed
-    /// from when pooled. Together with `searched_clusters` this records
-    /// the chosen adaptive depth.
+    /// from when pooled.
     pub deep_nprobe: usize,
 }
 
@@ -138,8 +155,9 @@ impl SearchStats {
     }
 }
 
-/// Outcome of the route stage: every cluster ranked best-first, plus the
-/// work ranking them took.
+/// Outcome of the route stage: every cluster ranked best-first, the work
+/// ranking them took, and — when the routing chose them — the lists the
+/// deep stage scans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOutcome {
     /// All clusters, best first.
@@ -151,6 +169,13 @@ pub struct RouteOutcome {
     pub ranked_scores: Vec<f32>,
     /// Route-stage work.
     pub cost: SearchPhaseCost,
+    /// The inverted lists the deep stage scans, by rank position:
+    /// [`Routing::NearestLists`] chooses them from the keys it ranked by,
+    /// and they travel with the route (past the serving layer's cache
+    /// probe, say) so that the deep stage neither recomputes nor
+    /// re-selects them. `None` under the other routings: the deep stage
+    /// cuts the lists from its own coarse pass.
+    pub deep_lists: Option<DeepLists>,
 }
 
 impl RouteOutcome {
@@ -160,9 +185,42 @@ impl RouteOutcome {
     }
 }
 
+/// One query's deep-stage lists, grouped by rank position: position `r`
+/// holds list ids of shard `ranked_clusters[r]`, each list at most once,
+/// and the positions are the leading ones of the ranking.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct DeepLists {
+    lists: Vec<u32>,
+    /// One past each position's last entry in `lists`.
+    ends: Vec<usize>,
+}
+
+impl DeepLists {
+    /// How many leading ranked shards are deep-searched.
+    pub fn shards(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The lists of the rank-`pos` shard (possibly none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= self.shards()`.
+    pub fn shard(&self, pos: usize) -> &[u32] {
+        let start = if pos == 0 { 0 } else { self.ends[pos - 1] };
+        &self.lists[start..self.ends[pos]]
+    }
+
+    /// Appends the next rank position's lists.
+    fn push(&mut self, lists: impl IntoIterator<Item = u32>) {
+        self.lists.extend(lists);
+        self.ends.push(self.lists.len());
+    }
+}
+
 /// Orders `(cluster, score)` pairs best-first: descending score, ties
 /// broken by ascending cluster id — the rank stage's deterministic
-/// tiebreak, shared by every routing mode.
+/// tiebreak, shared by every scoring routing mode.
 pub fn rank_by_score(scored: Vec<(usize, f32)>) -> Vec<usize> {
     rank_with_scores(scored).0
 }
@@ -182,7 +240,7 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
 /// # Examples
 ///
 /// ```
-/// use hermes_core::{ClusteredStore, HermesConfig};
+/// use hermes_core::{ClusteredStore, HermesConfig, Routing};
 /// use hermes_core::exec::Engine;
 /// use hermes_math::Mat;
 ///
@@ -190,13 +248,15 @@ pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>)
 ///     .map(|i| vec![(i % 3) as f32 * 10.0, (i / 3) as f32 * 0.01])
 ///     .collect();
 /// let data = Mat::from_rows(&rows);
-/// let cfg = HermesConfig::new(3).with_clusters_to_search(2);
+/// let cfg = HermesConfig::new(3)
+///     .with_clusters_to_search(2)
+///     .with_routing(Routing::DocumentSampling);
 /// let store = ClusteredStore::build(&data, &cfg)?;
 ///
 /// let engine = Engine::new(&store, &cfg);
 /// let out = engine.execute(&[10.0, 0.5])?;
 /// assert_eq!(out.hits.len(), cfg.k);
-/// assert_eq!(out.searched_clusters.len(), 2);
+/// assert_eq!(out.searched_clusters().len(), 2);
 /// assert_eq!(out.stats.per_shard.len(), 2);
 /// # Ok::<(), hermes_core::HermesError>(())
 /// ```
@@ -274,9 +334,10 @@ impl<'s> Engine<'s> {
     /// # Errors
     ///
     /// Propagates the first per-query error in input order, route before
-    /// deep. (A query that samples every shard cleanly cannot fail a deep
-    /// search of some of them, and the other routing modes never fail, so
-    /// stage order never reorders two queries' errors.)
+    /// deep. (A query that passed every shard's checks in the route stage
+    /// cannot fail a deep search of some of them, and the other routing
+    /// modes never fail, so stage order never reorders two queries'
+    /// errors.)
     pub fn execute_coalesced<Q: AsRef<[f32]> + Sync>(
         &self,
         queries: &[Q],
@@ -304,13 +365,16 @@ impl<'s> Engine<'s> {
     }
 
     /// **Route stage:** ranks every cluster for every query,
-    /// shard-major — under document-sampling routing each shard samples
-    /// the whole batch in one [`VectorIndex::search_group`] (shards fan
-    /// out on the pool, at most `threads` at once), so queries probing
-    /// the same inverted list share its codes; then each query ranks its
-    /// own per-shard scores. Every route is exactly what routing that
-    /// query alone returns. Records an `engine.route` span (args:
-    /// `queries`, `scanned_codes`, `clusters`).
+    /// shard-major. Under nearest-lists routing each shard scores its
+    /// list centroids against the whole batch in one
+    /// [`IvfIndex::coarse_keys`] pass, and each query ranks the shards by
+    /// their nearest list and chooses its deep lists from the same keys
+    /// (see the module docs); under document-sampling routing each shard
+    /// samples the whole batch in one [`VectorIndex::search_group`] and
+    /// each query ranks its own per-shard scores. Shards fan out on the
+    /// pool, at most `threads` at once. Every route is exactly what
+    /// routing that query alone returns. Records an `engine.route` span
+    /// (args: `queries`, `scanned_codes`, `clusters`).
     ///
     /// # Errors
     ///
@@ -328,18 +392,45 @@ impl<'s> Engine<'s> {
         let n = store.num_clusters();
         let mut sp =
             hermes_trace::span_with(names::ENGINE_ROUTE, &[("queries", queries.len() as u64)]);
+        let cost = |scanned_codes| SearchPhaseCost {
+            scanned_codes,
+            clusters_touched: n,
+        };
         let ranked = |scored: Vec<(usize, f32)>, scanned_codes: usize| {
             let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
             RouteOutcome {
                 ranked_clusters,
                 ranked_scores,
-                cost: SearchPhaseCost {
-                    scanned_codes,
-                    clusters_touched: n,
-                },
+                cost: cost(scanned_codes),
+                deep_lists: None,
             }
         };
         let routes: Vec<RouteOutcome> = match self.config.routing {
+            Routing::NearestLists => {
+                // One coarse pass per live shard for the whole batch.
+                let group: Vec<&[f32]> = queries.iter().map(|q| q.as_ref()).collect();
+                let keys: Vec<Option<CoarseKeys>> = fan_out(n, width_cap(threads), |c| {
+                    let shard = store.shard(c);
+                    (shard.len() > 0).then(|| shard.coarse_keys(group.iter().copied()))
+                });
+                // Every scored list centroid counts one code, as a
+                // scored split centroid does under centroid routing.
+                let scanned = (keys.iter().zip(0..))
+                    .filter(|(keys, _)| keys.is_some())
+                    .map(|(_, c)| store.shard(c).nlist())
+                    .sum();
+                let mut scratch = Cut::default();
+                scratch.distances.reserve(scanned);
+                (0..queries.len())
+                    .map(|qi| {
+                        let per_shard = keys
+                            .iter()
+                            .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
+                            .collect::<Result<Vec<&[u64]>, IndexError>>()?;
+                        Ok(self.nearest_lists(&per_shard, cost(scanned), &mut scratch))
+                    })
+                    .collect::<Result<_, HermesError>>()?
+            }
             Routing::DocumentSampling => {
                 // One cheap k=1 sample per (shard, query); samples
                 // dominate single-query latency when m is small.
@@ -384,6 +475,7 @@ impl<'s> Engine<'s> {
                     ranked_clusters: (0..n).collect(),
                     ranked_scores: Vec::new(),
                     cost: SearchPhaseCost::default(),
+                    deep_lists: None,
                 })
                 .collect(),
         };
@@ -398,21 +490,71 @@ impl<'s> Engine<'s> {
         Ok(routes)
     }
 
+    /// One query's nearest-lists route from its coarse `keys` in every
+    /// shard (none for a shard with no live rows): shards ranked by their
+    /// nearest key — (distance bits, cluster id), a shard without keys
+    /// last — and scored by its negated squared distance; the budget of
+    /// the `m` first-ranked shards ([`budget`]) spent on the nearest pairs
+    /// over all shards ([`Cut::take`]) under
+    /// [`ProbeAllocation::Pooled`], or each of those shards' full share
+    /// under [`ProbeAllocation::PerShard`].
+    fn nearest_lists(&self, keys: &[&[u64]], cost: SearchPhaseCost, cut: &mut Cut) -> RouteOutcome {
+        cut.load(keys);
+        let mut ranked_clusters: Vec<usize> = (0..keys.len()).collect();
+        ranked_clusters.sort_unstable_by_key(|&c| (cut.nearest[c].map_or(u64::MAX, u64::from), c));
+        let ranked_scores: Vec<f32> = (ranked_clusters.iter())
+            .map(|&c| match cut.nearest[c] {
+                Some(d) => -probe_key_squared_distance(u64::from(d) << 32),
+                None => f32::NEG_INFINITY,
+            })
+            .collect();
+        let (m, deep_nprobe) = self.depth_for(&ranked_scores);
+        let leaders = &ranked_clusters[..m.min(ranked_clusters.len())];
+        let mut lists = DeepLists::default();
+        match self.config.probe_allocation {
+            ProbeAllocation::Pooled => {
+                let shares = leaders.iter().map(|&c| full_share(deep_nprobe, keys[c]));
+                cut.take(keys, budget(shares));
+                for &c in &ranked_clusters {
+                    let chosen = cut.chosen(c);
+                    if chosen.is_empty() {
+                        break;
+                    }
+                    lists.push(chosen.iter().copied());
+                }
+                debug_assert_eq!(lists.lists.len(), cut.lists.len(), "chosen shards are a prefix");
+            }
+            ProbeAllocation::PerShard => {
+                for &c in leaders {
+                    cut.load(&keys[c..=c]);
+                    cut.take(&keys[c..=c], full_share(deep_nprobe, keys[c]));
+                    lists.push(cut.chosen(0).iter().copied());
+                }
+            }
+        }
+        RouteOutcome {
+            ranked_clusters,
+            ranked_scores,
+            cost,
+            deep_lists: Some(lists),
+        }
+    }
+
     /// **Deep stage** over queries that were already routed (`routes[i]`
-    /// is `queries[i]`'s): resolves each query's depth, takes the coarse
-    /// keys of every distinct top-m cluster **once** for all the queries
-    /// routed to it, cuts each query's probe counts from its keys (see
-    /// the module docs: its full `deep_nprobe` in every shard, or its
-    /// share of the query's pooled budget), deep-searches every cluster
-    /// once — one pool task and one [`IvfIndex::search_keyed`] per
-    /// cluster, each query at its own count — and merges each query's
-    /// per-shard hits in its own rank order.
-    /// `execute_coalesced(qs, t)` ≡ `deep_batch(qs, route_batch(qs, t)?,
-    /// t)` bit for bit; callers that route first (to bucket a cache
-    /// lookup, say) pass only the queries they still need. Records an
-    /// `engine.scatter` span (args: `queries`, `distinct_clusters`,
-    /// `deep_searches`, `probed_lists`) around the group scans and one
-    /// `engine.gather` span (arg: `candidates`) per query.
+    /// is `queries[i]`'s): a route that carries its lists
+    /// ([`RouteOutcome::deep_lists`]) is scanned on exactly those; the
+    /// others get theirs cut here, from one coarse pass per routed shard
+    /// (see the module docs). Then every shard
+    /// is deep-searched once — one pool task and one
+    /// [`IvfIndex::search_lists`] per shard, each query on its own lists
+    /// — and each query's per-shard hits are merged in its own rank
+    /// order. `execute_coalesced(qs, t)` ≡ `deep_batch(qs,
+    /// route_batch(qs, t)?, t)` bit for bit; callers that route first (to
+    /// bucket a cache lookup, say) pass only the queries they still need.
+    /// Records an `engine.scatter` span (args: `queries`,
+    /// `distinct_clusters`, `deep_searches`, `probed_lists`) around the
+    /// group scans and one `engine.gather` span (arg: `candidates`) per
+    /// query.
     ///
     /// # Errors
     ///
@@ -423,7 +565,7 @@ impl<'s> Engine<'s> {
     pub fn deep_batch<Q: AsRef<[f32]> + Sync>(
         &self,
         queries: &[Q],
-        routes: Vec<RouteOutcome>,
+        mut routes: Vec<RouteOutcome>,
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, HermesError> {
         if queries.len() != routes.len() {
@@ -438,85 +580,26 @@ impl<'s> Engine<'s> {
         }
         let mut sp =
             hermes_trace::span_with(names::ENGINE_SCATTER, &[("queries", queries.len() as u64)]);
-        // Query `qi` deep-searches the first `m` clusters of its ranking
-        // at `deep_nprobe`: the fixed knobs, or the adaptive policy's
-        // choice for its route.
-        let depths: Vec<(usize, usize)> = routes
-            .iter()
-            .map(|route| {
-                let (m, deep_nprobe) = self.depth_for(route);
-                (m.min(route.ranked_clusters.len()), deep_nprobe)
-            })
-            .collect();
-
-        // Invert query → clusters into cluster → `(query, rank position)`
-        // members: ascending cluster id, input order within a cluster.
-        let mut members = vec![Vec::new(); self.store.num_clusters()];
-        for (qi, (route, &(m, _))) in routes.iter().zip(&depths).enumerate() {
-            for (pos, &c) in route.ranked_clusters[..m].iter().enumerate() {
-                members
-                    .get_mut(c)
-                    .ok_or_else(|| {
-                        HermesError::InvalidConfig(format!("route names unknown cluster {c}"))
-                    })?
-                    .push((qi, pos));
-            }
-        }
-        let groups: Vec<(usize, Vec<(usize, usize)>)> = members
-            .into_iter()
-            .enumerate()
-            .filter(|(_, members)| !members.is_empty())
-            .collect();
-        sp.arg("distinct_clusters", groups.len() as u64);
-        sp.arg("deep_searches", depths.iter().map(|&(m, _)| m as u64).sum());
-
-        // Each routed shard's centroid table is streamed once, here, for
-        // its whole group; the scans below get the keys back.
         let cap = width_cap(threads);
-        let keys: Vec<CoarseKeys> = fan_out(groups.len(), cap, |g| {
-            let (c, members) = &groups[g];
-            let queries = members.iter().map(|&(qi, _)| queries[qi].as_ref());
-            self.store.shard(*c).coarse_keys(queries)
-        });
-        // `at[qi][pos]` is where query `qi` sits in its rank-`pos` shard:
-        // `(group, member)`. Each `(query, position)` is in exactly one
-        // group, so every placeholder is overwritten.
-        let mut at: Vec<Vec<(usize, usize)>> =
-            depths.iter().map(|&(m, _)| vec![(0, 0); m]).collect();
-        for (g, (_, members)) in groups.iter().enumerate() {
-            for (j, &(qi, pos)) in members.iter().enumerate() {
-                at[qi][pos] = (g, j);
-            }
-        }
-        // `probes[qi][pos]`: how many lists query `qi` probes there.
-        let mut pool = Vec::new();
-        let probes: Vec<Vec<usize>> = (routes.iter().zip(&depths).zip(&at))
-            .map(|((route, &(_, deep_nprobe)), at)| {
-                let ranked: Result<Vec<&[u64]>, _> =
-                    at.iter().map(|&(g, j)| keys[g].query(j)).collect();
-                // A query whose keys failed somewhere fails its scan
-                // there the same way; its counts are never looked at.
-                let Ok(ranked) = ranked else {
-                    return vec![0; at.len()];
-                };
-                // A route without scores ranked nothing: no leader.
-                if self.config.probe_allocation == ProbeAllocation::Pooled
-                    && !route.ranked_scores.is_empty()
-                {
-                    pooled_probes(&ranked, deep_nprobe, &mut pool)
-                } else {
-                    ranked.iter().map(|keys| full_share(deep_nprobe, keys)).collect()
-                }
-            })
+        self.cut_lists(queries, &mut routes, cap)?;
+        let lists: Vec<&DeepLists> = routes
+            .iter()
+            .map(|route| route.deep_lists.as_ref().expect("every route has its lists"))
             .collect();
+        let groups = self.groups(&routes, |qi| lists[qi].shards())?;
+        sp.arg("distinct_clusters", groups.len() as u64);
+        sp.arg(
+            "deep_searches",
+            lists.iter().map(|lists| lists.shards() as u64).sum(),
+        );
 
         let scans = fan_out(groups.len(), cap, |g| {
             let (c, members) = &groups[g];
-            let group: Vec<(&[f32], usize)> = members
+            let group: Vec<(&[f32], &[u32])> = members
                 .iter()
-                .map(|&(qi, pos)| (queries[qi].as_ref(), probes[qi][pos]))
+                .map(|&(qi, pos)| (queries[qi].as_ref(), lists[qi].shard(pos)))
                 .collect();
-            let scan = |shard: &IvfIndex| shard.search_keyed(&group, &keys[g], self.config.k);
+            let scan = |shard: &IvfIndex| shard.search_lists(&group, self.config.k);
             self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
                 .results
         });
@@ -531,9 +614,9 @@ impl<'s> Engine<'s> {
 
         // Re-slot every result at its query's rank position, so gather
         // sees the per-shard sequence a lone query would build.
-        let mut per_query: Vec<Vec<ScanResult>> = depths
+        let mut per_query: Vec<Vec<ScanResult>> = lists
             .iter()
-            .map(|&(m, _)| (0..m).map(|_| Ok(Default::default())).collect())
+            .map(|lists| (0..lists.shards()).map(|_| Ok(Default::default())).collect())
             .collect();
         for ((_, members), results) in groups.iter().zip(scans) {
             for (&(qi, pos), result) in members.iter().zip(results) {
@@ -546,18 +629,135 @@ impl<'s> Engine<'s> {
         routes
             .into_iter()
             .zip(per_query)
-            .zip(depths)
-            .map(|((route, results), (_, deep_nprobe))| {
+            .map(|(route, results)| {
                 let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+                let (_, deep_nprobe) = self.depth_for(&route.ranked_scores);
                 Ok(self.gather(route, per_shard, deep_nprobe))
             })
             .collect()
     }
 
+    /// Gives every route without lists the lists its query probes in its
+    /// first `m` ranked shards: the coarse keys of every distinct such
+    /// shard are taken **once** for all the queries routed to it, each
+    /// query's probe counts are cut from its keys — its full
+    /// `deep_nprobe` in every shard, or its share of the query's pooled
+    /// budget (module docs) — and each count becomes the lists
+    /// [`select_nearest`] moves to the front of that shard's keys: the
+    /// lists, in the order, that [`VectorIndex::search_group`] would scan
+    /// at that count.
+    fn cut_lists<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        routes: &mut [RouteOutcome],
+        cap: usize,
+    ) -> Result<(), HermesError> {
+        if routes.iter().all(|route| route.deep_lists.is_some()) {
+            return Ok(());
+        }
+        // Query `qi` deep-searches the first `m` clusters of its ranking
+        // at `deep_nprobe`: the fixed knobs, or the adaptive policy's
+        // choice for its route; a route with lists is not cut again.
+        let depths: Vec<(usize, usize)> = routes
+            .iter()
+            .map(|route| match route.deep_lists {
+                Some(_) => (0, 0),
+                None => {
+                    let (m, deep_nprobe) = self.depth_for(&route.ranked_scores);
+                    (m.min(route.ranked_clusters.len()), deep_nprobe)
+                }
+            })
+            .collect();
+        let groups = self.groups(routes, |qi| depths[qi].0)?;
+
+        // Each routed shard's centroid table is streamed once, here, for
+        // its whole group; a shard with no live rows has no keys.
+        let mut keys: Vec<Option<CoarseKeys>> = fan_out(groups.len(), cap, |g| {
+            let (c, members) = &groups[g];
+            let shard = self.store.shard(*c);
+            let queries = members.iter().map(|&(qi, _)| queries[qi].as_ref());
+            (shard.len() > 0).then(|| shard.coarse_keys(queries))
+        });
+        // `at[qi][pos]` is where query `qi` sits in its rank-`pos` shard:
+        // `(group, member)`. Each `(query, position)` is in exactly one
+        // group, so every placeholder is overwritten.
+        let mut at: Vec<Vec<(usize, usize)>> =
+            depths.iter().map(|&(m, _)| vec![(0, 0); m]).collect();
+        for (g, (_, members)) in groups.iter().enumerate() {
+            for (j, &(qi, pos)) in members.iter().enumerate() {
+                at[qi][pos] = (g, j);
+            }
+        }
+        let mut pool = Vec::new();
+        for ((route, &(_, deep_nprobe)), at) in routes.iter_mut().zip(&depths).zip(&at) {
+            if route.deep_lists.is_some() {
+                continue;
+            }
+            let ranked: Result<Vec<&[u64]>, _> = (at.iter())
+                .map(|&(g, j)| keys[g].as_ref().map_or(Ok(&[][..]), |keys| keys.query(j)))
+                .collect();
+            // A query whose keys failed somewhere probes nothing there
+            // and fails its scan the same way.
+            let counts: Vec<usize> = match ranked {
+                Err(_) => vec![0; at.len()],
+                // A route without scores ranked nothing: no leader.
+                Ok(ranked)
+                    if self.config.probe_allocation == ProbeAllocation::Pooled
+                        && !route.ranked_scores.is_empty() =>
+                {
+                    pooled_probes(&ranked, deep_nprobe, &mut pool)
+                }
+                Ok(ranked) => ranked.iter().map(|keys| full_share(deep_nprobe, keys)).collect(),
+            };
+            let mut lists = DeepLists::default();
+            for (&(g, j), count) in at.iter().zip(counts) {
+                let keys = match (count, keys[g].as_mut()) {
+                    (0, _) | (_, None) => &mut [][..],
+                    (n, Some(keys)) => select_nearest(keys.query_mut(j)?, n),
+                };
+                lists.push(keys.iter().map(|&key| probe_key_centroid(key) as u32));
+            }
+            route.deep_lists = Some(lists);
+        }
+        Ok(())
+    }
+
+    /// Inverts query → its first `positions(qi)` ranked clusters into
+    /// cluster → `(query, rank position)` members: ascending cluster id,
+    /// input order within a cluster, clusters without members left out.
+    fn groups(
+        &self,
+        routes: &[RouteOutcome],
+        positions: impl Fn(usize) -> usize,
+    ) -> Result<Vec<Group>, HermesError> {
+        let mut members = vec![Vec::new(); self.store.num_clusters()];
+        for (qi, route) in routes.iter().enumerate() {
+            let ranked = route
+                .ranked_clusters
+                .get(..positions(qi))
+                .ok_or_else(|| HermesError::InvalidConfig("route has lists for unranked positions".into()))?;
+            for (pos, &c) in ranked.iter().enumerate() {
+                members
+                    .get_mut(c)
+                    .ok_or_else(|| {
+                        HermesError::InvalidConfig(format!("route names unknown cluster {c}"))
+                    })?
+                    .push((qi, pos));
+            }
+        }
+        Ok(members
+            .into_iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .collect())
+    }
+
     /// One group scan of shard `c` under a `shard.sample` / `shard.deep`
     /// span whose args carry the group's size, its scanned codes (the
     /// per-query [`ScanStats`] sum) and how many of those the exact
-    /// kernel rescored after the scan's bound filter.
+    /// kernel rescored after the scan's bound filter. A shard with no
+    /// live rows is not scanned: it answers every query with no hits and
+    /// zero work.
     fn shard_scan(
         &self,
         span: &'static str,
@@ -565,8 +765,15 @@ impl<'s> Engine<'s> {
         queries: usize,
         scan: impl FnOnce(&IvfIndex) -> GroupScan,
     ) -> GroupScan {
+        let shard = self.store.shard(c);
+        if shard.len() == 0 {
+            return GroupScan {
+                results: (0..queries).map(|_| Ok(Default::default())).collect(),
+                rescored_codes: 0,
+            };
+        }
         let mut sp = hermes_trace::span_with(span, &[(names::ARG_CLUSTER, c as u64)]);
-        let scan = scan(self.store.shard(c));
+        let scan = scan(shard);
         if sp.is_active() {
             sp.arg("queries", queries as u64);
             sp.arg(
@@ -582,14 +789,14 @@ impl<'s> Engine<'s> {
         scan
     }
 
-    /// Resolves the per-query depth: the [`DifficultyEstimator`]'s choice
-    /// when the config is adaptive and the route produced scores, its
-    /// fixed knobs otherwise. Returns `(clusters_to_search,
-    /// deep_nprobe)`.
-    fn depth_for(&self, route: &RouteOutcome) -> (usize, usize) {
+    /// Resolves the per-query depth from a route's scores: the
+    /// [`DifficultyEstimator`]'s choice when the config is adaptive and
+    /// the route produced scores, its fixed knobs otherwise. Returns
+    /// `(clusters_to_search, deep_nprobe)`.
+    fn depth_for(&self, ranked_scores: &[f32]) -> (usize, usize) {
         match self.config.adaptive {
-            Some(cfg) if !route.ranked_scores.is_empty() => {
-                let choice = DifficultyEstimator::new(cfg).depth(&route.ranked_scores);
+            Some(cfg) if !ranked_scores.is_empty() => {
+                let choice = DifficultyEstimator::new(cfg).depth(ranked_scores);
                 (choice.clusters, choice.deep_nprobe)
             }
             _ => (self.config.clusters_to_search, self.config.deep_nprobe),
@@ -624,32 +831,39 @@ impl<'s> Engine<'s> {
         drop(gather_span);
         SearchOutcome {
             hits,
-            searched_clusters: route.ranked_clusters[..per_shard.len()].to_vec(),
             ranked_clusters: route.ranked_clusters,
             stats,
         }
     }
 }
 
+/// A cluster and its `(query, rank position)` members.
+type Group = (usize, Vec<(usize, usize)>);
+
 /// The lists a shard with these coarse `keys` probes at `deep_nprobe` on
-/// its own: at least 1, at most all it has.
+/// its own: at least 1, at most all it has — none if it has no keys.
 fn full_share(deep_nprobe: usize, keys: &[u64]) -> usize {
-    deep_nprobe.clamp(1, keys.len())
+    deep_nprobe.max(1).min(keys.len())
 }
 
-/// One query's probe counts under [`ProbeAllocation::Pooled`]:
-/// `ranked[r]` are its coarse keys in its rank-`r` routed shard. The
-/// budget is a [`full_share`] for the leader plus half a share, rounded
-/// up, for every further shard; it goes to the nearest
+/// A query's probe budget from the shares of its ranked shards, best
+/// first: the leader's full share plus half of each further share,
+/// rounded up.
+fn budget(shares: impl Iterator<Item = usize>) -> usize {
+    shares
+        .enumerate()
+        .map(|(r, share)| if r == 0 { share } else { share.div_ceil(2) })
+        .sum()
+}
+
+/// One query's probe counts under [`ProbeAllocation::Pooled`] for a
+/// route that chose no lists: `ranked[r]` are its coarse keys in its
+/// rank-`r` routed shard. The [`budget`] goes to the nearest
 /// `(shard, list)` pairs in (distance bits, rank position, list index)
 /// order — a total order, so the counts depend on nothing but the keys.
 /// `pool` is scratch.
 fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) -> Vec<usize> {
-    let shares = ranked.iter().map(|keys| full_share(deep_nprobe, keys));
-    let budget: usize = shares
-        .enumerate()
-        .map(|(r, share)| if r == 0 { share } else { share.div_ceil(2) })
-        .sum();
+    let budget = budget(ranked.iter().map(|keys| full_share(deep_nprobe, keys)));
     pool.clear();
     for (r, keys) in ranked.iter().enumerate() {
         pool.extend(keys.iter().map(|&key| {
@@ -658,9 +872,10 @@ fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) ->
                 | probe_key_centroid(key) as u128
         }));
     }
-    // `budget >= 1`: the leader's share is.
     if budget < pool.len() {
-        pool.select_nth_unstable(budget - 1);
+        if budget > 0 {
+            pool.select_nth_unstable(budget - 1);
+        }
         pool.truncate(budget);
     }
     let mut probes = vec![0; ranked.len()];
@@ -668,6 +883,110 @@ fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) ->
         probes[(pair >> 32) as u32 as usize] += 1;
     }
     probes
+}
+
+/// Scratch of the nearest-lists cut, reused from query to query.
+#[derive(Default)]
+struct Cut {
+    /// The loaded shards' distance bits, shard after shard.
+    distances: Vec<u32>,
+    /// Each loaded shard's nearest distance bits; `None` without keys.
+    nearest: Vec<Option<u32>>,
+    /// Every [`SAMPLE_STRIDE`]-th distance.
+    sample: Vec<u32>,
+    /// The chosen lists, shard after shard.
+    lists: Vec<u32>,
+    /// Each shard's range in `lists`.
+    ranges: Vec<std::ops::Range<usize>>,
+}
+
+/// The stride of [`Cut::threshold`]'s sample: large enough that the
+/// sample costs little to select in, small enough that its bound keeps
+/// few more distances than the budget.
+const SAMPLE_STRIDE: usize = 8;
+
+impl Cut {
+    /// Reads the distance bits of `shards` (each one shard's coarse keys,
+    /// in list order) and each shard's nearest.
+    fn load(&mut self, shards: &[&[u64]]) {
+        self.distances.clear();
+        self.nearest.clear();
+        for keys in shards {
+            let start = self.distances.len();
+            self.distances.extend(keys.iter().map(|&key| probe_key_distance(key)));
+            self.nearest.push(self.distances[start..].iter().copied().min());
+        }
+    }
+
+    /// Chooses the `budget` nearest pairs over the loaded `shards` in
+    /// (distance bits, position in `shards`, list) order — every pair
+    /// nearer than the `budget`-th pair's distance, then as many pairs at
+    /// exactly that distance as the budget has left, in shard then list
+    /// order — and keeps each shard's chosen lists, in list order, for
+    /// [`Self::chosen`].
+    fn take(&mut self, shards: &[&[u64]], budget: usize) {
+        // Pairs nearer than `threshold` are all taken; `ties` more at it.
+        let (threshold, mut ties) = if budget >= self.distances.len() {
+            (u32::MAX, usize::MAX)
+        } else if budget == 0 {
+            (0, 0)
+        } else {
+            let (threshold, nearer) = self.threshold(shards, budget);
+            (threshold, budget - nearer)
+        };
+        self.lists.clear();
+        self.ranges.clear();
+        for (keys, nearest) in shards.iter().zip(&self.nearest) {
+            let start = self.lists.len();
+            if nearest.is_some_and(|d| d <= threshold) {
+                for &key in keys.iter() {
+                    let d = probe_key_distance(key);
+                    if d < threshold || (d == threshold && ties > 0) {
+                        if d == threshold {
+                            ties -= 1;
+                        }
+                        self.lists.push(probe_key_centroid(key) as u32);
+                    }
+                }
+            }
+            self.ranges.push(start..self.lists.len());
+        }
+    }
+
+    /// The `budget`-th smallest loaded distance (`0 < budget <` the
+    /// number loaded), and how many loaded distances are smaller. The
+    /// selection runs on the distances at most a bound taken from a
+    /// sample of every [`SAMPLE_STRIDE`]-th one, with room to spare —
+    /// they hold every distance up to the answer whenever there are at
+    /// least `budget` of them, which is checked — and on all of them
+    /// (re-read from `shards`) when there are not.
+    fn threshold(&mut self, shards: &[&[u64]], budget: usize) -> (u32, usize) {
+        let rank = (budget + budget / 2) / SAMPLE_STRIDE + 4;
+        self.sample.clear();
+        self.sample.extend(self.distances.iter().step_by(SAMPLE_STRIDE));
+        if rank < self.sample.len() {
+            let (_, &mut bound, _) = self.sample.select_nth_unstable(rank);
+            // Compact the distances within the bound to the front.
+            let mut kept = 0;
+            for i in 0..self.distances.len() {
+                let d = self.distances[i];
+                self.distances[kept] = d;
+                kept += usize::from(d <= bound);
+            }
+            if kept >= budget {
+                self.distances.truncate(kept);
+            } else {
+                self.load(shards);
+            }
+        }
+        let (below, &mut threshold, _) = self.distances.select_nth_unstable(budget - 1);
+        (threshold, below.iter().filter(|&&d| d < threshold).count())
+    }
+
+    /// The lists [`Self::take`] chose in its `shard`-th shard.
+    fn chosen(&self, shard: usize) -> &[u32] {
+        &self.lists[self.ranges[shard].clone()]
+    }
 }
 
 /// The single entry of a stage's answer to a batch of one.
@@ -756,13 +1075,59 @@ mod tests {
     }
 
     #[test]
+    fn the_nearest_lists_cut_takes_the_first_pairs_of_the_full_order() {
+        use hermes_math::block::probe_key;
+        use hermes_math::rng::seeded_rng;
+        // Shards of keys in list order. Distances: random, few distinct
+        // values (ties everywhere), every 8th list near and the rest far
+        // (a sample that bounds too low, so the cut re-reads), and an
+        // empty shard.
+        let mut rng = seeded_rng(0xC07);
+        type Pattern<'a> = &'a dyn Fn(usize, &mut hermes_math::rng::SeededRng) -> f32;
+        let patterns: [Pattern; 3] = [
+            &|_, rng| rng.next_f32() * 50.0,
+            &|_, rng| (rng.next_f32() * 4.0).floor(),
+            &|list, rng| if list % 8 == 0 { rng.next_f32() } else { 10.0 + rng.next_f32() },
+        ];
+        let mut cut = Cut::default();
+        for pattern in patterns {
+            for sizes in [&[40usize, 0, 73, 9][..], &[200], &[5, 5, 5], &[64, 64]] {
+                let shards: Vec<Vec<u64>> = sizes
+                    .iter()
+                    .map(|&n| (0..n).map(|l| probe_key(pattern(l, &mut rng), l as u32)).collect())
+                    .collect();
+                let slices: Vec<&[u64]> = shards.iter().map(|s| &s[..]).collect();
+                let mut full: Vec<(u32, usize, usize)> = (slices.iter().enumerate())
+                    .flat_map(|(c, keys)| {
+                        let pair = move |&key: &u64| (probe_key_distance(key), c, probe_key_centroid(key));
+                        keys.iter().map(pair)
+                    })
+                    .collect();
+                full.sort_unstable();
+                for budget in 0..=full.len() + 1 {
+                    cut.load(&slices);
+                    cut.take(&slices, budget);
+                    let mut want = vec![Vec::new(); slices.len()];
+                    for &(_, c, list) in full.iter().take(budget) {
+                        want[c].push(list as u32);
+                    }
+                    for (c, want) in want.iter_mut().enumerate() {
+                        want.sort_unstable();
+                        assert_eq!(cut.chosen(c), &want[..], "{sizes:?} budget {budget} shard {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn exhaustive_plan_covers_every_cluster_unranked() {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(6).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let out = store.search_all_clusters(queries.embeddings().row(0)).unwrap();
         assert_eq!(out.ranked_clusters, (0..6).collect::<Vec<_>>());
-        assert_eq!(out.searched_clusters, (0..6).collect::<Vec<_>>());
+        assert_eq!(out.searched_clusters(), (0..6).collect::<Vec<_>>());
         assert_eq!(out.stats.route, SearchPhaseCost::default());
     }
 
@@ -916,12 +1281,13 @@ mod tests {
         let cfg = HermesConfig::new(6)
             .with_seed(1)
             .with_clusters_to_search(3)
-            .with_adaptive(adaptive);
+            .with_adaptive(adaptive)
+            .with_routing(Routing::DocumentSampling);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let engine = Engine::for_store(&store);
         for q in queries.embeddings().iter_rows() {
             let out = engine.execute(q).unwrap();
-            let m = out.searched_clusters.len();
+            let m = out.searched_clusters().len();
             assert!((1..=4).contains(&m), "m={m}");
             assert!(
                 (16..=96).contains(&out.stats.deep_nprobe),
@@ -986,7 +1352,10 @@ mod tests {
     #[test]
     fn stats_fold_is_consistent() {
         let (corpus, queries) = setup();
-        let cfg = HermesConfig::new(6).with_seed(1).with_clusters_to_search(3);
+        let cfg = HermesConfig::new(6)
+            .with_seed(1)
+            .with_clusters_to_search(3)
+            .with_routing(Routing::DocumentSampling);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let out = Engine::for_store(&store)
             .execute(queries.embeddings().row(2))

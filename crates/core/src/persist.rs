@@ -153,6 +153,7 @@ fn encode_config(w: &mut Writer, cfg: &HermesConfig) {
         Routing::DocumentSampling => 0,
         Routing::CentroidOnly => 1,
         Routing::Unranked => 2,
+        Routing::NearestLists => 3,
     });
     w.u64(cfg.seed);
 }
@@ -194,6 +195,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<HermesConfig, WireError> {
         0 => Routing::DocumentSampling,
         1 => Routing::CentroidOnly,
         2 => Routing::Unranked,
+        3 => Routing::NearestLists,
         t => return Err(WireError::Corrupt(format!("bad routing tag {t}"))),
     };
     let seed = r.u64()?;

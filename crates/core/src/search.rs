@@ -30,14 +30,17 @@ pub struct SearchOutcome {
     pub hits: Vec<Neighbor>,
     /// All clusters ranked by routing score, best first.
     pub ranked_clusters: Vec<usize>,
-    /// The clusters that received a deep search (a prefix of
-    /// `ranked_clusters`).
-    pub searched_clusters: Vec<usize>,
     /// Per-stage work record, filled in by the engine as the stages ran.
     pub stats: SearchStats,
 }
 
 impl SearchOutcome {
+    /// The clusters that received a deep search: the prefix of
+    /// `ranked_clusters` that `stats.per_shard` is aligned with.
+    pub fn searched_clusters(&self) -> &[usize] {
+        &self.ranked_clusters[..self.stats.per_shard.len()]
+    }
+
     /// Route-stage (sampling/centroid-ranking) work.
     pub fn sample_cost(&self) -> SearchPhaseCost {
         self.stats.route
@@ -111,7 +114,7 @@ impl ClusteredStore {
     ) -> Result<Vec<usize>, HermesError> {
         let mut counts = vec![0usize; self.num_clusters()];
         for out in self.batch_hierarchical_search(queries, threads)? {
-            for c in out.searched_clusters {
+            for &c in out.searched_clusters() {
                 counts[c] += 1;
             }
         }
@@ -161,13 +164,16 @@ mod tests {
     #[test]
     fn hierarchical_search_returns_k_hits() {
         let (corpus, queries) = setup();
-        let cfg = HermesConfig::new(8).with_seed(1).with_k(5);
+        let cfg = HermesConfig::new(8)
+            .with_seed(1)
+            .with_k(5)
+            .with_routing(Routing::DocumentSampling);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let out = store
             .hierarchical_search(queries.embeddings().row(0))
             .unwrap();
         assert_eq!(out.hits.len(), 5);
-        assert_eq!(out.searched_clusters.len(), 3);
+        assert_eq!(out.searched_clusters().len(), 3);
         assert_eq!(out.ranked_clusters.len(), 8);
         assert!(out.sample_cost().scanned_codes > 0);
         assert!(out.deep_cost().scanned_codes > out.sample_cost().scanned_codes);
@@ -180,12 +186,14 @@ mod tests {
     #[test]
     fn searched_clusters_are_prefix_of_ranking() {
         let (corpus, queries) = setup();
-        let cfg = HermesConfig::new(8).with_seed(1);
+        let cfg = HermesConfig::new(8)
+            .with_seed(1)
+            .with_routing(Routing::DocumentSampling);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let out = store
             .hierarchical_search(queries.embeddings().row(3))
             .unwrap();
-        assert_eq!(out.searched_clusters[..], out.ranked_clusters[..3]);
+        assert_eq!(out.searched_clusters(), &out.ranked_clusters[..3]);
     }
 
     #[test]
@@ -275,7 +283,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.sample_cost(), SearchPhaseCost::default());
         assert_eq!(out.deep_cost().clusters_touched, 8);
-        assert_eq!(out.searched_clusters, (0..8).collect::<Vec<_>>());
+        assert_eq!(out.searched_clusters(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -309,7 +317,10 @@ mod tests {
     #[test]
     fn access_histogram_counts_deep_searches() {
         let (corpus, queries) = setup();
-        let cfg = HermesConfig::new(8).with_seed(1).with_clusters_to_search(3);
+        let cfg = HermesConfig::new(8)
+            .with_seed(1)
+            .with_clusters_to_search(3)
+            .with_routing(Routing::DocumentSampling);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let qs: Vec<Vec<f32>> = queries
             .embeddings()
@@ -389,7 +400,7 @@ mod tests {
             .collect();
         let mut expected = vec![0usize; store.num_clusters()];
         for q in &qs {
-            for &c in &store.hierarchical_search(q).unwrap().searched_clusters {
+            for &c in store.hierarchical_search(q).unwrap().searched_clusters() {
                 expected[c] += 1;
             }
         }

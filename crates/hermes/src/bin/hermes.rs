@@ -287,7 +287,7 @@ fn cmd_search(opts: &Flags) -> Result<(), String> {
     let out = store.hierarchical_search(&query).map_err(|e| e.to_string())?;
     println!(
         "routed to clusters {:?} (of {:?})",
-        out.searched_clusters, out.ranked_clusters
+        out.searched_clusters(), out.ranked_clusters
     );
     for (rank, hit) in out.hits.iter().take(k).enumerate() {
         println!("  {:>2}. doc {:>10}  score {:+.4}", rank + 1, hit.id, hit.score);
@@ -491,7 +491,7 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
     let mut histogram = DepthHistogram::new();
     let mut divergent = 0u64;
     for (q, got) in stream.iter().zip(&outcomes) {
-        histogram.record(got.searched_clusters.len());
+        histogram.record(got.searched_clusters().len());
         if *got != engine.execute(q).map_err(|e| e.to_string())? {
             divergent += 1;
         }

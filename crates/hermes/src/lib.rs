@@ -32,15 +32,19 @@
 //! // 1. A corpus with topical structure (stands in for Common Crawl).
 //! let corpus = Corpus::generate(CorpusSpec::new(2_000, 32, 10).with_seed(1));
 //!
-//! // 2. Split it into 10 clustered IVF indices, Hermes-style.
-//! let config = HermesConfig::new(10).with_clusters_to_search(3).with_seed(2);
+//! // 2. Split it into 10 clustered IVF indices, Hermes-style, ranked
+//! //    at query time by document sampling (the paper's routing).
+//! let config = HermesConfig::new(10)
+//!     .with_clusters_to_search(3)
+//!     .with_seed(2)
+//!     .with_routing(Routing::DocumentSampling);
 //! let store = ClusteredStore::build(corpus.embeddings(), &config)?;
 //!
 //! // 3. Hierarchical search: sample all clusters, deep-search the top 3.
 //! let queries = QuerySet::generate(&corpus, QuerySpec::new(4).with_seed(3));
 //! let outcome = store.hierarchical_search(queries.embeddings().row(0))?;
 //! assert_eq!(outcome.hits.len(), config.k);
-//! assert_eq!(outcome.searched_clusters.len(), 3);
+//! assert_eq!(outcome.searched_clusters().len(), 3);
 //! # Ok::<(), hermes::core::HermesError>(())
 //! ```
 

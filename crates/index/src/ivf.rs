@@ -10,7 +10,7 @@ use std::cell::Cell;
 
 use hermes_kmeans::{probe_key_centroid, select_nearest, KMeans, KMeansConfig};
 use hermes_math::simd::prefetch_read;
-use hermes_math::{Mat, Metric, TopK};
+use hermes_math::{Mat, Metric, Neighbor, TopK};
 use hermes_quant::{Codec, CodecSpec, QueryScorer};
 
 use crate::{GroupScan, IndexError, ScanResult, ScanStats, SearchParams, VectorIndex};
@@ -50,10 +50,11 @@ pub struct IvfStats {
 }
 
 /// The coarse-quantizer keys of a query group: what
-/// [`IvfIndex::coarse_keys`] hands out and [`IvfIndex::search_keyed`]
-/// accepts back, so a caller can decide each query's probe depth from
-/// the list distances — across several indices over one embedding space,
-/// say — without the centroid table being streamed a second time.
+/// [`IvfIndex::coarse_keys`] hands out, so a caller can choose each
+/// query's lists from the list distances — across several indices over
+/// one embedding space, say — and scan them with
+/// [`IvfIndex::search_lists`], without the centroid table being streamed
+/// a second time.
 #[derive(Debug, Clone, Default)]
 pub struct CoarseKeys {
     /// `nlist` keys per query that passed the index's checks, row after
@@ -79,6 +80,18 @@ impl CoarseKeys {
     pub fn query(&self, i: usize) -> Result<&[u64], IndexError> {
         let row = self.rows[i].clone()?;
         Ok(&self.keys[row * self.nlist..(row + 1) * self.nlist])
+    }
+
+    /// [`Self::query`], for [`select_nearest`] to reorder in place: the
+    /// lists it moves to the front, in the order it leaves them, are the
+    /// lists [`VectorIndex::search_group`] scans for that query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group has no query `i`.
+    pub fn query_mut(&mut self, i: usize) -> Result<&mut [u64], IndexError> {
+        let row = self.rows[i].clone()?;
+        Ok(&mut self.keys[row * self.nlist..(row + 1) * self.nlist])
     }
 }
 
@@ -424,18 +437,18 @@ impl IvfIndex {
     pub fn probe_stats(&self, query: &[f32], nprobe: usize) -> ScanStats {
         let mut keys = Vec::new();
         self.coarse.probe_keys([query].into_iter(), &mut keys);
-        self.probe_cost(select_nearest(&mut keys, nprobe.clamp(1, self.lists.len())))
+        let probe = select_nearest(&mut keys, nprobe);
+        self.list_cost(probe.iter().map(|&key| probe_key_centroid(key) as u32))
     }
 
-    /// The logical work of scanning the lists behind `probe` keys.
-    fn probe_cost(&self, probe: &[u64]) -> ScanStats {
-        ScanStats {
-            scanned_codes: probe
-                .iter()
-                .map(|&key| self.lists[probe_key_centroid(key)].ids.len())
-                .sum(),
-            probed_partitions: probe.len(),
+    /// The logical work of scanning `lists`.
+    fn list_cost(&self, lists: impl Iterator<Item = u32>) -> ScanStats {
+        let mut stats = ScanStats::default();
+        for list in lists {
+            stats.scanned_codes += self.lists[list as usize].ids.len();
+            stats.probed_partitions += 1;
         }
+        stats
     }
 }
 
@@ -520,22 +533,41 @@ impl VectorIndex for IvfIndex {
             })
     }
 
-    /// [`IvfIndex::coarse_keys`] then the scan of
-    /// [`IvfIndex::search_keyed`], with the keys kept in the thread's
-    /// scratch and every `nprobe` raised to at least 1.
+    /// [`IvfIndex::coarse_keys`], then each query's `max(nprobe, 1)`
+    /// nearest lists ([`select_nearest`], on the keys in the thread's
+    /// scratch), then the scan body of [`IvfIndex::search_lists`].
     fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
         with_scratch(|scratch| {
-            self.fill_keys(queries.iter().map(|q| q.0), &mut scratch.coarse);
-            self.scan_group(queries, k, 1, scratch)
+            let ScanScratch {
+                coarse,
+                active,
+                plan,
+                ..
+            } = scratch;
+            self.fill_keys(queries.iter().map(|q| q.0), coarse);
+            let nlist = self.lists.len();
+            active.clear();
+            plan.clear();
+            let results = (queries.iter().zip(&coarse.rows).enumerate())
+                .map(|(qi, (&(_, nprobe), row))| {
+                    let row = row.clone()?;
+                    let keys = &mut coarse.keys[row * nlist..(row + 1) * nlist];
+                    let chosen = select_nearest(keys, nprobe);
+                    let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
+                    Ok(self.plan_run(qi, lists, plan, active))
+                })
+                .collect();
+            self.scan_group(|qi| queries[qi].0, results, k, scratch)
         })
     }
 }
 
 impl IvfIndex {
-    /// The first half of a group search: one pass over the centroid
-    /// table scores every list against every query of the group and
-    /// checks each query as a search would. Hand the keys back to
-    /// [`Self::search_keyed`] with the probe depths chosen from them.
+    /// One pass over the centroid table scores every list against every
+    /// query of the group and checks each query as a search would: a
+    /// caller that chooses the lists itself — across several indices over
+    /// one embedding space, say — chooses from these keys and hands the
+    /// lists to [`Self::search_lists`].
     pub fn coarse_keys<'q>(
         &self,
         queries: impl Iterator<Item = &'q [f32]> + Clone,
@@ -545,52 +577,31 @@ impl IvfIndex {
         keys
     }
 
-    /// The second half of a group search: scans for `queries` — the
-    /// queries `keys` were computed for, each now paired with the number
-    /// of lists to probe — exactly as [`VectorIndex::search_group`]
-    /// does, except that a count is taken as given: `0` probes nothing
-    /// and answers no hits with zero [`ScanStats`]. For counts of at
-    /// least 1, `search_keyed(qs, &coarse_keys(qs), k)` **is**
-    /// `search_group(qs, k)`: both run the one scan body, on the same
-    /// keys.
-    ///
-    /// Keys of another group or index are answered per query with
-    /// [`IndexError::InvalidParam`] where their shape shows it; keys of
-    /// the right shape for the wrong queries give those queries' scan of
-    /// the lists the keys rank first — wrong, never out of bounds.
-    pub fn search_keyed(
-        &self,
-        queries: &[(&[f32], usize)],
-        keys: &CoarseKeys,
-        k: usize,
-    ) -> GroupScan {
-        if keys.rows.len() != queries.len() || keys.nlist != self.lists.len() {
-            let foreign = IndexError::InvalidParam(format!(
-                "coarse keys of {} queries over {} lists do not fit {} queries over {}",
-                keys.rows.len(),
-                keys.nlist,
-                queries.len(),
-                self.lists.len()
-            ));
-            return GroupScan {
-                results: queries.iter().map(|_| Err(foreign.clone())).collect(),
-                rescored_codes: 0,
-            };
-        }
+    /// Scans, for each query of the group, exactly the inverted lists it
+    /// names (each at most once), in the order given — the scan [`VectorIndex::search_group`]
+    /// runs once it has selected each query's lists, so a query paired
+    /// with the lists its `nprobe` selects gets that search's answer to
+    /// the bit. An empty set probes nothing and answers no hits with zero
+    /// [`ScanStats`]; a query that fails the index's checks, or names a
+    /// list the index does not have, is answered with the error.
+    pub fn search_lists(&self, queries: &[(&[f32], &[u32])], k: usize) -> GroupScan {
         with_scratch(|scratch| {
-            // Selection reorders keys in place: work on the scratch's copy.
-            let coarse = &mut scratch.coarse;
-            coarse.nlist = keys.nlist;
-            coarse.keys.clear();
-            coarse.keys.extend_from_slice(&keys.keys);
-            coarse.rows.clear();
-            coarse.rows.extend(
-                queries
-                    .iter()
-                    .zip(&keys.rows)
-                    .map(|((q, _), row)| self.check_query(q).and(row.clone())),
-            );
-            self.scan_group(queries, k, 0, scratch)
+            scratch.active.clear();
+            scratch.plan.clear();
+            let results = (queries.iter().enumerate())
+                .map(|(qi, &(query, lists))| {
+                    self.check_query(query)?;
+                    if let Some(&list) = lists.iter().find(|&&l| l as usize >= self.lists.len()) {
+                        return Err(IndexError::InvalidParam(format!(
+                            "list {list} of an index with {} lists",
+                            self.lists.len()
+                        )));
+                    }
+                    let lists = lists.iter().copied();
+                    Ok(self.plan_run(qi, lists, &mut scratch.plan, &mut scratch.active))
+                })
+                .collect();
+            self.scan_group(|qi| queries[qi].0, results, k, scratch)
         })
     }
 
@@ -630,57 +641,54 @@ impl IvfIndex {
         self.coarse.probe_keys(live, keys);
     }
 
-    /// The one scan body, over the keys in `scratch.coarse`: query `i`
-    /// probes its `max(nprobe, floor)` nearest lists (at most all).
+    /// Plans input query `qi`'s probed `lists` as the plan's next run
+    /// (a query that probes nothing gets no scan slot) and returns its
+    /// result before the scan: no hits yet, and the work of its lists.
+    fn plan_run(
+        &self,
+        qi: usize,
+        lists: impl Iterator<Item = u32> + Clone,
+        plan: &mut Plan,
+        active: &mut Vec<usize>,
+    ) -> (Vec<Neighbor>, ScanStats) {
+        let stats = self.list_cost(lists.clone());
+        if stats.probed_partitions > 0 {
+            plan.push(lists, |l| self.lists[l as usize].ids.is_empty());
+            active.push(qi);
+        }
+        (Vec::new(), stats)
+    }
+
+    /// The one scan body, over the runs planned in `scratch`: slot `s`
+    /// scans run `s` for input query `scratch.active[s]`, whose vector
+    /// is `query(active[s])`, and its hits land in that query's result.
     ///
-    /// Each query *selects* its probe set (unsorted — [`TopK`] is a
+    /// Each query's lists arrive *selected*, not sorted — [`TopK`] is a
     /// total order on `(score, id)` and [`ScanStats`] are sums, so the
-    /// visiting order never shows), and the probes are compiled into a
-    /// flat row [`Plan`] of one run per query, in input order, that the
-    /// scoring kernels consume in full tiles across list boundaries with
-    /// that query's one scorer. A group shares the coarse pass, the
-    /// scratch and one read-ahead over the whole plan, not the rows: each
-    /// query's scan is exactly the scan it would get alone.
+    /// visiting order never shows — as a flat row [`Plan`] of one run per
+    /// query, in input order, that the scoring kernels consume in full
+    /// tiles across list boundaries with that query's one scorer. A group
+    /// shares the scratch and one read-ahead over the whole plan, not the
+    /// rows: each query's scan is exactly the scan it would get alone.
     ///
     /// Everything between the input and the hit lists lives in the
     /// per-thread [`ScanScratch`]: in steady state a plain group scan
     /// allocates only what it returns.
-    fn scan_group(
+    fn scan_group<'q>(
         &self,
-        queries: &[(&[f32], usize)],
+        query: impl Fn(usize) -> &'q [f32],
+        mut results: Vec<ScanResult>,
         k: usize,
-        floor: usize,
         scratch: &mut ScanScratch,
     ) -> GroupScan {
         let ScanScratch {
-            coarse,
             active,
             plan,
             tops,
             scorers,
             chunk,
+            ..
         } = scratch;
-        let nlist = self.lists.len();
-        // Slot `s` of the scan serves input query `active[s]`; a query
-        // that failed its check or probes nothing gets no slot.
-        active.clear();
-        plan.clear();
-        let mut results: Vec<ScanResult> = Vec::with_capacity(queries.len());
-        for (qi, (&(_, nprobe), row)) in queries.iter().zip(&coarse.rows).enumerate() {
-            results.push(row.clone().map(|row| {
-                let keys = &mut coarse.keys[row * nlist..(row + 1) * nlist];
-                let chosen: &[u64] = match nprobe.max(floor) {
-                    0 => &[],
-                    n => select_nearest(keys, n),
-                };
-                if !chosen.is_empty() {
-                    let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
-                    plan.push(lists, |l| self.lists[l as usize].ids.is_empty());
-                    active.push(qi);
-                }
-                (Vec::new(), self.probe_cost(chosen))
-            }));
-        }
         if active.is_empty() {
             return GroupScan {
                 results,
@@ -696,7 +704,7 @@ impl IvfIndex {
         slot_scorers.extend(
             active
                 .iter()
-                .map(|&i| self.codec.query_scorer(queries[i].0, self.metric)),
+                .map(|&i| self.codec.query_scorer(query(i), self.metric)),
         );
         let rescored_codes = self.scan(plan, &slot_scorers, tops, chunk, &mut ahead);
         *scorers = recycle(slot_scorers);
@@ -908,7 +916,8 @@ fn with_scratch<T>(scan: impl FnOnce(&mut ScanScratch) -> T) -> T {
 /// over.
 #[derive(Default)]
 struct ScanScratch {
-    /// The group's coarse keys; selection reorders them in place.
+    /// [`VectorIndex::search_group`]'s coarse keys; selection reorders
+    /// them in place.
     coarse: CoarseKeys,
     /// Input index of each scan slot.
     active: Vec<usize>,
@@ -1558,7 +1567,8 @@ mod tests {
     /// Asserts that `queries` as one group, and each alone, answer
     /// exactly like the scalar walk (a wrong-dimension query with the
     /// dimension error, without disturbing its neighbours), and that the
-    /// group's keys handed out and back give the same scan.
+    /// lists selected from the group's keys, handed to the list scan,
+    /// give the same scan.
     fn assert_group_matches_walk(
         index: &IvfIndex,
         queries: &[(&[f32], usize)],
@@ -1567,10 +1577,9 @@ mod tests {
     ) {
         let group = index.search_group(queries, k);
         assert_eq!(group.results.len(), queries.len());
-        let keys = index.coarse_keys(queries.iter().map(|q| q.0));
-        let at_least_one: Vec<(&[f32], usize)> =
-            queries.iter().map(|&(q, nprobe)| (q, nprobe.max(1))).collect();
-        assert_eq!(index.search_keyed(&at_least_one, &keys, k), group, "{ctx}: keyed");
+        let selected = selected(index, queries);
+        let lists: Vec<(&[f32], &[u32])> = selected.iter().map(|(q, l)| (*q, &l[..])).collect();
+        assert_eq!(index.search_lists(&lists, k), group, "{ctx}: lists");
         for (qi, &(q, nprobe)) in queries.iter().enumerate() {
             let alone = index.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe));
             if q.len() != index.dim {
@@ -1750,64 +1759,93 @@ mod tests {
         assert_eq!((&plan.lists[..], &plan.ends[..]), (&[1, 4][..], &[2][..]));
     }
 
+    /// Each query paired with the lists a search at its `nprobe` selects,
+    /// in selection order, from keys the caller holds (none for a query
+    /// the index refuses).
+    fn selected<'q>(index: &IvfIndex, queries: &[(&'q [f32], usize)]) -> Vec<(&'q [f32], Vec<u32>)> {
+        let mut keys = index.coarse_keys(queries.iter().map(|q| q.0));
+        (queries.iter().enumerate())
+            .map(|(qi, &(q, nprobe))| {
+                let lists = keys.query_mut(qi).map_or_else(
+                    |_| Vec::new(),
+                    |keys| {
+                        let chosen = select_nearest(keys, nprobe);
+                        chosen.iter().map(|&key| probe_key_centroid(key) as u32).collect()
+                    },
+                );
+                (q, lists)
+            })
+            .collect()
+    }
+
     #[test]
-    fn keyed_scan_takes_probe_counts_as_given() {
+    fn list_scan_takes_list_sets_as_given() {
         let data = clustered_data(600, 12, 9, 55);
         let mut index = IvfIndex::builder().nlist(40).seed(6).build(&data).unwrap();
         for id in (0..600u64).step_by(9) {
             assert!(index.remove(id));
         }
         let bad = [1.0f32; 5];
-        let queries: Vec<(&[f32], usize)> = vec![
-            (data.row(3), 8),
-            (data.row(200), 0),
-            (&bad, 0),
-            (data.row(3), 0),
-            (data.row(411), 1000),
-        ];
-        let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+        let keys = index.coarse_keys([data.row(3), &bad[..]].into_iter());
         // A query's keys are the index's probe ranking of it.
         let mut ranked = keys.query(0).unwrap().to_vec();
         assert_eq!(ranked.len(), 40);
         ranked.sort_unstable();
-        let nearest: Vec<usize> = ranked.iter().map(|&key| probe_key_centroid(key)).collect();
-        assert_eq!(nearest[..8], index.coarse.nearest_centroids(data.row(3), 8));
+        let nearest: Vec<u32> = ranked.iter().map(|&key| probe_key_centroid(key) as u32).collect();
+        assert_eq!(
+            nearest[..8].iter().map(|&l| l as usize).collect::<Vec<_>>(),
+            index.coarse.nearest_centroids(data.row(3), 8)
+        );
         assert!(matches!(
-            keys.query(2),
+            keys.query(1),
             Err(IndexError::DimensionMismatch { .. })
         ));
 
-        let scan = index.search_keyed(&queries, &keys, 10);
+        // Any set, in any order: the nearest 8 reversed, 8 far ones, none,
+        // every list, a single one, and one the index does not have.
+        let far: Vec<u32> = nearest[32..].to_vec();
+        let reversed: Vec<u32> = nearest[..8].iter().rev().copied().collect();
+        let all: Vec<u32> = (0..40).collect();
+        let queries: Vec<(&[f32], &[u32])> = vec![
+            (data.row(3), &reversed),
+            (data.row(3), &far),
+            (data.row(200), &[]),
+            (&bad, &[]),
+            (data.row(411), &all),
+            (data.row(77), &[5]),
+            (data.row(3), &[40]),
+        ];
+        let scan = index.search_lists(&queries, 10);
         let nothing = Ok((Vec::new(), ScanStats::default()));
-        assert_eq!(scan.results[1], nothing, "zero probes nothing");
-        assert_eq!(scan.results[3], nothing);
+        assert_eq!(scan.results[2], nothing, "an empty set probes nothing");
         assert!(matches!(
-            scan.results[2],
+            scan.results[3],
             Err(IndexError::DimensionMismatch { .. })
         ));
-        for qi in [0, 4] {
-            let want = walk_search(&index, queries[qi].0, 10, queries[qi].1);
+        assert!(matches!(scan.results[6], Err(IndexError::InvalidParam(_))));
+        // The walk over the same lists: the nearest 8 and all 40 are what
+        // a search at `nprobe` 8 / 40 scans.
+        for (qi, nprobe) in [(0, 8), (4, 40)] {
+            let want = walk_search(&index, queries[qi].0, 10, nprobe);
             assert_same_scan(&scan.results[qi], &want, &format!("q{qi}"));
         }
-        // All zero: nothing is scanned at all.
-        let idle: Vec<(&[f32], usize)> = queries.iter().map(|&(q, _)| (q, 0)).collect();
-        let idle = index.search_keyed(&idle, &keys, 10);
+        let (far_hits, far_stats) = scan.results[1].as_ref().unwrap();
+        assert_eq!(far_stats.probed_partitions, 8);
+        let far_codes: usize = far.iter().map(|&l| index.lists[l as usize].ids.len()).sum();
+        assert_eq!(far_stats.scanned_codes, far_codes);
+        assert!(far_hits.iter().all(|h| far.iter().any(|&l| {
+            let list = &index.lists[l as usize];
+            list.ids.iter().zip(&list.dead).any(|(&id, &dead)| id == h.id && !dead)
+        })));
+        let (one_hits, one_stats) = scan.results[5].as_ref().unwrap();
+        assert_eq!(one_stats.probed_partitions, 1);
+        assert_eq!(one_hits.len(), index.lists[5].live().min(10));
+
+        // All empty: nothing is scanned at all.
+        let idle: Vec<(&[f32], &[u32])> = queries.iter().map(|&(q, _)| (q, &[][..])).collect();
+        let idle = index.search_lists(&idle, 10);
         assert_eq!(idle.rescored_codes, 0);
         assert!(idle.results.iter().all(|r| r.is_err() || *r == nothing));
-
-        // Keys that cannot be these queries' keys are refused, query
-        // by query, not searched with.
-        let other = IvfIndex::builder().nlist(7).seed(6).build(&data).unwrap();
-        for foreign in [
-            other.coarse_keys(queries.iter().map(|q| q.0)),
-            index.coarse_keys(queries[..2].iter().map(|q| q.0)),
-        ] {
-            let refused = index.search_keyed(&queries, &foreign, 10);
-            assert!(refused
-                .results
-                .iter()
-                .all(|r| matches!(r, Err(IndexError::InvalidParam(_)))));
-        }
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! ```
 
 use hermes_math::block::l2_sq_keys_block;
-/// The two halves of a [`KMeans::probe_keys`] key, unpacked where the
-/// key layout is defined ([`hermes_math::block::probe_key`]).
-pub use hermes_math::block::{probe_key_centroid, probe_key_distance};
+/// The two halves of a [`KMeans::probe_keys`] key (and the distance as
+/// an `f32`), unpacked where the key layout is defined
+/// ([`hermes_math::block::probe_key`]).
+pub use hermes_math::block::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
 use hermes_math::distance::l2_sq;
 use hermes_math::rng::{derive_seed, seeded_rng, SeededRng};
 use hermes_math::stats::imbalance_ratio;

@@ -380,6 +380,17 @@ pub fn probe_key_distance(key: u64) -> u32 {
     (key >> 32) as u32
 }
 
+/// The squared distance packed into a [`probe_key`], bit for bit.
+#[inline]
+pub fn probe_key_squared_distance(key: u64) -> f32 {
+    let ordered = probe_key_distance(key);
+    f32::from_bits(if ordered >> 31 == 1 {
+        ordered ^ 1 << 31
+    } else {
+        !ordered
+    })
+}
+
 /// [`l2_sq_block_at`] written as [`probe_key`]s: `keys[i]` packs the
 /// squared distance of `query` to row `i` of the block — bit-identical
 /// to `l2_sq_block_at`'s — with the index `first + i`. The AVX2 form
@@ -1438,6 +1449,7 @@ mod tests {
                         assert_eq!(probe_key(want, first + i as u32), key);
                         assert_eq!(probe_key_centroid(key), (first + i as u32) as usize);
                         assert_eq!(probe_key_distance(key), (key >> 32) as u32);
+                        assert_eq!(probe_key_squared_distance(key).to_bits(), want.to_bits());
                     }
                 }
             }

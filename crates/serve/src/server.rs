@@ -158,7 +158,7 @@ pub(crate) fn dispatch(
                     let bucket = outcome.ranked_clusters.first().copied();
                     cache.insert(query.to_vec(), bucket, *version, outcome.clone());
                 }
-                searched.push(outcome.searched_clusters.clone());
+                searched.push(outcome.searched_clusters().to_vec());
                 slots[i] = Some(outcome);
             }
             lap(Phase::Deep);

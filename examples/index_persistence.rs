@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let out = serving.hierarchical_search(q)?;
         println!(
             "[online ] query {i}: clusters {:?} -> top doc {}",
-            out.searched_clusters, out.hits[0].id
+            out.searched_clusters(), out.hits[0].id
         );
     }
 

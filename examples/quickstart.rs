@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let got: Vec<u64> = out.hits.iter().map(|n| n.id).collect();
         println!(
             "query {i}: routed to clusters {:?} | top-{} {:?} | NDCG {:.3} | scanned {} codes",
-            out.searched_clusters,
+            out.searched_clusters(),
             config.k,
             got,
             ndcg_at_k(&truth, &got, config.k),

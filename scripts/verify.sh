@@ -83,20 +83,24 @@ for simd in auto scalar; do
         --test simd_differential --test properties
 done
 
-# Table 1 pinned to the byte: `table1` builds an IVF index per codec over
-# a fixed-seed corpus, and its recalls do not depend on the pool width
-# or the dispatch level, so the committed file must be exactly what the
+# Table 1 and Figure 11 pinned to the byte: `table1` builds an IVF index
+# per codec over a fixed-seed corpus, `fig11` runs the paper's routing
+# ablation (document sampling, centroid ranking, unranked) over
+# fixed-seed stores, and neither's recalls depend on the pool width or
+# the dispatch level, so each committed file must be exactly what its
 # binary prints — once at the host defaults, once at width 1 on the
 # scalar kernels.
-echo "== table1 matches bench_results/table1.md (release) =="
-table1_out="$(mktemp -d)"
-for env in "" "HERMES_THREADS=1 HERMES_SIMD=scalar"; do
-    # shellcheck disable=SC2086
-    env ${env} HERMES_BENCH_OUT="${table1_out}" \
-        cargo run -p hermes-bench --release --offline --quiet --bin table1 >/dev/null
-    diff bench_results/table1.md "${table1_out}/table1.md"
+for bin in table1 fig11; do
+    echo "== ${bin} matches bench_results/${bin}.md (release) =="
+    bin_out="$(mktemp -d)"
+    for env in "" "HERMES_THREADS=1 HERMES_SIMD=scalar"; do
+        # shellcheck disable=SC2086
+        env ${env} HERMES_BENCH_OUT="${bin_out}" \
+            cargo run -p hermes-bench --release --offline --quiet --bin "${bin}" >/dev/null
+        diff "bench_results/${bin}.md" "${bin_out}/${bin}.md"
+    done
+    rm -rf "${bin_out}"
 done
-rm -rf "${table1_out}"
 
 # Traced-workload smoke: `hermes trace` runs a batch hierarchical search
 # with telemetry off then on, errors out unless the results are

@@ -101,14 +101,16 @@ fn adaptive_depth_equals_the_estimator_choice() {
     let (store, queries, cfg) = setup(407);
     let adaptive = AdaptiveConfig::new(1, 4, 16, cfg.deep_nprobe)
         .with_difficulty_band_permille(200, 900);
-    let adaptive_cfg = cfg.with_adaptive(adaptive);
+    let adaptive_cfg = cfg
+        .with_adaptive(adaptive)
+        .with_routing(Routing::DocumentSampling);
     let engine = Engine::new(&store, &adaptive_cfg);
     let estimator = DifficultyEstimator::new(adaptive);
     for q in &queries {
         let outcome = engine.execute(q).unwrap();
         let route = engine.route(q).unwrap();
         let choice = estimator.depth(&route.ranked_scores);
-        assert_eq!(outcome.searched_clusters.len(), choice.clusters);
+        assert_eq!(outcome.searched_clusters().len(), choice.clusters);
         assert_eq!(outcome.stats.deep_nprobe, choice.deep_nprobe);
     }
 }

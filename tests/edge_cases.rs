@@ -328,12 +328,56 @@ fn non_finite_queries_never_panic_the_engine() {
             // NaN scores are not `==` themselves; compare ids and bits.
             for (a, b) in alone.iter().zip(&coalesced) {
                 assert_eq!(a.ranked_clusters, b.ranked_clusters);
-                assert_eq!(a.searched_clusters, b.searched_clusters);
+                assert_eq!(a.searched_clusters(), b.searched_clusters());
                 assert_eq!(a.stats, b.stats);
                 let bits = |o: &hermes::core::SearchOutcome| -> Vec<(u64, u32)> {
                     o.hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
                 };
                 assert_eq!(bits(a), bits(b));
+            }
+        }
+    }
+}
+
+/// A shard whose every row was removed answers with no hits and no work,
+/// under every routing and at every width: it samples −∞ (ranks last
+/// when the routing scores), holds no pair of a nearest-lists cut, and a
+/// deep search routed to it scans nothing — the other shards still
+/// answer the query.
+#[test]
+fn an_emptied_shard_answers_no_hits_and_no_work() {
+    let corpus = Corpus::generate(CorpusSpec::new(2_000, 16, 4).with_seed(17));
+    let queries = QuerySet::generate(&corpus, QuerySpec::new(8).with_seed(18)).to_vecs();
+    for routing in [
+        Routing::NearestLists,
+        Routing::DocumentSampling,
+        Routing::CentroidOnly,
+        Routing::Unranked,
+    ] {
+        // Every shard is deep-searched, so the emptied one always is.
+        let cfg = HermesConfig::new(4)
+            .with_clusters_to_search(4)
+            .with_k(10)
+            .with_seed(19)
+            .with_routing(routing);
+        let mut store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+        for (id, _) in store.shard(0).export_live() {
+            assert_eq!(store.remove(id), Some(0));
+        }
+        assert_eq!(store.shard(0).len(), 0);
+        let engine = Engine::for_store(&store);
+        let inline = engine.execute_coalesced(&queries, 1).unwrap();
+        assert_eq!(engine.execute_coalesced(&queries, 0).unwrap(), inline, "{routing:?}");
+        assert_eq!(engine.execute_batch(&queries, 0).unwrap(), inline, "{routing:?}");
+        for (q, out) in queries.iter().zip(&inline) {
+            assert_eq!(out.hits.len(), 10, "{routing:?}: the other shards answer");
+            let route = engine.route(q).unwrap();
+            if routing != Routing::Unranked && routing != Routing::CentroidOnly {
+                assert_eq!(route.ranked_clusters.last(), Some(&0), "{routing:?}");
+                assert_eq!(route.ranked_scores.last(), Some(&f32::NEG_INFINITY));
+            }
+            if let Some(pos) = out.searched_clusters().iter().position(|&c| c == 0) {
+                assert_eq!(out.stats.per_shard[pos], Default::default(), "{routing:?}");
             }
         }
     }

@@ -15,17 +15,20 @@
 //! [`ProbeAllocation::Pooled`], has an oracle of its own
 //! ([`pooled_search`]): the budget rule written out over one query at a
 //! time — keys per shard, a full sort, the first `B` — with one ordinary
-//! `search_with_stats` per shard that got a share.
+//! `search_with_stats` per shard that got a share. The default routing,
+//! [`Routing::NearestLists`], has a third ([`nearest_lists_search`]):
+//! every shard's keys sorted together, the first `B`, and again one
+//! ordinary search per shard at the number of lists it got.
 
 use hermes::core::exec::Engine;
 use hermes::core::search::{SearchOutcome, SearchPhaseCost};
 use hermes::index::ScanStats;
-use hermes::kmeans::{probe_key_centroid, probe_key_distance};
+use hermes::kmeans::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
 use hermes::math::topk::merge_topk;
 use hermes::prelude::*;
 use hermes_testkit::prelude::*;
 
-const THREADS: &[usize] = &[0, 1, 4, 64];
+const THREADS: &[usize] = &[0, 1, 2, 4, 64];
 
 fn tk_cfg() -> Config {
     Config::from_env().with_cases(8)
@@ -78,6 +81,7 @@ fn legacy_route_scored(
             (scored, n, n)
         }
         Routing::Unranked => return ((0..n).collect(), Vec::new(), 0, 0),
+        Routing::NearestLists => unreachable!("nearest-lists routing has its own oracle"),
     };
     scored.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -135,7 +139,7 @@ fn same_as_legacy(want: &LegacyOutcome, out: &SearchOutcome, ctx: &str) -> Resul
         "ranking diverges at {ctx}"
     );
     prop_assert!(
-        want.searched_clusters == out.searched_clusters,
+        want.searched_clusters == out.searched_clusters(),
         "searched set diverges at {ctx}"
     );
     prop_assert!(
@@ -243,7 +247,7 @@ fn exhaustive_plan_matches_legacy_full_fanout() {
             let want = legacy_search(&store, q);
             let out = store.search_all_clusters(q).unwrap();
             prop_assert_eq!(&want.hits, &out.hits);
-            prop_assert_eq!(&want.searched_clusters, &out.searched_clusters);
+            prop_assert_eq!(&want.searched_clusters[..], out.searched_clusters());
             prop_assert_eq!(out.sample_cost().scanned_codes, 0);
             prop_assert_eq!(want.deep_codes, out.deep_cost().scanned_codes);
             Ok(())
@@ -265,7 +269,7 @@ fn per_shard_stats_sum_to_stage_totals() {
             let cfg = HermesConfig::new(4).with_clusters_to_search(m).with_seed(seed);
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
             let out = store.hierarchical_search(corpus.embeddings().row(2)).unwrap();
-            prop_assert_eq!(out.stats.per_shard.len(), out.searched_clusters.len());
+            prop_assert_eq!(out.stats.per_shard.len(), out.searched_clusters().len());
             prop_assert_eq!(
                 out.stats.per_shard_scanned().sum::<usize>(),
                 out.deep_cost().scanned_codes
@@ -289,7 +293,11 @@ fn first_error_in_input_order_is_preserved() {
     // CentroidOnly scores centroids with a panicking distance kernel, so a
     // malformed query panics identically in legacy and engine code — the
     // Result-based ordering contract applies to the other two modes.
-    for routing in [Routing::DocumentSampling, Routing::Unranked] {
+    for routing in [
+        Routing::NearestLists,
+        Routing::DocumentSampling,
+        Routing::Unranked,
+    ] {
         let cfg = HermesConfig::new(4).with_seed(3).with_routing(routing);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         let good = |i: usize| corpus.embeddings().row(i).to_vec();
@@ -353,7 +361,6 @@ fn pooled_search(store: &ClusteredStore, query: &[f32]) -> SearchOutcome {
     SearchOutcome {
         hits: merge_topk(per_shard.iter().map(|(hits, _)| hits), cfg.k),
         ranked_clusters: ranked,
-        searched_clusters: searched,
         stats: SearchStats {
             route: SearchPhaseCost {
                 scanned_codes: sample_codes,
@@ -522,7 +529,8 @@ fn a_distance_tie_at_the_cut_goes_to_the_better_ranked_shard() {
         .with_clusters_to_search(2)
         .with_k(3)
         .with_codec(CodecSpec::Flat)
-        .with_split(SplitStrategy::RoundRobin);
+        .with_split(SplitStrategy::RoundRobin)
+        .with_routing(Routing::DocumentSampling);
     let store = ClusteredStore::build(&Mat::from_rows(&rows), &cfg).unwrap();
     let query = vec![0.9f32, 0.1];
     let distances = |c: usize| {
@@ -536,7 +544,7 @@ fn a_distance_tie_at_the_cut_goes_to_the_better_ranked_shard() {
     assert!(distances(0).windows(2).all(|w| w[0] < w[1]), "six distinct distances");
 
     let want = pooled_search(&store, &query);
-    assert_eq!(want.searched_clusters, vec![0, 1], "equal samples rank by cluster id");
+    assert_eq!(want.searched_clusters(), [0, 1], "equal samples rank by cluster id");
     assert_eq!(want.stats.per_shard_probed().collect::<Vec<_>>(), [5, 4]);
     let others: Vec<Vec<f32>> = points.iter().map(|p| vec![p[1], p[0]]).collect();
     let engine = Engine::for_store(&store);
@@ -556,7 +564,10 @@ fn a_distance_tie_at_the_cut_goes_to_the_better_ranked_shard() {
 #[test]
 fn shares_are_capped_at_list_counts_on_the_smoke_shape() {
     let corpus = Corpus::generate(CorpusSpec::new(3_000, 24, 10).with_seed(7));
-    let cfg = HermesConfig::new(10).with_k(10).with_seed(8);
+    let cfg = HermesConfig::new(10)
+        .with_k(10)
+        .with_seed(8)
+        .with_routing(Routing::DocumentSampling);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
     let nlists: Vec<usize> = (0..10).map(|c| store.shard(c).nlist()).collect();
     assert!(nlists.iter().all(|&n| n < cfg.deep_nprobe), "{nlists:?}");
@@ -564,8 +575,8 @@ fn shares_are_capped_at_list_counts_on_the_smoke_shape() {
     let want: Vec<SearchOutcome> = queries.iter().map(|q| pooled_search(&store, q)).collect();
     for out in &want {
         let share = |c: &usize| nlists[*c];
-        let budget = share(&out.searched_clusters[0])
-            + out.searched_clusters[1..].iter().map(|c| share(c).div_ceil(2)).sum::<usize>();
+        let budget = share(&out.searched_clusters()[0])
+            + out.searched_clusters()[1..].iter().map(|c| share(c).div_ceil(2)).sum::<usize>();
         assert_eq!(out.stats.per_shard_probed().sum::<usize>(), budget);
     }
     every_path_equals(&store, &queries, &want, "smoke shape").unwrap();
@@ -580,7 +591,11 @@ fn pooled_recall_is_no_lower_on_fewer_codes() {
     let queries = QuerySet::generate(&corpus, QuerySpec::new(64).with_seed(22)).to_vecs();
     let oracle = FlatIndex::new(corpus.embeddings().clone(), Metric::InnerProduct);
     let truth = hermes::metrics::ground_truth(&oracle, &queries, 10).unwrap();
-    let pooled = HermesConfig::new(8).with_deep_nprobe(32).with_k(10).with_seed(23);
+    let pooled = HermesConfig::new(8)
+        .with_deep_nprobe(32)
+        .with_k(10)
+        .with_seed(23)
+        .with_routing(Routing::DocumentSampling);
     let store = ClusteredStore::build(corpus.embeddings(), &pooled).unwrap();
     assert!((0..8).all(|c| store.shard(c).nlist() > 2 * pooled.deep_nprobe));
     let measure = |cfg: &HermesConfig| {
@@ -600,4 +615,245 @@ fn pooled_recall_is_no_lower_on_fewer_codes() {
         pooled_codes * 10 <= codes * 8,
         "deep codes {pooled_codes} pooled vs {codes} per shard"
     );
+}
+
+/// The nearest-lists rule, one query at a time from public calls only:
+/// every shard's coarse keys, its nearest one ranking it — (distance
+/// bits, cluster id), an empty shard last — and scoring it by the negated
+/// squared distance; the budget `B` of the `m` first-ranked shards as
+/// [`pooled_search`] counts it; then every `(distance bits, cluster,
+/// list)` of every shard sorted together and the first `B` kept under
+/// `Pooled`, or each of the `m` shards' own full share under `PerShard`;
+/// and each shard that kept lists searched alone at that many.
+fn nearest_lists_search(store: &ClusteredStore, cfg: &HermesConfig, query: &[f32]) -> SearchOutcome {
+    let n = store.num_clusters();
+    let keys: Vec<Vec<u64>> = (0..n)
+        .map(|c| match store.shard(c).len() {
+            0 => Vec::new(),
+            _ => store.shard(c).coarse_keys([query].into_iter()).query(0).unwrap().to_vec(),
+        })
+        .collect();
+    let nearest = |c: usize| keys[c].iter().min().copied();
+    let mut ranked: Vec<usize> = (0..n).collect();
+    ranked.sort_by_key(|&c| (nearest(c).map_or(u64::MAX, |k| u64::from(probe_key_distance(k))), c));
+    let scores: Vec<f32> = ranked
+        .iter()
+        .map(|&c| nearest(c).map_or(f32::NEG_INFINITY, |k| -probe_key_squared_distance(k)))
+        .collect();
+    let (m, deep_nprobe) = match cfg.adaptive {
+        Some(adaptive) => {
+            let choice = DifficultyEstimator::new(adaptive).depth(&scores);
+            (choice.clusters, choice.deep_nprobe)
+        }
+        None => (cfg.clusters_to_search, cfg.deep_nprobe),
+    };
+    let share = |c: usize| deep_nprobe.max(1).min(keys[c].len());
+    let leaders = &ranked[..m.min(n)];
+    let mut lists = vec![0usize; n];
+    match cfg.probe_allocation {
+        ProbeAllocation::Pooled => {
+            let budget: usize = leaders
+                .iter()
+                .enumerate()
+                .map(|(r, &c)| if r == 0 { share(c) } else { share(c).div_ceil(2) })
+                .sum();
+            let mut pairs: Vec<(u32, usize, usize)> = (0..n)
+                .flat_map(|c| {
+                    let pair = move |&key: &u64| (probe_key_distance(key), c, probe_key_centroid(key));
+                    keys[c].iter().map(pair)
+                })
+                .collect();
+            pairs.sort();
+            for &(_, c, _) in pairs.iter().take(budget) {
+                lists[c] += 1;
+            }
+        }
+        ProbeAllocation::PerShard => {
+            for &c in leaders {
+                lists[c] = share(c);
+            }
+        }
+    }
+    let searched = match cfg.probe_allocation {
+        ProbeAllocation::Pooled => ranked.iter().take_while(|&&c| lists[c] > 0).count(),
+        ProbeAllocation::PerShard => leaders.len(),
+    };
+    let per_shard: Vec<(Vec<Neighbor>, ScanStats)> = ranked[..searched]
+        .iter()
+        .map(|&c| match lists[c] {
+            0 => (Vec::new(), ScanStats::default()),
+            lists => {
+                let params = SearchParams::new().with_nprobe(lists);
+                store.shard(c).search_with_stats(query, cfg.k, &params).unwrap()
+            }
+        })
+        .collect();
+    let scored_centroids = (0..n).map(|c| keys[c].len()).sum();
+    SearchOutcome {
+        hits: merge_topk(per_shard.iter().map(|(hits, _)| hits), cfg.k),
+        ranked_clusters: ranked,
+        stats: SearchStats {
+            route: SearchPhaseCost {
+                scanned_codes: scored_centroids,
+                clusters_touched: n,
+            },
+            deep: SearchPhaseCost {
+                scanned_codes: per_shard.iter().map(|(_, s)| s.scanned_codes).sum(),
+                clusters_touched: per_shard.iter().filter(|(_, s)| s.probed_partitions > 0).count(),
+            },
+            gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
+            per_shard: per_shard.iter().map(|&(_, stats)| stats).collect(),
+            deep_nprobe,
+        },
+    }
+}
+
+/// Every engine path over `qs` at every width equals the nearest-lists
+/// oracle under `cfg`.
+fn nearest_lists_paths_equal(
+    store: &ClusteredStore,
+    cfg: &HermesConfig,
+    qs: &[Vec<f32>],
+    ctx: &str,
+) -> Result<Vec<SearchOutcome>, String> {
+    let want: Vec<SearchOutcome> = qs.iter().map(|q| nearest_lists_search(store, cfg, q)).collect();
+    let engine = Engine::new(store, cfg);
+    let twice = [0usize, 1, 0];
+    let twice_qs = twice.map(|i| qs[i].as_slice());
+    for &threads in THREADS {
+        let all: Vec<usize> = (0..qs.len()).collect();
+        let paths = [
+            ("batch", &all[..], engine.execute_batch(qs, threads)),
+            ("group", &all[..], engine.execute_coalesced(qs, threads)),
+            ("group of one", &all[..1], engine.execute_coalesced(&qs[..1], threads)),
+            ("group with a repeat", &twice[..], engine.execute_coalesced(&twice_qs, threads)),
+        ];
+        for (path, picks, got) in paths {
+            let got = got.unwrap();
+            prop_assert!(got.len() == picks.len(), "{path}: one outcome per query");
+            for (&i, out) in picks.iter().zip(&got) {
+                prop_assert!(
+                    &want[i] == out,
+                    "{ctx}/threads={threads}/{path}: query {i}\n want {:?}\n  got {:?}",
+                    want[i],
+                    out
+                );
+            }
+        }
+    }
+    Ok(want)
+}
+
+/// `Routing::NearestLists` — whole batch, batch of one, duplicated query,
+/// every width, both codecs, both allocations, adaptive depth on and off,
+/// on a fresh store, one with tombstones and one after a split — is its
+/// sequential oracle bit for bit, stats included. Under `Pooled` the
+/// searched shards are exactly the ranked prefix that holds a chosen
+/// list, the lists probed add up to the budget of the depth chosen, and
+/// the route costs one code per scored list centroid.
+#[test]
+fn nearest_lists_engine_matches_its_sequential_oracle() {
+    let strat = tuple3(u64_in(0..40), usize_in(1..5), usize_in(1..7));
+    check_with(
+        "nearest_lists_engine_matches_its_sequential_oracle",
+        &tk_cfg(),
+        &strat,
+        |&(seed, m, k)| {
+            let corpus = Corpus::generate(CorpusSpec::new(350, 8, 4).with_seed(seed));
+            let qs: Vec<Vec<f32>> = corpus
+                .embeddings()
+                .iter_rows()
+                .step_by(37)
+                .take(5)
+                .map(<[f32]>::to_vec)
+                .collect();
+            let built_cfg = HermesConfig::new(4).with_clusters_to_search(m).with_k(k).with_seed(seed);
+            prop_assert!(built_cfg.routing == Routing::NearestLists);
+            for codec in codecs() {
+                let built = ClusteredStore::build(corpus.embeddings(), &built_cfg.with_codec(codec)).unwrap();
+                for (variant, store) in store_variants(built, &corpus) {
+                    let n = store.num_clusters();
+                    let nlists: Vec<usize> = (0..n).map(|c| store.shard(c).nlist()).collect();
+                    for allocation in [ProbeAllocation::Pooled, ProbeAllocation::PerShard] {
+                        for adaptive in [None, Some(AdaptiveConfig::new(1, 4, 4, 24))] {
+                            let mut cfg = store.config().with_probe_allocation(allocation);
+                            cfg.adaptive = adaptive;
+                            let ctx = format!("{codec:?}/{variant}/{allocation:?}/{adaptive:?}");
+                            let outs = nearest_lists_paths_equal(&store, &cfg, &qs, &ctx)?;
+                            let engine = Engine::new(&store, &cfg);
+                            for (q, out) in qs.iter().zip(&outs) {
+                                let route = engine.route(q).unwrap();
+                                prop_assert_eq!(route.cost.scanned_codes, nlists.iter().sum::<usize>());
+                                prop_assert_eq!(&route.ranked_clusters, &out.ranked_clusters);
+                                if allocation == ProbeAllocation::PerShard {
+                                    continue;
+                                }
+                                // The prefix: every searched shard holds a
+                                // chosen list (the oracle checks no other
+                                // shard does).
+                                prop_assert!(out.stats.per_shard_probed().all(|l| l > 0), "{ctx}");
+                                let (m, deep_nprobe) = match adaptive {
+                                    None => (m, cfg.deep_nprobe),
+                                    Some(a) => {
+                                        let choice = DifficultyEstimator::new(a).depth(&route.ranked_scores);
+                                        (choice.clusters, choice.deep_nprobe)
+                                    }
+                                };
+                                prop_assert_eq!(out.stats.deep_nprobe, deep_nprobe);
+                                let share = |c: &usize| deep_nprobe.min(nlists[*c]);
+                                let leaders = &route.ranked_clusters[..m.min(n)];
+                                let budget = share(&leaders[0])
+                                    + leaders[1..].iter().map(|c| share(c).div_ceil(2)).sum::<usize>();
+                                let probed: usize = out.stats.per_shard_probed().sum();
+                                prop_assert!(probed == budget, "{ctx}: {probed} lists, budget {budget}");
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A distance tie exactly at the nearest-lists cut, between shards ranked
+/// the other way round. Each shard holds three points, one list each:
+/// shard 1's nearest is nearer (1 against 4), so it ranks first, and the
+/// two shards tie, to the bit, at 9 and at 25. The budget is 3 + 2 = 5 of
+/// 6 pairs, which cuts the pair at 25 in two: the tie goes to the lower
+/// cluster id, not the better rank — shard 0 probes all three lists and
+/// the leader two, whatever else is in the batch and at every width.
+#[test]
+fn a_nearest_lists_tie_at_the_cut_goes_to_the_lower_cluster_id() {
+    // Round robin: even rows to shard 0, odd rows to shard 1.
+    let rows = [[2.0f32, 0.0], [1.0, 0.0], [-3.0, 0.0], [0.0, 3.0], [0.0, -5.0], [5.0, 0.0]];
+    let rows: Vec<Vec<f32>> = rows.iter().map(|r| r.to_vec()).collect();
+    let cfg = HermesConfig::new(2)
+        .with_clusters_to_search(2)
+        .with_k(2)
+        .with_codec(CodecSpec::Flat)
+        .with_split(SplitStrategy::RoundRobin);
+    let store = ClusteredStore::build(&Mat::from_rows(&rows), &cfg).unwrap();
+    let query = vec![0.0f32, 0.0];
+    let distances = |c: usize| {
+        let keys = store.shard(c).coarse_keys([&query[..]].into_iter());
+        let mut d: Vec<f32> = keys.query(0).unwrap().iter().map(|&k| probe_key_squared_distance(k)).collect();
+        d.sort_by(f32::total_cmp);
+        d
+    };
+    assert_eq!(distances(0), [4.0, 9.0, 25.0]);
+    assert_eq!(distances(1), [1.0, 9.0, 25.0]);
+
+    let want = nearest_lists_search(&store, &cfg, &query);
+    assert_eq!(want.ranked_clusters, [1, 0], "the nearer list ranks first");
+    assert_eq!(want.stats.per_shard_probed().collect::<Vec<_>>(), [2, 3]);
+    let others: Vec<Vec<f32>> = rows.iter().map(|r| vec![r[1] + 0.5, r[0]]).collect();
+    let engine = Engine::for_store(&store);
+    for &threads in THREADS {
+        assert_eq!(engine.execute_coalesced(&[&query[..]], threads).unwrap()[0], want);
+        let mut batch = others.clone();
+        batch.insert(3, query.clone());
+        assert_eq!(engine.execute_coalesced(&batch, threads).unwrap()[3], want);
+        assert_eq!(engine.execute_batch(&batch, threads).unwrap()[3], want);
+    }
 }

@@ -16,7 +16,7 @@ fn measured_access_freqs() -> (Vec<f64>, usize) {
     let mut counts = vec![0usize; store.num_clusters()];
     for q in queries.embeddings().iter_rows() {
         let out = store.hierarchical_search(q).unwrap();
-        for &c in &out.searched_clusters {
+        for &c in out.searched_clusters() {
             counts[c] += 1;
         }
     }

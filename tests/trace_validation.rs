@@ -23,7 +23,10 @@ fn guard() -> MutexGuard<'static, ()> {
 fn build_store() -> (ClusteredStore, Vec<Vec<f32>>) {
     let corpus = Corpus::generate(CorpusSpec::new(1_200, 24, 6).with_seed(11));
     let queries = QuerySet::generate(&corpus, QuerySpec::new(10).with_seed(12));
-    let cfg = HermesConfig::new(6).with_seed(13).with_clusters_to_search(3);
+    let cfg = HermesConfig::new(6)
+        .with_seed(13)
+        .with_clusters_to_search(3)
+        .with_routing(Routing::DocumentSampling);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
     let qs = queries
         .embeddings()

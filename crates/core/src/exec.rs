@@ -420,7 +420,6 @@ impl<'s> Engine<'s> {
                     .map(|(_, c)| store.shard(c).nlist())
                     .sum();
                 let mut scratch = Cut::default();
-                scratch.distances.reserve(scanned);
                 (0..queries.len())
                     .map(|qi| {
                         let per_shard = keys
@@ -888,34 +887,34 @@ fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) ->
 /// Scratch of the nearest-lists cut, reused from query to query.
 #[derive(Default)]
 struct Cut {
-    /// The loaded shards' distance bits, shard after shard.
-    distances: Vec<u32>,
     /// Each loaded shard's nearest distance bits; `None` without keys.
     nearest: Vec<Option<u32>>,
-    /// Every [`SAMPLE_STRIDE`]-th distance.
+    /// Every [`SAMPLE_STRIDE`]-th distance of every shard.
     sample: Vec<u32>,
-    /// The chosen lists, shard after shard.
+    /// The keys that may make the cut, shard after shard in list order,
+    /// and each shard's range of them; never shorter than the pairs
+    /// loaded, so that it is written without a branch.
+    candidates: Vec<u64>,
+    spans: Vec<std::ops::Range<usize>>,
+    /// The candidates' distance bits, for the selection of the cut.
+    distances: Vec<u32>,
+    /// The chosen lists, shard after shard, and each shard's range.
     lists: Vec<u32>,
-    /// Each shard's range in `lists`.
     ranges: Vec<std::ops::Range<usize>>,
 }
 
-/// The stride of [`Cut::threshold`]'s sample: large enough that the
-/// sample costs little to select in, small enough that its bound keeps
-/// few more distances than the budget.
+/// The stride of the sample [`Cut::take`] bounds the cut with: large
+/// enough that the sample costs little to select in, small enough that
+/// its bound admits few more candidates than the budget.
 const SAMPLE_STRIDE: usize = 8;
 
 impl Cut {
-    /// Reads the distance bits of `shards` (each one shard's coarse keys,
-    /// in list order) and each shard's nearest.
+    /// Reads each of `shards`' nearest distance (each one shard's coarse
+    /// keys, in list order).
     fn load(&mut self, shards: &[&[u64]]) {
-        self.distances.clear();
         self.nearest.clear();
-        for keys in shards {
-            let start = self.distances.len();
-            self.distances.extend(keys.iter().map(|&key| probe_key_distance(key)));
-            self.nearest.push(self.distances[start..].iter().copied().min());
-        }
+        let nearest = shards.iter().map(|keys| keys.iter().map(|&k| probe_key_distance(k)).min());
+        self.nearest.extend(nearest);
     }
 
     /// Chooses the `budget` nearest pairs over the loaded `shards` in
@@ -924,63 +923,78 @@ impl Cut {
     /// exactly that distance as the budget has left, in shard then list
     /// order — and keeps each shard's chosen lists, in list order, for
     /// [`Self::chosen`].
+    ///
+    /// The selection runs on candidates: the pairs at most a bound taken
+    /// from a sample of every [`SAMPLE_STRIDE`]-th distance, with room to
+    /// spare. They hold every pair up to the cut whenever there are at
+    /// least `budget` of them, which is checked; when there are not, every
+    /// pair is a candidate. A shard whose nearest pair lies beyond the
+    /// bound is not read again, and the others are read branch-free.
     fn take(&mut self, shards: &[&[u64]], budget: usize) {
+        let pairs: usize = shards.iter().map(|keys| keys.len()).sum();
+        let rank = (budget + budget / 2) / SAMPLE_STRIDE + 4;
+        self.sample.clear();
+        for keys in shards {
+            let sampled = keys.iter().step_by(SAMPLE_STRIDE);
+            self.sample.extend(sampled.map(|&key| probe_key_distance(key)));
+        }
+        let bound = if budget < pairs && rank < self.sample.len() {
+            *self.sample.select_nth_unstable(rank).1
+        } else {
+            u32::MAX
+        };
+        if self.candidates.len() < pairs {
+            self.candidates.resize(pairs, 0);
+        }
+        let mut candidates = self.collect(shards, bound);
+        if candidates < budget.min(pairs) {
+            candidates = self.collect(shards, u32::MAX);
+        }
         // Pairs nearer than `threshold` are all taken; `ties` more at it.
-        let (threshold, mut ties) = if budget >= self.distances.len() {
+        let (threshold, mut ties) = if budget >= candidates {
             (u32::MAX, usize::MAX)
         } else if budget == 0 {
             (0, 0)
         } else {
-            let (threshold, nearer) = self.threshold(shards, budget);
+            self.distances.clear();
+            let distances = self.candidates[..candidates].iter().map(|&key| probe_key_distance(key));
+            self.distances.extend(distances);
+            let (below, &mut threshold, _) = self.distances.select_nth_unstable(budget - 1);
+            let nearer = below.iter().filter(|&&d| d < threshold).count();
             (threshold, budget - nearer)
         };
         self.lists.clear();
         self.ranges.clear();
-        for (keys, nearest) in shards.iter().zip(&self.nearest) {
+        for span in &self.spans {
             let start = self.lists.len();
-            if nearest.is_some_and(|d| d <= threshold) {
-                for &key in keys.iter() {
-                    let d = probe_key_distance(key);
-                    if d < threshold || (d == threshold && ties > 0) {
-                        if d == threshold {
-                            ties -= 1;
-                        }
-                        self.lists.push(probe_key_centroid(key) as u32);
-                    }
+            for &key in &self.candidates[span.clone()] {
+                let d = probe_key_distance(key);
+                let tie = d == threshold && ties > 0;
+                if d < threshold || tie {
+                    ties -= usize::from(tie);
+                    self.lists.push(probe_key_centroid(key) as u32);
                 }
             }
             self.ranges.push(start..self.lists.len());
         }
     }
 
-    /// The `budget`-th smallest loaded distance (`0 < budget <` the
-    /// number loaded), and how many loaded distances are smaller. The
-    /// selection runs on the distances at most a bound taken from a
-    /// sample of every [`SAMPLE_STRIDE`]-th one, with room to spare —
-    /// they hold every distance up to the answer whenever there are at
-    /// least `budget` of them, which is checked — and on all of them
-    /// (re-read from `shards`) when there are not.
-    fn threshold(&mut self, shards: &[&[u64]], budget: usize) -> (u32, usize) {
-        let rank = (budget + budget / 2) / SAMPLE_STRIDE + 4;
-        self.sample.clear();
-        self.sample.extend(self.distances.iter().step_by(SAMPLE_STRIDE));
-        if rank < self.sample.len() {
-            let (_, &mut bound, _) = self.sample.select_nth_unstable(rank);
-            // Compact the distances within the bound to the front.
-            let mut kept = 0;
-            for i in 0..self.distances.len() {
-                let d = self.distances[i];
-                self.distances[kept] = d;
-                kept += usize::from(d <= bound);
+    /// Gathers every pair of `shards` at most `bound` into the front of
+    /// the candidates, branch-free, and returns how many there are.
+    fn collect(&mut self, shards: &[&[u64]], bound: u32) -> usize {
+        self.spans.clear();
+        let mut kept = 0;
+        for (keys, nearest) in shards.iter().zip(&self.nearest) {
+            let start = kept;
+            if nearest.is_some_and(|d| d <= bound) {
+                for &key in keys.iter() {
+                    self.candidates[kept] = key;
+                    kept += usize::from(probe_key_distance(key) <= bound);
+                }
             }
-            if kept >= budget {
-                self.distances.truncate(kept);
-            } else {
-                self.load(shards);
-            }
+            self.spans.push(start..kept);
         }
-        let (below, &mut threshold, _) = self.distances.select_nth_unstable(budget - 1);
-        (threshold, below.iter().filter(|&&d| d < threshold).count())
+        kept
     }
 
     /// The lists [`Self::take`] chose in its `shard`-th shard.

@@ -2,11 +2,13 @@
 //! from the route stage's confidence signals (ROADMAP item 3).
 //!
 //! Hermes fixes `clusters_to_search` and the deep `nProbe` per deployment
-//! (Table 2), so an easy query — one whose sampled routing scores
-//! concentrate on a single cluster — pays the same deep-search cost as a
-//! hard one whose scores are nearly uniform. The sample stage already
-//! produces the signal needed to tell them apart: the per-cluster score
-//! distribution that ranks the clusters. [`DifficultyEstimator`] turns
+//! (Table 2), so an easy query — one whose routing scores concentrate on
+//! a single cluster — pays the same deep-search cost as a hard one whose
+//! scores are nearly uniform. The route stage already produces the signal
+//! needed to tell them apart: the per-cluster score distribution that
+//! ranks the clusters (sample scores under document sampling, negated
+//! nearest-list distances under nearest-lists routing; the calibration
+//! bands in this repo were fitted on sample scores). [`DifficultyEstimator`] turns
 //! two features of that distribution into a difficulty score in `[0, 1]`:
 //!
 //! * **top-1/top-2 margin** — how far the best cluster's score sits above

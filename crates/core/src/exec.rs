@@ -419,16 +419,18 @@ impl<'s> Engine<'s> {
                     .filter(|(keys, _)| keys.is_some())
                     .map(|(_, c)| store.shard(c).nlist())
                     .sum();
-                let mut scratch = Cut::default();
-                (0..queries.len())
+                let mut cut = CUT.take().unwrap_or_default();
+                let routes = (0..queries.len())
                     .map(|qi| {
                         let per_shard = keys
                             .iter()
                             .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
                             .collect::<Result<Vec<&[u64]>, IndexError>>()?;
-                        Ok(self.nearest_lists(&per_shard, cost(scanned), &mut scratch))
+                        Ok(self.nearest_lists(&per_shard, cost(scanned), &mut cut))
                     })
-                    .collect::<Result<_, HermesError>>()?
+                    .collect::<Result<_, HermesError>>();
+                CUT.set(Some(cut));
+                routes?
             }
             Routing::DocumentSampling => {
                 // One cheap k=1 sample per (shard, query); samples
@@ -731,10 +733,9 @@ impl<'s> Engine<'s> {
     ) -> Result<Vec<Group>, HermesError> {
         let mut members = vec![Vec::new(); self.store.num_clusters()];
         for (qi, route) in routes.iter().enumerate() {
-            let ranked = route
-                .ranked_clusters
-                .get(..positions(qi))
-                .ok_or_else(|| HermesError::InvalidConfig("route has lists for unranked positions".into()))?;
+            let ranked = route.ranked_clusters.get(..positions(qi)).ok_or_else(|| {
+                HermesError::InvalidConfig("route has lists for unranked positions".into())
+            })?;
             for (pos, &c) in ranked.iter().enumerate() {
                 members
                     .get_mut(c)
@@ -884,6 +885,13 @@ fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) ->
     probes
 }
 
+thread_local! {
+    /// This thread's nearest-lists cut scratch between route stages,
+    /// taken and put back like the index's scan scratch, so that a
+    /// stream of small batches does not regrow it route after route.
+    static CUT: std::cell::Cell<Option<Box<Cut>>> = const { std::cell::Cell::new(None) };
+}
+
 /// Scratch of the nearest-lists cut, reused from query to query.
 #[derive(Default)]
 struct Cut {
@@ -957,8 +965,8 @@ impl Cut {
             (0, 0)
         } else {
             self.distances.clear();
-            let distances = self.candidates[..candidates].iter().map(|&key| probe_key_distance(key));
-            self.distances.extend(distances);
+            let candidates = &self.candidates[..candidates];
+            self.distances.extend(candidates.iter().map(|&key| probe_key_distance(key)));
             let (below, &mut threshold, _) = self.distances.select_nth_unstable(budget - 1);
             let nearer = below.iter().filter(|&&d| d < threshold).count();
             (threshold, budget - nearer)

@@ -293,7 +293,7 @@ fn cmd_search(opts: &Flags) -> Result<(), String> {
         println!("  {:>2}. doc {:>10}  score {:+.4}", rank + 1, hit.id, hit.score);
     }
     println!(
-        "work: {} sampled + {} deep codes scanned",
+        "work: {} route + {} deep codes scanned",
         out.sample_cost().scanned_codes,
         out.deep_cost().scanned_codes
     );

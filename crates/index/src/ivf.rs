@@ -578,12 +578,13 @@ impl IvfIndex {
     }
 
     /// Scans, for each query of the group, exactly the inverted lists it
-    /// names (each at most once), in the order given — the scan [`VectorIndex::search_group`]
-    /// runs once it has selected each query's lists, so a query paired
-    /// with the lists its `nprobe` selects gets that search's answer to
-    /// the bit. An empty set probes nothing and answers no hits with zero
-    /// [`ScanStats`]; a query that fails the index's checks, or names a
-    /// list the index does not have, is answered with the error.
+    /// names (each at most once), in the order given — the scan
+    /// [`VectorIndex::search_group`] runs once it has selected each
+    /// query's lists, so a query paired with the lists its `nprobe`
+    /// selects gets that search's answer to the bit. An empty set probes
+    /// nothing and answers no hits with zero [`ScanStats`]; a query that
+    /// fails the index's checks, or names a list the index does not have,
+    /// is answered with the error.
     pub fn search_lists(&self, queries: &[(&[f32], &[u32])], k: usize) -> GroupScan {
         with_scratch(|scratch| {
             scratch.active.clear();

@@ -197,7 +197,7 @@ pub struct DeepLists {
 
 impl DeepLists {
     /// How many leading ranked shards are deep-searched.
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.ends.len()
     }
 
@@ -206,7 +206,7 @@ impl DeepLists {
     /// # Panics
     ///
     /// Panics if `pos >= self.shards()`.
-    pub fn shard(&self, pos: usize) -> &[u32] {
+    pub(crate) fn shard(&self, pos: usize) -> &[u32] {
         let start = if pos == 0 { 0 } else { self.ends[pos - 1] };
         &self.lists[start..self.ends[pos]]
     }

@@ -419,18 +419,10 @@ impl<'s> Engine<'s> {
                     .filter(|(keys, _)| keys.is_some())
                     .map(|(_, c)| store.shard(c).nlist())
                     .sum();
-                let mut cut = CUT.take().unwrap_or_default();
-                let routes = (0..queries.len())
-                    .map(|qi| {
-                        let per_shard = keys
-                            .iter()
-                            .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
-                            .collect::<Result<Vec<&[u64]>, IndexError>>()?;
-                        Ok(self.nearest_lists(&per_shard, cost(scanned), &mut cut))
-                    })
-                    .collect::<Result<_, HermesError>>();
-                CUT.set(Some(cut));
-                routes?
+                let mut pool = Vec::new();
+                (0..queries.len())
+                    .map(|qi| self.nearest_lists(&keys, qi, cost(scanned), &mut pool))
+                    .collect::<Result<_, HermesError>>()?
             }
             Routing::DocumentSampling => {
                 // One cheap k=1 sample per (shard, query); samples
@@ -491,20 +483,32 @@ impl<'s> Engine<'s> {
         Ok(routes)
     }
 
-    /// One query's nearest-lists route from its coarse `keys` in every
+    /// Query `qi`'s nearest-lists route from its coarse keys in every
     /// shard (none for a shard with no live rows): shards ranked by their
     /// nearest key — (distance bits, cluster id), a shard without keys
-    /// last — and scored by its negated squared distance; the budget of
-    /// the `m` first-ranked shards ([`budget`]) spent on the nearest pairs
-    /// over all shards ([`Cut::take`]) under
+    /// last — and scored by its negated squared distance; the [`budget`]
+    /// of the `m` first-ranked shards spent on the nearest pairs over all
+    /// shards, in cluster order ([`pooled_cut`]), under
     /// [`ProbeAllocation::Pooled`], or each of those shards' full share
-    /// under [`ProbeAllocation::PerShard`].
-    fn nearest_lists(&self, keys: &[&[u64]], cost: SearchPhaseCost, cut: &mut Cut) -> RouteOutcome {
-        cut.load(keys);
-        let mut ranked_clusters: Vec<usize> = (0..keys.len()).collect();
-        ranked_clusters.sort_unstable_by_key(|&c| (cut.nearest[c].map_or(u64::MAX, u64::from), c));
+    /// under [`ProbeAllocation::PerShard`]. Each shard's lists are its
+    /// chosen pairs in list order. `pool` is scratch.
+    fn nearest_lists(
+        &self,
+        keys: &[Option<CoarseKeys>],
+        qi: usize,
+        cost: SearchPhaseCost,
+        pool: &mut Vec<u64>,
+    ) -> Result<RouteOutcome, HermesError> {
+        let shards = (keys.iter())
+            .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
+            .collect::<Result<Vec<&[u64]>, IndexError>>()?;
+        let nearest: Vec<Option<u32>> = (shards.iter())
+            .map(|keys| keys.iter().map(|&key| probe_key_distance(key)).min())
+            .collect();
+        let mut ranked_clusters: Vec<usize> = (0..shards.len()).collect();
+        ranked_clusters.sort_unstable_by_key(|&c| (nearest[c].map_or(u64::MAX, u64::from), c));
         let ranked_scores: Vec<f32> = (ranked_clusters.iter())
-            .map(|&c| match cut.nearest[c] {
+            .map(|&c| match nearest[c] {
                 Some(d) => -probe_key_squared_distance(u64::from(d) << 32),
                 None => f32::NEG_INFINITY,
             })
@@ -514,31 +518,38 @@ impl<'s> Engine<'s> {
         let mut lists = DeepLists::default();
         match self.config.probe_allocation {
             ProbeAllocation::Pooled => {
-                let shares = leaders.iter().map(|&c| full_share(deep_nprobe, keys[c]));
-                cut.take(keys, budget(shares));
+                let shares = leaders.iter().map(|&c| full_share(deep_nprobe, shards[c]));
+                let cut = pooled_cut(&shards, budget(shares), pool);
+                // Cluster `c`'s pairs are numbered from `offsets[c]`.
+                let mut offsets = Vec::with_capacity(shards.len());
+                let mut next = 0;
+                for keys in &shards {
+                    offsets.push(next);
+                    next += keys.len();
+                }
+                // A shard ranks by its nearest pair, so the shards
+                // holding a chosen list are a prefix of the ranking.
                 for &c in &ranked_clusters {
-                    let chosen = cut.chosen(c);
-                    if chosen.is_empty() {
+                    let mut chosen = chosen(shards[c], offsets[c], cut).peekable();
+                    if chosen.peek().is_none() {
                         break;
                     }
-                    lists.push(chosen.iter().copied());
+                    lists.push(chosen.map(|key| probe_key_centroid(key) as u32));
                 }
-                debug_assert_eq!(lists.lists.len(), cut.lists.len(), "chosen shards are a prefix");
             }
             ProbeAllocation::PerShard => {
                 for &c in leaders {
-                    cut.load(&keys[c..=c]);
-                    cut.take(&keys[c..=c], full_share(deep_nprobe, keys[c]));
-                    lists.push(cut.chosen(0).iter().copied());
+                    let cut = pooled_cut(&shards[c..=c], full_share(deep_nprobe, shards[c]), pool);
+                    lists.push(chosen(shards[c], 0, cut).map(|key| probe_key_centroid(key) as u32));
                 }
             }
         }
-        RouteOutcome {
+        Ok(RouteOutcome {
             ranked_clusters,
             ranked_scores,
             cost,
             deep_lists: Some(lists),
-        }
+        })
     }
 
     /// **Deep stage** over queries that were already routed (`routes[i]`
@@ -706,7 +717,8 @@ impl<'s> Engine<'s> {
                     if self.config.probe_allocation == ProbeAllocation::Pooled
                         && !route.ranked_scores.is_empty() =>
                 {
-                    pooled_probes(&ranked, deep_nprobe, &mut pool)
+                    let shares = ranked.iter().map(|keys| full_share(deep_nprobe, keys));
+                    pooled_probes(&ranked, budget(shares), &mut pool)
                 }
                 Ok(ranked) => ranked.iter().map(|keys| full_share(deep_nprobe, keys)).collect(),
             };
@@ -858,157 +870,52 @@ fn budget(shares: impl Iterator<Item = usize>) -> usize {
 
 /// One query's probe counts under [`ProbeAllocation::Pooled`] for a
 /// route that chose no lists: `ranked[r]` are its coarse keys in its
-/// rank-`r` routed shard. The [`budget`] goes to the nearest
-/// `(shard, list)` pairs in (distance bits, rank position, list index)
-/// order — a total order, so the counts depend on nothing but the keys.
+/// rank-`r` routed shard, cut by [`pooled_cut`]. Within a shard the
+/// chosen pairs are the nearest of its own distance order, so a count
+/// says which. `pool` is scratch.
+fn pooled_probes(ranked: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Vec<usize> {
+    let cut = pooled_cut(ranked, budget, pool);
+    (ranked.iter())
+        .scan(0, |offset, keys| {
+            let count = chosen(keys, *offset, cut).count();
+            *offset += keys.len();
+            Some(count)
+        })
+        .collect()
+}
+
+/// The pooled cut over one query's `shards` (its coarse keys in each):
+/// the `budget` nearest `(shard, list)` pairs in (distance bits, shard
+/// position, list index) order — a total order, so the cut depends on
+/// nothing but the keys. Returns the [`pair_key`] of the last pair
+/// chosen, `None` if none is; [`chosen`] reads each shard's pairs back.
 /// `pool` is scratch.
-fn pooled_probes(ranked: &[&[u64]], deep_nprobe: usize, pool: &mut Vec<u128>) -> Vec<usize> {
-    let budget = budget(ranked.iter().map(|keys| full_share(deep_nprobe, keys)));
+fn pooled_cut(shards: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Option<u64> {
     pool.clear();
-    for (r, keys) in ranked.iter().enumerate() {
-        pool.extend(keys.iter().map(|&key| {
-            u128::from(probe_key_distance(key)) << 64
-                | (r as u128) << 32
-                | probe_key_centroid(key) as u128
-        }));
+    let mut offset = 0;
+    for keys in shards {
+        pool.extend(keys.iter().map(|&key| pair_key(key, offset)));
+        offset += keys.len();
     }
-    if budget < pool.len() {
-        if budget > 0 {
-            pool.select_nth_unstable(budget - 1);
-        }
-        pool.truncate(budget);
+    assert!(u32::try_from(offset).is_ok(), "a query's pairs are numbered in 32 bits");
+    match budget.min(pool.len()) {
+        0 => None,
+        n => Some(*pool.select_nth_unstable(n - 1).1),
     }
-    let mut probes = vec![0; ranked.len()];
-    for &pair in pool.iter() {
-        probes[(pair >> 32) as u32 as usize] += 1;
-    }
-    probes
 }
 
-thread_local! {
-    /// This thread's nearest-lists cut scratch between route stages,
-    /// taken and put back like the index's scan scratch, so that a
-    /// stream of small batches does not regrow it route after route.
-    static CUT: std::cell::Cell<Option<Box<Cut>>> = const { std::cell::Cell::new(None) };
+/// The keys of one shard (its pairs numbered from `offset` in the
+/// order of [`pooled_cut`]) that the pooled `cut` chose, in list order.
+fn chosen(keys: &[u64], offset: usize, cut: Option<u64>) -> impl Iterator<Item = u64> + '_ {
+    let chosen = move |&key: &u64| cut.is_some_and(|cut| pair_key(key, offset) <= cut);
+    keys.iter().copied().filter(chosen)
 }
 
-/// Scratch of the nearest-lists cut, reused from query to query.
-#[derive(Default)]
-struct Cut {
-    /// Each loaded shard's nearest distance bits; `None` without keys.
-    nearest: Vec<Option<u32>>,
-    /// Every [`SAMPLE_STRIDE`]-th distance of every shard.
-    sample: Vec<u32>,
-    /// The keys that may make the cut, shard after shard in list order,
-    /// and each shard's range of them; never shorter than the pairs
-    /// loaded, so that it is written without a branch.
-    candidates: Vec<u64>,
-    spans: Vec<std::ops::Range<usize>>,
-    /// The candidates' distance bits, for the selection of the cut.
-    distances: Vec<u32>,
-    /// The chosen lists, shard after shard, and each shard's range.
-    lists: Vec<u32>,
-    ranges: Vec<std::ops::Range<usize>>,
-}
-
-/// The stride of the sample [`Cut::take`] bounds the cut with: large
-/// enough that the sample costs little to select in, small enough that
-/// its bound admits few more candidates than the budget.
-const SAMPLE_STRIDE: usize = 8;
-
-impl Cut {
-    /// Reads each of `shards`' nearest distance (each one shard's coarse
-    /// keys, in list order).
-    fn load(&mut self, shards: &[&[u64]]) {
-        self.nearest.clear();
-        let nearest = shards.iter().map(|keys| keys.iter().map(|&k| probe_key_distance(k)).min());
-        self.nearest.extend(nearest);
-    }
-
-    /// Chooses the `budget` nearest pairs over the loaded `shards` in
-    /// (distance bits, position in `shards`, list) order — every pair
-    /// nearer than the `budget`-th pair's distance, then as many pairs at
-    /// exactly that distance as the budget has left, in shard then list
-    /// order — and keeps each shard's chosen lists, in list order, for
-    /// [`Self::chosen`].
-    ///
-    /// The selection runs on candidates: the pairs at most a bound taken
-    /// from a sample of every [`SAMPLE_STRIDE`]-th distance, with room to
-    /// spare. They hold every pair up to the cut whenever there are at
-    /// least `budget` of them, which is checked; when there are not, every
-    /// pair is a candidate. A shard whose nearest pair lies beyond the
-    /// bound is not read again, and the others are read branch-free.
-    fn take(&mut self, shards: &[&[u64]], budget: usize) {
-        let pairs: usize = shards.iter().map(|keys| keys.len()).sum();
-        let rank = (budget + budget / 2) / SAMPLE_STRIDE + 4;
-        self.sample.clear();
-        for keys in shards {
-            let sampled = keys.iter().step_by(SAMPLE_STRIDE);
-            self.sample.extend(sampled.map(|&key| probe_key_distance(key)));
-        }
-        let bound = if budget < pairs && rank < self.sample.len() {
-            *self.sample.select_nth_unstable(rank).1
-        } else {
-            u32::MAX
-        };
-        if self.candidates.len() < pairs {
-            self.candidates.resize(pairs, 0);
-        }
-        let mut candidates = self.collect(shards, bound);
-        if candidates < budget.min(pairs) {
-            candidates = self.collect(shards, u32::MAX);
-        }
-        // Pairs nearer than `threshold` are all taken; `ties` more at it.
-        let (threshold, mut ties) = if budget >= candidates {
-            (u32::MAX, usize::MAX)
-        } else if budget == 0 {
-            (0, 0)
-        } else {
-            self.distances.clear();
-            let candidates = &self.candidates[..candidates];
-            self.distances.extend(candidates.iter().map(|&key| probe_key_distance(key)));
-            let (below, &mut threshold, _) = self.distances.select_nth_unstable(budget - 1);
-            let nearer = below.iter().filter(|&&d| d < threshold).count();
-            (threshold, budget - nearer)
-        };
-        self.lists.clear();
-        self.ranges.clear();
-        for span in &self.spans {
-            let start = self.lists.len();
-            for &key in &self.candidates[span.clone()] {
-                let d = probe_key_distance(key);
-                let tie = d == threshold && ties > 0;
-                if d < threshold || tie {
-                    ties -= usize::from(tie);
-                    self.lists.push(probe_key_centroid(key) as u32);
-                }
-            }
-            self.ranges.push(start..self.lists.len());
-        }
-    }
-
-    /// Gathers every pair of `shards` at most `bound` into the front of
-    /// the candidates, branch-free, and returns how many there are.
-    fn collect(&mut self, shards: &[&[u64]], bound: u32) -> usize {
-        self.spans.clear();
-        let mut kept = 0;
-        for (keys, nearest) in shards.iter().zip(&self.nearest) {
-            let start = kept;
-            if nearest.is_some_and(|d| d <= bound) {
-                for &key in keys.iter() {
-                    self.candidates[kept] = key;
-                    kept += usize::from(probe_key_distance(key) <= bound);
-                }
-            }
-            self.spans.push(start..kept);
-        }
-        kept
-    }
-
-    /// The lists [`Self::take`] chose in its `shard`-th shard.
-    fn chosen(&self, shard: usize) -> &[u32] {
-        &self.lists[self.ranges[shard].clone()]
-    }
+/// A coarse key with its list index replaced by its pair's number,
+/// `offset` plus the list index, so that `u64` order is (distance bits,
+/// shard, list) order.
+fn pair_key(key: u64, offset: usize) -> u64 {
+    key >> 32 << 32 | (offset + probe_key_centroid(key)) as u64
 }
 
 /// The single entry of a stage's answer to a batch of one.
@@ -1078,7 +985,10 @@ mod tests {
         let mixed = keys(&[9.0, 2.5, 1.5, 9.0]);
         let far = keys(&[9.0, 9.0, 9.0, 9.0]);
         let mut pool = Vec::new();
-        let mut probes = |ranked: &[&[u64]], nprobe| pooled_probes(ranked, nprobe, &mut pool);
+        let mut probes = |ranked: &[&[u64]], nprobe| {
+            let shares = ranked.iter().map(|keys| full_share(nprobe, keys));
+            pooled_probes(ranked, budget(shares), &mut pool)
+        };
         // One shard: its own share, capped at its lists, never below 1.
         assert_eq!(probes(&[&near], 3), [3]);
         assert_eq!(probes(&[&near], 100), [4]);
@@ -1097,26 +1007,24 @@ mod tests {
     }
 
     #[test]
-    fn the_nearest_lists_cut_takes_the_first_pairs_of_the_full_order() {
+    fn pooled_probes_take_the_first_pairs_of_the_full_order() {
         use hermes_math::block::probe_key;
         use hermes_math::rng::seeded_rng;
-        // Shards of keys in list order. Distances: random, few distinct
-        // values (ties everywhere), every 8th list near and the rest far
-        // (a sample that bounds too low, so the cut re-reads), and an
-        // empty shard.
+        // Shards of keys in list order, at every budget. Distances:
+        // random, or few distinct values (ties everywhere); one shard is
+        // empty.
         let mut rng = seeded_rng(0xC07);
-        type Pattern<'a> = &'a dyn Fn(usize, &mut hermes_math::rng::SeededRng) -> f32;
-        let patterns: [Pattern; 3] = [
-            &|_, rng| rng.next_f32() * 50.0,
-            &|_, rng| (rng.next_f32() * 4.0).floor(),
-            &|list, rng| if list % 8 == 0 { rng.next_f32() } else { 10.0 + rng.next_f32() },
+        type Pattern<'a> = &'a dyn Fn(&mut hermes_math::rng::SeededRng) -> f32;
+        let patterns: [Pattern; 2] = [
+            &|rng| rng.next_f32() * 50.0,
+            &|rng| (rng.next_f32() * 4.0).floor(),
         ];
-        let mut cut = Cut::default();
+        let mut pool = Vec::new();
         for pattern in patterns {
             for sizes in [&[40usize, 0, 73, 9][..], &[200], &[5, 5, 5], &[64, 64]] {
                 let shards: Vec<Vec<u64>> = sizes
                     .iter()
-                    .map(|&n| (0..n).map(|l| probe_key(pattern(l, &mut rng), l as u32)).collect())
+                    .map(|&n| (0..n).map(|l| probe_key(pattern(&mut rng), l as u32)).collect())
                     .collect();
                 let slices: Vec<&[u64]> = shards.iter().map(|s| &s[..]).collect();
                 let mut full: Vec<(u32, usize, usize)> = (slices.iter().enumerate())
@@ -1127,16 +1035,12 @@ mod tests {
                     .collect();
                 full.sort_unstable();
                 for budget in 0..=full.len() + 1 {
-                    cut.load(&slices);
-                    cut.take(&slices, budget);
-                    let mut want = vec![Vec::new(); slices.len()];
-                    for &(_, c, list) in full.iter().take(budget) {
-                        want[c].push(list as u32);
+                    let mut want = vec![0; slices.len()];
+                    for &(_, c, _) in full.iter().take(budget) {
+                        want[c] += 1;
                     }
-                    for (c, want) in want.iter_mut().enumerate() {
-                        want.sort_unstable();
-                        assert_eq!(cut.chosen(c), &want[..], "{sizes:?} budget {budget} shard {c}");
-                    }
+                    let got = pooled_probes(&slices, budget, &mut pool);
+                    assert_eq!(got, want, "{sizes:?} budget {budget}");
                 }
             }
         }

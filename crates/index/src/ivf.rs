@@ -759,10 +759,8 @@ impl IvfIndex {
         ahead: &mut ReadAhead,
     ) -> usize {
         let cs = self.codec.code_size();
-        // Held in the scratch between scans, so that a scan of a few rows
-        // does not pay for initialising two chunks' worth of slices.
-        let mut segments: Vec<&[u8]> = recycle(std::mem::take(&mut chunk.segments));
-        let mut kept: Vec<&[u8]> = recycle(std::mem::take(&mut chunk.kept));
+        let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
+        let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut rescored = 0;
         let mut first = 0;
         for ((&end, scorer), top) in plan.ends.iter().zip(scorers).zip(tops) {
@@ -779,12 +777,11 @@ impl IvfIndex {
                 // pairs are compacted out before admission, so live rows
                 // keep their exact bits and admission order.
                 let (mut parts, mut rows, mut live) = (0, 0, 0);
-                segments.clear();
                 while rows < limit && at_list < lists.len() {
                     let list = &self.lists[lists[at_list] as usize];
                     let take = (list.ids.len() - at_row).min(limit - rows);
                     let piece = at_row..at_row + take;
-                    segments.push(&list.codes[piece.start * cs..piece.end * cs]);
+                    segments[parts] = &list.codes[piece.start * cs..piece.end * cs];
                     let live_from = live;
                     if list.dead_count > 0 {
                         let flagged = list.ids[piece.clone()].iter().zip(&list.dead[piece]);
@@ -809,7 +806,7 @@ impl IvfIndex {
                         (at_list, at_row) = (at_list + 1, 0);
                     }
                 }
-                let (segments, parts) = (&segments[..], &chunk.parts[..parts]);
+                let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
                 // The chunk's one pass over its cold rows keeps the
                 // read-ahead moving, a few rows between the kernel's tiles.
                 let mut pace = |rows| ahead.advance(self, &plan.lists, rows);
@@ -826,7 +823,6 @@ impl IvfIndex {
                     let words = used.div_ceil(8);
                     chunk.masks[used..words * 8].fill(0);
                     let (mut n, mut part, mut part_from) = (0, 0, 0);
-                    kept.clear();
                     for (w, word) in chunk.masks[..words * 8].chunks_exact(8).enumerate() {
                         let mut mask = u64::from_le_bytes(word.try_into().expect("8 bytes"));
                         while mask != 0 {
@@ -839,14 +835,14 @@ impl IvfIndex {
                             let list = &self.lists[parts[part].list as usize];
                             let at = parts[part].start as usize + row - part_from;
                             if list.dead_count == 0 || !list.dead[at] {
-                                kept.push(&list.codes[at * cs..(at + 1) * cs]);
+                                kept[n] = &list.codes[at * cs..(at + 1) * cs];
                                 chunk.kept_ids[n] = list.ids[at];
                                 n += 1;
                             }
                         }
                     }
                     let out = &mut chunk.scores[..n];
-                    scorer.score_segments(&kept, out, &mut |_| {});
+                    scorer.score_segments(&kept[..n], out, &mut |_| {});
                     top.push_block(&chunk.kept_ids[..n], out);
                     rescored += n;
                     continue;
@@ -872,8 +868,6 @@ impl IvfIndex {
                 }
             }
         }
-        chunk.segments = recycle(segments);
-        chunk.kept = recycle(kept);
         rescored
     }
 }
@@ -936,15 +930,14 @@ struct ScanScratch {
     chunk: Chunk,
 }
 
-/// An emptied `Vec` re-typed to the same type at another borrow lifetime
-/// (scorers that borrow a scan's queries, code slices that borrow its
-/// lists), so one allocation serves scan after scan. Mapping an empty
-/// `vec::IntoIter` collects in place — the buffer is handed over, not
-/// reallocated; were that ever to stop holding, the only loss would be
-/// one allocation per scan.
-fn recycle<A, B>(mut buffer: Vec<A>) -> Vec<B> {
-    buffer.clear();
-    buffer.into_iter().map(|_| unreachable!()).collect()
+/// An emptied `Vec` of scorers re-typed to another borrow lifetime, so
+/// one allocation serves scan after scan although each scan's scorers
+/// borrow that scan's queries. Mapping an empty `vec::IntoIter` collects
+/// in place — the buffer is handed over, not reallocated; were that ever
+/// to stop holding, the only loss would be one allocation per scan.
+fn recycle<'a, 'b>(mut scorers: Vec<QueryScorer<'a>>) -> Vec<QueryScorer<'b>> {
+    scorers.clear();
+    scorers.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// The per-chunk buffers of [`IvfIndex::scan`].
@@ -962,10 +955,6 @@ struct Chunk {
     /// of the rows it keeps.
     masks: [u8; CHUNK_ROWS / 8],
     kept_ids: [u64; CHUNK_ROWS],
-    /// The chunk's code segments, and the rows the bound keeps; held
-    /// empty between scans (see [`recycle`]).
-    segments: Vec<&'static [u8]>,
-    kept: Vec<&'static [u8]>,
 }
 
 impl Default for Chunk {
@@ -978,8 +967,6 @@ impl Default for Chunk {
             live_scores: [0.0; CHUNK_ROWS],
             masks: [0; CHUNK_ROWS / 8],
             kept_ids: [0; CHUNK_ROWS],
-            segments: Vec::with_capacity(CHUNK_ROWS),
-            kept: Vec::with_capacity(CHUNK_ROWS),
         }
     }
 }

@@ -98,8 +98,9 @@ USAGE:
 
 `stats --cache` replays a Zipf-repeated query stream through the
 semantic cache and prints its hit/miss/stale/eviction counters; `--adaptive`
-runs per-query adaptive retrieval depth and prints the chosen-depth
-histogram (the flags compose). Both verify served results against
+runs per-query adaptive retrieval depth under document-sampling routing
+(the depth bands are calibrated on sample scores) and prints the
+chosen-depth histogram (the flags compose). Both verify served results against
 standalone engine execution before reporting.
 
 `loadgen` and `report` attach a per-request observer and print the
@@ -438,8 +439,10 @@ fn cmd_stats_cached(opts: &Flags, use_cache: bool, use_adaptive: bool) -> Result
     let threads = get_usize(opts, "threads", 0)?;
     if use_adaptive {
         // Fixed knobs become the ceiling; easy queries may pay as little
-        // as one cluster at half the deep nProbe.
-        cfg = cfg.with_adaptive(AdaptiveConfig::new(
+        // as one cluster at half the deep nProbe. The depth bands are
+        // calibrated on sample scores, and under document sampling the
+        // searched clusters are exactly the chosen depth.
+        cfg = cfg.with_routing(Routing::DocumentSampling).with_adaptive(AdaptiveConfig::new(
             1,
             cfg.clusters_to_search,
             (cfg.deep_nprobe / 2).max(1),

@@ -1,7 +1,7 @@
 //! Hermes configuration — the tunable parameters of the paper's Table 2,
 //! plus the two query-time policies this repo adds on top of them: the
-//! per-query depth choice ([`AdaptiveConfig`]) and how the deep stage's
-//! probes are spread over a query's routed shards ([`ProbeAllocation`]:
+//! per-query depth choice ([`AdaptiveConfig`]) and how a query's deep
+//! probes are spread over its routed shards ([`ProbeAllocation`]:
 //! the paper's `deep_nprobe` in every shard, or — the default — one
 //! budget of `(m + 1) / 2` shares of `deep_nprobe` per query, spent on
 //! the nearest `(shard, list)` pairs wherever they are). Neither changes
@@ -44,15 +44,22 @@ impl Default for SplitStrategy {
     }
 }
 
-/// How clusters are ranked, and how the deep stage's lists are chosen.
+/// How clusters are ranked.
+///
+/// Every routing starts from one pass over each live shard's list
+/// centroids for the whole batch, and the route stage chooses each
+/// query's deep lists from those keys by [`ProbeAllocation`]'s rule; the
+/// deep stage scans exactly those lists. The routings differ in how they
+/// rank the shards.
 ///
 /// The serving default is [`Routing::NearestLists`]; the paper-figure
 /// binaries pin [`Routing::DocumentSampling`], the paper's design
 /// (`hermes_bench::standard_config`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Routing {
-    /// Document sampling: probe each cluster's index cheaply and rank by
-    /// the best retrieved document — the Hermes routing (Section 4.2).
+    /// Document sampling: probe each cluster's index cheaply (a `k = 1`
+    /// scan of its `sample_nprobe` nearest lists) and rank by the best
+    /// retrieved document — the Hermes routing (Section 4.2).
     DocumentSampling,
     /// Rank clusters by the similarity of their split centroid — the
     /// "Centroid-Based" ablation of Figure 11.
@@ -60,8 +67,8 @@ pub enum Routing {
     /// No ranking: clusters searched in index order (the naive-split
     /// baseline's behavior when combined with `SplitStrategy::RoundRobin`).
     Unranked,
-    /// Rank clusters by their nearest inverted list, and choose the deep
-    /// stage's lists in the same pass. One pass over every shard's list
+    /// Rank clusters by their nearest inverted list, from the keys the
+    /// deep lists are chosen from. The pass over every shard's list
     /// centroids scores each `(shard, list)` pair by coarse L2 distance
     /// (all shards' centroids live in one embedding space); a shard ranks
     /// by its nearest pair, ties by cluster id, and scores the negated
@@ -73,17 +80,15 @@ pub enum Routing {
     /// how many shards the deep stage touches; under
     /// [`ProbeAllocation::PerShard`] each of those shards takes its own
     /// full share. The shards holding a chosen list are a prefix of the
-    /// ranking, and the chosen lists travel to the deep stage in the
-    /// route, which scans exactly them. No sample scan runs: measured on
-    /// the benchmark's store this finds more of the true top-10 than
-    /// sampling on as many rows (EXPERIMENTS.md, "Route from the coarse
-    /// keys").
+    /// ranking. No sample scan runs: measured on the benchmark's store
+    /// this finds more of the true top-10 than sampling on as many rows
+    /// (EXPERIMENTS.md, "Route from the coarse keys").
     #[default]
     NearestLists,
 }
 
-/// How the deep stage spends inverted-list probes over the `m` shards a
-/// query is routed to.
+/// How a query's inverted-list probes are spread over the `m` shards it
+/// is routed to — chosen in the route stage, under every [`Routing`].
 ///
 /// Every shard's coarse centroids live in the one embedding space, so the
 /// `(shard, list)` pairs of a query's routed shards have one distance
@@ -104,9 +109,10 @@ pub enum ProbeAllocation {
     /// each share capped at its shard's list count — so no number is
     /// added to tune, `m = 1` is [`ProbeAllocation::PerShard`] exactly,
     /// and a follower whose lists all lie beyond the cut is not scanned
-    /// at all. Under [`Routing::NearestLists`] the same budget goes to the
-    /// nearest pairs over *every* shard, so `m` sizes it without capping
-    /// the shards searched. Queries routed without a ranking
+    /// at all (it keeps its rank position, with no lists). Under
+    /// [`Routing::NearestLists`] the same budget goes to the nearest pairs
+    /// over *every* shard, so `m` sizes it without capping the shards
+    /// searched. Queries routed without a ranking
     /// ([`Routing::Unranked`], `search_all_clusters`) have no leader and
     /// run per shard.
     #[default]

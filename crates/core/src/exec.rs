@@ -10,20 +10,16 @@
 //! conversion:
 //!
 //! ```text
-//!   batch ──▶ ROUTE   Engine::route_batch: one coarse pass per shard for
-//!                     the whole batch, then per query: shards ranked by
-//!                     their nearest list and the query's lists chosen
-//!                     (NearestLists, the default) — or every shard
-//!                     samples the whole batch in one group scan
-//!                     (DocumentSampling), or its centroid is scored
-//!                     (CentroidOnly), and the shards are ranked best-first
-//!         ──▶ DEEP    Engine::deep_batch: routes that carry no lists get
-//!                     them cut here (per-query depth, the coarse keys of
-//!                     every distinct top-m shard for the queries routed to
-//!                     it, each query's probe counts cut from its keys);
-//!                     then one list scan per shard over exactly the chosen
-//!                     lists (scatter) and a per-query merge_topk in rank
-//!                     order (gather)
+//!   batch ──▶ ROUTE   Engine::route_batch: one coarse pass per live
+//!                     shard for the whole batch; the shards ranked per
+//!                     query by their nearest list (NearestLists, the
+//!                     default), by a sample scan of each shard's nearest
+//!                     lists (DocumentSampling), by their split centroid
+//!                     (CentroidOnly) or not at all (Unranked); then each
+//!                     query's depth and deep lists chosen from the keys
+//!         ──▶ DEEP    Engine::deep_batch: one list scan per shard over
+//!                     exactly the chosen lists (scatter) and a per-query
+//!                     merge_topk in rank order (gather)
 //! ```
 //!
 //! **The probe budget.** Under [`ProbeAllocation::Pooled`] (the default)
@@ -39,32 +35,32 @@
 //! share) and measured recall still rises (the leader holds ⅔ of the
 //! answer and is depth-bound; see [`ProbeAllocation`]).
 //!
-//! Under [`Routing::NearestLists`] the route stage spends `B` itself, on
-//! the nearest pairs over **all** shards — ties by (distance bits, cluster
-//! id, list index) — so `m` sizes the budget without capping how many
-//! shards are searched; a shard ranks by its nearest pair, so the shards
-//! holding a chosen list are a prefix of the ranking, and the route hands
-//! the lists to the deep stage ([`RouteOutcome::deep_lists`]): no sample
-//! scan, no second coarse pass. Under the other routings the deep stage
-//! pools the pairs of the query's `m` routed shards only, ties by
-//! (distance bits, rank position, list index); within a shard the pooled
-//! choice is a prefix of that shard's own distance order, so it is cut as
-//! a plain per-shard count, zero included — a routed shard none of whose
-//! lists make the cut is searched with no lists and not scanned.
-//! Either way the probe set is a function of the query and the store.
+//! The route stage spends `B`, for every routing, from the same keys it
+//! took in its one coarse pass. Under [`Routing::NearestLists`] it goes
+//! to the nearest pairs over **all** shards — ties by (distance bits,
+//! cluster id, list index) — so `m` sizes the budget without capping how
+//! many shards are searched; a shard ranks by its nearest pair, so the
+//! shards holding a chosen list are a prefix of the ranking. Under the
+//! other routings it goes to the pairs of the query's `m` routed shards
+//! only, ties by (distance bits, rank position, list index), and every
+//! routed shard keeps its position — one none of whose lists make the cut
+//! is searched with no lists and not scanned. The chosen lists travel
+//! with the route ([`RouteOutcome::deep_lists`]), and the deep stage
+//! scans exactly them. Either way the probe set is a function of the
+//! query and the store.
 //!
 //! A single query is a batch of one: [`Engine::route`],
 //! [`Engine::execute`] and [`Engine::execute_coalesced`] are compositions
 //! of the two stages, and the line between the two calls is where a
 //! caller inspects or edits the routed batch (the serving layer probes
 //! its cache there). The engine reaches a shard through
-//! [`IvfIndex::coarse_keys`], [`IvfIndex::search_lists`] and, for
-//! sampling, [`VectorIndex::search_group`]: a group of queries, each
-//! with its own lists, answered exactly as if each were searched alone.
-//! What a batch shares is the pass over each shard's centroid table, the
-//! per-shard fan-out and the scan scratch; each query then streams its
-//! own lists. A shard with no live rows answers every query with no hits
-//! and zero work: it samples −∞, holds no pair, and is not scanned.
+//! [`IvfIndex::coarse_keys`] and [`IvfIndex::search_lists`]: a group of
+//! queries, each with its own lists, answered exactly as if each were
+//! searched alone. What a batch shares is the pass over each shard's
+//! centroid table, the per-shard fan-out and the scan scratch; each query
+//! then streams its own lists. A shard with no live rows answers every
+//! query with no hits and zero work: it has no keys, samples −∞, holds no
+//! pair, and is not scanned.
 //!
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
 //! each shard serving its whole query group (`threads` caps the width:
@@ -92,9 +88,7 @@
 //! envelope. Disabled, every site is one relaxed atomic load.
 
 use hermes_index::{CoarseKeys, GroupScan, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex};
-use hermes_kmeans::{
-    probe_key_centroid, probe_key_distance, probe_key_squared_distance, select_nearest,
-};
+use hermes_kmeans::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
 use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
 
@@ -156,8 +150,7 @@ impl SearchStats {
 }
 
 /// Outcome of the route stage: every cluster ranked best-first, the work
-/// ranking them took, and — when the routing chose them — the lists the
-/// deep stage scans.
+/// ranking them took, and the lists the deep stage scans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteOutcome {
     /// All clusters, best first.
@@ -169,13 +162,12 @@ pub struct RouteOutcome {
     pub ranked_scores: Vec<f32>,
     /// Route-stage work.
     pub cost: SearchPhaseCost,
-    /// The inverted lists the deep stage scans, by rank position:
-    /// [`Routing::NearestLists`] chooses them from the keys it ranked by,
-    /// and they travel with the route (past the serving layer's cache
-    /// probe, say) so that the deep stage neither recomputes nor
-    /// re-selects them. `None` under the other routings: the deep stage
-    /// cuts the lists from its own coarse pass.
-    pub deep_lists: Option<DeepLists>,
+    /// The inverted lists the deep stage scans, by rank position, and the
+    /// depth they were cut at: every routing chooses them from the coarse
+    /// keys of its one pass, and they travel with the route (past the
+    /// serving layer's cache probe, say) so that the deep stage neither
+    /// recomputes nor re-selects them.
+    pub deep_lists: DeepLists,
 }
 
 impl RouteOutcome {
@@ -193,6 +185,9 @@ pub struct DeepLists {
     lists: Vec<u32>,
     /// One past each position's last entry in `lists`.
     ends: Vec<usize>,
+    /// The deep `nProbe` the lists were cut at — what
+    /// [`SearchStats::deep_nprobe`] records.
+    deep_nprobe: usize,
 }
 
 impl DeepLists {
@@ -211,8 +206,10 @@ impl DeepLists {
         &self.lists[start..self.ends[pos]]
     }
 
-    /// Appends the next rank position's lists.
-    fn push(&mut self, lists: impl IntoIterator<Item = u32>) {
+    /// Appends the next rank position's lists, given as their coarse
+    /// keys.
+    fn push(&mut self, keys: impl IntoIterator<Item = u64>) {
+        let lists = keys.into_iter().map(|key| probe_key_centroid(key) as u32);
         self.lists.extend(lists);
         self.ends.push(self.lists.len());
     }
@@ -334,10 +331,10 @@ impl<'s> Engine<'s> {
     /// # Errors
     ///
     /// Propagates the first per-query error in input order, route before
-    /// deep. (A query that passed every shard's checks in the route stage
-    /// cannot fail a deep search of some of them, and the other routing
-    /// modes never fail, so stage order never reorders two queries'
-    /// errors.)
+    /// deep. (The route stage checks every query against every live
+    /// shard, and a query that passed those checks cannot fail a deep
+    /// search of its own route, so stage order never reorders two
+    /// queries' errors.)
     pub fn execute_coalesced<Q: AsRef<[f32]> + Sync>(
         &self,
         queries: &[Q],
@@ -364,17 +361,20 @@ impl<'s> Engine<'s> {
         Ok(outcomes)
     }
 
-    /// **Route stage:** ranks every cluster for every query,
-    /// shard-major. Under nearest-lists routing each shard scores its
-    /// list centroids against the whole batch in one
-    /// [`IvfIndex::coarse_keys`] pass, and each query ranks the shards by
-    /// their nearest list and chooses its deep lists from the same keys
-    /// (see the module docs); under document-sampling routing each shard
-    /// samples the whole batch in one [`VectorIndex::search_group`] and
-    /// each query ranks its own per-shard scores. Shards fan out on the
-    /// pool, at most `threads` at once. Every route is exactly what
-    /// routing that query alone returns. Records an `engine.route` span
-    /// (args: `queries`, `scanned_codes`, `clusters`).
+    /// **Route stage:** ranks every cluster for every query and chooses
+    /// its deep lists, shard-major. Each live shard scores its list
+    /// centroids against the whole batch in one [`IvfIndex::coarse_keys`]
+    /// pass, which also checks every query as a search would. Then each
+    /// query ranks the shards — by their nearest list under nearest-lists
+    /// routing; by a `k = 1` scan of each shard's `sample_nprobe` nearest
+    /// lists under document-sampling routing (one
+    /// [`IvfIndex::search_lists`] per shard for the whole batch); by the
+    /// split centroids under centroid routing; in cluster order when
+    /// unranked — and chooses its depth and lists from the same keys (see
+    /// the module docs). Shards fan out on the pool, at most `threads` at
+    /// once. Every route is exactly what routing that query alone
+    /// returns. Records an `engine.route` span (args: `queries`,
+    /// `scanned_codes`, `clusters`).
     ///
     /// # Errors
     ///
@@ -392,51 +392,67 @@ impl<'s> Engine<'s> {
         let n = store.num_clusters();
         let mut sp =
             hermes_trace::span_with(names::ENGINE_ROUTE, &[("queries", queries.len() as u64)]);
+        // One coarse pass per live shard for the whole batch.
+        let group: Vec<&[f32]> = queries.iter().map(|q| q.as_ref()).collect();
+        let keys: Vec<Option<CoarseKeys>> = fan_out(n, width_cap(threads), |c| {
+            let shard = store.shard(c);
+            (shard.len() > 0).then(|| shard.coarse_keys(group.iter().copied()))
+        });
+        // Each query's keys in every shard (none in a shard with no live
+        // rows), or its error in the first shard in cluster order.
+        let shards: Vec<Result<Vec<&[u64]>, IndexError>> = (0..queries.len())
+            .map(|qi| {
+                (keys.iter())
+                    .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
+                    .collect()
+            })
+            .collect();
+        // One cheap k=1 sample per (shard, query) of its nearest lists;
+        // samples dominate single-query latency when m is small. A query
+        // that failed its checks samples no lists and gets the error.
+        let sample_nprobe = self.config.sample_nprobe.max(1);
+        let samples = match self.config.routing {
+            Routing::DocumentSampling => fan_out(n, width_cap(threads), |c| {
+                let scan = |shard: &IvfIndex| {
+                    let mut pool = Vec::new();
+                    let lists: Vec<Vec<u32>> = (shards.iter())
+                        .map(|shards| match shards {
+                            Ok(shards) => nearest(shards[c], sample_nprobe, &mut pool)
+                                .map(|key| probe_key_centroid(key) as u32)
+                                .collect(),
+                            Err(_) => Vec::new(),
+                        })
+                        .collect();
+                    let sampled: Vec<(&[f32], &[u32])> = (group.iter().copied())
+                        .zip(lists.iter().map(Vec::as_slice))
+                        .collect();
+                    shard.search_lists(&sampled, 1)
+                };
+                self.shard_scan(names::SHARD_SAMPLE, c, group.len(), scan)
+            }),
+            _ => Vec::new(),
+        };
         let cost = |scanned_codes| SearchPhaseCost {
             scanned_codes,
             clusters_touched: n,
         };
-        let ranked = |scored: Vec<(usize, f32)>, scanned_codes: usize| {
-            let (ranked_clusters, ranked_scores) = rank_with_scores(scored);
-            RouteOutcome {
-                ranked_clusters,
-                ranked_scores,
-                cost: cost(scanned_codes),
-                deep_lists: None,
-            }
-        };
-        let routes: Vec<RouteOutcome> = match self.config.routing {
-            Routing::NearestLists => {
-                // One coarse pass per live shard for the whole batch.
-                let group: Vec<&[f32]> = queries.iter().map(|q| q.as_ref()).collect();
-                let keys: Vec<Option<CoarseKeys>> = fan_out(n, width_cap(threads), |c| {
-                    let shard = store.shard(c);
-                    (shard.len() > 0).then(|| shard.coarse_keys(group.iter().copied()))
-                });
-                // Every scored list centroid counts one code, as a
-                // scored split centroid does under centroid routing.
-                let scanned = (keys.iter().zip(0..))
-                    .filter(|(keys, _)| keys.is_some())
-                    .map(|(_, c)| store.shard(c).nlist())
-                    .sum();
-                let mut pool = Vec::new();
-                (0..queries.len())
-                    .map(|qi| self.nearest_lists(&keys, qi, cost(scanned), &mut pool))
-                    .collect::<Result<_, HermesError>>()?
-            }
-            Routing::DocumentSampling => {
-                // One cheap k=1 sample per (shard, query); samples
-                // dominate single-query latency when m is small.
-                let group: Vec<(&[f32], usize)> = queries
-                    .iter()
-                    .map(|q| (q.as_ref(), self.config.sample_nprobe))
-                    .collect();
-                let samples = fan_out(n, width_cap(threads), |c| {
-                    let scan = |shard: &IvfIndex| shard.search_group(&group, 1);
-                    self.shard_scan(names::SHARD_SAMPLE, c, group.len(), scan)
-                });
-                (0..queries.len())
-                    .map(|qi| {
+        // Every scored list centroid counts one code, as a scored split
+        // centroid does under centroid routing.
+        let listed = (keys.iter().zip(0..))
+            .filter(|(keys, _)| keys.is_some())
+            .map(|(_, c)| store.shard(c).nlist())
+            .sum();
+        let metric = store.config().metric;
+        let mut pool = Vec::new();
+        let routes: Vec<RouteOutcome> = (shards.into_iter().enumerate())
+            .map(|(qi, shards)| {
+                let shards = shards?;
+                let (ranked_clusters, ranked_scores, cost) = match self.config.routing {
+                    Routing::NearestLists => {
+                        let (ranked, scores) = rank_by_nearest_list(&shards);
+                        (ranked, scores, cost(listed))
+                    }
+                    Routing::DocumentSampling => {
                         let mut scored = Vec::with_capacity(n);
                         let mut scanned = 0;
                         for (c, shard) in samples.iter().enumerate() {
@@ -445,33 +461,38 @@ impl<'s> Engine<'s> {
                             scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
                             scanned += stats.scanned_codes;
                         }
-                        Ok(ranked(scored, scanned))
-                    })
-                    .collect::<Result<_, HermesError>>()?
-            }
-            Routing::CentroidOnly => {
-                let metric = store.config().metric;
-                queries
-                    .iter()
-                    .map(|q| {
+                        let (ranked, scores) = rank_with_scores(scored);
+                        (ranked, scores, cost(scanned))
+                    }
+                    Routing::CentroidOnly => {
+                        let query = group[qi];
                         let scored = (0..n)
-                            .map(|c| (c, metric.similarity(q.as_ref(), store.split_centroid(c))))
-                            .collect();
+                            .map(|c| match store.split_centroid(c) {
+                                centroid if centroid.len() == query.len() => {
+                                    Ok((c, metric.similarity(query, centroid)))
+                                }
+                                centroid => Err(IndexError::DimensionMismatch {
+                                    expected: centroid.len(),
+                                    got: query.len(),
+                                }),
+                            })
+                            .collect::<Result<_, _>>()?;
                         // Centroid ranking scans one vector per cluster.
-                        ranked(scored, n)
-                    })
-                    .collect()
-            }
-            Routing::Unranked => queries
-                .iter()
-                .map(|_| RouteOutcome {
-                    ranked_clusters: (0..n).collect(),
-                    ranked_scores: Vec::new(),
-                    cost: SearchPhaseCost::default(),
-                    deep_lists: None,
+                        let (ranked, scores) = rank_with_scores(scored);
+                        (ranked, scores, cost(n))
+                    }
+                    Routing::Unranked => ((0..n).collect(), Vec::new(), SearchPhaseCost::default()),
+                };
+                let deep_lists =
+                    self.deep_lists(&shards, &ranked_clusters, &ranked_scores, &mut pool);
+                Ok(RouteOutcome {
+                    ranked_clusters,
+                    ranked_scores,
+                    cost,
+                    deep_lists,
                 })
-                .collect(),
-        };
+            })
+            .collect::<Result<_, HermesError>>()?;
         if sp.is_active() {
             let costs = routes.iter().map(|r| r.cost);
             sp.arg(
@@ -483,82 +504,69 @@ impl<'s> Engine<'s> {
         Ok(routes)
     }
 
-    /// Query `qi`'s nearest-lists route from its coarse keys in every
-    /// shard (none for a shard with no live rows): shards ranked by their
-    /// nearest key — (distance bits, cluster id), a shard without keys
-    /// last — and scored by its negated squared distance; the [`budget`]
-    /// of the `m` first-ranked shards spent on the nearest pairs over all
-    /// shards, in cluster order ([`pooled_cut`]), under
-    /// [`ProbeAllocation::Pooled`], or each of those shards' full share
-    /// under [`ProbeAllocation::PerShard`]. Each shard's lists are its
-    /// chosen pairs in list order. `pool` is scratch.
-    fn nearest_lists(
+    /// The one list chooser, for every routing: a query's deep lists from
+    /// its coarse keys in every shard (`shards[c]`, none for a shard with
+    /// no live rows) and its ranking, at the depth [`Self::depth_for`] its
+    /// scores give. Under [`ProbeAllocation::Pooled`] with a scored
+    /// ranking, the [`budget`] of the `m` first-ranked shards is cut by
+    /// [`pooled_cut`] — over all shards under [`Routing::NearestLists`],
+    /// over the `m` routed ones under the others (module docs). In every
+    /// other case each of the `m` first-ranked shards takes its full
+    /// share. Each shard's lists are its chosen pairs in list order.
+    /// `pool` is scratch.
+    fn deep_lists(
         &self,
-        keys: &[Option<CoarseKeys>],
-        qi: usize,
-        cost: SearchPhaseCost,
+        shards: &[&[u64]],
+        ranked_clusters: &[usize],
+        ranked_scores: &[f32],
         pool: &mut Vec<u64>,
-    ) -> Result<RouteOutcome, HermesError> {
-        let shards = (keys.iter())
-            .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
-            .collect::<Result<Vec<&[u64]>, IndexError>>()?;
-        let nearest: Vec<Option<u32>> = (shards.iter())
-            .map(|keys| keys.iter().map(|&key| probe_key_distance(key)).min())
-            .collect();
-        let mut ranked_clusters: Vec<usize> = (0..shards.len()).collect();
-        ranked_clusters.sort_unstable_by_key(|&c| (nearest[c].map_or(u64::MAX, u64::from), c));
-        let ranked_scores: Vec<f32> = (ranked_clusters.iter())
-            .map(|&c| match nearest[c] {
-                Some(d) => -probe_key_squared_distance(u64::from(d) << 32),
-                None => f32::NEG_INFINITY,
-            })
-            .collect();
-        let (m, deep_nprobe) = self.depth_for(&ranked_scores);
+    ) -> DeepLists {
+        let (m, deep_nprobe) = self.depth_for(ranked_scores);
         let leaders = &ranked_clusters[..m.min(ranked_clusters.len())];
-        let mut lists = DeepLists::default();
-        match self.config.probe_allocation {
-            ProbeAllocation::Pooled => {
-                let shares = leaders.iter().map(|&c| full_share(deep_nprobe, shards[c]));
-                let cut = pooled_cut(&shards, budget(shares), pool);
-                // Cluster `c`'s pairs are numbered from `offsets[c]`.
-                let mut offsets = Vec::with_capacity(shards.len());
-                let mut next = 0;
-                for keys in &shards {
-                    offsets.push(next);
-                    next += keys.len();
-                }
-                // A shard ranks by its nearest pair, so the shards
-                // holding a chosen list are a prefix of the ranking.
-                for &c in &ranked_clusters {
-                    let mut chosen = chosen(shards[c], offsets[c], cut).peekable();
-                    if chosen.peek().is_none() {
-                        break;
-                    }
-                    lists.push(chosen.map(|key| probe_key_centroid(key) as u32));
-                }
+        let share = |c: usize| full_share(deep_nprobe, shards[c]);
+        let mut lists = DeepLists {
+            deep_nprobe,
+            ..DeepLists::default()
+        };
+        if self.config.probe_allocation == ProbeAllocation::PerShard || ranked_scores.is_empty() {
+            for &c in leaders {
+                lists.push(nearest(shards[c], share(c), pool));
             }
-            ProbeAllocation::PerShard => {
-                for &c in leaders {
-                    let cut = pooled_cut(&shards[c..=c], full_share(deep_nprobe, shards[c]), pool);
-                    lists.push(chosen(shards[c], 0, cut).map(|key| probe_key_centroid(key) as u32));
-                }
-            }
+            return lists;
         }
-        Ok(RouteOutcome {
-            ranked_clusters,
-            ranked_scores,
-            cost,
-            deep_lists: Some(lists),
-        })
+        // Nearest-lists routing pools every shard in cluster order and
+        // searches the ranked prefix that holds a chosen list (a shard
+        // ranks by its nearest pair); the others pool their leaders in
+        // rank order and search them all. The pool's order breaks its
+        // ties: shard `c`'s pairs are numbered from `offsets[c]`.
+        let uncapped = self.config.routing == Routing::NearestLists;
+        let order: Vec<usize> = if uncapped {
+            (0..shards.len()).collect()
+        } else {
+            leaders.to_vec()
+        };
+        let mut offsets = vec![0; shards.len()];
+        let mut next = 0;
+        for &c in &order {
+            offsets[c] = next;
+            next += shards[c].len();
+        }
+        let pooled: Vec<&[u64]> = order.iter().map(|&c| shards[c]).collect();
+        let cut = pooled_cut(&pooled, budget(leaders.iter().map(|&c| share(c))), pool);
+        for &c in if uncapped { ranked_clusters } else { leaders } {
+            let mut chosen = chosen(shards[c], offsets[c], cut).peekable();
+            if uncapped && chosen.peek().is_none() {
+                break;
+            }
+            lists.push(chosen);
+        }
+        lists
     }
 
     /// **Deep stage** over queries that were already routed (`routes[i]`
-    /// is `queries[i]`'s): a route that carries its lists
-    /// ([`RouteOutcome::deep_lists`]) is scanned on exactly those; the
-    /// others get theirs cut here, from one coarse pass per routed shard
-    /// (see the module docs). Then every shard
-    /// is deep-searched once — one pool task and one
-    /// [`IvfIndex::search_lists`] per shard, each query on its own lists
+    /// is `queries[i]`'s): every shard is deep-searched once — one pool
+    /// task and one [`IvfIndex::search_lists`] per shard, each query on
+    /// exactly the lists its route carries ([`RouteOutcome::deep_lists`])
     /// — and each query's per-shard hits are merged in its own rank
     /// order. `execute_coalesced(qs, t)` ≡ `deep_batch(qs,
     /// route_batch(qs, t)?, t)` bit for bit; callers that route first (to
@@ -577,7 +585,7 @@ impl<'s> Engine<'s> {
     pub fn deep_batch<Q: AsRef<[f32]> + Sync>(
         &self,
         queries: &[Q],
-        mut routes: Vec<RouteOutcome>,
+        routes: Vec<RouteOutcome>,
         threads: usize,
     ) -> Result<Vec<SearchOutcome>, HermesError> {
         if queries.len() != routes.len() {
@@ -592,24 +600,20 @@ impl<'s> Engine<'s> {
         }
         let mut sp =
             hermes_trace::span_with(names::ENGINE_SCATTER, &[("queries", queries.len() as u64)]);
-        let cap = width_cap(threads);
-        self.cut_lists(queries, &mut routes, cap)?;
-        let lists: Vec<&DeepLists> = routes
-            .iter()
-            .map(|route| route.deep_lists.as_ref().expect("every route has its lists"))
-            .collect();
-        let groups = self.groups(&routes, |qi| lists[qi].shards())?;
+        let groups = self.groups(&routes)?;
         sp.arg("distinct_clusters", groups.len() as u64);
         sp.arg(
             "deep_searches",
-            lists.iter().map(|lists| lists.shards() as u64).sum(),
+            (routes.iter())
+                .map(|route| route.deep_lists.shards() as u64)
+                .sum(),
         );
 
-        let scans = fan_out(groups.len(), cap, |g| {
+        let scans = fan_out(groups.len(), width_cap(threads), |g| {
             let (c, members) = &groups[g];
             let group: Vec<(&[f32], &[u32])> = members
                 .iter()
-                .map(|&(qi, pos)| (queries[qi].as_ref(), lists[qi].shard(pos)))
+                .map(|&(qi, pos)| (queries[qi].as_ref(), routes[qi].deep_lists.shard(pos)))
                 .collect();
             let scan = |shard: &IvfIndex| shard.search_lists(&group, self.config.k);
             self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
@@ -626,9 +630,13 @@ impl<'s> Engine<'s> {
 
         // Re-slot every result at its query's rank position, so gather
         // sees the per-shard sequence a lone query would build.
-        let mut per_query: Vec<Vec<ScanResult>> = lists
+        let mut per_query: Vec<Vec<ScanResult>> = routes
             .iter()
-            .map(|lists| (0..lists.shards()).map(|_| Ok(Default::default())).collect())
+            .map(|route| {
+                (0..route.deep_lists.shards())
+                    .map(|_| Ok(Default::default()))
+                    .collect()
+            })
             .collect();
         for ((_, members), results) in groups.iter().zip(scans) {
             for (&(qi, pos), result) in members.iter().zip(results) {
@@ -643,109 +651,19 @@ impl<'s> Engine<'s> {
             .zip(per_query)
             .map(|(route, results)| {
                 let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-                let (_, deep_nprobe) = self.depth_for(&route.ranked_scores);
-                Ok(self.gather(route, per_shard, deep_nprobe))
+                Ok(self.gather(route, per_shard))
             })
             .collect()
     }
 
-    /// Gives every route without lists the lists its query probes in its
-    /// first `m` ranked shards: the coarse keys of every distinct such
-    /// shard are taken **once** for all the queries routed to it, each
-    /// query's probe counts are cut from its keys — its full
-    /// `deep_nprobe` in every shard, or its share of the query's pooled
-    /// budget (module docs) — and each count becomes the lists
-    /// [`select_nearest`] moves to the front of that shard's keys: the
-    /// lists, in the order, that [`VectorIndex::search_group`] would scan
-    /// at that count.
-    fn cut_lists<Q: AsRef<[f32]> + Sync>(
-        &self,
-        queries: &[Q],
-        routes: &mut [RouteOutcome],
-        cap: usize,
-    ) -> Result<(), HermesError> {
-        if routes.iter().all(|route| route.deep_lists.is_some()) {
-            return Ok(());
-        }
-        // Query `qi` deep-searches the first `m` clusters of its ranking
-        // at `deep_nprobe`: the fixed knobs, or the adaptive policy's
-        // choice for its route; a route with lists is not cut again.
-        let depths: Vec<(usize, usize)> = routes
-            .iter()
-            .map(|route| match route.deep_lists {
-                Some(_) => (0, 0),
-                None => {
-                    let (m, deep_nprobe) = self.depth_for(&route.ranked_scores);
-                    (m.min(route.ranked_clusters.len()), deep_nprobe)
-                }
-            })
-            .collect();
-        let groups = self.groups(routes, |qi| depths[qi].0)?;
-
-        // Each routed shard's centroid table is streamed once, here, for
-        // its whole group; a shard with no live rows has no keys.
-        let mut keys: Vec<Option<CoarseKeys>> = fan_out(groups.len(), cap, |g| {
-            let (c, members) = &groups[g];
-            let shard = self.store.shard(*c);
-            let queries = members.iter().map(|&(qi, _)| queries[qi].as_ref());
-            (shard.len() > 0).then(|| shard.coarse_keys(queries))
-        });
-        // `at[qi][pos]` is where query `qi` sits in its rank-`pos` shard:
-        // `(group, member)`. Each `(query, position)` is in exactly one
-        // group, so every placeholder is overwritten.
-        let mut at: Vec<Vec<(usize, usize)>> =
-            depths.iter().map(|&(m, _)| vec![(0, 0); m]).collect();
-        for (g, (_, members)) in groups.iter().enumerate() {
-            for (j, &(qi, pos)) in members.iter().enumerate() {
-                at[qi][pos] = (g, j);
-            }
-        }
-        let mut pool = Vec::new();
-        for ((route, &(_, deep_nprobe)), at) in routes.iter_mut().zip(&depths).zip(&at) {
-            if route.deep_lists.is_some() {
-                continue;
-            }
-            let ranked: Result<Vec<&[u64]>, _> = (at.iter())
-                .map(|&(g, j)| keys[g].as_ref().map_or(Ok(&[][..]), |keys| keys.query(j)))
-                .collect();
-            // A query whose keys failed somewhere probes nothing there
-            // and fails its scan the same way.
-            let counts: Vec<usize> = match ranked {
-                Err(_) => vec![0; at.len()],
-                // A route without scores ranked nothing: no leader.
-                Ok(ranked)
-                    if self.config.probe_allocation == ProbeAllocation::Pooled
-                        && !route.ranked_scores.is_empty() =>
-                {
-                    let shares = ranked.iter().map(|keys| full_share(deep_nprobe, keys));
-                    pooled_probes(&ranked, budget(shares), &mut pool)
-                }
-                Ok(ranked) => ranked.iter().map(|keys| full_share(deep_nprobe, keys)).collect(),
-            };
-            let mut lists = DeepLists::default();
-            for (&(g, j), count) in at.iter().zip(counts) {
-                let keys = match (count, keys[g].as_mut()) {
-                    (0, _) | (_, None) => &mut [][..],
-                    (n, Some(keys)) => select_nearest(keys.query_mut(j)?, n),
-                };
-                lists.push(keys.iter().map(|&key| probe_key_centroid(key) as u32));
-            }
-            route.deep_lists = Some(lists);
-        }
-        Ok(())
-    }
-
-    /// Inverts query → its first `positions(qi)` ranked clusters into
+    /// Inverts query → the ranked clusters its lists are for into
     /// cluster → `(query, rank position)` members: ascending cluster id,
     /// input order within a cluster, clusters without members left out.
-    fn groups(
-        &self,
-        routes: &[RouteOutcome],
-        positions: impl Fn(usize) -> usize,
-    ) -> Result<Vec<Group>, HermesError> {
+    fn groups(&self, routes: &[RouteOutcome]) -> Result<Vec<Group>, HermesError> {
         let mut members = vec![Vec::new(); self.store.num_clusters()];
         for (qi, route) in routes.iter().enumerate() {
-            let ranked = route.ranked_clusters.get(..positions(qi)).ok_or_else(|| {
+            let positions = route.deep_lists.shards();
+            let ranked = route.ranked_clusters.get(..positions).ok_or_else(|| {
                 HermesError::InvalidConfig("route has lists for unranked positions".into())
             })?;
             for (pos, &c) in ranked.iter().enumerate() {
@@ -822,7 +740,6 @@ impl<'s> Engine<'s> {
         &self,
         route: RouteOutcome,
         per_shard: Vec<(Vec<Neighbor>, ScanStats)>,
-        deep_nprobe: usize,
     ) -> SearchOutcome {
         let mut gather_span = hermes_trace::span(names::ENGINE_GATHER);
         let hits = merge_topk(per_shard.iter().map(|(hits, _)| hits), self.config.k);
@@ -837,7 +754,7 @@ impl<'s> Engine<'s> {
             },
             gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
             per_shard: per_shard.iter().map(|&(_, stats)| stats).collect(),
-            deep_nprobe,
+            deep_nprobe: route.deep_lists.deep_nprobe,
         };
         gather_span.arg("candidates", stats.gather_candidates as u64);
         drop(gather_span);
@@ -868,22 +785,6 @@ fn budget(shares: impl Iterator<Item = usize>) -> usize {
         .sum()
 }
 
-/// One query's probe counts under [`ProbeAllocation::Pooled`] for a
-/// route that chose no lists: `ranked[r]` are its coarse keys in its
-/// rank-`r` routed shard, cut by [`pooled_cut`]. Within a shard the
-/// chosen pairs are the nearest of its own distance order, so a count
-/// says which. `pool` is scratch.
-fn pooled_probes(ranked: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Vec<usize> {
-    let cut = pooled_cut(ranked, budget, pool);
-    (ranked.iter())
-        .scan(0, |offset, keys| {
-            let count = chosen(keys, *offset, cut).count();
-            *offset += keys.len();
-            Some(count)
-        })
-        .collect()
-}
-
 /// The pooled cut over one query's `shards` (its coarse keys in each):
 /// the `budget` nearest `(shard, list)` pairs in (distance bits, shard
 /// position, list index) order — a total order, so the cut depends on
@@ -909,6 +810,31 @@ fn pooled_cut(shards: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Option<u
 fn chosen(keys: &[u64], offset: usize, cut: Option<u64>) -> impl Iterator<Item = u64> + '_ {
     let chosen = move |&key: &u64| cut.is_some_and(|cut| pair_key(key, offset) <= cut);
     keys.iter().copied().filter(chosen)
+}
+
+/// The `n` nearest of one shard's coarse `keys` (none for `n = 0`), in
+/// list order: [`pooled_cut`] over that shard alone. `pool` is scratch.
+fn nearest<'k>(keys: &'k [u64], n: usize, pool: &mut Vec<u64>) -> impl Iterator<Item = u64> + 'k {
+    chosen(keys, 0, pooled_cut(&[keys], n, pool))
+}
+
+/// Ranks the shards of one query by its nearest coarse key in each
+/// (`shards[c]`, none for a shard with no live rows) — (distance bits,
+/// cluster id), a shard without keys last — and scores each by the
+/// negated squared distance of that key.
+fn rank_by_nearest_list(shards: &[&[u64]]) -> (Vec<usize>, Vec<f32>) {
+    let nearest: Vec<Option<u32>> = (shards.iter())
+        .map(|keys| keys.iter().map(|&key| probe_key_distance(key)).min())
+        .collect();
+    let mut ranked: Vec<usize> = (0..shards.len()).collect();
+    ranked.sort_unstable_by_key(|&c| (nearest[c].map_or(u64::MAX, u64::from), c));
+    let scores = (ranked.iter())
+        .map(|&c| match nearest[c] {
+            Some(d) => -probe_key_squared_distance(u64::from(d) << 32),
+            None => f32::NEG_INFINITY,
+        })
+        .collect();
+    (ranked, scores)
 }
 
 /// A coarse key with its list index replaced by its pair's number,
@@ -974,8 +900,21 @@ mod tests {
         assert_eq!(ranked.len(), 3);
     }
 
+    /// Each shard's count of the pairs the pooled cut at `budget` chooses
+    /// over `ranked`, read back as the chooser reads them.
+    fn pooled_counts(ranked: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Vec<usize> {
+        let cut = pooled_cut(ranked, budget, pool);
+        let mut offset = 0;
+        (ranked.iter())
+            .map(|keys| {
+                offset += keys.len();
+                chosen(keys, offset - keys.len(), cut).count()
+            })
+            .collect()
+    }
+
     #[test]
-    fn pooled_probes_spend_one_budget_on_the_nearest_pairs() {
+    fn pooled_cut_spends_one_budget_on_the_nearest_pairs() {
         // Keys as `KMeans::probe_keys` packs them, for positive distances.
         let keys = |distances: &[f32]| -> Vec<u64> {
             let key = |(list, d): (usize, &f32)| u64::from(d.to_bits() | 1 << 31) << 32 | list as u64;
@@ -987,7 +926,7 @@ mod tests {
         let mut pool = Vec::new();
         let mut probes = |ranked: &[&[u64]], nprobe| {
             let shares = ranked.iter().map(|keys| full_share(nprobe, keys));
-            pooled_probes(ranked, budget(shares), &mut pool)
+            pooled_counts(ranked, budget(shares), &mut pool)
         };
         // One shard: its own share, capped at its lists, never below 1.
         assert_eq!(probes(&[&near], 3), [3]);
@@ -1007,7 +946,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_probes_take_the_first_pairs_of_the_full_order() {
+    fn pooled_cut_takes_the_first_pairs_of_the_full_order() {
         use hermes_math::block::probe_key;
         use hermes_math::rng::seeded_rng;
         // Shards of keys in list order, at every budget. Distances:
@@ -1039,7 +978,7 @@ mod tests {
                     for &(_, c, _) in full.iter().take(budget) {
                         want[c] += 1;
                     }
-                    let got = pooled_probes(&slices, budget, &mut pool);
+                    let got = pooled_counts(&slices, budget, &mut pool);
                     assert_eq!(got, want, "{sizes:?} budget {budget}");
                 }
             }

@@ -18,9 +18,9 @@
 //! All four steps run inside one query-execution engine
 //! ([`exec::Engine`]) as two stages over a borrowed batch of queries:
 //! **route** ([`exec::Engine::route_batch`], steps 1–2) ranks the clusters
-//! for every query, and **deep** ([`exec::Engine::deep_batch`], steps 3–4)
-//! searches each distinct top-`m` cluster once for all the queries routed
-//! to it — fanned out on the shared work-stealing pool, so even a single
+//! for every query and chooses its deep lists, and **deep**
+//! ([`exec::Engine::deep_batch`], steps 3–4) searches each distinct
+//! routed cluster once for all the queries routed to it — fanned out on the shared work-stealing pool, so even a single
 //! query (a batch of one) uses every core — then merges per-shard hits in
 //! each query's rank order while folding per-stage work into
 //! [`exec::SearchStats`]. The engine reads its knobs from a

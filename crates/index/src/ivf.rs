@@ -81,18 +81,6 @@ impl CoarseKeys {
         let row = self.rows[i].clone()?;
         Ok(&self.keys[row * self.nlist..(row + 1) * self.nlist])
     }
-
-    /// [`Self::query`], for [`select_nearest`] to reorder in place: the
-    /// lists it moves to the front, in the order it leaves them, are the
-    /// lists [`VectorIndex::search_group`] scans for that query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group has no query `i`.
-    pub fn query_mut(&mut self, i: usize) -> Result<&mut [u64], IndexError> {
-        let row = self.rows[i].clone()?;
-        Ok(&mut self.keys[row * self.nlist..(row + 1) * self.nlist])
-    }
 }
 
 /// Builder for [`IvfIndex`] (paper defaults: `nlist = 4·√n`, SQ8 codec).
@@ -1764,13 +1752,14 @@ mod tests {
     /// in selection order, from keys the caller holds (none for a query
     /// the index refuses).
     fn selected<'q>(index: &IvfIndex, queries: &[(&'q [f32], usize)]) -> Vec<(&'q [f32], Vec<u32>)> {
-        let mut keys = index.coarse_keys(queries.iter().map(|q| q.0));
+        let keys = index.coarse_keys(queries.iter().map(|q| q.0));
         (queries.iter().enumerate())
             .map(|(qi, &(q, nprobe))| {
-                let lists = keys.query_mut(qi).map_or_else(
+                let lists = keys.query(qi).map_or_else(
                     |_| Vec::new(),
                     |keys| {
-                        let chosen = select_nearest(keys, nprobe);
+                        let mut keys = keys.to_vec();
+                        let chosen = select_nearest(&mut keys, nprobe);
                         chosen.iter().map(|&key| probe_key_centroid(key) as u32).collect()
                     },
                 );

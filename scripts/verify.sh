@@ -83,23 +83,28 @@ for simd in auto scalar; do
         --test simd_differential --test properties
 done
 
-# Table 1 and Figure 11 pinned to the byte: `table1` builds an IVF index
-# per codec over a fixed-seed corpus, `fig11` runs the paper's routing
-# ablation (document sampling, centroid ranking, unranked) over
-# fixed-seed stores, and neither's recalls depend on the pool width or
-# the dispatch level, so each committed file must be exactly what its
-# binary prints — once at the host defaults, once at width 1 on the
+# Table 1 and Figures 11, 12, 13 and 18 pinned to the byte: `table1`
+# builds an IVF index per codec over a fixed-seed corpus; `fig11` runs
+# the paper's routing ablation (document sampling, centroid ranking,
+# unranked) over fixed-seed stores, and `fig12`, `fig13` and `fig18`
+# run document sampling over other sample and deep depths, splits and
+# deep-cluster counts.
+# None of their outputs depends on the pool width or the dispatch level,
+# so every file each binary writes must be exactly the committed one in
+# bench_results/ — once at the host defaults, once at width 1 on the
 # scalar kernels.
-for bin in table1 fig11; do
-    echo "== ${bin} matches bench_results/${bin}.md (release) =="
-    bin_out="$(mktemp -d)"
+for bin in table1 fig11 fig12 fig13 fig18; do
+    echo "== ${bin} matches its bench_results/ files (release) =="
     for env in "" "HERMES_THREADS=1 HERMES_SIMD=scalar"; do
+        bin_out="$(mktemp -d)"
         # shellcheck disable=SC2086
         env ${env} HERMES_BENCH_OUT="${bin_out}" \
             cargo run -p hermes-bench --release --offline --quiet --bin "${bin}" >/dev/null
-        diff "bench_results/${bin}.md" "${bin_out}/${bin}.md"
+        for out in "${bin_out}"/*; do
+            diff "bench_results/$(basename "${out}")" "${out}"
+        done
+        rm -rf "${bin_out}"
     done
-    rm -rf "${bin_out}"
 done
 
 # Traced-workload smoke: `hermes trace` runs a batch hierarchical search

@@ -301,6 +301,7 @@ fn non_finite_queries_never_panic_the_engine() {
     let corpus = Corpus::generate(CorpusSpec::new(1_200, 8, 6).with_seed(22));
     let hostile = hostile_queries(8);
     for routing in [
+        Routing::NearestLists,
         Routing::DocumentSampling,
         Routing::CentroidOnly,
         Routing::Unranked,
@@ -335,6 +336,63 @@ fn non_finite_queries_never_panic_the_engine() {
                 };
                 assert_eq!(bits(a), bits(b));
             }
+        }
+    }
+}
+
+/// A query of the wrong dimension is a typed error, never a panic, under
+/// every routing and through every entry point — alone or between sane
+/// queries, in the route stage and end to end. Under centroid routing the
+/// query is also checked against the split centroids, so a store whose
+/// every shard was emptied refuses it too.
+#[test]
+fn a_wrong_dimension_query_is_the_same_typed_error_everywhere() {
+    use hermes::core::HermesError;
+    use hermes::index::IndexError;
+    let corpus = Corpus::generate(CorpusSpec::new(600, 8, 4).with_seed(31));
+    let bad = vec![1.0f32; 3];
+    let want = HermesError::Index(IndexError::DimensionMismatch {
+        expected: 8,
+        got: 3,
+    });
+    let batch = vec![
+        corpus.embeddings().row(0).to_vec(),
+        bad.clone(),
+        corpus.embeddings().row(1).to_vec(),
+    ];
+    for routing in [
+        Routing::NearestLists,
+        Routing::DocumentSampling,
+        Routing::CentroidOnly,
+        Routing::Unranked,
+    ] {
+        let cfg = HermesConfig::new(4)
+            .with_clusters_to_search(2)
+            .with_routing(routing)
+            .with_seed(32);
+        let mut store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+        let engine = Engine::for_store(&store);
+        assert_eq!(engine.route(&bad).unwrap_err(), want, "{routing:?}");
+        assert_eq!(engine.execute(&bad).unwrap_err(), want, "{routing:?}");
+        for threads in [0usize, 1] {
+            let routed = engine.route_batch(&batch, threads).unwrap_err();
+            assert_eq!(routed, want, "{routing:?} threads={threads}");
+            let coalesced = engine.execute_coalesced(&batch, threads).unwrap_err();
+            assert_eq!(coalesced, want, "{routing:?} threads={threads}");
+        }
+        // Every shard emptied: nothing is scanned, and nothing panics.
+        for c in 0..store.num_clusters() {
+            for (id, _) in store.shard(c).export_live() {
+                assert_eq!(store.remove(id), Some(c));
+            }
+        }
+        let engine = Engine::for_store(&store);
+        let emptied = engine.execute_coalesced(&batch, 1);
+        if routing == Routing::CentroidOnly {
+            assert_eq!(emptied.unwrap_err(), want);
+        } else {
+            let outs = emptied.unwrap();
+            assert!(outs.iter().all(|out| out.hits.is_empty()), "{routing:?}");
         }
     }
 }

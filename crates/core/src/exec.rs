@@ -17,9 +17,11 @@
 //!                     lists (DocumentSampling), by their split centroid
 //!                     (CentroidOnly) or not at all (Unranked); then each
 //!                     query's depth and deep lists chosen from the keys
-//!         ──▶ DEEP    Engine::deep_batch: one list scan per shard over
-//!                     exactly the chosen lists (scatter) and a per-query
-//!                     merge_topk in rank order (gather)
+//!         ──▶ DEEP    Engine::deep_batch: list scans over exactly the
+//!                     chosen lists (scatter) in two waves — each query's
+//!                     leader (rank-0) shard, then its other shards, each
+//!                     floored at the leader's k-th score — and a
+//!                     per-query merge_topk in rank order (gather)
 //! ```
 //!
 //! **The probe budget.** Under [`ProbeAllocation::Pooled`] (the default)
@@ -62,8 +64,9 @@
 //! query with no hits and zero work: it has no keys, samples −∞, holds no
 //! pair, and is not scanned.
 //!
-//! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`],
-//! each shard serving its whole query group (`threads` caps the width:
+//! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`]
+//! (the deep stage once per wave), each shard serving its whole query
+//! group (`threads` caps the width:
 //! `0` = full pool, `1` = inline sequential; a lone [`Engine::execute`]
 //! or [`Engine::route`] uses the full pool). [`Engine::execute_batch`] is
 //! the other axis — whole queries stolen from the pool cursor, the paper's
@@ -73,7 +76,8 @@
 //!
 //! **Determinism.** Results are bit-identical for every routing mode,
 //! codec, batch composition and thread count: tasks write into their
-//! input-order slot, costs are integer sums over the same scans, and the
+//! input-order slot, a floor comes from its own query's leader scan
+//! alone, costs are integer sums over the same scans, and the
 //! first error in input order is the one reported
 //! (`tests/engine_equivalence.rs` compares every path with an independent
 //! sequential oracle). Work accounting is recorded as the stages run:
@@ -121,7 +125,10 @@ pub struct SearchStats {
     /// cached outcome is cloned on every exact hit, and that path is one
     /// allocation from being measurably slower.
     pub per_shard: Vec<ScanStats>,
-    /// Candidate hits the gather stage merged into the final top-k.
+    /// Candidate hits the gather stage merged into the final top-k: the
+    /// hits the shards returned — all of the leader's, and those of every
+    /// other shard that score at least the leader's k-th (see
+    /// [`Engine::deep_batch`]).
     pub gather_candidates: usize,
     /// Deep-search `nProbe` this query ran with — the config's fixed
     /// knob, or the [`DifficultyEstimator`]'s per-query choice when the
@@ -423,8 +430,9 @@ impl<'s> Engine<'s> {
                             Err(_) => Vec::new(),
                         })
                         .collect();
-                    let sampled: Vec<(&[f32], &[u32])> = (group.iter().copied())
-                        .zip(lists.iter().map(Vec::as_slice))
+                    let sampled: Vec<(&[f32], &[u32], f32)> = (group.iter().copied())
+                        .zip(&lists)
+                        .map(|(query, lists)| (query, &lists[..], f32::NEG_INFINITY))
                         .collect();
                     shard.search_lists(&sampled, 1)
                 };
@@ -564,17 +572,29 @@ impl<'s> Engine<'s> {
     }
 
     /// **Deep stage** over queries that were already routed (`routes[i]`
-    /// is `queries[i]`'s): every shard is deep-searched once — one pool
-    /// task and one [`IvfIndex::search_lists`] per shard, each query on
-    /// exactly the lists its route carries ([`RouteOutcome::deep_lists`])
-    /// — and each query's per-shard hits are merged in its own rank
-    /// order. `execute_coalesced(qs, t)` ≡ `deep_batch(qs,
-    /// route_batch(qs, t)?, t)` bit for bit; callers that route first (to
-    /// bucket a cache lookup, say) pass only the queries they still need.
-    /// Records an `engine.scatter` span (args: `queries`,
-    /// `distinct_clusters`, `deep_searches`, `probed_lists`) around the
-    /// group scans and one `engine.gather` span (arg: `candidates`) per
-    /// query.
+    /// is `queries[i]`'s): each query scans exactly the lists its route
+    /// carries ([`RouteOutcome::deep_lists`]) in each of its shards, and
+    /// its per-shard hits are merged in its own rank order. The scans run
+    /// in two waves, each one pool task and one
+    /// [`IvfIndex::search_lists`] per shard that has members in it:
+    ///
+    /// 1. every query's rank-0 shard, its *leader*;
+    /// 2. every further rank position, each query floored at its leader's
+    ///    k-th hit score (no floor if the leader returned fewer than `k`
+    ///    hits or that score is NaN).
+    ///
+    /// A hit scoring below the leader's k-th cannot enter the merged
+    /// top-k, so the floor changes no result bit, no [`ScanStats`] and no
+    /// hit that the gather merges; it only lets each wave-2 scan filter
+    /// from its first row at the query's threshold. The floor depends on
+    /// nothing but the query and its route, so results do not depend on
+    /// the batch or the width either. `execute_coalesced(qs, t)` ≡
+    /// `deep_batch(qs, route_batch(qs, t)?, t)` bit for bit; callers that
+    /// route first (to bucket a cache lookup, say) pass only the queries
+    /// they still need. Records an `engine.scatter` span (args:
+    /// `queries`, `distinct_clusters`, `deep_searches`, `probed_lists`)
+    /// around both waves and one `engine.gather` span (arg:
+    /// `candidates`) per query.
     ///
     /// # Errors
     ///
@@ -600,35 +620,23 @@ impl<'s> Engine<'s> {
         }
         let mut sp =
             hermes_trace::span_with(names::ENGINE_SCATTER, &[("queries", queries.len() as u64)]);
-        let groups = self.groups(&routes)?;
-        sp.arg("distinct_clusters", groups.len() as u64);
-        sp.arg(
-            "deep_searches",
-            (routes.iter())
-                .map(|route| route.deep_lists.shards() as u64)
-                .sum(),
-        );
-
-        let scans = fan_out(groups.len(), width_cap(threads), |g| {
-            let (c, members) = &groups[g];
-            let group: Vec<(&[f32], &[u32])> = members
-                .iter()
-                .map(|&(qi, pos)| (queries[qi].as_ref(), routes[qi].deep_lists.shard(pos)))
-                .collect();
-            let scan = |shard: &IvfIndex| shard.search_lists(&group, self.config.k);
-            self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
-                .results
-        });
+        let [leaders, followers] = self.groups(&routes)?;
         if sp.is_active() {
-            let probed = scans.iter().flatten().flatten();
+            let mut clusters: Vec<usize> = (leaders.iter().chain(&followers))
+                .map(|&(c, _)| c)
+                .collect();
+            clusters.sort_unstable();
+            clusters.dedup();
+            sp.arg("distinct_clusters", clusters.len() as u64);
             sp.arg(
-                "probed_lists",
-                probed.map(|(_, s)| s.probed_partitions as u64).sum(),
+                "deep_searches",
+                (routes.iter())
+                    .map(|route| route.deep_lists.shards() as u64)
+                    .sum(),
             );
         }
-        drop(sp);
 
-        // Re-slot every result at its query's rank position, so gather
+        // Every result lands at its query's rank position, so gather
         // sees the per-shard sequence a lone query would build.
         let mut per_query: Vec<Vec<ScanResult>> = routes
             .iter()
@@ -638,11 +646,40 @@ impl<'s> Engine<'s> {
                     .collect()
             })
             .collect();
-        for ((_, members), results) in groups.iter().zip(scans) {
-            for (&(qi, pos), result) in members.iter().zip(results) {
-                per_query[qi][pos] = result;
-            }
+        self.deep_wave(
+            queries,
+            &routes,
+            &leaders,
+            |_| f32::NEG_INFINITY,
+            threads,
+            &mut per_query,
+        );
+        // The leader's k-th score, if it returned k hits: a NaN one is
+        // no floor to the scan.
+        let k = self.config.k;
+        let floors: Vec<f32> = (per_query.iter())
+            .map(|results| match results.first() {
+                Some(Ok((hits, _))) => (k.checked_sub(1).and_then(|last| hits.get(last)))
+                    .map_or(f32::NEG_INFINITY, |hit| hit.score),
+                _ => f32::NEG_INFINITY,
+            })
+            .collect();
+        self.deep_wave(
+            queries,
+            &routes,
+            &followers,
+            |qi| floors[qi],
+            threads,
+            &mut per_query,
+        );
+        if sp.is_active() {
+            let probed = per_query.iter().flatten().flatten();
+            sp.arg(
+                "probed_lists",
+                probed.map(|(_, s)| s.probed_partitions as u64).sum(),
+            );
         }
+        drop(sp);
 
         // Per-search errors were carried this far so that query input
         // order, not cluster order, decides which one is reported.
@@ -656,18 +693,53 @@ impl<'s> Engine<'s> {
             .collect()
     }
 
+    /// One wave of [`Self::deep_batch`]: a group scan per cluster of
+    /// `groups`, each member `(query, rank position)` on its route's lists
+    /// there, floored at `floor(query)`; the results land in
+    /// `per_query[query][rank position]`.
+    fn deep_wave<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        routes: &[RouteOutcome],
+        groups: &[Group],
+        floor: impl Fn(usize) -> f32 + Sync,
+        threads: usize,
+        per_query: &mut [Vec<ScanResult>],
+    ) {
+        let scans = fan_out(groups.len(), width_cap(threads), |g| {
+            let (c, members) = &groups[g];
+            let group: Vec<(&[f32], &[u32], f32)> = (members.iter())
+                .map(|&(qi, pos)| {
+                    let lists = routes[qi].deep_lists.shard(pos);
+                    (queries[qi].as_ref(), lists, floor(qi))
+                })
+                .collect();
+            let scan = |shard: &IvfIndex| shard.search_lists(&group, self.config.k);
+            self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
+                .results
+        });
+        for ((_, members), results) in groups.iter().zip(scans) {
+            for (&(qi, pos), result) in members.iter().zip(results) {
+                per_query[qi][pos] = result;
+            }
+        }
+    }
+
     /// Inverts query → the ranked clusters its lists are for into
-    /// cluster → `(query, rank position)` members: ascending cluster id,
-    /// input order within a cluster, clusters without members left out.
-    fn groups(&self, routes: &[RouteOutcome]) -> Result<Vec<Group>, HermesError> {
-        let mut members = vec![Vec::new(); self.store.num_clusters()];
+    /// cluster → `(query, rank position)` members, one grouping per wave
+    /// of [`Self::deep_batch`]: the leaders (rank position 0), then every
+    /// further position. Ascending cluster id, input order within a
+    /// cluster, clusters without members left out.
+    fn groups(&self, routes: &[RouteOutcome]) -> Result<[Vec<Group>; 2], HermesError> {
+        let n = self.store.num_clusters();
+        let mut members = [vec![Vec::new(); n], vec![Vec::new(); n]];
         for (qi, route) in routes.iter().enumerate() {
             let positions = route.deep_lists.shards();
             let ranked = route.ranked_clusters.get(..positions).ok_or_else(|| {
                 HermesError::InvalidConfig("route has lists for unranked positions".into())
             })?;
             for (pos, &c) in ranked.iter().enumerate() {
-                members
+                members[usize::from(pos > 0)]
                     .get_mut(c)
                     .ok_or_else(|| {
                         HermesError::InvalidConfig(format!("route names unknown cluster {c}"))
@@ -675,11 +747,11 @@ impl<'s> Engine<'s> {
                     .push((qi, pos));
             }
         }
-        Ok(members
-            .into_iter()
-            .enumerate()
-            .filter(|(_, members)| !members.is_empty())
-            .collect())
+        Ok(members.map(|members| {
+            (members.into_iter().enumerate())
+                .filter(|(_, members)| !members.is_empty())
+                .collect()
+        }))
     }
 
     /// One group scan of shard `c` under a `shard.sample` / `shard.deep`

@@ -545,7 +545,7 @@ impl VectorIndex for IvfIndex {
                     Ok(self.plan_run(qi, lists, plan, active))
                 })
                 .collect();
-            self.scan_group(|qi| queries[qi].0, results, k, scratch)
+            self.scan_group(|qi| (queries[qi].0, f32::NEG_INFINITY), results, k, scratch)
         })
     }
 }
@@ -565,20 +565,28 @@ impl IvfIndex {
         keys
     }
 
-    /// Scans, for each query of the group, exactly the inverted lists it
-    /// names (each at most once), in the order given — the scan
-    /// [`VectorIndex::search_group`] runs once it has selected each
-    /// query's lists, so a query paired with the lists its `nprobe`
-    /// selects gets that search's answer to the bit. An empty set probes
-    /// nothing and answers no hits with zero [`ScanStats`]; a query that
-    /// fails the index's checks, or names a list the index does not have,
-    /// is answered with the error.
-    pub fn search_lists(&self, queries: &[(&[f32], &[u32])], k: usize) -> GroupScan {
+    /// Scans, for each `(query, lists, floor)` of the group, exactly the
+    /// inverted lists it names (each at most once), in the order given —
+    /// the scan [`VectorIndex::search_group`] runs once it has selected
+    /// each query's lists, so a query paired with the lists its `nprobe`
+    /// selects, at floor −∞, gets that search's answer to the bit. An
+    /// empty set probes nothing and answers no hits with zero
+    /// [`ScanStats`]; a query that fails the index's checks, or names a
+    /// list the index does not have, is answered with the error.
+    ///
+    /// A query's `floor` is a score its caller already holds `k` hits at
+    /// or above (another shard's k-th best, say): it answers with the
+    /// hits of the unfloored scan that score at least `floor`, and the
+    /// same [`ScanStats`]. A floor of −∞ or NaN is no floor. With one,
+    /// the scan's bound filter starts at `floor` instead of warming up,
+    /// and never filters below it; only [`GroupScan::rescored_codes`]
+    /// can tell.
+    pub fn search_lists(&self, queries: &[(&[f32], &[u32], f32)], k: usize) -> GroupScan {
         with_scratch(|scratch| {
             scratch.active.clear();
             scratch.plan.clear();
             let results = (queries.iter().enumerate())
-                .map(|(qi, &(query, lists))| {
+                .map(|(qi, &(query, lists, _))| {
                     self.check_query(query)?;
                     if let Some(&list) = lists.iter().find(|&&l| l as usize >= self.lists.len()) {
                         return Err(IndexError::InvalidParam(format!(
@@ -590,7 +598,7 @@ impl IvfIndex {
                     Ok(self.plan_run(qi, lists, &mut scratch.plan, &mut scratch.active))
                 })
                 .collect();
-            self.scan_group(|qi| queries[qi].0, results, k, scratch)
+            self.scan_group(|qi| (queries[qi].0, queries[qi].2), results, k, scratch)
         })
     }
 
@@ -650,7 +658,8 @@ impl IvfIndex {
 
     /// The one scan body, over the runs planned in `scratch`: slot `s`
     /// scans run `s` for input query `scratch.active[s]`, whose vector
-    /// is `query(active[s])`, and its hits land in that query's result.
+    /// and floor (see [`Self::search_lists`]) are `query(active[s])`, and
+    /// its hits at or above the floor land in that query's result.
     ///
     /// Each query's lists arrive *selected*, not sorted — [`TopK`] is a
     /// total order on `(score, id)` and [`ScanStats`] are sums, so the
@@ -665,7 +674,7 @@ impl IvfIndex {
     /// allocates only what it returns.
     fn scan_group<'q>(
         &self,
-        query: impl Fn(usize) -> &'q [f32],
+        query: impl Fn(usize) -> (&'q [f32], f32),
         mut results: Vec<ScanResult>,
         k: usize,
         scratch: &mut ScanScratch,
@@ -673,6 +682,7 @@ impl IvfIndex {
         let ScanScratch {
             active,
             plan,
+            floors,
             tops,
             scorers,
             chunk,
@@ -689,19 +699,27 @@ impl IvfIndex {
 
         tops.clear();
         tops.extend(active.iter().map(|_| TopK::new(k.max(1))));
+        // −∞ for no floor; `max` turns a NaN floor into none as well.
+        floors.clear();
+        floors.extend(active.iter().map(|&i| query(i).1.max(f32::NEG_INFINITY)));
         let mut slot_scorers = recycle(std::mem::take(scorers));
         slot_scorers.extend(
             active
                 .iter()
-                .map(|&i| self.codec.query_scorer(query(i), self.metric)),
+                .map(|&i| self.codec.query_scorer(query(i).0, self.metric)),
         );
-        let rescored_codes = self.scan(plan, &slot_scorers, tops, chunk, &mut ahead);
+        let rescored_codes = self.scan(plan, &slot_scorers, floors, tops, chunk, &mut ahead);
         *scorers = recycle(slot_scorers);
 
-        for (&qi, top) in active.iter().zip(tops.drain(..)) {
+        for ((&qi, &floor), top) in active.iter().zip(&*floors).zip(tops.drain(..)) {
             if let Ok((hits, _)) = &mut results[qi] {
                 *hits = top.into_sorted_vec();
                 hits.truncate(k);
+                // Best first, NaN scores last: those at or above a floor
+                // are a prefix.
+                if floor > f32::NEG_INFINITY {
+                    hits.truncate(hits.partition_point(|hit| hit.score >= floor));
+                }
             }
         }
         GroupScan {
@@ -713,13 +731,15 @@ impl IvfIndex {
     /// Runs a compiled [`Plan`]: each slot's lists are cut into chunks of
     /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and the slot
     /// takes its pass over a chunk's code segments one of two ways,
-    /// decided from its scorer and its selector alone:
+    /// decided from its scorer, its floor (−∞ for none) and its selector
+    /// alone:
     ///
     /// * **filter → compact → rescore**, if the scorer has a
-    ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the selector is full:
-    ///   the bound's kernel compares every row's integer sum with the
-    ///   [`floor`](hermes_quant::Sq8Bound::floor) of the selector's
-    ///   threshold and writes a survivor bit a row
+    ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the slot has a floor or
+    ///   a full selector: the bound's kernel compares every row's integer
+    ///   sum with the [`floor`](hermes_quant::Sq8Bound::floor) of the
+    ///   higher of the slot's floor and the selector's threshold and
+    ///   writes a survivor bit a row
     ///   ([`survivors`](hermes_quant::Sq8Bound::survivors)); the rows it
     ///   keeps — all that could still be admitted, a few in a hundred —
     ///   are compacted off the mask bits (tombstoned rows dropped on the
@@ -729,19 +749,22 @@ impl IvfIndex {
     ///   row feeds the selector's `push_block`, list by list.
     ///
     /// A row the filter drops scores strictly below a threshold that only
-    /// rises, so `push_block` would have dropped it too; a row it keeps
-    /// gets the bits the exact way gives it, because tier-A scores do not
+    /// rises, so `push_block` would have dropped it too, or below the
+    /// slot's floor, so the answer drops it anyway; a row it keeps gets
+    /// the bits the exact way gives it, because tier-A scores do not
     /// depend on a code's position or on which codes share a chunk or a
     /// kernel call. Only exact scores ever reach a selector: results
     /// cannot tell the two ways apart. While a selector that will filter
-    /// is still filling, chunks are cut at [`WARMUP_ROWS`] so that it
-    /// fills, exactly, on few rows. The kernels keep the read-ahead
-    /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read,
-    /// across slot boundaries. Returns [`GroupScan::rescored_codes`].
+    /// is still filling and its slot has no floor, chunks are cut at
+    /// [`WARMUP_ROWS`] so that it fills, exactly, on few rows. The
+    /// kernels keep the read-ahead cursor [`PREFETCH_ROWS`] rows in front
+    /// of the rows they read, across slot boundaries. Returns
+    /// [`GroupScan::rescored_codes`].
     fn scan(
         &self,
         plan: &Plan,
         scorers: &[QueryScorer<'_>],
+        floors: &[f32],
         tops: &mut [TopK],
         chunk: &mut Chunk,
         ahead: &mut ReadAhead,
@@ -751,12 +774,14 @@ impl IvfIndex {
         let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut rescored = 0;
         let mut first = 0;
-        for ((&end, scorer), top) in plan.ends.iter().zip(scorers).zip(tops) {
+        let slots = plan.ends.iter().zip(scorers).zip(floors).zip(tops);
+        for (((&end, scorer), &floor), top) in slots {
             let lists = &plan.lists[first..end];
             first = end;
             let (mut at_list, mut at_row) = (0, 0);
             while at_list < lists.len() {
-                let warming = top.len() < top.k() && scorer.bound().is_some();
+                let warming =
+                    floor == f32::NEG_INFINITY && top.len() < top.k() && scorer.bound().is_some();
                 let limit = if warming { WARMUP_ROWS } else { CHUNK_ROWS };
                 // The next chunk: up to `limit` rows of consecutive
                 // lists. A list with tombstones also gets its mask here:
@@ -801,18 +826,19 @@ impl IvfIndex {
 
                 let gate = scorer
                     .bound()
-                    .and_then(|bound| Some((bound, bound.floor(top.threshold())?)));
-                if let Some((bound, floor)) = gate {
+                    .and_then(|bound| Some((bound, bound.floor(top.threshold().max(floor))?)));
+                if let Some((bound, least)) = gate {
                     let used = rows.div_ceil(8);
-                    bound.survivors(segments, rows, floor, &mut chunk.masks[..used], &mut pace);
+                    bound.survivors(segments, rows, least, &mut chunk.masks[..used], &mut pace);
                     // Survivors in row order, straight off the kernel's
                     // mask bits, 64 rows a word (the word's bytes past the
                     // chunk cleared); `part` follows them.
-                    let words = used.div_ceil(8);
-                    chunk.masks[used..words * 8].fill(0);
+                    let bytes = used.next_multiple_of(8);
+                    chunk.masks[used..bytes].fill(0);
+                    let (words, _) = chunk.masks[..bytes].as_chunks::<8>();
                     let (mut n, mut part, mut part_from) = (0, 0, 0);
-                    for (w, word) in chunk.masks[..words * 8].chunks_exact(8).enumerate() {
-                        let mut mask = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                    for (w, &word) in words.iter().enumerate() {
+                        let mut mask = u64::from_le_bytes(word);
                         while mask != 0 {
                             let row = w * 64 + mask.trailing_zeros() as usize;
                             mask &= mask - 1;
@@ -867,15 +893,18 @@ impl IvfIndex {
 const CHUNK_ROWS: usize = 256;
 const _: () = assert!(CHUNK_ROWS - 1 <= u8::MAX as usize);
 
-/// Rows per chunk while a selector that will filter is still filling.
-/// The filter reads a selector's threshold once per chunk, so a first
-/// chunk of [`CHUNK_ROWS`] would score 256 rows exactly before the bound
-/// could rule out one — all of a sample search, which streams ~165 rows.
-/// Too short a warm-up, on the other hand, leaves a threshold so low that
-/// much of the next chunk survives it. Measured on the benchmark's store
-/// (EXPERIMENTS.md, "Exact answers at integer speed"): 16 and 32 rows
-/// read the same, 8 and 64 cost the route stage 2–4 µs a query, 128 and
-/// more give its whole gain back.
+/// Rows per chunk while a selector that will filter is still filling and
+/// its slot has no floor. The filter reads a selector's threshold once
+/// per chunk, so a first chunk of [`CHUNK_ROWS`] would score 256 rows
+/// exactly before the bound could rule out one — all of a sample search,
+/// which streams ~165 rows. Too short a warm-up, on the other hand,
+/// leaves a threshold so low that much of the next chunk survives it.
+/// Measured on the benchmark's store (EXPERIMENTS.md, "Exact answers at
+/// integer speed"): 16 and 32 rows read the same, 8 and 64 cost the route
+/// stage 2–4 µs a query, 128 and more give its whole gain back. The deep
+/// stage's leader scans and every sample scan warm up; a floored scan (a
+/// non-leader shard's, seeded with the leader's k-th score) filters from
+/// its first row.
 const WARMUP_ROWS: usize = 32;
 
 /// How many rows ahead of the rows being scored the scan prefetches:
@@ -911,6 +940,8 @@ struct ScanScratch {
     /// Input index of each scan slot.
     active: Vec<usize>,
     plan: Plan,
+    /// Each slot's floor, −∞ for none.
+    floors: Vec<f32>,
     /// One selector per slot.
     tops: Vec<TopK>,
     /// The slots' scorers; held empty between scans (see [`recycle`]).
@@ -1567,7 +1598,9 @@ mod tests {
         let group = index.search_group(queries, k);
         assert_eq!(group.results.len(), queries.len());
         let selected = selected(index, queries);
-        let lists: Vec<(&[f32], &[u32])> = selected.iter().map(|(q, l)| (*q, &l[..])).collect();
+        let lists: Vec<(&[f32], &[u32], f32)> = (selected.iter())
+            .map(|(q, l)| (*q, &l[..], f32::NEG_INFINITY))
+            .collect();
         assert_eq!(index.search_lists(&lists, k), group, "{ctx}: lists");
         for (qi, &(q, nprobe)) in queries.iter().enumerate() {
             let alone = index.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe));
@@ -1796,14 +1829,15 @@ mod tests {
         let far: Vec<u32> = nearest[32..].to_vec();
         let reversed: Vec<u32> = nearest[..8].iter().rev().copied().collect();
         let all: Vec<u32> = (0..40).collect();
-        let queries: Vec<(&[f32], &[u32])> = vec![
-            (data.row(3), &reversed),
-            (data.row(3), &far),
-            (data.row(200), &[]),
-            (&bad, &[]),
-            (data.row(411), &all),
-            (data.row(77), &[5]),
-            (data.row(3), &[40]),
+        let none = f32::NEG_INFINITY;
+        let queries: Vec<(&[f32], &[u32], f32)> = vec![
+            (data.row(3), &reversed, none),
+            (data.row(3), &far, none),
+            (data.row(200), &[], none),
+            (&bad, &[], none),
+            (data.row(411), &all, none),
+            (data.row(77), &[5], none),
+            (data.row(3), &[40], none),
         ];
         let scan = index.search_lists(&queries, 10);
         let nothing = Ok((Vec::new(), ScanStats::default()));
@@ -1832,7 +1866,9 @@ mod tests {
         assert_eq!(one_hits.len(), index.lists[5].live().min(10));
 
         // All empty: nothing is scanned at all.
-        let idle: Vec<(&[f32], &[u32])> = queries.iter().map(|&(q, _)| (q, &[][..])).collect();
+        let idle: Vec<(&[f32], &[u32], f32)> = (queries.iter())
+            .map(|&(q, _, floor)| (q, &[][..], floor))
+            .collect();
         let idle = index.search_lists(&idle, 10);
         assert_eq!(idle.rescored_codes, 0);
         assert!(idle.results.iter().all(|r| r.is_err() || *r == nothing));

@@ -115,7 +115,8 @@ pub struct GroupScan {
     /// rule out, so that the exact kernel scored them after all, summed
     /// over the group's queries. Rows scanned straight through the exact
     /// kernel — every row of a codec or metric without a bound, and the
-    /// first rows of any scan, until its selector is full — are not
+    /// first rows of a scan without a floor (see
+    /// [`IvfIndex::search_lists`]), until its selector is full — are not
     /// counted. A query's share is what its scan alone rescores, and
     /// nothing a caller can see in the results.
     pub rescored_codes: usize,

@@ -4,6 +4,8 @@ use hermes_index::{
     f16_bits_to_f32, f32_to_f16_bits, FlatIndex, HnswIndex, IvfIndex, SearchParams, VectorIndex,
     VectorStorage,
 };
+use hermes_kmeans::probe_key_centroid;
+use hermes_math::rng::seeded_rng;
 use hermes_math::{Mat, Metric};
 use hermes_quant::CodecSpec;
 use hermes_testkit::prelude::*;
@@ -322,4 +324,168 @@ fn search_group_equals_per_query_search() {
             Ok(())
         },
     );
+}
+
+/// Each query's lists (from the index's own coarse keys): its nearest
+/// `nprobe`, in list order.
+fn nearest_lists(index: &IvfIndex, queries: &[&[f32]], nprobe: usize) -> Vec<Vec<u32>> {
+    let keys = index.coarse_keys(queries.iter().copied());
+    (0..queries.len())
+        .map(|qi| {
+            let mut keys = keys.query(qi).unwrap().to_vec();
+            keys.sort_unstable();
+            keys.truncate(nprobe);
+            let mut lists: Vec<u32> = keys
+                .iter()
+                .map(|&key| probe_key_centroid(key) as u32)
+                .collect();
+            lists.sort_unstable();
+            lists
+        })
+        .collect()
+}
+
+/// `search_lists` with a floor `t` answers the hits of the unfloored
+/// scan that score at least `t`, with the same `ScanStats`: floors −∞ and
+/// NaN (no floor), the exact k-th score, a score two hits tie at, one
+/// inside the answer and one above it — every codec and metric, lists
+/// with tombstones, codes on both sides of the 32 bytes the AVX2 integer
+/// kernel needs, and all floors of a query in one group.
+#[test]
+fn a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor() {
+    let strat = tuple3(u64_any(), usize_in(1..12), usize_in(40..300));
+    check_with(
+        "a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor",
+        &Config::from_env().with_cases(12),
+        &strat,
+        |&(seed, k, n)| {
+            let mut rng = seeded_rng(seed);
+            let dim = [8, 40][(seed % 2) as usize];
+            let mut rows: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+                .collect();
+            // Every fourth row a copy of one of three: their scores tie
+            // to the bit.
+            for i in (0..n).step_by(4) {
+                rows[i] = rows[1 + i % 3].clone();
+            }
+            let data = Mat::from_rows(&rows);
+            let far: Vec<f32> = (0..dim).map(|_| rng.next_f32() * 4.0 - 2.0).collect();
+            let queries = [data.row(1), data.row(n / 2), &far[..]];
+            for codec in [
+                CodecSpec::Flat,
+                CodecSpec::Sq8,
+                CodecSpec::Sq4,
+                CodecSpec::Pq { m: 4 },
+            ] {
+                for metric in [Metric::InnerProduct, Metric::L2, Metric::Cosine] {
+                    let mut index = IvfIndex::builder()
+                        .nlist(6)
+                        .codec(codec)
+                        .metric(metric)
+                        .seed(seed)
+                        .build(&data)
+                        .unwrap();
+                    for id in (0..n as u64).step_by(5) {
+                        index.remove(id);
+                    }
+                    let lists = nearest_lists(&index, &queries, 1 + seed as usize % 6);
+                    let unfloored: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))
+                        .map(|(&q, lists)| (q, &lists[..], f32::NEG_INFINITY))
+                        .collect();
+                    let plain = index.search_lists(&unfloored, k);
+                    let mut floored = Vec::new();
+                    let mut wants = Vec::new();
+                    for (&(q, lists, _), result) in unfloored.iter().zip(&plain.results) {
+                        let (hits, stats) = result.as_ref().unwrap();
+                        let mut floors = vec![f32::NEG_INFINITY, f32::NAN];
+                        floors.extend(hits.get(k - 1).map(|hit| hit.score));
+                        floors.extend(
+                            hits.windows(2)
+                                .find(|w| w[0].score == w[1].score)
+                                .map(|w| w[0].score),
+                        );
+                        floors.extend(hits.get(hits.len() / 2).map(|hit| hit.score));
+                        floors.extend(hits.first().map(|hit| hit.score.next_up()));
+                        for floor in floors {
+                            let kept = hits
+                                .iter()
+                                .filter(|hit| floor.is_nan() || hit.score >= floor);
+                            wants.push((kept.copied().collect::<Vec<_>>(), *stats, floor));
+                            floored.push((q, lists, floor));
+                        }
+                    }
+                    let scan = index.search_lists(&floored, k);
+                    for (got, (want, want_stats, floor)) in scan.results.iter().zip(&wants) {
+                        let ctx = format!("{codec:?} {metric:?} k={k} floor {floor}");
+                        let (hits, stats) = got.as_ref().unwrap();
+                        prop_assert!(stats == want_stats, "{ctx}: stats");
+                        prop_assert!(
+                            hits.len() == want.len(),
+                            "{ctx}: {} hits, want {}",
+                            hits.len(),
+                            want.len()
+                        );
+                        for (g, w) in hits.iter().zip(want) {
+                            prop_assert!(
+                                g.id == w.id && g.score.to_bits() == w.score.to_bits(),
+                                "{ctx}: {g:?} != {w:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A floor at the query's own k-th score leaves the exact kernel less
+/// to rescore: an SQ8 scan under inner product and cosine (where the
+/// bound filters) rescores no more rows with it than without, query by
+/// query, and fewer over the group. A scan that ignored its floor would
+/// rescore exactly as many.
+#[test]
+fn a_floor_rescores_fewer_rows() {
+    let mut rng = seeded_rng(0xF100);
+    let (n, dim, k) = (3000, 40, 10);
+    let rows: Vec<Vec<f32>> = (0..n)
+        .map(|_| (0..dim).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+        .collect();
+    let data = Mat::from_rows(&rows);
+    let queries: Vec<&[f32]> = (0..16).map(|i| data.row(i * 97)).collect();
+    for metric in [Metric::InnerProduct, Metric::Cosine] {
+        let index = IvfIndex::builder()
+            .nlist(8)
+            .codec(CodecSpec::Sq8)
+            .metric(metric)
+            .seed(7)
+            .build(&data)
+            .unwrap();
+        let lists = nearest_lists(&index, &queries, 3);
+        let (mut with, mut without) = (0, 0);
+        for (&q, lists) in queries.iter().zip(&lists) {
+            let plain = index.search_lists(&[(q, &lists[..], f32::NEG_INFINITY)], k);
+            let kth = plain.results[0].as_ref().unwrap().0[k - 1].score;
+            let floored = index.search_lists(&[(q, &lists[..], kth)], k);
+            assert_eq!(
+                floored.results, plain.results,
+                "{metric:?}: the floor is the k-th score"
+            );
+            assert!(
+                floored.rescored_codes <= plain.rescored_codes,
+                "{metric:?}: {} rescored with the floor, {} without",
+                floored.rescored_codes,
+                plain.rescored_codes
+            );
+            (with, without) = (
+                with + floored.rescored_codes,
+                without + plain.rescored_codes,
+            );
+        }
+        assert!(
+            with < without,
+            "{metric:?}: {with} rescored with floors, {without} without"
+        );
+    }
 }

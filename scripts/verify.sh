@@ -74,11 +74,14 @@ benchmark/check.sh
 # The kernel suites again under the real optimizer flags: the two-tier
 # contract (blocked vs scalar kernels, per-code vs segment scoring, the
 # cross-level ULP bound) must hold in release builds too, where the
-# suites above only run at test opt levels. Once at the host dispatch
-# level and once pinned to scalar, to cover both sides of the dispatch.
+# suites above only run at test opt levels. `hermes-index` rides along:
+# its scans consume the per-level survivor-mask kernel, and a floored
+# scan gates every chunk with it. Once at the host dispatch level and
+# once pinned to scalar, to cover both sides of the dispatch.
 for simd in auto scalar; do
     echo "== kernel suites (release, HERMES_SIMD=${simd}) =="
-    HERMES_SIMD="${simd}" cargo test --release -q --offline -p hermes-math -p hermes-quant
+    HERMES_SIMD="${simd}" cargo test --release -q --offline -p hermes-math -p hermes-quant \
+        -p hermes-index
     HERMES_SIMD="${simd}" cargo test --release -q --offline -p hermes \
         --test simd_differential --test properties
 done

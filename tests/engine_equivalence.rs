@@ -290,12 +290,10 @@ fn per_shard_stats_sum_to_stage_totals() {
 #[test]
 fn first_error_in_input_order_is_preserved() {
     let corpus = Corpus::generate(CorpusSpec::new(350, 8, 4).with_seed(3));
-    // CentroidOnly scores centroids with a panicking distance kernel, so a
-    // malformed query panics identically in legacy and engine code — the
-    // Result-based ordering contract applies to the other two modes.
     for routing in [
         Routing::NearestLists,
         Routing::DocumentSampling,
+        Routing::CentroidOnly,
         Routing::Unranked,
     ] {
         let cfg = HermesConfig::new(4).with_seed(3).with_routing(routing);
@@ -370,11 +368,30 @@ fn pooled_search(store: &ClusteredStore, query: &[f32]) -> SearchOutcome {
                 scanned_codes: per_shard.iter().map(|(_, s)| s.scanned_codes).sum(),
                 clusters_touched: per_shard.iter().filter(|(_, s)| s.probed_partitions > 0).count(),
             },
-            gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
+            gather_candidates: gather_candidates(&per_shard, cfg.k),
             per_shard: per_shard.iter().map(|&(_, stats)| stats).collect(),
             deep_nprobe,
         },
     }
+}
+
+/// The hits the gather merges from `per_shard` (rank order): all of the
+/// leader's, and those of every other shard that score at least the
+/// leader's k-th, if it has k hits and that score is a number. No other
+/// hit can enter the top-k, and the engine's other shards return no
+/// other.
+fn gather_candidates(per_shard: &[(Vec<Neighbor>, ScanStats)], k: usize) -> usize {
+    let Some(((leader, _), others)) = per_shard.split_first() else {
+        return 0;
+    };
+    let floor = (k.checked_sub(1).and_then(|last| leader.get(last)))
+        .map(|hit| hit.score)
+        .filter(|score| !score.is_nan());
+    let counted = |hit: &&Neighbor| floor.is_none_or(|floor| hit.score >= floor);
+    let others: usize = (others.iter())
+        .map(|(hits, _)| hits.iter().filter(counted).count())
+        .sum();
+    leader.len() + others
 }
 
 /// Every engine path over `qs` — query-major batch, shard-major group,
@@ -701,7 +718,7 @@ fn nearest_lists_search(store: &ClusteredStore, cfg: &HermesConfig, query: &[f32
                 scanned_codes: per_shard.iter().map(|(_, s)| s.scanned_codes).sum(),
                 clusters_touched: per_shard.iter().filter(|(_, s)| s.probed_partitions > 0).count(),
             },
-            gather_candidates: per_shard.iter().map(|(hits, _)| hits.len()).sum(),
+            gather_candidates: gather_candidates(&per_shard, cfg.k),
             per_shard: per_shard.iter().map(|&(_, stats)| stats).collect(),
             deep_nprobe,
         },

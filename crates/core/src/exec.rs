@@ -224,14 +224,10 @@ impl DeepLists {
 
 /// Orders `(cluster, score)` pairs best-first: descending score, ties
 /// broken by ascending cluster id — the rank stage's deterministic
-/// tiebreak, shared by every scoring routing mode.
-pub fn rank_by_score(scored: Vec<(usize, f32)>) -> Vec<usize> {
-    rank_with_scores(scored).0
-}
-
-/// [`rank_by_score`], also returning the scores in rank order. NaN
-/// scores rank last (the [`Neighbor`] order), so the comparison is a
-/// total order whatever a hostile query made the sample scores.
+/// tiebreak, shared by every scoring routing mode — and returns the
+/// clusters with their scores in rank order. NaN scores rank last (the
+/// [`Neighbor`] order), so the comparison is a total order whatever a
+/// hostile query made the sample scores.
 pub fn rank_with_scores(mut scored: Vec<(usize, f32)>) -> (Vec<usize>, Vec<f32>) {
     scored.sort_by(|a, b| Neighbor::new(a.0 as u64, a.1).cmp(&Neighbor::new(b.0 as u64, b.1)));
     scored.into_iter().unzip()
@@ -962,13 +958,13 @@ mod tests {
 
     #[test]
     fn rank_by_score_orders_desc_with_id_tiebreak() {
-        let ranked = rank_by_score(vec![(0, 1.0), (1, 3.0), (2, 1.0), (3, 2.0)]);
+        let ranked = rank_with_scores(vec![(0, 1.0), (1, 3.0), (2, 1.0), (3, 2.0)]).0;
         assert_eq!(ranked, vec![1, 3, 0, 2]);
     }
 
     #[test]
     fn rank_by_score_handles_nan_without_panicking() {
-        let ranked = rank_by_score(vec![(0, f32::NAN), (1, 1.0), (2, f32::NAN)]);
+        let ranked = rank_with_scores(vec![(0, f32::NAN), (1, 1.0), (2, f32::NAN)]).0;
         assert_eq!(ranked.len(), 3);
     }
 

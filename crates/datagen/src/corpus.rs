@@ -156,15 +156,6 @@ impl Corpus {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Documents per topic.
-    pub fn topic_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.spec.num_topics];
-        for &t in &self.topic_of {
-            sizes[t as usize] += 1;
-        }
-        sizes
-    }
 }
 
 /// Standard normal via Box–Muller.
@@ -227,7 +218,10 @@ mod tests {
             CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(0.0),
         );
         let imb = |c: &Corpus| {
-            let s = c.topic_sizes();
+            let mut s = vec![0usize; 8];
+            for &t in c.topic_of() {
+                s[t as usize] += 1;
+            }
             *s.iter().max().unwrap() as f64 / (*s.iter().min().unwrap()).max(1) as f64
         };
         assert!(imb(&skewed) > imb(&flat));
@@ -246,11 +240,5 @@ mod tests {
         let a = Corpus::generate(CorpusSpec::new(64, 8, 3).with_seed(1));
         let b = Corpus::generate(CorpusSpec::new(64, 8, 3).with_seed(2));
         assert_ne!(a.embeddings().as_slice(), b.embeddings().as_slice());
-    }
-
-    #[test]
-    fn topic_sizes_sum_to_corpus_size() {
-        let c = Corpus::generate(CorpusSpec::new(123, 4, 7).with_seed(5));
-        assert_eq!(c.topic_sizes().iter().sum::<usize>(), 123);
     }
 }

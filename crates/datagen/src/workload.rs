@@ -1,9 +1,9 @@
 //! Temporal query streams — the cache-facing view of a workload.
 //!
-//! [`QuerySet`](crate::QuerySet) captures *what* users ask (topic mix,
-//! spread); this module captures *when they ask it again*. A semantic
-//! cache only pays off under temporal locality, so the `ext_adaptive`
-//! benchmark needs workloads whose repetition structure is a knob:
+//! [`QuerySet`] captures *what* users ask (topic mix, spread); this
+//! module captures *when they ask it again*. A semantic cache only pays
+//! off under temporal locality, so the `ext_adaptive` benchmark needs
+//! workloads whose repetition structure is a knob:
 //!
 //! * [`StreamKind::Repeated`] — exact resubmission of popular queries
 //!   with Zipf frequency (the Figure 13 skew applied to *queries*, not

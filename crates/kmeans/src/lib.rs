@@ -40,17 +40,6 @@ use hermes_math::stats::imbalance_ratio;
 use hermes_math::Mat;
 use std::sync::Mutex;
 
-/// Centroid initialization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Init {
-    /// Pick `k` distinct input rows uniformly at random — FAISS's default
-    /// and what the paper's imbalance discussion assumes.
-    #[default]
-    Random,
-    /// k-means++ D² sampling; slower to seed but typically lower inertia.
-    KMeansPlusPlus,
-}
-
 /// Training configuration for [`KMeans::train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
@@ -60,21 +49,18 @@ pub struct KMeansConfig {
     pub max_iters: usize,
     /// Relative inertia improvement below which training stops early.
     pub tolerance: f64,
-    /// Centroid initialization strategy.
-    pub init: Init,
     /// RNG seed; the sweep in [`SeedSweep`] varies exactly this field.
     pub seed: u64,
 }
 
 impl KMeansConfig {
     /// Configuration with workspace defaults (25 iterations, 1e-4 tolerance,
-    /// random init, seed 0).
+    /// seed 0).
     pub fn new(k: usize) -> Self {
         KMeansConfig {
             k,
             max_iters: 25,
             tolerance: 1e-4,
-            init: Init::Random,
             seed: 0,
         }
     }
@@ -82,12 +68,6 @@ impl KMeansConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the initialization strategy.
-    pub fn with_init(mut self, init: Init) -> Self {
-        self.init = init;
         self
     }
 
@@ -119,11 +99,7 @@ impl KMeans {
         assert!(data.rows() > 0, "cannot cluster an empty dataset");
         assert!(cfg.k > 0, "k must be positive");
         let k = cfg.k.min(data.rows());
-        let mut rng = seeded_rng(cfg.seed);
-        let centroids = match cfg.init {
-            Init::Random => init_random(data, k, &mut rng),
-            Init::KMeansPlusPlus => init_plus_plus(data, k, &mut rng),
-        };
+        let centroids = init_random(data, k, &mut seeded_rng(cfg.seed));
         Self::train_from_centroids(data, centroids, cfg)
     }
 
@@ -298,42 +274,6 @@ fn init_random(data: &Mat, k: usize, rng: &mut SeededRng) -> Mat {
     let mut idx: Vec<usize> = (0..data.rows()).collect();
     rng.shuffle(&mut idx);
     data.gather_rows(idx[..k].iter().copied())
-}
-
-fn init_plus_plus(data: &Mat, k: usize, rng: &mut SeededRng) -> Mat {
-    let n = data.rows();
-    let first = rng.gen_range(0..n);
-    let mut chosen = vec![first];
-    let mut d2: Vec<f32> = data
-        .iter_rows()
-        .map(|r| l2_sq(r, data.row(first)))
-        .collect();
-    while chosen.len() < k {
-        let total: f64 = d2.iter().map(|&d| d as f64).sum();
-        let next = if total <= 0.0 {
-            // All remaining points coincide with a centroid; pick uniformly.
-            rng.gen_range(0..n)
-        } else {
-            let mut target = rng.next_f64() * total;
-            let mut pick = n - 1;
-            for (i, &d) in d2.iter().enumerate() {
-                target -= d as f64;
-                if target <= 0.0 {
-                    pick = i;
-                    break;
-                }
-            }
-            pick
-        };
-        chosen.push(next);
-        for (i, r) in data.iter_rows().enumerate() {
-            let d = l2_sq(r, data.row(next));
-            if d < d2[i] {
-                d2[i] = d;
-            }
-        }
-    }
-    data.gather_rows(chosen)
 }
 
 /// Lloyd's algorithm from `init`, with incremental reassignment: every
@@ -769,18 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn plus_plus_init_also_recovers_blobs() {
-        let data = blobs(20, &[[0.0, 0.0], [8.0, 8.0]], 11);
-        let cfg = KMeansConfig::new(2)
-            .with_seed(2)
-            .with_init(Init::KMeansPlusPlus);
-        let model = KMeans::train(&data, &cfg);
-        let (a, _) = model.assign(&[0.1, 0.1]);
-        let (b, _) = model.assign(&[8.1, 8.1]);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn inertia_decreases_with_more_clusters() {
         let data = blobs(25, &[[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]], 7);
         let i2 = KMeans::train(&data, &KMeansConfig::new(2).with_seed(1)).inertia();
@@ -1026,14 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_points_do_not_break_plus_plus() {
-        let data = Mat::from_rows(&vec![vec![1.0, 1.0]; 16]);
-        let cfg = KMeansConfig::new(4).with_init(Init::KMeansPlusPlus);
-        let model = KMeans::train(&data, &cfg);
-        assert_eq!(model.assignments().len(), 16);
-    }
-
-    #[test]
     fn running_update_tracks_the_batch_mean() {
         let points = [[1.0f32, 2.0], [3.0, 4.0], [5.0, 0.0], [-1.0, 6.0]];
         let mut c = [0.0f32; 2];
@@ -1149,27 +1069,18 @@ mod tests {
         for (n, dim, k) in [(900, 19, 70), (700, 64, 12), (300, 3, 2)] {
             let data = topical(n, dim, 9, n as u64);
             for max_iters in [1, 25] {
-                for init in [Init::Random, Init::KMeansPlusPlus] {
-                    let cfg = KMeansConfig::new(k)
-                        .with_seed(5)
-                        .with_init(init)
-                        .with_max_iters(max_iters);
-                    let mut rng = seeded_rng(cfg.seed);
-                    let start = match init {
-                        Init::Random => init_random(&data, k, &mut rng),
-                        Init::KMeansPlusPlus => init_plus_plus(&data, k, &mut rng),
-                    };
-                    let what = format!("{n}x{dim} k{k} {init:?} {max_iters} iters");
-                    let (model, _) = assert_matches_oracle(&what, &data, start, &cfg);
-                    // `train` is the same trainer behind the same init.
-                    let trained = KMeans::train(&data, &cfg);
-                    assert_eq!(trained.assignments(), model.assignments(), "{what}");
-                    assert_eq!(
-                        trained.inertia().to_bits(),
-                        model.inertia().to_bits(),
-                        "{what}"
-                    );
-                }
+                let cfg = KMeansConfig::new(k).with_seed(5).with_max_iters(max_iters);
+                let start = init_random(&data, k, &mut seeded_rng(cfg.seed));
+                let what = format!("{n}x{dim} k{k} {max_iters} iters");
+                let (model, _) = assert_matches_oracle(&what, &data, start, &cfg);
+                // `train` is the same trainer behind the same init.
+                let trained = KMeans::train(&data, &cfg);
+                assert_eq!(trained.assignments(), model.assignments(), "{what}");
+                assert_eq!(
+                    trained.inertia().to_bits(),
+                    model.inertia().to_bits(),
+                    "{what}"
+                );
             }
         }
     }

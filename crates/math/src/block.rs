@@ -7,14 +7,12 @@
 //! the flat scan, the IVF inverted-list probe and the HNSW neighbour
 //! expansion now consume in chunks of [`BLOCK`].
 //!
-//! Every kernel exists at each runtime dispatch level
-//! ([`SimdLevel`](crate::simd::SimdLevel)): the portable scalar
-//! reference, AVX2+FMA on x86_64, NEON on aarch64. The plain entry
-//! points (`inner_product_block`, …) run at the process-wide
-//! [`simd_level`](crate::simd::simd_level); the `*_at` forms take an
-//! explicit level so equivalence suites can pin every runnable kernel
-//! in one process. An unsupported level scores via the scalar
-//! reference.
+//! Every kernel exists at each runtime dispatch level ([`SimdLevel`]):
+//! the portable scalar reference, AVX2+FMA on x86_64, NEON on aarch64.
+//! The plain entry points (`inner_product_block`, …) run at the
+//! process-wide [`simd_level`]; the `*_at` forms take an explicit level
+//! so equivalence suites can pin every runnable kernel in one process.
+//! An unsupported level scores via the scalar reference.
 //!
 //! # Determinism contract (two tiers)
 //!

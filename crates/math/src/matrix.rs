@@ -142,18 +142,6 @@ impl Mat {
         self.rows += 1;
     }
 
-    /// Removes row `i`, shifting later rows up (dense compaction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rows`.
-    pub fn remove_row(&mut self, i: usize) {
-        assert!(i < self.rows, "row index out of bounds");
-        let start = i * self.cols;
-        self.data.drain(start..start + self.cols);
-        self.rows -= 1;
-    }
-
     /// `M · v` for a column vector `v`.
     ///
     /// # Panics
@@ -285,11 +273,8 @@ mod tests {
         let mut m = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
         m.push_row(&[5.0, 6.0]);
         assert_eq!(m.rows(), 3);
-        assert_eq!(m.row(2), &[5.0, 6.0]);
-        m.remove_row(1);
-        assert_eq!(m.rows(), 2);
         assert_eq!(m.row(0), &[1.0, 2.0]);
-        assert_eq!(m.row(1), &[5.0, 6.0]);
+        assert_eq!(m.row(2), &[5.0, 6.0]);
         let mut empty = Mat::zeros(0, 0);
         empty.push_row(&[7.0, 8.0, 9.0]);
         assert_eq!((empty.rows(), empty.cols()), (1, 3));

@@ -210,31 +210,12 @@ pub fn log2_bucket_floor(i: usize) -> u64 {
     }
 }
 
-/// Shannon entropy of a size distribution in nats; an alternative imbalance
-/// measure the paper mentions (variance/entropy) — exposed for the ablation
-/// bench on splitting strategies.
-pub fn size_entropy(sizes: &[usize]) -> f64 {
-    let total: usize = sizes.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    sizes
-        .iter()
-        .filter(|&&s| s > 0)
-        .map(|&s| {
-            let p = s as f64 / total as f64;
-            -p * p.ln()
-        })
-        .sum()
-}
-
 /// Normalized Shannon entropy of a nonnegative weight vector: `0.0` when
 /// all mass sits on one weight, `1.0` for a uniform distribution (the raw
 /// entropy divided by `ln(len)`). Non-finite or nonpositive weights carry
 /// no mass; a vector with no mass at all returns `1.0` — "no information"
 /// reads as maximal uncertainty, which is the conservative answer for the
-/// routing-confidence estimator built on this ([`size_entropy`]'s f64
-/// sibling).
+/// routing-confidence estimator built on this.
 pub fn normalized_entropy(weights: &[f64]) -> f64 {
     if weights.len() < 2 {
         return 0.0;
@@ -372,14 +353,6 @@ mod tests {
         assert_eq!(log2_bucket_floor(1), 2);
         assert_eq!(log2_bucket_floor(10), 1024);
         assert_eq!(log2_bucket_floor(63), 1u64 << 63);
-    }
-
-    #[test]
-    fn entropy_is_maximal_for_balanced_sizes() {
-        let balanced = size_entropy(&[25, 25, 25, 25]);
-        let skewed = size_entropy(&[97, 1, 1, 1]);
-        assert!(balanced > skewed);
-        assert!((balanced - (4.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -15,17 +15,6 @@ pub struct StageEnergy {
     pub seconds: f64,
 }
 
-impl StageEnergy {
-    /// Mean power over the accumulated interval (`0.0` when idle).
-    pub fn mean_watts(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.joules / self.seconds
-        } else {
-            0.0
-        }
-    }
-}
-
 /// RAPL-style accumulating energy meter with named stages.
 ///
 /// # Examples
@@ -88,11 +77,6 @@ impl EnergyMeter {
             .map(|(_, e)| *e)
     }
 
-    /// Stage labels in first-recorded order.
-    pub fn stage_names(&self) -> Vec<&str> {
-        self.stages.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Sum of joules across all stages.
     pub fn total_joules(&self) -> f64 {
         self.stages.iter().map(|(_, e)| e.joules).sum()
@@ -133,7 +117,7 @@ mod tests {
         let mut m = EnergyMeter::new();
         m.record("x", 100.0, 2.0);
         assert_eq!(m.total_joules(), 200.0);
-        assert_eq!(m.stage("x").unwrap().mean_watts(), 100.0);
+        assert_eq!(m.stage("x").unwrap().seconds, 2.0);
     }
 
     #[test]
@@ -144,7 +128,6 @@ mod tests {
         m.record("a", 10.0, 1.0);
         assert_eq!(m.stage("a").unwrap().joules, 20.0);
         assert_eq!(m.stage("b").unwrap().joules, 20.0);
-        assert_eq!(m.stage_names(), vec!["a", "b"]);
     }
 
     #[test]
@@ -154,7 +137,6 @@ mod tests {
         let s = m.stage("fixed").unwrap();
         assert_eq!(s.joules, 5.5);
         assert_eq!(s.seconds, 0.0);
-        assert_eq!(s.mean_watts(), 0.0);
     }
 
     #[test]

@@ -74,19 +74,6 @@ impl DvfsModel {
         let elapsed = work_s / f;
         self.power_at(peak_watts, f) * elapsed
     }
-
-    /// Relative energy saving of stretching `work_s` into `budget_s`
-    /// versus running at full frequency and idling (idle power = static
-    /// floor) for the remainder of the budget.
-    pub fn saving_vs_race_to_idle(&self, work_s: f64, budget_s: f64) -> f64 {
-        if work_s <= 0.0 {
-            return 0.0;
-        }
-        let budget = budget_s.max(work_s);
-        let race = work_s + (budget - work_s) * self.static_fraction;
-        let stretch = self.energy(1.0, work_s, budget);
-        1.0 - stretch / race
-    }
 }
 
 impl Default for DvfsModel {
@@ -122,15 +109,6 @@ mod tests {
     fn generous_budget_clamps_to_min_frequency() {
         let d = DvfsModel::default();
         assert_eq!(d.frequency_for_budget(0.1, 100.0), d.min_freq_fraction);
-    }
-
-    #[test]
-    fn stretching_saves_energy_in_calibrated_range() {
-        // Paper: baseline DVFS saves 10.1-14.5%; a ~20-25% stretch sits in
-        // that band under the calibrated power curve.
-        let d = DvfsModel::default();
-        let saving = d.saving_vs_race_to_idle(0.8, 1.0);
-        assert!((0.05..0.25).contains(&saving), "saving {saving}");
     }
 
     #[test]

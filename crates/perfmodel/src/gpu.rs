@@ -133,22 +133,6 @@ impl InferenceModel {
         }
     }
 
-    /// Overrides the tensor-parallel degree (for the resource-scaling
-    /// discussion in Takeaway 3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tp` is zero or too small to hold the model.
-    pub fn with_tensor_parallel(mut self, tp: usize) -> Self {
-        assert!(tp > 0, "tensor parallel degree must be positive");
-        assert!(
-            tp >= self.llm.gpus_required(&self.gpu),
-            "model does not fit on {tp} GPUs"
-        );
-        self.tensor_parallel = tp;
-        self
-    }
-
     /// The model being served.
     pub fn llm(&self) -> &LlmModel {
         &self.llm
@@ -323,17 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn tensor_parallel_helps_latency_but_costs_power() {
-        let base = InferenceModel::new(LlmModel::gemma2_9b(), GpuPlatform::a6000_ada());
-        let tp2 = base.clone().with_tensor_parallel(2);
-        assert!(tp2.prefill_latency(32, 512) < base.prefill_latency(32, 512));
-        assert!(tp2.prefill_power() > base.prefill_power());
-        // Diminishing returns: 2 GPUs give < 2x speedup (Takeaway 3).
-        let speedup = base.prefill_latency(32, 512) / tp2.prefill_latency(32, 512);
-        assert!(speedup < 2.0, "{speedup}");
-    }
-
-    #[test]
     fn prefill_scales_with_input_length() {
         let inf = InferenceModel::default();
         let short = inf.prefill_latency(32, 256);
@@ -348,12 +321,5 @@ mod tests {
         let l128 = e.latency(128);
         assert!(l128 > l32);
         assert!(l128 < 4.0 * l32);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not fit")]
-    fn undersized_tensor_parallel_rejected() {
-        let _ = InferenceModel::new(LlmModel::opt_30b(), GpuPlatform::a6000_ada())
-            .with_tensor_parallel(1);
     }
 }

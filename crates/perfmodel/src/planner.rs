@@ -10,7 +10,7 @@
 
 
 use crate::cpu::RetrievalModel;
-use crate::gpu::{EncoderModel, InferenceModel};
+use crate::gpu::InferenceModel;
 
 /// Plans per-node cluster sizes for retrieval/inference overlap.
 ///
@@ -19,12 +19,7 @@ use crate::gpu::{EncoderModel, InferenceModel};
 /// ```
 /// use hermes_perfmodel::{ClusterPlanner, InferenceModel, RetrievalModel};
 ///
-/// let planner = ClusterPlanner::new(
-///     RetrievalModel::default(),
-///     InferenceModel::default(),
-///     EncoderModel::default(),
-/// );
-/// # use hermes_perfmodel::EncoderModel;
+/// let planner = ClusterPlanner::new(RetrievalModel::default(), InferenceModel::default());
 /// let tokens = planner.max_cluster_tokens(128, 128, 512, 16);
 /// assert!(tokens > 1_000_000_000, "{tokens}");
 /// ```
@@ -32,20 +27,14 @@ use crate::gpu::{EncoderModel, InferenceModel};
 pub struct ClusterPlanner {
     retrieval: RetrievalModel,
     inference: InferenceModel,
-    encoder: EncoderModel,
 }
 
 impl ClusterPlanner {
     /// Builds a planner over the given device models.
-    pub fn new(
-        retrieval: RetrievalModel,
-        inference: InferenceModel,
-        encoder: EncoderModel,
-    ) -> Self {
+    pub fn new(retrieval: RetrievalModel, inference: InferenceModel) -> Self {
         ClusterPlanner {
             retrieval,
             inference,
-            encoder,
         }
     }
 
@@ -54,12 +43,6 @@ impl ClusterPlanner {
     /// making the bound conservative mid-generation).
     pub fn stride_budget_s(&self, batch: usize, stride: u32) -> f64 {
         self.inference.decode_latency(batch, stride)
-    }
-
-    /// Time-to-first-token budget: encode + prefill ahead of the first
-    /// retrieval (used when planning for TTFT-critical serving).
-    pub fn ttft_budget_s(&self, batch: usize, input_tokens: u32) -> f64 {
-        self.encoder.latency(batch) + self.inference.prefill_latency(batch, input_tokens)
     }
 
     /// Largest per-cluster token count whose deep search (at `nprobe`)
@@ -123,11 +106,7 @@ impl ClusterPlanner {
 
 impl Default for ClusterPlanner {
     fn default() -> Self {
-        ClusterPlanner::new(
-            RetrievalModel::default(),
-            InferenceModel::default(),
-            EncoderModel::default(),
-        )
+        ClusterPlanner::new(RetrievalModel::default(), InferenceModel::default())
     }
 }
 
@@ -174,12 +153,5 @@ mod tests {
         let per = p.max_cluster_tokens(128, 128, 512, 16);
         assert!(nodes as u64 * per >= 100_000_000_000);
         assert!((2..=32).contains(&nodes), "nodes {nodes}");
-    }
-
-    #[test]
-    fn ttft_budget_includes_encode_and_prefill() {
-        let p = ClusterPlanner::default();
-        let b = p.ttft_budget_s(32, 512);
-        assert!(b > 0.2 && b < 2.0, "{b}");
     }
 }

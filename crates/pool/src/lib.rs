@@ -251,16 +251,6 @@ impl Pool {
         self.parallel_map_capped(items, cap, f).into_iter().collect()
     }
 
-    /// Runs `f` for each item in parallel; completion of the call
-    /// implies completion (and visibility) of every task.
-    pub fn parallel_for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(&T) + Sync,
-    {
-        self.parallel_map(items, f);
-    }
-
     /// Indexed parallel map over `0..n` for cheap per-index work (K-means
     /// row sweeps, per-query metric evaluation). Steals a grain of
     /// several indices per cursor claim to keep atomic traffic off the
@@ -505,7 +495,6 @@ fn parse_hermes_threads(value: Option<&str>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn map_matches_sequential_for_various_widths() {
@@ -596,17 +585,6 @@ mod tests {
         });
         let expect: Vec<u64> = (0..8).map(|x| (0..4).map(|y| x * 10 + y).sum()).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn for_each_observes_every_item_exactly_once() {
-        let pool = Pool::new(4);
-        let items: Vec<u64> = (0..1000).collect();
-        let sum = AtomicU64::new(0);
-        pool.parallel_for_each(&items, |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 1000 * 999 / 2);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl HashEncoder {
         normalize(&mut v);
         v
     }
-
-    /// Encodes a batch of texts.
-    pub fn encode_batch<'a>(&self, texts: impl IntoIterator<Item = &'a str>) -> Vec<Vec<f32>> {
-        texts.into_iter().map(|t| self.encode(t)).collect()
-    }
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -119,14 +114,6 @@ mod tests {
         let v = enc.encode("   ");
         assert!((norm(&v) - 1.0).abs() < 1e-5);
         assert_eq!(enc.encode(""), v);
-    }
-
-    #[test]
-    fn batch_matches_single() {
-        let enc = HashEncoder::new(16);
-        let batch = enc.encode_batch(["q one", "q two"]);
-        assert_eq!(batch[0], enc.encode("q one"));
-        assert_eq!(batch[1], enc.encode("q two"));
     }
 
     #[test]

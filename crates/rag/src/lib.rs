@@ -15,13 +15,11 @@
 //!   stride/model-size trade-off.
 
 pub mod encoder;
-pub mod eval;
 pub mod pipeline;
 pub mod quality;
 pub mod retriever;
 
 pub use encoder::HashEncoder;
-pub use eval::{evaluate_retriever, EvalReport};
 pub use pipeline::{RagPipeline, RagTranscript, StrideRecord};
 pub use quality::PerplexityModel;
 pub use retriever::{Retrieval, Retriever, RetrieverKind};

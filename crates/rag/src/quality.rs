@@ -73,15 +73,6 @@ impl PerplexityModel {
         let benefit = (self.retrieval_benefit - self.stride_decay * doublings).max(0.0) * ndcg;
         base * (1.0 - benefit)
     }
-
-    /// The plain-LM parameter count matched by a RAG model of `params_b`
-    /// at `stride` (binary search on the power law) — quantifies the
-    /// "half the parameters" claim.
-    pub fn equivalent_lm_params(&self, params_b: f64, stride: u32, ndcg: f64) -> f64 {
-        let target = self.rag_perplexity(params_b, stride, ndcg);
-        // Invert base_ppl * p^-e = target.
-        (target / self.base_ppl_1b).powf(-1.0 / self.param_exponent)
-    }
 }
 
 impl Default for PerplexityModel {
@@ -126,8 +117,6 @@ mod tests {
             retro <= gpt2_xl * 1.05,
             "RETRO {retro} should be near GPT-2 1.5B {gpt2_xl}"
         );
-        let equiv = m.equivalent_lm_params(0.578, 4, 1.0);
-        assert!(equiv >= 1.1, "equivalent params {equiv}B");
     }
 
     #[test]

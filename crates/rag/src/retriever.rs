@@ -41,8 +41,6 @@ pub struct Retrieval {
     /// The route-stage share of `scanned_codes` (sampling or centroid
     /// ranking; 0 for monolithic and unrouted strategies).
     pub route_codes: usize,
-    /// Clusters deep-searched (1 for monolithic).
-    pub clusters_searched: usize,
 }
 
 enum Backend {
@@ -154,14 +152,6 @@ impl Retriever {
         }
     }
 
-    /// The underlying clustered store, when the strategy has one.
-    pub fn clustered_store(&self) -> Option<&ClusteredStore> {
-        match &self.backend {
-            Backend::Clustered(store) => Some(store),
-            Backend::Monolithic(_) => None,
-        }
-    }
-
     /// Retrieves the configured top-k for `query`.
     ///
     /// When telemetry is enabled, the call is wrapped in a
@@ -192,7 +182,6 @@ impl Retriever {
                     hits,
                     scanned_codes: stats.scanned_codes,
                     route_codes: 0,
-                    clusters_searched: 1,
                 })
             }
             Backend::Clustered(store) => {
@@ -200,7 +189,6 @@ impl Retriever {
                 Ok(Retrieval {
                     scanned_codes: out.total_scanned_codes(),
                     route_codes: out.sample_cost().scanned_codes,
-                    clusters_searched: out.deep_cost().clusters_touched,
                     hits: out.hits,
                 })
             }
@@ -327,7 +315,5 @@ mod tests {
         let hermes = Retriever::build(RetrieverKind::Hermes, corpus.embeddings(), &cfg).unwrap();
         assert!(mono.memory_bytes() > 0);
         assert!(hermes.memory_bytes() > 0);
-        assert!(hermes.clustered_store().is_some());
-        assert!(mono.clustered_store().is_none());
     }
 }

@@ -8,8 +8,6 @@
 //! * [`queue`] — a bounded [`AdmissionQueue`] with priority classes and
 //!   load shedding: overload rejects at the door instead of growing an
 //!   unbounded backlog that would stall the pool.
-//! * [`batch`] — cluster-overlap analysis of a formed batch: which
-//!   requests share shard visits in the engine's group scatter.
 //! * [`server`] — the discrete-event [`Server`]: virtual-time dispatch
 //!   loop, deadline expiry, sojourn and wait histograms
 //!   ([`hermes_trace::hist::LogHistogram`]; per-class sojourns are the
@@ -36,7 +34,6 @@
 //! the timing itself reproduces the `sim` queueing model
 //! (`tests/serving_oracle.rs`).
 
-pub mod batch;
 pub mod cache;
 pub mod generation;
 pub mod loadgen;
@@ -45,7 +42,6 @@ pub mod queue;
 pub mod request;
 pub mod server;
 
-pub use batch::{coalesce_groups, BatchPlan};
 pub use cache::CachedBackend;
 pub use generation::{GenerationBackend, GenerationCell};
 pub use loadgen::{run_closed_loop, run_open_loop, ClosedLoopSpec, LoadReport, OpenLoopSpec};

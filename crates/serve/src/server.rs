@@ -35,7 +35,6 @@ use hermes_obs::{CachePath, Observer, Phase, PhaseNs, RequestId, RequestTimeline
 use hermes_trace::hist::LogHistogram;
 use hermes_trace::names;
 
-use crate::batch::coalesce_groups;
 use crate::queue::AdmissionQueue;
 use crate::request::{Completion, Request, ShedReason, ShedRecord};
 
@@ -121,7 +120,8 @@ pub(crate) fn dispatch(
 
     // `missed[j]` is the batch position of `queries[j]` / `routes[j]`.
     let mut missed: Vec<usize> = (0..batch.len()).filter(|&i| slots[i].is_none()).collect();
-    let mut searched: Vec<Vec<usize>> = Vec::with_capacity(missed.len());
+    // Every cluster each executed search visited, repeats kept.
+    let mut searched: Vec<usize> = Vec::new();
     if !missed.is_empty() {
         let mut queries: Vec<&[f32]> = missed.iter().map(|&i| &batch[i].query[..]).collect();
         let mut routes = engine.route_batch(&queries, threads)?;
@@ -158,22 +158,24 @@ pub(crate) fn dispatch(
                     let bucket = outcome.ranked_clusters.first().copied();
                     cache.insert(query.to_vec(), bucket, *version, outcome.clone());
                 }
-                searched.push(outcome.searched_clusters().to_vec());
+                searched.extend_from_slice(outcome.searched_clusters());
                 slots[i] = Some(outcome);
             }
             lap(Phase::Deep);
         }
     }
 
-    let plan = coalesce_groups(&searched);
+    let visits = searched.len();
+    searched.sort_unstable();
+    searched.dedup();
     Ok(BatchOutcome {
         outcomes: slots
             .into_iter()
             .map(|s| s.expect("every request was answered by a hit or a computation"))
             .collect(),
         service_ns: phases.total(),
-        distinct_clusters: plan.distinct_clusters,
-        shared_visits: plan.shared_visits(),
+        distinct_clusters: searched.len(),
+        shared_visits: visits - searched.len(),
         phases,
         cache_paths,
     })
@@ -629,14 +631,25 @@ mod tests {
             .execute_batch(&queries, 1)
             .unwrap();
         assert_eq!(engine.outcomes, standalone);
+        // Sharing counted straight from the searches: the set of visited
+        // clusters, and every visit beyond the first to each.
+        let visits: Vec<usize> = standalone
+            .iter()
+            .flat_map(|o| o.searched_clusters().iter().copied())
+            .collect();
+        let distinct = std::collections::BTreeSet::from_iter(&visits).len();
         assert!(
-            engine.shared_visits > 0,
+            visits.len() > distinct,
             "the repeated query shares its visits"
         );
-        for (name, other) in [("generation", &generation), ("cold cache", &cached)] {
-            assert_eq!(other.outcomes, engine.outcomes, "{name}");
-            assert_eq!(other.distinct_clusters, engine.distinct_clusters, "{name}");
-            assert_eq!(other.shared_visits, engine.shared_visits, "{name}");
+        for (name, out) in [
+            ("engine", &engine),
+            ("generation", &generation),
+            ("cold cache", &cached),
+        ] {
+            assert_eq!(out.outcomes, standalone, "{name}");
+            assert_eq!(out.distinct_clusters, distinct, "{name}");
+            assert_eq!(out.shared_visits, visits.len() - distinct, "{name}");
         }
         for out in [&engine, &generation, &cached] {
             assert!(out.phases.total() <= out.service_ns);

@@ -12,9 +12,10 @@ cargo build --release --offline
 cargo test -q --offline
 
 # Doc comments link to the names they describe; a refactor that deletes
-# or renames one must not leave the link dangling.
+# or renames one must not leave the link dangling, and a link spells its
+# target out only where the label alone would not resolve.
 echo "== rustdoc intra-doc links (every workspace crate) =="
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --offline --no-deps -q --workspace
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::redundant_explicit_links" cargo doc --offline --no-deps -q --workspace
 
 # Re-run, at both extremes of the hermes-pool width — fully
 # inline/sequential and heavily oversubscribed (the CI box has few

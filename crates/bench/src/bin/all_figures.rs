@@ -8,10 +8,28 @@
 use std::process::Command;
 
 const BINS: &[&str] = &[
-    "table1", "fig04", "fig05", "fig06", "fig07", "fig08", "fig10", "fig11",
-    "fig12", "fig13", "fig14", "fig16", "fig17", "fig18", "fig19", "fig20",
-    "fig21", "ext_tail_latency", "ext_intra_query", "ext_serving",
-    "ext_persist", "ext_adaptive",
+    "table1",
+    "fig04",
+    "fig05",
+    "fig06",
+    "fig07",
+    "fig08",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig16",
+    "fig17",
+    "fig18",
+    "fig19",
+    "fig20",
+    "fig21",
+    "ext_tail_latency",
+    "ext_intra_query",
+    "ext_serving",
+    "ext_persist",
+    "ext_adaptive",
 ];
 
 fn main() {
@@ -26,7 +44,15 @@ fn main() {
         } else {
             // Fall back to cargo when siblings weren't built yet.
             Command::new("cargo")
-                .args(["run", "-p", "hermes-bench", "--release", "--quiet", "--bin", bin])
+                .args([
+                    "run",
+                    "-p",
+                    "hermes-bench",
+                    "--release",
+                    "--quiet",
+                    "--bin",
+                    bin,
+                ])
                 .status()
         };
         match status {

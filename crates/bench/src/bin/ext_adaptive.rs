@@ -62,7 +62,10 @@ use hermes_bench::{emit, BENCH_SEED};
 struct SharedBackend<'a>(&'a dyn Backend);
 
 impl Backend for SharedBackend<'_> {
-    fn run(&self, batch: &[hermes::serve::Request]) -> Result<BatchOutcome, hermes::core::HermesError> {
+    fn run(
+        &self,
+        batch: &[hermes::serve::Request],
+    ) -> Result<BatchOutcome, hermes::core::HermesError> {
         self.0.run(batch)
     }
 }
@@ -104,8 +107,11 @@ fn main() {
     // (exploratory).
     let mut scenario = Scenario::new(CorpusSpec::new(docs, dim, topics).with_seed(BENCH_SEED))
         .with_queries(QuerySpec::new(nq / 2).with_spread(0.15));
-    let hard_set =
-        scenario.query_set(QuerySpec::new(nq / 2).with_seed(BENCH_SEED + 2).with_spread(0.5));
+    let hard_set = scenario.query_set(
+        QuerySpec::new(nq / 2)
+            .with_seed(BENCH_SEED + 2)
+            .with_spread(0.5),
+    );
     scenario.queries.extend(hard_set.to_vecs());
     let (queries, truth) = (&scenario.queries, scenario.truth(Metric::InnerProduct, k));
 
@@ -137,13 +143,21 @@ fn main() {
             adaptive_cfg.min_deep_nprobe,
             adaptive_cfg.max_deep_nprobe
         ),
-        &["plan", "recall@10", "mean codes", "vs per shard m=3", "mean depth"],
+        &[
+            "plan",
+            "recall@10",
+            "mean codes",
+            "vs per shard m=3",
+            "mean depth",
+        ],
     );
     // (recall, codes) of the fixed paper knobs, per allocation; the first
     // — per shard — is the paper's point, which savings are quoted against.
     let mut at_paper: Vec<(f64, f64)> = Vec::new();
     let saved = |codes: f64, paper: Option<&(f64, f64)>| {
-        paper.map_or(String::new(), |p| format!("-{:.0}%", (1.0 - codes / p.1) * 100.0))
+        paper.map_or(String::new(), |p| {
+            format!("-{:.0}%", (1.0 - codes / p.1) * 100.0)
+        })
     };
     for (label, allocation) in [
         ("per shard", ProbeAllocation::PerShard),
@@ -278,15 +292,24 @@ fn main() {
             small_cache.capacity
         ),
         &[
-            "workload", "hit rate", "LRU model", "exact", "semantic", "miss", "stale", "evicted",
-            "p50 off (us)", "p50 on (us)", "p99 off (us)", "p99 on (us)",
+            "workload",
+            "hit rate",
+            "LRU model",
+            "exact",
+            "semantic",
+            "miss",
+            "stale",
+            "evicted",
+            "p50 off (us)",
+            "p50 on (us)",
+            "p99 off (us)",
+            "p99 on (us)",
         ],
     );
 
     let run = |backend: &dyn Backend, stream: &[Vec<f32>], seed: u64| -> LoadReport {
         let mut server = Server::new(SharedBackend(backend), server_cfg);
-        let spec =
-            OpenLoopSpec::new(stream.len(), 0.6 / (svc_ns as f64 * 1e-9)).with_seed(seed);
+        let spec = OpenLoopSpec::new(stream.len(), 0.6 / (svc_ns as f64 * 1e-9)).with_seed(seed);
         run_open_loop(&mut server, stream, &spec).unwrap()
     };
 
@@ -294,10 +317,25 @@ fn main() {
     let mut repeated_p99 = None;
     let fits = CacheConfig::default();
     for (name, pool, spec, cache_cfg) in [
-        ("repeated (Zipf 1.0)", &pool, StreamSpec::repeated(stream_len), fits),
-        ("bursty (8-runs)", &pool, StreamSpec::bursty(stream_len), fits),
+        (
+            "repeated (Zipf 1.0)",
+            &pool,
+            StreamSpec::repeated(stream_len),
+            fits,
+        ),
+        (
+            "bursty (8-runs)",
+            &pool,
+            StreamSpec::bursty(stream_len),
+            fits,
+        ),
         ("drifting", &pool, StreamSpec::drifting(stream_len), fits),
-        ("repeated, pool 4x cache", &big_pool, StreamSpec::repeated(long_stream), small_cache),
+        (
+            "repeated, pool 4x cache",
+            &big_pool,
+            StreamSpec::repeated(long_stream),
+            small_cache,
+        ),
     ] {
         let stream = query_stream(pool, spec.with_seed(BENCH_SEED + 80));
 
@@ -311,7 +349,11 @@ fn main() {
         let engine = Engine::for_store(&store);
         let exact = CachedBackend::new(cell.clone(), 1, cache_cfg.exact_only());
         let strict = run(&exact, &stream, BENCH_SEED + 81);
-        assert_eq!(strict.completions.len(), stream.len(), "{name}: lost requests");
+        assert_eq!(
+            strict.completions.len(),
+            stream.len(),
+            "{name}: lost requests"
+        );
         for c in &strict.completions {
             let want = engine.execute(&c.request.query).unwrap();
             assert_eq!(
@@ -330,9 +372,7 @@ fn main() {
         let divergent = on
             .completions
             .iter()
-            .filter(|c| {
-                c.outcome.as_ref() != Some(&engine.execute(&c.request.query).unwrap())
-            })
+            .filter(|c| c.outcome.as_ref() != Some(&engine.execute(&c.request.query).unwrap()))
             .count();
         assert!(
             divergent as u64 <= cached.cache_stats().semantic_hits,

@@ -51,7 +51,12 @@ fn main() {
              ({DOCS} docs, {CLUSTERS} clusters, pool width {})",
             hermes::pool::Pool::global().threads()
         ),
-        &["clusters searched (m)", "sequential (ms)", "scattered (ms)", "speedup"],
+        &[
+            "clusters searched (m)",
+            "sequential (ms)",
+            "scattered (ms)",
+            "speedup",
+        ],
     );
     let mut speedups = Vec::new();
     for m in [3usize, 8] {

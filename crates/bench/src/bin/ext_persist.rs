@@ -17,9 +17,7 @@
 //!   `rebuild` grows with the *store* size. The table reports both so
 //!   the gap is visible across the sweep.
 
-use hermes::core::{
-    ClusteredStore, HermesConfig, PagedStoreReader, RebalanceConfig, Rebalancer,
-};
+use hermes::core::{ClusteredStore, HermesConfig, PagedStoreReader, RebalanceConfig, Rebalancer};
 use hermes::datagen::CorpusSpec;
 use hermes::math::rng::seeded_rng;
 use hermes::metrics::{Row, Table};

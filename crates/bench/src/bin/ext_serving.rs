@@ -102,8 +102,16 @@ fn main() {
             us(svc_ns)
         ),
         &[
-            "offered rho", "qps", "p50 (us)", "p95 (us)", "p99 (us)", "shed",
-            "expired", "mean batch", "shared visits", "busy",
+            "offered rho",
+            "qps",
+            "p50 (us)",
+            "p95 (us)",
+            "p99 (us)",
+            "shed",
+            "expired",
+            "mean batch",
+            "shared visits",
+            "busy",
         ],
     );
     let mut phase_table = Table::new(
@@ -172,8 +180,13 @@ fn main() {
              ({requests} requests, zero think time, queue 64, max batch 8)"
         ),
         &[
-            "users", "throughput (qps)", "p50 (us)", "p99 (us)", "mean batch",
-            "shared visits", "busy",
+            "users",
+            "throughput (qps)",
+            "p50 (us)",
+            "p99 (us)",
+            "mean batch",
+            "shared visits",
+            "busy",
         ],
     );
     for users in [1usize, 2, 4, 8] {

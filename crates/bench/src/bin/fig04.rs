@@ -76,7 +76,14 @@ fn main() {
              (IVF nProbe {}, HNSW ef {})",
             ivf_params.nprobe, hnsw_params.ef_search
         ),
-        &["index", "batch", "recall@10", "latency (s)", "QPS", "memory (MB)"],
+        &[
+            "index",
+            "batch",
+            "recall@10",
+            "latency (s)",
+            "QPS",
+            "memory (MB)",
+        ],
     );
     let mut lat = std::collections::HashMap::new();
     for batch in [32usize, 128] {
@@ -122,11 +129,17 @@ fn main() {
     );
     proj.push(Row::new(
         "IVF-SQ8",
-        vec!["71".into(), format!("{:.0}", ds.index_bytes_sq8() as f64 / 1e9)],
+        vec![
+            "71".into(),
+            format!("{:.0}", ds.index_bytes_sq8() as f64 / 1e9),
+        ],
     ));
     proj.push(Row::new(
         "HNSW-fp16",
-        vec!["166".into(), format!("{:.0}", ds.index_bytes_hnsw() as f64 / 1e9)],
+        vec![
+            "166".into(),
+            format!("{:.0}", ds.index_bytes_hnsw() as f64 / 1e9),
+        ],
     ));
     emit("fig04_memory", &[&proj]);
 

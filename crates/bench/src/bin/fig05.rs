@@ -1,11 +1,11 @@
 //! Figure 5: perplexity vs retrieval stride (quality model) alongside the
 //! retrieval latency cost of striding at 10B / 100B tokens.
 
-use hermes_bench::emit;
 use hermes::metrics::{Row, Table};
 use hermes::perfmodel::RetrievalModel;
 use hermes::rag::quality::{retrievals_for, PerplexityModel};
 use hermes::rag::PerplexityModel as _Alias;
+use hermes_bench::emit;
 
 fn main() {
     let _ = std::marker::PhantomData::<_Alias>;
@@ -43,7 +43,10 @@ fn main() {
             stride.to_string(),
             vec![
                 n.to_string(),
-                format!("{:.2}", n as f64 * retrieval.batch_latency(10_000_000_000, 32, 128)),
+                format!(
+                    "{:.2}",
+                    n as f64 * retrieval.batch_latency(10_000_000_000, 32, 128)
+                ),
                 format!(
                     "{:.1}",
                     n as f64 * retrieval.batch_latency(100_000_000_000, 32, 128)

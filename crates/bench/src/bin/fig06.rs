@@ -1,10 +1,12 @@
 //! Figure 6: TTFT and end-to-end latency of the baseline RAG pipeline vs
 //! datastore size (batch 32, stride 16, 512 in / 256 out, Gemma2-9B).
 
-use hermes_bench::emit;
 use hermes::datagen::scale::format_tokens;
 use hermes::metrics::{Row, Table};
-use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig};
+use hermes::sim::{
+    Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
+};
+use hermes_bench::emit;
 
 fn main() {
     let serving = ServingConfig::paper_default().with_batch(32);

@@ -1,11 +1,11 @@
 //! Figure 7: retrieval throughput, energy per batch and index memory as
 //! the datastore scales 100M → 1T tokens (IVF-SQ8, single CPU node).
 
-use hermes_bench::emit;
 use hermes::datagen::scale::format_tokens;
 use hermes::datagen::DatastoreScale;
 use hermes::metrics::{Row, Table};
 use hermes::perfmodel::RetrievalModel;
+use hermes_bench::emit;
 
 fn main() {
     let model = RetrievalModel::default();
@@ -19,13 +19,7 @@ fn main() {
 
     let mut table = Table::new(
         "Figure 7 — IVF-SQ8 scaling (batch 32, nProbe 128, Xeon Gold 6448Y)",
-        &[
-            "datastore",
-            "QPS",
-            "J/batch",
-            "memory",
-            "paper anchors",
-        ],
+        &["datastore", "QPS", "J/batch", "memory", "paper anchors"],
     );
     for tokens in sizes {
         let qps = model.throughput_qps(tokens, 32, 128);

@@ -2,18 +2,21 @@
 //! carry at small vs at-scale datastores — stage timelines plus the
 //! speedup-vs-size panel.
 
-use hermes_bench::emit;
 use hermes::datagen::scale::format_tokens;
 use hermes::metrics::{Row, Table};
 use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
+use hermes_bench::emit;
 
 fn main() {
     let serving = ServingConfig::paper_default().with_batch(32);
 
     // Timelines (first two strides) for a small and an at-scale store.
-    for (label, tokens) in [("small_100M", 100_000_000u64), ("at_scale_100B", 100_000_000_000)] {
+    for (label, tokens) in [
+        ("small_100M", 100_000_000u64),
+        ("at_scale_100B", 100_000_000_000),
+    ] {
         let sim = MultiNodeSim::new(Deployment::uniform(tokens, 1));
         let mut table = Table::new(
             format!("Figure 8 — stage timeline, {label} datastore"),
@@ -57,15 +60,30 @@ fn main() {
     ] {
         let sim = MultiNodeSim::new(Deployment::uniform(tokens, 1));
         let base = sim
-            .run(&serving, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off)
+            .run(
+                &serving,
+                RetrievalScheme::Monolithic,
+                PipelinePolicy::baseline(),
+                DvfsMode::Off,
+            )
             .e2e_s;
         let pipe = base
             / sim
-                .run(&serving, RetrievalScheme::Monolithic, PipelinePolicy::piperag(), DvfsMode::Off)
+                .run(
+                    &serving,
+                    RetrievalScheme::Monolithic,
+                    PipelinePolicy::piperag(),
+                    DvfsMode::Off,
+                )
                 .e2e_s;
         let cache = base
             / sim
-                .run(&serving, RetrievalScheme::Monolithic, PipelinePolicy::ragcache(), DvfsMode::Off)
+                .run(
+                    &serving,
+                    RetrievalScheme::Monolithic,
+                    PipelinePolicy::ragcache(),
+                    DvfsMode::Off,
+                )
                 .e2e_s;
         if tokens == 100_000_000 {
             first_pipe = pipe;

@@ -24,7 +24,11 @@ fn main() {
         &["seed", "imbalance (max/min)", "inertia"],
     );
     for o in &result.outcomes {
-        let marker = if o.seed == result.best_seed { " <- best" } else { "" };
+        let marker = if o.seed == result.best_seed {
+            " <- best"
+        } else {
+            ""
+        };
         sweep_table.push(Row::new(
             format!("{:#x}{marker}", o.seed),
             vec![format!("{:.2}", o.imbalance), format!("{:.1}", o.inertia)],
@@ -38,7 +42,12 @@ fn main() {
     let decode = inference.decode_latency(128, 16);
     let mut gap = Table::new(
         "Figure 10 (right) — search latency vs Gemma2-9B stride latency (batch 128)",
-        &["cluster size", "search (s)", "inference stride (s)", "hidden?"],
+        &[
+            "cluster size",
+            "search (s)",
+            "inference stride (s)",
+            "hidden?",
+        ],
     );
     for tokens in [
         10_000_000u64,

@@ -31,7 +31,13 @@ fn main() {
 
     let mut table = Table::new(
         "Figure 11 — NDCG@5 vs clusters searched in depth (10 clusters)",
-        &["clusters searched", "Monolithic", "Split", "Centroid-Based", "Hermes"],
+        &[
+            "clusters searched",
+            "Monolithic",
+            "Split",
+            "Centroid-Based",
+            "Hermes",
+        ],
     );
 
     let mut hermes_at_3 = 0.0;

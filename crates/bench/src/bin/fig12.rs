@@ -21,8 +21,8 @@ fn sweep(
         .with_sample_nprobe(sample_nprobe)
         .with_deep_nprobe(deep_nprobe)
         .with_clusters_to_search(clusters);
-    let retriever = Retriever::build(RetrieverKind::Hermes, scenario.corpus.embeddings(), &cfg)
-        .expect("build");
+    let retriever =
+        Retriever::build(RetrieverKind::Hermes, scenario.corpus.embeddings(), &cfg).expect("build");
     let mut sum = 0.0;
     let (_, secs) = time_it(|| {
         for (q, truth) in scenario.queries.iter().zip(truth) {
@@ -42,7 +42,13 @@ fn main() {
     // Left panels: vary the sampling nProbe at fixed deep nProbe 128.
     let mut small = Table::new(
         "Figure 12 (left) — sampling nProbe sweep (deep nProbe fixed at 128)",
-        &["clusters searched", "nProbe 1", "nProbe 2", "nProbe 4", "nProbe 8"],
+        &[
+            "clusters searched",
+            "nProbe 1",
+            "nProbe 2",
+            "nProbe 4",
+            "nProbe 8",
+        ],
     );
     for clusters in [1usize, 2, 3, 4, 6, 8, 10] {
         let cells: Vec<String> = [1usize, 2, 4, 8]
@@ -83,7 +89,10 @@ fn main() {
     for np in [1usize, 2, 4, 8, 16, 32, 64, 128] {
         latency.push(Row::new(
             np.to_string(),
-            vec![format!("{:.3}", model.batch_latency(10_000_000_000, 128, np))],
+            vec![format!(
+                "{:.3}",
+                model.batch_latency(10_000_000_000, 128, np)
+            )],
         ));
     }
     emit("fig12_latency", &[&latency]);

@@ -2,12 +2,12 @@
 //! RAGCache, PipeRAG, Hermes and Hermes+both, swept over batch size,
 //! datastore size and stride length (multi-node analysis tool).
 
-use hermes_bench::emit;
 use hermes::datagen::scale::format_tokens;
 use hermes::metrics::{report::normalize_to_max, Row, Table};
 use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
+use hermes_bench::emit;
 
 const SYSTEMS: [&str; 5] = [
     "Baseline",
@@ -52,16 +52,24 @@ fn main() {
     let sim = MultiNodeSim::new(Deployment::uniform(tokens_default, 10));
     let mut lat = Table::new(
         "Figure 14 — normalized E2E latency vs batch size (10B tokens)",
-        &["batch", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4]],
+        &[
+            "batch", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4],
+        ],
     );
     let mut energy = Table::new(
         "Figure 14 — normalized E2E energy vs batch size (10B tokens)",
-        &["batch", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4]],
+        &[
+            "batch", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4],
+        ],
     );
     for batch in [32usize, 64, 128, 256] {
         let serving = ServingConfig::paper_default().with_batch(batch);
         let results = run_all(&sim, &serving);
-        push_norm(&mut lat, batch.to_string(), &results.iter().map(|r| r.0).collect::<Vec<_>>());
+        push_norm(
+            &mut lat,
+            batch.to_string(),
+            &results.iter().map(|r| r.0).collect::<Vec<_>>(),
+        );
         push_norm(
             &mut energy,
             batch.to_string(),
@@ -74,22 +82,38 @@ fn main() {
     // --- Sweep 2: datastore size (batch 128, stride 16). ---
     let mut lat = Table::new(
         "Figure 14 — normalized E2E latency vs datastore size (batch 128)",
-        &["datastore", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4]],
+        &[
+            "datastore",
+            SYSTEMS[0],
+            SYSTEMS[1],
+            SYSTEMS[2],
+            SYSTEMS[3],
+            SYSTEMS[4],
+        ],
     );
     let mut energy = Table::new(
         "Figure 14 — normalized E2E energy vs datastore size (batch 128)",
-        &["datastore", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4]],
+        &[
+            "datastore",
+            SYSTEMS[0],
+            SYSTEMS[1],
+            SYSTEMS[2],
+            SYSTEMS[3],
+            SYSTEMS[4],
+        ],
     );
     let mut headline = (0.0f64, 0.0f64);
-    for tokens in [1_000_000_000u64, 10_000_000_000, 100_000_000_000, 1_000_000_000_000] {
+    for tokens in [
+        1_000_000_000u64,
+        10_000_000_000,
+        100_000_000_000,
+        1_000_000_000_000,
+    ] {
         let sim = MultiNodeSim::new(Deployment::uniform(tokens, 10));
         let serving = ServingConfig::paper_default();
         let results = run_all(&sim, &serving);
         if tokens == 1_000_000_000_000 {
-            headline = (
-                results[0].0 / results[4].0,
-                results[0].1 / results[4].1,
-            );
+            headline = (results[0].0 / results[4].0, results[0].1 / results[4].1);
         }
         push_norm(
             &mut lat,
@@ -109,11 +133,15 @@ fn main() {
     let sim = MultiNodeSim::new(Deployment::uniform(tokens_default, 10));
     let mut lat = Table::new(
         "Figure 14 — normalized E2E latency vs stride (10B tokens, batch 128)",
-        &["stride", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4]],
+        &[
+            "stride", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4],
+        ],
     );
     let mut energy = Table::new(
         "Figure 14 — normalized E2E energy vs stride (10B tokens, batch 128)",
-        &["stride", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4]],
+        &[
+            "stride", SYSTEMS[0], SYSTEMS[1], SYSTEMS[2], SYSTEMS[3], SYSTEMS[4],
+        ],
     );
     for stride in [4u32, 8, 16, 32, 64] {
         let serving = ServingConfig::paper_default().with_stride(stride);

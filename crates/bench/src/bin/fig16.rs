@@ -1,12 +1,12 @@
 //! Figure 16: normalized TTFT latency at 1B/10B/1T tokens — the paper's
 //! 9.1x TTFT improvement at the trillion-token scale.
 
-use hermes_bench::emit;
 use hermes::datagen::scale::format_tokens;
 use hermes::metrics::{Row, Table};
 use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
+use hermes_bench::emit;
 
 fn main() {
     let serving = ServingConfig::paper_default();
@@ -17,13 +17,24 @@ fn main() {
 
     let mut table = Table::new(
         "Figure 16 — TTFT, normalized to the monolithic baseline",
-        &["datastore", "Baseline", "Hermes", "Hermes/PipeRAG/RAGCache", "speedup"],
+        &[
+            "datastore",
+            "Baseline",
+            "Hermes",
+            "Hermes/PipeRAG/RAGCache",
+            "speedup",
+        ],
     );
     let mut t1_speedup = 0.0;
     for tokens in [1_000_000_000u64, 10_000_000_000, 1_000_000_000_000] {
         let sim = MultiNodeSim::new(Deployment::uniform(tokens, 10));
         let base = sim
-            .run(&serving, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off)
+            .run(
+                &serving,
+                RetrievalScheme::Monolithic,
+                PipelinePolicy::baseline(),
+                DvfsMode::Off,
+            )
             .ttft_s;
         let h = sim
             .run(&serving, hermes, PipelinePolicy::baseline(), DvfsMode::Off)

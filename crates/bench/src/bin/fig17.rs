@@ -1,12 +1,12 @@
 //! Figure 17: Hermes gains across inference model architectures
 //! (Phi-1.5, Gemma2-9B, OPT-30B) and hardware platforms (A6000 Ada, L4).
 
-use hermes_bench::emit;
 use hermes::metrics::{Row, Table};
 use hermes::perfmodel::{GpuPlatform, InferenceModel, LlmModel};
 use hermes::sim::{
     Deployment, DvfsMode, MultiNodeSim, PipelinePolicy, RetrievalScheme, ServingConfig,
 };
+use hermes_bench::emit;
 
 const TOKENS: u64 = 100_000_000_000;
 
@@ -45,7 +45,11 @@ fn main() {
     );
     let mut first = 0.0;
     let mut last = 0.0;
-    for llm in [LlmModel::phi_1_5(), LlmModel::gemma2_9b(), LlmModel::opt_30b()] {
+    for llm in [
+        LlmModel::phi_1_5(),
+        LlmModel::gemma2_9b(),
+        LlmModel::opt_30b(),
+    ] {
         let name = llm.name.clone();
         let (speed, energy, gpus) = gains(InferenceModel::new(llm, GpuPlatform::a6000_ada()));
         if first == 0.0 {

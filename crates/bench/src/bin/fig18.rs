@@ -21,11 +21,22 @@ fn main() {
     let sim = MultiNodeSim::new(deployment);
     let serving = ServingConfig::paper_default();
 
-    let naive = sim.retrieval_cost(&serving, RetrievalScheme::NaiveDistributed, DvfsMode::Off, 0.0);
+    let naive = sim.retrieval_cost(
+        &serving,
+        RetrievalScheme::NaiveDistributed,
+        DvfsMode::Off,
+        0.0,
+    );
 
     let mut table = Table::new(
         "Figure 18 — retrieval QPS and J/batch vs clusters searched (10 nodes, NQ-like trace)",
-        &["clusters searched", "QPS", "J/batch", "QPS vs naive", "energy vs naive"],
+        &[
+            "clusters searched",
+            "QPS",
+            "J/batch",
+            "QPS vs naive",
+            "energy vs naive",
+        ],
     );
     let mut at3 = (0.0, 0.0);
     for m in 1..=10usize {

@@ -2,10 +2,10 @@
 //! scenario — input length, output length and batch size — so retrieval
 //! hides under inference.
 
-use hermes_bench::emit;
 use hermes::datagen::scale::format_tokens;
 use hermes::metrics::{Row, Table};
 use hermes::perfmodel::{ClusterPlanner, InferenceModel};
+use hermes_bench::emit;
 
 fn main() {
     let planner = ClusterPlanner::default();
@@ -21,7 +21,9 @@ fn main() {
         for batch in [8usize, 16, 32, 64, 128, 256] {
             table.push(Row::new(
                 batch.to_string(),
-                vec![format_tokens(planner.max_cluster_tokens(batch, 128, input, stride))],
+                vec![format_tokens(
+                    planner.max_cluster_tokens(batch, 128, input, stride),
+                )],
             ));
         }
         emit(&format!("fig19_{label}"), &[&table]);

@@ -3,10 +3,10 @@
 //! 128), Xeon Gold 6448Y, Platinum 8380 and Silver 4316, against the
 //! Gemma2-9B inference latency line.
 
-use hermes_bench::emit;
 use hermes::metrics::{Row, Table};
 use hermes::perfmodel::{CpuPlatform, InferenceModel};
 use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
+use hermes_bench::emit;
 
 const TOKENS: u64 = 100_000_000_000; // 10 nodes x 10B tokens (the paper's split)
 
@@ -29,9 +29,17 @@ fn cost_for(platform: CpuPlatform, batch: usize, m: usize) -> (f64, f64) {
 fn main() {
     let configs: Vec<(String, CpuPlatform, usize)> = vec![
         ("Neoverse-N1 (BS=32)".into(), CpuPlatform::neoverse_n1(), 32),
-        ("Neoverse-N1 (BS=128)".into(), CpuPlatform::neoverse_n1(), 128),
+        (
+            "Neoverse-N1 (BS=128)".into(),
+            CpuPlatform::neoverse_n1(),
+            128,
+        ),
         ("Gold 6448Y".into(), CpuPlatform::xeon_gold_6448y(), 128),
-        ("Platinum 8380".into(), CpuPlatform::xeon_platinum_8380(), 128),
+        (
+            "Platinum 8380".into(),
+            CpuPlatform::xeon_platinum_8380(),
+            128,
+        ),
         ("Silver 4316".into(), CpuPlatform::xeon_silver_4316(), 128),
     ];
     let inference = InferenceModel::default();
@@ -39,11 +47,25 @@ fn main() {
 
     let mut latency = Table::new(
         "Figure 20 (left) — time per batch (s) vs clusters searched",
-        &["clusters", &configs[0].0, &configs[1].0, &configs[2].0, &configs[3].0, &configs[4].0],
+        &[
+            "clusters",
+            &configs[0].0,
+            &configs[1].0,
+            &configs[2].0,
+            &configs[3].0,
+            &configs[4].0,
+        ],
     );
     let mut qps = Table::new(
         "Figure 20 (right) — throughput (QPS) vs clusters searched",
-        &["clusters", &configs[0].0, &configs[1].0, &configs[2].0, &configs[3].0, &configs[4].0],
+        &[
+            "clusters",
+            &configs[0].0,
+            &configs[1].0,
+            &configs[2].0,
+            &configs[3].0,
+            &configs[4].0,
+        ],
     );
     for m in [1usize, 2, 4, 6, 8, 10] {
         let mut lat_cells = Vec::new();

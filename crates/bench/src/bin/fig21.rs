@@ -2,10 +2,10 @@
 //! slowest-cluster-bound, and the enhanced inference-bound variant — as
 //! the number of deep-searched clusters varies.
 
-use hermes_bench::emit;
 use hermes::metrics::{Row, Table};
 use hermes::perfmodel::InferenceModel;
 use hermes::sim::{Deployment, DvfsMode, MultiNodeSim, RetrievalScheme, ServingConfig};
+use hermes_bench::emit;
 
 fn main() {
     // Skewed sizes and access frequencies create the idle windows DVFS

@@ -40,9 +40,7 @@ pub fn standard_config() -> HermesConfig {
 pub fn out_dir() -> PathBuf {
     let dir = std::env::var("HERMES_BENCH_OUT")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results")
-        });
+        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results"));
     std::fs::create_dir_all(&dir).expect("create bench_results dir");
     dir
 }

@@ -377,10 +377,22 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_difficulty_bands() {
         let base = AdaptiveConfig::new(1, 3, 16, 128);
-        assert!(base.with_difficulty_band_permille(500, 500).validate().is_err());
-        assert!(base.with_difficulty_band_permille(700, 300).validate().is_err());
-        assert!(base.with_difficulty_band_permille(0, 1001).validate().is_err());
-        assert!(base.with_difficulty_band_permille(400, 900).validate().is_ok());
+        assert!(base
+            .with_difficulty_band_permille(500, 500)
+            .validate()
+            .is_err());
+        assert!(base
+            .with_difficulty_band_permille(700, 300)
+            .validate()
+            .is_err());
+        assert!(base
+            .with_difficulty_band_permille(0, 1001)
+            .validate()
+            .is_err());
+        assert!(base
+            .with_difficulty_band_permille(400, 900)
+            .validate()
+            .is_ok());
     }
 
     #[test]
@@ -392,10 +404,10 @@ mod tests {
         let scores = [10.0f32, 7.0, 3.0, 0.0];
         let base = AdaptiveConfig::new(1, 4, 16, 128);
         let plain = DifficultyEstimator::new(base).depth(&scores);
-        let eased = DifficultyEstimator::new(base.with_difficulty_band_permille(800, 1000))
-            .depth(&scores);
-        let hardened = DifficultyEstimator::new(base.with_difficulty_band_permille(100, 200))
-            .depth(&scores);
+        let eased =
+            DifficultyEstimator::new(base.with_difficulty_band_permille(800, 1000)).depth(&scores);
+        let hardened =
+            DifficultyEstimator::new(base.with_difficulty_band_permille(100, 200)).depth(&scores);
         assert!(plain.difficulty > 0.2 && plain.difficulty < 0.8);
         assert_eq!(eased.difficulty, plain.difficulty, "signal unchanged");
         assert_eq!(eased.clusters, 1, "band above the signal → floor");

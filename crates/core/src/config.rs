@@ -332,7 +332,10 @@ mod tests {
     fn zero_values_rejected() {
         assert!(HermesConfig::new(0).validate().is_err());
         assert!(HermesConfig::new(4).with_k(0).validate().is_err());
-        assert!(HermesConfig::new(4).with_sample_nprobe(0).validate().is_err());
+        assert!(HermesConfig::new(4)
+            .with_sample_nprobe(0)
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -91,10 +91,12 @@
 //! stages themselves get the same spans without the `engine.execute`
 //! envelope. Disabled, every site is one relaxed atomic load.
 
-use hermes_index::{CoarseKeys, GroupScan, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex};
+use hermes_index::{
+    CoarseKeys, GroupScan, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex,
+};
 use hermes_kmeans::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
-use hermes_trace::names;
 use hermes_math::{topk::merge_topk, Neighbor};
+use hermes_trace::names;
 
 use crate::adaptive::DifficultyEstimator;
 use crate::config::{HermesConfig, ProbeAllocation, Routing};
@@ -866,7 +868,10 @@ fn pooled_cut(shards: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Option<u
         pool.extend(keys.iter().map(|&key| pair_key(key, offset)));
         offset += keys.len();
     }
-    assert!(u32::try_from(offset).is_ok(), "a query's pairs are numbered in 32 bits");
+    assert!(
+        u32::try_from(offset).is_ok(),
+        "a query's pairs are numbered in 32 bits"
+    );
     match budget.min(pool.len()) {
         0 => None,
         n => Some(*pool.select_nth_unstable(n - 1).1),
@@ -985,7 +990,8 @@ mod tests {
     fn pooled_cut_spends_one_budget_on_the_nearest_pairs() {
         // Keys as `KMeans::probe_keys` packs them, for positive distances.
         let keys = |distances: &[f32]| -> Vec<u64> {
-            let key = |(list, d): (usize, &f32)| u64::from(d.to_bits() | 1 << 31) << 32 | list as u64;
+            let key =
+                |(list, d): (usize, &f32)| u64::from(d.to_bits() | 1 << 31) << 32 | list as u64;
             distances.iter().enumerate().map(key).collect()
         };
         let near = keys(&[1.0, 2.0, 3.0, 4.0]);
@@ -1022,21 +1028,25 @@ mod tests {
         // empty.
         let mut rng = seeded_rng(0xC07);
         type Pattern<'a> = &'a dyn Fn(&mut hermes_math::rng::SeededRng) -> f32;
-        let patterns: [Pattern; 2] = [
-            &|rng| rng.next_f32() * 50.0,
-            &|rng| (rng.next_f32() * 4.0).floor(),
-        ];
+        let patterns: [Pattern; 2] = [&|rng| rng.next_f32() * 50.0, &|rng| {
+            (rng.next_f32() * 4.0).floor()
+        }];
         let mut pool = Vec::new();
         for pattern in patterns {
             for sizes in [&[40usize, 0, 73, 9][..], &[200], &[5, 5, 5], &[64, 64]] {
                 let shards: Vec<Vec<u64>> = sizes
                     .iter()
-                    .map(|&n| (0..n).map(|l| probe_key(pattern(&mut rng), l as u32)).collect())
+                    .map(|&n| {
+                        (0..n)
+                            .map(|l| probe_key(pattern(&mut rng), l as u32))
+                            .collect()
+                    })
                     .collect();
                 let slices: Vec<&[u64]> = shards.iter().map(|s| &s[..]).collect();
                 let mut full: Vec<(u32, usize, usize)> = (slices.iter().enumerate())
                     .flat_map(|(c, keys)| {
-                        let pair = move |&key: &u64| (probe_key_distance(key), c, probe_key_centroid(key));
+                        let pair =
+                            move |&key: &u64| (probe_key_distance(key), c, probe_key_centroid(key));
                         keys.iter().map(pair)
                     })
                     .collect();
@@ -1058,7 +1068,9 @@ mod tests {
         let (corpus, queries) = setup();
         let cfg = HermesConfig::new(6).with_seed(1);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        let out = store.search_all_clusters(queries.embeddings().row(0)).unwrap();
+        let out = store
+            .search_all_clusters(queries.embeddings().row(0))
+            .unwrap();
         assert_eq!(out.ranked_clusters, (0..6).collect::<Vec<_>>());
         assert_eq!(out.searched_clusters(), (0..6).collect::<Vec<_>>());
         assert_eq!(out.stats.route, SearchPhaseCost::default());
@@ -1248,7 +1260,10 @@ mod tests {
         let reference = engine.execute_batch(&batch, 1).unwrap();
         for threads in [0usize, 2, 64] {
             assert_eq!(engine.execute_batch(&batch, threads).unwrap(), reference);
-            assert_eq!(engine.execute_coalesced(&batch, threads).unwrap(), reference);
+            assert_eq!(
+                engine.execute_coalesced(&batch, threads).unwrap(),
+                reference
+            );
         }
     }
 
@@ -1300,7 +1315,10 @@ mod tests {
         );
         assert_eq!(
             out.stats.deep.clusters_touched,
-            out.stats.per_shard_probed().filter(|&lists| lists > 0).count()
+            out.stats
+                .per_shard_probed()
+                .filter(|&lists| lists > 0)
+                .count()
         );
         assert!(out.stats.gather_candidates >= out.hits.len());
         assert_eq!(

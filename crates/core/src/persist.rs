@@ -21,9 +21,9 @@
 //! `HPGS` magic), version skew, per-page checksum mismatch — never a
 //! panic.
 
+use hermes_index::IvfIndex;
 use hermes_math::wire::{checksum64, Reader, WireError, Writer};
 use hermes_math::{Mat, Metric};
-use hermes_index::IvfIndex;
 use hermes_quant::CodecSpec;
 
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -408,10 +408,16 @@ impl PagedStoreReader {
         let mut file = std::fs::File::open(path)?;
 
         let mut header = Vec::with_capacity(PAGE_SIZE);
-        (&mut file).take(PAGE_SIZE as u64).read_to_end(&mut header)?;
+        (&mut file)
+            .take(PAGE_SIZE as u64)
+            .read_to_end(&mut header)?;
         if !header.starts_with(&PAGED_MAGIC) {
             let short = header.len() < PAGED_MAGIC.len();
-            return Err(if short { PersistError::Truncated } else { PersistError::BadMagic });
+            return Err(if short {
+                PersistError::Truncated
+            } else {
+                PersistError::BadMagic
+            });
         }
         if header.len() < PAGE_SIZE {
             return Err(PersistError::Truncated);

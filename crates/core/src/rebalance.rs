@@ -29,10 +29,10 @@
 //! keeps `config.num_clusters` / `clusters_to_search` consistent with
 //! the live cluster count.
 
+use hermes_index::{IvfIndex, VectorIndex};
 use hermes_kmeans::{KMeans, KMeansConfig};
 use hermes_math::rng::derive_seed;
 use hermes_math::Mat;
-use hermes_index::{IvfIndex, VectorIndex};
 
 use crate::store::ClusteredStore;
 use crate::HermesError;
@@ -183,10 +183,7 @@ impl Rebalancer {
     /// # Errors
     ///
     /// Propagates [`Rebalancer::apply`] failures.
-    pub fn rebuild(
-        &self,
-        store: &ClusteredStore,
-    ) -> Result<(ClusteredStore, usize), HermesError> {
+    pub fn rebuild(&self, store: &ClusteredStore) -> Result<(ClusteredStore, usize), HermesError> {
         let mut current = store.clone();
         let mut steps = 0;
         while steps < self.config.max_steps {
@@ -240,7 +237,9 @@ fn nearest_other_centroid(store: &ClusteredStore, from: usize) -> usize {
 }
 
 /// Clones the store's per-cluster state into mutable working vectors.
-fn working_state(store: &ClusteredStore) -> (Vec<IvfIndex>, Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<usize>) {
+fn working_state(
+    store: &ClusteredStore,
+) -> (Vec<IvfIndex>, Vec<Vec<f32>>, Vec<Vec<f32>>, Vec<usize>) {
     let n = store.num_clusters();
     let shards = (0..n).map(|c| store.shard(c).clone()).collect();
     let centroids = (0..n).map(|c| store.split_centroid(c).to_vec()).collect();
@@ -408,7 +407,11 @@ mod tests {
         let action = r.next_action(&s).expect("skew should trigger");
         let next = r.apply(&s, action).unwrap();
         assert_eq!(next.generation(), s.generation() + 1);
-        assert_eq!(next.len(), s.len(), "rebalance moves rows, never drops them");
+        assert_eq!(
+            next.len(),
+            s.len(),
+            "rebalance moves rows, never drops them"
+        );
         match action {
             RebalanceAction::Split { .. } => {
                 assert_eq!(next.num_clusters(), s.num_clusters() + 1)

@@ -157,7 +157,10 @@ mod tests {
     }
 
     fn truth(corpus: &Corpus, query: &[f32], k: usize) -> Vec<u64> {
-        let flat = FlatIndex::new(corpus.embeddings().clone(), hermes_math::Metric::InnerProduct);
+        let flat = FlatIndex::new(
+            corpus.embeddings().clone(),
+            hermes_math::Metric::InnerProduct,
+        );
         ids(&flat.search(query, k, &SearchParams::new()).unwrap())
     }
 
@@ -255,13 +258,18 @@ mod tests {
             s_sum += ndcg_at_k(&t, &ids(&sampled.hierarchical_search(q).unwrap().hits), 5);
             c_sum += ndcg_at_k(&t, &ids(&centroid.hierarchical_search(q).unwrap().hits), 5);
         }
-        assert!(s_sum >= c_sum * 0.97, "sampling {s_sum} vs centroid {c_sum}");
+        assert!(
+            s_sum >= c_sum * 0.97,
+            "sampling {s_sum} vs centroid {c_sum}"
+        );
     }
 
     #[test]
     fn search_all_clusters_recovers_union_quality() {
         let (corpus, queries) = setup();
-        let cfg = HermesConfig::new(8).with_seed(1).with_codec(CodecSpec::Flat);
+        let cfg = HermesConfig::new(8)
+            .with_seed(1)
+            .with_codec(CodecSpec::Flat);
         let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
         for q in queries.embeddings().iter_rows().take(10) {
             let t = truth(&corpus, q, 5);
@@ -383,7 +391,9 @@ mod tests {
             .unwrap();
         assert!(matches!(sequential_err, HermesError::Index(_)));
         for threads in [0usize, 2, 16] {
-            let batch_err = store.batch_hierarchical_search(&batch, threads).unwrap_err();
+            let batch_err = store
+                .batch_hierarchical_search(&batch, threads)
+                .unwrap_err();
             assert_eq!(batch_err, sequential_err, "threads={threads}");
         }
     }
@@ -417,8 +427,7 @@ mod tests {
     fn dimension_mismatch_propagates() {
         let (corpus, _) = setup();
         let store =
-            ClusteredStore::build(corpus.embeddings(), &HermesConfig::new(4).with_seed(1))
-                .unwrap();
+            ClusteredStore::build(corpus.embeddings(), &HermesConfig::new(4).with_seed(1)).unwrap();
         let err = store.hierarchical_search(&[1.0, 2.0]).unwrap_err();
         assert!(matches!(err, HermesError::Index(_)));
     }

@@ -5,7 +5,6 @@
 //! chunk text is irrelevant to every measured quantity, so chunks are
 //! synthesized deterministically from the id.
 
-
 /// A retrieved document chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
@@ -78,9 +77,26 @@ impl ChunkStore {
 }
 
 const WORDS: &[&str] = &[
-    "retrieval", "datastore", "cluster", "index", "query", "vector", "token",
-    "context", "search", "probe", "centroid", "latency", "energy", "batch",
-    "stride", "document", "embedding", "sample", "rank", "augment",
+    "retrieval",
+    "datastore",
+    "cluster",
+    "index",
+    "query",
+    "vector",
+    "token",
+    "context",
+    "search",
+    "probe",
+    "centroid",
+    "latency",
+    "energy",
+    "batch",
+    "stride",
+    "document",
+    "embedding",
+    "sample",
+    "rank",
+    "augment",
 ];
 
 #[cfg(test)]

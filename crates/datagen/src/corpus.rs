@@ -93,9 +93,7 @@ impl Corpus {
         let mut topic_rng = seeded_rng(derive_seed(spec.seed, 1));
         let mut centroid_rows = Vec::with_capacity(spec.num_topics);
         for _ in 0..spec.num_topics {
-            let mut c: Vec<f32> = (0..spec.dim)
-                .map(|_| gaussian(&mut topic_rng))
-                .collect();
+            let mut c: Vec<f32> = (0..spec.dim).map(|_| gaussian(&mut topic_rng)).collect();
             normalize(&mut c);
             centroid_rows.push(c);
         }
@@ -189,9 +187,7 @@ mod tests {
 
     #[test]
     fn documents_are_closer_to_own_topic_centroid() {
-        let c = Corpus::generate(
-            CorpusSpec::new(300, 32, 4).with_seed(3).with_spread(0.15),
-        );
+        let c = Corpus::generate(CorpusSpec::new(300, 32, 4).with_seed(3).with_spread(0.15));
         let mut correct = 0;
         for (i, row) in c.embeddings().iter_rows().enumerate() {
             let own = c.topic_of()[i] as usize;
@@ -211,12 +207,8 @@ mod tests {
 
     #[test]
     fn size_skew_produces_imbalanced_topics() {
-        let skewed = Corpus::generate(
-            CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(1.0),
-        );
-        let flat = Corpus::generate(
-            CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(0.0),
-        );
+        let skewed = Corpus::generate(CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(1.0));
+        let flat = Corpus::generate(CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(0.0));
         let imb = |c: &Corpus| {
             let mut s = vec![0usize; 8];
             for &t in c.topic_of() {

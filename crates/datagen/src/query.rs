@@ -133,7 +133,9 @@ impl QuerySet {
     /// short).
     pub fn batches(&self, batch_size: usize) -> Vec<Vec<Vec<f32>>> {
         let vecs = self.to_vecs();
-        vecs.chunks(batch_size.max(1)).map(<[Vec<f32>]>::to_vec).collect()
+        vecs.chunks(batch_size.max(1))
+            .map(<[Vec<f32>]>::to_vec)
+            .collect()
     }
 }
 
@@ -179,8 +181,10 @@ mod tests {
     #[test]
     fn interest_skew_concentrates_queries() {
         let c = corpus();
-        let skewed = QuerySet::generate(&c, QuerySpec::new(600).with_seed(4).with_interest_skew(1.5));
-        let uniform = QuerySet::generate(&c, QuerySpec::new(600).with_seed(4).with_interest_skew(0.0));
+        let skewed =
+            QuerySet::generate(&c, QuerySpec::new(600).with_seed(4).with_interest_skew(1.5));
+        let uniform =
+            QuerySet::generate(&c, QuerySpec::new(600).with_seed(4).with_interest_skew(0.0));
         let top_share = |q: &QuerySet| {
             let mut counts = [0usize; 6];
             for &t in q.topic_of() {

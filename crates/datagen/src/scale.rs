@@ -1,7 +1,6 @@
 //! Token-scale accounting: maps datastore sizes in tokens (the unit the
 //! paper reports: 100M … 1T) to chunk counts and index bytes.
 
-
 /// Describes a datastore by its token count, chunking and embedding width.
 ///
 /// The paper's setup: ~100 tokens per chunk (10B tokens over 100M document
@@ -77,7 +76,11 @@ impl DatastoreScale {
         let base = self.tokens / n as u64;
         (0..n)
             .map(|i| {
-                let extra = if i == n - 1 { self.tokens % n as u64 } else { 0 };
+                let extra = if i == n - 1 {
+                    self.tokens % n as u64
+                } else {
+                    0
+                };
                 DatastoreScale::new(base + extra, self.chunk_tokens, self.dim)
             })
             .collect()

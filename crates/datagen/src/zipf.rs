@@ -108,7 +108,11 @@ mod tests {
         }
         for (r, &count) in counts.iter().enumerate() {
             let emp = count as f64 / n as f64;
-            assert!((emp - z.mass(r)).abs() < 0.02, "rank {r}: {emp} vs {}", z.mass(r));
+            assert!(
+                (emp - z.mass(r)).abs() < 0.02,
+                "rank {r}: {emp} vs {}",
+                z.mass(r)
+            );
         }
     }
 

@@ -71,27 +71,23 @@ pub mod prelude {
     pub use hermes_cache::{CacheConfig, CacheStats, SemanticCache};
     pub use hermes_core::{
         AdaptiveConfig, ClusteredStore, DepthChoice, DifficultyEstimator, Engine, HermesConfig,
-        PagedStoreReader, PersistError, ProbeAllocation, RebalanceAction,
-        RebalanceConfig, Rebalancer, Routing, SearchStats, SplitStrategy,
+        PagedStoreReader, PersistError, ProbeAllocation, RebalanceAction, RebalanceConfig,
+        Rebalancer, Routing, SearchStats, SplitStrategy,
     };
     pub use hermes_datagen::{
         query_stream, ChunkStore, Corpus, CorpusSpec, DatastoreScale, QuerySet, QuerySpec,
         StreamKind, StreamSpec,
     };
-    pub use hermes_index::{
-        FlatIndex, HnswIndex, IvfIndex, SearchParams, VectorIndex,
-    };
+    pub use hermes_index::{FlatIndex, HnswIndex, IvfIndex, SearchParams, VectorIndex};
     pub use hermes_math::{simd_level, Mat, Metric, Neighbor, SimdLevel};
-    pub use hermes_metrics::{
-        ndcg_at_k, recall_at_k, CostBreakdown, DepthHistogram, EnergyMeter,
+    pub use hermes_metrics::{ndcg_at_k, recall_at_k, CostBreakdown, DepthHistogram, EnergyMeter};
+    pub use hermes_obs::{
+        Attribution, FlightRecorder, MetricsRegistry, ObsConfig, Observer, RequestTimeline,
+        SloPolicy, SloTracker,
     };
     pub use hermes_perfmodel::{
         ClusterPlanner, CpuPlatform, EncoderModel, GpuPlatform, InferenceModel, LlmModel,
         RetrievalModel,
-    };
-    pub use hermes_obs::{
-        Attribution, FlightRecorder, MetricsRegistry, ObsConfig, Observer, RequestTimeline,
-        SloPolicy, SloTracker,
     };
     pub use hermes_quant::{Codec, CodecSpec};
     pub use hermes_rag::{HashEncoder, RagPipeline, Retriever, RetrieverKind};

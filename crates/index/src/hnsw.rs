@@ -782,7 +782,11 @@ mod tests {
             .unwrap();
         index.insert(777, &[9.0, 9.0, 9.0, 9.0]).unwrap();
         let hits = index
-            .search(&[9.0, 9.0, 9.0, 9.0], 1, &SearchParams::new().with_ef_search(32))
+            .search(
+                &[9.0, 9.0, 9.0, 9.0],
+                1,
+                &SearchParams::new().with_ef_search(32),
+            )
             .unwrap();
         assert_eq!(hits[0].id, 777);
     }
@@ -927,8 +931,16 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let data = random_data(100, 8, 21);
-        let a = HnswIndex::builder().seed(5).metric(Metric::L2).build(&data).unwrap();
-        let b = HnswIndex::builder().seed(5).metric(Metric::L2).build(&data).unwrap();
+        let a = HnswIndex::builder()
+            .seed(5)
+            .metric(Metric::L2)
+            .build(&data)
+            .unwrap();
+        let b = HnswIndex::builder()
+            .seed(5)
+            .metric(Metric::L2)
+            .build(&data)
+            .unwrap();
         let qa = a.search(data.row(3), 5, &SearchParams::new()).unwrap();
         let qb = b.search(data.row(3), 5, &SearchParams::new()).unwrap();
         assert_eq!(qa, qb);

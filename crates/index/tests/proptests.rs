@@ -23,25 +23,30 @@ fn cfg() -> Config {
 #[test]
 fn full_probe_flat_ivf_is_exact() {
     let strat = tuple2(data_strategy(60, 4), usize_in(0..60));
-    check_with("full_probe_flat_ivf_is_exact", &cfg(), &strat, |(rows, qi)| {
-        let data = Mat::from_rows(rows);
-        let qi = qi % data.rows();
-        let ivf = IvfIndex::builder()
-            .nlist(4)
-            .codec(CodecSpec::Flat)
-            .metric(Metric::L2)
-            .build(&data)
-            .unwrap();
-        let flat = FlatIndex::new(data.clone(), Metric::L2);
-        let params = SearchParams::new().with_nprobe(4);
-        let a = ivf.search(data.row(qi), 3, &params).unwrap();
-        let b = flat.search(data.row(qi), 3, &SearchParams::new()).unwrap();
-        prop_assert_eq!(
-            a.iter().map(|n| n.id).collect::<Vec<_>>(),
-            b.iter().map(|n| n.id).collect::<Vec<_>>()
-        );
-        Ok(())
-    });
+    check_with(
+        "full_probe_flat_ivf_is_exact",
+        &cfg(),
+        &strat,
+        |(rows, qi)| {
+            let data = Mat::from_rows(rows);
+            let qi = qi % data.rows();
+            let ivf = IvfIndex::builder()
+                .nlist(4)
+                .codec(CodecSpec::Flat)
+                .metric(Metric::L2)
+                .build(&data)
+                .unwrap();
+            let flat = FlatIndex::new(data.clone(), Metric::L2);
+            let params = SearchParams::new().with_nprobe(4);
+            let a = ivf.search(data.row(qi), 3, &params).unwrap();
+            let b = flat.search(data.row(qi), 3, &SearchParams::new()).unwrap();
+            prop_assert_eq!(
+                a.iter().map(|n| n.id).collect::<Vec<_>>(),
+                b.iter().map(|n| n.id).collect::<Vec<_>>()
+            );
+            Ok(())
+        },
+    );
 }
 
 /// The searching-one's-own-vector property: a stored vector's top-1

@@ -239,7 +239,13 @@ impl KMeans {
 impl hermes_math::wire::WireEncode for KMeans {
     fn encode_wire(&self, w: &mut hermes_math::wire::Writer) {
         w.mat(&self.centroids);
-        w.u64s(&self.cluster_sizes.iter().map(|&s| s as u64).collect::<Vec<_>>());
+        w.u64s(
+            &self
+                .cluster_sizes
+                .iter()
+                .map(|&s| s as u64)
+                .collect::<Vec<_>>(),
+        );
     }
 }
 
@@ -628,9 +634,12 @@ impl SeedSweep {
         let seeds: Vec<u64> = (0..self.num_seeds)
             .map(|s| derive_seed(self.config.seed, s))
             .collect();
-        let runs: Vec<(SeedOutcome, Mat)> = hermes_pool::Pool::global()
-            .parallel_map(&seeds, |&seed| {
-                let cfg = KMeansConfig { seed, ..self.config };
+        let runs: Vec<(SeedOutcome, Mat)> =
+            hermes_pool::Pool::global().parallel_map(&seeds, |&seed| {
+                let cfg = KMeansConfig {
+                    seed,
+                    ..self.config
+                };
                 let model = KMeans::train(eval_data, &cfg);
                 (
                     SeedOutcome {
@@ -888,13 +897,9 @@ mod tests {
         // datastore; with clean blobs even a 25% subsample should find a
         // balanced seed.
         let data = blobs(100, &[[0.0, 0.0], [9.0, 9.0]], 17);
-        let sweep =
-            SeedSweep::new(KMeansConfig::new(2).with_seed(0), 4).with_subsample(0.25, 21);
+        let sweep = SeedSweep::new(KMeansConfig::new(2).with_seed(0), 4).with_subsample(0.25, 21);
         let result = sweep.run(&data);
-        let full = KMeans::train(
-            &data,
-            &KMeansConfig::new(2).with_seed(result.best_seed),
-        );
+        let full = KMeans::train(&data, &KMeansConfig::new(2).with_seed(result.best_seed));
         assert!(full.imbalance().unwrap() < 1.5);
     }
 
@@ -929,14 +934,10 @@ mod tests {
     #[test]
     fn warm_start_from_subsample_preserves_sweep_imbalance() {
         let data = blobs(200, &[[0.0, 0.0], [9.0, 9.0]], 37);
-        let sweep = SeedSweep::new(KMeansConfig::new(2).with_seed(3), 4)
-            .with_subsample(0.1, 5);
+        let sweep = SeedSweep::new(KMeansConfig::new(2).with_seed(3), 4).with_subsample(0.1, 5);
         let result = sweep.run(&data);
-        let full = KMeans::train_from_centroids(
-            &data,
-            result.best_centroids,
-            &KMeansConfig::new(2),
-        );
+        let full =
+            KMeans::train_from_centroids(&data, result.best_centroids, &KMeansConfig::new(2));
         let full_imb = full.imbalance().unwrap();
         assert!(
             full_imb <= result.best_imbalance * 1.5 + 0.5,
@@ -960,7 +961,10 @@ mod tests {
         for (i, p) in points.iter().enumerate() {
             running_update(&mut c, p, i + 1);
         }
-        assert!((c[0] - 2.0).abs() < 1e-5 && (c[1] - 3.0).abs() < 1e-5, "{c:?}");
+        assert!(
+            (c[0] - 2.0).abs() < 1e-5 && (c[1] - 3.0).abs() < 1e-5,
+            "{c:?}"
+        );
     }
 
     #[test]

@@ -899,7 +899,9 @@ pub fn sq8_dot_i8_mask_at(
 fn validate_dot_i8(weights: &[i8], segments: &[&[u8]], n: usize) {
     let dim = weights.len();
     assert!(
-        weights.iter().all(|w| w.unsigned_abs() <= SQ8_WEIGHT_MAX as u8),
+        weights
+            .iter()
+            .all(|w| w.unsigned_abs() <= SQ8_WEIGHT_MAX as u8),
         "SQ8 bound weight beyond +-{SQ8_WEIGHT_MAX}"
     );
     assert!(

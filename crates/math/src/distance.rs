@@ -6,7 +6,6 @@
 //! orientation into one convention keeps every downstream heap, ranker and
 //! NDCG computation branch-free.
 
-
 /// The metric used to compare embedding vectors.
 ///
 /// # Examples

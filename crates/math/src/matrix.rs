@@ -5,7 +5,6 @@
 //! needs dense storage with row views, matrix–vector products and a
 //! Gram-Schmidt orthonormalization (to build random rotations for OPQ).
 
-
 use crate::distance;
 
 /// Dense row-major `rows x cols` matrix of `f32`.

@@ -46,7 +46,7 @@
 //! serving vs standalone, blocked vs fused scans — still holds
 //! bit-for-bit at whatever level was selected.
 
-use std::sync::atomic::{AtomicU8, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Once;
 
 /// A dispatchable kernel implementation.
@@ -1161,7 +1161,11 @@ pub(crate) mod neon {
         let mut acc = vdupq_n_f32(0.0);
         for c in 0..chunks {
             let b = c * 4;
-            acc = vfmaq_f32(acc, vld1q_f32(x.as_ptr().add(b)), vld1q_f32(q.as_ptr().add(b)));
+            acc = vfmaq_f32(
+                acc,
+                vld1q_f32(x.as_ptr().add(b)),
+                vld1q_f32(q.as_ptr().add(b)),
+            );
         }
         let mut sum = hsum_in_order(acc);
         for i in chunks * 4..n {
@@ -1375,7 +1379,10 @@ mod tests {
 
     #[test]
     fn parse_accepts_every_level_name_case_insensitively() {
-        assert_eq!(parse_hermes_simd(Some("scalar")), Ok(Some(SimdLevel::Scalar)));
+        assert_eq!(
+            parse_hermes_simd(Some("scalar")),
+            Ok(Some(SimdLevel::Scalar))
+        );
         assert_eq!(parse_hermes_simd(Some("AVX2")), Ok(Some(SimdLevel::Avx2)));
         assert_eq!(parse_hermes_simd(Some(" Neon ")), Ok(Some(SimdLevel::Neon)));
     }
@@ -1450,10 +1457,7 @@ mod tests {
     #[test]
     fn display_round_trips_through_parse() {
         for level in SimdLevel::ALL {
-            assert_eq!(
-                parse_hermes_simd(Some(&level.to_string())),
-                Ok(Some(level))
-            );
+            assert_eq!(parse_hermes_simd(Some(&level.to_string())), Ok(Some(level)));
         }
     }
 

@@ -1,6 +1,5 @@
 //! Summary statistics shared by the metrics and performance-model crates.
 
-
 /// Numerically stable single-pass mean/variance/min/max accumulator
 /// (Welford's algorithm).
 ///
@@ -180,7 +179,11 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64, f64)> {
     }
     let slope = sxy / sxx;
     let intercept = mean_y - slope * mean_x;
-    let r2 = if syy == 0.0 { 1.0 } else { (sxy * sxy) / (sxx * syy) };
+    let r2 = if syy == 0.0 {
+        1.0
+    } else {
+        (sxy * sxy) / (sxx * syy)
+    };
     Some((slope, intercept, r2))
 }
 
@@ -220,10 +223,7 @@ pub fn normalized_entropy(weights: &[f64]) -> f64 {
     if weights.len() < 2 {
         return 0.0;
     }
-    let total: f64 = weights
-        .iter()
-        .filter(|w| w.is_finite() && **w > 0.0)
-        .sum();
+    let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
     if total <= 0.0 {
         return 1.0;
     }

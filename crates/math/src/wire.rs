@@ -211,7 +211,9 @@ impl<'a> Reader<'a> {
     fn len_prefix(&mut self, elem_size: usize) -> Result<usize, WireError> {
         let n = self.u64()? as usize;
         // Guard against hostile lengths before allocating.
-        if n.checked_mul(elem_size).is_none_or(|total| total > self.buf.len()) {
+        if n.checked_mul(elem_size)
+            .is_none_or(|total| total > self.buf.len())
+        {
             return Err(WireError::Corrupt(format!("length {n} exceeds buffer")));
         }
         Ok(n)

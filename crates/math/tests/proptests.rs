@@ -67,12 +67,49 @@ fn orthonormal_rotation_is_invertible() {
     // Near-degenerate rows found by the old proptest run; keep it pinned.
     let regression = (
         vec![
-            vec![-0.83440214, -0.3624748, 0.41711116, 0.75543004, -0.54768384, 0.47014242],
-            vec![0.0, -0.84116113, 0.72943574, 0.03454585, -0.5941334, 0.9393982],
-            vec![0.906539, 0.9324757, -0.19172081, 0.09651843, -0.6482588, 0.1287739],
-            vec![-0.23186162, -0.40684626, -0.12194871, 0.5677976, -0.03420545, 0.52390254],
-            vec![0.81454706, 0.7872395, 0.9897278, 0.8538393, -0.1400392, 0.07080147],
-            vec![-0.2554111, 0.14306785, 0.027532531, 0.22620943, -0.84322053, 0.33031172],
+            vec![
+                -0.83440214,
+                -0.3624748,
+                0.41711116,
+                0.75543004,
+                -0.54768384,
+                0.47014242,
+            ],
+            vec![
+                0.0,
+                -0.84116113,
+                0.72943574,
+                0.03454585,
+                -0.5941334,
+                0.9393982,
+            ],
+            vec![
+                0.906539,
+                0.9324757,
+                -0.19172081,
+                0.09651843,
+                -0.6482588,
+                0.1287739,
+            ],
+            vec![
+                -0.23186162,
+                -0.40684626,
+                -0.12194871,
+                0.5677976,
+                -0.03420545,
+                0.52390254,
+            ],
+            vec![
+                0.81454706, 0.7872395, 0.9897278, 0.8538393, -0.1400392, 0.07080147,
+            ],
+            vec![
+                -0.2554111,
+                0.14306785,
+                0.027532531,
+                0.22620943,
+                -0.84322053,
+                0.33031172,
+            ],
         ],
         vec![4.7791104, 0.0, 0.0, 0.0, 9.56704, 0.0],
     );
@@ -131,17 +168,21 @@ fn wire_round_trips_arbitrary_payloads() {
 #[test]
 fn wire_truncation_never_panics() {
     let strat = tuple2(vec_of(finite_f32(), 1..32), f64_in(0.0..1.0));
-    check("wire_truncation_never_panics", &strat, |(floats, cut_frac)| {
-        let mut w = Writer::new();
-        w.f32s(floats);
-        w.u64s(&[1, 2, 3]);
-        let buf = w.finish();
-        let cut = ((buf.len() as f64) * cut_frac) as usize;
-        let mut r = Reader::new(&buf[..cut]);
-        // Either both reads succeed (cut at the very end) or one errors.
-        let _ = r.f32s().and_then(|_| r.u64s());
-        Ok(())
-    });
+    check(
+        "wire_truncation_never_panics",
+        &strat,
+        |(floats, cut_frac)| {
+            let mut w = Writer::new();
+            w.f32s(floats);
+            w.u64s(&[1, 2, 3]);
+            let buf = w.finish();
+            let cut = ((buf.len() as f64) * cut_frac) as usize;
+            let mut r = Reader::new(&buf[..cut]);
+            // Either both reads succeed (cut at the very end) or one errors.
+            let _ = r.f32s().and_then(|_| r.u64s());
+            Ok(())
+        },
+    );
 }
 
 /// OnlineStats matches naive two-pass computation.
@@ -165,15 +206,19 @@ fn online_stats_matches_naive() {
 #[test]
 fn linear_fit_is_exact_on_lines() {
     let strat = tuple2(f64_in(-100.0..100.0), f64_in(-100.0..100.0));
-    check("linear_fit_is_exact_on_lines", &strat, |&(slope, intercept)| {
-        let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| slope * x + intercept).collect();
-        let (s, i, r2) = linear_fit(&xs, &ys).unwrap();
-        prop_assert!((s - slope).abs() < 1e-6);
-        prop_assert!((i - intercept).abs() < 1e-5);
-        prop_assert!(r2 > 1.0 - 1e-9 || slope.abs() < 1e-12);
-        Ok(())
-    });
+    check(
+        "linear_fit_is_exact_on_lines",
+        &strat,
+        |&(slope, intercept)| {
+            let xs: Vec<f64> = (0..10).map(|i| i as f64).collect();
+            let ys: Vec<f64> = xs.iter().map(|x| slope * x + intercept).collect();
+            let (s, i, r2) = linear_fit(&xs, &ys).unwrap();
+            prop_assert!((s - slope).abs() < 1e-6);
+            prop_assert!((i - intercept).abs() < 1e-5);
+            prop_assert!(r2 > 1.0 - 1e-9 || slope.abs() < 1e-12);
+            Ok(())
+        },
+    );
 }
 
 /// Tier A for the segment kernels: for every code count `0..=70` (empty,

@@ -84,10 +84,7 @@ impl DepthHistogram {
                 vec![c.to_string(), fmt(share, 3)],
             ));
         }
-        t.push(Row::new(
-            "mean",
-            vec![String::new(), fmt(self.mean(), 2)],
-        ));
+        t.push(Row::new("mean", vec![String::new(), fmt(self.mean(), 2)]));
         t
     }
 }
@@ -105,11 +102,10 @@ mod tests {
         assert_eq!(h.queries(), 6);
         assert_eq!(h.count(0), 0);
         assert_eq!(h.count(3), 3);
-        assert_eq!(h.buckets(), vec![
-            (1, 2, 2.0 / 6.0),
-            (2, 1, 1.0 / 6.0),
-            (3, 3, 3.0 / 6.0),
-        ]);
+        assert_eq!(
+            h.buckets(),
+            vec![(1, 2, 2.0 / 6.0), (2, 1, 1.0 / 6.0), (3, 3, 3.0 / 6.0),]
+        );
         assert!((h.mean() - 13.0 / 6.0).abs() < 1e-12);
         let rendered = h.table("adaptive depth").render();
         assert!(rendered.contains("m=3"));

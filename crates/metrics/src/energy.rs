@@ -5,7 +5,6 @@
 //! reproduction's device models emit `(power_watts, duration_s)` samples
 //! into an [`EnergyMeter`], which plays the role of those counters.
 
-
 /// Accumulated energy for one pipeline stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageEnergy {
@@ -48,7 +47,8 @@ impl EnergyMeter {
         let entry = match self.stages.iter_mut().find(|(name, _)| name == stage) {
             Some((_, e)) => e,
             None => {
-                self.stages.push((stage.to_string(), StageEnergy::default()));
+                self.stages
+                    .push((stage.to_string(), StageEnergy::default()));
                 &mut self.stages.last_mut().expect("just pushed").1
             }
         };
@@ -62,7 +62,8 @@ impl EnergyMeter {
         let entry = match self.stages.iter_mut().find(|(name, _)| name == stage) {
             Some((_, e)) => e,
             None => {
-                self.stages.push((stage.to_string(), StageEnergy::default()));
+                self.stages
+                    .push((stage.to_string(), StageEnergy::default()));
                 &mut self.stages.last_mut().expect("just pushed").1
             }
         };

@@ -27,9 +27,9 @@ pub mod report;
 pub mod truth;
 
 pub use cache_report::DepthHistogram;
-pub use obs_report::phase_breakdown_table;
 pub use cost::CostBreakdown;
 pub use energy::{EnergyMeter, StageEnergy};
+pub use obs_report::phase_breakdown_table;
 pub use ranking::{ndcg_at_k, overlap_at_k, recall_at_k};
 pub use report::{normalize_to_max, registry_tables, Row, Table};
 pub use truth::{batch_ndcg_at_k, ground_truth};

@@ -71,8 +71,17 @@ mod tests {
             svc.add(Phase::Deep, slow);
             let finish = arrival + 10 + slow;
             attr.record(&RequestTimeline::from_dispatch(
-                RequestId(1), 1, 0, "interactive", arrival, arrival + 10, finish, 1, &svc,
-                CachePath::Computed, None,
+                RequestId(1),
+                1,
+                0,
+                "interactive",
+                arrival,
+                arrival + 10,
+                finish,
+                1,
+                &svc,
+                CachePath::Computed,
+                None,
             ));
         }
         let rendered = phase_breakdown_table(&attr).render();

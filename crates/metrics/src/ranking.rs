@@ -57,10 +57,7 @@ pub fn recall_at_k(truth: &[u64], retrieved: &[u64], k: usize) -> f64 {
         return 1.0;
     }
     let k = k.min(truth.len());
-    let hits = truth[..k]
-        .iter()
-        .filter(|t| retrieved.contains(t))
-        .count();
+    let hits = truth[..k].iter().filter(|t| retrieved.contains(t)).count();
     hits as f64 / k as f64
 }
 
@@ -73,7 +70,10 @@ pub fn overlap_at_k(a: &[u64], b: &[u64], k: usize) -> f64 {
     if ka == 0 {
         return 1.0;
     }
-    let hits = a[..ka].iter().filter(|x| b[..k.min(b.len())].contains(x)).count();
+    let hits = a[..ka]
+        .iter()
+        .filter(|x| b[..k.min(b.len())].contains(x))
+        .count();
     hits as f64 / ka as f64
 }
 

@@ -85,7 +85,13 @@ mod tests {
             vec![9.9], // wrong dimension, later
         ];
         let err = ground_truth(&oracle, &queries, 3).unwrap_err();
-        assert_eq!(err, IndexError::DimensionMismatch { expected: 3, got: 2 });
+        assert_eq!(
+            err,
+            IndexError::DimensionMismatch {
+                expected: 3,
+                got: 2
+            }
+        );
     }
 
     #[test]

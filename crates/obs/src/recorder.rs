@@ -63,9 +63,7 @@ impl FlightRecorder {
                 if evict {
                     self.slowest.pop();
                 }
-                let at = self
-                    .slowest
-                    .partition_point(|kept| Self::slower(kept, tl));
+                let at = self.slowest.partition_point(|kept| Self::slower(kept, tl));
                 self.slowest.insert(at, tl.clone());
             }
         }

@@ -106,18 +106,28 @@ impl MetricsRegistry {
     }
 
     fn set(&mut self, dotted: &str, labels: &[(&str, &str)], sample: Sample) {
-        let mut labels: Vec<(String, String)> =
-            labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
+        let mut labels: Vec<(String, String)> = labels
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
         labels.sort_unstable();
-        let metric = self.metrics.entry(metric_name(dotted)).or_insert_with(|| Metric {
-            dotted: dotted.to_string(),
-            series: BTreeMap::new(),
-        });
+        let metric = self
+            .metrics
+            .entry(metric_name(dotted))
+            .or_insert_with(|| Metric {
+                dotted: dotted.to_string(),
+                series: BTreeMap::new(),
+            });
         debug_assert!(
-            metric.series.values().all(|s| s.sample.kind() == sample.kind()),
+            metric
+                .series
+                .values()
+                .all(|s| s.sample.kind() == sample.kind()),
             "metric {dotted} re-registered as another kind"
         );
-        metric.series.insert(label_block(&labels), Series { labels, sample });
+        metric
+            .series
+            .insert(label_block(&labels), Series { labels, sample });
     }
 
     /// Sets a monotonically-accumulated value (`_total` is appended to
@@ -163,7 +173,11 @@ impl MetricsRegistry {
             if let Some(help) = names::help(&metric.dotted) {
                 out.push_str(&format!("# HELP {name} {help}\n"));
             }
-            let kind = metric.series.values().next().map_or("untyped", |s| s.sample.kind());
+            let kind = metric
+                .series
+                .values()
+                .next()
+                .map_or("untyped", |s| s.sample.kind());
             out.push_str(&format!("# TYPE {name} {kind}\n"));
             for (block, series) in &metric.series {
                 match &series.sample {
@@ -182,10 +196,7 @@ impl MetricsRegistry {
                             ));
                         }
                         let count = h.count();
-                        out.push_str(&format!(
-                            "{name}_bucket{} {count}\n",
-                            merge_le_inf(block)
-                        ));
+                        out.push_str(&format!("{name}_bucket{} {count}\n", merge_le_inf(block)));
                         out.push_str(&format!("{name}_sum{block} {}\n", h.sum()));
                         out.push_str(&format!("{name}_count{block} {count}\n"));
                     }
@@ -422,7 +433,10 @@ mod tests {
         reg.set_counter("a.count", &[], 1);
         reg.set_gauge("a.gauge", &[], 0.25);
         let text = reg.render_text();
-        assert!(!text.contains("# HELP"), "undeclared names carry no help line");
+        assert!(
+            !text.contains("# HELP"),
+            "undeclared names carry no help line"
+        );
         let parsed = parse_text(&text).unwrap();
         assert_eq!(parsed.metrics, 3);
 

@@ -122,8 +122,7 @@ mod tests {
 
     #[test]
     fn batch128_retrieval_matches_figure_4() {
-        let latency =
-            RETRIEVAL_S_PER_10B_BATCH32 * (128.0f64 / REF_BATCH).powf(CPU_BATCH_EXPONENT);
+        let latency = RETRIEVAL_S_PER_10B_BATCH32 * (128.0f64 / REF_BATCH).powf(CPU_BATCH_EXPONENT);
         assert!((latency - 0.97).abs() < 0.03, "{latency}");
     }
 

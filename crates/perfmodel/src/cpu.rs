@@ -1,6 +1,5 @@
 //! CPU retrieval platforms and the IVF latency/power model.
 
-
 use crate::calibration as cal;
 
 /// A CPU platform the retrieval stage can run on.
@@ -195,8 +194,7 @@ impl RetrievalModel {
 
     /// Dynamic power of one busy core, watts.
     pub fn active_core_power_w(&self) -> f64 {
-        self.platform.search_power_w * (1.0 - cal::CPU_STATIC_FRACTION)
-            / self.platform.cores as f64
+        self.platform.search_power_w * (1.0 - cal::CPU_STATIC_FRACTION) / self.platform.cores as f64
     }
 
     /// Single-core seconds to scan the index once for one query — FAISS
@@ -329,7 +327,10 @@ mod tests {
         // The property the whole at-scale extrapolation rests on.
         let m = RetrievalModel::default();
         let xs: Vec<f64> = (1..=20).map(|i| i as f64 * 1e10).collect();
-        let ys: Vec<f64> = xs.iter().map(|&t| m.batch_latency(t as u64, 32, 128)).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|&t| m.batch_latency(t as u64, 32, 128))
+            .collect();
         let (_, _, r2) = hermes_math::stats::linear_fit(&xs, &ys).unwrap();
         assert!(r2 > 0.9999, "r2 {r2}");
     }

@@ -7,7 +7,6 @@
 //! nothing. Power follows `P(f) = P_max · (s + (1-s) · f^2.7)` with a
 //! static floor `s`.
 
-
 use crate::calibration as cal;
 
 /// Frequency/power scaling for one CPU node.
@@ -55,7 +54,8 @@ impl DvfsModel {
     /// Panics if `f` is not in `(0, 1]`.
     pub fn power_at(&self, peak_watts: f64, f: f64) -> f64 {
         assert!(f > 0.0 && f <= 1.0, "frequency fraction out of range: {f}");
-        peak_watts * (self.static_fraction + (1.0 - self.static_fraction) * f.powf(self.power_exponent))
+        peak_watts
+            * (self.static_fraction + (1.0 - self.static_fraction) * f.powf(self.power_exponent))
     }
 
     /// The frequency fraction that stretches `work_s` (at full frequency)

@@ -1,6 +1,5 @@
 //! GPU platforms, LLM inference cost models and the query encoder.
 
-
 use crate::calibration as cal;
 
 /// A GPU platform for LLM inference.
@@ -273,7 +272,10 @@ mod tests {
 
     #[test]
     fn opt_30b_needs_two_a6000() {
-        assert_eq!(LlmModel::opt_30b().gpus_required(&GpuPlatform::a6000_ada()), 2);
+        assert_eq!(
+            LlmModel::opt_30b().gpus_required(&GpuPlatform::a6000_ada()),
+            2
+        );
     }
 
     #[test]
@@ -283,7 +285,10 @@ mod tests {
 
     #[test]
     fn phi_fits_on_one_gpu() {
-        assert_eq!(LlmModel::phi_1_5().gpus_required(&GpuPlatform::a6000_ada()), 1);
+        assert_eq!(
+            LlmModel::phi_1_5().gpus_required(&GpuPlatform::a6000_ada()),
+            1
+        );
         assert_eq!(LlmModel::phi_1_5().gpus_required(&GpuPlatform::l4()), 1);
     }
 

@@ -8,7 +8,6 @@
 //! tokens) satisfying that bound, which determines how many nodes a
 //! datastore of a given size needs.
 
-
 use crate::cpu::RetrievalModel;
 use crate::gpu::InferenceModel;
 
@@ -80,7 +79,13 @@ impl ClusterPlanner {
 
     /// Retrieval latency minus the stride budget — the paper's "pipeline
     /// gap" (Figure 10); positive values mean retrieval is exposed.
-    pub fn pipeline_gap_s(&self, cluster_tokens: u64, batch: usize, nprobe: usize, stride: u32) -> f64 {
+    pub fn pipeline_gap_s(
+        &self,
+        cluster_tokens: u64,
+        batch: usize,
+        nprobe: usize,
+        stride: u32,
+    ) -> f64 {
         self.retrieval.batch_latency(cluster_tokens, batch, nprobe)
             - self.stride_budget_s(batch, stride)
     }

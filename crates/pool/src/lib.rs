@@ -248,7 +248,9 @@ impl Pool {
         E: Send,
         F: Fn(&T) -> Result<U, E> + Sync,
     {
-        self.parallel_map_capped(items, cap, f).into_iter().collect()
+        self.parallel_map_capped(items, cap, f)
+            .into_iter()
+            .collect()
     }
 
     /// Indexed parallel map over `0..n` for cheap per-index work (K-means
@@ -421,7 +423,9 @@ impl Drop for Pool {
 
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pool").field("threads", &self.threads).finish()
+        f.debug_struct("Pool")
+            .field("threads", &self.threads)
+            .finish()
     }
 }
 
@@ -444,7 +448,11 @@ fn worker_loop(inner: &Inner) {
                         seen = slot.epoch;
                         if let Some(t0) = idle_from {
                             let now = hermes_trace::now_ns();
-                            hermes_trace::complete(hermes_trace::names::POOL_IDLE, t0, now.saturating_sub(t0));
+                            hermes_trace::complete(
+                                hermes_trace::names::POOL_IDLE,
+                                t0,
+                                now.saturating_sub(t0),
+                            );
                         }
                         break job;
                     }
@@ -476,10 +484,9 @@ fn worker_loop(inner: &Inner) {
 /// Pool width for [`Pool::global`]: `HERMES_THREADS` when it parses to a
 /// positive integer, else the machine's available parallelism.
 fn default_threads() -> usize {
-    parse_hermes_threads(std::env::var("HERMES_THREADS").ok().as_deref())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+    parse_hermes_threads(std::env::var("HERMES_THREADS").ok().as_deref()).unwrap_or_else(|| {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
 /// Interprets a `HERMES_THREADS` value: `Some(n)` for a positive integer
@@ -628,15 +635,27 @@ mod tests {
     fn hermes_threads_parsing_accepts_positive_integers() {
         assert_eq!(parse_hermes_threads(Some("1")), Some(1));
         assert_eq!(parse_hermes_threads(Some("16")), Some(16));
-        assert_eq!(parse_hermes_threads(Some(" 8 ")), Some(8), "whitespace trimmed");
-        assert_eq!(parse_hermes_threads(Some("1024")), Some(1024), "oversubscription allowed");
+        assert_eq!(
+            parse_hermes_threads(Some(" 8 ")),
+            Some(8),
+            "whitespace trimmed"
+        );
+        assert_eq!(
+            parse_hermes_threads(Some("1024")),
+            Some(1024),
+            "oversubscription allowed"
+        );
     }
 
     #[test]
     fn hermes_threads_parsing_rejects_everything_else() {
         assert_eq!(parse_hermes_threads(None), None, "unset");
         assert_eq!(parse_hermes_threads(Some("")), None, "empty");
-        assert_eq!(parse_hermes_threads(Some("0")), None, "zero is not inline mode");
+        assert_eq!(
+            parse_hermes_threads(Some("0")),
+            None,
+            "zero is not inline mode"
+        );
         assert_eq!(parse_hermes_threads(Some("-4")), None, "negative");
         assert_eq!(parse_hermes_threads(Some("1.5")), None, "fractional");
         assert_eq!(parse_hermes_threads(Some("lots")), None, "garbage");

@@ -120,9 +120,7 @@ impl Codec {
             CodecSpec::Flat => CodecKind::Flat,
             CodecSpec::Sq8 => CodecKind::Sq(ScalarQuantizer::train(training, SqBits::B8)),
             CodecSpec::Sq4 => CodecKind::Sq(ScalarQuantizer::train(training, SqBits::B4)),
-            CodecSpec::Pq { m } => {
-                CodecKind::Pq(ProductQuantizer::train(training, m, None, seed))
-            }
+            CodecSpec::Pq { m } => CodecKind::Pq(ProductQuantizer::train(training, m, None, seed)),
             CodecSpec::Opq { m } => {
                 let rotation = random_rotation(dim, derive_seed(seed, 0xC0DE));
                 CodecKind::Pq(ProductQuantizer::train(training, m, Some(rotation), seed))
@@ -727,8 +725,7 @@ impl ScalarQuantizer {
             return 0;
         }
         let max_level = self.bits.levels() - 1;
-        (((x - self.mins[d]) / self.scales[d]).round())
-            .clamp(0.0, max_level as f32) as u32
+        (((x - self.mins[d]) / self.scales[d]).round()).clamp(0.0, max_level as f32) as u32
     }
 
     fn dequantize_one(&self, d: usize, level: u32) -> f32 {
@@ -770,7 +767,11 @@ impl ScalarQuantizer {
             SqBits::B4 => {
                 for d in 0..dim {
                     let byte = code[d / 2];
-                    let level = if d.is_multiple_of(2) { byte & 0x0F } else { byte >> 4 };
+                    let level = if d.is_multiple_of(2) {
+                        byte & 0x0F
+                    } else {
+                        byte >> 4
+                    };
                     out.push(self.dequantize_one(d, level as u32));
                 }
             }
@@ -788,7 +789,11 @@ impl ScalarQuantizer {
                 SqBits::B8 => code[d] as u32,
                 SqBits::B4 => {
                     let byte = code[d / 2];
-                    (if d.is_multiple_of(2) { byte & 0x0F } else { byte >> 4 }) as u32
+                    (if d.is_multiple_of(2) {
+                        byte & 0x0F
+                    } else {
+                        byte >> 4
+                    }) as u32
                 }
             }
         };
@@ -1327,7 +1332,10 @@ mod tests {
             assert_eq!(loaded.code_size(), codec.code_size(), "{spec}");
             for row in data.iter_rows().take(8) {
                 assert_eq!(loaded.encode(row), codec.encode(row), "{spec}");
-                assert_eq!(loaded.decode(&codec.encode(row)), codec.decode(&codec.encode(row)));
+                assert_eq!(
+                    loaded.decode(&codec.encode(row)),
+                    codec.decode(&codec.encode(row))
+                );
             }
         }
     }

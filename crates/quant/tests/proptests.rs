@@ -209,7 +209,12 @@ fn a_filtered_block_admits_exactly_what_the_full_block_admits() {
 fn only_finite_sq8_inner_product_scorers_have_a_bound() {
     let data = Mat::from_rows(&[vec![-1.0f32; 8], vec![1.0; 8], vec![0.25; 8]]);
     let query = [0.5f32, -0.25, 0.125, 1.0, -1.0, 0.75, 0.0, 0.3];
-    for spec in [CodecSpec::Flat, CodecSpec::Sq8, CodecSpec::Sq4, CodecSpec::Pq { m: 2 }] {
+    for spec in [
+        CodecSpec::Flat,
+        CodecSpec::Sq8,
+        CodecSpec::Sq4,
+        CodecSpec::Pq { m: 2 },
+    ] {
         let codec = Codec::train(spec, &data, 1);
         for metric in [Metric::InnerProduct, Metric::Cosine, Metric::L2] {
             let bounded = spec == CodecSpec::Sq8 && metric != Metric::L2;
@@ -239,5 +244,8 @@ fn only_finite_sq8_inner_product_scorers_have_a_bound() {
     // So does a quantizer whose decoded values overflow on their own.
     let wide = Mat::from_rows(&[vec![-f32::MAX; 8], vec![f32::MAX; 8]]);
     let codec = Codec::train(CodecSpec::Sq8, &wide, 1);
-    assert!(codec.query_scorer(&query, Metric::InnerProduct).bound().is_none());
+    assert!(codec
+        .query_scorer(&query, Metric::InnerProduct)
+        .bound()
+        .is_none());
 }

@@ -197,9 +197,22 @@ impl RagPipeline {
 
 fn synth_word(chunk: u64, stride: u32, token: u32) -> &'static str {
     const WORDS: &[&str] = &[
-        "the", "retrieved", "context", "grounds", "this", "answer", "with",
-        "fresh", "evidence", "from", "datastore", "clusters", "ranked",
-        "by", "sampling", "relevance",
+        "the",
+        "retrieved",
+        "context",
+        "grounds",
+        "this",
+        "answer",
+        "with",
+        "fresh",
+        "evidence",
+        "from",
+        "datastore",
+        "clusters",
+        "ranked",
+        "by",
+        "sampling",
+        "relevance",
     ];
     let h = hermes_math::rng::derive_seed(chunk, ((stride as u64) << 32) | token as u64);
     WORDS[(h % WORDS.len() as u64) as usize]
@@ -208,9 +221,9 @@ fn synth_word(chunk: u64, stride: u32, token: u32) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retriever::RetrieverKind;
     use hermes_core::HermesConfig;
     use hermes_datagen::{Corpus, CorpusSpec, QuerySet, QuerySpec};
-    use crate::retriever::RetrieverKind;
 
     fn pipeline(kind: RetrieverKind) -> (RagPipeline, QuerySet) {
         let corpus = Corpus::generate(CorpusSpec::new(600, 16, 6).with_seed(5));
@@ -256,9 +269,7 @@ mod tests {
     #[test]
     fn query_drift_refreshes_documents_across_strides() {
         let (p, q) = pipeline(RetrieverKind::Hermes);
-        let t = p
-            .generate(q.embeddings().row(2), 3)
-            .unwrap();
+        let t = p.generate(q.embeddings().row(2), 3).unwrap();
         let first = &t.strides[0].retrieved;
         let last = &t.strides.last().unwrap().retrieved;
         assert_ne!(first, last, "drift should change the retrieved set");

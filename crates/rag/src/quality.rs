@@ -11,7 +11,6 @@
 //! feeds no latency/energy result — it only regenerates Figure 5 and lets
 //! PipeRAG-style stride tuning reason about quality.
 
-
 /// Analytic perplexity model.
 ///
 /// # Examples

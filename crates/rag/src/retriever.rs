@@ -303,7 +303,11 @@ mod tests {
 
     #[test]
     fn best_of_picks_highest_score() {
-        let hits = vec![Neighbor::new(1, 0.2), Neighbor::new(2, 0.9), Neighbor::new(3, 0.5)];
+        let hits = vec![
+            Neighbor::new(1, 0.2),
+            Neighbor::new(2, 0.9),
+            Neighbor::new(3, 0.5),
+        ];
         assert_eq!(Retriever::best_of(&hits), Some(2));
         assert_eq!(Retriever::best_of(&[]), None);
     }

@@ -77,7 +77,8 @@ impl CachedBackend {
 
 impl Backend for CachedBackend {
     fn run(&self, batch: &[Request]) -> Result<BatchOutcome, HermesError> {
-        let mut sp = hermes_trace::span_with(names::CACHE_BATCH, &[("queries", batch.len() as u64)]);
+        let mut sp =
+            hermes_trace::span_with(names::CACHE_BATCH, &[("queries", batch.len() as u64)]);
         let store = self.cell.current();
         let version = self.cell.version();
         let mut cache = lock_recovering(&self.cache);
@@ -88,7 +89,10 @@ impl Backend for CachedBackend {
             batch,
         )?;
         if sp.is_active() {
-            let computed = out.cache_paths.iter().filter(|&&p| p == CachePath::Computed);
+            let computed = out
+                .cache_paths
+                .iter()
+                .filter(|&&p| p == CachePath::Computed);
             sp.arg("hits", cache.stats().hits());
             sp.arg("computed", computed.count() as u64);
         }
@@ -159,7 +163,9 @@ mod tests {
         assert!(panicked.is_err() && backend.cache.is_poisoned());
 
         let store = cell.current();
-        let reference = Engine::for_store(&store).execute_batch(&queries, 1).unwrap();
+        let reference = Engine::for_store(&store)
+            .execute_batch(&queries, 1)
+            .unwrap();
         let out = backend.run(&reqs).unwrap();
         assert_eq!(out.outcomes, reference, "served as misses, bit-identical");
         assert!(!backend.cache.is_poisoned(), "recovered on first use");

@@ -171,7 +171,8 @@ mod tests {
         let cell = GenerationCell::new(s.clone());
         let pinned = cell.current();
         let mut next = s;
-        next.insert(9_999, &pinned.split_centroid(0).to_vec()).unwrap();
+        next.insert(9_999, &pinned.split_centroid(0).to_vec())
+            .unwrap();
         cell.swap(next);
         assert_eq!(cell.epoch(), 1);
         // The pinned snapshot still answers from the old generation.
@@ -206,7 +207,12 @@ mod tests {
 
         server.run_until(1_000_000).unwrap();
         server
-            .submit(Request::new(1, spiked.clone(), Priority::Standard, 1_000_000))
+            .submit(Request::new(
+                1,
+                spiked.clone(),
+                Priority::Standard,
+                1_000_000,
+            ))
             .unwrap();
         server.run_until(u64::MAX).unwrap();
         let second = server.take_completions().pop().unwrap();
@@ -234,8 +240,15 @@ mod tests {
 
         // The old generation is still there, still served, and the flag
         // is gone after the first access.
-        assert_eq!(cell.version(), version, "the failed write published nothing");
-        let mut server = Server::new(GenerationBackend::new(cell.clone(), 1), ServerConfig::default());
+        assert_eq!(
+            cell.version(),
+            version,
+            "the failed write published nothing"
+        );
+        let mut server = Server::new(
+            GenerationBackend::new(cell.clone(), 1),
+            ServerConfig::default(),
+        );
         server.run_until(0).unwrap();
         server
             .submit(Request::new(0, q, Priority::Standard, 0))
@@ -248,9 +261,11 @@ mod tests {
         // So is a writer that finds the flag first.
         let v = cell.current().split_centroid(1).to_vec();
         let writer = cell.clone();
-        assert!(std::thread::spawn(move || writer.mutate(|_| panic!("again")))
-            .join()
-            .is_err());
+        assert!(
+            std::thread::spawn(move || writer.mutate(|_| panic!("again")))
+                .join()
+                .is_err()
+        );
         assert!(cell.store.is_poisoned());
         cell.mutate(|st| st.insert(31_313, &v).unwrap());
         assert!(!cell.store.is_poisoned());
@@ -267,7 +282,10 @@ mod tests {
         let held = cell.current();
         let v = held.split_centroid(1).to_vec();
         let cluster = cell.mutate(|st| st.insert(31_313, &v).unwrap());
-        assert_eq!(cell.current().cluster_sizes()[cluster], held.cluster_sizes()[cluster] + 1);
+        assert_eq!(
+            cell.current().cluster_sizes()[cluster],
+            held.cluster_sizes()[cluster] + 1
+        );
         // The held snapshot was copied out, not mutated under the reader.
         assert_eq!(held.len() + 1, cell.current().len());
     }

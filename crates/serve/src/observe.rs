@@ -67,10 +67,7 @@ mod tests {
     #[test]
     fn obs_config_mirrors_priority_classes() {
         let cfg = obs_config(9);
-        assert_eq!(
-            cfg.class_labels,
-            vec!["interactive", "standard", "batch"]
-        );
+        assert_eq!(cfg.class_labels, vec!["interactive", "standard", "batch"]);
         assert_eq!(cfg.seed, 9);
     }
 

@@ -151,7 +151,8 @@ mod tests {
     #[test]
     fn take_batch_culls_expired_and_skips_future_arrivals() {
         let mut q = AdmissionQueue::new(10);
-        q.try_admit(req(1, Priority::Standard, 0).with_deadline_ns(50)).unwrap();
+        q.try_admit(req(1, Priority::Standard, 0).with_deadline_ns(50))
+            .unwrap();
         q.try_admit(req(2, Priority::Standard, 10)).unwrap();
         q.try_admit(req(3, Priority::Standard, 200)).unwrap();
         let (batch, expired) = q.take_batch(100, 8);
@@ -170,7 +171,10 @@ mod tests {
         q.try_admit(req(9, Priority::Interactive, 0)).unwrap();
         let (batch, expired) = q.take_batch(10, 3);
         // The interactive request leads, then batch-class FIFO.
-        assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![9, 0, 1]);
+        assert_eq!(
+            batch.iter().map(|r| r.id).collect::<Vec<_>>(),
+            vec![9, 0, 1]
+        );
         assert!(expired.is_empty());
         assert_eq!(q.len(), 2);
     }
@@ -311,10 +315,7 @@ mod tests {
                 // non-decreasing, ids increasing within a class (ids
                 // were admitted in increasing order).
                 for w in batch.windows(2) {
-                    prop_assert!(
-                        w[0].priority <= w[1].priority,
-                        "batch violates class order"
-                    );
+                    prop_assert!(w[0].priority <= w[1].priority, "batch violates class order");
                     if w[0].priority == w[1].priority {
                         prop_assert!(w[0].id < w[1].id, "batch violates FIFO");
                     }

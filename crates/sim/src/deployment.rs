@@ -254,8 +254,8 @@ mod tests {
         let ratio = *sizes.iter().max().unwrap() as f64 / *sizes.iter().min().unwrap() as f64;
         assert!((1.8..2.2).contains(&ratio), "size ratio {ratio}");
         let freqs: Vec<f64> = d.nodes.iter().map(|n| n.access_freq).collect();
-        let fr = freqs.iter().cloned().fold(0.0, f64::max)
-            / freqs.iter().cloned().fold(1.0, f64::min);
+        let fr =
+            freqs.iter().cloned().fold(0.0, f64::max) / freqs.iter().cloned().fold(1.0, f64::min);
         assert!(fr > 2.0, "freq ratio {fr}");
     }
 
@@ -292,7 +292,7 @@ mod tests {
     fn heterogeneous_puts_biggest_cluster_on_fastest_platform() {
         let tokens = [5_000_000_000u64, 20_000_000_000, 10_000_000_000];
         let platforms = vec![
-            CpuPlatform::xeon_silver_4316(),   // slowest of the three
+            CpuPlatform::xeon_silver_4316(), // slowest of the three
             CpuPlatform::xeon_gold_6448y(),
             CpuPlatform::xeon_platinum_8380(), // fastest
         ];

@@ -355,8 +355,7 @@ impl MultiNodeSim {
         let e2e = if policy.pipelined {
             // Strides 2.. overlap their retrieval work with the previous
             // stride's decode.
-            ttft + decode_s
-                + (strides as f64 - 1.0) * per_stride_work.max(decode_s)
+            ttft + decode_s + (strides as f64 - 1.0) * per_stride_work.max(decode_s)
         } else {
             ttft + decode_s + (strides as f64 - 1.0) * (per_stride_work + decode_s)
         };
@@ -366,7 +365,11 @@ impl MultiNodeSim {
         let mut energy = EnergyMeter::new();
         energy.record_joules("encode", d.encoder.energy(b) * strides as f64);
         energy.record_joules("retrieval", rc.joules * strides as f64);
-        let prefill_count = if policy.prefix_cache { 1.0 } else { strides as f64 };
+        let prefill_count = if policy.prefix_cache {
+            1.0
+        } else {
+            strides as f64
+        };
         energy.record_joules(
             "prefill",
             d.inference.prefill_energy(b, serving.input_tokens) * prefill_count,
@@ -478,7 +481,12 @@ mod tests {
     fn hermes_e2e_speedup_at_1t_is_near_9x() {
         let sim = MultiNodeSim::new(Deployment::uniform(T1, 10));
         let s = ServingConfig::paper_default();
-        let base = sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
+        let base = sim.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::baseline(),
+            DvfsMode::Off,
+        );
         let hermes = sim.run(&s, hermes3(), PipelinePolicy::combined(), DvfsMode::Off);
         let speedup = base.e2e_s / hermes.e2e_s;
         assert!((6.0..15.0).contains(&speedup), "speedup {speedup}");
@@ -488,7 +496,12 @@ mod tests {
     fn hermes_energy_saving_at_1t_near_2x() {
         let sim = MultiNodeSim::new(Deployment::uniform(T1, 10));
         let s = ServingConfig::paper_default();
-        let base = sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
+        let base = sim.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::baseline(),
+            DvfsMode::Off,
+        );
         let hermes = sim.run(&s, hermes3(), PipelinePolicy::combined(), DvfsMode::Off);
         let saving = base.total_joules() / hermes.total_joules();
         assert!((1.5..3.0).contains(&saving), "saving {saving}");
@@ -498,7 +511,12 @@ mod tests {
     fn ttft_improvement_at_1t_near_9x() {
         let sim = MultiNodeSim::new(Deployment::uniform(T1, 10));
         let s = ServingConfig::paper_default();
-        let base = sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
+        let base = sim.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::baseline(),
+            DvfsMode::Off,
+        );
         let hermes = sim.run(&s, hermes3(), PipelinePolicy::combined(), DvfsMode::Off);
         let speedup = base.ttft_s / hermes.ttft_s;
         assert!((5.0..14.0).contains(&speedup), "TTFT speedup {speedup}");
@@ -509,8 +527,12 @@ mod tests {
         let s = ServingConfig::paper_default();
         let gain_at = |tokens: u64| {
             let sim = MultiNodeSim::new(Deployment::uniform(tokens, 10));
-            let base =
-                sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
+            let base = sim.run(
+                &s,
+                RetrievalScheme::Monolithic,
+                PipelinePolicy::baseline(),
+                DvfsMode::Off,
+            );
             let hermes = sim.run(&s, hermes3(), PipelinePolicy::combined(), DvfsMode::Off);
             base.e2e_s / hermes.e2e_s
         };
@@ -523,8 +545,12 @@ mod tests {
         let sim = MultiNodeSim::new(Deployment::uniform(T1, 10));
         let gain_at = |stride: u32| {
             let s = ServingConfig::paper_default().with_stride(stride);
-            let base =
-                sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
+            let base = sim.run(
+                &s,
+                RetrievalScheme::Monolithic,
+                PipelinePolicy::baseline(),
+                DvfsMode::Off,
+            );
             let hermes = sim.run(&s, hermes3(), PipelinePolicy::combined(), DvfsMode::Off);
             base.e2e_s / hermes.e2e_s
         };
@@ -536,16 +562,34 @@ mod tests {
         let s = ServingConfig::paper_default().with_batch(32);
         // Small store: pipelining hides retrieval almost fully.
         let small = MultiNodeSim::new(Deployment::uniform(100_000_000, 1));
-        let seq = small.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
-        let pipe = small.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::piperag(), DvfsMode::Off);
+        let seq = small.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::baseline(),
+            DvfsMode::Off,
+        );
+        let pipe = small.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::piperag(),
+            DvfsMode::Off,
+        );
         let small_gain = seq.e2e_s / pipe.e2e_s;
         assert!(small_gain > 1.3, "{small_gain}");
         // Large store: retrieval dwarfs decode; pipelining gains fade.
         let large = MultiNodeSim::new(Deployment::uniform(B100, 1));
-        let seq_l =
-            large.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
-        let pipe_l =
-            large.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::piperag(), DvfsMode::Off);
+        let seq_l = large.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::baseline(),
+            DvfsMode::Off,
+        );
+        let pipe_l = large.run(
+            &s,
+            RetrievalScheme::Monolithic,
+            PipelinePolicy::piperag(),
+            DvfsMode::Off,
+        );
         let large_gain = seq_l.e2e_s / pipe_l.e2e_s;
         assert!(large_gain < small_gain, "{large_gain} vs {small_gain}");
         assert!(large_gain < 1.25, "{large_gain}");
@@ -556,10 +600,18 @@ mod tests {
         let s = ServingConfig::paper_default().with_batch(32);
         let gain_at = |tokens: u64| {
             let sim = MultiNodeSim::new(Deployment::uniform(tokens, 1));
-            let seq =
-                sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off);
-            let cache =
-                sim.run(&s, RetrievalScheme::Monolithic, PipelinePolicy::ragcache(), DvfsMode::Off);
+            let seq = sim.run(
+                &s,
+                RetrievalScheme::Monolithic,
+                PipelinePolicy::baseline(),
+                DvfsMode::Off,
+            );
+            let cache = sim.run(
+                &s,
+                RetrievalScheme::Monolithic,
+                PipelinePolicy::ragcache(),
+                DvfsMode::Off,
+            );
             seq.e2e_s / cache.e2e_s
         };
         assert!(gain_at(100_000_000) > gain_at(B100));
@@ -572,7 +624,12 @@ mod tests {
         let s = ServingConfig::paper_default().with_batch(32);
         let e2e_at = |tokens: u64| {
             MultiNodeSim::new(Deployment::uniform(tokens, 1))
-                .run(&s, RetrievalScheme::Monolithic, PipelinePolicy::baseline(), DvfsMode::Off)
+                .run(
+                    &s,
+                    RetrievalScheme::Monolithic,
+                    PipelinePolicy::baseline(),
+                    DvfsMode::Off,
+                )
                 .e2e_s
         };
         let e100m = e2e_at(100_000_000);
@@ -590,7 +647,12 @@ mod tests {
         let mono = sim.retrieval_cost(&s, RetrievalScheme::Monolithic, DvfsMode::Off, 0.0);
         let naive = sim.retrieval_cost(&s, RetrievalScheme::NaiveDistributed, DvfsMode::Off, 0.0);
         assert!(naive.latency_s < mono.latency_s / 5.0);
-        assert!(naive.joules > mono.joules * 0.8, "naive {} mono {}", naive.joules, mono.joules);
+        assert!(
+            naive.joules > mono.joules * 0.8,
+            "naive {} mono {}",
+            naive.joules,
+            mono.joules
+        );
     }
 
     #[test]
@@ -603,7 +665,10 @@ mod tests {
         let qps_gain = hermes.qps / naive.qps;
         let energy_gain = naive.joules / hermes.joules;
         assert!((1.2..2.6).contains(&qps_gain), "qps gain {qps_gain}");
-        assert!((1.4..2.6).contains(&energy_gain), "energy gain {energy_gain}");
+        assert!(
+            (1.4..2.6).contains(&energy_gain),
+            "energy gain {energy_gain}"
+        );
     }
 
     #[test]
@@ -628,9 +693,7 @@ mod tests {
 
     #[test]
     fn dvfs_saves_energy_and_enhanced_saves_more() {
-        let sim = MultiNodeSim::new(
-            Deployment::skewed(B100, 10, 2.0, 0.8, 7),
-        );
+        let sim = MultiNodeSim::new(Deployment::skewed(B100, 10, 2.0, 0.8, 7));
         let s = ServingConfig::paper_default();
         let budget = 2.0; // generous inference budget
         let off = sim.retrieval_cost(&s, hermes3(), DvfsMode::Off, budget);

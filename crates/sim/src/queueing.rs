@@ -128,12 +128,7 @@ pub fn simulate_md1_trace(
 /// let heavy = simulate_md1(0.9, 1.0, 2_000, 7);
 /// assert!(heavy.sojourn.p99 > light.sojourn.p99);
 /// ```
-pub fn simulate_md1(
-    rate_per_s: f64,
-    service_s: f64,
-    num_batches: usize,
-    seed: u64,
-) -> QueueReport {
+pub fn simulate_md1(rate_per_s: f64, service_s: f64, num_batches: usize, seed: u64) -> QueueReport {
     let trace = simulate_md1_trace(rate_per_s, service_s, num_batches, seed);
     QueueReport {
         utilization: rate_per_s * service_s,

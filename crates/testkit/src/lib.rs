@@ -34,9 +34,7 @@ pub mod ulp;
 
 pub use runner::{check, check_with, check_with_regressions, Config};
 pub use simd_ref::{reference_similarity, similarity_scale};
-pub use strategy::{
-    f32_in, f64_in, tuple2, tuple3, u64_any, u64_in, usize_in, vec_of, Strategy,
-};
+pub use strategy::{f32_in, f64_in, tuple2, tuple3, u64_any, u64_in, usize_in, vec_of, Strategy};
 pub use ulp::{
     assert_ulp_eq, lane_ordered_fold, lane_ordered_sum, max_ulp_distance, ulp_at, ulp_within,
     ulp_within_scaled,

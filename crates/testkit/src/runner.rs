@@ -242,7 +242,10 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("always_fails"), "missing name: {msg}");
-        assert!(msg.contains("HERMES_TESTKIT_REPLAY="), "missing seed: {msg}");
+        assert!(
+            msg.contains("HERMES_TESTKIT_REPLAY="),
+            "missing seed: {msg}"
+        );
         assert!(msg.contains("nope"), "missing error: {msg}");
     }
 
@@ -265,7 +268,10 @@ mod tests {
         })
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap().clone();
-        assert!(msg.contains("1000 too big"), "did not shrink to 1000: {msg}");
+        assert!(
+            msg.contains("1000 too big"),
+            "did not shrink to 1000: {msg}"
+        );
     }
 
     #[test]
@@ -294,19 +300,13 @@ mod tests {
     #[test]
     fn regressions_run_before_generated_cases() {
         let err = std::panic::catch_unwind(|| {
-            check_with_regressions(
-                "pinned",
-                &Config::default(),
-                &u64_any(),
-                &[12345],
-                |&v| {
-                    if v == 12345 {
-                        Err("regression input".to_string())
-                    } else {
-                        Ok(())
-                    }
-                },
-            )
+            check_with_regressions("pinned", &Config::default(), &u64_any(), &[12345], |&v| {
+                if v == 12345 {
+                    Err("regression input".to_string())
+                } else {
+                    Ok(())
+                }
+            })
         })
         .unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap().clone();

@@ -158,11 +158,6 @@ mod tests {
         let q = [1.0e6f32, 1.0];
         let x = [1.0f32, -1.0e6];
         assert!(similarity_scale(Metric::InnerProduct, &q, &x) > 1.9e6);
-        assert!(
-            Metric::InnerProduct
-                .similarity(&q, &x)
-                .abs()
-                < 1.0
-        );
+        assert!(Metric::InnerProduct.similarity(&q, &x).abs() < 1.0);
     }
 }

@@ -89,12 +89,16 @@ fn default_clock() -> &'static MonotonicClock {
 /// every subsequently recorded event, process-wide — callers that need
 /// isolation serialize their tests.
 pub fn install_clock(clock: Arc<dyn Clock>) {
-    *override_slot().write().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(clock);
+    *override_slot()
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(clock);
 }
 
 /// Restores the default monotonic clock.
 pub fn reset_clock() {
-    *override_slot().write().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+    *override_slot()
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
 }
 
 /// Reads the global clock, taking the override slot's read lock (an

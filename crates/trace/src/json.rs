@@ -101,10 +101,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected `{}` at byte {}", b as char, self.pos))
         }
     }
 

@@ -112,7 +112,10 @@ impl ArgSet {
 
     /// Looks up an argument by key.
     pub fn get(&self, key: &str) -> Option<u64> {
-        self.as_slice().iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+        self.as_slice()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
     }
 }
 
@@ -518,7 +521,10 @@ impl TraceSnapshot {
         for ev in &self.events {
             match ev.kind {
                 EventKind::Begin => {
-                    stacks.entry(ev.tid).or_default().push((ev.name, ev.ts_ns, ev.args));
+                    stacks
+                        .entry(ev.tid)
+                        .or_default()
+                        .push((ev.name, ev.ts_ns, ev.args));
                 }
                 EventKind::End => {
                     let stack = stacks.entry(ev.tid).or_default();
@@ -639,7 +645,8 @@ mod tests {
     /// process-wide; tests that record serialize on this.
     fn guard() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn fresh(step: u64) -> MutexGuard<'static, ()> {

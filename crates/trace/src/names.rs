@@ -188,9 +188,15 @@ mod tests {
             (SERVE_SOJOURN_NS, "Request sojourn (arrival to finish), ns"),
             (CACHE_MISS, "Cache lookups that found nothing servable"),
             ("counter.pool.steal", "Pool tasks stolen (samples)"),
-            ("counter.pool.steal_sum", "Pool tasks stolen (sum of samples)"),
+            (
+                "counter.pool.steal_sum",
+                "Pool tasks stolen (sum of samples)",
+            ),
             ("counter.pool.steal_max", "Pool tasks stolen (max sample)"),
-            ("span.shard.deep_ns", "Deep group scans of a shard: duration, ns"),
+            (
+                "span.shard.deep_ns",
+                "Deep group scans of a shard: duration, ns",
+            ),
             (
                 "span.shard.deep.scanned_codes",
                 "Deep group scans of a shard: sum of scanned_codes args",
@@ -198,7 +204,12 @@ mod tests {
         ] {
             assert_eq!(help(metric).as_deref(), Some(want), "{metric}");
         }
-        for undeclared in ["work", "counter.codes", "span.work_ns", "span.shard.deeper_ns"] {
+        for undeclared in [
+            "work",
+            "counter.codes",
+            "span.work_ns",
+            "span.shard.deeper_ns",
+        ] {
             assert!(help(undeclared).is_none(), "{undeclared}");
         }
     }

@@ -32,11 +32,7 @@ fn main() {
         "Nodes required to fully hide retrieval (batch 128, stride 16)",
         &["datastore", "nodes", "per-node tokens"],
     );
-    for tokens in [
-        10_000_000_000u64,
-        100_000_000_000,
-        1_000_000_000_000,
-    ] {
+    for tokens in [10_000_000_000u64, 100_000_000_000, 1_000_000_000_000] {
         let n = planner.nodes_required(tokens, 128, 128, 512, 16);
         nodes.push(Row::new(
             format_tokens(tokens),

@@ -14,9 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Offline: build and persist (paper Appendix A.5 step 7). ---
     println!("[offline] building store...");
     let corpus = Corpus::generate(CorpusSpec::new(15_000, 48, 8).with_seed(3));
-    let config = HermesConfig::new(8)
-        .with_clusters_to_search(3)
-        .with_seed(4);
+    let config = HermesConfig::new(8).with_clusters_to_search(3).with_seed(4);
     let store = ClusteredStore::build(corpus.embeddings(), &config)?;
     store.save(&path)?;
     println!(
@@ -33,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let out = serving.hierarchical_search(q)?;
         println!(
             "[online ] query {i}: clusters {:?} -> top doc {}",
-            out.searched_clusters(), out.hits[0].id
+            out.searched_clusters(),
+            out.hits[0].id
         );
     }
 
@@ -53,7 +52,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let found = out.hits.iter().any(|n| n.id >= 1_000_000);
     println!(
         "[online ] fresh-document retrieval: {}",
-        if found { "hit" } else { "miss (expected occasionally)" }
+        if found {
+            "hit"
+        } else {
+            "miss (expected occasionally)"
+        }
     );
 
     // Mutations persist across restarts — atomically: `save` writes a

@@ -97,9 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PipelinePolicy::combined(),
         ),
     ];
-    let base = sim
-        .run(&serving, runs[0].1, runs[0].2, DvfsMode::Off)
-        .e2e_s;
+    let base = sim.run(&serving, runs[0].1, runs[0].2, DvfsMode::Off).e2e_s;
     for (name, scheme, policy) in runs {
         let r = sim.run(&serving, scheme, policy, DvfsMode::Off);
         proj.push(Row::new(

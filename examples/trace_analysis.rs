@@ -67,7 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, mode, budget) in [
         ("no DVFS", DvfsMode::Off, decode),
         ("DVFS (slowest cluster)", DvfsMode::SlowestCluster, decode),
-        ("DVFS enhanced (inference-bound)", DvfsMode::InferenceBound, decode * 8.0),
+        (
+            "DVFS enhanced (inference-bound)",
+            DvfsMode::InferenceBound,
+            decode * 8.0,
+        ),
     ] {
         let cost = sim.retrieval_cost(&serving, scheme, mode, budget);
         dvfs.push(Row::new(

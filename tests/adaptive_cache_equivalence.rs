@@ -59,7 +59,10 @@ fn adaptive_off_and_pinned_adaptive_match_fixed_knob_search() {
             cfg.deep_nprobe,
         );
         let configs = [
-            HermesConfig { adaptive: None, ..fixed },
+            HermesConfig {
+                adaptive: None,
+                ..fixed
+            },
             fixed.with_adaptive(pinned),
             // The difficulty band rescales *where* in [floor, ceiling] a
             // query lands; with floor == ceiling knobs it must be inert.
@@ -75,7 +78,11 @@ fn adaptive_off_and_pinned_adaptive_match_fixed_knob_search() {
         for config in &configs {
             let engine = Engine::new(&store, config);
             for (q, want) in queries.iter().zip(&reference) {
-                assert_eq!(engine.execute(q).unwrap(), *want, "{allocation:?}: execute diverged");
+                assert_eq!(
+                    engine.execute(q).unwrap(),
+                    *want,
+                    "{allocation:?}: execute diverged"
+                );
             }
             for threads in [1, 2, 4] {
                 assert_eq!(
@@ -99,8 +106,8 @@ fn adaptive_off_and_pinned_adaptive_match_fixed_knob_search() {
 #[test]
 fn adaptive_depth_equals_the_estimator_choice() {
     let (store, queries, cfg) = setup(407);
-    let adaptive = AdaptiveConfig::new(1, 4, 16, cfg.deep_nprobe)
-        .with_difficulty_band_permille(200, 900);
+    let adaptive =
+        AdaptiveConfig::new(1, 4, 16, cfg.deep_nprobe).with_difficulty_band_permille(200, 900);
     let adaptive_cfg = cfg
         .with_adaptive(adaptive)
         .with_routing(Routing::DocumentSampling);
@@ -128,12 +135,19 @@ fn exact_cache_hits_are_bit_identical_to_recomputation() {
     let warm = backend.run(&reqs).unwrap(); // warm: all exact hits
     let stats = backend.cache_stats();
     assert_eq!(stats.exact_hits, queries.len() as u64);
-    assert_eq!(stats.semantic_hits, 0, "exact_only never serves semantically");
+    assert_eq!(
+        stats.semantic_hits, 0,
+        "exact_only never serves semantically"
+    );
 
     let current = cell.current();
     let engine = Engine::for_store(&current);
     for (q, got) in queries.iter().zip(&warm.outcomes) {
-        assert_eq!(*got, engine.execute(q).unwrap(), "hit differs from recompute");
+        assert_eq!(
+            *got,
+            engine.execute(q).unwrap(),
+            "hit differs from recompute"
+        );
     }
 }
 
@@ -161,7 +175,10 @@ fn semantic_hits_serve_the_stored_outcome_and_are_bounded() {
         .collect();
     let out = backend.run(&requests(&near)).unwrap();
     let stats = backend.cache_stats();
-    assert!(stats.semantic_hits > 0, "perturbation stayed under threshold");
+    assert!(
+        stats.semantic_hits > 0,
+        "perturbation stayed under threshold"
+    );
 
     let current = cell.current();
     let engine = Engine::for_store(&current);

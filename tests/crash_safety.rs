@@ -32,7 +32,10 @@ fn truncation_at_every_page_boundary_is_a_typed_error() {
     let image = store.to_paged_bytes();
     assert_eq!(image.len() % PAGE_SIZE, 0);
     let pages = image.len() / PAGE_SIZE;
-    assert!(pages >= 4, "need header + table + meta + shards, got {pages}");
+    assert!(
+        pages >= 4,
+        "need header + table + meta + shards, got {pages}"
+    );
 
     let path = tmp_path("truncate");
     for page in 0..pages {
@@ -40,10 +43,7 @@ fn truncation_at_every_page_boundary_is_a_typed_error() {
             std::fs::write(&path, &image[..cut]).unwrap();
             let err = ClusteredStore::load(&path).expect_err("truncated image must not load");
             assert!(
-                matches!(
-                    err,
-                    PersistError::Truncated | PersistError::Checksum { .. }
-                ),
+                matches!(err, PersistError::Truncated | PersistError::Checksum { .. }),
                 "cut at byte {cut}: expected Truncated/Checksum, got {err:?}"
             );
         }
@@ -163,7 +163,9 @@ fn shard_level_damage_is_localized_by_the_paged_reader() {
     for c in 0..n - 1 {
         reader.load_shard(c).expect("undamaged shard loads");
     }
-    let err = reader.load_shard(n - 1).expect_err("damaged shard detected");
+    let err = reader
+        .load_shard(n - 1)
+        .expect_err("damaged shard detected");
     let expect_page = (corrupted.len() - PAGE_SIZE) / PAGE_SIZE;
     match err {
         PersistError::Checksum { page } => assert_eq!(page as usize, expect_page),

@@ -64,9 +64,7 @@ fn duplicate_documents_yield_deterministic_ordering() {
 #[test]
 fn zero_vector_query_is_handled() {
     let corpus = Corpus::generate(CorpusSpec::new(200, 8, 4).with_seed(5));
-    let cfg = HermesConfig::new(4)
-        .with_clusters_to_search(2)
-        .with_seed(6);
+    let cfg = HermesConfig::new(4).with_clusters_to_search(2).with_seed(6);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
     let out = store.hierarchical_search(&[0.0; 8]).unwrap();
     assert_eq!(out.hits.len(), cfg.k);
@@ -75,9 +73,7 @@ fn zero_vector_query_is_handled() {
 #[test]
 fn nan_query_does_not_panic_or_poison_results() {
     let corpus = Corpus::generate(CorpusSpec::new(100, 4, 2).with_seed(7));
-    let cfg = HermesConfig::new(2)
-        .with_clusters_to_search(1)
-        .with_seed(8);
+    let cfg = HermesConfig::new(2).with_clusters_to_search(1).with_seed(8);
     let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
     let out = store.hierarchical_search(&[f32::NAN; 4]).unwrap();
     // Results are arbitrary but present and not NaN-scored duplicates.
@@ -108,7 +104,10 @@ fn extreme_magnitude_vectors_survive_quantization() {
 fn hnsw_handles_single_and_two_element_graphs() {
     for n in [1usize, 2] {
         let data = Mat::from_rows(&(0..n).map(|i| vec![i as f32, 0.0]).collect::<Vec<_>>());
-        let index = HnswIndex::builder().metric(Metric::L2).build(&data).unwrap();
+        let index = HnswIndex::builder()
+            .metric(Metric::L2)
+            .build(&data)
+            .unwrap();
         let hits = index.search(&[0.0, 0.0], n, &SearchParams::new()).unwrap();
         assert_eq!(hits.len(), n);
         assert_eq!(hits[0].id, 0);
@@ -267,7 +266,10 @@ fn hostile_queries_get_no_bound_and_scan_exactly() {
     let codec = Codec::train(CodecSpec::Sq8, data, 3);
     for metric in [Metric::InnerProduct, Metric::Cosine] {
         for q in &hostile {
-            assert!(codec.query_scorer(q, metric).bound().is_none(), "{metric} {q:?}");
+            assert!(
+                codec.query_scorer(q, metric).bound().is_none(),
+                "{metric} {q:?}"
+            );
         }
         assert!(codec.query_scorer(data.row(17), metric).bound().is_some());
         let index = IvfIndex::builder()
@@ -292,7 +294,10 @@ fn hostile_queries_get_no_bound_and_scan_exactly() {
         let mixed = index.search_group(&[group[0], sane, group[3]], 5);
         assert!(mixed.rescored_codes > 0, "{metric}");
         let params = SearchParams::new().with_nprobe(8);
-        assert_eq!(mixed.results[1], index.search_with_stats(sane.0, 5, &params));
+        assert_eq!(
+            mixed.results[1],
+            index.search_with_stats(sane.0, 5, &params)
+        );
     }
 }
 
@@ -425,8 +430,16 @@ fn an_emptied_shard_answers_no_hits_and_no_work() {
         assert_eq!(store.shard(0).len(), 0);
         let engine = Engine::for_store(&store);
         let inline = engine.execute_coalesced(&queries, 1).unwrap();
-        assert_eq!(engine.execute_coalesced(&queries, 0).unwrap(), inline, "{routing:?}");
-        assert_eq!(engine.execute_batch(&queries, 0).unwrap(), inline, "{routing:?}");
+        assert_eq!(
+            engine.execute_coalesced(&queries, 0).unwrap(),
+            inline,
+            "{routing:?}"
+        );
+        assert_eq!(
+            engine.execute_batch(&queries, 0).unwrap(),
+            inline,
+            "{routing:?}"
+        );
         for (q, out) in queries.iter().zip(&inline) {
             assert_eq!(out.hits.len(), 10, "{routing:?}: the other shards answer");
             let route = engine.route(q).unwrap();

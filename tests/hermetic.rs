@@ -33,7 +33,8 @@ fn dependency_sections(manifest: &Path) -> Vec<DepLine> {
         let in_dep_section = matches!(
             section.as_str(),
             "dependencies" | "dev-dependencies" | "build-dependencies" | "workspace.dependencies"
-        ) || section.starts_with("target.") && section.ends_with("dependencies");
+        ) || section.starts_with("target.")
+            && section.ends_with("dependencies");
         if !in_dep_section {
             continue;
         }

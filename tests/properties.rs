@@ -28,7 +28,9 @@ fn search_output_is_well_formed() {
                 .with_k(k)
                 .with_seed(seed);
             let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-            let out = store.hierarchical_search(corpus.embeddings().row(0)).unwrap();
+            let out = store
+                .hierarchical_search(corpus.embeddings().row(0))
+                .unwrap();
             prop_assert_eq!(out.hits.len(), k);
             for w in out.hits.windows(2) {
                 prop_assert!(w[0].score >= w[1].score);
@@ -115,15 +117,20 @@ fn full_deep_search_equals_flat_search_of_union() {
 #[test]
 fn split_partitions_the_corpus() {
     let strat = tuple2(u64_in(0..30), usize_in(2..8));
-    check_with("split_partitions_the_corpus", &cfg(), &strat, |&(seed, c)| {
-        let corpus = small_corpus(seed, 350, 4);
-        let cfg = HermesConfig::new(c)
-            .with_clusters_to_search(1)
-            .with_seed(seed);
-        let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
-        prop_assert_eq!(store.cluster_sizes().iter().sum::<usize>(), 350);
-        Ok(())
-    });
+    check_with(
+        "split_partitions_the_corpus",
+        &cfg(),
+        &strat,
+        |&(seed, c)| {
+            let corpus = small_corpus(seed, 350, 4);
+            let cfg = HermesConfig::new(c)
+                .with_clusters_to_search(1)
+                .with_seed(seed);
+            let store = ClusteredStore::build(corpus.embeddings(), &cfg).unwrap();
+            prop_assert_eq!(store.cluster_sizes().iter().sum::<usize>(), 350);
+            Ok(())
+        },
+    );
 }
 
 /// The retrieval latency model is monotone in every argument.
@@ -298,7 +305,12 @@ fn scorer_block_matches_per_code_scoring() {
         &u64_in(0..30),
         |&seed| {
             let corpus = small_corpus(seed, 120, 3);
-            for spec in [CodecSpec::Flat, CodecSpec::Sq8, CodecSpec::Sq4, CodecSpec::Pq { m: 2 }] {
+            for spec in [
+                CodecSpec::Flat,
+                CodecSpec::Sq8,
+                CodecSpec::Sq4,
+                CodecSpec::Pq { m: 2 },
+            ] {
                 let codec = Codec::train(spec, corpus.embeddings(), seed);
                 let mut codes = Vec::new();
                 for row in corpus.embeddings().iter_rows() {
@@ -358,67 +370,84 @@ fn scorer_block_matches_per_code_scoring() {
 fn sq8_bound_filter_keeps_the_exact_top_k() {
     use hermes::math::TopK;
     let strat = tuple2(u64_in(0..40), usize_in(0..3));
-    check_with("sq8_bound_filter_keeps_the_exact_top_k", &cfg(), &strat, |&(seed, shape)| {
-        let dim = [24, 40, 64][shape];
-        let corpus = Corpus::generate(CorpusSpec::new(400, dim, 4).with_seed(seed));
-        let data = corpus.embeddings();
-        let codec = Codec::train(CodecSpec::Sq8, data, seed);
-        let mut codes = Vec::new();
-        for row in data.iter_rows() {
-            codec.encode_into(row, &mut codes);
-        }
-        let ids: Vec<u64> = (0..data.rows() as u64).collect();
-        for (metric, scale) in [
-            (Metric::InnerProduct, 1.0f32),
-            (Metric::Cosine, 1.0),
-            (Metric::InnerProduct, 1e-12),
-            (Metric::InnerProduct, 3e7),
-        ] {
-            let query: Vec<f32> = data.row(seed as usize % 400).iter().map(|x| x * scale).collect();
-            let scorer = codec.query_scorer(&query, metric);
-            let Some(bound) = scorer.bound() else {
-                return Err(format!("no bound for a finite query, d{dim} {metric} x{scale}"));
-            };
-            let mut scores = vec![0.0f32; ids.len()];
-            scorer.score_block(&codes, &mut scores);
-            let mut sums = vec![0i32; ids.len()];
-            bound.sums(&[&codes], &mut sums, &mut |_| {});
-            for level in SimdLevel::available() {
-                let mut at = vec![0i32; ids.len()];
-                bound.sums_at(level, &[&codes], &mut at, &mut |_| {});
-                prop_assert!(at == sums, "d{dim} {metric} sums at {level}");
+    check_with(
+        "sq8_bound_filter_keeps_the_exact_top_k",
+        &cfg(),
+        &strat,
+        |&(seed, shape)| {
+            let dim = [24, 40, 64][shape];
+            let corpus = Corpus::generate(CorpusSpec::new(400, dim, 4).with_seed(seed));
+            let data = corpus.embeddings();
+            let codec = Codec::train(CodecSpec::Sq8, data, seed);
+            let mut codes = Vec::new();
+            for row in data.iter_rows() {
+                codec.encode_into(row, &mut codes);
             }
-            for (i, (&sum, &score)) in sums.iter().zip(&scores).enumerate() {
-                prop_assert!(
-                    bound.upper(sum) >= f64::from(score),
-                    "d{dim} {metric} x{scale} row {i}: bound {} below score {score}",
-                    bound.upper(sum)
-                );
-            }
-            for k in [1usize, 10] {
-                let mut all = TopK::new(k);
-                all.push_block(&ids, &scores);
-                let mut filtered = TopK::new(k);
-                filtered.push_block(&ids[..32], &scores[..32]);
-                let mut kept = 0;
-                for block in (32..ids.len()).step_by(64).map(|at| at..(at + 64).min(ids.len())) {
-                    let floor = bound.floor(filtered.threshold()).unwrap_or(i32::MIN);
-                    for i in block.filter(|&i| sums[i] >= floor) {
-                        filtered.push(ids[i], scores[i]);
-                        kept += 1;
-                    }
-                }
-                let bits = |top: TopK| -> Vec<(u64, u32)> {
-                    let hits = top.into_sorted_vec();
-                    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+            let ids: Vec<u64> = (0..data.rows() as u64).collect();
+            for (metric, scale) in [
+                (Metric::InnerProduct, 1.0f32),
+                (Metric::Cosine, 1.0),
+                (Metric::InnerProduct, 1e-12),
+                (Metric::InnerProduct, 3e7),
+            ] {
+                let query: Vec<f32> = data
+                    .row(seed as usize % 400)
+                    .iter()
+                    .map(|x| x * scale)
+                    .collect();
+                let scorer = codec.query_scorer(&query, metric);
+                let Some(bound) = scorer.bound() else {
+                    return Err(format!(
+                        "no bound for a finite query, d{dim} {metric} x{scale}"
+                    ));
                 };
-                prop_assert!(bits(filtered) == bits(all), "d{dim} {metric} x{scale} k{k}");
-                // The filter is worth having: most rows never reach f32.
-                prop_assert!(kept * 2 < ids.len(), "d{dim} {metric} x{scale} k{k}: kept {kept}");
+                let mut scores = vec![0.0f32; ids.len()];
+                scorer.score_block(&codes, &mut scores);
+                let mut sums = vec![0i32; ids.len()];
+                bound.sums(&[&codes], &mut sums, &mut |_| {});
+                for level in SimdLevel::available() {
+                    let mut at = vec![0i32; ids.len()];
+                    bound.sums_at(level, &[&codes], &mut at, &mut |_| {});
+                    prop_assert!(at == sums, "d{dim} {metric} sums at {level}");
+                }
+                for (i, (&sum, &score)) in sums.iter().zip(&scores).enumerate() {
+                    prop_assert!(
+                        bound.upper(sum) >= f64::from(score),
+                        "d{dim} {metric} x{scale} row {i}: bound {} below score {score}",
+                        bound.upper(sum)
+                    );
+                }
+                for k in [1usize, 10] {
+                    let mut all = TopK::new(k);
+                    all.push_block(&ids, &scores);
+                    let mut filtered = TopK::new(k);
+                    filtered.push_block(&ids[..32], &scores[..32]);
+                    let mut kept = 0;
+                    for block in (32..ids.len())
+                        .step_by(64)
+                        .map(|at| at..(at + 64).min(ids.len()))
+                    {
+                        let floor = bound.floor(filtered.threshold()).unwrap_or(i32::MIN);
+                        for i in block.filter(|&i| sums[i] >= floor) {
+                            filtered.push(ids[i], scores[i]);
+                            kept += 1;
+                        }
+                    }
+                    let bits = |top: TopK| -> Vec<(u64, u32)> {
+                        let hits = top.into_sorted_vec();
+                        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                    };
+                    prop_assert!(bits(filtered) == bits(all), "d{dim} {metric} x{scale} k{k}");
+                    // The filter is worth having: most rows never reach f32.
+                    prop_assert!(
+                        kept * 2 < ids.len(),
+                        "d{dim} {metric} x{scale} k{k}: kept {kept}"
+                    );
+                }
             }
-        }
-        Ok(())
-    });
+            Ok(())
+        },
+    );
 }
 
 /// Codec round-trips preserve dimensionality and stay finite.
@@ -426,7 +455,12 @@ fn sq8_bound_filter_keeps_the_exact_top_k() {
 fn codec_round_trip_shape() {
     check_with("codec_round_trip_shape", &cfg(), &u64_in(0..20), |&seed| {
         let corpus = small_corpus(seed, 300, 3);
-        for spec in [CodecSpec::Flat, CodecSpec::Sq8, CodecSpec::Sq4, CodecSpec::Pq { m: 2 }] {
+        for spec in [
+            CodecSpec::Flat,
+            CodecSpec::Sq8,
+            CodecSpec::Sq4,
+            CodecSpec::Pq { m: 2 },
+        ] {
             let codec = Codec::train(spec, corpus.embeddings(), seed);
             let decoded = codec.decode(&codec.encode(corpus.embeddings().row(0)));
             prop_assert_eq!(decoded.len(), 8);

@@ -24,7 +24,9 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let corpus = Corpus::generate(CorpusSpec::new(2_400, 24, 6).with_seed(11));
-    let config = HermesConfig::new(6).with_clusters_to_search(3).with_seed(12);
+    let config = HermesConfig::new(6)
+        .with_clusters_to_search(3)
+        .with_seed(12);
     let store = ClusteredStore::build(corpus.embeddings(), &config).unwrap();
     let queries = QuerySet::generate(&corpus, QuerySpec::new(20).with_seed(13)).to_vecs();
     Fixture { store, queries }
@@ -32,10 +34,7 @@ fn fixture() -> Fixture {
 
 /// What the standalone engine says each distinct query should return.
 fn reference_outcomes(engine: &Engine, queries: &[Vec<f32>]) -> Vec<SearchOutcome> {
-    queries
-        .iter()
-        .map(|q| engine.execute(q).unwrap())
-        .collect()
+    queries.iter().map(|q| engine.execute(q).unwrap()).collect()
 }
 
 /// Every completion must match the standalone outcome for its query

@@ -49,15 +49,19 @@ impl Case {
 /// max dim of 128) stays finite — overflow behaviour is not part of the
 /// kernel contract.
 fn adversarial_value(rng: &mut SeededRng) -> f32 {
-    let sign = if rng.next_u64() & 1 == 0 { 1.0f32 } else { -1.0f32 };
+    let sign = if rng.next_u64() & 1 == 0 {
+        1.0f32
+    } else {
+        -1.0f32
+    };
     match rng.next_u64() % 8 {
-        0 => sign * 0.0,                                   // signed zero
-        1 => sign * 1.0e-41,                               // subnormal
-        2 => sign * f32::from_bits(1),                     // smallest subnormal
-        3 => sign * 1.0,                                   // exact tie fodder
-        4 => sign * rng.gen_range(1.0e15f32..3.0e17),      // cancellation
-        5 => sign * (1.0 + rng.next_f32()),                // near-one
-        _ => rng.next_f32() * 2.0 - 1.0,                   // uniform
+        0 => sign * 0.0,                              // signed zero
+        1 => sign * 1.0e-41,                          // subnormal
+        2 => sign * f32::from_bits(1),                // smallest subnormal
+        3 => sign * 1.0,                              // exact tie fodder
+        4 => sign * rng.gen_range(1.0e15f32..3.0e17), // cancellation
+        5 => sign * (1.0 + rng.next_f32()),           // near-one
+        _ => rng.next_f32() * 2.0 - 1.0,              // uniform
     }
 }
 
@@ -90,12 +94,21 @@ impl Strategy for AdversarialCase {
         // 1. Drop rows: back half, front half, then singles.
         if case.rows.len() > 1 {
             let half = case.rows.len() / 2;
-            out.push(Case { rows: case.rows[..half].to_vec(), ..case.clone() });
-            out.push(Case { rows: case.rows[half..].to_vec(), ..case.clone() });
+            out.push(Case {
+                rows: case.rows[..half].to_vec(),
+                ..case.clone()
+            });
+            out.push(Case {
+                rows: case.rows[half..].to_vec(),
+                ..case.clone()
+            });
             for i in 0..case.rows.len().min(MAX_SHRINK_SITES) {
                 let mut rows = case.rows.clone();
                 rows.remove(i);
-                out.push(Case { rows, ..case.clone() });
+                out.push(Case {
+                    rows,
+                    ..case.clone()
+                });
             }
         }
         // 2. Halve the dimension (truncate query and every row).
@@ -113,7 +126,10 @@ impl Strategy for AdversarialCase {
             if case.query[i] != 0.0 {
                 let mut query = case.query.clone();
                 query[i] = 0.0;
-                out.push(Case { query, ..case.clone() });
+                out.push(Case {
+                    query,
+                    ..case.clone()
+                });
             }
         }
         for r in 0..case.rows.len().min(4) {
@@ -121,7 +137,10 @@ impl Strategy for AdversarialCase {
                 if case.rows[r][i] != 0.0 {
                     let mut rows = case.rows.clone();
                     rows[r][i] = 0.0;
-                    out.push(Case { rows, ..case.clone() });
+                    out.push(Case {
+                        rows,
+                        ..case.clone()
+                    });
                 }
             }
         }
@@ -242,8 +261,7 @@ fn adversarial_top_k_sets_agree_across_levels() {
                         // `id` was admitted at `side` but lost at `other`:
                         // only legal as a boundary tie at both levels.
                         for l in [side, other] {
-                            let gap =
-                                (scores[l][id as usize] as f64 - thresholds[l] as f64).abs();
+                            let gap = (scores[l][id as usize] as f64 - thresholds[l] as f64).abs();
                             prop_assert!(
                                 gap <= tol,
                                 "{} {}: id {} flips admission between {} and {} \

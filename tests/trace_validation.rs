@@ -17,7 +17,8 @@ use hermes::trace::{self, json::Json};
 
 fn guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn build_store() -> (ClusteredStore, Vec<Vec<f32>>) {
@@ -66,7 +67,10 @@ fn traced_search_produces_balanced_spans_with_work_args() {
 
     // One engine.execute span per query, args carrying the same work
     // totals SearchStats reported.
-    let executes: Vec<_> = spans.iter().filter(|s| s.name == "engine.execute").collect();
+    let executes: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "engine.execute")
+        .collect();
     assert_eq!(executes.len(), queries.len());
     let arg = |s: &trace::SpanRecord, key: &str| {
         s.args
@@ -133,7 +137,9 @@ fn traced_search_produces_balanced_spans_with_work_args() {
     }
     if hermes::pool::Pool::global().threads() > 1 {
         assert!(
-            spans.iter().any(|s| snap.threads[&s.tid].starts_with("hermes-pool-")),
+            spans
+                .iter()
+                .any(|s| snap.threads[&s.tid].starts_with("hermes-pool-")),
             "multi-thread pool must record spans on worker threads"
         );
     }
@@ -183,8 +189,9 @@ fn pool_workers_record_task_steal_and_idle_events() {
         );
     }
     assert!(
-        spans.iter().any(|s| s.name == "pool.idle"
-            && snap.threads[&s.tid].starts_with("hermes-pool-")),
+        spans
+            .iter()
+            .any(|s| s.name == "pool.idle" && snap.threads[&s.tid].starts_with("hermes-pool-")),
         "workers waking from a traced wait record idle time"
     );
     let counters = snap.counters();
@@ -215,7 +222,11 @@ fn chrome_export_is_parseable_and_well_formed() {
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
         let tid = ev.get("tid").and_then(Json::as_f64).expect("tid") as u64;
-        let name = ev.get("name").and_then(Json::as_str).expect("name").to_string();
+        let name = ev
+            .get("name")
+            .and_then(Json::as_str)
+            .expect("name")
+            .to_string();
         assert!(ev.get("pid").is_some(), "pid required");
         match ph {
             "M" => {

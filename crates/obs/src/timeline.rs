@@ -20,13 +20,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId(pub u64);
 
-impl RequestId {
-    /// Whether this id was actually minted.
-    pub fn is_minted(self) -> bool {
-        self.0 != 0
-    }
-}
-
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "r{}", self.0)

@@ -47,7 +47,7 @@ pub use generation::{GenerationBackend, GenerationCell};
 pub use loadgen::{run_closed_loop, run_open_loop, ClosedLoopSpec, LoadReport, OpenLoopSpec};
 pub use observe::{export_cache_stats, export_serve_report, obs_config};
 pub use queue::AdmissionQueue;
-pub use request::{Completion, Priority, Request, ShedReason, ShedRecord};
+pub use request::{Completion, Priority, Request, ShedRecord};
 pub use server::{
     Backend, BatchOutcome, EngineBackend, FixedServiceBackend, ServeReport, Server, ServerConfig,
 };

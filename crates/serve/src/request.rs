@@ -2,6 +2,7 @@
 //! layer.
 
 use hermes_core::search::SearchOutcome;
+use hermes_obs::ShedCause;
 
 /// SLO class of a request. Ordering is scheduling order: the admission
 /// queue always dispatches every queued `Interactive` request before any
@@ -91,26 +92,16 @@ impl Request {
     }
 }
 
-/// Why a request was turned away without executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The admission queue was at capacity.
-    QueueFull,
-    /// The deadline passed before the request could be dispatched (or it
-    /// arrived already expired).
-    Expired,
-}
-
 /// One shed request — surfaced exactly once, never executed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShedRecord {
     /// The rejected request, returned to the caller intact.
     pub request: Request,
     /// Why it was shed.
-    pub reason: ShedReason,
+    pub reason: ShedCause,
     /// When the decision was made: admission time for
-    /// [`ShedReason::QueueFull`], the would-be dispatch time for
-    /// [`ShedReason::Expired`].
+    /// [`ShedCause::QueueFull`], the would-be dispatch time for
+    /// [`ShedCause::Expired`].
     pub at_ns: u64,
 }
 

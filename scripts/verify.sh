@@ -8,6 +8,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The workspace is rustfmt-clean: a change that is not fails here, before
+# anything is built. (`benchmark/` is its own workspace and is not
+# covered by `--all`.)
+echo "== cargo fmt --check =="
+cargo fmt --all --check
+
 cargo build --release --offline
 cargo test -q --offline
 
@@ -51,7 +57,7 @@ done
 # compares each row's integer sum with the floor where it makes it (the
 # bound proptests in hermes-quant, the filtered row plans in
 # hermes-index, `properties`, the no-bound row of `edge_cases`, and
-# `mutation_equivalence`, whose tombstoned lists take the mask walk);
+# `mutation_equivalence`, whose churned lists take the filtered walk);
 # the coarse pass, whose kernel writes the probe keys itself; and
 # k-means, whose sweep kernel dispatches on the level (incremental
 # trainer vs full-sweep oracle, bit for bit). No re-tuning at either

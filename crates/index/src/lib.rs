@@ -43,7 +43,7 @@ mod ivf;
 pub use flat::FlatIndex;
 pub use half::{f16_bits_to_f32, f32_to_f16_bits};
 pub use hnsw::{HnswBuilder, HnswIndex, VectorStorage};
-pub use ivf::{CoarseKeys, IvfBuilder, IvfIndex, IvfStats};
+pub use ivf::{CoarseKeys, InvertedList, IvfBuilder, IvfIndex, IvfParts, IvfStats};
 
 use hermes_math::{Metric, Neighbor};
 

@@ -115,8 +115,8 @@ fn published_store_image_is_pinned_to_the_byte() {
     }
     // (docs, dim, [built, after the split]).
     let goldens = [
-        (4000, 64, [0xd502_fd80_8877_91bau64, 0x2aed_e277_7de0_9a54]),
-        (1500, 20, [0x6480_ef7c_eca5_5c20, 0x364b_07f2_d0eb_6a4f]),
+        (4000, 64, [0xd502_fd80_8877_91bau64, 0x13e6_188d_ab06_ce08]),
+        (1500, 20, [0x6480_ef7c_eca5_5c20, 0x80f9_50ab_a8b6_3fab]),
     ];
     for (docs, dim, want) in goldens {
         let corpus = Corpus::generate(CorpusSpec::new(docs, dim, 10).with_seed(0x4E52_4D45));

@@ -24,9 +24,17 @@ use hermes::serve::{
 };
 use hermes::trace::names;
 
-/// Serializes the tests that turn the process-global trace rings on and
-/// drain them.
+/// Serializes this file's tests. One of them turns the process-global
+/// trace rings on and folds what they hold, and every span must then
+/// begin and end inside its window: so every test that runs engine or
+/// serving code, which open spans, holds this lock throughout.
 static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn tracing() -> std::sync::MutexGuard<'static, ()> {
+    TRACING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 struct Fixture {
     store: ClusteredStore,
@@ -56,6 +64,7 @@ fn mixed_spec(n: usize) -> OpenLoopSpec {
 
 #[test]
 fn coalesced_mixed_priority_run_yields_balanced_timelines_and_identical_results() {
+    let _tracing = tracing();
     let f = fixture();
     let engine = Engine::for_store(&f.store);
     let reference: Vec<_> = f
@@ -125,7 +134,7 @@ fn coalesced_mixed_priority_run_yields_balanced_timelines_and_identical_results(
         "rids must be unique"
     );
     assert!(
-        rids.iter().all(|&r| r >= 1 && r <= 40),
+        rids.iter().all(|r| (1..=40).contains(r)),
         "rids are dense from 1"
     );
     for tl in obs.recorder().slowest() {
@@ -145,6 +154,7 @@ fn coalesced_mixed_priority_run_yields_balanced_timelines_and_identical_results(
 
 #[test]
 fn slo_accounting_matches_hand_computed_virtual_time() {
+    let _tracing = tracing();
     let policy = SloPolicy::new(vec![Some(1_500), None, None]);
     let mut s = Server::new(
         FixedServiceBackend::new(1_000),
@@ -188,11 +198,12 @@ fn slo_accounting_matches_hand_computed_virtual_time() {
     assert_eq!(tl.phases.get(hermes::obs::Phase::QueueWait), 999);
     assert_eq!(tl.phases.get(hermes::obs::Phase::Residual), 1_000);
     assert!(tl.is_balanced());
-    assert_eq!(tl.met_target(1_500), false);
+    assert!(!tl.met_target(1_500));
 }
 
 #[test]
 fn cached_backend_run_exports_a_parseable_unified_exposition() {
+    let _tracing = tracing();
     let f = fixture();
     let run = || {
         let cell = std::sync::Arc::new(GenerationCell::new(f.store.clone()));
@@ -238,6 +249,7 @@ fn cached_backend_run_exports_a_parseable_unified_exposition() {
 
 #[test]
 fn fixed_service_exposition_is_fully_byte_identical() {
+    let _tracing = tracing();
     // With a synthetic backend every quantity is virtual-time exact, so
     // the whole exposition and both tables must be byte-identical.
     let run = || {
@@ -295,6 +307,7 @@ fn rendered(reg: &MetricsRegistry) -> String {
 
 #[test]
 fn every_exporter_writes_declared_names_no_other_exporter_writes() {
+    let _tracing = tracing();
     let mut s = Server::new(
         FixedServiceBackend::new(500),
         ServerConfig {
@@ -322,9 +335,6 @@ fn every_exporter_writes_declared_names_no_other_exporter_writes() {
 
     let f = fixture();
     let snap = {
-        let _tracing = TRACING
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         hermes::trace::clear();
         hermes::trace::enable();
         let _ = Engine::for_store(&f.store)

@@ -154,7 +154,7 @@ fn main() {
         // The attribution table's p99 rows, keyed by rho instead of quantile.
         let attribution = phase_breakdown_table(obs.attribution());
         for row in attribution.rows().iter().filter(|r| r.cells[0] == "p99") {
-            let cells = [&[row.label.clone()], &row.cells[1..]].concat();
+            let cells = [std::slice::from_ref(&row.label), &row.cells[1..]].concat();
             phase_table.push(Row::new(format!("{rho:.1}"), cells));
         }
         let s = &report.serve;

@@ -339,7 +339,7 @@ mod tests {
         // moderate (mass concentrated on just two of ten clusters), so
         // the two weight extremes must disagree.
         let mut scores = vec![10.0f32, 9.9];
-        scores.extend(std::iter::repeat(0.1).take(8));
+        scores.extend(std::iter::repeat_n(0.1, 8));
         let margin_only = DifficultyEstimator::new(
             AdaptiveConfig::new(1, 4, 16, 128).with_entropy_weight_permille(0),
         )

@@ -210,7 +210,7 @@ mod tests {
         let skewed = Corpus::generate(CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(1.0));
         let flat = Corpus::generate(CorpusSpec::new(2000, 4, 8).with_seed(4).with_size_skew(0.0));
         let imb = |c: &Corpus| {
-            let mut s = vec![0usize; 8];
+            let mut s = [0usize; 8];
             for &t in c.topic_of() {
                 s[t as usize] += 1;
             }

@@ -273,7 +273,7 @@ mod tests {
         let stream = query_stream(&p, StreamSpec::repeated(100).with_seed(10));
         let rows: Vec<&[f32]> = p.embeddings().iter_rows().collect();
         for q in &stream {
-            assert!(rows.iter().any(|r| *r == q.as_slice()));
+            assert!(rows.contains(&q.as_slice()));
         }
         // Zipf skew means some query repeats exactly.
         let mut counts = vec![0usize; rows.len()];

@@ -405,8 +405,8 @@ pub(crate) mod avx2 {
             acc = _mm256_fmadd_ps(xa, xa, acc);
         }
         let mut sum = hsum_in_order(acc);
-        for i in chunks * 8..n {
-            sum = x[i].mul_add(x[i], sum);
+        for &v in &x[chunks * 8..] {
+            sum = v.mul_add(v, sum);
         }
         sum
     }

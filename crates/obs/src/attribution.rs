@@ -124,8 +124,8 @@ impl ClassAttribution {
     pub fn mean_phase_ns(&self) -> [f64; PHASES] {
         let mut means = [0.0; PHASES];
         if self.count > 0 {
-            for i in 0..PHASES {
-                means[i] = self.phase_sums[i] as f64 / self.count as f64;
+            for (mean, &sum) in means.iter_mut().zip(&self.phase_sums) {
+                *mean = sum as f64 / self.count as f64;
             }
         }
         means
@@ -143,8 +143,8 @@ impl ClassAttribution {
         debug_assert!(n > 0, "percentile bucket must be populated");
         let mut mean_phase_ns = [0.0; PHASES];
         if n > 0 {
-            for i in 0..PHASES {
-                mean_phase_ns[i] = self.bucket_phase_sums[b][i] as f64 / n as f64;
+            for (mean, &sum) in mean_phase_ns.iter_mut().zip(&self.bucket_phase_sums[b]) {
+                *mean = sum as f64 / n as f64;
             }
         }
         Some(Breakdown {

@@ -386,7 +386,7 @@ impl Pool {
             self.inner.work.notify_all();
         }
         IN_POOL_TASK.with(|t| t.set(true));
-        let caller = catch_unwind(AssertUnwindSafe(|| task()));
+        let caller = catch_unwind(AssertUnwindSafe(task));
         IN_POOL_TASK.with(|t| t.set(false));
         {
             let mut slot = lock(&self.inner.slot);

@@ -171,8 +171,7 @@ mod tests {
         let cell = GenerationCell::new(s.clone());
         let pinned = cell.current();
         let mut next = s;
-        next.insert(9_999, &pinned.split_centroid(0).to_vec())
-            .unwrap();
+        next.insert(9_999, pinned.split_centroid(0)).unwrap();
         cell.swap(next);
         assert_eq!(cell.epoch(), 1);
         // The pinned snapshot still answers from the old generation.

@@ -122,8 +122,7 @@ fn fail<S: Strategy>(
     strategy: &S,
     origin: &str,
     case_seed: Option<u64>,
-    value: S::Value,
-    error: String,
+    (value, error): (S::Value, String),
     prop: &impl Fn(&S::Value) -> Result<(), String>,
 ) -> ! {
     let (value, error, steps) = shrink_failure(cfg, strategy, value, error, prop);
@@ -156,8 +155,7 @@ pub fn check_with_regressions<S: Strategy>(
                 strategy,
                 &format!("regression {i}"),
                 None,
-                value.clone(),
-                error,
+                (value.clone(), error),
                 &prop,
             );
         }
@@ -172,8 +170,7 @@ pub fn check_with_regressions<S: Strategy>(
                 strategy,
                 "replayed case",
                 Some(case_seed),
-                value,
-                error,
+                (value, error),
                 &prop,
             );
         }
@@ -189,8 +186,7 @@ pub fn check_with_regressions<S: Strategy>(
                 strategy,
                 &format!("case {case} of {}", cfg.cases),
                 Some(case_seed),
-                value,
-                error,
+                (value, error),
                 &prop,
             );
         }

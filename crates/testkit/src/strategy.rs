@@ -237,7 +237,7 @@ impl<S: Strategy> Strategy for VecOf<S> {
                 out.push(value[value.len() - half..].to_vec());
                 out.push(value[..half].to_vec());
             }
-            if value.len() - 1 >= min_len {
+            if value.len() > min_len {
                 for i in 0..value.len().min(MAX_ELEMENT_CANDIDATES) {
                     let mut v = value.clone();
                     v.remove(i);

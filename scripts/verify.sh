@@ -14,6 +14,11 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+# The workspace is clippy-clean on every target (libraries, binaries,
+# tests, examples): a warning anywhere fails here.
+echo "== cargo clippy (warnings denied) =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 cargo build --release --offline
 cargo test -q --offline
 

@@ -185,8 +185,8 @@ fn adversarial_blocks_match_references_and_ulp_bound() {
                     }
                 }
                 for li in 1..levels.len() {
-                    for i in 0..n {
-                        let scale = similarity_scale(metric, &case.query, &case.rows[i]);
+                    for (i, row) in case.rows.iter().enumerate() {
+                        let scale = similarity_scale(metric, &case.query, row);
                         prop_assert!(
                             ulp_within_scaled(per_level[0][i], per_level[li][i], MAX_ULP, scale),
                             "{} vs {} {} dim {} row {}: {:e} vs {:e} (scale {:e})",

@@ -12,7 +12,7 @@
 //!   asserts the paged open is **at least 5x faster at the largest
 //!   store** (in practice it is orders of magnitude).
 //! * **Rebalance pause is a per-cluster cost, not a per-store cost.**
-//!   One incremental [`Rebalancer`] step re-clusters a single shard,
+//!   One incremental [`Rebalancer`] step cuts a single shard in two,
 //!   so its pause grows with the *cluster* size while a stop-the-world
 //!   `rebuild` grows with the *store* size. The table reports both so
 //!   the gap is visible across the sweep.
@@ -139,7 +139,7 @@ fn main() {
     println!(
         "paged open touched only header + checksum table + meta pages \
          ({final_speedup:.0}x faster than a full load at the largest store);\n\
-         one rebalance step re-clusters a single shard while rebuild walks \
+         one rebalance step cuts a single shard while rebuild walks \
          the whole store."
     );
 }

@@ -261,7 +261,7 @@ fn hnsw_results_are_unique_and_sorted() {
 /// alone — hit ids, score bits, `ScanStats`, errors — for groups of
 /// 1..=9, every codec and metric, between 2 and 40 lists over at most
 /// 120 rows (so row plans cross many short — 1-code, sub-tile — lists,
-/// or few long ones), tombstoned lists, mixed `nprobe`, duplicate
+/// or few long ones), lists rows were removed from, mixed `nprobe`, duplicate
 /// queries and a query that errors in the middle of the group.
 #[test]
 fn search_group_equals_per_query_search() {
@@ -354,7 +354,7 @@ fn nearest_lists(index: &IvfIndex, queries: &[&[f32]], nprobe: usize) -> Vec<Vec
 /// scan that score at least `t`, with the same `ScanStats`: floors −∞ and
 /// NaN (no floor), the exact k-th score, a score two hits tie at, one
 /// inside the answer and one above it — every codec and metric, lists
-/// with tombstones, codes on both sides of the 32 bytes the AVX2 integer
+/// rows were removed from, codes on both sides of the 32 bytes the AVX2 integer
 /// kernel needs, and all floors of a query in one group.
 #[test]
 fn a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor() {

@@ -46,16 +46,6 @@ impl FlatIndex {
         assert_eq!(ids.len(), data.rows(), "one id per row required");
         FlatIndex { data, ids, metric }
     }
-
-    /// Borrow the underlying vectors.
-    pub fn vectors(&self) -> &Mat {
-        &self.data
-    }
-
-    /// Borrow the id table, one id per row.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -73,32 +63,6 @@ impl VectorIndex for FlatIndex {
 
     fn memory_bytes(&self) -> usize {
         self.data.rows() * self.data.cols() * 4 + self.ids.len() * 8
-    }
-
-    fn insert(&mut self, id: u64, v: &[f32]) -> Result<(), IndexError> {
-        // A 0-column store without rows takes the first row's width.
-        if v.len() != self.dim() && (self.data.rows(), self.dim()) != (0, 0) {
-            return Err(IndexError::DimensionMismatch {
-                expected: self.dim(),
-                got: v.len(),
-            });
-        }
-        self.data.push_row(v);
-        self.ids.push(id);
-        Ok(())
-    }
-
-    /// Deletes the first row carrying `id`, keeping the order of the
-    /// rest: a copy of every other row, O(rows × dim).
-    fn remove(&mut self, id: u64) -> bool {
-        let Some(pos) = self.ids.iter().position(|&stored| stored == id) else {
-            return false;
-        };
-        self.ids.remove(pos);
-        self.data = self
-            .data
-            .gather_rows((0..self.data.rows()).filter(|&row| row != pos));
-        true
     }
 
     fn search_with_stats(
@@ -208,89 +172,6 @@ mod tests {
     fn memory_accounts_vectors_and_ids() {
         let index = FlatIndex::new(grid(10), Metric::L2);
         assert_eq!(index.memory_bytes(), 10 * 2 * 4 + 10 * 8);
-    }
-
-    #[test]
-    fn insert_then_search_finds_new_row() {
-        let mut index = FlatIndex::new(grid(5), Metric::L2);
-        index.insert(99, &[100.0, 0.0]).unwrap();
-        assert_eq!(index.len(), 6);
-        let hits = index
-            .search(&[100.0, 0.0], 1, &SearchParams::new())
-            .unwrap();
-        assert_eq!(hits[0].id, 99);
-    }
-
-    #[test]
-    fn removed_rows_never_surface_or_get_scanned_and_results_match_a_rebuild() {
-        let index = FlatIndex::new(grid(40), Metric::L2);
-        let mut mutated = index.clone();
-        assert!(mutated.remove(4));
-        assert!(mutated.remove(5));
-        assert!(!mutated.remove(4), "double remove must be a no-op");
-        assert_eq!(mutated.len(), 38);
-        let (hits, stats) = mutated
-            .search_with_stats(&[4.2, 0.0], 3, &SearchParams::new())
-            .unwrap();
-        assert_eq!(stats.scanned_codes, mutated.len());
-        assert!(hits.iter().all(|h| h.id != 4 && h.id != 5));
-        // Bit-identical to an index built from the surviving rows only.
-        let survivors: Vec<Vec<f32>> = (0..40)
-            .filter(|&i| i != 4 && i != 5)
-            .map(|i| vec![i as f32, 0.0])
-            .collect();
-        let surviving_ids: Vec<u64> = (0..40u64).filter(|&i| i != 4 && i != 5).collect();
-        let rebuilt = FlatIndex::with_ids(Mat::from_rows(&survivors), surviving_ids, Metric::L2);
-        assert_eq!(
-            hits,
-            rebuilt
-                .search(&[4.2, 0.0], 3, &SearchParams::new())
-                .unwrap()
-        );
-    }
-
-    #[test]
-    fn removal_frees_storage_and_keeps_the_remaining_order() {
-        let mut index = FlatIndex::new(grid(33), Metric::L2);
-        let mem_before = index.memory_bytes();
-        for id in [0u64, 13, 32] {
-            assert!(index.remove(id));
-        }
-        assert_eq!(index.len(), 30);
-        assert!(index.memory_bytes() < mem_before);
-        let (hits, stats) = index
-            .search_with_stats(&[10.1, 0.0], 5, &SearchParams::new())
-            .unwrap();
-        assert_eq!(stats.scanned_codes, index.len());
-        let ids: Vec<u64> = hits.iter().map(|h| h.id).collect();
-        assert_eq!(ids, [10, 11, 9, 12, 8]);
-        // The rows after each removed one moved up, in order.
-        let kept: Vec<u64> = (0..33).filter(|id| ![0, 13, 32].contains(id)).collect();
-        assert_eq!(index.ids(), kept);
-        let rows: Vec<f32> = kept.iter().flat_map(|&id| [id as f32, 0.0]).collect();
-        assert_eq!(index.vectors().as_slice(), rows);
-    }
-
-    #[test]
-    fn all_rows_removed_is_empty() {
-        let mut index = FlatIndex::new(grid(2), Metric::L2);
-        assert!(index.remove(0));
-        assert!(index.remove(1));
-        assert!(index.is_empty());
-        assert_eq!(
-            index
-                .search(&[0.0, 0.0], 1, &SearchParams::new())
-                .unwrap_err(),
-            IndexError::Empty
-        );
-        // The emptied index keeps its width.
-        assert!(matches!(
-            index.insert(2, &[1.0, 2.0, 3.0]),
-            Err(IndexError::DimensionMismatch {
-                expected: 2,
-                got: 3
-            })
-        ));
     }
 
     #[test]

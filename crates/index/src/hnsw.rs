@@ -107,11 +107,8 @@ impl HnswBuilder {
         Ok(index)
     }
 
-    /// Creates an empty index ready for explicit-id [`HnswIndex::insert`]
-    /// calls — the streaming-ingest form of [`Self::build`], and the
-    /// primitive [`VectorIndex::compact`]'s deterministic rebuild is
-    /// defined (and pinned by tests) against.
-    pub fn build_empty(&self, dim: usize) -> HnswIndex {
+    /// The empty index [`Self::build`] inserts its rows into.
+    fn build_empty(&self, dim: usize) -> HnswIndex {
         HnswIndex {
             dim,
             metric: self.metric,
@@ -123,10 +120,7 @@ impl HnswBuilder {
             ids: Vec::new(),
             levels: Vec::new(),
             links: Vec::new(),
-            dead: Vec::new(),
-            dead_count: 0,
             entry: None,
-            seed: self.seed,
             rng_state: seeded_rng(self.seed),
         }
     }
@@ -146,15 +140,7 @@ pub struct HnswIndex {
     /// `links[node][level]` — adjacency lists, one per level the node
     /// participates in.
     links: Vec<Vec<Vec<u32>>>,
-    /// Tombstone bitmap, one flag per node. Dead nodes keep their links
-    /// and stay *navigable* — removing edges would disconnect regions of
-    /// the graph — but are filtered from results until compaction
-    /// rebuilds the graph without them.
-    dead: Vec<bool>,
-    dead_count: usize,
     entry: Option<u32>,
-    /// Builder seed, retained so compaction can rebuild deterministically.
-    seed: u64,
     rng_state: hermes_math::rng::SeededRng,
 }
 
@@ -369,12 +355,13 @@ impl HnswIndex {
         (-u.ln() * ml).floor() as usize
     }
 
-    /// Inserts a vector with an explicit id.
+    /// Inserts a vector with an explicit id: the step
+    /// [`HnswBuilder::build`] takes once per row.
     ///
     /// # Errors
     ///
     /// Returns [`IndexError::DimensionMismatch`] on a wrong-sized vector.
-    pub fn insert(&mut self, id: u64, v: &[f32]) -> Result<(), IndexError> {
+    fn insert(&mut self, id: u64, v: &[f32]) -> Result<(), IndexError> {
         if v.len() != self.dim {
             return Err(IndexError::DimensionMismatch {
                 expected: self.dim,
@@ -389,7 +376,6 @@ impl HnswIndex {
                 .extend(v.iter().map(|&x| f32_to_f16_bits(x))),
         }
         self.ids.push(id);
-        self.dead.push(false);
         let level = self.draw_level();
         self.levels.push(level.min(u8::MAX as usize) as u8);
         self.links.push(vec![Vec::new(); level + 1]);
@@ -539,7 +525,7 @@ impl VectorIndex for HnswIndex {
     }
 
     fn len(&self) -> usize {
-        self.ids.len() - self.dead_count
+        self.ids.len()
     }
 
     fn metric(&self) -> Metric {
@@ -556,56 +542,7 @@ impl VectorIndex for HnswIndex {
             .iter()
             .flat_map(|per_node| per_node.iter().map(|l| l.len() * 4 + 24))
             .sum();
-        vec_bytes + link_bytes + self.ids.len() * 8 + self.levels.len() + self.dead.len()
-    }
-
-    fn insert(&mut self, id: u64, v: &[f32]) -> Result<(), IndexError> {
-        HnswIndex::insert(self, id, v)
-    }
-
-    fn remove(&mut self, id: u64) -> bool {
-        for (node, &stored) in self.ids.iter().enumerate() {
-            if stored == id && !self.dead[node] {
-                // The node keeps its links (and can stay the entry
-                // point): dead nodes remain navigable waypoints so the
-                // graph does not fragment; they are only filtered from
-                // results.
-                self.dead[node] = true;
-                self.dead_count += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    fn tombstones(&self) -> usize {
-        self.dead_count
-    }
-
-    fn compact(&mut self) {
-        if self.dead_count == 0 {
-            return;
-        }
-        // Graph topology depends on insertion order, so compaction is a
-        // *deterministic rebuild*: re-insert survivors in node order into
-        // a fresh index seeded with the original builder seed. Pinned by
-        // tests against the identical manual `build_empty` + `insert`
-        // sequence.
-        let mut fresh = HnswIndex::builder()
-            .m(self.m)
-            .ef_construction(self.ef_construction)
-            .storage(self.storage)
-            .metric(self.metric)
-            .seed(self.seed)
-            .build_empty(self.dim);
-        for node in 0..self.ids.len() as u32 {
-            if !self.dead[node as usize] {
-                fresh
-                    .insert(self.ids[node as usize], &self.vector(node))
-                    .expect("stored vectors have the index dimension");
-            }
-        }
-        *self = fresh;
+        vec_bytes + link_bytes + self.ids.len() * 8 + self.levels.len()
     }
 
     fn search_with_stats(
@@ -623,9 +560,6 @@ impl VectorIndex for HnswIndex {
         let Some(entry) = self.entry else {
             return Err(IndexError::Empty);
         };
-        if self.len() == 0 {
-            return Err(IndexError::Empty);
-        }
         let mut evals = 0usize;
         let top_level = self.levels[entry as usize] as usize;
         let mut ep = entry;
@@ -634,11 +568,8 @@ impl VectorIndex for HnswIndex {
         }
         let ef = params.ef_search.max(k).max(1);
         let found = self.search_layer(query, &[ep], ef, 0, &mut evals);
-        // Tombstoned nodes participated in the traversal as waypoints
-        // (identical beam to the unmutated graph) but never surface.
         let mut out: Vec<Neighbor> = found
             .into_iter()
-            .filter(|n| !self.dead[n.id as usize])
             .take(k)
             .map(|n| Neighbor::new(self.ids[n.id as usize], n.score))
             .collect();
@@ -821,111 +752,6 @@ mod tests {
             .search(data.row(0), 200, &SearchParams::new().with_ef_search(200))
             .unwrap();
         assert!(hits.len() >= 190, "reached only {} nodes", hits.len());
-    }
-
-    #[test]
-    fn removed_nodes_are_waypoints_not_results() {
-        let data = random_data(300, 8, 23);
-        let mut mutated = HnswIndex::builder()
-            .m(8)
-            .metric(Metric::L2)
-            .storage(VectorStorage::F32)
-            .seed(3)
-            .build(&data)
-            .unwrap();
-        let twin = HnswIndex::builder()
-            .m(8)
-            .metric(Metric::L2)
-            .storage(VectorStorage::F32)
-            .seed(3)
-            .build(&data)
-            .unwrap();
-        let gone = [7u64, 100, 250];
-        for &id in &gone {
-            assert!(mutated.remove(id));
-        }
-        assert_eq!(mutated.len(), 297);
-        assert_eq!(mutated.tombstones(), 3);
-        // Dead nodes stay navigable: the mutated search must equal the
-        // unmutated twin's search with dead ids dropped — both run the
-        // identical traversal, only the result filter differs.
-        let params = SearchParams::new().with_ef_search(64);
-        for qi in (0..300).step_by(29) {
-            let got = mutated.search(data.row(qi), 5, &params).unwrap();
-            assert!(got.iter().all(|h| !gone.contains(&h.id)));
-            let mut want: Vec<_> = twin
-                .search(data.row(qi), 5 + gone.len(), &params)
-                .unwrap()
-                .into_iter()
-                .filter(|h| !gone.contains(&h.id))
-                .take(5)
-                .collect();
-            want.sort();
-            assert_eq!(got, want, "query {qi}");
-        }
-    }
-
-    #[test]
-    fn compact_matches_manual_seeded_rebuild_bitwise() {
-        let data = random_data(200, 8, 27);
-        let builder = HnswIndex::builder()
-            .m(8)
-            .ef_construction(80)
-            .metric(Metric::L2)
-            .storage(VectorStorage::F16)
-            .seed(11);
-        let mut index = builder.clone().build(&data).unwrap();
-        for id in [0u64, 50, 199, 123] {
-            assert!(index.remove(id));
-        }
-        index.compact();
-        assert_eq!(index.tombstones(), 0);
-        assert_eq!(index.len(), 196);
-        // The pinned reference: identical survivors inserted in node
-        // order into an identically-seeded empty index.
-        let mut reference = builder.build_empty(8);
-        for i in 0..200u64 {
-            if ![0, 50, 199, 123].contains(&i) {
-                reference.insert(i, data.row(i as usize)).unwrap();
-            }
-        }
-        let params = SearchParams::new().with_ef_search(64);
-        for qi in (0..200).step_by(17) {
-            assert_eq!(
-                index.search(data.row(qi), 5, &params).unwrap(),
-                reference.search(data.row(qi), 5, &params).unwrap(),
-                "query {qi}"
-            );
-        }
-    }
-
-    #[test]
-    fn removing_the_entry_point_keeps_the_graph_searchable() {
-        let data = random_data(100, 4, 29);
-        let mut index = HnswIndex::builder()
-            .metric(Metric::L2)
-            .storage(VectorStorage::F32)
-            .build(&data)
-            .unwrap();
-        // Remove every node once; after each batch the survivors stay
-        // reachable (the entry may be dead but still routes).
-        for id in 0..90u64 {
-            assert!(index.remove(id));
-        }
-        assert_eq!(index.len(), 10);
-        let hits = index
-            .search(data.row(95), 10, &SearchParams::new().with_ef_search(100))
-            .unwrap();
-        assert!(!hits.is_empty());
-        assert!(hits.iter().all(|h| h.id >= 90));
-        for id in 90..100u64 {
-            assert!(index.remove(id));
-        }
-        assert!(index.is_empty());
-        assert!(matches!(
-            index.search(data.row(0), 1, &SearchParams::new()),
-            Err(IndexError::Empty)
-        ));
     }
 
     #[test]

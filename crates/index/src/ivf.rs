@@ -510,50 +510,28 @@ impl VectorIndex for IvfIndex {
         codes + ids + centroids
     }
 
-    fn insert(&mut self, id: u64, v: &[f32]) -> Result<(), IndexError> {
-        self.add(id, v)
-    }
-
-    fn remove(&mut self, id: u64) -> bool {
-        self.take(id).is_some()
-    }
-
+    /// The query's `max(nprobe, 1)` nearest lists ([`select_nearest`]
+    /// on its coarse keys, in the thread's scratch), then the scan body
+    /// of [`IvfIndex::search_lists`].
     fn search_with_stats(&self, query: &[f32], k: usize, params: &SearchParams) -> ScanResult {
-        self.search_group(&[(query, params.nprobe)], k)
-            .results
-            .pop()
-            .unwrap_or_else(|| {
-                Err(IndexError::InvalidParam(
-                    "the group scan of one query returned no result".into(),
-                ))
-            })
-    }
-
-    /// [`IvfIndex::coarse_keys`], then each query's `max(nprobe, 1)`
-    /// nearest lists ([`select_nearest`], on the keys in the thread's
-    /// scratch), then the scan body of [`IvfIndex::search_lists`].
-    fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
+        self.check_query(query)?;
         with_scratch(|scratch| {
             let ScanScratch {
-                coarse,
-                active,
-                plan,
-                ..
+                keys, active, plan, ..
             } = scratch;
-            self.fill_keys(queries.iter().map(|q| q.0), coarse);
-            let nlist = self.lists.len();
+            self.coarse.probe_keys([query].into_iter(), keys);
+            let chosen = select_nearest(keys, params.nprobe);
+            let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
             active.clear();
             plan.clear();
-            let results = (queries.iter().zip(&coarse.rows).enumerate())
-                .map(|(qi, (&(_, nprobe), row))| {
-                    let row = row.clone()?;
-                    let keys = &mut coarse.keys[row * nlist..(row + 1) * nlist];
-                    let chosen = select_nearest(keys, nprobe);
-                    let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
-                    Ok(self.plan_run(qi, lists, plan, active))
-                })
-                .collect();
-            self.scan_group(|qi| (queries[qi].0, f32::NEG_INFINITY), results, k, scratch)
+            let planned = self.plan_run(0, lists, plan, active);
+            let mut scan = self.scan_group(
+                |_| (query, f32::NEG_INFINITY),
+                vec![Ok(planned)],
+                k,
+                scratch,
+            );
+            scan.results.swap_remove(0)
         })
     }
 }
@@ -572,10 +550,10 @@ impl IvfIndex {
 
     /// Scans, for each `(query, lists, floor)` of the group, exactly the
     /// inverted lists it names (each at most once), in the order given —
-    /// the scan [`VectorIndex::search_group`] runs once it has selected
-    /// each query's lists, so a query paired with the lists its `nprobe`
-    /// selects, at floor −∞, gets that search's answer to the bit. An
-    /// empty set probes nothing and answers no hits with zero
+    /// the scan [`VectorIndex::search_with_stats`] runs once it has
+    /// selected the query's lists, so a query paired with the lists its
+    /// `nprobe` selects, at floor −∞, gets that search's answer to the
+    /// bit. An empty set probes nothing and answers no hits with zero
     /// [`ScanStats`]; a query that fails the index's checks, or names a
     /// list the index does not have, is answered with the error.
     ///
@@ -908,9 +886,9 @@ fn with_scratch<T>(scan: impl FnOnce(&mut ScanScratch) -> T) -> T {
 /// over.
 #[derive(Default)]
 struct ScanScratch {
-    /// [`VectorIndex::search_group`]'s coarse keys; selection reorders
-    /// them in place.
-    coarse: CoarseKeys,
+    /// [`VectorIndex::search_with_stats`]'s coarse keys; selection
+    /// reorders them in place.
+    keys: Vec<u64>,
     /// Input index of each scan slot.
     active: Vec<usize>,
     plan: Plan,
@@ -1337,9 +1315,9 @@ mod tests {
             .build(&data)
             .unwrap();
         for id in [3u64, 77, 150, 299] {
-            assert!(ivf.remove(id));
+            assert!(ivf.take(id).is_some());
         }
-        assert!(!ivf.remove(3), "double remove is a no-op");
+        assert!(ivf.take(3).is_none(), "a taken row is gone");
         assert_eq!(ivf.len(), 296);
         // A full probe scans every stored row, and only live rows are
         // stored.
@@ -1353,6 +1331,11 @@ mod tests {
 
     #[test]
     fn serialization_drops_tombstones_but_answers_identically() {
+        // The reference adds the survivors, in order, onto the churned
+        // index's own centroids and codec: removal keeps the order of the
+        // other rows and the build assigns rows as `add` does, so the two
+        // must not differ by an image byte, a hit, a score bit or a scan
+        // count, before or after the image is read back.
         let data = clustered_data(200, 8, 4, 42);
         let mut ivf = IvfIndex::builder()
             .nlist(4)
@@ -1361,18 +1344,34 @@ mod tests {
             .seed(9)
             .build(&data)
             .unwrap();
-        for id in [1u64, 50, 199] {
-            assert!(ivf.remove(id));
+        let gone = [1u64, 50, 199];
+        for id in gone {
+            assert!(ivf.take(id).is_some());
         }
-        let loaded = IvfIndex::from_bytes(&ivf.to_bytes()).unwrap();
-        assert_eq!(loaded.len(), ivf.len());
-        assert_eq!(loaded.tombstones(), 0, "on-disk image is compacted");
-        let params = SearchParams::new().with_nprobe(4);
-        for qi in (0..200).step_by(31) {
-            assert_eq!(
-                loaded.search(data.row(qi), 8, &params).unwrap(),
-                ivf.search(data.row(qi), 8, &params).unwrap()
-            );
+        let parts = ivf.clone().into_parts();
+        let mut reference = IvfIndex::from_parts(IvfParts {
+            lists: vec![InvertedList::default(); parts.lists.len()],
+            ..parts
+        })
+        .unwrap();
+        for (id, row) in data.iter_rows().enumerate() {
+            if !gone.contains(&(id as u64)) {
+                reference.add(id as u64, row).unwrap();
+            }
+        }
+        let image = ivf.to_bytes();
+        assert_eq!(image, reference.to_bytes());
+        let loaded = IvfIndex::from_bytes(&image).unwrap();
+        for nprobe in [1, 3, 6] {
+            let params = SearchParams::new().with_nprobe(nprobe);
+            for qi in (0..200).step_by(31) {
+                let q = data.row(qi);
+                let want = reference.search_with_stats(q, 8, &params).unwrap();
+                for (index, side) in [(&ivf, "churned"), (&loaded, "read back")] {
+                    let got = index.search_with_stats(q, 8, &params);
+                    assert_same_scan(&got, &want, &format!("{side} q{qi} nprobe {nprobe}"));
+                }
+            }
         }
     }
 
@@ -1450,8 +1449,8 @@ mod tests {
             .metric(Metric::L2)
             .build(&data)
             .unwrap();
-        assert!(ivf.remove(5));
-        assert!(ivf.remove(80));
+        assert!(ivf.take(5).is_some());
+        assert!(ivf.take(80).is_some());
         let exported = ivf.export_live();
         assert_eq!(exported.len(), 118);
         let ids: std::collections::BTreeSet<u64> = exported.iter().map(|(id, _)| *id).collect();
@@ -1571,7 +1570,7 @@ mod tests {
                     .build(&data)
                     .unwrap();
                 for id in (0..600u64).step_by(7) {
-                    assert!(index.remove(id));
+                    assert!(index.take(id).is_some());
                 }
                 // Seven queries with a duplicate, mixed nprobe (1 ..
                 // beyond nlist) and a wrong-dimension query in the middle.
@@ -1590,24 +1589,17 @@ mod tests {
         }
     }
 
-    /// Asserts that `queries` as one group, and each alone, answer
-    /// exactly like the scalar walk (a wrong-dimension query with the
-    /// dimension error, without disturbing its neighbours), and that the
-    /// lists selected from the group's keys, handed to the list scan,
-    /// give the same scan.
+    /// Asserts that `queries` as one [`list_scan`], and each alone,
+    /// answer exactly like the scalar walk (a wrong-dimension query with
+    /// the dimension error, without disturbing its neighbours).
     fn assert_group_matches_walk(
         index: &IvfIndex,
         queries: &[(&[f32], usize)],
         k: usize,
         ctx: &str,
     ) {
-        let group = index.search_group(queries, k);
+        let group = list_scan(index, queries, k);
         assert_eq!(group.results.len(), queries.len());
-        let selected = selected(index, queries);
-        let lists: Vec<(&[f32], &[u32], f32)> = (selected.iter())
-            .map(|(q, l)| (*q, &l[..], f32::NEG_INFINITY))
-            .collect();
-        assert_eq!(index.search_lists(&lists, k), group, "{ctx}: lists");
         for (qi, &(q, nprobe)) in queries.iter().enumerate() {
             let alone = index.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe));
             if q.len() != index.dim {
@@ -1645,7 +1637,7 @@ mod tests {
                     .chain((30..total as u64).step_by(5))
                     .collect();
                 for &id in &dead {
-                    assert!(index.remove(id));
+                    assert!(index.take(id).is_some());
                 }
                 let bad = [0.5f32; 3];
                 let row = |i: usize| data.row(i % total);
@@ -1695,7 +1687,7 @@ mod tests {
             // best lists, and the 1-row list whole.
             let dead = (total - 290..total).step_by(3).chain([415, 416, 420]);
             for id in dead {
-                assert!(index.remove(id as u64));
+                assert!(index.take(id as u64).is_some());
             }
             for group_size in [1usize, 3, 4, 5] {
                 let queries: Vec<(&[f32], usize)> = (0..group_size)
@@ -1717,7 +1709,7 @@ mod tests {
             let live = index.len;
             let first = index.lists[0].ids.len();
             for (q, kept) in [(&up, live - first..=2 * live), (&down, 0..=2 * first)] {
-                let scan = index.search_group(&[(q, 8), (q, 8)], 1);
+                let scan = list_scan(&index, &[(q, 8), (q, 8)], 1);
                 assert!(
                     kept.contains(&scan.rescored_codes),
                     "{metric}: rescored {} of {live} live rows, {first} in the first list",
@@ -1736,15 +1728,15 @@ mod tests {
         let data = clustered_data(500, 8, 6, 53);
         let index = IvfIndex::builder().nlist(30).seed(2).build(&data).unwrap();
         let queries: Vec<(&[f32], usize)> = (0..5).map(|i| (data.row(i * 90), 4 + i)).collect();
-        let warm = index.search_group(&queries, 10);
+        let warm = list_scan(&index, &queries, 10);
         let held = SCRATCH.take();
         assert!(held.is_some(), "a finished scan parks its scratch");
-        let reentered = index.search_group(&queries, 10);
+        let reentered = list_scan(&index, &queries, 10);
         SCRATCH.set(held);
         assert_eq!(reentered, warm);
-        assert_eq!(index.search_group(&queries, 10), warm);
+        assert_eq!(list_scan(&index, &queries, 10), warm);
         // A smaller, different scan over the dirty scratch.
-        let one = index.search_group(&queries[3..4], 3);
+        let one = list_scan(&index, &queries[3..4], 3);
         assert_eq!(
             one.results[0].as_ref().unwrap().0,
             warm.results[3].as_ref().unwrap().0[..3]
@@ -1813,12 +1805,23 @@ mod tests {
             .collect()
     }
 
+    /// `queries` as one [`IvfIndex::search_lists`] group: each query with
+    /// the lists a search at its `nprobe` selects ([`selected`]), at
+    /// floor −∞.
+    fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
+        let selected = selected(index, queries);
+        let lists: Vec<(&[f32], &[u32], f32)> = (selected.iter())
+            .map(|(q, l)| (*q, &l[..], f32::NEG_INFINITY))
+            .collect();
+        index.search_lists(&lists, k)
+    }
+
     #[test]
     fn list_scan_takes_list_sets_as_given() {
         let data = clustered_data(600, 12, 9, 55);
         let mut index = IvfIndex::builder().nlist(40).seed(6).build(&data).unwrap();
         for id in (0..600u64).step_by(9) {
-            assert!(index.remove(id));
+            assert!(index.take(id).is_some());
         }
         let bad = [1.0f32; 5];
         let keys = index.coarse_keys([data.row(3), &bad[..]].into_iter());
@@ -1892,13 +1895,13 @@ mod tests {
     fn group_scan_of_an_empty_index_or_group() {
         let data = clustered_data(20, 4, 2, 52);
         let mut index = IvfIndex::builder().nlist(2).build(&data).unwrap();
-        let none = index.search_group(&[], 3);
+        let none = list_scan(&index, &[], 3);
         assert!(none.results.is_empty());
         assert_eq!(none.rescored_codes, 0);
         for id in 0..20 {
-            assert!(index.remove(id));
+            assert!(index.take(id).is_some());
         }
-        let scan = index.search_group(&[(data.row(0), 2), (data.row(1), 2)], 3);
+        let scan = list_scan(&index, &[(data.row(0), 2), (data.row(1), 2)], 3);
         assert_eq!(
             scan.results,
             vec![Err(IndexError::Empty), Err(IndexError::Empty)]

@@ -102,13 +102,14 @@ pub struct ScanStats {
 /// [`VectorIndex::search_with_stats`] returns for it.
 pub type ScanResult = Result<(Vec<Neighbor>, ScanStats), IndexError>;
 
-/// Outcome of [`VectorIndex::search_group`]: one independent answer per
+/// Outcome of [`IvfIndex::search_lists`]: one independent answer per
 /// query plus what the scan's bound filter left to the exact kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupScan {
-    /// Per-query results, positionally aligned with the input queries —
-    /// each exactly what [`VectorIndex::search_with_stats`] returns for
-    /// that query alone. One query failing never fails its neighbours.
+    /// Per-query results, positionally aligned with the input queries:
+    /// each query's hits and [`ScanStats`], or its error (see
+    /// [`IvfIndex::search_lists`]). One query failing never fails its
+    /// neighbours.
     pub results: Vec<ScanResult>,
     /// Of the scanned rows (the results' [`ScanStats::scanned_codes`]),
     /// those an integer upper bound was evaluated on first and could not
@@ -152,7 +153,10 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// Common interface over the three index families.
+/// The search interface of the three index families. Each is built
+/// whole and then only read; the one index that changes after its build,
+/// a served [`IvfIndex`] shard, changes through its inherent
+/// [`IvfIndex::add`] / [`IvfIndex::take`].
 ///
 /// Object-safe so heterogeneous deployments (e.g. the Figure 4 HNSW/IVF
 /// comparison) can hold `Box<dyn VectorIndex>`.
@@ -160,48 +164,16 @@ pub trait VectorIndex: Send + Sync {
     /// Vector dimensionality.
     fn dim(&self) -> usize;
 
-    /// Number of live vectors: those inserted and not removed. An index
-    /// that keeps removed rows resident counts them in
-    /// [`Self::tombstones`] instead.
+    /// Number of stored vectors.
     fn len(&self) -> usize;
 
-    /// Whether the index holds no live vectors.
+    /// Whether the index holds no vectors.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The similarity metric queries are ranked by.
     fn metric(&self) -> Metric;
-
-    /// Inserts one vector with an explicit id (in-place append; no
-    /// retraining). Duplicate ids are permitted and both rows are
-    /// served — deduplication is the caller's policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IndexError::DimensionMismatch`] on a wrong-sized vector.
-    fn insert(&mut self, id: u64, v: &[f32]) -> Result<(), IndexError>;
-
-    /// Removes the first live row carrying `id`. Returns `true` if a row
-    /// was removed, `false` if no live row matched. [`FlatIndex`] and
-    /// [`IvfIndex`] delete the row, keeping the order of the rest, so they
-    /// answer bit for bit like an index that never held it;
-    /// [`HnswIndex`] marks it dead and keeps it as a routing waypoint
-    /// until [`Self::compact`].
-    fn remove(&mut self, id: u64) -> bool;
-
-    /// Number of removed rows still occupying storage: 0 for an index
-    /// whose removals delete the row (the default).
-    fn tombstones(&self) -> usize {
-        0
-    }
-
-    /// Rebuilds storage without the rows [`Self::tombstones`] counts,
-    /// pinned search-equivalent to the index before (for [`HnswIndex`],
-    /// whose graph depends on insertion order, a deterministic seeded
-    /// rebuild). The default, for an index without tombstones, does
-    /// nothing.
-    fn compact(&mut self) {}
 
     /// Resident bytes attributable to this index (codes, ids, graph links,
     /// centroids) — the quantity plotted in Figures 4 and 7.
@@ -222,24 +194,6 @@ pub trait VectorIndex: Send + Sync {
         k: usize,
         params: &SearchParams,
     ) -> Result<(Vec<Neighbor>, ScanStats), IndexError>;
-
-    /// Searches a group of `(query, nprobe)` pairs (`nprobe` is ignored
-    /// by index families without that knob) in one call. Every per-query
-    /// result — hit ids, score bits, [`ScanStats`], errors — is identical
-    /// to [`Self::search_with_stats`] on that query alone; what a group
-    /// buys is the per-call work an implementation can share (the IVF
-    /// coarse pass, say). The default loops the single-query search.
-    fn search_group(&self, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
-        GroupScan {
-            results: queries
-                .iter()
-                .map(|&(q, nprobe)| {
-                    self.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe))
-                })
-                .collect(),
-            rescored_codes: 0,
-        }
-    }
 
     /// Returns up to `k` nearest neighbors of `query`, best first.
     ///

@@ -4,7 +4,7 @@ use hermes_index::{
     f16_bits_to_f32, f32_to_f16_bits, FlatIndex, HnswIndex, IvfIndex, SearchParams, VectorIndex,
     VectorStorage,
 };
-use hermes_kmeans::probe_key_centroid;
+use hermes_kmeans::{probe_key_centroid, select_nearest};
 use hermes_math::rng::seeded_rng;
 use hermes_math::{Mat, Metric};
 use hermes_quant::CodecSpec;
@@ -257,17 +257,18 @@ fn hnsw_results_are_unique_and_sorted() {
     );
 }
 
-/// A group scan answers every query exactly as a scan of that query
-/// alone — hit ids, score bits, `ScanStats`, errors — for groups of
-/// 1..=9, every codec and metric, between 2 and 40 lists over at most
-/// 120 rows (so row plans cross many short — 1-code, sub-tile — lists,
-/// or few long ones), lists rows were removed from, mixed `nprobe`, duplicate
-/// queries and a query that errors in the middle of the group.
+/// A list scan of the lists each query's `nprobe` selects, at floor −∞,
+/// answers every query exactly as a search of that query alone — hit
+/// ids, score bits, `ScanStats`, errors — for groups of 1..=9, every
+/// codec and metric, between 2 and 40 lists over at most 120 rows (so row
+/// plans cross many short — 1-code, sub-tile — lists, or few long ones),
+/// lists rows were removed from, mixed `nprobe`, duplicate queries and a
+/// query that errors in the middle of the group.
 #[test]
-fn search_group_equals_per_query_search() {
+fn search_lists_equals_per_query_search() {
     let strat = tuple3(data_strategy(120, 6), u64_any(), usize_in(1..10));
     check_with(
-        "search_group_equals_per_query_search",
+        "search_lists_equals_per_query_search",
         &Config::from_env().with_cases(12),
         &strat,
         |(rows, pick, group)| {
@@ -292,7 +293,7 @@ fn search_group_equals_per_query_search() {
                     .build(&data)
                     .unwrap();
                 for id in (0..n as u64).step_by(3) {
-                    index.remove(id);
+                    index.take(id);
                 }
                 // `group` queries drawn (with repeats) from the rows,
                 // one of them replaced by a wrong-dimension query.
@@ -308,7 +309,20 @@ fn search_group_equals_per_query_search() {
                     .enumerate()
                     .map(|(i, q)| (q, 1 + (i * 7) % 41))
                     .collect();
-                let scan = index.search_group(&queries, 4);
+                let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+                let lists: Vec<Vec<u32>> = (queries.iter().enumerate())
+                    .map(|(qi, &(_, nprobe))| match keys.query(qi) {
+                        Ok(keys) => select_nearest(&mut keys.to_vec(), nprobe)
+                            .iter()
+                            .map(|&key| probe_key_centroid(key) as u32)
+                            .collect(),
+                        Err(_) => Vec::new(),
+                    })
+                    .collect();
+                let group: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))
+                    .map(|(&(q, _), lists)| (q, &lists[..], f32::NEG_INFINITY))
+                    .collect();
+                let scan = index.search_lists(&group, 4);
                 prop_assert_eq!(scan.results.len(), queries.len());
                 for (&(q, nprobe), got) in queries.iter().zip(&scan.results) {
                     let want =
@@ -392,7 +406,7 @@ fn a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor() {
                         .build(&data)
                         .unwrap();
                     for id in (0..n as u64).step_by(5) {
-                        index.remove(id);
+                        index.take(id);
                     }
                     let lists = nearest_lists(&index, &queries, 1 + seed as usize % 6);
                     let unfloored: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))

@@ -126,21 +126,6 @@ impl Mat {
         &self.data
     }
 
-    /// Appends one row (in-place ingest for mutable indices).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != cols` on a non-empty matrix. An empty
-    /// 0-column matrix adopts the first row's width.
-    pub fn push_row(&mut self, row: &[f32]) {
-        if self.rows == 0 && self.cols == 0 {
-            self.cols = row.len();
-        }
-        assert_eq!(row.len(), self.cols, "ragged rows");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
     /// `M · v` for a column vector `v`.
     ///
     /// # Panics
@@ -265,18 +250,6 @@ mod tests {
         let mut m = Mat::from_rows(&[vec![1.0, 0.0], vec![2.0, 0.0]]);
         m.orthonormalize_rows();
         assert!(distance::inner_product(m.row(0), m.row(1)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn push_and_remove_rows_keep_dense_layout() {
-        let mut m = Mat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        m.push_row(&[5.0, 6.0]);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-        assert_eq!(m.row(2), &[5.0, 6.0]);
-        let mut empty = Mat::zeros(0, 0);
-        empty.push_row(&[7.0, 8.0, 9.0]);
-        assert_eq!((empty.rows(), empty.cols()), (1, 3));
     }
 
     #[test]

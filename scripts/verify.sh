@@ -98,17 +98,21 @@ for simd in auto scalar; do
         --test simd_differential --test properties
 done
 
-# Table 1 and Figures 11, 12, 13 and 18 pinned to the byte: `table1`
-# builds an IVF index per codec over a fixed-seed corpus; `fig11` runs
-# the paper's routing ablation (document sampling, centroid ranking,
-# unranked) over fixed-seed stores, and `fig12`, `fig13` and `fig18`
-# run document sampling over other sample and deep depths, splits and
-# deep-cluster counts.
+# Table 1 and Figures 4, 11, 12, 13 and 18 pinned to the byte: `table1`
+# builds an IVF index per codec over a fixed-seed corpus; `fig04` builds
+# an IVF-SQ8 and an HNSW index over one, picks each one's operating
+# point and projects both to 10B tokens; `fig11` runs the paper's routing
+# ablation (document sampling, centroid ranking, unranked) over
+# fixed-seed stores, and `fig12`, `fig13` and `fig18` run document
+# sampling over other sample and deep depths, splits and deep-cluster
+# counts.
 # None of their outputs depends on the pool width or the dispatch level,
 # so every file each binary writes must be exactly the committed one in
 # bench_results/ — once at the host defaults, once at width 1 on the
-# scalar kernels.
-for bin in table1 fig11 fig12 fig13 fig18; do
+# scalar kernels — except `fig04_measured.md`, whose latency and QPS are
+# wall-clock readings. `fig04` adds ≈ 30 s and ≈ 60 s to the two passes
+# (2-vCPU VM).
+for bin in table1 fig04 fig11 fig12 fig13 fig18; do
     echo "== ${bin} matches its bench_results/ files (release) =="
     for env in "" "HERMES_THREADS=1 HERMES_SIMD=scalar"; do
         bin_out="$(mktemp -d)"
@@ -116,7 +120,9 @@ for bin in table1 fig11 fig12 fig13 fig18; do
         env ${env} HERMES_BENCH_OUT="${bin_out}" \
             cargo run -p hermes-bench --release --offline --quiet --bin "${bin}" >/dev/null
         for out in "${bin_out}"/*; do
-            diff "bench_results/$(basename "${out}")" "${out}"
+            name="$(basename "${out}")"
+            [[ "${name}" == fig04_measured.md ]] && continue
+            diff "bench_results/${name}" "${out}"
         done
         rm -rf "${bin_out}"
     done

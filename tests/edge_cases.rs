@@ -1,5 +1,7 @@
 //! Failure injection and boundary conditions across the stack.
 
+use hermes::index::GroupScan;
+use hermes::kmeans::{probe_key_centroid, select_nearest};
 use hermes::prelude::*;
 
 #[test]
@@ -214,6 +216,26 @@ fn hostile_queries(dim: usize) -> Vec<Vec<f32>> {
     out
 }
 
+/// `queries` as one `IvfIndex::search_lists` group: each query with the
+/// lists a search at its `nprobe` selects from its coarse keys, at floor
+/// −∞ — a search's answer to the bit, query by query.
+fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
+    let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+    let lists: Vec<Vec<u32>> = (queries.iter().enumerate())
+        .map(|(qi, &(_, nprobe))| match keys.query(qi) {
+            Ok(keys) => select_nearest(&mut keys.to_vec(), nprobe)
+                .iter()
+                .map(|&key| probe_key_centroid(key) as u32)
+                .collect(),
+            Err(_) => Vec::new(),
+        })
+        .collect();
+    let group: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))
+        .map(|(&(q, _), lists)| (q, &lists[..], f32::NEG_INFINITY))
+        .collect();
+    index.search_lists(&group, k)
+}
+
 #[test]
 fn non_finite_queries_never_panic_an_ivf_scan() {
     let corpus = Corpus::generate(CorpusSpec::new(600, 8, 4).with_seed(21));
@@ -241,7 +263,7 @@ fn non_finite_queries_never_panic_an_ivf_scan() {
                 let mut group: Vec<(&[f32], usize)> =
                     hostile.iter().map(|q| (q.as_slice(), nprobe)).collect();
                 group.insert(3, (sane, nprobe));
-                let scan = index.search_group(&group, 5);
+                let scan = list_scan(&index, &group, 5);
                 assert!(scan.results.iter().all(Result::is_ok));
                 assert_eq!(
                     scan.results[3],
@@ -279,7 +301,7 @@ fn hostile_queries_get_no_bound_and_scan_exactly() {
             .build(data)
             .unwrap();
         let group: Vec<(&[f32], usize)> = hostile.iter().map(|q| (q.as_slice(), 8)).collect();
-        let scan = index.search_group(&group, 5);
+        let scan = list_scan(&index, &group, 5);
         assert!(scan.results.iter().all(Result::is_ok));
         assert_eq!(scan.rescored_codes, 0, "{metric}");
         let scanned: usize = scan
@@ -291,7 +313,7 @@ fn hostile_queries_get_no_bound_and_scan_exactly() {
         assert!(scanned >= 2_000);
         // A sane query beside them filters, and answers as if alone.
         let sane = (data.row(17), 8);
-        let mixed = index.search_group(&[group[0], sane, group[3]], 5);
+        let mixed = list_scan(&index, &[group[0], sane, group[3]], 5);
         assert!(mixed.rescored_codes > 0, "{metric}");
         let params = SearchParams::new().with_nprobe(8);
         assert_eq!(

@@ -1,17 +1,18 @@
-//! Mutation-equivalence property suite: randomized insert / remove /
-//! compact interleavings on every index family, pinned against an index
-//! rebuilt from exactly the surviving rows.
+//! Mutation-equivalence property suite: randomized insert / remove
+//! interleavings on an IVF shard and on the clustered store, pinned
+//! against an index built from exactly the surviving rows.
 //!
-//! The contract under test is the removal bit-identity rule: a mutated
-//! index answers **bit for bit** like a clean index over its live rows
-//! (Flat, IVF, whose removals delete the row), or like its unmutated twin
-//! with dead ids filtered out (HNSW, whose tombstoned nodes stay
-//! navigable waypoints until compaction). Runs under every `HERMES_SIMD`
-//! level via the verify.sh sweep — each comparison pits a path against
-//! *itself* (same kernels on both sides), so mutation must not perturb a
-//! single score bit at any level; the one cross-path check (IVF vs flat
-//! oracle) is ULP-bounded instead.
+//! The IVF shard is the one index that changes after its build
+//! (`IvfIndex::add` / `IvfIndex::take`; Flat and HNSW are built once).
+//! The contract under test is the removal bit-identity rule: a churned
+//! shard is, byte for byte, the shard its survivors make when added in
+//! order onto its centroids and codec, so it answers **bit for bit** like
+//! it. Runs under every `HERMES_SIMD` level via the verify.sh sweep —
+//! that comparison pits a path against *itself* (same kernels on both
+//! sides), so mutation must not perturb a single score bit at any level;
+//! the one cross-path check (IVF vs flat oracle) is ULP-bounded instead.
 
+use hermes::index::{InvertedList, IvfParts, ScanStats};
 use hermes::prelude::*;
 use hermes_testkit::prelude::*;
 
@@ -19,9 +20,8 @@ fn cfg() -> Config {
     Config::from_env().with_cases(12)
 }
 
-/// Deterministic op stream: inserts (fresh ids), removes (random live
-/// id), occasional compact. Returns the surviving (id, vector) set in
-/// insertion order.
+/// Deterministic op stream: inserts (fresh ids) and removes (random live
+/// id), 55 : 35.
 struct Churn {
     rng: hermes::math::rng::SeededRng,
     dim: usize,
@@ -31,7 +31,6 @@ struct Churn {
 enum Op {
     Insert(u64, Vec<f32>),
     Remove(u64),
-    Compact,
 }
 
 impl Churn {
@@ -51,24 +50,22 @@ impl Churn {
 
     /// Next op given the currently-live id list.
     fn next(&mut self, live: &[u64]) -> Op {
-        let roll = self.rng.gen_range(0u32..100);
+        let roll = self.rng.gen_range(0u32..90);
         if roll < 55 || live.len() < 4 {
             let id = self.next_id;
             self.next_id += 1;
             Op::Insert(id, self.vector())
-        } else if roll < 90 {
+        } else {
             let i = self.rng.gen_range(0..live.len());
             Op::Remove(live[i])
-        } else {
-            Op::Compact
         }
     }
 }
 
 /// Applies `ops` churn steps to `index`, mirroring them into a
-/// `survivors` list of (id, vector).
-fn churn_index<I: VectorIndex>(
-    index: &mut I,
+/// `survivors` list of (id, vector) in insertion order.
+fn churn_index(
+    index: &mut IvfIndex,
     churn: &mut Churn,
     ops: usize,
     survivors: &mut Vec<(u64, Vec<f32>)>,
@@ -77,59 +74,23 @@ fn churn_index<I: VectorIndex>(
         let live: Vec<u64> = survivors.iter().map(|(id, _)| *id).collect();
         match churn.next(&live) {
             Op::Insert(id, v) => {
-                index.insert(id, &v).unwrap();
+                index.add(id, &v).unwrap();
                 survivors.push((id, v));
             }
             Op::Remove(id) => {
-                assert!(index.remove(id), "live id {id} must be removable");
+                assert!(index.take(id).is_some(), "live id {id} must be removable");
                 let i = survivors.iter().position(|(s, _)| *s == id).unwrap();
                 survivors.remove(i);
             }
-            Op::Compact => index.compact(),
         }
     }
 }
 
-/// Flat: a randomly mutated index answers bit-identically to a flat
-/// index rebuilt over exactly the surviving rows, in surviving order.
-#[test]
-fn flat_random_interleavings_match_rebuild_from_survivors() {
-    let strat = tuple3(u64_in(0..1_000), usize_in(20..80), usize_in(1..8));
-    check_with(
-        "flat_random_interleavings_match_rebuild_from_survivors",
-        &cfg(),
-        &strat,
-        |&(seed, ops, k)| {
-            let dim = 12;
-            let mut churn = Churn::new(seed, dim);
-            let seed_rows: Vec<Vec<f32>> = (0..10).map(|_| churn.vector()).collect();
-            let ids: Vec<u64> = (0..10).collect();
-            let mut index = FlatIndex::with_ids(
-                Mat::from_rows(&seed_rows),
-                ids.clone(),
-                Metric::InnerProduct,
-            );
-            let mut survivors: Vec<(u64, Vec<f32>)> = ids.into_iter().zip(seed_rows).collect();
-            churn_index(&mut index, &mut churn, ops, &mut survivors);
-
-            let rebuilt = FlatIndex::with_ids(
-                Mat::from_rows(&survivors.iter().map(|(_, v)| v.clone()).collect::<Vec<_>>()),
-                survivors.iter().map(|(id, _)| *id).collect(),
-                Metric::InnerProduct,
-            );
-            prop_assert_eq!(index.len(), rebuilt.len());
-            let q = churn.vector();
-            let got = index.search(&q, k, &SearchParams::new()).unwrap();
-            let want = rebuilt.search(&q, k, &SearchParams::new()).unwrap();
-            prop_assert_eq!(&got, &want);
-            Ok(())
-        },
-    );
-}
-
-/// IVF: compaction is search-equivalent bit for bit at any probe depth,
-/// and the on-disk image (which drops tombstones) round-trips to the
-/// same answers.
+/// IVF: a churned index equals the index its survivors make when added,
+/// in survival order, onto its own centroids and codec — removal keeps
+/// the order of the other rows, and the build assigns rows the way `add`
+/// does — in its image bytes and in every answer (hits, score bits,
+/// `ScanStats`) at any probe depth, also once its image is read back.
 #[test]
 fn ivf_random_interleavings_compact_and_serialize_bit_identically() {
     let strat = tuple3(u64_in(0..1_000), usize_in(30..100), usize_in(1..6));
@@ -150,21 +111,46 @@ fn ivf_random_interleavings_compact_and_serialize_bit_identically() {
             let mut survivors: Vec<(u64, Vec<f32>)> = (0..60u64).zip(seed_rows).collect();
             churn_index(&mut index, &mut churn, ops, &mut survivors);
 
-            let mut compacted = index.clone();
-            compacted.compact();
-            prop_assert_eq!(compacted.tombstones(), 0);
-            let reloaded = IvfIndex::from_bytes(&index.to_bytes()).unwrap();
+            let parts = index.clone().into_parts();
+            let mut reference = IvfIndex::from_parts(IvfParts {
+                lists: vec![InvertedList::default(); parts.lists.len()],
+                ..parts
+            })
+            .unwrap();
+            for (id, v) in &survivors {
+                reference.add(*id, v).unwrap();
+            }
+            let image = index.to_bytes();
+            prop_assert!(
+                image == reference.to_bytes(),
+                "the churned image differs from the reference's"
+            );
+            let reloaded = IvfIndex::from_bytes(&image).unwrap();
 
             let q = churn.vector();
             for nprobe in [1, 3, 6] {
                 let params = SearchParams::new().with_nprobe(nprobe);
-                let got = index.search(&q, k, &params).unwrap();
-                prop_assert_eq!(&got, &compacted.search(&q, k, &params).unwrap());
-                prop_assert_eq!(&got, &reloaded.search(&q, k, &params).unwrap());
+                let want = answer_bits(&reference, &q, k, &params);
+                prop_assert_eq!(answer_bits(&index, &q, k, &params), want);
+                prop_assert_eq!(answer_bits(&reloaded, &q, k, &params), want);
             }
             Ok(())
         },
     );
+}
+
+/// A search's hits, each score as its bits, and its `ScanStats`.
+fn answer_bits(
+    index: &IvfIndex,
+    q: &[f32],
+    k: usize,
+    params: &SearchParams,
+) -> (Vec<(u64, u32)>, ScanStats) {
+    let (hits, stats) = index.search_with_stats(q, k, params).unwrap();
+    (
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect(),
+        stats,
+    )
 }
 
 /// IVF with a lossless codec at full probe depth agrees with the brute
@@ -241,52 +227,6 @@ fn ivf_full_probe_matches_flat_oracle_on_survivors() {
     );
 }
 
-/// HNSW: tombstoned nodes never surface but remain navigable — the
-/// mutated index's results equal its unmutated twin's results with dead
-/// ids filtered out, and compaction is a deterministic seeded rebuild.
-#[test]
-fn hnsw_removals_match_filtered_twin() {
-    let strat = tuple2(u64_in(0..1_000), usize_in(1..30));
-    check_with(
-        "hnsw_removals_match_filtered_twin",
-        &cfg(),
-        &strat,
-        |&(seed, removals)| {
-            let dim = 10;
-            let k = 6;
-            let n = 80u64;
-            let mut churn = Churn::new(seed, dim);
-            let rows: Vec<Vec<f32>> = (0..n).map(|_| churn.vector()).collect();
-            let data = Mat::from_rows(&rows);
-            let builder = HnswIndex::builder().m(8).ef_construction(48).seed(seed);
-            let mut index = builder.build(&data).unwrap();
-            let twin = builder.build(&data).unwrap();
-
-            let mut rng = hermes::math::rng::SeededRng::new(seed ^ 0xdead);
-            let mut dead = std::collections::HashSet::new();
-            for _ in 0..removals {
-                let id = rng.gen_range(0..n);
-                if dead.insert(id) {
-                    prop_assert!(index.remove(id));
-                }
-            }
-            prop_assert_eq!(index.len(), (n as usize) - dead.len());
-
-            let q = churn.vector();
-            let params = SearchParams::new().with_ef_search(64);
-            let got = index.search(&q, k, &params).unwrap();
-            let wide = twin.search(&q, k + dead.len(), &params).unwrap();
-            let want: Vec<Neighbor> = wide
-                .into_iter()
-                .filter(|nb| !dead.contains(&nb.id))
-                .take(got.len())
-                .collect();
-            prop_assert_eq!(&got, &want);
-            Ok(())
-        },
-    );
-}
-
 /// ClusteredStore: under random churn the live count, per-cluster sizes
 /// and shard contents stay mutually consistent. (Churned-store results
 /// are pinned by `engine_equivalence`'s `churned` variant and by
@@ -317,7 +257,6 @@ fn store_churn_keeps_sizes_shards_and_results_consistent() {
                         let i = inserted.iter().position(|s| *s == id).unwrap();
                         inserted.remove(i);
                     }
-                    Op::Compact => {}
                 }
             }
             prop_assert_eq!(store.len(), 300 + inserted.len());

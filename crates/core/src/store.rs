@@ -284,11 +284,12 @@ impl ClusteredStore {
         Ok(best)
     }
 
-    /// Removes a document by global id: deletes its row from whichever
-    /// shard holds it ([`IvfIndex::take`]) and removes its contribution
-    /// from that cluster's running centroid (using the decoded stored
-    /// vector — deterministic, and exact for lossless codecs). Returns the
-    /// cluster it lived in, or `None` if no document carries `id`.
+    /// Removes a document by global id: deletes its row from the first
+    /// shard, in cluster order, that holds it ([`IvfIndex::take`]) and
+    /// removes its contribution from that cluster's running centroid
+    /// (using the decoded stored vector — deterministic, and exact for
+    /// lossless codecs). Returns the cluster it lived in, or `None` if no
+    /// document carries `id`.
     pub fn remove(&mut self, id: u64) -> Option<usize> {
         for c in 0..self.num_clusters() {
             if let Some(v) = self.shards[c].take(id) {
@@ -454,6 +455,56 @@ mod tests {
             store.memory_bytes(),
             infos.iter().map(|i| i.memory_bytes).sum()
         );
+    }
+
+    #[test]
+    fn an_id_in_two_shards_is_removed_from_the_lower_cluster_first() {
+        // Whichever shard got the id first, `remove` walks the shards in
+        // cluster order: the lower cluster's row goes first.
+        let c = corpus();
+        let store =
+            ClusteredStore::build(c.embeddings(), &HermesConfig::new(4).with_seed(5)).unwrap();
+        let (low, high) = (0, store.num_clusters() - 1);
+        for (home, other) in [(low, high), (high, low)] {
+            let mut store = store.clone();
+            let id = store.shard(home).export_live()[0].0;
+            let v = store.split_centroid(other).to_vec();
+            assert_eq!(store.insert(id, &v).unwrap(), other);
+            let sizes = store.cluster_sizes().to_vec();
+            assert_eq!(store.remove(id), Some(low), "held by {home} and {other}");
+            assert_eq!(store.remove(id), Some(high));
+            assert_eq!(store.remove(id), None);
+            assert_eq!(store.cluster_sizes()[low], sizes[low] - 1);
+            assert_eq!(store.cluster_sizes()[high], sizes[high] - 1);
+        }
+    }
+
+    #[test]
+    fn every_id_is_removable_after_a_split_and_a_merge() {
+        // A split's halves and a merge's target are rebuilt from moved
+        // lists: each id must still be found by `remove`, in the cluster
+        // that holds it.
+        use crate::rebalance::{RebalanceAction, Rebalancer};
+        let c = corpus();
+        let store =
+            ClusteredStore::build(c.embeddings(), &HermesConfig::new(4).with_seed(5)).unwrap();
+        let rebalancer = Rebalancer::default();
+        let split = rebalancer
+            .apply(&store, RebalanceAction::Split { cluster: 1 })
+            .unwrap();
+        let merged = rebalancer
+            .apply(&split, RebalanceAction::Merge { from: 4, into: 0 })
+            .unwrap();
+        for mut store in [split, merged] {
+            let mut held = Vec::new();
+            for c in 0..store.num_clusters() {
+                held.extend(store.shard(c).export_live().into_iter().map(|r| (r.0, c)));
+            }
+            for (id, c) in held {
+                assert_eq!(store.remove(id), Some(c), "id {id}");
+            }
+            assert!(store.is_empty());
+        }
     }
 
     #[test]

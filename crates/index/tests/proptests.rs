@@ -508,3 +508,124 @@ fn a_floor_rescores_fewer_rows() {
         );
     }
 }
+
+/// A shard-like index over `rows` whose ids repeat (`i % distinct`), so
+/// one id sits in several lists from the build on.
+fn churnable_index(rows: &[Vec<f32>], pick: u64) -> (IvfIndex, u64) {
+    let data = Mat::from_rows(rows);
+    let distinct = 1 + (data.rows() as u64 / 2);
+    let codec = [CodecSpec::Flat, CodecSpec::Sq8][(pick % 2) as usize];
+    let index = IvfIndex::builder()
+        .nlist(2 + (pick / 2 % 7) as usize)
+        .codec(codec)
+        .metric(Metric::L2)
+        .seed(pick)
+        .build_with_ids(
+            &data,
+            (0..data.rows() as u64).map(|i| i % distinct).collect(),
+        )
+        .unwrap();
+    (index, distinct)
+}
+
+/// `take` finds the row a plain first-match walk over the lists finds —
+/// the same row, decoded to the same bits, from the same list — and
+/// leaves every other row where it was: random interleavings of `add`
+/// and `take` over ids that repeat across lists, with ids taken and then
+/// added again (to whatever list their new vector picks).
+#[test]
+fn take_removes_the_first_row_a_list_walk_finds() {
+    let strat = tuple3(data_strategy(60, 4), u64_any(), vec_of(u64_any(), 1..80));
+    check_with(
+        "take_removes_the_first_row_a_list_walk_finds",
+        &cfg(),
+        &strat,
+        |(rows, pick, ops)| {
+            let (mut index, distinct) = churnable_index(rows, *pick);
+            for (step, &op) in ops.iter().enumerate() {
+                // One more id than the build holds, so some takes miss.
+                let id = (op >> 8) % (distinct + 1);
+                if op % 3 == 0 {
+                    let row = &rows[(op >> 32) as usize % rows.len()];
+                    let v: Vec<f32> = row.iter().map(|x| x + (op % 7) as f32).collect();
+                    index.add(id, &v).unwrap();
+                    continue;
+                }
+                // The reference walk: first list first, first row first.
+                let before = index.clone().into_parts();
+                let want = (before.lists.iter().enumerate()).find_map(|(l, list)| {
+                    Some((l, list.ids.iter().position(|&stored| stored == id)?))
+                });
+                let got = index.take(id);
+                let after = index.clone().into_parts();
+                let ctx = format!("step {step}: take({id})");
+                let Some((l, pos)) = want else {
+                    prop_assert!(got.is_none(), "{ctx}: no row carries the id");
+                    prop_assert_eq!(index.len(), before.lists.iter().map(|l| l.ids.len()).sum());
+                    continue;
+                };
+                let cs = before.codec.code_size();
+                let code = pos * cs..(pos + 1) * cs;
+                let row = before.codec.decode(&before.lists[l].codes[code.clone()]);
+                let got = got.unwrap_or_default();
+                prop_assert!(
+                    got.iter()
+                        .map(|x| x.to_bits())
+                        .eq(row.iter().map(|x| x.to_bits())),
+                    "{ctx}: decoded {got:?}, want {row:?}"
+                );
+                let mut want_lists = before.lists;
+                want_lists[l].ids.remove(pos);
+                want_lists[l].codes.drain(code);
+                for (i, (got, want)) in after.lists.iter().zip(&want_lists).enumerate() {
+                    prop_assert!(
+                        got.ids == want.ids && got.codes == want.codes,
+                        "{ctx}: list {i} holds {:?}, want {:?}",
+                        got.ids,
+                        want.ids
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Every stored id can still be taken, once per row that carries it,
+/// from an index read back from its image and from one rebuilt from its
+/// parts: each constructor leaves `take` able to find every row.
+#[test]
+fn every_id_is_takeable_after_an_image_or_parts_round_trip() {
+    let strat = tuple3(data_strategy(60, 4), u64_any(), vec_of(u64_any(), 0..30));
+    check_with(
+        "every_id_is_takeable_after_an_image_or_parts_round_trip",
+        &cfg(),
+        &strat,
+        |(rows, pick, ops)| {
+            let (mut index, distinct) = churnable_index(rows, *pick);
+            for &op in ops {
+                let id = (op >> 8) % distinct;
+                if op % 2 == 0 {
+                    index
+                        .add(id, &rows[(op >> 32) as usize % rows.len()])
+                        .unwrap();
+                } else {
+                    index.take(id);
+                }
+            }
+            let ids: Vec<u64> = (index.clone().into_parts().lists.iter())
+                .flat_map(|l| l.ids.iter().copied())
+                .collect();
+            let read_back = IvfIndex::from_bytes(&index.to_bytes()).unwrap();
+            let rebuilt = IvfIndex::from_parts(index.clone().into_parts()).unwrap();
+            for (mut copy, side) in [(read_back, "image"), (rebuilt, "parts")] {
+                for &id in &ids {
+                    prop_assert!(copy.take(id).is_some(), "{side}: id {id} not taken");
+                }
+                prop_assert_eq!(copy.len(), 0);
+                prop_assert!((0..distinct).all(|id| copy.take(id).is_none()), "{side}");
+            }
+            Ok(())
+        },
+    );
+}

@@ -98,21 +98,32 @@ for simd in auto scalar; do
         --test simd_differential --test properties
 done
 
-# Table 1 and Figures 4, 11, 12, 13 and 18 pinned to the byte: `table1`
+# Table 1 and every deterministic figure pinned to the byte: `table1`
 # builds an IVF index per codec over a fixed-seed corpus; `fig04` builds
 # an IVF-SQ8 and an HNSW index over one, picks each one's operating
 # point and projects both to 10B tokens; `fig11` runs the paper's routing
 # ablation (document sampling, centroid ranking, unranked) over
 # fixed-seed stores, and `fig12`, `fig13` and `fig18` run document
 # sampling over other sample and deep depths, splits and deep-cluster
-# counts.
+# counts. Figures 5–8, 14, 16, 17, 19 and 20 (the pipeline, energy and
+# platform projections) and Figure 10's pipeline gap are pinned the same
+# way.
 # None of their outputs depends on the pool width or the dispatch level,
 # so every file each binary writes must be exactly the committed one in
 # bench_results/ — once at the host defaults, once at width 1 on the
-# scalar kernels — except `fig04_measured.md`, whose latency and QPS are
-# wall-clock readings. `fig04` adds ≈ 30 s and ≈ 60 s to the two passes
-# (2-vCPU VM).
-for bin in table1 fig04 fig11 fig12 fig13 fig18; do
+# scalar kernels — except:
+# - `fig04_measured.md`, whose latency and QPS are wall-clock readings;
+# - `fig10_sweep.md` (the k-means seed sweep), deterministic but stale
+#   against the committed file since the first revision: every inertia
+#   and the best seed's imbalance moved, and which change moved them is
+#   not yet known (ROADMAP item 18);
+# - `fig21`'s one file, stale in the same way (normalized DVFS energy),
+#   so the binary is not run here at all.
+# `fig04` adds ≈ 30 s and ≈ 60 s to the two passes, the projection
+# figures ≈ 1 s together: each of their twenty runs, `cargo run` included,
+# takes 33–101 ms (2-vCPU VM).
+for bin in table1 fig04 fig05 fig06 fig07 fig08 fig10 fig11 fig12 fig13 fig14 fig16 fig17 \
+    fig18 fig19 fig20; do
     echo "== ${bin} matches its bench_results/ files (release) =="
     for env in "" "HERMES_THREADS=1 HERMES_SIMD=scalar"; do
         bin_out="$(mktemp -d)"
@@ -121,7 +132,7 @@ for bin in table1 fig04 fig11 fig12 fig13 fig18; do
             cargo run -p hermes-bench --release --offline --quiet --bin "${bin}" >/dev/null
         for out in "${bin_out}"/*; do
             name="$(basename "${out}")"
-            [[ "${name}" == fig04_measured.md ]] && continue
+            [[ "${name}" == fig04_measured.md || "${name}" == fig10_sweep.md ]] && continue
             diff "bench_results/${name}" "${out}"
         done
         rm -rf "${bin_out}"

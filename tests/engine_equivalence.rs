@@ -5,8 +5,10 @@
 //! the first-error-in-input-order contract.
 //!
 //! The legacy behaviour is reimplemented here from the pre-engine code:
-//! plain `search()` per shard plus a second `probe_stats()` costing pass
-//! (the engine gets the same numbers inline from `search_with_stats`).
+//! one `search_with_stats` per shard, its `ScanStats` standing in for
+//! the separate costing pass the legacy code ran (the two agree: the
+//! index's own tests pin a search's stats to the lengths of the lists
+//! its coarse keys select).
 //! If the engine ever drifts (a reordered merge, a changed clamp, a racy
 //! accumulation), these properties fail.
 //!
@@ -45,9 +47,9 @@ struct LegacyOutcome {
     deep_clusters: usize,
 }
 
-/// The original routing loop: sequential shard-by-shard sampling with a
-/// separate `probe_stats` costing pass, or centroid scoring, then the
-/// shared score-desc / id-asc sort.
+/// The original routing loop: sequential shard-by-shard sampling, costed
+/// with each sample search's own `ScanStats`, or centroid scoring, then
+/// the shared score-desc / id-asc sort.
 fn legacy_route(store: &ClusteredStore, query: &[f32]) -> (Vec<usize>, usize, usize) {
     let (ranked, _, scanned, touched) = legacy_route_scored(store, query);
     (ranked, scanned, touched)
@@ -68,8 +70,8 @@ fn legacy_route_scored(
             let mut scanned = 0usize;
             for c in 0..n {
                 let shard = store.shard(c);
-                let hits = shard.search(query, 1, &params).unwrap();
-                scanned += shard.probe_stats(query, cfg.sample_nprobe).scanned_codes;
+                let (hits, stats) = shard.search_with_stats(query, 1, &params).unwrap();
+                scanned += stats.scanned_codes;
                 scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
             }
             (scored, scanned, n)
@@ -93,7 +95,7 @@ fn legacy_route_scored(
 }
 
 /// The original hierarchical search: route, then a sequential deep-search
-/// loop over the top-m shards, costed with `probe_stats`.
+/// loop over the top-m shards, costed with each search's `ScanStats`.
 fn legacy_search(store: &ClusteredStore, query: &[f32]) -> LegacyOutcome {
     let cfg = *store.config();
     let (ranked, sample_codes, sample_clusters) = legacy_route(store, query);
@@ -104,8 +106,9 @@ fn legacy_search(store: &ClusteredStore, query: &[f32]) -> LegacyOutcome {
     let mut deep_codes = 0usize;
     for &c in &searched {
         let shard = store.shard(c);
-        per_cluster.push(shard.search(query, cfg.k, &params).unwrap());
-        deep_codes += shard.probe_stats(query, cfg.deep_nprobe).scanned_codes;
+        let (hits, stats) = shard.search_with_stats(query, cfg.k, &params).unwrap();
+        per_cluster.push(hits);
+        deep_codes += stats.scanned_codes;
     }
     LegacyOutcome {
         hits: merge_topk(&per_cluster, cfg.k),

@@ -56,17 +56,18 @@
 //! of the two stages, and the line between the two calls is where a
 //! caller inspects or edits the routed batch (the serving layer probes
 //! its cache there). The engine reaches a shard through
-//! [`IvfIndex::coarse_keys`] and [`IvfIndex::search_lists`]: a group of
-//! queries, each with its own lists, answered exactly as if each were
-//! searched alone. What a batch shares is the pass over each shard's
-//! centroid table, the per-shard fan-out and the scan scratch; each query
-//! then streams its own lists. A shard with no live rows answers every
-//! query with no hits and zero work: it has no keys, samples −∞, holds no
-//! pair, and is not scanned.
+//! [`IvfIndex::coarse_keys`], one pass over its centroid table for the
+//! whole batch, and [`IvfIndex::search_lists`], one query's scan of the
+//! lists the engine chose for it. What a batch shares is that pass, the
+//! per-shard fan-out — one pool task per shard and wave, which scans the
+//! shard's members back to back — and the thread's scan scratch; each
+//! query streams its own lists, so its answer is the one it gets alone.
+//! A shard with no live rows answers every query with no hits and zero
+//! work: it has no keys, samples −∞, holds no pair, and is not scanned.
 //!
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`]
-//! (the deep stage once per wave), each shard serving its whole query
-//! group (`threads` caps the width:
+//! (the deep stage once per wave), each shard task scanning all of its
+//! members (`threads` caps the width:
 //! `0` = full pool, `1` = inline sequential; a lone [`Engine::execute`]
 //! or [`Engine::route`] uses the full pool). [`Engine::execute_batch`] is
 //! the other axis — whole queries stolen from the pool cursor, the paper's
@@ -85,15 +86,13 @@
 //!
 //! **Telemetry.** With `hermes_trace::enable`, spans nest as
 //! `engine.execute` ▸ `engine.route` ▸ `engine.scatter` ▸ one
-//! `engine.gather` per query, plus a `shard.sample` / `shard.deep` span
-//! per group scan on whichever worker ran it (args: group size, scanned
-//! codes, rescored codes). Callers that run the two
+//! `engine.gather` per query, plus one `shard.sample` / `shard.deep` span
+//! per shard task on whichever worker ran it (args: its member count and
+//! their scanned and rescored codes, summed). Callers that run the two
 //! stages themselves get the same spans without the `engine.execute`
 //! envelope. Disabled, every site is one relaxed atomic load.
 
-use hermes_index::{
-    CoarseKeys, GroupScan, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex,
-};
+use hermes_index::{CoarseKeys, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex};
 use hermes_kmeans::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
 use hermes_math::{topk::merge_topk, Neighbor};
 use hermes_trace::names;
@@ -372,8 +371,8 @@ impl<'s> Engine<'s> {
     /// pass, which also checks every query as a search would. Then each
     /// query ranks the shards — by their nearest list under nearest-lists
     /// routing; by a `k = 1` scan of each shard's `sample_nprobe` nearest
-    /// lists under document-sampling routing (one
-    /// [`IvfIndex::search_lists`] per shard for the whole batch); by the
+    /// lists under document-sampling routing (one task per shard, one
+    /// [`IvfIndex::search_lists`] per query in it); by the
     /// split centroids under centroid routing; in cluster order when
     /// unranked — and chooses its depth and lists from the same keys (see
     /// the module docs). Shards fan out on the pool, at most `threads` at
@@ -418,23 +417,17 @@ impl<'s> Engine<'s> {
         let sample_nprobe = self.config.sample_nprobe.max(1);
         let samples = match self.config.routing {
             Routing::DocumentSampling => fan_out(n, width_cap(threads), |c| {
-                let scan = |shard: &IvfIndex| {
-                    let mut pool = Vec::new();
-                    let lists: Vec<Vec<u32>> = (shards.iter())
-                        .map(|shards| match shards {
-                            Ok(shards) => nearest(shards[c], sample_nprobe, &mut pool)
-                                .map(|key| probe_key_centroid(key) as u32)
-                                .collect(),
-                            Err(_) => Vec::new(),
-                        })
-                        .collect();
-                    let sampled: Vec<(&[f32], &[u32], f32)> = (group.iter().copied())
-                        .zip(&lists)
-                        .map(|(query, lists)| (query, &lists[..], f32::NEG_INFINITY))
-                        .collect();
-                    shard.search_lists(&sampled, 1)
-                };
-                self.shard_scan(names::SHARD_SAMPLE, c, group.len(), scan)
+                let (mut pool, mut lists) = (Vec::new(), Vec::new());
+                self.shard_scan(names::SHARD_SAMPLE, c, group.len(), |shard, qi| {
+                    lists.clear();
+                    if let Ok(shards) = &shards[qi] {
+                        lists.extend(
+                            nearest(shards[c], sample_nprobe, &mut pool)
+                                .map(|key| probe_key_centroid(key) as u32),
+                        );
+                    }
+                    shard.search_lists(group[qi], &lists, f32::NEG_INFINITY, 1)
+                })
             }),
             _ => Vec::new(),
         };
@@ -462,8 +455,7 @@ impl<'s> Engine<'s> {
                         let mut scored = Vec::with_capacity(n);
                         let mut scanned = 0;
                         for (c, shard) in samples.iter().enumerate() {
-                            let (hits, stats) =
-                                shard.results[qi].as_ref().map_err(|e| e.clone())?;
+                            let (hits, stats) = shard[qi].as_ref().map_err(|e| e.clone())?;
                             scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
                             scanned += stats.scanned_codes;
                         }
@@ -573,8 +565,8 @@ impl<'s> Engine<'s> {
     /// is `queries[i]`'s): each query scans exactly the lists its route
     /// carries ([`RouteOutcome::deep_lists`]) in each of its shards, and
     /// its per-shard hits are merged in its own rank order. The scans run
-    /// in two waves, each one pool task and one
-    /// [`IvfIndex::search_lists`] per shard that has members in it:
+    /// in two waves, each one pool task per shard that has members in it,
+    /// which runs one [`IvfIndex::search_lists`] per member:
     ///
     /// 1. every query's rank-0 shard, its *leader*;
     /// 2. every further rank position, each query floored at its leader's
@@ -691,9 +683,9 @@ impl<'s> Engine<'s> {
             .collect()
     }
 
-    /// One wave of [`Self::deep_batch`]: a group scan per cluster of
-    /// `groups`, each member `(query, rank position)` on its route's lists
-    /// there, floored at `floor(query)`; the results land in
+    /// One wave of [`Self::deep_batch`]: one task per cluster of
+    /// `groups`, which scans each member `(query, rank position)` on its
+    /// route's lists there, floored at `floor(query)`; the results land in
     /// `per_query[query][rank position]`.
     fn deep_wave<Q: AsRef<[f32]> + Sync>(
         &self,
@@ -706,15 +698,11 @@ impl<'s> Engine<'s> {
     ) {
         let scans = fan_out(groups.len(), width_cap(threads), |g| {
             let (c, members) = &groups[g];
-            let group: Vec<(&[f32], &[u32], f32)> = (members.iter())
-                .map(|&(qi, pos)| {
-                    let lists = routes[qi].deep_lists.shard(pos);
-                    (queries[qi].as_ref(), lists, floor(qi))
-                })
-                .collect();
-            let scan = |shard: &IvfIndex| shard.search_lists(&group, self.config.k);
-            self.shard_scan(names::SHARD_DEEP, *c, group.len(), scan)
-                .results
+            self.shard_scan(names::SHARD_DEEP, *c, members.len(), |shard, i| {
+                let (qi, pos) = members[i];
+                let lists = routes[qi].deep_lists.shard(pos);
+                shard.search_lists(queries[qi].as_ref(), lists, floor(qi), self.config.k)
+            })
         });
         for ((_, members), results) in groups.iter().zip(scans) {
             for (&(qi, pos), result) in members.iter().zip(results) {
@@ -752,41 +740,44 @@ impl<'s> Engine<'s> {
         }))
     }
 
-    /// One group scan of shard `c` under a `shard.sample` / `shard.deep`
-    /// span whose args carry the group's size, its scanned codes (the
-    /// per-query [`ScanStats`] sum) and how many of those the exact
-    /// kernel rescored after the scan's bound filter. A shard with no
-    /// live rows is not scanned: it answers every query with no hits and
-    /// zero work.
+    /// Shard `c`'s scans of one wave: `scan(shard, i)` for its members
+    /// `i` in `0..queries`, back to back in one task, under one
+    /// `shard.sample` / `shard.deep` span whose args carry the member
+    /// count, their scanned codes (the [`ScanStats`] sum) and how many of
+    /// those the exact kernel rescored after the scans' bound filter. A
+    /// shard with no live rows is not scanned: it answers every member
+    /// with no hits and zero work.
     fn shard_scan(
         &self,
         span: &'static str,
         c: usize,
         queries: usize,
-        scan: impl FnOnce(&IvfIndex) -> GroupScan,
-    ) -> GroupScan {
+        mut scan: impl FnMut(&IvfIndex, usize) -> (ScanResult, usize),
+    ) -> Vec<ScanResult> {
         let shard = self.store.shard(c);
         if shard.len() == 0 {
-            return GroupScan {
-                results: (0..queries).map(|_| Ok(Default::default())).collect(),
-                rescored_codes: 0,
-            };
+            return (0..queries).map(|_| Ok(Default::default())).collect();
         }
         let mut sp = hermes_trace::span_with(span, &[(names::ARG_CLUSTER, c as u64)]);
-        let scan = scan(shard);
+        let mut rescored_codes = 0;
+        let results: Vec<ScanResult> = (0..queries)
+            .map(|i| {
+                let (result, rescored) = scan(shard, i);
+                rescored_codes += rescored;
+                result
+            })
+            .collect();
         if sp.is_active() {
             sp.arg("queries", queries as u64);
             sp.arg(
                 "scanned_codes",
-                scan.results
-                    .iter()
-                    .flatten()
+                (results.iter().flatten())
                     .map(|(_, s)| s.scanned_codes as u64)
                     .sum(),
             );
-            sp.arg("rescored_codes", scan.rescored_codes as u64);
+            sp.arg("rescored_codes", rescored_codes as u64);
         }
-        scan
+        results
     }
 
     /// Resolves the per-query depth from a route's scores: the

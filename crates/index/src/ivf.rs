@@ -5,6 +5,12 @@
 //! time only the `nProbe` lists whose centroids are nearest the query are
 //! scanned, trading accuracy for latency. Vectors inside lists are stored
 //! through a [`Codec`] (the paper uses SQ8).
+//!
+//! A scan answers one query. [`VectorIndex::search_with_stats`] selects
+//! the query's lists itself; a caller that chooses them — the engine,
+//! across the shards of one embedding space — takes the keys from
+//! [`IvfIndex::coarse_keys`] and scans with [`IvfIndex::search_lists`].
+//! Both run the same body over the thread's scan scratch.
 
 use std::cell::Cell;
 
@@ -13,7 +19,7 @@ use hermes_math::simd::prefetch_read;
 use hermes_math::{Mat, Metric, Neighbor, TopK};
 use hermes_quant::{Codec, CodecSpec, QueryScorer};
 
-use crate::{GroupScan, IndexError, ScanResult, ScanStats, SearchParams, VectorIndex};
+use crate::{IndexError, ScanResult, ScanStats, SearchParams, VectorIndex};
 
 /// One inverted list: its rows' ids and codes, in insertion order. A
 /// removal deletes its row, so every stored row is live.
@@ -559,23 +565,12 @@ impl VectorIndex for IvfIndex {
     /// of [`IvfIndex::search_lists`].
     fn search_with_stats(&self, query: &[f32], k: usize, params: &SearchParams) -> ScanResult {
         self.check_query(query)?;
-        with_scratch(|scratch| {
-            let ScanScratch {
-                keys, active, plan, ..
-            } = scratch;
+        with_scratch(|ScanScratch { keys, plan, chunk }| {
             self.coarse.probe_keys([query].into_iter(), keys);
             let chosen = select_nearest(keys, params.nprobe);
             let lists = chosen.iter().map(|&key| probe_key_centroid(key) as u32);
-            active.clear();
-            plan.clear();
-            let planned = self.plan_run(0, lists, plan, active);
-            let mut scan = self.scan_group(
-                |_| (query, f32::NEG_INFINITY),
-                vec![Ok(planned)],
-                k,
-                scratch,
-            );
-            scan.results.swap_remove(0)
+            let (answer, _) = self.scan_query(query, lists, f32::NEG_INFINITY, k, plan, chunk);
+            Ok(answer)
         })
     }
 }
@@ -592,40 +587,47 @@ impl IvfIndex {
         keys
     }
 
-    /// Scans, for each `(query, lists, floor)` of the group, exactly the
-    /// inverted lists it names (each at most once), in the order given —
-    /// the scan [`VectorIndex::search_with_stats`] runs once it has
-    /// selected the query's lists, so a query paired with the lists its
-    /// `nprobe` selects, at floor −∞, gets that search's answer to the
-    /// bit. An empty set probes nothing and answers no hits with zero
-    /// [`ScanStats`]; a query that fails the index's checks, or names a
-    /// list the index does not have, is answered with the error.
+    /// Scans exactly the inverted lists `lists` names for `query` (each
+    /// at most once), in the order given — the scan
+    /// [`VectorIndex::search_with_stats`] runs once it has selected the
+    /// query's lists, so the lists its `nprobe` selects, at floor −∞,
+    /// get that search's answer to the bit. An empty set probes nothing
+    /// and answers no hits with zero [`ScanStats`]; a query that fails
+    /// the index's checks, or a list the index does not have, is
+    /// answered with the error.
     ///
-    /// A query's `floor` is a score its caller already holds `k` hits at
-    /// or above (another shard's k-th best, say): it answers with the
-    /// hits of the unfloored scan that score at least `floor`, and the
-    /// same [`ScanStats`]. A floor of −∞ or NaN is no floor. With one,
-    /// the scan's bound filter starts at `floor` instead of warming up,
-    /// and never filters below it; only [`GroupScan::rescored_codes`]
-    /// can tell.
-    pub fn search_lists(&self, queries: &[(&[f32], &[u32], f32)], k: usize) -> GroupScan {
-        with_scratch(|scratch| {
-            scratch.active.clear();
-            scratch.plan.clear();
-            let results = (queries.iter().enumerate())
-                .map(|(qi, &(query, lists, _))| {
-                    self.check_query(query)?;
-                    if let Some(&list) = lists.iter().find(|&&l| l as usize >= self.lists.len()) {
-                        return Err(IndexError::InvalidParam(format!(
-                            "list {list} of an index with {} lists",
-                            self.lists.len()
-                        )));
-                    }
-                    let lists = lists.iter().copied();
-                    Ok(self.plan_run(qi, lists, &mut scratch.plan, &mut scratch.active))
-                })
-                .collect();
-            self.scan_group(|qi| (queries[qi].0, queries[qi].2), results, k, scratch)
+    /// `floor` is a score the caller already holds `k` hits at or above
+    /// (another shard's k-th best, say): the scan answers with the hits
+    /// of the unfloored scan that score at least `floor`, and the same
+    /// [`ScanStats`]. A floor of −∞ or NaN is no floor. With one, the
+    /// scan's bound filter starts at `floor` instead of warming up, and
+    /// never filters below it; only the rescored count can tell.
+    ///
+    /// Returns the answer and the rescored count: of the scanned rows,
+    /// those an integer upper bound was evaluated on first and could not
+    /// rule out, so that the exact kernel scored them after all. Rows
+    /// scanned straight through the exact kernel — every row of a codec
+    /// or metric without a bound, and the first rows of a scan without a
+    /// floor, until its selector is full — are not counted; nothing in
+    /// the answer depends on it.
+    pub fn search_lists(
+        &self,
+        query: &[f32],
+        lists: &[u32],
+        floor: f32,
+        k: usize,
+    ) -> (ScanResult, usize) {
+        if let Err(e) = self.check_query(query) {
+            return (Err(e), 0);
+        }
+        if let Some(&list) = lists.iter().find(|&&l| l as usize >= self.lists.len()) {
+            let why = format!("list {list} of an index with {} lists", self.lists.len());
+            return (Err(IndexError::InvalidParam(why)), 0);
+        }
+        with_scratch(|ScanScratch { plan, chunk, .. }| {
+            let (answer, rescored) =
+                self.scan_query(query, lists.iter().copied(), floor, k, plan, chunk);
+            (Ok(answer), rescored)
         })
     }
 
@@ -665,108 +667,59 @@ impl IvfIndex {
         self.coarse.probe_keys(live, keys);
     }
 
-    /// Plans input query `qi`'s probed `lists` as the plan's next run
-    /// (a query that probes nothing gets no scan slot) and returns its
-    /// result before the scan: no hits yet, and the work of its lists.
-    fn plan_run(
-        &self,
-        qi: usize,
-        lists: impl Iterator<Item = u32> + Clone,
-        plan: &mut Plan,
-        active: &mut Vec<usize>,
-    ) -> (Vec<Neighbor>, ScanStats) {
-        let stats = self.list_cost(lists.clone());
-        if stats.probed_partitions > 0 {
-            plan.push(lists, |l| self.lists[l as usize].ids.is_empty());
-            active.push(qi);
-        }
-        (Vec::new(), stats)
-    }
-
-    /// The one scan body, over the runs planned in `scratch`: slot `s`
-    /// scans run `s` for input query `scratch.active[s]`, whose vector
-    /// and floor (see [`Self::search_lists`]) are `query(active[s])`, and
-    /// its hits at or above the floor land in that query's result.
+    /// The one scan body: `query`'s `lists`, the empty ones dropped,
+    /// become the row `plan` that [`Self::scan`] scores with the query's
+    /// one scorer, and its hits at or above `floor` (see
+    /// [`Self::search_lists`]) are the answer. Returns the answer and the
+    /// rescored count.
     ///
-    /// Each query's lists arrive *selected*, not sorted — [`TopK`] is a
-    /// total order on `(score, id)` and [`ScanStats`] are sums, so the
-    /// visiting order never shows — as a flat row [`Plan`] of one run per
-    /// query, in input order, that the scoring kernels consume in full
-    /// tiles across list boundaries with that query's one scorer. A group
-    /// shares the scratch and one read-ahead over the whole plan, not the
-    /// rows: each query's scan is exactly the scan it would get alone.
-    ///
-    /// Everything between the input and the hit lists lives in the
-    /// per-thread [`ScanScratch`]: in steady state a plain group scan
+    /// The lists arrive *selected*, not sorted — [`TopK`] is a total
+    /// order on `(score, id)` and [`ScanStats`] are sums, so the visiting
+    /// order never shows. Everything between the input and the hit list
+    /// lives in the per-thread [`ScanScratch`]: in steady state a scan
     /// allocates only what it returns.
-    fn scan_group<'q>(
+    fn scan_query(
         &self,
-        query: impl Fn(usize) -> (&'q [f32], f32),
-        mut results: Vec<ScanResult>,
+        query: &[f32],
+        lists: impl Iterator<Item = u32> + Clone,
+        floor: f32,
         k: usize,
-        scratch: &mut ScanScratch,
-    ) -> GroupScan {
-        let ScanScratch {
-            active,
-            plan,
-            floors,
-            tops,
-            scorers,
-            chunk,
-            ..
-        } = scratch;
-        if active.is_empty() {
-            return GroupScan {
-                results,
-                rescored_codes: 0,
-            };
+        plan: &mut Vec<u32>,
+        chunk: &mut Chunk,
+    ) -> ((Vec<Neighbor>, ScanStats), usize) {
+        let stats = self.list_cost(lists.clone());
+        plan.clear();
+        plan.extend(lists.filter(|&l| !self.lists[l as usize].ids.is_empty()));
+        if plan.is_empty() {
+            return ((Vec::new(), stats), 0);
         }
-        let mut ahead = ReadAhead::default();
-        ahead.advance(self, &plan.lists, PREFETCH_ROWS);
-
-        tops.clear();
-        tops.extend(active.iter().map(|_| TopK::new(k.max(1))));
         // −∞ for no floor; `max` turns a NaN floor into none as well.
-        floors.clear();
-        floors.extend(active.iter().map(|&i| query(i).1.max(f32::NEG_INFINITY)));
-        let mut slot_scorers = recycle(std::mem::take(scorers));
-        slot_scorers.extend(
-            active
-                .iter()
-                .map(|&i| self.codec.query_scorer(query(i).0, self.metric)),
-        );
-        let rescored_codes = self.scan(plan, &slot_scorers, floors, tops, chunk, &mut ahead);
-        *scorers = recycle(slot_scorers);
-
-        for ((&qi, &floor), top) in active.iter().zip(&*floors).zip(tops.drain(..)) {
-            if let Ok((hits, _)) = &mut results[qi] {
-                *hits = top.into_sorted_vec();
-                hits.truncate(k);
-                // Best first, NaN scores last: those at or above a floor
-                // are a prefix.
-                if floor > f32::NEG_INFINITY {
-                    hits.truncate(hits.partition_point(|hit| hit.score >= floor));
-                }
-            }
+        let floor = floor.max(f32::NEG_INFINITY);
+        let scorer = self.codec.query_scorer(query, self.metric);
+        let mut top = TopK::new(k.max(1));
+        let rescored = self.scan(plan, &scorer, floor, &mut top, chunk);
+        let mut hits = top.into_sorted_vec();
+        hits.truncate(k);
+        // Best first, NaN scores last: those at or above a floor are a
+        // prefix.
+        if floor > f32::NEG_INFINITY {
+            hits.truncate(hits.partition_point(|hit| hit.score >= floor));
         }
-        GroupScan {
-            results,
-            rescored_codes,
-        }
+        ((hits, stats), rescored)
     }
 
-    /// Runs a compiled [`Plan`]: each slot's lists are cut into chunks of
-    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and the slot
+    /// Scores the rows of `lists` into `top`: they are cut into chunks of
+    /// up to [`CHUNK_ROWS`] rows **across list boundaries**, and the scan
     /// takes its pass over a chunk's code segments one of two ways,
-    /// decided from its scorer, its floor (−∞ for none) and its selector
+    /// decided from the scorer, the floor (−∞ for none) and the selector
     /// alone:
     ///
     /// * **filter → compact → rescore**, if the scorer has a
-    ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and the slot has a floor or
-    ///   a full selector: the bound's kernel compares every row's integer
+    ///   [`Sq8Bound`](hermes_quant::Sq8Bound) and there is a floor or a
+    ///   full selector: the bound's kernel compares every row's integer
     ///   sum with the [`floor`](hermes_quant::Sq8Bound::floor) of the
-    ///   higher of the slot's floor and the selector's threshold and
-    ///   writes a survivor bit a row
+    ///   higher of the floor and the selector's threshold and writes a
+    ///   survivor bit a row
     ///   ([`survivors`](hermes_quant::Sq8Bound::survivors)); the rows it
     ///   keeps — all that could still be admitted, a few in a hundred —
     ///   are compacted off the mask bits into one-row segments, and the
@@ -777,107 +730,101 @@ impl IvfIndex {
     ///
     /// A row the filter drops scores strictly below a threshold that only
     /// rises, so `push_block` would have dropped it too, or below the
-    /// slot's floor, so the answer drops it anyway; a row it keeps gets
-    /// the bits the exact way gives it, because tier-A scores do not
-    /// depend on a code's position or on which codes share a chunk or a
-    /// kernel call. Only exact scores ever reach a selector: results
-    /// cannot tell the two ways apart. While a selector that will filter
-    /// is still filling and its slot has no floor, chunks are cut at
-    /// [`WARMUP_ROWS`] so that it fills, exactly, on few rows. The
-    /// kernels keep the read-ahead cursor [`PREFETCH_ROWS`] rows in front
-    /// of the rows they read, across slot boundaries. Returns
-    /// [`GroupScan::rescored_codes`].
+    /// floor, so the answer drops it anyway; a row it keeps gets the bits
+    /// the exact way gives it, because tier-A scores do not depend on a
+    /// code's position or on which codes share a chunk or a kernel call.
+    /// Only exact scores ever reach the selector: results cannot tell the
+    /// two ways apart. While a selector that will filter is still filling
+    /// and there is no floor, chunks are cut at [`WARMUP_ROWS`] so that
+    /// it fills, exactly, on few rows. The kernels keep a read-ahead
+    /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read.
+    /// Returns the rescored count (see [`Self::search_lists`]).
     fn scan(
         &self,
-        plan: &Plan,
-        scorers: &[QueryScorer<'_>],
-        floors: &[f32],
-        tops: &mut [TopK],
+        lists: &[u32],
+        scorer: &QueryScorer<'_>,
+        floor: f32,
+        top: &mut TopK,
         chunk: &mut Chunk,
-        ahead: &mut ReadAhead,
     ) -> usize {
         let cs = self.codec.code_size();
         let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut rescored = 0;
-        let mut first = 0;
-        let slots = plan.ends.iter().zip(scorers).zip(floors).zip(tops);
-        for (((&end, scorer), &floor), top) in slots {
-            let lists = &plan.lists[first..end];
-            first = end;
-            let (mut at_list, mut at_row) = (0, 0);
-            while at_list < lists.len() {
-                let warming =
-                    floor == f32::NEG_INFINITY && top.len() < top.k() && scorer.bound().is_some();
-                let limit = if warming { WARMUP_ROWS } else { CHUNK_ROWS };
-                // The next chunk: up to `limit` rows of consecutive lists.
-                let (mut parts, mut rows) = (0, 0);
-                while rows < limit && at_list < lists.len() {
-                    let list = &self.lists[lists[at_list] as usize];
-                    let take = (list.ids.len() - at_row).min(limit - rows);
-                    segments[parts] = &list.codes[at_row * cs..(at_row + take) * cs];
-                    chunk.parts[parts] = Part {
-                        list: lists[at_list],
-                        start: at_row as u32,
-                        len: take as u32,
-                    };
-                    parts += 1;
-                    rows += take;
-                    at_row += take;
-                    if at_row == list.ids.len() {
-                        (at_list, at_row) = (at_list + 1, 0);
-                    }
+        let mut ahead = ReadAhead::default();
+        ahead.advance(self, lists, PREFETCH_ROWS);
+        let (mut at_list, mut at_row) = (0, 0);
+        while at_list < lists.len() {
+            let warming =
+                floor == f32::NEG_INFINITY && top.len() < top.k() && scorer.bound().is_some();
+            let limit = if warming { WARMUP_ROWS } else { CHUNK_ROWS };
+            // The next chunk: up to `limit` rows of consecutive lists.
+            let (mut parts, mut rows) = (0, 0);
+            while rows < limit && at_list < lists.len() {
+                let list = &self.lists[lists[at_list] as usize];
+                let take = (list.ids.len() - at_row).min(limit - rows);
+                segments[parts] = &list.codes[at_row * cs..(at_row + take) * cs];
+                chunk.parts[parts] = Part {
+                    list: lists[at_list],
+                    start: at_row as u32,
+                    len: take as u32,
+                };
+                parts += 1;
+                rows += take;
+                at_row += take;
+                if at_row == list.ids.len() {
+                    (at_list, at_row) = (at_list + 1, 0);
                 }
-                let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
-                // The chunk's one pass over its cold rows keeps the
-                // read-ahead moving, a few rows between the kernel's tiles.
-                let mut pace = |rows| ahead.advance(self, &plan.lists, rows);
+            }
+            let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
+            // The chunk's one pass over its cold rows keeps the read-ahead
+            // moving, a few rows between the kernel's tiles.
+            let mut pace = |rows| ahead.advance(self, lists, rows);
 
-                let gate = scorer
-                    .bound()
-                    .and_then(|bound| Some((bound, bound.floor(top.threshold().max(floor))?)));
-                if let Some((bound, least)) = gate {
-                    let used = rows.div_ceil(8);
-                    bound.survivors(segments, rows, least, &mut chunk.masks[..used], &mut pace);
-                    // Survivors in row order, straight off the kernel's
-                    // mask bits, 64 rows a word (the word's bytes past the
-                    // chunk cleared); `part` follows them.
-                    let bytes = used.next_multiple_of(8);
-                    chunk.masks[used..bytes].fill(0);
-                    let (words, _) = chunk.masks[..bytes].as_chunks::<8>();
-                    let (mut n, mut part, mut part_from) = (0, 0, 0);
-                    for (w, &word) in words.iter().enumerate() {
-                        let mut mask = u64::from_le_bytes(word);
-                        while mask != 0 {
-                            let row = w * 64 + mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            while row >= part_from + parts[part].len as usize {
-                                part_from += parts[part].len as usize;
-                                part += 1;
-                            }
-                            let list = &self.lists[parts[part].list as usize];
-                            let at = parts[part].start as usize + row - part_from;
-                            kept[n] = &list.codes[at * cs..(at + 1) * cs];
-                            chunk.kept_ids[n] = list.ids[at];
-                            n += 1;
+            let gate = scorer
+                .bound()
+                .and_then(|bound| Some((bound, bound.floor(top.threshold().max(floor))?)));
+            if let Some((bound, least)) = gate {
+                let used = rows.div_ceil(8);
+                bound.survivors(segments, rows, least, &mut chunk.masks[..used], &mut pace);
+                // Survivors in row order, straight off the kernel's mask
+                // bits, 64 rows a word (the word's bytes past the chunk
+                // cleared); `part` follows them.
+                let bytes = used.next_multiple_of(8);
+                chunk.masks[used..bytes].fill(0);
+                let (words, _) = chunk.masks[..bytes].as_chunks::<8>();
+                let (mut n, mut part, mut part_from) = (0, 0, 0);
+                for (w, &word) in words.iter().enumerate() {
+                    let mut mask = u64::from_le_bytes(word);
+                    while mask != 0 {
+                        let row = w * 64 + mask.trailing_zeros() as usize;
+                        mask &= mask - 1;
+                        while row >= part_from + parts[part].len as usize {
+                            part_from += parts[part].len as usize;
+                            part += 1;
                         }
+                        let list = &self.lists[parts[part].list as usize];
+                        let at = parts[part].start as usize + row - part_from;
+                        kept[n] = &list.codes[at * cs..(at + 1) * cs];
+                        chunk.kept_ids[n] = list.ids[at];
+                        n += 1;
                     }
-                    let out = &mut chunk.scores[..n];
-                    scorer.score_segments(&kept[..n], out, &mut |_| {});
-                    top.push_block(&chunk.kept_ids[..n], out);
-                    rescored += n;
-                    continue;
                 }
+                let out = &mut chunk.scores[..n];
+                scorer.score_segments(&kept[..n], out, &mut |_| {});
+                top.push_block(&chunk.kept_ids[..n], out);
+                rescored += n;
+                continue;
+            }
 
-                let out = &mut chunk.scores[..rows];
-                scorer.score_segments(segments, out, &mut pace);
-                let mut at = 0;
-                for p in parts {
-                    let list = &self.lists[p.list as usize];
-                    let (start, len) = (p.start as usize, p.len as usize);
-                    top.push_block(&list.ids[start..start + len], &out[at..at + len]);
-                    at += len;
-                }
+            let out = &mut chunk.scores[..rows];
+            scorer.score_segments(segments, out, &mut pace);
+            let mut at = 0;
+            for p in parts {
+                let list = &self.lists[p.list as usize];
+                let (start, len) = (p.start as usize, p.len as usize);
+                top.push_block(&list.ids[start..start + len], &out[at..at + len]);
+                at += len;
             }
         }
         rescored
@@ -890,7 +837,7 @@ impl IvfIndex {
 const CHUNK_ROWS: usize = 256;
 
 /// Rows per chunk while a selector that will filter is still filling and
-/// its slot has no floor. The filter reads a selector's threshold once
+/// the scan has no floor. The filter reads a selector's threshold once
 /// per chunk, so a first chunk of [`CHUNK_ROWS`] would score 256 rows
 /// exactly before the bound could rule out one — all of a sample search,
 /// which streams ~165 rows. Too short a warm-up, on the other hand,
@@ -924,35 +871,17 @@ fn with_scratch<T>(scan: impl FnOnce(&mut ScanScratch) -> T) -> T {
     out
 }
 
-/// Every buffer a group scan needs between its input and its output,
-/// kept per thread and reused from scan to scan: all of them are cleared
-/// or overwritten before they are read, so only their capacity carries
-/// over.
+/// Every buffer a scan needs between its input and its output, kept per
+/// thread and reused from scan to scan: all of them are cleared or
+/// overwritten before they are read, so only their capacity carries over.
 #[derive(Default)]
 struct ScanScratch {
     /// [`VectorIndex::search_with_stats`]'s coarse keys; selection
     /// reorders them in place.
     keys: Vec<u64>,
-    /// Input index of each scan slot.
-    active: Vec<usize>,
-    plan: Plan,
-    /// Each slot's floor, −∞ for none.
-    floors: Vec<f32>,
-    /// One selector per slot.
-    tops: Vec<TopK>,
-    /// The slots' scorers; held empty between scans (see [`recycle`]).
-    scorers: Vec<QueryScorer<'static>>,
+    /// The probed non-empty lists, in the order their rows are scored.
+    plan: Vec<u32>,
     chunk: Chunk,
-}
-
-/// An emptied `Vec` of scorers re-typed to another borrow lifetime, so
-/// one allocation serves scan after scan although each scan's scorers
-/// borrow that scan's queries. Mapping an empty `vec::IntoIter` collects
-/// in place — the buffer is handed over, not reallocated; were that ever
-/// to stop holding, the only loss would be one allocation per scan.
-fn recycle<'a, 'b>(mut scorers: Vec<QueryScorer<'a>>) -> Vec<QueryScorer<'b>> {
-    scorers.clear();
-    scorers.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// The per-chunk buffers of [`IvfIndex::scan`].
@@ -986,34 +915,7 @@ struct Part {
     len: u32,
 }
 
-/// The probed lists of a group scan in the order their rows are scored,
-/// cut into runs: slot `s`'s lists, which the kernel scores as one row
-/// sequence for that slot, are `lists[ends[s - 1]..ends[s]]` (from 0 for
-/// the first slot).
-#[derive(Default)]
-struct Plan {
-    /// Non-empty probed lists, slot after slot.
-    lists: Vec<u32>,
-    /// One past each slot's last entry in `lists`.
-    ends: Vec<usize>,
-}
-
-impl Plan {
-    fn clear(&mut self) {
-        self.lists.clear();
-        self.ends.clear();
-    }
-
-    /// Appends the next slot's probed `lists`, in the order given and
-    /// without the ones that `is_empty`, as one run — empty if every
-    /// list is.
-    fn push(&mut self, lists: impl Iterator<Item = u32>, is_empty: impl Fn(u32) -> bool) {
-        self.lists.extend(lists.filter(|&l| !is_empty(l)));
-        self.ends.push(self.lists.len());
-    }
-}
-
-/// The prefetch position in a plan's list sequence (see
+/// The prefetch position in a scan's list sequence (see
 /// [`PREFETCH_ROWS`]).
 #[derive(Default)]
 struct ReadAhead {
@@ -1684,9 +1586,10 @@ mod tests {
         }
     }
 
-    /// Asserts that `queries` as one [`list_scan`], and each alone,
-    /// answer exactly like the scalar walk (a wrong-dimension query with
-    /// the dimension error, without disturbing its neighbours).
+    /// Asserts that `queries` scanned back to back by [`list_scan`], and
+    /// each searched alone, answer exactly like the scalar walk (a
+    /// wrong-dimension query with the dimension error, without disturbing
+    /// the queries after it).
     fn assert_group_matches_walk(
         index: &IvfIndex,
         queries: &[(&[f32], usize)],
@@ -1694,7 +1597,7 @@ mod tests {
         ctx: &str,
     ) {
         let group = list_scan(index, queries, k);
-        assert_eq!(group.results.len(), queries.len());
+        assert_eq!(group.len(), queries.len());
         for (qi, &(q, nprobe)) in queries.iter().enumerate() {
             let alone = index.search_with_stats(q, k, &SearchParams::new().with_nprobe(nprobe));
             if q.len() != index.dim {
@@ -1702,13 +1605,13 @@ mod tests {
                     expected: index.dim,
                     got: q.len(),
                 };
-                assert_eq!(group.results[qi], Err(err.clone()), "{ctx}");
+                assert_eq!(group[qi], (Err(err.clone()), 0), "{ctx}");
                 assert_eq!(alone, Err(err), "{ctx}");
                 continue;
             }
             let want = walk_search(index, q, k, nprobe);
             assert_same_scan(&alone, &want, &format!("{ctx} alone q{qi}"));
-            assert_same_scan(&group.results[qi], &want, &format!("{ctx} group q{qi}"));
+            assert_same_scan(&group[qi].0, &want, &format!("{ctx} group q{qi}"));
         }
     }
 
@@ -1798,17 +1701,17 @@ mod tests {
                     assert_group_matches_walk(&index, &queries, k, &ctx);
                 }
             }
-            // What the filter kept, lists in list order (a group of two
-            // equal queries): everything but the first list going up,
-            // nothing but it going down.
+            // What the filter kept, lists in list order (two equal
+            // queries): everything but the first list going up, nothing
+            // but it going down.
             let live = index.len;
             let first = index.lists[0].ids.len();
             for (q, kept) in [(&up, live - first..=2 * live), (&down, 0..=2 * first)] {
                 let scan = list_scan(&index, &[(q, 8), (q, 8)], 1);
+                let rescored = scan.iter().map(|&(_, rescored)| rescored).sum();
                 assert!(
-                    kept.contains(&scan.rescored_codes),
-                    "{metric}: rescored {} of {live} live rows, {first} in the first list",
-                    scan.rescored_codes
+                    kept.contains(&rescored),
+                    "{metric}: rescored {rescored} of {live} live rows, {first} in the first list"
                 );
             }
         }
@@ -1833,45 +1736,36 @@ mod tests {
         // A smaller, different scan over the dirty scratch.
         let one = list_scan(&index, &queries[3..4], 3);
         assert_eq!(
-            one.results[0].as_ref().unwrap().0,
-            warm.results[3].as_ref().unwrap().0[..3]
-        );
-    }
-
-    #[test]
-    fn recycled_scorer_buffers_keep_their_allocation() {
-        let data = clustered_data(20, 4, 2, 54);
-        let codec = Codec::train(CodecSpec::Sq8, &data, 0);
-        let mut scorers: Vec<QueryScorer<'_>> = Vec::with_capacity(8);
-        scorers.push(codec.query_scorer(data.row(0), Metric::L2));
-        let (ptr, cap) = (scorers.as_ptr() as usize, scorers.capacity());
-        let recycled: Vec<QueryScorer<'static>> = recycle(scorers);
-        assert!(recycled.is_empty());
-        assert_eq!(
-            (recycled.as_ptr() as usize, recycled.capacity()),
-            (ptr, cap)
+            one[0].0.as_ref().unwrap().0,
+            warm[3].0.as_ref().unwrap().0[..3]
         );
     }
 
     #[test]
     fn a_group_plan_is_one_run_per_query() {
-        let empty = |l: u32| l == 2;
-        let mut plan = Plan::default();
-        // Slot 0 selects lists 5, 2, 1, 3 (list 2 is empty); slot 1 the
-        // same lists in another order; slot 2 only the empty one; slot 3
-        // a list of its own.
-        plan.push([5, 2, 1, 3].into_iter(), empty);
-        plan.push([3, 1, 2, 5].into_iter(), empty);
-        plan.push([2].into_iter(), empty);
-        plan.push([7].into_iter(), empty);
-        // Runs in input order, lists in selection order, empty lists
-        // dropped (slot 2's run is empty), and two queries probing the
-        // same lists kept apart.
-        assert_eq!(plan.lists, [5, 1, 3, 3, 1, 5, 7]);
-        assert_eq!(plan.ends, [3, 6, 6, 7]);
-        plan.clear();
-        plan.push([1, 4].into_iter(), empty);
-        assert_eq!((&plan.lists[..], &plan.ends[..]), (&[1, 4][..], &[2][..]));
+        // A query's plan is its lists in selection order, the empty ones
+        // dropped: lists 5, 2, 1, 3 with list 2 empty, then the same
+        // lists in another order, then only the empty one.
+        let lens = [3usize, 4, 0, 2, 1, 6];
+        let (index, data) = index_with_list_lengths(&lens, 4, CodecSpec::Flat, Metric::L2);
+        let (mut plan, mut chunk) = (Vec::new(), Chunk::default());
+        for (lists, want, rows) in [
+            (&[5u32, 2, 1, 3][..], &[5u32, 1, 3][..], 12),
+            (&[3, 1, 2, 5], &[3, 1, 5], 12),
+            (&[2], &[], 0),
+        ] {
+            let (answer, _) = index.scan_query(
+                data.row(0),
+                lists.iter().copied(),
+                f32::NEG_INFINITY,
+                20,
+                &mut plan,
+                &mut chunk,
+            );
+            assert_eq!(plan, want, "{lists:?}");
+            assert_eq!(answer.0.len(), rows, "{lists:?}");
+            assert_eq!(answer.1.probed_partitions, lists.len(), "{lists:?}");
+        }
     }
 
     /// Each query paired with the lists a search at its `nprobe` selects,
@@ -1900,15 +1794,17 @@ mod tests {
             .collect()
     }
 
-    /// `queries` as one [`IvfIndex::search_lists`] group: each query with
-    /// the lists a search at its `nprobe` selects ([`selected`]), at
-    /// floor −∞.
-    fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
-        let selected = selected(index, queries);
-        let lists: Vec<(&[f32], &[u32], f32)> = (selected.iter())
-            .map(|(q, l)| (*q, &l[..], f32::NEG_INFINITY))
-            .collect();
-        index.search_lists(&lists, k)
+    /// `queries` scanned back to back by [`IvfIndex::search_lists`], each
+    /// with the lists a search at its `nprobe` selects ([`selected`]), at
+    /// floor −∞: each query's answer and rescored count.
+    fn list_scan(
+        index: &IvfIndex,
+        queries: &[(&[f32], usize)],
+        k: usize,
+    ) -> Vec<(ScanResult, usize)> {
+        (selected(index, queries).iter())
+            .map(|(q, lists)| index.search_lists(q, lists, f32::NEG_INFINITY, k))
+            .collect()
     }
 
     #[test]
@@ -1952,56 +1848,51 @@ mod tests {
             (data.row(77), &[5], none),
             (data.row(3), &[40], none),
         ];
-        let scan = index.search_lists(&queries, 10);
+        let scan: Vec<ScanResult> = (queries.iter())
+            .map(|&(q, lists, floor)| index.search_lists(q, lists, floor, 10).0)
+            .collect();
         let nothing = Ok((Vec::new(), ScanStats::default()));
-        assert_eq!(scan.results[2], nothing, "an empty set probes nothing");
-        assert!(matches!(
-            scan.results[3],
-            Err(IndexError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(scan.results[6], Err(IndexError::InvalidParam(_))));
+        assert_eq!(scan[2], nothing, "an empty set probes nothing");
+        assert!(matches!(scan[3], Err(IndexError::DimensionMismatch { .. })));
+        assert!(matches!(scan[6], Err(IndexError::InvalidParam(_))));
         // The walk over the same lists: the nearest 8 and all 40 are what
         // a search at `nprobe` 8 / 40 scans.
         for (qi, nprobe) in [(0, 8), (4, 40)] {
             let want = walk_search(&index, queries[qi].0, 10, nprobe);
-            assert_same_scan(&scan.results[qi], &want, &format!("q{qi}"));
+            assert_same_scan(&scan[qi], &want, &format!("q{qi}"));
         }
-        let (far_hits, far_stats) = scan.results[1].as_ref().unwrap();
+        let (far_hits, far_stats) = scan[1].as_ref().unwrap();
         assert_eq!(far_stats.probed_partitions, 8);
         let far_codes: usize = far.iter().map(|&l| index.lists[l as usize].ids.len()).sum();
         assert_eq!(far_stats.scanned_codes, far_codes);
         assert!(far_hits.iter().all(|h| far
             .iter()
             .any(|&l| index.lists[l as usize].ids.contains(&h.id))));
-        let (one_hits, one_stats) = scan.results[5].as_ref().unwrap();
+        let (one_hits, one_stats) = scan[5].as_ref().unwrap();
         assert_eq!(one_stats.probed_partitions, 1);
         assert_eq!(one_hits.len(), index.lists[5].ids.len().min(10));
 
         // All empty: nothing is scanned at all.
-        let idle: Vec<(&[f32], &[u32], f32)> = (queries.iter())
-            .map(|&(q, _, floor)| (q, &[][..], floor))
-            .collect();
-        let idle = index.search_lists(&idle, 10);
-        assert_eq!(idle.rescored_codes, 0);
-        assert!(idle.results.iter().all(|r| r.is_err() || *r == nothing));
+        for &(q, _, floor) in &queries {
+            let (result, rescored) = index.search_lists(q, &[], floor, 10);
+            assert_eq!(rescored, 0);
+            assert!(result.is_err() || result == nothing);
+        }
     }
 
     #[test]
     fn group_scan_of_an_empty_index_or_group() {
         let data = clustered_data(20, 4, 2, 52);
         let mut index = IvfIndex::builder().nlist(2).build(&data).unwrap();
-        let none = list_scan(&index, &[], 3);
-        assert!(none.results.is_empty());
-        assert_eq!(none.rescored_codes, 0);
+        assert!(list_scan(&index, &[], 3).is_empty());
         for id in 0..20 {
             assert!(index.take(id).is_some());
         }
         let scan = list_scan(&index, &[(data.row(0), 2), (data.row(1), 2)], 3);
         assert_eq!(
-            scan.results,
-            vec![Err(IndexError::Empty), Err(IndexError::Empty)]
+            scan,
+            vec![(Err(IndexError::Empty), 0), (Err(IndexError::Empty), 0)]
         );
-        assert_eq!(scan.rescored_codes, 0);
     }
 
     #[test]

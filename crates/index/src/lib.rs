@@ -98,30 +98,9 @@ pub struct ScanStats {
     pub probed_partitions: usize,
 }
 
-/// One query's answer inside a [`GroupScan`]: what
-/// [`VectorIndex::search_with_stats`] returns for it.
+/// One query's answer: what [`VectorIndex::search_with_stats`] and
+/// [`IvfIndex::search_lists`] return for it.
 pub type ScanResult = Result<(Vec<Neighbor>, ScanStats), IndexError>;
-
-/// Outcome of [`IvfIndex::search_lists`]: one independent answer per
-/// query plus what the scan's bound filter left to the exact kernel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupScan {
-    /// Per-query results, positionally aligned with the input queries:
-    /// each query's hits and [`ScanStats`], or its error (see
-    /// [`IvfIndex::search_lists`]). One query failing never fails its
-    /// neighbours.
-    pub results: Vec<ScanResult>,
-    /// Of the scanned rows (the results' [`ScanStats::scanned_codes`]),
-    /// those an integer upper bound was evaluated on first and could not
-    /// rule out, so that the exact kernel scored them after all, summed
-    /// over the group's queries. Rows scanned straight through the exact
-    /// kernel — every row of a codec or metric without a bound, and the
-    /// first rows of a scan without a floor (see
-    /// [`IvfIndex::search_lists`]), until its selector is full — are not
-    /// counted. A query's share is what its scan alone rescores, and
-    /// nothing a caller can see in the results.
-    pub rescored_codes: usize,
-}
 
 /// Errors returned by index construction and search.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -259,11 +259,11 @@ fn hnsw_results_are_unique_and_sorted() {
 
 /// A list scan of the lists each query's `nprobe` selects, at floor −∞,
 /// answers every query exactly as a search of that query alone — hit
-/// ids, score bits, `ScanStats`, errors — for groups of 1..=9, every
-/// codec and metric, between 2 and 40 lists over at most 120 rows (so row
-/// plans cross many short — 1-code, sub-tile — lists, or few long ones),
-/// lists rows were removed from, mixed `nprobe`, duplicate queries and a
-/// query that errors in the middle of the group.
+/// ids, score bits, `ScanStats`, errors — for 1..=9 queries scanned back
+/// to back, every codec and metric, between 2 and 40 lists over at most
+/// 120 rows (so row plans cross many short — 1-code, sub-tile — lists,
+/// or few long ones), lists rows were removed from, mixed `nprobe`,
+/// duplicate queries and a query that errors in the middle of the run.
 #[test]
 fn search_lists_equals_per_query_search() {
     let strat = tuple3(data_strategy(120, 6), u64_any(), usize_in(1..10));
@@ -319,15 +319,11 @@ fn search_lists_equals_per_query_search() {
                         Err(_) => Vec::new(),
                     })
                     .collect();
-                let group: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))
-                    .map(|(&(q, _), lists)| (q, &lists[..], f32::NEG_INFINITY))
-                    .collect();
-                let scan = index.search_lists(&group, 4);
-                prop_assert_eq!(scan.results.len(), queries.len());
-                for (&(q, nprobe), got) in queries.iter().zip(&scan.results) {
+                for (&(q, nprobe), lists) in queries.iter().zip(&lists) {
+                    let (got, _) = index.search_lists(q, lists, f32::NEG_INFINITY, 4);
                     let want =
                         index.search_with_stats(q, 4, &SearchParams::new().with_nprobe(nprobe));
-                    match (got, &want) {
+                    match (&got, &want) {
                         (Ok((hits, stats)), Ok((want_hits, want_stats))) => {
                             prop_assert_eq!(stats, want_stats);
                             prop_assert_eq!(hits.len(), want_hits.len());
@@ -368,8 +364,8 @@ fn nearest_lists(index: &IvfIndex, queries: &[&[f32]], nprobe: usize) -> Vec<Vec
 /// scan that score at least `t`, with the same `ScanStats`: floors −∞ and
 /// NaN (no floor), the exact k-th score, a score two hits tie at, one
 /// inside the answer and one above it — every codec and metric, lists
-/// rows were removed from, codes on both sides of the 32 bytes the AVX2 integer
-/// kernel needs, and all floors of a query in one group.
+/// rows were removed from, and codes on both sides of the 32 bytes the
+/// AVX2 integer kernel needs.
 #[test]
 fn a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor() {
     let strat = tuple3(u64_any(), usize_in(1..12), usize_in(40..300));
@@ -409,14 +405,9 @@ fn a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor() {
                         index.take(id);
                     }
                     let lists = nearest_lists(&index, &queries, 1 + seed as usize % 6);
-                    let unfloored: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))
-                        .map(|(&q, lists)| (q, &lists[..], f32::NEG_INFINITY))
-                        .collect();
-                    let plain = index.search_lists(&unfloored, k);
-                    let mut floored = Vec::new();
-                    let mut wants = Vec::new();
-                    for (&(q, lists, _), result) in unfloored.iter().zip(&plain.results) {
-                        let (hits, stats) = result.as_ref().unwrap();
+                    for (&q, lists) in queries.iter().zip(&lists) {
+                        let (plain, _) = index.search_lists(q, lists, f32::NEG_INFINITY, k);
+                        let (hits, stats) = plain.as_ref().unwrap();
                         let mut floors = vec![f32::NEG_INFINITY, f32::NAN];
                         floors.extend(hits.get(k - 1).map(|hit| hit.score));
                         floors.extend(
@@ -427,29 +418,25 @@ fn a_floored_list_scan_is_the_unfloored_answer_cut_at_the_floor() {
                         floors.extend(hits.get(hits.len() / 2).map(|hit| hit.score));
                         floors.extend(hits.first().map(|hit| hit.score.next_up()));
                         for floor in floors {
-                            let kept = hits
-                                .iter()
-                                .filter(|hit| floor.is_nan() || hit.score >= floor);
-                            wants.push((kept.copied().collect::<Vec<_>>(), *stats, floor));
-                            floored.push((q, lists, floor));
-                        }
-                    }
-                    let scan = index.search_lists(&floored, k);
-                    for (got, (want, want_stats, floor)) in scan.results.iter().zip(&wants) {
-                        let ctx = format!("{codec:?} {metric:?} k={k} floor {floor}");
-                        let (hits, stats) = got.as_ref().unwrap();
-                        prop_assert!(stats == want_stats, "{ctx}: stats");
-                        prop_assert!(
-                            hits.len() == want.len(),
-                            "{ctx}: {} hits, want {}",
-                            hits.len(),
-                            want.len()
-                        );
-                        for (g, w) in hits.iter().zip(want) {
+                            let want: Vec<_> = (hits.iter())
+                                .filter(|hit| floor.is_nan() || hit.score >= floor)
+                                .collect();
+                            let ctx = format!("{codec:?} {metric:?} k={k} floor {floor}");
+                            let (got, _) = index.search_lists(q, lists, floor, k);
+                            let (got, got_stats) = got.as_ref().unwrap();
+                            prop_assert!(got_stats == stats, "{ctx}: stats");
                             prop_assert!(
-                                g.id == w.id && g.score.to_bits() == w.score.to_bits(),
-                                "{ctx}: {g:?} != {w:?}"
+                                got.len() == want.len(),
+                                "{ctx}: {} hits, want {}",
+                                got.len(),
+                                want.len()
                             );
+                            for (g, w) in got.iter().zip(want) {
+                                prop_assert!(
+                                    g.id == w.id && g.score.to_bits() == w.score.to_bits(),
+                                    "{ctx}: {g:?} != {w:?}"
+                                );
+                            }
                         }
                     }
                 }
@@ -484,23 +471,15 @@ fn a_floor_rescores_fewer_rows() {
         let lists = nearest_lists(&index, &queries, 3);
         let (mut with, mut without) = (0, 0);
         for (&q, lists) in queries.iter().zip(&lists) {
-            let plain = index.search_lists(&[(q, &lists[..], f32::NEG_INFINITY)], k);
-            let kth = plain.results[0].as_ref().unwrap().0[k - 1].score;
-            let floored = index.search_lists(&[(q, &lists[..], kth)], k);
-            assert_eq!(
-                floored.results, plain.results,
-                "{metric:?}: the floor is the k-th score"
-            );
+            let (plain, plain_rescored) = index.search_lists(q, lists, f32::NEG_INFINITY, k);
+            let kth = plain.as_ref().unwrap().0[k - 1].score;
+            let (floored, floored_rescored) = index.search_lists(q, lists, kth, k);
+            assert_eq!(floored, plain, "{metric:?}: the floor is the k-th score");
             assert!(
-                floored.rescored_codes <= plain.rescored_codes,
-                "{metric:?}: {} rescored with the floor, {} without",
-                floored.rescored_codes,
-                plain.rescored_codes
+                floored_rescored <= plain_rescored,
+                "{metric:?}: {floored_rescored} rescored with the floor, {plain_rescored} without"
             );
-            (with, without) = (
-                with + floored.rescored_codes,
-                without + plain.rescored_codes,
-            );
+            (with, without) = (with + floored_rescored, without + plain_rescored);
         }
         assert!(
             with < without,

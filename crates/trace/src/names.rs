@@ -56,12 +56,13 @@ declare! {
             => "Engine pipeline executions (route, scatter, gather) of one batch";
         ENGINE_ROUTE = "engine.route" => "Route stage of one batch";
         /// The coarse keys of each distinct cluster, every query's probe
-        /// counts, one group scan per distinct cluster.
+        /// counts, one shard task per distinct cluster and wave.
         ENGINE_SCATTER = "engine.scatter" => "Scatter half of one batch's deep stage";
         ENGINE_GATHER = "engine.gather" => "Gather half of the deep stage, one per query";
-        SHARD_SAMPLE = "shard.sample" => "Route-stage sampling group scans of a shard";
-        /// Serves every query of the batch routed to the shard.
-        SHARD_DEEP = "shard.deep" => "Deep group scans of a shard";
+        SHARD_SAMPLE = "shard.sample" => "Route-stage sampling scans of a shard, one span per batch";
+        /// Scans every query of the batch routed to the shard, back to
+        /// back.
+        SHARD_DEEP = "shard.deep" => "Deep scans of a shard, one span per batch and wave";
         /// Pre-timed, virtual time.
         SERVE_BATCH = "serve.batch" => "Dispatched serving batches";
         /// Pre-timed, virtual time.
@@ -195,11 +196,11 @@ mod tests {
             ("counter.pool.steal_max", "Pool tasks stolen (max sample)"),
             (
                 "span.shard.deep_ns",
-                "Deep group scans of a shard: duration, ns",
+                "Deep scans of a shard, one span per batch and wave: duration, ns",
             ),
             (
                 "span.shard.deep.scanned_codes",
-                "Deep group scans of a shard: sum of scanned_codes args",
+                "Deep scans of a shard, one span per batch and wave: sum of scanned_codes args",
             ),
         ] {
             assert_eq!(help(metric).as_deref(), Some(want), "{metric}");

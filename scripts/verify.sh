@@ -33,9 +33,9 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::redundant_explicit_
 # cores) — the suites whose behaviour depends on the width: the pool
 # itself, the engine and serving crates that fan out on it, and the
 # root suites that pin pooled paths bit-identical to sequential ones;
-# the index crate, whose group scan keeps its scratch per thread
-# (the row-plan suites: plans across list boundaries, a scan without
-# the thread's scratch); and k-means, whose sweep fans out over row
+# the index crate, whose scan keeps its scratch per thread (the
+# row-plan suites: plans across list boundaries, queries scanned back to
+# back on one scratch, a scan without the thread's scratch); and k-means, whose sweep fans out over row
 # blocks (the full-sweep oracle suites, and the published store image
 # pinned in `determinism`). Both sweeps must pass with no goldens
 # re-tuned.
@@ -57,7 +57,7 @@ done
 # level and segmentation (the segment-kernel grids in hermes-math /
 # hermes-quant / simd_differential and the row-plan oracles in
 # hermes-index), f32 scoring to a 256-ULP envelope, engine and serving
-# paths to each other (batched group scans included); the SQ8 scan
+# paths to each other (coalesced batches included); the SQ8 scan
 # filter, whose survivor masks come from a per-level kernel that
 # compares each row's integer sum with the floor where it makes it (the
 # bound proptests in hermes-quant, the filtered row plans in
@@ -105,25 +105,19 @@ done
 # ablation (document sampling, centroid ranking, unranked) over
 # fixed-seed stores, and `fig12`, `fig13` and `fig18` run document
 # sampling over other sample and deep depths, splits and deep-cluster
-# counts. Figures 5–8, 14, 16, 17, 19 and 20 (the pipeline, energy and
-# platform projections) and Figure 10's pipeline gap are pinned the same
-# way.
+# counts. Figures 5–8, 14, 16, 17 and 19–21 (the pipeline, energy, DVFS
+# and platform projections) and Figure 10 (the k-means seed sweep and
+# the pipeline gap) are pinned the same way.
 # None of their outputs depends on the pool width or the dispatch level,
 # so every file each binary writes must be exactly the committed one in
 # bench_results/ — once at the host defaults, once at width 1 on the
-# scalar kernels — except:
-# - `fig04_measured.md`, whose latency and QPS are wall-clock readings;
-# - `fig10_sweep.md` (the k-means seed sweep), deterministic but stale
-#   against the committed file since the first revision: every inertia
-#   and the best seed's imbalance moved, and which change moved them is
-#   not yet known (ROADMAP item 18);
-# - `fig21`'s one file, stale in the same way (normalized DVFS energy),
-#   so the binary is not run here at all.
+# scalar kernels — except `fig04_measured.md`, whose latency and QPS are
+# wall-clock readings.
 # `fig04` adds ≈ 30 s and ≈ 60 s to the two passes, the projection
-# figures ≈ 1 s together: each of their twenty runs, `cargo run` included,
-# takes 33–101 ms (2-vCPU VM).
+# figures ≈ 1 s together: each of their twenty-two runs, `cargo run`
+# included, takes 33–101 ms (2-vCPU VM).
 for bin in table1 fig04 fig05 fig06 fig07 fig08 fig10 fig11 fig12 fig13 fig14 fig16 fig17 \
-    fig18 fig19 fig20; do
+    fig18 fig19 fig20 fig21; do
     echo "== ${bin} matches its bench_results/ files (release) =="
     for env in "" "HERMES_THREADS=1 HERMES_SIMD=scalar"; do
         bin_out="$(mktemp -d)"
@@ -132,7 +126,7 @@ for bin in table1 fig04 fig05 fig06 fig07 fig08 fig10 fig11 fig12 fig13 fig14 fi
             cargo run -p hermes-bench --release --offline --quiet --bin "${bin}" >/dev/null
         for out in "${bin_out}"/*; do
             name="$(basename "${out}")"
-            [[ "${name}" == fig04_measured.md || "${name}" == fig10_sweep.md ]] && continue
+            [[ "${name}" == fig04_measured.md ]] && continue
             diff "bench_results/${name}" "${out}"
         done
         rm -rf "${bin_out}"

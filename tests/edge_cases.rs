@@ -1,6 +1,6 @@
 //! Failure injection and boundary conditions across the stack.
 
-use hermes::index::GroupScan;
+use hermes::index::ScanResult;
 use hermes::kmeans::{probe_key_centroid, select_nearest};
 use hermes::prelude::*;
 
@@ -216,10 +216,11 @@ fn hostile_queries(dim: usize) -> Vec<Vec<f32>> {
     out
 }
 
-/// `queries` as one `IvfIndex::search_lists` group: each query with the
-/// lists a search at its `nprobe` selects from its coarse keys, at floor
-/// −∞ — a search's answer to the bit, query by query.
-fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> GroupScan {
+/// `queries` scanned back to back by `IvfIndex::search_lists`, each with
+/// the lists a search at its `nprobe` selects from its coarse keys, at
+/// floor −∞ — a search's answer to the bit, query by query: each answer,
+/// and the rescored counts' sum.
+fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> (Vec<ScanResult>, usize) {
     let keys = index.coarse_keys(queries.iter().map(|q| q.0));
     let lists: Vec<Vec<u32>> = (queries.iter().enumerate())
         .map(|(qi, &(_, nprobe))| match keys.query(qi) {
@@ -230,10 +231,15 @@ fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> GroupSc
             Err(_) => Vec::new(),
         })
         .collect();
-    let group: Vec<(&[f32], &[u32], f32)> = (queries.iter().zip(&lists))
-        .map(|(&(q, _), lists)| (q, &lists[..], f32::NEG_INFINITY))
+    let mut rescored_codes = 0;
+    let results = (queries.iter().zip(&lists))
+        .map(|(&(q, _), lists)| {
+            let (result, rescored) = index.search_lists(q, lists, f32::NEG_INFINITY, k);
+            rescored_codes += rescored;
+            result
+        })
         .collect();
-    index.search_lists(&group, k)
+    (results, rescored_codes)
 }
 
 #[test]
@@ -257,16 +263,16 @@ fn non_finite_queries_never_panic_an_ivf_scan() {
                     assert_eq!(hits.len(), 5);
                     assert_eq!(stats.probed_partitions, nprobe);
                 }
-                // The whole hostile set as one group, a sane query
-                // in the middle: it must be answered as if alone.
+                // The whole hostile set back to back, a sane query in
+                // the middle: it must be answered as if alone.
                 let sane = data.row(17);
                 let mut group: Vec<(&[f32], usize)> =
                     hostile.iter().map(|q| (q.as_slice(), nprobe)).collect();
                 group.insert(3, (sane, nprobe));
-                let scan = list_scan(&index, &group, 5);
-                assert!(scan.results.iter().all(Result::is_ok));
+                let (results, _) = list_scan(&index, &group, 5);
+                assert!(results.iter().all(Result::is_ok));
                 assert_eq!(
-                    scan.results[3],
+                    results[3],
                     index.search_with_stats(sane, 5, &params),
                     "{metric} {codec} nprobe={nprobe}"
                 );
@@ -301,25 +307,19 @@ fn hostile_queries_get_no_bound_and_scan_exactly() {
             .build(data)
             .unwrap();
         let group: Vec<(&[f32], usize)> = hostile.iter().map(|q| (q.as_slice(), 8)).collect();
-        let scan = list_scan(&index, &group, 5);
-        assert!(scan.results.iter().all(Result::is_ok));
-        assert_eq!(scan.rescored_codes, 0, "{metric}");
-        let scanned: usize = scan
-            .results
-            .iter()
-            .flatten()
+        let (results, rescored_codes) = list_scan(&index, &group, 5);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(rescored_codes, 0, "{metric}");
+        let scanned: usize = (results.iter().flatten())
             .map(|(_, s)| s.scanned_codes)
             .sum();
         assert!(scanned >= 2_000);
         // A sane query beside them filters, and answers as if alone.
         let sane = (data.row(17), 8);
-        let mixed = list_scan(&index, &[group[0], sane, group[3]], 5);
-        assert!(mixed.rescored_codes > 0, "{metric}");
+        let (mixed, rescored_codes) = list_scan(&index, &[group[0], sane, group[3]], 5);
+        assert!(rescored_codes > 0, "{metric}");
         let params = SearchParams::new().with_nprobe(8);
-        assert_eq!(
-            mixed.results[1],
-            index.search_with_stats(sane.0, 5, &params)
-        );
+        assert_eq!(mixed[1], index.search_with_stats(sane.0, 5, &params));
     }
 }
 

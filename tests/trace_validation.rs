@@ -156,6 +156,98 @@ fn traced_search_produces_balanced_spans_with_work_args() {
     }
 }
 
+/// The `cluster` arg and the `[queries, scanned_codes, rescored_codes]`
+/// args of every `name` span in `snap`, in start order.
+fn shard_spans(snap: &trace::TraceSnapshot, name: &str) -> Vec<(usize, [u64; 3])> {
+    let mut spans: Vec<_> = (snap.spans().expect("balanced begin/end per thread"))
+        .into_iter()
+        .filter(|s| s.name == name)
+        .collect();
+    spans.sort_by_key(|s| s.start_ns);
+    let arg = |s: &trace::SpanRecord, key: &str| {
+        (s.args.iter().find(|(k, _)| *k == key))
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("span {name} missing arg {key}"))
+    };
+    (spans.iter())
+        .map(|s| {
+            let sums = ["queries", "scanned_codes", "rescored_codes"].map(|key| arg(s, key));
+            (arg(s, "cluster") as usize, sums)
+        })
+        .collect()
+}
+
+/// A coalesced batch whose queries share shards records one span per
+/// shard per wave: one `shard.sample` per live shard, one `shard.deep`
+/// per (wave, shard with members), each span's `queries`,
+/// `scanned_codes` and `rescored_codes` the sums of what its members'
+/// scans record when each query runs alone.
+#[test]
+fn a_coalesced_batch_records_one_shard_span_per_wave() {
+    use std::collections::BTreeMap;
+    let _g = guard();
+    let (store, queries) = build_store();
+    let engine = Engine::for_store(&store);
+    let traced = |batch: &[Vec<f32>]| {
+        trace::clear();
+        trace::enable();
+        let outcomes = engine.execute_coalesced(batch, 0).unwrap();
+        trace::disable();
+        let snap = trace::snapshot();
+        assert_eq!(snap.dropped, 0, "workload must fit the rings");
+        (outcomes, snap)
+    };
+    let add = |sums: &mut [u64; 3], args: [u64; 3]| {
+        sums.iter_mut().zip(args).for_each(|(sum, arg)| *sum += arg);
+    };
+
+    // Each query alone: its sample spans, its leader's deep span (keyed
+    // `false`) and its other shards' (`true`), each with one member.
+    let live = (0..store.num_clusters())
+        .filter(|&c| store.shard(c).len() > 0)
+        .count();
+    let mut samples = BTreeMap::new();
+    let mut deeps = BTreeMap::new();
+    let mut alone = Vec::new();
+    for q in &queries {
+        let (outcome, snap) = traced(std::slice::from_ref(q));
+        let outcome = outcome.into_iter().next().unwrap();
+        let sampled = shard_spans(&snap, "shard.sample");
+        assert_eq!(sampled.len(), live);
+        for (c, args) in sampled {
+            assert_eq!(args[0], 1);
+            add(samples.entry(c).or_insert([0; 3]), args);
+        }
+        let searched = outcome.searched_clusters();
+        let scanned: Vec<usize> = outcome.stats.per_shard_scanned().collect();
+        for (c, args) in shard_spans(&snap, "shard.deep") {
+            let pos = searched.iter().position(|&s| s == c).unwrap();
+            assert_eq!(args[..2], [1, scanned[pos] as u64], "cluster {c}");
+            add(deeps.entry((pos > 0, c)).or_insert([0; 3]), args);
+        }
+        alone.push(outcome);
+    }
+
+    // The batch: as many spans as (wave, shard) keys. The leaders' wave
+    // ends before the other starts, so its spans come first.
+    let (outcomes, snap) = traced(&queries);
+    assert_eq!(outcomes, alone, "a batch answers each query as if alone");
+    let sampled = shard_spans(&snap, "shard.sample");
+    assert_eq!(sampled.len(), live, "one sample span per live shard");
+    assert_eq!(sampled.into_iter().collect::<BTreeMap<_, _>>(), samples);
+    let deep = shard_spans(&snap, "shard.deep");
+    assert_eq!(deep.len(), deeps.len(), "one deep span per wave and shard");
+    let leaders = deeps.keys().filter(|&&(follower, _)| !follower).count();
+    let (first, second) = deep.split_at(leaders);
+    let waves = (first.iter().map(|&(c, args)| ((false, c), args)))
+        .chain(second.iter().map(|&(c, args)| ((true, c), args)));
+    assert_eq!(waves.collect::<BTreeMap<_, _>>(), deeps);
+    assert!(
+        deeps.values().any(|args| args[0] > 1),
+        "the batch's queries share a shard"
+    );
+}
+
 #[test]
 fn pool_workers_record_task_steal_and_idle_events() {
     let _g = guard();

@@ -15,7 +15,6 @@
 use std::cell::Cell;
 
 use hermes_kmeans::{probe_key_centroid, select_nearest, KMeans, KMeansConfig};
-use hermes_math::simd::prefetch_read;
 use hermes_math::{Mat, Metric, Neighbor, TopK};
 use hermes_quant::{Codec, CodecSpec, QueryScorer};
 
@@ -736,9 +735,8 @@ impl IvfIndex {
     /// Only exact scores ever reach the selector: results cannot tell the
     /// two ways apart. While a selector that will filter is still filling
     /// and there is no floor, chunks are cut at [`WARMUP_ROWS`] so that
-    /// it fills, exactly, on few rows. The kernels keep a read-ahead
-    /// cursor [`PREFETCH_ROWS`] rows in front of the rows they read.
-    /// Returns the rescored count (see [`Self::search_lists`]).
+    /// it fills, exactly, on few rows. Returns the rescored count (see
+    /// [`Self::search_lists`]).
     fn scan(
         &self,
         lists: &[u32],
@@ -751,8 +749,6 @@ impl IvfIndex {
         let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
         let mut rescored = 0;
-        let mut ahead = ReadAhead::default();
-        ahead.advance(self, lists, PREFETCH_ROWS);
         let (mut at_list, mut at_row) = (0, 0);
         while at_list < lists.len() {
             let warming =
@@ -777,16 +773,12 @@ impl IvfIndex {
                 }
             }
             let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
-            // The chunk's one pass over its cold rows keeps the read-ahead
-            // moving, a few rows between the kernel's tiles.
-            let mut pace = |rows| ahead.advance(self, lists, rows);
-
             let gate = scorer
                 .bound()
                 .and_then(|bound| Some((bound, bound.floor(top.threshold().max(floor))?)));
             if let Some((bound, least)) = gate {
                 let used = rows.div_ceil(8);
-                bound.survivors(segments, rows, least, &mut chunk.masks[..used], &mut pace);
+                bound.survivors(segments, rows, least, &mut chunk.masks[..used]);
                 // Survivors in row order, straight off the kernel's mask
                 // bits, 64 rows a word (the word's bytes past the chunk
                 // cleared); `part` follows them.
@@ -811,14 +803,14 @@ impl IvfIndex {
                     }
                 }
                 let out = &mut chunk.scores[..n];
-                scorer.score_segments(&kept[..n], out, &mut |_| {});
+                scorer.score_segments(&kept[..n], out);
                 top.push_block(&chunk.kept_ids[..n], out);
                 rescored += n;
                 continue;
             }
 
             let out = &mut chunk.scores[..rows];
-            scorer.score_segments(segments, out, &mut pace);
+            scorer.score_segments(segments, out);
             let mut at = 0;
             for p in parts {
                 let list = &self.lists[p.list as usize];
@@ -849,12 +841,6 @@ const CHUNK_ROWS: usize = 256;
 /// non-leader shard's, seeded with the leader's k-th score) filters from
 /// its first row.
 const WARMUP_ROWS: usize = 32;
-
-/// How many rows ahead of the rows being scored the scan prefetches:
-/// far enough for an L3 miss to resolve under the arithmetic of the two
-/// 16-row kernel steps in between, near enough that what is fetched is
-/// still in L1 when its turn comes (measured: 16 and 48 are both slower).
-const PREFETCH_ROWS: usize = 32;
 
 thread_local! {
     /// This thread's scan scratch between scans.
@@ -913,35 +899,6 @@ struct Part {
     list: u32,
     start: u32,
     len: u32,
-}
-
-/// The prefetch position in a scan's list sequence (see
-/// [`PREFETCH_ROWS`]).
-#[derive(Default)]
-struct ReadAhead {
-    list: usize,
-    row: usize,
-}
-
-impl ReadAhead {
-    /// Prefetches what the scan is certain to read of the next `rows`
-    /// rows of `lists`, and moves past them: every cache line of their
-    /// codes. Ids are read for the few rows that survive the top-k bound;
-    /// fetching them all cost more than the misses it saved.
-    fn advance(&mut self, index: &IvfIndex, lists: &[u32], mut rows: usize) {
-        let cs = index.codec.code_size();
-        while rows > 0 && self.list < lists.len() {
-            let list = &index.lists[lists[self.list] as usize];
-            let (from, to) = (self.row, list.ids.len().min(self.row + rows));
-            prefetch_read(&list.codes[from * cs..to * cs]);
-            rows -= to - from;
-            (self.list, self.row) = if to == list.ids.len() {
-                (self.list + 1, 0)
-            } else {
-                (self.list, to)
-            };
-        }
-    }
 }
 
 #[cfg(test)]

@@ -602,7 +602,6 @@ fn sq8_segments_at<const L2: bool>(
     scales: &[f32],
     segments: &[&[u8]],
     out: &mut [f32],
-    pace: &mut dyn FnMut(usize),
 ) {
     let dim = query.len();
     assert_eq!(mins.len(), dim, "SQ8 mins length mismatch");
@@ -619,14 +618,13 @@ fn sq8_segments_at<const L2: bool>(
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if level.is_supported() => unsafe {
-            crate::simd::avx2::sq8_segments::<L2>(query, mins, scales, segments, out, pace)
+            crate::simd::avx2::sq8_segments::<L2>(query, mins, scales, segments, out)
         },
         // Scalar reference and NEON: segment by segment.
         _ => {
             let mut at = 0;
             for codes in segments {
                 let rows = codes.len() / dim;
-                pace(rows);
                 let out = &mut out[at..at + rows];
                 #[allow(unused_mut)]
                 let mut r = 0;
@@ -664,15 +662,6 @@ fn sq8_segments_at<const L2: bool>(
 /// fill one tile) while the scalar and NEON forms walk segment by
 /// segment.
 ///
-/// `pace` is called just before each group of codes is scored, with the
-/// group's size — at most 16 codes on AVX2, a segment elsewhere; the
-/// sizes sum to `out.len()`. It is how a caller streaming cold lists
-/// keeps a prefetch cursor ([`prefetch_read`](crate::simd::prefetch_read))
-/// a fixed number of rows ahead of the kernel, a few lines at a time
-/// between tiles instead of a burst between calls that the line-fill
-/// buffers cannot absorb. Pass `&mut |_| {}` when there is nothing to
-/// pace.
-///
 /// # Panics
 ///
 /// Panics unless `query` and `mins`/`scales` share one length `dim`,
@@ -685,9 +674,8 @@ pub fn sq8_ip_segments_at(
     scales: &[f32],
     segments: &[&[u8]],
     out: &mut [f32],
-    pace: &mut dyn FnMut(usize),
 ) {
-    sq8_segments_at::<false>(level, query, mins, scales, segments, out, pace);
+    sq8_segments_at::<false>(level, query, mins, scales, segments, out);
 }
 
 /// Scalar tier-A SQ8 inner product from code `start` on: 4-code
@@ -750,9 +738,8 @@ pub fn sq8_l2_segments_at(
     scales: &[f32],
     segments: &[&[u8]],
     out: &mut [f32],
-    pace: &mut dyn FnMut(usize),
 ) {
-    sq8_segments_at::<true>(level, query, mins, scales, segments, out, pace);
+    sq8_segments_at::<true>(level, query, mins, scales, segments, out);
 }
 
 /// Scalar tier-A SQ8 negated-L2 from code `start` on; see
@@ -818,8 +805,7 @@ pub const SQ8_WEIGHT_MAX: i8 = 63;
 /// kernel per code, for codes of 32 bytes and more). This is not a score:
 /// it is the integer part of an *upper bound* on one (`hermes_quant`'s
 /// `Sq8Bound`). A scan wants only its comparison with a floor, which
-/// [`sq8_dot_i8_mask_at`] returns from the same kernel body. `pace` is
-/// called like [`sq8_ip_segments_at`]'s.
+/// [`sq8_dot_i8_mask_at`] returns from the same kernel body.
 ///
 /// # Panics
 ///
@@ -827,13 +813,7 @@ pub const SQ8_WEIGHT_MAX: i8 = 63;
 /// are longer than `i32::MAX / (255 * 63)` bytes (a sum could overflow),
 /// a segment is not a whole number of codes or the segments do not hold
 /// `out.len()` codes.
-pub fn sq8_dot_i8_at(
-    level: SimdLevel,
-    weights: &[i8],
-    segments: &[&[u8]],
-    out: &mut [i32],
-    pace: &mut dyn FnMut(usize),
-) {
+pub fn sq8_dot_i8_at(level: SimdLevel, weights: &[i8], segments: &[&[u8]], out: &mut [i32]) {
     validate_dot_i8(weights, segments, out.len());
     if weights.is_empty() {
         out.fill(0);
@@ -845,10 +825,10 @@ pub fn sq8_dot_i8_at(
         // bytes, `out` is not empty, and `validate_dot_i8` checked the
         // weights' range and that the segments are `out.len()` whole
         // codes.
-        return unsafe { crate::simd::avx2::sq8_dot_i8(weights, segments, out, pace) };
+        return unsafe { crate::simd::avx2::sq8_dot_i8(weights, segments, out) };
     }
     let _ = level;
-    sq8_dot_i8_scalar(weights, segments, pace, |i, sum| out[i] = sum);
+    sq8_dot_i8_scalar(weights, segments, |i, sum| out[i] = sum);
 }
 
 /// The survivors of a floor among [`sq8_dot_i8_at`]'s sums, eight codes a
@@ -858,7 +838,6 @@ pub fn sq8_dot_i8_at(
 /// last code are clear. The AVX2 form compares the eight sums of a tile
 /// in the register that holds them and writes only the byte; the other
 /// levels compare their exact sums, so every level writes the same bytes.
-/// `pace` as in [`sq8_dot_i8_at`].
 ///
 /// # Panics
 ///
@@ -871,16 +850,13 @@ pub fn sq8_dot_i8_mask_at(
     n: usize,
     floor: i32,
     masks: &mut [u8],
-    pace: &mut dyn FnMut(usize),
 ) {
     validate_dot_i8(weights, segments, n);
     assert_eq!(masks.len(), n.div_ceil(8), "one mask byte per eight codes");
     #[cfg(target_arch = "x86_64")]
     if dot_i8_runs_avx2(level, weights, n) {
         // SAFETY: as in `sq8_dot_i8_at`, and `masks` was sized above.
-        return unsafe {
-            crate::simd::avx2::sq8_dot_i8_mask(weights, segments, n, floor, masks, pace)
-        };
+        return unsafe { crate::simd::avx2::sq8_dot_i8_mask(weights, segments, n, floor, masks) };
     }
     let _ = level;
     masks.fill(0);
@@ -889,7 +865,7 @@ pub fn sq8_dot_i8_mask_at(
         // Zero-byte codes: every sum is the empty one.
         (0..n).for_each(|i| mark(i, 0));
     } else {
-        sq8_dot_i8_scalar(weights, segments, pace, mark);
+        sq8_dot_i8_scalar(weights, segments, mark);
     }
 }
 
@@ -919,18 +895,12 @@ fn dot_i8_runs_avx2(level: SimdLevel, weights: &[i8], n: usize) -> bool {
 }
 
 /// The portable integer kernel: `each(i, sum)` for every code `i` of
-/// `segments`, in order, `pace` before each segment. Integer arithmetic,
-/// so it is every level's answer.
-fn sq8_dot_i8_scalar(
-    weights: &[i8],
-    segments: &[&[u8]],
-    pace: &mut dyn FnMut(usize),
-    mut each: impl FnMut(usize, i32),
-) {
+/// `segments`, in order. Integer arithmetic, so it is every level's
+/// answer.
+fn sq8_dot_i8_scalar(weights: &[i8], segments: &[&[u8]], mut each: impl FnMut(usize, i32)) {
     let dim = weights.len();
     let mut i = 0;
     for codes in segments {
-        pace(codes.len() / dim);
         for code in codes.chunks_exact(dim) {
             each(
                 i,
@@ -946,9 +916,8 @@ fn sq8_dot_i8_scalar(
 
 /// PQ/ADC table walk over the `m`-byte codes of `segments`, in order:
 /// `out[i] = Σ_sub tables[sub * 256 + code_i[sub]]`, added in subspace
-/// order per code, `pace` called before each segment with its code
-/// count. The scalar walk at every dispatch `level`, so bit-identical
-/// at every level and segmentation (tier A).
+/// order per code. The scalar walk at every dispatch `level`, so
+/// bit-identical at every level and segmentation (tier A).
 ///
 /// # Panics
 ///
@@ -960,7 +929,6 @@ pub fn adc_block_at(
     m: usize,
     segments: &[&[u8]],
     out: &mut [f32],
-    pace: &mut dyn FnMut(usize),
 ) {
     assert_eq!(tables.len(), m * 256, "ADC table size mismatch");
     validate_segments(m, segments, out.len(), "ADC code");
@@ -972,7 +940,6 @@ pub fn adc_block_at(
     for codes in segments {
         let out = &mut out[at..at + codes.len() / m];
         at += out.len();
-        pace(out.len());
         adc_scalar(tables, m, codes, out);
     }
 }
@@ -1327,14 +1294,7 @@ mod tests {
                 let m = dim;
                 let tables: Vec<f32> = (0..m * 256).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
                 let mut want_adc = vec![0.0f32; n];
-                adc_block_at(
-                    SimdLevel::Scalar,
-                    &tables,
-                    m,
-                    &[&codes],
-                    &mut want_adc,
-                    &mut |_| {},
-                );
+                adc_block_at(SimdLevel::Scalar, &tables, m, &[&codes], &mut want_adc);
                 for (level, cuts) in SimdLevel::available()
                     .into_iter()
                     .flat_map(|l| segmentations.map(|c| (l, c)))
@@ -1342,19 +1302,11 @@ mod tests {
                     let segments = cut(&codes, dim, n, cuts);
                     let mut got = vec![0.0f32; n];
                     for l2 in [false, true] {
-                        // The pacing hook hears of every code once.
-                        let mut paced = 0;
-                        let pace = &mut |rows| paced += rows;
                         if l2 {
-                            sq8_l2_segments_at(
-                                level, &query, &mins, &scales, &segments, &mut got, pace,
-                            );
+                            sq8_l2_segments_at(level, &query, &mins, &scales, &segments, &mut got);
                         } else {
-                            sq8_ip_segments_at(
-                                level, &query, &mins, &scales, &segments, &mut got, pace,
-                            );
+                            sq8_ip_segments_at(level, &query, &mins, &scales, &segments, &mut got);
                         }
-                        assert_eq!(paced, n, "{level} d{dim} n{n} {cuts:?}");
                         for i in 0..n {
                             let code = &codes[i * dim..(i + 1) * dim];
                             let want = sq8_reference(l2, &query, &mins, &scales, code);
@@ -1366,11 +1318,7 @@ mod tests {
                         }
                     }
                     let mut got = vec![0.0f32; n];
-                    let mut paced = 0;
-                    adc_block_at(level, &tables, m, &segments, &mut got, &mut |rows| {
-                        paced += rows
-                    });
-                    assert_eq!(paced, n, "{level} adc d{dim} n{n} {cuts:?}");
+                    adc_block_at(level, &tables, m, &segments, &mut got);
                     for (i, (g, w)) in got.iter().zip(&want_adc).enumerate() {
                         assert_eq!(
                             g.to_bits(),
@@ -1495,13 +1443,8 @@ mod tests {
                                 })
                                 .collect();
                             let mut got = vec![0xA5u8; n.div_ceil(8)];
-                            let mut paced = 0;
-                            let pace = &mut |rows| paced += rows;
-                            sq8_dot_i8_mask_at(
-                                level, &weights, &segments, n, floor, &mut got, pace,
-                            );
+                            sq8_dot_i8_mask_at(level, &weights, &segments, n, floor, &mut got);
                             assert_eq!(got, want, "{level} d{dim} n{n} {cuts:?} floor {floor}");
-                            assert_eq!(paced, if dim == 0 { 0 } else { n }, "{level} d{dim} n{n}");
                         }
                     }
                 }
@@ -1544,12 +1487,9 @@ mod tests {
                         .flat_map(|l| segmentations.map(|c| (l, c)))
                     {
                         let mut got = vec![i32::MIN; n];
-                        let mut paced = 0;
                         let segments = cut(&codes, dim, n, cuts);
-                        let pace = &mut |rows| paced += rows;
-                        sq8_dot_i8_at(level, &weights, &segments, &mut got, pace);
+                        sq8_dot_i8_at(level, &weights, &segments, &mut got);
                         assert_eq!(got, want, "{level} d{dim} n{n} {cuts:?} {extreme:?}");
-                        assert_eq!(paced, if dim == 0 { 0 } else { n }, "{level} d{dim} n{n}");
                     }
                 }
             }
@@ -1559,7 +1499,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "SQ8 bound weight beyond")]
     fn integer_code_sums_reject_weights_that_could_saturate() {
-        sq8_dot_i8_at(SimdLevel::Scalar, &[64], &[&[1u8]], &mut [0], &mut |_| {});
+        sq8_dot_i8_at(SimdLevel::Scalar, &[64], &[&[1u8]], &mut [0]);
     }
 
     #[test]
@@ -1574,7 +1514,6 @@ mod tests {
             &[1.0, 1.0],
             &[&[0u8; 3], &[0u8; 3]],
             &mut out,
-            &mut |_| {},
         );
     }
 
@@ -1603,7 +1542,6 @@ mod tests {
             &[1.0, 1.0],
             &[&[0u8; 3]],
             &mut out,
-            &mut |_| {},
         );
     }
 
@@ -1611,13 +1549,6 @@ mod tests {
     #[should_panic(expected = "ADC table size mismatch")]
     fn adc_block_rejects_short_tables() {
         let mut out = [0.0f32; 1];
-        adc_block_at(
-            SimdLevel::Scalar,
-            &[0.0f32; 16],
-            2,
-            &[&[0u8; 2]],
-            &mut out,
-            &mut |_| {},
-        );
+        adc_block_at(SimdLevel::Scalar, &[0.0f32; 16], 2, &[&[0u8; 2]], &mut out);
     }
 }

@@ -224,40 +224,6 @@ pub fn simd_decision_count() -> u64 {
     DECISIONS.load(Ordering::Relaxed)
 }
 
-/// Hints the CPU to start pulling every cache line of `data` toward L1,
-/// for a read that a streaming scan will make a fixed distance from now.
-/// Purely a hint: nothing is read architecturally, no result can change,
-/// an empty slice costs nothing, and on targets other than x86_64 and
-/// aarch64 the whole function compiles to nothing.
-#[inline]
-pub fn prefetch_read<T>(data: &[T]) {
-    const LINE: usize = 64;
-    let start = data.as_ptr().cast::<u8>();
-    let end = start.wrapping_add(std::mem::size_of_val(data));
-    // From the line `data` starts in, one hint per line up to its end.
-    let mut line = start.wrapping_sub(start as usize % LINE);
-    while line < end {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `prefetcht0` never faults and never dereferences its
-        // operand architecturally, and SSE is part of the x86_64
-        // baseline.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(line.cast());
-        }
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `prfm` is a hint that never faults; the block touches
-        // no memory, stack or flags the compiler can observe.
-        unsafe {
-            core::arch::asm!(
-                "prfm pldl1keep, [{line}]",
-                line = in(reg) line,
-                options(nostack, readonly, preserves_flags)
-            );
-        }
-        line = line.wrapping_add(LINE);
-    }
-}
-
 /// AVX2+FMA kernels. Callers must hold a [`SimdLevel::Avx2`]
 /// `is_supported()` proof before calling anything here — the
 /// `#[target_feature]` functions are UB on CPUs without the features.
@@ -959,9 +925,7 @@ pub(crate) mod avx2 {
     /// distance. Gather-free: row loads, an in-register byte transpose and
     /// a widen feed one lane per code, and because a tile is eight *row
     /// pointers* it spans segment boundaries — short inverted lists fill
-    /// tiles together. `pace` is told the size of each group of at most
-    /// 16 codes just before it is scored (see
-    /// [`crate::block::sq8_ip_segments_at`]).
+    /// tiles together (see [`crate::block::sq8_ip_segments_at`]).
     ///
     /// # Safety
     ///
@@ -975,13 +939,11 @@ pub(crate) mod avx2 {
         scales: &[f32],
         segments: &[&[u8]],
         out: &mut [f32],
-        pace: &mut dyn FnMut(usize),
     ) {
         let n = out.len();
         let mut cursor = RowCursor::new(segments, mins.len());
         let mut r = 0;
         while r < n {
-            pace((n - r).min(2 * LANES));
             // Two tiles in flight while more than one tile of codes is
             // left; the last one may be partly clamped.
             if n - r > LANES {
@@ -1007,9 +969,8 @@ pub(crate) mod avx2 {
     /// by ones); the partial sums of eight consecutive rows, whichever
     /// segments they come from, are then reduced together by one
     /// `vphaddd` tree: about 10 µops a 64-byte row where eight rows share
-    /// a segment. `pace` hears of each two such groups, at most 16 codes,
-    /// just before their first row is read. The one body behind
-    /// [`sq8_dot_i8`] and [`sq8_dot_i8_mask`].
+    /// a segment. The one body behind [`sq8_dot_i8`] and
+    /// [`sq8_dot_i8_mask`].
     ///
     /// # Safety
     ///
@@ -1023,7 +984,6 @@ pub(crate) mod avx2 {
         weights: &[i8],
         segments: &[&[u8]],
         n: usize,
-        pace: &mut dyn FnMut(usize),
         mut group: impl FnMut(usize, __m256i),
     ) {
         const STEP: usize = 32;
@@ -1036,9 +996,6 @@ pub(crate) mod avx2 {
         let mut cursor = RowCursor::new(segments, dim);
         let mut r = 0;
         while r < n {
-            if r % (2 * LANES) == 0 {
-                pace((n - r).min(2 * LANES));
-            }
             let rows = match cursor.run() {
                 Some(first) => core::array::from_fn(|i| first.add(i * dim)),
                 None => cursor.tiles::<1>()[0],
@@ -1072,14 +1029,9 @@ pub(crate) mod avx2 {
     ///
     /// As [`sq8_dot_i8_groups`], with `n = out.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sq8_dot_i8(
-        weights: &[i8],
-        segments: &[&[u8]],
-        out: &mut [i32],
-        pace: &mut dyn FnMut(usize),
-    ) {
+    pub unsafe fn sq8_dot_i8(weights: &[i8], segments: &[&[u8]], out: &mut [i32]) {
         let n = out.len();
-        sq8_dot_i8_groups(weights, segments, n, pace, |r, sums| {
+        sq8_dot_i8_groups(weights, segments, n, |r, sums| {
             if r + LANES <= n {
                 _mm256_storeu_si256(out[r..r + LANES].as_mut_ptr() as *mut __m256i, sums);
             } else {
@@ -1107,10 +1059,9 @@ pub(crate) mod avx2 {
         n: usize,
         floor: i32,
         masks: &mut [u8],
-        pace: &mut dyn FnMut(usize),
     ) {
         let floor = _mm256_set1_epi32(floor);
-        sq8_dot_i8_groups(weights, segments, n, pace, |r, sums| {
+        sq8_dot_i8_groups(weights, segments, n, |r, sums| {
             // `sum >= floor` is `!(floor > sum)`: exact for every `i32`
             // floor, `i32::MIN` included, where `sum > floor - 1` is not.
             let below = _mm256_cmpgt_epi32(floor, sums);
@@ -1360,22 +1311,6 @@ pub(crate) mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prefetching_any_slice_is_harmless() {
-        // Empty, unaligned, one-byte and multi-line slices of several
-        // element sizes: a hint never faults and never writes.
-        let bytes: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-        let before = bytes.clone();
-        for (from, to) in [(0, 0), (1, 2), (3, 67), (63, 65), (0, 1000), (999, 1000)] {
-            prefetch_read(&bytes[from..to]);
-        }
-        prefetch_read::<u64>(&[]);
-        prefetch_read(&[1u64, 2, 3]);
-        prefetch_read(&[(); 9]);
-        prefetch_read(&vec![0.5f32; 4096]);
-        assert_eq!(bytes, before);
-    }
 
     #[test]
     fn parse_accepts_every_level_name_case_insensitively() {

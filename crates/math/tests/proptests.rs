@@ -291,25 +291,9 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
                 let mut got = vec![f32::NAN; n];
                 for l2 in [false, true] {
                     if l2 {
-                        sq8_l2_segments_at(
-                            level,
-                            &query,
-                            &mins,
-                            &scales,
-                            &segments,
-                            &mut got,
-                            &mut |_| {},
-                        );
+                        sq8_l2_segments_at(level, &query, &mins, &scales, &segments, &mut got);
                     } else {
-                        sq8_ip_segments_at(
-                            level,
-                            &query,
-                            &mins,
-                            &scales,
-                            &segments,
-                            &mut got,
-                            &mut |_| {},
-                        );
+                        sq8_ip_segments_at(level, &query, &mins, &scales, &segments, &mut got);
                     }
                     for i in 0..n {
                         let want = walk(l2, &query, &codes[i * dim..(i + 1) * dim]);
@@ -328,7 +312,7 @@ fn sq8_query_tiles_are_bit_identical_to_the_scalar_walk() {
                     }
                 }
                 let mut got = vec![f32::NAN; n];
-                adc_block_at(level, &tables, dim, &segments, &mut got, &mut |_| {});
+                adc_block_at(level, &tables, dim, &segments, &mut got);
                 for (i, g) in got.iter().enumerate() {
                     let mut want = 0.0f32;
                     for (sub, &c) in codes[i * dim..(i + 1) * dim].iter().enumerate() {

@@ -347,18 +347,12 @@ impl QueryScorer<'_> {
     /// the lanes of its ragged tail; PQ/ADC walks list by list and the
     /// other codecs go code by code.
     ///
-    /// `pace` hears of every code once, group by group, just before the
-    /// group is first scored — the hook for keeping a prefetch cursor a
-    /// fixed distance ahead of the kernel (see
-    /// [`hermes_math::block::sq8_ip_segments_at`]); `&mut |_| {}` if there
-    /// is nothing to pace.
-    ///
     /// # Panics
     ///
     /// Panics if a segment is not a whole number of codes or the segments
     /// do not hold `out.len()` codes between them.
-    pub fn score_segments(&self, segments: &[&[u8]], out: &mut [f32], pace: &mut dyn FnMut(usize)) {
-        self.score_segments_at(simd_level(), segments, out, pace);
+    pub fn score_segments(&self, segments: &[&[u8]], out: &mut [f32]) {
+        self.score_segments_at(simd_level(), segments, out);
     }
 
     /// [`QueryScorer::score_segments`] at an explicit dispatch level.
@@ -366,13 +360,7 @@ impl QueryScorer<'_> {
     /// # Panics
     ///
     /// As [`QueryScorer::score_segments`].
-    pub fn score_segments_at(
-        &self,
-        level: SimdLevel,
-        segments: &[&[u8]],
-        out: &mut [f32],
-        pace: &mut dyn FnMut(usize),
-    ) {
+    pub fn score_segments_at(&self, level: SimdLevel, segments: &[&[u8]], out: &mut [f32]) {
         match self {
             // The block kernels check the segments' shape themselves.
             QueryScorer::Sq {
@@ -383,10 +371,10 @@ impl QueryScorer<'_> {
                     Metric::L2 => sq8_l2_segments_at,
                     Metric::InnerProduct | Metric::Cosine => sq8_ip_segments_at,
                 };
-                kernel(level, query, &sq.mins, &sq.scales, segments, out, pace);
+                kernel(level, query, &sq.mins, &sq.scales, segments, out);
             }
             QueryScorer::Pq { tables, m } => {
-                hermes_math::block::adc_block_at(level, tables, *m, segments, out, pace)
+                hermes_math::block::adc_block_at(level, tables, *m, segments, out)
             }
             // Flat decodes four little-endian bytes per dim with a single
             // sequential accumulator and SQ4 codes are packed nibbles:
@@ -409,7 +397,6 @@ impl QueryScorer<'_> {
                 }
                 let mut scores = out.iter_mut();
                 for codes in segments {
-                    pace(codes.len() / cs);
                     for (code, o) in codes.chunks_exact(cs).zip(&mut scores) {
                         *o = self.score(code);
                     }
@@ -426,7 +413,7 @@ impl QueryScorer<'_> {
     ///
     /// Panics if `codes.len() != out.len() * self.code_size()`.
     pub fn score_block_at(&self, level: SimdLevel, codes: &[u8], out: &mut [f32]) {
-        self.score_segments_at(level, &[codes], out, &mut |_| {});
+        self.score_segments_at(level, &[codes], out);
     }
 }
 
@@ -570,13 +557,12 @@ impl Sq8Bound {
     /// The integer part of the bound for every code of `segments`, in
     /// order: `out[i] = I(code_i)`, at the process-wide [`simd_level`]
     /// (the sums are integers — every level returns the same ones).
-    /// `pace` as in [`QueryScorer::score_segments`].
     ///
     /// # Panics
     ///
     /// Panics if the segments are not whole codes, `out.len()` in all.
-    pub fn sums(&self, segments: &[&[u8]], out: &mut [i32], pace: &mut dyn FnMut(usize)) {
-        self.sums_at(simd_level(), segments, out, pace);
+    pub fn sums(&self, segments: &[&[u8]], out: &mut [i32]) {
+        self.sums_at(simd_level(), segments, out);
     }
 
     /// [`Self::sums`] at an explicit dispatch level.
@@ -584,14 +570,8 @@ impl Sq8Bound {
     /// # Panics
     ///
     /// As [`Self::sums`].
-    pub fn sums_at(
-        &self,
-        level: SimdLevel,
-        segments: &[&[u8]],
-        out: &mut [i32],
-        pace: &mut dyn FnMut(usize),
-    ) {
-        hermes_math::block::sq8_dot_i8_at(level, &self.weights, segments, out, pace);
+    pub fn sums_at(&self, level: SimdLevel, segments: &[&[u8]], out: &mut [i32]) {
+        hermes_math::block::sq8_dot_i8_at(level, &self.weights, segments, out);
     }
 
     /// Which of the `n` codes of `segments` the bound leaves in against
@@ -605,14 +585,7 @@ impl Sq8Bound {
     ///
     /// Panics if the segments are not `n` whole codes or `masks.len() !=
     /// n.div_ceil(8)`.
-    pub fn survivors(
-        &self,
-        segments: &[&[u8]],
-        n: usize,
-        floor: i32,
-        masks: &mut [u8],
-        pace: &mut dyn FnMut(usize),
-    ) {
+    pub fn survivors(&self, segments: &[&[u8]], n: usize, floor: i32, masks: &mut [u8]) {
         hermes_math::block::sq8_dot_i8_mask_at(
             simd_level(),
             &self.weights,
@@ -620,7 +593,6 @@ impl Sq8Bound {
             n,
             floor,
             masks,
-            pace,
         );
     }
 
@@ -1223,11 +1195,7 @@ mod tests {
                         for level in SimdLevel::available() {
                             for segments in [&[block][..], &cut] {
                                 let mut out = vec![0.0f32; n];
-                                let mut paced = 0;
-                                scorer.score_segments_at(level, segments, &mut out, &mut |rows| {
-                                    paced += rows
-                                });
-                                assert_eq!(paced, n, "every code is paced once");
+                                scorer.score_segments_at(level, segments, &mut out);
                                 for i in 0..n {
                                     assert_eq!(
                                         out[i].to_bits(),

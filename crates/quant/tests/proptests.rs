@@ -77,14 +77,14 @@ fn case(seed: u64) -> Case {
 /// The scorer's bound sums of `codes`, checked equal at every level.
 fn sums(bound: &Sq8Bound, codes: &[u8], n: usize) -> Result<Vec<i32>, String> {
     let mut want = vec![0i32; n];
-    bound.sums_at(SimdLevel::Scalar, &[codes], &mut want, &mut |_| {});
+    bound.sums_at(SimdLevel::Scalar, &[codes], &mut want);
     for level in SimdLevel::available() {
         // Whole, and cut where a list boundary could fall.
         let stride = codes.len() / n;
         for cut in [0, 1, n / 3] {
             let mut got = vec![i32::MIN; n];
             let segments = [&codes[..cut * stride], &codes[cut * stride..]];
-            bound.sums_at(level, &segments, &mut got, &mut |_| {});
+            bound.sums_at(level, &segments, &mut got);
             prop_assert!(got == want, "{level} cut at {cut}: {got:?} vs {want:?}");
         }
     }

@@ -404,10 +404,10 @@ fn sq8_bound_filter_keeps_the_exact_top_k() {
                 let mut scores = vec![0.0f32; ids.len()];
                 scorer.score_block(&codes, &mut scores);
                 let mut sums = vec![0i32; ids.len()];
-                bound.sums(&[&codes], &mut sums, &mut |_| {});
+                bound.sums(&[&codes], &mut sums);
                 for level in SimdLevel::available() {
                     let mut at = vec![0i32; ids.len()];
-                    bound.sums_at(level, &[&codes], &mut at, &mut |_| {});
+                    bound.sums_at(level, &[&codes], &mut at);
                     prop_assert!(at == sums, "d{dim} {metric} sums at {level}");
                 }
                 for (i, (&sum, &score)) in sums.iter().zip(&scores).enumerate() {

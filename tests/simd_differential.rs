@@ -315,7 +315,7 @@ fn sq8_trained_on_adversarial_data_is_bit_identical_across_levels() {
                         let segments: Vec<&[u8]> = (0..cuts)
                             .map(|j| &codes[n * j / cuts * cs..n * (j + 1) / cuts * cs])
                             .collect();
-                        scorer.score_segments_at(level, &segments, &mut got, &mut |_| {});
+                        scorer.score_segments_at(level, &segments, &mut got);
                         for i in 0..n {
                             let (g, w) = (got[i], want[i]);
                             prop_assert!(

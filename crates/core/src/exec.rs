@@ -65,6 +65,15 @@
 //! A shard with no live rows answers every query with no hits and zero
 //! work: it has no keys, samples −∞, holds no pair, and is not scanned.
 //!
+//! **Scratch.** A request allocates what it returns, not what it works
+//! in. The route keeps its buffers per thread, as the scan does: one
+//! [`CoarseKeys`] per shard that each coarse pass refills in place, and
+//! the pooled cut's pair keys beside a sample scan's lists. Each call
+//! takes them and puts them back; a thread whose buffers outgrow 1 MiB
+//! (`SCRATCH_KEEP_BYTES`, the keys of ≈ 40 queries on the benchmark's
+//! store) frees them instead. A lone route then allocates its outcome
+//! and nothing that grows with `Σ nlist` (`tests/alloc_budget.rs`).
+//!
 //! **Parallelism.** Both stages fan shards out on [`hermes_pool::Pool`]
 //! (the deep stage once per wave), each shard task scanning all of its
 //! members (`threads` caps the width:
@@ -91,6 +100,10 @@
 //! their scanned and rescored codes, summed). Callers that run the two
 //! stages themselves get the same spans without the `engine.execute`
 //! envelope. Disabled, every site is one relaxed atomic load.
+
+use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
+use std::thread::LocalKey;
 
 use hermes_index::{CoarseKeys, IndexError, IvfIndex, ScanResult, ScanStats, VectorIndex};
 use hermes_kmeans::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
@@ -199,6 +212,16 @@ pub struct DeepLists {
 }
 
 impl DeepLists {
+    /// No lists yet, cut at `deep_nprobe`, with room for `lists` lists
+    /// over `shards` rank positions.
+    fn with_capacity(deep_nprobe: usize, lists: usize, shards: usize) -> Self {
+        DeepLists {
+            lists: Vec::with_capacity(lists),
+            ends: Vec::with_capacity(shards),
+            deep_nprobe,
+        }
+    }
+
     /// How many leading ranked shards are deep-searched.
     pub(crate) fn shards(&self) -> usize {
         self.ends.len()
@@ -396,101 +419,62 @@ impl<'s> Engine<'s> {
         let n = store.num_clusters();
         let mut sp =
             hermes_trace::span_with(names::ENGINE_ROUTE, &[("queries", queries.len() as u64)]);
-        // One coarse pass per live shard for the whole batch.
-        let group: Vec<&[f32]> = queries.iter().map(|q| q.as_ref()).collect();
-        let keys: Vec<Option<CoarseKeys>> = fan_out(n, width_cap(threads), |c| {
-            let shard = store.shard(c);
-            (shard.len() > 0).then(|| shard.coarse_keys(group.iter().copied()))
-        });
-        // Each query's keys in every shard (none in a shard with no live
-        // rows), or its error in the first shard in cluster order.
-        let shards: Vec<Result<Vec<&[u64]>, IndexError>> = (0..queries.len())
-            .map(|qi| {
-                (keys.iter())
-                    .map(|keys| keys.as_ref().map_or(Ok(&[][..]), |keys| keys.query(qi)))
-                    .collect()
-            })
-            .collect();
-        // One cheap k=1 sample per (shard, query) of its nearest lists;
-        // samples dominate single-query latency when m is small. A query
-        // that failed its checks samples no lists and gets the error.
-        let sample_nprobe = self.config.sample_nprobe.max(1);
-        let samples = match self.config.routing {
-            Routing::DocumentSampling => fan_out(n, width_cap(threads), |c| {
-                let (mut pool, mut lists) = (Vec::new(), Vec::new());
-                self.shard_scan(names::SHARD_SAMPLE, c, group.len(), |shard, qi| {
-                    lists.clear();
-                    if let Ok(shards) = &shards[qi] {
-                        lists.extend(
-                            nearest(shards[c], sample_nprobe, &mut pool)
-                                .map(|key| probe_key_centroid(key) as u32),
-                        );
-                    }
-                    shard.search_lists(group[qi], &lists, f32::NEG_INFINITY, 1)
-                })
-            }),
-            _ => Vec::new(),
-        };
-        let cost = |scanned_codes| SearchPhaseCost {
-            scanned_codes,
-            clusters_touched: n,
-        };
-        // Every scored list centroid counts one code, as a scored split
-        // centroid does under centroid routing.
-        let listed = (keys.iter().zip(0..))
-            .filter(|(keys, _)| keys.is_some())
-            .map(|(_, c)| store.shard(c).nlist())
-            .sum();
-        let metric = store.config().metric;
-        let mut pool = Vec::new();
-        let routes: Vec<RouteOutcome> = (shards.into_iter().enumerate())
-            .map(|(qi, shards)| {
-                let shards = shards?;
-                let (ranked_clusters, ranked_scores, cost) = match self.config.routing {
-                    Routing::NearestLists => {
-                        let (ranked, scores) = rank_by_nearest_list(&shards);
-                        (ranked, scores, cost(listed))
-                    }
-                    Routing::DocumentSampling => {
-                        let mut scored = Vec::with_capacity(n);
-                        let mut scanned = 0;
-                        for (c, shard) in samples.iter().enumerate() {
-                            let (hits, stats) = shard[qi].as_ref().map_err(|e| e.clone())?;
-                            scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
-                            scanned += stats.scanned_codes;
+        let routes = with_scratch(&ROUTE_SCRATCH, |RouteScratch { keys }| {
+            self.coarse_pass(queries, threads, keys);
+            // Query `qi`'s keys in shard `c` (none in a shard with no live
+            // rows), or its error.
+            let shard_keys = |c: usize, qi: usize| match store.shard(c).len() {
+                0 => Ok(&[][..]),
+                _ => keys[c].query(qi),
+            };
+            // One cheap k=1 sample per (shard, query) of its nearest lists;
+            // samples dominate single-query latency when m is small. A
+            // query that failed its checks samples no lists and gets the
+            // error.
+            let sample_nprobe = self.config.sample_nprobe.max(1);
+            let samples = match self.config.routing {
+                Routing::DocumentSampling => fan_out(n, width_cap(threads), |c| {
+                    with_scratch(&CUT_SCRATCH, |CutScratch { pool, lists }| {
+                        self.shard_scan(names::SHARD_SAMPLE, c, queries.len(), |shard, qi| {
+                            lists.clear();
+                            if let Ok(keys) = shard_keys(c, qi) {
+                                lists.extend(
+                                    nearest(keys, sample_nprobe, pool)
+                                        .map(|key| probe_key_centroid(key) as u32),
+                                );
+                            }
+                            let query = queries[qi].as_ref();
+                            shard.search_lists(query, lists, f32::NEG_INFINITY, 1)
+                        })
+                    })
+                }),
+                _ => Vec::new(),
+            };
+            let mut shards = Vec::with_capacity(n);
+            with_scratch(&CUT_SCRATCH, |CutScratch { pool, .. }| {
+                (0..queries.len())
+                    .map(|qi| {
+                        // The query's keys in every shard, or its error in
+                        // the first shard in cluster order.
+                        shards.clear();
+                        for c in 0..n {
+                            shards.push(shard_keys(c, qi)?);
                         }
-                        let (ranked, scores) = rank_with_scores(scored);
-                        (ranked, scores, cost(scanned))
-                    }
-                    Routing::CentroidOnly => {
-                        let query = group[qi];
-                        let scored = (0..n)
-                            .map(|c| match store.split_centroid(c) {
-                                centroid if centroid.len() == query.len() => {
-                                    Ok((c, metric.similarity(query, centroid)))
-                                }
-                                centroid => Err(IndexError::DimensionMismatch {
-                                    expected: centroid.len(),
-                                    got: query.len(),
-                                }),
-                            })
-                            .collect::<Result<_, _>>()?;
-                        // Centroid ranking scans one vector per cluster.
-                        let (ranked, scores) = rank_with_scores(scored);
-                        (ranked, scores, cost(n))
-                    }
-                    Routing::Unranked => ((0..n).collect(), Vec::new(), SearchPhaseCost::default()),
-                };
-                let deep_lists =
-                    self.deep_lists(&shards, &ranked_clusters, &ranked_scores, &mut pool);
-                Ok(RouteOutcome {
-                    ranked_clusters,
-                    ranked_scores,
-                    cost,
-                    deep_lists,
-                })
+                        let query = queries[qi].as_ref();
+                        let (ranked_clusters, ranked_scores, cost) =
+                            self.rank(query, &shards, samples.iter().map(|shard| &shard[qi]))?;
+                        let deep_lists =
+                            self.deep_lists(&shards, &ranked_clusters, &ranked_scores, pool);
+                        Ok(RouteOutcome {
+                            ranked_clusters,
+                            ranked_scores,
+                            cost,
+                            deep_lists,
+                        })
+                    })
+                    .collect::<Result<Vec<_>, HermesError>>()
             })
-            .collect::<Result<_, HermesError>>()?;
+        })?;
         if sp.is_active() {
             let costs = routes.iter().map(|r| r.cost);
             sp.arg(
@@ -500,6 +484,102 @@ impl<'s> Engine<'s> {
             sp.arg("clusters", costs.map(|c| c.clusters_touched as u64).sum());
         }
         Ok(routes)
+    }
+
+    /// Ranks the shards for one query that passed its checks, as its
+    /// routing says, from its coarse keys in every shard (`shards[c]`,
+    /// none for a shard with no live rows) and, under document sampling,
+    /// its sample scan of every shard (`samples`, in cluster order).
+    /// Returns the ranking, its scores (none when unranked) and the
+    /// route-stage cost.
+    fn rank<'r>(
+        &self,
+        query: &[f32],
+        shards: &[&[u64]],
+        samples: impl Iterator<Item = &'r ScanResult>,
+    ) -> Result<(Vec<usize>, Vec<f32>, SearchPhaseCost), HermesError> {
+        let store = self.store;
+        let n = store.num_clusters();
+        let cost = |scanned_codes| SearchPhaseCost {
+            scanned_codes,
+            clusters_touched: n,
+        };
+        Ok(match self.config.routing {
+            Routing::NearestLists => {
+                let (ranked, scores) = rank_by_nearest_list(shards);
+                // Every scored list centroid (one key each) counts one
+                // code, as a scored split centroid does under centroid
+                // routing.
+                let listed = shards.iter().map(|keys| keys.len()).sum();
+                (ranked, scores, cost(listed))
+            }
+            Routing::DocumentSampling => {
+                let mut scored = Vec::with_capacity(n);
+                let mut scanned = 0;
+                for (c, sample) in samples.enumerate() {
+                    let (hits, stats) = sample.as_ref().map_err(|e| e.clone())?;
+                    scored.push((c, hits.first().map_or(f32::NEG_INFINITY, |h| h.score)));
+                    scanned += stats.scanned_codes;
+                }
+                let (ranked, scores) = rank_with_scores(scored);
+                (ranked, scores, cost(scanned))
+            }
+            Routing::CentroidOnly => {
+                let metric = store.config().metric;
+                let scored = (0..n)
+                    .map(|c| match store.split_centroid(c) {
+                        centroid if centroid.len() == query.len() => {
+                            Ok((c, metric.similarity(query, centroid)))
+                        }
+                        centroid => Err(IndexError::DimensionMismatch {
+                            expected: centroid.len(),
+                            got: query.len(),
+                        }),
+                    })
+                    .collect::<Result<_, _>>()?;
+                // Centroid ranking scans one vector per cluster.
+                let (ranked, scores) = rank_with_scores(scored);
+                (ranked, scores, cost(n))
+            }
+            Routing::Unranked => ((0..n).collect(), Vec::new(), SearchPhaseCost::default()),
+        })
+    }
+
+    /// The route's coarse passes: `keys[c]` gets shard `c`'s keys of the
+    /// whole batch, one [`IvfIndex::coarse_keys`] pass per live shard (a
+    /// shard with no live rows is skipped, and its entry never read).
+    /// Inline, each shard refills its own entry; fanned out on the pool,
+    /// each task takes an entry off the same buffers, refills it and
+    /// returns it, so the buffers are reused at any width.
+    fn coarse_pass<Q: AsRef<[f32]> + Sync>(
+        &self,
+        queries: &[Q],
+        threads: usize,
+        keys: &mut Vec<CoarseKeys>,
+    ) {
+        let store = self.store;
+        let n = store.num_clusters();
+        let fill = |c: usize, out: &mut CoarseKeys| {
+            let shard = store.shard(c);
+            if shard.len() > 0 {
+                shard.coarse_keys(queries.iter().map(|q| q.as_ref()), out);
+            }
+        };
+        keys.resize_with(n, CoarseKeys::default);
+        let cap = width_cap(threads);
+        if runs_inline(n, cap) {
+            for (c, out) in keys.iter_mut().enumerate() {
+                fill(c, out);
+            }
+            return;
+        }
+        let spare = Mutex::new(std::mem::take(keys));
+        *keys = fan_out(n, cap, |c| {
+            let taken = spare.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            let mut out = taken.unwrap_or_default();
+            fill(c, &mut out);
+            out
+        });
     }
 
     /// The one list chooser, for every routing: a query's deep lists from
@@ -522,11 +602,9 @@ impl<'s> Engine<'s> {
         let (m, deep_nprobe) = self.depth_for(ranked_scores);
         let leaders = &ranked_clusters[..m.min(ranked_clusters.len())];
         let share = |c: usize| full_share(deep_nprobe, shards[c]);
-        let mut lists = DeepLists {
-            deep_nprobe,
-            ..DeepLists::default()
-        };
         if self.config.probe_allocation == ProbeAllocation::PerShard || ranked_scores.is_empty() {
+            let total = leaders.iter().map(|&c| share(c)).sum();
+            let mut lists = DeepLists::with_capacity(deep_nprobe, total, leaders.len());
             for &c in leaders {
                 lists.push(nearest(shards[c], share(c), pool));
             }
@@ -536,23 +614,28 @@ impl<'s> Engine<'s> {
         // searches the ranked prefix that holds a chosen list (a shard
         // ranks by its nearest pair); the others pool their leaders in
         // rank order and search them all. The pool's order breaks its
-        // ties: shard `c`'s pairs are numbered from `offsets[c]`.
+        // ties: the pairs of the shard at pool position `p` are numbered
+        // from the pairs of the positions before it.
         let uncapped = self.config.routing == Routing::NearestLists;
-        let order: Vec<usize> = if uncapped {
-            (0..shards.len()).collect()
+        let (pooled, searched) = if uncapped {
+            (shards.len(), ranked_clusters)
         } else {
-            leaders.to_vec()
+            (leaders.len(), leaders)
         };
-        let mut offsets = vec![0; shards.len()];
-        let mut next = 0;
-        for &c in &order {
-            offsets[c] = next;
-            next += shards[c].len();
-        }
-        let pooled: Vec<&[u64]> = order.iter().map(|&c| shards[c]).collect();
-        let cut = pooled_cut(&pooled, budget(leaders.iter().map(|&c| share(c))), pool);
-        for &c in if uncapped { ranked_clusters } else { leaders } {
-            let mut chosen = chosen(shards[c], offsets[c], cut).peekable();
+        let pooled_shard = |p: usize| {
+            if uncapped {
+                shards[p]
+            } else {
+                shards[leaders[p]]
+            }
+        };
+        let budget = budget(leaders.iter().map(|&c| share(c)));
+        let cut = pooled_cut((0..pooled).map(pooled_shard), budget, pool);
+        let mut lists = DeepLists::with_capacity(deep_nprobe, budget, searched.len());
+        for (r, &c) in searched.iter().enumerate() {
+            let p = if uncapped { c } else { r };
+            let offset = (0..p).map(|p| pooled_shard(p).len()).sum();
+            let mut chosen = chosen(shards[c], offset, cut).peekable();
             if uncapped && chosen.peek().is_none() {
                 break;
             }
@@ -852,7 +935,11 @@ fn budget(shares: impl Iterator<Item = usize>) -> usize {
 /// nothing but the keys. Returns the [`pair_key`] of the last pair
 /// chosen, `None` if none is; [`chosen`] reads each shard's pairs back.
 /// `pool` is scratch.
-fn pooled_cut(shards: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Option<u64> {
+fn pooled_cut<'k>(
+    shards: impl IntoIterator<Item = &'k [u64]>,
+    budget: usize,
+    pool: &mut Vec<u64>,
+) -> Option<u64> {
     pool.clear();
     let mut offset = 0;
     for keys in shards {
@@ -879,7 +966,7 @@ fn chosen(keys: &[u64], offset: usize, cut: Option<u64>) -> impl Iterator<Item =
 /// The `n` nearest of one shard's coarse `keys` (none for `n = 0`), in
 /// list order: [`pooled_cut`] over that shard alone. `pool` is scratch.
 fn nearest<'k>(keys: &'k [u64], n: usize, pool: &mut Vec<u64>) -> impl Iterator<Item = u64> + 'k {
-    chosen(keys, 0, pooled_cut(&[keys], n, pool))
+    chosen(keys, 0, pooled_cut([keys], n, pool))
 }
 
 /// Ranks the shards of one query by its nearest coarse key in each
@@ -925,6 +1012,12 @@ fn width_cap(threads: usize) -> usize {
     }
 }
 
+/// Whether a fan-out of `n` tasks at most `cap` wide runs inline: one
+/// task, width 1, or a pool of one thread.
+fn runs_inline(n: usize, cap: usize) -> bool {
+    cap == 1 || n <= 1 || hermes_pool::Pool::global().threads() == 1
+}
+
 /// Runs `f` over `0..n` on the shared pool, at most `cap` at once,
 /// results in index order. Inside a pool worker (i.e. within a batch)
 /// this runs inline, so a nested fan-out never re-enters the pool.
@@ -933,11 +1026,78 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    if cap == 1 || n <= 1 {
+    if runs_inline(n, cap) {
         return (0..n).map(f).collect();
     }
     let indices: Vec<usize> = (0..n).collect();
     hermes_pool::Pool::global().parallel_map_capped(&indices, cap, |&i| f(i))
+}
+
+/// The most a thread keeps of one scratch between calls, in heap bytes.
+/// A batch whose buffers outgrow it frees them when it is done — on the
+/// benchmark's store (3 081 lists over 10 shards) the keys of a batch of
+/// 40 queries are ≈ 1 MB — so a 10 000-query batch leaves nothing
+/// resident, while the cut's pool (Σ nlist keys) and the keys of the
+/// serving layer's batches are kept.
+const SCRATCH_KEEP_BYTES: usize = 1 << 20;
+
+thread_local! {
+    /// This thread's route scratch between [`Engine::route_batch`] calls.
+    static ROUTE_SCRATCH: Cell<Option<Box<RouteScratch>>> = const { Cell::new(None) };
+    /// This thread's cut scratch between a route's cuts.
+    static CUT_SCRATCH: Cell<Option<Box<CutScratch>>> = const { Cell::new(None) };
+}
+
+/// A per-thread scratch: buffers cleared or overwritten before they are
+/// read, so that only their capacity carries over from call to call.
+trait Scratch: Default {
+    /// The heap bytes the buffers hold, spare capacity included.
+    fn heap_bytes(&self) -> usize;
+}
+
+/// The route's coarse keys: one [`CoarseKeys`] per shard, refilled by
+/// each route's coarse passes.
+#[derive(Default)]
+struct RouteScratch {
+    keys: Vec<CoarseKeys>,
+}
+
+impl Scratch for RouteScratch {
+    fn heap_bytes(&self) -> usize {
+        let entries = self.keys.capacity() * std::mem::size_of::<CoarseKeys>();
+        entries + self.keys.iter().map(CoarseKeys::heap_bytes).sum::<usize>()
+    }
+}
+
+/// The pooled cut's pair keys ([`pooled_cut`]), and a sample scan's
+/// lists.
+#[derive(Default)]
+struct CutScratch {
+    pool: Vec<u64>,
+    lists: Vec<u32>,
+}
+
+impl Scratch for CutScratch {
+    fn heap_bytes(&self) -> usize {
+        self.pool.capacity() * std::mem::size_of::<u64>()
+            + self.lists.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Runs `f` over this thread's scratch in `slot`, taken and put back
+/// rather than borrowed, so a call re-entered on this thread finds the
+/// slot empty and merely allocates. A scratch that holds more than
+/// [`SCRATCH_KEEP_BYTES`] afterwards is freed instead of kept.
+fn with_scratch<S: Scratch, T>(
+    slot: &'static LocalKey<Cell<Option<Box<S>>>>,
+    f: impl FnOnce(&mut S) -> T,
+) -> T {
+    let mut scratch = slot.take().unwrap_or_default();
+    let out = f(&mut scratch);
+    if scratch.heap_bytes() <= SCRATCH_KEEP_BYTES {
+        slot.set(Some(scratch));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -967,7 +1127,7 @@ mod tests {
     /// Each shard's count of the pairs the pooled cut at `budget` chooses
     /// over `ranked`, read back as the chooser reads them.
     fn pooled_counts(ranked: &[&[u64]], budget: usize, pool: &mut Vec<u64>) -> Vec<usize> {
-        let cut = pooled_cut(ranked, budget, pool);
+        let cut = pooled_cut(ranked.iter().copied(), budget, pool);
         let mut offset = 0;
         (ranked.iter())
             .map(|keys| {
@@ -1316,5 +1476,94 @@ mod tests {
             out.stats.total_scanned_codes(),
             out.stats.route.scanned_codes + out.stats.deep.scanned_codes
         );
+    }
+
+    /// The heap bytes this thread's route and cut scratch hold (0 for
+    /// none).
+    fn held_scratch() -> (usize, usize) {
+        fn held<S: Scratch>(slot: &'static LocalKey<Cell<Option<Box<S>>>>) -> usize {
+            let scratch = slot.take();
+            let bytes = scratch.as_ref().map_or(0, |s| s.heap_bytes());
+            slot.set(scratch);
+            bytes
+        }
+        (held(&ROUTE_SCRATCH), held(&CUT_SCRATCH))
+    }
+
+    /// One thread runs calls of every shape back to back — shard counts,
+    /// an emptied shard, an early error, every routing and allocation,
+    /// widths 0 and 1, a large batch — and each answers what it answers on
+    /// a fresh thread, whose scratch is empty. The large batch's keys
+    /// outgrow the cap, so the thread does not keep them.
+    #[test]
+    fn thread_scratch_carries_nothing_from_call_to_call() {
+        let corpus = Corpus::generate(CorpusSpec::new(1_200, 16, 10).with_seed(43));
+        let queries = QuerySet::generate(&corpus, QuerySpec::new(1_000).with_seed(44)).to_vecs();
+        let lone = &queries[..1];
+        let ten = ClusteredStore::build(corpus.embeddings(), &HermesConfig::new(10)).unwrap();
+        let mut three = ClusteredStore::build(corpus.embeddings(), &HermesConfig::new(3)).unwrap();
+        let mut all = three.clone();
+        let ids = 0..corpus.embeddings().rows() as u64;
+        for id in ids.filter(|&id| all.remove(id) == Some(1)) {
+            three.remove(id);
+        }
+        assert_eq!(three.shard(1).len(), 0);
+        let sampling = (*ten.config()).with_routing(Routing::DocumentSampling);
+        let per_shard = (*ten.config()).with_probe_allocation(ProbeAllocation::PerShard);
+        let wrong = [0.5f32; 15];
+        type Call<'a> = Box<dyn Fn() -> Result<Vec<SearchOutcome>, HermesError> + Sync + 'a>;
+        let calls: Vec<(&str, Call)> = vec![
+            (
+                "ten",
+                Box::new(|| Engine::for_store(&ten).execute_coalesced(lone, 1)),
+            ),
+            (
+                "ten, width 0",
+                Box::new(|| Engine::for_store(&ten).execute_coalesced(lone, 0)),
+            ),
+            (
+                "emptied",
+                Box::new(|| Engine::for_store(&three).execute_coalesced(lone, 1)),
+            ),
+            (
+                "wrong dimension",
+                Box::new(|| Engine::for_store(&ten).execute_coalesced(&[&wrong[..]], 1)),
+            ),
+            (
+                "sampling",
+                Box::new(|| Engine::new(&ten, &sampling).execute_coalesced(&queries[..8], 1)),
+            ),
+            (
+                "per shard",
+                Box::new(|| Engine::new(&ten, &per_shard).execute_coalesced(&queries[..8], 0)),
+            ),
+            (
+                "batch",
+                Box::new(|| Engine::for_store(&ten).execute_coalesced(&queries, 0)),
+            ),
+            (
+                "ten again",
+                Box::new(|| Engine::for_store(&ten).execute_coalesced(lone, 1)),
+            ),
+        ];
+        for (name, call) in &calls {
+            let here = format!("{:?}", call());
+            let fresh = std::thread::scope(|s| s.spawn(|| format!("{:?}", call())).join());
+            assert_eq!(here, fresh.unwrap(), "{name}");
+            match *name {
+                "wrong dimension" => assert!(here.starts_with("Err")),
+                _ => assert!(here.starts_with("Ok")),
+            }
+            let (route, cut) = held_scratch();
+            assert!(
+                route <= SCRATCH_KEEP_BYTES && cut <= SCRATCH_KEEP_BYTES,
+                "{name}"
+            );
+            match *name {
+                // 1 000 queries' keys over ≈ 440 lists are ≈ 3.5 MB.
+                "batch" => assert_eq!(route, 0),
+                _ => assert!(route > 0, "{name}"),
+            }
+        }
     }
 }

@@ -153,6 +153,13 @@ impl CoarseKeys {
         let row = self.rows[i].clone()?;
         Ok(&self.keys[row * self.nlist..(row + 1) * self.nlist])
     }
+
+    /// The heap bytes its buffers hold, spare capacity included: what a
+    /// caller that keeps it to refill holds between groups.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<u64>()
+            + self.rows.capacity() * std::mem::size_of::<Result<usize, IndexError>>()
+    }
 }
 
 /// Builder for [`IvfIndex`] (paper defaults: `nlist = 4·√n`, SQ8 codec).
@@ -576,14 +583,32 @@ impl VectorIndex for IvfIndex {
 
 impl IvfIndex {
     /// One pass over the centroid table scores every list against every
-    /// query of the group and checks each query as a search would: a
-    /// caller that chooses the lists itself — across several indices over
-    /// one embedding space, say — chooses from these keys and hands the
-    /// lists to [`Self::search_lists`].
-    pub fn coarse_keys<'q>(&self, queries: impl Iterator<Item = &'q [f32]> + Clone) -> CoarseKeys {
-        let mut keys = CoarseKeys::default();
-        self.fill_keys(queries, &mut keys);
-        keys
+    /// query of the group and checks each query as a search would, into
+    /// `out`: a caller that chooses the lists itself — across several
+    /// indices over one embedding space, say — chooses from these keys
+    /// and hands the lists to [`Self::search_lists`]. `out`'s previous
+    /// contents are replaced and its buffers reused, so a caller that
+    /// keeps one per index allocates nothing once they are large enough.
+    pub fn coarse_keys<'q>(
+        &self,
+        queries: impl Iterator<Item = &'q [f32]> + Clone,
+        out: &mut CoarseKeys,
+    ) {
+        let CoarseKeys { keys, rows, nlist } = out;
+        *nlist = self.lists.len();
+        let mut next_row = 0;
+        rows.clear();
+        rows.extend(queries.clone().map(|q| {
+            self.check_query(q).map(|()| {
+                next_row += 1;
+                next_row - 1
+            })
+        }));
+        let live = queries
+            .zip(rows.iter())
+            .filter(|(_, row)| row.is_ok())
+            .map(|(q, _)| q);
+        self.coarse.probe_keys(live, keys);
     }
 
     /// Scans exactly the inverted lists `lists` names for `query` (each
@@ -641,29 +666,6 @@ impl IvfIndex {
             return Err(IndexError::Empty);
         }
         Ok(())
-    }
-
-    /// Checks every query and writes the keys of those that pass.
-    fn fill_keys<'q>(
-        &self,
-        queries: impl Iterator<Item = &'q [f32]> + Clone,
-        out: &mut CoarseKeys,
-    ) {
-        let CoarseKeys { keys, rows, nlist } = out;
-        *nlist = self.lists.len();
-        let mut next_row = 0;
-        rows.clear();
-        rows.extend(queries.clone().map(|q| {
-            self.check_query(q).map(|()| {
-                next_row += 1;
-                next_row - 1
-            })
-        }));
-        let live = queries
-            .zip(rows.iter())
-            .filter(|(_, row)| row.is_ok())
-            .map(|(q, _)| q);
-        self.coarse.probe_keys(live, keys);
     }
 
     /// The one scan body: `query`'s `lists`, the empty ones dropped,
@@ -746,8 +748,8 @@ impl IvfIndex {
         chunk: &mut Chunk,
     ) -> usize {
         let cs = self.codec.code_size();
-        let mut segments: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
-        let mut kept: [&[u8]; CHUNK_ROWS] = [&[]; CHUNK_ROWS];
+        let mut segments: Vec<&[u8]> = recycle(std::mem::take(&mut chunk.segments));
+        let mut kept: Vec<&[u8]> = recycle(std::mem::take(&mut chunk.kept));
         let mut rescored = 0;
         let (mut at_list, mut at_row) = (0, 0);
         while at_list < lists.len() {
@@ -755,37 +757,38 @@ impl IvfIndex {
                 floor == f32::NEG_INFINITY && top.len() < top.k() && scorer.bound().is_some();
             let limit = if warming { WARMUP_ROWS } else { CHUNK_ROWS };
             // The next chunk: up to `limit` rows of consecutive lists.
-            let (mut parts, mut rows) = (0, 0);
+            let mut rows = 0;
+            segments.clear();
             while rows < limit && at_list < lists.len() {
                 let list = &self.lists[lists[at_list] as usize];
                 let take = (list.ids.len() - at_row).min(limit - rows);
-                segments[parts] = &list.codes[at_row * cs..(at_row + take) * cs];
-                chunk.parts[parts] = Part {
+                chunk.parts[segments.len()] = Part {
                     list: lists[at_list],
                     start: at_row as u32,
                     len: take as u32,
                 };
-                parts += 1;
+                segments.push(&list.codes[at_row * cs..(at_row + take) * cs]);
                 rows += take;
                 at_row += take;
                 if at_row == list.ids.len() {
                     (at_list, at_row) = (at_list + 1, 0);
                 }
             }
-            let (segments, parts) = (&segments[..parts], &chunk.parts[..parts]);
+            let parts = &chunk.parts[..segments.len()];
             let gate = scorer
                 .bound()
                 .and_then(|bound| Some((bound, bound.floor(top.threshold().max(floor))?)));
             if let Some((bound, least)) = gate {
                 let used = rows.div_ceil(8);
-                bound.survivors(segments, rows, least, &mut chunk.masks[..used]);
+                bound.survivors(&segments, rows, least, &mut chunk.masks[..used]);
                 // Survivors in row order, straight off the kernel's mask
                 // bits, 64 rows a word (the word's bytes past the chunk
                 // cleared); `part` follows them.
                 let bytes = used.next_multiple_of(8);
                 chunk.masks[used..bytes].fill(0);
                 let (words, _) = chunk.masks[..bytes].as_chunks::<8>();
-                let (mut n, mut part, mut part_from) = (0, 0, 0);
+                let (mut part, mut part_from) = (0, 0);
+                kept.clear();
                 for (w, &word) in words.iter().enumerate() {
                     let mut mask = u64::from_le_bytes(word);
                     while mask != 0 {
@@ -797,20 +800,20 @@ impl IvfIndex {
                         }
                         let list = &self.lists[parts[part].list as usize];
                         let at = parts[part].start as usize + row - part_from;
-                        kept[n] = &list.codes[at * cs..(at + 1) * cs];
-                        chunk.kept_ids[n] = list.ids[at];
-                        n += 1;
+                        chunk.kept_ids[kept.len()] = list.ids[at];
+                        kept.push(&list.codes[at * cs..(at + 1) * cs]);
                     }
                 }
+                let n = kept.len();
                 let out = &mut chunk.scores[..n];
-                scorer.score_segments(&kept[..n], out);
+                scorer.score_segments(&kept, out);
                 top.push_block(&chunk.kept_ids[..n], out);
                 rescored += n;
                 continue;
             }
 
             let out = &mut chunk.scores[..rows];
-            scorer.score_segments(segments, out);
+            scorer.score_segments(&segments, out);
             let mut at = 0;
             for p in parts {
                 let list = &self.lists[p.list as usize];
@@ -819,6 +822,8 @@ impl IvfIndex {
                 at += len;
             }
         }
+        chunk.segments = recycle(segments);
+        chunk.kept = recycle(kept);
         rescored
     }
 }
@@ -870,6 +875,17 @@ struct ScanScratch {
     chunk: Chunk,
 }
 
+/// An emptied `Vec` re-typed to another borrow lifetime, so that one
+/// allocation serves scan after scan although each scan's segments
+/// borrow that scan's index. Mapping an empty `vec::IntoIter` collects in
+/// place — the buffer is handed over, not reallocated; were that ever to
+/// stop holding, the only loss would be an allocation per scan (which
+/// `tests/alloc_budget.rs` would report).
+fn recycle<'b>(mut buffer: Vec<&[u8]>) -> Vec<&'b [u8]> {
+    buffer.clear();
+    buffer.into_iter().map(|_| unreachable!()).collect()
+}
+
 /// The per-chunk buffers of [`IvfIndex::scan`].
 struct Chunk {
     /// The lists (or pieces of lists) the chunk's rows come from.
@@ -880,6 +896,10 @@ struct Chunk {
     /// of the rows it keeps.
     masks: [u8; CHUNK_ROWS / 8],
     kept_ids: [u64; CHUNK_ROWS],
+    /// The chunk's code segments, and the rows the bound keeps; held
+    /// empty between scans (see [`recycle`]).
+    segments: Vec<&'static [u8]>,
+    kept: Vec<&'static [u8]>,
 }
 
 impl Default for Chunk {
@@ -889,6 +909,8 @@ impl Default for Chunk {
             scores: [0.0; CHUNK_ROWS],
             masks: [0; CHUNK_ROWS / 8],
             kept_ids: [0; CHUNK_ROWS],
+            segments: Vec::with_capacity(CHUNK_ROWS),
+            kept: Vec::with_capacity(CHUNK_ROWS),
         }
     }
 }
@@ -1073,7 +1095,8 @@ mod tests {
             .unwrap();
         for qi in [0, 3] {
             let q = data.row(qi);
-            let keys = ivf.coarse_keys([q].into_iter());
+            let mut keys = CoarseKeys::default();
+            ivf.coarse_keys([q].into_iter(), &mut keys);
             for nprobe in [1usize, 2, ivf.nlist(), 64] {
                 let mut keys = keys.query(0).unwrap().to_vec();
                 let chosen = select_nearest(&mut keys, nprobe);
@@ -1732,7 +1755,8 @@ mod tests {
         index: &IvfIndex,
         queries: &[(&'q [f32], usize)],
     ) -> Vec<(&'q [f32], Vec<u32>)> {
-        let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+        let mut keys = CoarseKeys::default();
+        index.coarse_keys(queries.iter().map(|q| q.0), &mut keys);
         (queries.iter().enumerate())
             .map(|(qi, &(q, nprobe))| {
                 let lists = keys.query(qi).map_or_else(
@@ -1772,7 +1796,8 @@ mod tests {
             assert!(index.take(id).is_some());
         }
         let bad = [1.0f32; 5];
-        let keys = index.coarse_keys([data.row(3), &bad[..]].into_iter());
+        let mut keys = CoarseKeys::default();
+        index.coarse_keys([data.row(3), &bad[..]].into_iter(), &mut keys);
         // A query's keys are the index's probe ranking of it.
         let mut ranked = keys.query(0).unwrap().to_vec();
         assert_eq!(ranked.len(), 40);

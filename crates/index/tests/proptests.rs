@@ -1,8 +1,8 @@
 //! Property-based tests for the ANN indices, on `hermes-testkit`.
 
 use hermes_index::{
-    f16_bits_to_f32, f32_to_f16_bits, FlatIndex, HnswIndex, IvfIndex, SearchParams, VectorIndex,
-    VectorStorage,
+    f16_bits_to_f32, f32_to_f16_bits, CoarseKeys, FlatIndex, HnswIndex, IvfIndex, SearchParams,
+    VectorIndex, VectorStorage,
 };
 use hermes_kmeans::{probe_key_centroid, select_nearest};
 use hermes_math::rng::seeded_rng;
@@ -309,7 +309,8 @@ fn search_lists_equals_per_query_search() {
                     .enumerate()
                     .map(|(i, q)| (q, 1 + (i * 7) % 41))
                     .collect();
-                let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+                let mut keys = CoarseKeys::default();
+                index.coarse_keys(queries.iter().map(|q| q.0), &mut keys);
                 let lists: Vec<Vec<u32>> = (queries.iter().enumerate())
                     .map(|(qi, &(_, nprobe))| match keys.query(qi) {
                         Ok(keys) => select_nearest(&mut keys.to_vec(), nprobe)
@@ -344,7 +345,8 @@ fn search_lists_equals_per_query_search() {
 /// Each query's lists (from the index's own coarse keys): its nearest
 /// `nprobe`, in list order.
 fn nearest_lists(index: &IvfIndex, queries: &[&[f32]], nprobe: usize) -> Vec<Vec<u32>> {
-    let keys = index.coarse_keys(queries.iter().copied());
+    let mut keys = CoarseKeys::default();
+    index.coarse_keys(queries.iter().copied(), &mut keys);
     (0..queries.len())
         .map(|qi| {
             let mut keys = keys.query(qi).unwrap().to_vec();

@@ -35,7 +35,11 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::redundant_explicit_
 # root suites that pin pooled paths bit-identical to sequential ones;
 # the index crate, whose scan keeps its scratch per thread (the
 # row-plan suites: plans across list boundaries, queries scanned back to
-# back on one scratch, a scan without the thread's scratch); and k-means, whose sweep fans out over row
+# back on one scratch, a scan without the thread's scratch); the core
+# crate's route, which keeps its coarse keys and cut per thread too (a
+# thread running calls of every shape answers as a fresh thread does,
+# and `alloc_budget` pins what a request allocates at `threads = 1`);
+# and k-means, whose sweep fans out over row
 # blocks (the full-sweep oracle suites, and the published store image
 # pinned in `determinism`). Both sweeps must pass with no goldens
 # re-tuned.
@@ -46,7 +50,7 @@ for threads in 1 16; do
     HERMES_THREADS="${threads}" cargo test -q --offline -p hermes \
         --test engine_equivalence --test serving_equivalence \
         --test adaptive_cache_equivalence --test mutation_equivalence \
-        --test determinism --test trace_validation
+        --test determinism --test trace_validation --test alloc_budget
 done
 
 # Re-run, at both ends of the SIMD dispatch ladder — whatever the host

@@ -1,6 +1,6 @@
 //! Failure injection and boundary conditions across the stack.
 
-use hermes::index::ScanResult;
+use hermes::index::{CoarseKeys, ScanResult};
 use hermes::kmeans::{probe_key_centroid, select_nearest};
 use hermes::prelude::*;
 
@@ -221,7 +221,8 @@ fn hostile_queries(dim: usize) -> Vec<Vec<f32>> {
 /// floor −∞ — a search's answer to the bit, query by query: each answer,
 /// and the rescored counts' sum.
 fn list_scan(index: &IvfIndex, queries: &[(&[f32], usize)], k: usize) -> (Vec<ScanResult>, usize) {
-    let keys = index.coarse_keys(queries.iter().map(|q| q.0));
+    let mut keys = CoarseKeys::default();
+    index.coarse_keys(queries.iter().map(|q| q.0), &mut keys);
     let lists: Vec<Vec<u32>> = (queries.iter().enumerate())
         .map(|(qi, &(_, nprobe))| match keys.query(qi) {
             Ok(keys) => select_nearest(&mut keys.to_vec(), nprobe)

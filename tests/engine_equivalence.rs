@@ -24,7 +24,7 @@
 
 use hermes::core::exec::Engine;
 use hermes::core::search::{SearchOutcome, SearchPhaseCost};
-use hermes::index::ScanStats;
+use hermes::index::{CoarseKeys, ScanStats};
 use hermes::kmeans::{probe_key_centroid, probe_key_distance, probe_key_squared_distance};
 use hermes::math::topk::merge_topk;
 use hermes::prelude::*;
@@ -344,8 +344,7 @@ fn pooled_search(store: &ClusteredStore, query: &[f32]) -> SearchOutcome {
     let mut budget = 0;
     for (pos, &c) in searched.iter().enumerate() {
         let shard = store.shard(c);
-        let keys = shard.coarse_keys([query].into_iter());
-        let keys = keys.query(0).unwrap();
+        let keys = query_keys(shard, query);
         assert_eq!(keys.len(), shard.nlist());
         let pair = |&key| (probe_key_distance(key), pos, probe_key_centroid(key));
         pool.extend(keys.iter().map(pair));
@@ -588,10 +587,7 @@ fn a_distance_tie_at_the_cut_goes_to_the_better_ranked_shard() {
     let store = ClusteredStore::build(&Mat::from_rows(&rows), &cfg).unwrap();
     let query = vec![0.9f32, 0.1];
     let distances = |c: usize| {
-        let keys = store.shard(c).coarse_keys([&query[..]].into_iter());
-        let mut d: Vec<u32> = keys
-            .query(0)
-            .unwrap()
+        let mut d: Vec<u32> = query_keys(store.shard(c), &query)
             .iter()
             .map(|&k| probe_key_distance(k))
             .collect();
@@ -707,12 +703,7 @@ fn nearest_lists_search(
     let keys: Vec<Vec<u64>> = (0..n)
         .map(|c| match store.shard(c).len() {
             0 => Vec::new(),
-            _ => store
-                .shard(c)
-                .coarse_keys([query].into_iter())
-                .query(0)
-                .unwrap()
-                .to_vec(),
+            _ => query_keys(store.shard(c), query),
         })
         .collect();
     let nearest = |c: usize| keys[c].iter().min().copied();
@@ -969,10 +960,7 @@ fn a_nearest_lists_tie_at_the_cut_goes_to_the_lower_cluster_id() {
     let store = ClusteredStore::build(&Mat::from_rows(&rows), &cfg).unwrap();
     let query = vec![0.0f32, 0.0];
     let distances = |c: usize| {
-        let keys = store.shard(c).coarse_keys([&query[..]].into_iter());
-        let mut d: Vec<f32> = keys
-            .query(0)
-            .unwrap()
+        let mut d: Vec<f32> = query_keys(store.shard(c), &query)
             .iter()
             .map(|&k| probe_key_squared_distance(k))
             .collect();
@@ -997,4 +985,11 @@ fn a_nearest_lists_tie_at_the_cut_goes_to_the_lower_cluster_id() {
         assert_eq!(engine.execute_coalesced(&batch, threads).unwrap()[3], want);
         assert_eq!(engine.execute_batch(&batch, threads).unwrap()[3], want);
     }
+}
+
+/// One query's coarse keys in `shard`, one per list in list order.
+fn query_keys(shard: &IvfIndex, query: &[f32]) -> Vec<u64> {
+    let mut keys = CoarseKeys::default();
+    shard.coarse_keys([query].into_iter(), &mut keys);
+    keys.query(0).unwrap().to_vec()
 }
